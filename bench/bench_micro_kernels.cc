@@ -3,15 +3,21 @@
  * google-benchmark microbenches for the compute kernels underneath the
  * serving substrate: SLS pooling (fp32 / int8 / int4 backed), dense FC,
  * the DES event engine, and index splitting. These back the cost-model
- * constants used by the simulation.
+ * constants used by the simulation. The Zipf-draw and cache-replay rows
+ * time the two layers of the trace-driven row-cache build.
  */
 #include <benchmark/benchmark.h>
 
+#include "cache/tiered_sim.h"
 #include "graph/operators.h"
+#include "model/generators.h"
 #include "sim/engine.h"
+#include "stats/distributions.h"
 #include "stats/rng.h"
 #include "tensor/embedding_table.h"
 #include "tensor/kernels.h"
+#include "workload/access_trace.h"
+#include "workload/request_generator.h"
 
 namespace {
 
@@ -103,6 +109,47 @@ BM_SplitIndices(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SplitIndices)->Arg(2)->Arg(8);
+
+/** One Zipf rank draw at the trace recorder's universe size (4096). */
+void
+BM_ZipfSample(benchmark::State &state)
+{
+    const stats::ZipfSampler zipf(static_cast<std::size_t>(state.range(0)),
+                                  0.8);
+    stats::Rng rng(13);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(zipf.sample(rng));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ZipfSample)->Arg(4096);
+
+/**
+ * Trace replay through a cold cache of each policy at 20% of the trace's
+ * row universe, half warmup (cache::replayTrace); items/s = accesses/s.
+ */
+void
+BM_CacheReplay(benchmark::State &state, cache::Policy policy)
+{
+    static const auto spec = model::makeShardedCacheStudySpec();
+    static const auto trace = workload::recordTrace(
+        spec,
+        workload::RequestGenerator(spec, workload::GeneratorConfig{17})
+            .generate(600),
+        0.8, 17);
+    const std::int64_t capacity =
+        workload::traceFootprint(spec, trace).universe_bytes / 5;
+    for (auto _ : state) {
+        const auto result =
+            cache::replayTrace(spec, trace, policy, capacity, 0.5);
+        benchmark::DoNotOptimize(result.total.hits);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK_CAPTURE(BM_CacheReplay, lru, cache::Policy::Lru);
+BENCHMARK_CAPTURE(BM_CacheReplay, lfu, cache::Policy::Lfu);
+BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
+BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
 
 } // namespace
 

@@ -6,7 +6,9 @@
 #include <map>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "stats/flat_hash.h"
 #include "stats/hash.h"
 
 namespace dri::cache {
@@ -87,7 +89,9 @@ class CacheBase : public EmbeddingCache
 };
 
 // ---------------------------------------------------------------------------
-// LRU: one recency list, evict the tail.
+// LRU: one recency list, evict the tail. The list is doubly linked by
+// arena index (the rpc::ResultCache idiom): indices survive arena growth,
+// and evicted slots are recycled, so steady-state churn allocates nothing.
 // ---------------------------------------------------------------------------
 class LruCache : public CacheBase
 {
@@ -98,24 +102,30 @@ class LruCache : public CacheBase
     access(int table, std::int64_t row, std::int64_t row_bytes) override
     {
         ++stats_.accesses;
-        const Key key{table, row};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        const std::uint64_t key = packRowKey(table, row);
+        if (const std::uint32_t *slot = index_.find(key)) {
             ++stats_.hits;
-            lru_.splice(lru_.begin(), lru_, it->second);
+            touch(*slot);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false; // unadmittable: larger than the whole budget
-        while (used_ + row_bytes > capacity_) {
-            const Entry &victim = lru_.back();
-            index_.erase(victim.key);
-            evicted(victim.key, victim.bytes);
-            lru_.pop_back();
+        while (used_ + row_bytes > capacity_ && tail_ != kNil)
+            evictTail();
+
+        std::uint32_t idx;
+        if (!free_.empty()) {
+            idx = free_.back();
+            free_.pop_back();
+        } else {
+            idx = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.emplace_back();
         }
-        lru_.push_front(Entry{key, row_bytes});
-        index_[key] = lru_.begin();
+        nodes_[idx].key = key;
+        nodes_[idx].bytes = row_bytes;
+        pushFront(idx);
+        index_.insert(key, idx);
         used_ += row_bytes;
         return false;
     }
@@ -123,19 +133,78 @@ class LruCache : public CacheBase
     bool
     contains(int table, std::int64_t row) const override
     {
-        return index_.count(Key{table, row}) > 0;
+        return index_.find(packRowKey(table, row)) != nullptr;
     }
 
     std::size_t residentRows() const override { return index_.size(); }
 
   private:
-    struct Entry
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+    static constexpr std::uint64_t kRowMask = (std::uint64_t{1} << 48) - 1;
+
+    struct Node
     {
-        Key key;
-        std::int64_t bytes;
+        std::uint64_t key = 0; //!< packRowKey(table, row)
+        std::int64_t bytes = 0;
+        std::uint32_t prev = kNil;
+        std::uint32_t next = kNil;
     };
-    std::list<Entry> lru_; //!< front = most recently used
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+
+    void
+    unlink(std::uint32_t idx)
+    {
+        Node &n = nodes_[idx];
+        if (n.prev != kNil)
+            nodes_[n.prev].next = n.next;
+        else
+            head_ = n.next;
+        if (n.next != kNil)
+            nodes_[n.next].prev = n.prev;
+        else
+            tail_ = n.prev;
+    }
+
+    void
+    pushFront(std::uint32_t idx)
+    {
+        Node &n = nodes_[idx];
+        n.prev = kNil;
+        n.next = head_;
+        if (head_ != kNil)
+            nodes_[head_].prev = idx;
+        head_ = idx;
+        if (tail_ == kNil)
+            tail_ = idx;
+    }
+
+    void
+    touch(std::uint32_t idx)
+    {
+        if (head_ == idx)
+            return;
+        unlink(idx);
+        pushFront(idx);
+    }
+
+    void
+    evictTail()
+    {
+        const std::uint32_t idx = tail_;
+        const Node victim = nodes_[idx];
+        unlink(idx);
+        index_.erase(victim.key);
+        free_.push_back(idx);
+        evicted(Key{static_cast<int>(victim.key >> 48),
+                    static_cast<std::int64_t>(victim.key & kRowMask)},
+                victim.bytes);
+    }
+
+    std::vector<Node> nodes_;         //!< node arena, recycled via free_
+    std::vector<std::uint32_t> free_; //!< indices of vacated arena slots
+    std::uint32_t head_ = kNil;       //!< most recently used
+    std::uint32_t tail_ = kNil;       //!< least recently used
+    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>
+        index_;
 };
 
 // ---------------------------------------------------------------------------

@@ -10,7 +10,10 @@
  * the configured policy. Three policies cover the design space the
  * literature argues over for embedding traffic:
  *
- *  - LRU: recency only; the classic baseline, vulnerable to scans.
+ *  - LRU: recency only; the classic baseline, vulnerable to scans. Its
+ *    recency list is index-linked over a recycled node arena and indexed
+ *    by a flat map on packRowKey(), so a (table, row) outside that key's
+ *    domain throws std::out_of_range.
  *  - LFU: frequency only; near-optimal for static Zipf popularity but slow
  *    to adapt when the hot set drifts.
  *  - TwoQueue: scan-resistant 2Q — new rows enter a small FIFO probation
@@ -35,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace dri::cache {
@@ -141,6 +145,25 @@ class EmbeddingCache
      */
     virtual std::int64_t ghostBytes() const { return 0; }
 };
+
+/**
+ * Pack a (table, row) identity into one 64-bit key: table in the top 16
+ * bits, row in the low 48. Throws std::out_of_range for a table outside
+ * [0, 2^16) or a row outside [0, 2^48), the domain where packing is
+ * collision-free.
+ */
+inline std::uint64_t
+packRowKey(int table, std::int64_t row)
+{
+    constexpr std::int64_t kRowLimit = std::int64_t{1} << 48;
+    if (table < 0 || table >= (1 << 16) || row < 0 || row >= kRowLimit)
+        throw std::out_of_range("embedding cache key (table " +
+                                std::to_string(table) + ", row " +
+                                std::to_string(row) +
+                                ") outside [0, 2^16) x [0, 2^48)");
+    return (static_cast<std::uint64_t>(table) << 48) |
+           static_cast<std::uint64_t>(row);
+}
 
 /** Construct a cache with the given policy and byte budget. */
 std::unique_ptr<EmbeddingCache> makeCache(Policy policy,

@@ -2,14 +2,16 @@
  * @file
  * Trace replay through a byte-budgeted embedding cache. TieredCacheSim is
  * the measurement half of the Bandana-style methodology the paper points
- * academics at: feed a recorded workload::AccessTrace through a DRAM-tier
- * cache and read off per-table hit/miss/eviction counts, instead of
- * trusting the closed-form skew curve in dc/paging. The resulting
- * CacheSimResult feeds CachedLookupModel, which converts hit rates into
- * the per-lookup cost coefficients the serving simulation consumes.
+ * academics at: feed a recorded workload::AccessTrace, or a streamed
+ * access source, through a DRAM-tier cache and read off per-table
+ * hit/miss/eviction counts, instead of trusting the closed-form skew
+ * curve in dc/paging. The resulting CacheSimResult feeds
+ * CachedLookupModel, which converts hit rates into the per-lookup cost
+ * coefficients the serving simulation consumes.
  */
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -59,17 +61,43 @@ struct CacheSimResult
 };
 
 /**
- * Replays access traces against one cache instance. The cache's resident
- * set persists across replay() calls (counters reset each call), so a
- * trace can be replayed twice for an explicit warm-start measurement.
+ * Replays access streams against one cache instance. The cache's resident
+ * set persists across replays (counters reset each one), so a trace can
+ * be replayed twice for an explicit warm-start measurement.
+ *
+ * A replay is begin(n), exactly n access() calls, then result(). The
+ * warmup boundary is taken from n, so a streamed source that cannot be
+ * stored (core::buildShardCacheModels's request overload) counts its
+ * accesses in a first pass and replays them in a second. replay(trace)
+ * is that sequence over a stored trace; prefer it when one exists.
+ * Non-copyable and non-movable: the cache's eviction hook points back
+ * into this object.
  */
 class TieredCacheSim
 {
   public:
     TieredCacheSim(const model::ModelSpec &spec, TieredCacheConfig config);
+    TieredCacheSim(const TieredCacheSim &) = delete;
+    TieredCacheSim &operator=(const TieredCacheSim &) = delete;
 
     /** Replay the trace; returns post-warmup per-table statistics. */
     CacheSimResult replay(const workload::AccessTrace &trace);
+
+    /** Start a replay of `total_accesses` accesses: counters reset. */
+    void begin(std::size_t total_accesses);
+
+    /**
+     * Feed the next access. Accesses to tables the model does not define
+     * still advance the warmup position but are otherwise skipped.
+     */
+    void access(int table, std::int64_t row);
+
+    /**
+     * Finish the replay; returns post-warmup per-table statistics.
+     * Throws std::logic_error unless access() ran exactly the number of
+     * times begin() announced.
+     */
+    CacheSimResult result();
 
     const EmbeddingCache &cache() const { return *cache_; }
 
@@ -78,6 +106,14 @@ class TieredCacheSim
     /** Stored row bytes per table id, copied from the spec. */
     std::vector<std::int64_t> row_bytes_;
     std::unique_ptr<EmbeddingCache> cache_;
+
+    // State of the replay in progress.
+    std::size_t total_ = 0;
+    std::size_t warm_ = 0; //!< accesses before counters engage
+    std::size_t seen_ = 0;
+    CacheSimResult result_;
+    /** Evictions per table, attributed through the cache's hook. */
+    std::vector<std::int64_t> evictions_;
 };
 
 /**

@@ -11,6 +11,14 @@
  * rates legitimately diverge from the whole-model aggregate. Slices feed
  * ServingConfig::shard_cache_models, which already prices each shard's
  * gathers from its own model.
+ *
+ * Which overload: when the caller holds requests and only needs the
+ * models, use the streamed buildShardCacheModels(spec, plan, requests,
+ * skew, seed, options). It regenerates the access stream twice instead
+ * of storing it, so its memory is the distinct-row set plus the caches,
+ * whatever the access count. The trace overload is for a trace that
+ * already exists (read from a file, synthesized, or needed elsewhere);
+ * both run the same two-pass build and give identical results.
  */
 #pragma once
 
@@ -27,12 +35,19 @@
 namespace dri::core {
 
 /**
- * Split a whole-model trace into one slice per sparse shard, routing each
- * record the way the plan routes its lookup: whole tables to their
- * owning shard, split tables by `row % ways` in modulus order (the
- * ShardingPlan contract). Records naming tables outside the plan are
- * dropped, matching TieredCacheSim::replay. A singular plan yields one
- * slice holding every in-plan record (the inline-SLS "shard").
+ * The sparse shard an access to `row` of `table` is routed to, the way
+ * the plan routes its lookup: whole tables to their owning shard, split
+ * tables by `row % ways` in modulus order (the ShardingPlan contract).
+ * Returns -1 for a table the plan does not place, and 0 for every access
+ * under a singular plan (the inline-SLS "shard").
+ */
+int shardOf(const ShardingPlan &plan, int table, std::int64_t row);
+
+/**
+ * Split a whole-model trace into one slice per sparse shard by shardOf().
+ * Records naming tables outside the plan are dropped, matching
+ * TieredCacheSim::replay. A singular plan yields one slice holding every
+ * record.
  */
 std::vector<workload::AccessTrace>
 sliceTraceByShard(const ShardingPlan &plan,
@@ -78,13 +93,29 @@ struct ShardCacheModels
 };
 
 /**
- * Slice the trace by shard and replay each slice through its own
- * byte-budgeted cache. For a singular plan the single "shard" is the
- * main shard's inline SLS tier.
+ * Route the trace by shard and replay each shard's accesses through its
+ * own byte-budgeted cache, without copying any slice: one pass counts
+ * each shard's accesses and distinct-row universe, a second replays.
+ * For a singular plan the single "shard" is the main shard's inline SLS
+ * tier. An in-model (table, row) outside cache::packRowKey's domain
+ * throws std::out_of_range.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
                       const workload::AccessTrace &trace,
+                      const ShardCacheOptions &options);
+
+/**
+ * Streamed equivalent of buildShardCacheModels(spec, plan,
+ * workload::recordTrace(spec, requests, popularity_skew, seed), options):
+ * field-for-field identical, but each pass regenerates the accesses with
+ * workload::forEachAccess, so no trace or slice is ever stored. Throws
+ * what forEachAccess throws.
+ */
+ShardCacheModels
+buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
+                      const std::vector<workload::Request> &requests,
+                      double popularity_skew, std::uint64_t seed,
                       const ShardCacheOptions &options);
 
 } // namespace dri::core

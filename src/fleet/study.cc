@@ -4,7 +4,7 @@
 #include "core/trace_slicing.h"
 #include "model/generators.h"
 #include "sched/capacity_search.h"
-#include "workload/access_trace.h"
+#include "workload/request_generator.h"
 
 namespace dri::fleet {
 
@@ -26,7 +26,8 @@ makeFleetStudy(bool smoke)
     study.serving.sparse_platform.idle_watts = 200.0;
     study.serving.main_platform.idle_watts = 200.0;
 
-    // Measured per-shard row-cache models from a recorded trace slice:
+    // Measured per-shard row-cache models, streamed from the requests'
+    // shard-routed accesses (~22M at full size, so no trace is stored):
     // gives the cold-cache reconfiguration penalty real hit rates to
     // degrade. Gentler miss cost than the paging studies (a second-tier
     // DRAM gather, not an NVMe page-in) keeps the deployment sparse-RPC
@@ -34,13 +35,13 @@ makeFleetStudy(bool smoke)
     {
         workload::RequestGenerator tgen(
             study.spec, workload::GeneratorConfig{0x7ace});
-        const auto trace = workload::recordTrace(
-            study.spec, tgen.generate(smoke ? 240 : 400), 0.8, 0x7ace);
         core::ShardCacheOptions sco;
         sco.capacity_fraction = 0.4;
         sco.costs.miss_ns = 300.0;
         study.serving.shard_cache_models =
-            core::buildShardCacheModels(study.spec, study.plan, trace, sco)
+            core::buildShardCacheModels(study.spec, study.plan,
+                                        tgen.generate(smoke ? 240 : 400),
+                                        0.8, 0x7ace, sco)
                 .models;
     }
 

@@ -48,22 +48,17 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
     }
     for (auto &v : cdf_)
         v /= acc;
-}
 
-std::size_t
-ZipfSampler::sample(Rng &rng) const
-{
-    const double u = rng.uniform();
-    // Binary search for the first cdf entry >= u.
-    std::size_t lo = 0, hi = cdf_.size() - 1;
-    while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if (cdf_[mid] < u)
-            lo = mid + 1;
-        else
-            hi = mid;
+    // floor(cdf[k] * n) is non-decreasing in k, so one forward walk finds
+    // each bucket's first rank; buckets past every entry clamp to n - 1.
+    const double scale = static_cast<double>(n);
+    guide_.resize(n + 1);
+    std::size_t k = 0;
+    for (std::size_t j = 0; j <= n; ++j) {
+        while (k + 1 < n && static_cast<std::size_t>(cdf_[k] * scale) < j)
+            ++k;
+        guide_[j] = k;
     }
-    return lo;
 }
 
 double

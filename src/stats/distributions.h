@@ -73,20 +73,40 @@ class BoundedParetoSampler
 /**
  * Zipf sampler over ranks 1..n with exponent s, via inverse-CDF on the
  * precomputed normalization. Used for skewed embedding-row popularity.
+ *
+ * A draw returns the first rank whose CDF entry is >= u, found through a
+ * guide table: guide_[j] is the first rank k with floor(cdf[k] * n) >= j,
+ * computed with the same floating-point product the query forms from u.
+ * Multiplication by n is monotone, so every rank below guide_[floor(u*n)]
+ * has cdf < u, and a short linear scan from there lands on exactly the
+ * rank a binary search over the CDF would return (O(1) expected).
  */
 class ZipfSampler
 {
   public:
     ZipfSampler(std::size_t n, double s);
 
-    /** Returns a rank in [0, n). Rank 0 is the most popular. */
-    std::size_t sample(Rng &rng) const;
+    /** Returns a rank in [0, n). Rank 0 is the most popular. Inline: the
+     *  trace recorder draws one per embedding access. */
+    std::size_t
+    sample(Rng &rng) const
+    {
+        const double u = rng.uniform();
+        const std::size_t last = cdf_.size() - 1;
+        std::size_t k =
+            guide_[static_cast<std::size_t>(u * static_cast<double>(n()))];
+        while (k < last && cdf_[k] < u)
+            ++k;
+        return k;
+    }
 
     std::size_t n() const { return cdf_.size(); }
     double s() const { return s_; }
 
   private:
     std::vector<double> cdf_;
+    /** n + 1 entries: u * n can round up to n when u is just below 1. */
+    std::vector<std::size_t> guide_;
     double s_;
 };
 

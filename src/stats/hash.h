@@ -7,6 +7,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 namespace dri::stats {
@@ -22,5 +23,19 @@ mix64(std::uint64_t x)
     x ^= x >> 31;
     return x;
 }
+
+/**
+ * mix64 as a hash functor for integer keys in FlatHashMap, whose
+ * power-of-two masking needs well-mixed low bits (std::hash is the
+ * identity on integers).
+ */
+struct Mix64Hash
+{
+    std::size_t
+    operator()(std::uint64_t x) const
+    {
+        return static_cast<std::size_t>(mix64(x));
+    }
+};
 
 } // namespace dri::stats

@@ -7,9 +7,8 @@
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <unordered_set>
-
-#include "stats/distributions.h"
 
 namespace dri::workload {
 
@@ -91,36 +90,41 @@ AccessTrace::topRowCoverage(int table_id, std::size_t top_n) const
     return static_cast<double>(covered) / static_cast<double>(total);
 }
 
+namespace detail {
+
+void
+checkAccessSource(const model::ModelSpec &spec,
+                  const std::vector<Request> &requests)
+{
+    for (const auto &table : spec.tables)
+        if (table.rows <= 0)
+            throw std::invalid_argument("access trace: table '" +
+                                        table.name + "' has rows <= 0");
+    for (const auto &req : requests)
+        if (req.table_lookups.size() != spec.tables.size())
+            throw std::invalid_argument(
+                "access trace: request " + std::to_string(req.id) +
+                " has " + std::to_string(req.table_lookups.size()) +
+                " table lookup counts, the spec has " +
+                std::to_string(spec.tables.size()) + " tables");
+}
+
+} // namespace detail
+
 AccessTrace
 recordTrace(const model::ModelSpec &spec,
             const std::vector<Request> &requests, double popularity_skew,
             std::uint64_t seed)
 {
+    std::size_t accesses = 0;
+    for (const auto &req : requests)
+        for (const std::int32_t lookups : req.table_lookups)
+            accesses += static_cast<std::size_t>(std::max(lookups, 0));
+
     AccessTrace trace;
-    stats::Rng rng(seed);
-
-    // One Zipf sampler per table over a bounded popularity universe: rank
-    // r maps to a deterministic pseudo-random row so popular rows are
-    // stable across requests.
-    constexpr std::size_t kRanks = 4096;
-    stats::ZipfSampler zipf(kRanks, popularity_skew);
-
-    for (const auto &req : requests) {
-        assert(req.table_lookups.size() == spec.tables.size());
-        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
-            const auto &table = spec.tables[t];
-            for (std::int32_t k = 0; k < req.table_lookups[t]; ++k) {
-                const std::size_t rank = zipf.sample(rng);
-                // Spread ranks over the table's logical rows via a fixed
-                // multiplicative hash (same rank -> same row).
-                const std::int64_t row = static_cast<std::int64_t>(
-                    (static_cast<std::uint64_t>(rank + 1) *
-                     0x9e3779b97f4a7c15ULL) %
-                    static_cast<std::uint64_t>(table.rows));
-                trace.add(AccessRecord{req.id, static_cast<int>(t), row});
-            }
-        }
-    }
+    trace.reserve(accesses);
+    forEachAccess(spec, requests, popularity_skew, seed,
+                  [&trace](const AccessRecord &rec) { trace.add(rec); });
     return trace;
 }
 
@@ -128,8 +132,12 @@ AccessTrace
 synthesizeMixedTrace(const model::ModelSpec &spec,
                      const MixedTraceConfig &config)
 {
-    assert(config.table_id >= 0 &&
-           static_cast<std::size_t>(config.table_id) < spec.tables.size());
+    if (config.table_id < 0 ||
+        static_cast<std::size_t>(config.table_id) >= spec.tables.size())
+        throw std::invalid_argument(
+            "synthesizeMixedTrace: table_id " +
+            std::to_string(config.table_id) + " is outside the spec's " +
+            std::to_string(spec.tables.size()) + " tables");
     const auto &table =
         spec.tables[static_cast<std::size_t>(config.table_id)];
     // Disjoint row ranges: the drifting recency window walks the lower

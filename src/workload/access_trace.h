@@ -12,6 +12,14 @@
  * per-table access counts, row popularity skew, and working-set curves
  * (unique rows touched vs. accesses), which directly feed cache-sizing
  * decisions.
+ *
+ * Streaming contract: forEachAccess is the one generator of
+ * request-driven accesses. It stores nothing, and rerunning it with the
+ * same arguments replays the identical stream, so a consumer that keeps
+ * only aggregates (per-shard cache models) can read it in two passes
+ * and hold memory bounded by those aggregates. recordTrace collects the
+ * same stream for callers that need the records themselves, at 24 B per
+ * access.
  */
 #pragma once
 
@@ -21,6 +29,7 @@
 #include <vector>
 
 #include "model/model_spec.h"
+#include "stats/distributions.h"
 #include "stats/rng.h"
 #include "workload/request_generator.h"
 
@@ -41,6 +50,7 @@ class AccessTrace
     AccessTrace() = default;
 
     void add(const AccessRecord &record) { records_.push_back(record); }
+    void reserve(std::size_t records) { records_.reserve(records); }
     const std::vector<AccessRecord> &records() const { return records_; }
     std::size_t size() const { return records_.size(); }
 
@@ -88,10 +98,61 @@ struct TraceFootprint
 TraceFootprint traceFootprint(const model::ModelSpec &spec,
                               const AccessTrace &trace);
 
+namespace detail {
 /**
- * Record a trace by expanding requests into row accesses. Row ids within
- * each table follow a Zipf(popularity_skew) distribution over the table's
- * logical rows — embedding traffic is popularity-skewed but heavy-tailed.
+ * Throws std::invalid_argument unless every request carries one lookup
+ * count per spec table and every table has rows > 0.
+ */
+void checkAccessSource(const model::ModelSpec &spec,
+                       const std::vector<Request> &requests);
+} // namespace detail
+
+/**
+ * Expand requests into row accesses and hand each to `fn` as a
+ * `const AccessRecord &`, in request order, then table order, storing
+ * none of them. Row ids within each table follow a Zipf(popularity_skew)
+ * distribution over the table's logical rows: embedding traffic is
+ * popularity-skewed but heavy-tailed. Throws std::invalid_argument,
+ * before emitting anything, when a request's table_lookups does not match
+ * spec.tables or a table has rows <= 0.
+ */
+template <class Fn>
+void
+forEachAccess(const model::ModelSpec &spec,
+              const std::vector<Request> &requests, double popularity_skew,
+              std::uint64_t seed, Fn &&fn)
+{
+    detail::checkAccessSource(spec, requests);
+    stats::Rng rng(seed);
+
+    // One Zipf sampler over a bounded popularity universe, shared by every
+    // table: rank r maps to a deterministic pseudo-random row of the
+    // table, so popular rows are stable across requests.
+    constexpr std::size_t kRanks = 4096;
+    const stats::ZipfSampler zipf(kRanks, popularity_skew);
+
+    for (const auto &req : requests) {
+        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
+            const auto rows = static_cast<std::uint64_t>(spec.tables[t].rows);
+            for (std::int32_t k = 0; k < req.table_lookups[t]; ++k) {
+                const std::size_t rank = zipf.sample(rng);
+                // Spread ranks over the table's logical rows via a fixed
+                // multiplicative hash (same rank -> same row).
+                const auto row = static_cast<std::int64_t>(
+                    (static_cast<std::uint64_t>(rank + 1) *
+                     0x9e3779b97f4a7c15ULL) %
+                    rows);
+                fn(AccessRecord{req.id, static_cast<int>(t), row});
+            }
+        }
+    }
+}
+
+/**
+ * Materialize forEachAccess's stream as a trace, reserved to the exact
+ * access count up front. Use it when the records themselves are needed
+ * (serialization, working-set curves, repeated replays); to build cache
+ * models only, core::buildShardCacheModels's request overload streams.
  */
 AccessTrace recordTrace(const model::ModelSpec &spec,
                         const std::vector<Request> &requests,

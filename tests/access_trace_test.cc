@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 #include "model/generators.h"
 #include "workload/access_trace.h"
@@ -64,6 +65,60 @@ TEST(AccessTrace, RecordsMatchRequestLookups)
     for (auto c : counts)
         sum += c;
     EXPECT_EQ(sum, expected);
+}
+
+TEST(AccessTrace, ReservesExactAccessCount)
+{
+    const auto spec = smallSpec();
+    const auto trace = makeTrace(spec, 37);
+    EXPECT_EQ(trace.records().capacity(), trace.size());
+}
+
+TEST(AccessTrace, RejectsRequestsWithWrongLookupVectorSize)
+{
+    const auto spec = smallSpec();
+    workload::RequestGenerator gen(spec,
+                                   workload::GeneratorConfig{21, 0.0});
+    auto requests = gen.generate(5);
+    requests[3].table_lookups.pop_back(); // 2 counts for 3 tables
+
+    EXPECT_THROW(workload::recordTrace(spec, requests, 0.9, 5),
+                 std::invalid_argument);
+    std::size_t emitted = 0;
+    EXPECT_THROW(workload::forEachAccess(
+                     spec, requests, 0.9, 5,
+                     [&](const workload::AccessRecord &) { ++emitted; }),
+                 std::invalid_argument);
+    EXPECT_EQ(emitted, 0u); // rejected before anything is streamed
+}
+
+TEST(AccessTrace, RejectsTablesWithoutRows)
+{
+    auto spec = smallSpec();
+    workload::RequestGenerator gen(spec,
+                                   workload::GeneratorConfig{21, 0.0});
+    const auto requests = gen.generate(5);
+    spec.tables[1].rows = 0;
+    EXPECT_THROW(workload::recordTrace(spec, requests, 0.9, 5),
+                 std::invalid_argument);
+    spec.tables[1].rows = -4;
+    EXPECT_THROW(workload::forEachAccess(spec, requests, 0.9, 5,
+                                         [](const workload::AccessRecord &) {
+                                         }),
+                 std::invalid_argument);
+}
+
+TEST(AccessTrace, MixedTraceRejectsTableOutsideSpec)
+{
+    const auto spec = smallSpec();
+    workload::MixedTraceConfig config;
+    config.accesses = 10;
+    config.table_id = 3; // the spec has tables 0..2
+    EXPECT_THROW(workload::synthesizeMixedTrace(spec, config),
+                 std::invalid_argument);
+    config.table_id = -1;
+    EXPECT_THROW(workload::synthesizeMixedTrace(spec, config),
+                 std::invalid_argument);
 }
 
 TEST(AccessTrace, RowsWithinTableBounds)

@@ -7,11 +7,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <list>
+#include <stdexcept>
+#include <vector>
+
 #include "cache/lookup_model.h"
 #include "cache/tiered_sim.h"
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "dc/paging_traced.h"
+#include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/request_generator.h"
 
@@ -172,6 +177,136 @@ TEST(EmbeddingCache, KeysAreScopedPerTable)
     EXPECT_EQ(cache->residentRows(), 2u);
 }
 
+/**
+ * Reference LRU: a plain list with linear search, front = most recently
+ * used. The arena LRU must match it access for access.
+ */
+class OracleLru
+{
+  public:
+    explicit OracleLru(std::int64_t capacity) : capacity_(capacity) {}
+
+    struct Row
+    {
+        int table;
+        std::int64_t row;
+        std::int64_t bytes;
+    };
+
+    bool
+    access(int table, std::int64_t row, std::int64_t bytes)
+    {
+        for (auto it = lru_.begin(); it != lru_.end(); ++it)
+            if (it->table == table && it->row == row) {
+                lru_.splice(lru_.begin(), lru_, it);
+                return true;
+            }
+        if (bytes > capacity_)
+            return false;
+        while (used_ + bytes > capacity_) {
+            used_ -= lru_.back().bytes;
+            evicted.push_back(lru_.back());
+            lru_.pop_back();
+        }
+        lru_.push_front(Row{table, row, bytes});
+        used_ += bytes;
+        return false;
+    }
+
+    bool
+    contains(int table, std::int64_t row) const
+    {
+        for (const auto &r : lru_)
+            if (r.table == table && r.row == row)
+                return true;
+        return false;
+    }
+
+    void setCapacity(std::int64_t capacity) { capacity_ = capacity; }
+    std::int64_t used() const { return used_; }
+    std::size_t rows() const { return lru_.size(); }
+
+    std::vector<Row> evicted;
+
+  private:
+    std::int64_t capacity_;
+    std::int64_t used_ = 0;
+    std::list<Row> lru_;
+};
+
+TEST(EmbeddingCache, LruMatchesListOracle)
+{
+    // Table t stores (t + 1) * kRow bytes per row; table 3's rows exceed
+    // every budget below 4 * kRow and must bypass the cache.
+    constexpr int kTables = 4;
+    constexpr std::int64_t kRows = 24;
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        stats::Rng rng(seed);
+        std::int64_t capacity = 8 * kRow;
+        auto cache = cache::makeCache(Policy::Lru, capacity);
+        OracleLru oracle(capacity);
+        std::vector<OracleLru::Row> hooked;
+        cache->setEvictionHook(
+            [&hooked](int table, std::int64_t row, std::int64_t bytes) {
+                hooked.push_back({table, row, bytes});
+            });
+
+        for (int i = 0; i < 4000; ++i) {
+            if (i % 97 == 0) {
+                // Lazy resize, shrinking as often as growing: the
+                // resident set trims only on the next admitting miss.
+                capacity = rng.uniformInt(0, 12) * kRow;
+                cache->setCapacityBytes(capacity);
+                oracle.setCapacity(capacity);
+            }
+            // Skewed row draws so repeats (hits) are common.
+            const int table = static_cast<int>(rng.uniformInt(0, kTables - 1));
+            const std::int64_t row =
+                rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, kRows - 1)
+                                          : rng.uniformInt(0, 3);
+            const std::int64_t bytes = (table + 1) * kRow;
+            ASSERT_EQ(cache->access(table, row, bytes),
+                      oracle.access(table, row, bytes))
+                << "seed=" << seed << " i=" << i;
+            ASSERT_EQ(cache->usedBytes(), oracle.used()) << i;
+            ASSERT_EQ(cache->residentRows(), oracle.rows()) << i;
+            for (int t = 0; t < kTables; ++t)
+                for (std::int64_t r = 0; r < kRows; ++r)
+                    ASSERT_EQ(cache->contains(t, r), oracle.contains(t, r))
+                        << "seed=" << seed << " i=" << i << " (" << t
+                        << ", " << r << ")";
+        }
+        // Same victims, in the same order, reported with their bytes.
+        ASSERT_EQ(hooked.size(), oracle.evicted.size());
+        for (std::size_t k = 0; k < hooked.size(); ++k) {
+            EXPECT_EQ(hooked[k].table, oracle.evicted[k].table) << k;
+            EXPECT_EQ(hooked[k].row, oracle.evicted[k].row) << k;
+            EXPECT_EQ(hooked[k].bytes, oracle.evicted[k].bytes) << k;
+        }
+        EXPECT_EQ(cache->stats().evictions,
+                  static_cast<std::int64_t>(oracle.evicted.size()));
+        EXPECT_GT(cache->stats().hits, 0);
+        EXPECT_GT(cache->stats().evictions, 0);
+    }
+}
+
+TEST(EmbeddingCache, LruRejectsKeysOutsidePackedDomain)
+{
+    auto cache = cache::makeCache(Policy::Lru, 4 * kRow);
+    EXPECT_THROW(cache->access(-1, 0, kRow), std::out_of_range);
+    EXPECT_THROW(cache->access(1 << 16, 0, kRow), std::out_of_range);
+    EXPECT_THROW(cache->access(0, -1, kRow), std::out_of_range);
+    EXPECT_THROW(cache->access(0, std::int64_t{1} << 48, kRow),
+                 std::out_of_range);
+    EXPECT_THROW(cache->contains(0, -1), std::out_of_range);
+    // The domain's edges are distinct keys.
+    EXPECT_FALSE(cache->access((1 << 16) - 1, (std::int64_t{1} << 48) - 1,
+                               kRow));
+    EXPECT_FALSE(cache->access(0, 0, kRow));
+    EXPECT_TRUE(cache->contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
+    EXPECT_EQ(cache->residentRows(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Trace replay
 // ---------------------------------------------------------------------------
@@ -239,6 +374,26 @@ TEST(TieredCacheSim, SkipsRecordsOutsideModel)
     cache::TieredCacheSim sim(spec, config);
     const auto result = sim.replay(trace);
     EXPECT_EQ(result.total.accesses, 1);
+}
+
+TEST(TieredCacheSim, StreamedReplayMustDeliverAnnouncedCount)
+{
+    const auto spec = smallSpec(1);
+    cache::TieredCacheConfig config;
+    config.capacity_bytes = 16 * kRow;
+    cache::TieredCacheSim sim(spec, config);
+    sim.begin(3);
+    sim.access(0, 1);
+    sim.access(0, 2);
+    EXPECT_THROW(sim.result(), std::logic_error);
+
+    // The resident set survives into the next replay.
+    sim.begin(2);
+    sim.access(0, 1);
+    sim.access(0, 2);
+    const auto result = sim.result();
+    EXPECT_EQ(result.total.accesses, 2);
+    EXPECT_EQ(result.total.hits, 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@
  *    libstdc++ distribution objects over the same engine stream (the
  *    contract rng.h declares);
  *  - fleet::ParallelSweep produces byte-identical ledgers (simulation
- *    AND telemetry fingerprints) at thread counts {1, 2, 8}.
+ *    AND telemetry fingerprints) at thread counts {1, 2, 8};
+ *  - the streamed core::buildShardCacheModels allocates in proportion to
+ *    distinct rows, not accesses (global operator-new byte counting).
  */
 #include <gtest/gtest.h>
 
@@ -25,11 +27,15 @@
 #include <random>
 #include <vector>
 
+#include "core/strategies.h"
+#include "core/trace_slicing.h"
 #include "fleet/parallel_sweep.h"
 #include "fleet/study.h"
+#include "model/generators.h"
 #include "sim/engine.h"
 #include "stats/mt64.h"
 #include "stats/rng.h"
+#include "workload/request_generator.h"
 
 // ---------------------------------------------------------------------------
 // Global allocation counter. Every operator-new in this binary funnels
@@ -40,11 +46,13 @@
 namespace {
 
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_new_bytes{0};
 
 void *
 countedAlloc(std::size_t n)
 {
     g_news.fetch_add(1, std::memory_order_relaxed);
+    g_new_bytes.fetch_add(n, std::memory_order_relaxed);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -259,6 +267,60 @@ TEST(SimPerf, DrawHelpersMatchStdDistributions)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The streamed row-cache build allocates for distinct rows, not accesses.
+// ---------------------------------------------------------------------------
+
+struct StreamedBuild
+{
+    std::int64_t accesses = 0;
+    std::uint64_t allocated_bytes = 0;
+};
+
+/** makeFleetStudy's row-cache build over `n_requests` requests. */
+StreamedBuild
+streamedFleetCacheBuild(std::size_t n_requests)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const auto requests =
+        workload::RequestGenerator(spec, workload::GeneratorConfig{0x7ace})
+            .generate(n_requests);
+    StreamedBuild out;
+    for (const auto &req : requests)
+        out.accesses += req.totalLookups();
+
+    core::ShardCacheOptions sco;
+    sco.capacity_fraction = 0.4;
+    sco.costs.miss_ns = 300.0;
+    const std::uint64_t bytes0 = g_new_bytes.load(std::memory_order_relaxed);
+    const auto models =
+        core::buildShardCacheModels(spec, plan, requests, 0.8, 0x7ace, sco);
+    out.allocated_bytes =
+        g_new_bytes.load(std::memory_order_relaxed) - bytes0;
+    EXPECT_EQ(models.models.size(), 4u);
+    return out;
+}
+
+TEST(SimPerf, StreamedCacheBuildMemoryIndependentOfAccessCount)
+{
+    const auto base = streamedFleetCacheBuild(400);
+    // Everything the build allocates, freed or not, stays under a tenth
+    // of what recording the trace alone would hold.
+    const double trace_bytes =
+        static_cast<double>(sizeof(workload::AccessRecord)) *
+        static_cast<double>(base.accesses);
+    EXPECT_LT(static_cast<double>(base.allocated_bytes), 0.1 * trace_bytes)
+        << base.allocated_bytes << " B allocated for " << base.accesses
+        << " accesses";
+
+    const auto grown = streamedFleetCacheBuild(4000);
+    EXPECT_GT(grown.accesses, 9 * base.accesses);
+    EXPECT_LT(static_cast<double>(grown.allocated_bytes),
+              1.5 * static_cast<double>(base.allocated_bytes))
+        << base.allocated_bytes << " B -> " << grown.allocated_bytes << " B";
 }
 
 // ---------------------------------------------------------------------------

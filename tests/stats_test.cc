@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "stats/distributions.h"
+#include "stats/flat_hash.h"
 #include "stats/histogram.h"
 #include "stats/quantile.h"
 #include "stats/rng.h"
@@ -141,6 +144,74 @@ TEST(Zipf, AllRanksReachable)
         ++counts[s.sample(rng)];
     for (int c : counts)
         EXPECT_GT(c, 0);
+}
+
+/**
+ * Reference inverse-CDF Zipf sampler: the same normalization loop, then a
+ * binary search for the first CDF entry >= u. The guide-table sampler
+ * must return exactly this rank on every draw.
+ */
+class ReferenceZipf
+{
+  public:
+    ReferenceZipf(std::size_t n, double s) : cdf_(n)
+    {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < n; ++k) {
+            acc += 1.0 / std::pow(static_cast<double>(k + 1), s);
+            cdf_[k] = acc;
+        }
+        for (auto &v : cdf_)
+            v /= acc;
+    }
+
+    std::size_t
+    sample(Rng &rng) const
+    {
+        const double u = rng.uniform();
+        std::size_t lo = 0, hi = cdf_.size() - 1;
+        while (lo < hi) {
+            const std::size_t mid = (lo + hi) / 2;
+            if (cdf_[mid] < u)
+                lo = mid + 1;
+            else
+                hi = mid;
+        }
+        return lo;
+    }
+
+  private:
+    std::vector<double> cdf_;
+};
+
+TEST(Zipf, GuideTableMatchesBinarySearchExactly)
+{
+    for (const std::size_t n : {1u, 2u, 7u, 4096u, 100000u})
+        for (const double s : {0.0, 0.8, 1.2, 3.0}) {
+            const ZipfSampler fast(n, s);
+            const ReferenceZipf ref(n, s);
+            Rng a(0x5eed + n), b(0x5eed + n);
+            for (int i = 0; i < 1000000; ++i)
+                ASSERT_EQ(fast.sample(a), ref.sample(b))
+                    << "n=" << n << " s=" << s << " draw=" << i;
+        }
+}
+
+TEST(FlatHashSet64, CountsDistinctKeysIncludingSentinel)
+{
+    FlatHashSet64 set;
+    std::set<std::uint64_t> ref;
+    Rng rng(37);
+    const std::uint64_t edges[] = {0u, 1u, ~std::uint64_t{0},
+                                   ~std::uint64_t{0} - 1};
+    for (int i = 0; i < 20000; ++i) {
+        const std::uint64_t key =
+            i % 50 == 0 ? edges[(i / 50) % 4]
+                        : static_cast<std::uint64_t>(rng.uniformInt(0, 5000))
+                              << 40;
+        ASSERT_EQ(set.insert(key), ref.insert(key).second) << i;
+        ASSERT_EQ(set.size(), ref.size()) << i;
+    }
 }
 
 TEST(Poisson, MeanGapMatchesRate)

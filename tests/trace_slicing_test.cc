@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "core/strategies.h"
 #include "core/trace_slicing.h"
@@ -91,6 +93,128 @@ TEST(TraceSlicing, SingularPlanYieldsOneFullSlice)
     const auto slices = core::sliceTraceByShard(plan, trace);
     ASSERT_EQ(slices.size(), 1u);
     EXPECT_EQ(slices[0].size(), trace.size());
+}
+
+/**
+ * The per-slice algorithm the two-pass build replaced, kept as the
+ * reference: materialize each shard's slice, size its budget from the
+ * slice's own footprint, and replay it through a fresh cache.
+ */
+core::ShardCacheModels
+perSliceReference(const model::ModelSpec &spec, const core::ShardingPlan &plan,
+                  const workload::AccessTrace &trace,
+                  const core::ShardCacheOptions &options)
+{
+    core::ShardCacheModels out;
+    for (const auto &slice : core::sliceTraceByShard(plan, trace)) {
+        const std::int64_t universe =
+            workload::traceFootprint(spec, slice).universe_bytes;
+        cache::TieredCacheConfig cfg;
+        cfg.policy = options.policy;
+        cfg.capacity_bytes = options.capacity_bytes_per_shard > 0
+                                 ? options.capacity_bytes_per_shard
+                                 : static_cast<std::int64_t>(std::llround(
+                                       options.capacity_fraction *
+                                       static_cast<double>(universe)));
+        cfg.warmup_fraction = options.warmup_fraction;
+        cfg.admission = options.admission;
+        cfg.tinylfu = options.tinylfu;
+        cache::TieredCacheSim sim(spec, cfg);
+        out.results.push_back(sim.replay(slice));
+        out.slice_universe_bytes.push_back(universe);
+    }
+    return out;
+}
+
+void
+expectSameStats(const cache::CacheStats &a, const cache::CacheStats &b,
+                const std::string &where)
+{
+    EXPECT_EQ(a.accesses, b.accesses) << where;
+    EXPECT_EQ(a.hits, b.hits) << where;
+    EXPECT_EQ(a.misses, b.misses) << where;
+    EXPECT_EQ(a.evictions, b.evictions) << where;
+    EXPECT_EQ(a.admission_rejects, b.admission_rejects) << where;
+}
+
+void
+expectSameResults(const core::ShardCacheModels &a,
+                  const core::ShardCacheModels &b, const std::string &where)
+{
+    EXPECT_EQ(a.slice_universe_bytes, b.slice_universe_bytes) << where;
+    ASSERT_EQ(a.results.size(), b.results.size()) << where;
+    for (std::size_t s = 0; s < a.results.size(); ++s) {
+        const std::string at = where + " shard " + std::to_string(s);
+        expectSameStats(a.results[s].total, b.results[s].total, at);
+        ASSERT_EQ(a.results[s].per_table.size(),
+                  b.results[s].per_table.size())
+            << at;
+        for (std::size_t t = 0; t < a.results[s].per_table.size(); ++t)
+            expectSameStats(a.results[s].per_table[t],
+                            b.results[s].per_table[t],
+                            at + " table " + std::to_string(t));
+    }
+}
+
+/**
+ * The streamed build equals the trace overload field for field, and
+ * both equal the per-slice reference, on singular, whole-table and
+ * split-table plans under proportional and fixed budgets.
+ */
+TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(200);
+    const auto trace = workload::recordTrace(spec, requests, 0.7, 17);
+    const auto universe =
+        workload::traceFootprint(spec, trace).universe_bytes;
+
+    std::vector<core::TableAssignment> split;
+    for (int t = 0; t < 8; ++t) {
+        core::TableAssignment a;
+        a.table_id = t;
+        a.shards = t == 0 ? std::vector<int>{0, 2} : std::vector<int>{t % 3};
+        split.push_back(a);
+    }
+    const std::vector<core::ShardingPlan> plans = {
+        core::makeSingular(spec), core::makeCapacityBalanced(spec, 4),
+        core::ShardingPlan("manual-split", 3, split)};
+
+    core::ShardCacheOptions by_fraction;
+    by_fraction.capacity_fraction = 0.3;
+    core::ShardCacheOptions by_bytes;
+    by_bytes.capacity_bytes_per_shard =
+        static_cast<std::int64_t>(0.05 * static_cast<double>(universe));
+    core::ShardCacheOptions arc_tinylfu = by_fraction;
+    arc_tinylfu.policy = cache::Policy::Arc;
+    arc_tinylfu.admission = cache::Admission::TinyLfu;
+
+    for (const auto &plan : plans)
+        for (const auto &opt : {by_fraction, by_bytes, arc_tinylfu}) {
+            const std::string where =
+                plan.strategy() + "/" + cache::policyName(opt.policy) +
+                (opt.capacity_bytes_per_shard > 0 ? "/bytes" : "/fraction");
+            const auto streamed = core::buildShardCacheModels(
+                spec, plan, requests, 0.7, 17, opt);
+            const auto traced =
+                core::buildShardCacheModels(spec, plan, trace, opt);
+            expectSameResults(streamed, traced, where);
+            expectSameResults(streamed,
+                              perSliceReference(spec, plan, trace, opt),
+                              where + " vs reference");
+
+            ASSERT_EQ(streamed.models.size(), traced.models.size());
+            for (std::size_t s = 0; s < streamed.models.size(); ++s)
+                for (int t = 0; t < 8; ++t) {
+                    EXPECT_EQ(streamed.models[s]->hasTable(t),
+                              traced.models[s]->hasTable(t));
+                    EXPECT_EQ(streamed.models[s]->hitRate(t),
+                              traced.models[s]->hitRate(t))
+                        << where << " shard " << s << " table " << t;
+                }
+            EXPECT_GT(streamed.aggregateHitRate(), 0.0) << where;
+        }
 }
 
 /**
