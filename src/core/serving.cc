@@ -551,21 +551,6 @@ struct ServingSimulation::Impl
 
     // -- Helpers -------------------------------------------------------------
 
-    void
-    span(trace::Layer layer, int shard, int net, int batch,
-         sim::SimTime begin, sim::SimTime end, std::uint64_t request_id)
-    {
-        trace::Span s;
-        s.request_id = request_id;
-        s.shard_id = shard;
-        s.net_id = net;
-        s.batch_id = batch;
-        s.layer = layer;
-        s.begin = begin;
-        s.end = end;
-        collector.addSpan(s);
-    }
-
     std::int64_t
     batchItems(const Active *a, int b) const
     {
@@ -1021,8 +1006,6 @@ struct ServingSimulation::Impl
             a->st.cpu_service_ns += static_cast<double>(handler);
             a->st.lat_serde += deserde;
             a->st.cpu_serde_ns += static_cast<double>(deserde);
-            span(trace::Layer::RequestSerDe, trace::kMainShard, -1, -1,
-                 engine.now(), engine.now() + handler + deserde, a->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a->st.id, obs::SpanKind::QueueWait,
@@ -1122,16 +1105,6 @@ struct ServingSimulation::Impl
                            mainScale());
                 a->st.cpu_ops_ns += static_cast<double>(sparse);
                 a->st.main_op_ns += static_cast<double>(sparse);
-                span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now(), engine.now() + overhead + bottom,
-                     a->st.id);
-                span(trace::Layer::SparseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now() + overhead + bottom,
-                     engine.now() + overhead + bottom + sparse, a->st.id);
-                span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                     engine.now() + overhead + bottom + sparse,
-                     engine.now() + overhead + bottom + sparse + top,
-                     a->st.id);
                 if (tr) {
                     const sim::SimTime t0 = engine.now();
                     tr->record(a->st.id, obs::SpanKind::DenseBottom,
@@ -1242,11 +1215,6 @@ struct ServingSimulation::Impl
                 });
                 return;
             }
-            span(trace::Layer::DenseOp, trace::kMainShard, ni.net_id, b,
-                 engine.now(), engine.now() + overhead + bottom, a->st.id);
-            span(trace::Layer::ClientDispatch, trace::kMainShard, ni.net_id,
-                 b, engine.now() + overhead + bottom,
-                 engine.now() + overhead + bottom + send_cpu, a->st.id);
             if (tr) {
                 const sim::SimTime t0 = engine.now();
                 tr->record(a->st.id, obs::SpanKind::DenseBottom, sp_batch,
@@ -1510,9 +1478,6 @@ struct ServingSimulation::Impl
 
         const sim::Duration out_delay =
             link.oneWayDelay(op->req_bytes, ctx->rng);
-        span(trace::Layer::Network, g.shard, op->ni->net_id,
-             op->bt->batch_id, engine.now(), engine.now() + out_delay,
-             a->st.id);
         if (tr)
             tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
@@ -1685,9 +1650,6 @@ struct ServingSimulation::Impl
             ex.op_ns = rec.remote_sparse_op_ns;
             ex.sidx = sidx;
             ex.nidx = nidx;
-            span(trace::Layer::SparseOp, g2.shard, op->ni->net_id,
-                 op->bt->batch_id, engine.now(), engine.now() + busy,
-                 a2->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a2->st.id, obs::SpanKind::RemoteQueue,
@@ -1787,9 +1749,6 @@ struct ServingSimulation::Impl
                 derefOp(op); // response path only needs the batch
                 const sim::Duration back =
                     link.oneWayDelay(resp_bytes, ctx->rng);
-                span(trace::Layer::Network, ctx->rec.shard_id,
-                     ctx->rec.net_id, ctx->rec.batch_id, engine.now(),
-                     engine.now() + back, bt->req->st.id);
                 if (tr)
                     tr->record(bt->req->st.id, obs::SpanKind::WireBack,
                                sp_attempt, engine.now(),
@@ -1894,9 +1853,6 @@ struct ServingSimulation::Impl
 
         // All shards answered: deserialize responses + top dense.
         const sim::Duration embedded = bt->last_response - bt->dispatch_time;
-        span(trace::Layer::EmbeddedWait, trace::kMainShard,
-             nets[bt->net_idx].net_id, bt->batch_id, bt->dispatch_time,
-             bt->last_response, a->st.id);
         if (tr)
             tr->end(bt->sp_embed, bt->last_response);
         const sim::SimTime merge0 = engine.now();
@@ -1912,9 +1868,6 @@ struct ServingSimulation::Impl
                 scaled(service.serdeNs(bt->response_bytes), mainScale());
             const sim::Duration top = bt->top_dense;
             a->st.cpu_serde_ns += static_cast<double>(resp_deserde);
-            span(trace::Layer::DenseOp, trace::kMainShard,
-                 nets[bt->net_idx].net_id, bt->batch_id, engine.now(),
-                 engine.now() + resp_deserde + top, a->st.id);
             if (tr) {
                 const int net_id = nets[bt->net_idx].net_id;
                 if (engine.now() > merge0)
@@ -1987,9 +1940,6 @@ struct ServingSimulation::Impl
             a->st.cpu_serde_ns += static_cast<double>(resp_serde);
             a->st.lat_service += handler;
             a->st.cpu_service_ns += static_cast<double>(handler);
-            span(trace::Layer::RequestSerDe, trace::kMainShard, -1, -1,
-                 engine.now(), engine.now() + resp_serde + handler,
-                 a->st.id);
             if (tr) {
                 if (engine.now() > q0)
                     tr->record(a->st.id, obs::SpanKind::QueueWait,
@@ -2060,8 +2010,7 @@ struct ServingSimulation::Impl
 ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      const ShardingPlan &plan,
                                      ServingConfig config)
-    : spec_(spec), plan_(plan), config_(config),
-      collector_(config.retain_spans)
+    : spec_(spec), plan_(plan), config_(config)
 {
     impl_ = std::make_unique<Impl>(spec_, plan_, config_, collector_);
 }

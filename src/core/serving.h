@@ -270,8 +270,6 @@ struct ServingConfig
         shard_cache_models;
 
     std::uint64_t seed = 1234;
-    /** Retain raw spans (needed for trace rendering; memory-heavy). */
-    bool retain_spans = false;
     /**
      * Optional request-level span tracer (src/obs). When set and
      * enabled, the serving engine emits a nested span tree per request

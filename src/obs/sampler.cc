@@ -1,6 +1,7 @@
 #include "obs/sampler.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace dri::obs {
 
@@ -30,6 +31,9 @@ TraceSampler::acquireTree(std::uint64_t request_id)
 {
     Tree *t;
     if (free_slots_.empty()) {
+        if (arena_.size() >= kMaxTrees)
+            throw std::length_error(
+                "TraceSampler: more than 65536 concurrent request trees");
         arena_.push_back(std::make_unique<Tree>());
         t = arena_.back().get();
         t->slot = static_cast<std::uint32_t>(arena_.size() - 1);

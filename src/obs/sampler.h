@@ -168,7 +168,17 @@ class TraceSampler
         std::vector<SpanRecord> spans; //!< tree-local ids (index + 1)
     };
 
-    /** Open a tree for a new root span (recycles a free arena slot). */
+    /**
+     * Arena slots a SpanTracer handle can address (16 slot bits), i.e.
+     * the most request trees that may be open at once.
+     */
+    static constexpr std::size_t kMaxTrees = std::size_t{1} << 16;
+
+    /**
+     * Open a tree for a new root span (recycles a free arena slot).
+     * Throws std::length_error rather than create slot kMaxTrees, whose
+     * handles would alias slot 0.
+     */
     Tree *acquireTree(std::uint64_t request_id);
 
     /** Arena tree at @p slot, or nullptr past the arena end. */

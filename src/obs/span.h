@@ -2,14 +2,14 @@
  * @file
  * Request-level span vocabulary for the observability layer.
  *
- * src/trace holds the paper-faithful flat spans (one interval per stack
- * layer, no causality); src/obs adds what a production tracing system
- * would carry on top: a *tree* of spans per request — every lifecycle
- * stage from admission through queue wait, batch coalescing, per-shard
- * RPC attempts (primary and hedge, wire/remote-queue/remote-compute),
- * result-cache probes and the response merge — with parent links, so a
- * request's latency can be walked as a critical path instead of summed
- * as buckets. Spans are recorded in simulated time; the tracer is a
+ * The paper explains latency with cross-layer traces; src/obs carries
+ * them the way a production tracing system would: a *tree* of spans per
+ * request — every lifecycle stage from admission through queue wait,
+ * batch coalescing, per-shard RPC attempts (primary and hedge,
+ * wire/remote-queue/remote-compute), result-cache probes and the
+ * response merge — with parent links, so a request's latency can be
+ * walked as a critical path instead of summed as buckets (the ASCII
+ * Fig. 3 timeline in obs/render.h draws its leaves). Spans are recorded in simulated time; the tracer is a
  * pure observer (it never touches the RNG or the event queue), which is
  * what makes "tracing on vs off leaves RequestStats byte-identical" a
  * testable contract rather than a hope.
@@ -33,7 +33,7 @@ namespace dri::obs {
 using SpanId = std::uint64_t;
 constexpr SpanId kNoSpan = 0;
 
-/** Shard id used for main-shard spans (matches trace::kMainShard). */
+/** Shard id used for main-shard spans. */
 constexpr int kMainShard = -1;
 
 /** Sentinel end time of a still-open span. */

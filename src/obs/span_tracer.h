@@ -122,6 +122,8 @@ class SpanTracer
     static constexpr unsigned kSlotBits = 16;
     static constexpr SpanId kLocalMask = (SpanId{1} << kLocalBits) - 1;
     static constexpr SpanId kSlotMask = (SpanId{1} << kSlotBits) - 1;
+    static_assert(TraceSampler::kMaxTrees == kSlotMask + 1,
+                  "every arena slot must have a distinct handle");
 
     static SpanId encode(std::uint32_t generation, std::uint32_t slot,
                          std::size_t local_plus_one)

@@ -7,32 +7,10 @@
 
 namespace dri::stats {
 
-QuantileEstimator::QuantileEstimator(std::size_t rolling_capacity)
-    : rolling_capacity_(rolling_capacity)
-{
-}
-
-void
-QuantileEstimator::evictOverflow()
-{
-    if (rolling_capacity_ == 0)
-        return;
-    if (count() > rolling_capacity_)
-        head_ = samples_.size() - rolling_capacity_;
-    // Compact once the dead prefix dominates, keeping add() amortized
-    // O(1): each erased element was appended exactly once.
-    if (head_ > 64 && head_ > samples_.size() / 2) {
-        samples_.erase(samples_.begin(),
-                       samples_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-    }
-}
-
 void
 QuantileEstimator::add(double sample)
 {
     samples_.push_back(sample);
-    evictOverflow();
     sorted_valid_ = false;
 }
 
@@ -40,15 +18,6 @@ void
 QuantileEstimator::addAll(const std::vector<double> &samples)
 {
     samples_.insert(samples_.end(), samples.begin(), samples.end());
-    evictOverflow();
-    sorted_valid_ = false;
-}
-
-void
-QuantileEstimator::setRollingCapacity(std::size_t capacity)
-{
-    rolling_capacity_ = capacity;
-    evictOverflow();
     sorted_valid_ = false;
 }
 
@@ -56,8 +25,7 @@ void
 QuantileEstimator::ensureSorted() const
 {
     if (!sorted_valid_) {
-        sorted_.assign(samples_.begin() + static_cast<std::ptrdiff_t>(head_),
-                       samples_.end());
+        sorted_ = samples_;
         std::sort(sorted_.begin(), sorted_.end());
         sorted_valid_ = true;
     }
@@ -89,7 +57,7 @@ double
 QuantileEstimator::sum() const
 {
     // Accumulate in sorted order: the sum then depends only on the
-    // live multiset, so merged-shard and whole-stream estimators agree
+    // sample multiset, so merged-shard and whole-stream estimators agree
     // to the bit (the contract the merge tests pin down).
     ensureSorted();
     return std::accumulate(sorted_.begin(), sorted_.end(), 0.0);
@@ -103,17 +71,12 @@ QuantileEstimator::merge(const QuantileEstimator &other)
     if (&other == this) {
         // Self-merge doubles the stream; copy first so the insertion
         // never reads through iterators a reallocation invalidated.
-        const std::vector<double> copy(
-            samples_.begin() + static_cast<std::ptrdiff_t>(head_),
-            samples_.end());
+        const std::vector<double> copy(samples_);
         samples_.insert(samples_.end(), copy.begin(), copy.end());
     } else {
-        samples_.insert(samples_.end(),
-                        other.samples_.begin() +
-                            static_cast<std::ptrdiff_t>(other.head_),
+        samples_.insert(samples_.end(), other.samples_.begin(),
                         other.samples_.end());
     }
-    evictOverflow();
     sorted_valid_ = false;
 }
 
@@ -122,7 +85,6 @@ QuantileEstimator::clear()
 {
     samples_.clear();
     sorted_.clear();
-    head_ = 0;
     sorted_valid_ = true;
 }
 

@@ -17,40 +17,18 @@ namespace dri::stats {
 /**
  * Accumulates double samples and answers arbitrary quantile queries exactly
  * using linear interpolation between order statistics (the same convention
- * as numpy.percentile's default).
- *
- * Two retention modes:
- *  - unbounded (default): every sample ever added contributes;
- *  - rolling (setRollingCapacity(n)): only the n most recent samples
- *    contribute — older ones decay out in arrival order, which is what
- *    turns the estimator into a windowed tail tracker (the rolling-P99
- *    feed src/obs/timeseries.h builds on). A rolling estimator over a
- *    stream answers exactly what a fresh estimator fed only the last n
- *    samples would (the self-consistency property the tests pin down).
+ * as numpy.percentile's default). Every sample ever added contributes;
+ * windowed tails live in src/obs/timeseries.h.
  */
 class QuantileEstimator
 {
   public:
     QuantileEstimator() = default;
 
-    /** Construct directly in rolling mode (0 = unbounded). */
-    explicit QuantileEstimator(std::size_t rolling_capacity);
-
     void add(double sample);
     void addAll(const std::vector<double> &samples);
 
-    /**
-     * Keep only the `capacity` most recent samples from now on (0
-     * restores unbounded retention). Samples already held are trimmed
-     * immediately, oldest first.
-     */
-    void setRollingCapacity(std::size_t capacity);
-
-    /** Rolling-window capacity; 0 means unbounded. */
-    std::size_t rollingCapacity() const { return rolling_capacity_; }
-
-    /** Number of live samples (the rolling window's content, if rolling). */
-    std::size_t count() const { return samples_.size() - head_; }
+    std::size_t count() const { return samples_.size(); }
 
     bool empty() const { return count() == 0; }
 
@@ -83,20 +61,12 @@ class QuantileEstimator
     void clear();
 
   private:
-    /**
-     * Arrival-order master buffer; [head_, size) is the live window.
-     * Rolling eviction advances head_ and compacts lazily, so add()
-     * stays amortized O(1) in both modes.
-     */
     std::vector<double> samples_;
-    std::size_t head_ = 0;
-    std::size_t rolling_capacity_ = 0;
 
-    /** Sorted copy of the live window, rebuilt on demand. */
+    /** Sorted copy of the samples, rebuilt on demand. */
     mutable std::vector<double> sorted_;
     mutable bool sorted_valid_ = true;
 
-    void evictOverflow();
     void ensureSorted() const;
 };
 

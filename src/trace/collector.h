@@ -1,67 +1,74 @@
 /**
  * @file
- * Trace collection. Mirrors the paper's lock-free-buffer + offline
- * post-processing design: the serving engine appends spans and RPC records
- * as they complete; analyses consume them after the run. Raw span retention
- * is optional because figure-level experiments only need the aggregated
- * per-request statistics that the serving engine computes inline.
+ * Per-RPC records for the paper's Section IV-B latency attribution.
+ *
+ * The serving engine appends one record per sparse-shard RPC response
+ * as it completes; analyses read them after the run. Request-level spans
+ * live in src/obs (SpanTracer), which is the only span model.
  */
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "trace/span.h"
+#include "sim/time.h"
 
 namespace dri::trace {
 
-/** Append-only store of spans and RPC records for one experiment run. */
-class TraceCollector
+/**
+ * Summary of one sparse-shard RPC, recorded by the serving engine. The
+ * paper's latency attribution (Section IV-B) uses the slowest asynchronous
+ * sparse request per main-shard request; these records make that analysis
+ * direct.
+ */
+struct RpcRecord
 {
-  public:
-    /** @param retain_spans keep raw spans (trace rendering) or drop them. */
-    explicit TraceCollector(bool retain_spans = false)
-        : retain_spans_(retain_spans)
+    std::uint64_t request_id = 0;
+    int shard_id = 0;
+    int net_id = 0;
+    int batch_id = 0;
+
+    sim::SimTime dispatched = 0;     //!< client issued the request
+    sim::SimTime completed = 0;      //!< response visible at main shard
+
+    // Remote-side components (CPU unless noted).
+    sim::Duration remote_queue_ns = 0;   //!< wall: waiting for a core
+    sim::Duration remote_serde_ns = 0;
+    sim::Duration remote_service_ns = 0;
+    sim::Duration remote_net_overhead_ns = 0;
+    sim::Duration remote_sparse_op_ns = 0;
+
+    /** Total outstanding time observed at the main shard. */
+    sim::Duration outstanding() const { return completed - dispatched; }
+
+    /** E2E service time on the sparse shard (queue + CPU components). */
+    sim::Duration remoteE2e() const
     {
+        return remote_queue_ns + remote_serde_ns + remote_service_ns +
+               remote_net_overhead_ns + remote_sparse_op_ns;
     }
 
     /**
-     * Inline on purpose: the serving engine emits a span per wire hop
-     * and per sparse execution, and with retention off (the default for
-     * figure-level runs) the whole call must fold down to one counter
-     * increment at the call site.
+     * Network latency, measured exactly as the paper does: outstanding
+     * request time at the main shard minus E2E time at the sparse shard
+     * (absorbs clock skew between servers).
      */
-    void
-    addSpan(const Span &span)
+    sim::Duration networkLatency() const
     {
-        ++span_count_;
-        if (retain_spans_)
-            spans_.push_back(span);
+        return outstanding() - remoteE2e();
     }
+};
 
+/** Append-only store of RPC records for one experiment run. */
+class TraceCollector
+{
+  public:
     void addRpc(const RpcRecord &record) { rpcs_.push_back(record); }
 
-    bool retainsSpans() const { return retain_spans_; }
-
-    const std::vector<Span> &spans() const { return spans_; }
     const std::vector<RpcRecord> &rpcs() const { return rpcs_; }
 
-    /** Spans belonging to one request, in begin-time order. */
-    std::vector<Span> spansForRequest(std::uint64_t request_id) const;
-
-    /** RPC records belonging to one request. */
-    std::vector<RpcRecord> rpcsForRequest(std::uint64_t request_id) const;
-
-    /** Total spans observed (counted even when not retained). */
-    std::uint64_t spanCount() const { return span_count_; }
-
-    void clear();
-
   private:
-    bool retain_spans_;
-    std::vector<Span> spans_;
     std::vector<RpcRecord> rpcs_;
-    std::uint64_t span_count_ = 0;
 };
 
 } // namespace dri::trace

@@ -1,15 +1,14 @@
 /**
  * @file
  * Tests for the future-work extensions (Section X): automatic sharding,
- * the paging-from-disk alternative, sparse-shard replication, SLA
- * accounting, and Chrome trace export.
+ * the paging-from-disk alternative, sparse-shard replication, and SLA
+ * accounting. Chrome trace export is tested in obs_test.
  */
 #include <gtest/gtest.h>
 
 #include "core/auto_shard.h"
 #include "dc/paging.h"
 #include "model/generators.h"
-#include "trace/export.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -187,53 +186,6 @@ TEST(Sla, ViolationRate)
     EXPECT_DOUBLE_EQ(core::slaViolationRate(stats, 100.0), 0.0);
     EXPECT_DOUBLE_EQ(core::slaViolationRate(stats, 0.5), 1.0);
     EXPECT_DOUBLE_EQ(core::slaViolationRate({}, 1.0), 0.0);
-}
-
-TEST(ChromeTrace, ExportsValidEventsJson)
-{
-    trace::TraceCollector collector(true);
-    trace::Span s;
-    s.request_id = 9;
-    s.shard_id = trace::kMainShard;
-    s.net_id = 0;
-    s.batch_id = 1;
-    s.layer = trace::Layer::DenseOp;
-    s.begin = 1000;
-    s.end = 3000;
-    collector.addSpan(s);
-    s.shard_id = 2;
-    s.layer = trace::Layer::SparseOp;
-    collector.addSpan(s);
-
-    const std::string json = trace::chromeTraceJson(collector, 9);
-    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"Dense Ops\""), std::string::npos);
-    EXPECT_NE(json.find("\"Caffe2 Sparse Ops\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"pid\": 0"), std::string::npos);  // main shard
-    EXPECT_NE(json.find("\"pid\": 3"), std::string::npos);  // shard 2
-    // Balanced braces/brackets (cheap well-formedness check).
-    EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-              std::count(json.begin(), json.end(), '}'));
-    EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-              std::count(json.begin(), json.end(), ']'));
-}
-
-TEST(ChromeTrace, FiltersByRequest)
-{
-    trace::TraceCollector collector(true);
-    trace::Span s;
-    s.request_id = 1;
-    s.begin = 0;
-    s.end = 10;
-    collector.addSpan(s);
-    s.request_id = 2;
-    collector.addSpan(s);
-    const std::string one = trace::chromeTraceJson(collector, 1);
-    EXPECT_NE(one.find("\"request\": 1"), std::string::npos);
-    EXPECT_EQ(one.find("\"request\": 2"), std::string::npos);
-    const std::string all = trace::chromeTraceJson(collector, 0, true);
-    EXPECT_NE(all.find("\"request\": 2"), std::string::npos);
 }
 
 } // namespace

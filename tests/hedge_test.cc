@@ -444,8 +444,9 @@ TEST(HedgeTrace, LoserAndCancelledAttemptsCloseTheirSpans)
     EXPECT_EQ(attempts, h.primary_rpcs + h.hedges);
     EXPECT_EQ(hedge_attempts, h.hedges);
     // Races were decided, so somebody lost (wins imply losers).
-    if (h.wins > 0)
+    if (h.wins > 0) {
         EXPECT_GT(losers, 0u);
+    }
 }
 
 /**

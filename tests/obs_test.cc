@@ -3,9 +3,9 @@
  * Unit tests for the observability layer (src/obs): span tracer
  * semantics (including the zero-allocation-when-disabled contract),
  * critical-path extraction on a hand-built span tree, conservation
- * checking, Chrome trace export sanity, and the metrics registry's
- * edge cases (duplicate registration, kind clashes, histogram bucket
- * boundaries, snapshot determinism).
+ * checking, Chrome trace export sanity, the Fig. 3 ASCII timeline, and
+ * the metrics registry's edge cases (duplicate registration, kind
+ * clashes, histogram bucket boundaries, snapshot determinism).
  */
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
+#include "obs/render.h"
 #include "obs/span_tracer.h"
 
 namespace {
@@ -239,6 +240,53 @@ TEST(ChromeTrace, EmitsCompleteEventsForClosedSpans)
     EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
     EXPECT_NE(json.find("\"name\":\"request\""), std::string::npos);
     EXPECT_NE(json.find("main-shard"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Fig. 3 timeline rendering
+// ---------------------------------------------------------------------------
+
+TEST(Render, ProducesTimelineWithShards)
+{
+    obs::SpanTracer t;
+    const auto root = t.record(42, SpanKind::Request, obs::kNoSpan, 0, 1000);
+    const auto batch = t.record(42, SpanKind::BatchExec, root, 0, 1000,
+                                obs::kMainShard, 0, 0);
+    t.record(42, SpanKind::DenseBottom, batch, 0, 200, obs::kMainShard, 0, 0);
+    const auto att =
+        t.record(42, SpanKind::RpcAttempt, batch, 200, 800, 2, 0, 0);
+    t.record(42, SpanKind::WireOut, att, 200, 300, 2, 0, 0);
+    t.record(42, SpanKind::RemoteCompute, att, 300, 700, 2, 0, 0);
+    t.record(42, SpanKind::WireBack, att, 700, 800, 2, 0, 0);
+    t.record(42, SpanKind::DenseTop, batch, 800, 1000, obs::kMainShard, 0, 0);
+    t.record(7, SpanKind::Request, obs::kNoSpan, 0, 5000); // other request
+
+    const std::string out = obs::renderRequestTrace(t.spans(), 42, 60);
+    EXPECT_NE(out.find("request 42  span=1000ns"), std::string::npos);
+    EXPECT_LT(out.find("main shard"), out.find("sparse shard 2"));
+
+    // Leaves only: one (net 0, batch 0) lane per shard, and no lane for
+    // the request-level root, whose interval its children cover.
+    std::istringstream lines(out);
+    std::string line;
+    std::size_t lanes = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("net", 0) != 0)
+            continue;
+        ++lanes;
+        EXPECT_EQ(line.rfind("net0/b0 |", 0), 0u) << line;
+        EXPECT_NE(line.find('C'), std::string::npos) << line;
+        // The RpcAttempt (wait bucket) is a parent, so it is not drawn.
+        EXPECT_EQ(line.find('.'), std::string::npos) << line;
+    }
+    EXPECT_EQ(lanes, 2u);
+    EXPECT_NE(out.find('~'), std::string::npos);
+}
+
+TEST(Render, EmptyRequestExplains)
+{
+    const std::string out = obs::renderRequestTrace({}, 1);
+    EXPECT_NE(out.find("no spans"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------

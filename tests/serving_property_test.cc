@@ -12,6 +12,7 @@
 #include "core/strategies.h"
 #include "dc/platform.h"
 #include "model/generators.h"
+#include "obs/span_tracer.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -140,19 +141,27 @@ TEST_P(ServingPropertyTest, DeterministicReplay)
 
 TEST_P(ServingPropertyTest, TraceSpansStayWithinRequestWindow)
 {
+    obs::SpanTracer tracer;
     core::ServingConfig config;
-    config.retain_spans = true;
+    config.tracer = &tracer;
     core::ServingSimulation sim(spec_, plan_, config);
     const auto stats = sim.replaySerial(
         std::vector<workload::Request>(requests_.begin(),
                                        requests_.begin() + 5));
+    ASSERT_FALSE(tracer.spans().empty());
     for (const auto &s : stats) {
-        for (const auto &span : sim.collector().spansForRequest(s.id)) {
+        for (const auto &span : tracer.spans()) {
+            // Cancelled/loser debris may outlive its request.
+            if (span.request_id != s.id || span.cancelled())
+                continue;
+            EXPECT_FALSE(span.open());
             EXPECT_GE(span.begin, s.arrival);
             EXPECT_LE(span.end, s.completion);
             EXPECT_LE(span.begin, span.end);
         }
-        for (const auto &rpc : sim.collector().rpcsForRequest(s.id)) {
+        for (const auto &rpc : sim.collector().rpcs()) {
+            if (rpc.request_id != s.id)
+                continue;
             EXPECT_GE(rpc.networkLatency(), 0);
             EXPECT_GE(rpc.dispatched, s.arrival);
             EXPECT_LE(rpc.completed, s.completion);

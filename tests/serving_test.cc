@@ -237,25 +237,6 @@ TEST(Serving, Drm3TouchesTwoShards)
     }
 }
 
-TEST(Serving, SpanRetentionFollowsConfig)
-{
-    const auto spec = model::makeDrm2();
-    const auto reqs = requestsFor(spec, 3);
-    const auto plan = core::makeCapacityBalanced(spec, 2);
-
-    core::ServingConfig no_spans;
-    core::ServingSimulation a(spec, plan, no_spans);
-    a.replaySerial(reqs);
-    EXPECT_EQ(a.collector().spans().size(), 0u);
-    EXPECT_GT(a.collector().spanCount(), 0u);
-
-    core::ServingConfig with_spans;
-    with_spans.retain_spans = true;
-    core::ServingSimulation b(spec, plan, with_spans);
-    b.replaySerial(reqs);
-    EXPECT_GT(b.collector().spans().size(), 0u);
-}
-
 TEST(Serving, SerialGapShiftsArrivals)
 {
     const auto spec = model::makeDrm3();

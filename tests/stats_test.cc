@@ -473,97 +473,4 @@ TEST(TablePrinter, NumberFormatting)
     EXPECT_EQ(TablePrinter::pct(-0.01, 1), "-1.0%");
 }
 
-// ---------------------------------------------------------------------------
-// QuantileEstimator rolling mode.
-// ---------------------------------------------------------------------------
-
-/**
- * Self-consistency: a rolling estimator over a stream answers exactly
- * what a fresh estimator fed only the last `capacity` samples would —
- * every query, at every point in the stream.
- */
-TEST(Quantile, RollingWindowMatchesFreshEstimatorOverTheTail)
-{
-    Rng rng(0xabcdef);
-    QuantileEstimator rolling(/*rolling_capacity=*/100);
-    EXPECT_EQ(rolling.rollingCapacity(), 100u);
-    std::vector<double> all;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.gaussian(50.0, 20.0);
-        all.push_back(v);
-        rolling.add(v);
-        if ((i + 1) % 137 != 0 && i != 999)
-            continue;
-        QuantileEstimator fresh;
-        const std::size_t n = std::min<std::size_t>(100, all.size());
-        for (std::size_t j = all.size() - n; j < all.size(); ++j)
-            fresh.add(all[j]);
-        ASSERT_EQ(rolling.count(), fresh.count()) << i;
-        for (const double p : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-            EXPECT_DOUBLE_EQ(rolling.quantile(p), fresh.quantile(p))
-                << i << " q=" << p;
-        // Same live samples in the same arrival order: bitwise-equal
-        // running sums, not just close ones.
-        EXPECT_DOUBLE_EQ(rolling.sum(), fresh.sum()) << i;
-        EXPECT_DOUBLE_EQ(rolling.mean(), fresh.mean()) << i;
-    }
-}
-
-TEST(Quantile, SetRollingCapacityTrimsOldestImmediately)
-{
-    QuantileEstimator q;
-    q.addAll({1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
-    q.setRollingCapacity(3);
-    EXPECT_EQ(q.count(), 3u);
-    EXPECT_DOUBLE_EQ(q.min(), 4.0);
-    EXPECT_DOUBLE_EQ(q.p50(), 5.0);
-    // Growing the capacity does not resurrect evicted samples.
-    q.setRollingCapacity(10);
-    EXPECT_EQ(q.count(), 3u);
-    q.add(7.0);
-    EXPECT_EQ(q.count(), 4u);
-    EXPECT_DOUBLE_EQ(q.min(), 4.0);
-}
-
-TEST(Quantile, RollingCapacityZeroRestoresUnboundedRetention)
-{
-    QuantileEstimator q(2);
-    q.addAll({1.0, 2.0, 3.0});
-    EXPECT_EQ(q.count(), 2u);
-    q.setRollingCapacity(0);
-    for (double v = 4.0; v <= 20.0; v += 1.0)
-        q.add(v);
-    EXPECT_EQ(q.count(), 19u);
-    // Samples evicted while rolling stay gone.
-    EXPECT_DOUBLE_EQ(q.min(), 2.0);
-}
-
-TEST(Quantile, RollingClearEmptiesButKeepsTheCapacity)
-{
-    QuantileEstimator q(3);
-    q.addAll({1.0, 2.0, 3.0, 4.0});
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.rollingCapacity(), 3u);
-    q.addAll({5.0, 6.0, 7.0, 8.0});
-    EXPECT_EQ(q.count(), 3u);
-    EXPECT_DOUBLE_EQ(q.min(), 6.0);
-}
-
-TEST(Quantile, MergeAbsorbsOnlyTheLiveWindow)
-{
-    QuantileEstimator other(2);
-    other.addAll({1.0, 2.0, 3.0, 4.0, 5.0}); // live window: {4, 5}
-    QuantileEstimator a;
-    a.add(10.0);
-    a.merge(other);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 4.0);
-    EXPECT_DOUBLE_EQ(a.max(), 10.0);
-    // Merging INTO a rolling estimator evicts overflow like add().
-    QuantileEstimator windowed(2);
-    windowed.merge(a);
-    EXPECT_EQ(windowed.count(), 2u);
-}
-
 } // namespace

@@ -26,6 +26,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -216,6 +217,24 @@ TEST(TraceSampler, ArenaRecyclesSlotsInsteadOfGrowing)
     const auto rep = obs::checkConservation(flat);
     EXPECT_EQ(rep.open_spans, 0u);
     EXPECT_EQ(rep.nesting_violations, 0u);
+}
+
+TEST(TraceSampler, ArenaOverflowThrowsInsteadOfAliasingSlots)
+{
+    obs::TraceSampler sampler;
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+
+    // Handles pack the arena slot in 16 bits. Every root stays open, so
+    // each one claims a fresh slot; the 2^16 + 1st has none left.
+    constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
+    for (std::uint64_t id = 0; id < kSlots; ++id)
+        ASSERT_NE(tracer.begin(id, obs::SpanKind::Request, obs::kNoSpan, 0),
+                  obs::kNoSpan);
+    EXPECT_EQ(sampler.arenaSlots(), kSlots);
+    EXPECT_THROW(
+        tracer.begin(kSlots, obs::SpanKind::Request, obs::kNoSpan, 0),
+        std::length_error);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,38 +1,15 @@
 /**
  * @file
- * Tests for the cross-layer tracing framework: span semantics, CPU/wall
- * classification, the paper's network-latency attribution identity
- * (Section IV-B), collection, and ASCII rendering.
+ * Tests for the per-RPC trace records: the paper's network-latency
+ * attribution identity (Section IV-B).
  */
 #include <gtest/gtest.h>
 
 #include "trace/collector.h"
-#include "trace/render.h"
-#include "trace/span.h"
 
 namespace {
 
 using namespace dri::trace;
-
-TEST(Span, DurationAndNames)
-{
-    Span s;
-    s.begin = 100;
-    s.end = 250;
-    EXPECT_EQ(s.duration(), 150);
-    EXPECT_EQ(layerName(Layer::Network), "Network Latency");
-    EXPECT_EQ(layerName(Layer::EmbeddedWait), "Embedded Portion");
-}
-
-TEST(Span, CpuClassification)
-{
-    EXPECT_TRUE(layerIsCpu(Layer::DenseOp));
-    EXPECT_TRUE(layerIsCpu(Layer::SparseOp));
-    EXPECT_TRUE(layerIsCpu(Layer::RequestSerDe));
-    EXPECT_FALSE(layerIsCpu(Layer::Network));
-    EXPECT_FALSE(layerIsCpu(Layer::EmbeddedWait));
-    EXPECT_FALSE(layerIsCpu(Layer::QueueWait));
-}
 
 TEST(RpcRecord, NetworkLatencyIdentity)
 {
@@ -49,104 +26,6 @@ TEST(RpcRecord, NetworkLatencyIdentity)
     EXPECT_EQ(rec.outstanding(), 1000);
     EXPECT_EQ(rec.remoteE2e(), 600);
     EXPECT_EQ(rec.networkLatency(), 400);
-}
-
-TEST(Collector, RetainsSpansWhenAsked)
-{
-    TraceCollector keep(true);
-    TraceCollector drop(false);
-    Span s;
-    s.request_id = 1;
-    keep.addSpan(s);
-    drop.addSpan(s);
-    EXPECT_EQ(keep.spans().size(), 1u);
-    EXPECT_EQ(drop.spans().size(), 0u);
-    EXPECT_EQ(keep.spanCount(), 1u);
-    EXPECT_EQ(drop.spanCount(), 1u); // counted even when dropped
-}
-
-TEST(Collector, FiltersByRequest)
-{
-    TraceCollector c(true);
-    for (std::uint64_t id : {1u, 2u, 1u, 3u, 1u}) {
-        Span s;
-        s.request_id = id;
-        s.begin = static_cast<dri::sim::SimTime>(id * 10);
-        s.end = s.begin + 1;
-        c.addSpan(s);
-    }
-    EXPECT_EQ(c.spansForRequest(1).size(), 3u);
-    EXPECT_EQ(c.spansForRequest(9).size(), 0u);
-
-    RpcRecord r;
-    r.request_id = 2;
-    c.addRpc(r);
-    EXPECT_EQ(c.rpcsForRequest(2).size(), 1u);
-    EXPECT_EQ(c.rpcsForRequest(1).size(), 0u);
-}
-
-TEST(Collector, SpansSortedByBeginTime)
-{
-    TraceCollector c(true);
-    for (int t : {30, 10, 20}) {
-        Span s;
-        s.request_id = 7;
-        s.begin = t;
-        s.end = t + 5;
-        c.addSpan(s);
-    }
-    const auto spans = c.spansForRequest(7);
-    ASSERT_EQ(spans.size(), 3u);
-    EXPECT_EQ(spans[0].begin, 10);
-    EXPECT_EQ(spans[2].begin, 30);
-}
-
-TEST(Collector, ClearResets)
-{
-    TraceCollector c(true);
-    c.addSpan(Span{});
-    c.addRpc(RpcRecord{});
-    c.clear();
-    EXPECT_EQ(c.spans().size(), 0u);
-    EXPECT_EQ(c.rpcs().size(), 0u);
-    EXPECT_EQ(c.spanCount(), 0u);
-}
-
-TEST(Render, ProducesTimelineWithShards)
-{
-    TraceCollector c(true);
-    Span main_span;
-    main_span.request_id = 42;
-    main_span.shard_id = kMainShard;
-    main_span.net_id = 0;
-    main_span.batch_id = 0;
-    main_span.layer = Layer::DenseOp;
-    main_span.begin = 0;
-    main_span.end = 1000;
-    c.addSpan(main_span);
-
-    Span remote;
-    remote.request_id = 42;
-    remote.shard_id = 2;
-    remote.net_id = 0;
-    remote.batch_id = 0;
-    remote.layer = Layer::SparseOp;
-    remote.begin = 200;
-    remote.end = 600;
-    c.addSpan(remote);
-
-    const std::string out = renderRequestTrace(c, 42, 60);
-    EXPECT_NE(out.find("main shard"), std::string::npos);
-    EXPECT_NE(out.find("sparse shard 2"), std::string::npos);
-    EXPECT_NE(out.find("D"), std::string::npos);
-    EXPECT_NE(out.find("S"), std::string::npos);
-}
-
-TEST(Render, EmptyRequestExplains)
-{
-    TraceCollector c(true);
-    const std::string out = renderRequestTrace(c, 1);
-    EXPECT_NE(out.find("no spans"), std::string::npos);
 }
 
 } // namespace
