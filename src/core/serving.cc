@@ -4,10 +4,11 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
-#include <deque>
 #include <functional>
 #include <map>
 #include <new>
+#include <stdexcept>
+#include <string>
 
 #include "cache/lookup_model.h"
 #include "netsim/message.h"
@@ -85,7 +86,7 @@ struct ServingSimulation::Impl
         sim::SimTime dispatch_time = 0;
         sim::SimTime last_response = 0;
         std::int64_t response_bytes = 0;
-        /** Top-dense duration, stashed at dispatch for the merge phase. */
+        /** Top-dense duration, stashed for the merge phase. */
         sim::Duration top_dense = 0;
         obs::SpanId sp_batch = obs::kNoSpan; //!< BatchExec span
         obs::SpanId sp_embed = obs::kNoSpan; //!< EmbeddedWait span
@@ -95,6 +96,8 @@ struct ServingSimulation::Impl
          * destroyBatch() releases them.
          */
         std::vector<RpcOp *> ops;
+        /** Groups the batch fans out to (indices into the net's groups). */
+        std::vector<std::size_t> active;
     };
 
     /**
@@ -184,7 +187,13 @@ struct ServingSimulation::Impl
 
         // Intra-request batch-slot pool (framework worker threads).
         int slots_free = 0;
-        std::deque<sim::EventFn> slot_waiters;
+        /**
+         * Batches waiting for a slot, FIFO from slot_waiters_head. A
+         * vector, not a deque: a deque allocates even when empty, and
+         * recycling an Active re-creates this member.
+         */
+        std::vector<sim::EventFn> slot_waiters;
+        std::size_t slot_waiters_head = 0;
 
         // Mid-flight shed support (AdmissionConfig::cancel_in_flight).
         /** Shed while executing: stats already emitted, machinery drains. */
@@ -205,7 +214,8 @@ struct ServingSimulation::Impl
      * capturing the stream by value in each chained closure used to cost
      * a heap allocation plus a bulk copy per hop; with the pooled
      * context every hop's capture is a few pointers and fits the
-     * engine's inline event buffer.
+     * engine's inline event buffer. The stream is re-forked in place
+     * (Rng::forkInto) when the context is reused.
      */
     struct AttemptCtx
     {
@@ -381,10 +391,13 @@ struct ServingSimulation::Impl
     releaseBatch(BatchState *bt)
     {
         auto ops = std::move(bt->ops);
+        auto active = std::move(bt->active);
         bt->~BatchState();
         new (bt) BatchState();
         ops.clear();
+        active.clear();
         bt->ops = std::move(ops);
+        bt->active = std::move(active);
         batch_pool.release(bt);
     }
 
@@ -583,9 +596,12 @@ struct ServingSimulation::Impl
     void
     releaseSlot(Active *a)
     {
-        if (!a->slot_waiters.empty()) {
-            auto next = std::move(a->slot_waiters.front());
-            a->slot_waiters.pop_front();
+        if (a->slot_waiters_head < a->slot_waiters.size()) {
+            auto next = std::move(a->slot_waiters[a->slot_waiters_head++]);
+            if (a->slot_waiters_head == a->slot_waiters.size()) {
+                a->slot_waiters.clear();
+                a->slot_waiters_head = 0;
+            }
             engine.schedule(0, sim::kEvGrant, std::move(next));
         } else {
             ++a->slots_free;
@@ -829,12 +845,22 @@ struct ServingSimulation::Impl
             engine.schedule(lag, sim::kEvTimer, apply);
     }
 
+    /** Index of a replica server id; throws std::out_of_range. */
+    std::size_t
+    serverIndex(int server, const char *what) const
+    {
+        if (server < 0 ||
+            static_cast<std::size_t>(server) >= sparse_cores.size())
+            throw std::out_of_range(std::string(what) + ": server id " +
+                                    std::to_string(server) +
+                                    " out of range");
+        return static_cast<std::size_t>(server);
+    }
+
     void
     killReplica(int server)
     {
-        assert(server >= 0 &&
-               static_cast<std::size_t>(server) < sparse_cores.size());
-        const auto s = static_cast<std::size_t>(server);
+        const std::size_t s = serverIndex(server, "killReplica");
         if (replica_dead[s])
             return;
         replica_dead[s] = 1;
@@ -846,9 +872,7 @@ struct ServingSimulation::Impl
     void
     restoreReplica(int server)
     {
-        assert(server >= 0 &&
-               static_cast<std::size_t>(server) < sparse_cores.size());
-        const auto s = static_cast<std::size_t>(server);
+        const std::size_t s = serverIndex(server, "restoreReplica");
         if (!replica_dead[s])
             return;
         replica_dead[s] = 0;
@@ -1147,8 +1171,13 @@ struct ServingSimulation::Impl
             // Groups with zero lookups are skipped entirely — DRM3's
             // row-split dominant table touches one piece per request, so
             // only ~2 shards are accessed regardless of shard count.
-            const NetInfo *nip = &ni;
-            std::vector<std::size_t> active;
+            BatchState *bt = batch_pool.acquire();
+            bt->req = a;
+            bt->net_idx = a->net_idx;
+            bt->batch_id = b;
+            bt->batch_items = bitems;
+            bt->top_dense = top;
+            bt->sp_batch = sp_batch;
             sim::Duration send_cpu = 0;
             for (std::size_t gi = 0; gi < ni.groups.size(); ++gi) {
                 const Group &g = ni.groups[gi];
@@ -1184,15 +1213,16 @@ struct ServingSimulation::Impl
                                    sp_batch, engine.now(), engine.now(),
                                    g.shard, ni.net_id, b);
                 }
-                active.push_back(gi);
+                bt->active.push_back(gi);
                 const std::int64_t bytes = netsim::sparseRequestBytes(
                     lk, g.tableCount(), bitems);
                 send_cpu += scaled(service.serdeNs(bytes), mainScale()) +
                             scaled(service.clientDispatchNs(), mainScale());
             }
-            if (active.empty()) {
+            if (bt->active.empty()) {
                 // No sparse work anywhere this batch (or every group hit
                 // the result cache): pure dense path.
+                releaseBatch(bt);
                 if (tr) {
                     const sim::SimTime t0 = engine.now();
                     tr->record(a->st.id, obs::SpanKind::DenseBottom,
@@ -1225,46 +1255,63 @@ struct ServingSimulation::Impl
                            t0 + overhead + bottom + send_cpu,
                            obs::kMainShard, ni.net_id, b);
             }
-            engine.schedule(
-                overhead + bottom + send_cpu, sim::kEvMainCompute,
-                [this, a, nip, b, bitems, top, sp_batch,
-                 active = std::move(active)] {
-                    if (a->shed_mid_flight) {
-                        // Shed during the dense phase: the fan-out is
-                        // never dispatched.
-                        if (tr)
-                            tr->end(sp_batch, engine.now(),
-                                    obs::kFlagCancelled);
-                        main_cores->release();
-                        releaseSlot(a);
-                        batchDone(a);
-                        return;
-                    }
-                    BatchState *bt = batch_pool.acquire();
-                    bt->req = a;
-                    bt->net_idx = a->net_idx;
-                    bt->batch_id = b;
-                    bt->batch_items = bitems;
-                    bt->pending = static_cast<int>(active.size());
-                    bt->dispatch_time = engine.now();
-                    bt->sp_batch = sp_batch;
-                    if (tr)
-                        bt->sp_embed = tr->begin(
-                            a->st.id, obs::SpanKind::EmbeddedWait, sp_batch,
-                            engine.now(), obs::kMainShard, nip->net_id, b);
-                    a->live_batches.push_back(bt);
-                    for (std::size_t gi : active)
-                        sendRpc(bt, *nip, gi);
-                    // The async RPC ops release the worker CORE (other
-                    // requests may use it) but the batch's net execution
-                    // blocks on the wait op, so the intra-request slot is
-                    // held until the batch completes (Fig. 3 semantics).
-                    main_cores->release();
-                    // Stash the top-dense time for the merge phase.
-                    bt->response_bytes = 0;
-                    bt->top_dense = top;
-                });
+            engine.schedule(overhead + bottom + send_cpu, sim::kEvMainCompute,
+                            [this, bt] { dispatchBatch(bt); });
         });
+    }
+
+    /** End of a distributed batch's dense phase: send its fan-out. */
+    void
+    dispatchBatch(BatchState *bt)
+    {
+        Active *a = bt->req;
+        if (a->shed_mid_flight) {
+            // Shed during the dense phase: the fan-out is never
+            // dispatched. The batch holds no ops and is not yet live, so
+            // retiring it just closes its span as cancelled.
+            destroyBatch(bt);
+            main_cores->release();
+            releaseSlot(a);
+            batchDone(a);
+            return;
+        }
+        const NetInfo &ni = nets[bt->net_idx];
+        bt->pending = static_cast<int>(bt->active.size());
+        bt->dispatch_time = engine.now();
+        if (tr)
+            bt->sp_embed = tr->begin(a->st.id, obs::SpanKind::EmbeddedWait,
+                                     bt->sp_batch, engine.now(),
+                                     obs::kMainShard, ni.net_id,
+                                     bt->batch_id);
+        a->live_batches.push_back(bt);
+        // Each primary attempt needs a fresh CRN stream. Fork them in
+        // place and expand their seeds together: the per-stream
+        // expansion is a serial multiply chain, and interleaving up to
+        // kMaxSeedBatch of them overlaps the chains.
+        constexpr int kBatch = stats::Mt64::kMaxSeedBatch;
+        const std::size_t n = bt->active.size();
+        for (std::size_t c = 0; c < n; c += kBatch) {
+            const int k =
+                static_cast<int>(std::min<std::size_t>(kBatch, n - c));
+            AttemptCtx *ctxs[kBatch] = {};
+            stats::Mt64 *engines[kBatch] = {};
+            for (int j = 0; j < k; ++j) {
+                ctxs[j] = attempt_pool.acquire();
+                rng.forkInto(attemptSalt(a->st.id, ni.net_id, bt->batch_id,
+                                         bt->active[c + j],
+                                         /*is_hedge=*/false, /*retries=*/0),
+                             ctxs[j]->rng);
+                engines[j] = &ctxs[j]->rng.engine();
+            }
+            stats::Mt64::seedMany(engines, k, kAttemptSeedWords);
+            for (int j = 0; j < k; ++j)
+                sendRpc(bt, ni, bt->active[c + j], ctxs[j]);
+        }
+        // The async RPC ops release the worker CORE (other requests may
+        // use it) but the batch's net execution blocks on the wait op, so
+        // the intra-request slot is held until the batch completes
+        // (Fig. 3 semantics).
+        main_cores->release();
     }
 
     void
@@ -1315,8 +1362,10 @@ struct ServingSimulation::Impl
         return r.inUse() + r.queued() <= cfg.hedge.max_backup_outstanding;
     }
 
+    /** Send the primary attempt of group `gi`, on a pre-forked `ctx`. */
     void
-    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi)
+    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi,
+            AttemptCtx *ctx)
     {
         Active *a = bt->req;
         const Group &g = ni.groups[gi];
@@ -1351,7 +1400,7 @@ struct ServingSimulation::Impl
                                   bt->sp_embed, engine.now(), g.shard,
                                   ni.net_id, bt->batch_id);
         bt->ops.push_back(op);
-        launchAttempt(op, /*is_hedge=*/false);
+        launchAttempt(op, /*is_hedge=*/false, ctx);
         maybeScheduleHedge(op);
     }
 
@@ -1419,33 +1468,53 @@ struct ServingSimulation::Impl
         derefOp(op);
     }
 
-    void
-    launchAttempt(RpcOp *op, bool is_hedge)
+    /**
+     * Common random numbers: every stochastic component of an attempt
+     * (wire jitter out/back, interference) draws from a stream forked
+     * with this salt, a pure function of the attempt's identity, not of
+     * global draw order. Paired runs — hedging on vs off, one batching
+     * policy vs another — then face identical per-attempt randomness, so
+     * their deltas measure the policy, not reshuffled noise.
+     */
+    static std::uint64_t
+    attemptSalt(std::uint64_t request_id, int net_id, int batch_id,
+                std::size_t gi, bool is_hedge, int retries)
     {
-        Active *a = op->bt->req;
-        const Group &g = op->ni->groups[op->gi];
-
-        // Common random numbers: every stochastic component of an attempt
-        // (wire jitter out/back, interference) draws from a stream that is
-        // a pure function of the attempt's identity, not of global draw
-        // order. Paired runs — hedging on vs off, one batching policy vs
-        // another — then face identical per-attempt randomness, so their
-        // deltas measure the policy, not reshuffled noise.
-        std::uint64_t salt = a->st.id + 1;
+        std::uint64_t salt = request_id + 1;
         salt = salt * 0x100000001b3ULL ^
-               static_cast<std::uint64_t>(op->ni->net_id + 1);
+               static_cast<std::uint64_t>(net_id + 1);
         salt = salt * 0x100000001b3ULL ^
-               static_cast<std::uint64_t>(op->bt->batch_id + 1);
-        salt = salt * 0x100000001b3ULL ^ (op->gi + 1);
+               static_cast<std::uint64_t>(batch_id + 1);
+        salt = salt * 0x100000001b3ULL ^ (gi + 1);
         salt = salt * 0x100000001b3ULL ^ (is_hedge ? 2u : 1u);
         // Failover relaunches get a fresh identity stream (they are new
         // attempts, not replays of the failed one). retries == 0 on every
         // fault-free path, so the identity streams — and therefore paired
         // runs — are unchanged when no fault fires.
-        if (op->retries > 0)
+        if (retries > 0)
             salt = salt * 0x100000001b3ULL ^
-                   static_cast<std::uint64_t>(op->retries + 2);
+                   static_cast<std::uint64_t>(retries + 2);
+        return salt;
+    }
 
+    /**
+     * Raw seed words dispatchBatch expands for every primary stream up
+     * front: an attempt's first 8 draws — jitter out and back (two or
+     * more each) plus an interference roll — read raw words up to
+     * 156 + 8. Rarer extra draws extend the expansion lazily.
+     */
+    static constexpr int kAttemptSeedWords = 156 + 8;
+
+    /**
+     * Put one attempt on the wire. `ctx` carries a primary's stream,
+     * forked and seeded by dispatchBatch; hedges and failover relaunches
+     * pass null and fork their own.
+     */
+    void
+    launchAttempt(RpcOp *op, bool is_hedge, AttemptCtx *ctx = nullptr)
+    {
+        Active *a = op->bt->req;
+        const Group &g = op->ni->groups[op->gi];
         AttemptExec &ex = op->exec[is_hedge ? 1 : 0];
         if (tr) {
             ex.sp_attempt = tr->begin(
@@ -1455,11 +1524,12 @@ struct ServingSimulation::Impl
         }
 
         // Main<->shard partition: the payload never reaches the shard;
-        // the client's RPC timeout is the only failure signal. Forking
-        // the CRN stream waits until past this early return — fork() is
-        // a pure function of (seed, salt), so deferral leaves every
-        // stream's values intact.
+        // the client's RPC timeout is the only failure signal. A fork is
+        // a pure function of (seed, salt), so forking before or after
+        // this early return leaves every stream's values intact.
         if (shard_partitioned[static_cast<std::size_t>(g.shard)]) {
+            if (ctx != nullptr)
+                attempt_pool.release(ctx);
             ++fault_stats.partition_drops;
             const int idx = is_hedge ? 1 : 0;
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
@@ -1467,14 +1537,19 @@ struct ServingSimulation::Impl
             return;
         }
 
-        AttemptCtx *ctx = attempt_pool.acquire();
+        if (ctx == nullptr) {
+            ctx = attempt_pool.acquire();
+            rng.forkInto(attemptSalt(a->st.id, op->ni->net_id,
+                                     op->bt->batch_id, op->gi, is_hedge,
+                                     op->retries),
+                         ctx->rng);
+        }
         ctx->rec = trace::RpcRecord{};
         ctx->rec.request_id = a->st.id;
         ctx->rec.shard_id = g.shard;
         ctx->rec.net_id = op->ni->net_id;
         ctx->rec.batch_id = op->bt->batch_id;
         ctx->rec.dispatched = engine.now();
-        ctx->rng = rng.fork(salt);
 
         const sim::Duration out_delay =
             link.oneWayDelay(op->req_bytes, ctx->rng);
@@ -1760,9 +1835,11 @@ struct ServingSimulation::Impl
                     // The tracker sees the client-observed latency of the
                     // *logical* RPC (primary dispatch to winning
                     // response), which is what the next hedge deadline
-                    // must be quantile-of.
-                    trackerFor(ctx->rec.shard_id)
-                        .add(engine.now() - dispatched);
+                    // must be quantile-of. Its only reader is the hedge
+                    // timer, so without hedging it is not fed.
+                    if (cfg.hedge.enabled)
+                        trackerFor(ctx->rec.shard_id)
+                            .add(engine.now() - dispatched);
                     if (tr) {
                         // A response landing after a mid-flight shed is
                         // discarded: its spans close as cancelled debris.
@@ -2034,15 +2111,27 @@ ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
     impl_->results = &results;
 
     // Chain injections: each request enters when the previous completes.
-    std::function<void(std::size_t)> launch = [&](std::size_t i) {
-        if (i >= requests.size())
-            return;
-        impl_->inject(requests[i], [this, &launch, i](const RequestStats &) {
-            impl_->engine.schedule(config_.serial_gap_ns, sim::kEvDriver,
-                                   [&launch, i] { launch(i + 1); });
-        });
+    // The completion closure captures two words, which std::function
+    // stores inline, so the chain costs no allocation per request.
+    struct Chain
+    {
+        Impl *impl;
+        const std::vector<workload::Request> *requests;
+
+        void
+        launch(std::size_t i)
+        {
+            if (i >= requests->size())
+                return;
+            impl->inject((*requests)[i], [this, i](const RequestStats &) {
+                impl->engine.schedule(impl->cfg.serial_gap_ns,
+                                      sim::kEvDriver,
+                                      [this, i] { launch(i + 1); });
+            });
+        }
     };
-    launch(0);
+    Chain chain{impl_.get(), &requests};
+    chain.launch(0);
     impl_->engine.run();
     impl_->results = &impl_->collected;
     return results;
@@ -2217,20 +2306,21 @@ ServingSimulation::restoreReplica(int server_id)
 void
 ServingSimulation::degradeReplica(int server_id, double multiplier)
 {
-    assert(server_id >= 0 &&
-           static_cast<std::size_t>(server_id) <
-               impl_->replica_degrade.size());
-    assert(multiplier > 0.0);
-    impl_->replica_degrade[static_cast<std::size_t>(server_id)] =
-        multiplier;
+    const std::size_t s = impl_->serverIndex(server_id, "degradeReplica");
+    if (!(multiplier > 0.0))
+        throw std::invalid_argument(
+            "degradeReplica: multiplier must be > 0, got " +
+            std::to_string(multiplier));
+    impl_->replica_degrade[s] = multiplier;
 }
 
 void
 ServingSimulation::partitionShard(int shard_id, bool partitioned)
 {
-    assert(shard_id >= 0 &&
-           static_cast<std::size_t>(shard_id) <
-               impl_->shard_partitioned.size());
+    if (shard_id < 0 ||
+        static_cast<std::size_t>(shard_id) >= impl_->shard_partitioned.size())
+        throw std::out_of_range("partitionShard: shard id " +
+                                std::to_string(shard_id) + " out of range");
     impl_->shard_partitioned[static_cast<std::size_t>(shard_id)] =
         partitioned ? 1 : 0;
 }
@@ -2238,10 +2328,8 @@ ServingSimulation::partitionShard(int shard_id, bool partitioned)
 bool
 ServingSimulation::replicaAlive(int server_id) const
 {
-    assert(server_id >= 0 &&
-           static_cast<std::size_t>(server_id) <
-               impl_->replica_dead.size());
-    return impl_->replica_dead[static_cast<std::size_t>(server_id)] == 0;
+    return impl_->replica_dead[impl_->serverIndex(server_id,
+                                                  "replicaAlive")] == 0;
 }
 
 std::size_t

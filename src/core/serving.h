@@ -425,8 +425,10 @@ class ServingSimulation
     //    mid-run from an engine() callback; effects are stamped at
     //    engine().now().
     //  * `server_id` indexes replica servers in serverShards() order
-    //    (0 .. serverCount()-1); out-of-range ids are precondition
-    //    violations (asserted, undefined in release builds).
+    //    (0 .. serverCount()-1) and `shard_id` plan shards
+    //    (0 .. numShards()-1); an id outside its range throws
+    //    std::out_of_range, and a degradeReplica() multiplier <= 0
+    //    throws std::invalid_argument, in every build type.
     //  * Redundant calls are no-ops: killing a dead replica, restoring a
     //    live one, re-applying an identical degradation or partition
     //    state changes nothing and counts nothing.

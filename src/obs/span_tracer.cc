@@ -1,5 +1,9 @@
 #include "obs/span_tracer.h"
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 namespace dri::obs {
 
 SpanRecord *
@@ -34,16 +38,30 @@ SpanTracer::resolveSampled(SpanId id, TraceSampler::Tree **tree_out)
     return &tree->spans[local - 1];
 }
 
+namespace {
+
+/** A span coordinate narrowed to SpanRecord's int16 field, checked. */
+std::int16_t
+coordinate(int value, const char *name)
+{
+    if (value < std::numeric_limits<std::int16_t>::min() ||
+        value > std::numeric_limits<std::int16_t>::max())
+        throw std::out_of_range(std::string("SpanTracer: ") + name + " " +
+                                std::to_string(value) +
+                                " does not fit a span's int16 field");
+    return static_cast<std::int16_t>(value);
+}
+
+} // namespace
+
 SpanId
-SpanTracer::beginSampled(std::uint64_t request_id, SpanKind kind,
-                         SpanId parent, sim::SimTime at, int shard, int net,
-                         int batch, std::uint8_t flags)
+SpanTracer::beginSampled(SpanRecord rec, SpanId parent)
 {
     TraceSampler::Tree *tree;
     SpanId local_parent = kNoSpan;
     if (parent == kNoSpan) {
         // Root span: open a fresh tree for this request.
-        tree = sampler_->acquireTree(request_id);
+        tree = sampler_->acquireTree(rec.request_id);
     } else {
         SpanRecord *parent_rec = resolveSampled(parent, &tree);
         if (parent_rec == nullptr)
@@ -53,16 +71,8 @@ SpanTracer::beginSampled(std::uint64_t request_id, SpanKind kind,
     if (tree->spans.size() >= kLocalMask)
         return kNoSpan; // 1M spans in one request tree: never in practice
 
-    SpanRecord rec;
-    rec.request_id = request_id;
     rec.id = static_cast<SpanId>(tree->spans.size() + 1);
     rec.parent = local_parent;
-    rec.kind = kind;
-    rec.flags = flags;
-    rec.shard = static_cast<std::int16_t>(shard);
-    rec.net = static_cast<std::int16_t>(net);
-    rec.batch = static_cast<std::int16_t>(batch);
-    rec.begin = at;
     tree->spans.push_back(rec);
     ++tree->open;
     ++allocations_;
@@ -100,19 +110,18 @@ SpanTracer::begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
 {
     if (!enabled_)
         return kNoSpan;
-    if (sampler_ != nullptr)
-        return beginSampled(request_id, kind, parent, at, shard, net, batch,
-                            flags);
     SpanRecord rec;
     rec.request_id = request_id;
-    rec.id = static_cast<SpanId>(spans_.size() + 1);
-    rec.parent = parent;
     rec.kind = kind;
     rec.flags = flags;
-    rec.shard = static_cast<std::int16_t>(shard);
-    rec.net = static_cast<std::int16_t>(net);
-    rec.batch = static_cast<std::int16_t>(batch);
+    rec.shard = coordinate(shard, "shard");
+    rec.net = coordinate(net, "net");
+    rec.batch = coordinate(batch, "batch");
     rec.begin = at;
+    if (sampler_ != nullptr)
+        return beginSampled(rec, parent);
+    rec.id = static_cast<SpanId>(spans_.size() + 1);
+    rec.parent = parent;
     spans_.push_back(rec);
     ++allocations_;
     ++open_;

@@ -81,7 +81,10 @@ class SpanTracer
     /**
      * Open a span at @p at. Returns kNoSpan when disabled; all other
      * calls accept kNoSpan and become no-ops, so call sites need no
-     * extra guards beyond the cached tracer pointer.
+     * extra guards beyond the cached tracer pointer. @p shard, @p net and
+     * @p batch are stored as int16; a value outside [-32768, 32767]
+     * throws std::out_of_range (in both storage modes) before anything
+     * is recorded.
      */
     SpanId begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
                  sim::SimTime at, int shard = kMainShard, int net = -1,
@@ -137,9 +140,8 @@ class SpanTracer
     SpanRecord *get(SpanId id);
     /** Sampling mode: resolve a handle to its live tree + record. */
     SpanRecord *resolveSampled(SpanId id, TraceSampler::Tree **tree_out);
-    SpanId beginSampled(std::uint64_t request_id, SpanKind kind,
-                        SpanId parent, sim::SimTime at, int shard, int net,
-                        int batch, std::uint8_t flags);
+    /** Sampling mode: file `rec` (all but id/parent set) in its tree. */
+    SpanId beginSampled(SpanRecord rec, SpanId parent);
     void endSampled(SpanId id, sim::SimTime at, std::uint8_t add_flags);
 
     bool enabled_;

@@ -26,10 +26,20 @@
  * through it unchanged — and produce the same values they would from
  * std::mt19937_64, since only min()/max() and the output stream enter
  * their math.
+ *
+ * Even lazily, a fork's first draw expands raw seed words 1..157: a
+ * serial chain of 156 dependent multiplies that costs more than the
+ * draws themselves. reseed() resets a stream in place (no 2.5 KB
+ * construct-and-copy), and seedMany() expands the raw words of up to
+ * kMaxSeedBatch fresh streams at once with their chains interleaved,
+ * so the independent multiplies overlap in the pipeline instead of
+ * running back to back. Both write exactly the words the lazy path
+ * would, so the output contract above is untouched.
  */
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace dri::stats {
 
@@ -38,12 +48,60 @@ class Mt64
   public:
     using result_type = std::uint64_t;
 
+    /** Most streams one seedMany() call expands. */
+    static constexpr int kMaxSeedBatch = 16;
+
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
     explicit Mt64(std::uint64_t seed)
     {
         mt_[0] = seed;
+    }
+
+    /** Restart as a fresh lazy stream, as if constructed with @p seed. */
+    void
+    reseed(std::uint64_t seed)
+    {
+        mt_[0] = seed;
+        seeded_ = 1;
+        twisted_ = 0;
+        next_ = 0;
+        lazy_ = true;
+    }
+
+    /**
+     * Materialize raw seed words [1, n) of the @p k fresh streams
+     * `gens[0..k)` (constructed or reseed()ed, nothing drawn yet), with
+     * the k expansion chains interleaved. Drawing d values from a
+     * stream reads raw words up to 156 + d, so n = 156 + d covers its
+     * first d draws; later draws extend the expansion lazily as usual.
+     * Throws std::invalid_argument for k outside [0, kMaxSeedBatch], n
+     * outside [1, 312] (one state block), or a stream that is not fresh.
+     */
+    static void
+    seedMany(Mt64 *const *gens, int k, int n)
+    {
+        if (k < 0 || k > kMaxSeedBatch)
+            throw std::invalid_argument("Mt64::seedMany: k outside [0, 16]");
+        if (n < 1 || n > kN)
+            throw std::invalid_argument("Mt64::seedMany: n outside [1, 312]");
+        std::uint64_t x[kMaxSeedBatch] = {};
+        for (int j = 0; j < k; ++j) {
+            if (gens[j]->seeded_ != 1 || gens[j]->twisted_ != 0)
+                throw std::invalid_argument(
+                    "Mt64::seedMany: stream already drawn from");
+            x[j] = gens[j]->mt_[0];
+        }
+        for (int i = 1; i < n; ++i) {
+            for (int j = 0; j < k; ++j) {
+                x[j] = kInitMult * (x[j] ^ (x[j] >> 62)) +
+                       static_cast<std::uint64_t>(i);
+                gens[j]->mt_[i] = x[j];
+            }
+        }
+        for (int j = 0; j < k; ++j)
+            gens[j]->seeded_ = n;
     }
 
     result_type

@@ -3,6 +3,12 @@
  * Deterministic pseudo-random number generation for workload synthesis and
  * network jitter. Every stochastic component in the library draws from an
  * explicitly seeded Rng so that experiments are bit-reproducible.
+ *
+ * Hot paths that fork one child stream per unit of work (the serving
+ * engine forks one per RPC attempt) reuse pooled children through
+ * forkInto(), which resets the child in place to exactly the stream
+ * fork() would return. Several such children can then have their seed
+ * expansion run together through Mt64::seedMany() on their engine().
  */
 #pragma once
 
@@ -78,14 +84,19 @@ class Rng
      * made. SplitMix64-style mix of (seed, salt) gives well-separated
      * child seeds without consuming draws from the parent stream.
      */
-    Rng
-    fork(std::uint64_t salt) const
+    Rng fork(std::uint64_t salt) const { return Rng(forkSeed(salt)); }
+
+    /**
+     * In-place fork(): reset @p child to exactly the stream fork(salt)
+     * returns, whatever @p child drew before. No Rng is constructed or
+     * copied, so a pooled child costs a handful of stores.
+     */
+    void
+    forkInto(std::uint64_t salt, Rng &child) const
     {
-        std::uint64_t z = seed_ + 0x9e3779b97f4a7c15ULL * (salt + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        z = z ^ (z >> 31);
-        return Rng(z);
+        const std::uint64_t z = forkSeed(salt);
+        child.engine_.reseed(z);
+        child.seed_ = z;
     }
 
     /** The seed this stream was constructed with. */
@@ -95,6 +106,16 @@ class Rng
     Mt64 &engine() { return engine_; }
 
   private:
+    /** SplitMix64-style child seed of (seed, salt). */
+    std::uint64_t
+    forkSeed(std::uint64_t salt) const
+    {
+        std::uint64_t z = seed_ + 0x9e3779b97f4a7c15ULL * (salt + 1);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+        return z ^ (z >> 31);
+    }
+
     /**
      * One canonical double in [0, 1) from a full 64-bit engine word —
      * exactly what libstdc++'s std::generate_canonical<double, 53>

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "core/serving.h"
 #include "core/strategies.h"
@@ -173,6 +175,63 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
     for (const auto &s : healed)
         EXPECT_FALSE(s.shed());
     EXPECT_EQ(sim.faultStats().partition_drops, fs.partition_drops);
+}
+
+// ---------------------------------------------------------------------------
+// Control-surface misuse throws in every build type.
+// ---------------------------------------------------------------------------
+
+/** A 4-shard, 2-replica deployment: server ids 0..7, shard ids 0..3. */
+class ControlSurfaceMisuse : public ::testing::Test
+{
+  protected:
+    const model::ModelSpec spec = model::makeDrm2();
+    const core::ShardingPlan plan = core::makeCapacityBalanced(spec, 4);
+    core::ServingSimulation sim{spec, plan, chaosConfig()};
+    const int servers = static_cast<int>(sim.serverCount());
+};
+
+TEST_F(ControlSurfaceMisuse, KillReplicaRejectsOutOfRangeIds)
+{
+    EXPECT_THROW(sim.killReplica(servers), std::out_of_range);
+    EXPECT_THROW(sim.killReplica(-1), std::out_of_range);
+    EXPECT_EQ(sim.faultStats().kills, 0u);
+    EXPECT_EQ(sim.aliveReplicaCount(), sim.serverCount());
+}
+
+TEST_F(ControlSurfaceMisuse, RestoreReplicaRejectsOutOfRangeIds)
+{
+    EXPECT_THROW(sim.restoreReplica(servers), std::out_of_range);
+    EXPECT_THROW(sim.restoreReplica(-1), std::out_of_range);
+    EXPECT_EQ(sim.faultStats().restores, 0u);
+}
+
+TEST_F(ControlSurfaceMisuse, DegradeReplicaRejectsOutOfRangeIds)
+{
+    EXPECT_THROW(sim.degradeReplica(servers, 2.0), std::out_of_range);
+    EXPECT_THROW(sim.degradeReplica(-1, 2.0), std::out_of_range);
+}
+
+TEST_F(ControlSurfaceMisuse, DegradeReplicaRejectsNonPositiveMultipliers)
+{
+    EXPECT_THROW(sim.degradeReplica(0, 0.0), std::invalid_argument);
+    EXPECT_THROW(sim.degradeReplica(0, -1.0), std::invalid_argument);
+    EXPECT_THROW(sim.degradeReplica(0, std::nan("")), std::invalid_argument);
+    EXPECT_NO_THROW(sim.degradeReplica(0, 1.0));
+}
+
+TEST_F(ControlSurfaceMisuse, PartitionShardRejectsOutOfRangeIds)
+{
+    EXPECT_THROW(sim.partitionShard(plan.numShards(), true),
+                 std::out_of_range);
+    EXPECT_THROW(sim.partitionShard(-1, true), std::out_of_range);
+}
+
+TEST_F(ControlSurfaceMisuse, ReplicaAliveRejectsOutOfRangeIds)
+{
+    EXPECT_THROW(sim.replicaAlive(servers), std::out_of_range);
+    EXPECT_THROW(sim.replicaAlive(-1), std::out_of_range);
+    EXPECT_TRUE(sim.replicaAlive(servers - 1));
 }
 
 // ---------------------------------------------------------------------------

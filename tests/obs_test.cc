@@ -77,6 +77,50 @@ TEST(SpanTracer, BeginEndLifecycle)
     EXPECT_GT(tracer.allocations(), 0u);
 }
 
+/**
+ * Span coordinates are int16 in storage: values outside that range throw
+ * instead of wrapping, and nothing is recorded for the rejected span.
+ */
+void
+expectCoordinatesRangeChecked(obs::SpanTracer &tracer)
+{
+    EXPECT_THROW(tracer.begin(1, SpanKind::Request, obs::kNoSpan, 0,
+                              /*shard=*/32768),
+                 std::out_of_range);
+    EXPECT_EQ(tracer.openCount(), 0u);
+    const auto root = tracer.begin(1, SpanKind::Request, obs::kNoSpan, 0,
+                                   /*shard=*/-32768, /*net=*/32767);
+    ASSERT_NE(root, obs::kNoSpan);
+    EXPECT_THROW(tracer.begin(1, SpanKind::BatchExec, root, 0, 0, 0,
+                              /*batch=*/70000),
+                 std::out_of_range);
+    EXPECT_THROW(tracer.record(1, SpanKind::QueueWait, root, 0, 5, 0,
+                               /*net=*/-32769),
+                 std::out_of_range);
+    EXPECT_EQ(tracer.openCount(), 1u);
+    tracer.end(root, 10);
+    EXPECT_EQ(tracer.openCount(), 0u);
+}
+
+TEST(SpanTracer, FlatModeRejectsCoordinatesOutsideInt16)
+{
+    obs::SpanTracer tracer;
+    expectCoordinatesRangeChecked(tracer);
+    ASSERT_EQ(tracer.spans().size(), 1u);
+    EXPECT_EQ(tracer.spans()[0].shard, -32768);
+    EXPECT_EQ(tracer.spans()[0].net, 32767);
+}
+
+TEST(SpanTracer, SamplingModeRejectsCoordinatesOutsideInt16)
+{
+    obs::TraceSampler sampler(obs::SamplerConfig{});
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+    expectCoordinatesRangeChecked(tracer);
+    EXPECT_TRUE(tracer.spans().empty());
+    EXPECT_EQ(tracer.allocations(), 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Critical path + conservation on a hand-built span tree
 // ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
@@ -48,6 +51,48 @@ TEST(Serving, SerialReplayDeterministic)
         EXPECT_EQ(a[i].e2e, b[i].e2e);
         EXPECT_DOUBLE_EQ(a[i].cpuTotalNs(), b[i].cpuTotalNs());
     }
+}
+
+/**
+ * A 24-shard plan gives a batch's fan-out more groups than one
+ * Mt64::seedMany() chunk seeds, with hedges (which fork their own
+ * streams) and straggler rolls mixed in. The digest is the one that
+ * forking and lazily seeding each attempt's stream on its own yields,
+ * so it pins batched seeding to the same per-attempt draws.
+ */
+TEST(Serving, WideFanOutKeepsPerAttemptStreams)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 24);
+    core::ServingConfig config;
+    config.seed = 11;
+    config.sparse_replicas = 2;
+    config.hedge.enabled = true;
+    config.faults.straggler_prob = 0.05;
+    core::ServingSimulation sim(spec, plan, config);
+    const auto stats = sim.replaySerial(requestsFor(spec, 200));
+
+    std::uint64_t digest = 1469598103934665603ull;
+    const auto mix = [&digest](std::int64_t v) {
+        digest = (digest ^ static_cast<std::uint64_t>(v)) * 1099511628211ull;
+    };
+    double max_rpcs_per_batch = 0.0;
+    int hedges = 0;
+    for (const auto &s : stats) {
+        mix(s.e2e);
+        mix(s.emb_network);
+        mix(s.rpc_count);
+        mix(s.hedges);
+        hedges += s.hedges;
+        max_rpcs_per_batch = std::max(
+            max_rpcs_per_batch,
+            static_cast<double>(s.rpc_count) /
+                static_cast<double>(s.batches * spec.nets.size()));
+    }
+    // Some batch sent more than one chunk's worth of RPCs.
+    EXPECT_GT(max_rpcs_per_batch, 16.0);
+    EXPECT_GT(hedges, 0);
+    EXPECT_EQ(digest, 0x0bb386d16a2f8de2ull) << std::hex << digest;
 }
 
 TEST(Serving, AllRequestsComplete)

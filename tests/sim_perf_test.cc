@@ -8,7 +8,11 @@
  *    the serving closures fit InlineFn's inline buffer;
  *  - stats::Mt64 is output-identical to std::mt19937_64 at every seed
  *    and draw count, including across twist-block boundaries and under
- *    std:: distribution adapters (the contract mt64.h declares);
+ *    std:: distribution adapters (the contract mt64.h declares), also
+ *    when its seeds are expanded in batches by Mt64::seedMany();
+ *  - Rng::forkInto() leaves no trace of the reused stream's old state;
+ *  - a warmed distributed serial replay makes fewer than 5 operator-new
+ *    calls per request;
  *  - stats::Rng's hand-rolled draw helpers (uniform, gaussian,
  *    exponential, bernoulli) are bit-identical to per-call-constructed
  *    libstdc++ distribution objects over the same engine stream (the
@@ -25,8 +29,10 @@
 #include <cstdlib>
 #include <new>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
+#include "core/serving.h"
 #include "core/strategies.h"
 #include "core/trace_slicing.h"
 #include "fleet/parallel_sweep.h"
@@ -192,6 +198,133 @@ TEST(SimPerf, Mt64MatchesStdMt19937_64)
                 << i;
         }
     }
+}
+
+/** `k` fresh streams on `seeds`, raw words [1, n) expanded together. */
+std::vector<stats::Mt64>
+seededTogether(const std::vector<std::uint64_t> &seeds, int n)
+{
+    std::vector<stats::Mt64> gens(seeds.begin(), seeds.end());
+    std::vector<stats::Mt64 *> ptrs;
+    for (auto &g : gens)
+        ptrs.push_back(&g);
+    stats::Mt64::seedMany(ptrs.data(), static_cast<int>(ptrs.size()), n);
+    return gens;
+}
+
+TEST(SimPerf, SeedManyMatchesStdMt19937_64)
+{
+    for (const int k : {1, 2, 3, 7, 15, 16}) {
+        std::vector<std::uint64_t> seeds;
+        for (int j = 0; j < k; ++j)
+            seeds.push_back(0x9e3779b97f4a7c15ull *
+                                static_cast<std::uint64_t>(j + 1) ^
+                            static_cast<std::uint64_t>(k));
+        for (const int n : {1, 164, 312}) {
+            // Every short-stream cutoff, as the serving fan-out draws.
+            for (int draws = 0; draws <= 40; ++draws) {
+                auto gens = seededTogether(seeds, n);
+                for (int j = 0; j < k; ++j) {
+                    std::mt19937_64 ref(seeds[static_cast<std::size_t>(j)]);
+                    for (int i = 0; i < draws; ++i)
+                        ASSERT_EQ(ref(), gens[static_cast<std::size_t>(j)]())
+                            << "k=" << k << " n=" << n << " draws=" << draws
+                            << " stream=" << j << " i=" << i;
+                }
+            }
+            // Across the first 312-word block boundary.
+            auto gens = seededTogether(seeds, n);
+            for (int j = 0; j < k; ++j) {
+                std::mt19937_64 ref(seeds[static_cast<std::size_t>(j)]);
+                for (int i = 0; i < 312 + 17; ++i)
+                    ASSERT_EQ(ref(), gens[static_cast<std::size_t>(j)]())
+                        << "k=" << k << " n=" << n << " stream=" << j
+                        << " i=" << i;
+            }
+        }
+    }
+}
+
+TEST(SimPerf, ForkIntoReusedStreamEqualsFreshFork)
+{
+    const stats::Rng parent(0x5eed);
+    // Reused after no draws, a few (lazy first block), and past a block
+    // boundary (steady-state twisting).
+    for (const int used : {0, 3, 200, 700}) {
+        stats::Rng child = parent.fork(99);
+        for (int i = 0; i < used; ++i)
+            child.uniform();
+        parent.forkInto(7, child);
+        stats::Rng fresh = parent.fork(7);
+        EXPECT_EQ(child.seed(), fresh.seed());
+        for (int i = 0; i < 700; ++i)
+            ASSERT_EQ(fresh.engine()(), child.engine()())
+                << "used=" << used << " i=" << i;
+
+        // The batched path: forkInto, then seedMany over the engine.
+        parent.forkInto(8, child);
+        stats::Mt64 *engine = &child.engine();
+        stats::Mt64::seedMany(&engine, 1, 164);
+        stats::Rng fresh8 = parent.fork(8);
+        for (int i = 0; i < 700; ++i)
+            ASSERT_EQ(fresh8.engine()(), child.engine()())
+                << "used=" << used << " i=" << i;
+    }
+}
+
+TEST(SimPerf, SeedManyRejectsMisuse)
+{
+    std::vector<stats::Mt64> gens(17, stats::Mt64(1));
+    std::vector<stats::Mt64 *> ptrs;
+    for (auto &g : gens)
+        ptrs.push_back(&g);
+    // More streams than the interleaving buffer holds.
+    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 17, 164),
+                 std::invalid_argument);
+    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), -1, 164),
+                 std::invalid_argument);
+    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 1, 0),
+                 std::invalid_argument);
+    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 1, 313),
+                 std::invalid_argument);
+    // A stream already drawn from has overwritten raw seed words.
+    gens[3]();
+    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 4, 164),
+                 std::invalid_argument);
+    EXPECT_NO_THROW(stats::Mt64::seedMany(ptrs.data(), 3, 164));
+}
+
+// ---------------------------------------------------------------------------
+// The serving fan-out path allocates per request only what it returns.
+// ---------------------------------------------------------------------------
+
+TEST(SimPerf, WarmDistributedReplayAllocatesLittlePerRequest)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 8);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{0xa110c});
+    const auto warm = gen.generate(2000);
+    const auto timed = gen.generate(2000);
+    sim.replaySerial(warm);
+
+    const std::uint64_t news0 = g_news.load(std::memory_order_relaxed);
+    const auto stats = sim.replaySerial(timed);
+    const std::uint64_t news =
+        g_news.load(std::memory_order_relaxed) - news0;
+
+    ASSERT_EQ(stats.size(), timed.size());
+    ASSERT_GT(stats.front().rpc_count, 0);
+    // What remains is the two per-shard vectors of each RequestStats,
+    // copied into the results and to the completion callback (4 per
+    // request), plus amortized growth of the RPC log. For scale: with
+    // the fan-out list grown by push_back in every batch, a deque of
+    // slot waiters re-created with every recycled request, and a
+    // three-word completion closure (over std::function's inline
+    // buffer), this replay made ~37 per request.
+    EXPECT_LT(news, 5 * timed.size())
+        << static_cast<double>(news) / static_cast<double>(timed.size())
+        << " operator-new calls per request";
 }
 
 // ---------------------------------------------------------------------------
