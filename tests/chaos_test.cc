@@ -9,12 +9,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "fleet/fault_schedule.h"
 #include "model/generators.h"
+#include "obs/span_tracer.h"
+#include "sched/capacity_search.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -175,6 +179,175 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
     for (const auto &s : healed)
         EXPECT_FALSE(s.shed());
     EXPECT_EQ(sim.faultStats().partition_drops, fs.partition_drops);
+}
+
+// ---------------------------------------------------------------------------
+// Every fault path at once, pinned.
+// ---------------------------------------------------------------------------
+
+/** FNV-1a over 64-bit words; doubles enter by their bit pattern. */
+struct Digest
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void mix(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
+    void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+    void
+    mixDouble(double d)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        mix(bits);
+    }
+};
+
+/**
+ * Hedged least-outstanding x3 with stragglers, mid-flight deadline
+ * cancellation at overload, the result cache, and mid-run kill /
+ * restore / degrade / partition calls that force failover retries,
+ * lost-in-service work and upstream failures; then the same deployment
+ * with one main worker pushed far past capacity. faultStats() with the
+ * hedge counters and each request's latency and CPU accounting, and
+ * every span of flat tracers, fold into pinned digests: a refactor of
+ * the serving core's attempt lifecycle must leave both unchanged.
+ */
+TEST(Chaos, KitchenSinkDigestsArePinned)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    auto cfg = sched::hedgeStudyConfig(
+        rpc::LoadBalancePolicy::LeastOutstanding, 3, /*hedged=*/true);
+    cfg.admission.max_main_queue = 64;
+    cfg.admission.deadline_ns = 25 * sim::kMillisecond;
+    cfg.admission.cancel_in_flight = true;
+    cfg.result_cache.enabled = true;
+    cfg.result_cache.ttl_ns = 50 * sim::kMillisecond;
+    cfg.faults.rpc_timeout_ns = 2 * sim::kMillisecond;
+    cfg.faults.discovery_lag_ns = 10 * sim::kMillisecond;
+    obs::SpanTracer tracer;
+    cfg.tracer = &tracer;
+
+    // Each even request is followed by a content twin of the request 16
+    // places back (fresh id), so repeats land inside the cache TTL.
+    const auto base = requestsFor(spec, 240);
+    std::vector<workload::Request> reqs;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+        reqs.push_back(base[i]);
+        if (i >= 16 && i % 2 == 0) {
+            workload::Request twin = base[i - 16];
+            twin.id += 100000;
+            reqs.push_back(twin);
+        }
+    }
+
+    // Server ids: shard s owns replicas 3s .. 3s+2.
+    core::ServingSimulation sim(spec, plan, cfg);
+    const auto at = [&sim](sim::SimTime t, std::function<void()> fn) {
+        sim.engine().scheduleAt(t, sim::kEvDriver, std::move(fn));
+    };
+    const sim::Duration ms = sim::kMillisecond;
+    at(5 * ms, [&sim] { sim.killReplica(0); });
+    // A badly degraded replica builds a queue that its crash then loses.
+    at(15 * ms, [&sim] { sim.degradeReplica(4, 40.0); });
+    at(25 * ms, [&sim] { sim.killReplica(4); });
+    at(30 * ms, [&sim] { sim.partitionShard(2, true); });
+    at(45 * ms, [&sim] {
+        sim.partitionShard(2, false);
+        sim.restoreReplica(0);
+        sim.restoreReplica(4);
+        sim.degradeReplica(4, 1.0);
+    });
+    at(60 * ms, [&sim] { sim.killReplica(7); });
+    // All of shard 3 down: once discovery catches up, resolution fails.
+    at(65 * ms, [&sim] {
+        for (int s = 9; s < 12; ++s)
+            sim.killReplica(s);
+    });
+    at(90 * ms, [&sim] {
+        for (int s : {7, 9, 10, 11})
+            sim.restoreReplica(s);
+    });
+    const auto stats = sim.replayOpenLoop(reqs, 2500.0);
+    ASSERT_EQ(stats.size(), reqs.size());
+
+    // The same deployment with one main-shard worker and a tight
+    // deadline, fault-free and far past capacity: the main queue
+    // overflows, and requests are shed while they wait for a main core.
+    cfg.worker_threads = 1;
+    cfg.admission.deadline_ns = 5 * sim::kMillisecond;
+    obs::SpanTracer burst_tracer;
+    cfg.tracer = &burst_tracer;
+    core::ServingSimulation overloaded(spec, plan, cfg);
+    const auto burst =
+        overloaded.replayOpenLoop(requestsFor(spec, 300, 7), 20000.0);
+    ASSERT_EQ(burst.size(), 300u);
+
+    // Together the two runs reach every fault and shed path they pin.
+    const core::FaultStats &fs = sim.faultStats();
+    std::size_t queue_shed = 0, deadline_shed = 0, upstream_shed = 0,
+                cache_hits = 0;
+    for (const auto *run : {&stats, &burst})
+        for (const auto &s : *run) {
+            queue_shed += s.shed_reason == core::ShedReason::QueueFull;
+            deadline_shed +=
+                s.shed_reason == core::ShedReason::DeadlineExceeded;
+            upstream_shed +=
+                s.shed_reason == core::ShedReason::UpstreamFailure;
+            cache_hits += static_cast<std::size_t>(s.result_cache_hits);
+        }
+    EXPECT_EQ(fs.kills, 6u);
+    EXPECT_EQ(fs.restores, 6u);
+    EXPECT_GT(fs.dead_target_attempts, 0u);
+    EXPECT_GT(fs.partition_drops, 0u);
+    EXPECT_GT(fs.lost_in_service, 0u);
+    EXPECT_GT(fs.retries, 0u);
+    EXPECT_GT(fs.resolution_failures, 0u);
+    EXPECT_GT(fs.upstream_failures, 0u);
+    EXPECT_EQ(upstream_shed, fs.upstream_failures);
+    EXPECT_GT(queue_shed, 0u);
+    EXPECT_GT(deadline_shed, 0u);
+    EXPECT_GT(sim.shedCancelledRpcs(), 0u);
+    EXPECT_GT(sim.hedgeStats().hedges, 0u);
+    EXPECT_GT(cache_hits, 0u);
+
+    Digest ledger;
+    for (const std::uint64_t v :
+         {fs.kills, fs.restores, fs.dead_target_attempts, fs.partition_drops,
+          fs.lost_in_service, fs.retries, fs.resolution_failures,
+          fs.upstream_failures})
+        ledger.mix(v);
+    for (const core::ServingSimulation *run : {&sim, &overloaded}) {
+        const rpc::HedgeStats h = run->hedgeStats();
+        for (const std::uint64_t v :
+             {h.primary_rpcs, h.hedges, h.wins, h.losses, h.cancelled,
+              h.suppressed, run->shedCancelledRpcs()})
+            ledger.mix(v);
+        ledger.mixDouble(h.wasted_busy_ns);
+    }
+    for (const auto *run : {&stats, &burst})
+        for (const auto &s : *run) {
+            ledger.mixInt(s.e2e);
+            ledger.mixInt(static_cast<std::int64_t>(s.shed_reason));
+            ledger.mixDouble(s.hedge_wasted_cpu_ns);
+            ledger.mixDouble(s.cpu_ops_ns);
+            ledger.mixDouble(s.cpu_serde_ns);
+            ledger.mixDouble(s.cpu_service_ns);
+        }
+    Digest spans;
+    for (const obs::SpanTracer *t : {&tracer, &burst_tracer})
+        for (const auto &sp : t->spans()) {
+            spans.mix(sp.request_id);
+            spans.mix(static_cast<std::uint64_t>(sp.kind));
+            spans.mix(sp.flags);
+            spans.mixInt(sp.begin);
+            spans.mixInt(sp.end);
+            spans.mix(sp.parent);
+            spans.mixInt(sp.shard);
+            spans.mixInt(sp.net);
+            spans.mixInt(sp.batch);
+        }
+    EXPECT_EQ(ledger.h, 0xdcdc6de8afb9ca35ull) << std::hex << ledger.h;
+    EXPECT_EQ(spans.h, 0x4d7fda23a0cd43faull) << std::hex << spans.h;
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,66 @@ expectIdentical(const core::RequestStats &a, const core::RequestStats &b,
             << label << " shard-net " << i;
 }
 
+/** FNV-1a over 64-bit words; doubles enter by their bit pattern. */
+struct Digest
+{
+    std::uint64_t h = 1469598103934665603ull;
+
+    void mix(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
+    void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
+    void
+    mixDouble(double d)
+    {
+        std::uint64_t bits = 0;
+        std::memcpy(&bits, &d, sizeof bits);
+        mix(bits);
+    }
+};
+
+/** Every field of one RequestStats, in declaration order. */
+void
+mixStats(Digest &d, const core::RequestStats &s)
+{
+    d.mix(s.id);
+    d.mixInt(s.items);
+    d.mixInt(s.batches);
+    d.mixInt(s.rpc_count);
+    d.mixInt(s.hedges);
+    d.mixInt(s.hedge_wins);
+    d.mixDouble(s.hedge_wasted_cpu_ns);
+    d.mixInt(s.result_cache_hits);
+    d.mixInt(s.result_cache_misses);
+    d.mixInt(s.result_cache_bytes_saved);
+    d.mixInt(s.arrival);
+    d.mixInt(s.completion);
+    d.mixInt(s.e2e);
+    d.mixInt(static_cast<std::int64_t>(s.shed_reason));
+    d.mixInt(s.batch_wait);
+    d.mixInt(s.coalesced);
+    d.mixInt(s.queue_wait);
+    d.mixInt(s.lat_serde);
+    d.mixInt(s.lat_service);
+    d.mixInt(s.lat_net_overhead);
+    d.mixInt(s.lat_embedded);
+    d.mixInt(s.lat_dense);
+    d.mixInt(s.emb_sparse_op);
+    d.mixInt(s.emb_serde);
+    d.mixInt(s.emb_service);
+    d.mixInt(s.emb_net_overhead);
+    d.mixInt(s.emb_network);
+    d.mixInt(s.emb_queue);
+    d.mixDouble(s.cpu_ops_ns);
+    d.mixDouble(s.cpu_serde_ns);
+    d.mixDouble(s.cpu_service_ns);
+    d.mixInt(static_cast<std::int64_t>(s.shard_op_ns.size()));
+    for (double v : s.shard_op_ns)
+        d.mixDouble(v);
+    d.mixInt(static_cast<std::int64_t>(s.shard_net_op_ns.size()));
+    for (double v : s.shard_net_op_ns)
+        d.mixDouble(v);
+    d.mixDouble(s.main_op_ns);
+}
+
 struct GridPoint
 {
     bool hedged = false;
@@ -101,6 +162,19 @@ struct GridPoint
         return s;
     }
 };
+
+/** The 16 points of the hedging x batching x admission x cache grid. */
+std::vector<GridPoint>
+grid()
+{
+    std::vector<GridPoint> points;
+    for (const bool hedged : {false, true})
+        for (const bool batched : {false, true})
+            for (const bool admission : {false, true})
+                for (const bool rcache : {false, true})
+                    points.push_back({hedged, batched, admission, rcache});
+    return points;
+}
 
 class ServingStressTest : public ::testing::Test
 {
@@ -130,6 +204,17 @@ class ServingStressTest : public ::testing::Test
         return cfg;
     }
 
+    /** One replay of the fixture's requests through `sim`. */
+    std::vector<core::RequestStats>
+    replay(core::ServingSimulation &sim, const GridPoint &p) const
+    {
+        if (!p.batched)
+            return sim.replayOpenLoop(requests_, 1500.0);
+        sched::BatcherConfig bc;
+        bc.policy = sched::BatchPolicy::QueueAware;
+        return sched::runBatchedOpenLoop(sim, requests_, 1500.0, bc);
+    }
+
     std::vector<core::RequestStats>
     run(const GridPoint &p, obs::SpanTracer *tracer = nullptr,
         obs::RollingHistogram *latency_feed = nullptr) const
@@ -138,11 +223,7 @@ class ServingStressTest : public ::testing::Test
         cfg.tracer = tracer;
         cfg.latency_feed = latency_feed;
         core::ServingSimulation sim(spec_, plan_, cfg);
-        if (!p.batched)
-            return sim.replayOpenLoop(requests_, 1500.0);
-        sched::BatcherConfig bc;
-        bc.policy = sched::BatchPolicy::QueueAware;
-        return sched::runBatchedOpenLoop(sim, requests_, 1500.0, bc);
+        return replay(sim, p);
     }
 
     model::ModelSpec spec_;
@@ -166,6 +247,60 @@ TEST_F(ServingStressTest, ByteIdenticalReplayAcrossConfigGrid)
                                         p.label() + " req " +
                                             std::to_string(i));
                 }
+}
+
+/**
+ * Pins the grid's exact behaviour to known digests: every RequestStats
+ * field of every request plus hedgeStats(), resultCacheStats() and
+ * shedCancelledRpcs() of every grid point, and separately every span a
+ * flat tracer records. A refactor of the serving core must leave both
+ * digests unchanged; only a deliberate behaviour change may update them.
+ */
+TEST_F(ServingStressTest, PinnedDigestsAcrossConfigGrid)
+{
+    Digest stats, spans;
+    for (const GridPoint &p : grid()) {
+        obs::SpanTracer tracer;
+        auto cfg = configFor(p);
+        cfg.tracer = &tracer;
+        core::ServingSimulation sim(spec_, plan_, cfg);
+        for (const auto &s : replay(sim, p))
+            mixStats(stats, s);
+
+        const rpc::HedgeStats h = sim.hedgeStats();
+        stats.mix(h.primary_rpcs);
+        stats.mix(h.hedges);
+        stats.mix(h.wins);
+        stats.mix(h.losses);
+        stats.mix(h.cancelled);
+        stats.mix(h.suppressed);
+        stats.mixDouble(h.wasted_busy_ns);
+        stats.mixDouble(h.total_busy_ns);
+        const rpc::ResultCacheStats &rc = sim.resultCacheStats();
+        stats.mix(rc.lookups);
+        stats.mix(rc.hits);
+        stats.mix(rc.misses);
+        stats.mix(rc.insertions);
+        stats.mix(rc.expirations);
+        stats.mix(rc.evictions);
+        stats.mix(rc.invalidations);
+        stats.mixInt(rc.bytes_saved);
+        stats.mix(sim.shedCancelledRpcs());
+
+        for (const auto &sp : tracer.spans()) {
+            spans.mix(sp.request_id);
+            spans.mix(static_cast<std::uint64_t>(sp.kind));
+            spans.mix(sp.flags);
+            spans.mixInt(sp.begin);
+            spans.mixInt(sp.end);
+            spans.mix(sp.parent);
+            spans.mixInt(sp.shard);
+            spans.mixInt(sp.net);
+            spans.mixInt(sp.batch);
+        }
+    }
+    EXPECT_EQ(stats.h, 0x47aeb21b17860b30ull) << std::hex << stats.h;
+    EXPECT_EQ(spans.h, 0x9d1d810b64011837ull) << std::hex << spans.h;
 }
 
 /**
