@@ -5,10 +5,12 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cache/lookup_model.h"
 #include "netsim/message.h"
@@ -93,11 +95,39 @@ struct ServingSimulation::Impl
         /**
          * The batch's fan-out ops; each holds one reference so the
          * pointers stay valid for mid-flight shed cancellation until
-         * destroyBatch() releases them.
+         * drainBatch() releases them.
          */
         std::vector<RpcOp *> ops;
         /** Groups the batch fans out to (indices into the net's groups). */
         std::vector<std::size_t> active;
+    };
+
+    /**
+     * Mutable context of one RPC attempt — the record being filled in
+     * and the attempt's CRN stream — pooled and held by pointer on the
+     * attempt's AttemptExec. An mt19937_64 is ~2.5 KB, so
+     * capturing the stream by value in each chained closure used to cost
+     * a heap allocation plus a bulk copy per hop; with the pooled
+     * context every hop's capture is a few pointers and fits the
+     * engine's inline event buffer. The stream is re-forked in place
+     * (Rng::forkInto) when the context is reused.
+     */
+    struct AttemptCtx
+    {
+        trace::RpcRecord rec;
+        stats::Rng rng{0};
+    };
+
+    /**
+     * Where one attempt is in its lifecycle; core/serving.h diagrams the
+     * transitions. Pending covers the wire and the replica's queue.
+     */
+    enum class AttemptState : std::uint8_t
+    {
+        Pending,
+        Executing,
+        Done,
+        Aborted,
     };
 
     /**
@@ -108,9 +138,7 @@ struct ServingSimulation::Impl
      */
     struct AttemptExec
     {
-        bool executing = false;
-        bool finished = false;  //!< ran its busy period to completion
-        bool cancelled = false; //!< aborted mid-execution by the winner
+        AttemptState state = AttemptState::Pending;
         int server = -1;
         /**
          * Server this (re)launch must avoid — the replica a failover
@@ -125,11 +153,22 @@ struct ServingSimulation::Impl
         std::uint32_t server_gen = 0;
         sim::SimTime exec_start = 0;
         sim::Duration busy = 0;
-        /** Busy components for proportional refund on cancellation. */
-        sim::Duration service = 0, serde = 0, overhead = 0, op_ns = 0;
-        std::size_t sidx = 0, nidx = 0;
+        /**
+         * Held from launch until the attempt retires or, as the winner,
+         * hands it to its response; an abort refunds in proportion to
+         * the busy components in its record.
+         */
+        AttemptCtx *ctx = nullptr;
         obs::SpanId sp_attempt = obs::kNoSpan; //!< RpcAttempt span
         obs::SpanId sp_exec = obs::kNoSpan;    //!< RemoteCompute span
+    };
+
+    /** Whether, and how, an op's race is decided. */
+    enum class OpState : std::uint8_t
+    {
+        Open, //!< no attempt has finished remote service yet
+        Won,  //!< an attempt finished remote service and delivers
+        Shed, //!< poisoned by a mid-flight shed: no winner
     };
 
     /**
@@ -138,24 +177,19 @@ struct ServingSimulation::Impl
      * in-flight attempt and the pending hedge timer hold one ref; exactly
      * one attempt wins (first to finish remote service) and delivers the
      * response, the rest cancel (before, during, or after execution).
+     * Once decided, an op stays decided: every attempt still in flight
+     * retires without a response.
      */
     struct RpcOp
     {
         BatchState *bt = nullptr;
-        /**
-         * Owning request's id, copied at dispatch: cancelled attempts
-         * can outlive the batch (and its Active), so span bookkeeping
-         * on those paths must not chase bt->req.
-         */
-        std::uint64_t request_id = 0;
         const NetInfo *ni = nullptr;
         std::size_t gi = 0;
         std::int64_t lookups = 0;
         std::int64_t req_bytes = 0;
         sim::SimTime dispatched = 0; //!< primary dispatch (client clock)
         int primary_server = -1;     //!< replica the primary landed on
-        bool won = false;            //!< an attempt finished remote service
-        bool shed = false; //!< won was set by shed poisoning, not a race win
+        OpState state = OpState::Open;
         /** Failover re-dispatches consumed (PerturbationConfig budget). */
         int retries = 0;
         int refs = 0;
@@ -166,6 +200,9 @@ struct ServingSimulation::Impl
         /** [0] = primary, [1] = hedge. */
         AttemptExec exec[2];
         obs::SpanId sp_op = obs::kNoSpan; //!< RpcOp span
+
+        bool decided() const { return state != OpState::Open; }
+        const Group &group() const { return ni->groups[gi]; }
     };
 
     struct Active
@@ -207,22 +244,6 @@ struct ServingSimulation::Impl
         obs::SpanId sp_net = obs::kNoSpan;  //!< current NetPhase span
     };
 
-    /**
-     * Mutable context of one RPC attempt — the record being filled in
-     * and the attempt's CRN stream — pooled and threaded by pointer
-     * through the attempt's event chain. An mt19937_64 is ~2.5 KB, so
-     * capturing the stream by value in each chained closure used to cost
-     * a heap allocation plus a bulk copy per hop; with the pooled
-     * context every hop's capture is a few pointers and fits the
-     * engine's inline event buffer. The stream is re-forked in place
-     * (Rng::forkInto) when the context is reused.
-     */
-    struct AttemptCtx
-    {
-        trace::RpcRecord rec;
-        stats::Rng rng{0};
-    };
-
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
          const ServingConfig &cfg, trace::TraceCollector &collector)
         : spec(spec), plan(plan), cfg(cfg), collector(collector),
@@ -238,9 +259,7 @@ struct ServingSimulation::Impl
         shard_trackers.reserve(n_shards);
         for (std::size_t s = 0; s < n_shards; ++s)
             shard_trackers.emplace_back(cfg.hedge.window);
-        shard_primary_rpcs.assign(n_shards, 0);
-        shard_hedges.assign(n_shards, 0);
-        shard_hedge_wins.assign(n_shards, 0);
+        shard_hedge.assign(n_shards, rpc::HedgeStats{});
         const auto pool = [&](const dc::Platform &platform, int threads) {
             const int t = threads > 0 ? std::min(threads, platform.cores)
                                       : platform.cores;
@@ -319,18 +338,14 @@ struct ServingSimulation::Impl
      * honest latencies then stop inflating every other shard's deadline.
      */
     std::vector<rpc::LatencyTracker> shard_trackers;
-    std::uint64_t primary_rpcs = 0;
-    std::uint64_t hedges_launched = 0;
-    std::uint64_t hedge_wins = 0;
-    std::uint64_t hedge_losses = 0;
-    std::uint64_t hedge_cancelled = 0;
-    std::uint64_t hedge_suppressed = 0;
-    /** Per-shard hedge accounting (always tracked; cheap). */
-    std::vector<std::uint64_t> shard_primary_rpcs;
-    std::vector<std::uint64_t> shard_hedges;
-    std::vector<std::uint64_t> shard_hedge_wins;
-    /** Replica busy time burned by attempts that lost their race. */
-    double wasted_busy_ns = 0.0;
+    /**
+     * Hedge outcome counters; wasted_busy_ns is the replica busy time
+     * burned by attempts that lost their race, and total_busy_ns is
+     * filled in on read.
+     */
+    rpc::HedgeStats hedge_stats;
+    /** Per-shard primaries, hedges and wins (always tracked; cheap). */
+    std::vector<rpc::HedgeStats> shard_hedge;
 
     // -- Pooled-result cache -------------------------------------------------
 
@@ -439,24 +454,11 @@ struct ServingSimulation::Impl
         return hedge_tracker;
     }
 
-    bool
-    shedTimersEnabled() const
-    {
-        return cfg.admission.deadline_ns > 0 &&
-               cfg.admission.cancel_in_flight;
-    }
-
     double
     mainScale() const
     {
         return cfg.main_platform.cpu_time_scale;
     }
-    double
-    sparseScale() const
-    {
-        return cfg.sparse_platform.cpu_time_scale;
-    }
-
     int
     batchSize() const
     {
@@ -536,23 +538,21 @@ struct ServingSimulation::Impl
                 for (auto &kv : groups) {
                     Group &g = kv.second;
                     double pool = 0.0, cost = 0.0;
-                    for (int tid : g.whole_tables) {
+                    // A piece of a `ways`-way split serves 1/ways of its
+                    // table's lookups; a whole table is a 1-way piece.
+                    const auto add = [&](int tid, double ways) {
                         const auto &t =
                             spec.tables[static_cast<std::size_t>(tid)];
-                        const double p = t.expectedLookups(spec.mean_items);
+                        const double p =
+                            t.expectedLookups(spec.mean_items) / ways;
                         pool += p;
                         cost += p * tableLookupNs(t, g.shard);
                         g.sum_dims += static_cast<double>(t.dim);
-                    }
-                    for (const auto &piece : g.pieces) {
-                        const auto &t =
-                            spec.tables[static_cast<std::size_t>(piece.table)];
-                        const double p = t.expectedLookups(spec.mean_items) /
-                                         static_cast<double>(piece.ways);
-                        pool += p;
-                        cost += p * tableLookupNs(t, g.shard);
-                        g.sum_dims += static_cast<double>(t.dim);
-                    }
+                    };
+                    for (int tid : g.whole_tables)
+                        add(tid, 1.0);
+                    for (const auto &piece : g.pieces)
+                        add(piece.table, static_cast<double>(piece.ways));
                     g.lookup_ns =
                         pool > 0.0 ? cost / pool : cfg.lookup_base_ns;
                     ni.groups.push_back(g);
@@ -563,14 +563,6 @@ struct ServingSimulation::Impl
     }
 
     // -- Helpers -------------------------------------------------------------
-
-    std::int64_t
-    batchItems(const Active *a, int b) const
-    {
-        const std::int64_t base = a->req->items / a->nb;
-        const std::int64_t rem = a->req->items % a->nb;
-        return base + (b < rem ? 1 : 0);
-    }
 
     /** Split a request-level lookup count across batches. */
     std::int64_t
@@ -648,36 +640,76 @@ struct ServingSimulation::Impl
 
     // -- Request lifecycle ----------------------------------------------------
 
+    /**
+     * The one exit of a request's stats, served (`reason` None) or shed:
+     * close the root span, stamp completion and e2e, publish to
+     * `results`, then hand a copy to on_complete. `release` recycles the
+     * Active first; a mid-flight shed keeps it for the batches still
+     * draining.
+     */
     void
-    unregisterLive(Active *a)
+    emitStats(Active *a, ShedReason reason, bool release)
     {
-        Active **p = live_requests.find(a->st.id);
-        if (p != nullptr && *p == a)
+        Active **live = live_requests.find(a->st.id);
+        if (live != nullptr && *live == a)
             live_requests.erase(a->st.id);
-    }
-
-    /** Drop a request without executing it; stats record the reason. */
-    void
-    shedRequest(Active *a, ShedReason reason)
-    {
-        unregisterLive(a);
+        RequestStats &st = a->st;
+        st.shed_reason = reason;
+        // A served root carries the hedge-win flag so the sampler's flag
+        // trigger can keep hedge-win traces. The feed observe comes
+        // AFTER the root end (and thus after the sampler's decision), so
+        // the rolling tail threshold never includes the request being
+        // judged, and the exemplar can record whether that request's
+        // trace was actually retained.
         if (tr)
-            tr->end(a->sp_root, engine.now(), obs::kFlagShed);
-        a->st.shed_reason = reason;
-        a->st.completion = engine.now();
-        a->st.e2e = a->st.completion - a->st.arrival;
-        results->push_back(a->st);
-        const RequestStats st = a->st;
+            tr->end(a->sp_root, engine.now(),
+                    st.shed()             ? obs::kFlagShed
+                    : st.hedge_wins > 0 ? obs::kFlagHedge
+                                        : obs::kFlagNone);
+        st.completion = engine.now();
+        st.e2e = st.completion - st.arrival;
+        if (!st.shed()) {
+            if (cfg.latency_feed != nullptr) {
+                const bool kept =
+                    tr != nullptr && tr->lastRootDecision() ==
+                                         obs::SpanTracer::RootDecision::Kept;
+                cfg.latency_feed->observe(
+                    static_cast<double>(st.completion) * 1e-9, st.e2e,
+                    st.id, kept);
+            }
+            const sim::Duration accounted = st.queue_wait + st.lat_serde +
+                                            st.lat_service +
+                                            st.lat_net_overhead +
+                                            st.lat_embedded;
+            st.lat_dense = std::max<sim::Duration>(0, st.e2e - accounted);
+            if (a->has_bounding) {
+                st.emb_sparse_op = a->bounding.remote_sparse_op_ns;
+                st.emb_serde = a->bounding.remote_serde_ns;
+                st.emb_service = a->bounding.remote_service_ns;
+                st.emb_net_overhead = a->bounding.remote_net_overhead_ns;
+                st.emb_network = a->bounding.networkLatency();
+                st.emb_queue = a->bounding.remote_queue_ns;
+            } else {
+                st.emb_sparse_op = a->max_inline_sparse;
+            }
+        }
+        results->push_back(st);
+        const RequestStats copy = st;
         auto on_complete = std::move(a->on_complete);
-        releaseActive(a);
+        if (release)
+            releaseActive(a);
         if (on_complete)
-            on_complete(st);
+            on_complete(copy);
     }
 
-    /** Retire one batch's bookkeeping (ops refs, registry). */
+    /**
+     * Retire a finished or abandoned batch — drop its ops' references,
+     * unregister it — and let its request go on.
+     */
     void
-    destroyBatch(BatchState *bt)
+    drainBatch(BatchState *bt)
     {
+        Active *a = bt->req;
         if (tr) {
             // Shed drains reach here with the wait/exec spans still
             // open; close them as cancelled debris.
@@ -686,61 +718,28 @@ struct ServingSimulation::Impl
         }
         for (RpcOp *op : bt->ops)
             derefOp(op);
-        auto &lb = bt->req->live_batches;
+        auto &lb = a->live_batches;
         lb.erase(std::remove(lb.begin(), lb.end(), bt), lb.end());
         releaseBatch(bt);
+        releaseSlot(a);
+        batchDone(a);
     }
 
     /**
-     * Refund the unexecuted fraction `f` of an aborted attempt's cpu_*
-     * charges from its request's stats. Shared by the hedge-race
-     * cancellation (cancelSibling) and the mid-flight shed abort
-     * (cancelAttemptForShed), which must reverse the identical buckets
-     * the execution path charged.
+     * Record a batch's main-shard phases as back-to-back spans under
+     * `parent`, the first starting now. Call only with tracing on.
      */
     void
-    refundAttemptCharges(Active *a, const AttemptExec &ex, double f)
+    recordPhases(
+        const Active *a, obs::SpanId parent, int net_id, int b,
+        std::initializer_list<std::pair<obs::SpanKind, sim::Duration>> phases)
     {
-        a->st.cpu_service_ns -=
-            f * static_cast<double>(ex.service + ex.overhead);
-        a->st.cpu_serde_ns -= f * static_cast<double>(ex.serde);
-        a->st.cpu_ops_ns -= f * static_cast<double>(ex.op_ns);
-        a->st.shard_op_ns[ex.sidx] -= f * static_cast<double>(ex.op_ns);
-        a->st.shard_net_op_ns[ex.sidx * spec.nets.size() + ex.nidx] -=
-            f * static_cast<double>(ex.op_ns);
-    }
-
-    /**
-     * Abort one *executing* attempt of a shed request: release its core,
-     * stop the clock on its busy period, and settle the request's
-     * accounting the way cancelSibling does — refund the unexecuted
-     * remainder of the cpu_* charges (only the consumed part was real
-     * work) and reverse the hedge-waste pre-charge entirely: a shed
-     * abort is not a hedge outcome, so hedge_wasted_cpu_ns stays a pure
-     * hedge-race metric (all zero when hedging is off). Must run BEFORE
-     * the shed stats are emitted.
-     */
-    void
-    cancelAttemptForShed(RpcOp *op, int idx)
-    {
-        AttemptExec &ex = op->exec[idx];
-        ex.cancelled = true;
-        ex.executing = false;
-        if (tr) {
-            tr->end(ex.sp_exec, engine.now(), obs::kFlagCancelled);
-            tr->end(ex.sp_attempt, engine.now(), obs::kFlagCancelled);
+        sim::SimTime t = engine.now();
+        for (const auto &[kind, d] : phases) {
+            tr->record(a->st.id, kind, parent, t, t + d, obs::kMainShard,
+                       net_id, b);
+            t += d;
         }
-        const sim::Duration consumed = engine.now() - ex.exec_start;
-        const sim::Duration saved = ex.busy - consumed;
-        const double f = ex.busy > 0 ? static_cast<double>(saved) /
-                                           static_cast<double>(ex.busy)
-                                     : 0.0;
-        Active *a = op->bt->req;
-        refundAttemptCharges(a, ex, f);
-        a->st.hedge_wasted_cpu_ns -= static_cast<double>(ex.busy);
-        if (idx == 1)
-            ++hedge_cancelled; // conservation: this backup ends "cancelled"
-        sparse_cores[static_cast<std::size_t>(ex.server)]->release();
     }
 
     /**
@@ -759,7 +758,6 @@ struct ServingSimulation::Impl
     shedMidFlight(Active *a, ShedReason reason)
     {
         a->shed_mid_flight = true;
-        unregisterLive(a);
 
         // 1. Cancel outstanding fan-out and settle accounting. Batch
         // retirement waits until after stats emission because the last
@@ -768,56 +766,42 @@ struct ServingSimulation::Impl
         std::vector<int> cancelled_now(batches.size(), 0);
         for (std::size_t bi = 0; bi < batches.size(); ++bi) {
             for (RpcOp *op : batches[bi]->ops) {
-                if (op->won)
-                    continue; // decided: response delivered or in flight
-                op->won = true; // poison: remaining attempts self-cancel
-                op->shed = true;
+                if (op->decided())
+                    continue; // response delivered or in flight
+                op->state = OpState::Shed; // remaining attempts retire
                 if (tr)
                     tr->end(op->sp_op, engine.now(), obs::kFlagCancelled);
                 ++shed_cancelled_rpcs;
                 ++cancelled_now[bi];
-                for (int i = 0; i < 2; ++i)
-                    if (op->exec[i].executing)
-                        cancelAttemptForShed(op, i);
+                for (int i = 0; i < 2; ++i) {
+                    if (op->exec[i].state != AttemptState::Executing)
+                        continue;
+                    abortExecuting(op, i, obs::kFlagCancelled);
+                    // A shed abort is not a hedge outcome: reverse the
+                    // whole hedge-waste pre-charge, so
+                    // hedge_wasted_cpu_ns stays a pure hedge-race metric
+                    // (all zero when hedging is off), and count the
+                    // backup cancelled for conservation.
+                    a->st.hedge_wasted_cpu_ns -=
+                        static_cast<double>(op->exec[i].busy);
+                    if (i == 1)
+                        ++hedge_stats.cancelled;
+                }
             }
         }
 
         // 2. Emit the settled stats. The root span closes here, at the
         // moment the client gives up; the remaining machinery drains as
         // cancelled debris spans that may outlive it.
-        if (tr)
-            tr->end(a->sp_root, engine.now(), obs::kFlagShed);
-        a->st.shed_reason = reason;
-        a->st.completion = engine.now();
-        a->st.e2e = a->st.completion - a->st.arrival;
-        results->push_back(a->st);
-        const RequestStats st = a->st;
-        auto on_complete = std::move(a->on_complete);
-        if (on_complete)
-            on_complete(st);
+        emitStats(a, reason, /*release=*/false);
 
         // 3. Retire batches with nothing left in flight.
         for (std::size_t bi = 0; bi < batches.size(); ++bi) {
             BatchState *bt = batches[bi];
             bt->pending -= cancelled_now[bi];
-            if (bt->pending == 0 && cancelled_now[bi] > 0) {
-                destroyBatch(bt);
-                releaseSlot(a);
-                batchDone(a);
-            }
+            if (bt->pending == 0 && cancelled_now[bi] > 0)
+                drainBatch(bt);
         }
-    }
-
-    /** The armed deadline timer; a is validated via live_requests. */
-    void
-    shedTimerFired(std::uint64_t id, Active *a)
-    {
-        Active **p = live_requests.find(id);
-        if (p == nullptr || *p != a)
-            return; // completed or already shed
-        if (a->finishing)
-            return; // final response serde underway; let it complete
-        shedMidFlight(a, ShedReason::DeadlineExceeded);
     }
 
     // -- Injected-fault machinery (runtime control surface) ------------------
@@ -857,28 +841,21 @@ struct ServingSimulation::Impl
         return static_cast<std::size_t>(server);
     }
 
+    /**
+     * killReplica (dead) and restoreReplica. Either transition bumps the
+     * replica's generation: a kill dooms its queued and executing work,
+     * and outage-era work stays lost after a revival.
+     */
     void
-    killReplica(int server)
+    setReplicaDead(int server, bool dead, const char *what)
     {
-        const std::size_t s = serverIndex(server, "killReplica");
-        if (replica_dead[s])
+        const std::size_t s = serverIndex(server, what);
+        if ((replica_dead[s] != 0) == dead)
             return;
-        replica_dead[s] = 1;
-        ++replica_gen[s]; // dooms queued and executing work
-        ++fault_stats.kills;
-        scheduleHealthUpdate(server, false);
-    }
-
-    void
-    restoreReplica(int server)
-    {
-        const std::size_t s = serverIndex(server, "restoreReplica");
-        if (!replica_dead[s])
-            return;
-        replica_dead[s] = 0;
-        ++replica_gen[s]; // outage-era work stays lost after revival
-        ++fault_stats.restores;
-        scheduleHealthUpdate(server, true);
+        replica_dead[s] = dead ? 1 : 0;
+        ++replica_gen[s];
+        ++(dead ? fault_stats.kills : fault_stats.restores);
+        scheduleHealthUpdate(server, !dead);
     }
 
     /**
@@ -892,60 +869,47 @@ struct ServingSimulation::Impl
     void
     attemptFailed(RpcOp *op, int idx)
     {
-        if (op->won) {
+        const std::uint8_t failed = obs::kFlagCancelled | obs::kFlagFault;
+        if (op->decided()) {
             // Race decided while the timeout ran (sibling answered, or
             // the request was shed): this is just debris to drop.
-            if (tr)
-                tr->end(op->exec[idx].sp_attempt, engine.now(),
-                        loseFlags(op) | obs::kFlagFault);
-            if (idx == 1)
-                ++hedge_cancelled;
-            derefOp(op);
+            retireAttempt(op, idx, Retire::Cancelled,
+                          loseFlags(op) | obs::kFlagFault);
             return;
-        }
-        AttemptExec &ex = op->exec[idx];
-        if (tr)
-            tr->end(ex.sp_attempt, engine.now(),
-                    obs::kFlagCancelled | obs::kFlagFault);
-        const int failed_server = ex.server;
-        ex = AttemptExec{}; // fresh slot for a potential relaunch
-        if (idx == 0 && op->retries < cfg.faults.max_attempt_retries) {
-            ++op->retries;
-            ++fault_stats.retries;
-            Active *a = op->bt->req;
-            // Failover re-dispatch: the serialized payload is reused (no
-            // second serde charge, like a hedge), but dispatch CPU is
-            // paid again and resolution avoids the failed server.
-            a->st.cpu_service_ns += static_cast<double>(
-                scaled(service.clientDispatchNs(), mainScale()));
-            ex.exclude = failed_server;
-            launchAttempt(op, /*is_hedge=*/false);
-            return; // the relaunched attempt inherits this reference
         }
         if (idx == 1) {
             // A failed hedge never escalates: the primary (and its
             // retries) still own the op; the backup just dissolves.
-            ++hedge_cancelled;
-            derefOp(op);
+            retireAttempt(op, idx, Retire::Cancelled, failed);
             return;
         }
-        failUpstream(op->bt->req);
-        derefOp(op);
-    }
-
-    /**
-     * Terminal upstream failure: a sparse RPC exhausted its failover
-     * retries. The whole request is shed through the mid-flight drain
-     * machinery (outstanding attempts cancel, queued grants drain,
-     * charges settle) with ShedReason::UpstreamFailure.
-     */
-    void
-    failUpstream(Active *a)
-    {
-        if (a->shed_mid_flight || a->finishing)
-            return; // already draining, or past the failure point
-        ++fault_stats.upstream_failures;
-        shedMidFlight(a, ShedReason::UpstreamFailure);
+        if (op->retries >= cfg.faults.max_attempt_retries) {
+            // Terminal upstream failure: the whole request is shed
+            // through the mid-flight drain (outstanding attempts cancel,
+            // queued grants drain, charges settle). An open op means the
+            // request is neither shed nor past its fan-out.
+            Active *a = op->bt->req;
+            assert(!a->shed_mid_flight && !a->finishing);
+            retireAttempt(op, idx, Retire::Cancelled, failed);
+            ++fault_stats.upstream_failures;
+            shedMidFlight(a, ShedReason::UpstreamFailure);
+            return;
+        }
+        AttemptExec &ex = op->exec[0];
+        if (tr)
+            tr->end(ex.sp_attempt, engine.now(), failed);
+        attempt_pool.release(ex.ctx);
+        ++op->retries;
+        ++fault_stats.retries;
+        // Failover re-dispatch: the serialized payload is reused (no
+        // second serde charge, like a hedge), but dispatch CPU is paid
+        // again and resolution avoids the failed server.
+        op->bt->req->st.cpu_service_ns += static_cast<double>(
+            scaled(service.clientDispatchNs(), mainScale()));
+        const int failed_server = ex.server;
+        ex = AttemptExec{}; // fresh slot for the relaunch
+        ex.exclude = failed_server;
+        launchAttempt(op, 0); // inherits this attempt's op reference
     }
 
     void
@@ -984,21 +948,27 @@ struct ServingSimulation::Impl
         if (cfg.admission.max_main_queue > 0 &&
             main_cores->queued() >=
                 static_cast<std::size_t>(cfg.admission.max_main_queue)) {
-            shedRequest(a, ShedReason::QueueFull);
+            emitStats(a, ShedReason::QueueFull, /*release=*/true);
             return;
         }
 
         // Mid-flight deadline enforcement: arm a timer that sheds the
         // request and cancels its outstanding sparse RPCs if it is still
         // executing when its deadline passes.
-        if (shedTimersEnabled()) {
+        if (cfg.admission.deadline_ns > 0 && cfg.admission.cancel_in_flight) {
             live_requests.insert(a->st.id, a);
             const sim::Duration delay = std::max<sim::Duration>(
                 0,
                 a->st.arrival + cfg.admission.deadline_ns - engine.now());
             const std::uint64_t id = a->st.id;
-            engine.schedule(delay, sim::kEvTimer,
-                            [this, id, a] { shedTimerFired(id, a); });
+            engine.schedule(delay, sim::kEvTimer, [this, id, a] {
+                // Look the request up by id: a timer firing after
+                // completion must dereference nothing stale. Once the
+                // final response serde is underway, let it complete.
+                Active **p = live_requests.find(id);
+                if (p != nullptr && *p == a && !a->finishing)
+                    shedMidFlight(a, ShedReason::DeadlineExceeded);
+            });
         }
 
         const sim::SimTime q0 = engine.now();
@@ -1016,7 +986,7 @@ struct ServingSimulation::Impl
             if (cfg.admission.deadline_ns > 0 &&
                 engine.now() - a->st.arrival > cfg.admission.deadline_ns) {
                 main_cores->release();
-                shedRequest(a, ShedReason::DeadlineExceeded);
+                emitStats(a, ShedReason::DeadlineExceeded, /*release=*/true);
                 return;
             }
             const sim::Duration handler =
@@ -1082,14 +1052,13 @@ struct ServingSimulation::Impl
             batchDone(a);
             return;
         }
-        const NetInfo *nip0 = &nets[a->net_idx];
         const sim::SimTime q0 = engine.now();
         obs::SpanId sp_batch = obs::kNoSpan;
         if (tr)
             sp_batch = tr->begin(a->st.id, obs::SpanKind::BatchExec,
                                  a->sp_net, q0, obs::kMainShard,
                                  nets[a->net_idx].net_id, b);
-        main_cores->acquire([this, a, nip0, b, q0, sp_batch] {
+        main_cores->acquire([this, a, b, q0, sp_batch] {
             if (a->shed_mid_flight) {
                 if (tr)
                     tr->end(sp_batch, engine.now(), obs::kFlagCancelled);
@@ -1098,12 +1067,12 @@ struct ServingSimulation::Impl
                 batchDone(a);
                 return;
             }
+            // The net cannot advance while this batch is outstanding.
+            const NetInfo &ni = nets[a->net_idx];
             if (tr && engine.now() > q0)
                 tr->record(a->st.id, obs::SpanKind::QueueWait, sp_batch, q0,
-                           engine.now(), obs::kMainShard,
-                           nip0->net_id, b);
-            const NetInfo &ni = *nip0;
-            const std::int64_t bitems = batchItems(a, b);
+                           engine.now(), obs::kMainShard, ni.net_id, b);
+            const std::int64_t bitems = batchShare(a->req->items, a->nb, b);
             const double dense_total =
                 ni.dense_ns_per_item * static_cast<double>(bitems) +
                 ni.dense_fixed_ns;
@@ -1129,40 +1098,14 @@ struct ServingSimulation::Impl
                            mainScale());
                 a->st.cpu_ops_ns += static_cast<double>(sparse);
                 a->st.main_op_ns += static_cast<double>(sparse);
-                if (tr) {
-                    const sim::SimTime t0 = engine.now();
-                    tr->record(a->st.id, obs::SpanKind::DenseBottom,
-                               sp_batch, t0, t0 + overhead + bottom,
-                               obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::InlineSparse,
-                               sp_batch, t0 + overhead + bottom,
-                               t0 + overhead + bottom + sparse,
-                               obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::DenseTop, sp_batch,
-                               t0 + overhead + bottom + sparse,
-                               t0 + overhead + bottom + sparse + top,
-                               obs::kMainShard, ni.net_id, b);
-                }
-                engine.schedule(
-                    overhead + bottom + sparse + top, sim::kEvMainCompute,
-                    [this, a, sparse, sp_batch] {
-                        main_cores->release();
-                        releaseSlot(a);
-                        if (a->shed_mid_flight) {
-                            if (tr)
-                                tr->end(sp_batch, engine.now(),
-                                        obs::kFlagCancelled);
-                            batchDone(a);
-                            return;
-                        }
-                        if (tr)
-                            tr->end(sp_batch, engine.now());
-                        a->net_embedded_max =
-                            std::max(a->net_embedded_max, sparse);
-                        a->max_inline_sparse =
-                            std::max(a->max_inline_sparse, sparse);
-                        batchDone(a);
-                    });
+                if (tr)
+                    recordPhases(
+                        a, sp_batch, ni.net_id, b,
+                        {{obs::SpanKind::DenseBottom, overhead + bottom},
+                         {obs::SpanKind::InlineSparse, sparse},
+                         {obs::SpanKind::DenseTop, top}});
+                runLocalBatch(a, sp_batch, overhead + bottom + sparse + top,
+                              sparse);
                 return;
             }
 
@@ -1193,25 +1136,21 @@ struct ServingSimulation::Impl
                         ni.net_id, static_cast<int>(gi),
                         rpc::resultSignature(bitems, lk,
                                              a->req->content_hash, b)};
-                    if (result_cache.lookup(key, engine.now())) {
+                    const bool hit = result_cache.lookup(key, engine.now());
+                    if (tr)
+                        tr->record(a->st.id, obs::SpanKind::ResultCacheProbe,
+                                   sp_batch, engine.now(), engine.now(),
+                                   g.shard, ni.net_id, b,
+                                   hit ? obs::kFlagCacheHit : obs::kFlagNone);
+                    if (hit) {
                         ++a->st.result_cache_hits;
                         a->st.result_cache_bytes_saved +=
                             netsim::sparseResponseBytes(
                                 static_cast<std::int64_t>(g.sum_dims),
                                 bitems);
-                        if (tr)
-                            tr->record(a->st.id,
-                                       obs::SpanKind::ResultCacheProbe,
-                                       sp_batch, engine.now(), engine.now(),
-                                       g.shard, ni.net_id, b,
-                                       obs::kFlagCacheHit);
                         continue;
                     }
                     ++a->st.result_cache_misses;
-                    if (tr)
-                        tr->record(a->st.id, obs::SpanKind::ResultCacheProbe,
-                                   sp_batch, engine.now(), engine.now(),
-                                   g.shard, ni.net_id, b);
                 }
                 bt->active.push_back(gi);
                 const std::int64_t bytes = netsim::sparseRequestBytes(
@@ -1223,40 +1162,44 @@ struct ServingSimulation::Impl
                 // No sparse work anywhere this batch (or every group hit
                 // the result cache): pure dense path.
                 releaseBatch(bt);
-                if (tr) {
-                    const sim::SimTime t0 = engine.now();
-                    tr->record(a->st.id, obs::SpanKind::DenseBottom,
-                               sp_batch, t0, t0 + overhead + bottom,
-                               obs::kMainShard, ni.net_id, b);
-                    tr->record(a->st.id, obs::SpanKind::DenseTop, sp_batch,
-                               t0 + overhead + bottom,
-                               t0 + overhead + bottom + top,
-                               obs::kMainShard, ni.net_id, b);
-                }
-                engine.schedule(overhead + bottom + top, sim::kEvMainCompute,
-                                [this, a, sp_batch] {
-                    if (tr)
-                        tr->end(sp_batch, engine.now(),
-                                a->shed_mid_flight ? obs::kFlagCancelled
-                                                   : obs::kFlagNone);
-                    main_cores->release();
-                    releaseSlot(a);
-                    batchDone(a);
-                });
+                if (tr)
+                    recordPhases(
+                        a, sp_batch, ni.net_id, b,
+                        {{obs::SpanKind::DenseBottom, overhead + bottom},
+                         {obs::SpanKind::DenseTop, top}});
+                runLocalBatch(a, sp_batch, overhead + bottom + top, 0);
                 return;
             }
-            if (tr) {
-                const sim::SimTime t0 = engine.now();
-                tr->record(a->st.id, obs::SpanKind::DenseBottom, sp_batch,
-                           t0, t0 + overhead + bottom, obs::kMainShard,
-                           ni.net_id, b);
-                tr->record(a->st.id, obs::SpanKind::ClientSerde, sp_batch,
-                           t0 + overhead + bottom,
-                           t0 + overhead + bottom + send_cpu,
-                           obs::kMainShard, ni.net_id, b);
-            }
+            if (tr)
+                recordPhases(a, sp_batch, ni.net_id, b,
+                             {{obs::SpanKind::DenseBottom, overhead + bottom},
+                              {obs::SpanKind::ClientSerde, send_cpu}});
             engine.schedule(overhead + bottom + send_cpu, sim::kEvMainCompute,
                             [this, bt] { dispatchBatch(bt); });
+        });
+    }
+
+    /**
+     * Run a batch with no RPC to wait for — inline SLS (singular), or
+     * every group skipped or served from the result cache — on its held
+     * core for `busy`. `sparse` is its inline SLS time.
+     */
+    void
+    runLocalBatch(Active *a, obs::SpanId sp_batch, sim::Duration busy,
+                  sim::Duration sparse)
+    {
+        engine.schedule(busy, sim::kEvMainCompute, [this, a, sp_batch, sparse] {
+            main_cores->release();
+            releaseSlot(a);
+            if (tr)
+                tr->end(sp_batch, engine.now(),
+                        a->shed_mid_flight ? obs::kFlagCancelled
+                                           : obs::kFlagNone);
+            if (!a->shed_mid_flight) {
+                a->net_embedded_max = std::max(a->net_embedded_max, sparse);
+                a->max_inline_sparse = std::max(a->max_inline_sparse, sparse);
+            }
+            batchDone(a);
         });
     }
 
@@ -1269,10 +1212,8 @@ struct ServingSimulation::Impl
             // Shed during the dense phase: the fan-out is never
             // dispatched. The batch holds no ops and is not yet live, so
             // retiring it just closes its span as cancelled.
-            destroyBatch(bt);
             main_cores->release();
-            releaseSlot(a);
-            batchDone(a);
+            drainBatch(bt);
             return;
         }
         const NetInfo &ni = nets[bt->net_idx];
@@ -1329,18 +1270,107 @@ struct ServingSimulation::Impl
     static std::uint8_t
     loseFlags(const RpcOp *op)
     {
-        return op->shed ? static_cast<std::uint8_t>(obs::kFlagCancelled)
-                        : static_cast<std::uint8_t>(obs::kFlagCancelled |
-                                                    obs::kFlagLoser);
+        return op->state == OpState::Shed
+                   ? static_cast<std::uint8_t>(obs::kFlagCancelled)
+                   : static_cast<std::uint8_t>(obs::kFlagCancelled |
+                                               obs::kFlagLoser);
     }
 
-    /** Is a backup dispatch within the hedge budget right now? */
-    bool
-    hedgeBudgetAllows() const
+    /**
+     * The one place an attempt changes state: Pending -> Executing ->
+     * Done | Aborted. A failover relaunch starts over from a fresh
+     * AttemptExec instead.
+     */
+    static void
+    advance(AttemptExec &ex, AttemptState to)
     {
-        return static_cast<double>(hedges_launched + 1) <=
-               cfg.hedge.max_hedge_fraction *
-                   static_cast<double>(primary_rpcs);
+        assert(ex.state == (to == AttemptState::Executing
+                                ? AttemptState::Pending
+                                : AttemptState::Executing));
+        ex.state = to;
+    }
+
+    /**
+     * Add `w` times an attempt's remote busy components to its request's
+     * cpu_* and per-shard op buckets: w = 1 charges an execution, and
+     * w = -f refunds the unexecuted fraction f of an aborted one, so an
+     * abort reverses exactly the buckets the execution charged.
+     */
+    void
+    chargeRemote(const RpcOp *op, const trace::RpcRecord &rec, double w)
+    {
+        RequestStats &st = op->bt->req->st;
+        const auto sidx = static_cast<std::size_t>(rec.shard_id);
+        const double op_ns = w * static_cast<double>(rec.remote_sparse_op_ns);
+        st.cpu_service_ns += w * static_cast<double>(
+                                     rec.remote_service_ns +
+                                     rec.remote_net_overhead_ns);
+        st.cpu_serde_ns += w * static_cast<double>(rec.remote_serde_ns);
+        st.cpu_ops_ns += op_ns;
+        st.shard_op_ns[sidx] += op_ns;
+        st.shard_net_op_ns[sidx * spec.nets.size() + op->bt->net_idx] +=
+            op_ns;
+    }
+
+    /** How a dead-end attempt counts when it retires. */
+    enum class Retire : std::uint8_t
+    {
+        Cancelled, //!< gave up without executing usefully: backup cancelled
+        Lost,      //!< ran its busy period for nothing: backup lost, wasted
+        Aborted,   //!< stopped mid-service: abortExecuting settled it
+    };
+
+    /**
+     * The one exit of an attempt that delivers no response: close its
+     * span with `flags`, count `outcome` (the hedge counters count
+     * backups only), release its context and drop its op reference.
+     * Touches no batch or request state: a retiring attempt of a
+     * decided op may outlive both.
+     */
+    void
+    retireAttempt(RpcOp *op, int idx, Retire outcome,
+                  std::uint8_t flags = obs::kFlagNone)
+    {
+        AttemptExec &ex = op->exec[idx];
+        if (outcome != Retire::Aborted && tr)
+            tr->end(ex.sp_attempt, engine.now(), flags);
+        if (outcome == Retire::Lost) {
+            hedge_stats.wasted_busy_ns += static_cast<double>(ex.busy);
+            if (idx == 1)
+                ++hedge_stats.losses;
+        } else if (outcome == Retire::Cancelled && idx == 1) {
+            ++hedge_stats.cancelled;
+        }
+        attempt_pool.release(ex.ctx);
+        ex.ctx = nullptr;
+        derefOp(op);
+    }
+
+    /**
+     * Stop an executing attempt mid-service: close its spans with
+     * `span_flags`, refund the unexecuted fraction of its charges (only
+     * the consumed part was real work), and free its core. The
+     * hedge-race cancellation (cancelSibling) and the mid-flight shed
+     * (shedMidFlight) share it; each settles its own hedge accounting.
+     * Returns the busy time consumed before the abort.
+     */
+    sim::Duration
+    abortExecuting(RpcOp *op, int idx, std::uint8_t span_flags)
+    {
+        AttemptExec &ex = op->exec[idx];
+        advance(ex, AttemptState::Aborted);
+        if (tr) {
+            tr->end(ex.sp_exec, engine.now(), span_flags);
+            tr->end(ex.sp_attempt, engine.now(), span_flags);
+        }
+        const sim::Duration consumed = engine.now() - ex.exec_start;
+        const double f = ex.busy > 0
+                             ? static_cast<double>(ex.busy - consumed) /
+                                   static_cast<double>(ex.busy)
+                             : 0.0;
+        chargeRemote(op, ex.ctx->rec, -f);
+        sparse_cores[static_cast<std::size_t>(ex.server)]->release();
+        return consumed;
     }
 
     /**
@@ -1355,7 +1385,7 @@ struct ServingSimulation::Impl
         if (cfg.hedge.max_backup_outstanding == 0)
             return true;
         const auto backup = directory.resolveBackup(
-            op->ni->groups[op->gi].shard, op->primary_server);
+            op->group().shard, op->primary_server);
         if (!backup)
             return false;
         const auto &r = *sparse_cores[static_cast<std::size_t>(*backup)];
@@ -1378,12 +1408,11 @@ struct ServingSimulation::Impl
         a->st.cpu_service_ns += static_cast<double>(scaled(
             service.clientDispatchNs(), mainScale()));
         ++a->st.rpc_count;
-        ++primary_rpcs;
-        ++shard_primary_rpcs[static_cast<std::size_t>(g.shard)];
+        ++hedge_stats.primary_rpcs;
+        ++shard_hedge[static_cast<std::size_t>(g.shard)].primary_rpcs;
 
         RpcOp *op = op_pool.acquire();
         op->bt = bt;
-        op->request_id = a->st.id;
         op->ni = &ni;
         op->gi = gi;
         op->lookups = lk;
@@ -1400,7 +1429,7 @@ struct ServingSimulation::Impl
                                   bt->sp_embed, engine.now(), g.shard,
                                   ni.net_id, bt->batch_id);
         bt->ops.push_back(op);
-        launchAttempt(op, /*is_hedge=*/false, ctx);
+        launchAttempt(op, 0, ctx);
         maybeScheduleHedge(op);
     }
 
@@ -1417,10 +1446,10 @@ struct ServingSimulation::Impl
         const rpc::HedgeConfig &hc = cfg.hedge;
         if (!hc.enabled)
             return;
-        if (directory.replicaCount(op->ni->groups[op->gi].shard) < 2)
+        if (directory.replicaCount(op->group().shard) < 2)
             return;
         const rpc::LatencyTracker &tracker =
-            trackerFor(op->ni->groups[op->gi].shard);
+            trackerFor(op->group().shard);
         if (tracker.count() < std::max<std::size_t>(1, hc.min_samples))
             return;
         const sim::Duration deadline =
@@ -1433,7 +1462,7 @@ struct ServingSimulation::Impl
     void
     hedgeTimerFired(RpcOp *op, sim::Duration deadline)
     {
-        if (op->won) {
+        if (op->decided()) {
             derefOp(op);
             return;
         }
@@ -1450,10 +1479,13 @@ struct ServingSimulation::Impl
         // Hedge only if budget remains and the backup would not just
         // sink into another deep queue; count the skip either way so
         // under-hedging is visible in the stats.
-        if (hedgeBudgetAllows() && backupHasHeadroom(op)) {
-            ++hedges_launched;
-            ++shard_hedges[static_cast<std::size_t>(
-                op->ni->groups[op->gi].shard)];
+        const bool within_budget =
+            static_cast<double>(hedge_stats.hedges + 1) <=
+            cfg.hedge.max_hedge_fraction *
+                static_cast<double>(hedge_stats.primary_rpcs);
+        if (within_budget && backupHasHeadroom(op)) {
+            ++hedge_stats.hedges;
+            ++shard_hedge[static_cast<std::size_t>(op->group().shard)].hedges;
             Active *a = op->bt->req;
             ++a->st.hedges;
             // Backup dispatch CPU; the serialized payload is reused,
@@ -1461,9 +1493,9 @@ struct ServingSimulation::Impl
             a->st.cpu_service_ns += static_cast<double>(
                 scaled(service.clientDispatchNs(), mainScale()));
             ++op->refs; // the backup attempt
-            launchAttempt(op, /*is_hedge=*/true);
+            launchAttempt(op, 1);
         } else {
-            ++hedge_suppressed;
+            ++hedge_stats.suppressed;
         }
         derefOp(op);
     }
@@ -1506,44 +1538,44 @@ struct ServingSimulation::Impl
     static constexpr int kAttemptSeedWords = 156 + 8;
 
     /**
-     * Put one attempt on the wire. `ctx` carries a primary's stream,
-     * forked and seeded by dispatchBatch; hedges and failover relaunches
-     * pass null and fork their own.
+     * Put attempt `idx` (0 = primary, 1 = hedge) on the wire. `ctx`
+     * carries a primary's stream, forked and seeded by dispatchBatch;
+     * hedges and failover relaunches pass null and fork their own. The
+     * attempt holds its context until it retires or hands its response
+     * to the wire.
      */
     void
-    launchAttempt(RpcOp *op, bool is_hedge, AttemptCtx *ctx = nullptr)
+    launchAttempt(RpcOp *op, int idx, AttemptCtx *ctx = nullptr)
     {
         Active *a = op->bt->req;
-        const Group &g = op->ni->groups[op->gi];
-        AttemptExec &ex = op->exec[is_hedge ? 1 : 0];
+        const Group &g = op->group();
+        AttemptExec &ex = op->exec[idx];
         if (tr) {
             ex.sp_attempt = tr->begin(
                 a->st.id, obs::SpanKind::RpcAttempt, op->sp_op,
                 engine.now(), g.shard, op->ni->net_id, op->bt->batch_id,
-                is_hedge ? obs::kFlagHedge : obs::kFlagNone);
+                idx == 1 ? obs::kFlagHedge : obs::kFlagNone);
         }
+        if (ctx == nullptr) {
+            ctx = attempt_pool.acquire();
+            rng.forkInto(attemptSalt(a->st.id, op->ni->net_id,
+                                     op->bt->batch_id, op->gi, idx == 1,
+                                     op->retries),
+                         ctx->rng);
+        }
+        ex.ctx = ctx;
 
         // Main<->shard partition: the payload never reaches the shard;
         // the client's RPC timeout is the only failure signal. A fork is
         // a pure function of (seed, salt), so forking before or after
         // this early return leaves every stream's values intact.
         if (shard_partitioned[static_cast<std::size_t>(g.shard)]) {
-            if (ctx != nullptr)
-                attempt_pool.release(ctx);
             ++fault_stats.partition_drops;
-            const int idx = is_hedge ? 1 : 0;
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
                             [this, op, idx] { attemptFailed(op, idx); });
             return;
         }
 
-        if (ctx == nullptr) {
-            ctx = attempt_pool.acquire();
-            rng.forkInto(attemptSalt(a->st.id, op->ni->net_id,
-                                     op->bt->batch_id, op->gi, is_hedge,
-                                     op->retries),
-                         ctx->rng);
-        }
         ctx->rec = trace::RpcRecord{};
         ctx->rec.request_id = a->st.id;
         ctx->rec.shard_id = g.shard;
@@ -1557,35 +1589,27 @@ struct ServingSimulation::Impl
             tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
                        op->ni->net_id, op->bt->batch_id);
-        engine.schedule(out_delay, sim::kEvWire, [this, op, ctx, is_hedge] {
-            attemptArrive(op, ctx, is_hedge);
-        });
+        engine.schedule(out_delay, sim::kEvWire,
+                        [this, op, idx] { attemptArrive(op, idx); });
     }
 
+    /** The attempt reached its shard: resolve a replica and queue there. */
     void
-    attemptArrive(RpcOp *op, AttemptCtx *ctx, bool is_hedge)
+    attemptArrive(RpcOp *op, int idx)
     {
         // Race already decided while this attempt was on the wire.
-        if (op->won) {
-            // A shed poisons the op without anyone winning; only a real
-            // race decision makes this attempt a loser.
-            if (tr)
-                tr->end(op->exec[is_hedge ? 1 : 0].sp_attempt, engine.now(),
-                        loseFlags(op));
-            if (is_hedge)
-                ++hedge_cancelled;
-            attempt_pool.release(ctx);
-            derefOp(op);
+        if (op->decided()) {
+            retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
             return;
         }
-        const Group &g = op->ni->groups[op->gi];
-        const int idx = is_hedge ? 1 : 0;
+        const Group &g = op->group();
+        const bool is_hedge = idx == 1;
+        AttemptExec &ex = op->exec[idx];
         // A failover retry excludes the server that just failed; hedge
         // backups exclude the primary as always.
-        const int exclude =
-            op->exec[idx].exclude >= 0
-                ? op->exec[idx].exclude
-                : (is_hedge ? op->primary_server : -1);
+        const int exclude = ex.exclude >= 0
+                                ? ex.exclude
+                                : (is_hedge ? op->primary_server : -1);
         const std::optional<int> resolved =
             is_hedge ? directory.resolveBackup(g.shard, exclude)
                      : directory.resolve(g.shard, exclude);
@@ -1596,7 +1620,6 @@ struct ServingSimulation::Impl
         // dropping the RPC (which would silently hang the request).
         if (!resolved) {
             ++fault_stats.resolution_failures;
-            attempt_pool.release(ctx);
             attemptFailed(op, idx);
             return;
         }
@@ -1609,255 +1632,218 @@ struct ServingSimulation::Impl
         // out. Hedging and failover retries are what mask this gap.
         if (replica_dead[srv_idx]) {
             ++fault_stats.dead_target_attempts;
-            op->exec[idx].server = server; // the retry must avoid it
-            attempt_pool.release(ctx);
+            ex.server = server; // the retry must avoid it
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
                             [this, op, idx] { attemptFailed(op, idx); });
             return;
         }
-        op->exec[idx].server_gen = replica_gen[srv_idx];
+        ex.server_gen = replica_gen[srv_idx];
         const std::size_t depth = sparse_cores[srv_idx]->inUse() +
                                   sparse_cores[srv_idx]->queued() + 1;
         peak_queue[srv_idx] = std::max(peak_queue[srv_idx], depth);
         const sim::SimTime q0 = engine.now();
-        sparse_cores[srv_idx]->acquire([this, op, ctx, is_hedge, q0,
-                                        server] {
-            // Cancelled while queued: the winner returned before this
-            // attempt reached a core, so it costs nothing but its slot.
-            if (op->won) {
-                if (tr) {
-                    AttemptExec &ex0 = op->exec[is_hedge ? 1 : 0];
-                    tr->record(op->request_id,
-                               obs::SpanKind::RemoteQueue, ex0.sp_attempt,
-                               q0, engine.now(), ctx->rec.shard_id,
-                               ctx->rec.net_id, ctx->rec.batch_id,
-                               loseFlags(op));
-                    tr->end(ex0.sp_attempt, engine.now(), loseFlags(op));
-                }
-                sparse_cores[static_cast<std::size_t>(server)]->release();
-                if (is_hedge)
-                    ++hedge_cancelled;
-                attempt_pool.release(ctx);
-                derefOp(op);
+        sparse_cores[srv_idx]->acquire([this, op, idx, q0, server] {
+            startExecution(op, idx, q0, server);
+        });
+    }
+
+    /** A replica core was granted: Pending -> Executing, or retire. */
+    void
+    startExecution(RpcOp *op, int idx, sim::SimTime q0, int server)
+    {
+        const auto srv_idx = static_cast<std::size_t>(server);
+        AttemptExec &ex = op->exec[idx];
+        trace::RpcRecord &rec = ex.ctx->rec;
+        // Cancelled while queued: the winner returned before this
+        // attempt reached a core, so it costs nothing but its slot.
+        if (op->decided()) {
+            if (tr)
+                tr->record(rec.request_id, obs::SpanKind::RemoteQueue,
+                           ex.sp_attempt, q0, engine.now(), rec.shard_id,
+                           rec.net_id, rec.batch_id, loseFlags(op));
+            sparse_cores[srv_idx]->release();
+            retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
+            return;
+        }
+        // The replica died (or rebooted) while this attempt sat in its
+        // queue: the queued work is lost; the client discovers via its
+        // timeout, which has already elapsed by core-grant time.
+        if (replica_dead[srv_idx] || ex.server_gen != replica_gen[srv_idx]) {
+            sparse_cores[srv_idx]->release();
+            ++fault_stats.lost_in_service;
+            attemptFailed(op, idx);
+            return;
+        }
+        Active *a = op->bt->req;
+        const Group &g = op->group();
+        // Transient interference: this attempt (not the logical RPC)
+        // drew a slow event, so a hedged re-roll on another replica
+        // escapes it. A persistent degradeReplica() slowdown stacks on
+        // top and does NOT re-roll — every attempt on the bad host pays
+        // it.
+        const double interference =
+            cfg.faults.straggler_prob > 0.0 &&
+                    ex.ctx->rng.bernoulli(cfg.faults.straggler_prob)
+                ? cfg.faults.straggler_multiplier
+                : 1.0;
+        const double remote_scale =
+            cfg.sparse_platform.cpu_time_scale * interference *
+            replica_degrade[srv_idx];
+        rec.remote_queue_ns = engine.now() - q0;
+        rec.remote_service_ns = scaled(service.handlerNs(), remote_scale);
+        rec.remote_serde_ns =
+            scaled(service.serdeNs(op->req_bytes), remote_scale);
+        rec.remote_net_overhead_ns =
+            scaled(service.netOverheadNs(0), remote_scale);
+        rec.remote_sparse_op_ns = scaled(
+            static_cast<double>(op->lookups) * g.lookup_ns, remote_scale);
+        const std::int64_t resp_bytes = netsim::sparseResponseBytes(
+            static_cast<std::int64_t>(g.sum_dims), op->bt->batch_items);
+        rec.remote_serde_ns +=
+            scaled(service.serdeNs(resp_bytes), remote_scale);
+
+        // CPU accounting on the sparse shard — charged for every
+        // executing attempt: duplicate hedge work is real work. A
+        // mid-execution abort refunds the unexecuted part.
+        chargeRemote(op, rec, 1.0);
+
+        const sim::Duration busy =
+            rec.remote_service_ns + rec.remote_serde_ns +
+            rec.remote_net_overhead_ns + rec.remote_sparse_op_ns;
+        // Pre-charge this attempt's busy time as wasted; the winning
+        // attempt reverses it in finishExecution. A losing attempt may
+        // outlive its request (the winner's response completes it), so
+        // the loser's completion must not touch request state — only
+        // the pre-charge/reversal protocol keeps per-request wasted-work
+        // accounting memory-safe.
+        a->st.hedge_wasted_cpu_ns += static_cast<double>(busy);
+        advance(ex, AttemptState::Executing);
+        ex.server = server;
+        ex.exec_start = engine.now();
+        ex.busy = busy;
+        if (tr) {
+            if (engine.now() > q0)
+                tr->record(a->st.id, obs::SpanKind::RemoteQueue,
+                           ex.sp_attempt, q0, engine.now(), g.shard,
+                           op->ni->net_id, op->bt->batch_id);
+            ex.sp_exec = tr->begin(a->st.id, obs::SpanKind::RemoteCompute,
+                                   ex.sp_attempt, engine.now(), g.shard,
+                                   op->ni->net_id, op->bt->batch_id);
+        }
+        engine.schedule(busy, sim::kEvSparseCompute,
+                        [this, op, idx, resp_bytes] {
+                            finishExecution(op, idx, resp_bytes);
+                        });
+    }
+
+    /**
+     * The attempt's busy period ran out: Executing -> Done, and the
+     * first attempt of an open op to get here wins and sends its
+     * response. Aborted attempts and replica deaths retire instead.
+     */
+    void
+    finishExecution(RpcOp *op, int idx, std::int64_t resp_bytes)
+    {
+        AttemptExec &self = op->exec[idx];
+        if (self.state == AttemptState::Aborted) {
+            // A winning sibling or a shed aborted this attempt
+            // mid-service and already released the core and settled
+            // accounting.
+            retireAttempt(op, idx, Retire::Aborted);
+            return;
+        }
+        const auto srv_idx = static_cast<std::size_t>(self.server);
+        if (replica_dead[srv_idx] ||
+            self.server_gen != replica_gen[srv_idx]) {
+            // The replica died mid-service: the compute was genuinely
+            // burned (charges stand) but the response is lost with the
+            // replica.
+            advance(self, AttemptState::Aborted);
+            sparse_cores[srv_idx]->release();
+            ++fault_stats.lost_in_service;
+            if (tr)
+                tr->end(self.sp_exec, engine.now(),
+                        obs::kFlagCancelled | obs::kFlagFault);
+            if (op->decided()) {
+                // A sibling already answered; this was duplicate work
+                // and stays accounted as such.
+                retireAttempt(op, idx, Retire::Lost,
+                              loseFlags(op) | obs::kFlagFault);
                 return;
             }
-            {
-                // The replica died (or rebooted) while this attempt sat
-                // in its queue: the queued work is lost; the client
-                // discovers via its timeout, which has already elapsed
-                // by core-grant time.
-                const auto sg = static_cast<std::size_t>(server);
-                AttemptExec &exg = op->exec[is_hedge ? 1 : 0];
-                if (replica_dead[sg] || exg.server_gen != replica_gen[sg]) {
-                    sparse_cores[sg]->release();
-                    ++fault_stats.lost_in_service;
-                    attempt_pool.release(ctx);
-                    attemptFailed(op, is_hedge ? 1 : 0);
-                    return;
-                }
-            }
-            Active *a2 = op->bt->req;
-            const Group &g2 = op->ni->groups[op->gi];
-            // Transient interference: this attempt (not the logical RPC)
-            // drew a slow event, so a hedged re-roll on another replica
-            // escapes it. A persistent degradeReplica() slowdown stacks
-            // on top and does NOT re-roll — every attempt on the bad
-            // host pays it.
-            const double interference =
-                cfg.faults.straggler_prob > 0.0 &&
-                        ctx->rng.bernoulli(cfg.faults.straggler_prob)
-                    ? cfg.faults.straggler_multiplier
-                    : 1.0;
-            const double remote_scale =
-                sparseScale() * interference *
-                replica_degrade[static_cast<std::size_t>(server)];
-            trace::RpcRecord &rec = ctx->rec;
-            rec.remote_queue_ns = engine.now() - q0;
-            rec.remote_service_ns =
-                scaled(service.handlerNs(), remote_scale);
-            rec.remote_serde_ns =
-                scaled(service.serdeNs(op->req_bytes), remote_scale);
-            rec.remote_net_overhead_ns =
-                scaled(service.netOverheadNs(0), remote_scale);
-            rec.remote_sparse_op_ns =
-                scaled(static_cast<double>(op->lookups) * g2.lookup_ns,
-                       remote_scale);
-            const std::int64_t resp_bytes = netsim::sparseResponseBytes(
-                static_cast<std::int64_t>(g2.sum_dims),
-                op->bt->batch_items);
-            const sim::Duration resp_serde =
-                scaled(service.serdeNs(resp_bytes), remote_scale);
-            rec.remote_serde_ns += resp_serde;
-
-            // CPU accounting on the sparse shard — charged for every
-            // executing attempt: duplicate hedge work is real work. A
-            // mid-execution cancellation refunds the unexecuted part.
-            a2->st.cpu_service_ns += static_cast<double>(
-                rec.remote_service_ns + rec.remote_net_overhead_ns);
-            a2->st.cpu_serde_ns += static_cast<double>(rec.remote_serde_ns);
-            a2->st.cpu_ops_ns +=
-                static_cast<double>(rec.remote_sparse_op_ns);
-            const auto sidx = static_cast<std::size_t>(g2.shard);
-            const auto nidx = static_cast<std::size_t>(op->bt->net_idx);
-            a2->st.shard_op_ns[sidx] +=
-                static_cast<double>(rec.remote_sparse_op_ns);
-            a2->st.shard_net_op_ns[sidx * spec.nets.size() + nidx] +=
-                static_cast<double>(rec.remote_sparse_op_ns);
-
-            const sim::Duration busy =
-                rec.remote_service_ns + rec.remote_serde_ns +
-                rec.remote_net_overhead_ns + rec.remote_sparse_op_ns;
-            // Pre-charge this attempt's busy time as wasted; the winning
-            // attempt reverses it below. A losing attempt may outlive its
-            // request (the winner's response completes it), so the loser's
-            // completion must not touch request state — only the
-            // pre-charge/reversal protocol keeps per-request wasted-work
-            // accounting memory-safe.
-            a2->st.hedge_wasted_cpu_ns += static_cast<double>(busy);
-            AttemptExec &ex = op->exec[is_hedge ? 1 : 0];
-            ex.executing = true;
-            ex.server = server;
-            ex.exec_start = engine.now();
-            ex.busy = busy;
-            ex.service = rec.remote_service_ns;
-            ex.serde = rec.remote_serde_ns;
-            ex.overhead = rec.remote_net_overhead_ns;
-            ex.op_ns = rec.remote_sparse_op_ns;
-            ex.sidx = sidx;
-            ex.nidx = nidx;
+            // Reverse the hedge pre-charge: a fault loss is not a hedge
+            // outcome, so hedge_wasted_cpu_ns stays a pure hedge-race
+            // metric.
+            op->bt->req->st.hedge_wasted_cpu_ns -=
+                static_cast<double>(self.busy);
+            attemptFailed(op, idx);
+            return;
+        }
+        advance(self, AttemptState::Done);
+        sparse_cores[srv_idx]->release();
+        if (op->decided()) {
+            // Lost the race after executing to completion (the winner
+            // finished in the same event round): wasted duplicate work.
+            // The request may already be complete, so only
+            // simulation-level counters are touched here.
+            if (tr)
+                tr->end(self.sp_exec, engine.now(), obs::kFlagLoser);
+            retireAttempt(op, idx, Retire::Lost, obs::kFlagLoser);
+            return;
+        }
+        if (tr)
+            tr->end(self.sp_exec, engine.now());
+        op->state = OpState::Won;
+        op->bt->req->st.hedge_wasted_cpu_ns -= static_cast<double>(self.busy);
+        if (idx == 1) {
+            ++hedge_stats.wins;
+            ++shard_hedge[static_cast<std::size_t>(op->group().shard)].wins;
+            ++op->bt->req->st.hedge_wins;
+        }
+        cancelSibling(op, idx);
+        // The response path owns the context from here on.
+        AttemptCtx *ctx = self.ctx;
+        self.ctx = nullptr;
+        BatchState *bt = op->bt;
+        const sim::SimTime dispatched = op->dispatched;
+        const rpc::ResultCache::Key ckey = op->cache_key;
+        const std::uint64_t cepoch = op->cache_epoch;
+        // Span ids survive the op (they index the tracer), so the
+        // response path can close the winning attempt and the logical op
+        // at arrival without touching the op.
+        const obs::SpanId sp_attempt = self.sp_attempt;
+        const obs::SpanId sp_op = op->sp_op;
+        derefOp(op); // response path only needs the batch
+        const sim::Duration back = link.oneWayDelay(resp_bytes, ctx->rng);
+        if (tr)
+            tr->record(bt->req->st.id, obs::SpanKind::WireBack, sp_attempt,
+                       engine.now(), engine.now() + back, ctx->rec.shard_id,
+                       ctx->rec.net_id, ctx->rec.batch_id);
+        engine.schedule(back, sim::kEvWire,
+                        [this, bt, resp_bytes, ctx, dispatched, ckey,
+                         cepoch, sp_attempt, sp_op] {
+            // The tracker sees the client-observed latency of the
+            // *logical* RPC (primary dispatch to winning response), which
+            // is what the next hedge deadline must be quantile-of. Its
+            // only reader is the hedge timer, so without hedging it is
+            // not fed.
+            if (cfg.hedge.enabled)
+                trackerFor(ctx->rec.shard_id).add(engine.now() - dispatched);
             if (tr) {
-                if (engine.now() > q0)
-                    tr->record(a2->st.id, obs::SpanKind::RemoteQueue,
-                               ex.sp_attempt, q0, engine.now(), g2.shard,
-                               op->ni->net_id, op->bt->batch_id);
-                ex.sp_exec = tr->begin(a2->st.id,
-                                       obs::SpanKind::RemoteCompute,
-                                       ex.sp_attempt, engine.now(), g2.shard,
-                                       op->ni->net_id, op->bt->batch_id);
+                // A response landing after a mid-flight shed is
+                // discarded: its spans close as cancelled debris.
+                const std::uint8_t fl = bt->req->shed_mid_flight
+                                            ? obs::kFlagCancelled
+                                            : obs::kFlagNone;
+                tr->end(sp_attempt, engine.now(), fl);
+                tr->end(sp_op, engine.now(), fl);
             }
-            engine.schedule(busy, sim::kEvSparseCompute,
-                            [this, op, ctx, resp_bytes, busy,
-                             is_hedge, server] {
-                AttemptExec &self = op->exec[is_hedge ? 1 : 0];
-                self.executing = false;
-                if (self.cancelled) {
-                    // The winner aborted this attempt mid-service and
-                    // already released the core and settled accounting.
-                    attempt_pool.release(ctx);
-                    derefOp(op);
-                    return;
-                }
-                const auto sfd = static_cast<std::size_t>(server);
-                if (replica_dead[sfd] ||
-                    self.server_gen != replica_gen[sfd]) {
-                    // The replica died mid-service: the compute was
-                    // genuinely burned (charges stand) but the response
-                    // is lost with the replica.
-                    self.cancelled = true;
-                    sparse_cores[sfd]->release();
-                    ++fault_stats.lost_in_service;
-                    if (tr)
-                        tr->end(self.sp_exec, engine.now(),
-                                obs::kFlagCancelled | obs::kFlagFault);
-                    attempt_pool.release(ctx);
-                    if (op->won) {
-                        // A sibling already answered; this was duplicate
-                        // work and stays accounted as such.
-                        if (tr)
-                            tr->end(self.sp_attempt, engine.now(),
-                                    loseFlags(op) | obs::kFlagFault);
-                        wasted_busy_ns += static_cast<double>(busy);
-                        if (is_hedge)
-                            ++hedge_losses;
-                        derefOp(op);
-                        return;
-                    }
-                    // Reverse the hedge pre-charge: a fault loss is not
-                    // a hedge outcome, so hedge_wasted_cpu_ns stays a
-                    // pure hedge-race metric.
-                    op->bt->req->st.hedge_wasted_cpu_ns -=
-                        static_cast<double>(busy);
-                    attemptFailed(op, is_hedge ? 1 : 0);
-                    return;
-                }
-                self.finished = true;
-                sparse_cores[static_cast<std::size_t>(server)]->release();
-                if (op->won) {
-                    // Lost the race after executing to completion (the
-                    // winner finished in the same event round): wasted
-                    // duplicate work. The request may already be
-                    // finalized, so only simulation-level counters are
-                    // touched here.
-                    if (tr) {
-                        tr->end(self.sp_exec, engine.now(), obs::kFlagLoser);
-                        tr->end(self.sp_attempt, engine.now(),
-                                obs::kFlagLoser);
-                    }
-                    wasted_busy_ns += static_cast<double>(busy);
-                    if (is_hedge)
-                        ++hedge_losses;
-                    attempt_pool.release(ctx);
-                    derefOp(op);
-                    return;
-                }
-                if (tr)
-                    tr->end(self.sp_exec, engine.now());
-                op->won = true;
-                op->bt->req->st.hedge_wasted_cpu_ns -=
-                    static_cast<double>(busy);
-                if (is_hedge) {
-                    ++hedge_wins;
-                    ++shard_hedge_wins[static_cast<std::size_t>(
-                        op->ni->groups[op->gi].shard)];
-                    ++op->bt->req->st.hedge_wins;
-                }
-                cancelSibling(op, is_hedge ? 1 : 0);
-                BatchState *bt = op->bt;
-                const sim::SimTime dispatched = op->dispatched;
-                const rpc::ResultCache::Key ckey = op->cache_key;
-                const std::uint64_t cepoch = op->cache_epoch;
-                // Span ids survive the op (they index the tracer), so
-                // the response path can close the winning attempt and
-                // the logical op at arrival without touching the op.
-                const obs::SpanId sp_attempt = self.sp_attempt;
-                const obs::SpanId sp_op = op->sp_op;
-                derefOp(op); // response path only needs the batch
-                const sim::Duration back =
-                    link.oneWayDelay(resp_bytes, ctx->rng);
-                if (tr)
-                    tr->record(bt->req->st.id, obs::SpanKind::WireBack,
-                               sp_attempt, engine.now(),
-                               engine.now() + back, ctx->rec.shard_id,
-                               ctx->rec.net_id, ctx->rec.batch_id);
-                engine.schedule(back, sim::kEvWire,
-                                [this, bt, resp_bytes, ctx, dispatched,
-                                 ckey, cepoch, sp_attempt, sp_op] {
-                    // The tracker sees the client-observed latency of the
-                    // *logical* RPC (primary dispatch to winning
-                    // response), which is what the next hedge deadline
-                    // must be quantile-of. Its only reader is the hedge
-                    // timer, so without hedging it is not fed.
-                    if (cfg.hedge.enabled)
-                        trackerFor(ctx->rec.shard_id)
-                            .add(engine.now() - dispatched);
-                    if (tr) {
-                        // A response landing after a mid-flight shed is
-                        // discarded: its spans close as cancelled debris.
-                        const std::uint8_t fl = bt->req->shed_mid_flight
-                                                    ? obs::kFlagCancelled
-                                                    : obs::kFlagNone;
-                        tr->end(sp_attempt, engine.now(), fl);
-                        tr->end(sp_op, engine.now(), fl);
-                    }
-                    // Memoize the pooled response for repeats of this
-                    // (net, group, batch shape) — unless the snapshot it
-                    // was pooled from was invalidated while on the wire.
-                    result_cache.insert(ckey, resp_bytes, engine.now(),
-                                        cepoch);
-                    responseArrive(bt, resp_bytes, ctx->rec);
-                    attempt_pool.release(ctx);
-                });
-            });
+            // Memoize the pooled response for repeats of this (net,
+            // group, batch shape) — unless the snapshot it was pooled
+            // from was invalidated while on the wire.
+            result_cache.insert(ckey, resp_bytes, engine.now(), cepoch);
+            responseArrive(bt, resp_bytes, ctx->rec);
+            attempt_pool.release(ctx);
         });
     }
 
@@ -1873,32 +1859,18 @@ struct ServingSimulation::Impl
     void
     cancelSibling(RpcOp *op, int winner_idx)
     {
-        AttemptExec &loser = op->exec[1 - winner_idx];
-        if (!loser.executing || loser.finished || loser.cancelled)
+        const int loser = 1 - winner_idx;
+        if (op->exec[loser].state != AttemptState::Executing)
             return;
-        loser.cancelled = true;
-        loser.executing = false;
-        if (tr) {
-            const std::uint8_t fl = obs::kFlagCancelled | obs::kFlagLoser;
-            tr->end(loser.sp_exec, engine.now(), fl);
-            tr->end(loser.sp_attempt, engine.now(), fl);
-        }
-        const sim::Duration consumed = engine.now() - loser.exec_start;
-        const sim::Duration saved = loser.busy - consumed;
-        const double f =
-            loser.busy > 0
-                ? static_cast<double>(saved) /
-                      static_cast<double>(loser.busy)
-                : 0.0;
-        Active *a = op->bt->req;
-        refundAttemptCharges(a, loser, f);
+        const sim::Duration consumed = abortExecuting(
+            op, loser, obs::kFlagCancelled | obs::kFlagLoser);
         // The pre-charge covered the full busy period; only the consumed
         // part was actually wasted.
-        a->st.hedge_wasted_cpu_ns -= static_cast<double>(saved);
-        wasted_busy_ns += static_cast<double>(consumed);
-        if (winner_idx == 0)
-            ++hedge_losses; // the backup was the aborted attempt
-        sparse_cores[static_cast<std::size_t>(loser.server)]->release();
+        op->bt->req->st.hedge_wasted_cpu_ns -=
+            static_cast<double>(op->exec[loser].busy - consumed);
+        hedge_stats.wasted_busy_ns += static_cast<double>(consumed);
+        if (loser == 1)
+            ++hedge_stats.losses; // the backup was the aborted attempt
     }
 
     void
@@ -1911,9 +1883,7 @@ struct ServingSimulation::Impl
             // discarded at arrival (no deserde, no top dense).
             if (--bt->pending > 0)
                 return;
-            destroyBatch(bt);
-            releaseSlot(a);
-            batchDone(a);
+            drainBatch(bt);
             return;
         }
         rec.completed = engine.now();
@@ -1936,9 +1906,7 @@ struct ServingSimulation::Impl
         main_cores->acquireFront([this, a, bt, embedded, merge0] {
             if (a->shed_mid_flight) {
                 main_cores->release();
-                destroyBatch(bt);
-                releaseSlot(a);
-                batchDone(a);
+                drainBatch(bt);
                 return;
             }
             const sim::Duration resp_deserde =
@@ -1951,30 +1919,20 @@ struct ServingSimulation::Impl
                     tr->record(a->st.id, obs::SpanKind::QueueWait,
                                bt->sp_batch, merge0, engine.now(),
                                obs::kMainShard, net_id, bt->batch_id);
-                tr->record(a->st.id, obs::SpanKind::ResponseDeserde,
-                           bt->sp_batch, engine.now(),
-                           engine.now() + resp_deserde, obs::kMainShard,
-                           net_id, bt->batch_id);
-                tr->record(a->st.id, obs::SpanKind::DenseTop, bt->sp_batch,
-                           engine.now() + resp_deserde,
-                           engine.now() + resp_deserde + top,
-                           obs::kMainShard, net_id, bt->batch_id);
+                recordPhases(a, bt->sp_batch, net_id, bt->batch_id,
+                             {{obs::SpanKind::ResponseDeserde, resp_deserde},
+                              {obs::SpanKind::DenseTop, top}});
             }
             engine.schedule(resp_deserde + top, sim::kEvMainCompute,
                             [this, a, bt, embedded] {
                 main_cores->release();
-                releaseSlot(a);
-                if (a->shed_mid_flight) {
-                    destroyBatch(bt);
-                    batchDone(a);
-                    return;
+                if (!a->shed_mid_flight) {
+                    if (tr)
+                        tr->end(bt->sp_batch, engine.now());
+                    a->net_embedded_max =
+                        std::max(a->net_embedded_max, embedded);
                 }
-                if (tr)
-                    tr->end(bt->sp_batch, engine.now());
-                a->net_embedded_max =
-                    std::max(a->net_embedded_max, embedded);
-                destroyBatch(bt);
-                batchDone(a);
+                drainBatch(bt);
             });
         });
     }
@@ -2028,59 +1986,9 @@ struct ServingSimulation::Impl
             engine.schedule(resp_serde + handler, sim::kEvMainCompute,
                             [this, a] {
                 main_cores->release();
-                finalize(a);
+                emitStats(a, ShedReason::None, /*release=*/true);
             });
         });
-    }
-
-    void
-    finalize(Active *a)
-    {
-        unregisterLive(a);
-        // Root end carries the hedge-win flag so the sampler's flag
-        // trigger can keep hedge-win traces; the feed observe comes
-        // AFTER the root end (and thus after the sampler's decision),
-        // so the rolling tail threshold never includes the request
-        // being judged, and the exemplar can record whether that
-        // request's trace was actually retained.
-        if (tr) {
-            tr->end(a->sp_root, engine.now(),
-                    a->st.hedge_wins > 0
-                        ? static_cast<std::uint8_t>(obs::kFlagHedge)
-                        : static_cast<std::uint8_t>(obs::kFlagNone));
-        }
-        a->st.completion = engine.now();
-        a->st.e2e = a->st.completion - a->st.arrival;
-        if (cfg.latency_feed != nullptr) {
-            const bool kept =
-                tr != nullptr && tr->lastRootDecision() ==
-                                     obs::SpanTracer::RootDecision::Kept;
-            cfg.latency_feed->observe(
-                static_cast<double>(a->st.completion) * 1e-9, a->st.e2e,
-                a->st.id, kept);
-        }
-        const sim::Duration accounted =
-            a->st.queue_wait + a->st.lat_serde + a->st.lat_service +
-            a->st.lat_net_overhead + a->st.lat_embedded;
-        a->st.lat_dense = std::max<sim::Duration>(0, a->st.e2e - accounted);
-
-        if (a->has_bounding) {
-            a->st.emb_sparse_op = a->bounding.remote_sparse_op_ns;
-            a->st.emb_serde = a->bounding.remote_serde_ns;
-            a->st.emb_service = a->bounding.remote_service_ns;
-            a->st.emb_net_overhead = a->bounding.remote_net_overhead_ns;
-            a->st.emb_network = a->bounding.networkLatency();
-            a->st.emb_queue = a->bounding.remote_queue_ns;
-        } else {
-            a->st.emb_sparse_op = a->max_inline_sparse;
-        }
-
-        results->push_back(a->st);
-        const RequestStats st = a->st;
-        auto on_complete = std::move(a->on_complete);
-        releaseActive(a);
-        if (on_complete)
-            on_complete(st);
     }
 };
 
@@ -2141,7 +2049,9 @@ std::vector<RequestStats>
 ServingSimulation::replayOpenLoop(
     const std::vector<workload::Request> &requests, double qps)
 {
-    assert(qps > 0.0);
+    if (!(qps > 0.0) || !std::isfinite(qps))
+        throw std::invalid_argument("replayOpenLoop: qps must be finite and "
+                                    "> 0, got " + std::to_string(qps));
     std::vector<RequestStats> results;
     results.reserve(requests.size());
     impl_->results = &results;
@@ -2254,14 +2164,7 @@ ServingSimulation::serverBusyCoreNs() const
 rpc::HedgeStats
 ServingSimulation::hedgeStats() const
 {
-    rpc::HedgeStats h;
-    h.primary_rpcs = impl_->primary_rpcs;
-    h.hedges = impl_->hedges_launched;
-    h.wins = impl_->hedge_wins;
-    h.losses = impl_->hedge_losses;
-    h.cancelled = impl_->hedge_cancelled;
-    h.suppressed = impl_->hedge_suppressed;
-    h.wasted_busy_ns = impl_->wasted_busy_ns;
+    rpc::HedgeStats h = impl_->hedge_stats;
     for (const auto &r : impl_->sparse_cores)
         h.total_busy_ns += r->busyIntegral();
     return h;
@@ -2270,13 +2173,7 @@ ServingSimulation::hedgeStats() const
 std::vector<rpc::HedgeStats>
 ServingSimulation::perShardHedgeStats() const
 {
-    std::vector<rpc::HedgeStats> out(impl_->shard_primary_rpcs.size());
-    for (std::size_t s = 0; s < out.size(); ++s) {
-        out[s].primary_rpcs = impl_->shard_primary_rpcs[s];
-        out[s].hedges = impl_->shard_hedges[s];
-        out[s].wins = impl_->shard_hedge_wins[s];
-    }
-    return out;
+    return impl_->shard_hedge;
 }
 
 const rpc::ResultCacheStats &
@@ -2294,13 +2191,13 @@ ServingSimulation::invalidateResultCache()
 void
 ServingSimulation::killReplica(int server_id)
 {
-    impl_->killReplica(server_id);
+    impl_->setReplicaDead(server_id, true, "killReplica");
 }
 
 void
 ServingSimulation::restoreReplica(int server_id)
 {
-    impl_->restoreReplica(server_id);
+    impl_->setReplicaDead(server_id, false, "restoreReplica");
 }
 
 void
@@ -2335,10 +2232,8 @@ ServingSimulation::replicaAlive(int server_id) const
 std::size_t
 ServingSimulation::aliveReplicaCount() const
 {
-    std::size_t n = 0;
-    for (char d : impl_->replica_dead)
-        n += d == 0 ? 1 : 0;
-    return n;
+    const auto &dead = impl_->replica_dead;
+    return static_cast<std::size_t>(std::count(dead.begin(), dead.end(), 0));
 }
 
 const FaultStats &

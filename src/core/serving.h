@@ -21,6 +21,39 @@
  * Timing comes from calibrated cost models; values are not computed (the
  * functional path in core/partitioner + core/local_executor covers
  * numerics). All randomness is seeded.
+ *
+ * Each fan-out group of a batch is one logical sparse RPC (an "op") raced
+ * by up to two attempts, the primary and an optional hedge backup:
+ *
+ *   op:       Open --an attempt finishes service first--> Won
+ *             Open --its request is shed mid-flight-----> Shed
+ *
+ *   attempt:  Pending --core granted--> Executing --busy period ends--> Done
+ *             (on the wire or queued)       |
+ *                                           +--aborted or lost---> Aborted
+ *
+ * Once an op is decided (Won or Shed) it stays decided, and every other
+ * attempt retires without a response. What each ending counts — hedge
+ * counters count backups only, fault counters count every attempt:
+ *
+ *   - Done on an Open op: the winner; a backup counts HedgeStats::wins.
+ *   - Done on a decided op: lost the race; a backup counts a loss, and
+ *     its whole busy period counts as wasted_busy_ns.
+ *   - Aborted by the winning sibling: a backup counts a loss, and the
+ *     busy time it consumed counts as wasted; the request is refunded
+ *     the rest.
+ *   - Aborted by a mid-flight shed: a backup counts cancelled; the
+ *     request is refunded the unexecuted rest. The op counts in
+ *     shedCancelledRpcs().
+ *   - Aborted because its replica died mid-service: counts
+ *     FaultStats::lost_in_service. On a decided op a backup counts a
+ *     loss plus wasted busy time; otherwise it fails like a Pending one.
+ *   - Pending when its op is decided: a backup counts cancelled.
+ *   - Pending when its target proves unreachable (partition, dead or
+ *     unresolvable replica, queue lost in a crash; each counted in
+ *     FaultStats): a backup counts cancelled; a primary fails over
+ *     (FaultStats::retries) as a fresh Pending attempt, or once retries
+ *     run out sheds its request (FaultStats::upstream_failures).
  */
 #pragma once
 
@@ -239,8 +272,8 @@ struct ServingConfig
     /**
      * Hedged sparse RPCs (off by default): a backup request to a second
      * replica when the primary exceeds a quantile-tracked deadline, first
-     * response wins, loser cancelled (cancellation is best-effort — an
-     * attempt already executing runs to completion as wasted work).
+     * response wins, loser cancelled (a loser still executing is aborted
+     * mid-service; only the busy time it consumed counts as wasted).
      */
     rpc::HedgeConfig hedge;
     /**
@@ -319,7 +352,8 @@ class ServingSimulation
 
     /**
      * Replay with open-loop Poisson arrivals at the given rate (the
-     * Section VII-A high-QPS experiment).
+     * Section VII-A high-QPS experiment). Throws std::invalid_argument
+     * unless `qps` is finite and > 0, in every build type.
      */
     std::vector<RequestStats>
     replayOpenLoop(const std::vector<workload::Request> &requests,

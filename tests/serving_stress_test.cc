@@ -334,6 +334,38 @@ TEST_F(ServingStressTest, EveryConfigConservesRequests)
 }
 
 /**
+ * Lifecycle invariants on every grid point, checked through the public
+ * API: each injected id completes exactly once, the main shard ends with
+ * an empty queue and every worker idle, and the drained simulation
+ * serves a second replay of the same requests in full.
+ */
+TEST_F(ServingStressTest, ReplaysDrainCompletelyAcrossConfigGrid)
+{
+    const auto sortedIds = [](const auto &items) {
+        std::vector<std::uint64_t> ids;
+        for (const auto &item : items)
+            ids.push_back(item.id);
+        std::sort(ids.begin(), ids.end());
+        return ids;
+    };
+    const std::vector<std::uint64_t> injected = sortedIds(requests_);
+    for (const GridPoint &p : grid()) {
+        const auto cfg = configFor(p);
+        core::ServingSimulation sim(spec_, plan_, cfg);
+        const std::size_t workers = sim.mainIdleWorkers();
+        EXPECT_EQ(workers, static_cast<std::size_t>(std::min(
+                               cfg.worker_threads, cfg.main_platform.cores)))
+            << p.label();
+        for (int pass = 1; pass <= 2; ++pass) {
+            const std::string at = p.label() + " pass " + std::to_string(pass);
+            EXPECT_EQ(sortedIds(replay(sim, p)), injected) << at;
+            EXPECT_EQ(sim.mainQueueDepth(), 0u) << at;
+            EXPECT_EQ(sim.mainIdleWorkers(), workers) << at;
+        }
+    }
+}
+
+/**
  * The pure-observer contract of the span tracer: attaching it to any
  * grid configuration leaves every field of every RequestStats
  * byte-identical to the untraced run — the tracer never consumes

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
 
 #include "core/serving.h"
 #include "core/strategies.h"
@@ -264,6 +266,21 @@ TEST(Serving, OpenLoopCompletesAllAndQueues)
     ASSERT_EQ(stats.size(), reqs.size());
     for (const auto &s : stats)
         EXPECT_GT(s.e2e, 0);
+}
+
+TEST(Serving, OpenLoopRejectsNonPositiveOrNonFiniteQps)
+{
+    const auto spec = model::makeDrm1();
+    const auto reqs = requestsFor(spec, 1);
+    core::ServingSimulation sim(spec, core::makeSingular(spec),
+                                core::ServingConfig{});
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (const double qps : {0.0, -5.0, inf, nan})
+        EXPECT_THROW(sim.replayOpenLoop(reqs, qps), std::invalid_argument)
+            << qps;
+    // A rejected call schedules nothing: a valid replay still serves all.
+    EXPECT_EQ(sim.replayOpenLoop(reqs, 100.0).size(), reqs.size());
 }
 
 TEST(Serving, Drm3TouchesTwoShards)
