@@ -23,8 +23,9 @@
  *     at equal budget.
  *
  * Self-checking (exit 1 on violation): at high QPS both load-aware
- * policies beat round-robin's served P99 and power-of-two's worst
- * replica backlog never exceeds round-robin's; adaptive batching beats
+ * policies beat round-robin's median served P99 over five deployment
+ * seeds, and power-of-two's worst replica backlog exceeds round-robin's
+ * on none of them; adaptive batching beats
  * timeout batching's P50 at low rate; admission control beats the
  * uncontrolled served P99 at overload; hedging lowers P99 at high load
  * without collapsing goodput (bounded wasted work and CPU inflation);
@@ -32,8 +33,11 @@
  * rows (grep "^{") including hedge rate, wasted-work fraction, and the
  * per-shard replica vector. `--smoke` runs a reduced stream for CI.
  */
+#include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "core/analysis.h"
@@ -82,61 +86,84 @@ main(int argc, char **argv)
     const std::vector<double> rates = smoke ? std::vector<double>{700.0}
                                             : std::vector<double>{400.0,
                                                                   700.0};
+    // One replay's P99 rides on a handful of order statistics, and one
+    // seed's draws can flip a close P99 comparison, so every policy runs
+    // on kLbSeeds deployment seeds and the P99 self-check compares
+    // medians. The table's per-seed columns show the first seed.
+    constexpr int kLbSeeds = 5;
     for (const double qps : rates) {
         std::cout << "--- replica LB on " << spec.name << ", "
                   << plan.label() << " x3 replicas, " << qps << " QPS ---\n";
         TablePrinter table({"policy", "P50", "P99", "P99.9", "max queue",
-                            "sparse util"});
+                            "sparse util", "median P99"});
         double rr_p99 = 0.0;
-        std::size_t rr_peak = 0;
+        std::vector<std::size_t> rr_peaks;
         for (const auto policy : lb_policies) {
-            core::ServingSimulation sim(
-                spec, plan, sched::sparseBoundStudyConfig(policy, 3));
-            const auto stats = sim.replayOpenLoop(requests, qps);
-            const auto q = core::latencyQuantiles(stats);
-            const auto peaks = sim.serverPeakQueue();
-            std::size_t max_peak = 0;
-            for (const auto p : peaks)
-                max_peak = std::max(max_peak, p);
-            const double util = meanOf(sim.serverUtilization());
-
-            table.addRow({rpc::policyName(policy),
-                          TablePrinter::num(q.p50_ms),
-                          TablePrinter::num(q.p99_ms),
-                          TablePrinter::num(q.p999_ms),
-                          std::to_string(max_peak),
-                          TablePrinter::pct(util)});
+            std::vector<double> p99s;
+            std::vector<std::size_t> peaks;
+            std::vector<std::string> row;
+            for (int k = 0; k < kLbSeeds; ++k) {
+                const std::uint64_t seed =
+                    0xd15c0 + 0x1000 * static_cast<std::uint64_t>(k);
+                core::ServingSimulation sim(
+                    spec, plan, sched::sparseBoundStudyConfig(policy, 3, seed));
+                const auto stats = sim.replayOpenLoop(requests, qps);
+                const auto q = core::latencyQuantiles(stats);
+                std::size_t max_peak = 0;
+                for (const auto p : sim.serverPeakQueue())
+                    max_peak = std::max(max_peak, p);
+                p99s.push_back(q.p99_ms);
+                peaks.push_back(max_peak);
+                if (k > 0)
+                    continue;
+                const double util = meanOf(sim.serverUtilization());
+                row = {rpc::policyName(policy), TablePrinter::num(q.p50_ms),
+                       TablePrinter::num(q.p99_ms),
+                       TablePrinter::num(q.p999_ms), std::to_string(max_peak),
+                       TablePrinter::pct(util)};
+                std::cout << bench::JsonRow("sched_policies")
+                                 .field("section", "replica_lb")
+                                 .field("policy", rpc::policyName(policy))
+                                 .field("qps", qps)
+                                 .field("p50_ms", q.p50_ms)
+                                 .field("p99_ms", q.p99_ms)
+                                 .field("p999_ms", q.p999_ms)
+                                 .field("max_peak_queue",
+                                        static_cast<std::int64_t>(max_peak))
+                                 .field("sparse_util", util)
+                                 .field("main_util", sim.mainUtilization());
+            }
+            std::vector<double> sorted = p99s;
+            std::sort(sorted.begin(), sorted.end());
+            const double median_p99 = sorted[sorted.size() / 2];
+            row.push_back(TablePrinter::num(median_p99));
+            table.addRow(row);
             std::cout << bench::JsonRow("sched_policies")
-                             .field("section", "replica_lb")
+                             .field("section", "replica_lb_seeds")
                              .field("policy", rpc::policyName(policy))
                              .field("qps", qps)
-                             .field("p50_ms", q.p50_ms)
-                             .field("p99_ms", q.p99_ms)
-                             .field("p999_ms", q.p999_ms)
-                             .field("max_peak_queue",
-                                    static_cast<std::int64_t>(max_peak))
-                             .field("sparse_util", util)
-                             .field("main_util", sim.mainUtilization());
+                             .field("seeds", kLbSeeds)
+                             .field("median_p99_ms", median_p99);
 
             const bool high = qps >= 700.0;
             if (policy == rpc::LoadBalancePolicy::RoundRobin) {
-                rr_p99 = q.p99_ms;
-                rr_peak = max_peak;
-            } else if (high && q.p99_ms >= rr_p99) {
+                rr_p99 = median_p99;
+                rr_peaks = peaks;
+            } else if (high && median_p99 >= rr_p99) {
                 std::cout << "SELF-CHECK FAIL: " << rpc::policyName(policy)
-                          << " P99 " << q.p99_ms
+                          << " median P99 " << median_p99
                           << " ms does not beat round-robin " << rr_p99
                           << " ms at " << qps << " QPS\n";
                 ok = false;
             }
-            if (high &&
-                policy == rpc::LoadBalancePolicy::PowerOfTwoChoices &&
-                max_peak > rr_peak) {
-                std::cout << "SELF-CHECK FAIL: power-of-two max queue "
-                          << max_peak << " exceeds round-robin " << rr_peak
-                          << "\n";
-                ok = false;
-            }
+            if (high && policy == rpc::LoadBalancePolicy::PowerOfTwoChoices)
+                for (int k = 0; k < kLbSeeds; ++k)
+                    if (peaks[k] > rr_peaks[k]) {
+                        std::cout << "SELF-CHECK FAIL: power-of-two max queue "
+                                  << peaks[k] << " exceeds round-robin "
+                                  << rr_peaks[k] << " on seed " << k << "\n";
+                        ok = false;
+                    }
         }
         std::cout << table.render() << "\n";
     }

@@ -225,7 +225,12 @@ TEST(HedgeProperty, HedgedP99NoWorseAtHighUtilizationAcrossSeeds)
 {
     const auto spec = model::makeDrm2();
     const auto plan = testPlan(spec);
-    const auto requests = testRequests(spec, 1000);
+    // The sparse tier saturates at this rate, so a faster rate adds no
+    // utilization: what keeps the mean below 100% is the replay's start
+    // and drain, when replicas sit partly idle. 1,200 requests keep those
+    // edges short: the mean over these seeds is ~0.93 (1,000 requests
+    // sit right at the 0.90 line).
+    const auto requests = testRequests(spec, 1200);
     const double qps = 2200.0;
 
     double util_sum = 0.0;

@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -150,13 +151,18 @@ struct GridPoint
     bool batched = false;
     bool admission = false;
     bool result_cache = false;
+    /** How a batched point coalesces. */
+    sched::BatchPolicy batch_policy = sched::BatchPolicy::QueueAware;
 
     std::string
     label() const
     {
         std::string s;
         s += hedged ? "hedge" : "nohedge";
-        s += batched ? "+batch" : "";
+        if (batched)
+            s += batch_policy == sched::BatchPolicy::QueueAware
+                     ? "+batch"
+                     : "+batch(timeout)";
         s += admission ? "+admit" : "";
         s += result_cache ? "+rcache" : "";
         return s;
@@ -189,6 +195,66 @@ class ServingStressTest : public ::testing::Test
         requests_ = gen.generate(150);
     }
 
+    /**
+     * Digests of every RequestStats field of every request plus
+     * hedgeStats(), resultCacheStats() and shedCancelledRpcs() of every
+     * grid point (`stats`), and of every span a flat tracer records
+     * (`spans`). `tweak` adjusts each point's config before it runs.
+     */
+    struct GridDigests
+    {
+        std::uint64_t stats;
+        std::uint64_t spans;
+    };
+
+    GridDigests
+    gridDigests(void (*tweak)(core::ServingConfig &)) const
+    {
+        Digest stats, spans;
+        for (const GridPoint &p : grid()) {
+            obs::SpanTracer tracer;
+            auto cfg = configFor(p);
+            tweak(cfg);
+            cfg.tracer = &tracer;
+            core::ServingSimulation sim(spec_, plan_, cfg);
+            for (const auto &s : replay(sim, p))
+                mixStats(stats, s);
+
+            const rpc::HedgeStats h = sim.hedgeStats();
+            stats.mix(h.primary_rpcs);
+            stats.mix(h.hedges);
+            stats.mix(h.wins);
+            stats.mix(h.losses);
+            stats.mix(h.cancelled);
+            stats.mix(h.suppressed);
+            stats.mixDouble(h.wasted_busy_ns);
+            stats.mixDouble(h.total_busy_ns);
+            const rpc::ResultCacheStats &rc = sim.resultCacheStats();
+            stats.mix(rc.lookups);
+            stats.mix(rc.hits);
+            stats.mix(rc.misses);
+            stats.mix(rc.insertions);
+            stats.mix(rc.expirations);
+            stats.mix(rc.evictions);
+            stats.mix(rc.invalidations);
+            stats.mixInt(rc.bytes_saved);
+            stats.mix(sim.shedCancelledRpcs());
+
+            for (const auto &sp : tracer.spans()) {
+                spans.mix(sp.request_id);
+                spans.mix(static_cast<std::uint64_t>(sp.kind));
+                spans.mix(sp.flags);
+                spans.mixInt(sp.begin);
+                spans.mixInt(sp.end);
+                spans.mix(sp.parent);
+                spans.mixInt(sp.shard);
+                spans.mixInt(sp.net);
+                spans.mixInt(sp.batch);
+            }
+        }
+        return {stats.h, spans.h};
+    }
+
     core::ServingConfig
     configFor(const GridPoint &p) const
     {
@@ -211,7 +277,7 @@ class ServingStressTest : public ::testing::Test
         if (!p.batched)
             return sim.replayOpenLoop(requests_, 1500.0);
         sched::BatcherConfig bc;
-        bc.policy = sched::BatchPolicy::QueueAware;
+        bc.policy = p.batch_policy;
         return sched::runBatchedOpenLoop(sim, requests_, 1500.0, bc);
     }
 
@@ -250,57 +316,31 @@ TEST_F(ServingStressTest, ByteIdenticalReplayAcrossConfigGrid)
 }
 
 /**
- * Pins the grid's exact behaviour to known digests: every RequestStats
- * field of every request plus hedgeStats(), resultCacheStats() and
- * shedCancelledRpcs() of every grid point, and separately every span a
- * flat tracer records. A refactor of the serving core must leave both
- * digests unchanged; only a deliberate behaviour change may update them.
+ * Pins the grid's exact behaviour to known digests (see gridDigests). A
+ * refactor of the serving core must leave both digests unchanged; only a
+ * deliberate behaviour change may update them.
  */
 TEST_F(ServingStressTest, PinnedDigestsAcrossConfigGrid)
 {
-    Digest stats, spans;
-    for (const GridPoint &p : grid()) {
-        obs::SpanTracer tracer;
-        auto cfg = configFor(p);
-        cfg.tracer = &tracer;
-        core::ServingSimulation sim(spec_, plan_, cfg);
-        for (const auto &s : replay(sim, p))
-            mixStats(stats, s);
+    const GridDigests d = gridDigests([](core::ServingConfig &) {});
+    EXPECT_EQ(d.stats, 0x47aeb21b17860b30ull) << std::hex << d.stats;
+    EXPECT_EQ(d.spans, 0x9d1d810b64011837ull) << std::hex << d.spans;
+}
 
-        const rpc::HedgeStats h = sim.hedgeStats();
-        stats.mix(h.primary_rpcs);
-        stats.mix(h.hedges);
-        stats.mix(h.wins);
-        stats.mix(h.losses);
-        stats.mix(h.cancelled);
-        stats.mix(h.suppressed);
-        stats.mixDouble(h.wasted_busy_ns);
-        stats.mixDouble(h.total_busy_ns);
-        const rpc::ResultCacheStats &rc = sim.resultCacheStats();
-        stats.mix(rc.lookups);
-        stats.mix(rc.hits);
-        stats.mix(rc.misses);
-        stats.mix(rc.insertions);
-        stats.mix(rc.expirations);
-        stats.mix(rc.evictions);
-        stats.mix(rc.invalidations);
-        stats.mixInt(rc.bytes_saved);
-        stats.mix(sim.shedCancelledRpcs());
-
-        for (const auto &sp : tracer.spans()) {
-            spans.mix(sp.request_id);
-            spans.mix(static_cast<std::uint64_t>(sp.kind));
-            spans.mix(sp.flags);
-            spans.mixInt(sp.begin);
-            spans.mixInt(sp.end);
-            spans.mix(sp.parent);
-            spans.mixInt(sp.shard);
-            spans.mixInt(sp.net);
-            spans.mixInt(sp.batch);
-        }
-    }
-    EXPECT_EQ(stats.h, 0x47aeb21b17860b30ull) << std::hex << stats.h;
-    EXPECT_EQ(spans.h, 0x9d1d810b64011837ull) << std::hex << spans.h;
+/**
+ * The same grid with wire jitter and stragglers off: no RPC attempt
+ * draws a single value from its per-attempt stream, so these digests
+ * pin everything except per-attempt randomness. A change to how attempt
+ * streams are generated must leave them unchanged.
+ */
+TEST_F(ServingStressTest, PinnedDigestsWithoutAttemptDraws)
+{
+    const GridDigests d = gridDigests([](core::ServingConfig &cfg) {
+        cfg.link.jitter_sigma = 0.0;
+        cfg.faults.straggler_prob = 0.0;
+    });
+    EXPECT_EQ(d.stats, 0x97fa4e17f899e05cull) << std::hex << d.stats;
+    EXPECT_EQ(d.spans, 0xc9d9ed4256ac88d9ull) << std::hex << d.spans;
 }
 
 /**
@@ -414,49 +454,66 @@ TEST_F(ServingStressTest, TracingLeavesStatsByteIdentical)
  * The rolling-latency feed shares the tracer's pure-observer contract:
  * attaching a RollingHistogram to any grid configuration leaves every
  * RequestStats byte-identical, while the feed itself sees exactly the
- * served (non-shed) requests and a windowed P99 consistent with them.
+ * served (non-shed) simulated requests and a windowed P99 consistent
+ * with them. Under the batcher a simulated request is a merged batch,
+ * not a rider: runBatchedOpenLoop expands each batch into its riders,
+ * each carrying coalesced = k for a k-rider batch, and the riders of
+ * one batch share its completion and shed outcome.
  */
 TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
 {
-    for (const bool hedged : {false, true})
-        for (const bool batched : {false, true})
-            for (const bool admission : {false, true})
-                for (const bool rcache : {false, true}) {
-                    const GridPoint p{hedged, batched, admission, rcache};
-                    const auto baseline = run(p);
-                    // Horizon far beyond the replay: every served
-                    // request stays inside the window for the final
-                    // cross-check below.
-                    obs::RollingHistogram feed(
-                        obs::WindowConfig{1e6, 8});
-                    const auto fed = run(p, nullptr, &feed);
-                    ASSERT_EQ(baseline.size(), fed.size()) << p.label();
-                    std::uint64_t served = 0;
-                    std::int64_t max_e2e = 0;
-                    sim::SimTime last_completion = 0;
-                    for (std::size_t i = 0; i < baseline.size(); ++i) {
-                        expectIdentical(baseline[i], fed[i],
-                                        p.label() + " fed req " +
-                                            std::to_string(i));
-                        if (!fed[i].shed()) {
-                            ++served;
-                            max_e2e = std::max(max_e2e, fed[i].e2e);
-                            last_completion = std::max(
-                                last_completion, fed[i].completion);
-                        }
-                    }
-                    const double t_s =
-                        static_cast<double>(last_completion) * 1e-9;
-                    EXPECT_EQ(feed.count(t_s), served) << p.label();
-                    if (served > 0) {
-                        const double p99 =
-                            feed.valueAtQuantile(t_s, 0.99);
-                        EXPECT_GT(p99, 0.0) << p.label();
-                        EXPECT_LE(p99,
-                                  static_cast<double>(max_e2e) + 1.0)
-                            << p.label();
-                    }
-                }
+    // Queue-aware batching merges only once the main queue backs up,
+    // which this fixture's load may never do; timeout batching merges
+    // any arrivals that land within its delay, so every batched point
+    // also runs with it.
+    std::vector<GridPoint> points = grid();
+    for (const GridPoint &p : grid())
+        if (p.batched) {
+            GridPoint timed = p;
+            timed.batch_policy = sched::BatchPolicy::TimeoutCapped;
+            points.push_back(timed);
+        }
+    std::uint64_t merged_riders = 0;
+    for (const GridPoint &p : points) {
+        const auto baseline = run(p);
+        // Horizon far beyond the replay: every served request stays
+        // inside the window for the final cross-check below.
+        obs::RollingHistogram feed(obs::WindowConfig{1e6, 8});
+        const auto fed = run(p, nullptr, &feed);
+        ASSERT_EQ(baseline.size(), fed.size()) << p.label();
+        // Served riders per batch size k; k of them make one served
+        // simulated request.
+        std::map<int, std::uint64_t> served_riders;
+        std::int64_t max_e2e = 0;
+        sim::SimTime last_completion = 0;
+        for (std::size_t i = 0; i < baseline.size(); ++i) {
+            expectIdentical(baseline[i], fed[i],
+                            p.label() + " fed req " + std::to_string(i));
+            if (fed[i].coalesced > 1)
+                ++merged_riders;
+            if (!fed[i].shed()) {
+                ++served_riders[fed[i].coalesced];
+                max_e2e = std::max(max_e2e, fed[i].e2e);
+                last_completion = std::max(last_completion, fed[i].completion);
+            }
+        }
+        std::uint64_t served = 0;
+        for (const auto &[k, riders] : served_riders) {
+            const auto per_batch = static_cast<std::uint64_t>(k);
+            EXPECT_EQ(riders % per_batch, 0u) << p.label() << " k=" << k;
+            served += riders / per_batch;
+        }
+        const double t_s = static_cast<double>(last_completion) * 1e-9;
+        EXPECT_EQ(feed.count(t_s), served) << p.label();
+        if (served > 0) {
+            const double p99 = feed.valueAtQuantile(t_s, 0.99);
+            EXPECT_GT(p99, 0.0) << p.label();
+            EXPECT_LE(p99, static_cast<double>(max_e2e) + 1.0) << p.label();
+        }
+    }
+    // Requests were merged somewhere, so the per-batch count above is
+    // exercised, not vacuous.
+    EXPECT_GT(merged_riders, 0u);
 }
 
 /**
