@@ -4,12 +4,14 @@
  * serving substrate: SLS pooling (fp32 / int8 / int4 backed), dense FC,
  * the DES event engine, and index splitting. These back the cost-model
  * constants used by the simulation. The Zipf-draw and cache-replay rows
- * time the two layers of the trace-driven row-cache build; the RngFork
- * rows time the per-attempt stream setup of the serving fan-out.
+ * time the two layers of the trace-driven row-cache build; the
+ * AttemptStream row times the per-attempt randomness of the serving
+ * fan-out.
  */
 #include <benchmark/benchmark.h>
 
 #include "cache/tiered_sim.h"
+#include "core/serving.h"
 #include "graph/operators.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
@@ -154,39 +156,29 @@ BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
 
 /**
- * The per-attempt stream cost of a sparse-RPC fan-out: fork a pooled
- * common-random-numbers stream in place, then draw the attempt's two
- * wire delays (out and back). `single` forks one stream at a time and
- * lets its seed expand lazily, as hedges and failover relaunches do;
- * `batched16` forks 16 and expands their seeds together with
- * Mt64::seedMany, as a batch's primaries are. items/s = attempts/s.
+ * The per-attempt randomness of a sparse-RPC fan-out: derive the
+ * attempt's counter-stream key from its identity salt, then take its
+ * draws — wire jitter out, a straggler roll, wire jitter back.
+ * items/s = attempts/s.
  */
 void
-BM_RngFork(benchmark::State &state, int batch)
+BM_AttemptStream(benchmark::State &state)
 {
     const netsim::LinkModel link{netsim::LinkConfig{}};
-    const stats::Rng parent(0x5eed);
-    std::vector<stats::Rng> streams(static_cast<std::size_t>(batch),
-                                    stats::Rng(0));
-    std::vector<stats::Mt64 *> engines;
-    for (auto &s : streams)
-        engines.push_back(&s.engine());
-    std::uint64_t salt = 0;
+    const stats::Rng run(0x5eed);
+    std::uint64_t id = 0;
     for (auto _ : state) {
-        for (auto &s : streams)
-            parent.forkInto(salt++, s);
-        if (batch > 1)
-            stats::Mt64::seedMany(engines.data(), batch, 156 + 8);
-        sim::Duration delay = 0;
-        for (auto &s : streams)
-            delay += link.oneWayDelay(4096, s) + link.oneWayDelay(512, s);
+        stats::CounterStream stream(
+            run.forkSeed(core::attemptSalt(id++, 0, 0, 3, false, 0)));
+        sim::Duration delay = link.oneWayDelay(4096, stream);
+        if (stats::bernoulli(stream, 0.02))
+            delay *= 8;
+        delay += link.oneWayDelay(512, stream);
         benchmark::DoNotOptimize(delay);
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            batch);
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK_CAPTURE(BM_RngFork, single, 1);
-BENCHMARK_CAPTURE(BM_RngFork, batched16, stats::Mt64::kMaxSeedBatch);
+BENCHMARK(BM_AttemptStream);
 
 } // namespace
 

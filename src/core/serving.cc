@@ -104,18 +104,16 @@ struct ServingSimulation::Impl
 
     /**
      * Mutable context of one RPC attempt — the record being filled in
-     * and the attempt's CRN stream — pooled and held by pointer on the
-     * attempt's AttemptExec. An mt19937_64 is ~2.5 KB, so
-     * capturing the stream by value in each chained closure used to cost
-     * a heap allocation plus a bulk copy per hop; with the pooled
-     * context every hop's capture is a few pointers and fits the
-     * engine's inline event buffer. The stream is re-forked in place
-     * (Rng::forkInto) when the context is reused.
+     * and the attempt's CRN counter stream (see attemptSalt) — pooled and
+     * held by pointer on the attempt's AttemptExec, so every hop's
+     * closure captures a few pointers and fits the engine's inline
+     * event buffer. launchAttempt rebuilds the stream in place, so a
+     * reused context carries nothing over.
      */
     struct AttemptCtx
     {
         trace::RpcRecord rec;
-        stats::Rng rng{0};
+        stats::CounterStream stream;
     };
 
     /**
@@ -1225,29 +1223,8 @@ struct ServingSimulation::Impl
                                      obs::kMainShard, ni.net_id,
                                      bt->batch_id);
         a->live_batches.push_back(bt);
-        // Each primary attempt needs a fresh CRN stream. Fork them in
-        // place and expand their seeds together: the per-stream
-        // expansion is a serial multiply chain, and interleaving up to
-        // kMaxSeedBatch of them overlaps the chains.
-        constexpr int kBatch = stats::Mt64::kMaxSeedBatch;
-        const std::size_t n = bt->active.size();
-        for (std::size_t c = 0; c < n; c += kBatch) {
-            const int k =
-                static_cast<int>(std::min<std::size_t>(kBatch, n - c));
-            AttemptCtx *ctxs[kBatch] = {};
-            stats::Mt64 *engines[kBatch] = {};
-            for (int j = 0; j < k; ++j) {
-                ctxs[j] = attempt_pool.acquire();
-                rng.forkInto(attemptSalt(a->st.id, ni.net_id, bt->batch_id,
-                                         bt->active[c + j],
-                                         /*is_hedge=*/false, /*retries=*/0),
-                             ctxs[j]->rng);
-                engines[j] = &ctxs[j]->rng.engine();
-            }
-            stats::Mt64::seedMany(engines, k, kAttemptSeedWords);
-            for (int j = 0; j < k; ++j)
-                sendRpc(bt, ni, bt->active[c + j], ctxs[j]);
-        }
+        for (const std::size_t gi : bt->active)
+            sendRpc(bt, ni, gi);
         // The async RPC ops release the worker CORE (other requests may
         // use it) but the batch's net execution blocks on the wait op, so
         // the intra-request slot is held until the batch completes
@@ -1392,10 +1369,9 @@ struct ServingSimulation::Impl
         return r.inUse() + r.queued() <= cfg.hedge.max_backup_outstanding;
     }
 
-    /** Send the primary attempt of group `gi`, on a pre-forked `ctx`. */
+    /** Send the primary attempt of group `gi`. */
     void
-    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi,
-            AttemptCtx *ctx)
+    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi)
     {
         Active *a = bt->req;
         const Group &g = ni.groups[gi];
@@ -1429,7 +1405,7 @@ struct ServingSimulation::Impl
                                   bt->sp_embed, engine.now(), g.shard,
                                   ni.net_id, bt->batch_id);
         bt->ops.push_back(op);
-        launchAttempt(op, 0, ctx);
+        launchAttempt(op, 0);
         maybeScheduleHedge(op);
     }
 
@@ -1501,51 +1477,13 @@ struct ServingSimulation::Impl
     }
 
     /**
-     * Common random numbers: every stochastic component of an attempt
-     * (wire jitter out/back, interference) draws from a stream forked
-     * with this salt, a pure function of the attempt's identity, not of
-     * global draw order. Paired runs — hedging on vs off, one batching
-     * policy vs another — then face identical per-attempt randomness, so
-     * their deltas measure the policy, not reshuffled noise.
-     */
-    static std::uint64_t
-    attemptSalt(std::uint64_t request_id, int net_id, int batch_id,
-                std::size_t gi, bool is_hedge, int retries)
-    {
-        std::uint64_t salt = request_id + 1;
-        salt = salt * 0x100000001b3ULL ^
-               static_cast<std::uint64_t>(net_id + 1);
-        salt = salt * 0x100000001b3ULL ^
-               static_cast<std::uint64_t>(batch_id + 1);
-        salt = salt * 0x100000001b3ULL ^ (gi + 1);
-        salt = salt * 0x100000001b3ULL ^ (is_hedge ? 2u : 1u);
-        // Failover relaunches get a fresh identity stream (they are new
-        // attempts, not replays of the failed one). retries == 0 on every
-        // fault-free path, so the identity streams — and therefore paired
-        // runs — are unchanged when no fault fires.
-        if (retries > 0)
-            salt = salt * 0x100000001b3ULL ^
-                   static_cast<std::uint64_t>(retries + 2);
-        return salt;
-    }
-
-    /**
-     * Raw seed words dispatchBatch expands for every primary stream up
-     * front: an attempt's first 8 draws — jitter out and back (two or
-     * more each) plus an interference roll — read raw words up to
-     * 156 + 8. Rarer extra draws extend the expansion lazily.
-     */
-    static constexpr int kAttemptSeedWords = 156 + 8;
-
-    /**
-     * Put attempt `idx` (0 = primary, 1 = hedge) on the wire. `ctx`
-     * carries a primary's stream, forked and seeded by dispatchBatch;
-     * hedges and failover relaunches pass null and fork their own. The
-     * attempt holds its context until it retires or hands its response
-     * to the wire.
+     * Put attempt `idx` (0 = primary, 1 = hedge) on the wire, with a
+     * fresh context whose counter stream is keyed by the attempt's
+     * identity. The attempt holds its context until it retires or hands
+     * its response to the wire.
      */
     void
-    launchAttempt(RpcOp *op, int idx, AttemptCtx *ctx = nullptr)
+    launchAttempt(RpcOp *op, int idx)
     {
         Active *a = op->bt->req;
         const Group &g = op->group();
@@ -1556,19 +1494,14 @@ struct ServingSimulation::Impl
                 engine.now(), g.shard, op->ni->net_id, op->bt->batch_id,
                 idx == 1 ? obs::kFlagHedge : obs::kFlagNone);
         }
-        if (ctx == nullptr) {
-            ctx = attempt_pool.acquire();
-            rng.forkInto(attemptSalt(a->st.id, op->ni->net_id,
-                                     op->bt->batch_id, op->gi, idx == 1,
-                                     op->retries),
-                         ctx->rng);
-        }
+        AttemptCtx *ctx = attempt_pool.acquire();
+        ctx->stream = stats::CounterStream(rng.forkSeed(
+            attemptSalt(a->st.id, op->ni->net_id, op->bt->batch_id, op->gi,
+                        idx == 1, op->retries)));
         ex.ctx = ctx;
 
         // Main<->shard partition: the payload never reaches the shard;
-        // the client's RPC timeout is the only failure signal. A fork is
-        // a pure function of (seed, salt), so forking before or after
-        // this early return leaves every stream's values intact.
+        // the client's RPC timeout is the only failure signal.
         if (shard_partitioned[static_cast<std::size_t>(g.shard)]) {
             ++fault_stats.partition_drops;
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
@@ -1584,7 +1517,7 @@ struct ServingSimulation::Impl
         ctx->rec.dispatched = engine.now();
 
         const sim::Duration out_delay =
-            link.oneWayDelay(op->req_bytes, ctx->rng);
+            link.oneWayDelay(op->req_bytes, ctx->stream);
         if (tr)
             tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
@@ -1683,7 +1616,8 @@ struct ServingSimulation::Impl
         // it.
         const double interference =
             cfg.faults.straggler_prob > 0.0 &&
-                    ex.ctx->rng.bernoulli(cfg.faults.straggler_prob)
+                    stats::bernoulli(ex.ctx->stream,
+                                     cfg.faults.straggler_prob)
                 ? cfg.faults.straggler_multiplier
                 : 1.0;
         const double remote_scale =
@@ -1814,7 +1748,8 @@ struct ServingSimulation::Impl
         const obs::SpanId sp_attempt = self.sp_attempt;
         const obs::SpanId sp_op = op->sp_op;
         derefOp(op); // response path only needs the batch
-        const sim::Duration back = link.oneWayDelay(resp_bytes, ctx->rng);
+        const sim::Duration back =
+            link.oneWayDelay(resp_bytes, ctx->stream);
         if (tr)
             tr->record(bt->req->st.id, obs::SpanKind::WireBack, sp_attempt,
                        engine.now(), engine.now() + back, ctx->rec.shard_id,

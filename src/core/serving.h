@@ -54,6 +54,15 @@
  *     FaultStats): a backup counts cancelled; a primary fails over
  *     (FaultStats::retries) as a fresh Pending attempt, or once retries
  *     run out sheds its request (FaultStats::upstream_failures).
+ *
+ * Common random numbers: an attempt's draws (wire jitter out and back,
+ * the straggler roll) come from its own stats::CounterStream keyed
+ * Rng(seed).forkSeed(attemptSalt(...)), a pure function of the attempt's
+ * identity. No draw depends on launch order, context pooling or any
+ * other attempt, so paired runs (hedging on vs off, one batching policy
+ * vs another) face identical per-attempt randomness and their deltas
+ * measure the policy, not reshuffled noise. The other streams (request
+ * arrivals, load balancing) are Mt64-backed stats::Rng streams.
  */
 #pragma once
 
@@ -86,6 +95,28 @@ class RollingHistogram;
 }
 
 namespace dri::core {
+
+/**
+ * The common-random-numbers identity of one RPC attempt: the salt its
+ * counter stream is keyed by (see the file comment). Failover relaunches
+ * (retries > 0) are new attempts and get a fresh identity; retries == 0
+ * on every fault-free path, so the identities — and therefore paired
+ * runs — are unchanged when no fault fires.
+ */
+inline std::uint64_t
+attemptSalt(std::uint64_t request_id, int net_id, int batch_id,
+            std::size_t gi, bool is_hedge, int retries)
+{
+    constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+    std::uint64_t salt = request_id + 1;
+    salt = salt * kPrime ^ static_cast<std::uint64_t>(net_id + 1);
+    salt = salt * kPrime ^ static_cast<std::uint64_t>(batch_id + 1);
+    salt = salt * kPrime ^ (gi + 1);
+    salt = salt * kPrime ^ (is_hedge ? 2u : 1u);
+    if (retries > 0)
+        salt = salt * kPrime ^ static_cast<std::uint64_t>(retries + 2);
+    return salt;
+}
 
 /**
  * Admission control / load shedding at the main shard (src/sched's
@@ -321,7 +352,10 @@ struct ServingConfig
      * the window at its completion time, so a monitor can ask for the
      * rolling P99 while the replay is still in flight instead of
      * waiting for the final RequestStats ledger. Shed requests are
-     * excluded, matching latencyQuantiles(). Pure observer under the
+     * excluded, matching latencyQuantiles(). Like root spans, the feed
+     * is per simulated request: under sched::runBatchedOpenLoop it sees
+     * one sample per merged batch, timed from the batch's backdated
+     * arrival, not one per rider. Pure observer under the
      * same contract as `tracer`: attaching it never changes
      * RequestStats (enforced byte-for-byte by serving_stress_test).
      * Not owned; must outlive the simulation.

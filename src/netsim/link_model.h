@@ -42,13 +42,15 @@ class LinkModel
   public:
     explicit LinkModel(LinkConfig config);
 
-    /** One-way delay for a message of the given size. Inline: paid
-     *  twice (out and back) by every RPC attempt. */
+    /** One-way delay for a message of the given size, jitter drawn from
+     *  `engine` (an Rng or CounterStream). Inline: paid twice (out and
+     *  back) by every RPC attempt. */
+    template <class Engine>
     sim::Duration
-    oneWayDelay(std::int64_t bytes, stats::Rng &rng) const
+    oneWayDelay(std::int64_t bytes, Engine &engine) const
     {
         const double base = static_cast<double>(config_.base_one_way_ns) *
-                            jitter_.sample(rng);
+                            jitter_.sample(engine);
         const double wire =
             static_cast<double>(bytes) / config_.bandwidth_bytes_per_ns;
         return static_cast<sim::Duration>(std::llround(base + wire));

@@ -28,13 +28,18 @@ class LognormalSampler
   public:
     LognormalSampler(double median, double sigma);
 
-    /** Inline: every simulated wire hop pays one of these. */
+    /**
+     * Inline: every simulated wire hop pays one of these. `engine` is any
+     * full-range 64-bit engine (Rng, CounterStream). Draws nothing when
+     * sigma is 0.
+     */
+    template <class Engine>
     double
-    sample(Rng &rng) const
+    sample(Engine &engine) const
     {
         if (sigma_ == 0.0)
             return median_;
-        return std::exp(mu_ + sigma_ * rng.gaussian());
+        return std::exp(mu_ + sigma_ * gaussian(engine));
     }
 
     /** Analytic mean: exp(mu + sigma^2 / 2). */

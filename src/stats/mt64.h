@@ -3,15 +3,15 @@
  * Lazily-seeded 64-bit Mersenne Twister, output-identical to
  * std::mt19937_64.
  *
- * The serving hot path forks a fresh child stream per RPC attempt
- * (common-random-numbers discipline), and each attempt consumes only a
- * handful of draws. std::mt19937_64 pays the full 312-word seed
- * expansion at construction plus a full 312-word twist on the first
- * draw — ~2 us on commodity hardware, which dominated simulator wall
- * time at ~20k forks per run. Mt64 defers both: seed words materialize
- * incrementally (word i of the first twist needs raw words up to
- * i + 156), and first-block twisting advances one word per draw. A
- * fork that draws 8 values touches ~170 state words instead of ~624.
+ * Workload generation, arrivals, load balancing and the samplers fork
+ * child streams with Rng::fork(), and a short-lived child may draw only
+ * a few values. std::mt19937_64 pays the full 312-word seed expansion at
+ * construction plus a full 312-word twist on the first draw. Mt64
+ * defers both: seed words materialize incrementally (word i of the
+ * first twist needs raw words up to i + 156), and first-block twisting
+ * advances one word per draw. A fork that draws 8 values touches ~170
+ * state words instead of ~624. Streams that live for a handful of draws
+ * in a hot loop should use a CounterStream (stats/rng.h) instead.
  *
  * Output equivalence with std::mt19937_64 (same seed, same draw index)
  * is exact: identical init multiplier, twist masks, and tempering
@@ -26,20 +26,10 @@
  * through it unchanged — and produce the same values they would from
  * std::mt19937_64, since only min()/max() and the output stream enter
  * their math.
- *
- * Even lazily, a fork's first draw expands raw seed words 1..157: a
- * serial chain of 156 dependent multiplies that costs more than the
- * draws themselves. reseed() resets a stream in place (no 2.5 KB
- * construct-and-copy), and seedMany() expands the raw words of up to
- * kMaxSeedBatch fresh streams at once with their chains interleaved,
- * so the independent multiplies overlap in the pipeline instead of
- * running back to back. Both write exactly the words the lazy path
- * would, so the output contract above is untouched.
  */
 #pragma once
 
 #include <cstdint>
-#include <stdexcept>
 
 namespace dri::stats {
 
@@ -48,60 +38,12 @@ class Mt64
   public:
     using result_type = std::uint64_t;
 
-    /** Most streams one seedMany() call expands. */
-    static constexpr int kMaxSeedBatch = 16;
-
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
     explicit Mt64(std::uint64_t seed)
     {
         mt_[0] = seed;
-    }
-
-    /** Restart as a fresh lazy stream, as if constructed with @p seed. */
-    void
-    reseed(std::uint64_t seed)
-    {
-        mt_[0] = seed;
-        seeded_ = 1;
-        twisted_ = 0;
-        next_ = 0;
-        lazy_ = true;
-    }
-
-    /**
-     * Materialize raw seed words [1, n) of the @p k fresh streams
-     * `gens[0..k)` (constructed or reseed()ed, nothing drawn yet), with
-     * the k expansion chains interleaved. Drawing d values from a
-     * stream reads raw words up to 156 + d, so n = 156 + d covers its
-     * first d draws; later draws extend the expansion lazily as usual.
-     * Throws std::invalid_argument for k outside [0, kMaxSeedBatch], n
-     * outside [1, 312] (one state block), or a stream that is not fresh.
-     */
-    static void
-    seedMany(Mt64 *const *gens, int k, int n)
-    {
-        if (k < 0 || k > kMaxSeedBatch)
-            throw std::invalid_argument("Mt64::seedMany: k outside [0, 16]");
-        if (n < 1 || n > kN)
-            throw std::invalid_argument("Mt64::seedMany: n outside [1, 312]");
-        std::uint64_t x[kMaxSeedBatch] = {};
-        for (int j = 0; j < k; ++j) {
-            if (gens[j]->seeded_ != 1 || gens[j]->twisted_ != 0)
-                throw std::invalid_argument(
-                    "Mt64::seedMany: stream already drawn from");
-            x[j] = gens[j]->mt_[0];
-        }
-        for (int i = 1; i < n; ++i) {
-            for (int j = 0; j < k; ++j) {
-                x[j] = kInitMult * (x[j] ^ (x[j] >> 62)) +
-                       static_cast<std::uint64_t>(i);
-                gens[j]->mt_[i] = x[j];
-            }
-        }
-        for (int j = 0; j < k; ++j)
-            gens[j]->seeded_ = n;
     }
 
     result_type

@@ -56,13 +56,12 @@ TEST(Serving, SerialReplayDeterministic)
 }
 
 /**
- * A 24-shard plan gives a batch's fan-out more groups than one
- * Mt64::seedMany() chunk seeds, with hedges (which fork their own
- * streams) and straggler rolls mixed in. The digest is the one that
- * forking and lazily seeding each attempt's stream on its own yields,
- * so it pins batched seeding to the same per-attempt draws.
+ * A 24-shard plan sends more than 16 RPCs from one batch, with hedges
+ * and straggler rolls mixed in. Every primary, hedge and straggler roll
+ * draws from its own attempt's counter stream, so the digest pins the
+ * per-attempt draws of a wide fan-out.
  */
-TEST(Serving, WideFanOutKeepsPerAttemptStreams)
+TEST(Serving, WideFanOutPerAttemptDrawsArePinned)
 {
     const auto spec = model::makeDrm2();
     const auto plan = core::makeCapacityBalanced(spec, 24);
@@ -91,10 +90,9 @@ TEST(Serving, WideFanOutKeepsPerAttemptStreams)
             static_cast<double>(s.rpc_count) /
                 static_cast<double>(s.batches * spec.nets.size()));
     }
-    // Some batch sent more than one chunk's worth of RPCs.
     EXPECT_GT(max_rpcs_per_batch, 16.0);
     EXPECT_GT(hedges, 0);
-    EXPECT_EQ(digest, 0x0bb386d16a2f8de2ull) << std::hex << digest;
+    EXPECT_EQ(digest, 0xc26705df372cd937ull) << std::hex << digest;
 }
 
 TEST(Serving, AllRequestsComplete)

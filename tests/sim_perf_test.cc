@@ -8,9 +8,12 @@
  *    the serving closures fit InlineFn's inline buffer;
  *  - stats::Mt64 is output-identical to std::mt19937_64 at every seed
  *    and draw count, including across twist-block boundaries and under
- *    std:: distribution adapters (the contract mt64.h declares), also
- *    when its seeds are expanded in batches by Mt64::seedMany();
- *  - Rng::forkInto() leaves no trace of the reused stream's old state;
+ *    std:: distribution adapters (the contract mt64.h declares);
+ *  - the per-attempt stats::CounterStream: draw i is a pure function of
+ *    (key, i) under interleaving and pooled reuse, its canonical,
+ *    gaussian and wire-jitter draws match the Mt64 helpers' in moments
+ *    and a two-sample KS test, and streams of adjacent attempt salts are
+ *    uncorrelated;
  *  - a warmed distributed serial replay makes fewer than 5 operator-new
  *    calls per request;
  *  - stats::Rng's hand-rolled draw helpers (uniform, gaussian,
@@ -24,12 +27,15 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <random>
-#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/serving.h"
@@ -38,7 +44,10 @@
 #include "fleet/parallel_sweep.h"
 #include "fleet/study.h"
 #include "model/generators.h"
+#include "netsim/link_model.h"
 #include "sim/engine.h"
+#include "stats/distributions.h"
+#include "stats/hash.h"
 #include "stats/mt64.h"
 #include "stats/rng.h"
 #include "workload/request_generator.h"
@@ -200,98 +209,206 @@ TEST(SimPerf, Mt64MatchesStdMt19937_64)
     }
 }
 
-/** `k` fresh streams on `seeds`, raw words [1, n) expanded together. */
-std::vector<stats::Mt64>
-seededTogether(const std::vector<std::uint64_t> &seeds, int n)
+// ---------------------------------------------------------------------------
+// The per-attempt counter stream.
+// ---------------------------------------------------------------------------
+
+/** Draw i of the stream keyed `key`, straight from the definition. */
+std::uint64_t
+counterDraw(std::uint64_t key, std::uint64_t i)
 {
-    std::vector<stats::Mt64> gens(seeds.begin(), seeds.end());
-    std::vector<stats::Mt64 *> ptrs;
-    for (auto &g : gens)
-        ptrs.push_back(&g);
-    stats::Mt64::seedMany(ptrs.data(), static_cast<int>(ptrs.size()), n);
-    return gens;
+    return stats::mix64(key + (i + 1) * 0x9e3779b97f4a7c15ull);
 }
 
-TEST(SimPerf, SeedManyMatchesStdMt19937_64)
+/** The key the serving engine gives request `id`'s primary on group `gi`. */
+std::uint64_t
+attemptKey(const stats::Rng &run, std::uint64_t id, std::size_t gi)
 {
-    for (const int k : {1, 2, 3, 7, 15, 16}) {
-        std::vector<std::uint64_t> seeds;
-        for (int j = 0; j < k; ++j)
-            seeds.push_back(0x9e3779b97f4a7c15ull *
-                                static_cast<std::uint64_t>(j + 1) ^
-                            static_cast<std::uint64_t>(k));
-        for (const int n : {1, 164, 312}) {
-            // Every short-stream cutoff, as the serving fan-out draws.
-            for (int draws = 0; draws <= 40; ++draws) {
-                auto gens = seededTogether(seeds, n);
-                for (int j = 0; j < k; ++j) {
-                    std::mt19937_64 ref(seeds[static_cast<std::size_t>(j)]);
-                    for (int i = 0; i < draws; ++i)
-                        ASSERT_EQ(ref(), gens[static_cast<std::size_t>(j)]())
-                            << "k=" << k << " n=" << n << " draws=" << draws
-                            << " stream=" << j << " i=" << i;
-                }
-            }
-            // Across the first 312-word block boundary.
-            auto gens = seededTogether(seeds, n);
-            for (int j = 0; j < k; ++j) {
-                std::mt19937_64 ref(seeds[static_cast<std::size_t>(j)]);
-                for (int i = 0; i < 312 + 17; ++i)
-                    ASSERT_EQ(ref(), gens[static_cast<std::size_t>(j)]())
-                        << "k=" << k << " n=" << n << " stream=" << j
-                        << " i=" << i;
+    return run.forkSeed(core::attemptSalt(id, 0, 0, gi, false, 0));
+}
+
+TEST(SimPerf, CounterStreamDrawIsPureFunctionOfKeyAndIndex)
+{
+    const stats::Rng run(0x5eed);
+    // The key derivation is fork()'s: a stream keyed forkSeed(salt)
+    // belongs to the same identity an Rng fork(salt) would.
+    EXPECT_EQ(run.forkSeed(42), run.fork(42).seed());
+
+    // Three streams drawn in an irregular interleaving each see exactly
+    // their own (key, i) sequence.
+    const std::uint64_t keys[] = {attemptKey(run, 1, 0),
+                                  attemptKey(run, 1, 1),
+                                  attemptKey(run, 2, 0)};
+    std::vector<stats::CounterStream> streams;
+    for (const std::uint64_t k : keys)
+        streams.emplace_back(k);
+    std::uint64_t drawn[3] = {};
+    for (int step = 0; step < 3000; ++step) {
+        const auto s = static_cast<std::size_t>((step * 7 + step / 5) % 3);
+        ASSERT_EQ(streams[s](), counterDraw(keys[s], drawn[s]++))
+            << "stream=" << s << " step=" << step;
+    }
+
+    // A pooled stream rebuilt in place after any number of draws starts
+    // over from draw 0; a copy continues where its source stood.
+    for (const int used : {0, 1, 7, 1000}) {
+        stats::CounterStream pooled(keys[0]);
+        for (int i = 0; i < used; ++i)
+            pooled();
+        stats::CounterStream copy = pooled;
+        for (int i = 0; i < 8; ++i)
+            ASSERT_EQ(copy(), counterDraw(keys[0],
+                                          static_cast<std::uint64_t>(used + i)));
+        pooled = stats::CounterStream(keys[2]);
+        for (std::uint64_t i = 0; i < 8; ++i)
+            ASSERT_EQ(pooled(), counterDraw(keys[2], i)) << "used=" << used;
+    }
+}
+
+/**
+ * Expect two samples from one distribution: means within 5 standard
+ * errors, variances within 5%, and a two-sample Kolmogorov-Smirnov
+ * statistic below its 0.1% critical value.
+ */
+void
+expectSameDistribution(std::vector<double> a, std::vector<double> b,
+                       const std::string &what)
+{
+    const auto moments = [](const std::vector<double> &v) {
+        double mean = 0.0;
+        for (const double x : v)
+            mean += x;
+        mean /= static_cast<double>(v.size());
+        double var = 0.0;
+        for (const double x : v)
+            var += (x - mean) * (x - mean);
+        return std::pair{mean, var / static_cast<double>(v.size() - 1)};
+    };
+    const auto [mean_a, var_a] = moments(a);
+    const auto [mean_b, var_b] = moments(b);
+    const double na = static_cast<double>(a.size());
+    const double nb = static_cast<double>(b.size());
+    EXPECT_LT(std::abs(mean_a - mean_b),
+              5.0 * std::sqrt(var_a / na + var_b / nb))
+        << what << ": means " << mean_a << " vs " << mean_b;
+    EXPECT_NEAR(var_a / var_b, 1.0, 0.05)
+        << what << ": variances " << var_a << " vs " << var_b;
+
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    double d = 0.0;
+    std::size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        const double x = std::min(a[i], b[j]);
+        while (i < a.size() && a[i] == x)
+            ++i;
+        while (j < b.size() && b[j] == x)
+            ++j;
+        d = std::max(d, std::abs(static_cast<double>(i) / na -
+                                 static_cast<double>(j) / nb));
+    }
+    EXPECT_LT(d, 1.95 * std::sqrt((na + nb) / (na * nb)))
+        << what << ": KS statistic";
+}
+
+/** Canonical, gaussian and wire-jitter draws, taken in that order. */
+struct DrawSamples
+{
+    std::vector<double> uniform, gaussian, jitter;
+
+    template <class Engine>
+    void
+    draw(Engine &engine)
+    {
+        static const stats::LognormalSampler kJitter(
+            1.0, netsim::LinkConfig{}.jitter_sigma);
+        uniform.push_back(stats::canonical(engine));
+        gaussian.push_back(stats::gaussian(engine));
+        jitter.push_back(kJitter.sample(engine));
+    }
+};
+
+void
+expectSameDraws(const DrawSamples &a, const DrawSamples &b,
+                const std::string &what)
+{
+    expectSameDistribution(a.uniform, b.uniform, what + " canonical");
+    expectSameDistribution(a.gaussian, b.gaussian, what + " gaussian");
+    expectSameDistribution(a.jitter, b.jitter, what + " jitter");
+}
+
+TEST(SimPerf, CounterStreamDistributionsMatchMt64Helpers)
+{
+    // The serving draw pattern: one short stream per attempt. Counter
+    // streams keyed as the serving engine keys them vs Mt64 forks with
+    // the same salts (the engine each attempt used to seed).
+    constexpr std::size_t kAttempts = 50000;
+    const stats::Rng run(0xc0ffee);
+    DrawSamples counter, mt;
+    for (std::uint64_t id = 0; id < kAttempts; ++id) {
+        const std::uint64_t salt = core::attemptSalt(id, 1, 0, 3, false, 0);
+        stats::CounterStream c(run.forkSeed(salt));
+        stats::Rng m = run.fork(salt);
+        counter.draw(c);
+        mt.draw(m);
+    }
+    expectSameDraws(counter, mt, "per-attempt");
+
+    // One long stream of each kind, too.
+    DrawSamples long_counter, long_mt;
+    stats::CounterStream c(run.forkSeed(7));
+    stats::Rng m = run.fork(7);
+    for (std::size_t i = 0; i < kAttempts; ++i) {
+        long_counter.draw(c);
+        long_mt.draw(m);
+    }
+    expectSameDraws(long_counter, long_mt, "long");
+}
+
+/** Pearson correlation of x and y. */
+double
+correlation(const std::vector<double> &x, const std::vector<double> &y)
+{
+    const double n = static_cast<double>(x.size());
+    double sx = 0, sy = 0, sxx = 0, syy = 0, sxy = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        sx += x[i];
+        sy += y[i];
+        sxx += x[i] * x[i];
+        syy += y[i] * y[i];
+        sxy += x[i] * y[i];
+    }
+    const double cov = sxy - sx * sy / n;
+    return cov / std::sqrt((sxx - sx * sx / n) * (syy - sy * sy / n));
+}
+
+TEST(SimPerf, AdjacentAttemptStreamsAreUncorrelated)
+{
+    // Attempts whose identities differ by one request id, or by one
+    // fan-out group, get adjacent salts. Draw j of one stream must not
+    // predict draw k of its neighbour's.
+    constexpr std::size_t kPairs = 50000;
+    constexpr int kDraws = 4;
+    const stats::Rng run(0xabcdef);
+    const double bound = 4.5 / std::sqrt(static_cast<double>(kPairs));
+    for (const bool by_group : {false, true}) {
+        std::vector<double> draws[2][kDraws];
+        for (std::size_t n = 0; n < kPairs; ++n) {
+            for (int side = 0; side < 2; ++side) {
+                const std::size_t step = n + static_cast<std::size_t>(side);
+                stats::CounterStream s(by_group ? attemptKey(run, 9, step)
+                                                : attemptKey(run, step, 2));
+                for (int j = 0; j < kDraws; ++j)
+                    draws[side][j].push_back(stats::canonical(s));
             }
         }
+        for (int j = 0; j < kDraws; ++j)
+            for (int k = 0; k < kDraws; ++k)
+                EXPECT_LT(std::abs(correlation(draws[0][j], draws[1][k])),
+                          bound)
+                    << (by_group ? "group" : "request") << " j=" << j
+                    << " k=" << k;
     }
-}
-
-TEST(SimPerf, ForkIntoReusedStreamEqualsFreshFork)
-{
-    const stats::Rng parent(0x5eed);
-    // Reused after no draws, a few (lazy first block), and past a block
-    // boundary (steady-state twisting).
-    for (const int used : {0, 3, 200, 700}) {
-        stats::Rng child = parent.fork(99);
-        for (int i = 0; i < used; ++i)
-            child.uniform();
-        parent.forkInto(7, child);
-        stats::Rng fresh = parent.fork(7);
-        EXPECT_EQ(child.seed(), fresh.seed());
-        for (int i = 0; i < 700; ++i)
-            ASSERT_EQ(fresh.engine()(), child.engine()())
-                << "used=" << used << " i=" << i;
-
-        // The batched path: forkInto, then seedMany over the engine.
-        parent.forkInto(8, child);
-        stats::Mt64 *engine = &child.engine();
-        stats::Mt64::seedMany(&engine, 1, 164);
-        stats::Rng fresh8 = parent.fork(8);
-        for (int i = 0; i < 700; ++i)
-            ASSERT_EQ(fresh8.engine()(), child.engine()())
-                << "used=" << used << " i=" << i;
-    }
-}
-
-TEST(SimPerf, SeedManyRejectsMisuse)
-{
-    std::vector<stats::Mt64> gens(17, stats::Mt64(1));
-    std::vector<stats::Mt64 *> ptrs;
-    for (auto &g : gens)
-        ptrs.push_back(&g);
-    // More streams than the interleaving buffer holds.
-    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 17, 164),
-                 std::invalid_argument);
-    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), -1, 164),
-                 std::invalid_argument);
-    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 1, 0),
-                 std::invalid_argument);
-    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 1, 313),
-                 std::invalid_argument);
-    // A stream already drawn from has overwritten raw seed words.
-    gens[3]();
-    EXPECT_THROW(stats::Mt64::seedMany(ptrs.data(), 4, 164),
-                 std::invalid_argument);
-    EXPECT_NO_THROW(stats::Mt64::seedMany(ptrs.data(), 3, 164));
 }
 
 // ---------------------------------------------------------------------------
