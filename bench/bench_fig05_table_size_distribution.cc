@@ -3,13 +3,18 @@
  * Fig. 5 reproduction: embedding-table size distribution per model. DRM1
  * and DRM2 show a long tail of table sizes; DRM3 is dominated by one huge
  * table. Also prints the headline size attributes from Section V-A.
+ *
+ * Exits nonzero unless each model's histogram buckets add up to its
+ * table count.
  */
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "model/generators.h"
-#include "stats/histogram.h"
+#include "obs/metrics.h"
 #include "stats/table_printer.h"
 
 int
@@ -41,16 +46,37 @@ main()
     }
     std::cout << attrs.render() << "\n";
 
+    // Octave bins over whole MiB: with sub_bucket_bits = 0, bucket k >= 1
+    // holds [2^(k-1), 2^k) MiB. Every edge is a whole MiB, so binning the
+    // floor of a table's size in MiB loses nothing.
+    bool binned_all = true;
     for (const auto &spec : model::makeAllModels()) {
         std::cout << "--- " << spec.name
-                  << " table-size histogram (log-scale bins, MiB) ---\n";
-        stats::Histogram h(1.0, 200.0 * 1024.0, 8,
-                           stats::Histogram::Scale::Log);
+                  << " table-size histogram (log2 bins, MiB) ---\n";
+        obs::Histogram h(/*sub_bucket_bits=*/0);
         for (const auto &t : spec.tables)
-            h.add(static_cast<double>(t.logicalBytes()) / (1024.0 * 1024.0));
-        std::cout << h.render(50) << "\n";
+            h.observe(t.logicalBytes() >> 20);
+        const std::size_t lo = h.bucketIndex(h.min());
+        const std::size_t hi = h.bucketIndex(h.max());
+        std::uint64_t peak = 0;
+        for (std::size_t b = lo; b <= hi; ++b)
+            peak = std::max(peak, h.bucketCount(b));
+        std::uint64_t binned = 0;
+        for (std::size_t b = lo; b <= hi; ++b) {
+            const std::uint64_t n = h.bucketCount(b);
+            binned += n;
+            std::cout << "[" << h.bucketLowerBound(b) << ", "
+                      << h.bucketLowerBound(b + 1) << ") "
+                      << std::string(n * 50 / peak, '#') << " " << n << "\n";
+        }
+        std::cout << "\n";
+        if (binned != spec.tableCount()) {
+            std::cerr << spec.name << ": histogram bins hold " << binned
+                      << " tables, expected " << spec.tableCount() << "\n";
+            binned_all = false;
+        }
     }
     std::cout << "DRM1/DRM2: heavy tail of mid-size tables. DRM3: one table "
                  "holds ~89% of capacity.\n";
-    return 0;
+    return binned_all ? 0 : 1;
 }

@@ -254,10 +254,6 @@ struct ServingSimulation::Impl
                                                               : nullptr;
         const auto n_shards =
             static_cast<std::size_t>(std::max(plan.numShards(), 0));
-        shard_trackers.reserve(n_shards);
-        for (std::size_t s = 0; s < n_shards; ++s)
-            shard_trackers.emplace_back(cfg.hedge.window);
-        shard_hedge.assign(n_shards, rpc::HedgeStats{});
         const auto pool = [&](const dc::Platform &platform, int threads) {
             const int t = threads > 0 ? std::min(threads, platform.cores)
                                       : platform.cores;
@@ -331,19 +327,11 @@ struct ServingSimulation::Impl
     /** Observed client-side RPC latencies; the hedge deadline's source. */
     rpc::LatencyTracker hedge_tracker;
     /**
-     * Per-shard latency windows, used instead of the global tracker when
-     * HedgeConfig::per_shard_deadline is set — a heavy-pooling shard's
-     * honest latencies then stop inflating every other shard's deadline.
-     */
-    std::vector<rpc::LatencyTracker> shard_trackers;
-    /**
      * Hedge outcome counters; wasted_busy_ns is the replica busy time
      * burned by attempts that lost their race, and total_busy_ns is
      * filled in on read.
      */
     rpc::HedgeStats hedge_stats;
-    /** Per-shard primaries, hedges and wins (always tracked; cheap). */
-    std::vector<rpc::HedgeStats> shard_hedge;
 
     // -- Pooled-result cache -------------------------------------------------
 
@@ -442,15 +430,6 @@ struct ServingSimulation::Impl
     /** Shards currently partitioned from the main shard. */
     std::vector<char> shard_partitioned;
     FaultStats fault_stats;
-
-    rpc::LatencyTracker &
-    trackerFor(int shard)
-    {
-        if (cfg.hedge.per_shard_deadline && shard >= 0 &&
-            static_cast<std::size_t>(shard) < shard_trackers.size())
-            return shard_trackers[static_cast<std::size_t>(shard)];
-        return hedge_tracker;
-    }
 
     double
     mainScale() const
@@ -1350,25 +1329,6 @@ struct ServingSimulation::Impl
         return consumed;
     }
 
-    /**
-     * Queue-aware suppression: would the backup replica start this
-     * attempt promptly? Peeks at the replica resolveBackup would choose;
-     * the real resolution happens after the network delay and may differ,
-     * but the headroom answer is the same load signal either way.
-     */
-    bool
-    backupHasHeadroom(const RpcOp *op)
-    {
-        if (cfg.hedge.max_backup_outstanding == 0)
-            return true;
-        const auto backup = directory.resolveBackup(
-            op->group().shard, op->primary_server);
-        if (!backup)
-            return false;
-        const auto &r = *sparse_cores[static_cast<std::size_t>(*backup)];
-        return r.inUse() + r.queued() <= cfg.hedge.max_backup_outstanding;
-    }
-
     /** Send the primary attempt of group `gi`. */
     void
     sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi)
@@ -1385,7 +1345,6 @@ struct ServingSimulation::Impl
             service.clientDispatchNs(), mainScale()));
         ++a->st.rpc_count;
         ++hedge_stats.primary_rpcs;
-        ++shard_hedge[static_cast<std::size_t>(g.shard)].primary_rpcs;
 
         RpcOp *op = op_pool.acquire();
         op->bt = bt;
@@ -1424,12 +1383,9 @@ struct ServingSimulation::Impl
             return;
         if (directory.replicaCount(op->group().shard) < 2)
             return;
-        const rpc::LatencyTracker &tracker =
-            trackerFor(op->group().shard);
-        if (tracker.count() < std::max<std::size_t>(1, hc.min_samples))
+        if (hedge_tracker.count() < std::max<std::size_t>(1, hc.min_samples))
             return;
-        const sim::Duration deadline =
-            tracker.deadline(hc.quantile, hc.min_deadline_ns);
+        const sim::Duration deadline = hedge_tracker.quantile(hc.quantile);
         ++op->refs; // the timer (held across re-arms)
         engine.schedule(deadline, sim::kEvTimer,
                         [this, op, deadline] { hedgeTimerFired(op, deadline); });
@@ -1452,16 +1408,14 @@ struct ServingSimulation::Impl
             });
             return;
         }
-        // Hedge only if budget remains and the backup would not just
-        // sink into another deep queue; count the skip either way so
+        // Hedge only if budget remains; count the skip otherwise so
         // under-hedging is visible in the stats.
         const bool within_budget =
             static_cast<double>(hedge_stats.hedges + 1) <=
             cfg.hedge.max_hedge_fraction *
                 static_cast<double>(hedge_stats.primary_rpcs);
-        if (within_budget && backupHasHeadroom(op)) {
+        if (within_budget) {
             ++hedge_stats.hedges;
-            ++shard_hedge[static_cast<std::size_t>(op->group().shard)].hedges;
             Active *a = op->bt->req;
             ++a->st.hedges;
             // Backup dispatch CPU; the serialized payload is reused,
@@ -1731,7 +1685,6 @@ struct ServingSimulation::Impl
         op->bt->req->st.hedge_wasted_cpu_ns -= static_cast<double>(self.busy);
         if (idx == 1) {
             ++hedge_stats.wins;
-            ++shard_hedge[static_cast<std::size_t>(op->group().shard)].wins;
             ++op->bt->req->st.hedge_wins;
         }
         cancelSibling(op, idx);
@@ -1763,7 +1716,7 @@ struct ServingSimulation::Impl
             // only reader is the hedge timer, so without hedging it is
             // not fed.
             if (cfg.hedge.enabled)
-                trackerFor(ctx->rec.shard_id).add(engine.now() - dispatched);
+                hedge_tracker.add(engine.now() - dispatched);
             if (tr) {
                 // A response landing after a mid-flight shed is
                 // discarded: its spans close as cancelled debris.
@@ -1967,8 +1920,7 @@ ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
             if (i >= requests->size())
                 return;
             impl->inject((*requests)[i], [this, i](const RequestStats &) {
-                impl->engine.schedule(impl->cfg.serial_gap_ns,
-                                      sim::kEvDriver,
+                impl->engine.schedule(0, sim::kEvDriver,
                                       [this, i] { launch(i + 1); });
             });
         }
@@ -2103,12 +2055,6 @@ ServingSimulation::hedgeStats() const
     for (const auto &r : impl_->sparse_cores)
         h.total_busy_ns += r->busyIntegral();
     return h;
-}
-
-std::vector<rpc::HedgeStats>
-ServingSimulation::perShardHedgeStats() const
-{
-    return impl_->shard_hedge;
 }
 
 const rpc::ResultCacheStats &

@@ -361,8 +361,6 @@ struct ServingConfig
      * Not owned; must outlive the simulation.
      */
     obs::RollingHistogram *latency_feed = nullptr;
-    /** Gap between a completion and the next injection in serial replay. */
-    sim::Duration serial_gap_ns = 0;
 };
 
 /** One deployment of one model under one sharding plan. */
@@ -378,8 +376,7 @@ class ServingSimulation
 
     /**
      * Replay requests serially: each is injected when the previous one
-     * completes (plus ServingConfig::serial_gap_ns), isolating per-request
-     * overheads as in Section VI.
+     * completes, isolating per-request overheads as in Section VI.
      */
     std::vector<RequestStats>
     replaySerial(const std::vector<workload::Request> &requests);
@@ -471,14 +468,6 @@ class ServingSimulation
 
     /** Hedging outcome counters (all zero when hedging is disabled). */
     rpc::HedgeStats hedgeStats() const;
-
-    /**
-     * Per-shard hedging counters (primary dispatches, backups, wins),
-     * indexed by shard id — the evidence for per-shard hedge deadlines:
-     * under a global deadline the hedge rate concentrates on the slow
-     * shards; per-shard trackers narrow the spread.
-     */
-    std::vector<rpc::HedgeStats> perShardHedgeStats() const;
 
     /** Pooled-result cache counters (all zero when the cache is off). */
     const rpc::ResultCacheStats &resultCacheStats() const;

@@ -93,24 +93,22 @@ CapacityPlanner::replicaVectorFor(double qps)
     // miss a tail SLO (queueing at the sized utilization, straggler
     // interference). Probe the vector at the target rate and buy
     // replicas until the probe is feasible.
-    if (config_.verify_slo_boundary) {
-        sched::CapacitySearchConfig sc;
-        sc.slo = config_.slo;
-        for (int bump = 0; bump <= config_.max_verify_bumps; ++bump) {
-            core::ServingConfig cfg = serving_;
-            cfg.sparse_replicas_per_shard = vec;
-            sched::CapacitySearch search(spec_, plan_, cfg, sc);
-            if (search.probe(target, planning_requests_).feasible)
-                break;
-            bool grew = false;
-            for (auto &r : vec)
-                if (r < config_.max_replicas) {
-                    ++r;
-                    grew = true;
-                }
-            if (!grew)
-                break; // fleet-wide replica cap: nothing left to buy
-        }
+    sched::CapacitySearchConfig sc;
+    sc.slo = config_.slo;
+    for (int bump = 0; bump <= config_.max_verify_bumps; ++bump) {
+        core::ServingConfig cfg = serving_;
+        cfg.sparse_replicas_per_shard = vec;
+        sched::CapacitySearch search(spec_, plan_, cfg, sc);
+        if (search.probe(target, planning_requests_).feasible)
+            break;
+        bool grew = false;
+        for (auto &r : vec)
+            if (r < config_.max_replicas) {
+                ++r;
+                grew = true;
+            }
+        if (!grew)
+            break; // fleet-wide replica cap: nothing left to buy
     }
 
     cache_.emplace(target, vec);

@@ -110,12 +110,12 @@ struct PlannerConfig
      */
     double qps_quantum = 1.10;
     /**
-     * Verify each plan with a CapacitySearch probe at the target rate
-     * and bump every shard by one replica (up to max_replicas) until the
-     * probe meets the SLO — the "capacity search at the SLO boundary"
-     * step that turns utilization-sized vectors into SLO-safe ones.
+     * Each plan is verified with a CapacitySearch probe at the target
+     * rate, bumping every shard by one replica (up to max_replicas) until
+     * the probe meets the SLO — the "capacity search at the SLO boundary"
+     * step that turns utilization-sized vectors into SLO-safe ones. This
+     * caps the bumps per plan.
      */
-    bool verify_slo_boundary = true;
     int max_verify_bumps = 3;
     std::uint64_t planning_seed = 0x91a2;
 };

@@ -648,10 +648,9 @@ FleetSim::run(Autoscaler &policy)
             double watts = sparsePower(v, seg.shard_utilization);
             // Machines still booting draw idle power until they serve.
             watts += booting_machines * sp.idle_watts;
-            if (cfg_.count_main_shard)
-                watts += mp.idle_watts +
-                         (mp.busy_watts - mp.idle_watts) *
-                             seg.main_utilization;
+            // The main shard's machine is always in the ledgers.
+            watts += mp.idle_watts +
+                     (mp.busy_watts - mp.idle_watts) * seg.main_utilization;
             watt_hours += watts * epoch_hours * frac;
             rc_hits += seg.result_cache_hits;
             rc_lookups += seg.result_cache_lookups;
@@ -723,7 +722,7 @@ FleetSim::run(Autoscaler &policy)
         // Machine-hours: the decided vector is billed for the whole
         // epoch; during a scale-up lag the old plan's still-serving
         // machines bill too (max of the two plans per shard).
-        double machines = cfg_.count_main_shard ? 1.0 : 0.0;
+        double machines = 1.0; // the main shard's machine
         double lag_machines = machines;
         for (std::size_t s = 0; s < shards; ++s) {
             machines += vec[s];

@@ -125,8 +125,6 @@ struct FleetConfig
     /** Carry-over slice replayed before counters engage (0 disables). */
     std::size_t prewarm_requests = 48;
     ReconfigPenaltyConfig penalty;
-    /** Count the main shard's machine in the ledgers. */
-    bool count_main_shard = true;
     std::uint64_t seed = 0xf1ee7;
     /**
      * Optional metrics registry (src/obs). When set, FleetSim registers

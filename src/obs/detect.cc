@@ -10,20 +10,13 @@ namespace dri::obs {
 
 namespace {
 
-/** Shared EWMA baseline update for both detectors. */
-struct Baseline
+/** Spread floored at min_fraction of the level (and at 1e-12). */
+double
+floorSpread(double abs_dev, double level, double min_fraction)
 {
-    double level;
-    double abs_dev;
-
-    static double
-    floorSpread(double abs_dev, double level, double min_fraction)
-    {
-        const double floor_v =
-            std::max(1e-12, min_fraction * std::abs(level));
-        return std::max(abs_dev, floor_v);
-    }
-};
+    const double floor_v = std::max(1e-12, min_fraction * std::abs(level));
+    return std::max(abs_dev, floor_v);
+}
 
 /** Sigma estimate from a mean-absolute-deviation tracker. */
 constexpr double kMadToSigma = 1.4826;
@@ -31,9 +24,8 @@ constexpr double kMadToSigma = 1.4826;
 double
 zScore(double value, double level, double abs_dev, double min_fraction)
 {
-    const double spread =
-        Baseline::floorSpread(abs_dev, level, min_fraction);
-    return (value - level) / (kMadToSigma * spread);
+    return (value - level) /
+           (kMadToSigma * floorSpread(abs_dev, level, min_fraction));
 }
 
 void
@@ -94,8 +86,7 @@ double
 EwmaMadDetector::sigma() const
 {
     return kMadToSigma *
-           Baseline::floorSpread(abs_dev_, level_,
-                                 cfg_.min_spread_fraction);
+           floorSpread(abs_dev_, level_, cfg_.min_spread_fraction);
 }
 
 bool
@@ -128,56 +119,6 @@ EwmaMadDetector::reset()
     level_ = 0.0;
     abs_dev_ = 0.0;
     last_z_ = 0.0;
-    seen_ = 0;
-}
-
-// ---------------------------------------------------------------------------
-// CusumDetector.
-// ---------------------------------------------------------------------------
-
-CusumDetector::CusumDetector(CusumConfig config) : cfg_(config) {}
-
-bool
-CusumDetector::step(double value)
-{
-    const int warmup = std::max(1, cfg_.warmup_samples);
-    if (seen_ < warmup) {
-        warmup_.push_back(value);
-        ++seen_;
-        if (seen_ == warmup)
-            initFromWarmup(warmup_, level_, abs_dev_);
-        return false;
-    }
-    const double z = zScore(value, level_, abs_dev_,
-                            cfg_.min_spread_fraction);
-    g_pos_ = std::max(0.0, g_pos_ + z - cfg_.k);
-    g_neg_ = std::max(0.0, g_neg_ - z - cfg_.k);
-    bool flagged = false;
-    if (g_pos_ > cfg_.h || g_neg_ > cfg_.h) {
-        flagged = true;
-        // Restart the accumulation; the baseline re-learns the
-        // post-change level at the contaminated rate below.
-        g_pos_ = 0.0;
-        g_neg_ = 0.0;
-    }
-    const bool contaminated =
-        flagged || g_pos_ > 0.0 || g_neg_ > 0.0;
-    const double w =
-        contaminated ? cfg_.contaminated_learn_fraction : 1.0;
-    learn(level_, abs_dev_, value, w * cfg_.level_alpha,
-          w * cfg_.spread_alpha);
-    ++seen_;
-    return flagged;
-}
-
-void
-CusumDetector::reset()
-{
-    warmup_.clear();
-    level_ = 0.0;
-    abs_dev_ = 0.0;
-    g_pos_ = 0.0;
-    g_neg_ = 0.0;
     seen_ = 0;
 }
 
@@ -266,7 +207,7 @@ scoreFlags(const std::string &detector_name,
 }
 
 DetectionEval
-evaluateDetector(ChangeDetector &detector,
+evaluateDetector(EwmaMadDetector &detector,
                  const workload::DiurnalLoadModel &load, int epochs,
                  int match_window_epochs)
 {

@@ -1,31 +1,22 @@
 /**
  * @file
- * Streaming anomaly / change-point detection over metric streams, plus
- * the harness that scores detectors against the diurnal load model's
- * seeded ground truth.
+ * Streaming anomaly detection over metric streams, plus the harness
+ * that scores the detector against the diurnal load model's seeded
+ * ground truth.
  *
- * Two complementary detectors:
+ * EwmaMadDetector is a robust z-score. It tracks an EWMA of the level
+ * and an EWMA of absolute deviations (a streaming MAD stand-in, scaled
+ * by 1.4826 to estimate sigma under normality); a point whose deviation
+ * exceeds `z_threshold` sigmas is an anomaly. It is robust on two
+ * fronts: the baseline initializes from the MEDIAN (and median absolute
+ * deviation) of the warmup samples, so an anomaly landing inside the
+ * warmup window cannot seed a contaminated baseline; and after warmup
+ * the trackers only absorb flagged points at the (slower) contaminated
+ * rate — one giant spike neither drags the level nor inflates the
+ * spread enough to mask the next spike.
  *
- *  - EwmaMadDetector: robust z-score. Tracks an EWMA of the level and
- *    an EWMA of absolute deviations (a streaming MAD stand-in, scaled
- *    by 1.4826 to estimate sigma under normality); a point whose
- *    deviation exceeds `z_threshold` sigmas is an anomaly. Robust on
- *    two fronts: the baseline initializes from the MEDIAN (and median
- *    absolute deviation) of the warmup samples, so an anomaly landing
- *    inside the warmup window cannot seed a contaminated baseline; and
- *    after warmup the trackers only absorb flagged points at the
- *    (slower) contaminated rate — one giant spike neither drags the
- *    level nor inflates the spread enough to mask the next spike.
- *
- *  - CusumDetector: two-sided CUSUM on the standardized residuals the
- *    EWMA baseline produces. Where the z-score flags single outliers,
- *    CUSUM accumulates small persistent drifts (sum of (z - k) clamped
- *    at zero) and flags when the accumulation crosses h — the classic
- *    mean-shift change-point detector. After a detection the
- *    accumulators reset and the baseline re-learns.
- *
- * Both are pure streaming state machines: no RNG, byte-identical flag
- * sequences for identical input streams.
+ * The detector is a pure streaming state machine: no RNG, byte-identical
+ * flag sequences for identical input streams.
  *
  * The evaluation harness replays a DiurnalLoadModel's realized/forecast
  * load ratio (diurnal shape divided out, so the detector sees a flat
@@ -44,21 +35,6 @@ class DiurnalLoadModel;
 }
 
 namespace dri::obs {
-
-/** Streaming detector interface: one flag decision per sample. */
-class ChangeDetector
-{
-  public:
-    virtual ~ChangeDetector() = default;
-
-    virtual std::string name() const = 0;
-
-    /** Consume one sample; true when this sample raises a detection. */
-    virtual bool step(double value) = 0;
-
-    /** Forget all learned state. */
-    virtual void reset() = 0;
-};
 
 /** EWMA level + EWMA absolute-deviation robust z-score detector. */
 struct EwmaMadConfig
@@ -93,14 +69,18 @@ struct EwmaMadConfig
     double contaminated_learn_fraction = 0.25;
 };
 
-class EwmaMadDetector : public ChangeDetector
+class EwmaMadDetector
 {
   public:
     explicit EwmaMadDetector(EwmaMadConfig config = {});
 
-    std::string name() const override { return "ewma-mad"; }
-    bool step(double value) override;
-    void reset() override;
+    std::string name() const { return "ewma-mad"; }
+
+    /** Consume one sample; true when this sample raises a detection. */
+    bool step(double value);
+
+    /** Forget all learned state. */
+    void reset();
 
     /** Robust z-score of the most recent sample. */
     double lastZ() const { return last_z_; }
@@ -116,46 +96,6 @@ class EwmaMadDetector : public ChangeDetector
     double level_ = 0.0;
     double abs_dev_ = 0.0;
     double last_z_ = 0.0;
-    int seen_ = 0;
-};
-
-/** Two-sided CUSUM on EWMA-standardized residuals. */
-struct CusumConfig
-{
-    /** Slack per step in sigmas: drifts below k/step stay invisible. */
-    double k = 0.5;
-    /** Decision threshold on the accumulated sum (sigmas). */
-    double h = 4.0;
-    /** Baseline (shared semantics with EwmaMadConfig). */
-    double level_alpha = 0.3;
-    double spread_alpha = 0.1;
-    int warmup_samples = 4;
-    double min_spread_fraction = 0.01;
-    /** Baseline learning weight while an accumulator is non-zero. */
-    double contaminated_learn_fraction = 0.25;
-};
-
-class CusumDetector : public ChangeDetector
-{
-  public:
-    explicit CusumDetector(CusumConfig config = {});
-
-    std::string name() const override { return "cusum"; }
-    bool step(double value) override;
-    void reset() override;
-
-    double positiveSum() const { return g_pos_; }
-    double negativeSum() const { return g_neg_; }
-
-    const CusumConfig &config() const { return cfg_; }
-
-  private:
-    CusumConfig cfg_;
-    std::vector<double> warmup_;
-    double level_ = 0.0;
-    double abs_dev_ = 0.0;
-    double g_pos_ = 0.0;
-    double g_neg_ = 0.0;
     int seen_ = 0;
 };
 
@@ -202,7 +142,7 @@ DetectionEval scoreFlags(const std::string &detector_name,
  * burst overlay alone — detrended of diurnal shape — which is exactly
  * what a production detector fed "load vs forecast" sees.
  */
-DetectionEval evaluateDetector(ChangeDetector &detector,
+DetectionEval evaluateDetector(EwmaMadDetector &detector,
                                const workload::DiurnalLoadModel &load,
                                int epochs, int match_window_epochs = 2);
 

@@ -8,58 +8,7 @@
 
 namespace dri::obs {
 
-const StageCell *
-StageTable::find(PathBucket bucket, std::int16_t shard) const
-{
-    for (const StageCell &c : cells)
-        if (c.bucket == bucket && c.shard == shard)
-            return &c;
-    return nullptr;
-}
-
-StageTable
-buildStageTable(const std::vector<CriticalPath> &paths)
-{
-    StageTable table;
-    for (const CriticalPath &p : paths) {
-        ++table.requests;
-        table.total_ns += p.total;
-        for (const PathSegment &seg : p.segments) {
-            StageCell *cell = nullptr;
-            for (StageCell &c : table.cells)
-                if (c.bucket == seg.bucket && c.shard == seg.shard) {
-                    cell = &c;
-                    break;
-                }
-            if (cell == nullptr) {
-                StageCell fresh;
-                fresh.bucket = seg.bucket;
-                fresh.shard = seg.shard;
-                table.cells.push_back(fresh);
-                cell = &table.cells.back();
-            }
-            cell->total_ns += seg.duration();
-            ++cell->segments;
-        }
-    }
-    std::sort(table.cells.begin(), table.cells.end(),
-              [](const StageCell &a, const StageCell &b) {
-                  if (a.bucket != b.bucket)
-                      return a.bucket < b.bucket;
-                  return a.shard < b.shard;
-              });
-    return table;
-}
-
 namespace {
-
-double
-perRequest(sim::Duration total, std::uint64_t requests)
-{
-    return requests > 0 ? static_cast<double>(total) /
-                              static_cast<double>(requests)
-                        : 0.0;
-}
 
 /** Finalize rows -> sorted table + blamed stage + share. */
 void
@@ -71,12 +20,10 @@ finishReport(AttributionReport &report)
                   const double db = std::abs(b.delta());
                   if (da != db)
                       return da > db;
-                  if (a.bucket != b.bucket)
-                      return a.bucket < b.bucket;
-                  return a.shard < b.shard;
+                  return a.bucket < b.bucket;
               });
-    // Blame by aggregate per-bucket delta so a stage spread thin over
-    // many shards still beats a single noisy cell.
+    // Blame the largest positive per-stage delta; ties go to the
+    // earlier bucket.
     double bucket_delta[kPathBucketCount] = {};
     for (const StageDelta &row : report.rows)
         bucket_delta[static_cast<std::size_t>(row.bucket)] += row.delta();
@@ -133,58 +80,6 @@ AttributionReport::headline() const
 }
 
 AttributionReport
-diffAttribution(const RunAttribution &base, const RunAttribution &current)
-{
-    AttributionReport report;
-    if (base.paths == nullptr || current.paths == nullptr)
-        return report;
-    const StageTable bt = buildStageTable(*base.paths);
-    const StageTable ct = buildStageTable(*current.paths);
-    if (bt.requests == 0 || ct.requests == 0)
-        return report;
-    report.has_attribution = true;
-    report.base_e2e_ns = perRequest(bt.total_ns, bt.requests);
-    report.cur_e2e_ns = perRequest(ct.total_ns, ct.requests);
-
-    // Union of (bucket, shard) cells from both runs.
-    for (const StageCell &c : bt.cells) {
-        StageDelta row;
-        row.bucket = c.bucket;
-        row.shard = c.shard;
-        row.base_ns = perRequest(c.total_ns, bt.requests);
-        if (const StageCell *cc = ct.find(c.bucket, c.shard))
-            row.cur_ns = perRequest(cc->total_ns, ct.requests);
-        report.rows.push_back(row);
-    }
-    for (const StageCell &c : ct.cells) {
-        if (bt.find(c.bucket, c.shard) != nullptr)
-            continue;
-        StageDelta row;
-        row.bucket = c.bucket;
-        row.shard = c.shard;
-        row.cur_ns = perRequest(c.total_ns, ct.requests);
-        report.rows.push_back(row);
-    }
-    finishReport(report);
-
-    if (base.profile != nullptr && current.profile != nullptr) {
-        for (std::size_t t = 0; t < sim::kEvTagCount; ++t) {
-            ProfileDelta pd;
-            pd.tag = sim::eventTagName(static_cast<sim::EventTag>(t));
-            pd.base_events =
-                static_cast<double>(base.profile->tag_events[t]);
-            pd.cur_events =
-                static_cast<double>(current.profile->tag_events[t]);
-            if (pd.base_events != 0.0 || pd.cur_events != 0.0)
-                report.profile_rows.push_back(std::move(pd));
-        }
-    }
-    report.base_exemplar_request = base.tail_exemplar_request;
-    report.cur_exemplar_request = current.tail_exemplar_request;
-    return report;
-}
-
-AttributionReport
 explainArtifacts(const ArtifactRow &base, const ArtifactRow &current)
 {
     AttributionReport report;
@@ -200,7 +95,6 @@ explainArtifacts(const ArtifactRow &base, const ArtifactRow &current)
         any = true;
         StageDelta row;
         row.bucket = bucket;
-        row.shard = kAllShards;
         row.base_ns = bv != nullptr ? std::atof(bv->c_str()) : 0.0;
         row.cur_ns = cv != nullptr ? std::atof(cv->c_str()) : 0.0;
         report.rows.push_back(row);
@@ -230,24 +124,11 @@ writeAttributionReport(std::ostream &os, const AttributionReport &report)
         return;
     os << "  e2e/req: " << report.base_e2e_ns * 1e-3 << "us -> "
        << report.cur_e2e_ns * 1e-3 << "us\n";
-    os << "  stage x shard deltas (largest movers first):\n";
-    for (const StageDelta &row : report.rows) {
-        os << "    " << pathBucketName(row.bucket);
-        if (row.shard == kAllShards)
-            os << " [all]";
-        else if (row.shard == kMainShard)
-            os << " [main]";
-        else
-            os << " [shard " << row.shard << "]";
-        os << ": " << row.base_ns * 1e-3 << "us -> " << row.cur_ns * 1e-3
+    os << "  stage deltas (largest movers first):\n";
+    for (const StageDelta &row : report.rows)
+        os << "    " << pathBucketName(row.bucket) << ": "
+           << row.base_ns * 1e-3 << "us -> " << row.cur_ns * 1e-3
            << "us (" << formatNs(row.delta()) << "/req)\n";
-    }
-    if (!report.profile_rows.empty()) {
-        os << "  simulator event-tag secondaries:\n";
-        for (const ProfileDelta &pd : report.profile_rows)
-            os << "    " << pd.tag << ": " << pd.base_events << " -> "
-               << pd.cur_events << " events\n";
-    }
     if (report.base_exemplar_request != 0 ||
         report.cur_exemplar_request != 0)
         os << "  exemplar trace pair: baseline request "

@@ -4,13 +4,19 @@
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
+#include <string>
 
 namespace dri::obs {
 
 Histogram::Histogram(unsigned sub_bucket_bits)
-    : sub_bucket_bits_(sub_bucket_bits),
-      sub_(std::int64_t{1} << sub_bucket_bits)
+    : sub_bucket_bits_(sub_bucket_bits)
 {
+    if (sub_bucket_bits > kMaxSubBucketBits)
+        throw std::invalid_argument(
+            "Histogram: sub_bucket_bits must be <= " +
+            std::to_string(kMaxSubBucketBits) + ", got " +
+            std::to_string(sub_bucket_bits));
+    sub_ = std::int64_t{1} << sub_bucket_bits;
 }
 
 namespace {
@@ -276,9 +282,12 @@ MetricsRegistry::gauge(const std::string &name)
 Histogram &
 MetricsRegistry::histogram(const std::string &name, unsigned sub_bucket_bits)
 {
+    // Construct first: a rejected sub_bucket_bits must throw before
+    // find() registers an entry that has no histogram behind it.
+    Histogram fresh(sub_bucket_bits);
     Entry &e = find(name, MetricKind::Histogram);
     if (e.histogram == nullptr) {
-        histograms_.emplace_back(sub_bucket_bits);
+        histograms_.push_back(std::move(fresh));
         e.histogram = &histograms_.back();
     }
     return *e.histogram;

@@ -73,6 +73,14 @@ struct Exemplar
 class Histogram
 {
   public:
+    /**
+     * Largest accepted sub_bucket_bits: 2^16 sub-buckets per octave
+     * (1.5e-5 relative error). The bound keeps `1 << sub_bucket_bits`
+     * defined and the bucket vector of any int64 value under 4M slots.
+     */
+    static constexpr unsigned kMaxSubBucketBits = 16;
+
+    /** Throws std::invalid_argument above kMaxSubBucketBits. */
     explicit Histogram(unsigned sub_bucket_bits = 5);
 
     void observe(std::int64_t value);
@@ -139,6 +147,12 @@ class Histogram
 
     /** Smallest value mapping to bucket @p idx (inverse of bucketIndex). */
     std::int64_t bucketLowerBound(std::size_t idx) const;
+
+    /** Observations in bucket @p idx (0 past the highest one used). */
+    std::uint64_t bucketCount(std::size_t idx) const
+    {
+        return idx < buckets_.size() ? buckets_[idx] : 0;
+    }
 
     /**
      * Merge another histogram (same sub_bucket_bits) into this one.

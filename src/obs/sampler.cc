@@ -82,7 +82,7 @@ TraceSampler::decide(Tree *tree, sim::SimTime now)
     tree->decided = true;
     ++stats_.roots_closed;
 
-    if (cfg_.keep_flagged && rootFlagged(*tree)) {
+    if (rootFlagged(*tree)) {
         tree->keep_class = KeepClass::Flagged;
         return;
     }

@@ -89,8 +89,6 @@ struct SamplerConfig
     const RollingHistogram *latency_feed = nullptr;
     /** Static tail threshold when no feed (or an empty window); 0 = off. */
     sim::Duration tail_threshold_ns = 0;
-    /** Keep Shed / Fault / hedge-win roots unconditionally. */
-    bool keep_flagged = true;
     /** Hard cap on retained span bytes (sum of span-record storage). */
     std::size_t retained_byte_budget = 4u << 20;
 };

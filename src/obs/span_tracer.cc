@@ -171,13 +171,4 @@ SpanTracer::addFlags(SpanId id, std::uint8_t flags)
         rec->flags |= flags;
 }
 
-void
-SpanTracer::clear()
-{
-    spans_.clear();
-    open_ = 0;
-    allocations_ = 0;
-    last_root_ = RootDecision::None;
-}
-
 } // namespace dri::obs

@@ -53,7 +53,6 @@ class SpanTracer
     explicit SpanTracer(bool enabled = true) : enabled_(enabled) {}
 
     bool enabled() const { return enabled_; }
-    void setEnabled(bool enabled) { enabled_ = enabled; }
 
     /**
      * Attach a retention sampler (sampling mode). Must happen before
@@ -109,14 +108,12 @@ class SpanTracer
     std::uint64_t openCount() const { return open_; }
 
     /**
-     * Span appends performed since construction/clear. Exactly 0 for a
+     * Span appends performed since construction. Exactly 0 for a
      * disabled tracer — the zero-overhead contract, testable without
      * timing. (Sampling mode counts appends into recycled arena
      * capacity too; the *heap* bound there is the sampler's budget.)
      */
     std::uint64_t allocations() const { return allocations_; }
-
-    void clear();
 
   private:
     // Sampling-mode handle layout: bits 0..19 tree-local index + 1,

@@ -34,91 +34,6 @@ inWindow(std::int64_t period, std::int64_t now_period, int buckets)
 
 } // namespace
 
-RollingWindow::RollingWindow(WindowConfig config) : cfg_(config)
-{
-    validate(cfg_);
-    bucket_width_s_ = cfg_.horizon_s / cfg_.buckets;
-    slots_.resize(static_cast<std::size_t>(cfg_.buckets));
-}
-
-std::int64_t
-RollingWindow::periodOf(double t_s) const
-{
-    return periodAt(t_s, bucket_width_s_);
-}
-
-bool
-RollingWindow::live(const Slot &s, std::int64_t now_period) const
-{
-    return inWindow(s.period, now_period, cfg_.buckets);
-}
-
-void
-RollingWindow::observe(double t_s, double value)
-{
-    const std::int64_t p = periodOf(t_s);
-    Slot &s = slots_[static_cast<std::size_t>(p % cfg_.buckets)];
-    if (p > s.period) {
-        // Slot belonged to a period at least one full horizon ago: recycle.
-        s.values.clear();
-        s.sum = 0.0;
-        s.period = p;
-    } else if (p < s.period) {
-        // Out-of-order sample from more than a full horizon before the
-        // data this slot holds (same ring position, older cycle). The old
-        // `s.period != p` recycle test wiped the *live* bucket here and
-        // replaced it with data no query would ever count. Drop the
-        // sample instead and make the loss observable.
-        ++dropped_stale_;
-        return;
-    }
-    s.values.add(value);
-    s.sum += value;
-}
-
-std::size_t
-RollingWindow::count(double t_s) const
-{
-    const std::int64_t now = periodOf(t_s);
-    std::size_t n = 0;
-    for (const Slot &s : slots_)
-        if (live(s, now))
-            n += s.values.count();
-    return n;
-}
-
-double
-RollingWindow::ratePerSec(double t_s) const
-{
-    return static_cast<double>(count(t_s)) / cfg_.horizon_s;
-}
-
-double
-RollingWindow::mean(double t_s) const
-{
-    const std::int64_t now = periodOf(t_s);
-    double sum = 0.0;
-    std::size_t n = 0;
-    for (const Slot &s : slots_) {
-        if (live(s, now)) {
-            sum += s.sum;
-            n += s.values.count();
-        }
-    }
-    return n > 0 ? sum / static_cast<double>(n) : 0.0;
-}
-
-double
-RollingWindow::quantile(double t_s, double q, double empty_value) const
-{
-    const std::int64_t now = periodOf(t_s);
-    stats::QuantileEstimator merged;
-    for (const Slot &s : slots_)
-        if (live(s, now))
-            merged.merge(s.values);
-    return merged.empty() ? empty_value : merged.quantile(q);
-}
-
 RollingHistogram::RollingHistogram(WindowConfig config,
                                    unsigned sub_bucket_bits)
     : cfg_(config), sub_bucket_bits_(sub_bucket_bits)
@@ -145,8 +60,9 @@ RollingHistogram::slotFor(std::int64_t p)
         s.hist.setExemplarCapacity(exemplar_capacity_);
         s.period = p;
     } else if (p < s.period) {
-        // Same out-of-order hazard as RollingWindow::observe: an older-
-        // cycle sample must not wipe the live bucket sharing its slot.
+        // Out-of-order sample from more than a full horizon before the
+        // data this slot holds (same ring position, older cycle): drop
+        // it and count the loss rather than wipe the live bucket.
         ++dropped_stale_;
         return nullptr;
     }

@@ -1,20 +1,16 @@
 /**
  * @file
- * Rolling time windows over metric streams: the bridge from the
+ * Rolling time window over a latency stream: the bridge from the
  * collection layer (src/obs metrics, per-request stats) to *online*
- * judgments (src/obs slo_monitor, detect).
+ * judgments (the serving-side rolling P99 feed, the trace sampler's
+ * tail threshold).
  *
- * Both window types share one structure: the horizon is split into a
- * ring of equal-width time buckets, each holding a mergeable summary
- * (an exact stats::QuantileEstimator for double streams, an HDR-style
- * obs::Histogram for integer latencies). Observations land in the
- * bucket their timestamp selects; advancing time reuses expired slots
- * in place, so eviction is O(1) per bucket regardless of how many
- * samples fall out. Queries merge the live buckets — which is exactly
- * the QuantileEstimator::merge / Histogram::merge use case: merged
- * per-bucket summaries answer the same quantiles as one summary fed
- * the whole window (exactly for the estimator, within bucket
- * resolution for the histogram).
+ * The horizon is split into a ring of equal-width time buckets, each
+ * holding an HDR-style obs::Histogram. Observations land in the bucket
+ * their timestamp selects; advancing time reuses expired slots in
+ * place, so eviction is O(1) per bucket regardless of how many samples
+ * fall out. Queries merge the live buckets with Histogram::merge, which
+ * answers the same quantiles as one histogram fed the whole window.
  *
  * Windows run on the *simulated* clock and are pure data structures:
  * no RNG, no scheduled events — attaching one to a live simulation can
@@ -27,11 +23,10 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "stats/quantile.h"
 
 namespace dri::obs {
 
-/** Shared ring geometry: horizon_s split into `buckets` slots. */
+/** Ring geometry: horizon_s split into `buckets` slots. */
 struct WindowConfig
 {
     /** Window length in (simulated) seconds. */
@@ -41,9 +36,11 @@ struct WindowConfig
 };
 
 /**
- * Rolling window over a double-valued sample stream: windowed count,
- * arrival rate, mean, and exact quantiles over the last horizon_s
- * seconds.
+ * Rolling window over an integer-valued stream (latency nanoseconds)
+ * with HDR-histogram buckets instead of exact samples: O(log range)
+ * memory per time bucket no matter the request rate, quantiles within
+ * 2^-sub_bucket_bits relative error via Histogram::valueAtQuantile.
+ * This is the serving-side rolling in-run P99 feed's representation.
  *
  * Out-of-order timestamps are tolerated: a late sample whose bucket is
  * still live lands in that bucket, and a sample more than a full
@@ -51,58 +48,6 @@ struct WindowConfig
  * in droppedStale()) rather than wiping the live bucket that happens to
  * share the slot. Completion-time feeds (latency samples stamped with
  * the *start* of the request) hit both cases routinely.
- */
-class RollingWindow
-{
-  public:
-    explicit RollingWindow(WindowConfig config = {});
-
-    /** Record one sample at sim-time t_s (seconds). */
-    void observe(double t_s, double value);
-
-    /** Samples inside the window as of time t_s. */
-    std::size_t count(double t_s) const;
-
-    /** Windowed arrival rate: count over the full horizon, per second. */
-    double ratePerSec(double t_s) const;
-
-    /** Mean of the windowed samples (0 when empty). */
-    double mean(double t_s) const;
-
-    /**
-     * Exact windowed quantile via per-bucket estimator merge; returns
-     * `empty_value` when no sample is in the window.
-     */
-    double quantile(double t_s, double q, double empty_value = 0.0) const;
-
-    /** Samples dropped because they arrived over a horizon late. */
-    std::uint64_t droppedStale() const { return dropped_stale_; }
-
-    const WindowConfig &config() const { return cfg_; }
-
-  private:
-    struct Slot
-    {
-        std::int64_t period = -1; //!< bucket index since t=0; -1 = empty
-        stats::QuantileEstimator values;
-        double sum = 0.0;
-    };
-
-    std::int64_t periodOf(double t_s) const;
-    bool live(const Slot &s, std::int64_t now_period) const;
-
-    WindowConfig cfg_;
-    double bucket_width_s_;
-    std::vector<Slot> slots_;
-    std::uint64_t dropped_stale_ = 0;
-};
-
-/**
- * Rolling window over an integer-valued stream (latency nanoseconds)
- * with HDR-histogram buckets instead of exact samples: O(log range)
- * memory per time bucket no matter the request rate, quantiles within
- * 2^-sub_bucket_bits relative error via Histogram::valueAtQuantile.
- * This is the serving-side rolling in-run P99 feed's representation.
  */
 class RollingHistogram
 {

@@ -53,10 +53,4 @@ LatencyTracker::quantile(double q) const
     return sorted_[rank];
 }
 
-sim::Duration
-LatencyTracker::deadline(double q, sim::Duration floor_ns) const
-{
-    return std::max(floor_ns, quantile(q));
-}
-
 } // namespace dri::rpc

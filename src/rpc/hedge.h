@@ -9,10 +9,12 @@
  * routed there. The classic tail-at-scale mitigation is the hedged request:
  * when a primary RPC has been outstanding longer than a quantile of recent
  * RPC latencies, issue a backup to a *different* replica and take whichever
- * response returns first, cancelling the loser. The hedge deadline tracks
- * the measured latency distribution (a sliding window), so the policy
- * self-tunes as load shifts; a budget caps the fraction of RPCs that may be
- * hedged so duplicate work stays bounded at low load.
+ * response returns first, cancelling the loser. The hedge deadline is a
+ * quantile of one sliding window of client-observed RPC latencies shared
+ * by every shard, so the policy self-tunes as load shifts; a budget caps
+ * the fraction of RPCs that may be hedged so duplicate work stays bounded
+ * at low load. The budget is the only thing that suppresses a backup once
+ * its deadline expires.
  *
  * Fault masking. The same mechanism is the serving tier's first line of
  * defense against replica CRASHES, not just stragglers: an attempt sent
@@ -60,27 +62,6 @@ struct HedgeConfig
      * and the quantile deadline sits near the median.
      */
     double max_hedge_fraction = 0.05;
-    /** Floor on the hedge deadline (avoid hedging trivially fast RPCs). */
-    sim::Duration min_deadline_ns = 0;
-    /**
-     * Queue-aware suppression: skip the backup when the chosen backup
-     * replica already has more than this many outstanding requests
-     * (0 = no constraint). A backup that would sit behind a deep queue
-     * cannot outrun the primary — it only adds load exactly when the
-     * tier has no headroom to spare. The live LoadProbe the load-aware
-     * balancing policies install is what answers the question.
-     */
-    std::size_t max_backup_outstanding = 0;
-    /**
-     * Track latency quantiles per sparse *shard* instead of one global
-     * window. Shards differ legitimately in RPC latency — pooling is
-     * routed unevenly, so a heavy shard's honest P95 sits far above the
-     * global quantile and the global deadline hedges it constantly while
-     * barely ever hedging the light shards. Per-shard trackers give each
-     * shard its own deadline (and its own min_samples gate), narrowing
-     * the hedge-rate spread across shards.
-     */
-    bool per_shard_deadline = false;
 };
 
 /** Aggregate hedging outcome counters of one simulation run. */
@@ -93,8 +74,8 @@ struct HedgeStats
     std::uint64_t cancelled = 0;    //!< backup cancelled before executing
     /**
      * Hedge deadlines that expired but launched no backup (budget
-     * exhausted or queue-aware suppression) — makes under-hedging
-     * visible instead of silently shrinking the hedge rate.
+     * exhausted) — makes under-hedging visible instead of silently
+     * shrinking the hedge rate.
      */
     std::uint64_t suppressed = 0;
     /** Replica-pool busy time consumed by losing attempts. */
@@ -145,14 +126,6 @@ class LatencyTracker
      * [0, 1]. Returns 0 while the window is empty.
      */
     sim::Duration quantile(double q) const;
-
-    /**
-     * The hedge deadline this window implies: the q-quantile, floored at
-     * `floor_ns` (HedgeConfig::min_deadline_ns). The one place the
-     * quantile-vs-floor rule lives, so the serving engine and any
-     * offline analysis agree on the armed deadline.
-     */
-    sim::Duration deadline(double q, sim::Duration floor_ns) const;
 
   private:
     std::size_t window_;

@@ -1,7 +1,7 @@
 #include "sched/capacity_search.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/analysis.h"
 
@@ -52,8 +52,18 @@ CapacitySearch::CapacitySearch(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       search_(std::move(search))
 {
-    assert(search_.qps_lo > 0.0 && search_.qps_hi >= search_.qps_lo);
-    assert(search_.grid_step > 1.0);
+    // Checked in every build type: run()'s geometric grid loop never
+    // terminates unless qps_lo > 0 and grid_step > 1 (NaN included).
+    if (!(search_.qps_lo > 0.0) || !std::isfinite(search_.qps_lo))
+        throw std::invalid_argument(
+            "CapacitySearch: qps_lo must be finite and > 0");
+    if (!(search_.qps_hi >= search_.qps_lo) ||
+        !std::isfinite(search_.qps_hi))
+        throw std::invalid_argument(
+            "CapacitySearch: qps_hi must be finite and >= qps_lo");
+    if (!(search_.grid_step > 1.0) || !std::isfinite(search_.grid_step))
+        throw std::invalid_argument(
+            "CapacitySearch: grid_step must be finite and > 1");
 }
 
 CapacityProbe

@@ -108,6 +108,10 @@ struct CapacityResult
 class CapacitySearch
 {
   public:
+    /**
+     * Throws std::invalid_argument, in every build type, unless
+     * 0 < qps_lo <= qps_hi and grid_step > 1, all finite.
+     */
     CapacitySearch(const model::ModelSpec &spec,
                    const core::ShardingPlan &plan,
                    core::ServingConfig serving,

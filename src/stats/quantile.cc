@@ -57,27 +57,9 @@ double
 QuantileEstimator::sum() const
 {
     // Accumulate in sorted order: the sum then depends only on the
-    // sample multiset, so merged-shard and whole-stream estimators agree
-    // to the bit (the contract the merge tests pin down).
+    // sample multiset, not on insertion order.
     ensureSorted();
     return std::accumulate(sorted_.begin(), sorted_.end(), 0.0);
-}
-
-void
-QuantileEstimator::merge(const QuantileEstimator &other)
-{
-    if (other.empty())
-        return;
-    if (&other == this) {
-        // Self-merge doubles the stream; copy first so the insertion
-        // never reads through iterators a reallocation invalidated.
-        const std::vector<double> copy(samples_);
-        samples_.insert(samples_.end(), copy.begin(), copy.end());
-    } else {
-        samples_.insert(samples_.end(), other.samples_.begin(),
-                        other.samples_.end());
-    }
-    sorted_valid_ = false;
 }
 
 void

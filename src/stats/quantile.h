@@ -49,14 +49,6 @@ class QuantileEstimator
     double mean() const;
     double sum() const;
 
-    /**
-     * Absorb another estimator's samples. Because the estimator is
-     * exact, merging per-shard estimators then querying is identical to
-     * feeding the whole stream into one estimator — the property that
-     * lets fleet segments aggregate tails without collecting globally.
-     */
-    void merge(const QuantileEstimator &other);
-
     /** Discard all samples. */
     void clear();
 

@@ -1,7 +1,6 @@
 #include "stats/summary.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace dri::stats {
 
@@ -14,58 +13,6 @@ utilizationFraction(double busy_integral, std::size_t capacity,
     const double u =
         busy_integral / (static_cast<double>(capacity) * elapsed);
     return std::min(1.0, std::max(0.0, u));
-}
-
-void
-RunningSummary::add(double sample)
-{
-    if (count_ == 0) {
-        min_ = sample;
-        max_ = sample;
-    } else {
-        min_ = std::min(min_, sample);
-        max_ = std::max(max_, sample);
-    }
-    ++count_;
-    sum_ += sample;
-    const double delta = sample - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (sample - mean_);
-}
-
-double
-RunningSummary::variance() const
-{
-    if (count_ < 2)
-        return 0.0;
-    return m2_ / static_cast<double>(count_);
-}
-
-double
-RunningSummary::stddev() const
-{
-    return std::sqrt(variance());
-}
-
-void
-RunningSummary::merge(const RunningSummary &other)
-{
-    if (other.count_ == 0)
-        return;
-    if (count_ == 0) {
-        *this = other;
-        return;
-    }
-    const double n1 = static_cast<double>(count_);
-    const double n2 = static_cast<double>(other.count_);
-    const double delta = other.mean_ - mean_;
-    const double n = n1 + n2;
-    mean_ = (n1 * mean_ + n2 * other.mean_) / n;
-    m2_ = m2_ + other.m2_ + delta * delta * n1 * n2 / n;
-    count_ += other.count_;
-    sum_ += other.sum_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
 }
 
 } // namespace dri::stats

@@ -1,7 +1,6 @@
 /**
  * @file
- * Streaming mean/variance accumulation (Welford) for cheap online summaries
- * where full sample retention is unnecessary.
+ * Worker-pool utilization from a busy-time integral.
  */
 #pragma once
 
@@ -15,32 +14,5 @@ namespace dri::stats {
  */
 double utilizationFraction(double busy_integral, std::size_t capacity,
                            double elapsed);
-
-/** Online mean / variance / min / max accumulator. */
-class RunningSummary
-{
-  public:
-    void add(double sample);
-
-    std::size_t count() const { return count_; }
-    double mean() const { return mean_; }
-    /** Population variance; 0 with fewer than two samples. */
-    double variance() const;
-    double stddev() const;
-    double min() const { return min_; }
-    double max() const { return max_; }
-    double sum() const { return sum_; }
-
-    /** Merge another summary into this one (parallel Welford). */
-    void merge(const RunningSummary &other);
-
-  private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    double sum_ = 0.0;
-};
 
 } // namespace dri::stats

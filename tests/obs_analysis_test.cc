@@ -1,12 +1,12 @@
 /**
  * @file
  * Unit tests for the online-analysis half of the observability layer:
- * rolling time windows (exact windowed quantiles via estimator merge,
- * O(1) slot-reuse eviction), the SLO burn-rate monitor's alert
- * lifecycle (pending/firing/cancelled/resolved, multi-window gating,
- * hysteresis, budget accounting), and the anomaly detectors
- * (EWMA+MAD robust z-score, CUSUM drift accumulation) including the
- * ground-truth scoring harness against seeded burst overlays.
+ * the rolling histogram window (windowed quantiles via bucket merge,
+ * O(1) slot-reuse eviction, stale-sample drops), the SLO burn-rate
+ * monitor's alert lifecycle (pending/firing/cancelled/resolved,
+ * multi-window gating, hysteresis, budget accounting), and the
+ * EWMA+MAD robust z-score detector with its ground-truth scoring
+ * harness against seeded burst overlays.
  */
 #include <gtest/gtest.h>
 
@@ -25,95 +25,6 @@
 namespace {
 
 using namespace dri;
-
-// ---------------------------------------------------------------------------
-// RollingWindow.
-// ---------------------------------------------------------------------------
-
-TEST(RollingWindow, CountRateAndMeanOverTheHorizon)
-{
-    obs::RollingWindow w({/*horizon_s=*/10.0, /*buckets=*/5});
-    for (int i = 0; i < 10; ++i)
-        w.observe(static_cast<double>(i) + 0.25,
-                  static_cast<double>(i));
-    EXPECT_EQ(w.count(9.5), 10u);
-    EXPECT_DOUBLE_EQ(w.ratePerSec(9.5), 1.0);
-    EXPECT_DOUBLE_EQ(w.mean(9.5), 4.5);
-}
-
-TEST(RollingWindow, OldSamplesFallOutOfTheWindow)
-{
-    obs::RollingWindow w({10.0, 5});
-    for (int i = 0; i < 10; ++i)
-        w.observe(static_cast<double>(i) + 0.25,
-                  static_cast<double>(i));
-    // At t=15 the live buckets cover [6, 16): samples 6..9 remain.
-    EXPECT_EQ(w.count(15.0), 4u);
-    EXPECT_DOUBLE_EQ(w.mean(15.0), (6.0 + 7.0 + 8.0 + 9.0) / 4.0);
-    // Far in the future the window is empty; a new sample starts over
-    // by reusing expired slots in place.
-    EXPECT_EQ(w.count(1000.0), 0u);
-    w.observe(1000.0, 42.0);
-    EXPECT_EQ(w.count(1000.0), 1u);
-    EXPECT_DOUBLE_EQ(w.mean(1000.0), 42.0);
-}
-
-TEST(RollingWindow, QuantileMatchesAFreshEstimatorOverTheWindow)
-{
-    obs::RollingWindow w({8.0, 4});
-    stats::QuantileEstimator direct;
-    // Samples at t in [12, 20): all inside the window as of t=19.5.
-    for (int i = 0; i < 32; ++i) {
-        const double t = 12.0 + 0.25 * static_cast<double>(i);
-        const double v =
-            static_cast<double>((i * 2654435761U) % 1000);
-        w.observe(t, v);
-        direct.add(v);
-    }
-    for (const double q : {0.0, 0.25, 0.5, 0.9, 0.99, 1.0})
-        EXPECT_DOUBLE_EQ(w.quantile(19.5, q), direct.quantile(q)) << q;
-}
-
-TEST(RollingWindow, EmptyWindowReturnsTheEmptyValue)
-{
-    obs::RollingWindow w({10.0, 5});
-    EXPECT_DOUBLE_EQ(w.quantile(5.0, 0.5, -1.0), -1.0);
-    EXPECT_DOUBLE_EQ(w.mean(5.0), 0.0);
-    EXPECT_DOUBLE_EQ(w.ratePerSec(5.0), 0.0);
-    w.observe(1.0, 7.0);
-    // The sample expires once the horizon passes it.
-    EXPECT_DOUBLE_EQ(w.quantile(2.0, 0.5, -1.0), 7.0);
-    EXPECT_DOUBLE_EQ(w.quantile(100.0, 0.5, -1.0), -1.0);
-}
-
-// Oracle regression: an out-of-order sample from an *older ring cycle*
-// of the same slot must not wipe the live bucket. Before the fix the
-// recycle test was `s.period != p`, so the stale observe() below reset
-// the slot to the old period — destroying the live sample AND parking
-// the stale one where no query would ever count it (count dropped from
-// 1 to 0, mean from 5 to 0).
-TEST(RollingWindow, StaleObservationDoesNotWipeTheLiveBucket)
-{
-    obs::RollingWindow w({/*horizon_s=*/10.0, /*buckets=*/5});
-    w.observe(21.0, 5.0); // period 10, slot 0 — live as of t=21
-    w.observe(1.0, 100.0); // period 0: same slot, two cycles stale
-    EXPECT_EQ(w.count(21.0), 1u);
-    EXPECT_DOUBLE_EQ(w.mean(21.0), 5.0);
-    EXPECT_EQ(w.droppedStale(), 1u);
-}
-
-// A late sample whose own bucket is still inside the horizon is kept:
-// only over-a-horizon stragglers are dropped.
-TEST(RollingWindow, LateSampleWithinTheHorizonLandsInItsOwnBucket)
-{
-    obs::RollingWindow w({10.0, 5});
-    w.observe(21.0, 5.0); // period 10
-    w.observe(19.0, 7.0); // period 9: late, but its bucket is live
-    w.observe(20.5, 6.0); // period 10 again: same live bucket
-    EXPECT_EQ(w.count(21.0), 3u);
-    EXPECT_DOUBLE_EQ(w.mean(21.0), 6.0);
-    EXPECT_EQ(w.droppedStale(), 0u);
-}
 
 // ---------------------------------------------------------------------------
 // RollingHistogram.
@@ -138,8 +49,38 @@ TEST(RollingHistogram, WindowedQuantileTracksTheLiveBuckets)
     EXPECT_EQ(h.merged(11.5).count(), 100u);
 }
 
-// Same out-of-order oracle as the RollingWindow regression test, for
-// the histogram representation.
+// After a gap many horizons long every slot has expired; the next
+// observe recycles the slot its period maps to in place.
+TEST(RollingHistogram, LongGapEmptiesTheWindowAndTheSlotIsReused)
+{
+    obs::RollingHistogram h({/*horizon_s=*/10.0, /*buckets=*/5},
+                            /*sub_bucket_bits=*/5);
+    for (int i = 0; i < 10; ++i)
+        h.observe(static_cast<double>(i) + 0.25, 1000 + i);
+    // At t=15 the live buckets cover [6, 16): samples 6..9 remain.
+    EXPECT_EQ(h.count(15.0), 4u);
+    EXPECT_EQ(h.count(1000.0), 0u);
+    h.observe(1000.0, 42);
+    EXPECT_EQ(h.count(1000.0), 1u);
+    EXPECT_EQ(h.droppedStale(), 0u);
+    EXPECT_DOUBLE_EQ(h.valueAtQuantile(1000.0, 0.5), 42.0);
+}
+
+// A lone sample answers quantile queries while its bucket is live and
+// leaves the window empty once the horizon has passed it.
+TEST(RollingHistogram, SingleSampleExpiresWithTheHorizon)
+{
+    obs::RollingHistogram h({10.0, 5}, /*sub_bucket_bits=*/5);
+    EXPECT_DOUBLE_EQ(h.valueAtQuantile(5.0, 0.5, -1.0), -1.0);
+    h.observe(1.0, 7);
+    EXPECT_DOUBLE_EQ(h.valueAtQuantile(2.0, 0.5, -1.0), 7.0);
+    EXPECT_DOUBLE_EQ(h.valueAtQuantile(100.0, 0.5, -1.0), -1.0);
+}
+
+// Oracle regression: an out-of-order sample from an *older ring cycle*
+// of the same slot must not wipe the live bucket. A `period != p`
+// recycle test would reset the slot to the old period, destroying the
+// live sample AND parking the stale one where no query counts it.
 TEST(RollingHistogram, StaleObservationDoesNotWipeTheLiveBucket)
 {
     obs::RollingHistogram h({10.0, 5}, /*sub_bucket_bits=*/5);
@@ -416,45 +357,6 @@ TEST(EwmaMadDetector, ResetForgetsEverything)
     // Post-reset the warmup applies again: no flag on the first
     // samples even at a wildly different level.
     EXPECT_FALSE(d.step(100.0));
-}
-
-TEST(CusumDetector, AccumulatesASmallDriftTheZScoreMisses)
-{
-    // A +2% step on a flat baseline is ~1.3 sigma per sample (spread
-    // floored at 1% of level): invisible to a 3.5-sigma point test,
-    // caught by CUSUM accumulation within a handful of samples.
-    obs::CusumDetector cusum;
-    obs::EwmaMadDetector point;
-    bool cusum_flagged = false;
-    bool point_flagged = false;
-    for (int i = 0; i < 4; ++i) {
-        cusum.step(1.0);
-        point.step(1.0);
-    }
-    int flagged_at = -1;
-    for (int i = 0; i < 12; ++i) {
-        if (cusum.step(1.02) && !cusum_flagged) {
-            cusum_flagged = true;
-            flagged_at = i;
-        }
-        point_flagged |= point.step(1.02);
-    }
-    EXPECT_TRUE(cusum_flagged);
-    EXPECT_LE(flagged_at, 10);
-    EXPECT_FALSE(point_flagged);
-    // Detection resets the accumulators.
-    if (cusum_flagged) {
-        EXPECT_LT(cusum.positiveSum() + cusum.negativeSum(), 8.0);
-    }
-}
-
-TEST(CusumDetector, FlatStreamAccumulatesNothing)
-{
-    obs::CusumDetector d;
-    for (int i = 0; i < 100; ++i)
-        EXPECT_FALSE(d.step(2.0)) << i;
-    EXPECT_DOUBLE_EQ(d.positiveSum(), 0.0);
-    EXPECT_DOUBLE_EQ(d.negativeSum(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

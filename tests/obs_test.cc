@@ -5,7 +5,8 @@
  * critical-path extraction on a hand-built span tree, conservation
  * checking, Chrome trace export sanity, the Fig. 3 ASCII timeline, and
  * the metrics registry's edge cases (duplicate registration, kind
- * clashes, histogram bucket boundaries, snapshot determinism).
+ * clashes, histogram bucket boundaries and the sub_bucket_bits bound,
+ * snapshot determinism).
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +20,7 @@
 #include "obs/metrics.h"
 #include "obs/render.h"
 #include "obs/span_tracer.h"
+#include "obs/timeseries.h"
 
 namespace {
 
@@ -531,6 +533,48 @@ TEST(Histogram, MergeEqualsWholeStream)
 
     obs::Histogram other_bits(3);
     EXPECT_THROW(left.merge(other_bits), std::logic_error);
+}
+
+// sub_bucket_bits sizes a shift (1 << bits): past the documented bound
+// the constructor throws instead of shifting out of range, on every
+// path that builds a histogram.
+TEST(Histogram, RejectsSubBucketBitsAboveTheBound)
+{
+    const unsigned max_bits = obs::Histogram::kMaxSubBucketBits;
+    obs::Histogram widest(max_bits);
+    widest.observe(std::int64_t{1} << 62);
+    EXPECT_EQ(widest.count(), 1u);
+    for (const unsigned bits : {max_bits + 1, 63u, 64u, 1000u})
+        EXPECT_THROW(obs::Histogram{bits}, std::invalid_argument) << bits;
+
+    obs::MetricsRegistry reg;
+    EXPECT_THROW(reg.histogram("lat", 63), std::invalid_argument);
+    // The rejected registration leaves nothing behind: the name is free
+    // and snapshots see no half-built entry.
+    EXPECT_EQ(reg.size(), 0u);
+    EXPECT_EQ(reg.histogram("lat").subBucketBits(), 5u);
+    reg.takeSnapshot(1.0);
+
+    EXPECT_THROW(obs::RollingHistogram({10.0, 5}, 63), std::invalid_argument);
+}
+
+// bucketCount reads one bucket; the counts over the used range add up
+// to count(), and buckets past the highest one used read 0.
+TEST(Histogram, BucketCountsSumToTheObservationCount)
+{
+    obs::Histogram h(/*sub_bucket_bits=*/0); // octave buckets
+    for (const std::int64_t v : {0, 1, 2, 3, 4, 7, 8, 1000})
+        h.observe(v);
+    EXPECT_EQ(h.bucketCount(h.bucketIndex(0)), 1u);
+    EXPECT_EQ(h.bucketCount(h.bucketIndex(2)), 2u); // [2, 4)
+    EXPECT_EQ(h.bucketCount(h.bucketIndex(4)), 2u); // [4, 8)
+    EXPECT_EQ(h.bucketCount(h.bucketIndex(1000)), 1u);
+    std::uint64_t sum = 0;
+    for (std::size_t b = 0; b <= h.bucketIndex(h.max()); ++b)
+        sum += h.bucketCount(b);
+    EXPECT_EQ(sum, h.count());
+    EXPECT_EQ(h.bucketCount(h.bucketIndex(h.max()) + 1), 0u);
+    EXPECT_EQ(obs::Histogram{}.bucketCount(0), 0u);
 }
 
 } // namespace

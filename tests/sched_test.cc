@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 #include "core/analysis.h"
 #include "core/serving.h"
@@ -365,6 +367,50 @@ TEST(CapacitySearch, FindsFeasibleBoundary)
     }
     EXPECT_TRUE(found);
     EXPECT_TRUE(infeasible_above);
+}
+
+// A bad search range is rejected at construction in every build type;
+// run()'s geometric grid loop would otherwise never terminate.
+TEST(CapacitySearch, RejectsGridsThatNeverTerminate)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto build = [&](const sched::CapacitySearchConfig &sc) {
+        (void)sched::CapacitySearch(spec, plan, core::ServingConfig{}, sc);
+    };
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    sched::CapacitySearchConfig sc;
+    EXPECT_NO_THROW(build(sc));
+
+    // qps_lo must be finite and > 0.
+    sc = {};
+    sc.qps_lo = 0.0;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.qps_lo = -5.0;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.qps_lo = nan;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+
+    // qps_hi must be finite and >= qps_lo.
+    sc = {};
+    sc.qps_hi = sc.qps_lo / 2.0;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.qps_hi = inf;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.qps_hi = nan;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+
+    // grid_step must be finite and > 1.
+    sc = {};
+    sc.grid_step = 1.0;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.grid_step = 0.5;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.grid_step = nan;
+    EXPECT_THROW(build(sc), std::invalid_argument);
+    sc.grid_step = inf;
+    EXPECT_THROW(build(sc), std::invalid_argument);
 }
 
 TEST(DynamicBatcher, QueueAwareFlushesImmediatelyWhenMainIdle)

@@ -297,17 +297,4 @@ TEST(Serving, Drm3TouchesTwoShards)
     }
 }
 
-TEST(Serving, SerialGapShiftsArrivals)
-{
-    const auto spec = model::makeDrm3();
-    const auto reqs = requestsFor(spec, 5);
-    core::ServingConfig gap;
-    gap.serial_gap_ns = 10 * sim::kMillisecond;
-    core::ServingSimulation sim(spec, core::makeSingular(spec), gap);
-    const auto stats = sim.replaySerial(reqs);
-    for (std::size_t i = 1; i < stats.size(); ++i)
-        EXPECT_GE(stats[i].arrival,
-                  stats[i - 1].completion + gap.serial_gap_ns);
-}
-
 } // namespace

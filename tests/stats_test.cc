@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the stats substrate: RNG determinism,
- * distribution moments, exact quantiles, histograms, running summaries.
+ * distribution moments, exact quantiles, utilization.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "stats/distributions.h"
 #include "stats/flat_hash.h"
-#include "stats/histogram.h"
 #include "stats/quantile.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
@@ -270,54 +269,6 @@ TEST(Quantile, ClearResets)
     EXPECT_TRUE(q.empty());
 }
 
-/**
- * Merged per-shard estimators answer every query exactly like one
- * estimator fed the whole stream — the property that lets fleet
- * segments aggregate tails without centralizing samples.
- */
-TEST(Quantile, MergedShardsMatchWholeStream)
-{
-    Rng rng(0x5eed);
-    QuantileEstimator whole;
-    QuantileEstimator shards[4];
-    for (int i = 0; i < 4000; ++i) {
-        const double v = rng.gaussian(10.0, 5.0);
-        whole.add(v);
-        shards[i % 4].add(v);
-    }
-    QuantileEstimator merged;
-    for (const auto &s : shards)
-        merged.merge(s);
-    ASSERT_EQ(merged.count(), whole.count());
-    for (double p = 0.0; p <= 1.0; p += 0.01)
-        EXPECT_DOUBLE_EQ(merged.quantile(p), whole.quantile(p)) << p;
-    EXPECT_DOUBLE_EQ(merged.p999(), whole.p999());
-    // Both buffers are sorted after the queries above, so the sums run
-    // in the same order and must agree to the bit.
-    EXPECT_DOUBLE_EQ(merged.sum(), whole.sum());
-}
-
-TEST(Quantile, MergeEdgeCases)
-{
-    QuantileEstimator a, empty;
-    a.addAll({3.0, 1.0, 2.0});
-    // Merging an empty estimator changes nothing.
-    a.merge(empty);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.p50(), 2.0);
-    // Merging INTO an empty estimator adopts the samples.
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 3u);
-    EXPECT_DOUBLE_EQ(empty.p50(), 2.0);
-    // Self-merge doubles the stream without corrupting it.
-    a.merge(a);
-    EXPECT_EQ(a.count(), 6u);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-    EXPECT_DOUBLE_EQ(a.p50(), 2.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-}
-
 /** Property: quantiles are monotone in q. */
 class QuantileMonotoneTest : public ::testing::TestWithParam<std::uint64_t>
 {
@@ -339,101 +290,6 @@ TEST_P(QuantileMonotoneTest, MonotoneInQ)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QuantileMonotoneTest,
                          ::testing::Values(1, 2, 3, 42, 99, 123456));
-
-TEST(Histogram, CountsAndClamping)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.add(-5.0);  // clamps to first bin
-    h.add(0.5);
-    h.add(9.5);
-    h.add(50.0); // clamps to last bin
-    EXPECT_EQ(h.totalCount(), 4u);
-    EXPECT_EQ(h.count(0), 2u);
-    EXPECT_EQ(h.count(9), 2u);
-}
-
-TEST(Histogram, FractionsSumToOne)
-{
-    Histogram h(0.0, 1.0, 7);
-    Rng rng(37);
-    for (int i = 0; i < 1000; ++i)
-        h.add(rng.uniform());
-    double total = 0.0;
-    for (std::size_t b = 0; b < h.binCount(); ++b)
-        total += h.fraction(b);
-    EXPECT_NEAR(total, 1.0, 1e-12);
-    EXPECT_NEAR(h.cumulativeFraction(h.binCount() - 1), 1.0, 1e-12);
-}
-
-TEST(Histogram, LogScaleBins)
-{
-    Histogram h(1.0, 1000.0, 3, Histogram::Scale::Log);
-    EXPECT_NEAR(h.binLo(0), 1.0, 1e-9);
-    EXPECT_NEAR(h.binLo(1), 10.0, 1e-6);
-    EXPECT_NEAR(h.binLo(2), 100.0, 1e-4);
-    h.add(5.0);
-    EXPECT_EQ(h.count(0), 1u);
-    h.add(500.0);
-    EXPECT_EQ(h.count(2), 1u);
-}
-
-TEST(Histogram, RenderContainsCounts)
-{
-    Histogram h(0.0, 2.0, 2);
-    h.add(0.5);
-    const std::string out = h.render();
-    EXPECT_NE(out.find("1"), std::string::npos);
-}
-
-TEST(Summary, WelfordMatchesDirect)
-{
-    RunningSummary s;
-    Rng rng(41);
-    std::vector<double> vals;
-    for (int i = 0; i < 1000; ++i) {
-        const double v = rng.gaussian(5.0, 2.0);
-        vals.push_back(v);
-        s.add(v);
-    }
-    double mean = 0.0;
-    for (double v : vals)
-        mean += v;
-    mean /= vals.size();
-    double var = 0.0;
-    for (double v : vals)
-        var += (v - mean) * (v - mean);
-    var /= vals.size();
-    EXPECT_NEAR(s.mean(), mean, 1e-9);
-    EXPECT_NEAR(s.variance(), var, 1e-6);
-}
-
-TEST(Summary, MergeEqualsSequential)
-{
-    Rng rng(43);
-    RunningSummary all, a, b;
-    for (int i = 0; i < 500; ++i) {
-        const double v = rng.uniform(0.0, 100.0);
-        all.add(v);
-        (i % 2 == 0 ? a : b).add(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), all.count());
-    EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(a.variance(), all.variance(), 1e-6);
-    EXPECT_DOUBLE_EQ(a.min(), all.min());
-    EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(Summary, MergeWithEmpty)
-{
-    RunningSummary a, b;
-    a.add(1.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 1u);
-    b.merge(a);
-    EXPECT_EQ(b.count(), 1u);
-    EXPECT_DOUBLE_EQ(b.mean(), 1.0);
-}
 
 TEST(Quantile, P999TracksExtremeTail)
 {

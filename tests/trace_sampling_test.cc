@@ -9,11 +9,10 @@
  *  - Histogram exemplar storage: capacity-0 no-op, retained
  *    displacement, tail exemplar selection, merge propagation, and
  *    the RollingHistogram dropped_stale counter.
- *  - Differential attribution: a synthetic 1.5x serde regression in a
- *    real serving replay is blamed on the Serde stage, both in-memory
- *    (diffAttribution over criticalPaths) and at the artifact layer
- *    (explainArtifacts over path_<bucket>_ns rows) — the acceptance
- *    path behind `bench_regression_gate --explain`.
+ *  - Differential attribution: an inflated serde bucket in artifact
+ *    rows is blamed on the Serde stage (explainArtifacts over
+ *    path_<bucket>_ns rows) — the acceptance path behind
+ *    `bench_regression_gate --explain`.
  *  - Perfetto flow events: a hedged replay's chrome trace links each
  *    hedge attempt back to its primary with s/f flow events.
  *  - FleetSim trace sampling: ledger AND telemetry fingerprints are
@@ -321,66 +320,6 @@ TEST(RollingHistogram, CountsDroppedStaleSamples)
 // Differential attribution.
 // ---------------------------------------------------------------------------
 
-class SerdeRegressionTest : public ::testing::Test
-{
-  protected:
-    void
-    SetUp() override
-    {
-        spec_ = model::makeDrm2();
-        plan_ = core::makeCapacityBalanced(spec_, 4);
-        workload::RequestGenerator gen(spec_,
-                                       workload::GeneratorConfig{0xd1ff});
-        requests_ = gen.generate(120);
-    }
-
-    std::vector<obs::CriticalPath>
-    tracedPaths(double serde_scale) const
-    {
-        auto cfg = sched::hedgeStudyConfig(
-            rpc::LoadBalancePolicy::LeastOutstanding, 3, /*hedged=*/false);
-        cfg.service.serde_ns_per_byte *= serde_scale;
-        obs::SpanTracer tracer;
-        cfg.tracer = &tracer;
-        core::ServingSimulation sim(spec_, plan_, cfg);
-        sim.replayOpenLoop(requests_, 1200.0);
-        return obs::criticalPaths(tracer.spans());
-    }
-
-    model::ModelSpec spec_;
-    core::ShardingPlan plan_;
-    std::vector<workload::Request> requests_;
-};
-
-TEST_F(SerdeRegressionTest, DiffAttributionBlamesSerde)
-{
-    const auto base_paths = tracedPaths(1.0);
-    const auto cur_paths = tracedPaths(1.5);
-    ASSERT_FALSE(base_paths.empty());
-    ASSERT_EQ(base_paths.size(), cur_paths.size());
-
-    obs::RunAttribution base;
-    base.paths = &base_paths;
-    obs::RunAttribution cur;
-    cur.paths = &cur_paths;
-    const auto report = obs::diffAttribution(base, cur);
-
-    ASSERT_TRUE(report.has_attribution);
-    EXPECT_EQ(report.blamed, obs::PathBucket::Serde);
-    // Serde leads the blame table; knock-on queueing shifts keep its
-    // share below 1.0 but it must stay the single largest mover.
-    EXPECT_GT(report.blamed_share, 0.3);
-    EXPECT_GT(report.cur_e2e_ns, report.base_e2e_ns);
-    EXPECT_NE(report.headline().find("serde"), std::string::npos);
-    // The serde row itself moved up.
-    ASSERT_FALSE(report.rows.empty());
-    double serde_delta = 0.0;
-    for (const auto &row : report.rows)
-        if (row.bucket == obs::PathBucket::Serde)
-            serde_delta += row.delta();
-    EXPECT_GT(serde_delta, 0.0);
-}
-
 TEST(ExplainArtifacts, BlamesTheInflatedBucketFromArtifactRows)
 {
     obs::ArtifactRow base;
@@ -402,7 +341,6 @@ TEST(ExplainArtifacts, BlamesTheInflatedBucketFromArtifactRows)
     EXPECT_EQ(report.cur_exemplar_request, 93u);
     ASSERT_FALSE(report.rows.empty());
     EXPECT_EQ(report.rows[0].bucket, obs::PathBucket::Serde);
-    EXPECT_EQ(report.rows[0].shard, obs::kAllShards);
     EXPECT_DOUBLE_EQ(report.rows[0].delta(), 1600.0);
 
     // No attribution fields -> explicitly no attribution, not garbage.
