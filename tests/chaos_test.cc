@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 
@@ -20,6 +19,8 @@
 #include "obs/span_tracer.h"
 #include "sched/capacity_search.h"
 #include "workload/request_generator.h"
+
+#include "span_digest.h"
 
 namespace {
 
@@ -185,21 +186,7 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
 // Every fault path at once, pinned.
 // ---------------------------------------------------------------------------
 
-/** FNV-1a over 64-bit words; doubles enter by their bit pattern. */
-struct Digest
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void mix(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
-    void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-    void
-    mixDouble(double d)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &d, sizeof bits);
-        mix(bits);
-    }
-};
+using testutil::Digest;
 
 /**
  * Hedged least-outstanding x3 with stragglers, mid-flight deadline
@@ -208,7 +195,7 @@ struct Digest
  * lost-in-service work and upstream failures; then the same deployment
  * with one main worker pushed far past capacity. faultStats() with the
  * hedge counters and each request's latency and CPU accounting, and
- * every span of flat tracers, fold into pinned digests: a refactor of
+ * every span of both tracers, fold into pinned digests: a refactor of
  * the serving core's attempt lifecycle must leave both unchanged.
  */
 TEST(Chaos, KitchenSinkDigestsArePinned)
@@ -334,20 +321,12 @@ TEST(Chaos, KitchenSinkDigestsArePinned)
             ledger.mixDouble(s.cpu_service_ns);
         }
     Digest spans;
+    std::size_t span_count = 0;
     for (const obs::SpanTracer *t : {&tracer, &burst_tracer})
-        for (const auto &sp : t->spans()) {
-            spans.mix(sp.request_id);
-            spans.mix(static_cast<std::uint64_t>(sp.kind));
-            spans.mix(sp.flags);
-            spans.mixInt(sp.begin);
-            spans.mixInt(sp.end);
-            spans.mix(sp.parent);
-            spans.mixInt(sp.shard);
-            spans.mixInt(sp.net);
-            spans.mixInt(sp.batch);
-        }
+        span_count += testutil::mixSpans(spans, t->spans());
     EXPECT_EQ(ledger.h, 0xf9fdb2abf3919f2aull) << std::hex << ledger.h;
-    EXPECT_EQ(spans.h, 0xa87c5e7215fda750ull) << std::hex << spans.h;
+    EXPECT_EQ(spans.h, 0x91d24070e44f7fc0ull) << std::hex << spans.h;
+    EXPECT_EQ(span_count, 33148u);
 }
 
 // ---------------------------------------------------------------------------

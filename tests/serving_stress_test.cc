@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +29,8 @@
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "workload/request_generator.h"
+
+#include "span_digest.h"
 
 namespace {
 
@@ -85,21 +86,7 @@ expectIdentical(const core::RequestStats &a, const core::RequestStats &b,
             << label << " shard-net " << i;
 }
 
-/** FNV-1a over 64-bit words; doubles enter by their bit pattern. */
-struct Digest
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void mix(std::uint64_t v) { h = (h ^ v) * 1099511628211ull; }
-    void mixInt(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-    void
-    mixDouble(double d)
-    {
-        std::uint64_t bits = 0;
-        std::memcpy(&bits, &d, sizeof bits);
-        mix(bits);
-    }
-};
+using testutil::Digest;
 
 /** Every field of one RequestStats, in declaration order. */
 void
@@ -198,19 +185,23 @@ class ServingStressTest : public ::testing::Test
     /**
      * Digests of every RequestStats field of every request plus
      * hedgeStats(), resultCacheStats() and shedCancelledRpcs() of every
-     * grid point (`stats`), and of every span a flat tracer records
-     * (`spans`). `tweak` adjusts each point's config before it runs.
+     * grid point (`stats`), and of every span a tracer records, in the
+     * storage-independent order of testutil::mixSpans (`spans`, over
+     * `span_count` spans). `tweak` adjusts each point's config before
+     * it runs.
      */
     struct GridDigests
     {
         std::uint64_t stats;
         std::uint64_t spans;
+        std::size_t span_count;
     };
 
     GridDigests
     gridDigests(void (*tweak)(core::ServingConfig &)) const
     {
         Digest stats, spans;
+        std::size_t span_count = 0;
         for (const GridPoint &p : grid()) {
             obs::SpanTracer tracer;
             auto cfg = configFor(p);
@@ -240,19 +231,9 @@ class ServingStressTest : public ::testing::Test
             stats.mixInt(rc.bytes_saved);
             stats.mix(sim.shedCancelledRpcs());
 
-            for (const auto &sp : tracer.spans()) {
-                spans.mix(sp.request_id);
-                spans.mix(static_cast<std::uint64_t>(sp.kind));
-                spans.mix(sp.flags);
-                spans.mixInt(sp.begin);
-                spans.mixInt(sp.end);
-                spans.mix(sp.parent);
-                spans.mixInt(sp.shard);
-                spans.mixInt(sp.net);
-                spans.mixInt(sp.batch);
-            }
+            span_count += testutil::mixSpans(spans, tracer.spans());
         }
-        return {stats.h, spans.h};
+        return {stats.h, spans.h, span_count};
     }
 
     core::ServingConfig
@@ -324,7 +305,8 @@ TEST_F(ServingStressTest, PinnedDigestsAcrossConfigGrid)
 {
     const GridDigests d = gridDigests([](core::ServingConfig &) {});
     EXPECT_EQ(d.stats, 0x9b34d82192131121ull) << std::hex << d.stats;
-    EXPECT_EQ(d.spans, 0xc4701a22547f4719ull) << std::hex << d.spans;
+    EXPECT_EQ(d.spans, 0x8f8a3d1ddea8ce11ull) << std::hex << d.spans;
+    EXPECT_EQ(d.span_count, 264854u);
 }
 
 /**
@@ -340,7 +322,8 @@ TEST_F(ServingStressTest, PinnedDigestsWithoutAttemptDraws)
         cfg.faults.straggler_prob = 0.0;
     });
     EXPECT_EQ(d.stats, 0x97fa4e17f899e05cull) << std::hex << d.stats;
-    EXPECT_EQ(d.spans, 0xc9d9ed4256ac88d9ull) << std::hex << d.spans;
+    EXPECT_EQ(d.spans, 0x3a2dc2e70bb432fdull) << std::hex << d.spans;
+    EXPECT_EQ(d.span_count, 271660u);
 }
 
 /**
