@@ -1,7 +1,7 @@
 /**
  * @file
  * Trace viewer: reproduces the Fig. 3 visualization. Runs one request
- * through a distributed DRM1 deployment with a flat span tracer attached
+ * through a distributed DRM1 deployment with a span tracer attached
  * and renders the request's leaf spans as an ASCII timeline — main shard
  * on top, sparse shards below, one lane per (net, batch), each bar
  * glyphed by its latency bucket (compute, serde, network, queue, wait).

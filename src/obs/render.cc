@@ -31,7 +31,7 @@ renderRequestTrace(const std::vector<SpanRecord> &spans,
     std::ostringstream os;
     if (leaves.empty()) {
         os << "(no spans for request " << request_id
-           << "; was a flat SpanTracer attached?)\n";
+           << "; was a SpanTracer attached?)\n";
         return os.str();
     }
     std::stable_sort(leaves.begin(), leaves.end(),

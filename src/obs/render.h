@@ -18,7 +18,7 @@ namespace dri::obs {
  * Render the closed leaf spans of one request as a timeline, one lane
  * per (shard, net, batch). Each bar's glyph is its kind's PathBucket.
  *
- * @param spans      flat spans from one SpanTracer (ids tracer-local).
+ * @param spans      SpanTracer::spans() of one tracer (ids tracer-local).
  * @param request_id request to render.
  * @param width      character width of the time axis.
  */

@@ -1,15 +1,17 @@
 /**
  * @file
- * Tail-based trace retention: the keep/recycle policy that turns the
- * append-only SpanTracer into a bounded-memory tracing system.
+ * Tail-based trace retention: the span store behind every SpanTracer,
+ * and the keep/recycle policy that bounds its memory.
  *
- * An unsampled tracer retains every span tree ever opened — unbounded
- * memory over a week-long replay. With a TraceSampler attached, the
- * tracer routes each request's spans into a per-request tree drawn from
- * a pooled arena (the sim/pool.h recycle idiom: objects keep their
- * storage and are restored to a pristine state in place), and the
- * sampler makes a deterministic keep/recycle decision when the
- * request's root span closes.
+ * The tracer routes each request's spans into a per-request tree drawn
+ * from the sampler's pooled arena (the sim/pool.h recycle idiom:
+ * objects keep their storage and are restored to a pristine state in
+ * place), and the sampler makes a deterministic keep/recycle decision
+ * when the request's root span closes. A tracer with no sampler
+ * attached builds its own with reservoir_size and retained_byte_budget
+ * at SIZE_MAX: the reservoir never leaves its fill phase, so every tree
+ * is kept and no random number is drawn — unbounded memory over a
+ * week-long replay, which is what attaching a budgeted sampler fixes.
  *
  * ## Retention-policy contract
  *

@@ -23,12 +23,12 @@
 namespace dri::obs {
 
 /**
- * Span handle; 0 = none. In the tracer's default (flat) mode a handle
- * is index + 1 into the tracer's span store. With a TraceSampler
- * attached the handle additionally packs the sampler arena slot and a
- * recycling generation (see obs/sampler.h), which is what lets late
- * debris end()/addFlags() calls against an already-recycled tree
- * resolve to a safe no-op instead of corrupting the slot's new tenant.
+ * Span handle; 0 = none. A tracer handle packs the span's tree-local
+ * index + 1 with its tree's arena slot and recycling generation (see
+ * obs/span_tracer.h), which is what lets late debris calls against an
+ * already-sealed tree resolve to a safe no-op instead of corrupting the
+ * slot's new tenant. In a flattened span vector (SpanTracer::spans(),
+ * a RetainedTrace) ids are plain index + 1 instead.
  */
 using SpanId = std::uint64_t;
 constexpr SpanId kNoSpan = 0;

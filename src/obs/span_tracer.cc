@@ -1,5 +1,6 @@
 #include "obs/span_tracer.h"
 
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -7,18 +8,10 @@
 namespace dri::obs {
 
 SpanRecord *
-SpanTracer::get(SpanId id)
-{
-    if (id == kNoSpan || id > spans_.size())
-        return nullptr;
-    return &spans_[id - 1];
-}
-
-SpanRecord *
-SpanTracer::resolveSampled(SpanId id, TraceSampler::Tree **tree_out)
+SpanTracer::resolve(SpanId id, TraceSampler::Tree **tree_out)
 {
     *tree_out = nullptr;
-    if (id == kNoSpan)
+    if (id == kNoSpan || sampler_ == nullptr)
         return nullptr;
     const auto slot =
         static_cast<std::uint32_t>((id >> kLocalBits) & kSlotMask);
@@ -54,16 +47,47 @@ coordinate(int value, const char *name)
 
 } // namespace
 
-SpanId
-SpanTracer::beginSampled(SpanRecord rec, SpanId parent)
+void
+SpanTracer::setSampler(TraceSampler *sampler)
 {
+    if (allocations_ != 0)
+        throw std::logic_error(
+            "SpanTracer: setSampler() after the first span was recorded");
+    sampler_ = sampler;
+}
+
+SpanId
+SpanTracer::begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
+                  sim::SimTime at, int shard, int net, int batch,
+                  std::uint8_t flags)
+{
+    if (!enabled_)
+        return kNoSpan;
+    SpanRecord rec;
+    rec.request_id = request_id;
+    rec.kind = kind;
+    rec.flags = flags;
+    rec.shard = coordinate(shard, "shard");
+    rec.net = coordinate(net, "net");
+    rec.batch = coordinate(batch, "batch");
+    rec.begin = at;
+
     TraceSampler::Tree *tree;
     SpanId local_parent = kNoSpan;
     if (parent == kNoSpan) {
-        // Root span: open a fresh tree for this request.
-        tree = sampler_->acquireTree(rec.request_id);
+        // Root span: open a fresh tree for this request. Without an
+        // attached sampler, keep every tree: Algorithm R's fill phase
+        // admits every root and draws no random numbers.
+        if (sampler_ == nullptr) {
+            SamplerConfig keep_all;
+            keep_all.reservoir_size = SIZE_MAX;
+            keep_all.retained_byte_budget = SIZE_MAX;
+            keep_all_ = std::make_unique<TraceSampler>(keep_all);
+            sampler_ = keep_all_.get();
+        }
+        tree = sampler_->acquireTree(request_id);
     } else {
-        SpanRecord *parent_rec = resolveSampled(parent, &tree);
+        SpanRecord *parent_rec = resolve(parent, &tree);
         if (parent_rec == nullptr)
             return kNoSpan; // stale tree: drop the whole debris subtree
         local_parent = parent_rec->id;
@@ -81,10 +105,10 @@ SpanTracer::beginSampled(SpanRecord rec, SpanId parent)
 }
 
 void
-SpanTracer::endSampled(SpanId id, sim::SimTime at, std::uint8_t add_flags)
+SpanTracer::end(SpanId id, sim::SimTime at, std::uint8_t add_flags)
 {
     TraceSampler::Tree *tree;
-    SpanRecord *rec = resolveSampled(id, &tree);
+    SpanRecord *rec = resolve(id, &tree);
     if (rec == nullptr || !rec->open())
         return;
     rec->end = at;
@@ -104,48 +128,6 @@ SpanTracer::endSampled(SpanId id, sim::SimTime at, std::uint8_t add_flags)
 }
 
 SpanId
-SpanTracer::begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
-                  sim::SimTime at, int shard, int net, int batch,
-                  std::uint8_t flags)
-{
-    if (!enabled_)
-        return kNoSpan;
-    SpanRecord rec;
-    rec.request_id = request_id;
-    rec.kind = kind;
-    rec.flags = flags;
-    rec.shard = coordinate(shard, "shard");
-    rec.net = coordinate(net, "net");
-    rec.batch = coordinate(batch, "batch");
-    rec.begin = at;
-    if (sampler_ != nullptr)
-        return beginSampled(rec, parent);
-    rec.id = static_cast<SpanId>(spans_.size() + 1);
-    rec.parent = parent;
-    spans_.push_back(rec);
-    ++allocations_;
-    ++open_;
-    return rec.id;
-}
-
-void
-SpanTracer::end(SpanId id, sim::SimTime at, std::uint8_t add_flags)
-{
-    if (sampler_ != nullptr) {
-        endSampled(id, at, add_flags);
-        return;
-    }
-    SpanRecord *rec = get(id);
-    if (rec == nullptr || !rec->open())
-        return;
-    rec->end = at;
-    rec->flags |= add_flags;
-    --open_;
-    if (rec->kind == SpanKind::Request && rec->parent == kNoSpan)
-        last_root_ = RootDecision::Kept; // flat mode retains everything
-}
-
-SpanId
 SpanTracer::record(std::uint64_t request_id, SpanKind kind, SpanId parent,
                    sim::SimTime begin, sim::SimTime end, int shard, int net,
                    int batch, std::uint8_t flags)
@@ -159,16 +141,17 @@ SpanTracer::record(std::uint64_t request_id, SpanKind kind, SpanId parent,
 void
 SpanTracer::addFlags(SpanId id, std::uint8_t flags)
 {
-    if (sampler_ != nullptr) {
-        TraceSampler::Tree *tree;
-        SpanRecord *rec = resolveSampled(id, &tree);
-        if (rec != nullptr)
-            rec->flags |= flags;
-        return;
-    }
-    SpanRecord *rec = get(id);
+    TraceSampler::Tree *tree;
+    SpanRecord *rec = resolve(id, &tree);
     if (rec != nullptr)
         rec->flags |= flags;
+}
+
+std::vector<SpanRecord>
+SpanTracer::spans() const
+{
+    return sampler_ == nullptr ? std::vector<SpanRecord>{}
+                               : sampler_->flattenedSpans();
 }
 
 } // namespace dri::obs

@@ -1,6 +1,6 @@
 /**
  * @file
- * Append-only per-request span tracer.
+ * Per-request span tracer.
  *
  * The tracer is the write side of the observability layer: the serving
  * engine calls begin()/end()/record() at lifecycle boundaries, all in
@@ -8,38 +8,34 @@
  *
  *  - **Zero overhead when disabled.** A disabled tracer returns
  *    kNoSpan from begin() and never touches its storage; allocations()
- *    counts every vector append, so tests can assert "disabled tracer
+ *    counts every span append, so tests can assert "disabled tracer
  *    performed zero allocations" with a counter instead of a timing
  *    heuristic. The serving engine additionally caches a null pointer
  *    when tracing is off so the hot path pays one branch, not a call.
  *
- *  - **Pure observation.** The tracer never consumes randomness and
- *    never schedules events, so attaching it cannot perturb the
- *    simulation: RequestStats are byte-identical with tracing on/off
- *    (enforced by serving_stress_test).
+ *  - **Pure observation.** The tracer never consumes simulation
+ *    randomness and never schedules events, so attaching it cannot
+ *    perturb the simulation: RequestStats are byte-identical with
+ *    tracing on/off (enforced by serving_stress_test).
  *
- * The tracer has two storage modes:
+ * There is one span store: a TraceSampler's per-request tree arena.
+ * Each root span opens a tree; its descendants file into it. The
+ * sampler decides keep/recycle when the root closes (see obs/sampler.h
+ * for the retention contract), and seals the tree once its last span —
+ * including post-root hedge/cancel debris — closes. A tracer with no
+ * sampler attached creates its own keep-all sampler at its first span,
+ * so every tree is retained; one that never records allocates nothing.
  *
- *  - **Flat (default).** Every span appends to one growing vector;
- *    SpanId is index + 1. Complete, but memory grows with the replay —
- *    right for explorers and short studies.
- *
- *  - **Sampling** (a TraceSampler attached via setSampler() BEFORE any
- *    span is recorded). Spans route into per-request trees drawn from
- *    the sampler's pooled arena; the sampler makes a deterministic
- *    keep/recycle decision at root-span close (see obs/sampler.h for
- *    the retention contract), and a tree is sealed once its last span
- *    — including post-root hedge/cancel debris — closes. In this mode
- *    spans() stays empty; retained trees live on the sampler. Handles
- *    pack (generation, arena slot, tree-local index), so debris
- *    end()/addFlags() calls that arrive after their tree was recycled
- *    are detected by generation mismatch and dropped (counted by the
- *    sampler). The sampler's private RNG is the only randomness
- *    involved, so the pure-observation contract holds bit-for-bit.
+ * Handles pack (generation, arena slot, tree-local index), so debris
+ * begin()/end()/addFlags() calls that arrive after their tree was
+ * sealed are detected by generation mismatch and dropped (counted in
+ * TraceSampler::stats().stale_span_drops). spans() shows a tree only
+ * once it is sealed.
  */
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "obs/sampler.h"
@@ -55,25 +51,31 @@ class SpanTracer
     bool enabled() const { return enabled_; }
 
     /**
-     * Attach a retention sampler (sampling mode). Must happen before
-     * any span is recorded; pass nullptr to return to flat mode. Not
-     * owned; must outlive the tracer's use.
+     * Attach a retention sampler; without one the tracer keeps every
+     * tree. Not owned; must outlive the tracer's use. Throws
+     * std::logic_error once a span has been recorded, because the open
+     * trees' handles point into the current sampler's arena.
      */
-    void setSampler(TraceSampler *sampler) { sampler_ = sampler; }
+    void setSampler(TraceSampler *sampler);
+
+    /**
+     * The span store: the attached sampler, else the tracer's own
+     * keep-all sampler, or nullptr before the first span.
+     */
     TraceSampler *sampler() const { return sampler_; }
 
     /** Root keep/recycle outcome of the most recent root-span close. */
     enum class RootDecision : std::uint8_t
     {
-        None,    //!< no root closed yet (or flat mode: always retained)
+        None,    //!< no root closed yet
         Dropped, //!< sampler chose recycle
         Kept,    //!< sampler chose keep
     };
 
     /**
-     * Decision for the most recently closed root span. Flat mode
-     * reports Kept (every span is retained); the serving engine reads
-     * this right after ending a root to stamp exemplar retention.
+     * Decision for the most recently closed root span; always Kept
+     * without an attached sampler. The serving engine reads this right
+     * after ending a root to stamp exemplar retention.
      */
     RootDecision lastRootDecision() const { return last_root_; }
 
@@ -82,8 +84,8 @@ class SpanTracer
      * calls accept kNoSpan and become no-ops, so call sites need no
      * extra guards beyond the cached tracer pointer. @p shard, @p net and
      * @p batch are stored as int16; a value outside [-32768, 32767]
-     * throws std::out_of_range (in both storage modes) before anything
-     * is recorded.
+     * throws std::out_of_range before anything is recorded. A child
+     * of a sealed tree is dropped (counted) and returns kNoSpan.
      */
     SpanId begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
                  sim::SimTime at, int shard = kMainShard, int net = -1,
@@ -101,8 +103,12 @@ class SpanTracer
     /** OR flags into an existing span without closing it. */
     void addFlags(SpanId id, std::uint8_t flags);
 
-    /** Flat-mode span store (empty in sampling mode). */
-    const std::vector<SpanRecord> &spans() const { return spans_; }
+    /**
+     * Spans of every retained, sealed tree, flattened so that id ==
+     * index + 1 (TraceSampler::flattenedSpans()). A copy: bind it to a
+     * value, not a reference into the temporary.
+     */
+    std::vector<SpanRecord> spans() const;
 
     /** Spans currently open (begun, not yet ended). */
     std::uint64_t openCount() const { return open_; }
@@ -110,13 +116,13 @@ class SpanTracer
     /**
      * Span appends performed since construction. Exactly 0 for a
      * disabled tracer — the zero-overhead contract, testable without
-     * timing. (Sampling mode counts appends into recycled arena
-     * capacity too; the *heap* bound there is the sampler's budget.)
+     * timing. Appends into recycled arena capacity count too; the
+     * *heap* bound is the sampler's retained-byte budget.
      */
     std::uint64_t allocations() const { return allocations_; }
 
   private:
-    // Sampling-mode handle layout: bits 0..19 tree-local index + 1,
+    // Handle layout: bits 0..19 tree-local index + 1,
     // bits 20..35 arena slot, bits 36..63 recycle generation.
     static constexpr unsigned kLocalBits = 20;
     static constexpr unsigned kSlotBits = 16;
@@ -134,16 +140,13 @@ class SpanTracer
                (static_cast<SpanId>(local_plus_one) & kLocalMask);
     }
 
-    SpanRecord *get(SpanId id);
-    /** Sampling mode: resolve a handle to its live tree + record. */
-    SpanRecord *resolveSampled(SpanId id, TraceSampler::Tree **tree_out);
-    /** Sampling mode: file `rec` (all but id/parent set) in its tree. */
-    SpanId beginSampled(SpanRecord rec, SpanId parent);
-    void endSampled(SpanId id, sim::SimTime at, std::uint8_t add_flags);
+    /** Resolve a handle to its live tree + record (nullptr if stale). */
+    SpanRecord *resolve(SpanId id, TraceSampler::Tree **tree_out);
 
     bool enabled_;
     TraceSampler *sampler_ = nullptr;
-    std::vector<SpanRecord> spans_;
+    /** Keep-all store, created at the first span if none is attached. */
+    std::unique_ptr<TraceSampler> keep_all_;
     std::uint64_t open_ = 0;
     std::uint64_t allocations_ = 0;
     RootDecision last_root_ = RootDecision::None;

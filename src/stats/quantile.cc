@@ -62,12 +62,4 @@ QuantileEstimator::sum() const
     return std::accumulate(sorted_.begin(), sorted_.end(), 0.0);
 }
 
-void
-QuantileEstimator::clear()
-{
-    samples_.clear();
-    sorted_.clear();
-    sorted_valid_ = true;
-}
-
 } // namespace dri::stats

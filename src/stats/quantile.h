@@ -49,9 +49,6 @@ class QuantileEstimator
     double mean() const;
     double sum() const;
 
-    /** Discard all samples. */
-    void clear();
-
   private:
     std::vector<double> samples_;
 

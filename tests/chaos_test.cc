@@ -322,8 +322,13 @@ TEST(Chaos, KitchenSinkDigestsArePinned)
         }
     Digest spans;
     std::size_t span_count = 0;
-    for (const obs::SpanTracer *t : {&tracer, &burst_tracer})
+    for (const obs::SpanTracer *t : {&tracer, &burst_tracer}) {
         span_count += testutil::mixSpans(spans, t->spans());
+        // Every span closes, and none arrives after its tree was sealed.
+        EXPECT_EQ(t->openCount(), 0u);
+        ASSERT_NE(t->sampler(), nullptr);
+        EXPECT_EQ(t->sampler()->stats().stale_span_drops, 0u);
+    }
     EXPECT_EQ(ledger.h, 0xf9fdb2abf3919f2aull) << std::hex << ledger.h;
     EXPECT_EQ(spans.h, 0x91d24070e44f7fc0ull) << std::hex << spans.h;
     EXPECT_EQ(span_count, 33148u);

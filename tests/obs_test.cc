@@ -66,14 +66,15 @@ TEST(SpanTracer, BeginEndLifecycle)
     tracer.end(root, 50, obs::kFlagShed);
     EXPECT_EQ(tracer.openCount(), 0u);
 
-    ASSERT_EQ(tracer.spans().size(), 2u);
-    const auto &r = tracer.spans()[0];
-    const auto &c = tracer.spans()[1];
+    const auto spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 2u);
+    const auto &r = spans[0];
+    const auto &c = spans[1];
     EXPECT_EQ(r.request_id, 7u);
     EXPECT_EQ(r.begin, 10);
     EXPECT_EQ(r.end, 50);
     EXPECT_EQ(r.flags, obs::kFlagShed);
-    EXPECT_EQ(c.parent, root);
+    EXPECT_EQ(c.parent, r.id);
     EXPECT_EQ(c.shard, 2);
     EXPECT_EQ(c.end, 30);
     EXPECT_GT(tracer.allocations(), 0u);
@@ -83,13 +84,14 @@ TEST(SpanTracer, BeginEndLifecycle)
  * Span coordinates are int16 in storage: values outside that range throw
  * instead of wrapping, and nothing is recorded for the rejected span.
  */
-void
-expectCoordinatesRangeChecked(obs::SpanTracer &tracer)
+TEST(SpanTracer, RejectsCoordinatesOutsideInt16)
 {
+    obs::SpanTracer tracer;
     EXPECT_THROW(tracer.begin(1, SpanKind::Request, obs::kNoSpan, 0,
                               /*shard=*/32768),
                  std::out_of_range);
     EXPECT_EQ(tracer.openCount(), 0u);
+    EXPECT_EQ(tracer.sampler(), nullptr);
     const auto root = tracer.begin(1, SpanKind::Request, obs::kNoSpan, 0,
                                    /*shard=*/-32768, /*net=*/32767);
     ASSERT_NE(root, obs::kNoSpan);
@@ -102,25 +104,52 @@ expectCoordinatesRangeChecked(obs::SpanTracer &tracer)
     EXPECT_EQ(tracer.openCount(), 1u);
     tracer.end(root, 10);
     EXPECT_EQ(tracer.openCount(), 0u);
+    const auto spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].shard, -32768);
+    EXPECT_EQ(spans[0].net, 32767);
+    EXPECT_EQ(tracer.allocations(), 1u);
 }
 
-TEST(SpanTracer, FlatModeRejectsCoordinatesOutsideInt16)
+/**
+ * A tree is sealed once its root and every span in it have closed; a
+ * child begun under a sealed root is late debris: dropped, counted, and
+ * never shown.
+ */
+TEST(SpanTracer, ChildOfASealedRootIsDroppedAndCounted)
 {
     obs::SpanTracer tracer;
-    expectCoordinatesRangeChecked(tracer);
+    const auto root =
+        tracer.record(3, SpanKind::Request, obs::kNoSpan, 0, 100);
     ASSERT_EQ(tracer.spans().size(), 1u);
-    EXPECT_EQ(tracer.spans()[0].shard, -32768);
-    EXPECT_EQ(tracer.spans()[0].net, 32767);
+    EXPECT_EQ(tracer.record(3, SpanKind::QueueWait, root, 10, 20),
+              obs::kNoSpan);
+    ASSERT_NE(tracer.sampler(), nullptr);
+    EXPECT_EQ(tracer.sampler()->stats().stale_span_drops, 1u);
+    const auto spans = tracer.spans();
+    ASSERT_EQ(spans.size(), 1u);
+    EXPECT_EQ(spans[0].kind, SpanKind::Request);
+    EXPECT_EQ(tracer.allocations(), 1u);
+    EXPECT_EQ(tracer.openCount(), 0u);
 }
 
-TEST(SpanTracer, SamplingModeRejectsCoordinatesOutsideInt16)
+/**
+ * A sampler can be attached (or detached) until the first span; after
+ * that the open trees' handles point into the current store, so a swap
+ * throws and leaves the tracer working.
+ */
+TEST(SpanTracer, SetSamplerAfterTheFirstSpanThrows)
 {
-    obs::TraceSampler sampler(obs::SamplerConfig{});
+    obs::TraceSampler sampler;
     obs::SpanTracer tracer;
     tracer.setSampler(&sampler);
-    expectCoordinatesRangeChecked(tracer);
-    EXPECT_TRUE(tracer.spans().empty());
-    EXPECT_EQ(tracer.allocations(), 1u);
+    tracer.setSampler(nullptr);
+    const auto root = tracer.begin(1, SpanKind::Request, obs::kNoSpan, 0);
+    EXPECT_THROW(tracer.setSampler(&sampler), std::logic_error);
+    EXPECT_THROW(tracer.setSampler(nullptr), std::logic_error);
+    tracer.end(root, 10);
+    EXPECT_EQ(tracer.spans().size(), 1u);
+    EXPECT_EQ(sampler.stats().roots_closed, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -128,7 +157,9 @@ TEST(SpanTracer, SamplingModeRejectsCoordinatesOutsideInt16)
 // ---------------------------------------------------------------------------
 
 /**
- * One request, one sequential lifecycle, one remote RPC chain:
+ * One request, one sequential lifecycle, one remote RPC chain (with
+ * @p hedge_loser, plus a flagged hedge-loser RpcAttempt [35,300] under
+ * the RpcOp that outlives the request):
  *
  *   Request [0,100]
  *     QueueWait [0,10]            queue
@@ -150,10 +181,10 @@ TEST(SpanTracer, SamplingModeRejectsCoordinatesOutsideInt16)
  * queue=20, serde=20, compute=40, network=20.
  */
 obs::SpanTracer
-buildCanonicalTree()
+buildCanonicalTree(bool hedge_loser = false)
 {
     obs::SpanTracer t;
-    const auto root = t.record(1, SpanKind::Request, obs::kNoSpan, 0, 100);
+    const auto root = t.begin(1, SpanKind::Request, obs::kNoSpan, 0);
     t.record(1, SpanKind::QueueWait, root, 0, 10);
     t.record(1, SpanKind::Deserialize, root, 10, 20);
     const auto net = t.record(1, SpanKind::NetPhase, root, 20, 90);
@@ -168,6 +199,10 @@ buildCanonicalTree()
     t.record(1, SpanKind::WireBack, att, 70, 80);
     t.record(1, SpanKind::DenseTop, batch, 80, 90);
     t.record(1, SpanKind::ResponseSerialize, root, 90, 100);
+    if (hedge_loser)
+        t.record(1, SpanKind::RpcAttempt, op, 35, 300, /*shard=*/3, -1, -1,
+                 obs::kFlagHedge | obs::kFlagLoser);
+    t.end(root, 100);
     return t;
 }
 
@@ -213,12 +248,9 @@ TEST(CriticalPath, SegmentsPartitionRootExactly)
 
 TEST(CriticalPath, CancelledAndLoserSpansAreExcluded)
 {
-    auto tracer = buildCanonicalTree();
     // A hedge loser that outlived the request: closed, flagged, longer
     // than everything else. It must not hijack the last-finisher walk.
-    const auto op = tracer.spans()[7].id; // RpcOp
-    tracer.record(1, SpanKind::RpcAttempt, op, 35, 300, /*shard=*/3, -1,
-                  -1, obs::kFlagHedge | obs::kFlagLoser);
+    const auto tracer = buildCanonicalTree(/*hedge_loser=*/true);
     const auto paths = obs::criticalPaths(tracer.spans());
     ASSERT_EQ(paths.size(), 1u);
     EXPECT_EQ(paths[0].total, 100);
@@ -240,11 +272,17 @@ TEST(Conservation, CleanTreePasses)
 
 TEST(Conservation, DetectsOpenSpans)
 {
-    obs::SpanTracer t;
-    const auto root = t.begin(1, SpanKind::Request, obs::kNoSpan, 0);
-    t.begin(1, SpanKind::QueueWait, root, 0); // never ended
-    t.end(root, 100);
-    const auto rep = obs::checkConservation(t.spans());
+    // A tracer never shows a tree with an open span, so build one.
+    obs::SpanRecord root;
+    root.request_id = 1;
+    root.id = 1;
+    root.end = 100;
+    obs::SpanRecord child = root;
+    child.id = 2;
+    child.parent = root.id;
+    child.kind = SpanKind::QueueWait;
+    child.end = obs::kOpenEnd; // never ended
+    const auto rep = obs::checkConservation({root, child});
     EXPECT_EQ(rep.open_spans, 1u);
     EXPECT_FALSE(rep.ok(1));
 }
@@ -252,18 +290,20 @@ TEST(Conservation, DetectsOpenSpans)
 TEST(Conservation, DetectsNestingViolations)
 {
     obs::SpanTracer t;
-    const auto root = t.record(1, SpanKind::Request, obs::kNoSpan, 10, 100);
+    const auto root = t.begin(1, SpanKind::Request, obs::kNoSpan, 10);
     // Child escapes its parent on both sides without a cancel flag.
     t.record(1, SpanKind::QueueWait, root, 0, 120);
+    t.end(root, 100);
     const auto rep = obs::checkConservation(t.spans());
     EXPECT_GT(rep.nesting_violations, 0u);
     EXPECT_FALSE(rep.ok(1));
 
     // The same overhang IS legal for cancelled/loser debris.
     obs::SpanTracer t2;
-    const auto r2 = t2.record(1, SpanKind::Request, obs::kNoSpan, 10, 100);
+    const auto r2 = t2.begin(1, SpanKind::Request, obs::kNoSpan, 10);
     t2.record(1, SpanKind::RpcAttempt, r2, 10, 120, obs::kMainShard, -1,
               -1, obs::kFlagCancelled);
+    t2.end(r2, 100);
     const auto rep2 = obs::checkConservation(t2.spans());
     EXPECT_EQ(rep2.nesting_violations, 0u);
     EXPECT_EQ(rep2.cancelled_spans, 1u);
@@ -272,9 +312,13 @@ TEST(Conservation, DetectsNestingViolations)
 
 TEST(ChromeTrace, EmitsCompleteEventsForClosedSpans)
 {
-    auto tracer = buildCanonicalTree();
-    tracer.begin(2, SpanKind::Request, obs::kNoSpan, 500); // open: skipped
-    const std::string json = obs::chromeTraceJson(tracer.spans());
+    auto spans = buildCanonicalTree().spans();
+    obs::SpanRecord open; // an open root: skipped
+    open.request_id = 2;
+    open.id = spans.size() + 1;
+    open.begin = 500;
+    spans.push_back(open);
+    const std::string json = obs::chromeTraceJson(spans);
     EXPECT_EQ(json.front(), '[');
     // 15 closed spans -> 15 "X" events; the open root is skipped.
     std::size_t events = 0, pos = 0;
@@ -295,7 +339,7 @@ TEST(ChromeTrace, EmitsCompleteEventsForClosedSpans)
 TEST(Render, ProducesTimelineWithShards)
 {
     obs::SpanTracer t;
-    const auto root = t.record(42, SpanKind::Request, obs::kNoSpan, 0, 1000);
+    const auto root = t.begin(42, SpanKind::Request, obs::kNoSpan, 0);
     const auto batch = t.record(42, SpanKind::BatchExec, root, 0, 1000,
                                 obs::kMainShard, 0, 0);
     t.record(42, SpanKind::DenseBottom, batch, 0, 200, obs::kMainShard, 0, 0);
@@ -305,6 +349,7 @@ TEST(Render, ProducesTimelineWithShards)
     t.record(42, SpanKind::RemoteCompute, att, 300, 700, 2, 0, 0);
     t.record(42, SpanKind::WireBack, att, 700, 800, 2, 0, 0);
     t.record(42, SpanKind::DenseTop, batch, 800, 1000, obs::kMainShard, 0, 0);
+    t.end(root, 1000);
     t.record(7, SpanKind::Request, obs::kNoSpan, 0, 5000); // other request
 
     const std::string out = obs::renderRequestTrace(t.spans(), 42, 60);

@@ -419,6 +419,11 @@ TEST_F(ServingStressTest, TracingLeavesStatsByteIdentical)
                     EXPECT_EQ(rep.open_spans, 0u) << p.label();
                     EXPECT_EQ(tracer.openCount(), 0u) << p.label();
                     EXPECT_EQ(rep.nesting_violations, 0u) << p.label();
+                    // No span arrives after its tree was sealed.
+                    ASSERT_NE(tracer.sampler(), nullptr) << p.label();
+                    EXPECT_EQ(tracer.sampler()->stats().stale_span_drops,
+                              0u)
+                        << p.label();
                     if (!p.batched) {
                         // One root per injected request; the batcher
                         // merges requests so its root count is the

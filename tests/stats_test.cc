@@ -261,14 +261,6 @@ TEST(Quantile, InterleavedAddAndQuery)
     EXPECT_DOUBLE_EQ(q.p50(), 2.0);
 }
 
-TEST(Quantile, ClearResets)
-{
-    QuantileEstimator q;
-    q.add(1.0);
-    q.clear();
-    EXPECT_TRUE(q.empty());
-}
-
 /** Property: quantiles are monotone in q. */
 class QuantileMonotoneTest : public ::testing::TestWithParam<std::uint64_t>
 {

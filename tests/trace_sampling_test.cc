@@ -208,11 +208,11 @@ TEST(TraceSampler, ArenaRecyclesSlotsInsteadOfGrowing)
         closeRoot(tracer, id, 1000);
     EXPECT_EQ(sampler.stats().roots_closed, 500u);
     EXPECT_LE(sampler.arenaSlots(), 4u);
-    // Flat-mode store stays empty in sampling mode.
-    EXPECT_TRUE(tracer.spans().empty());
-    // Flattened retained spans rebase ids into one consistent vector.
+    // Flattened retained spans rebase ids into one consistent vector,
+    // which is what the tracer shows.
     const auto flat = sampler.flattenedSpans();
     EXPECT_EQ(flat.size(), sampler.retained().size() * 2);
+    EXPECT_EQ(tracer.spans().size(), flat.size());
     const auto rep = obs::checkConservation(flat);
     EXPECT_EQ(rep.open_spans, 0u);
     EXPECT_EQ(rep.nesting_violations, 0u);
@@ -221,19 +221,24 @@ TEST(TraceSampler, ArenaRecyclesSlotsInsteadOfGrowing)
 TEST(TraceSampler, ArenaOverflowThrowsInsteadOfAliasingSlots)
 {
     obs::TraceSampler sampler;
-    obs::SpanTracer tracer;
-    tracer.setSampler(&sampler);
+    obs::SpanTracer sampled, keep_all;
+    sampled.setSampler(&sampler);
 
     // Handles pack the arena slot in 16 bits. Every root stays open, so
-    // each one claims a fresh slot; the 2^16 + 1st has none left.
+    // each one claims a fresh slot; the 2^16 + 1st has none left. The
+    // cap is the same for the tracer's own keep-all store.
     constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
-    for (std::uint64_t id = 0; id < kSlots; ++id)
-        ASSERT_NE(tracer.begin(id, obs::SpanKind::Request, obs::kNoSpan, 0),
-                  obs::kNoSpan);
-    EXPECT_EQ(sampler.arenaSlots(), kSlots);
-    EXPECT_THROW(
-        tracer.begin(kSlots, obs::SpanKind::Request, obs::kNoSpan, 0),
-        std::length_error);
+    for (obs::SpanTracer *tracer : {&sampled, &keep_all}) {
+        for (std::uint64_t id = 0; id < kSlots; ++id)
+            ASSERT_NE(
+                tracer->begin(id, obs::SpanKind::Request, obs::kNoSpan, 0),
+                obs::kNoSpan);
+        EXPECT_EQ(tracer->sampler()->arenaSlots(), kSlots);
+        EXPECT_THROW(
+            tracer->begin(kSlots, obs::SpanKind::Request, obs::kNoSpan, 0),
+            std::length_error);
+    }
+    EXPECT_EQ(sampled.sampler(), &sampler);
 }
 
 // ---------------------------------------------------------------------------
