@@ -1943,15 +1943,38 @@ ServingSimulation::replayOpenLoop(
     results.reserve(requests.size());
     impl_->results = &results;
 
-    stats::Rng arrivals = impl_->rng.fork(0xa881);
-    sim::SimTime t = impl_->engine.now();
-    for (const auto &req : requests) {
-        t += static_cast<sim::Duration>(
-            arrivals.exponential(qps) * static_cast<double>(sim::kSecond));
-        impl_->engine.scheduleAt(t, sim::kEvDriver, [this, &req] {
-            impl_->inject(req, nullptr);
-        });
-    }
+    // Chain the arrivals: arrival i, when it fires, draws arrival i+1's
+    // gap from the private stream and schedules it under the tie-break
+    // number reserved for it here. Every arrival keeps the (time, number)
+    // it would have had scheduled up front, so the dispatch order is
+    // unchanged while the heap holds only in-flight work.
+    struct Chain
+    {
+        Impl *impl;
+        const std::vector<workload::Request> *requests;
+        stats::Rng arrivals;
+        double qps;
+        std::uint64_t first_seq;
+        sim::SimTime t;
+
+        void
+        schedule(std::size_t i)
+        {
+            t += static_cast<sim::Duration>(arrivals.exponential(qps) *
+                                            static_cast<double>(sim::kSecond));
+            impl->engine.scheduleAt(t, sim::kEvDriver, first_seq + i,
+                                    [this, i] {
+                                        if (i + 1 < requests->size())
+                                            schedule(i + 1);
+                                        impl->inject((*requests)[i], nullptr);
+                                    });
+        }
+    };
+    Chain chain{impl_.get(), &requests, impl_->rng.fork(0xa881), qps,
+                impl_->engine.reserveSeq(requests.size()),
+                impl_->engine.now()};
+    if (!requests.empty())
+        chain.schedule(0);
     impl_->engine.run();
     impl_->results = &impl_->collected;
     return results;

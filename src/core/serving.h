@@ -384,7 +384,12 @@ class ServingSimulation
     /**
      * Replay with open-loop Poisson arrivals at the given rate (the
      * Section VII-A high-QPS experiment). Throws std::invalid_argument
-     * unless `qps` is finite and > 0, in every build type.
+     * unless `qps` is finite and > 0, in every build type. Arrivals are
+     * chained under tie-break numbers reserved up front (see
+     * sim::Engine::reserveSeq): each one schedules the next when it
+     * fires, so the event heap holds only in-flight work, and the
+     * dispatch order is the one scheduling every arrival before run()
+     * would give.
      */
     std::vector<RequestStats>
     replayOpenLoop(const std::vector<workload::Request> &requests,

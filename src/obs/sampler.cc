@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace dri::obs {
 
@@ -33,7 +34,8 @@ TraceSampler::acquireTree(std::uint64_t request_id)
     if (free_slots_.empty()) {
         if (arena_.size() >= kMaxTrees)
             throw std::length_error(
-                "TraceSampler: more than 65536 concurrent request trees");
+                "TraceSampler: more than " + std::to_string(kMaxTrees) +
+                " concurrent request trees");
         arena_.push_back(std::make_unique<Tree>());
         t = arena_.back().get();
         t->slot = static_cast<std::uint32_t>(arena_.size() - 1);
@@ -151,7 +153,13 @@ TraceSampler::recycleSlotOnly(Tree *tree)
     // counted no-op instead of writing into the slot's next tenant.
     ++tree->generation;
     tree->decided = false;
-    free_slots_.push_back(tree->slot);
+    if (tree->generation <= kMaxGeneration) {
+        free_slots_.push_back(tree->slot);
+        return;
+    }
+    // Generation field exhausted: retire the slot (its handles all stay
+    // stale) and let the next tree take a fresh one.
+    tree->spans = {};
 }
 
 void

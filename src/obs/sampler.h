@@ -169,10 +169,18 @@ class TraceSampler
     };
 
     /**
-     * Arena slots a SpanTracer handle can address (16 slot bits), i.e.
+     * Arena slots a SpanTracer handle can address (24 slot bits), i.e.
      * the most request trees that may be open at once.
      */
-    static constexpr std::size_t kMaxTrees = std::size_t{1} << 16;
+    static constexpr std::size_t kMaxTrees = std::size_t{1} << 24;
+
+    /**
+     * Highest generation a SpanTracer handle can carry (20 generation
+     * bits). A slot sealed at this generation is retired instead of
+     * recycled, so a handle's generation never wraps onto a later
+     * tenant of its slot.
+     */
+    static constexpr std::uint32_t kMaxGeneration = (1u << 20) - 1;
 
     /**
      * Open a tree for a new root span (recycles a free arena slot).
@@ -213,7 +221,10 @@ class TraceSampler
     /** Sum of retained span-record bytes (always <= the budget). */
     std::size_t retainedBytes() const { return retained_bytes_; }
 
-    /** Arena slots ever created == maximum concurrent request trees. */
+    /**
+     * Arena slots ever created: the maximum concurrent request trees,
+     * plus one per slot retired at kMaxGeneration.
+     */
     std::size_t arenaSlots() const { return arena_.size(); }
 
     const SamplerStats &stats() const { return stats_; }

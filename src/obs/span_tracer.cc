@@ -93,7 +93,10 @@ SpanTracer::begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
         local_parent = parent_rec->id;
     }
     if (tree->spans.size() >= kLocalMask)
-        return kNoSpan; // 1M spans in one request tree: never in practice
+        throw std::length_error("SpanTracer: request " +
+                                std::to_string(request_id) + " has " +
+                                std::to_string(kLocalMask) +
+                                " spans, the most a handle can index");
 
     rec.id = static_cast<SpanId>(tree->spans.size() + 1);
     rec.parent = local_parent;

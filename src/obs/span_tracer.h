@@ -26,11 +26,11 @@
  * sampler attached creates its own keep-all sampler at its first span,
  * so every tree is retained; one that never records allocates nothing.
  *
- * Handles pack (generation, arena slot, tree-local index), so debris
- * begin()/end()/addFlags() calls that arrive after their tree was
- * sealed are detected by generation mismatch and dropped (counted in
- * TraceSampler::stats().stale_span_drops). spans() shows a tree only
- * once it is sealed.
+ * Handles pack (20-bit generation, 24-bit arena slot, 20-bit tree-local
+ * index), so debris begin()/end()/addFlags() calls that arrive after
+ * their tree was sealed are detected by generation mismatch and dropped
+ * (counted in TraceSampler::stats().stale_span_drops). spans() shows a
+ * tree only once it is sealed.
  */
 #pragma once
 
@@ -85,7 +85,10 @@ class SpanTracer
      * extra guards beyond the cached tracer pointer. @p shard, @p net and
      * @p batch are stored as int16; a value outside [-32768, 32767]
      * throws std::out_of_range before anything is recorded. A child
-     * of a sealed tree is dropped (counted) and returns kNoSpan.
+     * of a sealed tree is dropped (counted) and returns kNoSpan. Throws
+     * std::length_error for a tree's 2^20th span (the handle's local
+     * index field is full) and, from the store, for a root that would
+     * be the (TraceSampler::kMaxTrees + 1)th concurrent tree.
      */
     SpanId begin(std::uint64_t request_id, SpanKind kind, SpanId parent,
                  sim::SimTime at, int shard = kMainShard, int net = -1,
@@ -123,21 +126,30 @@ class SpanTracer
 
   private:
     // Handle layout: bits 0..19 tree-local index + 1,
-    // bits 20..35 arena slot, bits 36..63 recycle generation.
+    // bits 20..43 arena slot, bits 44..63 recycle generation. No field
+    // is ever masked: begin() throws before a tree's local index would
+    // overflow, the sampler caps slots at kMaxTrees and retires a slot
+    // before its generation passes kMaxGeneration.
     static constexpr unsigned kLocalBits = 20;
-    static constexpr unsigned kSlotBits = 16;
+    static constexpr unsigned kSlotBits = 24;
+    static constexpr unsigned kGenerationBits = 20;
     static constexpr SpanId kLocalMask = (SpanId{1} << kLocalBits) - 1;
     static constexpr SpanId kSlotMask = (SpanId{1} << kSlotBits) - 1;
+    static_assert(kLocalBits + kSlotBits + kGenerationBits == 64,
+                  "the handle fields fill one SpanId");
     static_assert(TraceSampler::kMaxTrees == kSlotMask + 1,
                   "every arena slot must have a distinct handle");
+    static_assert(TraceSampler::kMaxGeneration ==
+                      (SpanId{1} << kGenerationBits) - 1,
+                  "every live generation must fit its field");
 
     static SpanId encode(std::uint32_t generation, std::uint32_t slot,
                          std::size_t local_plus_one)
     {
         return (static_cast<SpanId>(generation)
                 << (kLocalBits + kSlotBits)) |
-               (static_cast<SpanId>(slot & kSlotMask) << kLocalBits) |
-               (static_cast<SpanId>(local_plus_one) & kLocalMask);
+               (static_cast<SpanId>(slot) << kLocalBits) |
+               static_cast<SpanId>(local_plus_one);
     }
 
     /** Resolve a handle to its live tree + record (nullptr if stale). */

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace dri::sched {
 
@@ -289,20 +291,47 @@ runBatchedOpenLoop(core::ServingSimulation &sim,
                    double qps, const BatcherConfig &config,
                    std::uint64_t arrival_seed)
 {
-    assert(qps > 0.0);
+    if (!(qps > 0.0) || !std::isfinite(qps))
+        throw std::invalid_argument("runBatchedOpenLoop: qps must be finite "
+                                    "and > 0, got " + std::to_string(qps));
     DynamicBatcher batcher(sim, config);
-    stats::Rng arrivals(arrival_seed);
+
+    // Chained like ServingSimulation::replayOpenLoop: offer i, when it
+    // fires, schedules offer i+1 under its reserved tie-break number, and
+    // the last offer schedules the end-of-stream drain under the number
+    // after it (same timestamp, later number: it runs after every offer).
+    struct Chain
+    {
+        DynamicBatcher *batcher;
+        sim::Engine *engine;
+        const std::vector<workload::Request> *requests;
+        stats::Rng arrivals;
+        double qps;
+        std::uint64_t first_seq;
+        sim::SimTime t;
+
+        void
+        schedule(std::size_t i)
+        {
+            if (i == requests->size()) {
+                engine->scheduleAt(t, sim::kEvDriver, first_seq + i,
+                                   [this] { batcher->flush(); });
+                return;
+            }
+            t += static_cast<sim::Duration>(arrivals.exponential(qps) *
+                                            static_cast<double>(sim::kSecond));
+            engine->scheduleAt(t, sim::kEvDriver, first_seq + i, [this, i] {
+                schedule(i + 1);
+                batcher->offer((*requests)[i]);
+            });
+        }
+    };
     sim::Engine &engine = sim.engine();
-    sim::SimTime t = engine.now();
-    for (const auto &req : requests) {
-        t += static_cast<sim::Duration>(
-            arrivals.exponential(qps) * static_cast<double>(sim::kSecond));
-        engine.scheduleAt(t, sim::kEvDriver,
-                          [&batcher, &req] { batcher.offer(req); });
-    }
-    // Same timestamp as the last offer but a later sequence number, so the
-    // end-of-stream drain runs after every arrival.
-    engine.scheduleAt(t, sim::kEvDriver, [&batcher] { batcher.flush(); });
+    Chain chain{&batcher,          &engine,
+                &requests,         stats::Rng(arrival_seed),
+                qps,               engine.reserveSeq(requests.size() + 1),
+                engine.now()};
+    chain.schedule(0);
     engine.run();
     sim.takeResults(); // merged-level stats; superseded by per-part stats
     return batcher.takeStats();

@@ -164,7 +164,10 @@ class DynamicBatcher
  * offered to the batcher; a final flush drains the stream. Returns
  * per-original-request stats (batcher wait included in E2E). Runs with
  * the same `arrival_seed` see identical arrival processes, so batch-
- * policy comparisons are paired.
+ * policy comparisons are paired. Like replayOpenLoop, the arrivals are
+ * chained under reserved tie-break numbers, so the event heap holds
+ * only in-flight work, and a `qps` that is not finite and > 0 throws
+ * std::invalid_argument in every build type.
  */
 std::vector<core::RequestStats>
 runBatchedOpenLoop(core::ServingSimulation &sim,

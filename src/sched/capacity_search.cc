@@ -1,7 +1,12 @@
 #include "sched/capacity_search.h"
 
+#include <algorithm>
 #include <cmath>
+#include <exception>
+#include <initializer_list>
+#include <optional>
 #include <stdexcept>
+#include <thread>
 
 #include "core/analysis.h"
 
@@ -92,9 +97,57 @@ CapacitySearch::probe(double qps,
     return p;
 }
 
+namespace {
+
+/**
+ * Run work(0) .. work(n - 1) at once, one std::thread each except
+ * work(0), which runs on the calling thread. Every thread is joined
+ * before the first exception (lowest k) is rethrown.
+ */
+template <class Work>
+void
+runConcurrently(std::size_t n, const Work &work)
+{
+    std::vector<std::exception_ptr> errors(n);
+    const auto guarded = [&](std::size_t k) {
+        try {
+            work(k);
+        } catch (...) {
+            errors[k] = std::current_exception();
+        }
+    };
+    std::vector<std::thread> helpers;
+    const auto joinAll = [&] {
+        for (std::thread &t : helpers)
+            t.join();
+    };
+    try {
+        for (std::size_t k = 1; k < n; ++k)
+            helpers.emplace_back(guarded, k);
+    } catch (...) {
+        joinAll(); // destroying a joinable std::thread ends the program
+        throw;
+    }
+    if (n > 0)
+        guarded(0);
+    joinAll();
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+}
+
+} // namespace
+
 CapacityResult
 CapacitySearch::run(const std::vector<workload::Request> &requests)
 {
+    // Probes run concurrently, so they must not share a mutable observer.
+    if (serving_.tracer != nullptr || serving_.latency_feed != nullptr ||
+        (search_.use_batcher && search_.batcher.metrics != nullptr))
+        throw std::invalid_argument(
+            "CapacitySearch::run: probes run concurrently; detach the "
+            "tracer, latency feed and batcher metrics (probe() takes them)");
+
     // Geometric QPS grid, endpoints included.
     std::vector<double> grid;
     for (double q = search_.qps_lo; q < search_.qps_hi;
@@ -102,23 +155,45 @@ CapacitySearch::run(const std::vector<workload::Request> &requests)
         grid.push_back(q);
     grid.push_back(search_.qps_hi);
 
+    // Probe results by grid index. A round probes every listed index not
+    // yet probed, all at once.
+    std::vector<std::optional<CapacityProbe>> probed(grid.size());
+    const auto probeRound = [&](std::initializer_list<std::size_t> round) {
+        std::vector<std::size_t> todo;
+        for (const std::size_t i : round)
+            if (!probed[i] &&
+                std::find(todo.begin(), todo.end(), i) == todo.end())
+                todo.push_back(i);
+        runConcurrently(todo.size(), [&](std::size_t k) {
+            probed[todo[k]] = probe(grid[todo[k]], requests);
+        });
+    };
+
+    // The sequential search, reading probes from the rounds: it records
+    // exactly the probes a one-at-a-time search makes, in its order.
     CapacityResult result;
     const auto record = [&](std::size_t idx) {
-        result.probes.push_back(probe(grid[idx], requests));
+        result.probes.push_back(*probed[idx]);
         return result.probes.back().feasible;
     };
 
+    const std::size_t last = grid.size() - 1;
+    probeRound({0, last});
     if (!record(0))
         return result; // max_qps = 0: even the floor rate misses the SLO
-    if (record(grid.size() - 1)) {
+    if (record(last)) {
         result.max_qps = grid.back();
         return result; // capacity exceeds the search range
     }
 
-    // Invariant: grid[lo] feasible, grid[hi] infeasible.
-    std::size_t lo = 0, hi = grid.size() - 1;
+    // Invariant: grid[lo] feasible, grid[hi] infeasible. A round probes
+    // mid and both candidates for the next mid, so it settles two
+    // bisection levels.
+    std::size_t lo = 0, hi = last;
     while (hi - lo > 1) {
         const std::size_t mid = lo + (hi - lo) / 2;
+        if (!probed[mid])
+            probeRound({mid, lo + (mid - lo) / 2, mid + (hi - mid) / 2});
         if (record(mid))
             lo = mid;
         else

@@ -12,6 +12,16 @@
  * Searching a fixed grid keeps results deterministic and comparable
  * across deployments — capacity is monotone in sparse replicas because
  * the per-grid-point feasibility is.
+ *
+ * Probes are independent, so run() makes them in speculative rounds on
+ * std::threads (the calling thread takes one): first both endpoints,
+ * then each round the bisection midpoint and both candidates for the
+ * next one, settling two levels per round. The result then records
+ * exactly the probes a one-at-a-time search makes, in its order, and
+ * drops the speculative ones it would not have visited, so it is
+ * byte-identical to the sequential search. Rounds are fixed by the grid
+ * and the probe outcomes alone, never by the host; a 2^k-point search
+ * makes about 1.5x the probes in half the rounds.
  */
 #pragma once
 
@@ -117,11 +127,19 @@ class CapacitySearch
                    core::ServingConfig serving,
                    CapacitySearchConfig search);
 
-    /** Probe one operating point (does not touch the search state). */
+    /**
+     * Probe one operating point (does not touch the search state). Safe
+     * to call concurrently when no observer is attached.
+     */
     CapacityProbe probe(double qps,
                         const std::vector<workload::Request> &requests);
 
-    /** Run the grid search over the given request stream. */
+    /**
+     * Run the grid search over the given request stream. Throws
+     * std::invalid_argument when the serving config carries a tracer or
+     * a latency feed, or the batcher a metrics registry (with
+     * use_batcher): concurrent probes would share the observer.
+     */
     CapacityResult run(const std::vector<workload::Request> &requests);
 
   private:

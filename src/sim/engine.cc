@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <stdexcept>
+#include <string>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <x86intrin.h>
@@ -36,6 +38,13 @@ eventTagName(EventTag tag)
     case kEvTagCount: break;
     }
     return "invalid";
+}
+
+void
+Engine::throwUnreserved(std::uint64_t seq)
+{
+    throw std::logic_error("Engine: tie-break number " +
+                           std::to_string(seq) + " was never reserved");
 }
 
 // Heap arity. Four halves the sift depth of a binary heap and keeps each

@@ -20,6 +20,13 @@
  * observable. The (when, seq) comparator is a strict total order, so the
  * dispatch sequence is independent of heap arity or layout.
  *
+ * Tie-break numbers can be reserved ahead of scheduling (reserveSeq): a
+ * driver that chains a stream of future events (open-loop arrivals) takes
+ * one number per event up front and schedules each under its number only
+ * when its predecessor fires. The event then orders exactly as if it had
+ * been scheduled at reservation time, so the heap holds in-flight work
+ * instead of the whole stream and the dispatch order does not change.
+ *
  * The engine carries lightweight profiling hooks for the simulator's own
  * performance (not the simulated system's): every event carries a subsystem
  * tag, per-tag counters are always maintained (two array increments), and
@@ -72,7 +79,7 @@ const char *eventTagName(EventTag tag);
 /** Simulator self-profile, collected by the engine. */
 struct EngineProfile
 {
-    std::uint64_t scheduled = 0;    //!< events ever scheduled
+    std::uint64_t scheduled = 0;    //!< events ever scheduled (+ reserved)
     std::uint64_t executed = 0;     //!< events ever executed
     std::size_t peak_pending = 0;   //!< high-water mark of the queue
     std::int64_t wall_ns = 0;       //!< host time inside callbacks (profiling on)
@@ -135,7 +142,38 @@ class Engine
         const std::uint32_t slot = allocSlot();
         if (!slotAt(slot).fn.emplace(std::forward<F>(fn)))
             ++heap_callbacks_;
-        pushEntry(when, tag, slot);
+        pushEntry(when, tag, slot, next_seq_++);
+    }
+
+    /**
+     * Take n consecutive tie-break numbers and return the first. They
+     * count as scheduled in profile() at once, whether or not an event is
+     * later scheduled under them.
+     */
+    std::uint64_t
+    reserveSeq(std::uint64_t n)
+    {
+        const std::uint64_t first = next_seq_;
+        next_seq_ += n;
+        return first;
+    }
+
+    /**
+     * Schedule fn at `when` under a number taken by reserveSeq(): it runs
+     * after every event at `when` scheduled before the reservation and
+     * before every one scheduled after it. Each number carries one event.
+     * Throws std::logic_error for a number that was never reserved.
+     */
+    template <class F>
+    void
+    scheduleAt(SimTime when, EventTag tag, std::uint64_t seq, F &&fn)
+    {
+        if (seq >= next_seq_)
+            throwUnreserved(seq);
+        const std::uint32_t slot = allocSlot();
+        if (!slotAt(slot).fn.emplace(std::forward<F>(fn)))
+            ++heap_callbacks_;
+        pushEntry(when, tag, slot, seq);
     }
 
     /**
@@ -155,7 +193,7 @@ class Engine
     {
         const std::uint32_t slot = allocSlot();
         slotAt(slot).fn = std::move(fn);
-        pushEntry(when, tag, slot);
+        pushEntry(when, tag, slot, next_seq_++);
     }
 
     /** Run until the event queue is empty. Returns events executed. */
@@ -249,17 +287,19 @@ class Engine
     }
 
     void
-    pushEntry(SimTime when, EventTag tag, std::uint32_t slot)
+    pushEntry(SimTime when, EventTag tag, std::uint32_t slot,
+              std::uint64_t seq)
     {
         assert(when >= now_);
         assert(tag < kEvTagCount);
-        heap_.push_back(Entry{when, next_seq_++, slot,
-                              static_cast<std::uint8_t>(tag)});
+        heap_.push_back(
+            Entry{when, seq, slot, static_cast<std::uint8_t>(tag)});
         siftUp(heap_.size() - 1);
         if (heap_.size() > peak_pending_)
             peak_pending_ = heap_.size();
     }
 
+    [[noreturn]] static void throwUnreserved(std::uint64_t seq);
     void siftUp(std::size_t i);
     void siftDown(std::size_t i);
     Entry popEntry();
@@ -271,7 +311,9 @@ class Engine
     std::vector<std::unique_ptr<Slot[]>> blocks_;
     std::uint32_t free_head_ = kNoSlot;
     SimTime now_ = 0;
-    std::uint64_t next_seq_ = 0; //!< also the count of events ever scheduled
+    /** Next tie-break number; also the count of events ever scheduled
+     *  (reserved numbers included). */
+    std::uint64_t next_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t peak_pending_ = 0;
     bool profiling_ = false;

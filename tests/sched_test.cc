@@ -14,6 +14,9 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
+#include "obs/metrics.h"
+#include "obs/span_tracer.h"
+#include "obs/timeseries.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "sched/provision_loop.h"
@@ -337,6 +340,29 @@ TEST(LoadBalance, LeastOutstandingImprovesTailUnderOverload)
               p99(rpc::LoadBalancePolicy::RoundRobin));
 }
 
+// Same contract as ServingSimulation::replayOpenLoop: a non-positive or
+// non-finite rate would turn every gap into an infinite or NaN double
+// cast to int64, so it throws in every build type.
+TEST(DynamicBatcher, OpenLoopRejectsNonPositiveOrNonFiniteQps)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto requests = testRequests(spec, 10);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    for (const double qps : {0.0, -1.0,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()})
+        EXPECT_THROW(
+            sched::runBatchedOpenLoop(sim, requests, qps, sched::BatcherConfig{}),
+            std::invalid_argument)
+            << qps;
+    EXPECT_EQ(sim.engine().profile().scheduled, 0u);
+    EXPECT_EQ(sched::runBatchedOpenLoop(sim, requests, 100.0,
+                                        sched::BatcherConfig{})
+                  .size(),
+              requests.size());
+}
+
 TEST(CapacitySearch, FindsFeasibleBoundary)
 {
     const auto spec = testSpec();
@@ -584,6 +610,183 @@ TEST(CapacitySearch, CapacityMonotoneInReplicas)
         prev = cap;
     }
     EXPECT_GT(prev, 0.0);
+}
+
+/**
+ * The one-probe-at-a-time search CapacitySearch::run must reproduce,
+ * built from public probe() calls: both endpoints, then bisection.
+ */
+sched::CapacityResult
+sequentialSearch(sched::CapacitySearch &search,
+                 const sched::CapacitySearchConfig &sc,
+                 const std::vector<workload::Request> &requests)
+{
+    std::vector<double> grid;
+    for (double q = sc.qps_lo; q < sc.qps_hi; q *= sc.grid_step)
+        grid.push_back(q);
+    grid.push_back(sc.qps_hi);
+
+    sched::CapacityResult result;
+    const auto record = [&](std::size_t idx) {
+        result.probes.push_back(search.probe(grid[idx], requests));
+        return result.probes.back().feasible;
+    };
+    if (!record(0))
+        return result;
+    if (record(grid.size() - 1)) {
+        result.max_qps = grid.back();
+        return result;
+    }
+    std::size_t lo = 0, hi = grid.size() - 1;
+    while (hi - lo > 1) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        (record(mid) ? lo : hi) = mid;
+    }
+    result.max_qps = grid[lo];
+    return result;
+}
+
+/** run() == the sequential reference, field by field, probe by probe. */
+sched::CapacityResult
+expectRunMatchesSequential(const core::ServingConfig &serving,
+                           const sched::CapacitySearchConfig &sc,
+                           const std::vector<workload::Request> &requests)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    sched::CapacitySearch search(spec, plan, serving, sc);
+    const auto got = search.run(requests);
+    const auto want = sequentialSearch(search, sc, requests);
+    EXPECT_EQ(got.max_qps, want.max_qps);
+    EXPECT_EQ(got.probes.size(), want.probes.size());
+    for (std::size_t i = 0;
+         i < std::min(got.probes.size(), want.probes.size()); ++i) {
+        const auto &g = got.probes[i];
+        const auto &w = want.probes[i];
+        EXPECT_EQ(g.qps, w.qps) << "probe " << i;
+        EXPECT_EQ(g.p99_ms, w.p99_ms) << "probe " << i;
+        EXPECT_EQ(g.p999_ms, w.p999_ms) << "probe " << i;
+        EXPECT_EQ(g.shed_rate, w.shed_rate) << "probe " << i;
+        EXPECT_EQ(g.feasible, w.feasible) << "probe " << i;
+        EXPECT_EQ(g.hedge_rate, w.hedge_rate) << "probe " << i;
+        EXPECT_EQ(g.hedge_wasted_frac, w.hedge_wasted_frac) << "probe " << i;
+    }
+    return got;
+}
+
+sched::CapacitySearchConfig
+boundarySearchConfig()
+{
+    sched::CapacitySearchConfig sc;
+    sc.slo.p99_ms = 60.0;
+    sc.qps_lo = 50.0;
+    sc.qps_hi = 2000.0;
+    sc.grid_step = 1.15;
+    return sc;
+}
+
+TEST(CapacitySearch, RunMatchesSequentialAtAnInteriorBoundary)
+{
+    const auto requests = testRequests(testSpec(), 300);
+    const auto got = expectRunMatchesSequential(
+        sched::hedgeStudyConfig(rpc::LoadBalancePolicy::LeastOutstanding,
+                                2, /*hedged=*/true),
+        boundarySearchConfig(), requests);
+    EXPECT_GT(got.max_qps, 50.0);
+    EXPECT_LT(got.max_qps, 2000.0);
+    EXPECT_GT(got.probes.size(), 4u); // endpoints plus several bisections
+    bool hedged = false;
+    for (const auto &p : got.probes)
+        hedged = hedged || p.hedge_rate > 0.0;
+    EXPECT_TRUE(hedged);
+}
+
+TEST(CapacitySearch, RunMatchesSequentialWhenTheWholeGridIsFeasible)
+{
+    const auto requests = testRequests(testSpec(), 200);
+    auto sc = boundarySearchConfig();
+    sc.qps_hi = 80.0;
+    const auto got = expectRunMatchesSequential(
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
+        requests);
+    EXPECT_EQ(got.max_qps, sc.qps_hi);
+    EXPECT_EQ(got.probes.size(), 2u);
+}
+
+TEST(CapacitySearch, RunMatchesSequentialWhenTheFloorIsInfeasible)
+{
+    const auto requests = testRequests(testSpec(), 200);
+    auto sc = boundarySearchConfig();
+    sc.slo.p99_ms = 1e-3;
+    const auto got = expectRunMatchesSequential(
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
+        requests);
+    EXPECT_EQ(got.max_qps, 0.0);
+    EXPECT_EQ(got.probes.size(), 1u);
+}
+
+TEST(CapacitySearch, RunMatchesSequentialOnAOnePointGrid)
+{
+    const auto requests = testRequests(testSpec(), 200);
+    auto sc = boundarySearchConfig();
+    sc.qps_lo = sc.qps_hi = 100.0;
+    // Feasible: the lone point is both endpoints and is recorded twice.
+    const auto feasible = expectRunMatchesSequential(
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
+        requests);
+    EXPECT_EQ(feasible.max_qps, 100.0);
+    EXPECT_EQ(feasible.probes.size(), 2u);
+
+    sc.slo.p99_ms = 1e-3;
+    const auto infeasible = expectRunMatchesSequential(
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
+        requests);
+    EXPECT_EQ(infeasible.max_qps, 0.0);
+    EXPECT_EQ(infeasible.probes.size(), 1u);
+}
+
+TEST(CapacitySearch, RunMatchesSequentialThroughTheBatcher)
+{
+    const auto requests = testRequests(testSpec(), 300);
+    auto sc = boundarySearchConfig();
+    sc.use_batcher = true;
+    const auto got = expectRunMatchesSequential(
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
+        requests);
+    EXPECT_GT(got.max_qps, 0.0);
+    EXPECT_LT(got.max_qps, 2000.0);
+}
+
+// Probes run concurrently, so run() refuses a shared observer in every
+// build type; probe() still takes one.
+TEST(CapacitySearch, RunRejectsASharedObserver)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto requests = testRequests(spec, 20);
+    const auto cfg =
+        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding);
+    const auto sc = boundarySearchConfig();
+
+    obs::SpanTracer tracer;
+    auto traced = cfg;
+    traced.tracer = &tracer;
+    sched::CapacitySearch with_tracer(spec, plan, traced, sc);
+    EXPECT_THROW(with_tracer.run(requests), std::invalid_argument);
+    EXPECT_NO_THROW(with_tracer.probe(100.0, requests));
+
+    obs::RollingHistogram feed;
+    auto fed = cfg;
+    fed.latency_feed = &feed;
+    EXPECT_THROW(sched::CapacitySearch(spec, plan, fed, sc).run(requests),
+                 std::invalid_argument);
+
+    obs::MetricsRegistry metrics;
+    auto batched = sc;
+    batched.use_batcher = true;
+    batched.batcher.metrics = &metrics;
+    EXPECT_THROW(sched::CapacitySearch(spec, plan, cfg, batched).run(requests),
+                 std::invalid_argument);
 }
 
 } // namespace

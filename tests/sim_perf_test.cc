@@ -20,6 +20,9 @@
  *    exponential, bernoulli) are bit-identical to per-call-constructed
  *    libstdc++ distribution objects over the same engine stream (the
  *    contract rng.h declares);
+ *  - an open-loop replay, raw or batched, keeps the engine's peak
+ *    pending events and slot blocks flat (within 10%) when its request
+ *    count grows 10x at a fixed sub-capacity rate;
  *  - fleet::ParallelSweep produces byte-identical ledgers (simulation
  *    AND telemetry fingerprints) at thread counts {1, 2, 8};
  *  - the streamed core::buildShardCacheModels allocates in proportion to
@@ -45,6 +48,7 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
+#include "sched/batcher.h"
 #include "sim/engine.h"
 #include "stats/distributions.h"
 #include "stats/hash.h"
@@ -571,6 +575,73 @@ TEST(SimPerf, StreamedCacheBuildMemoryIndependentOfAccessCount)
     EXPECT_LT(static_cast<double>(grown.allocated_bytes),
               1.5 * static_cast<double>(base.allocated_bytes))
         << base.allocated_bytes << " B -> " << grown.allocated_bytes << " B";
+}
+
+// ---------------------------------------------------------------------------
+// Open-loop replays: the event heap holds in-flight work, not the stream.
+// ---------------------------------------------------------------------------
+
+/** Engine heap high-water marks of one open-loop replay. */
+struct HeapDepth
+{
+    std::size_t peak_pending = 0;
+    std::uint64_t arena_blocks = 0;
+};
+
+template <class Replay>
+HeapDepth
+openLoopHeapDepth(std::size_t n, Replay replay)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{0xf1a7});
+    const auto requests = gen.generate(n);
+    EXPECT_EQ(replay(sim, requests).size(), n);
+    const sim::EngineProfile p = sim.engine().profile();
+    return {p.peak_pending, p.arena_blocks};
+}
+
+/** 10x the requests at the same sub-capacity rate: depth within 10%. */
+template <class Replay>
+void
+expectHeapFlatInRequestCount(Replay replay)
+{
+    const HeapDepth base = openLoopHeapDepth(2000, replay);
+    const HeapDepth grown = openLoopHeapDepth(20000, replay);
+    const auto within = [](double grown_v, double base_v) {
+        return grown_v >= 0.9 * base_v && grown_v <= 1.1 * base_v;
+    };
+    EXPECT_TRUE(within(static_cast<double>(grown.peak_pending),
+                       static_cast<double>(base.peak_pending)))
+        << "peak_pending " << base.peak_pending << " -> "
+        << grown.peak_pending;
+    EXPECT_TRUE(within(static_cast<double>(grown.arena_blocks),
+                       static_cast<double>(base.arena_blocks)))
+        << "arena_blocks " << base.arena_blocks << " -> "
+        << grown.arena_blocks;
+    EXPECT_LT(grown.peak_pending, 2000u); // in-flight scale, not 20k
+}
+
+constexpr double kFlatQps = 150.0;
+
+TEST(SimPerf, OpenLoopReplayHeapIsFlatInRequestCount)
+{
+    expectHeapFlatInRequestCount(
+        [](core::ServingSimulation &sim,
+           const std::vector<workload::Request> &requests) {
+            return sim.replayOpenLoop(requests, kFlatQps);
+        });
+}
+
+TEST(SimPerf, BatchedOpenLoopHeapIsFlatInRequestCount)
+{
+    expectHeapFlatInRequestCount(
+        [](core::ServingSimulation &sim,
+           const std::vector<workload::Request> &requests) {
+            return sched::runBatchedOpenLoop(sim, requests, kFlatQps,
+                                             sched::BatcherConfig{});
+        });
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.h"
@@ -164,6 +165,77 @@ TEST(Engine, ExecutedCounter)
         e.schedule(i, [] {});
     e.run();
     EXPECT_EQ(e.executed(), 5u);
+}
+
+// A reserved number orders its event as of reservation time: at a tied
+// timestamp it runs after earlier-scheduled events and before every event
+// scheduled after the reservation, even one scheduled before it.
+TEST(Engine, ReservedSeqOrdersAsOfReservation)
+{
+    Engine e;
+    std::vector<int> order;
+    e.scheduleAt(5, kEvUntagged, [&] { order.push_back(0); });
+    const std::uint64_t first = e.reserveSeq(2);
+    e.scheduleAt(5, kEvUntagged, [&] { order.push_back(3); });
+    e.scheduleAt(5, kEvDriver, first + 1, [&] { order.push_back(2); });
+    e.scheduleAt(1, kEvDriver, first, [&] {
+        order.push_back(-1);
+        // Scheduled mid-run, still ahead of the tied event at 5 that
+        // was scheduled after the reservation.
+        e.scheduleAt(5, kEvUntagged, [&] { order.push_back(4); });
+    });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 2, 3, 4}));
+}
+
+TEST(Engine, UnreservedSeqThrows)
+{
+    Engine e;
+    e.schedule(1, [] {});
+    const std::uint64_t first = e.reserveSeq(3);
+    EXPECT_EQ(first, 1u);
+    EXPECT_THROW(e.scheduleAt(2, kEvDriver, first + 3, [] {}),
+                 std::logic_error);
+    e.schedule(1, [] {}); // takes first + 3
+    EXPECT_THROW(e.scheduleAt(2, kEvDriver, first + 4, [] {}),
+                 std::logic_error);
+    EXPECT_EQ(e.pending(), 2u);
+    EXPECT_NO_THROW(e.scheduleAt(2, kEvDriver, first + 2, [] {}));
+    EXPECT_EQ(e.pending(), 3u);
+}
+
+// profile().scheduled counts reserved numbers at reservation, so a
+// driver that chains its events reports the same count as one that
+// schedules them all up front.
+TEST(Engine, ReservedSeqKeepsScheduledCount)
+{
+    Engine upfront, chained;
+    for (int i = 0; i < 4; ++i)
+        upfront.schedule(i, kEvDriver, [] {});
+    upfront.run();
+
+    const std::uint64_t first = chained.reserveSeq(4);
+    EXPECT_EQ(chained.profile().scheduled, 4u);
+    struct Chain
+    {
+        Engine *e;
+        std::uint64_t first;
+        void
+        next(std::uint64_t i)
+        {
+            if (i < 4)
+                e->scheduleAt(static_cast<SimTime>(i), kEvDriver, first + i,
+                              [this, i] { next(i + 1); });
+        }
+    } chain{&chained, first};
+    chain.next(0);
+    chained.run();
+
+    EXPECT_EQ(chained.profile().scheduled, upfront.profile().scheduled);
+    EXPECT_EQ(chained.profile().executed, upfront.profile().executed);
+    EXPECT_EQ(chained.profile().tag_events, upfront.profile().tag_events);
+    EXPECT_EQ(chained.profile().peak_pending, 1u);
+    EXPECT_EQ(upfront.profile().peak_pending, 4u);
 }
 
 TEST(Resource, GrantsUpToCapacity)

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -218,27 +219,105 @@ TEST(TraceSampler, ArenaRecyclesSlotsInsteadOfGrowing)
     EXPECT_EQ(rep.nesting_violations, 0u);
 }
 
-TEST(TraceSampler, ArenaOverflowThrowsInsteadOfAliasingSlots)
+// More trees open at once than 16 slot bits could address. Root i spans
+// [i, n + i + 1] and its one child [n + i, n + i + 1], outside every
+// earlier root, so a handle aliased onto another request's tree shows up
+// as a nesting violation (and as a tree with the wrong span count).
+TEST(TraceSampler, MoreThan65536ConcurrentTreesPassConservation)
 {
-    obs::TraceSampler sampler;
+    constexpr std::uint64_t kTrees = (std::uint64_t{1} << 16) + 4096;
+    obs::SamplerConfig keep_tail;
+    keep_tail.reservoir_size = 0;
+    keep_tail.tail_threshold_ns = 1; // every root is a tail keep
+    keep_tail.retained_byte_budget = SIZE_MAX;
+    obs::TraceSampler sampler(keep_tail);
     obs::SpanTracer sampled, keep_all;
     sampled.setSampler(&sampler);
 
-    // Handles pack the arena slot in 16 bits. Every root stays open, so
-    // each one claims a fresh slot; the 2^16 + 1st has none left. The
-    // cap is the same for the tracer's own keep-all store.
-    constexpr std::uint64_t kSlots = std::uint64_t{1} << 16;
     for (obs::SpanTracer *tracer : {&sampled, &keep_all}) {
-        for (std::uint64_t id = 0; id < kSlots; ++id)
-            ASSERT_NE(
-                tracer->begin(id, obs::SpanKind::Request, obs::kNoSpan, 0),
-                obs::kNoSpan);
-        EXPECT_EQ(tracer->sampler()->arenaSlots(), kSlots);
-        EXPECT_THROW(
-            tracer->begin(kSlots, obs::SpanKind::Request, obs::kNoSpan, 0),
-            std::length_error);
+        std::vector<obs::SpanId> roots;
+        roots.reserve(kTrees);
+        for (std::uint64_t i = 0; i < kTrees; ++i)
+            roots.push_back(tracer->begin(i, obs::SpanKind::Request,
+                                          obs::kNoSpan,
+                                          static_cast<sim::SimTime>(i)));
+        EXPECT_EQ(tracer->sampler()->arenaSlots(), kTrees);
+        for (std::uint64_t i = 0; i < kTrees; ++i) {
+            const auto t = static_cast<sim::SimTime>(kTrees + i);
+            tracer->record(i, obs::SpanKind::QueueWait, roots[i], t, t + 1);
+            tracer->end(roots[i], t + 1);
+        }
+
+        EXPECT_EQ(tracer->openCount(), 0u);
+        EXPECT_EQ(tracer->sampler()->stats().stale_span_drops, 0u);
+        const auto rep = obs::checkConservation(tracer->spans());
+        EXPECT_TRUE(rep.ok(kTrees))
+            << rep.root_spans << " roots, " << rep.open_spans << " open, "
+            << rep.nesting_violations << " nesting violations";
+        EXPECT_EQ(rep.total_spans, 2 * kTrees);
+        const auto &retained = tracer->sampler()->retained();
+        ASSERT_EQ(retained.size(), kTrees);
+        for (std::uint64_t i = 0; i < kTrees; ++i) {
+            ASSERT_EQ(retained[i].spans.size(), 2u) << i;
+            EXPECT_EQ(retained[i].spans[1].request_id, i);
+        }
     }
     EXPECT_EQ(sampled.sampler(), &sampler);
+    EXPECT_EQ(sampler.stats().kept_tail, kTrees);
+}
+
+// A slot sealed at the last generation its handle field can carry is
+// retired, not wrapped: no handle into it ever resolves again, and the
+// next tree takes a fresh slot.
+TEST(TraceSampler, ExhaustedGenerationRetiresItsSlot)
+{
+    obs::SamplerConfig recycle_all;
+    recycle_all.reservoir_size = 0;
+    obs::TraceSampler sampler(recycle_all);
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+
+    const auto first = tracer.begin(0, obs::SpanKind::Request, obs::kNoSpan, 0);
+    const auto first_child =
+        tracer.begin(0, obs::SpanKind::QueueWait, first, 0);
+    tracer.end(first_child, 1);
+    tracer.end(first, 1);
+    obs::SpanId last = first;
+    for (std::uint64_t i = 1; i <= obs::TraceSampler::kMaxGeneration; ++i) {
+        last = tracer.begin(i, obs::SpanKind::Request, obs::kNoSpan, 0);
+        tracer.end(last, 1);
+    }
+    EXPECT_EQ(sampler.arenaSlots(), 1u); // every tree reused slot 0
+    EXPECT_EQ(sampler.stats().recycled,
+              std::uint64_t{obs::TraceSampler::kMaxGeneration} + 1);
+
+    // Slot 0 is retired: the next root opens slot 1, and handles from
+    // slot 0's first and last tenants are stale, not aliased.
+    const auto next =
+        tracer.begin(1u << 20, obs::SpanKind::Request, obs::kNoSpan, 0);
+    EXPECT_EQ(sampler.arenaSlots(), 2u);
+    EXPECT_EQ(tracer.begin(0, obs::SpanKind::QueueWait, first, 0),
+              obs::kNoSpan);
+    EXPECT_EQ(tracer.begin(0, obs::SpanKind::QueueWait, last, 0),
+              obs::kNoSpan);
+    EXPECT_EQ(sampler.stats().stale_span_drops, 2u);
+    tracer.end(next, 1);
+    EXPECT_EQ(tracer.openCount(), 0u);
+}
+
+// The tree-local index field holds 2^20 - 1 spans; the next begin() in
+// that tree throws instead of masking its index into a sibling's.
+TEST(SpanTracer, TreeLocalIndexOverflowThrows)
+{
+    obs::SpanTracer tracer;
+    const auto root = tracer.begin(7, obs::SpanKind::Request, obs::kNoSpan, 0);
+    constexpr std::uint64_t kLocalMax = (std::uint64_t{1} << 20) - 1;
+    for (std::uint64_t i = 1; i < kLocalMax; ++i)
+        ASSERT_NE(tracer.begin(7, obs::SpanKind::QueueWait, root, 0),
+                  obs::kNoSpan);
+    EXPECT_THROW(tracer.begin(7, obs::SpanKind::QueueWait, root, 0),
+                 std::length_error);
+    EXPECT_EQ(tracer.openCount(), kLocalMax);
 }
 
 // ---------------------------------------------------------------------------
