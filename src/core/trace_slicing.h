@@ -14,11 +14,20 @@
  *
  * Which overload: when the caller holds requests and only needs the
  * models, use the streamed buildShardCacheModels(spec, plan, requests,
- * skew, seed, options). It regenerates the access stream twice instead
- * of storing it, so its memory is the distinct-row set plus the caches,
+ * skew, seed, options). It regenerates the access stream instead of
+ * storing it, so its memory is the distinct-row sets plus the caches,
  * whatever the access count. The trace overload is for a trace that
  * already exists (read from a file, synthesized, or needed elsewhere);
  * both run the same two-pass build and give identical results.
+ *
+ * Both build on W = min(shards, workers) workers, `workers` = 0 meaning
+ * the CPUs this process may run on (core::usableCpus()). Worker w owns
+ * the shards s with s % W == w and runs the two passes over the whole
+ * source for them alone: W workers read the source 2W times in all,
+ * buying wall time with generation CPU. Every shard's cache sees the
+ * same accesses in the same order whatever W is, so the result is
+ * field-for-field identical at every worker count, and W = 1 runs on the
+ * calling thread without starting one.
  */
 #pragma once
 
@@ -42,16 +51,6 @@ namespace dri::core {
  * under a singular plan (the inline-SLS "shard").
  */
 int shardOf(const ShardingPlan &plan, int table, std::int64_t row);
-
-/**
- * Split a whole-model trace into one slice per sparse shard by shardOf().
- * Records naming tables outside the plan are dropped, matching
- * TieredCacheSim::replay. A singular plan yields one slice holding every
- * record.
- */
-std::vector<workload::AccessTrace>
-sliceTraceByShard(const ShardingPlan &plan,
-                  const workload::AccessTrace &trace);
 
 /** How each shard's slice is replayed into a lookup model. */
 struct ShardCacheOptions
@@ -96,26 +95,30 @@ struct ShardCacheModels
  * Route the trace by shard and replay each shard's accesses through its
  * own byte-budgeted cache, without copying any slice: one pass counts
  * each shard's accesses and distinct-row universe, a second replays.
- * For a singular plan the single "shard" is the main shard's inline SLS
- * tier. An in-model (table, row) outside cache::packRowKey's domain
- * throws std::out_of_range.
+ * Runs on `workers` shard-group workers (0: usable CPUs; see the file
+ * comment), each reading the whole trace twice. For a singular plan the
+ * single "shard" is the main shard's inline SLS tier. An in-model
+ * (table, row) outside cache::packRowKey's domain throws
+ * std::out_of_range, whichever worker meets it; negative `workers`
+ * throws std::invalid_argument.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
                       const workload::AccessTrace &trace,
-                      const ShardCacheOptions &options);
+                      const ShardCacheOptions &options, int workers = 0);
 
 /**
  * Streamed equivalent of buildShardCacheModels(spec, plan,
- * workload::recordTrace(spec, requests, popularity_skew, seed), options):
- * field-for-field identical, but each pass regenerates the accesses with
- * workload::forEachAccess, so no trace or slice is ever stored. Throws
- * what forEachAccess throws.
+ * workload::recordTrace(spec, requests, popularity_skew, seed), options,
+ * workers): field-for-field identical, but every worker's passes
+ * regenerate the accesses with workload::forEachAccess, so no trace or
+ * slice is ever stored. Throws what forEachAccess throws; requests it
+ * rejects throw std::invalid_argument before any worker starts.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
                       const std::vector<workload::Request> &requests,
                       double popularity_skew, std::uint64_t seed,
-                      const ShardCacheOptions &options);
+                      const ShardCacheOptions &options, int workers = 0);
 
 } // namespace dri::core

@@ -4,7 +4,8 @@
 #include <atomic>
 #include <exception>
 #include <mutex>
-#include <thread>
+
+#include "core/concurrency.h"
 
 namespace dri::fleet {
 
@@ -74,16 +75,7 @@ ParallelSweep::run(const std::vector<SweepCell> &cells,
         threads_ <= 1
             ? 1
             : std::min(static_cast<std::size_t>(threads_), cells.size());
-    if (pool == 1) {
-        worker();
-    } else {
-        std::vector<std::thread> threads;
-        threads.reserve(pool);
-        for (std::size_t t = 0; t < pool; ++t)
-            threads.emplace_back(worker);
-        for (std::thread &t : threads)
-            t.join();
-    }
+    core::runConcurrently(pool, [&](std::size_t) { worker(); });
     if (first_error)
         std::rethrow_exception(first_error);
     return results;

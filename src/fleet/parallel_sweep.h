@@ -73,8 +73,9 @@ class ParallelSweep
     explicit ParallelSweep(int threads) : threads_(threads) {}
 
     /**
-     * Run every cell and return results in grid order. Worker threads
-     * claim cells from a shared atomic cursor (so a slow cell never
+     * Run every cell and return results in grid order. The calling
+     * thread and up to threads() - 1 others (core::runConcurrently) claim
+     * cells from a shared atomic cursor (so a slow cell never
      * serializes the pool) and write results by cell index. The first
      * exception any cell throws is rethrown here after all threads
      * join.

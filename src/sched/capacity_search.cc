@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <initializer_list>
 #include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "core/analysis.h"
+#include "core/concurrency.h"
 
 namespace dri::sched {
 
@@ -97,47 +96,6 @@ CapacitySearch::probe(double qps,
     return p;
 }
 
-namespace {
-
-/**
- * Run work(0) .. work(n - 1) at once, one std::thread each except
- * work(0), which runs on the calling thread. Every thread is joined
- * before the first exception (lowest k) is rethrown.
- */
-template <class Work>
-void
-runConcurrently(std::size_t n, const Work &work)
-{
-    std::vector<std::exception_ptr> errors(n);
-    const auto guarded = [&](std::size_t k) {
-        try {
-            work(k);
-        } catch (...) {
-            errors[k] = std::current_exception();
-        }
-    };
-    std::vector<std::thread> helpers;
-    const auto joinAll = [&] {
-        for (std::thread &t : helpers)
-            t.join();
-    };
-    try {
-        for (std::size_t k = 1; k < n; ++k)
-            helpers.emplace_back(guarded, k);
-    } catch (...) {
-        joinAll(); // destroying a joinable std::thread ends the program
-        throw;
-    }
-    if (n > 0)
-        guarded(0);
-    joinAll();
-    for (const std::exception_ptr &e : errors)
-        if (e)
-            std::rethrow_exception(e);
-}
-
-} // namespace
-
 CapacityResult
 CapacitySearch::run(const std::vector<workload::Request> &requests)
 {
@@ -164,7 +122,7 @@ CapacitySearch::run(const std::vector<workload::Request> &requests)
             if (!probed[i] &&
                 std::find(todo.begin(), todo.end(), i) == todo.end())
                 todo.push_back(i);
-        runConcurrently(todo.size(), [&](std::size_t k) {
+        core::runConcurrently(todo.size(), [&](std::size_t k) {
             probed[todo[k]] = probe(grid[todo[k]], requests);
         });
     };

@@ -1,16 +1,18 @@
 /**
  * @file
  * Per-shard trace slicing tests: routing correctness (whole and
- * row-split tables), conservation, and the headline acceptance
- * properties — per-shard sliced CachedLookupModels reproduce the
- * whole-model aggregate hit rate within 2% under uniform sharding, and
- * diverge measurably under skewed sharding with machine-shaped (equal
- * bytes per shard) cache budgets.
+ * row-split tables), conservation, the build's equality with a
+ * per-slice reference at every worker count, errors raised on helper
+ * workers, and the headline acceptance properties — per-shard sliced
+ * CachedLookupModels reproduce the whole-model aggregate hit rate within
+ * 2% under uniform sharding, and diverge measurably under skewed
+ * sharding with machine-shaped (equal bytes per shard) cache budgets.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -23,6 +25,27 @@
 namespace {
 
 using namespace dri;
+
+/**
+ * Split a whole-model trace into one slice per sparse shard by
+ * core::shardOf(), dropping records that name tables outside the plan
+ * (as TieredCacheSim::replay does); a singular plan yields one slice
+ * holding every record. The materialized routing the reference build
+ * below replays.
+ */
+std::vector<workload::AccessTrace>
+sliceTraceByShard(const core::ShardingPlan &plan,
+                  const workload::AccessTrace &trace)
+{
+    std::vector<workload::AccessTrace> slices(
+        plan.isSingular() ? 1 : static_cast<std::size_t>(plan.numShards()));
+    for (const auto &rec : trace.records()) {
+        const int shard = core::shardOf(plan, rec.table_id, rec.row);
+        if (shard >= 0)
+            slices[static_cast<std::size_t>(shard)].add(rec);
+    }
+    return slices;
+}
 
 workload::AccessTrace
 studyTrace(const model::ModelSpec &spec, std::uint64_t seed = 17,
@@ -38,7 +61,7 @@ TEST(TraceSlicing, RoutesWholeTablesAndConservesRecords)
     const auto trace = studyTrace(spec);
     const auto plan = core::makeCapacityBalanced(spec, 4);
 
-    const auto slices = core::sliceTraceByShard(plan, trace);
+    const auto slices = sliceTraceByShard(plan, trace);
     ASSERT_EQ(slices.size(), 4u);
 
     std::size_t total = 0;
@@ -70,7 +93,7 @@ TEST(TraceSlicing, SplitTablesRouteByRowModulus)
     }
     const core::ShardingPlan plan("manual-split", 2, asg);
 
-    const auto slices = core::sliceTraceByShard(plan, trace);
+    const auto slices = sliceTraceByShard(plan, trace);
     ASSERT_EQ(slices.size(), 2u);
     EXPECT_GT(slices[0].size(), 0u);
     for (const auto &rec : slices[0].records()) {
@@ -90,7 +113,7 @@ TEST(TraceSlicing, SingularPlanYieldsOneFullSlice)
     const auto spec = model::makeShardedCacheStudySpec();
     const auto trace = studyTrace(spec);
     const auto plan = core::makeSingular(spec);
-    const auto slices = core::sliceTraceByShard(plan, trace);
+    const auto slices = sliceTraceByShard(plan, trace);
     ASSERT_EQ(slices.size(), 1u);
     EXPECT_EQ(slices[0].size(), trace.size());
 }
@@ -106,7 +129,7 @@ perSliceReference(const model::ModelSpec &spec, const core::ShardingPlan &plan,
                   const core::ShardCacheOptions &options)
 {
     core::ShardCacheModels out;
-    for (const auto &slice : core::sliceTraceByShard(plan, trace)) {
+    for (const auto &slice : sliceTraceByShard(plan, trace)) {
         const std::int64_t universe =
             workload::traceFootprint(spec, slice).universe_bytes;
         cache::TieredCacheConfig cfg;
@@ -159,7 +182,8 @@ expectSameResults(const core::ShardCacheModels &a,
 /**
  * The streamed build equals the trace overload field for field, and
  * both equal the per-slice reference, on singular, whole-table and
- * split-table plans under proportional and fixed budgets.
+ * split-table plans under proportional and fixed budgets, at 1, 2 and 8
+ * workers (8 is more than any plan's shard count, so it is clamped).
  */
 TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
 {
@@ -192,29 +216,82 @@ TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
 
     for (const auto &plan : plans)
         for (const auto &opt : {by_fraction, by_bytes, arc_tinylfu}) {
-            const std::string where =
+            const std::string config =
                 plan.strategy() + "/" + cache::policyName(opt.policy) +
                 (opt.capacity_bytes_per_shard > 0 ? "/bytes" : "/fraction");
-            const auto streamed = core::buildShardCacheModels(
-                spec, plan, requests, 0.7, 17, opt);
-            const auto traced =
-                core::buildShardCacheModels(spec, plan, trace, opt);
-            expectSameResults(streamed, traced, where);
-            expectSameResults(streamed,
-                              perSliceReference(spec, plan, trace, opt),
-                              where + " vs reference");
+            const auto reference = perSliceReference(spec, plan, trace, opt);
+            for (const int workers : {1, 2, 8}) {
+                const std::string where =
+                    config + "/workers=" + std::to_string(workers);
+                const auto streamed = core::buildShardCacheModels(
+                    spec, plan, requests, 0.7, 17, opt, workers);
+                const auto traced = core::buildShardCacheModels(
+                    spec, plan, trace, opt, workers);
+                expectSameResults(streamed, traced, where);
+                expectSameResults(streamed, reference,
+                                  where + " vs reference");
 
-            ASSERT_EQ(streamed.models.size(), traced.models.size());
-            for (std::size_t s = 0; s < streamed.models.size(); ++s)
-                for (int t = 0; t < 8; ++t) {
-                    EXPECT_EQ(streamed.models[s]->hasTable(t),
-                              traced.models[s]->hasTable(t));
-                    EXPECT_EQ(streamed.models[s]->hitRate(t),
-                              traced.models[s]->hitRate(t))
-                        << where << " shard " << s << " table " << t;
-                }
-            EXPECT_GT(streamed.aggregateHitRate(), 0.0) << where;
+                ASSERT_EQ(streamed.models.size(), traced.models.size());
+                for (std::size_t s = 0; s < streamed.models.size(); ++s)
+                    for (int t = 0; t < 8; ++t) {
+                        EXPECT_EQ(streamed.models[s]->hasTable(t),
+                                  traced.models[s]->hasTable(t));
+                        EXPECT_EQ(streamed.models[s]->hitRate(t),
+                                  traced.models[s]->hitRate(t))
+                            << where << " shard " << s << " table " << t;
+                    }
+                EXPECT_GT(streamed.aggregateHitRate(), 0.0) << where;
+            }
         }
+}
+
+/**
+ * Requests the access generator rejects fail on the calling thread, as
+ * std::invalid_argument, at any worker count; so does a negative one.
+ */
+TEST(TraceSlicing, BadRequestsAndWorkerCountsThrowInvalidArgument)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    auto requests = gen.generate(20);
+    const core::ShardCacheOptions opt;
+
+    EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests, 0.7, 17,
+                                             opt, -1),
+                 std::invalid_argument);
+    requests[7].table_lookups.pop_back();
+    for (const int workers : {0, 1, 2, 8})
+        EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests, 0.7,
+                                                 17, opt, workers),
+                     std::invalid_argument)
+            << "workers=" << workers;
+}
+
+/**
+ * A row outside cache::packRowKey's domain, in a table the model
+ * defines, throws std::out_of_range at the caller, also when the worker
+ * that meets it is not the calling thread.
+ */
+TEST(TraceSlicing, OutOfDomainRowOnAHelperWorkerReachesTheCaller)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    // A table on shard 3: at 2 or 4 workers a helper thread owns it.
+    int table = -1;
+    for (int t = 0; t < 8 && table < 0; ++t)
+        if (plan.assignmentFor(t).shards[0] == 3)
+            table = t;
+    ASSERT_GE(table, 0);
+
+    auto trace = studyTrace(spec);
+    trace.add(workload::AccessRecord{0, table, std::int64_t{1} << 48});
+    const core::ShardCacheOptions opt;
+    for (const int workers : {1, 2, 4})
+        EXPECT_THROW(core::buildShardCacheModels(spec, plan, trace, opt,
+                                                 workers),
+                     std::out_of_range)
+            << "workers=" << workers;
 }
 
 /**
