@@ -2,13 +2,15 @@
  * @file
  * google-benchmark microbenches for the compute kernels underneath the
  * serving substrate: SLS pooling (fp32 / int8 / int4 backed), dense FC,
- * the DES event engine, and index splitting. These back the cost-model
- * constants used by the simulation. The Zipf-draw and cache-replay rows
- * time the two layers of the trace-driven row-cache build; the
- * AttemptStream row times the per-attempt randomness of the serving
- * fan-out.
+ * and index splitting. These back the cost-model constants used by the
+ * simulation. The EventHold rows time the DES engine's event set under
+ * the hold model. The Zipf-draw and cache-replay rows time the two layers
+ * of the trace-driven row-cache build; the AttemptStream row times the
+ * per-attempt randomness of the serving fan-out.
  */
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "cache/tiered_sim.h"
 #include "core/serving.h"
@@ -74,21 +76,80 @@ BM_FullyConnected(benchmark::State &state)
 }
 BENCHMARK(BM_FullyConnected)->Arg(32)->Arg(128);
 
-void
-BM_EventEngine(benchmark::State &state)
+/** Hold-model delay shapes (Jones, CACM 1986). */
+enum HoldShape
 {
-    for (auto _ : state) {
-        sim::Engine engine;
-        int fired = 0;
-        for (int i = 0; i < 10000; ++i)
-            engine.schedule(i, [&fired] { ++fired; });
-        engine.run();
-        benchmark::DoNotOptimize(fired);
+    kHoldExponential, //!< exponential, mean 10 us: open-loop timers, wires
+    kHoldConstant,    //!< constant 10 us: every event keeps its rank
+    kHoldSerial,      //!< log-uniform 2^17..2^23 ns: serial replay's spread
+};
+
+/**
+ * The event set under the hold model: `depth` events stay pending, and
+ * each one that fires schedules its successor after a delay drawn from
+ * the shape. Delays come from a precomputed ring so the rows time the
+ * queue rather than the draw. items/s = events dispatched/s. The cost
+ * per event grows with depth, so queue designs are compared at every
+ * depth from serial replay's (16) to well past open loop's (4k).
+ */
+void
+BM_EventHold(benchmark::State &state)
+{
+    const auto depth = static_cast<std::size_t>(state.range(0));
+    const auto shape = static_cast<HoldShape>(state.range(1));
+    constexpr std::size_t kRing = 1 << 16;
+    std::vector<sim::Duration> delays(kRing);
+    stats::Rng rng(0x401d);
+    double mean = 0.0;
+    for (auto &d : delays) {
+        switch (shape) {
+        case kHoldExponential:
+            d = static_cast<sim::Duration>(-std::log1p(-rng.uniform()) *
+                                           10.0 * sim::kMicrosecond);
+            break;
+        case kHoldConstant: d = 10 * sim::kMicrosecond; break;
+        case kHoldSerial:
+            d = static_cast<sim::Duration>(
+                std::exp2(17.0 + 6.0 * rng.uniform()));
+            break;
+        }
+        mean += static_cast<double>(d) / kRing;
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            10000);
+
+    struct Hold
+    {
+        sim::Engine *eng;
+        const sim::Duration *delays;
+        std::size_t *next;
+
+        void
+        operator()() const
+        {
+            eng->schedule(delays[(*next)++ % kRing], sim::kEvTimer, *this);
+        }
+    };
+    sim::Engine eng;
+    std::size_t next = 0;
+    // Start in steady state: each event at a uniform point of one delay.
+    for (std::size_t i = 0; i < depth; ++i)
+        eng.scheduleAt(static_cast<sim::SimTime>(
+                           rng.uniform() *
+                           static_cast<double>(delays[next++ % kRing])),
+                       sim::kEvTimer, Hold{&eng, delays.data(), &next});
+    const auto window = static_cast<sim::Duration>(mean) + 1;
+    eng.runUntil(4 * window);
+
+    const std::uint64_t executed0 = eng.executed();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eng.runUntil(eng.now() + window));
+    state.SetItemsProcessed(
+        static_cast<std::int64_t>(eng.executed() - executed0));
+    state.counters["pending"] = static_cast<double>(eng.pending());
 }
-BENCHMARK(BM_EventEngine);
+BENCHMARK(BM_EventHold)
+    ->ArgNames({"depth", "shape"})
+    ->ArgsProduct({{16, 64, 4096, 65536},
+                   {kHoldExponential, kHoldConstant, kHoldSerial}});
 
 void
 BM_SplitIndices(benchmark::State &state)

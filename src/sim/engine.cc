@@ -1,6 +1,5 @@
 #include "sim/engine.h"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -47,71 +46,77 @@ Engine::throwUnreserved(std::uint64_t seq)
                            std::to_string(seq) + " was never reserved");
 }
 
-// Heap arity. Four halves the sift depth of a binary heap and keeps each
-// node's children within two cache lines of 24-byte entries; the strict
-// (when, seq) total order makes the pop sequence identical either way.
-static constexpr std::size_t kHeapArity = 4;
-
 void
-Engine::siftUp(std::size_t i)
+Engine::throwPast(SimTime when) const
 {
-    Entry e = heap_[i];
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / kHeapArity;
-        if (!earlier(e, heap_[parent]))
-            break;
-        heap_[i] = heap_[parent];
-        i = parent;
-    }
-    heap_[i] = e;
+    throw std::logic_error("Engine: event at " + std::to_string(when) +
+                           " ns scheduled before now (" +
+                           std::to_string(now_) + " ns)");
 }
 
 void
-Engine::siftDown(std::size_t i)
+Engine::fileTie(std::uint32_t idx, Slot &s)
 {
-    const std::size_t n = heap_.size();
-    Entry e = heap_[i];
-    for (;;) {
-        const std::size_t first = kHeapArity * i + 1;
-        if (first >= n)
-            break;
-        const std::size_t last = std::min(first + kHeapArity, n);
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c)
-            if (earlier(heap_[c], heap_[best]))
-                best = c;
-        if (!earlier(heap_[best], e))
-            break;
-        heap_[i] = heap_[best];
-        i = best;
+    // Fresh numbers are the largest yet (append), and refiling a
+    // LIFO bucket yields descending ones (prepend); only a reserved
+    // number can land in between.
+    if (head_[0] == kNoSlot) {
+        s.next = kNoSlot;
+        head_[0] = tail0_ = idx;
+    } else if (s.seq > slotAt(tail0_).seq) {
+        s.next = kNoSlot;
+        slotAt(tail0_).next = idx;
+        tail0_ = idx;
+    } else {
+        std::uint32_t *link = &head_[0];
+        while (slotAt(*link).seq < s.seq)
+            link = &slotAt(*link).next;
+        s.next = *link;
+        *link = idx;
     }
-    heap_[i] = e;
 }
 
-Engine::Entry
+std::uint32_t
 Engine::popEntry()
 {
-    const Entry top = heap_.front();
-    heap_.front() = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty())
-        siftDown(0);
-    return top;
+    --pending_;
+    if (head_[0] == kNoSlot) {
+        // Advance last_ to the lowest non-empty bucket's minimum. Its
+        // entries agree with that minimum above bit b-1, so each refiles
+        // into a bucket below b; the buckets above keep their index.
+        const auto b = static_cast<unsigned>(__builtin_ctzll(nonempty_));
+        const std::uint32_t first = head_[b];
+        head_[b] = kNoSlot;
+        nonempty_ &= nonempty_ - 1;
+        last_ = min_[b];
+        if (slotAt(first).next == kNoSlot)
+            return first;
+        for (std::uint32_t idx = first; idx != kNoSlot;) {
+            Slot &s = slotAt(idx);
+            const std::uint32_t next = s.next;
+            file(idx, s);
+            idx = next;
+        }
+    }
+    const std::uint32_t idx = head_[0];
+    head_[0] = slotAt(idx).next;
+    return idx;
 }
 
 void
 Engine::growArena()
 {
     const std::size_t block = blocks_.size();
-    assert(block * kSlotsPerBlock < kNoSlot - kSlotsPerBlock);
-    blocks_.push_back(std::make_unique<Slot[]>(kSlotsPerBlock));
-    Slot *slots = blocks_.back().get();
-    const std::uint32_t base =
-        static_cast<std::uint32_t>(block * kSlotsPerBlock);
-    for (std::size_t i = 0; i < kSlotsPerBlock; ++i)
-        slots[i].next_free = (i + 1 < kSlotsPerBlock)
-                                 ? base + static_cast<std::uint32_t>(i) + 1
-                                 : kNoSlot;
+    if (block * kSlotsPerBlock >= kNoSlot - kSlotsPerBlock)
+        throw std::length_error("Engine: more than " +
+                                std::to_string(kNoSlot - kSlotsPerBlock) +
+                                " events pending");
+    blocks_.push_back(std::make_unique<EventFn[]>(kSlotsPerBlock));
+    const auto base = static_cast<std::uint32_t>(block * kSlotsPerBlock);
+    slots_.resize(base + kSlotsPerBlock);
+    for (std::uint32_t i = base; i + 1 < base + kSlotsPerBlock; ++i)
+        slots_[i].next = i + 1;
+    slots_.back().next = kNoSlot;
     free_head_ = base;
     ++arena_blocks_;
 }
@@ -173,25 +178,28 @@ Engine::enableProfiling(bool on)
 }
 
 void
-Engine::dispatch(const Entry &ev)
+Engine::dispatch(std::uint32_t idx)
 {
-    now_ = ev.when;
-    ++tag_events_[ev.tag];
-    // Invoke in place: slot blocks are stable, so the callback may schedule
-    // (growing the arena or the heap) without invalidating its own frame.
-    // invokeAndReset fuses call + destruction into one indirect call, and
-    // the profiled path banks raw ticks (converted to ns at profile()
-    // time, off the hot loop).
-    EventFn &fn = slotAt(ev.slot).fn;
+    // Read the record first: a callback that grows the arena moves slots_.
+    now_ = slotAt(idx).when;
+    const std::uint8_t tag = slotAt(idx).tag;
+    ++tag_events_[tag];
+    // Invoke in place: callable blocks are stable, so the callback may
+    // schedule (growing the arena) without invalidating its own frame, and
+    // its slot stays off the free list until it returns. invokeAndReset
+    // fuses call + destruction into one indirect call, and the profiled
+    // path banks raw ticks (converted to ns at profile() time, off the hot
+    // loop).
+    EventFn &fn = fnAt(idx);
     if (profiling_) {
         const std::uint64_t c0 = profileTicks();
         fn.invokeAndReset();
         const std::uint64_t c1 = profileTicks();
-        tag_wall_ticks_[ev.tag] += c1 - c0;
+        tag_wall_ticks_[tag] += c1 - c0;
     } else {
         fn.invokeAndReset();
     }
-    freeSlot(ev.slot);
+    freeSlot(idx);
     ++executed_;
 }
 
@@ -199,9 +207,8 @@ std::size_t
 Engine::run()
 {
     std::size_t n = 0;
-    while (!heap_.empty()) {
-        const Entry ev = popEntry();
-        dispatch(ev);
+    while (pending_ != 0) {
+        dispatch(popEntry());
         ++n;
     }
     return n;
@@ -210,10 +217,12 @@ Engine::run()
 std::size_t
 Engine::runUntil(SimTime horizon)
 {
+    // The peek reads a bucket minimum without refiling: last_ moves only
+    // on dispatch, so it never passes now_ and a later scheduleAt(now())
+    // still files at or above it.
     std::size_t n = 0;
-    while (!heap_.empty() && heap_.front().when <= horizon) {
-        const Entry ev = popEntry();
-        dispatch(ev);
+    while (pending_ != 0 && nextWhen() <= horizon) {
+        dispatch(popEntry());
         ++n;
     }
     if (now_ < horizon)

@@ -6,25 +6,34 @@
  * on a single queue. Ties are broken by insertion order, so a given seed
  * always produces the identical schedule regardless of host platform.
  *
- * Performance shape: callbacks live in a pooled slot arena (fixed-size
- * records on stable blocks, intrusive free list) with small-buffer storage
- * (InlineFn), and the ready order is kept in a 4-ary min-heap of POD
- * {when, seq, slot} entries indexing into the arena (half the sift depth
- * of a binary heap, and the four children of a node share two cache
- * lines). Steady-state scheduling therefore performs zero heap
- * allocations: pushing an event is a slot pop + in-place callable
- * construction + a heap sift over 24-byte entries, and dispatch never
- * moves a callable (slots are invoked in place). Captures larger than the
- * inline buffer fall back to the heap and are counted in
+ * Performance shape: callbacks live in a pooled arena of small-buffer
+ * callables (InlineFn) on stable blocks, and the ready order is a
+ * monotone radix heap (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990).
+ * Simulated time never goes back, so an event is filed in bucket
+ * bitlen(when ^ last), where `last` is the time of the most recently
+ * dispatched event: bucket b holds the events that first differ from
+ * `last` at bit b-1. Bucket 0 (when == last) is kept sorted by
+ * tie-break number; every other bucket is an unordered list that tracks
+ * its minimum `when`. A pop from an empty bucket 0 takes the lowest
+ * non-empty bucket: a one-entry bucket is dispatched directly, a larger
+ * one is refiled around its minimum into strictly lower buckets, so each
+ * event moves at most 63 times in its life. The lists (and the arena's
+ * free list) are threaded through 24-byte {when, seq, next, tag}
+ * records, one per arena slot in one contiguous array, so the queue's
+ * storage grows only with the arena and steady-state scheduling
+ * performs zero heap allocations: pushing an event is a slot pop +
+ * in-place callable construction + an O(1) link, and dispatch never
+ * moves a callable (slots are invoked in place). Captures larger than
+ * the inline buffer fall back to the heap and are counted in
  * EngineProfile::heap_callbacks so the zero-alloc contract stays
- * observable. The (when, seq) comparator is a strict total order, so the
- * dispatch sequence is independent of heap arity or layout.
+ * observable. The (when, seq) order is a strict total order, so the
+ * dispatch sequence is independent of the queue's layout.
  *
  * Tie-break numbers can be reserved ahead of scheduling (reserveSeq): a
  * driver that chains a stream of future events (open-loop arrivals) takes
  * one number per event up front and schedules each under its number only
  * when its predecessor fires. The event then orders exactly as if it had
- * been scheduled at reservation time, so the heap holds in-flight work
+ * been scheduled at reservation time, so the queue holds in-flight work
  * instead of the whole stream and the dispatch order does not change.
  *
  * The engine carries lightweight profiling hooks for the simulator's own
@@ -107,7 +116,11 @@ class Engine
     /** Current simulated time. */
     SimTime now() const { return now_; }
 
-    /** Schedule fn to fire after the given (non-negative) delay. */
+    /**
+     * Schedule fn to fire after the given (non-negative) delay. Every
+     * schedule call throws std::logic_error, and queues nothing, for a
+     * time before now(): a negative delay or a past absolute time.
+     */
     template <class F>
     void
     schedule(Duration delay, F &&fn)
@@ -128,7 +141,6 @@ class Engine
     void
     schedule(Duration delay, EventTag tag, F &&fn)
     {
-        assert(delay >= 0);
         scheduleAt(now_ + delay, tag, std::forward<F>(fn));
     }
 
@@ -139,8 +151,9 @@ class Engine
     void
     scheduleAt(SimTime when, EventTag tag, F &&fn)
     {
+        checkWhen(when);
         const std::uint32_t slot = allocSlot();
-        if (!slotAt(slot).fn.emplace(std::forward<F>(fn)))
+        if (!fnAt(slot).emplace(std::forward<F>(fn)))
             ++heap_callbacks_;
         pushEntry(when, tag, slot, next_seq_++);
     }
@@ -170,8 +183,9 @@ class Engine
     {
         if (seq >= next_seq_)
             throwUnreserved(seq);
+        checkWhen(when);
         const std::uint32_t slot = allocSlot();
-        if (!slotAt(slot).fn.emplace(std::forward<F>(fn)))
+        if (!fnAt(slot).emplace(std::forward<F>(fn)))
             ++heap_callbacks_;
         pushEntry(when, tag, slot, seq);
     }
@@ -184,15 +198,15 @@ class Engine
     void
     schedule(Duration delay, EventTag tag, EventFn &&fn)
     {
-        assert(delay >= 0);
         scheduleAt(now_ + delay, tag, std::move(fn));
     }
 
     void
     scheduleAt(SimTime when, EventTag tag, EventFn &&fn)
     {
+        checkWhen(when);
         const std::uint32_t slot = allocSlot();
-        slotAt(slot).fn = std::move(fn);
+        fnAt(slot) = std::move(fn);
         pushEntry(when, tag, slot, next_seq_++);
     }
 
@@ -206,7 +220,7 @@ class Engine
     std::size_t runUntil(SimTime horizon);
 
     /** Events currently pending. */
-    std::size_t pending() const { return heap_.size(); }
+    std::size_t pending() const { return pending_; }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return executed_; }
@@ -231,40 +245,27 @@ class Engine
     EngineProfile profile() const;
 
   private:
-    /**
-     * Ready-order entry. POD on purpose: heap sifts move 24 bytes and
-     * never touch the callable, so comparator and payload can't interact
-     * (the old priority_queue moved whole closures and had to const_cast
-     * around top()).
-     */
-    struct Entry
-    {
-        SimTime when;
-        std::uint64_t seq; //!< Insertion order; breaks timestamp ties.
-        std::uint32_t slot;
-        std::uint8_t tag;
-    };
-
-    /** Pooled event record; blocks are stable so invocation is in place. */
-    struct Slot
-    {
-        EventFn fn;
-        std::uint32_t next_free = kNoSlot;
-    };
-
     static constexpr std::uint32_t kNoSlot = 0xffffffffu;
     static constexpr std::size_t kSlotsPerBlock = 256;
+    /** bitlen(when ^ last_) of two non-negative SimTimes is at most 63. */
+    static constexpr unsigned kBuckets = 64;
 
-    static bool
-    earlier(const Entry &a, const Entry &b)
+    /**
+     * Queue record of a pooled event: `next` links it into the free list
+     * or into its bucket.
+     */
+    struct Slot
     {
-        if (a.when != b.when)
-            return a.when < b.when;
-        return a.seq < b.seq;
-    }
+        SimTime when = 0;
+        std::uint64_t seq = 0; //!< Tie-break number: insertion order.
+        std::uint32_t next = kNoSlot;
+        std::uint8_t tag = kEvUntagged;
+    };
 
-    Slot &
-    slotAt(std::uint32_t idx)
+    Slot &slotAt(std::uint32_t idx) { return slots_[idx]; }
+
+    EventFn &
+    fnAt(std::uint32_t idx)
     {
         return blocks_[idx / kSlotsPerBlock][idx % kSlotsPerBlock];
     }
@@ -275,40 +276,101 @@ class Engine
         if (free_head_ == kNoSlot)
             growArena();
         const std::uint32_t idx = free_head_;
-        free_head_ = slotAt(idx).next_free;
+        free_head_ = slotAt(idx).next;
         return idx;
     }
 
     void
     freeSlot(std::uint32_t idx)
     {
-        slotAt(idx).next_free = free_head_;
+        slotAt(idx).next = free_head_;
         free_head_ = idx;
     }
 
     void
-    pushEntry(SimTime when, EventTag tag, std::uint32_t slot,
+    checkWhen(SimTime when) const
+    {
+        if (when < now_)
+            throwPast(when);
+    }
+
+    /** Radix bucket of `when` relative to the last dispatched time. */
+    unsigned
+    bucketOf(SimTime when) const
+    {
+        const auto x = static_cast<std::uint64_t>(when ^ last_);
+        return x == 0 ? 0u : 64u - static_cast<unsigned>(__builtin_clzll(x));
+    }
+
+    void
+    pushEntry(SimTime when, EventTag tag, std::uint32_t idx,
               std::uint64_t seq)
     {
-        assert(when >= now_);
         assert(tag < kEvTagCount);
-        heap_.push_back(
-            Entry{when, seq, slot, static_cast<std::uint8_t>(tag)});
-        siftUp(heap_.size() - 1);
-        if (heap_.size() > peak_pending_)
-            peak_pending_ = heap_.size();
+        Slot &s = slotAt(idx);
+        s.when = when;
+        s.seq = seq;
+        s.tag = static_cast<std::uint8_t>(tag);
+        file(idx, s);
+        if (++pending_ > peak_pending_)
+            peak_pending_ = pending_;
+    }
+
+    /** Link a queued slot into its bucket (O(1) except a bucket-0 tie
+     *  whose number lands between two queued ones). */
+    void
+    file(std::uint32_t idx, Slot &s)
+    {
+        const unsigned b = bucketOf(s.when);
+        if (b == 0) {
+            fileTie(idx, s);
+            return;
+        }
+        const std::uint64_t bit = std::uint64_t{1} << b;
+        if (!(nonempty_ & bit)) {
+            nonempty_ |= bit;
+            min_[b] = s.when;
+        } else if (s.when < min_[b]) {
+            min_[b] = s.when;
+        }
+        s.next = head_[b];
+        head_[b] = idx;
+    }
+
+    /** Time of the earliest pending event; pending_ must be non-zero. */
+    SimTime
+    nextWhen() const
+    {
+        return head_[0] != kNoSlot
+                   ? last_
+                   : min_[static_cast<unsigned>(__builtin_ctzll(nonempty_))];
     }
 
     [[noreturn]] static void throwUnreserved(std::uint64_t seq);
-    void siftUp(std::size_t i);
-    void siftDown(std::size_t i);
-    Entry popEntry();
+    [[noreturn]] void throwPast(SimTime when) const;
+    void fileTie(std::uint32_t idx, Slot &s);
+    std::uint32_t popEntry();
     void growArena();
-    void dispatch(const Entry &ev);
+    void dispatch(std::uint32_t idx);
     static std::uint64_t profileTicks();
 
-    std::vector<Entry> heap_;
-    std::vector<std::unique_ptr<Slot[]>> blocks_;
+    /** Bucket list heads; bucket 0 is sorted by seq, the rest unordered. */
+    std::array<std::uint32_t, kBuckets> head_ = [] {
+        std::array<std::uint32_t, kBuckets> h{};
+        h.fill(kNoSlot);
+        return h;
+    }();
+    std::uint32_t tail0_ = kNoSlot;   //!< last slot of bucket 0
+    std::array<SimTime, kBuckets> min_{}; //!< per-bucket minimum `when`
+    std::uint64_t nonempty_ = 0;      //!< bit b: bucket b > 0 is non-empty
+    SimTime last_ = 0;                //!< time of the last dispatched event
+    std::size_t pending_ = 0;
+    /** Queue records, one per arena slot; contiguous so a bucket walk
+     *  strides 24-byte records. Grows only with the arena, which moves
+     *  it: no reference into it is held across allocSlot(). */
+    std::vector<Slot> slots_;
+    /** Callables on stable blocks, so invocation is in place. */
+    std::vector<std::unique_ptr<EventFn[]>> blocks_;
     std::uint32_t free_head_ = kNoSlot;
     SimTime now_ = 0;
     /** Next tie-break number; also the count of events ever scheduled

@@ -122,6 +122,177 @@ TEST(Engine, DispatchOrderIsTimeThenInsertionUnderRandomSelfScheduling)
     }
 }
 
+/**
+ * A random schedule over the whole key range, for the order oracle:
+ * delays are log-uniform over [0, 2^40) ns, so keys cross power-of-two
+ * boundaries at every bit the queue's radix buckets split on, and some
+ * events go under reserved numbers taken ahead of time and used out of
+ * order — including at when == now(), where a reserved number runs
+ * ahead of the later-numbered events already queued at that instant. A
+ * number used at now() is above the running event's, as in the open-loop
+ * replays: the engine cannot run an event before one that already ran.
+ */
+struct WideSchedule
+{
+    struct Record
+    {
+        SimTime when;
+        std::uint64_t seq; //!< the engine's tie-break number
+    };
+
+    Engine e;
+    std::vector<Record> records;
+    std::vector<std::size_t> dispatched; //!< record ids in dispatch order
+    std::vector<std::uint64_t> reserved; //!< numbers taken, not yet used
+    std::uint64_t next_seq = 0;          //!< mirrors the engine's counter
+    Record running{-1, 0};               //!< the last dispatched record
+    std::uint64_t rng = 0x0ddba11u;
+    int budget = 20000;
+
+    std::uint64_t
+    draw()
+    {
+        rng = rng * 6364136223846793005ULL + 1442695040888963407ULL;
+        return rng >> 24;
+    }
+
+    Duration
+    delay()
+    {
+        const std::uint64_t bits = draw() % 41;
+        return bits == 0 ? 0
+                         : static_cast<Duration>(draw() &
+                                                 ((1ULL << bits) - 1));
+    }
+
+    void
+    fresh(SimTime when)
+    {
+        const std::size_t id = records.size();
+        records.push_back({when, next_seq++});
+        e.scheduleAt(when, [this, id] { fire(id); });
+    }
+
+    void
+    reserve(std::uint64_t n)
+    {
+        ASSERT_EQ(e.reserveSeq(n), next_seq);
+        for (std::uint64_t k = 0; k < n; ++k)
+            reserved.push_back(next_seq++);
+    }
+
+    /** Schedule under a random one of the reserved numbers that can
+     *  still run at `when`. */
+    void
+    underReserved(SimTime when)
+    {
+        std::vector<std::size_t> usable;
+        for (;;) {
+            for (std::size_t i = 0; i < reserved.size(); ++i)
+                if (when > running.when || reserved[i] > running.seq)
+                    usable.push_back(i);
+            if (!usable.empty())
+                break;
+            reserve(1 + draw() % 8);
+        }
+        const std::size_t pick = usable[draw() % usable.size()];
+        const std::uint64_t seq = reserved[pick];
+        reserved[pick] = reserved.back();
+        reserved.pop_back();
+        const std::size_t id = records.size();
+        records.push_back({when, seq});
+        e.scheduleAt(when, kEvDriver, seq, [this, id] { fire(id); });
+    }
+
+    void
+    fire(std::size_t id)
+    {
+        ASSERT_EQ(e.now(), records[id].when);
+        running = records[id];
+        dispatched.push_back(id);
+        for (int k = 0; k < 2 && budget > 0; ++k, --budget) {
+            switch (draw() % 6) {
+            case 0: underReserved(e.now()); break;
+            case 1: underReserved(e.now() + delay()); break;
+            case 2: reserve(1 + draw() % 4); break;
+            default: fresh(e.now() + delay()); break;
+            }
+        }
+    }
+};
+
+/**
+ * Property: over the whole key range, with reserved numbers used out of
+ * order and runUntil() horizons in between, the dispatch sequence is
+ * exactly the records sorted by (when, seq). After each bounded run the
+ * clock sits at the horizon, past the last dispatched event; events then
+ * scheduled at now() and just past it must still run first, before the
+ * events that were queued beyond the horizon.
+ */
+TEST(Engine, DispatchOrderIsTimeThenSeqAcrossRadixLevels)
+{
+    WideSchedule w;
+    for (int i = 0; i < 48; ++i) {
+        // Start on both sides of power-of-two boundaries up to 2^40.
+        const SimTime edge = SimTime{1} << (i % 41);
+        w.fresh(edge - 1 + static_cast<SimTime>(i % 3));
+    }
+    w.reserve(16);
+    for (int i = 0; i < 16; ++i)
+        w.underReserved(w.delay());
+
+    for (int round = 0; round < 200 && w.e.pending() > 0; ++round) {
+        const SimTime horizon = w.e.now() + w.delay();
+        w.e.runUntil(horizon);
+        ASSERT_EQ(w.e.now(), horizon);
+        w.fresh(w.e.now());
+        w.underReserved(w.e.now());
+        w.fresh(w.e.now() + 1);
+        w.underReserved(w.e.now() + 1);
+    }
+    w.e.run();
+
+    ASSERT_EQ(w.dispatched.size(), w.records.size());
+    std::vector<std::size_t> expected(w.records.size());
+    for (std::size_t i = 0; i < expected.size(); ++i)
+        expected[i] = i;
+    std::sort(expected.begin(), expected.end(),
+              [&w](std::size_t a, std::size_t b) {
+                  const auto &ra = w.records[a];
+                  const auto &rb = w.records[b];
+                  return ra.when != rb.when ? ra.when < rb.when
+                                            : ra.seq < rb.seq;
+              });
+    ASSERT_EQ(w.dispatched, expected);
+    // The schedule reached the top radix levels.
+    SimTime latest = 0;
+    for (const auto &r : w.records)
+        latest = std::max(latest, r.when);
+    EXPECT_GT(latest, SimTime{1} << 40);
+}
+
+// Scheduling before now() is a caller bug that would silently misorder
+// the queue, so it throws in every build and queues nothing.
+TEST(Engine, SchedulingInThePastThrows)
+{
+    Engine e;
+    e.schedule(10, [] {});
+    EXPECT_THROW(e.schedule(-1, [] {}), std::logic_error);
+    e.runUntil(20);
+    EXPECT_THROW(e.scheduleAt(19, [] {}), std::logic_error);
+    EXPECT_THROW(e.scheduleAt(19, kEvTimer, EventFn([] {})),
+                 std::logic_error);
+    const std::uint64_t seq = e.reserveSeq(1);
+    EXPECT_THROW(e.scheduleAt(5, kEvDriver, seq, [] {}), std::logic_error);
+    EXPECT_EQ(e.pending(), 0u);
+    int fired = 0;
+    e.scheduleAt(20, kEvDriver, seq, [&] { ++fired; });
+    e.schedule(0, [&] { ++fired; });
+    EXPECT_EQ(e.run(), 2u);
+    EXPECT_EQ(fired, 2);
+    EXPECT_EQ(e.now(), 20);
+}
+
 TEST(Engine, CallbackMaySchedule)
 {
     Engine e;
