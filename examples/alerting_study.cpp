@@ -114,7 +114,7 @@ main()
               << " epochs (max " << eval.maxLatency() << ").\n\n";
 
     // ---- Acceptance: detection latency + false-positive rate ------------
-    const int warmup = study.fleet.telemetry.burst_detector.warmup_samples;
+    const int warmup = obs::kDetectorWarmupSamples;
     int post_warmup_episodes = 0;
     for (int e = 0; e < study.fleet.epochs; ++e) {
         const bool start = load.burstCount(e) > 0 &&

@@ -11,6 +11,36 @@ namespace {
 
 using stats::mix64;
 
+/**
+ * Minimum sketch estimate (post-increment) required to admit a row
+ * under pressure. 2 means: seen at least twice within the recent
+ * window — exactly the one-hit-wonder test.
+ */
+constexpr int kAdmitThreshold = 2;
+
+/**
+ * Initial fraction of the total byte budget given to the W-TinyLFU
+ * admission window. Classic W-TinyLFU uses ~1%; embedding traffic with
+ * a drifting working set needs the window to hold a row until its
+ * second access, so the split starts larger and the climber adapts from
+ * there.
+ */
+constexpr double kWindowFraction = 0.3;
+static_assert(kWindowFraction > 0.0 && kWindowFraction <= 0.9);
+/**
+ * Adaptive window sizing (the Caffeine refinement): every kClimbPeriod
+ * accesses the composite compares its hit rate over the last period
+ * against the period before, and moves the window fraction by
+ * kClimbStep in the direction that last improved it (reversing when it
+ * got worse), within [kMinWindowFraction, kMaxWindowFraction].
+ */
+constexpr std::uint64_t kClimbPeriod = 2000;
+constexpr double kClimbStep = 0.05;
+constexpr double kMinWindowFraction = 0.02;
+constexpr double kMaxWindowFraction = 0.8;
+static_assert(kClimbPeriod > 0);
+static_assert(kMinWindowFraction < kMaxWindowFraction);
+
 std::size_t
 roundUpPow2(std::size_t n)
 {
@@ -116,7 +146,7 @@ class AdmittingCache : public EmbeddingCache
  * doorkeeper only there (and only under byte pressure). The window is
  * where drifting-recency rows serve their reuse without waiting for the
  * sketch to have seen them twice. A hill climber re-splits the constant
- * total budget between window and main every climb_period accesses,
+ * total budget between window and main every kClimbPeriod accesses,
  * following the hit-rate gradient: recency-dominated traffic grows the
  * window toward LRU behaviour, frequency-dominated traffic shrinks it
  * toward the pure doorkeeper.
@@ -126,11 +156,10 @@ class WindowedAdmittingCache : public EmbeddingCache
   public:
     WindowedAdmittingCache(std::unique_ptr<EmbeddingCache> main,
                            std::int64_t window_bytes,
-                           std::shared_ptr<AdmissionFilter> filter,
-                           const WTinyLfuConfig &config)
+                           std::shared_ptr<AdmissionFilter> filter)
         : main_(std::move(main)),
           window_(makeCache(Policy::Lru, window_bytes)),
-          filter_(std::move(filter)), config_(config),
+          filter_(std::move(filter)),
           total_bytes_(main_->capacityBytes() + window_bytes)
     {
         fraction_ = total_bytes_ > 0
@@ -269,11 +298,9 @@ class WindowedAdmittingCache : public EmbeddingCache
     void
     climb(bool hit)
     {
-        if (config_.climb_period == 0)
-            return;
         period_accesses_ += 1;
         period_hits_ += hit ? 1 : 0;
-        if (period_accesses_ < config_.climb_period)
+        if (period_accesses_ < kClimbPeriod)
             return;
         const double rate = static_cast<double>(period_hits_) /
                             static_cast<double>(period_accesses_);
@@ -282,12 +309,8 @@ class WindowedAdmittingCache : public EmbeddingCache
         if (last_rate_ >= 0.0 && rate < last_rate_)
             direction_ = -direction_; // the last move made things worse
         last_rate_ = rate;
-        fraction_ = std::clamp(
-            fraction_ + direction_ * config_.climb_step,
-            std::min(config_.min_window_fraction,
-                     config_.max_window_fraction),
-            std::max(config_.min_window_fraction,
-                     config_.max_window_fraction));
+        fraction_ = std::clamp(fraction_ + direction_ * kClimbStep,
+                               kMinWindowFraction, kMaxWindowFraction);
         applySplit();
     }
 
@@ -304,7 +327,6 @@ class WindowedAdmittingCache : public EmbeddingCache
     std::unique_ptr<EmbeddingCache> main_;
     std::unique_ptr<EmbeddingCache> window_;
     std::shared_ptr<AdmissionFilter> filter_;
-    WTinyLfuConfig config_;
     std::function<void(int, std::int64_t, std::int64_t)> hook_;
     mutable CacheStats stats_;
     std::int64_t dropped_ = 0; //!< window evictions vetoed by the filter
@@ -424,7 +446,7 @@ TinyLfuFilter::estimate(int table, std::int64_t row) const
 bool
 TinyLfuFilter::admit(int table, std::int64_t row, std::int64_t)
 {
-    return estimate(table, row) >= config_.admit_threshold;
+    return estimate(table, row) >= kAdmitThreshold;
 }
 
 std::unique_ptr<TinyLfuFilter>
@@ -446,31 +468,27 @@ withAdmission(std::unique_ptr<EmbeddingCache> inner,
 std::unique_ptr<EmbeddingCache>
 withWindowedAdmission(std::unique_ptr<EmbeddingCache> inner,
                       std::int64_t window_bytes,
-                      std::shared_ptr<AdmissionFilter> filter,
-                      const WTinyLfuConfig &config)
+                      std::shared_ptr<AdmissionFilter> filter)
 {
     if (!filter)
         return inner;
     return std::make_unique<WindowedAdmittingCache>(
-        std::move(inner), window_bytes, std::move(filter), config);
+        std::move(inner), window_bytes, std::move(filter));
 }
 
 std::unique_ptr<EmbeddingCache>
 makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
-                       Admission admission, const TinyLfuConfig &tinylfu,
-                       const WTinyLfuConfig &wtinylfu)
+                       Admission admission, const TinyLfuConfig &tinylfu)
 {
     if (admission == Admission::WTinyLfu) {
         // Split the budget so every admission variant competes at the
         // identical total byte budget.
-        const double f = std::clamp(wtinylfu.window_fraction, 0.0, 0.9);
         const auto window_bytes = std::max<std::int64_t>(
             1, static_cast<std::int64_t>(
-                   f * static_cast<double>(capacity_bytes)));
+                   kWindowFraction * static_cast<double>(capacity_bytes)));
         auto main = makeCache(policy, capacity_bytes - window_bytes);
         return withWindowedAdmission(std::move(main), window_bytes,
-                                     makeTinyLfu(wtinylfu.tinylfu),
-                                     wtinylfu);
+                                     makeTinyLfu());
     }
     auto cache = makeCache(policy, capacity_bytes);
     if (admission == Admission::TinyLfu)

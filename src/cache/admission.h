@@ -81,12 +81,6 @@ struct TinyLfuConfig
      * count.
      */
     std::uint64_t sample_period = 0;
-    /**
-     * Minimum sketch estimate (post-increment) required to admit a row
-     * under pressure. The default 2 means: seen at least twice within
-     * the recent window — exactly the one-hit-wonder test.
-     */
-    int admit_threshold = 2;
 };
 
 /**
@@ -128,45 +122,6 @@ class TinyLfuFilter : public AdmissionFilter
 std::unique_ptr<TinyLfuFilter> makeTinyLfu(TinyLfuConfig config = {});
 
 /**
- * W-TinyLFU parameters: a small LRU *window* carved out of the byte
- * budget, sitting in front of the doorkeeper. Every missed row is
- * admitted into the window unconditionally; only rows *evicted from the
- * window* face the TinyLFU admission test into the main cache. The
- * window is what fixes the doorkeeper's known failure mode on drifting
- * recency traffic: a fresh row used to pay one guaranteed extra miss (the
- * sketch had never seen it), while with the window it serves its reuse
- * immediately and reaches the doorkeeper only once its recent frequency
- * is on record.
- */
-struct WTinyLfuConfig
-{
-    /**
-     * Initial fraction of the total byte budget given to the admission
-     * window. Classic W-TinyLFU uses ~1%; embedding traffic with a
-     * drifting working set needs the window to hold a row until its
-     * second access, so the default starts larger and the climber
-     * adapts from there.
-     */
-    double window_fraction = 0.3;
-    /**
-     * Adaptive window sizing (the Caffeine refinement): every
-     * climb_period accesses the composite compares its hit rate over the
-     * last period against the period before, and moves the window
-     * fraction by climb_step in the direction that last improved it
-     * (reversing when it got worse). Recency-dominated traffic climbs
-     * the window up toward LRU behaviour; frequency-dominated traffic
-     * climbs it down toward the pure doorkeeper. 0 disables adaptation
-     * (static window_fraction).
-     */
-    std::uint64_t climb_period = 2000;
-    double climb_step = 0.05;
-    double min_window_fraction = 0.02;
-    double max_window_fraction = 0.8;
-    /** Doorkeeper between the window and the main cache. */
-    TinyLfuConfig tinylfu;
-};
-
-/**
  * Wrap a cache in a W-TinyLFU admission window: `inner` (already sized to
  * the *main* budget) receives only rows evicted from the window that pass
  * the doorkeeper; an LRU window of total_bytes - inner capacity absorbs
@@ -176,8 +131,7 @@ struct WTinyLfuConfig
 std::unique_ptr<EmbeddingCache>
 withWindowedAdmission(std::unique_ptr<EmbeddingCache> inner,
                       std::int64_t window_bytes,
-                      std::shared_ptr<AdmissionFilter> filter,
-                      const WTinyLfuConfig &config = {});
+                      std::shared_ptr<AdmissionFilter> filter);
 
 /**
  * Wrap a cache in an admission filter. The wrapper delegates residency
@@ -192,13 +146,13 @@ withAdmission(std::unique_ptr<EmbeddingCache> inner,
 /**
  * makeCache + optional admission wrap in one step (grid sweeps). For
  * Admission::WTinyLfu the byte budget is split between the window and the
- * main cache per `wtinylfu.window_fraction`, so every admission variant
- * competes at the identical total budget.
+ * main cache per admission.cc's kWindowFraction, so every admission
+ * variant competes at the identical total budget; that doorkeeper takes
+ * the default TinyLfuConfig, `tinylfu` configures Admission::TinyLfu.
  */
 std::unique_ptr<EmbeddingCache>
 makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
                        Admission admission,
-                       const TinyLfuConfig &tinylfu = {},
-                       const WTinyLfuConfig &wtinylfu = {});
+                       const TinyLfuConfig &tinylfu = {});
 
 } // namespace dri::cache

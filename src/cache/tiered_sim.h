@@ -38,8 +38,6 @@ struct TieredCacheConfig
     Admission admission = Admission::None;
     /** TinyLFU doorkeeper parameters (used when admission == TinyLfu). */
     TinyLfuConfig tinylfu;
-    /** Window + doorkeeper parameters (used when admission == WTinyLfu). */
-    WTinyLfuConfig wtinylfu;
 };
 
 /** Post-warmup replay statistics. */

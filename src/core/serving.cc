@@ -25,6 +25,25 @@ namespace dri::core {
 
 namespace {
 
+/** Fraction of a net's dense time executed before the sparse join. */
+constexpr double kBottomFraction = 0.5;
+/**
+ * Maximum batches of one request executing CPU phases concurrently
+ * (the framework's intra-request worker pool). Asynchronous RPC ops
+ * release the slot while waiting — the paper's mechanism for hiding
+ * sparse work at scale. Large requests exceed this limit and serialize
+ * into waves, which is what makes P99 grow ~linearly with request size.
+ */
+constexpr int kRequestParallelism = 8;
+static_assert(kRequestParallelism >= 1);
+/**
+ * Failover retries per logical sparse RPC before the whole request
+ * fails upstream (ShedReason::UpstreamFailure). Each retry re-pays
+ * client dispatch CPU and re-resolves excluding the server that
+ * just failed.
+ */
+constexpr int kMaxAttemptRetries = 2;
+
 sim::Duration
 scaled(double ns, double cpu_scale)
 {
@@ -245,8 +264,8 @@ struct ServingSimulation::Impl
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
          const ServingConfig &cfg, trace::TraceCollector &collector)
         : spec(spec), plan(plan), cfg(cfg), collector(collector),
-          link(cfg.link), service(cfg.service), rng(cfg.seed),
-          hedge_tracker(cfg.hedge.window), result_cache(cfg.result_cache)
+          link(cfg.link), service(rpc::ServiceConfig{}), rng(cfg.seed),
+          result_cache(cfg.result_cache)
     {
         // Cache the tracer pointer once: the hot path pays exactly one
         // null check per emission site when tracing is off.
@@ -860,7 +879,7 @@ struct ServingSimulation::Impl
             retireAttempt(op, idx, Retire::Cancelled, failed);
             return;
         }
-        if (op->retries >= cfg.faults.max_attempt_retries) {
+        if (op->retries >= kMaxAttemptRetries) {
             // Terminal upstream failure: the whole request is shed
             // through the mid-flight drain (outstanding attempts cancel,
             // queued grants drain, charges settle). An open op means the
@@ -908,7 +927,7 @@ struct ServingSimulation::Impl
                 spec.nets.size(),
             0.0);
         a->on_complete = std::move(on_complete);
-        a->slots_free = std::max(1, cfg.request_parallelism);
+        a->slots_free = kRequestParallelism;
         a->st.arrival = arrival >= 0 ? arrival : engine.now();
 
         if (tr) {
@@ -1058,9 +1077,9 @@ struct ServingSimulation::Impl
                     static_cast<std::int64_t>(ni.groups.size())),
                 mainScale());
             const sim::Duration bottom =
-                scaled(dense_total * cfg.bottom_fraction, mainScale());
+                scaled(dense_total * kBottomFraction, mainScale());
             const sim::Duration top =
-                scaled(dense_total * (1.0 - cfg.bottom_fraction),
+                scaled(dense_total * (1.0 - kBottomFraction),
                        mainScale());
             a->st.cpu_service_ns += static_cast<double>(overhead);
             a->st.cpu_ops_ns += static_cast<double>(bottom + top);

@@ -189,13 +189,6 @@ struct PerturbationConfig
      */
     sim::Duration rpc_timeout_ns = 20'000'000;
     /**
-     * Failover retries per logical sparse RPC before the whole request
-     * fails upstream (ShedReason::UpstreamFailure). Each retry re-pays
-     * client dispatch CPU and re-resolves excluding the server that
-     * just failed.
-     */
-    int max_attempt_retries = 2;
-    /**
      * Lag between killReplica()/restoreReplica() and the service
      * directory reflecting the new health — the detection gap during
      * which discovery still routes primaries at a dead replica and
@@ -234,23 +227,20 @@ struct ServingConfig
     dc::Platform main_platform = dc::scLarge();
     dc::Platform sparse_platform = dc::scLarge();
     netsim::LinkConfig link;
-    rpc::ServiceConfig service;
 
     /** Base cost of one embedding-row gather (reference platform). */
     double lookup_base_ns = 20.0;
     /** Additional gather cost per stored row byte (locality effect). */
     double lookup_ns_per_row_byte = 0.04;
-    /** Fraction of a net's dense time executed before the sparse join. */
-    double bottom_fraction = 0.5;
     /** Batch size override; 0 uses the model's production default. */
     int batch_size_override = 0;
     /**
      * Worker threads of the Thrift service on each shard (the pool that
      * executes batches). Smaller than the machine's core count — the rest
      * of the cores belong to the OS and co-located services. 0 means use
-     * every platform core. Serial replays never exceed request_parallelism
-     * concurrent batches, so this only matters under overlapping load
-     * (the Fig. 16 high-QPS experiment).
+     * every platform core. Serial replays never exceed kRequestParallelism
+     * (serving.cc) concurrent batches, so this only matters under
+     * overlapping load (the Fig. 16 high-QPS experiment).
      */
     int worker_threads = 8;
     /**
@@ -261,14 +251,6 @@ struct ServingConfig
      * load-balancing policy matter under overload.
      */
     int sparse_worker_threads = 0;
-    /**
-     * Maximum batches of one request executing CPU phases concurrently
-     * (the framework's intra-request worker pool). Asynchronous RPC ops
-     * release the slot while waiting — the paper's mechanism for hiding
-     * sparse work at scale. Large requests exceed this limit and serialize
-     * into waves, which is what makes P99 grow ~linearly with request size.
-     */
-    int request_parallelism = 8;
     /**
      * Replica servers behind each sparse shard, resolved via service
      * discovery (Section III-A2: shards are replicated independently
@@ -311,7 +293,7 @@ struct ServingConfig
      * Replica perturbations: stochastic stragglers (drawn from the
      * per-attempt common-random-numbers identity stream, so paired
      * policy comparisons face the identical interference process) plus
-     * the timeout/retry/discovery-lag knobs of the injected-fault
+     * the timeout and discovery-lag knobs of the injected-fault
      * layer. Defaults are fully inert.
      */
     PerturbationConfig faults;

@@ -39,7 +39,7 @@ pagedLookupNs(std::int64_t model_bytes, const Platform &platform,
 {
     const double f = residentFraction(model_bytes, platform);
     const double h = hitRate(f, config.access_skew);
-    return h * config.dram_lookup_ns + (1.0 - h) * config.ssd_lookup_ns;
+    return h * config.dram_lookup_ns + (1.0 - h) * kSsdLookupNs;
 }
 
 } // namespace dri::dc

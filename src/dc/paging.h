@@ -19,13 +19,14 @@
 
 namespace dri::dc {
 
+/** NVMe random-read latency per paged-in row (~90 us). */
+inline constexpr double kSsdLookupNs = 90000.0;
+
 /** SSD and caching parameters for the paged configuration. */
 struct PagingConfig
 {
     /** DRAM gather cost per resident row (matches ServingConfig). */
     double dram_lookup_ns = 25.0;
-    /** NVMe random-read latency per paged-in row. */
-    double ssd_lookup_ns = 90000.0; // ~90 us
     /**
      * Access-skew exponent: fraction of accesses hitting the cached
      * fraction f of rows is approximately f^(1-skew) for skew in [0, 1).

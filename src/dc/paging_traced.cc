@@ -39,7 +39,7 @@ pagedLookupNsTraced(std::int64_t model_bytes, const Platform &platform,
             hitRate(result.resident_fraction, config.access_skew);
     }
     result.lookup_ns = result.hit_rate * config.dram_lookup_ns +
-                       (1.0 - result.hit_rate) * config.ssd_lookup_ns;
+                       (1.0 - result.hit_rate) * kSsdLookupNs;
     return result;
 }
 

@@ -34,6 +34,16 @@ struct Platform
      */
     std::int64_t usableModelBytes() const;
 
+    /**
+     * Chassis power at CPU utilization `u`: linear between idle and
+     * full-load draw. Every watt ledger goes through this one curve.
+     */
+    double
+    powerWatts(double u) const
+    {
+        return idle_watts + (busy_watts - idle_watts) * u;
+    }
+
     /** Micro-level operator cost coefficients for this platform. */
     graph::CostParams costParams() const;
 };

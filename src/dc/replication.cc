@@ -60,10 +60,8 @@ provision(const std::vector<ShardDemand> &demands, const Platform &platform,
         p.cpu_utilization =
             cpu_cores_needed /
             (static_cast<double>(p.replicas * platform.cores));
-        p.power_watts =
-            static_cast<double>(p.replicas) *
-            (platform.idle_watts +
-             (platform.busy_watts - platform.idle_watts) * p.cpu_utilization);
+        p.power_watts = static_cast<double>(p.replicas) *
+                        platform.powerWatts(p.cpu_utilization);
         plan.shards.push_back(p);
     }
     return plan;

@@ -9,6 +9,120 @@
 
 namespace dri::fleet {
 
+namespace {
+
+/**
+ * Quantize target rates onto a geometric grid before planning, so a
+ * repeating diurnal profile reuses cached plans instead of re-simulating
+ * every epoch (and small forecast wiggles do not thrash the fleet).
+ */
+constexpr double kQpsQuantum = 1.10;
+static_assert(kQpsQuantum > 1.0);
+/**
+ * Each plan is verified with a CapacitySearch probe at the target rate,
+ * bumping every shard by one replica (up to max_replicas) until the
+ * probe meets the SLO — the "capacity search at the SLO boundary" step
+ * that turns utilization-sized vectors into SLO-safe ones. This caps
+ * the bumps per plan.
+ */
+constexpr int kMaxVerifyBumps = 3;
+
+// Watermark actuation, shared by Reactive and Burn-rate.
+/**
+ * Scale up when any shard's mean utilization crosses this. The band
+ * sits LOWER than a forecast planner's target utilization on purpose: a
+ * feedback controller reacts a full epoch late, so it must hold enough
+ * slack to absorb a rise within its reaction time — which is exactly
+ * the efficiency a trustworthy forecast buys back.
+ */
+constexpr double kHighUtilization = 0.5;
+/** Scale down only when every shard sits under this. */
+constexpr double kLowUtilization = 0.3;
+static_assert(kLowUtilization < kHighUtilization,
+              "hysteresis band must be non-empty");
+/** Scale up when observed P99 exceeds this fraction of the SLO. */
+constexpr double kP99GuardFraction = 0.85;
+/** Per-shard replica step per decision (utilization drift). */
+constexpr int kStep = 1;
+/**
+ * Per-shard step when LATENCY is breaching (P99 past the guard or
+ * shedding): jump, don't creep — a controller that recovers an SLO
+ * breach one replica at a time spends epochs in violation. The
+ * overshoot is what a reactive fleet pays for not having a forecast;
+ * the cooldown then walks the surplus back down slowly.
+ */
+constexpr int kPressureStep = 2;
+
+// Burn-rate trigger.
+/** Allowed fraction of served requests over the SLO P99 target. */
+constexpr double kBurnLatencyBudgetFraction = 0.01;
+/** Burn windows in EPOCHS (the policy's clock is the epoch index). */
+constexpr int kBurnFastWindowEpochs = 1;
+constexpr int kBurnSlowWindowEpochs = 4;
+/**
+ * Fire when the fast burn reaches this multiple AND the slow burn
+ * reaches kBurnSlowBurnThreshold. Fast at 2x/slow at 1x means "the last
+ * epoch burned twice its share and the longer horizon is already over
+ * budget" — one bad epoch with a healthy history only arms the alert,
+ * a sustained breach fires it.
+ */
+constexpr double kBurnFastBurnThreshold = 2.0;
+constexpr double kBurnSlowBurnThreshold = 1.0;
+constexpr int kBurnPendingTicks = 1;
+constexpr int kBurnResolveTicks = 1;
+/**
+ * Budget health required before a scale-down: no alert firing and both
+ * slow burns under this fraction of their threshold, for kHealthyEpochs
+ * consecutive epochs (on top of the cooldown).
+ */
+constexpr double kHealthBurnFraction = 0.5;
+constexpr int kHealthyEpochs = 2;
+
+/**
+ * Scale-up actuation of both feedback policies: under fleet-wide
+ * pressure every shard grows by kPressureStep, otherwise the shards over
+ * kHighUtilization creep by kStep. True when the vector changed.
+ */
+bool
+scaleUp(std::vector<int> &vec, const EpochObservation &last,
+        bool fleet_wide, const ReactiveConfig &cfg)
+{
+    const int step = fleet_wide ? kPressureStep : kStep;
+    bool changed = false;
+    for (std::size_t s = 0; s < vec.size(); ++s) {
+        const bool hot = fleet_wide ||
+                         (s < last.shard_utilization.size() &&
+                          last.shard_utilization[s] > kHighUtilization);
+        if (hot && vec[s] < cfg.max_replicas) {
+            vec[s] = std::min(cfg.max_replicas, vec[s] + step);
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+/**
+ * Scale-down actuation of both feedback policies: every shard under
+ * kLowUtilization shrinks by kStep. True when the vector changed.
+ */
+bool
+scaleDown(std::vector<int> &vec, const EpochObservation &last,
+          const ReactiveConfig &cfg)
+{
+    bool changed = false;
+    for (std::size_t s = 0; s < vec.size(); ++s) {
+        const bool idle = s >= last.shard_utilization.size() ||
+                          last.shard_utilization[s] < kLowUtilization;
+        if (idle && vec[s] > cfg.min_replicas) {
+            vec[s] = std::max(cfg.min_replicas, vec[s] - kStep);
+            changed = true;
+        }
+    }
+    return changed;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------------------
 // CapacityPlanner: ProvisionLoop sized at the rate, CapacitySearch probe
 // verifying the SLO boundary.
@@ -25,7 +139,6 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
 {
     assert(plan_.numShards() > 0 && "fleet planning needs sparse shards");
     assert(config_.headroom >= 1.0);
-    assert(config_.qps_quantum > 1.0);
     // One deterministic planning stream shared by every plan: paired
     // probes across rates, and across policies holding the same planner.
     if (planning_requests_.empty()) {
@@ -45,7 +158,7 @@ CapacityPlanner::quantize(double qps) const
     // Smallest integer power of the quantum at or above qps: small
     // forecast wiggles map to the same grid point (plan reuse), and
     // rounding *up* never under-provisions relative to the raw target.
-    const double step = std::log(config_.qps_quantum);
+    const double step = std::log(kQpsQuantum);
     const double k = std::ceil(std::log(qps) / step - 1e-9);
     return std::exp(k * step);
 }
@@ -95,7 +208,7 @@ CapacityPlanner::replicaVectorFor(double qps)
     // replicas until the probe is feasible.
     sched::CapacitySearchConfig sc;
     sc.slo = config_.slo;
-    for (int bump = 0; bump <= config_.max_verify_bumps; ++bump) {
+    for (int bump = 0; bump <= kMaxVerifyBumps; ++bump) {
         core::ServingConfig cfg = serving_;
         cfg.sparse_replicas_per_shard = vec;
         sched::CapacitySearch search(spec_, plan_, cfg, sc);
@@ -143,8 +256,6 @@ ReactiveAutoscaler::ReactiveAutoscaler(std::vector<int> initial,
     : vector_(std::move(initial)), config_(config)
 {
     assert(!vector_.empty());
-    assert(config_.low_utilization < config_.high_utilization &&
-           "hysteresis band must be non-empty");
     for (auto &r : vector_)
         r = std::clamp(r, config_.min_replicas, config_.max_replicas);
 }
@@ -156,34 +267,19 @@ ReactiveAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     if (last == nullptr)
         return vector_; // nothing measured yet: serve the seed vector
 
-    const double p99_guard =
-        config_.p99_guard_fraction * config_.slo.p99_ms;
+    const double p99_guard = kP99GuardFraction * config_.slo.p99_ms;
     const bool latency_pressure = last->p99_ms > p99_guard ||
                                   last->shed_rate >
                                       config_.slo.max_shed_rate;
     const bool util_pressure =
-        last->max_shard_utilization > config_.high_utilization;
+        last->max_shard_utilization > kHighUtilization;
 
     if (latency_pressure || util_pressure) {
         // Scale up: latency pressure is a fleet-wide signal (every shard
         // grows, by the overshoot step — queueing anywhere inflates the
         // request-level tail); pure utilization pressure creeps only the
         // hot shards.
-        const int step =
-            latency_pressure ? config_.pressure_step : config_.step;
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool hot =
-                latency_pressure ||
-                (s < last->shard_utilization.size() &&
-                 last->shard_utilization[s] > config_.high_utilization);
-            if (hot && vector_[s] < config_.max_replicas) {
-                vector_[s] =
-                    std::min(config_.max_replicas, vector_[s] + step);
-                changed = true;
-            }
-        }
-        if (changed)
+        if (scaleUp(vector_, *last, latency_pressure, config_))
             last_change_epoch_ = epoch;
         return vector_;
     }
@@ -192,24 +288,10 @@ ReactiveAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     // latency slack, and only after the cooldown since the last change.
     if (epoch - last_change_epoch_ <= config_.cooldown_epochs)
         return vector_;
-    const bool cold =
-        last->max_shard_utilization < config_.low_utilization &&
-        last->p99_ms < p99_guard;
-    if (cold) {
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool idle =
-                s >= last->shard_utilization.size() ||
-                last->shard_utilization[s] < config_.low_utilization;
-            if (idle && vector_[s] > config_.min_replicas) {
-                vector_[s] = std::max(config_.min_replicas,
-                                      vector_[s] - config_.step);
-                changed = true;
-            }
-        }
-        if (changed)
-            last_change_epoch_ = epoch;
-    }
+    const bool cold = last->max_shard_utilization < kLowUtilization &&
+                      last->p99_ms < p99_guard;
+    if (cold && scaleDown(vector_, *last, config_))
+        last_change_epoch_ = epoch;
     return vector_;
 }
 
@@ -218,13 +300,12 @@ ReactiveAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
 // ---------------------------------------------------------------------------
 
 BurnRateAutoscaler::BurnRateAutoscaler(std::vector<int> initial,
-                                       BurnRateConfig config)
+                                       ReactiveConfig config)
     : vector_(std::move(initial)), config_(config)
 {
     assert(!vector_.empty());
     for (auto &r : vector_)
-        r = std::clamp(r, config_.base.min_replicas,
-                       config_.base.max_replicas);
+        r = std::clamp(r, config_.min_replicas, config_.max_replicas);
 
     // Objectives run on the epoch index as their clock: horizon N
     // "seconds" with N buckets is one bucket per epoch.
@@ -232,21 +313,17 @@ BurnRateAutoscaler::BurnRateAutoscaler(std::vector<int> initial,
         obs::SloObjective o;
         o.name = name;
         o.budget_fraction = budget;
-        o.fast_horizon_s = config_.fast_window_epochs;
-        o.slow_horizon_s = config_.slow_window_epochs;
-        o.buckets = config_.slow_window_epochs;
-        o.fast_burn_threshold = config_.fast_burn_threshold;
-        o.slow_burn_threshold = config_.slow_burn_threshold;
-        o.pending_ticks = config_.pending_ticks;
-        o.resolve_ticks = config_.resolve_ticks;
+        o.fast_horizon_s = kBurnFastWindowEpochs;
+        o.slow_horizon_s = kBurnSlowWindowEpochs;
+        o.buckets = kBurnSlowWindowEpochs;
+        o.fast_burn_threshold = kBurnFastBurnThreshold;
+        o.slow_burn_threshold = kBurnSlowBurnThreshold;
+        o.pending_ticks = kBurnPendingTicks;
+        o.resolve_ticks = kBurnResolveTicks;
         return monitor_.addObjective(o);
     };
-    const double shed_budget = config_.shed_budget_fraction > 0.0
-                                   ? config_.shed_budget_fraction
-                                   : config_.base.slo.max_shed_rate;
-    latency_objective_ =
-        objective("latency", config_.latency_budget_fraction);
-    shed_objective_ = objective("shed", shed_budget);
+    latency_objective_ = objective("latency", kBurnLatencyBudgetFraction);
+    shed_objective_ = objective("shed", config_.slo.max_shed_rate);
 }
 
 std::vector<int>
@@ -273,29 +350,14 @@ BurnRateAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
 
     const bool alert_firing = monitor_.anyFiring();
     const bool util_pressure =
-        last->max_shard_utilization > config_.base.high_utilization;
+        last->max_shard_utilization > kHighUtilization;
 
     if (alert_firing || util_pressure) {
         healthy_streak_ = 0;
         // A firing burn-rate alert is the fleet-wide signal (the budget
         // is provably burning everywhere the tail reaches); bare
         // utilization pressure creeps only the hot shards, as Reactive.
-        const int step = alert_firing ? config_.base.pressure_step
-                                      : config_.base.step;
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool hot =
-                alert_firing ||
-                (s < last->shard_utilization.size() &&
-                 last->shard_utilization[s] >
-                     config_.base.high_utilization);
-            if (hot && vector_[s] < config_.base.max_replicas) {
-                vector_[s] = std::min(config_.base.max_replicas,
-                                      vector_[s] + step);
-                changed = true;
-            }
-        }
-        if (changed)
+        if (scaleUp(vector_, *last, alert_firing, config_))
             last_change_epoch_ = epoch;
         return vector_;
     }
@@ -304,30 +366,17 @@ BurnRateAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     // inside budget. Only a sustained healthy streak may scale down.
     const bool healthy =
         monitor_.status(latency_objective_).slow_burn <
-            config_.health_burn_fraction * config_.slow_burn_threshold &&
+            kHealthBurnFraction * kBurnSlowBurnThreshold &&
         monitor_.status(shed_objective_).slow_burn <
-            config_.health_burn_fraction * config_.slow_burn_threshold;
+            kHealthBurnFraction * kBurnSlowBurnThreshold;
     healthy_streak_ = healthy ? healthy_streak_ + 1 : 0;
 
-    if (healthy_streak_ < config_.healthy_epochs ||
-        epoch - last_change_epoch_ <= config_.base.cooldown_epochs)
+    if (healthy_streak_ < kHealthyEpochs ||
+        epoch - last_change_epoch_ <= config_.cooldown_epochs)
         return vector_;
-    if (last->max_shard_utilization < config_.base.low_utilization) {
-        bool changed = false;
-        for (std::size_t s = 0; s < vector_.size(); ++s) {
-            const bool idle =
-                s >= last->shard_utilization.size() ||
-                last->shard_utilization[s] <
-                    config_.base.low_utilization;
-            if (idle && vector_[s] > config_.base.min_replicas) {
-                vector_[s] = std::max(config_.base.min_replicas,
-                                      vector_[s] - config_.base.step);
-                changed = true;
-            }
-        }
-        if (changed)
-            last_change_epoch_ = epoch;
-    }
+    if (last->max_shard_utilization < kLowUtilization &&
+        scaleDown(vector_, *last, config_))
+        last_change_epoch_ = epoch;
     return vector_;
 }
 
@@ -367,7 +416,9 @@ registry()
         std::map<std::string, AutoscalerFactory> r;
         r["static-peak"] = [](const AutoscalerInputs &in)
             -> std::unique_ptr<Autoscaler> {
-            assert(in.planner && "static-peak needs a capacity planner");
+            if (!in.planner)
+                throw std::invalid_argument(
+                    "static-peak needs a capacity planner");
             return std::make_unique<StaticPeakAutoscaler>(in.planner);
         };
         r["reactive"] = [](const AutoscalerInputs &in)
@@ -377,18 +428,17 @@ registry()
         };
         r["predictive"] = [](const AutoscalerInputs &in)
             -> std::unique_ptr<Autoscaler> {
-            assert(in.planner && "predictive needs a capacity planner");
+            if (!in.planner)
+                throw std::invalid_argument(
+                    "predictive needs a capacity planner");
             return std::make_unique<PredictiveAutoscaler>(in.planner);
         };
         r["burn-rate"] = [](const AutoscalerInputs &in)
             -> std::unique_ptr<Autoscaler> {
-            // Trigger parameters from burn_rate, actuation from the
-            // shared reactive block: the studies compare triggers, not
-            // actuation tunings.
-            BurnRateConfig cfg = in.burn_rate;
-            cfg.base = in.reactive;
+            // Actuation from the shared reactive block: the studies
+            // compare triggers, not actuation tunings.
             return std::make_unique<BurnRateAutoscaler>(in.initial_vector,
-                                                        cfg);
+                                                        in.reactive);
         };
         return r;
     }();

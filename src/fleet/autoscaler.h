@@ -102,21 +102,6 @@ struct PlannerConfig
     int provision_iterations = 4;
     /** Request-sample length for planning simulations. */
     std::size_t planning_requests = 256;
-    /**
-     * Quantize target rates onto a geometric grid before planning, so a
-     * repeating diurnal profile reuses cached plans instead of
-     * re-simulating every epoch (and small forecast wiggles do not
-     * thrash the fleet).
-     */
-    double qps_quantum = 1.10;
-    /**
-     * Each plan is verified with a CapacitySearch probe at the target
-     * rate, bumping every shard by one replica (up to max_replicas) until
-     * the probe meets the SLO — the "capacity search at the SLO boundary"
-     * step that turns utilization-sized vectors into SLO-safe ones. This
-     * caps the bumps per plan.
-     */
-    int max_verify_bumps = 3;
     std::uint64_t planning_seed = 0x91a2;
 };
 
@@ -124,7 +109,8 @@ struct PlannerConfig
  * The ProvisionLoop + CapacitySearch composition both planned policies
  * share: replicaVectorFor(qps) returns the cheapest per-shard replica
  * vector the planner believes sustains `qps` under the SLO, caching by
- * quantized rate.
+ * quantized rate (autoscaler.cc's kQpsQuantum grid) and verifying each
+ * plan with at most kMaxVerifyBumps capacity-search probes.
  */
 class CapacityPlanner
 {
@@ -179,38 +165,20 @@ class StaticPeakAutoscaler : public Autoscaler
     std::vector<int> vector_;
 };
 
-/** Reactive watermark parameters. */
+/**
+ * Reactive watermark parameters. The utilization band, P99 guard and
+ * step sizes are autoscaler.cc constants shared by both feedback
+ * policies.
+ */
 struct ReactiveConfig
 {
     sched::SloSpec slo;
-    /**
-     * Scale up when any shard's mean utilization crosses this. The band
-     * sits LOWER than a forecast planner's target utilization on
-     * purpose: a feedback controller reacts a full epoch late, so it
-     * must hold enough slack to absorb a rise within its reaction time —
-     * which is exactly the efficiency a trustworthy forecast buys back.
-     */
-    double high_utilization = 0.5;
-    /** Scale down only when every shard sits under this. */
-    double low_utilization = 0.3;
-    /** Scale up when observed P99 exceeds this fraction of the SLO. */
-    double p99_guard_fraction = 0.85;
     /**
      * Epochs that must pass after any reconfiguration before another
      * *scale-down* is allowed. Scale-ups are exempt: refusing capacity
      * during an overload to respect churn budgets inverts priorities.
      */
     int cooldown_epochs = 2;
-    /** Per-shard replica step per decision (utilization drift). */
-    int step = 1;
-    /**
-     * Per-shard step when LATENCY is breaching (P99 past the guard or
-     * shedding): jump, don't creep — a controller that recovers an SLO
-     * breach one replica at a time spends epochs in violation. The
-     * overshoot is what a reactive fleet pays for not having a forecast;
-     * the cooldown then walks the surplus back down slowly.
-     */
-    int pressure_step = 2;
     int min_replicas = 1;
     int max_replicas = 8;
 };
@@ -236,67 +204,35 @@ class ReactiveAutoscaler : public Autoscaler
     int last_change_epoch_ = -1000000;
 };
 
-/** Burn-rate-driven variant of the reactive policy (src/obs alerts). */
-struct BurnRateConfig
-{
-    /** Steps, watermarks, cooldown, and SLO shared with Reactive. */
-    ReactiveConfig base;
-
-    /** Allowed fraction of served requests over the SLO P99 target. */
-    double latency_budget_fraction = 0.01;
-    /** Allowed shed fraction; <= 0 inherits base.slo.max_shed_rate. */
-    double shed_budget_fraction = 0.0;
-
-    /** Burn windows in EPOCHS (the policy's clock is the epoch index). */
-    int fast_window_epochs = 1;
-    int slow_window_epochs = 4;
-    /**
-     * Fire when the fast burn reaches this multiple AND the slow burn
-     * reaches slow_burn_threshold. Fast at 2x/slow at 1x means "the
-     * last epoch burned twice its share and the longer horizon is
-     * already over budget" — one bad epoch with a healthy history only
-     * arms the alert, a sustained breach fires it.
-     */
-    double fast_burn_threshold = 2.0;
-    double slow_burn_threshold = 1.0;
-    int pending_ticks = 1;
-    int resolve_ticks = 1;
-
-    /**
-     * Budget health required before a scale-down: no alert firing and
-     * both slow burns under this fraction of their threshold, for
-     * healthy_epochs consecutive epochs (on top of base.cooldown).
-     */
-    double health_burn_fraction = 0.5;
-    int healthy_epochs = 2;
-};
-
 /**
  * Scale up when a multi-window burn-rate alert FIRES (the SLO's error
  * budget is provably burning), creep hot shards on the utilization
  * watermark, and scale down only under sustained budget health. Same
- * actuation machinery as ReactiveAutoscaler — the difference under
- * test is purely the trigger: raw-threshold feedback vs error-budget
- * burn rates with hysteresis.
+ * actuation machinery as ReactiveAutoscaler, from the same
+ * ReactiveConfig (steps, watermarks, cooldown, SLO) — the difference
+ * under test is purely the trigger: raw-threshold feedback vs
+ * error-budget burn rates with hysteresis. The burn windows,
+ * thresholds and health rule are autoscaler.cc's kBurn* constants; the
+ * shed budget is the SLO's max_shed_rate.
  */
 class BurnRateAutoscaler : public Autoscaler
 {
   public:
     /** `initial` seeds epoch 0 (typically the StaticPeak vector). */
-    BurnRateAutoscaler(std::vector<int> initial, BurnRateConfig config);
+    BurnRateAutoscaler(std::vector<int> initial, ReactiveConfig config);
 
     std::string name() const override { return "burn-rate"; }
     std::vector<int> decide(int epoch,
                             const workload::DiurnalLoadModel &load,
                             const EpochObservation *last) override;
 
-    const BurnRateConfig &config() const { return config_; }
+    const ReactiveConfig &config() const { return config_; }
     /** The policy's own monitor (alert log inspection in tests). */
     const obs::SloMonitor &monitor() const { return monitor_; }
 
   private:
     std::vector<int> vector_;
-    BurnRateConfig config_;
+    ReactiveConfig config_;
     obs::SloMonitor monitor_;
     int latency_objective_ = -1;
     int shed_objective_ = -1;
@@ -336,14 +272,9 @@ struct AutoscalerInputs
     /** Epoch-0 seed vector for feedback policies (typically the peak
      *  plan), so every policy starts from the same provisioning. */
     std::vector<int> initial_vector;
-    /** Watermark actuation parameters ("reactive", and the shared
-     *  base the "burn-rate" factory grafts onto burn_rate.base). */
+    /** Watermark actuation of both feedback policies ("reactive",
+     *  "burn-rate"): the studies compare triggers, not actuations. */
     ReactiveConfig reactive;
-    /** Burn-rate trigger parameters ("burn-rate"); its `base` member
-     *  is OVERWRITTEN with `reactive` at construction so the two
-     *  feedback policies always share one actuation parameterization —
-     *  the comparison the studies make is trigger-vs-trigger. */
-    BurnRateConfig burn_rate;
 };
 
 /** Factory signature: inputs bundle in, constructed policy out. */
@@ -360,7 +291,8 @@ bool registerAutoscaler(const std::string &name, AutoscalerFactory factory);
 
 /**
  * Construct a registered policy by name. Throws std::invalid_argument
- * naming the known policies when `name` is not registered.
+ * naming the known policies when `name` is not registered, and when a
+ * planned policy ("static-peak", "predictive") gets a null planner.
  */
 std::unique_ptr<Autoscaler> makeAutoscaler(const std::string &name,
                                            const AutoscalerInputs &inputs);

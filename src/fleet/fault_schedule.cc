@@ -1,7 +1,8 @@
 #include "fleet/fault_schedule.h"
 
-#include <cassert>
-#include <cstring>
+#include <stdexcept>
+
+#include "stats/hash.h"
 
 namespace dri::fleet {
 
@@ -32,7 +33,11 @@ FaultEvent::name() const
 FaultSchedule &
 FaultSchedule::add(FaultEvent ev)
 {
-    assert(ev.start_epoch >= 0 && ev.end_epoch > ev.start_epoch);
+    if (ev.start_epoch < 0)
+        throw std::invalid_argument("FaultSchedule: start_epoch must be >= 0");
+    if (ev.end_epoch <= ev.start_epoch)
+        throw std::invalid_argument(
+            "FaultSchedule: end_epoch must follow start_epoch");
     events_.push_back(std::move(ev));
     return *this;
 }
@@ -56,7 +61,9 @@ FaultSchedule::slowReplica(int shard, int replica, double multiplier,
                            int start_epoch, int end_epoch,
                            double declared_blast_radius)
 {
-    assert(multiplier > 0.0);
+    if (!(multiplier > 0.0))
+        throw std::invalid_argument(
+            "FaultSchedule: slow multiplier must be > 0");
     FaultEvent ev;
     ev.kind = FaultKind::SlowReplica;
     ev.shard = shard;
@@ -85,7 +92,9 @@ FaultSchedule &
 FaultSchedule::snapshotStorm(int epoch, double warm_share,
                              double declared_blast_radius)
 {
-    assert(warm_share > 0.0 && warm_share <= 1.0);
+    if (!(warm_share > 0.0 && warm_share <= 1.0))
+        throw std::invalid_argument(
+            "FaultSchedule: storm warm share must lie in (0, 1]");
     FaultEvent ev;
     ev.kind = FaultKind::SnapshotStorm;
     ev.magnitude = warm_share;
@@ -100,8 +109,12 @@ FaultSchedule::flashCrowd(double rate_multiplier, double hot_fraction,
                           int start_epoch, int end_epoch,
                           double declared_blast_radius)
 {
-    assert(rate_multiplier >= 1.0);
-    assert(hot_fraction >= 0.0 && hot_fraction <= 1.0);
+    if (!(rate_multiplier >= 1.0))
+        throw std::invalid_argument(
+            "FaultSchedule: flash rate_multiplier must be >= 1");
+    if (!(hot_fraction >= 0.0 && hot_fraction <= 1.0))
+        throw std::invalid_argument(
+            "FaultSchedule: flash hot_fraction must lie in [0, 1]");
     FaultEvent ev;
     ev.kind = FaultKind::FlashCrowd;
     ev.magnitude = rate_multiplier;
@@ -125,33 +138,22 @@ FaultSchedule::activeAt(int epoch) const
 std::uint64_t
 FaultSchedule::fingerprint() const
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto bytes = [&h](const void *p, std::size_t n) {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ULL;
-        }
-    };
-    const auto addI = [&](std::int64_t v) { bytes(&v, sizeof v); };
-    const auto addD = [&](double v) {
-        std::uint64_t b = 0;
-        std::memcpy(&b, &v, sizeof b);
-        bytes(&b, sizeof b);
-    };
-    addI(static_cast<std::int64_t>(events_.size()));
+    // Every int mixes as 8 bytes (the committed chaos baselines pin
+    // this width).
+    stats::Fnv fnv;
+    fnv.add(static_cast<std::int64_t>(events_.size()));
     for (const auto &ev : events_) {
-        addI(static_cast<int>(ev.kind));
-        addI(ev.start_epoch);
-        addI(ev.end_epoch);
-        addI(ev.shard);
-        addI(ev.replica);
-        addD(ev.magnitude);
-        addD(ev.hot_fraction);
-        addD(ev.declared_blast_radius);
-        bytes(ev.label.data(), ev.label.size());
+        fnv.add(static_cast<std::int64_t>(ev.kind));
+        fnv.add(std::int64_t{ev.start_epoch});
+        fnv.add(std::int64_t{ev.end_epoch});
+        fnv.add(std::int64_t{ev.shard});
+        fnv.add(std::int64_t{ev.replica});
+        fnv.add(ev.magnitude);
+        fnv.add(ev.hot_fraction);
+        fnv.add(ev.declared_blast_radius);
+        fnv.bytes(ev.label.data(), ev.label.size());
     }
-    return h;
+    return fnv.h;
 }
 
 } // namespace dri::fleet

@@ -134,9 +134,17 @@ struct ScenarioOutcome
 class FaultSchedule
 {
   public:
+    /**
+     * Append an event. Throws std::invalid_argument when start_epoch is
+     * negative or end_epoch does not follow it.
+     */
     FaultSchedule &add(FaultEvent ev);
 
-    // Convenience builders (all return *this for chaining).
+    // Convenience builders (all return *this for chaining). Besides
+    // add()'s epoch checks, each throws std::invalid_argument on a
+    // magnitude out of range: a slow multiplier <= 0, a storm warm
+    // share outside (0, 1], a flash rate_multiplier < 1 or a
+    // hot_fraction outside [0, 1].
     FaultSchedule &crashReplica(int shard, int replica, int start_epoch,
                                 int end_epoch,
                                 double declared_blast_radius = 1.0);

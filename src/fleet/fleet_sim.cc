@@ -1,9 +1,8 @@
 #include "fleet/fleet_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <cstring>
+#include <stdexcept>
 #include <tuple>
 #include <utility>
 
@@ -15,34 +14,54 @@ namespace dri::fleet {
 
 namespace {
 
-/** FNV-1a over raw bytes: the fingerprint accumulator. */
-struct Fnv
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+// Reconfiguration penalty model.
+/**
+ * Fraction of a scale-up epoch served by the OLD vector while new
+ * replicas boot. Offered load is already the new epoch's, so an
+ * under-provisioned old plan eats the queueing this window causes.
+ */
+constexpr double kProvisioningLagFraction = 0.1;
+/**
+ * Fraction of a reconfigured epoch (after the lag) during which
+ * scaled-up shards serve with cold-replica row caches and the
+ * pooled-result cache refills from its invalidation.
+ */
+constexpr double kColdCacheFraction = 0.15;
+static_assert(kProvisioningLagFraction >= 0.0 &&
+              kProvisioningLagFraction < 1.0);
+static_assert(kColdCacheFraction >= 0.0 && kColdCacheFraction < 1.0);
 
-    void
-    bytes(const void *p, std::size_t n)
-    {
-        const auto *b = static_cast<const unsigned char *>(p);
-        for (std::size_t i = 0; i < n; ++i) {
-            h ^= b[i];
-            h *= 0x100000001b3ULL;
-        }
-    }
+/** Carry-over slice replayed before counters engage. */
+constexpr std::size_t kPrewarmRequests = 48;
+/**
+ * Sim-time position of a crash *onset* within its first epoch's steady
+ * segment (fraction of the segment's span): the replica serves normally
+ * until this point, then goes dark mid-traffic — which is what
+ * exercises the queued-work-lost and in-flight-timeout paths rather
+ * than starting the epoch already dead.
+ */
+constexpr double kCrashAtFraction = 0.25;
+static_assert(kCrashAtFraction >= 0.0 && kCrashAtFraction < 1.0);
 
-    void
-    add(double v)
-    {
-        std::uint64_t bits = 0;
-        static_assert(sizeof bits == sizeof v, "double must be 64-bit");
-        std::memcpy(&bits, &v, sizeof bits);
-        bytes(&bits, sizeof bits);
-    }
+// Telemetry analysis.
+/** Burn windows in epochs (scaled by epoch_duration_s). */
+constexpr int kFastWindowEpochs = 2;
+constexpr int kSlowWindowEpochs = 6;
+constexpr double kFastBurnThreshold = 4.0;
+constexpr double kSlowBurnThreshold = 2.0;
+constexpr int kPendingTicks = 1;
+constexpr int kResolveTicks = 2;
+/** Allowed fraction of served requests over the SLO P99 target. */
+constexpr double kLatencyBudgetFraction = 0.01;
+/** Allowed fraction of epochs in (whole-epoch) SLO violation. */
+constexpr double kAvailabilityBudgetFraction = 0.10;
+/** Episode-matching window for the burst-detection scorecard. */
+constexpr int kDetectMatchWindowEpochs = 2;
 
-    void add(std::int64_t v) { bytes(&v, sizeof v); }
-    void add(int v) { bytes(&v, sizeof v); }
-    void add(bool v) { const char c = v ? 1 : 0; bytes(&c, 1); }
-};
+// Per-epoch trace sampling (with kTracePerEpochByteBudget and
+// kTraceScenarioExemplars in the header).
+constexpr double kTraceTailQuantile = 0.99;
+constexpr std::size_t kTraceReservoirSize = 8;
 
 double
 meanOf(const std::vector<double> &v)
@@ -73,7 +92,7 @@ TelemetryLedger::alertCount(obs::AlertTransition t) const
 std::uint64_t
 TelemetryLedger::fingerprint() const
 {
-    Fnv fnv;
+    stats::Fnv fnv;
     fnv.add(static_cast<std::int64_t>(epochs.size()));
     for (const auto &e : epochs) {
         fnv.add(e.epoch);
@@ -184,7 +203,7 @@ FleetStats::reconfigurations() const
 std::uint64_t
 FleetStats::fingerprint() const
 {
-    Fnv fnv;
+    stats::Fnv fnv;
     fnv.add(static_cast<std::int64_t>(epochs.size()));
     for (const auto &e : epochs) {
         fnv.add(e.epoch);
@@ -248,7 +267,7 @@ struct FleetSim::FaultPlan
     std::vector<std::pair<int, int>> dead;
     /**
      * Crashes whose window STARTS this epoch: the replica serves until
-     * crash_at_fraction into the steady segment, then goes dark
+     * kCrashAtFraction into the steady segment, then goes dark
      * mid-traffic (exercises queued-work-lost + in-flight-timeout).
      */
     std::vector<std::pair<int, int>> fresh_kills;
@@ -260,8 +279,6 @@ struct FleetSim::FaultPlan
     double storm_warm_share = 1.0;
     /** Fire fresh_kills in this segment (the epoch's steady segment). */
     bool apply_fresh_kills = false;
-    /** FleetConfig::crash_at_fraction, carried along. */
-    double kill_at_fraction = 0.25;
 };
 
 FleetSim::FleetSim(const model::ModelSpec &spec,
@@ -272,19 +289,21 @@ FleetSim::FleetSim(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), base_(std::move(base_serving)),
       load_(load), cfg_(config)
 {
-    assert(plan_.numShards() > 0 && "fleet simulation needs sparse shards");
-    assert(cfg_.epochs > 0 && cfg_.requests_per_epoch > 0);
-    assert(cfg_.penalty.provisioning_lag_fraction >= 0.0 &&
-           cfg_.penalty.provisioning_lag_fraction < 1.0);
-    assert(cfg_.penalty.cold_cache_fraction >= 0.0 &&
-           cfg_.penalty.cold_cache_fraction < 1.0);
-    assert(cfg_.crash_at_fraction >= 0.0 && cfg_.crash_at_fraction < 1.0);
-    for ([[maybe_unused]] const auto &ev : cfg_.faults.events())
-        if (ev.kind == FaultKind::ReplicaCrash ||
-            ev.kind == FaultKind::SlowReplica ||
-            ev.kind == FaultKind::Partition)
-            assert(ev.shard >= 0 && ev.shard < plan_.numShards() &&
-                   "fault event targets a shard outside the plan");
+    if (plan_.numShards() <= 0)
+        throw std::invalid_argument("FleetSim: the plan has no sparse shards");
+    if (cfg_.epochs <= 0)
+        throw std::invalid_argument("FleetSim: epochs must be > 0");
+    if (cfg_.requests_per_epoch == 0)
+        throw std::invalid_argument(
+            "FleetSim: requests_per_epoch must be > 0");
+    for (const auto &ev : cfg_.faults.events()) {
+        const bool targets_shard = ev.kind == FaultKind::ReplicaCrash ||
+                                   ev.kind == FaultKind::SlowReplica ||
+                                   ev.kind == FaultKind::Partition;
+        if (targets_shard && (ev.shard < 0 || ev.shard >= plan_.numShards()))
+            throw std::invalid_argument(
+                "FleetSim: a fault event targets a shard outside the plan");
+    }
 }
 
 FleetSim::SegmentResult
@@ -376,14 +395,14 @@ FleetSim::runSegment(const std::vector<int> &replicas,
     const std::uint64_t warm_lookups = sim.resultCacheStats().lookups;
 
     // Mid-segment crash onsets: scheduled AFTER the prewarm replay so
-    // the kill lands crash_at_fraction into the MEASURED traffic (the
+    // the kill lands kCrashAtFraction into the MEASURED traffic (the
     // discovery-lag timer starts at the kill, so hedging must mask the
     // gap until the directory reacts).
     if (faults != nullptr && faults->apply_fresh_kills &&
         !faults->fresh_kills.empty() && !slice.empty() && qps > 0.0) {
         const double span_s = static_cast<double>(slice.size()) / qps;
         const auto offset = static_cast<sim::Duration>(
-            faults->kill_at_fraction * span_s * 1e9);
+            kCrashAtFraction * span_s * 1e9);
         for (const auto &fk : faults->fresh_kills) {
             const int srv = serverIdFor(fk.first, fk.second);
             sim.engine().scheduleAt(sim.engine().now() + offset,
@@ -442,7 +461,7 @@ FleetSim::run(Autoscaler &policy)
     const TelemetryConfig &tele = cfg_.telemetry;
     obs::SloMonitor monitor;
     int lat_obj = -1, shed_obj = -1, avail_obj = -1;
-    obs::EwmaMadDetector burst_detector(tele.burst_detector);
+    obs::EwmaMadDetector burst_detector;
     std::vector<bool> burst_flags;
     // Per-epoch SLO attainment (1 - (shed + over-latency)/requests),
     // kept only when a fault schedule is attached: the scorecards'
@@ -454,23 +473,18 @@ FleetSim::run(Autoscaler &policy)
             obs::SloObjective o;
             o.name = name;
             o.budget_fraction = budget;
-            o.fast_horizon_s =
-                tele.fast_window_epochs * cfg_.epoch_duration_s;
-            o.slow_horizon_s =
-                tele.slow_window_epochs * cfg_.epoch_duration_s;
-            o.buckets = tele.slow_window_epochs;
-            o.fast_burn_threshold = tele.fast_burn_threshold;
-            o.slow_burn_threshold = tele.slow_burn_threshold;
-            o.pending_ticks = tele.pending_ticks;
-            o.resolve_ticks = tele.resolve_ticks;
+            o.fast_horizon_s = kFastWindowEpochs * cfg_.epoch_duration_s;
+            o.slow_horizon_s = kSlowWindowEpochs * cfg_.epoch_duration_s;
+            o.buckets = kSlowWindowEpochs;
+            o.fast_burn_threshold = kFastBurnThreshold;
+            o.slow_burn_threshold = kSlowBurnThreshold;
+            o.pending_ticks = kPendingTicks;
+            o.resolve_ticks = kResolveTicks;
             return monitor.addObjective(o);
         };
-        lat_obj = objective("latency", tele.latency_budget_fraction);
-        shed_obj = objective("shed", tele.shed_budget_fraction > 0.0
-                                         ? tele.shed_budget_fraction
-                                         : cfg_.slo.max_shed_rate);
-        avail_obj = objective("availability",
-                              tele.availability_budget_fraction);
+        lat_obj = objective("latency", kLatencyBudgetFraction);
+        shed_obj = objective("shed", cfg_.slo.max_shed_rate);
+        avail_obj = objective("availability", kAvailabilityBudgetFraction);
     }
 
     for (int e = 0; e < cfg_.epochs; ++e) {
@@ -489,7 +503,6 @@ FleetSim::run(Autoscaler &policy)
         // invalidation). Fault-free epochs take the nullptr path, which
         // is bit-for-bit the pre-fault-layer code path.
         FaultPlan fp;
-        fp.kill_at_fraction = cfg_.crash_at_fraction;
         bool fault_any = false;
         bool storm_pending = false;
         double flash_rate = 1.0;
@@ -568,13 +581,13 @@ FleetSim::run(Autoscaler &policy)
         const std::size_t lag_n =
             rec.reconfigured && rec.scaled_up
                 ? static_cast<std::size_t>(std::llround(
-                      cfg_.penalty.provisioning_lag_fraction *
+                      kProvisioningLagFraction *
                       static_cast<double>(n)))
                 : 0;
         const std::size_t cold_n =
             rec.reconfigured
                 ? static_cast<std::size_t>(std::llround(
-                      cfg_.penalty.cold_cache_fraction *
+                      kColdCacheFraction *
                       static_cast<double>(n)))
                 : 0;
 
@@ -594,9 +607,9 @@ FleetSim::run(Autoscaler &policy)
             obs::SamplerConfig sc;
             sc.seed = stats::mix64(ts.seed ^
                                    (static_cast<std::uint64_t>(e) + 1));
-            sc.reservoir_size = ts.reservoir_size;
-            sc.tail_quantile = ts.tail_quantile;
-            sc.retained_byte_budget = ts.per_epoch_byte_budget;
+            sc.reservoir_size = kTraceReservoirSize;
+            sc.tail_quantile = kTraceTailQuantile;
+            sc.retained_byte_budget = kTracePerEpochByteBudget;
             sampler = std::make_unique<obs::TraceSampler>(sc);
             epoch_tracer.setSampler(sampler.get());
         }
@@ -628,9 +641,7 @@ FleetSim::run(Autoscaler &policy)
             double watts = 0.0;
             for (std::size_t s = 0; s < shards; ++s) {
                 const double u = s < util.size() ? util[s] : 0.0;
-                watts += static_cast<double>(v[s]) *
-                         (sp.idle_watts +
-                          (sp.busy_watts - sp.idle_watts) * u);
+                watts += static_cast<double>(v[s]) * sp.powerWatts(u);
             }
             return watts;
         };
@@ -649,8 +660,7 @@ FleetSim::run(Autoscaler &policy)
             // Machines still booting draw idle power until they serve.
             watts += booting_machines * sp.idle_watts;
             // The main shard's machine is always in the ledgers.
-            watts += mp.idle_watts +
-                     (mp.busy_watts - mp.idle_watts) * seg.main_utilization;
+            watts += mp.powerWatts(seg.main_utilization);
             watt_hours += watts * epoch_hours * frac;
             rc_hits += seg.result_cache_hits;
             rc_lookups += seg.result_cache_lookups;
@@ -702,7 +712,7 @@ FleetSim::run(Autoscaler &policy)
             std::vector<workload::Request> prewarm;
             if (rec.reconfigured) {
                 const std::size_t back =
-                    std::min(lo, cfg_.prewarm_requests);
+                    std::min(lo, kPrewarmRequests);
                 prewarm = slice(lo - back, lo);
             } else {
                 prewarm = prev_tail;
@@ -777,10 +787,8 @@ FleetSim::run(Autoscaler &policy)
                 s < last_seg.shard_utilization.size()
                     ? last_seg.shard_utilization[s]
                     : 0.0;
-            p.power_watts =
-                static_cast<double>(p.replicas) *
-                (sp.idle_watts +
-                 (sp.busy_watts - sp.idle_watts) * p.cpu_utilization);
+            p.power_watts = static_cast<double>(p.replicas) *
+                            sp.powerWatts(p.cpu_utilization);
             rec.plan.shards.push_back(p);
         }
 
@@ -818,7 +826,7 @@ FleetSim::run(Autoscaler &policy)
         last.over_latency_target = over_latency;
         have_last = true;
         prev = vec;
-        const std::size_t back = std::min(n, cfg_.prewarm_requests);
+        const std::size_t back = std::min(n, kPrewarmRequests);
         prev_tail = slice(n - back, n);
 
         // Telemetry analysis over the finished epoch: burn the error
@@ -900,7 +908,7 @@ FleetSim::run(Autoscaler &policy)
                           return a->request_id < b->request_id;
                       });
             for (const obs::RetainedTrace *t : ranked) {
-                if (tsum.exemplars.size() >= ts.scenario_exemplars)
+                if (tsum.exemplars.size() >= kTraceScenarioExemplars)
                     break;
                 EpochTraceSummary::Exemplar ex;
                 ex.request_id = t->request_id;
@@ -1001,7 +1009,7 @@ FleetSim::run(Autoscaler &policy)
     if (tele.enabled)
         ledger.telemetry.burst_eval =
             obs::scoreFlags(burst_detector.name(), burst_flags, load_,
-                            tele.detect_match_window_epochs);
+                            kDetectMatchWindowEpochs);
 
     // Chaos scorecards: grade each scheduled event against the measured
     // attainment trajectory and the burn-rate clock. Recovery is read
@@ -1012,9 +1020,9 @@ FleetSim::run(Autoscaler &policy)
             const auto &t =
                 ledger.telemetry.epochs[static_cast<std::size_t>(f)];
             return t.alerts_firing == 0 &&
-                   t.latency_fast_burn < tele.fast_burn_threshold &&
-                   t.shed_fast_burn < tele.fast_burn_threshold &&
-                   t.availability_fast_burn < tele.fast_burn_threshold;
+                   t.latency_fast_burn < kFastBurnThreshold &&
+                   t.shed_fast_burn < kFastBurnThreshold &&
+                   t.availability_fast_burn < kFastBurnThreshold;
         };
         for (const auto &ev : cfg_.faults.events()) {
             ScenarioOutcome o;
@@ -1052,7 +1060,7 @@ FleetSim::run(Autoscaler &policy)
             // counts against the scenario, later unrelated faults do
             // not).
             const int horizon = std::min(
-                cfg_.epochs, o.end_epoch + tele.slow_window_epochs);
+                cfg_.epochs, o.end_epoch + kSlowWindowEpochs);
             int last_unhealthy = ev.start_epoch - 1;
             for (int f = ev.start_epoch; f < horizon; ++f)
                 if (!healthyAt(f))

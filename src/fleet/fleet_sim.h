@@ -10,12 +10,12 @@
  *   2. The epoch's request sample replays open-loop at the *realized*
  *      rate (bursts included) through fresh ServingSimulations, split
  *      into segments when the vector changed:
- *        - scale-up provisioning lag: the first lag_fraction of the
- *          epoch still serves on the OLD vector (new machines are
- *          booting — and billed) while offered load is already the new
- *          epoch's;
- *        - cold-cache window: the next cold_fraction serves on the new
- *          vector with scaled-up shards' row-cache hit rates degraded by
+ *        - scale-up provisioning lag: the first kProvisioningLagFraction
+ *          (fleet_sim.cc) of the epoch still serves on the OLD vector
+ *          (new machines are booting — and billed) while offered load
+ *          is already the new epoch's;
+ *        - cold-cache window: the next kColdCacheFraction serves on the
+ *          new vector with scaled-up shards' row-cache hit rates degraded by
  *          the cold-replica warmup ramp (a shard that grew from r to r'
  *          replicas serves at (r + 0.5*(r'-r))/r' of its steady hit rate
  *          while the new caches fill), and with the pooled-result cache
@@ -58,22 +58,10 @@
 
 namespace dri::fleet {
 
-/** Reconfiguration penalty model. */
-struct ReconfigPenaltyConfig
-{
-    /**
-     * Fraction of a scale-up epoch served by the OLD vector while new
-     * replicas boot. Offered load is already the new epoch's, so an
-     * under-provisioned old plan eats the queueing this window causes.
-     */
-    double provisioning_lag_fraction = 0.1;
-    /**
-     * Fraction of a reconfigured epoch (after the lag) during which
-     * scaled-up shards serve with cold-replica row caches and the
-     * pooled-result cache refills from its invalidation.
-     */
-    double cold_cache_fraction = 0.15;
-};
+/** Retained-trace byte budget per epoch (trace sampling). */
+inline constexpr std::size_t kTracePerEpochByteBudget = 256u << 10;
+/** Max exemplar request ids per epoch summary / scorecard. */
+inline constexpr std::size_t kTraceScenarioExemplars = 4;
 
 /**
  * Telemetry analysis attached to a fleet run: SLO burn-rate alerting
@@ -85,31 +73,13 @@ struct ReconfigPenaltyConfig
  * analysis on or off (the purity contract fleet_test pins down). Only
  * an autoscaling policy that consumes its own alert stream (e.g.
  * BurnRateAutoscaler) changes a run, and that is a different policy,
- * not a monitor side effect.
+ * not a monitor side effect. The burn windows, thresholds and budgets
+ * are fleet_sim.cc's telemetry constants (kFastWindowEpochs and
+ * onward); the shed budget is the SLO's max_shed_rate.
  */
 struct TelemetryConfig
 {
     bool enabled = true;
-
-    /** Burn windows in epochs (scaled by epoch_duration_s). */
-    int fast_window_epochs = 2;
-    int slow_window_epochs = 6;
-    double fast_burn_threshold = 4.0;
-    double slow_burn_threshold = 2.0;
-    int pending_ticks = 1;
-    int resolve_ticks = 2;
-
-    /** Allowed fraction of served requests over the SLO P99 target. */
-    double latency_budget_fraction = 0.01;
-    /** Allowed shed fraction; <= 0 inherits slo.max_shed_rate. */
-    double shed_budget_fraction = 0.0;
-    /** Allowed fraction of epochs in (whole-epoch) SLO violation. */
-    double availability_budget_fraction = 0.10;
-
-    /** Online burst detector over offered/forecast per epoch. */
-    obs::EwmaMadConfig burst_detector;
-    /** Episode-matching window for the detection scorecard. */
-    int detect_match_window_epochs = 2;
 };
 
 /** Fleet-simulation parameters. */
@@ -122,9 +92,6 @@ struct FleetConfig
     double epoch_duration_s = 3600.0;
     /** Request-sample length replayed per epoch. */
     std::size_t requests_per_epoch = 280;
-    /** Carry-over slice replayed before counters engage (0 disables). */
-    std::size_t prewarm_requests = 48;
-    ReconfigPenaltyConfig penalty;
     std::uint64_t seed = 0xf1ee7;
     /**
      * Optional metrics registry (src/obs). When set, FleetSim registers
@@ -147,14 +114,6 @@ struct FleetConfig
      * scorecard on the telemetry side-ledger.
      */
     FaultSchedule faults;
-    /**
-     * Sim-time position of a crash *onset* within its first epoch's
-     * steady segment (fraction of the segment's span): the replica
-     * serves normally until this point, then goes dark mid-traffic —
-     * which is what exercises the queued-work-lost and in-flight-
-     * timeout paths rather than starting the epoch already dead.
-     */
-    double crash_at_fraction = 0.25;
 
     /**
      * Bounded per-epoch trace retention via obs::TraceSampler. When
@@ -170,13 +129,7 @@ struct FleetConfig
     struct TraceSamplingConfig
     {
         bool enabled = false;
-        /** Retained-trace byte budget per epoch. */
-        std::size_t per_epoch_byte_budget = 256u << 10;
-        double tail_quantile = 0.99;
-        std::size_t reservoir_size = 8;
         std::uint64_t seed = 0x7ace5eed;
-        /** Max exemplar request ids per epoch summary / scorecard. */
-        std::size_t scenario_exemplars = 4;
     };
     TraceSamplingConfig trace_sampling;
 };
@@ -331,6 +284,11 @@ struct FleetStats
 class FleetSim
 {
   public:
+    /**
+     * Throws std::invalid_argument for a plan with no sparse shards,
+     * epochs <= 0, requests_per_epoch == 0, or a crash, slow-replica or
+     * partition event whose shard lies outside the plan.
+     */
     FleetSim(const model::ModelSpec &spec, const core::ShardingPlan &plan,
              core::ServingConfig base_serving,
              const workload::DiurnalLoadModel &load, FleetConfig config);

@@ -89,7 +89,6 @@ studyAutoscalerInputs(const FleetStudy &study,
         load.epochRequests(0, study.planner.planning_requests));
     in.initial_vector = in.planner->replicaVectorFor(load.peakForecastQps());
     in.reactive = study.reactive;
-    in.burn_rate.base = study.reactive;
     return in;
 }
 

@@ -48,9 +48,9 @@ FleetStudy makeFleetStudy(bool smoke = false);
  * Wire the study into an AutoscalerInputs bundle for makeAutoscaler():
  * one shared CapacityPlanner fed the load model's own traffic, the
  * peak-forecast plan as every feedback policy's epoch-0 seed, and the
- * study's reactive parameterization (which the "burn-rate" factory also
- * grafts onto its actuation base). Callers tweak the returned bundle
- * (e.g. burn_rate trigger windows) before constructing policies.
+ * study's reactive parameterization (the actuation of both the
+ * "reactive" and "burn-rate" policies). Callers may tweak the returned
+ * bundle before constructing policies.
  */
 AutoscalerInputs
 studyAutoscalerInputs(const FleetStudy &study,

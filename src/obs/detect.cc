@@ -10,6 +10,24 @@ namespace dri::obs {
 
 namespace {
 
+/** EWMA smoothing for the level estimate. */
+constexpr double kLevelAlpha = 0.3;
+/** EWMA smoothing for the absolute-deviation (spread) estimate. */
+constexpr double kSpreadAlpha = 0.1;
+/**
+ * Spread floor as a fraction of the level (and an absolute floor of
+ * 1e-12): a perfectly flat baseline must not make every epsilon an
+ * infinite-sigma anomaly.
+ */
+constexpr double kMinSpreadFraction = 0.01;
+/**
+ * Weight applied to kLevelAlpha/kSpreadAlpha when absorbing a FLAGGED
+ * sample: 0 freezes the baseline during anomalies (risking a stuck
+ * alarm if the level genuinely shifted), 1 learns at full rate (masking
+ * persistent incidents). 0.25 re-learns slowly.
+ */
+constexpr double kContaminatedLearnFraction = 0.25;
+
 /** Spread floored at min_fraction of the level (and at 1e-12). */
 double
 floorSpread(double abs_dev, double level, double min_fraction)
@@ -80,34 +98,28 @@ initFromWarmup(const std::vector<double> &warmup, double &level,
 // EwmaMadDetector.
 // ---------------------------------------------------------------------------
 
-EwmaMadDetector::EwmaMadDetector(EwmaMadConfig config) : cfg_(config) {}
-
 double
 EwmaMadDetector::sigma() const
 {
     return kMadToSigma *
-           floorSpread(abs_dev_, level_, cfg_.min_spread_fraction);
+           floorSpread(abs_dev_, level_, kMinSpreadFraction);
 }
 
 bool
 EwmaMadDetector::step(double value)
 {
-    const int warmup = std::max(1, cfg_.warmup_samples);
-    if (seen_ < warmup) {
+    if (seen_ < kDetectorWarmupSamples) {
         warmup_.push_back(value);
         ++seen_;
-        if (seen_ == warmup)
+        if (seen_ == kDetectorWarmupSamples)
             initFromWarmup(warmup_, level_, abs_dev_);
         last_z_ = 0.0;
         return false;
     }
-    last_z_ = zScore(value, level_, abs_dev_,
-                     cfg_.min_spread_fraction);
-    const bool flagged = std::abs(last_z_) >= cfg_.z_threshold;
-    const double w =
-        flagged ? cfg_.contaminated_learn_fraction : 1.0;
-    learn(level_, abs_dev_, value, w * cfg_.level_alpha,
-          w * cfg_.spread_alpha);
+    last_z_ = zScore(value, level_, abs_dev_, kMinSpreadFraction);
+    const bool flagged = std::abs(last_z_) >= kDetectorZThreshold;
+    const double w = flagged ? kContaminatedLearnFraction : 1.0;
+    learn(level_, abs_dev_, value, w * kLevelAlpha, w * kSpreadAlpha);
     ++seen_;
     return flagged;
 }

@@ -7,7 +7,7 @@
  * EwmaMadDetector is a robust z-score. It tracks an EWMA of the level
  * and an EWMA of absolute deviations (a streaming MAD stand-in, scaled
  * by 1.4826 to estimate sigma under normality); a point whose deviation
- * exceeds `z_threshold` sigmas is an anomaly. It is robust on two
+ * exceeds kDetectorZThreshold sigmas is an anomaly. It is robust on two
  * fronts: the baseline initializes from the MEDIAN (and median absolute
  * deviation) of the warmup samples, so an anomaly landing inside the
  * warmup window cannot seed a contaminated baseline; and after warmup
@@ -36,44 +36,22 @@ class DiurnalLoadModel;
 
 namespace dri::obs {
 
-/** EWMA level + EWMA absolute-deviation robust z-score detector. */
-struct EwmaMadConfig
-{
-    /** EWMA smoothing for the level estimate. */
-    double level_alpha = 0.3;
-    /** EWMA smoothing for the absolute-deviation (spread) estimate. */
-    double spread_alpha = 0.1;
-    /**
-     * Robust z-score above which a sample is anomalous. 3.5 is the
-     * classic robust-outlier cutoff.
-     */
-    double z_threshold = 3.5;
-    /**
-     * Samples buffered before any flag can be raised; the baseline
-     * initializes from their median / median-absolute-deviation
-     * (clamped to >= 1).
-     */
-    int warmup_samples = 4;
-    /**
-     * Spread floor as a fraction of the level (and an absolute floor of
-     * 1e-12): a perfectly flat baseline must not make every epsilon an
-     * infinite-sigma anomaly.
-     */
-    double min_spread_fraction = 0.01;
-    /**
-     * Weight applied to level_alpha/spread_alpha when absorbing a
-     * FLAGGED sample: 0 freezes the baseline during anomalies (risking
-     * a stuck alarm if the level genuinely shifted), 1 learns at full
-     * rate (masking persistent incidents). The default re-learns slowly.
-     */
-    double contaminated_learn_fraction = 0.25;
-};
+/**
+ * Robust z-score above which a sample is anomalous. 3.5 is the classic
+ * robust-outlier cutoff.
+ */
+inline constexpr double kDetectorZThreshold = 3.5;
+/**
+ * Samples buffered before any flag can be raised; the baseline
+ * initializes from their median / median-absolute-deviation.
+ */
+inline constexpr int kDetectorWarmupSamples = 4;
+static_assert(kDetectorWarmupSamples >= 1);
 
+/** EWMA level + EWMA absolute-deviation robust z-score detector. */
 class EwmaMadDetector
 {
   public:
-    explicit EwmaMadDetector(EwmaMadConfig config = {});
-
     std::string name() const { return "ewma-mad"; }
 
     /** Consume one sample; true when this sample raises a detection. */
@@ -88,10 +66,7 @@ class EwmaMadDetector
     /** Sigma estimate (1.4826 * mean absolute deviation). */
     double sigma() const;
 
-    const EwmaMadConfig &config() const { return cfg_; }
-
   private:
-    EwmaMadConfig cfg_;
     std::vector<double> warmup_;
     double level_ = 0.0;
     double abs_dev_ = 0.0;

@@ -11,6 +11,9 @@ namespace dri::obs {
 
 namespace {
 
+/** Absolute floor for near-zero deterministic metrics. */
+constexpr double kValueAbsFloor = 1e-9;
+
 bool
 contains(const std::string &haystack, const char *needle)
 {
@@ -206,7 +209,7 @@ compareRow(const ArtifactRow &base, const ArtifactRow &cur,
             ++rep.metrics_compared;
             const double band =
                 cfg.value_tolerance * std::abs(base_num) +
-                cfg.value_abs_floor;
+                kValueAbsFloor;
             if (std::abs(cur_num - base_num) > band) {
                 std::ostringstream d;
                 d << "outside +/-" << cfg.value_tolerance

@@ -62,8 +62,6 @@ struct GateConfig
     double throughput_tolerance = 0.75;
     /** Relative band for deterministic numeric metrics. */
     double value_tolerance = 2e-5;
-    /** Absolute floor for near-zero deterministic metrics. */
-    double value_abs_floor = 1e-9;
     /** Gate "*wall*" metrics too (same bound as throughput, inverted). */
     bool check_wall_clock = false;
     /**

@@ -53,8 +53,6 @@ struct HedgeConfig
     double quantile = 0.95;
     /** Observed completions required before any hedge may launch. */
     std::size_t min_samples = 64;
-    /** Sliding-window size of the latency tracker. */
-    std::size_t window = 512;
     /**
      * Hedge budget: backups may be at most this fraction of primary
      * dispatches (the tail-at-scale "hedge no more than ~5%" rule).
@@ -110,6 +108,7 @@ struct HedgeStats
 class LatencyTracker
 {
   public:
+    /** `window`: samples kept; the default sizes the hedge deadline's. */
     explicit LatencyTracker(std::size_t window = 512);
 
     /** Record one observed RPC latency. */

@@ -8,6 +8,13 @@
 
 namespace dri::sched {
 
+namespace {
+
+/** Adaptive: EWMA smoothing for the arrival-rate estimate. */
+constexpr double kEwmaAlpha = 0.2;
+
+} // namespace
+
 const char *
 policyName(BatchPolicy policy)
 {
@@ -43,14 +50,14 @@ DynamicBatcher::offer(const workload::Request &request)
         ewma_interarrival_ns_ =
             ewma_interarrival_ns_ <= 0.0
                 ? dt
-                : cfg_.ewma_alpha * dt +
-                      (1.0 - cfg_.ewma_alpha) * ewma_interarrival_ns_;
+                : kEwmaAlpha * dt +
+                      (1.0 - kEwmaAlpha) * ewma_interarrival_ns_;
     }
     const auto items = static_cast<double>(request.items);
     ewma_items_ = ewma_items_ <= 0.0
                       ? items
-                      : cfg_.ewma_alpha * items +
-                            (1.0 - cfg_.ewma_alpha) * ewma_items_;
+                      : kEwmaAlpha * items +
+                            (1.0 - kEwmaAlpha) * ewma_items_;
     last_arrival_ = now;
 
     if (pending_.empty())

@@ -68,8 +68,6 @@ struct BatcherConfig
     std::size_t max_batch_requests = 32;
     /** Max time the oldest pending request may wait before injection. */
     sim::Duration max_queue_delay_ns = 2 * sim::kMillisecond;
-    /** Adaptive: EWMA smoothing for the arrival-rate estimate. */
-    double ewma_alpha = 0.2;
     /**
      * Optional metrics registry (src/obs). When set, every flush bumps
      * `batcher.flushes` and records `batcher.coalesced` (riders per

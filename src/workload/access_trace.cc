@@ -128,6 +128,19 @@ recordTrace(const model::ModelSpec &spec,
     return trace;
 }
 
+namespace {
+
+/** Rows the drifting recency window covers at any one time. */
+constexpr std::size_t kWindowRows = 512;
+/** Accesses per one-row forward drift of the recency window. */
+constexpr std::size_t kDriftStride = 8;
+static_assert(kDriftStride >= 1);
+/** Frequency component: static Zipf over a bounded rank universe. */
+constexpr double kZipfSkew = 0.8;
+constexpr std::size_t kZipfRanks = 4096;
+
+} // namespace
+
 AccessTrace
 synthesizeMixedTrace(const model::ModelSpec &spec,
                      const MixedTraceConfig &config)
@@ -148,15 +161,14 @@ synthesizeMixedTrace(const model::ModelSpec &spec,
 
     AccessTrace trace;
     stats::Rng rng(config.seed);
-    stats::ZipfSampler zipf(config.zipf_ranks, config.zipf_skew);
-    const std::size_t stride = std::max<std::size_t>(1, config.drift_stride);
+    stats::ZipfSampler zipf(kZipfRanks, kZipfSkew);
 
     for (std::size_t i = 0; i < config.accesses; ++i) {
         std::int64_t row = 0;
         if (rng.bernoulli(config.recency_fraction)) {
-            const auto base = static_cast<std::int64_t>(i / stride);
+            const auto base = static_cast<std::int64_t>(i / kDriftStride);
             const auto offset = rng.uniformInt(
-                0, static_cast<std::int64_t>(config.window_rows) - 1);
+                0, static_cast<std::int64_t>(kWindowRows) - 1);
             row = (base + offset) % half;
         } else {
             const std::size_t rank = zipf.sample(rng);

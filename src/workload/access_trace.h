@@ -169,17 +169,14 @@ struct MixedTraceConfig
     int table_id = 0;
     /**
      * Fraction of accesses drawn from the *recency* component: a dense
-     * working-set window that drifts forward one row every drift_stride
+     * working-set window of 512 rows that drifts forward one row every 8
      * accesses, so rows are re-referenced heavily while the window covers
-     * them and never again after it passes. 0 = pure frequency (static
-     * Zipf), 1 = pure recency.
+     * them and never again after it passes. The rest come from a static
+     * Zipf(0.8) over 4096 ranks (access_trace.cc's kWindowRows,
+     * kDriftStride, kZipfSkew and kZipfRanks). 0 = pure frequency, 1 =
+     * pure recency.
      */
     double recency_fraction = 0.5;
-    std::size_t window_rows = 512;
-    std::size_t drift_stride = 8;
-    /** Frequency component: static Zipf over a bounded rank universe. */
-    double zipf_skew = 0.8;
-    std::size_t zipf_ranks = 4096;
     std::uint64_t seed = 1;
 };
 

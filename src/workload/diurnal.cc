@@ -46,9 +46,8 @@ DiurnalLoadModel::DiurnalLoadModel(const model::ModelSpec &spec,
 double
 DiurnalLoadModel::forecastQps(int epoch) const
 {
-    const double t =
-        (static_cast<double>(epoch) + config_.phase_epochs) /
-        static_cast<double>(config_.epochs_per_day);
+    const double t = static_cast<double>(epoch) /
+                     static_cast<double>(config_.epochs_per_day);
     return config_.base_qps * (1.0 + config_.amplitude * std::sin(kTwoPi * t));
 }
 

@@ -45,8 +45,6 @@ struct DiurnalLoadConfig
     double amplitude = 0.5;
     /** Epochs per synthetic day (the sinusoid's period). */
     int epochs_per_day = 24;
-    /** Phase offset in epochs (0: epoch 0 sits at the rising midline). */
-    double phase_epochs = 0.0;
 
     /** Expected Poisson burst arrivals per epoch (0 = no bursts). */
     double bursts_per_epoch = 0.0;
@@ -85,7 +83,10 @@ class DiurnalLoadModel
   public:
     DiurnalLoadModel(const model::ModelSpec &spec, DiurnalLoadConfig config);
 
-    /** The smooth profile rate — all a predictive policy may see. */
+    /**
+     * The smooth profile rate — all a predictive policy may see. Epoch 0
+     * sits at the sinusoid's rising midline.
+     */
     double forecastQps(int epoch) const;
 
     /** Highest forecast across a day (what StaticPeak provisions for). */

@@ -462,7 +462,7 @@ TEST(Integration, TracedPagingMatchesAnalyticWhenEverythingFits)
     EXPECT_DOUBLE_EQ(result.resident_fraction, 1.0);
     EXPECT_GT(result.hit_rate, 0.99);
     EXPECT_NEAR(result.lookup_ns, config.dram_lookup_ns,
-                0.01 * config.ssd_lookup_ns);
+                0.01 * dc::kSsdLookupNs);
     EXPECT_EQ(result.cache_bytes, result.universe_bytes);
 }
 

@@ -162,7 +162,7 @@ TEST(TinyLfuProperty, NeverLowersHitRateOnZipfTraces)
  * The W-TinyLFU property from the issue: on drifting-window traces —
  * where the plain doorkeeper measurably hurts (every fresh row pays the
  * admission lag, and the window drifts a fresh row in every
- * drift_stride accesses) — the LRU admission window plus the adaptive
+ * kDriftStride accesses) — the LRU admission window plus the adaptive
  * climber recover the unfiltered hit rate to within 3% absolute, while
  * plain TinyLFU stays far behind. Not-worse on the drifting trace is
  * exactly what the ROADMAP said the old property tests merely

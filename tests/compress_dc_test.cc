@@ -57,7 +57,7 @@ TEST(Paging, PagedLookupFiniteAcrossConfigSpace)
             4 * platform.usableModelBytes(), platform, config);
         EXPECT_TRUE(std::isfinite(ns));
         EXPECT_GE(ns, config.dram_lookup_ns);
-        EXPECT_LE(ns, config.ssd_lookup_ns);
+        EXPECT_LE(ns, dc::kSsdLookupNs);
     }
 }
 

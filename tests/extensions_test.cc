@@ -119,7 +119,7 @@ TEST(Paging, LookupCostInterpolatesDramToSsd)
     const double paged =
         dc::pagedLookupNs(2048LL << 30, platform, config);
     EXPECT_GT(paged, 10 * config.dram_lookup_ns);
-    EXPECT_LT(paged, config.ssd_lookup_ns);
+    EXPECT_LT(paged, dc::kSsdLookupNs);
     // Monotone in model size.
     EXPECT_LT(dc::pagedLookupNs(256LL << 30, platform, config), paged);
 }

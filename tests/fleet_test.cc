@@ -469,9 +469,9 @@ TEST(FleetSim, BurnRateHoldsSteadyOnFlatTrace)
     fleet::FleetSim sim(spec, plan, fleetTestServing(), load,
                         smallFleet(10));
 
-    fleet::BurnRateConfig brc;
-    brc.base.slo.p99_ms = 60.0;
-    brc.base.cooldown_epochs = 2;
+    fleet::ReactiveConfig brc;
+    brc.slo.p99_ms = 60.0;
+    brc.cooldown_epochs = 2;
     fleet::BurnRateAutoscaler burn({4, 4, 4, 4}, brc);
     const auto s = sim.run(burn);
 
@@ -505,8 +505,8 @@ TEST(FleetSim, BurnRateReplaysByteIdentically)
     fleet::FleetSim sim(spec, plan, fleetTestServing(), load,
                         smallFleet(8));
 
-    fleet::BurnRateConfig brc;
-    brc.base.slo.p99_ms = 60.0;
+    fleet::ReactiveConfig brc;
+    brc.slo.p99_ms = 60.0;
     fleet::BurnRateAutoscaler p({4, 4, 4, 4}, brc);
     fleet::BurnRateAutoscaler q({4, 4, 4, 4}, brc);
     const auto s1 = sim.run(p);
@@ -647,12 +647,108 @@ TEST(AutoscalerFactory, BurnRateSharesReactiveActuation)
     fleet::AutoscalerInputs inputs;
     inputs.initial_vector = {4, 4, 4, 4};
     inputs.reactive.cooldown_epochs = 7;
-    inputs.burn_rate.base.cooldown_epochs = 1; // overwritten by design
     const auto policy = fleet::makeAutoscaler("burn-rate", inputs);
     const auto *burn =
         dynamic_cast<const fleet::BurnRateAutoscaler *>(policy.get());
     ASSERT_NE(burn, nullptr);
-    EXPECT_EQ(burn->config().base.cooldown_epochs, 7);
+    EXPECT_EQ(burn->config().cooldown_epochs, 7);
+}
+
+// ---------------------------------------------------------------------------
+// Misuse: every rule throws std::invalid_argument in every build type.
+// ---------------------------------------------------------------------------
+
+TEST(FleetMisuse, FleetSimRejectsAPlanWithoutSparseShards)
+{
+    const auto spec = model::makeDrm2();
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    EXPECT_THROW(fleet::FleetSim(spec, core::makeSingular(spec),
+                                 fleetTestServing(), load, smallFleet(2)),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FleetSimRejectsNonPositiveEpochs)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    EXPECT_THROW(fleet::FleetSim(spec, plan, fleetTestServing(), load,
+                                 smallFleet(0)),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FleetSimRejectsZeroRequestsPerEpoch)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    auto fc = smallFleet(2);
+    fc.requests_per_epoch = 0;
+    EXPECT_THROW(fleet::FleetSim(spec, plan, fleetTestServing(), load, fc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FleetSimRejectsAFaultOutsideThePlan)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    auto fc = smallFleet(2);
+    fc.faults.crashReplica(/*shard=*/4, 0, 0, 1);
+    EXPECT_THROW(fleet::FleetSim(spec, plan, fleetTestServing(), load, fc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsANegativeStartEpoch)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.partition(0, -1, 2), std::invalid_argument);
+    EXPECT_TRUE(f.empty());
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsAnEmptyWindow)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.crashReplica(0, 0, 3, 3), std::invalid_argument);
+    EXPECT_TRUE(f.empty());
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsANonPositiveSlowMultiplier)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.slowReplica(0, 0, 0.0, 0, 1), std::invalid_argument);
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsAStormShareOutsideTheUnitInterval)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.snapshotStorm(0, 1.5), std::invalid_argument);
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsAFlashRateBelowOne)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.flashCrowd(0.5, 0.1, 0, 1), std::invalid_argument);
+}
+
+TEST(FleetMisuse, FaultScheduleRejectsAHotFractionOutsideTheUnitInterval)
+{
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.flashCrowd(2.0, 1.5, 0, 1), std::invalid_argument);
+}
+
+TEST(FleetMisuse, StaticPeakFactoryRejectsANullPlanner)
+{
+    fleet::AutoscalerInputs inputs;
+    EXPECT_THROW(fleet::makeAutoscaler("static-peak", inputs),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, PredictiveFactoryRejectsANullPlanner)
+{
+    fleet::AutoscalerInputs inputs;
+    EXPECT_THROW(fleet::makeAutoscaler("predictive", inputs),
+                 std::invalid_argument);
 }
 
 } // namespace

@@ -326,7 +326,7 @@ TEST(EwmaMadDetector, FlagsASpikeAfterWarmup)
     for (int i = 0; i < 8; ++i)
         EXPECT_FALSE(d.step(1.0));
     EXPECT_TRUE(d.step(1.5));
-    EXPECT_GT(d.lastZ(), d.config().z_threshold);
+    EXPECT_GT(d.lastZ(), obs::kDetectorZThreshold);
     // Contaminated learning: the flagged point barely moves the level.
     EXPECT_LT(d.level(), 1.1);
 }
@@ -336,7 +336,7 @@ TEST(EwmaMadDetector, WarmupBurstDoesNotPoisonTheBaseline)
     // The alerting study's exact failure mode: a burst inside the
     // warmup window. Median initialization must keep the baseline at
     // the majority level so the NEXT burst still scores high.
-    obs::EwmaMadDetector d; // warmup_samples = 4
+    obs::EwmaMadDetector d; // kDetectorWarmupSamples = 4
     EXPECT_FALSE(d.step(1.15));
     EXPECT_FALSE(d.step(1.0));
     EXPECT_FALSE(d.step(1.0));

@@ -546,9 +546,9 @@ TEST(FleetTraceSampling, SamplingIsFingerprintInvisible)
     for (const auto &ts : sampled.telemetry.traces) {
         EXPECT_GT(ts.roots_closed, 0u);
         EXPECT_LE(ts.retained_bytes,
-                  fc.trace_sampling.per_epoch_byte_budget);
+                  fleet::kTracePerEpochByteBudget);
         EXPECT_LE(ts.exemplars.size(),
-                  fc.trace_sampling.scenario_exemplars);
+                  fleet::kTraceScenarioExemplars);
         retained_total += ts.retained;
         for (const auto &ex : ts.exemplars)
             EXPECT_NE(ex.keep_class, obs::KeepClass::Recycled);
@@ -611,7 +611,7 @@ TEST(FleetTraceSampling, ChaosScorecardsCarryBlastEpochExemplars)
     EXPECT_LT(outcome.exemplar_epoch, 4);
     EXPECT_FALSE(outcome.exemplar_requests.empty());
     EXPECT_LE(outcome.exemplar_requests.size(),
-              fc.trace_sampling.scenario_exemplars);
+              fleet::kTraceScenarioExemplars);
 }
 
 } // namespace
