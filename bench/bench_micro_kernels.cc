@@ -23,6 +23,7 @@
 #include "tensor/embedding_table.h"
 #include "tensor/kernels.h"
 #include "workload/access_trace.h"
+#include "workload/diurnal.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -240,6 +241,26 @@ BM_AttemptStream(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AttemptStream);
+
+/**
+ * One fleet epoch's request stream (280 requests, the fleet study's
+ * epoch) from a 768-context pool, cycling the epoch over a day.
+ */
+void
+BM_EpochRequests(benchmark::State &state)
+{
+    workload::DiurnalLoadConfig dl;
+    dl.context_pool = 768;
+    const workload::DiurnalLoadModel load(model::makeDrm2(), dl);
+    int epoch = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(load.epochRequests(epoch, 280));
+        epoch = (epoch + 1) % dl.epochs_per_day;
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            280);
+}
+BENCHMARK(BM_EpochRequests);
 
 } // namespace
 

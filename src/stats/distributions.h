@@ -116,6 +116,27 @@ class ZipfSampler
 };
 
 /**
+ * Poisson count with the given mean by Knuth's method: multiply uniforms
+ * until the product drops to exp(-mean). It takes about mean + 1 draws
+ * and one exp, so it suits small means (burst counts, per-table lookup
+ * counts). Returns 0 without drawing when mean <= 0.
+ */
+inline int
+samplePoissonKnuth(double mean, Rng &rng)
+{
+    if (mean <= 0.0)
+        return 0;
+    const double l = std::exp(-mean);
+    double p = 1.0;
+    int k = 0;
+    do {
+        ++k;
+        p *= rng.uniform();
+    } while (p > l);
+    return k - 1;
+}
+
+/**
  * Open-loop Poisson arrival process: interarrival gaps are exponential with
  * the configured rate. Used by the 25 QPS experiment (Fig. 16).
  */

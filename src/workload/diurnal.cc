@@ -1,9 +1,10 @@
 #include "workload/diurnal.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
+#include "stats/distributions.h"
 #include "stats/hash.h"
 #include "stats/rng.h"
 
@@ -13,34 +14,30 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * 3.14159265358979323846;
 
-/** Small-mean Poisson draw (Knuth); burst rates are O(1) per epoch. */
-int
-samplePoisson(double mean, stats::Rng &rng)
-{
-    if (mean <= 0.0)
-        return 0;
-    const double l = std::exp(-mean);
-    double p = 1.0;
-    int k = 0;
-    do {
-        ++k;
-        p *= rng.uniform();
-    } while (p > l);
-    return k - 1;
-}
-
 } // namespace
 
 DiurnalLoadModel::DiurnalLoadModel(const model::ModelSpec &spec,
                                    DiurnalLoadConfig config)
-    : spec_(spec), config_(config)
+    : spec_(spec), config_(config),
+      context_pool_(
+          RequestGenerator(spec_, GeneratorConfig{config_.seed ^ 0x9001})
+              .generate(config_.context_pool))
 {
-    assert(config_.base_qps > 0.0);
-    assert(config_.amplitude >= 0.0 && config_.amplitude < 1.0);
-    assert(config_.epochs_per_day > 0);
-    assert(config_.burst_fraction >= 0.0 && config_.burst_fraction <= 1.0);
-    assert(config_.net_mix_amplitude >= 0.0 &&
-           config_.net_mix_amplitude < 1.0);
+    if (!(config_.base_qps > 0.0))
+        throw std::invalid_argument("DiurnalLoadModel: base_qps must be > 0");
+    if (!(config_.amplitude >= 0.0 && config_.amplitude < 1.0))
+        throw std::invalid_argument(
+            "DiurnalLoadModel: amplitude must lie in [0, 1)");
+    if (config_.epochs_per_day <= 0)
+        throw std::invalid_argument(
+            "DiurnalLoadModel: epochs_per_day must be > 0");
+    if (!(config_.burst_fraction >= 0.0 && config_.burst_fraction <= 1.0))
+        throw std::invalid_argument(
+            "DiurnalLoadModel: burst_fraction must lie in [0, 1]");
+    if (!(config_.net_mix_amplitude >= 0.0 &&
+          config_.net_mix_amplitude < 1.0))
+        throw std::invalid_argument(
+            "DiurnalLoadModel: net_mix_amplitude must lie in [0, 1)");
 }
 
 double
@@ -75,7 +72,7 @@ DiurnalLoadModel::burstCount(int epoch) const
         config_.seed ^ (0xb1a5e5ULL + static_cast<std::uint64_t>(
                                           static_cast<std::uint32_t>(epoch)) *
                                           0x9e3779b97f4a7c15ULL)));
-    return samplePoisson(config_.bursts_per_epoch, rng);
+    return stats::samplePoissonKnuth(config_.bursts_per_epoch, rng);
 }
 
 double
@@ -100,27 +97,20 @@ DiurnalLoadModel::mixShift(int epoch) const
 std::vector<Request>
 DiurnalLoadModel::epochRequests(int epoch, std::size_t n) const
 {
-    GeneratorConfig gc;
-    gc.seed = stats::mix64(config_.seed +
-                           0x5eed0000ULL * static_cast<std::uint64_t>(
-                                               static_cast<std::uint32_t>(
-                                                   epoch + 1)));
-    RequestGenerator gen(spec_, gc);
+    const std::uint64_t seed = stats::mix64(
+        config_.seed + 0x5eed0000ULL * static_cast<std::uint64_t>(
+                                           static_cast<std::uint32_t>(
+                                               epoch + 1)));
     std::vector<Request> requests;
-    if (config_.context_pool > 0) {
-        // Recurring contexts: the pool is seeded by the model seed ONLY
-        // (stable across epochs — contexts persist day over day, which
-        // is what gives the pooled-result cache cross-epoch continuity
-        // to lose at a reconfiguration); the per-epoch stream is the
-        // sampling order and the user ids.
-        RequestGenerator pool_gen(spec_,
-                                  GeneratorConfig{config_.seed ^ 0x9001});
-        const auto pool = pool_gen.generate(config_.context_pool);
-        stats::Rng pick(gc.seed);
+    if (!context_pool_.empty()) {
+        // Recurring contexts: the per-epoch stream is the sampling order
+        // and the user ids.
+        stats::Rng pick(seed);
+        const auto last = static_cast<std::int64_t>(context_pool_.size()) - 1;
         requests.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
-            Request req = pool[static_cast<std::size_t>(pick.uniformInt(
-                0, static_cast<std::int64_t>(pool.size()) - 1))];
+            Request req = context_pool_[static_cast<std::size_t>(
+                pick.uniformInt(0, last))];
             req.id = (static_cast<std::uint64_t>(
                           static_cast<std::uint32_t>(epoch))
                       << 32) |
@@ -128,7 +118,7 @@ DiurnalLoadModel::epochRequests(int epoch, std::size_t n) const
             requests.push_back(std::move(req));
         }
     } else {
-        requests = gen.generate(n);
+        requests = RequestGenerator(spec_, GeneratorConfig{seed}).generate(n);
     }
 
     const double shift = mixShift(epoch);

@@ -20,9 +20,12 @@
  *
  * Per-epoch request streams come from the existing RequestGenerator with
  * an epoch-salted seed, so every policy replays the identical stream for
- * a given epoch (paired comparisons) and reruns are bit-identical. An
- * optional per-net traffic mix shift scales odd-net table lookups up and
- * even-net lookups down across the day, shifting *where* sparse demand
+ * a given epoch (paired comparisons) and reruns are bit-identical. With a
+ * context pool, the pool's requests are generated once, at construction,
+ * and each epoch only samples from them; either way epochRequests() is a
+ * pure const read, safe to call from several threads sharing one model.
+ * An optional per-net traffic mix shift scales odd-net table lookups up
+ * and even-net lookups down across the day, shifting *where* sparse demand
  * lands without changing the request count — the scenario that makes
  * per-shard (rather than fleet-wide) replica vectors matter.
  */
@@ -65,7 +68,8 @@ struct DiurnalLoadConfig
     /**
      * Recurring ranking contexts: when > 0, every request's feature
      * vector is drawn (uniformly, per-epoch stream) from a fixed pool of
-     * this many distinct vectors, under a fresh user id. Production
+     * this many distinct vectors, under a fresh user id. The pool is
+     * generated once, when the model is constructed. Production
      * traffic repeats contexts within short horizons — the regime the
      * pooled-result cache exists for — and with content-addressed cache
      * keys only *recurring vectors* (not coincidentally equal shapes)
@@ -81,6 +85,11 @@ struct DiurnalLoadConfig
 class DiurnalLoadModel
 {
   public:
+    /**
+     * Throws std::invalid_argument unless base_qps > 0, amplitude and
+     * net_mix_amplitude lie in [0, 1), epochs_per_day > 0 and
+     * burst_fraction lies in [0, 1]. Generates the context pool.
+     */
     DiurnalLoadModel(const model::ModelSpec &spec, DiurnalLoadConfig config);
 
     /**
@@ -100,7 +109,8 @@ class DiurnalLoadModel
 
     /**
      * The epoch's request stream: `n` requests from a generator seeded
-     * by (seed, epoch), with the per-net mix shift applied and content
+     * by (seed, epoch) — or, with a context pool, `n` pool entries picked
+     * by that seed — with the per-net mix shift applied and content
      * hashes refreshed. Identical calls return identical streams.
      */
     std::vector<Request> epochRequests(int epoch, std::size_t n) const;
@@ -115,6 +125,12 @@ class DiurnalLoadModel
      *  from a temporary spec must not dangle. */
     model::ModelSpec spec_;
     DiurnalLoadConfig config_;
+    /**
+     * config_.context_pool requests, seeded by the model seed ONLY: the
+     * contexts persist day over day, which gives the pooled-result cache
+     * cross-epoch continuity to lose at a reconfiguration.
+     */
+    const std::vector<Request> context_pool_;
 };
 
 } // namespace dri::workload

@@ -77,19 +77,8 @@ namespace {
 std::int32_t
 sampleCount(double mean, stats::Rng &rng)
 {
-    if (mean <= 0.0)
-        return 0;
-    if (mean < 32.0) {
-        // Knuth's method.
-        const double l = std::exp(-mean);
-        double p = 1.0;
-        std::int32_t k = 0;
-        do {
-            ++k;
-            p *= rng.uniform();
-        } while (p > l);
-        return k - 1;
-    }
+    if (mean < 32.0)
+        return stats::samplePoissonKnuth(mean, rng);
     const double draw = rng.gaussian(mean, std::sqrt(mean));
     return static_cast<std::int32_t>(std::max(0.0, std::round(draw)));
 }

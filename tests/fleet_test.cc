@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -20,7 +21,10 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "sched/capacity_search.h"
+#include "stats/hash.h"
+#include "stats/rng.h"
 #include "workload/diurnal.h"
+#include "workload/request_generator.h"
 
 namespace {
 
@@ -170,6 +174,75 @@ TEST(DiurnalLoad, NetMixShiftMovesLookupsNotRequests)
     }
     EXPECT_GT(odd_mixed, odd_base);
     EXPECT_LT(even_mixed, even_base);
+}
+
+/**
+ * A context-pool epoch stream built independently: a fresh pool seeded by
+ * the model seed alone, picks from the epoch-salted stream, epoch-tagged
+ * ids, then the per-net mix shift.
+ */
+std::vector<workload::Request>
+freshPoolStream(const model::ModelSpec &spec,
+                const workload::DiurnalLoadConfig &dl, int epoch,
+                std::size_t n)
+{
+    const auto pool =
+        workload::RequestGenerator(spec,
+                                   workload::GeneratorConfig{dl.seed ^ 0x9001})
+            .generate(dl.context_pool);
+    stats::Rng pick(stats::mix64(
+        dl.seed + 0x5eed0000ULL * static_cast<std::uint64_t>(epoch + 1)));
+    const double shift =
+        dl.net_mix_amplitude *
+        std::sin(2.0 * 3.14159265358979323846 * epoch / dl.epochs_per_day);
+    std::vector<workload::Request> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        auto req = pool[static_cast<std::size_t>(pick.uniformInt(
+            0, static_cast<std::int64_t>(pool.size()) - 1))];
+        req.id = (static_cast<std::uint64_t>(epoch) << 32) | i;
+        if (shift != 0.0) {
+            for (std::size_t t = 0; t < req.table_lookups.size(); ++t) {
+                const bool odd = spec.tables[t].net_id % 2 != 0;
+                req.table_lookups[t] = static_cast<std::int32_t>(std::llround(
+                    (odd ? 1.0 + shift : 1.0 - shift) * req.table_lookups[t]));
+            }
+            req.content_hash = req.computeContentHash();
+        }
+        out.push_back(std::move(req));
+    }
+    return out;
+}
+
+void
+expectSameStream(const std::vector<workload::Request> &got,
+                 const std::vector<workload::Request> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].id, want[i].id) << "i=" << i;
+        EXPECT_EQ(got[i].items, want[i].items) << "i=" << i;
+        EXPECT_EQ(got[i].table_lookups, want[i].table_lookups) << "i=" << i;
+        EXPECT_EQ(got[i].content_hash, want[i].content_hash) << "i=" << i;
+    }
+}
+
+TEST(DiurnalLoad, ContextPoolStreamsMatchAFreshPoolInAnyEpochOrder)
+{
+    const auto spec = model::makeDrm2(); // two nets: the shift bites
+    for (const double mix : {0.0, 0.4}) {
+        auto dl = flatLoad(300.0);
+        dl.epochs_per_day = 24;
+        dl.context_pool = 64;
+        dl.net_mix_amplitude = mix;
+        const workload::DiurnalLoadModel load(spec, dl);
+        const workload::DiurnalLoadModel copy = load;
+        for (const int e : {5, 0, 5, 23}) {
+            SCOPED_TRACE(testing::Message() << "mix=" << mix << " e=" << e);
+            const auto want = freshPoolStream(spec, dl, e, 90);
+            expectSameStream(load.epochRequests(e, 90), want);
+            expectSameStream(copy.epochRequests(e, 90), want);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -735,6 +808,45 @@ TEST(FleetMisuse, FaultScheduleRejectsAHotFractionOutsideTheUnitInterval)
 {
     fleet::FaultSchedule f;
     EXPECT_THROW(f.flashCrowd(2.0, 1.5, 0, 1), std::invalid_argument);
+}
+
+TEST(FleetMisuse, DiurnalLoadRejectsANonPositiveBaseQps)
+{
+    const auto spec = model::makeDrm2();
+    EXPECT_THROW(workload::DiurnalLoadModel(spec, flatLoad(0.0)),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, DiurnalLoadRejectsAnAmplitudeOutsideTheUnitInterval)
+{
+    const auto spec = model::makeDrm2();
+    auto dl = flatLoad(300.0);
+    dl.amplitude = 1.0;
+    EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
+}
+
+TEST(FleetMisuse, DiurnalLoadRejectsZeroEpochsPerDay)
+{
+    const auto spec = model::makeDrm2();
+    auto dl = flatLoad(300.0);
+    dl.epochs_per_day = 0;
+    EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
+}
+
+TEST(FleetMisuse, DiurnalLoadRejectsABurstFractionOutsideTheUnitInterval)
+{
+    const auto spec = model::makeDrm2();
+    auto dl = flatLoad(300.0);
+    dl.burst_fraction = 1.5;
+    EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
+}
+
+TEST(FleetMisuse, DiurnalLoadRejectsANetMixAmplitudeOutsideTheUnitInterval)
+{
+    const auto spec = model::makeDrm2();
+    auto dl = flatLoad(300.0);
+    dl.net_mix_amplitude = -0.1;
+    EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
 }
 
 TEST(FleetMisuse, StaticPeakFactoryRejectsANullPlanner)
