@@ -16,6 +16,7 @@
 #include <string>
 
 #include "core/strategies.h"
+#include "core/trace_slicing.h"
 #include "fleet/autoscaler.h"
 #include "fleet/fleet_sim.h"
 #include "fleet/study.h"
@@ -662,6 +663,144 @@ TEST(FleetFaults, EmptyScheduleIsPureAndCrashRunsAreDeterministic)
     // And the faulted ledger differs from the clean one (the crash is
     // not a no-op).
     EXPECT_NE(s_c1.fingerprint(), s_plain.fingerprint());
+}
+
+// ---------------------------------------------------------------------------
+// Kitchen sink: every segment kind, every fault kind, sampling, telemetry.
+// ---------------------------------------------------------------------------
+
+/** First epoch any kitchen-sink fault is active. */
+constexpr int kSinkFirstFault = 3;
+
+/**
+ * A scale-up (lag + cold + steady segments) in epoch 1, a scale-down
+ * (cold + steady) in epoch 5, a mixed reconfiguration in epoch 7, steady
+ * epochs in between; with `faults`, one event of every FaultKind from
+ * kSinkFirstFault on (a storm that also lands on a scale-up, and a
+ * full-share storm that only invalidates). Trace sampling, telemetry and
+ * measured row-cache models (so the cold window degrades) are on.
+ */
+fleet::FleetStats
+kitchenSinkRun(bool faults)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    auto serving = fleetTestServing();
+    core::ShardCacheOptions sco;
+    sco.capacity_fraction = 0.4;
+    serving.shard_cache_models =
+        core::buildShardCacheModels(
+            spec, plan,
+            workload::RequestGenerator(spec, workload::GeneratorConfig{0x5c})
+                .generate(60),
+            0.8, 0x5c, sco)
+            .models;
+
+    auto dl = flatLoad(300.0);
+    dl.amplitude = 0.3;
+    dl.bursts_per_epoch = 0.5;
+    dl.context_pool = 96;
+    const workload::DiurnalLoadModel load(spec, dl);
+
+    auto fc = smallFleet(10);
+    fc.trace_sampling.enabled = true;
+    if (faults) {
+        fc.faults.crashReplica(0, 1, kSinkFirstFault, 5)
+            .slowReplica(1, 0, 3.0, 4, 6)
+            .partition(2, 5, 6)
+            .snapshotStorm(5, 0.5)
+            .snapshotStorm(8, 1.0)
+            .flashCrowd(1.5, 0.25, 6, 8);
+        fc.faults.crashReplica(3, 2, 7, 9); // onset inside a scale-up
+    }
+    fleet::FleetSim sim(spec, plan, serving, load, fc);
+    ScriptedAutoscaler policy({{2, 2, 2, 2},
+                               {3, 3, 2, 3},
+                               {3, 3, 2, 3},
+                               {3, 3, 2, 3},
+                               {3, 3, 2, 3},
+                               {2, 3, 2, 2},
+                               {2, 3, 2, 2},
+                               {3, 2, 3, 3}});
+    return sim.run(policy);
+}
+
+/**
+ * Digest of what both fingerprints leave out: the per-epoch trace
+ * retention counts and exemplars, and the scorecards' exemplar links.
+ */
+std::uint64_t
+traceDigest(const fleet::FleetStats &s)
+{
+    stats::Fnv fnv;
+    fnv.add(static_cast<std::int64_t>(s.telemetry.traces.size()));
+    for (const auto &t : s.telemetry.traces) {
+        fnv.add(t.epoch);
+        for (const std::uint64_t v :
+             {t.roots_closed, t.retained, t.retained_bytes, t.kept_flagged,
+              t.kept_tail, t.kept_reservoir, t.recycled, t.dropped_stale})
+            fnv.add(static_cast<std::int64_t>(v));
+        for (const auto &ex : t.exemplars) {
+            fnv.add(static_cast<std::int64_t>(ex.request_id));
+            fnv.add(static_cast<int>(ex.keep_class));
+            fnv.add(static_cast<std::int64_t>(ex.e2e));
+        }
+    }
+    for (const auto &o : s.telemetry.scenarios) {
+        fnv.add(o.exemplar_epoch);
+        for (const std::uint64_t id : o.exemplar_requests)
+            fnv.add(static_cast<std::int64_t>(id));
+    }
+    return fnv.h;
+}
+
+/**
+ * Pins the whole fleet path: ledger, telemetry, and trace retention of
+ * the kitchen-sink run. A refactor of FleetSim must keep all three.
+ */
+TEST(FleetSim, KitchenSinkDigestsArePinned)
+{
+    const auto s = kitchenSinkRun(true);
+    ASSERT_EQ(s.epochs.size(), 10u);
+    // The run covers what it claims to.
+    EXPECT_TRUE(s.epochs[1].scaled_up);
+    EXPECT_TRUE(s.epochs[5].scaled_down && !s.epochs[5].scaled_up);
+    EXPECT_TRUE(s.epochs[7].scaled_up && s.epochs[7].scaled_down);
+    EXPECT_FALSE(s.epochs[3].reconfigured);
+    ASSERT_EQ(s.telemetry.scenarios.size(), 7u);
+    ASSERT_EQ(s.telemetry.traces.size(), 10u);
+
+    EXPECT_EQ(s.fingerprint(), 0x82cf4c8ef9a918f8ULL);
+    EXPECT_EQ(s.telemetryFingerprint(), 0x783473515f6bbb09ULL);
+    EXPECT_EQ(traceDigest(s), 0x0af84d6b8038f8feULL);
+}
+
+/**
+ * Epochs before the first fault's onset run exactly as a fault-free
+ * fleet: ledger rows, telemetry rows and trace retention all match.
+ */
+TEST(FleetFaults, EpochsBeforeOnsetMatchAFaultFreeRun)
+{
+    const auto faulted = kitchenSinkRun(true);
+    const auto clean = kitchenSinkRun(false);
+    const auto prefix = [](const fleet::FleetStats &s) {
+        fleet::FleetStats p;
+        p.epochs.assign(s.epochs.begin(),
+                        s.epochs.begin() + kSinkFirstFault);
+        p.telemetry.epochs.assign(s.telemetry.epochs.begin(),
+                                  s.telemetry.epochs.begin() +
+                                      kSinkFirstFault);
+        p.telemetry.traces.assign(s.telemetry.traces.begin(),
+                                  s.telemetry.traces.begin() +
+                                      kSinkFirstFault);
+        return p;
+    };
+    EXPECT_EQ(prefix(faulted).fingerprint(), prefix(clean).fingerprint());
+    EXPECT_EQ(prefix(faulted).telemetryFingerprint(),
+              prefix(clean).telemetryFingerprint());
+    EXPECT_EQ(traceDigest(prefix(faulted)), traceDigest(prefix(clean)));
+    // The faults do bite afterwards.
+    EXPECT_NE(faulted.fingerprint(), clean.fingerprint());
 }
 
 // ---------------------------------------------------------------------------
