@@ -2080,13 +2080,24 @@ ServingSimulation::sparseWorkerPoolSize() const
                : impl_->sparse_cores.front()->capacity();
 }
 
-std::vector<double>
-ServingSimulation::serverBusyCoreNs() const
+std::vector<ShardLoad>
+ServingSimulation::shardLoad() const
 {
-    std::vector<double> out;
-    out.reserve(impl_->sparse_cores.size());
-    for (const auto &r : impl_->sparse_cores)
-        out.push_back(r->busyIntegral());
+    const auto elapsed = static_cast<double>(impl_->engine.now());
+    std::vector<ShardLoad> out(
+        static_cast<std::size_t>(std::max(impl_->plan.numShards(), 0)));
+    std::vector<int> replicas(out.size(), 0);
+    for (std::size_t srv = 0; srv < impl_->sparse_cores.size(); ++srv) {
+        const sim::Resource &r = *impl_->sparse_cores[srv];
+        const auto s = static_cast<std::size_t>(impl_->server_shard[srv]);
+        out[s].busy_core_ms += r.busyIntegral() / 1.0e6;
+        out[s].utilization += stats::utilizationFraction(
+            r.busyIntegral(), r.capacity(), elapsed);
+        ++replicas[s];
+    }
+    for (std::size_t s = 0; s < out.size(); ++s)
+        if (replicas[s] > 0)
+            out[s].utilization /= static_cast<double>(replicas[s]);
     return out;
 }
 

@@ -221,6 +221,15 @@ struct FaultStats
     std::uint64_t upstream_failures = 0;
 };
 
+/** One plan shard's load, folded over its replica servers. */
+struct ShardLoad
+{
+    /** Busy core-milliseconds summed over the shard's replicas. */
+    double busy_core_ms = 0.0;
+    /** Mean worker-pool utilization across the shard's replicas. */
+    double utilization = 0.0;
+};
+
 /** Deployment + cost-model configuration. */
 struct ServingConfig
 {
@@ -439,11 +448,11 @@ class ServingSimulation
     std::vector<int> serverShards() const;
 
     /**
-     * Cumulative busy core-nanoseconds of each replica server's worker
-     * pool — the measured per-shard compute demand ProvisionLoop feeds
-     * back into dc::provision.
+     * Per plan shard (size numShards()): the replicas' busy core-time and
+     * mean utilization — the measured compute demand ProvisionLoop feeds
+     * back into dc::provision, and the load FleetSim bills power on.
      */
-    std::vector<double> serverBusyCoreNs() const;
+    std::vector<ShardLoad> shardLoad() const;
 
     /**
      * Effective worker-pool size of a sparse replica server (the

@@ -18,6 +18,8 @@ namespace {
  */
 constexpr double kQpsQuantum = 1.10;
 static_assert(kQpsQuantum > 1.0);
+/** ProvisionLoop fixed-point iteration cap per plan. */
+constexpr int kProvisionIterations = 4;
 /**
  * Each plan is verified with a CapacitySearch probe at the target rate,
  * bumping every shard by one replica (up to max_replicas) until the
@@ -137,8 +139,11 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       config_(config), planning_requests_(std::move(planning_stream))
 {
-    assert(plan_.numShards() > 0 && "fleet planning needs sparse shards");
-    assert(config_.headroom >= 1.0);
+    if (plan_.numShards() <= 0)
+        throw std::invalid_argument(
+            "CapacityPlanner: the plan has no sparse shards");
+    if (!(config_.headroom >= 1.0))
+        throw std::invalid_argument("CapacityPlanner: headroom must be >= 1");
     // One deterministic planning stream shared by every plan: paired
     // probes across rates, and across policies holding the same planner.
     if (planning_requests_.empty()) {
@@ -154,7 +159,8 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
 double
 CapacityPlanner::quantize(double qps) const
 {
-    assert(qps > 0.0);
+    if (!(qps > 0.0))
+        throw std::invalid_argument("CapacityPlanner: qps must be > 0");
     // Smallest integer power of the quantum at or above qps: small
     // forecast wiggles map to the same grid point (plan reuse), and
     // rounding *up* never under-provisions relative to the raw target.
@@ -177,7 +183,7 @@ CapacityPlanner::replicaVectorFor(double qps)
     sched::ProvisionLoopConfig pc;
     pc.qps = target;
     pc.target_utilization = config_.target_utilization;
-    pc.max_iterations = config_.provision_iterations;
+    pc.max_iterations = kProvisionIterations;
     pc.min_replicas = config_.min_replicas;
     pc.max_replicas = config_.max_replicas;
     sched::ProvisionLoop loop(spec_, plan_, serving_, pc);
@@ -399,85 +405,38 @@ PredictiveAutoscaler::decide(int epoch,
 }
 
 // ---------------------------------------------------------------------------
-// Factory registry.
+// Factory.
 // ---------------------------------------------------------------------------
-
-namespace {
-
-/**
- * Meyers-singleton registry seeded with the built-in policies (the repo
- * is single-threaded throughout, so no locking). std::map keeps
- * registeredAutoscalers() sorted for free.
- */
-std::map<std::string, AutoscalerFactory> &
-registry()
-{
-    static std::map<std::string, AutoscalerFactory> reg = [] {
-        std::map<std::string, AutoscalerFactory> r;
-        r["static-peak"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            if (!in.planner)
-                throw std::invalid_argument(
-                    "static-peak needs a capacity planner");
-            return std::make_unique<StaticPeakAutoscaler>(in.planner);
-        };
-        r["reactive"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            return std::make_unique<ReactiveAutoscaler>(in.initial_vector,
-                                                        in.reactive);
-        };
-        r["predictive"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            if (!in.planner)
-                throw std::invalid_argument(
-                    "predictive needs a capacity planner");
-            return std::make_unique<PredictiveAutoscaler>(in.planner);
-        };
-        r["burn-rate"] = [](const AutoscalerInputs &in)
-            -> std::unique_ptr<Autoscaler> {
-            // Actuation from the shared reactive block: the studies
-            // compare triggers, not actuation tunings.
-            return std::make_unique<BurnRateAutoscaler>(in.initial_vector,
-                                                        in.reactive);
-        };
-        return r;
-    }();
-    return reg;
-}
-
-} // namespace
-
-bool
-registerAutoscaler(const std::string &name, AutoscalerFactory factory)
-{
-    assert(factory && "null autoscaler factory");
-    const bool replaced = registry().count(name) > 0;
-    registry()[name] = std::move(factory);
-    return replaced;
-}
 
 std::unique_ptr<Autoscaler>
 makeAutoscaler(const std::string &name, const AutoscalerInputs &inputs)
 {
-    const auto it = registry().find(name);
-    if (it == registry().end()) {
-        std::string known;
-        for (const auto &[n, f] : registry())
-            known += (known.empty() ? "" : ", ") + n;
-        throw std::invalid_argument("unknown autoscaler \"" + name +
-                                    "\" (registered: " + known + ")");
-    }
-    return it->second(inputs);
+    const bool planned = name == "static-peak" || name == "predictive";
+    if (planned && !inputs.planner)
+        throw std::invalid_argument(name + " needs a capacity planner");
+    if (name == "static-peak")
+        return std::make_unique<StaticPeakAutoscaler>(inputs.planner);
+    if (name == "predictive")
+        return std::make_unique<PredictiveAutoscaler>(inputs.planner);
+    // Both feedback policies take the shared reactive block: the studies
+    // compare triggers, not actuation tunings.
+    if (name == "reactive")
+        return std::make_unique<ReactiveAutoscaler>(inputs.initial_vector,
+                                                    inputs.reactive);
+    if (name == "burn-rate")
+        return std::make_unique<BurnRateAutoscaler>(inputs.initial_vector,
+                                                    inputs.reactive);
+    std::string known;
+    for (const std::string &n : registeredAutoscalers())
+        known += (known.empty() ? "" : ", ") + n;
+    throw std::invalid_argument("unknown autoscaler \"" + name +
+                                "\" (registered: " + known + ")");
 }
 
 std::vector<std::string>
 registeredAutoscalers()
 {
-    std::vector<std::string> names;
-    names.reserve(registry().size());
-    for (const auto &[n, f] : registry())
-        names.push_back(n);
-    return names;
+    return {"burn-rate", "predictive", "reactive", "static-peak"};
 }
 
 } // namespace dri::fleet

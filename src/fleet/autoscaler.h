@@ -31,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -98,8 +97,6 @@ struct PlannerConfig
     double target_utilization = 0.6;
     int min_replicas = 1;
     int max_replicas = 8;
-    /** ProvisionLoop fixed-point iteration cap per plan. */
-    int provision_iterations = 4;
     /** Request-sample length for planning simulations. */
     std::size_t planning_requests = 256;
     std::uint64_t planning_seed = 0x91a2;
@@ -109,13 +106,17 @@ struct PlannerConfig
  * The ProvisionLoop + CapacitySearch composition both planned policies
  * share: replicaVectorFor(qps) returns the cheapest per-shard replica
  * vector the planner believes sustains `qps` under the SLO, caching by
- * quantized rate (autoscaler.cc's kQpsQuantum grid) and verifying each
- * plan with at most kMaxVerifyBumps capacity-search probes.
+ * quantized rate (autoscaler.cc's kQpsQuantum grid), sizing each plan
+ * with at most kProvisionIterations ProvisionLoop rounds and verifying it
+ * with at most kMaxVerifyBumps capacity-search probes.
  */
 class CapacityPlanner
 {
   public:
     /**
+     * Throws std::invalid_argument for a plan with no sparse shards or
+     * headroom < 1.
+     *
      * `planning_stream` is the request sample every plan simulates; an
      * empty stream synthesizes an all-distinct one from planning_seed.
      * Pass the load model's own traffic (e.g. epochRequests(0, n)) so
@@ -130,7 +131,10 @@ class CapacityPlanner
     /** Plan (or fetch the cached plan) for one target rate. */
     std::vector<int> replicaVectorFor(double qps);
 
-    /** Rate quantization: the grid point at or above `qps`. */
+    /**
+     * Rate quantization: the grid point at or above `qps`. Throws
+     * std::invalid_argument for qps <= 0.
+     */
     double quantize(double qps) const;
 
     const PlannerConfig &config() const { return config_; }
@@ -256,14 +260,14 @@ class PredictiveAutoscaler : public Autoscaler
 };
 
 // ---------------------------------------------------------------------------
-// Policy factory registry.
+// Policy factory.
 // ---------------------------------------------------------------------------
 
 /**
- * Everything a registered policy factory may draw on. One inputs bundle
- * constructs ANY registered policy, so study drivers build it once and
- * select policies by name (a CLI flag, a config string, a sweep list)
- * instead of hand-wiring each concrete constructor.
+ * Everything a built-in policy may draw on. One inputs bundle constructs
+ * ANY policy, so study drivers build it once and select policies by name
+ * (a CLI flag, a config string, a sweep list) instead of hand-wiring each
+ * concrete constructor.
  */
 struct AutoscalerInputs
 {
@@ -277,27 +281,16 @@ struct AutoscalerInputs
     ReactiveConfig reactive;
 };
 
-/** Factory signature: inputs bundle in, constructed policy out. */
-using AutoscalerFactory =
-    std::function<std::unique_ptr<Autoscaler>(const AutoscalerInputs &)>;
-
 /**
- * Register (or replace) a named factory. The built-ins "static-peak",
- * "reactive", "predictive", and "burn-rate" are pre-registered; tests
- * register scripted policies under their own names. Returns true when
- * an existing registration was replaced.
- */
-bool registerAutoscaler(const std::string &name, AutoscalerFactory factory);
-
-/**
- * Construct a registered policy by name. Throws std::invalid_argument
- * naming the known policies when `name` is not registered, and when a
- * planned policy ("static-peak", "predictive") gets a null planner.
+ * Construct a built-in policy by name: "static-peak", "reactive",
+ * "predictive" or "burn-rate". Throws std::invalid_argument naming the
+ * known policies when `name` is none of them, and when a planned policy
+ * ("static-peak", "predictive") gets a null planner.
  */
 std::unique_ptr<Autoscaler> makeAutoscaler(const std::string &name,
                                            const AutoscalerInputs &inputs);
 
-/** All registered policy names, sorted. */
+/** The built-in policy names, sorted. */
 std::vector<std::string> registeredAutoscalers();
 
 } // namespace dri::fleet

@@ -31,6 +31,9 @@ static_assert(kProvisioningLagFraction >= 0.0 &&
               kProvisioningLagFraction < 1.0);
 static_assert(kColdCacheFraction >= 0.0 && kColdCacheFraction < 1.0);
 
+/** Machine-hours (and watt-hours per watt) one epoch stands for. */
+constexpr double kEpochHours = kEpochDurationS / 3600.0;
+
 /** Carry-over slice replayed before counters engage. */
 constexpr std::size_t kPrewarmRequests = 48;
 /**
@@ -44,7 +47,7 @@ constexpr double kCrashAtFraction = 0.25;
 static_assert(kCrashAtFraction >= 0.0 && kCrashAtFraction < 1.0);
 
 // Telemetry analysis.
-/** Burn windows in epochs (scaled by epoch_duration_s). */
+/** Burn windows in epochs (scaled by kEpochDurationS). */
 constexpr int kFastWindowEpochs = 2;
 constexpr int kSlowWindowEpochs = 6;
 constexpr double kFastBurnThreshold = 4.0;
@@ -242,24 +245,12 @@ FleetStats::fingerprint() const
 // FleetSim.
 // ---------------------------------------------------------------------------
 
-struct FleetSim::SegmentResult
-{
-    std::vector<core::RequestStats> stats;
-    /** Mean worker-pool utilization per sparse shard. */
-    std::vector<double> shard_utilization;
-    double main_utilization = 0.0;
-    std::uint64_t result_cache_hits = 0;
-    std::uint64_t result_cache_lookups = 0;
-    std::uint64_t primary_rpcs = 0;
-    std::uint64_t hedges = 0;
-    std::size_t peak_replica_queue = 0;
-};
-
 /**
  * One epoch's resolved fault application, derived from the schedule's
- * events active at that epoch. Server targets stay (shard, replica)
- * pairs here because the flat server id depends on the segment's
- * replica vector (lag segments still run the OLD vector).
+ * events active at that epoch. A fault-free epoch resolves to the
+ * default plan, which changes nothing. Server targets stay (shard,
+ * replica) pairs here because the flat server id depends on the
+ * segment's replica vector (lag segments still run the OLD vector).
  */
 struct FleetSim::FaultPlan
 {
@@ -275,10 +266,104 @@ struct FleetSim::FaultPlan
     std::vector<std::tuple<int, int, double>> slow;
     /** Shards whose main<->shard links are partitioned this epoch. */
     std::vector<int> partitioned_shards;
+    /**
+     * A snapshot storm is active: refreshes keep landing all epoch, so
+     * EVERY segment starts from an invalidated pooled-result cache (the
+     * prewarmed working set is dropped each time), on top of the row
+     * caches re-warming from storm_warm_share.
+     */
+    bool storm = false;
     /** Row-cache share retained during a snapshot storm (1 = none). */
     double storm_warm_share = 1.0;
-    /** Fire fresh_kills in this segment (the epoch's steady segment). */
-    bool apply_fresh_kills = false;
+    /** Flash crowd: offered-rate multiplier and hot-key fraction. */
+    double flash_rate = 1.0;
+    double flash_hot = 0.0;
+
+    static FaultPlan
+    at(const FaultSchedule &schedule, int epoch)
+    {
+        FaultPlan fp;
+        for (const FaultEvent *ev : schedule.activeAt(epoch)) {
+            switch (ev->kind) {
+            case FaultKind::ReplicaCrash:
+                (ev->start_epoch == epoch ? fp.fresh_kills : fp.dead)
+                    .emplace_back(ev->shard, ev->replica);
+                break;
+            case FaultKind::SlowReplica:
+                fp.slow.emplace_back(ev->shard, ev->replica, ev->magnitude);
+                break;
+            case FaultKind::Partition:
+                fp.partitioned_shards.push_back(ev->shard);
+                break;
+            case FaultKind::SnapshotStorm:
+                fp.storm = true;
+                fp.storm_warm_share =
+                    std::min(fp.storm_warm_share, ev->magnitude);
+                break;
+            case FaultKind::FlashCrowd:
+                fp.flash_rate *= ev->magnitude;
+                fp.flash_hot = std::max(fp.flash_hot, ev->hot_fraction);
+                break;
+            }
+        }
+        return fp;
+    }
+};
+
+/**
+ * One entry of an epoch's segment plan: a fresh ServingSimulation that
+ * replays the epoch's requests [lo, hi) on `replicas`.
+ */
+struct FleetSim::Segment
+{
+    std::vector<int> replicas;
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    /** Replayed before counters engage (warms caches; stats discarded). */
+    std::vector<workload::Request> prewarm;
+    /** Drop the pooled-result cache after the prewarm. */
+    bool invalidate = false;
+    /** Cold-replica row caches on the shards that grew since `prev`. */
+    bool degrade = false;
+    /** Outside the declared reconfiguration window (steady quantiles). */
+    bool steady = false;
+    /** Fire the epoch's crash onsets kCrashAtFraction into the replay. */
+    bool fresh_kills = false;
+    /** Machines booked but still booting: billed at idle power. */
+    double booting = 0.0;
+    std::uint64_t seed_salt = 0;
+};
+
+/** What every segment of one epoch shares. */
+struct FleetSim::EpochPlan
+{
+    FaultPlan faults;
+    std::vector<workload::Request> requests;
+    /** Offered rate: realized, times any flash crowd. */
+    double qps = 0.0;
+    /** The previous epoch's vector (empty before the first epoch). */
+    std::vector<int> prev;
+    /** The epoch's tracer, its sampler attached; null without sampling. */
+    obs::SpanTracer *tracer = nullptr;
+    std::vector<Segment> segments;
+};
+
+/** What an epoch's segments add up to, in segment order. */
+struct FleetSim::EpochTally
+{
+    std::vector<core::RequestStats> all_stats;
+    /** Stats outside the declared reconfiguration window. */
+    std::vector<core::RequestStats> steady_stats;
+    double watt_hours = 0.0;
+    std::uint64_t result_cache_hits = 0;
+    std::uint64_t result_cache_lookups = 0;
+    std::uint64_t primary_rpcs = 0;
+    std::uint64_t hedges = 0;
+    std::size_t peak_replica_queue = 0;
+    /** Latency-feed samples dropped as stale (sampling runs only). */
+    std::uint64_t dropped_stale = 0;
+    /** Mean worker-pool utilization per sparse shard, last segment. */
+    std::vector<double> shard_utilization;
 };
 
 FleetSim::FleetSim(const model::ModelSpec &spec,
@@ -306,36 +391,27 @@ FleetSim::FleetSim(const model::ModelSpec &spec,
     }
 }
 
-FleetSim::SegmentResult
-FleetSim::runSegment(const std::vector<int> &replicas,
-                     const std::vector<workload::Request> &slice,
-                     double qps,
-                     const std::vector<workload::Request> &prewarm,
-                     bool invalidate_result_cache,
-                     const std::vector<int> &prev_replicas,
-                     bool degrade_caches, std::uint64_t seed_salt,
-                     const FaultPlan *faults, TraceHooks trace)
+void
+FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
+                     EpochTally &tally) const
 {
+    const std::vector<int> &replicas = seg.replicas;
+    const FaultPlan &faults = epoch.faults;
     core::ServingConfig cfg = base_;
     cfg.sparse_replicas_per_shard = replicas;
-    cfg.seed = stats::mix64(base_.seed ^ seed_salt);
-    // Pure observers: the tracer never draws simulation RNG and the
-    // feed only reads completions, so wiring them cannot change stats.
-    cfg.tracer = trace.tracer;
-    cfg.latency_feed = trace.feed;
+    cfg.seed = stats::mix64(base_.seed ^ seg.seed_salt);
 
-    if (degrade_caches && !base_.shard_cache_models.empty()) {
+    if (seg.degrade && !base_.shard_cache_models.empty()) {
         // Cold-replica warmup ramp: a shard that grew from r to r'
         // replicas serves the window at (r + 0.5*(r'-r))/r' of its
         // steady hit rate — surviving replicas stay warm, new ones ramp
         // linearly from empty.
-        cfg.shard_cache_models = base_.shard_cache_models;
         for (std::size_t s = 0; s < cfg.shard_cache_models.size() &&
                                 s < replicas.size();
              ++s) {
             const int now = replicas[s];
             const int before =
-                s < prev_replicas.size() ? prev_replicas[s] : now;
+                s < epoch.prev.size() ? epoch.prev[s] : now;
             if (now <= before || !cfg.shard_cache_models[s])
                 continue;
             const double warm_share =
@@ -351,15 +427,22 @@ FleetSim::runSegment(const std::vector<int> &replicas,
     // Snapshot storm: every shard's row cache re-warms from a mass
     // embedding refresh, so ALL shards serve at the storm's warm share
     // this segment (stacks multiplicatively on any cold-replica ramp).
-    if (faults != nullptr && faults->storm_warm_share < 1.0) {
-        if (cfg.shard_cache_models.empty())
-            cfg.shard_cache_models = base_.shard_cache_models;
+    if (faults.storm_warm_share < 1.0)
         for (auto &m : cfg.shard_cache_models)
             if (m)
                 m = std::make_shared<const cache::CachedLookupModel>(
-                    m->scaled(faults->storm_warm_share));
-    }
+                    m->scaled(faults.storm_warm_share));
 
+    // Pure observers: the tracer never draws simulation RNG and the
+    // feed only reads completions, so wiring them cannot change stats.
+    // The feed lives as long as the segment (whose sim clock starts at
+    // 0), and the sampler lets go of it before it dies.
+    obs::RollingHistogram feed;
+    if (epoch.tracer != nullptr) {
+        epoch.tracer->sampler()->setLatencyFeed(&feed);
+        cfg.tracer = epoch.tracer;
+        cfg.latency_feed = &feed;
+    }
     core::ServingSimulation sim(spec_, plan_, cfg);
 
     // Fault targets address the SEGMENT's replica vector (lag segments
@@ -378,32 +461,33 @@ FleetSim::runSegment(const std::vector<int> &replicas,
 
     // Apply the epoch's standing faults through the runtime control
     // surface before any traffic.
-    if (faults != nullptr) {
-        for (const auto &[shard, rep] : faults->dead)
-            sim.killReplica(serverIdFor(shard, rep));
-        for (const auto &[shard, rep, mult] : faults->slow)
-            sim.degradeReplica(serverIdFor(shard, rep), mult);
-        for (const int s : faults->partitioned_shards)
-            sim.partitionShard(s, true);
-    }
+    for (const auto &[shard, rep] : faults.dead)
+        sim.killReplica(serverIdFor(shard, rep));
+    for (const auto &[shard, rep, mult] : faults.slow)
+        sim.degradeReplica(serverIdFor(shard, rep), mult);
+    for (const int s : faults.partitioned_shards)
+        sim.partitionShard(s, true);
 
-    if (!prewarm.empty())
-        sim.replayOpenLoop(prewarm, qps); // warm caches; stats discarded
-    if (invalidate_result_cache)
+    if (!seg.prewarm.empty())
+        sim.replayOpenLoop(seg.prewarm, epoch.qps); // stats discarded
+    if (seg.invalidate)
         sim.invalidateResultCache();
     const std::uint64_t warm_hits = sim.resultCacheStats().hits;
     const std::uint64_t warm_lookups = sim.resultCacheStats().lookups;
 
+    const std::vector<workload::Request> slice(
+        epoch.requests.begin() + static_cast<std::ptrdiff_t>(seg.lo),
+        epoch.requests.begin() + static_cast<std::ptrdiff_t>(seg.hi));
     // Mid-segment crash onsets: scheduled AFTER the prewarm replay so
     // the kill lands kCrashAtFraction into the MEASURED traffic (the
     // discovery-lag timer starts at the kill, so hedging must mask the
     // gap until the directory reacts).
-    if (faults != nullptr && faults->apply_fresh_kills &&
-        !faults->fresh_kills.empty() && !slice.empty() && qps > 0.0) {
-        const double span_s = static_cast<double>(slice.size()) / qps;
+    if (seg.fresh_kills && !faults.fresh_kills.empty() && !slice.empty() &&
+        epoch.qps > 0.0) {
+        const double span_s = static_cast<double>(slice.size()) / epoch.qps;
         const auto offset = static_cast<sim::Duration>(
             kCrashAtFraction * span_s * 1e9);
-        for (const auto &fk : faults->fresh_kills) {
+        for (const auto &fk : faults.fresh_kills) {
             const int srv = serverIdFor(fk.first, fk.second);
             sim.engine().scheduleAt(sim.engine().now() + offset,
                                     sim::kEvTimer,
@@ -411,41 +495,49 @@ FleetSim::runSegment(const std::vector<int> &replicas,
         }
     }
 
-    SegmentResult out;
-    out.stats = sim.replayOpenLoop(slice, qps);
-    out.main_utilization = sim.mainUtilization();
-    out.result_cache_hits = sim.resultCacheStats().hits - warm_hits;
-    out.result_cache_lookups =
+    const auto stats = sim.replayOpenLoop(slice, epoch.qps);
+    tally.all_stats.insert(tally.all_stats.end(), stats.begin(),
+                           stats.end());
+    if (seg.steady)
+        tally.steady_stats.insert(tally.steady_stats.end(), stats.begin(),
+                                  stats.end());
+    tally.result_cache_hits += sim.resultCacheStats().hits - warm_hits;
+    tally.result_cache_lookups +=
         sim.resultCacheStats().lookups - warm_lookups;
     const rpc::HedgeStats hs = sim.hedgeStats();
-    out.primary_rpcs = hs.primary_rpcs;
-    out.hedges = hs.hedges;
+    tally.primary_rpcs += hs.primary_rpcs;
+    tally.hedges += hs.hedges;
     for (const std::size_t q : sim.serverPeakQueue())
-        out.peak_replica_queue = std::max(out.peak_replica_queue, q);
+        tally.peak_replica_queue = std::max(tally.peak_replica_queue, q);
 
-    const auto shards = static_cast<std::size_t>(plan_.numShards());
-    const auto util = sim.serverUtilization();
-    const auto server_shard = sim.serverShards();
-    out.shard_utilization.assign(shards, 0.0);
-    std::vector<int> servers(shards, 0);
-    for (std::size_t srv = 0; srv < util.size(); ++srv) {
-        const auto s = static_cast<std::size_t>(server_shard[srv]);
-        out.shard_utilization[s] += util[srv];
-        ++servers[s];
+    // Energy over the segment's share of the epoch: each sparse replica
+    // at its shard's measured utilization, machines still booting at
+    // idle draw, and the main shard's machine (always in the ledgers).
+    const dc::Platform &sp = base_.sparse_platform;
+    tally.shard_utilization.clear();
+    double watts = 0.0;
+    for (const core::ShardLoad &load : sim.shardLoad()) {
+        const std::size_t s = tally.shard_utilization.size();
+        tally.shard_utilization.push_back(load.utilization);
+        watts += static_cast<double>(replicas[s]) *
+                 sp.powerWatts(load.utilization);
     }
-    for (std::size_t s = 0; s < shards; ++s)
-        if (servers[s] > 0)
-            out.shard_utilization[s] /= static_cast<double>(servers[s]);
-    return out;
+    watts += seg.booting * sp.idle_watts;
+    watts += base_.main_platform.powerWatts(sim.mainUtilization());
+    const double frac = static_cast<double>(seg.hi - seg.lo) /
+                        static_cast<double>(epoch.requests.size());
+    tally.watt_hours += watts * kEpochHours * frac;
+
+    if (epoch.tracer != nullptr)
+        epoch.tracer->sampler()->setLatencyFeed(nullptr);
+    tally.dropped_stale += feed.droppedStale();
 }
 
 FleetStats
 FleetSim::run(Autoscaler &policy)
 {
     const auto shards = static_cast<std::size_t>(plan_.numShards());
-    const double epoch_hours = cfg_.epoch_duration_s / 3600.0;
     const dc::Platform &sp = base_.sparse_platform;
-    const dc::Platform &mp = base_.main_platform;
 
     FleetStats ledger;
     ledger.policy = policy.name();
@@ -473,8 +565,8 @@ FleetSim::run(Autoscaler &policy)
             obs::SloObjective o;
             o.name = name;
             o.budget_fraction = budget;
-            o.fast_horizon_s = kFastWindowEpochs * cfg_.epoch_duration_s;
-            o.slow_horizon_s = kSlowWindowEpochs * cfg_.epoch_duration_s;
+            o.fast_horizon_s = kFastWindowEpochs * kEpochDurationS;
+            o.slow_horizon_s = kSlowWindowEpochs * kEpochDurationS;
             o.buckets = kSlowWindowEpochs;
             o.fast_burn_threshold = kFastBurnThreshold;
             o.slow_burn_threshold = kSlowBurnThreshold;
@@ -494,79 +586,38 @@ FleetSim::run(Autoscaler &policy)
         for (auto &r : vec)
             r = std::max(1, r);
 
-        double qps = load_.realizedQps(e);
-        auto requests = load_.epochRequests(e, cfg_.requests_per_epoch);
-        const std::size_t n = requests.size();
+        EpochPlan ep;
+        ep.faults = FaultPlan::at(cfg_.faults, e);
+        ep.requests = load_.epochRequests(e, cfg_.requests_per_epoch);
+        ep.qps = load_.realizedQps(e) * ep.faults.flash_rate;
+        ep.prev = prev;
+        const std::size_t n = ep.requests.size();
+        const auto slice = [&ep](std::size_t lo, std::size_t hi) {
+            return std::vector<workload::Request>(
+                ep.requests.begin() + static_cast<std::ptrdiff_t>(lo),
+                ep.requests.begin() + static_cast<std::ptrdiff_t>(hi));
+        };
 
-        // Resolve the schedule's events active this epoch into a fault
-        // plan (serving-side) plus load overlays (flash crowd, storm
-        // invalidation). Fault-free epochs take the nullptr path, which
-        // is bit-for-bit the pre-fault-layer code path.
-        FaultPlan fp;
-        bool fault_any = false;
-        bool storm_pending = false;
-        double flash_rate = 1.0;
-        double flash_hot = 0.0;
-        if (!cfg_.faults.empty()) {
-            for (const FaultEvent *ev : cfg_.faults.activeAt(e)) {
-                switch (ev->kind) {
-                case FaultKind::ReplicaCrash:
-                    (ev->start_epoch == e ? fp.fresh_kills : fp.dead)
-                        .emplace_back(ev->shard, ev->replica);
-                    fault_any = true;
-                    break;
-                case FaultKind::SlowReplica:
-                    fp.slow.emplace_back(ev->shard, ev->replica,
-                                         ev->magnitude);
-                    fault_any = true;
-                    break;
-                case FaultKind::Partition:
-                    fp.partitioned_shards.push_back(ev->shard);
-                    fault_any = true;
-                    break;
-                case FaultKind::SnapshotStorm:
-                    fp.storm_warm_share =
-                        std::min(fp.storm_warm_share, ev->magnitude);
-                    storm_pending = true;
-                    fault_any = true;
-                    break;
-                case FaultKind::FlashCrowd:
-                    flash_rate *= ev->magnitude;
-                    flash_hot = std::max(flash_hot, ev->hot_fraction);
-                    break;
-                }
-            }
-        }
-        const FaultPlan *plan = fault_any ? &fp : nullptr;
-        // Storm: snapshot refreshes keep landing all epoch, so EVERY
-        // segment starts from an invalidated pooled-result cache (the
-        // prewarmed working set is dropped each time), on top of the
-        // row caches re-warming from storm_warm_share.
-        const bool storm = storm_pending;
-
-        // Flash crowd overlay: offered rate multiplies, and a
-        // deterministic stride of the epoch's sample collapses onto the
-        // first request's feature vector — the hot key every cache and
-        // hedge assumption suddenly sees everywhere.
-        if (flash_rate > 1.0 || flash_hot > 0.0) {
-            qps *= flash_rate;
-            if (flash_hot > 0.0 && !requests.empty()) {
-                const auto stride = std::max<std::size_t>(
-                    1, static_cast<std::size_t>(
-                           std::llround(1.0 / flash_hot)));
-                const workload::Request hot = requests.front();
-                for (std::size_t i = 0; i < requests.size(); i += stride) {
-                    requests[i].items = hot.items;
-                    requests[i].table_lookups = hot.table_lookups;
-                    requests[i].content_hash = hot.content_hash;
-                }
+        // Flash crowd overlay: a deterministic stride of the epoch's
+        // sample collapses onto the first request's feature vector — the
+        // hot key every cache and hedge assumption suddenly sees
+        // everywhere.
+        if (ep.faults.flash_hot > 0.0 && n > 0) {
+            const auto stride = std::max<std::size_t>(
+                1, static_cast<std::size_t>(
+                       std::llround(1.0 / ep.faults.flash_hot)));
+            const workload::Request hot = ep.requests.front();
+            for (std::size_t i = 0; i < n; i += stride) {
+                ep.requests[i].items = hot.items;
+                ep.requests[i].table_lookups = hot.table_lookups;
+                ep.requests[i].content_hash = hot.content_hash;
             }
         }
 
         EpochRecord rec;
         rec.epoch = e;
         rec.forecast_qps = load_.forecastQps(e);
-        rec.offered_qps = qps;
+        rec.offered_qps = ep.qps;
         rec.replicas = vec;
         rec.reconfigured = !prev.empty() && vec != prev;
         if (rec.reconfigured)
@@ -575,7 +626,7 @@ FleetSim::run(Autoscaler &policy)
                 rec.scaled_down |= vec[s] < prev[s];
             }
 
-        // Segment boundaries (request-index space). The declared
+        // The segment plan, in request-index space. The declared
         // reconfiguration window is lag + cold; SLO attainment outside
         // it is what scale-downs are held to.
         const std::size_t lag_n =
@@ -590,144 +641,80 @@ FleetSim::run(Autoscaler &policy)
                       kColdCacheFraction *
                       static_cast<double>(n)))
                 : 0;
-
+        const std::size_t steady_lo = std::min(n, lag_n + cold_n);
         const std::uint64_t salt =
             0xe70c0ULL + static_cast<std::uint64_t>(e) * 8;
+        if (lag_n > 0) {
+            // Scale-up provisioning lag: the OLD vector keeps serving
+            // the new epoch's offered load; the new machines are booked
+            // (and drawing idle power) but not yet serving.
+            Segment lag;
+            lag.replicas = prev;
+            lag.hi = lag_n;
+            lag.prewarm = std::move(prev_tail);
+            lag.invalidate = ep.faults.storm;
+            for (std::size_t s = 0; s < shards; ++s)
+                lag.booting += std::max(0, vec[s] - prev[s]);
+            lag.seed_salt = salt;
+            ep.segments.push_back(std::move(lag));
+        }
+        if (cold_n > 0) {
+            // Cold window on the new vector: fresh replicas' row caches
+            // ramp, and the pooled-result cache restarts from the
+            // resharding invalidation — so there is nothing to prewarm
+            // (replaying carry-over traffic only to invalidate it would
+            // be pure wasted simulation).
+            Segment cold;
+            cold.replicas = vec;
+            cold.lo = lag_n;
+            cold.hi = steady_lo;
+            cold.invalidate = true;
+            cold.degrade = true;
+            cold.seed_salt = salt + 1;
+            ep.segments.push_back(std::move(cold));
+        }
+        {
+            // Steady remainder (the whole epoch when nothing changed),
+            // where crash onsets land. Prewarm comes from the
+            // immediately preceding traffic so the pooled-result cache
+            // keeps cross-epoch continuity.
+            Segment steady;
+            steady.replicas = vec;
+            steady.lo = steady_lo;
+            steady.hi = n;
+            steady.prewarm =
+                rec.reconfigured
+                    ? slice(steady_lo - std::min(steady_lo, kPrewarmRequests),
+                            steady_lo)
+                    : std::move(prev_tail);
+            steady.invalidate = ep.faults.storm;
+            steady.steady = true;
+            steady.fresh_kills = true;
+            steady.seed_salt = salt + 2;
+            ep.segments.push_back(std::move(steady));
+        }
 
         // Per-epoch bounded trace retention: fresh tracer + sampler
         // (epoch-mixed seed) so retained sets are attributable to an
-        // epoch and arena memory never outlives one. The rolling
-        // latency feed is created per SEGMENT (each segment's sim
-        // clock restarts at 0) and re-wired into the sampler.
-        const auto &ts = cfg_.trace_sampling;
-        obs::SpanTracer epoch_tracer(true);
+        // epoch and arena memory never outlives one.
         std::unique_ptr<obs::TraceSampler> sampler;
-        std::uint64_t epoch_dropped_stale = 0;
-        if (ts.enabled) {
+        obs::SpanTracer epoch_tracer(true);
+        if (cfg_.trace_sampling.enabled) {
             obs::SamplerConfig sc;
-            sc.seed = stats::mix64(ts.seed ^
+            sc.seed = stats::mix64(cfg_.trace_sampling.seed ^
                                    (static_cast<std::uint64_t>(e) + 1));
             sc.reservoir_size = kTraceReservoirSize;
             sc.tail_quantile = kTraceTailQuantile;
             sc.retained_byte_budget = kTracePerEpochByteBudget;
             sampler = std::make_unique<obs::TraceSampler>(sc);
             epoch_tracer.setSampler(sampler.get());
+            ep.tracer = &epoch_tracer;
         }
-        const auto segmentHooks = [&](obs::RollingHistogram &feed) {
-            TraceHooks hooks;
-            if (sampler) {
-                sampler->setLatencyFeed(&feed);
-                hooks.tracer = &epoch_tracer;
-                hooks.feed = &feed;
-            }
-            return hooks;
-        };
 
-        std::vector<core::RequestStats> all_stats;
-        std::vector<core::RequestStats> steady_stats;
-        double watt_hours = 0.0;
-        std::uint64_t rc_hits = 0, rc_lookups = 0;
-        std::uint64_t prim_rpcs = 0, hedges = 0;
-        std::size_t peak_rq = 0;
-        SegmentResult last_seg;
-
-        const auto slice = [&](std::size_t lo, std::size_t hi) {
-            return std::vector<workload::Request>(
-                requests.begin() + static_cast<std::ptrdiff_t>(lo),
-                requests.begin() + static_cast<std::ptrdiff_t>(hi));
-        };
-        const auto sparsePower = [&](const std::vector<int> &v,
-                                     const std::vector<double> &util) {
-            double watts = 0.0;
-            for (std::size_t s = 0; s < shards; ++s) {
-                const double u = s < util.size() ? util[s] : 0.0;
-                watts += static_cast<double>(v[s]) * sp.powerWatts(u);
-            }
-            return watts;
-        };
-        const auto accountSegment = [&](const SegmentResult &seg,
-                                        const std::vector<int> &v,
-                                        std::size_t count, bool steady,
-                                        double booting_machines) {
-            all_stats.insert(all_stats.end(), seg.stats.begin(),
-                             seg.stats.end());
-            if (steady)
-                steady_stats.insert(steady_stats.end(), seg.stats.begin(),
-                                    seg.stats.end());
-            const double frac = static_cast<double>(count) /
-                                static_cast<double>(n);
-            double watts = sparsePower(v, seg.shard_utilization);
-            // Machines still booting draw idle power until they serve.
-            watts += booting_machines * sp.idle_watts;
-            // The main shard's machine is always in the ledgers.
-            watts += mp.powerWatts(seg.main_utilization);
-            watt_hours += watts * epoch_hours * frac;
-            rc_hits += seg.result_cache_hits;
-            rc_lookups += seg.result_cache_lookups;
-            prim_rpcs += seg.primary_rpcs;
-            hedges += seg.hedges;
-            peak_rq = std::max(peak_rq, seg.peak_replica_queue);
-        };
-
-        if (lag_n > 0) {
-            // Scale-up provisioning lag: the OLD vector keeps serving
-            // the new epoch's offered load; the new machines are booked
-            // (and drawing idle power) but not yet serving.
-            double booting = 0.0;
-            for (std::size_t s = 0; s < shards; ++s)
-                booting += std::max(0, vec[s] - prev[s]);
-            obs::RollingHistogram seg_feed;
-            const auto seg =
-                runSegment(prev, slice(0, lag_n), qps, prev_tail,
-                           /*invalidate=*/storm, prev,
-                           /*degrade=*/false, salt + 0, plan,
-                           segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, prev, lag_n, /*steady=*/false, booting);
-            last_seg = seg;
-        }
-        if (rec.reconfigured && lag_n + cold_n > lag_n) {
-            // Cold window on the new vector: fresh replicas' row caches
-            // ramp, and the pooled-result cache restarts from the
-            // resharding invalidation — so there is nothing to prewarm
-            // (replaying carry-over traffic only to invalidate it would
-            // be pure wasted simulation).
-            obs::RollingHistogram seg_feed;
-            const auto seg = runSegment(
-                vec, slice(lag_n, std::min(n, lag_n + cold_n)), qps,
-                /*prewarm=*/{}, /*invalidate=*/true, prev,
-                /*degrade=*/true, salt + 1, plan,
-                segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, vec,
-                           std::min(n, lag_n + cold_n) - lag_n,
-                           /*steady=*/false, 0.0);
-            last_seg = seg;
-        }
-        {
-            const std::size_t lo = std::min(n, lag_n + cold_n);
-            // Steady remainder (the whole epoch when nothing changed).
-            // Prewarm comes from the immediately preceding traffic so
-            // the pooled-result cache keeps cross-epoch continuity.
-            std::vector<workload::Request> prewarm;
-            if (rec.reconfigured) {
-                const std::size_t back =
-                    std::min(lo, kPrewarmRequests);
-                prewarm = slice(lo - back, lo);
-            } else {
-                prewarm = prev_tail;
-            }
-            fp.apply_fresh_kills = true; // crash onsets land here
-            obs::RollingHistogram seg_feed;
-            const auto seg =
-                runSegment(vec, slice(lo, n), qps, prewarm,
-                           /*invalidate=*/storm, prev,
-                           /*degrade=*/false, salt + 2, plan,
-                           segmentHooks(seg_feed));
-            epoch_dropped_stale += seg_feed.droppedStale();
-            accountSegment(seg, vec, n - lo, /*steady=*/true, 0.0);
-            last_seg = seg;
-        }
+        EpochTally tally;
+        for (const Segment &seg : ep.segments)
+            runSegment(seg, ep, tally);
+        const std::vector<core::RequestStats> &all_stats = tally.all_stats;
 
         // Machine-hours: the decided vector is billed for the whole
         // epoch; during a scale-up lag the old plan's still-serving
@@ -743,35 +730,37 @@ FleetSim::run(Autoscaler &policy)
             static_cast<double>(lag_n) / static_cast<double>(n);
         rec.machine_hours =
             (lag_frac * lag_machines + (1.0 - lag_frac) * machines) *
-            epoch_hours;
+            kEpochHours;
 
-        rec.watt_hours = watt_hours;
+        rec.watt_hours = tally.watt_hours;
         rec.p99_ms = core::latencyQuantiles(all_stats).p99_ms;
-        rec.steady_p99_ms = core::latencyQuantiles(steady_stats).p99_ms;
+        rec.steady_p99_ms =
+            core::latencyQuantiles(tally.steady_stats).p99_ms;
         rec.shed_rate = core::shedRate(all_stats);
         for (const auto &s : all_stats)
             rec.shed_requests += s.shed() ? 1 : 0;
-        const double steady_shed = core::shedRate(steady_stats);
+        const double steady_shed = core::shedRate(tally.steady_stats);
         rec.slo_violation = rec.p99_ms > cfg_.slo.p99_ms ||
                             rec.shed_rate > cfg_.slo.max_shed_rate;
         rec.steady_slo_violation =
             rec.steady_p99_ms > cfg_.slo.p99_ms ||
             steady_shed > cfg_.slo.max_shed_rate;
-        rec.mean_sparse_utilization = meanOf(last_seg.shard_utilization);
+        // Utilization is the last (steady) segment's: one entry per shard.
+        const std::vector<double> &util = tally.shard_utilization;
+        rec.mean_sparse_utilization = meanOf(util);
         rec.max_sparse_utilization =
-            last_seg.shard_utilization.empty()
-                ? 0.0
-                : *std::max_element(last_seg.shard_utilization.begin(),
-                                    last_seg.shard_utilization.end());
+            *std::max_element(util.begin(), util.end());
         rec.result_cache_hit_rate =
-            rc_lookups > 0 ? static_cast<double>(rc_hits) /
-                                 static_cast<double>(rc_lookups)
-                           : 0.0;
-        rec.hedge_rate = prim_rpcs > 0
-                             ? static_cast<double>(hedges) /
-                                   static_cast<double>(prim_rpcs)
+            tally.result_cache_lookups > 0
+                ? static_cast<double>(tally.result_cache_hits) /
+                      static_cast<double>(tally.result_cache_lookups)
+                : 0.0;
+        rec.hedge_rate = tally.primary_rpcs > 0
+                             ? static_cast<double>(tally.hedges) /
+                                   static_cast<double>(tally.primary_rpcs)
                              : 0.0;
-        rec.peak_replica_queue = static_cast<std::int64_t>(peak_rq);
+        rec.peak_replica_queue =
+            static_cast<std::int64_t>(tally.peak_replica_queue);
 
         // dc::DeploymentPlan costing of the decided vector at measured
         // utilization: the TCO view (power + memory) of this epoch.
@@ -783,10 +772,7 @@ FleetSim::run(Autoscaler &policy)
                 static_cast<std::int64_t>(vec[s]) *
                 static_cast<std::int64_t>(
                     plan_.capacityBytes(spec_, static_cast<int>(s)));
-            p.cpu_utilization =
-                s < last_seg.shard_utilization.size()
-                    ? last_seg.shard_utilization[s]
-                    : 0.0;
+            p.cpu_utilization = util[s];
             p.power_watts = static_cast<double>(p.replicas) *
                             sp.powerWatts(p.cpu_utilization);
             rec.plan.shards.push_back(p);
@@ -816,10 +802,10 @@ FleetSim::run(Autoscaler &policy)
         // self-inflicted reconfigure loop.
         last.epoch = e;
         last.replicas = vec;
-        last.offered_qps = qps;
+        last.offered_qps = ep.qps;
         last.p99_ms = rec.steady_p99_ms;
         last.shed_rate = rec.shed_rate;
-        last.shard_utilization = last_seg.shard_utilization;
+        last.shard_utilization = util;
         last.max_shard_utilization = rec.max_sparse_utilization;
         last.requests = static_cast<std::int64_t>(all_stats.size());
         last.shed_requests = rec.shed_requests;
@@ -835,7 +821,7 @@ FleetSim::run(Autoscaler &policy)
         EpochTelemetry trow;
         if (tele.enabled) {
             const double t_mid =
-                (static_cast<double>(e) + 0.5) * cfg_.epoch_duration_s;
+                (static_cast<double>(e) + 0.5) * kEpochDurationS;
             const auto served = static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(all_stats.size()) -
                 rec.shed_requests);
@@ -893,7 +879,7 @@ FleetSim::run(Autoscaler &policy)
             tsum.kept_tail = ss.kept_tail;
             tsum.kept_reservoir = ss.kept_reservoir;
             tsum.recycled = ss.recycled;
-            tsum.dropped_stale = epoch_dropped_stale;
+            tsum.dropped_stale = tally.dropped_stale;
             std::vector<const obs::RetainedTrace *> ranked;
             ranked.reserve(sampler->retained().size());
             for (const obs::RetainedTrace &t : sampler->retained())
@@ -997,8 +983,7 @@ FleetSim::run(Autoscaler &policy)
                     .inc(static_cast<std::int64_t>(
                         tsum.dropped_stale));
             }
-            m.takeSnapshot(static_cast<double>(e + 1) *
-                           cfg_.epoch_duration_s);
+            m.takeSnapshot(static_cast<double>(e + 1) * kEpochDurationS);
         }
 
         ledger.epochs.push_back(std::move(rec));

@@ -8,8 +8,9 @@
  *      only the load model's forecast and the previous epoch's measured
  *      observation).
  *   2. The epoch's request sample replays open-loop at the *realized*
- *      rate (bursts included) through fresh ServingSimulations, split
- *      into segments when the vector changed:
+ *      rate (bursts included) through a per-epoch segment plan: one
+ *      fresh ServingSimulation per entry, run by one loop. The plan
+ *      splits the epoch when the vector changed:
  *        - scale-up provisioning lag: the first kProvisioningLagFraction
  *          (fleet_sim.cc) of the epoch still serves on the OLD vector
  *          (new machines are booting — and billed) while offered load
@@ -58,6 +59,8 @@
 
 namespace dri::fleet {
 
+/** Wall-clock length one epoch stands for (the machine-hour unit). */
+inline constexpr double kEpochDurationS = 3600.0;
 /** Retained-trace byte budget per epoch (trace sampling). */
 inline constexpr std::size_t kTracePerEpochByteBudget = 256u << 10;
 /** Max exemplar request ids per epoch summary / scorecard. */
@@ -88,8 +91,6 @@ struct FleetConfig
     sched::SloSpec slo;
     /** Epochs to simulate (across days of config().epochs_per_day). */
     int epochs = 24;
-    /** Wall-clock length one epoch stands for (machine-hour unit). */
-    double epoch_duration_s = 3600.0;
     /** Request-sample length replayed per epoch. */
     std::size_t requests_per_epoch = 280;
     std::uint64_t seed = 0xf1ee7;
@@ -299,25 +300,17 @@ class FleetSim
     const FleetConfig &config() const { return cfg_; }
 
   private:
-    struct SegmentResult;
     struct FaultPlan;
+    struct Segment;
+    struct EpochPlan;
+    struct EpochTally;
 
-    /** Per-segment tracing hooks (null members when sampling is off). */
-    struct TraceHooks
-    {
-        obs::SpanTracer *tracer = nullptr;
-        /** Fresh per segment: each segment's sim clock restarts at 0. */
-        obs::RollingHistogram *feed = nullptr;
-    };
-
-    SegmentResult
-    runSegment(const std::vector<int> &replicas,
-               const std::vector<workload::Request> &slice, double qps,
-               const std::vector<workload::Request> &prewarm,
-               bool invalidate_result_cache,
-               const std::vector<int> &prev_replicas, bool degrade_caches,
-               std::uint64_t seed_salt, const FaultPlan *faults,
-               TraceHooks trace);
+    /**
+     * Replay one entry of the epoch's segment plan in a fresh
+     * ServingSimulation and add what it measured to `tally`.
+     */
+    void runSegment(const Segment &seg, const EpochPlan &epoch,
+                    EpochTally &tally) const;
 
     model::ModelSpec spec_;
     core::ShardingPlan plan_;

@@ -17,10 +17,8 @@
  * comparing two integers per cell — which bench_parallel_sweep asserts
  * on every run and sim_perf_test pins at thread counts {1, 2, 8}.
  *
- * Thread-safety ground rules for callers: the CellRunner must touch
- * only the cell it is given plus immutable shared inputs, and nobody
- * may call registerAutoscaler() while a sweep is in flight (the policy
- * factory registry is read concurrently).
+ * Thread-safety ground rule for callers: the CellRunner must touch only
+ * the cell it is given plus immutable shared inputs.
  */
 #pragma once
 
@@ -34,7 +32,7 @@
 
 namespace dri::fleet {
 
-/** One grid cell: a policy name (factory registry key) and a diurnal
+/** One grid cell: a policy name (a makeAutoscaler() name) and a diurnal
  *  load seed (one seeded realization of the study's traffic). */
 struct SweepCell
 {

@@ -1,7 +1,7 @@
 #include "sched/provision_loop.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 #include <string>
 
 #include "core/analysis.h"
@@ -11,7 +11,8 @@ namespace dri::sched {
 std::vector<int>
 evenReplicaSplit(int total, int shards)
 {
-    assert(shards > 0);
+    if (shards <= 0)
+        throw std::invalid_argument("evenReplicaSplit: shards must be > 0");
     std::vector<int> out(static_cast<std::size_t>(shards), total / shards);
     for (int i = 0; i < total % shards; ++i)
         ++out[static_cast<std::size_t>(i)];
@@ -27,10 +28,20 @@ ProvisionLoop::ProvisionLoop(const model::ModelSpec &spec,
     : spec_(spec), plan_(plan), serving_(std::move(serving)),
       cfg_(config)
 {
-    assert(plan_.numShards() > 0 && "provision loop needs sparse shards");
-    assert(cfg_.qps > 0.0 && cfg_.target_utilization > 0.0);
-    assert(cfg_.min_replicas >= 1 &&
-           cfg_.max_replicas >= cfg_.min_replicas);
+    if (plan_.numShards() <= 0)
+        throw std::invalid_argument(
+            "ProvisionLoop: the plan has no sparse shards");
+    if (!(cfg_.qps > 0.0))
+        throw std::invalid_argument("ProvisionLoop: qps must be > 0");
+    if (!(cfg_.target_utilization > 0.0))
+        throw std::invalid_argument(
+            "ProvisionLoop: target_utilization must be > 0");
+    if (cfg_.min_replicas < 1)
+        throw std::invalid_argument(
+            "ProvisionLoop: min_replicas must be >= 1");
+    if (cfg_.max_replicas < cfg_.min_replicas)
+        throw std::invalid_argument(
+            "ProvisionLoop: max_replicas must be >= min_replicas");
 }
 
 ProvisionIteration
@@ -38,7 +49,9 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
                         const std::vector<workload::Request> &requests)
 {
     const auto shards = static_cast<std::size_t>(plan_.numShards());
-    assert(replicas.size() == shards);
+    if (replicas.size() != shards)
+        throw std::invalid_argument(
+            "ProvisionLoop: the replica vector needs one entry per shard");
 
     core::ServingConfig cfg = serving_;
     cfg.sparse_replicas_per_shard = replicas;
@@ -55,24 +68,10 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     // *when* the work runs, not how much there is, so the estimate is
     // nearly invariant to the replica vector it was measured under —
     // which is what makes the fixed-point iteration converge.
-    const auto busy = sim.serverBusyCoreNs();
-    const auto server_shard = sim.serverShards();
-    const auto util = sim.serverUtilization();
-    it.shard_cpu_ms_per_request.assign(shards, 0.0);
-    it.shard_utilization.assign(shards, 0.0);
-    std::vector<int> servers_per_shard(shards, 0);
-    for (std::size_t srv = 0; srv < busy.size(); ++srv) {
-        const auto s = static_cast<std::size_t>(server_shard[srv]);
-        it.shard_cpu_ms_per_request[s] += busy[srv] / 1.0e6;
-        it.shard_utilization[s] += util[srv];
-        ++servers_per_shard[s];
-    }
     const auto offered = static_cast<double>(requests.size());
-    for (std::size_t s = 0; s < shards; ++s) {
-        it.shard_cpu_ms_per_request[s] /= offered;
-        if (servers_per_shard[s] > 0)
-            it.shard_utilization[s] /=
-                static_cast<double>(servers_per_shard[s]);
+    for (const core::ShardLoad &load : sim.shardLoad()) {
+        it.shard_cpu_ms_per_request.push_back(load.busy_core_ms / offered);
+        it.shard_utilization.push_back(load.utilization);
     }
 
     // Feed the measurements back through dc::provision. Replicas are

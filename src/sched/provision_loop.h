@@ -93,6 +93,11 @@ struct ProvisionLoopResult
 class ProvisionLoop
 {
   public:
+    /**
+     * Throws std::invalid_argument for a plan with no sparse shards,
+     * qps <= 0, target_utilization <= 0, min_replicas < 1 or
+     * max_replicas < min_replicas.
+     */
     ProvisionLoop(const model::ModelSpec &spec,
                   const core::ShardingPlan &plan,
                   core::ServingConfig serving, ProvisionLoopConfig config);
@@ -100,7 +105,8 @@ class ProvisionLoop
     /**
      * Simulate one replica vector at the target rate and measure what
      * dc::provision would derive from it. Pure (fresh simulation, no loop
-     * state); run() composes it.
+     * state); run() composes it. Throws std::invalid_argument unless
+     * `replicas` has one entry per plan shard.
      */
     ProvisionIteration
     evaluate(const std::vector<int> &replicas,
@@ -121,7 +127,8 @@ class ProvisionLoop
 /**
  * Spread `total` replicas over `shards` as evenly as possible (earlier
  * shards take the remainder): the homogeneous baseline a load-proportional
- * vector is judged against at equal replica budget.
+ * vector is judged against at equal replica budget. Throws
+ * std::invalid_argument for shards <= 0.
  */
 std::vector<int> evenReplicaSplit(int total, int shards);
 

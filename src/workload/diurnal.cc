@@ -34,10 +34,6 @@ DiurnalLoadModel::DiurnalLoadModel(const model::ModelSpec &spec,
     if (!(config_.burst_fraction >= 0.0 && config_.burst_fraction <= 1.0))
         throw std::invalid_argument(
             "DiurnalLoadModel: burst_fraction must lie in [0, 1]");
-    if (!(config_.net_mix_amplitude >= 0.0 &&
-          config_.net_mix_amplitude < 1.0))
-        throw std::invalid_argument(
-            "DiurnalLoadModel: net_mix_amplitude must lie in [0, 1)");
 }
 
 double
@@ -84,16 +80,6 @@ DiurnalLoadModel::realizedQps(int epoch) const
     return forecastQps(epoch) * (1.0 + std::max(0.0, uplift));
 }
 
-double
-DiurnalLoadModel::mixShift(int epoch) const
-{
-    if (config_.net_mix_amplitude <= 0.0)
-        return 0.0;
-    const double t = static_cast<double>(epoch) /
-                     static_cast<double>(config_.epochs_per_day);
-    return config_.net_mix_amplitude * std::sin(kTwoPi * t);
-}
-
 std::vector<Request>
 DiurnalLoadModel::epochRequests(int epoch, std::size_t n) const
 {
@@ -101,37 +87,22 @@ DiurnalLoadModel::epochRequests(int epoch, std::size_t n) const
         config_.seed + 0x5eed0000ULL * static_cast<std::uint64_t>(
                                            static_cast<std::uint32_t>(
                                                epoch + 1)));
+    if (context_pool_.empty())
+        return RequestGenerator(spec_, GeneratorConfig{seed}).generate(n);
+    // Recurring contexts: the per-epoch stream is the sampling order and
+    // the user ids.
+    stats::Rng pick(seed);
+    const auto last = static_cast<std::int64_t>(context_pool_.size()) - 1;
     std::vector<Request> requests;
-    if (!context_pool_.empty()) {
-        // Recurring contexts: the per-epoch stream is the sampling order
-        // and the user ids.
-        stats::Rng pick(seed);
-        const auto last = static_cast<std::int64_t>(context_pool_.size()) - 1;
-        requests.reserve(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            Request req = context_pool_[static_cast<std::size_t>(
-                pick.uniformInt(0, last))];
-            req.id = (static_cast<std::uint64_t>(
-                          static_cast<std::uint32_t>(epoch))
-                      << 32) |
-                     static_cast<std::uint64_t>(i);
-            requests.push_back(std::move(req));
-        }
-    } else {
-        requests = RequestGenerator(spec_, GeneratorConfig{seed}).generate(n);
-    }
-
-    const double shift = mixShift(epoch);
-    if (shift != 0.0) {
-        for (auto &req : requests) {
-            for (std::size_t t = 0; t < req.table_lookups.size(); ++t) {
-                const bool odd = (spec_.tables[t].net_id % 2) != 0;
-                const double scale = odd ? 1.0 + shift : 1.0 - shift;
-                req.table_lookups[t] = static_cast<std::int32_t>(
-                    std::llround(scale * req.table_lookups[t]));
-            }
-            req.content_hash = req.computeContentHash();
-        }
+    requests.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        Request req = context_pool_[static_cast<std::size_t>(
+            pick.uniformInt(0, last))];
+        req.id = (static_cast<std::uint64_t>(
+                      static_cast<std::uint32_t>(epoch))
+                  << 32) |
+                 static_cast<std::uint64_t>(i);
+        requests.push_back(std::move(req));
     }
     return requests;
 }

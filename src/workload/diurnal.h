@@ -24,10 +24,6 @@
  * context pool, the pool's requests are generated once, at construction,
  * and each epoch only samples from them; either way epochRequests() is a
  * pure const read, safe to call from several threads sharing one model.
- * An optional per-net traffic mix shift scales odd-net table lookups up
- * and even-net lookups down across the day, shifting *where* sparse demand
- * lands without changing the request count — the scenario that makes
- * per-shard (rather than fleet-wide) replica vectors matter.
  */
 #pragma once
 
@@ -57,15 +53,6 @@ struct DiurnalLoadConfig
     double burst_fraction = 0.25;
 
     /**
-     * Per-net traffic mix shift amplitude in [0, 1): odd-net table
-     * lookups scale by (1 + shift), even-net by (1 - shift), with
-     * shift = net_mix_amplitude * sin(2*pi*e / epochs_per_day). Zero
-     * disables the shift (single-net models are unaffected either way:
-     * scaling every table the same way only rescales pooling).
-     */
-    double net_mix_amplitude = 0.0;
-
-    /**
      * Recurring ranking contexts: when > 0, every request's feature
      * vector is drawn (uniformly, per-epoch stream) from a fixed pool of
      * this many distinct vectors, under a fresh user id. The pool is
@@ -86,9 +73,9 @@ class DiurnalLoadModel
 {
   public:
     /**
-     * Throws std::invalid_argument unless base_qps > 0, amplitude and
-     * net_mix_amplitude lie in [0, 1), epochs_per_day > 0 and
-     * burst_fraction lies in [0, 1]. Generates the context pool.
+     * Throws std::invalid_argument unless base_qps > 0, amplitude lies
+     * in [0, 1), epochs_per_day > 0 and burst_fraction lies in [0, 1].
+     * Generates the context pool.
      */
     DiurnalLoadModel(const model::ModelSpec &spec, DiurnalLoadConfig config);
 
@@ -110,8 +97,7 @@ class DiurnalLoadModel
     /**
      * The epoch's request stream: `n` requests from a generator seeded
      * by (seed, epoch) — or, with a context pool, `n` pool entries picked
-     * by that seed — with the per-net mix shift applied and content
-     * hashes refreshed. Identical calls return identical streams.
+     * by that seed. Identical calls return identical streams.
      */
     std::vector<Request> epochRequests(int epoch, std::size_t n) const;
 
@@ -119,8 +105,6 @@ class DiurnalLoadModel
     const model::ModelSpec &spec() const { return spec_; }
 
   private:
-    double mixShift(int epoch) const;
-
     /** Copied, like CapacityPlanner and FleetSim: a model constructed
      *  from a temporary spec must not dangle. */
     model::ModelSpec spec_;

@@ -146,41 +146,10 @@ TEST(DiurnalLoad, EpochStreamsAreDeterministicAndEpochDistinct)
     EXPECT_TRUE(differs);
 }
 
-TEST(DiurnalLoad, NetMixShiftMovesLookupsNotRequests)
-{
-    const auto spec = model::makeDrm2(); // two nets
-    auto dl = flatLoad(300.0);
-    const workload::DiurnalLoadModel plain(spec, dl);
-    dl.net_mix_amplitude = 0.4;
-    const workload::DiurnalLoadModel shifted(spec, dl);
-
-    // Quarter-day epoch: sin = 1, odd nets scaled up, even nets down.
-    const int e = 3;
-    const auto base = plain.epochRequests(e, 60);
-    const auto mixed = shifted.epochRequests(e, 60);
-    ASSERT_EQ(base.size(), mixed.size());
-    std::int64_t odd_base = 0, odd_mixed = 0, even_base = 0,
-                 even_mixed = 0;
-    for (std::size_t i = 0; i < base.size(); ++i) {
-        EXPECT_EQ(base[i].items, mixed[i].items); // request count/sizes keep
-        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
-            if (spec.tables[t].net_id % 2 != 0) {
-                odd_base += base[i].table_lookups[t];
-                odd_mixed += mixed[i].table_lookups[t];
-            } else {
-                even_base += base[i].table_lookups[t];
-                even_mixed += mixed[i].table_lookups[t];
-            }
-        }
-    }
-    EXPECT_GT(odd_mixed, odd_base);
-    EXPECT_LT(even_mixed, even_base);
-}
-
 /**
  * A context-pool epoch stream built independently: a fresh pool seeded by
  * the model seed alone, picks from the epoch-salted stream, epoch-tagged
- * ids, then the per-net mix shift.
+ * ids.
  */
 std::vector<workload::Request>
 freshPoolStream(const model::ModelSpec &spec,
@@ -193,22 +162,11 @@ freshPoolStream(const model::ModelSpec &spec,
             .generate(dl.context_pool);
     stats::Rng pick(stats::mix64(
         dl.seed + 0x5eed0000ULL * static_cast<std::uint64_t>(epoch + 1)));
-    const double shift =
-        dl.net_mix_amplitude *
-        std::sin(2.0 * 3.14159265358979323846 * epoch / dl.epochs_per_day);
     std::vector<workload::Request> out;
     for (std::size_t i = 0; i < n; ++i) {
         auto req = pool[static_cast<std::size_t>(pick.uniformInt(
             0, static_cast<std::int64_t>(pool.size()) - 1))];
         req.id = (static_cast<std::uint64_t>(epoch) << 32) | i;
-        if (shift != 0.0) {
-            for (std::size_t t = 0; t < req.table_lookups.size(); ++t) {
-                const bool odd = spec.tables[t].net_id % 2 != 0;
-                req.table_lookups[t] = static_cast<std::int32_t>(std::llround(
-                    (odd ? 1.0 + shift : 1.0 - shift) * req.table_lookups[t]));
-            }
-            req.content_hash = req.computeContentHash();
-        }
         out.push_back(std::move(req));
     }
     return out;
@@ -229,20 +187,17 @@ expectSameStream(const std::vector<workload::Request> &got,
 
 TEST(DiurnalLoad, ContextPoolStreamsMatchAFreshPoolInAnyEpochOrder)
 {
-    const auto spec = model::makeDrm2(); // two nets: the shift bites
-    for (const double mix : {0.0, 0.4}) {
-        auto dl = flatLoad(300.0);
-        dl.epochs_per_day = 24;
-        dl.context_pool = 64;
-        dl.net_mix_amplitude = mix;
-        const workload::DiurnalLoadModel load(spec, dl);
-        const workload::DiurnalLoadModel copy = load;
-        for (const int e : {5, 0, 5, 23}) {
-            SCOPED_TRACE(testing::Message() << "mix=" << mix << " e=" << e);
-            const auto want = freshPoolStream(spec, dl, e, 90);
-            expectSameStream(load.epochRequests(e, 90), want);
-            expectSameStream(copy.epochRequests(e, 90), want);
-        }
+    const auto spec = model::makeDrm2();
+    auto dl = flatLoad(300.0);
+    dl.epochs_per_day = 24;
+    dl.context_pool = 64;
+    const workload::DiurnalLoadModel load(spec, dl);
+    const workload::DiurnalLoadModel copy = load;
+    for (const int e : {5, 0, 5, 23}) {
+        SCOPED_TRACE(testing::Message() << "e=" << e);
+        const auto want = freshPoolStream(spec, dl, e, 90);
+        expectSameStream(load.epochRequests(e, 90), want);
+        expectSameStream(copy.epochRequests(e, 90), want);
     }
 }
 
@@ -257,7 +212,6 @@ TEST(CapacityPlanner, VectorsMonotoneInRateAndCached)
     fleet::PlannerConfig pc;
     pc.slo.p99_ms = 60.0;
     pc.planning_requests = 128;
-    pc.provision_iterations = 3;
     fleet::CapacityPlanner planner(spec, plan, fleetTestServing(), pc);
 
     std::vector<int> prev;
@@ -382,9 +336,8 @@ TEST(FleetSim, ScaleUpBillsTheNewPlanAndFlagsTheWindow)
     const auto spec = model::makeDrm2();
     const auto plan = core::makeCapacityBalanced(spec, 4);
     const workload::DiurnalLoadModel load(spec, flatLoad(250.0));
-    auto fc = smallFleet(3);
-    fc.epoch_duration_s = 3600.0;
-    fleet::FleetSim sim(spec, plan, fleetTestServing(), load, fc);
+    fleet::FleetSim sim(spec, plan, fleetTestServing(), load,
+                        smallFleet(3));
 
     ScriptedAutoscaler policy({{2, 2, 2, 2}, {2, 2, 2, 2}, {4, 4, 4, 4}});
     const auto s = sim.run(policy);
@@ -455,7 +408,7 @@ TEST(FleetSim, MetricsRegistryMirrorsLedgerWithoutPerturbingIt)
     for (std::size_t e = 0; e < observed.epochs.size(); ++e) {
         const auto &rec = observed.epochs[e];
         EXPECT_EQ(metrics.snapshots()[e].t,
-                  static_cast<double>(e + 1) * fc.epoch_duration_s);
+                  static_cast<double>(e + 1) * fleet::kEpochDurationS);
         EXPECT_EQ(value(e, "fleet.offered_qps"), rec.offered_qps);
         EXPECT_EQ(value(e, "fleet.p99_ms"), rec.p99_ms);
         EXPECT_EQ(value(e, "fleet.shed_rate"), rec.shed_rate);
@@ -804,7 +757,7 @@ TEST(FleetFaults, EpochsBeforeOnsetMatchAFaultFreeRun)
 }
 
 // ---------------------------------------------------------------------------
-// Autoscaler factory registry.
+// Autoscaler factory.
 // ---------------------------------------------------------------------------
 
 TEST(AutoscalerFactory, BuiltinsConstructByName)
@@ -814,7 +767,7 @@ TEST(AutoscalerFactory, BuiltinsConstructByName)
          {"burn-rate", "predictive", "reactive", "static-peak"})
         EXPECT_NE(std::find(names.begin(), names.end(), expected),
                   names.end())
-            << expected << " not registered";
+            << expected << " not built in";
 
     const auto study = fleet::makeFleetStudy(true);
     const workload::DiurnalLoadModel load(study.spec, study.load);
@@ -838,20 +791,6 @@ TEST(AutoscalerFactory, UnknownNameThrowsWithKnownList)
         EXPECT_NE(what.find("no-such-policy"), std::string::npos);
         EXPECT_NE(what.find("reactive"), std::string::npos);
     }
-}
-
-TEST(AutoscalerFactory, RegistrationExtendsAndReplaces)
-{
-    fleet::AutoscalerInputs inputs;
-    const auto factory = [](const fleet::AutoscalerInputs &) {
-        return std::make_unique<ScriptedAutoscaler>(
-            std::vector<std::vector<int>>{{2, 2, 2, 2}});
-    };
-    EXPECT_FALSE(fleet::registerAutoscaler("scripted-test", factory));
-    const auto policy = fleet::makeAutoscaler("scripted-test", inputs);
-    EXPECT_EQ(policy->name(), "scripted");
-    // Re-registering the same name reports a replacement.
-    EXPECT_TRUE(fleet::registerAutoscaler("scripted-test", factory));
 }
 
 TEST(AutoscalerFactory, BurnRateSharesReactiveActuation)
@@ -980,12 +919,33 @@ TEST(FleetMisuse, DiurnalLoadRejectsABurstFractionOutsideTheUnitInterval)
     EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
 }
 
-TEST(FleetMisuse, DiurnalLoadRejectsANetMixAmplitudeOutsideTheUnitInterval)
+TEST(FleetMisuse, CapacityPlannerRejectsAPlanWithoutSparseShards)
 {
     const auto spec = model::makeDrm2();
-    auto dl = flatLoad(300.0);
-    dl.net_mix_amplitude = -0.1;
-    EXPECT_THROW(workload::DiurnalLoadModel(spec, dl), std::invalid_argument);
+    EXPECT_THROW(fleet::CapacityPlanner(spec, core::makeSingular(spec),
+                                        fleetTestServing(), {}),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, CapacityPlannerRejectsHeadroomBelowOne)
+{
+    const auto spec = model::makeDrm2();
+    fleet::PlannerConfig pc;
+    pc.headroom = 0.9;
+    EXPECT_THROW(fleet::CapacityPlanner(spec,
+                                        core::makeCapacityBalanced(spec, 4),
+                                        fleetTestServing(), pc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, CapacityPlannerQuantizeRejectsANonPositiveQps)
+{
+    const auto spec = model::makeDrm2();
+    fleet::PlannerConfig pc;
+    pc.planning_requests = 4;
+    const fleet::CapacityPlanner planner(
+        spec, core::makeCapacityBalanced(spec, 4), fleetTestServing(), pc);
+    EXPECT_THROW(planner.quantize(0.0), std::invalid_argument);
 }
 
 TEST(FleetMisuse, StaticPeakFactoryRejectsANullPlanner)

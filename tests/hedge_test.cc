@@ -268,10 +268,7 @@ TEST(ShedCancel, NoSparseBusyTimeChargedAfterMidFlightShed)
     core::RequestStats shed_stats;
     sim.inject(requests[0], [&](const core::RequestStats &s) {
         shed_stats = s;
-        double busy = 0.0;
-        for (const double v : sim.serverBusyCoreNs())
-            busy += v;
-        busy_at_shed = busy;
+        busy_at_shed = sim.hedgeStats().total_busy_ns;
     });
     sim.engine().run();
 
@@ -290,10 +287,7 @@ TEST(ShedCancel, NoSparseBusyTimeChargedAfterMidFlightShed)
     EXPECT_GE(shed_stats.cpu_serde_ns, 0.0);
     EXPECT_GE(shed_stats.cpu_service_ns, 0.0);
     ASSERT_GE(busy_at_shed, 0.0);
-    double busy_final = 0.0;
-    for (const double v : sim.serverBusyCoreNs())
-        busy_final += v;
-    EXPECT_DOUBLE_EQ(busy_at_shed, busy_final);
+    EXPECT_DOUBLE_EQ(busy_at_shed, sim.hedgeStats().total_busy_ns);
 }
 
 /**
@@ -318,8 +312,7 @@ TEST(ShedCancel, CancellationReclaimsSparseBusyUnderOverload)
         core::ServingSimulation sim(spec, plan, cfg);
         const auto stats = sim.replayOpenLoop(requests, 1800.0);
         ASSERT_EQ(stats.size(), requests.size());
-        for (const double v : sim.serverBusyCoreNs())
-            busy[cancel ? 1 : 0] += v;
+        busy[cancel ? 1 : 0] = sim.hedgeStats().total_busy_ns;
         cancelled[cancel ? 1 : 0] = sim.shedCancelledRpcs();
         if (cancel) {
             for (const auto &s : stats)

@@ -526,6 +526,66 @@ TEST(ProvisionLoop, EvenReplicaSplitSpreadsTheBudget)
     EXPECT_EQ(sched::evenReplicaSplit(2, 4), (std::vector<int>{1, 1, 1, 1}));
 }
 
+// Misuse: every rule throws std::invalid_argument in every build type.
+
+/** A ProvisionLoop over a 4-shard plan with `pc`. */
+sched::ProvisionLoop
+makeLoop(const sched::ProvisionLoopConfig &pc)
+{
+    const auto spec = testSpec();
+    return sched::ProvisionLoop(spec, core::makeCapacityBalanced(spec, 4),
+                                core::ServingConfig{}, pc);
+}
+
+TEST(ProvisionLoopMisuse, EvenReplicaSplitRejectsNonPositiveShards)
+{
+    EXPECT_THROW(sched::evenReplicaSplit(4, 0), std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, RejectsAPlanWithoutSparseShards)
+{
+    const auto spec = testSpec();
+    EXPECT_THROW(sched::ProvisionLoop(spec, core::makeSingular(spec),
+                                      core::ServingConfig{}, {}),
+                 std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, RejectsANonPositiveQps)
+{
+    sched::ProvisionLoopConfig pc;
+    pc.qps = 0.0;
+    EXPECT_THROW(makeLoop(pc), std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, RejectsANonPositiveTargetUtilization)
+{
+    sched::ProvisionLoopConfig pc;
+    pc.target_utilization = 0.0;
+    EXPECT_THROW(makeLoop(pc), std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, RejectsMinReplicasBelowOne)
+{
+    sched::ProvisionLoopConfig pc;
+    pc.min_replicas = 0;
+    EXPECT_THROW(makeLoop(pc), std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, RejectsMaxReplicasBelowMin)
+{
+    sched::ProvisionLoopConfig pc;
+    pc.min_replicas = 3;
+    pc.max_replicas = 2;
+    EXPECT_THROW(makeLoop(pc), std::invalid_argument);
+}
+
+TEST(ProvisionLoopMisuse, EvaluateRejectsAVectorOfTheWrongSize)
+{
+    auto loop = makeLoop({});
+    const auto requests = testRequests(testSpec(), 10);
+    EXPECT_THROW(loop.evaluate({2, 2}, requests), std::invalid_argument);
+}
+
 TEST(ProvisionLoop, ConvergesToLoadProportionalFixedPoint)
 {
     const auto spec = testSpec();
