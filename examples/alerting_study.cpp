@@ -5,7 +5,7 @@
  * observability layer closed into a loop.
  *
  * The canonical diurnal fleet (fleet/study.h, smoke trace extended to
- * two days) runs under the Reactive policy with telemetry attached:
+ * two days) runs under the Reactive policy; its telemetry ledger holds
  * per-epoch error-budget burn rates for latency/shed/availability
  * objectives, multi-window burn-rate alerts with hysteresis, and an
  * EWMA+MAD anomaly detector watching the offered/forecast load ratio.
@@ -18,10 +18,9 @@
  *    detected within <= 2 epochs of its onset;
  *  - zero false positives: no detector flag on a burst-free epoch, and
  *    zero flags across an entire no-burst replay of the same fleet;
- *  - the pure-observer contract: FleetStats::fingerprint() is
- *    byte-identical with telemetry attached and detached;
- *  - telemetry itself is deterministic: reruns reproduce a
- *    byte-identical telemetry ledger (alert stream included);
+ *  - telemetry is deterministic: reruns reproduce the simulation
+ *    ledger and a byte-identical telemetry ledger (alert stream
+ *    included);
  *  - closing the loop pays: the burn-rate-alert-driven policy spends
  *    no more machine-hours than watermark-Reactive at no worse SLO
  *    attainment (steady violation epochs).
@@ -152,21 +151,6 @@ main()
               "zero false positives across the no-burst trace");
     }
 
-    // ---- Acceptance: telemetry is a pure observer -----------------------
-    {
-        auto blind = study;
-        blind.fleet.telemetry.enabled = false;
-        fleet::FleetSim blind_sim(blind.spec, blind.plan, blind.serving,
-                                  load, blind.fleet);
-        const auto blind_react = fleet::makeAutoscaler("reactive", inputs);
-        const auto blind_run = blind_sim.run(*blind_react);
-        check(blind_run.fingerprint() == monitored.fingerprint(),
-              "FleetStats fingerprint identical with telemetry on/off");
-        check(blind_run.telemetry.epochs.empty() &&
-                  blind_run.telemetry.alerts.empty(),
-              "disabled telemetry leaves an empty side-ledger");
-    }
-
     // ---- Acceptance: telemetry determinism ------------------------------
     {
         const auto again = fleet::makeAutoscaler("reactive", inputs);
@@ -208,7 +192,7 @@ main()
     }
     std::cout << "All alerting acceptance checks passed: seeded bursts "
                  "are caught within two\nepochs with zero false alarms, "
-                 "telemetry observes without perturbing, and\nalert-"
+                 "telemetry replays deterministically, and\nalert-"
                  "driven scaling matches watermark feedback on cost at "
                  "equal attainment.\n";
     return EXIT_SUCCESS;

@@ -41,15 +41,6 @@ constexpr double kMaxWindowFraction = 0.8;
 static_assert(kClimbPeriod > 0);
 static_assert(kMinWindowFraction < kMaxWindowFraction);
 
-std::size_t
-roundUpPow2(std::size_t n)
-{
-    std::size_t p = 1;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
 /**
  * Admission decorator: owns the inner cache and a filter, keeps its own
  * hit/miss/reject counters (the inner cache's counters only see the
@@ -356,35 +347,25 @@ admissionName(Admission admission)
     return "unknown";
 }
 
-TinyLfuFilter::TinyLfuFilter(TinyLfuConfig config) : config_(config)
-{
-    config_.depth = std::max(1, config_.depth);
-    const std::size_t width =
-        roundUpPow2(std::max<std::size_t>(16, config_.counters));
-    config_.counters = width;
-    mask_ = width - 1;
-    if (config_.sample_period == 0)
-        config_.sample_period = static_cast<std::uint64_t>(width) * 16;
-    // Two 4-bit counters per byte, depth independent rows.
-    sketch_.assign(static_cast<std::size_t>(config_.depth) * width / 2, 0);
-}
+// Two 4-bit counters per byte, kDepth independent rows.
+TinyLfuFilter::TinyLfuFilter() : sketch_(kDepth * kCounters / 2, 0) {}
 
-std::uint64_t
-TinyLfuFilter::hashFor(int table, std::int64_t row, int i) const
+std::size_t
+TinyLfuFilter::slotFor(int table, std::int64_t row, int i)
 {
     const std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(table))
          << 48) ^
         static_cast<std::uint64_t>(row);
     // Independent rows via a per-row odd multiplier over the mixed key.
-    return mix64(key + 0x9e3779b97f4a7c15ULL *
-                           static_cast<std::uint64_t>(i + 1));
+    const std::uint64_t h =
+        mix64(key + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
+    return static_cast<std::size_t>(i) * kCounters + (h & (kCounters - 1));
 }
 
 int
-TinyLfuFilter::counterAt(std::uint64_t h) const
+TinyLfuFilter::counterAt(std::size_t slot) const
 {
-    const std::size_t slot = static_cast<std::size_t>(h);
     const std::uint8_t byte = sketch_[slot / 2];
     return (slot & 1) ? (byte >> 4) & 0xf : byte & 0xf;
 }
@@ -394,19 +375,10 @@ TinyLfuFilter::onAccess(int table, std::int64_t row)
 {
     // Conservative increment: only the minimal counters grow, which keeps
     // the count-min over-estimate as tight as 4 bits allow.
-    int min_est = 15;
-    for (int i = 0; i < config_.depth; ++i) {
-        const std::size_t base =
-            static_cast<std::size_t>(i) * config_.counters;
-        min_est = std::min(
-            min_est, counterAt(base + (hashFor(table, row, i) & mask_)));
-    }
+    const int min_est = estimate(table, row);
     if (min_est < 15) {
-        for (int i = 0; i < config_.depth; ++i) {
-            const std::size_t base =
-                static_cast<std::size_t>(i) * config_.counters;
-            const std::size_t slot =
-                base + (hashFor(table, row, i) & mask_);
+        for (int i = 0; i < kDepth; ++i) {
+            const std::size_t slot = slotFor(table, row, i);
             if (counterAt(slot) == min_est) {
                 std::uint8_t &byte = sketch_[slot / 2];
                 if (slot & 1)
@@ -420,7 +392,7 @@ TinyLfuFilter::onAccess(int table, std::int64_t row)
             }
         }
     }
-    if (++accesses_ >= config_.sample_period) {
+    if (++accesses_ >= kSamplePeriod) {
         // Aging: halve every counter so the sketch tracks the recent
         // window (and dead rows decay back toward zero).
         for (auto &byte : sketch_)
@@ -434,12 +406,8 @@ int
 TinyLfuFilter::estimate(int table, std::int64_t row) const
 {
     int min_est = 15;
-    for (int i = 0; i < config_.depth; ++i) {
-        const std::size_t base =
-            static_cast<std::size_t>(i) * config_.counters;
-        min_est = std::min(
-            min_est, counterAt(base + (hashFor(table, row, i) & mask_)));
-    }
+    for (int i = 0; i < kDepth; ++i)
+        min_est = std::min(min_est, counterAt(slotFor(table, row, i)));
     return min_est;
 }
 
@@ -450,9 +418,9 @@ TinyLfuFilter::admit(int table, std::int64_t row, std::int64_t)
 }
 
 std::unique_ptr<TinyLfuFilter>
-makeTinyLfu(TinyLfuConfig config)
+makeTinyLfu()
 {
-    return std::make_unique<TinyLfuFilter>(config);
+    return std::make_unique<TinyLfuFilter>();
 }
 
 std::unique_ptr<EmbeddingCache>
@@ -478,7 +446,7 @@ withWindowedAdmission(std::unique_ptr<EmbeddingCache> inner,
 
 std::unique_ptr<EmbeddingCache>
 makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
-                       Admission admission, const TinyLfuConfig &tinylfu)
+                       Admission admission)
 {
     if (admission == Admission::WTinyLfu) {
         // Split the budget so every admission variant competes at the
@@ -492,7 +460,7 @@ makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
     }
     auto cache = makeCache(policy, capacity_bytes);
     if (admission == Admission::TinyLfu)
-        return withAdmission(std::move(cache), makeTinyLfu(tinylfu));
+        return withAdmission(std::move(cache), makeTinyLfu());
     return cache;
 }
 

@@ -64,34 +64,32 @@ class AdmissionFilter
     virtual std::string name() const = 0;
 };
 
-/** TinyLFU doorkeeper parameters. */
-struct TinyLfuConfig
-{
-    /**
-     * Counters per sketch row (rounded up to a power of two). Sized like
-     * a Bloom filter: a few counters per expected hot row keeps the
-     * over-estimate from hash collisions small.
-     */
-    std::size_t counters = 1 << 16;
-    /** Independent hash rows of the count-min sketch. */
-    int depth = 4;
-    /**
-     * Accesses between halvings of every counter (the aging window).
-     * 0 derives the classic TinyLFU sample size of ~16x the counter
-     * count.
-     */
-    std::uint64_t sample_period = 0;
-};
-
 /**
  * 4-bit count-min sketch doorkeeper. Counters saturate at 15; every
- * sample_period recorded accesses all counters halve, so estimates decay
+ * kSamplePeriod recorded accesses all counters halve, so estimates decay
  * toward the recent window (and are bounded by construction).
  */
 class TinyLfuFilter : public AdmissionFilter
 {
   public:
-    explicit TinyLfuFilter(TinyLfuConfig config = {});
+    /**
+     * Counters per sketch row, a power of two. Sized like a Bloom filter:
+     * a few counters per expected hot row keeps the over-estimate from
+     * hash collisions small.
+     */
+    static constexpr std::size_t kCounters = std::size_t{1} << 16;
+    /** Independent hash rows of the count-min sketch. */
+    static constexpr int kDepth = 4;
+    /**
+     * Accesses between halvings of every counter (the aging window): the
+     * classic TinyLFU sample size of 16x the counter count.
+     */
+    static constexpr std::uint64_t kSamplePeriod =
+        static_cast<std::uint64_t>(kCounters) * 16;
+    static_assert((kCounters & (kCounters - 1)) == 0,
+                  "slots are masked with kCounters - 1");
+
+    TinyLfuFilter();
 
     void onAccess(int table, std::int64_t row) override;
     bool admit(int table, std::int64_t row,
@@ -104,22 +102,19 @@ class TinyLfuFilter : public AdmissionFilter
     /** Halvings performed so far (one per elapsed sample period). */
     std::uint64_t agings() const { return agings_; }
 
-    const TinyLfuConfig &config() const { return config_; }
-
   private:
-    std::uint64_t hashFor(int table, std::int64_t row, int i) const;
-    int counterAt(std::uint64_t h) const;
+    /** Counter index of (table, row) in hash row i (row-major). */
+    static std::size_t slotFor(int table, std::int64_t row, int i);
+    int counterAt(std::size_t slot) const;
 
-    TinyLfuConfig config_;
-    std::size_t mask_ = 0;       //!< counters-per-row - 1 (power of two)
     std::uint64_t accesses_ = 0; //!< since the last halving
     std::uint64_t agings_ = 0;
-    /** Packed 4-bit counters, two per byte, depth rows concatenated. */
+    /** Packed 4-bit counters, two per byte, kDepth rows concatenated. */
     std::vector<std::uint8_t> sketch_;
 };
 
 /** Construct a TinyLFU doorkeeper. */
-std::unique_ptr<TinyLfuFilter> makeTinyLfu(TinyLfuConfig config = {});
+std::unique_ptr<TinyLfuFilter> makeTinyLfu();
 
 /**
  * Wrap a cache in a W-TinyLFU admission window: `inner` (already sized to
@@ -147,12 +142,10 @@ withAdmission(std::unique_ptr<EmbeddingCache> inner,
  * makeCache + optional admission wrap in one step (grid sweeps). For
  * Admission::WTinyLfu the byte budget is split between the window and the
  * main cache per admission.cc's kWindowFraction, so every admission
- * variant competes at the identical total budget; that doorkeeper takes
- * the default TinyLfuConfig, `tinylfu` configures Admission::TinyLfu.
+ * variant competes at the identical total budget.
  */
 std::unique_ptr<EmbeddingCache>
 makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
-                       Admission admission,
-                       const TinyLfuConfig &tinylfu = {});
+                       Admission admission);
 
 } // namespace dri::cache

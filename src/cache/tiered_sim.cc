@@ -16,7 +16,7 @@ TieredCacheSim::TieredCacheSim(const model::ModelSpec &spec,
     for (const auto &t : spec.tables)
         row_bytes_.push_back(t.storedRowBytes());
     cache_ = makeCacheWithAdmission(config_.policy, config_.capacity_bytes,
-                                    config_.admission, config_.tinylfu);
+                                    config_.admission);
     // Attribute evictions to the table losing the row.
     cache_->setEvictionHook([this](int table, std::int64_t, std::int64_t) {
         if (table >= 0 && static_cast<std::size_t>(table) < evictions_.size())

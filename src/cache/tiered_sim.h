@@ -36,8 +36,6 @@ struct TieredCacheConfig
     double warmup_fraction = 0.0;
     /** Admission filter wrapped around the eviction policy. */
     Admission admission = Admission::None;
-    /** TinyLFU doorkeeper parameters (used when admission == TinyLfu). */
-    TinyLfuConfig tinylfu;
 };
 
 /** Post-warmup replay statistics. */

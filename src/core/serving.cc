@@ -17,6 +17,7 @@
 #include "obs/span_tracer.h"
 #include "obs/timeseries.h"
 #include "rpc/discovery.h"
+#include "rpc/service.h"
 #include "sim/pool.h"
 #include "stats/flat_hash.h"
 #include "stats/summary.h"
@@ -43,6 +44,8 @@ static_assert(kRequestParallelism >= 1);
  * just failed.
  */
 constexpr int kMaxAttemptRetries = 2;
+/** Remote-execution slowdown of a straggler-interfered attempt. */
+constexpr double kStragglerMultiplier = 8.0;
 
 sim::Duration
 scaled(double ns, double cpu_scale)
@@ -264,8 +267,7 @@ struct ServingSimulation::Impl
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
          const ServingConfig &cfg, trace::TraceCollector &collector)
         : spec(spec), plan(plan), cfg(cfg), collector(collector),
-          link(cfg.link), service(rpc::ServiceConfig{}), rng(cfg.seed),
-          result_cache(cfg.result_cache)
+          link(cfg.link), rng(cfg.seed), result_cache(cfg.result_cache)
     {
         // Cache the tracer pointer once: the hot path pays exactly one
         // null check per emission site when tracing is off.
@@ -328,7 +330,6 @@ struct ServingSimulation::Impl
     std::vector<std::unique_ptr<sim::Resource>> sparse_cores;
     rpc::ServiceDirectory directory;
     netsim::LinkModel link;
-    rpc::ServiceCostModel service;
     stats::Rng rng;
 
     std::vector<NetInfo> nets;
@@ -463,28 +464,23 @@ struct ServingSimulation::Impl
     }
 
     /**
-     * Per-row gather cost for a table served by `shard` (-1 = main shard /
-     * inline SLS). With a cache model configured, the flat coefficient
-     * becomes the DRAM-hit cost and misses pay the model's backing-tier
-     * cost, weighted by the table's simulated hit rate.
+     * Per-row gather cost for a table served by `shard` (0 for a singular
+     * plan's inline SLS). With a cache model configured for the shard,
+     * the flat coefficient becomes the DRAM-hit cost and misses pay the
+     * model's backing-tier cost, weighted by the table's simulated hit
+     * rate.
      */
     double
-    tableLookupNs(const model::TableSpec &t, int shard = -1) const
+    tableLookupNs(const model::TableSpec &t, int shard) const
     {
         const double flat =
             cfg.lookup_base_ns +
             cfg.lookup_ns_per_row_byte *
                 static_cast<double>(t.storedRowBytes());
-        const cache::CachedLookupModel *model = nullptr;
-        if (shard >= 0 &&
-            static_cast<std::size_t>(shard) <
-                cfg.shard_cache_models.size() &&
-            cfg.shard_cache_models[static_cast<std::size_t>(shard)])
-            model =
-                cfg.shard_cache_models[static_cast<std::size_t>(shard)]
-                    .get();
-        else if (cfg.cache_model)
-            model = cfg.cache_model.get();
+        const auto s = static_cast<std::size_t>(shard);
+        const cache::CachedLookupModel *model =
+            s < cfg.shard_cache_models.size() ? cfg.shard_cache_models[s].get()
+                                              : nullptr;
         if (model && model->hasTable(t.id))
             return model->lookupNs(t.id, flat);
         return flat;
@@ -499,19 +495,20 @@ struct ServingSimulation::Impl
             ni.dense_ns_per_item = net_spec.dense_ns_per_item;
             ni.dense_fixed_ns = net_spec.dense_fixed_ns;
 
-            // Pooling-weighted gather cost across the net's tables.
-            double pool_sum = 0.0, cost_sum = 0.0;
-            for (const auto &t : spec.tables) {
-                if (t.net_id != net_spec.id)
-                    continue;
-                const double pool = t.expectedLookups(spec.mean_items);
-                pool_sum += pool;
-                cost_sum += pool * tableLookupNs(t);
-            }
-            ni.inline_lookup_ns =
-                pool_sum > 0.0 ? cost_sum / pool_sum : cfg.lookup_base_ns;
-
-            if (!plan.isSingular()) {
+            if (plan.isSingular()) {
+                // Pooling-weighted gather cost across the net's tables,
+                // all served inline ("shard" 0).
+                double pool_sum = 0.0, cost_sum = 0.0;
+                for (const auto &t : spec.tables) {
+                    if (t.net_id != net_spec.id)
+                        continue;
+                    const double pool = t.expectedLookups(spec.mean_items);
+                    pool_sum += pool;
+                    cost_sum += pool * tableLookupNs(t, 0);
+                }
+                ni.inline_lookup_ns = pool_sum > 0.0 ? cost_sum / pool_sum
+                                                     : cfg.lookup_base_ns;
+            } else {
                 std::map<int, Group> groups;
                 for (const auto &t : spec.tables) {
                     if (t.net_id != net_spec.id)
@@ -901,7 +898,7 @@ struct ServingSimulation::Impl
         // second serde charge, like a hedge), but dispatch CPU is paid
         // again and resolution avoids the failed server.
         op->bt->req->st.cpu_service_ns += static_cast<double>(
-            scaled(service.clientDispatchNs(), mainScale()));
+            scaled(rpc::kClientDispatchNs, mainScale()));
         const int failed_server = ex.server;
         ex = AttemptExec{}; // fresh slot for the relaunch
         ex.exclude = failed_server;
@@ -951,7 +948,7 @@ struct ServingSimulation::Impl
         // Mid-flight deadline enforcement: arm a timer that sheds the
         // request and cancels its outstanding sparse RPCs if it is still
         // executing when its deadline passes.
-        if (cfg.admission.deadline_ns > 0 && cfg.admission.cancel_in_flight) {
+        if (cfg.admission.cancel_in_flight) {
             live_requests.insert(a->st.id, a);
             const sim::Duration delay = std::max<sim::Duration>(
                 0,
@@ -986,12 +983,12 @@ struct ServingSimulation::Impl
                 return;
             }
             const sim::Duration handler =
-                scaled(service.handlerNs() / 2, mainScale());
+                scaled(rpc::kHandlerFixedNs / 2, mainScale());
             const std::int64_t req_bytes = netsim::rankingRequestBytes(
                 spec.request_bytes_per_item, a->req->items,
                 a->req->totalLookups());
             const sim::Duration deserde =
-                scaled(service.serdeNs(req_bytes), mainScale());
+                scaled(rpc::serdeNs(req_bytes), mainScale());
             a->st.lat_service += handler;
             a->st.cpu_service_ns += static_cast<double>(handler);
             a->st.lat_serde += deserde;
@@ -1033,7 +1030,7 @@ struct ServingSimulation::Impl
         // Framework scheduling cost appears once on the net's critical
         // path (batches pay it in parallel).
         a->st.lat_net_overhead += scaled(
-            service.netOverheadNs(static_cast<std::int64_t>(ni.groups.size())),
+            rpc::netOverheadNs(static_cast<std::int64_t>(ni.groups.size())),
             mainScale());
         for (int b = 0; b < a->nb; ++b)
             acquireSlot(a, [this, a, b] { startBatch(a, b); });
@@ -1073,7 +1070,7 @@ struct ServingSimulation::Impl
                 ni.dense_ns_per_item * static_cast<double>(bitems) +
                 ni.dense_fixed_ns;
             const sim::Duration overhead = scaled(
-                service.netOverheadNs(
+                rpc::netOverheadNs(
                     static_cast<std::int64_t>(ni.groups.size())),
                 mainScale());
             const sim::Duration bottom =
@@ -1151,8 +1148,8 @@ struct ServingSimulation::Impl
                 bt->active.push_back(gi);
                 const std::int64_t bytes = netsim::sparseRequestBytes(
                     lk, g.tableCount(), bitems);
-                send_cpu += scaled(service.serdeNs(bytes), mainScale()) +
-                            scaled(service.clientDispatchNs(), mainScale());
+                send_cpu += scaled(rpc::serdeNs(bytes), mainScale()) +
+                            scaled(rpc::kClientDispatchNs, mainScale());
             }
             if (bt->active.empty()) {
                 // No sparse work anywhere this batch (or every group hit
@@ -1359,9 +1356,9 @@ struct ServingSimulation::Impl
         const std::int64_t req_bytes =
             netsim::sparseRequestBytes(lk, g.tableCount(), bt->batch_items);
         // Client-side serde/dispatch CPU was spent in startBatch; account it.
-        a->st.cpu_serde_ns += service.serdeNs(req_bytes) * mainScale();
+        a->st.cpu_serde_ns += rpc::serdeNs(req_bytes) * mainScale();
         a->st.cpu_service_ns += static_cast<double>(scaled(
-            service.clientDispatchNs(), mainScale()));
+            rpc::kClientDispatchNs, mainScale()));
         ++a->st.rpc_count;
         ++hedge_stats.primary_rpcs;
 
@@ -1440,7 +1437,7 @@ struct ServingSimulation::Impl
             // Backup dispatch CPU; the serialized payload is reused,
             // so no second serde charge.
             a->st.cpu_service_ns += static_cast<double>(
-                scaled(service.clientDispatchNs(), mainScale()));
+                scaled(rpc::kClientDispatchNs, mainScale()));
             ++op->refs; // the backup attempt
             launchAttempt(op, 1);
         } else {
@@ -1591,23 +1588,23 @@ struct ServingSimulation::Impl
             cfg.faults.straggler_prob > 0.0 &&
                     stats::bernoulli(ex.ctx->stream,
                                      cfg.faults.straggler_prob)
-                ? cfg.faults.straggler_multiplier
+                ? kStragglerMultiplier
                 : 1.0;
         const double remote_scale =
             cfg.sparse_platform.cpu_time_scale * interference *
             replica_degrade[srv_idx];
         rec.remote_queue_ns = engine.now() - q0;
-        rec.remote_service_ns = scaled(service.handlerNs(), remote_scale);
+        rec.remote_service_ns = scaled(rpc::kHandlerFixedNs, remote_scale);
         rec.remote_serde_ns =
-            scaled(service.serdeNs(op->req_bytes), remote_scale);
+            scaled(rpc::serdeNs(op->req_bytes), remote_scale);
         rec.remote_net_overhead_ns =
-            scaled(service.netOverheadNs(0), remote_scale);
+            scaled(rpc::netOverheadNs(0), remote_scale);
         rec.remote_sparse_op_ns = scaled(
             static_cast<double>(op->lookups) * g.lookup_ns, remote_scale);
         const std::int64_t resp_bytes = netsim::sparseResponseBytes(
             static_cast<std::int64_t>(g.sum_dims), op->bt->batch_items);
         rec.remote_serde_ns +=
-            scaled(service.serdeNs(resp_bytes), remote_scale);
+            scaled(rpc::serdeNs(resp_bytes), remote_scale);
 
         // CPU accounting on the sparse shard — charged for every
         // executing attempt: duplicate hedge work is real work. A
@@ -1817,7 +1814,7 @@ struct ServingSimulation::Impl
                 return;
             }
             const sim::Duration resp_deserde =
-                scaled(service.serdeNs(bt->response_bytes), mainScale());
+                scaled(rpc::serdeNs(bt->response_bytes), mainScale());
             const sim::Duration top = bt->top_dense;
             a->st.cpu_serde_ns += static_cast<double>(resp_deserde);
             if (tr) {
@@ -1875,9 +1872,9 @@ struct ServingSimulation::Impl
             const std::int64_t resp_bytes =
                 netsim::rankingResponseBytes(a->req->items);
             const sim::Duration resp_serde =
-                scaled(service.serdeNs(resp_bytes), mainScale());
+                scaled(rpc::serdeNs(resp_bytes), mainScale());
             const sim::Duration handler =
-                scaled(service.handlerNs() / 2, mainScale());
+                scaled(rpc::kHandlerFixedNs / 2, mainScale());
             a->st.lat_serde += resp_serde;
             a->st.cpu_serde_ns += static_cast<double>(resp_serde);
             a->st.lat_service += handler;
@@ -1904,6 +1901,11 @@ ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      ServingConfig config)
     : spec_(spec), plan_(plan), config_(config)
 {
+    if (config_.admission.cancel_in_flight &&
+        config_.admission.deadline_ns <= 0)
+        throw std::invalid_argument(
+            "ServingSimulation: admission.cancel_in_flight requires "
+            "deadline_ns > 0");
     impl_ = std::make_unique<Impl>(spec_, plan_, config_, collector_);
 }
 

@@ -78,7 +78,6 @@
 #include "rpc/discovery.h"
 #include "rpc/hedge.h"
 #include "rpc/result_cache.h"
-#include "rpc/service.h"
 #include "sim/engine.h"
 #include "sim/resource.h"
 #include "stats/rng.h"
@@ -147,14 +146,15 @@ struct AdmissionConfig
      * in-flight responses are discarded on arrival. Without this, a shed
      * only ever happens before execution, so a doomed request's fan-out
      * keeps burning sparse-tier capacity after the client has given up
-     * on it. Requires deadline_ns > 0; off by default.
+     * on it. Off by default; setting it with deadline_ns <= 0 makes the
+     * ServingSimulation constructor throw std::invalid_argument.
      */
     bool cancel_in_flight = false;
 };
 
 /**
  * Replica misbehavior, transient and injected (off by default). The
- * straggler fields model *stochastic* interference drawn per attempt
+ * straggler field models *stochastic* interference drawn per attempt
  * from the common-random-numbers identity stream; the remaining fields
  * parameterize the *injected* fault paths driven through the runtime
  * control surface (ServingSimulation::killReplica and friends) and the
@@ -170,16 +170,15 @@ struct PerturbationConfig
 {
     /**
      * Transient sparse-server interference: with this probability, an
-     * RPC attempt's remote execution runs straggler_multiplier x slower
-     * — the co-located-service/NUMA interference that makes one replica
-     * momentarily a straggler while its siblings stay fast. This is the
+     * RPC attempt's remote execution runs kStragglerMultiplier
+     * (serving.cc) times slower — the co-located-service/NUMA
+     * interference that makes one replica momentarily a straggler while
+     * its siblings stay fast. This is the
      * tail phenomenon hedging exists to dodge: a re-rolled backup on
      * another replica almost never hits the same slow event. Unlike
      * a degradeReplica() slowdown, this re-rolls on every attempt.
      */
     double straggler_prob = 0.0;
-    /** Remote-execution slowdown of an interfered attempt. */
-    double straggler_multiplier = 8.0;
     /**
      * Client-side timeout on a sparse RPC attempt whose target is
      * unreachable (dead replica, partitioned shard, work lost in a
@@ -308,18 +307,15 @@ struct ServingConfig
     PerturbationConfig faults;
 
     /**
-     * Optional measured-locality model (src/cache). When set, the
-     * per-table gather cost blends the platform-calibrated DRAM cost with
-     * the model's miss cost by the table's simulated hit rate, instead of
-     * charging the flat lookup_base_ns coefficient for every row. Tables
-     * the model has no data for keep the flat cost.
-     */
-    std::shared_ptr<const cache::CachedLookupModel> cache_model;
-    /**
-     * Per-shard overrides indexed by shard id (entries may be null to fall
-     * back to cache_model) — shards replay their own trace slices, so
-     * locality legitimately differs per shard. Singular/inline SLS always
-     * uses cache_model.
+     * Optional measured-locality models (src/cache), indexed by shard id
+     * — shards replay their own trace slices, so locality legitimately
+     * differs per shard (core::buildShardCacheModels builds them). A
+     * singular plan's inline SLS is "shard" 0. With a model set, the
+     * shard's per-table gather cost blends the platform-calibrated DRAM
+     * cost with the model's miss cost by the table's simulated hit rate,
+     * instead of charging the flat lookup_base_ns coefficient for every
+     * row. A missing or null entry, and a table the model has no data
+     * for, keep the flat cost.
      */
     std::vector<std::shared_ptr<const cache::CachedLookupModel>>
         shard_cache_models;
@@ -358,6 +354,11 @@ struct ServingConfig
 class ServingSimulation
 {
   public:
+    /**
+     * Throws std::invalid_argument, in every build type, when
+     * config.admission.cancel_in_flight is set without a deadline
+     * (deadline_ns <= 0).
+     */
     ServingSimulation(const model::ModelSpec &spec, const ShardingPlan &plan,
                       ServingConfig config);
     ~ServingSimulation();

@@ -123,7 +123,6 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
                                  static_cast<double>(bytes[k])));
             cfg.warmup_fraction = options.warmup_fraction;
             cfg.admission = options.admission;
-            cfg.tinylfu = options.tinylfu;
             sims.push_back(
                 std::make_unique<cache::TieredCacheSim>(spec, cfg));
             sims.back()->begin(accesses[k]);

@@ -57,7 +57,6 @@ struct ShardCacheOptions
 {
     cache::Policy policy = cache::Policy::Lru;
     cache::Admission admission = cache::Admission::None;
-    cache::TinyLfuConfig tinylfu;
     /**
      * Per-shard DRAM budget as a fraction of that shard's own slice
      * universe (proportional sizing: total budget tracks total traffic).

@@ -20,6 +20,8 @@ constexpr double kQpsQuantum = 1.10;
 static_assert(kQpsQuantum > 1.0);
 /** ProvisionLoop fixed-point iteration cap per plan. */
 constexpr int kProvisionIterations = 4;
+/** Generator seed of the synthesized planning stream (none passed in). */
+constexpr std::uint64_t kPlanningSeed = 0x91a2;
 /**
  * Each plan is verified with a CapacitySearch probe at the target rate,
  * bumping every shard by one replica (up to max_replicas) until the
@@ -148,7 +150,7 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
     // probes across rates, and across policies holding the same planner.
     if (planning_requests_.empty()) {
         workload::GeneratorConfig gc;
-        gc.seed = config_.planning_seed;
+        gc.seed = kPlanningSeed;
         workload::RequestGenerator gen(spec_, gc);
         planning_requests_ = gen.generate(config_.planning_requests);
     } else if (planning_requests_.size() > config_.planning_requests) {

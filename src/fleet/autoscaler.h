@@ -99,7 +99,6 @@ struct PlannerConfig
     int max_replicas = 8;
     /** Request-sample length for planning simulations. */
     std::size_t planning_requests = 256;
-    std::uint64_t planning_seed = 0x91a2;
 };
 
 /**
@@ -118,10 +117,11 @@ class CapacityPlanner
      * headroom < 1.
      *
      * `planning_stream` is the request sample every plan simulates; an
-     * empty stream synthesizes an all-distinct one from planning_seed.
-     * Pass the load model's own traffic (e.g. epochRequests(0, n)) so
-     * plans price what the fleet actually serves — a planner fed
-     * repeat-free traffic over-provisions a result-cache-heavy fleet.
+     * empty stream synthesizes an all-distinct one from autoscaler.cc's
+     * kPlanningSeed. Pass the load model's own traffic (e.g.
+     * epochRequests(0, n)) so plans price what the fleet actually
+     * serves — a planner fed repeat-free traffic over-provisions a
+     * result-cache-heavy fleet.
      */
     CapacityPlanner(const model::ModelSpec &spec,
                     const core::ShardingPlan &plan,

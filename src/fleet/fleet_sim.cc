@@ -63,8 +63,9 @@ constexpr int kDetectMatchWindowEpochs = 2;
 
 // Per-epoch trace sampling (with kTracePerEpochByteBudget and
 // kTraceScenarioExemplars in the header).
-constexpr double kTraceTailQuantile = 0.99;
 constexpr std::size_t kTraceReservoirSize = 8;
+/** Sampler seed, mixed with the epoch index for each epoch's sampler. */
+constexpr std::uint64_t kTraceSamplingSeed = 0x7ace5eed;
 
 double
 meanOf(const std::vector<double> &v)
@@ -550,9 +551,24 @@ FleetSim::run(Autoscaler &policy)
     // Telemetry analysis (pure observer: consumes only measured ledger
     // values, after the epoch's simulations finished). One bucket per
     // epoch in each burn window.
-    const TelemetryConfig &tele = cfg_.telemetry;
     obs::SloMonitor monitor;
-    int lat_obj = -1, shed_obj = -1, avail_obj = -1;
+    const auto objective = [&](const char *name, double budget) {
+        obs::SloObjective o;
+        o.name = name;
+        o.budget_fraction = budget;
+        o.fast_horizon_s = kFastWindowEpochs * kEpochDurationS;
+        o.slow_horizon_s = kSlowWindowEpochs * kEpochDurationS;
+        o.buckets = kSlowWindowEpochs;
+        o.fast_burn_threshold = kFastBurnThreshold;
+        o.slow_burn_threshold = kSlowBurnThreshold;
+        o.pending_ticks = kPendingTicks;
+        o.resolve_ticks = kResolveTicks;
+        return monitor.addObjective(o);
+    };
+    const int lat_obj = objective("latency", kLatencyBudgetFraction);
+    const int shed_obj = objective("shed", cfg_.slo.max_shed_rate);
+    const int avail_obj =
+        objective("availability", kAvailabilityBudgetFraction);
     obs::EwmaMadDetector burst_detector;
     std::vector<bool> burst_flags;
     // Per-epoch SLO attainment (1 - (shed + over-latency)/requests),
@@ -560,24 +576,6 @@ FleetSim::run(Autoscaler &policy)
     // blast-radius input.
     std::vector<double> epoch_attainment;
     std::size_t alert_transitions_counted = 0;
-    if (tele.enabled) {
-        const auto objective = [&](const char *name, double budget) {
-            obs::SloObjective o;
-            o.name = name;
-            o.budget_fraction = budget;
-            o.fast_horizon_s = kFastWindowEpochs * kEpochDurationS;
-            o.slow_horizon_s = kSlowWindowEpochs * kEpochDurationS;
-            o.buckets = kSlowWindowEpochs;
-            o.fast_burn_threshold = kFastBurnThreshold;
-            o.slow_burn_threshold = kSlowBurnThreshold;
-            o.pending_ticks = kPendingTicks;
-            o.resolve_ticks = kResolveTicks;
-            return monitor.addObjective(o);
-        };
-        lat_obj = objective("latency", kLatencyBudgetFraction);
-        shed_obj = objective("shed", cfg_.slo.max_shed_rate);
-        avail_obj = objective("availability", kAvailabilityBudgetFraction);
-    }
 
     for (int e = 0; e < cfg_.epochs; ++e) {
         std::vector<int> vec =
@@ -701,10 +699,9 @@ FleetSim::run(Autoscaler &policy)
         obs::SpanTracer epoch_tracer(true);
         if (cfg_.trace_sampling.enabled) {
             obs::SamplerConfig sc;
-            sc.seed = stats::mix64(cfg_.trace_sampling.seed ^
+            sc.seed = stats::mix64(kTraceSamplingSeed ^
                                    (static_cast<std::uint64_t>(e) + 1));
             sc.reservoir_size = kTraceReservoirSize;
-            sc.tail_quantile = kTraceTailQuantile;
             sc.retained_byte_budget = kTracePerEpochByteBudget;
             sampler = std::make_unique<obs::TraceSampler>(sc);
             epoch_tracer.setSampler(sampler.get());
@@ -819,50 +816,39 @@ FleetSim::run(Autoscaler &policy)
         // budgets, evaluate the alert rules, step the burst detector.
         // Mid-epoch timestamps keep records off bucket boundaries.
         EpochTelemetry trow;
-        if (tele.enabled) {
-            const double t_mid =
-                (static_cast<double>(e) + 0.5) * kEpochDurationS;
-            const auto served = static_cast<std::uint64_t>(
-                static_cast<std::int64_t>(all_stats.size()) -
-                rec.shed_requests);
-            const auto over =
-                static_cast<std::uint64_t>(over_latency);
-            monitor.record(lat_obj, t_mid, served - over, over);
-            monitor.record(shed_obj, t_mid, served,
-                           static_cast<std::uint64_t>(
-                               rec.shed_requests));
-            monitor.record(avail_obj, t_mid,
-                           rec.slo_violation ? 0 : 1,
-                           rec.slo_violation ? 1 : 0);
-            const auto emitted = monitor.evaluate(t_mid);
-            ledger.telemetry.alerts.insert(
-                ledger.telemetry.alerts.end(), emitted.begin(),
-                emitted.end());
+        const double t_mid = (static_cast<double>(e) + 0.5) * kEpochDurationS;
+        const auto served = static_cast<std::uint64_t>(
+            static_cast<std::int64_t>(all_stats.size()) - rec.shed_requests);
+        const auto over = static_cast<std::uint64_t>(over_latency);
+        monitor.record(lat_obj, t_mid, served - over, over);
+        monitor.record(shed_obj, t_mid, served,
+                       static_cast<std::uint64_t>(rec.shed_requests));
+        monitor.record(avail_obj, t_mid, rec.slo_violation ? 0 : 1,
+                       rec.slo_violation ? 1 : 0);
+        const auto emitted = monitor.evaluate(t_mid);
+        ledger.telemetry.alerts.insert(ledger.telemetry.alerts.end(),
+                                       emitted.begin(), emitted.end());
 
-            trow.epoch = e;
-            trow.load_ratio =
-                rec.offered_qps / std::max(1e-9, rec.forecast_qps);
-            trow.burst_flagged = burst_detector.step(trow.load_ratio);
-            burst_flags.push_back(trow.burst_flagged);
-            trow.latency_fast_burn = monitor.status(lat_obj).fast_burn;
-            trow.latency_slow_burn = monitor.status(lat_obj).slow_burn;
-            trow.shed_fast_burn = monitor.status(shed_obj).fast_burn;
-            trow.shed_slow_burn = monitor.status(shed_obj).slow_burn;
-            trow.availability_fast_burn =
-                monitor.status(avail_obj).fast_burn;
-            trow.availability_slow_burn =
-                monitor.status(avail_obj).slow_burn;
-            trow.latency_budget_consumed =
-                monitor.status(lat_obj).budgetConsumed(
-                    monitor.objective(lat_obj).budget_fraction);
-            for (std::size_t o = 0; o < monitor.objectiveCount(); ++o)
-                trow.alerts_firing +=
-                    monitor.status(static_cast<int>(o)).state ==
-                            obs::AlertState::Firing
-                        ? 1
-                        : 0;
-            ledger.telemetry.epochs.push_back(trow);
-        }
+        trow.epoch = e;
+        trow.load_ratio = rec.offered_qps / std::max(1e-9, rec.forecast_qps);
+        trow.burst_flagged = burst_detector.step(trow.load_ratio);
+        burst_flags.push_back(trow.burst_flagged);
+        trow.latency_fast_burn = monitor.status(lat_obj).fast_burn;
+        trow.latency_slow_burn = monitor.status(lat_obj).slow_burn;
+        trow.shed_fast_burn = monitor.status(shed_obj).fast_burn;
+        trow.shed_slow_burn = monitor.status(shed_obj).slow_burn;
+        trow.availability_fast_burn = monitor.status(avail_obj).fast_burn;
+        trow.availability_slow_burn = monitor.status(avail_obj).slow_burn;
+        trow.latency_budget_consumed =
+            monitor.status(lat_obj).budgetConsumed(
+                monitor.objective(lat_obj).budget_fraction);
+        for (std::size_t o = 0; o < monitor.objectiveCount(); ++o)
+            trow.alerts_firing +=
+                monitor.status(static_cast<int>(o)).state ==
+                        obs::AlertState::Firing
+                    ? 1
+                    : 0;
+        ledger.telemetry.epochs.push_back(trow);
 
         // Summarize the epoch's trace retention into the telemetry
         // side-ledger (fingerprint-excluded). Exemplars: the highest
@@ -941,29 +927,24 @@ FleetSim::run(Autoscaler &policy)
                 m.counter("fleet.reconfigurations").inc();
             m.counter("fleet.slo_violation_epochs")
                 .inc(rec.slo_violation ? 1 : 0);
-            if (tele.enabled) {
-                m.gauge("slo.latency_fast_burn")
-                    .set(trow.latency_fast_burn);
-                m.gauge("slo.latency_slow_burn")
-                    .set(trow.latency_slow_burn);
-                m.gauge("slo.shed_fast_burn").set(trow.shed_fast_burn);
-                m.gauge("slo.shed_slow_burn").set(trow.shed_slow_burn);
-                m.gauge("slo.availability_fast_burn")
-                    .set(trow.availability_fast_burn);
-                m.gauge("slo.latency_budget_consumed")
-                    .set(trow.latency_budget_consumed);
-                m.gauge("slo.alerts_firing")
-                    .set(static_cast<double>(trow.alerts_firing));
-                m.gauge("detect.load_ratio").set(trow.load_ratio);
-                m.gauge("detect.burst_flag")
-                    .set(trow.burst_flagged ? 1.0 : 0.0);
-                m.counter("slo.alert_transitions")
-                    .inc(static_cast<std::int64_t>(
-                        ledger.telemetry.alerts.size() -
-                        alert_transitions_counted));
-                alert_transitions_counted =
-                    ledger.telemetry.alerts.size();
-            }
+            m.gauge("slo.latency_fast_burn").set(trow.latency_fast_burn);
+            m.gauge("slo.latency_slow_burn").set(trow.latency_slow_burn);
+            m.gauge("slo.shed_fast_burn").set(trow.shed_fast_burn);
+            m.gauge("slo.shed_slow_burn").set(trow.shed_slow_burn);
+            m.gauge("slo.availability_fast_burn")
+                .set(trow.availability_fast_burn);
+            m.gauge("slo.latency_budget_consumed")
+                .set(trow.latency_budget_consumed);
+            m.gauge("slo.alerts_firing")
+                .set(static_cast<double>(trow.alerts_firing));
+            m.gauge("detect.load_ratio").set(trow.load_ratio);
+            m.gauge("detect.burst_flag")
+                .set(trow.burst_flagged ? 1.0 : 0.0);
+            m.counter("slo.alert_transitions")
+                .inc(static_cast<std::int64_t>(
+                    ledger.telemetry.alerts.size() -
+                    alert_transitions_counted));
+            alert_transitions_counted = ledger.telemetry.alerts.size();
             // Trace-retention mirror (sampling runs only — registering
             // these keys unconditionally would change the snapshot
             // schema of existing sampling-free runs). dropped_stale
@@ -991,16 +972,14 @@ FleetSim::run(Autoscaler &policy)
 
     // Score the online burst detector against the load model's seeded
     // ground truth (which epochs actually drew bursts).
-    if (tele.enabled)
-        ledger.telemetry.burst_eval =
-            obs::scoreFlags(burst_detector.name(), burst_flags, load_,
-                            kDetectMatchWindowEpochs);
+    ledger.telemetry.burst_eval = obs::scoreFlags(
+        burst_detector.name(), burst_flags, load_, kDetectMatchWindowEpochs);
 
     // Chaos scorecards: grade each scheduled event against the measured
     // attainment trajectory and the burn-rate clock. Recovery is read
     // off PR 7's alerting state — an epoch is "healthy" when no
     // objective fires and every fast burn sits under its threshold.
-    if (tele.enabled && !cfg_.faults.empty()) {
+    if (!cfg_.faults.empty()) {
         const auto healthyAt = [&](int f) {
             const auto &t =
                 ledger.telemetry.epochs[static_cast<std::size_t>(f)];

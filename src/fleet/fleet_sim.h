@@ -66,25 +66,6 @@ inline constexpr std::size_t kTracePerEpochByteBudget = 256u << 10;
 /** Max exemplar request ids per epoch summary / scorecard. */
 inline constexpr std::size_t kTraceScenarioExemplars = 4;
 
-/**
- * Telemetry analysis attached to a fleet run: SLO burn-rate alerting
- * over the measured per-epoch event counts, plus an online burst
- * detector on the offered/forecast load ratio, scored against the load
- * model's seeded ground truth. Pure post-epoch arithmetic over values
- * the ledger already measured — it can NEVER feed back into the
- * simulation, so FleetStats::fingerprint() is byte-identical with the
- * analysis on or off (the purity contract fleet_test pins down). Only
- * an autoscaling policy that consumes its own alert stream (e.g.
- * BurnRateAutoscaler) changes a run, and that is a different policy,
- * not a monitor side effect. The burn windows, thresholds and budgets
- * are fleet_sim.cc's telemetry constants (kFastWindowEpochs and
- * onward); the shed budget is the SLO's max_shed_rate.
- */
-struct TelemetryConfig
-{
-    bool enabled = true;
-};
-
 /** Fleet-simulation parameters. */
 struct FleetConfig
 {
@@ -104,25 +85,24 @@ struct FleetConfig
      * fingerprint. Not owned; must outlive run().
      */
     obs::MetricsRegistry *metrics = nullptr;
-    /** Burn-rate/detector analysis folded into FleetStats::telemetry. */
-    TelemetryConfig telemetry;
     /**
      * Injected-fault script (empty by default). Events apply per epoch
      * through the serving runtime control surface; an empty schedule is
      * byte-identical to a fault-free run (purity), and the same
-     * schedule reproduces byte-identical ledgers (determinism). With
-     * telemetry enabled, each event is graded into a ScenarioOutcome
-     * scorecard on the telemetry side-ledger.
+     * schedule reproduces byte-identical ledgers (determinism). Each
+     * event is graded into a ScenarioOutcome scorecard on the telemetry
+     * side-ledger.
      */
     FaultSchedule faults;
 
     /**
      * Bounded per-epoch trace retention via obs::TraceSampler. When
      * enabled, every epoch runs with a fresh span tracer + sampler
-     * (seed mixed with the epoch index) and a per-segment rolling
-     * latency feed driving the tail threshold; the epoch's retained
-     * traces are summarized into TelemetryLedger::traces and blast-
-     * epoch exemplar request ids are attached to chaos scorecards.
+     * (fleet_sim.cc's kTraceSamplingSeed mixed with the epoch index)
+     * and a per-segment rolling latency feed driving the tail
+     * threshold; the epoch's retained traces are summarized into
+     * TelemetryLedger::traces and blast-epoch exemplar request ids are
+     * attached to chaos scorecards.
      * Observation-pure by construction: the sampler draws only its
      * private RNG, so ledger AND telemetry fingerprints are identical
      * with sampling on or off (asserted by fleet tests).
@@ -130,7 +110,6 @@ struct FleetConfig
     struct TraceSamplingConfig
     {
         bool enabled = false;
-        std::uint64_t seed = 0x7ace5eed;
     };
     TraceSamplingConfig trace_sampling;
 };
@@ -217,7 +196,19 @@ struct EpochTraceSummary
     std::vector<Exemplar> exemplars;
 };
 
-/** The telemetry side-ledger a monitored fleet run produces. */
+/**
+ * The telemetry side-ledger every fleet run produces: SLO burn-rate
+ * alerting over the measured per-epoch event counts, plus an online
+ * burst detector on the offered/forecast load ratio, scored against the
+ * load model's seeded ground truth. Pure post-epoch arithmetic over
+ * values the ledger already measured — it can NEVER feed back into the
+ * simulation, and FleetStats::fingerprint() excludes it. Only an
+ * autoscaling policy that consumes its own alert stream (e.g.
+ * BurnRateAutoscaler) changes a run, and that is a different policy,
+ * not a monitor side effect. The burn windows, thresholds and budgets
+ * are fleet_sim.cc's telemetry constants (kFastWindowEpochs and
+ * onward); the shed budget is the SLO's max_shed_rate.
+ */
 struct TelemetryLedger
 {
     std::vector<EpochTelemetry> epochs;
@@ -255,7 +246,7 @@ struct FleetStats
 {
     std::string policy;
     std::vector<EpochRecord> epochs;
-    /** Analysis side-ledger (empty when FleetConfig telemetry is off). */
+    /** Analysis side-ledger. */
     TelemetryLedger telemetry;
 
     double totalMachineHours() const;
@@ -270,7 +261,8 @@ struct FleetStats
      * patterns, not rounded values): equal fingerprints mean
      * byte-identical ledgers, the determinism contract reruns assert.
      * Deliberately EXCLUDES the telemetry side-ledger: the simulation
-     * fingerprint must be identical with monitors attached or not.
+     * fingerprint covers what was simulated, not what monitors made of
+     * it.
      */
     std::uint64_t fingerprint() const;
 

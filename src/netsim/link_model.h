@@ -40,6 +40,10 @@ struct LinkConfig
 class LinkModel
 {
   public:
+    /**
+     * Throws std::invalid_argument, in every build type, for a negative
+     * base_one_way_ns or jitter_sigma, or bandwidth_bytes_per_ns <= 0.
+     */
     explicit LinkModel(LinkConfig config);
 
     /** One-way delay for a message of the given size, jitter drawn from

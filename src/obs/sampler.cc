@@ -66,14 +66,12 @@ TraceSampler::rootFlagged(const Tree &tree) const
 sim::Duration
 TraceSampler::tailThreshold(sim::SimTime now) const
 {
-    if (cfg_.latency_feed != nullptr) {
-        const double q = cfg_.latency_feed->valueAtQuantile(
-            static_cast<double>(now) * 1e-9, cfg_.tail_quantile,
-            /*empty_value=*/-1.0);
-        if (q >= 0.0)
-            return static_cast<sim::Duration>(q);
-    }
-    return cfg_.tail_threshold_ns;
+    if (cfg_.latency_feed == nullptr)
+        return 0;
+    const double q = cfg_.latency_feed->valueAtQuantile(
+        static_cast<double>(now) * 1e-9, kTailQuantile,
+        /*empty_value=*/-1.0);
+    return q >= 0.0 ? static_cast<sim::Duration>(q) : 0;
 }
 
 void

@@ -23,13 +23,13 @@
  *     kFlagFault (an attempt hit a dead/partitioned/unresolvable
  *     target). Fault debris that closes after the root close is graded
  *     best-effort: flags present at decision time decide.
- *  2. **Tail** — the root's duration meets the rolling-quantile
- *     threshold read from SamplerConfig::latency_feed (the same
- *     RollingHistogram ServingConfig::latency_feed fills; the feed
- *     observes a request only after the sampler's decision, so the
- *     threshold never includes the request being judged), falling back
- *     to the static tail_threshold_ns when no feed is attached or the
- *     window is empty.
+ *  2. **Tail** — the root's duration meets the rolling
+ *     TraceSampler::kTailQuantile threshold read from
+ *     SamplerConfig::latency_feed (the same RollingHistogram
+ *     ServingConfig::latency_feed fills; the feed observes a request
+ *     only after the sampler's decision, so the threshold never
+ *     includes the request being judged). With no feed attached, or an
+ *     empty window, nothing is a tail keep.
  *  3. **Reservoir** — a seeded uniform reservoir (Algorithm R) of
  *     reservoir_size roots over every root close, so healthy traffic
  *     stays represented no matter how long the replay runs. The
@@ -81,16 +81,12 @@ struct SamplerConfig
     std::uint64_t seed = 0x5a3b1ed;
     /** Uniform-reservoir size over root closes (0 disables it). */
     std::size_t reservoir_size = 32;
-    /** Rolling-quantile tail threshold (q of the latency feed). */
-    double tail_quantile = 0.99;
     /**
      * Rolling latency window the tail threshold is read from —
      * typically the SAME RollingHistogram wired into
-     * ServingConfig::latency_feed. Not owned; may be null.
+     * ServingConfig::latency_feed. Not owned; null turns tail keeps off.
      */
     const RollingHistogram *latency_feed = nullptr;
-    /** Static tail threshold when no feed (or an empty window); 0 = off. */
-    sim::Duration tail_threshold_ns = 0;
     /** Hard cap on retained span bytes (sum of span-record storage). */
     std::size_t retained_byte_budget = 4u << 20;
 };
@@ -133,6 +129,9 @@ struct SamplerStats
 class TraceSampler
 {
   public:
+    /** Quantile of the latency feed a root must meet to be a tail keep. */
+    static constexpr double kTailQuantile = 0.99;
+
     explicit TraceSampler(SamplerConfig config = {});
 
     TraceSampler(const TraceSampler &) = delete;
@@ -239,6 +238,7 @@ class TraceSampler
 
   private:
     bool rootFlagged(const Tree &tree) const;
+    /** Tail-keep threshold at `now`; 0 (off) without a feed or samples. */
     sim::Duration tailThreshold(sim::SimTime now) const;
     void retain(Tree *tree);
     void recycle(Tree *tree);

@@ -41,8 +41,7 @@ ResultCache::insert(const Key &key, std::int64_t response_bytes,
         return;
     if (dispatch_epoch != epoch_)
         return; // pooled from a snapshot invalidated while on the wire
-    if (config_.capacity_bytes > 0 &&
-        response_bytes > config_.capacity_bytes)
+    if (response_bytes > kResultCacheCapacityBytes)
         return; // larger than the whole budget
     const std::uint32_t *slot = entries_.find(key);
     if (slot != nullptr) {
@@ -70,8 +69,7 @@ ResultCache::insert(const Key &key, std::int64_t response_bytes,
         used_bytes_ += response_bytes;
         ++stats_.insertions;
     }
-    while (config_.capacity_bytes > 0 &&
-           used_bytes_ > config_.capacity_bytes && tail_ != kNil) {
+    while (used_bytes_ > kResultCacheCapacityBytes && tail_ != kNil) {
         eraseNode(tail_);
         ++stats_.evictions;
     }

@@ -31,12 +31,14 @@
 
 namespace dri::rpc {
 
+/** Byte budget over cached pooled-response payloads. */
+inline constexpr std::int64_t kResultCacheCapacityBytes = 64LL << 20;
+static_assert(kResultCacheCapacityBytes > 0);
+
 /** Pooled-result cache configuration (off by default). */
 struct ResultCacheConfig
 {
     bool enabled = false;
-    /** Byte budget over cached pooled-response payloads (0 = unbounded). */
-    std::int64_t capacity_bytes = 64LL << 20;
     /**
      * Entry lifetime on the simulation clock; 0 = no expiry. Models the
      * embedding-refresh staleness bound: a pooled result computed from

@@ -1,6 +1,6 @@
 /**
  * @file
- * Thrift-like RPC service cost model.
+ * Thrift-like RPC service costs.
  *
  * Every shard — main and sparse — runs a full service handler plus an ML
  * framework instance (Section III-A2). The measurable costs the paper's
@@ -8,6 +8,7 @@
  * ("RPC Ser/De", proportional to payload bytes), fixed handler boilerplate
  * ("RPC Service Function"), framework net-scheduling overhead ("Caffe2 Net
  * Overhead"), and the client-side cost of issuing asynchronous RPC ops.
+ * Every service instance shares the same calibrated coefficients.
  */
 #pragma once
 
@@ -18,56 +19,30 @@
 
 namespace dri::rpc {
 
-/** Cost coefficients for one service instance. */
-struct ServiceConfig
+/** Fixed handler boilerplate per served request (CPU). */
+inline constexpr sim::Duration kHandlerFixedNs = 40 * sim::kMicrosecond;
+/** Serialization/deserialization CPU cost per payload byte. */
+inline constexpr double kSerdeNsPerByte = 0.08;
+/** Framework scheduling overhead per net execution (CPU). */
+inline constexpr sim::Duration kNetOverheadNs = 30 * sim::kMicrosecond;
+/** Extra framework bookkeeping per asynchronous op in a net (CPU). */
+inline constexpr sim::Duration kAsyncOpOverheadNs = 4 * sim::kMicrosecond;
+/** Client-side CPU to construct and dispatch one RPC request. */
+inline constexpr sim::Duration kClientDispatchNs = 6 * sim::kMicrosecond;
+
+/** CPU to (de)serialize a payload of the given size. */
+inline sim::Duration
+serdeNs(std::int64_t bytes)
 {
-    /** Fixed handler boilerplate per served request (CPU). */
-    sim::Duration handler_fixed_ns = 40 * sim::kMicrosecond;
-    /** Serialization/deserialization CPU cost per payload byte. */
-    double serde_ns_per_byte = 0.08;
-    /** Framework scheduling overhead per net execution (CPU). */
-    sim::Duration net_overhead_ns = 30 * sim::kMicrosecond;
-    /** Extra framework bookkeeping per asynchronous op in a net (CPU). */
-    sim::Duration async_op_overhead_ns = 4 * sim::kMicrosecond;
-    /** Client-side CPU to construct and dispatch one RPC request. */
-    sim::Duration client_dispatch_ns = 6 * sim::kMicrosecond;
-};
+    return static_cast<sim::Duration>(
+        std::llround(kSerdeNsPerByte * static_cast<double>(bytes)));
+}
 
-/** Evaluates service-stack costs. */
-class ServiceCostModel
+/** Framework overhead for executing a net with the given async ops. */
+inline sim::Duration
+netOverheadNs(std::int64_t async_ops)
 {
-  public:
-    explicit ServiceCostModel(ServiceConfig config) : config_(config) {}
-
-    /** CPU to (de)serialize a payload of the given size. */
-    sim::Duration
-    serdeNs(std::int64_t bytes) const
-    {
-        return static_cast<sim::Duration>(std::llround(
-            config_.serde_ns_per_byte * static_cast<double>(bytes)));
-    }
-
-    /** Fixed per-request handler CPU. */
-    sim::Duration handlerNs() const { return config_.handler_fixed_ns; }
-
-    /** Framework overhead for executing a net with the given async ops. */
-    sim::Duration
-    netOverheadNs(std::int64_t async_ops) const
-    {
-        return config_.net_overhead_ns +
-               async_ops * config_.async_op_overhead_ns;
-    }
-
-    /** Client-side CPU for dispatching one RPC. */
-    sim::Duration clientDispatchNs() const
-    {
-        return config_.client_dispatch_ns;
-    }
-
-    const ServiceConfig &config() const { return config_; }
-
-  private:
-    ServiceConfig config_;
-};
+    return kNetOverheadNs + async_ops * kAsyncOpOverheadNs;
+}
 
 } // namespace dri::rpc

@@ -35,7 +35,12 @@ DynamicBatcher::DynamicBatcher(core::ServingSimulation &sim,
                                BatcherConfig config)
     : sim_(sim), cfg_(config)
 {
-    assert(cfg_.max_batch_items > 0);
+    if (cfg_.max_batch_items <= 0)
+        throw std::invalid_argument(
+            "DynamicBatcher: max_batch_items must be > 0");
+    if (cfg_.max_queue_delay_ns < 0)
+        throw std::invalid_argument(
+            "DynamicBatcher: max_queue_delay_ns must be >= 0");
 }
 
 void
@@ -67,8 +72,7 @@ DynamicBatcher::offer(const workload::Request &request)
 
     // Size triggers apply under every policy.
     if (pending_items_ >= cfg_.max_batch_items ||
-        (cfg_.max_batch_requests > 0 &&
-         pending_.size() >= cfg_.max_batch_requests)) {
+        pending_.size() >= kMaxBatchRequests) {
         flushNow();
         return;
     }

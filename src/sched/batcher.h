@@ -58,14 +58,16 @@ enum class BatchPolicy
 /** Short lower-case policy name for labels and JSON rows. */
 const char *policyName(BatchPolicy policy);
 
+/** Flush once this many requests are pending, under every policy. */
+inline constexpr std::size_t kMaxBatchRequests = 32;
+static_assert(kMaxBatchRequests > 0);
+
 /** Batching policy parameters. */
 struct BatcherConfig
 {
     BatchPolicy policy = BatchPolicy::TimeoutCapped;
     /** Flush once the pending batch reaches this many items. */
     std::int64_t max_batch_items = 2048;
-    /** Flush once this many requests are pending (0 = no request cap). */
-    std::size_t max_batch_requests = 32;
     /** Max time the oldest pending request may wait before injection. */
     sim::Duration max_queue_delay_ns = 2 * sim::kMillisecond;
     /**
@@ -86,6 +88,10 @@ struct BatcherConfig
 class DynamicBatcher
 {
   public:
+    /**
+     * Throws std::invalid_argument, in every build type, unless
+     * max_batch_items > 0 and max_queue_delay_ns >= 0.
+     */
     DynamicBatcher(core::ServingSimulation &sim, BatcherConfig config);
 
     DynamicBatcher(const DynamicBatcher &) = delete;

@@ -38,10 +38,10 @@ hedgeStudyConfig(rpc::LoadBalancePolicy policy, int sparse_replicas,
     // queue excursions instead, which no backup can outrun).
     cfg.sparse_worker_threads = 6;
     // Transient co-located-service interference: ~2% of RPC attempts run
-    // 8x slower. This is the straggler tail the quantile deadline trips
-    // on; a re-rolled backup almost never hits the same event.
+    // 8x slower (serving.cc's kStragglerMultiplier). This is the
+    // straggler tail the quantile deadline trips on; a re-rolled backup
+    // almost never hits the same event.
     cfg.faults.straggler_prob = 0.02;
-    cfg.faults.straggler_multiplier = 8.0;
     cfg.hedge.enabled = hedged;
     cfg.hedge.quantile = 0.95;
     cfg.hedge.min_samples = 64;

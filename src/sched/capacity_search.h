@@ -81,6 +81,12 @@ struct CapacitySearchConfig
     /** Route probes through a DynamicBatcher instead of raw open loop. */
     bool use_batcher = false;
     BatcherConfig batcher;
+    /**
+     * Arrival-process seed of batched probes (runBatchedOpenLoop) only.
+     * Open-loop probes (use_batcher == false) ignore it: their arrivals
+     * come from ServingSimulation::replayOpenLoop, seeded by
+     * ServingConfig::seed.
+     */
     std::uint64_t arrival_seed = 0xa881;
 };
 

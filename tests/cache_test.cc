@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <list>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "cache/lookup_model.h"
@@ -529,16 +531,17 @@ TEST(Integration, ServingLatencyReflectsCacheModel)
     core::ServingConfig base;
     base.worker_threads = 4;
 
+    // A singular plan's inline SLS is priced from shard_cache_models[0].
     // Low hit rate -> expensive lookups -> strictly slower than both the
     // flat model and a perfect cache.
     auto degraded = base;
-    degraded.cache_model = std::make_shared<cache::CachedLookupModel>(
+    degraded.shard_cache_models = {std::make_shared<cache::CachedLookupModel>(
         cache::CachedLookupModel::fromHitRate(spec.tables.size(), 0.2,
-                                              {25.0, 20000.0}));
+                                              {25.0, 20000.0}))};
     auto perfect = base;
-    perfect.cache_model = std::make_shared<cache::CachedLookupModel>(
+    perfect.shard_cache_models = {std::make_shared<cache::CachedLookupModel>(
         cache::CachedLookupModel::fromHitRate(spec.tables.size(), 1.0,
-                                              {25.0, 20000.0}));
+                                              {25.0, 20000.0}))};
 
     const auto plan = core::makeSingular(spec);
     core::ServingSimulation flat_sim(spec, plan, base);
@@ -561,11 +564,27 @@ TEST(Integration, ServingLatencyReflectsCacheModel)
     EXPECT_DOUBLE_EQ(fast_e2e, flat_e2e);
 }
 
-TEST(Integration, PerShardCacheModelsOverrideGlobal)
+/** Hit-rate model over every table of `spec`. */
+std::shared_ptr<const cache::CachedLookupModel>
+hitRateModel(const model::ModelSpec &spec, double hit_rate)
+{
+    return std::make_shared<cache::CachedLookupModel>(
+        cache::CachedLookupModel::fromHitRate(spec.tables.size(), hit_rate,
+                                              {25.0, 50000.0}));
+}
+
+/**
+ * Each shard's op time summed over a serial replay of a two-shard plan,
+ * priced with the given per-shard models.
+ */
+std::vector<double>
+twoShardOpTotals(
+    std::vector<std::shared_ptr<const cache::CachedLookupModel>> models)
 {
     const auto spec = smallSpec(4);
-    workload::RequestGenerator gen(spec, workload::GeneratorConfig{5});
-    const auto requests = gen.generate(20);
+    const auto requests =
+        workload::RequestGenerator(spec, workload::GeneratorConfig{5})
+            .generate(20);
     const auto pooling =
         workload::RequestGenerator(spec, workload::GeneratorConfig{5})
             .estimatePoolingFactors(200);
@@ -573,32 +592,41 @@ TEST(Integration, PerShardCacheModelsOverrideGlobal)
 
     core::ServingConfig config;
     config.worker_threads = 4;
-    // Global model says perfect; shard 1's override says degraded.
-    config.cache_model = std::make_shared<cache::CachedLookupModel>(
-        cache::CachedLookupModel::fromHitRate(spec.tables.size(), 1.0,
-                                              {25.0, 50000.0}));
-    core::ServingSimulation uniform_sim(spec, plan, config);
-    const auto uniform = uniform_sim.replaySerial(requests);
+    config.shard_cache_models = std::move(models);
+    core::ServingSimulation sim(spec, plan, config);
+    std::vector<double> totals(2, 0.0);
+    for (const auto &st : sim.replaySerial(requests))
+        for (std::size_t s = 0; s < totals.size(); ++s)
+            totals[s] += st.shard_op_ns[s];
+    return totals;
+}
 
-    config.shard_cache_models.resize(2);
-    config.shard_cache_models[1] =
-        std::make_shared<cache::CachedLookupModel>(
-            cache::CachedLookupModel::fromHitRate(spec.tables.size(), 0.1,
-                                                  {25.0, 50000.0}));
-    core::ServingSimulation skewed_sim(spec, plan, config);
-    const auto skewed = skewed_sim.replaySerial(requests);
+TEST(Integration, PerShardCacheModelsPriceTheirOwnShard)
+{
+    const auto spec = smallSpec(4);
+    // Both shards perfect, then shard 1 degraded: only shard 1 slows.
+    const auto uniform = twoShardOpTotals(
+        {hitRateModel(spec, 1.0), hitRateModel(spec, 1.0)});
+    const auto skewed = twoShardOpTotals(
+        {hitRateModel(spec, 1.0), hitRateModel(spec, 0.1)});
+    EXPECT_DOUBLE_EQ(skewed[0], uniform[0]);
+    EXPECT_GT(skewed[1], uniform[1] * 5.0);
+}
 
-    double uniform_shard1 = 0.0, skewed_shard1 = 0.0;
-    double uniform_shard0 = 0.0, skewed_shard0 = 0.0;
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-        uniform_shard0 += uniform[i].shard_op_ns[0];
-        skewed_shard0 += skewed[i].shard_op_ns[0];
-        uniform_shard1 += uniform[i].shard_op_ns[1];
-        skewed_shard1 += skewed[i].shard_op_ns[1];
-    }
-    // Shard 0 keeps the global (perfect) model; shard 1 slows down.
-    EXPECT_DOUBLE_EQ(skewed_shard0, uniform_shard0);
-    EXPECT_GT(skewed_shard1, uniform_shard1 * 5.0);
+TEST(Integration, NullOrMissingShardCacheModelIsPricedFlat)
+{
+    const auto spec = smallSpec(4);
+    const auto flat = twoShardOpTotals({});
+    // A shard without a model matches the no-model run exactly, while
+    // its degraded sibling slows down.
+    const auto null_entry =
+        twoShardOpTotals({nullptr, hitRateModel(spec, 0.1)});
+    EXPECT_DOUBLE_EQ(null_entry[0], flat[0]);
+    EXPECT_GT(null_entry[1], flat[1] * 5.0);
+
+    const auto short_vector = twoShardOpTotals({hitRateModel(spec, 0.1)});
+    EXPECT_GT(short_vector[0], flat[0] * 5.0);
+    EXPECT_DOUBLE_EQ(short_vector[1], flat[1]);
 }
 
 } // namespace

@@ -272,10 +272,7 @@ TEST(CacheInvariants, BudgetAndGhostBoundsHoldThroughout)
 
 TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
 {
-    cache::TinyLfuConfig cfg;
-    cfg.counters = 256;
-    cfg.sample_period = 1024;
-    cache::TinyLfuFilter sketch(cfg);
+    cache::TinyLfuFilter sketch;
 
     // A never-seen key estimates 0 and is refused admission.
     EXPECT_EQ(sketch.estimate(7, 777), 0);
@@ -290,14 +287,21 @@ TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
     EXPECT_EQ(sketch.estimate(0, 42), 15);
     EXPECT_TRUE(sketch.admit(0, 42, 128));
 
-    // Stop touching the hot key; after >= 2 aging periods its estimate
-    // has halved at least twice (15 -> 7 -> 3): the sketch tracks the
-    // recent window, not all of history.
+    // Stop touching the hot key; after two aging periods its estimate
+    // has halved twice (15 -> 7 -> 3): the sketch tracks the recent
+    // window, not all of history. The filler hammers one other key, so
+    // the hot key's counters see no collisions and decay exactly.
     const std::uint64_t agings_before = sketch.agings();
-    for (int i = 0; i < 2200; ++i)
-        sketch.onAccess(1, i);
-    EXPECT_GE(sketch.agings(), agings_before + 2);
-    EXPECT_LE(sketch.estimate(0, 42), 3);
+    for (std::uint64_t i = 0; i < 2 * cache::TinyLfuFilter::kSamplePeriod;
+         ++i)
+        sketch.onAccess(1, 7);
+    EXPECT_EQ(sketch.agings(), agings_before + 2);
+    EXPECT_EQ(sketch.estimate(0, 42), 3);
+    // Halving keeps each 4-bit counter inside its own nibble: the filler
+    // saturated again after its last halving, and a key never touched
+    // still estimates zero.
+    EXPECT_EQ(sketch.estimate(1, 7), 15);
+    EXPECT_EQ(sketch.estimate(7, 777), 0);
 }
 
 TEST(AdmissionWrapper, DelegatesResidencyAndPolicy)

@@ -435,12 +435,12 @@ TEST(FleetSim, MetricsRegistryMirrorsLedgerWithoutPerturbingIt)
 }
 
 /**
- * The telemetry side-ledger is a pure observer: the simulation
- * fingerprint is byte-identical with telemetry enabled and disabled,
- * the disabled run leaves an empty side-ledger, and the enabled run's
- * telemetry (alert stream included) is itself deterministic.
+ * The telemetry side-ledger is deterministic and stays out of the
+ * simulation ledger: a rerun reproduces both fingerprints, mutating the
+ * telemetry leaves fingerprint() unchanged, and telemetryFingerprint()
+ * is sensitive to its own content.
  */
-TEST(FleetSim, TelemetryAttachmentIsPure)
+TEST(FleetSim, TelemetryLedgerIsDeterministicAndSeparate)
 {
     const auto spec = model::makeDrm2();
     const auto plan = core::makeCapacityBalanced(spec, 4);
@@ -452,36 +452,23 @@ TEST(FleetSim, TelemetryAttachmentIsPure)
     fleet::ReactiveConfig rc;
     rc.slo.p99_ms = 60.0;
 
-    auto monitored_fc = smallFleet(6);
-    ASSERT_TRUE(monitored_fc.telemetry.enabled);
-    fleet::FleetSim monitored_sim(spec, plan, fleetTestServing(), load,
-                                  monitored_fc);
+    fleet::FleetSim sim(spec, plan, fleetTestServing(), load, smallFleet(6));
     fleet::ReactiveAutoscaler a({4, 4, 4, 4}, rc);
-    const auto monitored = monitored_sim.run(a);
+    const auto monitored = sim.run(a);
+    ASSERT_EQ(monitored.telemetry.epochs.size(), monitored.epochs.size());
 
-    auto blind_fc = smallFleet(6);
-    blind_fc.telemetry.enabled = false;
-    fleet::FleetSim blind_sim(spec, plan, fleetTestServing(), load,
-                              blind_fc);
-    fleet::ReactiveAutoscaler b({4, 4, 4, 4}, rc);
-    const auto blind = blind_sim.run(b);
-
-    EXPECT_EQ(monitored.fingerprint(), blind.fingerprint());
-    EXPECT_TRUE(blind.telemetry.epochs.empty());
-    EXPECT_TRUE(blind.telemetry.alerts.empty());
-
-    ASSERT_EQ(monitored.telemetry.epochs.size(),
-              monitored.epochs.size());
     fleet::ReactiveAutoscaler c({4, 4, 4, 4}, rc);
-    const auto rerun = monitored_sim.run(c);
+    const auto rerun = sim.run(c);
     EXPECT_EQ(rerun.fingerprint(), monitored.fingerprint());
     EXPECT_EQ(rerun.telemetryFingerprint(),
               monitored.telemetryFingerprint());
-    // The telemetry fingerprint is sensitive to its own content.
+    // The telemetry fingerprint is sensitive to its own content, and
+    // the simulation fingerprint is blind to it.
     auto mutated = monitored;
     mutated.telemetry.epochs[1].latency_fast_burn += 1e-9;
     EXPECT_NE(mutated.telemetryFingerprint(),
               monitored.telemetryFingerprint());
+    EXPECT_EQ(mutated.fingerprint(), monitored.fingerprint());
 }
 
 /**

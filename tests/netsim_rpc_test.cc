@@ -1,11 +1,14 @@
 /**
  * @file
- * Tests for the network-link model, message sizing, Thrift-like service
- * cost model, and the service-discovery stub.
+ * Tests for the network-link model (and its constructor's throw rules),
+ * message sizing, the Thrift-like service costs, and the
+ * service-discovery stub.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <stdexcept>
 
 #include "netsim/link_model.h"
 #include "netsim/message.h"
@@ -43,6 +46,30 @@ TEST(LinkModel, JitterIsLognormalAroundBase)
     EXPECT_GT(q.min(), 0.0);
 }
 
+TEST(LinkModelMisuse, NegativeBaseLatencyThrows)
+{
+    netsim::LinkConfig config;
+    config.base_one_way_ns = -1;
+    EXPECT_THROW(netsim::LinkModel{config}, std::invalid_argument);
+}
+
+TEST(LinkModelMisuse, NegativeJitterSigmaThrows)
+{
+    netsim::LinkConfig config;
+    config.jitter_sigma = -0.25;
+    EXPECT_THROW(netsim::LinkModel{config}, std::invalid_argument);
+}
+
+TEST(LinkModelMisuse, NonPositiveBandwidthThrows)
+{
+    for (const double bw : {0.0, -6.0, std::nan("")}) {
+        netsim::LinkConfig config;
+        config.bandwidth_bytes_per_ns = bw;
+        EXPECT_THROW(netsim::LinkModel{config}, std::invalid_argument)
+            << bw;
+    }
+}
+
 TEST(LinkModel, BiggerMessagesSlower)
 {
     netsim::LinkModel link(netsim::LinkConfig{});
@@ -75,19 +102,17 @@ TEST(Message, RankingRequestCountsItemsAndIndices)
 
 TEST(Service, SerdeProportionalToBytes)
 {
-    rpc::ServiceConfig config;
-    config.serde_ns_per_byte = 0.1;
-    rpc::ServiceCostModel model(config);
-    EXPECT_EQ(model.serdeNs(1000), 100);
-    EXPECT_EQ(model.serdeNs(0), 0);
+    // 0.08 ns per byte, rounded to the nearest nanosecond.
+    EXPECT_EQ(rpc::serdeNs(1000), 80);
+    EXPECT_EQ(rpc::serdeNs(0), 0);
 }
 
 TEST(Service, NetOverheadGrowsWithAsyncOps)
 {
-    rpc::ServiceCostModel model(rpc::ServiceConfig{});
-    EXPECT_LT(model.netOverheadNs(0), model.netOverheadNs(8));
-    EXPECT_EQ(model.netOverheadNs(8) - model.netOverheadNs(0),
-              8 * model.config().async_op_overhead_ns);
+    EXPECT_EQ(rpc::netOverheadNs(0), rpc::kNetOverheadNs);
+    EXPECT_LT(rpc::netOverheadNs(0), rpc::netOverheadNs(8));
+    EXPECT_EQ(rpc::netOverheadNs(8) - rpc::netOverheadNs(0),
+              8 * rpc::kAsyncOpOverheadNs);
 }
 
 TEST(Discovery, RoundRobinAcrossReplicas)

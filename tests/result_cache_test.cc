@@ -57,20 +57,28 @@ TEST(ResultCache, ByteBudgetEvictsLeastRecentlyUsed)
 {
     rpc::ResultCacheConfig cfg;
     cfg.enabled = true;
-    cfg.capacity_bytes = 2500;
     rpc::ResultCache cache(cfg);
+    // Two entries fit the budget, a third does not.
+    const std::int64_t entry = rpc::kResultCacheCapacityBytes * 2 / 5;
     const rpc::ResultCache::Key k1{0, 0, 1};
     const rpc::ResultCache::Key k2{0, 0, 2};
     const rpc::ResultCache::Key k3{0, 0, 3};
-    cache.insert(k1, 1000, 0, cache.epoch());
-    cache.insert(k2, 1000, 1, cache.epoch());
+    cache.insert(k1, entry, 0, cache.epoch());
+    cache.insert(k2, entry, 1, cache.epoch());
     EXPECT_TRUE(cache.lookup(k1, 2)); // k2 is now the LRU entry
-    cache.insert(k3, 1000, 3, cache.epoch()); // over budget: k2 must go
+    cache.insert(k3, entry, 3, cache.epoch()); // over budget: k2 must go
     EXPECT_EQ(cache.stats().evictions, 1u);
     EXPECT_TRUE(cache.lookup(k1, 4));
     EXPECT_FALSE(cache.lookup(k2, 5));
     EXPECT_TRUE(cache.lookup(k3, 6));
-    EXPECT_LE(cache.usedBytes(), cfg.capacity_bytes);
+    EXPECT_LE(cache.usedBytes(), rpc::kResultCacheCapacityBytes);
+
+    // A response larger than the whole budget is never cached.
+    const rpc::ResultCache::Key huge{0, 0, 4};
+    cache.insert(huge, rpc::kResultCacheCapacityBytes + 1, 7, cache.epoch());
+    EXPECT_FALSE(cache.lookup(huge, 8));
+    EXPECT_EQ(cache.stats().insertions, 3u);
+    EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
 TEST(ResultCache, TtlExpiresStaleEntries)

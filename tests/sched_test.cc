@@ -263,10 +263,11 @@ TEST(Admission, DeadlineShedDropsOnlyLateRequests)
 
 TEST(Admission, DeadlineSeesBatcherWait)
 {
-    // A size-capped batcher that only flushes at end-of-stream makes
-    // every rider wait far past the deadline *inside the batcher*. The
-    // injection backdates arrival to the oldest rider, so deadline-aware
-    // shedding must fire even though the main-shard queue wait is ~0.
+    // A size-capped batcher that flushes only on the kMaxBatchRequests
+    // request cap and at end-of-stream makes every rider wait far past
+    // the deadline *inside the batcher*. The injection backdates arrival
+    // to the oldest rider, so deadline-aware shedding must fire even
+    // though the main-shard queue wait is ~0.
     const auto spec = testSpec();
     const auto plan = testPlan(spec);
     const auto requests = testRequests(spec, 50);
@@ -278,10 +279,11 @@ TEST(Admission, DeadlineSeesBatcherWait)
 
     sched::BatcherConfig bc;
     bc.policy = sched::BatchPolicy::SizeCapped;
-    bc.max_batch_items = 1 << 30; // never size-triggered
-    bc.max_batch_requests = 0;
-    // 100 QPS over 50 requests: the stream spans ~500 ms, so the oldest
-    // rider's age dwarfs the 30 ms deadline at the end-of-stream flush.
+    bc.max_batch_items = 1 << 30; // never item-triggered
+    // 100 QPS over 50 requests: the stream spans ~500 ms, and the
+    // kMaxBatchRequests (32) riders of the first batch span ~320 ms, so
+    // the oldest rider's age dwarfs the 30 ms deadline at either flush.
+    static_assert(sched::kMaxBatchRequests == 32);
     const auto stats = sched::runBatchedOpenLoop(sim, requests, 100.0, bc);
 
     ASSERT_EQ(stats.size(), requests.size());
@@ -361,6 +363,52 @@ TEST(DynamicBatcher, OpenLoopRejectsNonPositiveOrNonFiniteQps)
                                         sched::BatcherConfig{})
                   .size(),
               requests.size());
+}
+
+TEST(DynamicBatcher, FlushesAtTheRequestCap)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    const auto requests =
+        testRequests(spec, 2 * sched::kMaxBatchRequests + 5);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+
+    sched::BatcherConfig bc;
+    bc.policy = sched::BatchPolicy::SizeCapped;
+    bc.max_batch_items = 1 << 30; // never item-triggered
+    sched::DynamicBatcher batcher(sim, bc);
+    for (const auto &req : requests)
+        batcher.offer(req); // all at t=0
+    EXPECT_EQ(batcher.batchesInjected(), 2u);
+    batcher.flush();
+    sim.engine().run();
+    EXPECT_EQ(batcher.batchesInjected(), 3u);
+    EXPECT_EQ(batcher.takeStats().size(), requests.size());
+}
+
+TEST(DynamicBatcherMisuse, RejectsNonPositiveMaxBatchItems)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    for (const std::int64_t items : {0, -1}) {
+        sched::BatcherConfig bc;
+        bc.max_batch_items = items;
+        EXPECT_THROW((sched::DynamicBatcher{sim, bc}), std::invalid_argument)
+            << items;
+    }
+}
+
+TEST(DynamicBatcherMisuse, RejectsNegativeMaxQueueDelay)
+{
+    const auto spec = testSpec();
+    const auto plan = testPlan(spec);
+    core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    sched::BatcherConfig bc;
+    bc.max_queue_delay_ns = -1;
+    EXPECT_THROW((sched::DynamicBatcher{sim, bc}), std::invalid_argument);
+    bc.max_queue_delay_ns = 0; // flush on the next timer: allowed
+    EXPECT_NO_THROW((sched::DynamicBatcher{sim, bc}));
 }
 
 TEST(CapacitySearch, FindsFeasibleBoundary)

@@ -281,6 +281,22 @@ TEST(Serving, OpenLoopRejectsNonPositiveOrNonFiniteQps)
     EXPECT_EQ(sim.replayOpenLoop(reqs, 100.0).size(), reqs.size());
 }
 
+TEST(ServingMisuse, CancelInFlightWithoutDeadlineThrows)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeSingular(spec);
+    core::ServingConfig cfg;
+    cfg.admission.cancel_in_flight = true;
+    for (const sim::Duration deadline : {sim::Duration{0}, sim::Duration{-1}}) {
+        cfg.admission.deadline_ns = deadline;
+        EXPECT_THROW((core::ServingSimulation{spec, plan, cfg}),
+                     std::invalid_argument)
+            << deadline;
+    }
+    cfg.admission.deadline_ns = 1;
+    EXPECT_NO_THROW((core::ServingSimulation{spec, plan, cfg}));
+}
+
 TEST(Serving, Drm3TouchesTwoShards)
 {
     const auto spec = model::makeDrm3();

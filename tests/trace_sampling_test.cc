@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +64,29 @@ closeRoot(obs::SpanTracer &tracer, std::uint64_t request_id,
     tracer.end(root, t0 + e2e_ns, root_flags);
 }
 
+/**
+ * A latency feed holding `n` samples of `ns` each, in a window far longer
+ * than any test run, so every sample stays live.
+ */
+std::unique_ptr<obs::RollingHistogram>
+constantFeed(int n, std::int64_t ns)
+{
+    obs::WindowConfig wc;
+    wc.horizon_s = 1e6;
+    auto feed = std::make_unique<obs::RollingHistogram>(wc);
+    for (int i = 0; i < n; ++i)
+        feed->observe(0.0, ns);
+    return feed;
+}
+
+/** The tail threshold a sampler reads from `feed`. */
+sim::Duration
+tailThresholdOf(const obs::RollingHistogram &feed)
+{
+    return static_cast<sim::Duration>(
+        feed.valueAtQuantile(0.0, obs::TraceSampler::kTailQuantile));
+}
+
 // ---------------------------------------------------------------------------
 // TraceSampler.
 // ---------------------------------------------------------------------------
@@ -90,18 +114,21 @@ TEST(TraceSampler, FlaggedRootsAlwaysKept)
         EXPECT_EQ(rt.keep_class, obs::KeepClass::Flagged);
 }
 
-TEST(TraceSampler, StaticTailThresholdKeepsSlowRoots)
+TEST(TraceSampler, FeedTailThresholdKeepsSlowRoots)
 {
+    const auto feed = constantFeed(200, 5000);
+    const sim::Duration threshold = tailThresholdOf(*feed);
+    ASSERT_GT(threshold, 1);
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 0;
-    cfg.tail_threshold_ns = 5000;
+    cfg.latency_feed = feed.get();
     obs::TraceSampler sampler(cfg);
     obs::SpanTracer tracer;
     tracer.setSampler(&sampler);
 
-    closeRoot(tracer, 10, 4999);
-    closeRoot(tracer, 11, 5000);
-    closeRoot(tracer, 12, 9000);
+    closeRoot(tracer, 10, threshold - 1);
+    closeRoot(tracer, 11, threshold);
+    closeRoot(tracer, 12, threshold + 4000);
 
     EXPECT_FALSE(sampler.isRetained(10));
     EXPECT_TRUE(sampler.isRetained(11));
@@ -113,27 +140,47 @@ TEST(TraceSampler, StaticTailThresholdKeepsSlowRoots)
 
 TEST(TraceSampler, RollingQuantileFeedDrivesTheTailThreshold)
 {
-    // A latency feed whose observed distribution puts the q=0.5
-    // threshold between the two span populations: only the slow half
-    // is tail-kept.
+    // A latency feed whose slowest 10% sit at 100 us puts the
+    // kTailQuantile threshold inside that population: a root 50x the
+    // bulk is still not a tail keep, one past the slow population is.
     obs::WindowConfig wc;
     wc.horizon_s = 1e6;
     obs::RollingHistogram feed(wc);
     for (int i = 0; i < 200; ++i)
-        feed.observe(1.0, i < 100 ? 1000.0 : 100000.0);
+        feed.observe(1.0, i < 180 ? 1000.0 : 100000.0);
 
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 0;
-    cfg.tail_quantile = 0.5;
     obs::TraceSampler sampler(cfg);
     sampler.setLatencyFeed(&feed);
     obs::SpanTracer tracer;
     tracer.setSampler(&sampler);
 
     closeRoot(tracer, 20, 1000);
-    closeRoot(tracer, 21, 100000);
+    closeRoot(tracer, 21, 50000);
+    closeRoot(tracer, 22, 200000);
     EXPECT_FALSE(sampler.isRetained(20));
-    EXPECT_TRUE(sampler.isRetained(21));
+    EXPECT_FALSE(sampler.isRetained(21));
+    EXPECT_TRUE(sampler.isRetained(22));
+}
+
+TEST(TraceSampler, WithoutFeedSamplesNothingIsATailKeep)
+{
+    obs::SamplerConfig cfg;
+    cfg.reservoir_size = 0;
+    obs::TraceSampler sampler(cfg);
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+    closeRoot(tracer, 30, sim::kSecond); // no feed attached
+
+    const auto empty = constantFeed(0, 0);
+    sampler.setLatencyFeed(empty.get());
+    closeRoot(tracer, 31, sim::kSecond); // a feed with no samples
+
+    EXPECT_FALSE(sampler.isRetained(30));
+    EXPECT_FALSE(sampler.isRetained(31));
+    EXPECT_EQ(sampler.stats().kept_tail, 0u);
+    EXPECT_EQ(sampler.stats().recycled, 2u);
 }
 
 TEST(TraceSampler, ReservoirIsDeterministicAcrossReruns)
@@ -163,9 +210,10 @@ TEST(TraceSampler, ReservoirIsDeterministicAcrossReruns)
 
 TEST(TraceSampler, BudgetEvictsLowerClassesFirstAndNeverHigher)
 {
+    const auto feed = constantFeed(200, 50000); // tail: ~50 us and up
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 64;
-    cfg.tail_threshold_ns = 50000;
+    cfg.latency_feed = feed.get();
     // Room for only a handful of two-span trees.
     cfg.retained_byte_budget = 6 * sizeof(obs::SpanRecord);
     obs::TraceSampler sampler(cfg);
@@ -226,9 +274,11 @@ TEST(TraceSampler, ArenaRecyclesSlotsInsteadOfGrowing)
 TEST(TraceSampler, MoreThan65536ConcurrentTreesPassConservation)
 {
     constexpr std::uint64_t kTrees = (std::uint64_t{1} << 16) + 4096;
+    // Every root spans kTrees + 1 ns, far past the feed's ~1 us tail.
+    const auto feed = constantFeed(200, 1000);
     obs::SamplerConfig keep_tail;
     keep_tail.reservoir_size = 0;
-    keep_tail.tail_threshold_ns = 1; // every root is a tail keep
+    keep_tail.latency_feed = feed.get();
     keep_tail.retained_byte_budget = SIZE_MAX;
     obs::TraceSampler sampler(keep_tail);
     obs::SpanTracer sampled, keep_all;

@@ -141,7 +141,6 @@ perSliceReference(const model::ModelSpec &spec, const core::ShardingPlan &plan,
                                        static_cast<double>(universe)));
         cfg.warmup_fraction = options.warmup_fraction;
         cfg.admission = options.admission;
-        cfg.tinylfu = options.tinylfu;
         cache::TieredCacheSim sim(spec, cfg);
         out.results.push_back(sim.replay(slice));
         out.slice_universe_bytes.push_back(universe);
