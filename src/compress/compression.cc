@@ -1,7 +1,5 @@
 #include "compress/compression.h"
 
-#include <cassert>
-
 namespace dri::compress {
 
 namespace {
@@ -36,26 +34,6 @@ compressSpec(model::ModelSpec &spec, const CompressionPolicy &policy)
         report.compressed_bytes += t.logicalBytes();
     }
     return report;
-}
-
-void
-compressTables(
-    const model::ModelSpec &spec,
-    std::vector<std::shared_ptr<tensor::VirtualEmbeddingTable>> &tables,
-    const CompressionPolicy &policy)
-{
-    assert(tables.size() == spec.tables.size());
-    for (std::size_t i = 0; i < tables.size(); ++i) {
-        const auto &t = spec.tables[i];
-        auto &table = tables[i];
-        if (isLarge(t, policy)) {
-            table->quantize(policy.large_table_precision);
-            table->prune(policy.large_table_prune_fraction);
-        } else {
-            table->quantize(policy.small_table_precision);
-            table->prune(policy.small_table_prune_fraction);
-        }
-    }
 }
 
 } // namespace dri::compress

@@ -11,8 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "model/model_spec.h"
 
@@ -56,15 +54,5 @@ struct CompressionReport
  */
 CompressionReport compressSpec(model::ModelSpec &spec,
                                const CompressionPolicy &policy);
-
-/**
- * Apply the same policy to materialized tables (functional path): physical
- * values are re-encoded with quantization error and pruned rows read as
- * zero.
- */
-void compressTables(
-    const model::ModelSpec &spec,
-    std::vector<std::shared_ptr<tensor::VirtualEmbeddingTable>> &tables,
-    const CompressionPolicy &policy);
 
 } // namespace dri::compress

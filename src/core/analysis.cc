@@ -285,13 +285,6 @@ meanCpuMs(const std::vector<RequestStats> &stats)
 }
 
 double
-meanMainOpMs(const std::vector<RequestStats> &stats)
-{
-    return servedMean(
-        stats, [](const RequestStats &s) { return s.main_op_ns / 1e6; });
-}
-
-double
 slaViolationRate(const std::vector<RequestStats> &stats, double sla_ms)
 {
     if (stats.empty())

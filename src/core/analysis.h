@@ -87,9 +87,6 @@ double meanRpcCount(const std::vector<RequestStats> &stats);
 /** Mean total CPU milliseconds per request. */
 double meanCpuMs(const std::vector<RequestStats> &stats);
 
-/** Mean CPU milliseconds per request on the main shard's operators. */
-double meanMainOpMs(const std::vector<RequestStats> &stats);
-
 /**
  * Fraction of requests whose E2E latency exceeds the SLA. The paper's
  * serving tier drops such requests in favour of a lower-quality fallback

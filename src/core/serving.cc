@@ -1901,6 +1901,12 @@ ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      ServingConfig config)
     : spec_(spec), plan_(plan), config_(config)
 {
+    std::string error;
+    if (!spec_.validate(&error))
+        throw std::invalid_argument("ServingSimulation: model spec: " + error);
+    if (!plan_.validate(spec_, &error))
+        throw std::invalid_argument("ServingSimulation: sharding plan: " +
+                                    error);
     if (config_.admission.cancel_in_flight &&
         config_.admission.deadline_ns <= 0)
         throw std::invalid_argument(

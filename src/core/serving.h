@@ -355,9 +355,10 @@ class ServingSimulation
 {
   public:
     /**
-     * Throws std::invalid_argument, in every build type, when
-     * config.admission.cancel_in_flight is set without a deadline
-     * (deadline_ns <= 0).
+     * Throws std::invalid_argument, in every build type, with the
+     * validator's message when spec.validate() or plan.validate(spec)
+     * fails, and when config.admission.cancel_in_flight is set without a
+     * deadline (deadline_ns <= 0).
      */
     ServingSimulation(const model::ModelSpec &spec, const ShardingPlan &plan,
                       ServingConfig config);

@@ -52,20 +52,6 @@ ShardingPlan::tablesOnShard(int shard_id) const
     return out;
 }
 
-std::set<int>
-ShardingPlan::shardsForNet(const model::ModelSpec &spec, int net_id) const
-{
-    std::set<int> shards;
-    for (const auto &a : assignments_) {
-        const auto &table = spec.tables.at(static_cast<std::size_t>(a.table_id));
-        if (table.net_id != net_id)
-            continue;
-        for (int s : a.shards)
-            shards.insert(s);
-    }
-    return shards;
-}
-
 double
 ShardingPlan::capacityBytes(const model::ModelSpec &spec, int shard_id) const
 {

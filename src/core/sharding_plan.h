@@ -71,10 +71,6 @@ class ShardingPlan
     /** Table ids with at least a piece on the given shard. */
     std::vector<int> tablesOnShard(int shard_id) const;
 
-    /** Sparse shards hosting tables of the given net. */
-    std::set<int> shardsForNet(const model::ModelSpec &spec,
-                               int net_id) const;
-
     /** Logical bytes resident on a shard (split tables contribute 1/ways). */
     double capacityBytes(const model::ModelSpec &spec, int shard_id) const;
 

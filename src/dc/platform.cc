@@ -8,17 +8,6 @@ Platform::usableModelBytes() const
     return static_cast<std::int64_t>(0.8 * static_cast<double>(dram_bytes));
 }
 
-graph::CostParams
-Platform::costParams() const
-{
-    graph::CostParams p;
-    p.ns_per_flop = 2.5e-4 * cpu_time_scale;
-    p.ns_per_byte = 0.02 * cpu_time_scale;
-    p.ns_per_lookup = 60.0 * cpu_time_scale;
-    p.op_dispatch_ns = 250.0 * cpu_time_scale;
-    return p;
-}
-
 Platform
 scLarge()
 {

@@ -11,8 +11,6 @@
 #include <cstdint>
 #include <string>
 
-#include "graph/cost_model.h"
-
 namespace dri::dc {
 
 /** Static description of a server SKU. */
@@ -43,9 +41,6 @@ struct Platform
     {
         return idle_watts + (busy_watts - idle_watts) * u;
     }
-
-    /** Micro-level operator cost coefficients for this platform. */
-    graph::CostParams costParams() const;
 };
 
 /** The typical large data-center server: 2x20 cores, 256 GB. */

@@ -84,15 +84,6 @@ meanOf(const std::vector<double> &v)
 // TelemetryLedger.
 // ---------------------------------------------------------------------------
 
-int
-TelemetryLedger::alertCount(obs::AlertTransition t) const
-{
-    int n = 0;
-    for (const auto &a : alerts)
-        n += a.transition == t ? 1 : 0;
-    return n;
-}
-
 std::uint64_t
 TelemetryLedger::fingerprint() const
 {

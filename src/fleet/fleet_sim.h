@@ -80,7 +80,7 @@ struct FleetConfig
      * per-epoch gauges/counters (offered load, P99, shed/hedge/cache-hit
      * rates, utilization, replica vector, peak replica queue) and takes
      * one snapshot per epoch at the epoch's end time, turning autoscaler
-     * behavior into a plottable JSONL time-series instead of a final
+     * behavior into a plottable time-series instead of a final
      * ledger. Pure observer — attaching it never changes the ledger
      * fingerprint. Not owned; must outlive run().
      */
@@ -230,8 +230,6 @@ struct TelemetryLedger
      * from fingerprint(): sampling must be fingerprint-invisible.
      */
     std::vector<EpochTraceSummary> traces;
-
-    int alertCount(obs::AlertTransition t) const;
 
     /**
      * Same contract as FleetStats::fingerprint(), over the telemetry

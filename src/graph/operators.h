@@ -18,7 +18,7 @@ namespace dri::graph {
 
 /**
  * Operator compute group, matching the attribution buckets of Fig. 4.
- * Used by the compute-attribution analysis and the cost model.
+ * Used by the compute-attribution analysis.
  */
 enum class OpClass {
     Dense,           //!< FC / GEMM compute

@@ -34,32 +34,12 @@ Workspace::tensorBlob(const std::string &name)
     return *t;
 }
 
-const tensor::Tensor &
-Workspace::tensorBlob(const std::string &name) const
-{
-    auto it = blobs_.find(name);
-    assert(it != blobs_.end() && "missing tensor blob");
-    const auto *t = std::get_if<tensor::Tensor>(&it->second);
-    assert(t && "blob is not a tensor");
-    return *t;
-}
-
 IndexList &
 Workspace::indexListBlob(const std::string &name)
 {
     auto it = blobs_.find(name);
     assert(it != blobs_.end() && "missing index-list blob");
     auto *l = std::get_if<IndexList>(&it->second);
-    assert(l && "blob is not an index list");
-    return *l;
-}
-
-const IndexList &
-Workspace::indexListBlob(const std::string &name) const
-{
-    auto it = blobs_.find(name);
-    assert(it != blobs_.end() && "missing index-list blob");
-    const auto *l = std::get_if<IndexList>(&it->second);
     assert(l && "blob is not an index list");
     return *l;
 }
@@ -103,16 +83,6 @@ void
 Workspace::remove(const std::string &name)
 {
     blobs_.erase(name);
-}
-
-std::vector<std::string>
-Workspace::blobNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(blobs_.size());
-    for (const auto &kv : blobs_)
-        names.push_back(kv.first);
-    return names;
 }
 
 } // namespace dri::graph

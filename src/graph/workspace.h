@@ -60,9 +60,7 @@ class Workspace
 
     /** Typed access; aborts (assert) if missing or wrong type. */
     tensor::Tensor &tensorBlob(const std::string &name);
-    const tensor::Tensor &tensorBlob(const std::string &name) const;
     IndexList &indexListBlob(const std::string &name);
-    const IndexList &indexListBlob(const std::string &name) const;
 
     /** Register an embedding table under a name. */
     void addTable(const std::string &name,
@@ -77,8 +75,6 @@ class Workspace
 
     void remove(const std::string &name);
     std::size_t blobCount() const { return blobs_.size(); }
-
-    std::vector<std::string> blobNames() const;
 
   private:
     std::map<std::string, Blob> blobs_;

@@ -1,6 +1,5 @@
 #include "netsim/link_model.h"
 
-#include <cmath>
 #include <stdexcept>
 
 namespace dri::netsim {
@@ -27,15 +26,6 @@ checked(const LinkConfig &config)
 LinkModel::LinkModel(LinkConfig config)
     : config_(checked(config)), jitter_(1.0, config.jitter_sigma)
 {
-}
-
-sim::Duration
-LinkModel::expectedOneWayDelay(std::int64_t bytes) const
-{
-    const double wire =
-        static_cast<double>(bytes) / config_.bandwidth_bytes_per_ns;
-    return config_.base_one_way_ns +
-           static_cast<sim::Duration>(std::llround(wire));
 }
 
 } // namespace dri::netsim

@@ -60,9 +60,6 @@ class LinkModel
         return static_cast<sim::Duration>(std::llround(base + wire));
     }
 
-    /** Deterministic (jitter-free) delay, for analytical baselines. */
-    sim::Duration expectedOneWayDelay(std::int64_t bytes) const;
-
     const LinkConfig &config() const { return config_; }
 
   private:

@@ -98,13 +98,6 @@ initFromWarmup(const std::vector<double> &warmup, double &level,
 // EwmaMadDetector.
 // ---------------------------------------------------------------------------
 
-double
-EwmaMadDetector::sigma() const
-{
-    return kMadToSigma *
-           floorSpread(abs_dev_, level_, kMinSpreadFraction);
-}
-
 bool
 EwmaMadDetector::step(double value)
 {

@@ -63,8 +63,6 @@ class EwmaMadDetector
     /** Robust z-score of the most recent sample. */
     double lastZ() const { return last_z_; }
     double level() const { return level_; }
-    /** Sigma estimate (1.4826 * mean absolute deviation). */
-    double sigma() const;
 
   private:
     std::vector<double> warmup_;

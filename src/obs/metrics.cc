@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 
@@ -339,28 +338,6 @@ MetricsRegistry::takeSnapshot(double t_seconds)
         }
     }
     snapshots_.push_back(std::move(snap));
-}
-
-void
-MetricsRegistry::writeJsonl(std::ostream &os) const
-{
-    for (const MetricsSnapshot &snap : snapshots_) {
-        os << "{\"t\":" << snap.t;
-        for (const auto &[name, value] : snap.values)
-            os << ",\"" << name << "\":" << value;
-        os << "}\n";
-    }
-}
-
-void
-MetricsRegistry::clear()
-{
-    counters_.clear();
-    gauges_.clear();
-    histograms_.clear();
-    entries_.clear();
-    index_.clear();
-    snapshots_.clear();
 }
 
 } // namespace dri::obs

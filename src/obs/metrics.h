@@ -1,13 +1,12 @@
 /**
  * @file
  * Named-metrics registry: counters, gauges, and log-linear histograms
- * with typed handles, periodic sim-time snapshots, and a JSONL
- * time-series exporter.
+ * with typed handles and periodic sim-time snapshots.
  *
  * The registry turns the fleet simulator's end-of-run ledgers into
  * plottable series: FleetSim registers its gauges once, updates them
  * per epoch, and calls takeSnapshot(t) — each snapshot captures every
- * registered metric in registration order, so the export is
+ * registered metric in registration order, so the series are
  * deterministic across runs with the same seed.
  *
  * Handles are stable references into node-based storage (std::deque),
@@ -26,7 +25,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <iosfwd>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -210,11 +208,6 @@ class MetricsRegistry
     {
         return snapshots_;
     }
-
-    /** One JSON object per snapshot: {"t":..., "<name>":...,...}. */
-    void writeJsonl(std::ostream &os) const;
-
-    void clear();
 
   private:
     struct Entry

@@ -6,22 +6,6 @@
 
 namespace dri::obs {
 
-const char *
-keepClassName(KeepClass c)
-{
-    switch (c) {
-    case KeepClass::Recycled:
-        return "recycled";
-    case KeepClass::Reservoir:
-        return "reservoir";
-    case KeepClass::Tail:
-        return "tail";
-    case KeepClass::Flagged:
-        return "flagged";
-    }
-    return "?";
-}
-
 TraceSampler::TraceSampler(SamplerConfig config)
     : cfg_(config), rng_(config.seed)
 {

@@ -71,9 +71,6 @@ enum class KeepClass : std::uint8_t
     Flagged = 3,   //!< shed / fault / hedge-win root
 };
 
-/** Short lower-case keep-class name (tables, JSON rows). */
-const char *keepClassName(KeepClass c);
-
 /** Retention-policy knobs. */
 struct SamplerConfig
 {

@@ -141,15 +141,6 @@ SpanTracer::record(std::uint64_t request_id, SpanKind kind, SpanId parent,
     return id;
 }
 
-void
-SpanTracer::addFlags(SpanId id, std::uint8_t flags)
-{
-    TraceSampler::Tree *tree;
-    SpanRecord *rec = resolve(id, &tree);
-    if (rec != nullptr)
-        rec->flags |= flags;
-}
-
 std::vector<SpanRecord>
 SpanTracer::spans() const
 {

@@ -27,7 +27,7 @@
  * so every tree is retained; one that never records allocates nothing.
  *
  * Handles pack (20-bit generation, 24-bit arena slot, 20-bit tree-local
- * index), so debris begin()/end()/addFlags() calls that arrive after
+ * index), so debris begin()/end() calls that arrive after
  * their tree was sealed are detected by generation mismatch and dropped
  * (counted in TraceSampler::stats().stale_span_drops). spans() shows a
  * tree only once it is sealed.
@@ -102,9 +102,6 @@ class SpanTracer
                   sim::SimTime begin, sim::SimTime end,
                   int shard = kMainShard, int net = -1, int batch = -1,
                   std::uint8_t flags = kFlagNone);
-
-    /** OR flags into an existing span without closing it. */
-    void addFlags(SpanId id, std::uint8_t flags);
 
     /**
      * Spans of every retained, sealed tree, flattened so that id ==

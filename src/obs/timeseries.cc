@@ -70,14 +70,6 @@ RollingHistogram::slotFor(std::int64_t p)
 }
 
 void
-RollingHistogram::observe(double t_s, std::int64_t value)
-{
-    Slot *s = slotFor(periodOf(t_s));
-    if (s != nullptr)
-        s->hist.observe(value);
-}
-
-void
 RollingHistogram::observe(double t_s, std::int64_t value,
                           std::uint64_t request_id, bool retained)
 {

@@ -55,8 +55,6 @@ class RollingHistogram
     explicit RollingHistogram(WindowConfig config = {},
                               unsigned sub_bucket_bits = 5);
 
-    void observe(double t_s, std::int64_t value);
-
     /**
      * Observe with exemplar metadata (forwarded to the slot histogram;
      * a no-op extension unless setExemplarCapacity() enabled them).

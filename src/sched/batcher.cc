@@ -15,22 +15,6 @@ constexpr double kEwmaAlpha = 0.2;
 
 } // namespace
 
-const char *
-policyName(BatchPolicy policy)
-{
-    switch (policy) {
-    case BatchPolicy::SizeCapped:
-        return "size-capped";
-    case BatchPolicy::TimeoutCapped:
-        return "timeout-capped";
-    case BatchPolicy::Adaptive:
-        return "adaptive";
-    case BatchPolicy::QueueAware:
-        return "queue-aware";
-    }
-    return "unknown";
-}
-
 DynamicBatcher::DynamicBatcher(core::ServingSimulation &sim,
                                BatcherConfig config)
     : sim_(sim), cfg_(config)

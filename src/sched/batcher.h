@@ -55,9 +55,6 @@ enum class BatchPolicy
     QueueAware,
 };
 
-/** Short lower-case policy name for labels and JSON rows. */
-const char *policyName(BatchPolicy policy);
-
 /** Flush once this many requests are pending, under every policy. */
 inline constexpr std::size_t kMaxBatchRequests = 32;
 static_assert(kMaxBatchRequests > 0);

@@ -1,26 +1,24 @@
 #include "stats/distributions.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace dri::stats {
 
 LognormalSampler::LognormalSampler(double median, double sigma)
     : median_(median), sigma_(sigma), mu_(std::log(median))
 {
-    assert(median > 0.0 && sigma >= 0.0);
-}
-
-double
-LognormalSampler::mean() const
-{
-    return std::exp(mu_ + 0.5 * sigma_ * sigma_);
+    if (!(median > 0.0) || !(sigma >= 0.0))
+        throw std::invalid_argument(
+            "LognormalSampler: requires median > 0 and sigma >= 0");
 }
 
 BoundedParetoSampler::BoundedParetoSampler(double alpha, double lo, double hi)
     : alpha_(alpha), lo_(lo), hi_(hi)
 {
-    assert(alpha > 0.0 && lo > 0.0 && hi >= lo);
+    if (!(alpha > 0.0) || !(lo > 0.0) || !(hi >= lo))
+        throw std::invalid_argument(
+            "BoundedParetoSampler: requires alpha > 0 and 0 < lo <= hi");
 }
 
 double
@@ -39,7 +37,8 @@ BoundedParetoSampler::sample(Rng &rng) const
 
 ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
 {
-    assert(n > 0);
+    if (n == 0)
+        throw std::invalid_argument("ZipfSampler: requires n > 0");
     cdf_.resize(n);
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {
@@ -59,12 +58,6 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
             ++k;
         guide_[j] = k;
     }
-}
-
-double
-PoissonProcess::nextGapSeconds(Rng &rng) const
-{
-    return rng.exponential(rate_);
 }
 
 } // namespace dri::stats

@@ -26,6 +26,7 @@ namespace dri::stats {
 class LognormalSampler
 {
   public:
+    /** Throws std::invalid_argument unless median > 0 and sigma >= 0. */
     LognormalSampler(double median, double sigma);
 
     /**
@@ -41,9 +42,6 @@ class LognormalSampler
             return median_;
         return std::exp(mu_ + sigma_ * gaussian(engine));
     }
-
-    /** Analytic mean: exp(mu + sigma^2 / 2). */
-    double mean() const;
 
     double median() const { return median_; }
     double sigma() const { return sigma_; }
@@ -61,6 +59,7 @@ class LognormalSampler
 class BoundedParetoSampler
 {
   public:
+    /** Throws std::invalid_argument unless alpha > 0 and 0 < lo <= hi. */
     BoundedParetoSampler(double alpha, double lo, double hi);
 
     double sample(Rng &rng) const;
@@ -89,6 +88,7 @@ class BoundedParetoSampler
 class ZipfSampler
 {
   public:
+    /** Throws std::invalid_argument when n is 0. */
     ZipfSampler(std::size_t n, double s);
 
     /** Returns a rank in [0, n). Rank 0 is the most popular. Inline: the
@@ -135,23 +135,5 @@ samplePoissonKnuth(double mean, Rng &rng)
     } while (p > l);
     return k - 1;
 }
-
-/**
- * Open-loop Poisson arrival process: interarrival gaps are exponential with
- * the configured rate. Used by the 25 QPS experiment (Fig. 16).
- */
-class PoissonProcess
-{
-  public:
-    explicit PoissonProcess(double rate_per_sec) : rate_(rate_per_sec) {}
-
-    /** Next interarrival gap in seconds. */
-    double nextGapSeconds(Rng &rng) const;
-
-    double rate() const { return rate_; }
-
-  private:
-    double rate_;
-};
 
 } // namespace dri::stats

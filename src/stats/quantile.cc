@@ -1,9 +1,8 @@
 #include "stats/quantile.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <numeric>
+#include <stdexcept>
 
 namespace dri::stats {
 
@@ -11,13 +10,6 @@ void
 QuantileEstimator::add(double sample)
 {
     samples_.push_back(sample);
-    sorted_valid_ = false;
-}
-
-void
-QuantileEstimator::addAll(const std::vector<double> &samples)
-{
-    samples_.insert(samples_.end(), samples.begin(), samples.end());
     sorted_valid_ = false;
 }
 
@@ -34,8 +26,10 @@ QuantileEstimator::ensureSorted() const
 double
 QuantileEstimator::quantile(double q) const
 {
-    assert(!empty());
-    assert(q >= 0.0 && q <= 1.0);
+    if (empty())
+        throw std::out_of_range("QuantileEstimator: quantile of no samples");
+    if (!(q >= 0.0 && q <= 1.0))
+        throw std::invalid_argument("QuantileEstimator: q outside [0, 1]");
     ensureSorted();
     if (sorted_.size() == 1)
         return sorted_.front();
@@ -44,22 +38,6 @@ QuantileEstimator::quantile(double q) const
     const auto hi = static_cast<std::size_t>(std::ceil(pos));
     const double frac = pos - static_cast<double>(lo);
     return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-double
-QuantileEstimator::mean() const
-{
-    assert(!empty());
-    return sum() / static_cast<double>(count());
-}
-
-double
-QuantileEstimator::sum() const
-{
-    // Accumulate in sorted order: the sum then depends only on the
-    // sample multiset, not on insertion order.
-    ensureSorted();
-    return std::accumulate(sorted_.begin(), sorted_.end(), 0.0);
 }
 
 } // namespace dri::stats

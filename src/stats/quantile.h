@@ -26,15 +26,15 @@ class QuantileEstimator
     QuantileEstimator() = default;
 
     void add(double sample);
-    void addAll(const std::vector<double> &samples);
 
     std::size_t count() const { return samples_.size(); }
 
     bool empty() const { return count() == 0; }
 
     /**
-     * Quantile query; q in [0, 1]. Requires at least one sample.
-     * q = 0 returns the minimum, q = 1 the maximum.
+     * Quantile query; q in [0, 1]. q = 0 returns the minimum, q = 1 the
+     * maximum. Throws std::out_of_range with no samples and
+     * std::invalid_argument for q outside [0, 1].
      */
     double quantile(double q) const;
 
@@ -46,8 +46,6 @@ class QuantileEstimator
 
     double min() const { return quantile(0.0); }
     double max() const { return quantile(1.0); }
-    double mean() const;
-    double sum() const;
 
   private:
     std::vector<double> samples_;

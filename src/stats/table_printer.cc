@@ -1,21 +1,25 @@
 #include "stats/table_printer.h"
 
-#include <cassert>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
 namespace dri::stats {
 
 TablePrinter::TablePrinter(std::vector<std::string> headers)
     : headers_(std::move(headers))
 {
-    assert(!headers_.empty());
+    if (headers_.empty())
+        throw std::invalid_argument("TablePrinter: no headers");
 }
 
 void
 TablePrinter::addRow(std::vector<std::string> cells)
 {
-    assert(cells.size() == headers_.size());
+    if (cells.size() != headers_.size())
+        throw std::invalid_argument(
+            "TablePrinter: row has " + std::to_string(cells.size()) +
+            " cells, the header " + std::to_string(headers_.size()));
     rows_.push_back(std::move(cells));
 }
 

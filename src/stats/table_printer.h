@@ -15,9 +15,11 @@ namespace dri::stats {
 class TablePrinter
 {
   public:
+    /** Throws std::invalid_argument when headers is empty. */
     explicit TablePrinter(std::vector<std::string> headers);
 
-    /** Append a row; must have the same arity as the header. */
+    /** Append a row; throws std::invalid_argument unless it has the
+     *  header's arity. */
     void addRow(std::vector<std::string> cells);
 
     /** Convenience: format a double with the given precision. */

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <functional>
 #include <numeric>
-#include <sstream>
 
 namespace dri::tensor {
 
@@ -106,17 +105,6 @@ void
 Tensor::fill(float v)
 {
     std::fill(data_.begin(), data_.end(), v);
-}
-
-std::string
-Tensor::shapeString() const
-{
-    std::ostringstream os;
-    os << "[";
-    for (std::size_t i = 0; i < shape_.size(); ++i)
-        os << (i ? ", " : "") << shape_[i];
-    os << "]";
-    return os.str();
 }
 
 } // namespace dri::tensor

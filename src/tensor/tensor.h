@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace dri::tensor {
@@ -64,8 +63,6 @@ class Tensor
     std::int64_t bytes() const { return numel() * 4; }
 
     bool sameShape(const Tensor &other) const { return shape_ == other.shape_; }
-
-    std::string shapeString() const;
 
   private:
     std::vector<std::int64_t> shape_;

@@ -1,94 +1,10 @@
 #include "workload/access_trace.h"
 
 #include <algorithm>
-#include <cassert>
-#include <istream>
-#include <map>
-#include <ostream>
-#include <set>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
 namespace dri::workload {
-
-void
-AccessTrace::write(std::ostream &os) const
-{
-    for (const auto &r : records_)
-        os << r.request_id << " " << r.table_id << " " << r.row << "\n";
-}
-
-bool
-AccessTrace::read(std::istream &is, AccessTrace *out)
-{
-    assert(out);
-    out->records_.clear();
-    std::string line;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        std::istringstream ls(line);
-        AccessRecord rec;
-        if (!(ls >> rec.request_id >> rec.table_id >> rec.row))
-            return false;
-        out->records_.push_back(rec);
-    }
-    return true;
-}
-
-std::vector<std::int64_t>
-AccessTrace::accessCounts(std::size_t num_tables) const
-{
-    std::vector<std::int64_t> counts(num_tables, 0);
-    for (const auto &r : records_)
-        if (r.table_id >= 0 &&
-            static_cast<std::size_t>(r.table_id) < num_tables)
-            ++counts[static_cast<std::size_t>(r.table_id)];
-    return counts;
-}
-
-std::vector<std::int64_t>
-AccessTrace::workingSetCurve(int table_id, std::size_t stride) const
-{
-    assert(stride > 0);
-    std::vector<std::int64_t> curve;
-    std::set<std::int64_t> seen;
-    std::size_t accesses = 0;
-    for (const auto &r : records_) {
-        if (r.table_id != table_id)
-            continue;
-        seen.insert(r.row);
-        ++accesses;
-        if (accesses % stride == 0)
-            curve.push_back(static_cast<std::int64_t>(seen.size()));
-    }
-    return curve;
-}
-
-double
-AccessTrace::topRowCoverage(int table_id, std::size_t top_n) const
-{
-    std::map<std::int64_t, std::int64_t> counts;
-    std::int64_t total = 0;
-    for (const auto &r : records_) {
-        if (r.table_id != table_id)
-            continue;
-        ++counts[r.row];
-        ++total;
-    }
-    if (total == 0)
-        return 0.0;
-    std::vector<std::int64_t> sorted;
-    sorted.reserve(counts.size());
-    for (const auto &kv : counts)
-        sorted.push_back(kv.second);
-    std::sort(sorted.rbegin(), sorted.rend());
-    std::int64_t covered = 0;
-    for (std::size_t i = 0; i < std::min(top_n, sorted.size()); ++i)
-        covered += sorted[i];
-    return static_cast<double>(covered) / static_cast<double>(total);
-}
 
 namespace detail {
 

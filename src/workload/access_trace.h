@@ -7,11 +7,9 @@
  * caching are also valuable directions enabled with trace-based analyses."
  *
  * This module records per-table access streams from generated requests
- * (with Zipf-skewed row ids), serializes them to a compact text format,
- * reads them back, and computes the statistics such studies start from:
- * per-table access counts, row popularity skew, and working-set curves
- * (unique rows touched vs. accesses), which directly feed cache-sizing
- * decisions.
+ * (with Zipf-skewed row ids), synthesizes a mixed recency/frequency trace
+ * for the eviction-policy studies, and measures a trace's distinct-row
+ * footprint, the universe cache capacities are sized against.
  *
  * Streaming contract: forEachAccess is the one generator of
  * request-driven accesses. It stores nothing, and rerunning it with the
@@ -24,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -53,30 +50,6 @@ class AccessTrace
     void reserve(std::size_t records) { records_.reserve(records); }
     const std::vector<AccessRecord> &records() const { return records_; }
     std::size_t size() const { return records_.size(); }
-
-    /** Serialize as one "request table row" line per access. */
-    void write(std::ostream &os) const;
-
-    /** Parse the format produced by write(); returns false on malformed
-     *  input. */
-    static bool read(std::istream &is, AccessTrace *out);
-
-    /** Accesses per table, indexed by table id. */
-    std::vector<std::int64_t> accessCounts(std::size_t num_tables) const;
-
-    /**
-     * Working-set curve for one table: element i is the number of
-     * *distinct* rows touched within the first (i+1) * stride accesses to
-     * that table. Concave growth indicates cacheable popularity skew.
-     */
-    std::vector<std::int64_t> workingSetCurve(int table_id,
-                                              std::size_t stride) const;
-
-    /**
-     * Fraction of a table's accesses captured by its hottest `top_n`
-     * rows — the quantity that justifies frequency-based caching.
-     */
-    double topRowCoverage(int table_id, std::size_t top_n) const;
 
   private:
     std::vector<AccessRecord> records_;
@@ -151,7 +124,7 @@ forEachAccess(const model::ModelSpec &spec,
 /**
  * Materialize forEachAccess's stream as a trace, reserved to the exact
  * access count up front. Use it when the records themselves are needed
- * (serialization, working-set curves, repeated replays); to build cache
+ * (footprints, repeated replays); to build cache
  * models only, core::buildShardCacheModels's request overload streams.
  */
 AccessTrace recordTrace(const model::ModelSpec &spec,

@@ -16,17 +16,6 @@ Request::totalLookups() const
     return total;
 }
 
-std::int64_t
-Request::lookupsForNet(const model::ModelSpec &spec, int net_id) const
-{
-    assert(table_lookups.size() == spec.tables.size());
-    std::int64_t total = 0;
-    for (std::size_t i = 0; i < table_lookups.size(); ++i)
-        if (spec.tables[i].net_id == net_id)
-            total += table_lookups[i];
-    return total;
-}
-
 std::uint64_t
 Request::computeContentHash() const
 {

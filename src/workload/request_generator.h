@@ -41,10 +41,6 @@ struct Request
     /** Total lookups across all tables. */
     std::int64_t totalLookups() const;
 
-    /** Total lookups restricted to one net's tables. */
-    std::int64_t lookupsForNet(const model::ModelSpec &spec,
-                               int net_id) const;
-
     /** Hash of (items, table_lookups); never returns 0. */
     std::uint64_t computeContentHash() const;
 };

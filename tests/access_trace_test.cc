@@ -1,13 +1,13 @@
 /**
  * @file
  * Tests for the offline embedding-access trace module (Section IX's
- * trace-driven methodology): recording, serialization round-trip, and the
- * cache-study statistics (access counts, working sets, top-row coverage).
+ * trace-driven methodology): recording, the streaming generator's input
+ * checks, and the synthetic mixed trace's.
  */
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "model/generators.h"
 #include "workload/access_trace.h"
@@ -60,11 +60,18 @@ TEST(AccessTrace, RecordsMatchRequestLookups)
         expected += r.totalLookups();
     EXPECT_EQ(static_cast<std::int64_t>(trace.size()), expected);
 
-    const auto counts = trace.accessCounts(spec.tables.size());
-    std::int64_t sum = 0;
-    for (auto c : counts)
-        sum += c;
-    EXPECT_EQ(sum, expected);
+    // Per table, the trace holds exactly the requests' lookups.
+    std::vector<std::int64_t> want(spec.tables.size(), 0);
+    std::vector<std::int64_t> got(spec.tables.size(), 0);
+    for (const auto &r : requests)
+        for (std::size_t t = 0; t < want.size(); ++t)
+            want[t] += r.table_lookups[t];
+    for (const auto &rec : trace.records()) {
+        ASSERT_GE(rec.table_id, 0);
+        ASSERT_LT(static_cast<std::size_t>(rec.table_id), got.size());
+        ++got[static_cast<std::size_t>(rec.table_id)];
+    }
+    EXPECT_EQ(got, want);
 }
 
 TEST(AccessTrace, ReservesExactAccessCount)
@@ -130,59 +137,6 @@ TEST(AccessTrace, RowsWithinTableBounds)
         EXPECT_LT(r.row,
                   spec.tables[static_cast<std::size_t>(r.table_id)].rows);
     }
-}
-
-TEST(AccessTrace, SerializationRoundTrip)
-{
-    const auto spec = smallSpec();
-    const auto trace = makeTrace(spec, 10);
-    std::stringstream buffer;
-    trace.write(buffer);
-
-    AccessTrace back;
-    ASSERT_TRUE(AccessTrace::read(buffer, &back));
-    ASSERT_EQ(back.size(), trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        EXPECT_EQ(back.records()[i].request_id,
-                  trace.records()[i].request_id);
-        EXPECT_EQ(back.records()[i].table_id, trace.records()[i].table_id);
-        EXPECT_EQ(back.records()[i].row, trace.records()[i].row);
-    }
-}
-
-TEST(AccessTrace, ReadRejectsGarbage)
-{
-    std::stringstream bad("1 2 not-a-number\n");
-    AccessTrace out;
-    EXPECT_FALSE(AccessTrace::read(bad, &out));
-}
-
-TEST(AccessTrace, WorkingSetCurveConcaveUnderSkew)
-{
-    const auto spec = smallSpec();
-    const auto trace = makeTrace(spec, 400, 0.95);
-    const auto curve = trace.workingSetCurve(0, 100);
-    ASSERT_GE(curve.size(), 4u);
-    // Monotone non-decreasing...
-    for (std::size_t i = 1; i < curve.size(); ++i)
-        EXPECT_GE(curve[i], curve[i - 1]);
-    // ...and concave: later increments smaller than early ones (popular
-    // rows repeat), the property frequency-based caching exploits.
-    const auto early = curve[1] - curve[0];
-    const auto late = curve[curve.size() - 1] - curve[curve.size() - 2];
-    EXPECT_LE(late, early);
-}
-
-TEST(AccessTrace, TopRowCoverageGrowsWithSkew)
-{
-    const auto spec = smallSpec();
-    const auto flat = makeTrace(spec, 300, 0.1);
-    const auto skewed = makeTrace(spec, 300, 1.1);
-    const double flat_cov = flat.topRowCoverage(0, 64);
-    const double skew_cov = skewed.topRowCoverage(0, 64);
-    EXPECT_GT(skew_cov, flat_cov);
-    EXPECT_GT(skew_cov, 0.3); // a small hot set captures real mass
-    EXPECT_DOUBLE_EQ(flat.topRowCoverage(99, 10), 0.0); // unknown table
 }
 
 } // namespace

@@ -119,17 +119,14 @@ TEST(Analysis, Means)
     a.e2e = 1;
     a.rpc_count = 4;
     a.cpu_ops_ns = 1e6;
-    a.main_op_ns = 0.5e6;
     RequestStats b;
     b.e2e = 1;
     b.rpc_count = 8;
     b.cpu_ops_ns = 3e6;
-    b.main_op_ns = 1.5e6;
     stats.push_back(a);
     stats.push_back(b);
     EXPECT_DOUBLE_EQ(core::meanRpcCount(stats), 6.0);
     EXPECT_DOUBLE_EQ(core::meanCpuMs(stats), 2.0);
-    EXPECT_DOUBLE_EQ(core::meanMainOpMs(stats), 1.0);
 }
 
 TEST(Analysis, EmptyInputsSafe)

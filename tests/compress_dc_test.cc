@@ -116,27 +116,6 @@ TEST(Compression, IdempotentAccounting)
     EXPECT_EQ(r1.compressed_bytes, r2.compressed_bytes);
 }
 
-TEST(Compression, MaterializedTables)
-{
-    model::ModelSpec spec;
-    spec.name = "t";
-    spec.nets = {{0, "n", 1.0, 0.0}};
-    model::TableSpec big;
-    big.id = 0;
-    big.name = "big";
-    big.rows = 1000000000LL;
-    big.dim = 32;
-    big.pooling_per_item = 1.0;
-    spec.tables.push_back(big);
-
-    std::vector<std::shared_ptr<tensor::VirtualEmbeddingTable>> tables;
-    tables.push_back(std::make_shared<tensor::VirtualEmbeddingTable>(
-        big.rows, 8, 1, 64));
-    compress::compressTables(spec, tables, compress::CompressionPolicy{});
-    EXPECT_EQ(tables[0]->precision(), tensor::Precision::Int4);
-    EXPECT_GT(tables[0]->prunedFraction(), 0.0);
-}
-
 TEST(Platform, SkuAttributes)
 {
     const auto large = dc::scLarge();
@@ -148,14 +127,6 @@ TEST(Platform, SkuAttributes)
     EXPECT_GT(large.nic_bandwidth_bytes_per_ns,
               small.nic_bandwidth_bytes_per_ns);
     EXPECT_LT(small.busy_watts, large.busy_watts);
-}
-
-TEST(Platform, CostParamsScaleWithClock)
-{
-    const auto small = dc::scSmall();
-    const auto large = dc::scLarge();
-    EXPECT_GT(small.costParams().ns_per_flop,
-              large.costParams().ns_per_flop);
 }
 
 TEST(Capacity, Drm1DoesNotFitAnywhereUncompressed)

@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -424,14 +423,6 @@ TEST(FleetSim, MetricsRegistryMirrorsLedgerWithoutPerturbingIt)
         EXPECT_EQ(value(e, "fleet.shed_requests"),
                   static_cast<double>(shed_total));
     }
-
-    // The time-series exports as one JSON object per epoch.
-    std::ostringstream jsonl;
-    metrics.writeJsonl(jsonl);
-    std::size_t lines = 0;
-    for (const char c : jsonl.str())
-        lines += c == '\n' ? 1 : 0;
-    EXPECT_EQ(lines, observed.epochs.size());
 }
 
 /**

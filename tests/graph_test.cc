@@ -2,14 +2,13 @@
  * @file
  * Tests for the operator-graph substrate: workspace blob semantics,
  * operator execution, SplitIndices partition properties, net construction,
- * the sequential executor, and the micro cost model.
+ * and the sequential executor.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <set>
 
-#include "graph/cost_model.h"
 #include "graph/executor.h"
 #include "graph/net.h"
 #include "graph/operators.h"
@@ -181,57 +180,6 @@ TEST(Executor, RunsSequentiallyWithObserver)
              [&](const Operator &op) { types.push_back(op.type()); });
     EXPECT_EQ(types, (std::vector<std::string>{"Relu", "Sigmoid"}));
     EXPECT_FLOAT_EQ(ws.tensorBlob("x").at(0), 0.5f);
-}
-
-TEST(CostModel, FcWorkScalesWithDims)
-{
-    Workspace ws;
-    ws.createTensor("in") = Tensor(4, 8);
-    ws.createTensor("w") = Tensor(16, 8);
-    ws.createTensor("b") = Tensor(16);
-    FullyConnectedOp fc("in", "w", "b", "out");
-    const Work w = estimateWork(fc, ws);
-    EXPECT_DOUBLE_EQ(w.flops, 2.0 * 4 * 8 * 16);
-}
-
-TEST(CostModel, SlsWorkCountsLookups)
-{
-    Workspace ws;
-    ws.addTable("tab",
-                std::make_shared<VirtualEmbeddingTable>(1000, 8, 1, 64));
-    auto &ids = ws.createIndexList("ids");
-    ids.indices = {1, 2, 3, 4, 5};
-    ids.lengths = {5};
-    SparseLengthsSumOp sls("tab", "ids", "emb");
-    const Work w = estimateWork(sls, ws);
-    EXPECT_DOUBLE_EQ(w.lookups, 5.0);
-    EXPECT_DOUBLE_EQ(w.bytes, 5.0 * 8 * 4);
-}
-
-TEST(CostModel, WorkToNsMonotone)
-{
-    CostParams params;
-    Work small{100.0, 100.0, 1.0};
-    Work big{10000.0, 10000.0, 100.0};
-    EXPECT_LT(workToNs(small, params), workToNs(big, params));
-    EXPECT_GE(workToNs(Work{}, params),
-              static_cast<dri::sim::Duration>(params.op_dispatch_ns));
-}
-
-TEST(CostModel, NetEstimateSkipsRpcOps)
-{
-    Workspace ws;
-    ws.createTensor("x") = Tensor::fromVector({1.0f});
-    NetDef with_rpc("a");
-    with_rpc.emplace<ReluOp>("x");
-    with_rpc.emplace<RpcRequestOp>(0, "net", "h",
-                                   std::vector<std::string>{"x"},
-                                   std::vector<std::string>{"y"});
-    NetDef without("b");
-    without.emplace<ReluOp>("x");
-    CostParams params;
-    EXPECT_EQ(estimateNetNs(with_rpc, ws, params),
-              estimateNetNs(without, ws, params));
 }
 
 TEST(OpClassNames, AllDistinct)

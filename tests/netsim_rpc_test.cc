@@ -20,16 +20,6 @@ namespace {
 
 using namespace dri;
 
-TEST(LinkModel, ExpectedDelayHasBaseAndWire)
-{
-    netsim::LinkConfig config;
-    config.base_one_way_ns = 100000;
-    config.bandwidth_bytes_per_ns = 2.0;
-    netsim::LinkModel link(config);
-    EXPECT_EQ(link.expectedOneWayDelay(0), 100000);
-    EXPECT_EQ(link.expectedOneWayDelay(2000), 100000 + 1000);
-}
-
 TEST(LinkModel, JitterIsLognormalAroundBase)
 {
     netsim::LinkConfig config;

@@ -38,7 +38,6 @@ TEST(SpanTracer, DisabledTracerPerformsZeroAllocations)
     EXPECT_EQ(root, obs::kNoSpan);
     // Every other call must degrade to a no-op on the kNoSpan handle.
     tracer.end(root, 100);
-    tracer.addFlags(root, obs::kFlagShed);
     const auto rec =
         tracer.record(1, SpanKind::QueueWait, root, 0, 50);
     EXPECT_EQ(rec, obs::kNoSpan);
@@ -446,13 +445,6 @@ TEST(MetricsRegistry, SnapshotsAreDeterministic)
     EXPECT_EQ(a.snapshots()[0].values[0].first, "served");
     EXPECT_EQ(a.snapshots()[0].values[0].second, 42.0);
     EXPECT_EQ(a.snapshots()[1].values[0].second, 50.0);
-
-    std::ostringstream ja, jb;
-    a.writeJsonl(ja);
-    b.writeJsonl(jb);
-    EXPECT_EQ(ja.str(), jb.str());
-    EXPECT_NE(ja.str().find("\"t\":60"), std::string::npos);
-    EXPECT_NE(ja.str().find("\"wait_us.p50\":"), std::string::npos);
 }
 
 TEST(Histogram, BucketBoundariesRoundTrip)

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/serving.h"
 #include "core/strategies.h"
@@ -295,6 +297,165 @@ TEST(ServingMisuse, CancelInFlightWithoutDeadlineThrows)
     }
     cfg.admission.deadline_ns = 1;
     EXPECT_NO_THROW((core::ServingSimulation{spec, plan, cfg}));
+}
+
+/**
+ * The what() of the std::invalid_argument the constructor throws for
+ * (spec, plan), or "" when it constructs. Each validator rule below
+ * breaks one field of a valid DRM1 spec or two-shard plan and checks that
+ * the constructor names that rule.
+ */
+std::string
+constructionError(const model::ModelSpec &spec, const core::ShardingPlan &plan)
+{
+    try {
+        core::ServingSimulation sim(spec, plan, core::ServingConfig{});
+    } catch (const std::invalid_argument &e) {
+        return e.what();
+    }
+    return "";
+}
+
+/** `spec` under a singular plan: the constructor must name `rule`. */
+void
+expectSpecRejected(const model::ModelSpec &spec, const std::string &rule)
+{
+    const std::string error =
+        constructionError(spec, core::makeSingular(spec));
+    EXPECT_NE(error.find("model spec: "), std::string::npos) << error;
+    EXPECT_NE(error.find(rule), std::string::npos)
+        << "expected '" << rule << "' in '" << error << "'";
+}
+
+TEST(ServingMisuse, SpecWithoutTablesThrows)
+{
+    auto spec = model::makeDrm1();
+    spec.tables.clear();
+    expectSpecRejected(spec, "model must have nets and tables");
+}
+
+TEST(ServingMisuse, SpecTableOnUnknownNetThrows)
+{
+    auto spec = model::makeDrm1();
+    spec.tables[0].net_id = 99;
+    expectSpecRejected(spec, "references unknown net 99");
+}
+
+TEST(ServingMisuse, SpecNonPositiveGeometryThrows)
+{
+    auto rows = model::makeDrm1();
+    rows.tables[0].rows = 0;
+    expectSpecRejected(rows, "non-positive geometry");
+    auto dim = model::makeDrm1();
+    dim.tables[0].dim = -1;
+    expectSpecRejected(dim, "non-positive geometry");
+}
+
+TEST(ServingMisuse, SpecNegativePoolingThrows)
+{
+    auto spec = model::makeDrm1();
+    spec.tables[0].pooling_per_item = -0.5;
+    expectSpecRejected(spec, "negative pooling");
+}
+
+TEST(ServingMisuse, SpecAttributionNotSummingToOneThrows)
+{
+    auto spec = model::makeDrm1();
+    ASSERT_FALSE(spec.compute_attribution.empty());
+    spec.compute_attribution.begin()->second += 0.25;
+    expectSpecRejected(spec, "compute attribution sums to");
+}
+
+TEST(ServingMisuse, SpecBadRequestSizeDistributionThrows)
+{
+    auto mean = model::makeDrm1();
+    mean.mean_items = 0.0;
+    expectSpecRejected(mean, "bad request-size distribution");
+    auto range = model::makeDrm1();
+    range.items_max = range.items_min / 2.0;
+    expectSpecRejected(range, "bad request-size distribution");
+}
+
+TEST(ServingMisuse, SpecBadBatchSizeThrows)
+{
+    auto spec = model::makeDrm1();
+    spec.default_batch_size = 0;
+    expectSpecRejected(spec, "bad batch size");
+}
+
+/**
+ * DRM1's two-shard capacity-balanced assignments, rewritten by `edit`,
+ * in a plan of `num_shards` shards: the constructor must name `rule`.
+ */
+template <class Edit>
+void
+expectPlanRejected(int num_shards, Edit edit, const std::string &rule)
+{
+    const auto spec = model::makeDrm1();
+    auto assignments = core::makeCapacityBalanced(spec, 2).assignments();
+    edit(assignments);
+    const std::string error = constructionError(
+        spec, core::ShardingPlan("edited", num_shards, assignments));
+    EXPECT_NE(error.find("sharding plan: "), std::string::npos) << error;
+    EXPECT_NE(error.find(rule), std::string::npos)
+        << "expected '" << rule << "' in '" << error << "'";
+}
+
+using Assignments = std::vector<core::TableAssignment>;
+
+TEST(ServingMisuse, PlanSingularWithAssignmentsThrows)
+{
+    expectPlanRejected(
+        0, [](Assignments &) {},
+        "singular plan must have no assignments");
+}
+
+TEST(ServingMisuse, PlanCoverageMismatchThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a.pop_back(); }, "plan covers");
+}
+
+TEST(ServingMisuse, PlanBadTableIdThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a.back().table_id = 100000; },
+        "bad table id 100000");
+}
+
+TEST(ServingMisuse, PlanTableAssignedTwiceThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a[1].table_id = 0; },
+        "table 0 assigned twice");
+}
+
+TEST(ServingMisuse, PlanTableWithNoShardThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a[0].shards.clear(); },
+        "table 0 has no shard");
+}
+
+TEST(ServingMisuse, PlanRepeatedSplitShardsThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a[0].shards = {1, 1}; },
+        "table 0 split uses repeated shards");
+}
+
+TEST(ServingMisuse, PlanOutOfRangeShardThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a[0].shards = {2}; },
+        "table 0 on out-of-range shard 2");
+}
+
+TEST(ServingMisuse, PlanUnassignedTableThrows)
+{
+    expectPlanRejected(
+        2, [](Assignments &a) { a.erase(a.begin()); },
+        "table 0 unassigned");
 }
 
 TEST(Serving, Drm3TouchesTwoShards)

@@ -75,7 +75,7 @@ constantFeed(int n, std::int64_t ns)
     wc.horizon_s = 1e6;
     auto feed = std::make_unique<obs::RollingHistogram>(wc);
     for (int i = 0; i < n; ++i)
-        feed->observe(0.0, ns);
+        feed->observe(0.0, ns, 0, false);
     return feed;
 }
 
@@ -147,7 +147,7 @@ TEST(TraceSampler, RollingQuantileFeedDrivesTheTailThreshold)
     wc.horizon_s = 1e6;
     obs::RollingHistogram feed(wc);
     for (int i = 0; i < 200; ++i)
-        feed.observe(1.0, i < 180 ? 1000.0 : 100000.0);
+        feed.observe(1.0, i < 180 ? 1000.0 : 100000.0, 0, false);
 
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 0;
@@ -442,11 +442,11 @@ TEST(RollingHistogram, CountsDroppedStaleSamples)
     wc.horizon_s = 10.0;
     wc.buckets = 5;
     obs::RollingHistogram h(wc);
-    h.observe(100.0, 1.0);
+    h.observe(100.0, 1.0, 0, false);
     EXPECT_EQ(h.droppedStale(), 0u);
     // Same ring position, more than a full horizon older: dropped and
     // counted, not silently folded into the live bucket.
-    h.observe(100.0 - wc.horizon_s, 2.0);
+    h.observe(100.0 - wc.horizon_s, 2.0, 0, false);
     EXPECT_EQ(h.droppedStale(), 1u);
 }
 

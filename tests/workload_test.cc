@@ -110,17 +110,6 @@ TEST(RequestGenerator, PoolingEstimateDoesNotPerturbStream)
     EXPECT_EQ(g1.next().items, g2.next().items);
 }
 
-TEST(RequestGenerator, NetLookupSplit)
-{
-    const auto spec = model::makeDrm1();
-    RequestGenerator gen(spec, GeneratorConfig{23, 0.0});
-    const auto req = gen.next();
-    EXPECT_EQ(req.lookupsForNet(spec, 0) + req.lookupsForNet(spec, 1),
-              req.totalLookups());
-    // Net 1 is the hot net (~94% of pooling).
-    EXPECT_GT(req.lookupsForNet(spec, 0), req.lookupsForNet(spec, 1));
-}
-
 TEST(RequestGenerator, DiurnalModulationChangesSizes)
 {
     const auto spec = model::makeDrm1();
