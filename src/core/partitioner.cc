@@ -1,7 +1,7 @@
 #include "core/partitioner.h"
 
 #include <cassert>
-#include <set>
+#include <stdexcept>
 
 namespace dri::core {
 
@@ -62,6 +62,10 @@ partitionModel(const model::BuiltModel &built, const ShardingPlan &plan)
     dm.plan = &plan;
     assert(built.spec);
     const model::ModelSpec &spec = *built.spec;
+    std::string error;
+    if (!plan.validate(spec, &error))
+        throw std::invalid_argument("partitionModel: sharding plan: " +
+                                    error);
 
     if (plan.isSingular()) {
         for (const auto &net : built.nets)
@@ -69,9 +73,21 @@ partitionModel(const model::BuiltModel &built, const ShardingPlan &plan)
         return dm;
     }
 
+    const auto fanout = fanoutGroups(spec, plan);
+    // One blob name per row-split piece of `t`, in piece order.
+    const auto pieceBlobs = [&](const model::TableSpec &t, auto name) {
+        std::vector<std::string> parts;
+        for (std::size_t p = 0; p < plan.assignmentFor(t.id).ways(); ++p)
+            parts.push_back(name(t, static_cast<int>(p)));
+        return parts;
+    };
     for (std::size_t ni = 0; ni < built.nets.size(); ++ni) {
         const graph::NetDef &src = built.nets[ni];
         const int net_id = spec.nets[ni].id;
+        std::vector<const model::TableSpec *> split_tables;
+        for (const auto &t : spec.tables)
+            if (t.net_id == net_id && plan.assignmentFor(t.id).isSplit())
+                split_tables.push_back(&t);
 
         // Partition the net's ops: SLS ops move to shards, everything else
         // stays. The builder emits all SLS ops contiguously, so the main
@@ -81,37 +97,6 @@ partitionModel(const model::BuiltModel &built, const ShardingPlan &plan)
             main_net.declareInput(b);
         for (const auto &b : src.externalOutputs())
             main_net.declareOutput(b);
-
-        // Per-shard groups of (table, piece index or -1 for whole).
-        struct RemoteLookup
-        {
-            const model::TableSpec *table;
-            int piece; //!< -1 = whole table
-        };
-        std::map<int, std::vector<RemoteLookup>> by_shard;
-        std::set<int> split_tables;
-
-        for (const auto &op : src.ops()) {
-            const auto *sls =
-                dynamic_cast<const graph::SparseLengthsSumOp *>(op.get());
-            if (!sls)
-                continue;
-            // Resolve the table spec by name.
-            const model::TableSpec *table = nullptr;
-            for (const auto &t : spec.tables)
-                if (t.name == sls->tableName())
-                    table = &t;
-            assert(table && "SLS references unknown table");
-            const TableAssignment &asg = plan.assignmentFor(table->id);
-            if (!asg.isSplit()) {
-                by_shard[asg.shards[0]].push_back(RemoteLookup{table, -1});
-            } else {
-                split_tables.insert(table->id);
-                for (std::size_t p = 0; p < asg.shards.size(); ++p)
-                    by_shard[asg.shards[p]].push_back(
-                        RemoteLookup{table, static_cast<int>(p)});
-            }
-        }
 
         // Walk the original ops. Ops before the first SLS are "bottom";
         // at the first SLS, emit splits + RPC fan-out + wait + partial
@@ -130,80 +115,55 @@ partitionModel(const model::BuiltModel &built, const ShardingPlan &plan)
             fanout_emitted = true;
 
             // 1. Split index lists of row-split tables.
-            for (int tid : split_tables) {
-                const auto &t =
-                    spec.tables[static_cast<std::size_t>(tid)];
-                const auto &asg = plan.assignmentFor(tid);
-                std::vector<std::string> parts;
-                for (std::size_t p = 0; p < asg.ways(); ++p)
-                    parts.push_back(
-                        splitIdsBlobName(t, static_cast<int>(p)));
+            for (const auto *t : split_tables)
                 main_net.emplace<graph::SplitIndicesOp>(
-                    model::idsBlobName(t), parts);
-            }
+                    model::idsBlobName(*t), pieceBlobs(*t, splitIdsBlobName));
 
-            // 2. One RPC request per (shard, net).
+            // 2. One RPC request and one shard net per fan-out group.
             std::vector<std::string> handles;
-            for (const auto &kv : by_shard) {
-                const int shard = kv.first;
+            for (const auto &g : fanout[ni]) {
+                graph::NetDef shard_net(shardNetName(g.shard, net_id));
                 std::vector<std::string> req_inputs;
                 std::vector<std::string> req_outputs;
-                for (const auto &rl : kv.second) {
-                    if (rl.piece < 0) {
-                        req_inputs.push_back(model::idsBlobName(*rl.table));
-                        req_outputs.push_back(model::embBlobName(*rl.table));
-                    } else {
-                        req_inputs.push_back(
-                            splitIdsBlobName(*rl.table, rl.piece));
-                        req_outputs.push_back(
-                            splitEmbBlobName(*rl.table, rl.piece));
-                    }
+                const auto lookup = [&](const model::TableSpec &t,
+                                        const std::string &ids,
+                                        const std::string &emb) {
+                    shard_net.declareInput(ids);
+                    shard_net.emplace<graph::SparseLengthsSumOp>(t.name, ids,
+                                                                 emb);
+                    shard_net.declareOutput(emb);
+                    req_inputs.push_back(ids);
+                    req_outputs.push_back(emb);
+                };
+                for (int tid : g.whole_tables) {
+                    const auto &t = spec.tables[static_cast<std::size_t>(tid)];
+                    lookup(t, model::idsBlobName(t), model::embBlobName(t));
+                }
+                for (const auto &piece : g.pieces) {
+                    const auto &t =
+                        spec.tables[static_cast<std::size_t>(piece.table)];
+                    lookup(t, splitIdsBlobName(t, piece.piece),
+                           splitEmbBlobName(t, piece.piece));
                 }
                 const std::string handle =
                     "h_net" + std::to_string(net_id) + "_s" +
-                    std::to_string(shard);
+                    std::to_string(g.shard);
                 main_net.emplace<graph::RpcRequestOp>(
-                    shard, shardNetName(shard, net_id), handle, req_inputs,
+                    g.shard, shard_net.name(), handle, req_inputs,
                     req_outputs);
                 handles.push_back(handle);
+                dm.shard_nets[g.shard].push_back(std::move(shard_net));
             }
 
             // 3. Join.
             main_net.emplace<graph::RpcWaitOp>(handles);
 
             // 4. Combine row-split partial sums.
-            for (int tid : split_tables) {
-                const auto &t =
-                    spec.tables[static_cast<std::size_t>(tid)];
-                const auto &asg = plan.assignmentFor(tid);
-                std::vector<std::string> parts;
-                for (std::size_t p = 0; p < asg.ways(); ++p)
-                    parts.push_back(
-                        splitEmbBlobName(t, static_cast<int>(p)));
-                main_net.emplace<graph::SumOp>(parts,
-                                               model::embBlobName(t));
-            }
+            for (const auto *t : split_tables)
+                main_net.emplace<graph::SumOp>(
+                    pieceBlobs(*t, splitEmbBlobName), model::embBlobName(*t));
         }
         dm.main_nets.push_back(std::move(main_net));
-
-        // Generate the sparse-shard nets.
-        for (const auto &kv : by_shard) {
-            const int shard = kv.first;
-            graph::NetDef shard_net(shardNetName(shard, net_id));
-            for (const auto &rl : kv.second) {
-                const std::string ids =
-                    rl.piece < 0 ? model::idsBlobName(*rl.table)
-                                 : splitIdsBlobName(*rl.table, rl.piece);
-                const std::string emb =
-                    rl.piece < 0 ? model::embBlobName(*rl.table)
-                                 : splitEmbBlobName(*rl.table, rl.piece);
-                shard_net.declareInput(ids);
-                shard_net.emplace<graph::SparseLengthsSumOp>(rl.table->name,
-                                                             ids, emb);
-                shard_net.declareOutput(emb);
-            }
-            dm.shard_nets[shard].push_back(std::move(shard_net));
-        }
     }
     return dm;
 }

@@ -2,9 +2,9 @@
  * @file
  * Model partitioner: rewrites a singular model into the distributed form of
  * Fig. 2b under a sharding plan, mirroring the paper's custom partitioning
- * tool (Section III-C): group embedding tables and their operators by
- * shard, insert RPC operators into the main net, and generate new nets for
- * each sparse shard.
+ * tool (Section III-C): per fanoutGroups() entry (serving's fan-out), one
+ * RPC operator in the main net and one net on that sparse shard. Row-split
+ * tables get SplitIndicesOp / SumOp pieces that route rows as shardOfRow.
  *
  * Guarantees the paper's serving constraints: every sparse-shard net is
  * stateless (depends only on request inputs) and the shard graph is
@@ -49,7 +49,8 @@ struct DistributedModel
 
 /**
  * Partition `built` under `plan`. A singular plan yields main nets that are
- * clones of the original nets and no shard nets.
+ * clones of the original nets and no shard nets. A plan that fails
+ * validate(*built.spec) throws std::invalid_argument.
  */
 DistributedModel partitionModel(const model::BuiltModel &built,
                                 const ShardingPlan &plan);

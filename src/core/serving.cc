@@ -6,7 +6,6 @@
 #include <cstdlib>
 #include <functional>
 #include <initializer_list>
-#include <map>
 #include <new>
 #include <stdexcept>
 #include <string>
@@ -66,22 +65,10 @@ struct ServingSimulation::Impl
 {
     // -- Static deployment description ------------------------------------
 
-    /** One RPC fan-out target: the tables of one net on one shard. */
-    struct Group
+    /** One RPC fan-out target (see fanoutGroups) and its static costs. */
+    struct Group : FanoutGroup
     {
-        int shard = 0;
-        std::vector<int> whole_tables;
-        struct Piece
-        {
-            int table;
-            int piece;
-            int ways;
-        };
-        std::vector<Piece> pieces;
-        int tableCount() const
-        {
-            return static_cast<int>(whole_tables.size() + pieces.size());
-        }
+        explicit Group(FanoutGroup g) : FanoutGroup(std::move(g)) {}
         double sum_dims = 0.0;  //!< Σ table dims (response sizing)
         double lookup_ns = 0.0; //!< pooled per-row gather cost
     };
@@ -489,7 +476,9 @@ struct ServingSimulation::Impl
     void
     buildNetInfos()
     {
-        for (const auto &net_spec : spec.nets) {
+        auto fanout = fanoutGroups(spec, plan);
+        for (std::size_t n = 0; n < spec.nets.size(); ++n) {
+            const auto &net_spec = spec.nets[n];
             NetInfo ni;
             ni.net_id = net_spec.id;
             ni.dense_ns_per_item = net_spec.dense_ns_per_item;
@@ -508,48 +497,25 @@ struct ServingSimulation::Impl
                 }
                 ni.inline_lookup_ns = pool_sum > 0.0 ? cost_sum / pool_sum
                                                      : cfg.lookup_base_ns;
-            } else {
-                std::map<int, Group> groups;
-                for (const auto &t : spec.tables) {
-                    if (t.net_id != net_spec.id)
-                        continue;
-                    const auto &asg = plan.assignmentFor(t.id);
-                    if (!asg.isSplit()) {
-                        Group &g = groups[asg.shards[0]];
-                        g.shard = asg.shards[0];
-                        g.whole_tables.push_back(t.id);
-                    } else {
-                        for (std::size_t p = 0; p < asg.shards.size(); ++p) {
-                            Group &g = groups[asg.shards[p]];
-                            g.shard = asg.shards[p];
-                            g.pieces.push_back(Group::Piece{
-                                t.id, static_cast<int>(p),
-                                static_cast<int>(asg.ways())});
-                        }
-                    }
-                }
-                for (auto &kv : groups) {
-                    Group &g = kv.second;
-                    double pool = 0.0, cost = 0.0;
-                    // A piece of a `ways`-way split serves 1/ways of its
-                    // table's lookups; a whole table is a 1-way piece.
-                    const auto add = [&](int tid, double ways) {
-                        const auto &t =
-                            spec.tables[static_cast<std::size_t>(tid)];
-                        const double p =
-                            t.expectedLookups(spec.mean_items) / ways;
-                        pool += p;
-                        cost += p * tableLookupNs(t, g.shard);
-                        g.sum_dims += static_cast<double>(t.dim);
-                    };
-                    for (int tid : g.whole_tables)
-                        add(tid, 1.0);
-                    for (const auto &piece : g.pieces)
-                        add(piece.table, static_cast<double>(piece.ways));
-                    g.lookup_ns =
-                        pool > 0.0 ? cost / pool : cfg.lookup_base_ns;
-                    ni.groups.push_back(g);
-                }
+            }
+            for (auto &fg : fanout[n]) {
+                Group g(std::move(fg));
+                double pool = 0.0, cost = 0.0;
+                // A piece of a `ways`-way split serves 1/ways of its
+                // table's lookups; a whole table is a 1-way piece.
+                const auto add = [&](int tid, double ways) {
+                    const auto &t = spec.tables[static_cast<std::size_t>(tid)];
+                    const double p = t.expectedLookups(spec.mean_items) / ways;
+                    pool += p;
+                    cost += p * tableLookupNs(t, g.shard);
+                    g.sum_dims += static_cast<double>(t.dim);
+                };
+                for (int tid : g.whole_tables)
+                    add(tid, 1.0);
+                for (const auto &piece : g.pieces)
+                    add(piece.table, static_cast<double>(piece.ways));
+                g.lookup_ns = pool > 0.0 ? cost / pool : cfg.lookup_base_ns;
+                ni.groups.push_back(std::move(g));
             }
             nets.push_back(std::move(ni));
         }
@@ -1916,15 +1882,6 @@ ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
 }
 
 ServingSimulation::~ServingSimulation() = default;
-
-std::size_t
-ServingSimulation::fanoutGroupCount() const
-{
-    std::size_t n = 0;
-    for (const auto &ni : impl_->nets)
-        n += ni.groups.size();
-    return n;
-}
 
 std::vector<RequestStats>
 ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)

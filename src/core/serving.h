@@ -560,9 +560,6 @@ class ServingSimulation
     const ShardingPlan &plan() const { return plan_; }
     const model::ModelSpec &spec() const { return spec_; }
 
-    /** Number of RPC fan-out groups (shard, net) pairs in the deployment. */
-    std::size_t fanoutGroupCount() const;
-
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;

@@ -1,8 +1,8 @@
 #include "core/sharding_plan.h"
 
 #include <algorithm>
-#include <cassert>
 #include <sstream>
+#include <stdexcept>
 
 namespace dri::core {
 
@@ -32,11 +32,14 @@ ShardingPlan::label() const
 const TableAssignment &
 ShardingPlan::assignmentFor(int table_id) const
 {
-    assert(table_id >= 0 &&
-           table_id < static_cast<int>(assignments_.size()));
-    const auto &a = assignments_[static_cast<std::size_t>(table_id)];
-    assert(a.table_id == table_id);
-    return a;
+    if (table_id >= 0 &&
+        static_cast<std::size_t>(table_id) < assignments_.size()) {
+        const auto &a = assignments_[static_cast<std::size_t>(table_id)];
+        if (a.table_id == table_id)
+            return a;
+    }
+    throw std::out_of_range("ShardingPlan::assignmentFor: table " +
+                            std::to_string(table_id) + " is not placed");
 }
 
 std::vector<int>
@@ -167,6 +170,35 @@ ShardingPlan::validate(const model::ModelSpec &spec, std::string *error,
     if (error)
         *error = err.str();
     return ok;
+}
+
+std::vector<std::vector<FanoutGroup>>
+fanoutGroups(const model::ModelSpec &spec, const ShardingPlan &plan)
+{
+    std::vector<std::vector<FanoutGroup>> out(spec.nets.size());
+    for (std::size_t n = 0; n < out.size() && !plan.isSingular(); ++n) {
+        std::vector<FanoutGroup> by_shard(
+            static_cast<std::size_t>(plan.numShards()));
+        for (const auto &t : spec.tables) {
+            if (t.net_id != spec.nets[n].id)
+                continue;
+            const auto &asg = plan.assignmentFor(t.id);
+            const auto ways = static_cast<int>(asg.ways());
+            for (int p = 0; p < ways; ++p) {
+                const int shard = asg.shards[static_cast<std::size_t>(p)];
+                FanoutGroup &g = by_shard[static_cast<std::size_t>(shard)];
+                g.shard = shard;
+                if (asg.isSplit())
+                    g.pieces.push_back(TablePiece{t.id, p, ways});
+                else
+                    g.whole_tables.push_back(t.id);
+            }
+        }
+        for (auto &g : by_shard)
+            if (g.tableCount() > 0)
+                out[n].push_back(std::move(g));
+    }
+    return out;
 }
 
 } // namespace dri::core

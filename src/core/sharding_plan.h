@@ -25,7 +25,8 @@ struct TableAssignment
     /**
      * Shards holding this table. Size 1: whole table on one shard.
      * Size > 1: rows split by `row % shards.size()` across the listed
-     * shards, in modulus order.
+     * shards, in modulus order. Consumers read it through
+     * ShardingPlan::shardOfRow and fanoutGroups().
      */
     std::vector<int> shards;
 
@@ -44,6 +45,27 @@ struct ShardSummary
     double estimated_pooling = 0.0;
     /** Nets with at least one table (piece) on this shard. */
     std::set<int> nets;
+};
+
+/** The rows `row mod ways == piece` of a table split `ways` ways. */
+struct TablePiece
+{
+    int table = 0;
+    int piece = 0;
+    int ways = 0;
+};
+
+/** One RPC fan-out target (Section III-C): one net's tables on one shard. */
+struct FanoutGroup
+{
+    int shard = 0;
+    std::vector<int> whole_tables;
+    std::vector<TablePiece> pieces;
+
+    int tableCount() const
+    {
+        return static_cast<int>(whole_tables.size() + pieces.size());
+    }
 };
 
 /** A complete sharding configuration. */
@@ -66,7 +88,28 @@ class ShardingPlan
     {
         return assignments_;
     }
+    /** Throws std::out_of_range if the plan does not place `table_id`. */
     const TableAssignment &assignmentFor(int table_id) const;
+
+    /**
+     * The shard serving `row` of `table` in a validated plan: a whole
+     * table's owner, else `shards[row mod ways]` (non-negative modulus).
+     * 0 under a singular plan; -1 for a table the plan does not place.
+     */
+    int shardOfRow(int table, std::int64_t row) const
+    {
+        if (isSingular())
+            return 0;
+        const auto t = static_cast<std::size_t>(table);
+        if (table < 0 || t >= assignments_.size())
+            return -1;
+        const auto &shards = assignments_[t].shards;
+        if (shards.size() == 1)
+            return shards[0];
+        const auto ways = static_cast<std::int64_t>(shards.size());
+        const std::int64_t piece = ((row % ways) + ways) % ways;
+        return shards[static_cast<std::size_t>(piece)];
+    }
 
     /** Table ids with at least a piece on the given shard. */
     std::vector<int> tablesOnShard(int shard_id) const;
@@ -99,5 +142,13 @@ class ShardingPlan
     int num_shards_ = 0;
     std::vector<TableAssignment> assignments_;
 };
+
+/**
+ * Per net of `spec.nets`, the groups of a validated plan in shard order
+ * (none if singular); each lists whole tables, then pieces, by table id.
+ * Serving and the partitioner both emit their RPCs from it.
+ */
+std::vector<std::vector<FanoutGroup>>
+fanoutGroups(const model::ModelSpec &spec, const ShardingPlan &plan);
 
 } // namespace dri::core

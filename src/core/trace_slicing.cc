@@ -4,28 +4,13 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/concurrency.h"
 #include "stats/flat_hash.h"
 
 namespace dri::core {
-
-int
-shardOf(const ShardingPlan &plan, int table, std::int64_t row)
-{
-    if (plan.isSingular())
-        return 0;
-    const auto &assignments = plan.assignments();
-    if (table < 0 || static_cast<std::size_t>(table) >= assignments.size())
-        return -1;
-    const auto &asg = assignments[static_cast<std::size_t>(table)];
-    if (!asg.isSplit())
-        return asg.shards[0];
-    const auto ways = static_cast<std::int64_t>(asg.ways());
-    const std::int64_t piece = ((row % ways) + ways) % ways;
-    return asg.shards[static_cast<std::size_t>(piece)];
-}
 
 double
 ShardCacheModels::aggregateHitRate() const
@@ -57,6 +42,10 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
     if (workers < 0)
         throw std::invalid_argument(
             "buildShardCacheModels: workers must be >= 0");
+    std::string error; // shardOfRow needs a validated plan
+    if (!plan.validate(spec, &error))
+        throw std::invalid_argument(
+            "buildShardCacheModels: sharding plan: " + error);
     const std::size_t n_shards =
         plan.isSingular() ? 1 : static_cast<std::size_t>(plan.numShards());
     const std::size_t n_workers = std::min(
@@ -80,7 +69,7 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
             own.push_back(s);
         }
         const auto slotOf = [&](const workload::AccessRecord &rec) {
-            const int shard = shardOf(plan, rec.table_id, rec.row);
+            const int shard = plan.shardOfRow(rec.table_id, rec.row);
             return shard < 0 ? -1 : slot[static_cast<std::size_t>(shard)];
         };
 

@@ -2,8 +2,9 @@
  * @file
  * Per-shard trace slicing: derive each sparse shard's access trace — and
  * from it a measured CachedLookupModel — from the rows the ShardingPlan
- * actually routes to it, instead of estimating every shard's locality
- * from one shared whole-model replay.
+ * actually routes to it (ShardingPlan::shardOfRow, which the
+ * partitioner's SplitIndicesOp pieces follow), instead of estimating
+ * every shard's locality from one shared whole-model replay.
  *
  * The distinction matters exactly when sharding is skewed: a shard
  * holding the hot tables sees a more cacheable (more Zipf-concentrated)
@@ -42,15 +43,6 @@
 #include "workload/access_trace.h"
 
 namespace dri::core {
-
-/**
- * The sparse shard an access to `row` of `table` is routed to, the way
- * the plan routes its lookup: whole tables to their owning shard, split
- * tables by `row % ways` in modulus order (the ShardingPlan contract).
- * Returns -1 for a table the plan does not place, and 0 for every access
- * under a singular plan (the inline-SLS "shard").
- */
-int shardOf(const ShardingPlan &plan, int table, std::int64_t row);
 
 /** How each shard's slice is replayed into a lookup model. */
 struct ShardCacheOptions
@@ -98,8 +90,8 @@ struct ShardCacheModels
  * comment), each reading the whole trace twice. For a singular plan the
  * single "shard" is the main shard's inline SLS tier. An in-model
  * (table, row) outside cache::packRowKey's domain throws
- * std::out_of_range, whichever worker meets it; negative `workers`
- * throws std::invalid_argument.
+ * std::out_of_range, whichever worker meets it; negative `workers` or
+ * a plan that fails validate(spec) throws std::invalid_argument.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,

@@ -1,6 +1,8 @@
 #include "graph/operators.h"
 
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/kernels.h"
 
@@ -141,7 +143,8 @@ SplitIndicesOp::run(ExecContext &ctx)
     // createIndexList invalidates references into the workspace.
     const IndexList src = ctx.ws.indexListBlob(inputs()[0]);
     const auto ways = static_cast<std::int64_t>(outputs().size());
-    assert(ways > 0);
+    if (ways == 0)
+        throw std::invalid_argument("SplitIndices: no output pieces");
 
     std::vector<IndexList> parts(static_cast<std::size_t>(ways));
     for (auto &p : parts)
@@ -152,6 +155,9 @@ SplitIndicesOp::run(ExecContext &ctx)
         const auto len = static_cast<std::size_t>(src.lengths[seg]);
         for (std::size_t k = 0; k < len; ++k) {
             const std::int64_t idx = src.indices[cursor++];
+            if (idx < 0)
+                throw std::out_of_range("SplitIndices: negative index " +
+                                        std::to_string(idx));
             const auto shard = static_cast<std::size_t>(idx % ways);
             parts[shard].indices.push_back(idx);
             ++parts[shard].lengths[seg];

@@ -146,7 +146,9 @@ class SparseLengthsSumOp : public Operator
 /**
  * Split an IndexList into `ways` shards by row id modulus (the paper's
  * hashing function for huge-table row partitioning). Output s receives the
- * indices with index % ways == s, preserving segment structure.
+ * indices with index % ways == s, preserving segment structure. run()
+ * throws std::invalid_argument with no outputs and std::out_of_range on a
+ * negative index.
  */
 class SplitIndicesOp : public Operator
 {

@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <set>
+#include <stdexcept>
 
 #include "graph/executor.h"
 #include "graph/net.h"
@@ -126,6 +127,28 @@ TEST(Operators, SplitIndicesPartitionsByModulus)
     }
     EXPECT_EQ(total, 7);
     EXPECT_EQ(seen.size(), 7u);
+}
+
+TEST(Operators, SplitIndicesRejectsNegativeIndex)
+{
+    Workspace ws;
+    auto &ids = ws.createIndexList("ids");
+    ids.indices = {4, -3, 5};
+    ids.lengths = {3};
+    ExecContext ctx{ws, nullptr};
+    SplitIndicesOp split("ids", {"p0", "p1"});
+    EXPECT_THROW(split.run(ctx), std::out_of_range);
+}
+
+TEST(Operators, SplitIndicesRejectsZeroWays)
+{
+    Workspace ws;
+    auto &ids = ws.createIndexList("ids");
+    ids.indices = {1, 2};
+    ids.lengths = {2};
+    ExecContext ctx{ws, nullptr};
+    SplitIndicesOp split("ids", {});
+    EXPECT_THROW(split.run(ctx), std::invalid_argument);
 }
 
 TEST(Operators, SumCombinesPartials)

@@ -152,7 +152,10 @@ TEST(Serving, RpcFanoutMatchesGroupsTimesBatches)
     const auto reqs = requestsFor(spec, 10);
     const auto plan = core::makeCapacityBalanced(spec, 4);
     core::ServingSimulation sim(spec, plan, core::ServingConfig{});
-    EXPECT_EQ(sim.fanoutGroupCount(), 8u); // 4 shards x 2 nets
+    std::size_t groups = 0;
+    for (const auto &net : core::fanoutGroups(spec, plan))
+        groups += net.size();
+    EXPECT_EQ(groups, 8u); // 4 shards x 2 nets
     const auto stats = sim.replaySerial(reqs);
     for (const auto &s : stats)
         EXPECT_EQ(s.rpc_count, s.batches * 8);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "core/strategies.h"
 #include "dc/platform.h"
@@ -242,6 +243,43 @@ TEST(ShardingPlan, ValidateCatchesMemoryOverflow)
     EXPECT_FALSE(plan.validate(spec, &err, 64LL << 30));
     EXPECT_NE(err.find("memory"), std::string::npos);
     EXPECT_TRUE(plan.validate(spec, &err, 256LL << 30));
+}
+
+TEST(ShardingPlan, AssignmentForThrowsOutOfRangeOnUnplacedTables)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+    EXPECT_EQ(plan.assignmentFor(0).table_id, 0);
+    EXPECT_THROW(plan.assignmentFor(-1), std::out_of_range);
+    EXPECT_THROW(plan.assignmentFor(static_cast<int>(spec.tables.size())),
+                 std::out_of_range);
+    EXPECT_THROW(core::makeSingular(spec).assignmentFor(0),
+                 std::out_of_range);
+    // Table 1 unplaced: its slot holds table 2's assignment.
+    const ShardingPlan gap("manual", 1, {{0, {0}}, {2, {0}}});
+    EXPECT_THROW(gap.assignmentFor(1), std::out_of_range);
+}
+
+TEST(ShardingPlan, ShardOfRowContract)
+{
+    const auto spec = model::makeDrm1();
+    const auto singular = core::makeSingular(spec);
+    for (int table : {-1, 0, 3, 1000})
+        EXPECT_EQ(singular.shardOfRow(table, 12345), 0);
+
+    // Table 0 whole on shard 2; table 1 split three ways over {3, 0, 1}.
+    const ShardingPlan plan("manual", 4, {{0, {2}}, {1, {3, 0, 1}}});
+    EXPECT_EQ(plan.shardOfRow(2, 0), -1);
+    EXPECT_EQ(plan.shardOfRow(-1, 0), -1);
+    for (const std::int64_t row : {-7LL, 0LL, 5LL, 1LL << 40})
+        EXPECT_EQ(plan.shardOfRow(0, row), 2);
+    EXPECT_EQ(plan.shardOfRow(1, 4), 0);  // piece 1
+    EXPECT_EQ(plan.shardOfRow(1, -1), 1); // -1 mod 3 = 2: piece 2
+    EXPECT_EQ(plan.shardOfRow(1, -3), 3); // piece 0
+    // Negative rows continue the modulus cycle instead of leaving it.
+    for (std::int64_t row = -9; row < 9; ++row)
+        EXPECT_EQ(plan.shardOfRow(1, row), plan.shardOfRow(1, row + 3))
+            << "row " << row;
 }
 
 TEST(ShardingPlan, CapacityConservation)

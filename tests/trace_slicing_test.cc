@@ -28,8 +28,8 @@ using namespace dri;
 
 /**
  * Split a whole-model trace into one slice per sparse shard by
- * core::shardOf(), dropping records that name tables outside the plan
- * (as TieredCacheSim::replay does); a singular plan yields one slice
+ * ShardingPlan::shardOfRow(), dropping records that name tables outside
+ * the plan (as TieredCacheSim::replay does); a singular plan yields one slice
  * holding every record. The materialized routing the reference build
  * below replays.
  */
@@ -40,7 +40,7 @@ sliceTraceByShard(const core::ShardingPlan &plan,
     std::vector<workload::AccessTrace> slices(
         plan.isSingular() ? 1 : static_cast<std::size_t>(plan.numShards()));
     for (const auto &rec : trace.records()) {
-        const int shard = core::shardOf(plan, rec.table_id, rec.row);
+        const int shard = plan.shardOfRow(rec.table_id, rec.row);
         if (shard >= 0)
             slices[static_cast<std::size_t>(shard)].add(rec);
     }
@@ -265,6 +265,37 @@ TEST(TraceSlicing, BadRequestsAndWorkerCountsThrowInvalidArgument)
                                                  17, opt, workers),
                      std::invalid_argument)
             << "workers=" << workers;
+}
+
+/**
+ * Both overloads validate the plan before routing by it: one that misses
+ * tables throws std::invalid_argument naming the validator's finding.
+ */
+TEST(TraceSlicing, InvalidPlanThrowsInvalidArgument)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const core::ShardingPlan partial("manual", 2, {{0, {0}}, {1, {1}}});
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(20);
+    const auto trace = studyTrace(spec);
+    const core::ShardCacheOptions opt;
+    const auto expectPlanError = [](auto &&build) {
+        try {
+            build();
+            ADD_FAILURE() << "no throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("sharding plan: "),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+    expectPlanError([&] {
+        core::buildShardCacheModels(spec, partial, trace, opt, 1);
+    });
+    expectPlanError([&] {
+        core::buildShardCacheModels(spec, partial, requests, 0.7, 17, opt,
+                                    1);
+    });
 }
 
 /**
