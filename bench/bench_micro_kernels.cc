@@ -5,8 +5,9 @@
  * and index splitting. These back the cost-model constants used by the
  * simulation. The EventHold rows time the DES engine's event set under
  * the hold model. The Zipf-draw and cache-replay rows time the two layers
- * of the trace-driven row-cache build; the AttemptStream row times the
- * per-attempt randomness of the serving fan-out.
+ * of the trace-driven row-cache build, and the ShardCacheBuild rows the
+ * whole streamed build at one and four workers; the AttemptStream row
+ * times the per-attempt randomness of the serving fan-out.
  */
 #include <benchmark/benchmark.h>
 
@@ -14,6 +15,8 @@
 
 #include "cache/tiered_sim.h"
 #include "core/serving.h"
+#include "core/strategies.h"
+#include "core/trace_slicing.h"
 #include "graph/operators.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
@@ -216,6 +219,34 @@ BENCHMARK_CAPTURE(BM_CacheReplay, lru, cache::Policy::Lru);
 BENCHMARK_CAPTURE(BM_CacheReplay, lfu, cache::Policy::Lfu);
 BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
+
+/**
+ * The streamed per-shard row-cache build (core::buildShardCacheModels's
+ * request overload) over a capacity-balanced 4-shard plan, on Arg(0)
+ * shard-group workers; items/s = accesses/s.
+ */
+void
+BM_ShardCacheBuild(benchmark::State &state)
+{
+    static const auto spec = model::makeShardedCacheStudySpec();
+    static const auto plan = core::makeCapacityBalanced(spec, 4);
+    static const auto requests =
+        workload::RequestGenerator(spec, workload::GeneratorConfig{17})
+            .generate(600);
+    std::int64_t accesses = 0;
+    for (const auto &r : requests)
+        accesses += r.totalLookups();
+    const core::ShardCacheOptions options;
+    const auto workers = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        const auto models = core::buildShardCacheModels(
+            spec, plan, requests, 0.8, 17, options, workers);
+        benchmark::DoNotOptimize(models.results.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            accesses);
+}
+BENCHMARK(BM_ShardCacheBuild)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
  * The per-attempt randomness of a sparse-RPC fan-out: derive the

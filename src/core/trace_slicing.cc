@@ -28,10 +28,13 @@ ShardCacheModels::aggregateHitRate() const
 namespace {
 
 /**
- * The model build behind both overloads. `source(fn)` calls
+ * The model build behind both overloads. `source(want, fn)` calls
  * fn(const workload::AccessRecord &) once per access and must replay the
  * identical sequence every time it is called, from any thread; each
- * worker calls it twice.
+ * worker calls it twice. `want` is the worker's table mask (a
+ * `bool(std::size_t table)` predicate): the source may skip the accesses
+ * of unwanted tables, none of which routes to the worker's shards, or
+ * pass them anyway.
  */
 template <class Source>
 ShardCacheModels
@@ -68,10 +71,19 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
             slot[s] = static_cast<int>(own.size());
             own.push_back(s);
         }
+        // A split table's pieces can lie on several workers' shards, so
+        // slotOf still filters every wanted access.
         const auto slotOf = [&](const workload::AccessRecord &rec) {
             const int shard = plan.shardOfRow(rec.table_id, rec.row);
             return shard < 0 ? -1 : slot[static_cast<std::size_t>(shard)];
         };
+        // The tables with at least one piece on an owned shard.
+        std::vector<char> mask(spec.tables.size(), plan.isSingular());
+        if (!plan.isSingular())
+            for (const std::size_t s : own)
+                for (const int t : plan.tablesOnShard(static_cast<int>(s)))
+                    mask[static_cast<std::size_t>(t)] = 1;
+        const auto want = [&mask](std::size_t t) { return mask[t] != 0; };
 
         // Pass 1: each owned shard's access count (its warmup boundary)
         // and its distinct-row universe (its budget under
@@ -84,7 +96,7 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
         std::vector<std::int64_t> bytes(own.size(), 0);
         {
             stats::FlatHashSet64 seen;
-            source([&](const workload::AccessRecord &rec) {
+            source(want, [&](const workload::AccessRecord &rec) {
                 const int k = slotOf(rec);
                 if (k < 0)
                     return;
@@ -116,7 +128,7 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
                 std::make_unique<cache::TieredCacheSim>(spec, cfg));
             sims.back()->begin(accesses[k]);
         }
-        source([&](const workload::AccessRecord &rec) {
+        source(want, [&](const workload::AccessRecord &rec) {
             const int k = slotOf(rec);
             if (k >= 0)
                 sims[static_cast<std::size_t>(k)]->access(rec.table_id,
@@ -149,7 +161,8 @@ buildShardCacheModels(const model::ModelSpec &spec,
 {
     return buildModels(
         spec, plan,
-        [&trace](auto &&fn) {
+        // The records are stored already; slotOf filters them.
+        [&trace](const auto &, auto &&fn) {
             for (const auto &rec : trace.records())
                 fn(rec);
         },
@@ -164,12 +177,12 @@ buildShardCacheModels(const model::ModelSpec &spec,
                       const ShardCacheOptions &options, int workers)
 {
     // Bad requests throw here, before any worker starts.
-    workload::detail::checkAccessSource(spec, requests);
+    workload::detail::checkAccessSource(spec, requests, popularity_skew);
     return buildModels(
         spec, plan,
-        [&](auto &&fn) {
+        [&](const auto &want, auto &&fn) {
             workload::forEachAccess(spec, requests, popularity_skew, seed,
-                                    fn);
+                                    fn, want);
         },
         options, workers);
 }

@@ -23,12 +23,14 @@
  *
  * Both build on W = min(shards, workers) workers, `workers` = 0 meaning
  * the CPUs this process may run on (core::usableCpus()). Worker w owns
- * the shards s with s % W == w and runs the two passes over the whole
- * source for them alone: W workers read the source 2W times in all,
- * buying wall time with generation CPU. Every shard's cache sees the
- * same accesses in the same order whatever W is, so the result is
- * field-for-field identical at every worker count, and W = 1 runs on the
- * calling thread without starting one.
+ * the shards s with s % W == w and runs the two passes over the source
+ * for them alone. The streamed overload's workers each still draw every
+ * random word of the stream, but sample rows only for the tables with a
+ * piece on their own shards (workload::forEachAccess's table filter), so
+ * the generation CPU per worker shrinks with its share of the lookups.
+ * Every shard's cache sees the same accesses in the same order whatever
+ * W is, so the result is field-for-field identical at every worker
+ * count, and W = 1 runs on the calling thread without starting one.
  */
 #pragma once
 
@@ -102,9 +104,10 @@ buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
  * Streamed equivalent of buildShardCacheModels(spec, plan,
  * workload::recordTrace(spec, requests, popularity_skew, seed), options,
  * workers): field-for-field identical, but every worker's passes
- * regenerate the accesses with workload::forEachAccess, so no trace or
- * slice is ever stored. Throws what forEachAccess throws; requests it
- * rejects throw std::invalid_argument before any worker starts.
+ * regenerate the accesses with workload::forEachAccess, filtered to the
+ * tables its shards hold, so no trace or slice is ever stored. Throws
+ * what forEachAccess throws; requests or a skew it rejects throw
+ * std::invalid_argument before any worker starts.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,

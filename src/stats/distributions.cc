@@ -39,6 +39,8 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
 {
     if (n == 0)
         throw std::invalid_argument("ZipfSampler: requires n > 0");
+    if (std::isnan(s))
+        throw std::invalid_argument("ZipfSampler: exponent s is NaN");
     cdf_.resize(n);
     double acc = 0.0;
     for (std::size_t k = 0; k < n; ++k) {

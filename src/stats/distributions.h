@@ -88,11 +88,13 @@ class BoundedParetoSampler
 class ZipfSampler
 {
   public:
-    /** Throws std::invalid_argument when n is 0. */
+    /** Throws std::invalid_argument when n is 0 or s is NaN. */
     ZipfSampler(std::size_t n, double s);
 
     /** Returns a rank in [0, n). Rank 0 is the most popular. Inline: the
-     *  trace recorder draws one per embedding access. */
+     *  trace recorder draws one per embedding access. Takes exactly one
+     *  engine word, which workload::forEachAccess's table filter relies
+     *  on. */
     std::size_t
     sample(Rng &rng) const
     {

@@ -1,6 +1,7 @@
 #include "workload/access_trace.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -10,8 +11,11 @@ namespace detail {
 
 void
 checkAccessSource(const model::ModelSpec &spec,
-                  const std::vector<Request> &requests)
+                  const std::vector<Request> &requests,
+                  double popularity_skew)
 {
+    if (std::isnan(popularity_skew))
+        throw std::invalid_argument("access trace: popularity_skew is NaN");
     for (const auto &table : spec.tables)
         if (table.rows <= 0)
             throw std::invalid_argument("access trace: table '" +

@@ -15,9 +15,10 @@
  * request-driven accesses. It stores nothing, and rerunning it with the
  * same arguments replays the identical stream, so a consumer that keeps
  * only aggregates (per-shard cache models) can read it in two passes
- * and hold memory bounded by those aggregates. recordTrace collects the
- * same stream for callers that need the records themselves, at 24 B per
- * access.
+ * and hold memory bounded by those aggregates; its table filter lets a
+ * consumer of some tables skip sampling the rest without changing any
+ * record it keeps. recordTrace collects the same stream for callers that
+ * need the records themselves, at 24 B per access.
  */
 #pragma once
 
@@ -74,11 +75,19 @@ TraceFootprint traceFootprint(const model::ModelSpec &spec,
 namespace detail {
 /**
  * Throws std::invalid_argument unless every request carries one lookup
- * count per spec table and every table has rows > 0.
+ * count per spec table, every table has rows > 0 and popularity_skew is
+ * not NaN.
  */
 void checkAccessSource(const model::ModelSpec &spec,
-                       const std::vector<Request> &requests);
+                       const std::vector<Request> &requests,
+                       double popularity_skew);
 } // namespace detail
+
+/** forEachAccess's default table predicate: every table is wanted. */
+struct AllTables
+{
+    constexpr bool operator()(std::size_t) const { return true; }
+};
 
 /**
  * Expand requests into row accesses and hand each to `fn` as a
@@ -87,15 +96,22 @@ void checkAccessSource(const model::ModelSpec &spec,
  * distribution over the table's logical rows: embedding traffic is
  * popularity-skewed but heavy-tailed. Throws std::invalid_argument,
  * before emitting anything, when a request's table_lookups does not match
- * spec.tables or a table has rows <= 0.
+ * spec.tables, a table has rows <= 0 or popularity_skew is NaN.
+ *
+ * `want(t)` selects the tables whose accesses are emitted (default:
+ * every table). Each lookup of an unwanted table still advances the
+ * generator by exactly the one engine word its Zipf draw would take, and
+ * emits nothing, so every emitted record is identical to its
+ * counterpart in the unfiltered stream: the filtered stream is the
+ * unfiltered one restricted to the wanted tables.
  */
-template <class Fn>
+template <class Fn, class Want = AllTables>
 void
 forEachAccess(const model::ModelSpec &spec,
               const std::vector<Request> &requests, double popularity_skew,
-              std::uint64_t seed, Fn &&fn)
+              std::uint64_t seed, Fn &&fn, Want &&want = Want{})
 {
-    detail::checkAccessSource(spec, requests);
+    detail::checkAccessSource(spec, requests, popularity_skew);
     stats::Rng rng(seed);
 
     // One Zipf sampler over a bounded popularity universe, shared by every
@@ -106,8 +122,15 @@ forEachAccess(const model::ModelSpec &spec,
 
     for (const auto &req : requests) {
         for (std::size_t t = 0; t < spec.tables.size(); ++t) {
+            const std::int32_t lookups = req.table_lookups[t];
+            if (!want(t)) {
+                // ZipfSampler::sample takes one engine word per draw.
+                for (std::int32_t k = 0; k < lookups; ++k)
+                    rng();
+                continue;
+            }
             const auto rows = static_cast<std::uint64_t>(spec.tables[t].rows);
-            for (std::int32_t k = 0; k < req.table_lookups[t]; ++k) {
+            for (std::int32_t k = 0; k < lookups; ++k) {
                 const std::size_t rank = zipf.sample(rng);
                 // Spread ranks over the table's logical rows via a fixed
                 // multiplicative hash (same rank -> same row).

@@ -1,7 +1,7 @@
 #include "workload/request_generator.h"
 
-#include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "stats/hash.h"
 
@@ -33,11 +33,14 @@ Request::computeContentHash() const
 Request
 mergeRequests(const std::vector<Request> &parts)
 {
-    assert(!parts.empty());
+    if (parts.empty())
+        throw std::invalid_argument("mergeRequests: no parts to merge");
     Request merged = parts.front();
     for (std::size_t i = 1; i < parts.size(); ++i) {
         const Request &p = parts[i];
-        assert(p.table_lookups.size() == merged.table_lookups.size());
+        if (p.table_lookups.size() != merged.table_lookups.size())
+            throw std::invalid_argument(
+                "mergeRequests: parts have different table counts");
         merged.items += p.items;
         for (std::size_t t = 0; t < merged.table_lookups.size(); ++t)
             merged.table_lookups[t] += p.table_lookups[t];

@@ -48,8 +48,9 @@ struct Request
 /**
  * Coalesce several requests into one batched request: items and per-table
  * lookup counts sum; the id is taken from the first part (the oldest
- * request in a dynamic batch names the merged batch). Requires at least
- * one part; all parts must describe the same model (equal table counts).
+ * request in a dynamic batch names the merged batch). Throws
+ * std::invalid_argument when `parts` is empty or the parts' table_lookups
+ * differ in length (they must describe the same model).
  */
 Request mergeRequests(const std::vector<Request> &parts);
 

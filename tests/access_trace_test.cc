@@ -2,14 +2,18 @@
  * @file
  * Tests for the offline embedding-access trace module (Section IX's
  * trace-driven methodology): recording, the streaming generator's input
- * checks, and the synthetic mixed trace's.
+ * checks and table filter, and the synthetic mixed trace's.
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "model/generators.h"
+#include "stats/rng.h"
 #include "workload/access_trace.h"
 
 namespace {
@@ -96,7 +100,93 @@ TEST(AccessTrace, RejectsRequestsWithWrongLookupVectorSize)
                      spec, requests, 0.9, 5,
                      [&](const workload::AccessRecord &) { ++emitted; }),
                  std::invalid_argument);
+    // With a table filter too.
+    EXPECT_THROW(workload::forEachAccess(
+                     spec, requests, 0.9, 5,
+                     [&](const workload::AccessRecord &) { ++emitted; },
+                     [](std::size_t t) { return t == 0; }),
+                 std::invalid_argument);
     EXPECT_EQ(emitted, 0u); // rejected before anything is streamed
+}
+
+/**
+ * The table filter's contract: forEachAccess with a mask emits exactly
+ * the unfiltered stream restricted to the wanted tables, record for
+ * record, under every mask shape and on requests that skip some tables.
+ */
+TEST(AccessTrace, FilteredStreamIsUnfilteredStreamRestrictedToWantedTables)
+{
+    for (const auto &spec :
+         {model::makeShardedCacheStudySpec(), model::makeDrm2()}) {
+        const std::size_t n_tables = spec.tables.size();
+        workload::RequestGenerator gen(spec,
+                                       workload::GeneratorConfig{21, 0.0});
+        auto requests = gen.generate(20);
+        // Zero lookups for some tables: the filter must keep the stream in
+        // step across them, wanted or not.
+        for (std::size_t t = 0; t < n_tables; t += 3)
+            requests[4].table_lookups[t] = 0;
+        requests[11].table_lookups.assign(n_tables, 0);
+        requests[11].table_lookups[n_tables - 1] = 5;
+
+        std::vector<workload::AccessRecord> all;
+        workload::forEachAccess(
+            spec, requests, 0.8, 9,
+            [&](const workload::AccessRecord &rec) { all.push_back(rec); });
+
+        std::vector<std::pair<std::string, std::vector<char>>> masks = {
+            {"all", std::vector<char>(n_tables, 1)},
+            {"none", std::vector<char>(n_tables, 0)},
+            {"odd", {}},
+            {"one", std::vector<char>(n_tables, 0)},
+            {"random", {}}};
+        for (std::size_t t = 0; t < n_tables; ++t)
+            masks[2].second.push_back(t % 2 == 1);
+        masks[3].second[n_tables / 2] = 1;
+        stats::Rng rng(0xa11);
+        for (std::size_t t = 0; t < n_tables; ++t)
+            masks[4].second.push_back(rng.bernoulli(0.5));
+
+        for (const auto &[name, mask] : masks) {
+            const std::string where = spec.name + "/" + name;
+            std::vector<workload::AccessRecord> expected;
+            for (const auto &rec : all)
+                if (mask[static_cast<std::size_t>(rec.table_id)])
+                    expected.push_back(rec);
+            std::vector<workload::AccessRecord> got;
+            workload::forEachAccess(
+                spec, requests, 0.8, 9,
+                [&](const workload::AccessRecord &rec) {
+                    got.push_back(rec);
+                },
+                [&mask](std::size_t t) { return mask[t] != 0; });
+            ASSERT_EQ(got.size(), expected.size()) << where;
+            for (std::size_t i = 0; i < got.size(); ++i) {
+                ASSERT_EQ(got[i].request_id, expected[i].request_id)
+                    << where << " record " << i;
+                ASSERT_EQ(got[i].table_id, expected[i].table_id)
+                    << where << " record " << i;
+                ASSERT_EQ(got[i].row, expected[i].row)
+                    << where << " record " << i;
+            }
+        }
+    }
+}
+
+TEST(AccessTrace, RejectsNaNSkewBeforeEmitting)
+{
+    const auto spec = smallSpec();
+    workload::RequestGenerator gen(spec,
+                                   workload::GeneratorConfig{21, 0.0});
+    const auto requests = gen.generate(5);
+    EXPECT_THROW(workload::recordTrace(spec, requests, std::nan(""), 5),
+                 std::invalid_argument);
+    std::size_t emitted = 0;
+    EXPECT_THROW(workload::forEachAccess(
+                     spec, requests, std::nan(""), 5,
+                     [&](const workload::AccessRecord &) { ++emitted; }),
+                 std::invalid_argument);
+    EXPECT_EQ(emitted, 0u);
 }
 
 TEST(AccessTrace, RejectsTablesWithoutRows)

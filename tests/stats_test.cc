@@ -323,6 +323,12 @@ TEST(StatsMisuse, ZipfRejectsEmptyRankSet)
     EXPECT_NO_THROW(ZipfSampler(1, 1.0));
 }
 
+TEST(StatsMisuse, ZipfRejectsNaNExponent)
+{
+    EXPECT_THROW(ZipfSampler(4096, std::nan("")), std::invalid_argument);
+    EXPECT_NO_THROW(ZipfSampler(4096, 0.0));
+}
+
 TEST(StatsMisuse, QuantileOfNoSamplesThrows)
 {
     const QuantileEstimator q;

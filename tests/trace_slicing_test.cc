@@ -181,8 +181,10 @@ expectSameResults(const core::ShardCacheModels &a,
 /**
  * The streamed build equals the trace overload field for field, and
  * both equal the per-slice reference, on singular, whole-table and
- * split-table plans under proportional and fixed budgets, at 1, 2 and 8
- * workers (8 is more than any plan's shard count, so it is clamped).
+ * split-table plans under proportional and fixed budgets, at 1, 2, 3, 4
+ * and 8 workers (8 is more than any plan's shard count, so it is
+ * clamped). At 3 or more workers the manual plan's split table 0
+ * (shards 0 and 2) is wanted by two workers' table masks.
  */
 TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
 {
@@ -219,7 +221,7 @@ TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
                 plan.strategy() + "/" + cache::policyName(opt.policy) +
                 (opt.capacity_bytes_per_shard > 0 ? "/bytes" : "/fraction");
             const auto reference = perSliceReference(spec, plan, trace, opt);
-            for (const int workers : {1, 2, 8}) {
+            for (const int workers : {1, 2, 3, 4, 8}) {
                 const std::string where =
                     config + "/workers=" + std::to_string(workers);
                 const auto streamed = core::buildShardCacheModels(
@@ -245,6 +247,33 @@ TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
 }
 
 /**
+ * The fleet study's own build (DRM2, capacity-balanced over 4 shards,
+ * skew 0.8, seed 0x7ace): the streamed build, whose workers generate
+ * only their own shards' tables, equals the trace overload at 1 and 4
+ * workers.
+ */
+TEST(TraceSlicing, FleetStudyStreamedBuildEqualsTraceOverload)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{0x7ace});
+    const auto requests = gen.generate(20);
+    const auto trace = workload::recordTrace(spec, requests, 0.8, 0x7ace);
+    core::ShardCacheOptions opt;
+    opt.capacity_fraction = 0.4;
+    opt.costs.miss_ns = 300.0;
+    for (const int workers : {1, 4}) {
+        const std::string where = "workers=" + std::to_string(workers);
+        const auto streamed = core::buildShardCacheModels(
+            spec, plan, requests, 0.8, 0x7ace, opt, workers);
+        const auto traced =
+            core::buildShardCacheModels(spec, plan, trace, opt, workers);
+        expectSameResults(streamed, traced, where);
+        EXPECT_GT(streamed.aggregateHitRate(), 0.0) << where;
+    }
+}
+
+/**
  * Requests the access generator rejects fail on the calling thread, as
  * std::invalid_argument, at any worker count; so does a negative one.
  */
@@ -263,6 +292,25 @@ TEST(TraceSlicing, BadRequestsAndWorkerCountsThrowInvalidArgument)
     for (const int workers : {0, 1, 2, 8})
         EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests, 0.7,
                                                  17, opt, workers),
+                     std::invalid_argument)
+            << "workers=" << workers;
+}
+
+/**
+ * A NaN popularity skew fails on the calling thread, as
+ * std::invalid_argument, before any worker starts.
+ */
+TEST(TraceSlicing, NaNSkewThrowsInvalidArgument)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(20);
+    const core::ShardCacheOptions opt;
+    for (const int workers : {1, 4})
+        EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests,
+                                                 std::nan(""), 17, opt,
+                                                 workers),
                      std::invalid_argument)
             << "workers=" << workers;
 }

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "model/generators.h"
 #include "stats/quantile.h"
 #include "workload/request_generator.h"
@@ -131,6 +133,27 @@ TEST(RequestGenerator, HeavyTailP99OverP50)
     for (const auto &r : gen.generate(5000))
         q.add(static_cast<double>(r.items));
     EXPECT_GT(q.p99() / q.p50(), 4.0);
+}
+
+// Misuse throws in every build type, Release included.
+
+TEST(WorkloadMisuse, MergeRequestsRejectsNoParts)
+{
+    EXPECT_THROW(workload::mergeRequests({}), std::invalid_argument);
+}
+
+TEST(WorkloadMisuse, MergeRequestsRejectsPartsOfDifferentModels)
+{
+    const auto spec = model::makeDrm1();
+    RequestGenerator gen(spec, GeneratorConfig{5, 0.0});
+    const auto parts = gen.generate(3);
+    auto shorter = parts;
+    shorter[2].table_lookups.pop_back();
+    EXPECT_THROW(workload::mergeRequests(shorter), std::invalid_argument);
+    auto longer = parts;
+    longer[1].table_lookups.push_back(1);
+    EXPECT_THROW(workload::mergeRequests(longer), std::invalid_argument);
+    EXPECT_NO_THROW(workload::mergeRequests(parts));
 }
 
 } // namespace
