@@ -1,7 +1,6 @@
 #include "core/serving.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdlib>
 #include <functional>
@@ -18,7 +17,6 @@
 #include "rpc/discovery.h"
 #include "rpc/service.h"
 #include "sim/pool.h"
-#include "stats/flat_hash.h"
 #include "stats/summary.h"
 
 namespace dri::core {
@@ -56,6 +54,38 @@ sim::Duration
 scaled(sim::Duration ns, double cpu_scale)
 {
     return scaled(static_cast<double>(ns), cpu_scale);
+}
+
+/** Throws std::invalid_argument naming the first field out of range. */
+void
+validateConfig(const ServingConfig &c)
+{
+    const auto fail = [](const std::string &rule) {
+        throw std::invalid_argument("ServingSimulation: " + rule);
+    };
+    if (!(c.faults.straggler_prob >= 0.0 && c.faults.straggler_prob <= 1.0))
+        fail("faults.straggler_prob must be in [0, 1]");
+    if (!(c.hedge.quantile >= 0.0 && c.hedge.quantile <= 1.0))
+        fail("hedge.quantile must be in [0, 1]");
+    if (!(c.hedge.max_hedge_fraction >= 0.0) ||
+        !std::isfinite(c.hedge.max_hedge_fraction))
+        fail("hedge.max_hedge_fraction must be finite and >= 0");
+    const std::pair<const char *, std::int64_t> non_negative[] = {
+        {"admission.max_main_queue", c.admission.max_main_queue},
+        {"admission.deadline_ns", c.admission.deadline_ns},
+        {"batch_size_override", c.batch_size_override},
+        {"worker_threads", c.worker_threads},
+        {"sparse_worker_threads", c.sparse_worker_threads},
+        {"sparse_replicas", c.sparse_replicas},
+        {"result_cache.ttl_ns", c.result_cache.ttl_ns},
+        {"faults.rpc_timeout_ns", c.faults.rpc_timeout_ns},
+        {"faults.discovery_lag_ns", c.faults.discovery_lag_ns},
+    };
+    for (const auto &[field, value] : non_negative)
+        if (value < 0)
+            fail(std::string(field) + " must be >= 0");
+    if (c.admission.cancel_in_flight && c.admission.deadline_ns <= 0)
+        fail("admission.cancel_in_flight requires deadline_ns > 0");
 }
 
 } // namespace
@@ -153,7 +183,7 @@ struct ServingSimulation::Impl
          */
         int exclude = -1;
         /**
-         * replica_gen snapshot taken when the attempt entered the
+         * Replica::gen snapshot taken when the attempt entered the
          * server's queue; a mismatch at grant or completion means the
          * replica died (or rebooted) underneath it and the work is lost.
          */
@@ -212,9 +242,20 @@ struct ServingSimulation::Impl
         const Group &group() const { return ni->groups[gi]; }
     };
 
+    /** A main-shard request's lifecycle (diagram in core/serving.h). */
+    enum class RequestState : std::uint8_t
+    {
+        Live,      //!< admitted and running; the shed timer may fire
+        Finishing, //!< final response serde underway; too late to shed
+        Shed,      //!< shed mid-flight: stats out, machinery drains
+    };
+
     struct Active
     {
         workload::Request const *req = nullptr;
+        RequestState state = RequestState::Live;
+        /** Recycle generation, bumped by releaseActive (shed timer key). */
+        std::uint32_t gen = 0;
         RequestStats st;
         int nb = 0;
         std::size_t net_idx = 0;
@@ -239,11 +280,6 @@ struct ServingSimulation::Impl
         std::vector<sim::EventFn> slot_waiters;
         std::size_t slot_waiters_head = 0;
 
-        // Mid-flight shed support (AdmissionConfig::cancel_in_flight).
-        /** Shed while executing: stats already emitted, machinery drains. */
-        bool shed_mid_flight = false;
-        /** Final response serde underway; too late to shed usefully. */
-        bool finishing = false;
         /** Batches with RPC fan-out currently outstanding. */
         std::vector<BatchState *> live_batches;
 
@@ -269,35 +305,32 @@ struct ServingSimulation::Impl
         };
         main_cores = std::make_unique<sim::Resource>(
             engine, pool(cfg.main_platform, cfg.worker_threads), "main");
-        const int sparse_threads = cfg.sparse_worker_threads > 0
-                                       ? cfg.sparse_worker_threads
-                                       : cfg.worker_threads;
+        const std::size_t sparse_threads = pool(
+            cfg.sparse_platform, cfg.sparse_worker_threads > 0
+                                     ? cfg.sparse_worker_threads
+                                     : cfg.worker_threads);
         const int default_replicas = std::max(1, cfg.sparse_replicas);
         for (int s = 0; s < plan.numShards(); ++s) {
-            int replicas = default_replicas;
+            int count = default_replicas;
             const auto si = static_cast<std::size_t>(s);
             if (si < cfg.sparse_replicas_per_shard.size() &&
                 cfg.sparse_replicas_per_shard[si] > 0)
-                replicas = cfg.sparse_replicas_per_shard[si];
-            for (int r = 0; r < replicas; ++r) {
-                directory.registerReplica(
-                    s, static_cast<int>(sparse_cores.size()));
-                server_shard.push_back(s);
-                sparse_cores.push_back(std::make_unique<sim::Resource>(
-                    engine, pool(cfg.sparse_platform, sparse_threads),
-                    "sparse" + std::to_string(s) + "." + std::to_string(r)));
+                count = cfg.sparse_replicas_per_shard[si];
+            for (int r = 0; r < count; ++r) {
+                directory.registerReplica(s,
+                                          static_cast<int>(replicas.size()));
+                auto cores = std::make_unique<sim::Resource>(
+                    engine, sparse_threads,
+                    "sparse" + std::to_string(s) + "." + std::to_string(r));
+                replicas.push_back({std::move(cores), s});
             }
         }
-        peak_queue.assign(sparse_cores.size(), 0);
-        replica_dead.assign(sparse_cores.size(), 0);
-        replica_gen.assign(sparse_cores.size(), 0);
-        replica_degrade.assign(sparse_cores.size(), 1.0);
         shard_partitioned.assign(n_shards, 0);
         directory.setPolicy(cfg.lb_policy, cfg.seed ^ 0x10adbau);
         // Load-aware replica selection reads live queue depth from the
         // worker pools (in-flight + queued), i.e. "outstanding requests".
         directory.setLoadProbe([this](int server) {
-            const auto &r = *sparse_cores[static_cast<std::size_t>(server)];
+            const auto &r = *replicas[static_cast<std::size_t>(server)].cores;
             return r.inUse() + r.queued();
         });
         results = &collected;
@@ -311,10 +344,28 @@ struct ServingSimulation::Impl
     /** Cached span tracer; null when tracing is disabled. */
     obs::SpanTracer *tr = nullptr;
 
+    /**
+     * One sparse-shard replica server (see directory). The fault fields
+     * stay inert unless the control surface is exercised.
+     */
+    struct Replica
+    {
+        std::unique_ptr<sim::Resource> cores;
+        int shard = 0;              //!< logical shard it serves
+        std::size_t peak_queue = 0; //!< peak in-flight + queued at dispatch
+        bool dead = false;          //!< killed and not yet restored
+        /**
+         * Incarnation, bumped on every kill AND restore: work enqueued
+         * under an older generation is lost even if the replica is alive
+         * again by the time a core would be granted.
+         */
+        std::uint32_t gen = 0;
+        double degrade = 1.0; //!< degradeReplica slowdown (1.0 = healthy)
+    };
+
     sim::Engine engine;
     std::unique_ptr<sim::Resource> main_cores;
-    /** One worker pool per sparse-shard *replica* (see directory). */
-    std::vector<std::unique_ptr<sim::Resource>> sparse_cores;
+    std::vector<Replica> replicas;
     rpc::ServiceDirectory directory;
     netsim::LinkModel link;
     stats::Rng rng;
@@ -324,10 +375,9 @@ struct ServingSimulation::Impl
     std::vector<RequestStats> *results = nullptr;
     /** Results of externally injected requests, drained by takeResults. */
     std::vector<RequestStats> collected;
-    /** Peak (in-flight + queued) per replica server, observed at dispatch. */
-    std::vector<std::size_t> peak_queue;
-    /** Logical shard of each replica server (parallel to sparse_cores). */
-    std::vector<int> server_shard;
+    /** Requests injected and stats emitted; equal once the engine drains. */
+    std::uint64_t injected = 0;
+    std::uint64_t emitted = 0;
 
     // -- Hedging state -------------------------------------------------------
 
@@ -344,14 +394,7 @@ struct ServingSimulation::Impl
 
     rpc::ResultCache result_cache;
 
-    // -- Mid-flight shed state ----------------------------------------------
-
-    /**
-     * Requests with an armed shed timer, by request id (ids are unique
-     * within a replay). The timer looks its request up here, so a timer
-     * firing after completion dereferences nothing stale.
-     */
-    stats::FlatHashMap<std::uint64_t, Active *> live_requests;
+    /** Attempts cancelled by mid-flight sheds (shedCancelledRpcs). */
     std::uint64_t shed_cancelled_rpcs = 0;
 
     // -- Hot-path object pools ----------------------------------------------
@@ -375,6 +418,7 @@ struct ServingSimulation::Impl
     void
     releaseActive(Active *a)
     {
+        const std::uint32_t gen = a->gen + 1;
         auto gl = std::move(a->group_lookups);
         auto sop = std::move(a->st.shard_op_ns);
         auto snop = std::move(a->st.shard_net_op_ns);
@@ -382,6 +426,7 @@ struct ServingSimulation::Impl
         auto sw = std::move(a->slot_waiters);
         a->~Active();
         new (a) Active();
+        a->gen = gen;
         gl.clear();
         sop.clear();
         snop.clear();
@@ -418,22 +463,7 @@ struct ServingSimulation::Impl
     }
 
     // -- Injected-fault state (runtime control surface) ----------------------
-    //
-    // All vectors are sized at construction and stay in their inert state
-    // (alive, generation 0, degrade 1.0, no partition) unless the control
-    // surface is exercised, so fault-free replays take only branch-not-
-    // taken checks on these paths.
 
-    /** Dead replica servers (parallel to sparse_cores). */
-    std::vector<char> replica_dead;
-    /**
-     * Replica incarnation, bumped on every kill AND restore: work
-     * enqueued under an older generation is lost even if the replica is
-     * alive again by the time a core would be granted.
-     */
-    std::vector<std::uint32_t> replica_gen;
-    /** Persistent per-replica slowdown (degradeReplica; 1.0 = healthy). */
-    std::vector<double> replica_degrade;
     /** Shards currently partitioned from the main shard. */
     std::vector<char> shard_partitioned;
     FaultStats fault_stats;
@@ -602,16 +632,14 @@ struct ServingSimulation::Impl
     /**
      * The one exit of a request's stats, served (`reason` None) or shed:
      * close the root span, stamp completion and e2e, publish to
-     * `results`, then hand a copy to on_complete. `release` recycles the
-     * Active first; a mid-flight shed keeps it for the batches still
-     * draining.
+     * `results`, then hand a copy to on_complete. The Active is recycled
+     * first unless it was shed mid-flight: then its batches still drain
+     * and the last one recycles it.
      */
     void
-    emitStats(Active *a, ShedReason reason, bool release)
+    emitStats(Active *a, ShedReason reason)
     {
-        Active **live = live_requests.find(a->st.id);
-        if (live != nullptr && *live == a)
-            live_requests.erase(a->st.id);
+        ++emitted;
         RequestStats &st = a->st;
         st.shed_reason = reason;
         // A served root carries the hedge-win flag so the sampler's flag
@@ -655,7 +683,7 @@ struct ServingSimulation::Impl
         results->push_back(st);
         const RequestStats copy = st;
         auto on_complete = std::move(a->on_complete);
-        if (release)
+        if (a->state != RequestState::Shed)
             releaseActive(a);
         if (on_complete)
             on_complete(copy);
@@ -716,22 +744,22 @@ struct ServingSimulation::Impl
     void
     shedMidFlight(Active *a, ShedReason reason)
     {
-        a->shed_mid_flight = true;
+        advance(a, RequestState::Shed);
 
         // 1. Cancel outstanding fan-out and settle accounting. Batch
         // retirement waits until after stats emission because the last
         // batchDone may delete the Active.
-        const std::vector<BatchState *> batches = a->live_batches;
-        std::vector<int> cancelled_now(batches.size(), 0);
-        for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-            for (RpcOp *op : batches[bi]->ops) {
+        std::vector<BatchState *> drained; // nothing left in flight
+        for (BatchState *bt : a->live_batches) {
+            for (RpcOp *op : bt->ops) {
                 if (op->decided())
                     continue; // response delivered or in flight
                 op->state = OpState::Shed; // remaining attempts retire
                 if (tr)
                     tr->end(op->sp_op, engine.now(), obs::kFlagCancelled);
                 ++shed_cancelled_rpcs;
-                ++cancelled_now[bi];
+                if (--bt->pending == 0)
+                    drained.push_back(bt);
                 for (int i = 0; i < 2; ++i) {
                     if (op->exec[i].state != AttemptState::Executing)
                         continue;
@@ -752,15 +780,11 @@ struct ServingSimulation::Impl
         // 2. Emit the settled stats. The root span closes here, at the
         // moment the client gives up; the remaining machinery drains as
         // cancelled debris spans that may outlive it.
-        emitStats(a, reason, /*release=*/false);
+        emitStats(a, reason);
 
-        // 3. Retire batches with nothing left in flight.
-        for (std::size_t bi = 0; bi < batches.size(); ++bi) {
-            BatchState *bt = batches[bi];
-            bt->pending -= cancelled_now[bi];
-            if (bt->pending == 0 && cancelled_now[bi] > 0)
-                drainBatch(bt);
-        }
+        // 3. Retire the batches the cancellation emptied.
+        for (BatchState *bt : drained)
+            drainBatch(bt);
     }
 
     // -- Injected-fault machinery (runtime control surface) ------------------
@@ -776,9 +800,7 @@ struct ServingSimulation::Impl
     scheduleHealthUpdate(int server, bool healthy)
     {
         const auto apply = [this, server, healthy] {
-            const bool dead =
-                replica_dead[static_cast<std::size_t>(server)] != 0;
-            if (dead == !healthy)
+            if (replicas[static_cast<std::size_t>(server)].dead == !healthy)
                 directory.setServerHealth(server, healthy);
         };
         const sim::Duration lag = cfg.faults.discovery_lag_ns;
@@ -788,16 +810,16 @@ struct ServingSimulation::Impl
             engine.schedule(lag, sim::kEvTimer, apply);
     }
 
-    /** Index of a replica server id; throws std::out_of_range. */
-    std::size_t
-    serverIndex(int server, const char *what) const
+    /** The replica with server id `server`; throws std::out_of_range. */
+    Replica &
+    replicaAt(int server, const char *what)
     {
         if (server < 0 ||
-            static_cast<std::size_t>(server) >= sparse_cores.size())
+            static_cast<std::size_t>(server) >= replicas.size())
             throw std::out_of_range(std::string(what) + ": server id " +
                                     std::to_string(server) +
                                     " out of range");
-        return static_cast<std::size_t>(server);
+        return replicas[static_cast<std::size_t>(server)];
     }
 
     /**
@@ -808,11 +830,11 @@ struct ServingSimulation::Impl
     void
     setReplicaDead(int server, bool dead, const char *what)
     {
-        const std::size_t s = serverIndex(server, what);
-        if ((replica_dead[s] != 0) == dead)
+        Replica &r = replicaAt(server, what);
+        if (r.dead == dead)
             return;
-        replica_dead[s] = dead ? 1 : 0;
-        ++replica_gen[s];
+        r.dead = dead;
+        ++r.gen;
         ++(dead ? fault_stats.kills : fault_stats.restores);
         scheduleHealthUpdate(server, !dead);
     }
@@ -846,9 +868,8 @@ struct ServingSimulation::Impl
             // Terminal upstream failure: the whole request is shed
             // through the mid-flight drain (outstanding attempts cancel,
             // queued grants drain, charges settle). An open op means the
-            // request is neither shed nor past its fan-out.
+            // request is still Live, which shedMidFlight checks.
             Active *a = op->bt->req;
-            assert(!a->shed_mid_flight && !a->finishing);
             retireAttempt(op, idx, Retire::Cancelled, failed);
             ++fault_stats.upstream_failures;
             shedMidFlight(a, ShedReason::UpstreamFailure);
@@ -876,6 +897,7 @@ struct ServingSimulation::Impl
            std::function<void(const RequestStats &)> on_complete,
            sim::SimTime arrival = -1)
     {
+        ++injected;
         Active *a = active_pool.acquire();
         a->req = &req;
         a->st.id = req.id;
@@ -907,7 +929,7 @@ struct ServingSimulation::Impl
         if (cfg.admission.max_main_queue > 0 &&
             main_cores->queued() >=
                 static_cast<std::size_t>(cfg.admission.max_main_queue)) {
-            emitStats(a, ShedReason::QueueFull, /*release=*/true);
+            emitStats(a, ShedReason::QueueFull);
             return;
         }
 
@@ -915,17 +937,15 @@ struct ServingSimulation::Impl
         // request and cancels its outstanding sparse RPCs if it is still
         // executing when its deadline passes.
         if (cfg.admission.cancel_in_flight) {
-            live_requests.insert(a->st.id, a);
             const sim::Duration delay = std::max<sim::Duration>(
                 0,
                 a->st.arrival + cfg.admission.deadline_ns - engine.now());
-            const std::uint64_t id = a->st.id;
-            engine.schedule(delay, sim::kEvTimer, [this, id, a] {
-                // Look the request up by id: a timer firing after
-                // completion must dereference nothing stale. Once the
-                // final response serde is underway, let it complete.
-                Active **p = live_requests.find(id);
-                if (p != nullptr && *p == a && !a->finishing)
+            const std::uint32_t gen = a->gen;
+            engine.schedule(delay, sim::kEvTimer, [this, a, gen] {
+                // A changed generation means the request completed and
+                // its Active was recycled (pool memory stays valid). Once
+                // the final response serde is underway, let it complete.
+                if (a->gen == gen && a->state == RequestState::Live)
                     shedMidFlight(a, ShedReason::DeadlineExceeded);
             });
         }
@@ -934,7 +954,7 @@ struct ServingSimulation::Impl
         main_cores->acquire([this, a, q0] {
             // Shed by the mid-flight timer while queued: stats are out,
             // nothing started, so the Active just evaporates.
-            if (a->shed_mid_flight) {
+            if (a->state == RequestState::Shed) {
                 main_cores->release();
                 releaseActive(a);
                 return;
@@ -945,7 +965,7 @@ struct ServingSimulation::Impl
             if (cfg.admission.deadline_ns > 0 &&
                 engine.now() - a->st.arrival > cfg.admission.deadline_ns) {
                 main_cores->release();
-                emitStats(a, ShedReason::DeadlineExceeded, /*release=*/true);
+                emitStats(a, ShedReason::DeadlineExceeded);
                 return;
             }
             const sim::Duration handler =
@@ -968,7 +988,7 @@ struct ServingSimulation::Impl
             }
             engine.schedule(handler + deserde, sim::kEvMainCompute, [this, a] {
                 main_cores->release();
-                if (a->shed_mid_flight) {
+                if (a->state == RequestState::Shed) {
                     // Shed during request deserde; nothing queued.
                     releaseActive(a);
                     return;
@@ -1005,7 +1025,7 @@ struct ServingSimulation::Impl
     void
     startBatch(Active *a, int b)
     {
-        if (a->shed_mid_flight) {
+        if (a->state == RequestState::Shed) {
             // Slot granted after the shed: the batch never starts.
             releaseSlot(a);
             batchDone(a);
@@ -1018,7 +1038,7 @@ struct ServingSimulation::Impl
                                  a->sp_net, q0, obs::kMainShard,
                                  nets[a->net_idx].net_id, b);
         main_cores->acquire([this, a, b, q0, sp_batch] {
-            if (a->shed_mid_flight) {
+            if (a->state == RequestState::Shed) {
                 if (tr)
                     tr->end(sp_batch, engine.now(), obs::kFlagCancelled);
                 main_cores->release();
@@ -1150,11 +1170,11 @@ struct ServingSimulation::Impl
         engine.schedule(busy, sim::kEvMainCompute, [this, a, sp_batch, sparse] {
             main_cores->release();
             releaseSlot(a);
+            const bool shed = a->state == RequestState::Shed;
             if (tr)
                 tr->end(sp_batch, engine.now(),
-                        a->shed_mid_flight ? obs::kFlagCancelled
-                                           : obs::kFlagNone);
-            if (!a->shed_mid_flight) {
+                        shed ? obs::kFlagCancelled : obs::kFlagNone);
+            if (!shed) {
                 a->net_embedded_max = std::max(a->net_embedded_max, sparse);
                 a->max_inline_sparse = std::max(a->max_inline_sparse, sparse);
             }
@@ -1167,7 +1187,7 @@ struct ServingSimulation::Impl
     dispatchBatch(BatchState *bt)
     {
         Active *a = bt->req;
-        if (a->shed_mid_flight) {
+        if (a->state == RequestState::Shed) {
             // Shed during the dense phase: the fan-out is never
             // dispatched. The batch holds no ops and is not yet live, so
             // retiring it just closes its span as cancelled.
@@ -1217,15 +1237,25 @@ struct ServingSimulation::Impl
     /**
      * The one place an attempt changes state: Pending -> Executing ->
      * Done | Aborted. A failover relaunch starts over from a fresh
-     * AttemptExec instead.
+     * AttemptExec instead. Throws std::logic_error on any other move.
      */
     static void
     advance(AttemptExec &ex, AttemptState to)
     {
-        assert(ex.state == (to == AttemptState::Executing
-                                ? AttemptState::Pending
-                                : AttemptState::Executing));
+        if (ex.state != (to == AttemptState::Executing
+                             ? AttemptState::Pending
+                             : AttemptState::Executing))
+            throw std::logic_error("serving: illegal attempt transition");
         ex.state = to;
+    }
+
+    /** The one place a request leaves Live; throws if it already has. */
+    static void
+    advance(Active *a, RequestState to)
+    {
+        if (a->state != RequestState::Live)
+            throw std::logic_error("serving: illegal request transition");
+        a->state = to;
     }
 
     /**
@@ -1307,7 +1337,7 @@ struct ServingSimulation::Impl
                                    static_cast<double>(ex.busy)
                              : 0.0;
         chargeRemote(op, ex.ctx->rec, -f);
-        sparse_cores[static_cast<std::size_t>(ex.server)]->release();
+        replicas[static_cast<std::size_t>(ex.server)].cores->release();
         return consumed;
     }
 
@@ -1495,23 +1525,22 @@ struct ServingSimulation::Impl
         const int server = *resolved;
         if (!is_hedge)
             op->primary_server = server;
-        const auto srv_idx = static_cast<std::size_t>(server);
+        Replica &r = replicas[static_cast<std::size_t>(server)];
         // Dead target (the pre-discovery window, or a backup forced onto
         // a corpse): nothing accepts the connection; the client times
         // out. Hedging and failover retries are what mask this gap.
-        if (replica_dead[srv_idx]) {
+        if (r.dead) {
             ++fault_stats.dead_target_attempts;
             ex.server = server; // the retry must avoid it
             engine.schedule(cfg.faults.rpc_timeout_ns, sim::kEvTimer,
                             [this, op, idx] { attemptFailed(op, idx); });
             return;
         }
-        ex.server_gen = replica_gen[srv_idx];
-        const std::size_t depth = sparse_cores[srv_idx]->inUse() +
-                                  sparse_cores[srv_idx]->queued() + 1;
-        peak_queue[srv_idx] = std::max(peak_queue[srv_idx], depth);
+        ex.server_gen = r.gen;
+        r.peak_queue =
+            std::max(r.peak_queue, r.cores->inUse() + r.cores->queued() + 1);
         const sim::SimTime q0 = engine.now();
-        sparse_cores[srv_idx]->acquire([this, op, idx, q0, server] {
+        r.cores->acquire([this, op, idx, q0, server] {
             startExecution(op, idx, q0, server);
         });
     }
@@ -1520,7 +1549,7 @@ struct ServingSimulation::Impl
     void
     startExecution(RpcOp *op, int idx, sim::SimTime q0, int server)
     {
-        const auto srv_idx = static_cast<std::size_t>(server);
+        Replica &r = replicas[static_cast<std::size_t>(server)];
         AttemptExec &ex = op->exec[idx];
         trace::RpcRecord &rec = ex.ctx->rec;
         // Cancelled while queued: the winner returned before this
@@ -1530,15 +1559,15 @@ struct ServingSimulation::Impl
                 tr->record(rec.request_id, obs::SpanKind::RemoteQueue,
                            ex.sp_attempt, q0, engine.now(), rec.shard_id,
                            rec.net_id, rec.batch_id, loseFlags(op));
-            sparse_cores[srv_idx]->release();
+            r.cores->release();
             retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
             return;
         }
         // The replica died (or rebooted) while this attempt sat in its
         // queue: the queued work is lost; the client discovers via its
         // timeout, which has already elapsed by core-grant time.
-        if (replica_dead[srv_idx] || ex.server_gen != replica_gen[srv_idx]) {
-            sparse_cores[srv_idx]->release();
+        if (r.dead || ex.server_gen != r.gen) {
+            r.cores->release();
             ++fault_stats.lost_in_service;
             attemptFailed(op, idx);
             return;
@@ -1557,8 +1586,7 @@ struct ServingSimulation::Impl
                 ? kStragglerMultiplier
                 : 1.0;
         const double remote_scale =
-            cfg.sparse_platform.cpu_time_scale * interference *
-            replica_degrade[srv_idx];
+            cfg.sparse_platform.cpu_time_scale * interference * r.degrade;
         rec.remote_queue_ns = engine.now() - q0;
         rec.remote_service_ns = scaled(rpc::kHandlerFixedNs, remote_scale);
         rec.remote_serde_ns =
@@ -1622,14 +1650,13 @@ struct ServingSimulation::Impl
             retireAttempt(op, idx, Retire::Aborted);
             return;
         }
-        const auto srv_idx = static_cast<std::size_t>(self.server);
-        if (replica_dead[srv_idx] ||
-            self.server_gen != replica_gen[srv_idx]) {
+        Replica &r = replicas[static_cast<std::size_t>(self.server)];
+        if (r.dead || self.server_gen != r.gen) {
             // The replica died mid-service: the compute was genuinely
             // burned (charges stand) but the response is lost with the
             // replica.
             advance(self, AttemptState::Aborted);
-            sparse_cores[srv_idx]->release();
+            r.cores->release();
             ++fault_stats.lost_in_service;
             if (tr)
                 tr->end(self.sp_exec, engine.now(),
@@ -1650,7 +1677,7 @@ struct ServingSimulation::Impl
             return;
         }
         advance(self, AttemptState::Done);
-        sparse_cores[srv_idx]->release();
+        r.cores->release();
         if (op->decided()) {
             // Lost the race after executing to completion (the winner
             // finished in the same event round): wasted duplicate work.
@@ -1702,7 +1729,7 @@ struct ServingSimulation::Impl
             if (tr) {
                 // A response landing after a mid-flight shed is
                 // discarded: its spans close as cancelled debris.
-                const std::uint8_t fl = bt->req->shed_mid_flight
+                const std::uint8_t fl = bt->req->state == RequestState::Shed
                                             ? obs::kFlagCancelled
                                             : obs::kFlagNone;
                 tr->end(sp_attempt, engine.now(), fl);
@@ -1748,7 +1775,7 @@ struct ServingSimulation::Impl
                    trace::RpcRecord rec)
     {
         Active *a = bt->req;
-        if (a->shed_mid_flight) {
+        if (a->state == RequestState::Shed) {
             // The client gave up on this request; the late response is
             // discarded at arrival (no deserde, no top dense).
             if (--bt->pending > 0)
@@ -1774,7 +1801,7 @@ struct ServingSimulation::Impl
             tr->end(bt->sp_embed, bt->last_response);
         const sim::SimTime merge0 = engine.now();
         main_cores->acquireFront([this, a, bt, embedded, merge0] {
-            if (a->shed_mid_flight) {
+            if (a->state == RequestState::Shed) {
                 main_cores->release();
                 drainBatch(bt);
                 return;
@@ -1796,7 +1823,7 @@ struct ServingSimulation::Impl
             engine.schedule(resp_deserde + top, sim::kEvMainCompute,
                             [this, a, bt, embedded] {
                 main_cores->release();
-                if (!a->shed_mid_flight) {
+                if (a->state != RequestState::Shed) {
                     if (tr)
                         tr->end(bt->sp_batch, engine.now());
                     a->net_embedded_max =
@@ -1812,7 +1839,7 @@ struct ServingSimulation::Impl
     {
         if (--a->batches_left > 0)
             return;
-        if (a->shed_mid_flight) {
+        if (a->state == RequestState::Shed) {
             // Last batch of the shed request drained; its stats were
             // emitted at shed time, so the carcass just goes away.
             if (tr)
@@ -1832,7 +1859,7 @@ struct ServingSimulation::Impl
     {
         // Past the point of useful shedding: the sparse work is done and
         // only the response serde remains, so the shed timer stands down.
-        a->finishing = true;
+        advance(a, RequestState::Finishing);
         const sim::SimTime q0 = engine.now();
         main_cores->acquireFront([this, a, q0] {
             const std::int64_t resp_bytes =
@@ -1856,7 +1883,7 @@ struct ServingSimulation::Impl
             engine.schedule(resp_serde + handler, sim::kEvMainCompute,
                             [this, a] {
                 main_cores->release();
-                emitStats(a, ShedReason::None, /*release=*/true);
+                emitStats(a, ShedReason::None);
             });
         });
     }
@@ -1873,11 +1900,7 @@ ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
     if (!plan_.validate(spec_, &error))
         throw std::invalid_argument("ServingSimulation: sharding plan: " +
                                     error);
-    if (config_.admission.cancel_in_flight &&
-        config_.admission.deadline_ns <= 0)
-        throw std::invalid_argument(
-            "ServingSimulation: admission.cancel_in_flight requires "
-            "deadline_ns > 0");
+    validateConfig(config_);
     impl_ = std::make_unique<Impl>(spec_, plan_, config_, collector_);
 }
 
@@ -1913,6 +1936,7 @@ ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
     chain.launch(0);
     impl_->engine.run();
     impl_->results = &impl_->collected;
+    checkDrained();
     return results;
 }
 
@@ -1961,6 +1985,7 @@ ServingSimulation::replayOpenLoop(
         chain.schedule(0);
     impl_->engine.run();
     impl_->results = &impl_->collected;
+    checkDrained();
     return results;
 }
 
@@ -1979,6 +2004,30 @@ ServingSimulation::inject(
     impl_->inject(request, std::move(on_complete), arrival);
 }
 
+void
+ServingSimulation::checkDrained() const
+{
+    const Impl &m = *impl_;
+    const auto fail = [](const char *invariant) {
+        throw std::logic_error(std::string("checkDrained: ") + invariant);
+    };
+    if (m.active_pool.live() != 0 || m.batch_pool.live() != 0 ||
+        m.op_pool.live() != 0 || m.attempt_pool.live() != 0)
+        fail("an object pool is not fully returned");
+    const auto idle = [](const sim::Resource &r) {
+        return r.inUse() == 0 && r.queued() == 0;
+    };
+    if (!idle(*m.main_cores))
+        fail("a main-shard core is held or queued");
+    for (const auto &r : m.replicas)
+        if (!idle(*r.cores))
+            fail("a replica core is held or queued");
+    if (m.injected != m.emitted)
+        fail("injected requests != emitted requests");
+    if (m.tr != nullptr && m.tr->openCount() != 0)
+        fail("the tracer has open spans");
+}
+
 std::vector<RequestStats>
 ServingSimulation::takeResults()
 {
@@ -1990,7 +2039,7 @@ ServingSimulation::takeResults()
 std::size_t
 ServingSimulation::serverCount() const
 {
-    return impl_->sparse_cores.size();
+    return impl_->replicas.size();
 }
 
 std::vector<double>
@@ -1998,10 +2047,10 @@ ServingSimulation::serverUtilization() const
 {
     const auto elapsed = static_cast<double>(impl_->engine.now());
     std::vector<double> out;
-    out.reserve(impl_->sparse_cores.size());
-    for (const auto &r : impl_->sparse_cores)
-        out.push_back(stats::utilizationFraction(r->busyIntegral(),
-                                                 r->capacity(), elapsed));
+    out.reserve(impl_->replicas.size());
+    for (const auto &r : impl_->replicas)
+        out.push_back(stats::utilizationFraction(
+            r.cores->busyIntegral(), r.cores->capacity(), elapsed));
     return out;
 }
 
@@ -2028,21 +2077,26 @@ ServingSimulation::mainIdleWorkers() const
 std::vector<std::size_t>
 ServingSimulation::serverPeakQueue() const
 {
-    return impl_->peak_queue;
+    std::vector<std::size_t> out;
+    for (const auto &r : impl_->replicas)
+        out.push_back(r.peak_queue);
+    return out;
 }
 
 std::vector<int>
 ServingSimulation::serverShards() const
 {
-    return impl_->server_shard;
+    std::vector<int> out;
+    for (const auto &r : impl_->replicas)
+        out.push_back(r.shard);
+    return out;
 }
 
 std::size_t
 ServingSimulation::sparseWorkerPoolSize() const
 {
-    return impl_->sparse_cores.empty()
-               ? 0
-               : impl_->sparse_cores.front()->capacity();
+    return impl_->replicas.empty() ? 0
+                                   : impl_->replicas.front().cores->capacity();
 }
 
 std::vector<ShardLoad>
@@ -2052,12 +2106,11 @@ ServingSimulation::shardLoad() const
     std::vector<ShardLoad> out(
         static_cast<std::size_t>(std::max(impl_->plan.numShards(), 0)));
     std::vector<int> replicas(out.size(), 0);
-    for (std::size_t srv = 0; srv < impl_->sparse_cores.size(); ++srv) {
-        const sim::Resource &r = *impl_->sparse_cores[srv];
-        const auto s = static_cast<std::size_t>(impl_->server_shard[srv]);
-        out[s].busy_core_ms += r.busyIntegral() / 1.0e6;
+    for (const auto &r : impl_->replicas) {
+        const auto s = static_cast<std::size_t>(r.shard);
+        out[s].busy_core_ms += r.cores->busyIntegral() / 1.0e6;
         out[s].utilization += stats::utilizationFraction(
-            r.busyIntegral(), r.capacity(), elapsed);
+            r.cores->busyIntegral(), r.cores->capacity(), elapsed);
         ++replicas[s];
     }
     for (std::size_t s = 0; s < out.size(); ++s)
@@ -2070,8 +2123,8 @@ rpc::HedgeStats
 ServingSimulation::hedgeStats() const
 {
     rpc::HedgeStats h = impl_->hedge_stats;
-    for (const auto &r : impl_->sparse_cores)
-        h.total_busy_ns += r->busyIntegral();
+    for (const auto &r : impl_->replicas)
+        h.total_busy_ns += r.cores->busyIntegral();
     return h;
 }
 
@@ -2102,12 +2155,12 @@ ServingSimulation::restoreReplica(int server_id)
 void
 ServingSimulation::degradeReplica(int server_id, double multiplier)
 {
-    const std::size_t s = impl_->serverIndex(server_id, "degradeReplica");
+    auto &replica = impl_->replicaAt(server_id, "degradeReplica");
     if (!(multiplier > 0.0))
         throw std::invalid_argument(
             "degradeReplica: multiplier must be > 0, got " +
             std::to_string(multiplier));
-    impl_->replica_degrade[s] = multiplier;
+    replica.degrade = multiplier;
 }
 
 void
@@ -2124,15 +2177,15 @@ ServingSimulation::partitionShard(int shard_id, bool partitioned)
 bool
 ServingSimulation::replicaAlive(int server_id) const
 {
-    return impl_->replica_dead[impl_->serverIndex(server_id,
-                                                  "replicaAlive")] == 0;
+    return !impl_->replicaAt(server_id, "replicaAlive").dead;
 }
 
 std::size_t
 ServingSimulation::aliveReplicaCount() const
 {
-    const auto &dead = impl_->replica_dead;
-    return static_cast<std::size_t>(std::count(dead.begin(), dead.end(), 0));
+    const auto &rs = impl_->replicas;
+    return static_cast<std::size_t>(std::count_if(
+        rs.begin(), rs.end(), [](const auto &r) { return !r.dead; }));
 }
 
 const FaultStats &

@@ -22,6 +22,19 @@
  * functional path in core/partitioner + core/local_executor covers
  * numerics). All randomness is seeded.
  *
+ * A request on the main shard is in one of three states:
+ *
+ *   request:  Live --last net's batches drained--> Finishing --> served
+ *             Live --deadline timer or upstream failure--> Shed
+ *
+ * Live covers the main-core queue, every net and the fan-out. A request
+ * rejected at arrival (queue full) or dropped at its first core grant
+ * (deadline already passed) emits its stats straight from Live. Shed
+ * emits them at once; the request's batches then drain without charging
+ * new work, and the last one recycles the request. Finishing is past
+ * the point of useful shedding, so the deadline timer stands down. Any
+ * other transition throws std::logic_error.
+ *
  * Each fan-out group of a batch is one logical sparse RPC (an "op") raced
  * by up to two attempts, the primary and an optional hedge backup:
  *
@@ -357,7 +370,13 @@ class ServingSimulation
     /**
      * Throws std::invalid_argument, in every build type, with the
      * validator's message when spec.validate() or plan.validate(spec)
-     * fails, and when config.admission.cancel_in_flight is set without a
+     * fails, and naming the field when config breaks a rule:
+     * faults.straggler_prob or hedge.quantile outside [0, 1] (or NaN);
+     * hedge.max_hedge_fraction negative or non-finite; a negative
+     * admission.max_main_queue, admission.deadline_ns,
+     * batch_size_override, worker_threads, sparse_worker_threads,
+     * sparse_replicas, result_cache.ttl_ns, faults.rpc_timeout_ns or
+     * faults.discovery_lag_ns; admission.cancel_in_flight without a
      * deadline (deadline_ns <= 0).
      */
     ServingSimulation(const model::ModelSpec &spec, const ShardingPlan &plan,
@@ -414,6 +433,17 @@ class ServingSimulation
 
     /** Stats of requests completed via inject() since the last call. */
     std::vector<RequestStats> takeResults();
+
+    /**
+     * Check that a drained engine left nothing behind; throws
+     * std::logic_error naming the first invariant that fails: every
+     * pooled request, batch, op and attempt context is returned; no
+     * core is held or queued on the main shard or any replica; every
+     * injected request has emitted its stats; an attached tracer has no
+     * open span. replaySerial, replayOpenLoop and
+     * sched::runBatchedOpenLoop call it once their engine drains.
+     */
+    void checkDrained() const;
 
     // -- Load observability -----------------------------------------------
 

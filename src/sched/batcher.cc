@@ -328,6 +328,7 @@ runBatchedOpenLoop(core::ServingSimulation &sim,
                 engine.now()};
     chain.schedule(0);
     engine.run();
+    sim.checkDrained();
     sim.takeResults(); // merged-level stats; superseded by per-part stats
     return batcher.takeStats();
 }

@@ -168,7 +168,8 @@ class DynamicBatcher
  * policy comparisons are paired. Like replayOpenLoop, the arrivals are
  * chained under reserved tie-break numbers, so the event heap holds
  * only in-flight work, and a `qps` that is not finite and > 0 throws
- * std::invalid_argument in every build type.
+ * std::invalid_argument in every build type. Once the engine drains it
+ * runs sim.checkDrained(), which throws std::logic_error on leftovers.
  */
 std::vector<core::RequestStats>
 runBatchedOpenLoop(core::ServingSimulation &sim,

@@ -15,7 +15,7 @@
  * (typically destroy + placement-new, salvaging container capacity).
  * Objects still live at pool destruction are abandoned with their
  * blocks, matching the drained-engine invariant (a completed run holds
- * none).
+ * none; ServingSimulation::checkDrained checks live() == 0).
  */
 #pragma once
 
@@ -58,8 +58,12 @@ class ObjectPool
         free_.push_back(p);
     }
 
-    /** Blocks ever allocated (capacity telemetry). */
-    std::size_t blocks() const { return blocks_.size(); }
+    /** Objects acquired and not yet released. */
+    std::size_t
+    live() const
+    {
+        return blocks_.size() * BlockSize - free_.size();
+    }
 
   private:
     void

@@ -16,6 +16,7 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
+#include "obs/span_tracer.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -300,6 +301,200 @@ TEST(ServingMisuse, CancelInFlightWithoutDeadlineThrows)
     }
     cfg.admission.deadline_ns = 1;
     EXPECT_NO_THROW((core::ServingSimulation{spec, plan, cfg}));
+}
+
+/**
+ * A serial replay recycles the first request's Active for the second,
+ * so the first request's deadline timer fires while the second (same
+ * id, same content) holds it. The timer must see a stale recycle
+ * generation and stand down: the second request is served exactly as
+ * without a deadline. Request ids need not be unique.
+ */
+TEST(ServingRequestState, StaleShedTimerSkipsTheRequestThatReusedItsActive)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+    const auto one = requestsFor(spec, 1);
+    const std::vector<workload::Request> reqs = {one[0], one[0]};
+
+    core::ServingConfig cfg;
+    const auto free_run =
+        core::ServingSimulation(spec, plan, cfg).replaySerial(reqs);
+    ASSERT_EQ(free_run.size(), 2u);
+    // The first timer fires halfway through the second request, which
+    // finishes before its own timer.
+    const sim::Duration deadline = free_run[0].e2e + free_run[1].e2e / 2;
+    ASSERT_GT(deadline, free_run[1].e2e);
+    ASSERT_LT(free_run[0].arrival + deadline, free_run[1].completion);
+
+    cfg.admission.deadline_ns = deadline;
+    cfg.admission.cancel_in_flight = true;
+    core::ServingSimulation sim(spec, plan, cfg);
+    const auto stats = sim.replaySerial(reqs);
+    ASSERT_EQ(stats.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        EXPECT_FALSE(stats[i].shed()) << i;
+        EXPECT_EQ(stats[i].e2e, free_run[i].e2e) << i;
+        EXPECT_EQ(stats[i].completion, free_run[i].completion) << i;
+    }
+    EXPECT_EQ(sim.shedCancelledRpcs(), 0u);
+}
+
+/**
+ * Every shard partitioned: the request's RPCs exhaust their retries and
+ * it is shed with UpstreamFailure while other batches still hold the
+ * single main core. Its deadline timer then fires before those batches
+ * drain, and must not shed it a second time: one stats record, the same
+ * as without a deadline.
+ */
+TEST(ServingRequestState, UpstreamShedThenDeadlineTimerEmitsOnce)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+    const auto reqs = requestsFor(spec, 1);
+    core::ServingConfig cfg;
+    cfg.worker_threads = 1;
+    cfg.batch_size_override = 4;
+    cfg.faults.rpc_timeout_ns = 20 * sim::kMicrosecond;
+
+    const auto run = [&](obs::SpanTracer *tracer) {
+        cfg.tracer = tracer;
+        core::ServingSimulation sim(spec, plan, cfg);
+        for (int s = 0; s < plan.numShards(); ++s)
+            sim.partitionShard(s, true);
+        int calls = 0;
+        std::vector<core::RequestStats> out;
+        sim.inject(reqs[0], [&](const core::RequestStats &st) {
+            ++calls;
+            out.push_back(st);
+        });
+        sim.engine().run();
+        EXPECT_NO_THROW(sim.checkDrained());
+        EXPECT_EQ(calls, 1);
+        EXPECT_EQ(sim.takeResults().size(), 1u);
+        return out;
+    };
+
+    // Reference run: the shed time is the stats' completion, and the
+    // Active is recycled when its last NetPhase span closes.
+    obs::SpanTracer tracer;
+    const auto ref = run(&tracer);
+    ASSERT_EQ(ref.size(), 1u);
+    ASSERT_EQ(ref[0].shed_reason, core::ShedReason::UpstreamFailure);
+    sim::SimTime drained = 0;
+    for (const auto &sp : tracer.spans())
+        if (sp.kind == obs::SpanKind::NetPhase)
+            drained = std::max(drained, sp.end);
+    ASSERT_GT(drained, ref[0].completion) << "no drain window to fire in";
+
+    cfg.admission.deadline_ns =
+        (ref[0].completion + drained) / 2 - ref[0].arrival;
+    cfg.admission.cancel_in_flight = true;
+    const auto shed = run(nullptr);
+    ASSERT_EQ(shed.size(), 1u);
+    EXPECT_EQ(shed[0].shed_reason, core::ShedReason::UpstreamFailure);
+    EXPECT_EQ(shed[0].completion, ref[0].completion);
+}
+
+/**
+ * The default config constructs; broken by `mutate`, it must make the
+ * constructor throw std::invalid_argument naming `field`.
+ */
+template <class Mutate>
+void
+expectConfigRejected(const std::string &field, Mutate mutate)
+{
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+    core::ServingConfig cfg;
+    EXPECT_NO_THROW((core::ServingSimulation{spec, plan, cfg}));
+    mutate(cfg);
+    try {
+        core::ServingSimulation sim(spec, plan, cfg);
+        ADD_FAILURE() << field << ": constructed";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << "expected '" << field << "' in '" << e.what() << "'";
+    }
+}
+
+TEST(ServingMisuse, StragglerProbOutsideUnitIntervalOrNaNThrows)
+{
+    for (const double p :
+         {-0.1, 1.5, std::numeric_limits<double>::quiet_NaN()})
+        expectConfigRejected("faults.straggler_prob",
+                             [p](auto &c) { c.faults.straggler_prob = p; });
+}
+
+TEST(ServingMisuse, HedgeQuantileOutsideUnitIntervalThrows)
+{
+    for (const double q :
+         {-0.01, 1.01, 95.0, std::numeric_limits<double>::quiet_NaN()})
+        expectConfigRejected("hedge.quantile",
+                             [q](auto &c) { c.hedge.quantile = q; });
+}
+
+TEST(ServingMisuse, HedgeFractionNegativeOrNonFiniteThrows)
+{
+    for (const double f : {-0.1, std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()})
+        expectConfigRejected("hedge.max_hedge_fraction", [f](auto &c) {
+            c.hedge.max_hedge_fraction = f;
+        });
+}
+
+TEST(ServingMisuse, NegativeMaxMainQueueThrows)
+{
+    expectConfigRejected("admission.max_main_queue",
+                         [](auto &c) { c.admission.max_main_queue = -1; });
+}
+
+TEST(ServingMisuse, NegativeDeadlineThrows)
+{
+    expectConfigRejected("admission.deadline_ns",
+                         [](auto &c) { c.admission.deadline_ns = -1; });
+}
+
+TEST(ServingMisuse, NegativeBatchSizeOverrideThrows)
+{
+    expectConfigRejected("batch_size_override",
+                         [](auto &c) { c.batch_size_override = -1; });
+}
+
+TEST(ServingMisuse, NegativeWorkerThreadsThrows)
+{
+    expectConfigRejected("worker_threads",
+                         [](auto &c) { c.worker_threads = -1; });
+}
+
+TEST(ServingMisuse, NegativeSparseWorkerThreadsThrows)
+{
+    expectConfigRejected("sparse_worker_threads",
+                         [](auto &c) { c.sparse_worker_threads = -1; });
+}
+
+TEST(ServingMisuse, NegativeSparseReplicasThrows)
+{
+    expectConfigRejected("sparse_replicas",
+                         [](auto &c) { c.sparse_replicas = -1; });
+}
+
+TEST(ServingMisuse, NegativeResultCacheTtlThrows)
+{
+    expectConfigRejected("result_cache.ttl_ns",
+                         [](auto &c) { c.result_cache.ttl_ns = -1; });
+}
+
+TEST(ServingMisuse, NegativeRpcTimeoutThrows)
+{
+    expectConfigRejected("faults.rpc_timeout_ns",
+                         [](auto &c) { c.faults.rpc_timeout_ns = -1; });
+}
+
+TEST(ServingMisuse, NegativeDiscoveryLagThrows)
+{
+    expectConfigRejected("faults.discovery_lag_ns",
+                         [](auto &c) { c.faults.discovery_lag_ns = -1; });
 }
 
 /**
