@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "model/generators.h"
-#include "obs/metrics.h"
+#include "obs/histogram.h"
 #include "stats/table_printer.h"
 
 int

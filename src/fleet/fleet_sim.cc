@@ -566,7 +566,6 @@ FleetSim::run(Autoscaler &policy)
     // kept only when a fault schedule is attached: the scorecards'
     // blast-radius input.
     std::vector<double> epoch_attainment;
-    std::size_t alert_transitions_counted = 0;
 
     for (int e = 0; e < cfg_.epochs; ++e) {
         std::vector<int> vec =
@@ -880,82 +879,6 @@ FleetSim::run(Autoscaler &policy)
                 tsum.exemplars.push_back(ex);
             }
             ledger.telemetry.traces.push_back(std::move(tsum));
-        }
-
-        // Per-epoch metrics time-series: gauges mirror the ledger row,
-        // counters accumulate across epochs, one snapshot per epoch at
-        // the epoch's end time. Pure observer of `rec` — nothing here
-        // feeds back into the simulation or the fingerprint.
-        if (cfg_.metrics != nullptr) {
-            obs::MetricsRegistry &m = *cfg_.metrics;
-            m.gauge("fleet.offered_qps").set(rec.offered_qps);
-            m.gauge("fleet.forecast_qps").set(rec.forecast_qps);
-            m.gauge("fleet.p99_ms").set(rec.p99_ms);
-            m.gauge("fleet.steady_p99_ms").set(rec.steady_p99_ms);
-            m.gauge("fleet.shed_rate").set(rec.shed_rate);
-            m.gauge("fleet.hedge_rate").set(rec.hedge_rate);
-            m.gauge("fleet.result_cache_hit_rate")
-                .set(rec.result_cache_hit_rate);
-            m.gauge("fleet.mean_sparse_utilization")
-                .set(rec.mean_sparse_utilization);
-            m.gauge("fleet.max_sparse_utilization")
-                .set(rec.max_sparse_utilization);
-            m.gauge("fleet.peak_replica_queue")
-                .set(static_cast<double>(rec.peak_replica_queue));
-            m.gauge("fleet.machine_hours").set(rec.machine_hours);
-            m.gauge("fleet.watt_hours").set(rec.watt_hours);
-            double total_replicas = 0.0;
-            for (std::size_t s = 0; s < shards; ++s) {
-                m.gauge("fleet.replicas.shard" + std::to_string(s))
-                    .set(static_cast<double>(vec[s]));
-                total_replicas += vec[s];
-            }
-            m.gauge("fleet.replicas.total").set(total_replicas);
-            m.counter("fleet.requests")
-                .inc(static_cast<std::int64_t>(all_stats.size()));
-            m.counter("fleet.shed_requests").inc(rec.shed_requests);
-            if (rec.reconfigured)
-                m.counter("fleet.reconfigurations").inc();
-            m.counter("fleet.slo_violation_epochs")
-                .inc(rec.slo_violation ? 1 : 0);
-            m.gauge("slo.latency_fast_burn").set(trow.latency_fast_burn);
-            m.gauge("slo.latency_slow_burn").set(trow.latency_slow_burn);
-            m.gauge("slo.shed_fast_burn").set(trow.shed_fast_burn);
-            m.gauge("slo.shed_slow_burn").set(trow.shed_slow_burn);
-            m.gauge("slo.availability_fast_burn")
-                .set(trow.availability_fast_burn);
-            m.gauge("slo.latency_budget_consumed")
-                .set(trow.latency_budget_consumed);
-            m.gauge("slo.alerts_firing")
-                .set(static_cast<double>(trow.alerts_firing));
-            m.gauge("detect.load_ratio").set(trow.load_ratio);
-            m.gauge("detect.burst_flag")
-                .set(trow.burst_flagged ? 1.0 : 0.0);
-            m.counter("slo.alert_transitions")
-                .inc(static_cast<std::int64_t>(
-                    ledger.telemetry.alerts.size() -
-                    alert_transitions_counted));
-            alert_transitions_counted = ledger.telemetry.alerts.size();
-            // Trace-retention mirror (sampling runs only — registering
-            // these keys unconditionally would change the snapshot
-            // schema of existing sampling-free runs). dropped_stale
-            // surfaces the rolling windows' silent straggler drops.
-            if (sampler) {
-                const EpochTraceSummary &tsum =
-                    ledger.telemetry.traces.back();
-                m.counter("obs.trace.roots")
-                    .inc(static_cast<std::int64_t>(tsum.roots_closed));
-                m.counter("obs.trace.retained")
-                    .inc(static_cast<std::int64_t>(tsum.retained));
-                m.counter("obs.trace.recycled")
-                    .inc(static_cast<std::int64_t>(tsum.recycled));
-                m.gauge("obs.trace.retained_bytes")
-                    .set(static_cast<double>(tsum.retained_bytes));
-                m.counter("obs.timeseries.dropped_stale")
-                    .inc(static_cast<std::int64_t>(
-                        tsum.dropped_stale));
-            }
-            m.takeSnapshot(static_cast<double>(e + 1) * kEpochDurationS);
         }
 
         ledger.epochs.push_back(std::move(rec));

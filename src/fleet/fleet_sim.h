@@ -50,7 +50,6 @@
 #include "fleet/fault_schedule.h"
 #include "model/model_spec.h"
 #include "obs/detect.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/slo_monitor.h"
 #include "obs/span_tracer.h"
@@ -75,16 +74,6 @@ struct FleetConfig
     /** Request-sample length replayed per epoch. */
     std::size_t requests_per_epoch = 280;
     std::uint64_t seed = 0xf1ee7;
-    /**
-     * Optional metrics registry (src/obs). When set, FleetSim registers
-     * per-epoch gauges/counters (offered load, P99, shed/hedge/cache-hit
-     * rates, utilization, replica vector, peak replica queue) and takes
-     * one snapshot per epoch at the epoch's end time, turning autoscaler
-     * behavior into a plottable time-series instead of a final
-     * ledger. Pure observer — attaching it never changes the ledger
-     * fingerprint. Not owned; must outlive run().
-     */
-    obs::MetricsRegistry *metrics = nullptr;
     /**
      * Injected-fault script (empty by default). Events apply per epoch
      * through the serving runtime control surface; an empty schedule is

@@ -1,4 +1,4 @@
-#include "obs/metrics.h"
+#include "obs/histogram.h"
 
 #include <algorithm>
 #include <cmath>
@@ -162,27 +162,6 @@ Histogram::tailExemplar() const
     return best;
 }
 
-std::int64_t
-Histogram::quantile(double q) const
-{
-    if (count_ == 0)
-        return 0;
-    q = std::min(1.0, std::max(0.0, q));
-    // Nearest-rank within the bucketed distribution.
-    const auto rank = static_cast<std::uint64_t>(std::max(
-        1.0, std::ceil(q * static_cast<double>(count_))));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= rank) {
-            // Clamp to observed extremes so p0/p100 are exact.
-            const std::int64_t lo = bucketLowerBound(i);
-            return std::min(max_, std::max(min_, lo));
-        }
-    }
-    return max_;
-}
-
 double
 Histogram::valueAtQuantile(double q) const
 {
@@ -235,109 +214,6 @@ Histogram::merge(const Histogram &other)
         for (const auto &[bucket, list] : other.exemplars_)
             for (const Exemplar &ex : list)
                 admitExemplar(bucket, ex);
-}
-
-MetricsRegistry::Entry &
-MetricsRegistry::find(const std::string &name, MetricKind kind)
-{
-    const auto it = index_.find(name);
-    if (it != index_.end()) {
-        Entry &e = entries_[it->second];
-        if (e.kind != kind)
-            throw std::logic_error("MetricsRegistry: metric '" + name +
-                                   "' re-registered with different kind");
-        return e;
-    }
-    Entry e;
-    e.name = name;
-    e.kind = kind;
-    index_.emplace(name, entries_.size());
-    entries_.push_back(std::move(e));
-    return entries_.back();
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &name)
-{
-    Entry &e = find(name, MetricKind::Counter);
-    if (e.counter == nullptr) {
-        counters_.emplace_back();
-        e.counter = &counters_.back();
-    }
-    return *e.counter;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name)
-{
-    Entry &e = find(name, MetricKind::Gauge);
-    if (e.gauge == nullptr) {
-        gauges_.emplace_back();
-        e.gauge = &gauges_.back();
-    }
-    return *e.gauge;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name, unsigned sub_bucket_bits)
-{
-    // Construct first: a rejected sub_bucket_bits must throw before
-    // find() registers an entry that has no histogram behind it.
-    Histogram fresh(sub_bucket_bits);
-    Entry &e = find(name, MetricKind::Histogram);
-    if (e.histogram == nullptr) {
-        histograms_.push_back(std::move(fresh));
-        e.histogram = &histograms_.back();
-    }
-    return *e.histogram;
-}
-
-void
-MetricsRegistry::takeSnapshot(double t_seconds)
-{
-    MetricsSnapshot snap;
-    snap.t = t_seconds;
-    for (const Entry &e : entries_) {
-        switch (e.kind) {
-        case MetricKind::Counter:
-            snap.values.emplace_back(
-                e.name, static_cast<double>(e.counter->value()));
-            break;
-        case MetricKind::Gauge:
-            snap.values.emplace_back(e.name, e.gauge->value());
-            break;
-        case MetricKind::Histogram: {
-            const Histogram &h = *e.histogram;
-            snap.values.emplace_back(
-                e.name + ".count", static_cast<double>(h.count()));
-            snap.values.emplace_back(
-                e.name + ".p50", static_cast<double>(h.quantile(0.50)));
-            snap.values.emplace_back(
-                e.name + ".p99", static_cast<double>(h.quantile(0.99)));
-            snap.values.emplace_back(e.name + ".max",
-                                     static_cast<double>(h.max()));
-            // Exemplar keys appear ONLY when exemplars are enabled, so
-            // plain-histogram snapshots (and every committed baseline)
-            // are byte-identical to the pre-exemplar format.
-            if (h.exemplarCapacity() > 0) {
-                const Exemplar *tail = h.tailExemplar();
-                if (tail != nullptr) {
-                    snap.values.emplace_back(
-                        e.name + ".tail_exemplar_value",
-                        static_cast<double>(tail->value));
-                    snap.values.emplace_back(
-                        e.name + ".tail_exemplar_request",
-                        static_cast<double>(tail->request_id));
-                    snap.values.emplace_back(
-                        e.name + ".tail_exemplar_retained",
-                        tail->retained ? 1.0 : 0.0);
-                }
-            }
-            break;
-        }
-        }
-    }
-    snapshots_.push_back(std::move(snap));
 }
 
 } // namespace dri::obs

@@ -1,7 +1,7 @@
 /**
  * @file
  * Rolling time window over a latency stream: the bridge from the
- * collection layer (src/obs metrics, per-request stats) to *online*
+ * collection layer (obs::Histogram, per-request stats) to *online*
  * judgments (the serving-side rolling P99 feed, the trace sampler's
  * tail threshold).
  *
@@ -22,7 +22,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "obs/metrics.h"
+#include "obs/histogram.h"
 
 namespace dri::obs {
 

@@ -168,15 +168,6 @@ DynamicBatcher::flushNow()
     ++batches_injected_;
     coalesced_total_ += batch.parts.size();
 
-    if (cfg_.metrics != nullptr) {
-        cfg_.metrics->counter("batcher.flushes").inc();
-        cfg_.metrics->histogram("batcher.coalesced")
-            .observe(static_cast<std::int64_t>(batch.parts.size()));
-        cfg_.metrics->histogram("batcher.hold_us")
-            .observe((batch.injected_at - batch.parts.front().arrival) /
-                     sim::kMicrosecond);
-    }
-
     // `batch` lives in the deque until completion; references from the
     // capture and from the sim's Request pointer stay valid (deque ends
     // never relocate elements). Backdating the arrival to the oldest

@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "core/serving.h"
-#include "obs/metrics.h"
 #include "sim/time.h"
 #include "stats/rng.h"
 #include "workload/request_generator.h"
@@ -67,14 +66,6 @@ struct BatcherConfig
     std::int64_t max_batch_items = 2048;
     /** Max time the oldest pending request may wait before injection. */
     sim::Duration max_queue_delay_ns = 2 * sim::kMillisecond;
-    /**
-     * Optional metrics registry (src/obs). When set, every flush bumps
-     * `batcher.flushes` and records `batcher.coalesced` (riders per
-     * injected batch) and `batcher.hold_us` (oldest-rider coalescing
-     * wait) histograms. Pure observer — attaching it never changes
-     * batching decisions or RequestStats. Not owned.
-     */
-    obs::MetricsRegistry *metrics = nullptr;
 };
 
 /**

@@ -100,11 +100,10 @@ CapacityResult
 CapacitySearch::run(const std::vector<workload::Request> &requests)
 {
     // Probes run concurrently, so they must not share a mutable observer.
-    if (serving_.tracer != nullptr || serving_.latency_feed != nullptr ||
-        (search_.use_batcher && search_.batcher.metrics != nullptr))
+    if (serving_.tracer != nullptr || serving_.latency_feed != nullptr)
         throw std::invalid_argument(
             "CapacitySearch::run: probes run concurrently; detach the "
-            "tracer, latency feed and batcher metrics (probe() takes them)");
+            "tracer and latency feed (probe() takes them)");
 
     // Geometric QPS grid, endpoints included.
     std::vector<double> grid;

@@ -143,8 +143,7 @@ class CapacitySearch
     /**
      * Run the grid search over the given request stream. Throws
      * std::invalid_argument when the serving config carries a tracer or
-     * a latency feed, or the batcher a metrics registry (with
-     * use_batcher): concurrent probes would share the observer.
+     * a latency feed: concurrent probes would share the observer.
      */
     CapacityResult run(const std::vector<workload::Request> &requests);
 

@@ -366,66 +366,6 @@ TEST(FleetSim, ScaleUpBillsTheNewPlanAndFlagsTheWindow)
 }
 
 /**
- * Attaching a metrics registry to FleetSim yields one snapshot per
- * epoch whose values mirror the ledger — and, being pure observation,
- * leaves the ledger fingerprint untouched.
- */
-TEST(FleetSim, MetricsRegistryMirrorsLedgerWithoutPerturbingIt)
-{
-    const auto spec = model::makeDrm2();
-    const auto plan = core::makeCapacityBalanced(spec, 4);
-    auto dl = flatLoad(300.0);
-    dl.amplitude = 0.4;
-    const workload::DiurnalLoadModel load(spec, dl);
-
-    fleet::ReactiveConfig rc;
-    rc.slo.p99_ms = 60.0;
-
-    fleet::FleetSim base_sim(spec, plan, fleetTestServing(), load,
-                             smallFleet(6));
-    fleet::ReactiveAutoscaler a({4, 4, 4, 4}, rc);
-    const auto base = base_sim.run(a);
-
-    obs::MetricsRegistry metrics;
-    auto fc = smallFleet(6);
-    fc.metrics = &metrics;
-    fleet::FleetSim obs_sim(spec, plan, fleetTestServing(), load, fc);
-    fleet::ReactiveAutoscaler b({4, 4, 4, 4}, rc);
-    const auto observed = obs_sim.run(b);
-
-    EXPECT_EQ(base.fingerprint(), observed.fingerprint());
-
-    ASSERT_EQ(metrics.snapshots().size(), observed.epochs.size());
-    const auto value = [&](std::size_t e, const std::string &name) {
-        for (const auto &[n, v] : metrics.snapshots()[e].values)
-            if (n == name)
-                return v;
-        ADD_FAILURE() << "metric " << name << " missing in epoch " << e;
-        return 0.0;
-    };
-    std::int64_t shed_total = 0;
-    for (std::size_t e = 0; e < observed.epochs.size(); ++e) {
-        const auto &rec = observed.epochs[e];
-        EXPECT_EQ(metrics.snapshots()[e].t,
-                  static_cast<double>(e + 1) * fleet::kEpochDurationS);
-        EXPECT_EQ(value(e, "fleet.offered_qps"), rec.offered_qps);
-        EXPECT_EQ(value(e, "fleet.p99_ms"), rec.p99_ms);
-        EXPECT_EQ(value(e, "fleet.shed_rate"), rec.shed_rate);
-        EXPECT_EQ(value(e, "fleet.hedge_rate"), rec.hedge_rate);
-        EXPECT_EQ(value(e, "fleet.peak_replica_queue"),
-                  static_cast<double>(rec.peak_replica_queue));
-        double replicas = 0.0;
-        for (const int r : rec.replicas)
-            replicas += r;
-        EXPECT_EQ(value(e, "fleet.replicas.total"), replicas);
-        // The shed counter is cumulative across epochs.
-        shed_total += rec.shed_requests;
-        EXPECT_EQ(value(e, "fleet.shed_requests"),
-                  static_cast<double>(shed_total));
-    }
-}
-
-/**
  * The telemetry side-ledger is deterministic and stays out of the
  * simulation ledger: a rerun reproduces both fingerprints, mutating the
  * telemetry leaves fingerprint() unchanged, and telemetryFingerprint()

@@ -2,7 +2,9 @@
 # Golden-output check: run one binary from an empty temp directory (some
 # write trace files into their working directory) and compare its stdout
 # with the committed file byte for byte. On a mismatch, print the first
-# differing lines as a unified diff.
+# differing lines as a unified diff. The files the binary writes are
+# pinned too: their SHA-256 digests must match <name>.sha256 next to the
+# expected stdout (a binary that writes no files has no digest file).
 #
 #   check.sh <binary> <expected-stdout-file>
 #
@@ -10,6 +12,7 @@
 set -u
 bin=$1
 expected=$2
+digests=${expected%.txt}.sha256
 name=$(basename "$bin")
 case $bin in /*) ;; *) bin=$PWD/$bin ;; esac
 
@@ -30,5 +33,21 @@ fi
 if ! cmp -s "$expected" "$dir/stdout"; then
     echo "$name: stdout differs from $expected; first differing lines:"
     diff -u "$expected" "$dir/stdout" | head -n 40
+    exit 1
+fi
+
+# sha256sum lines ("<digest>  <file>") of every file written, by name.
+(cd "$dir/cwd" && find . -type f | sed 's|^\./||' | LC_ALL=C sort |
+    xargs -r sha256sum) > "$dir/written.sha256"
+if [ -f "$digests" ]; then
+    if ! cmp -s "$digests" "$dir/written.sha256"; then
+        echo "$name: written files differ from $digests:"
+        diff -u "$digests" "$dir/written.sha256"
+        exit 1
+    fi
+elif [ -s "$dir/written.sha256" ]; then
+    echo "$name: wrote files but has no digest file $digests" \
+         "(run tests/golden/regenerate.sh):"
+    cat "$dir/written.sha256"
     exit 1
 fi

@@ -14,7 +14,6 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
-#include "obs/metrics.h"
 #include "obs/span_tracer.h"
 #include "obs/timeseries.h"
 #include "sched/batcher.h"
@@ -887,13 +886,6 @@ TEST(CapacitySearch, RunRejectsASharedObserver)
     auto fed = cfg;
     fed.latency_feed = &feed;
     EXPECT_THROW(sched::CapacitySearch(spec, plan, fed, sc).run(requests),
-                 std::invalid_argument);
-
-    obs::MetricsRegistry metrics;
-    auto batched = sc;
-    batched.use_batcher = true;
-    batched.batcher.metrics = &metrics;
-    EXPECT_THROW(sched::CapacitySearch(spec, plan, cfg, batched).run(requests),
                  std::invalid_argument);
 }
 
