@@ -9,12 +9,15 @@
  * Self-checking (exit 1 on violation):
  *  - span conservation holds for the one request;
  *  - the request's critical path sums to its reported E2E;
- *  - the timeline shows the main-shard lane and both sparse-shard lanes.
+ *  - the timeline shows the main-shard lane and both sparse-shard lanes;
+ *  - no RPC's network latency (outstanding minus remote E2E) is negative.
  */
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "core/serving.h"
 #include "core/strategies.h"
@@ -60,28 +63,46 @@ main()
     core::ServingSimulation sim(spec, plan, config);
     const auto stats = sim.replaySerial(requests);
     const auto id = requests[0].id;
+    const auto spans = tracer.spans();
 
-    const std::string timeline =
-        obs::renderRequestTrace(tracer.spans(), id, 100);
+    const std::string timeline = obs::renderRequestTrace(spans, id, 100);
     std::cout << "Distributed trace of one DRM1 request (" << plan.label()
               << "), as in the paper's Fig. 3:\n\n"
               << timeline;
 
+    // Section IV-B per RPC, read off the span tree: an RpcAttempt runs
+    // from dispatch to response arrival (outstanding), its RemoteQueue
+    // and RemoteCompute children are the remote E2E, and the rest is
+    // network. Attempts print in response-arrival order.
     std::cout << "\nPer-RPC records (Section IV-B attribution):\n";
-    for (const auto &rpc : sim.collector().rpcs()) {
-        if (rpc.request_id != id)
-            continue;
-        std::cout << "  net " << rpc.net_id << " batch " << rpc.batch_id
-                  << " -> shard " << rpc.shard_id << ": outstanding "
-                  << sim::toMicros(rpc.outstanding()) << " us (remote e2e "
-                  << sim::toMicros(rpc.remoteE2e()) << " us, network "
-                  << sim::toMicros(rpc.networkLatency()) << " us, SLS "
-                  << sim::toMicros(rpc.remote_sparse_op_ns) << " us)\n";
+    std::vector<obs::SpanRecord> attempts;
+    for (const auto &sp : spans)
+        if (sp.request_id == id && sp.kind == obs::SpanKind::RpcAttempt &&
+            !sp.cancelled())
+            attempts.push_back(sp);
+    std::stable_sort(attempts.begin(), attempts.end(),
+                     [](const obs::SpanRecord &x, const obs::SpanRecord &y) {
+                         return x.end < y.end;
+                     });
+    for (const auto &att : attempts) {
+        sim::Duration remote = 0;
+        for (const auto &sp : spans)
+            if (sp.parent == att.id &&
+                (sp.kind == obs::SpanKind::RemoteQueue ||
+                 sp.kind == obs::SpanKind::RemoteCompute))
+                remote += sp.duration();
+        check(att.duration() >= remote,
+              "an RPC's network latency is not negative");
+        std::cout << "  net " << att.net << " batch " << att.batch
+                  << " -> shard " << att.shard << ": outstanding "
+                  << sim::toMicros(att.duration()) << " us (remote e2e "
+                  << sim::toMicros(remote) << " us, network "
+                  << sim::toMicros(att.duration() - remote) << " us)\n";
     }
 
     // Also export the trace for interactive inspection in Perfetto /
     // chrome://tracing.
-    const std::string json = obs::chromeTraceJson(tracer.spans());
+    const std::string json = obs::chromeTraceJson(spans);
     std::ofstream("trace_viewer_request.json") << json;
     std::cout << "\nChrome trace written to trace_viewer_request.json ("
               << json.size() << " bytes)\n";
@@ -95,10 +116,10 @@ main()
               << " + net-overhead " << sim::toMillis(st.lat_net_overhead)
               << " (ms)\n\n";
 
-    check(obs::checkConservation(tracer.spans()).ok(1),
+    check(obs::checkConservation(spans).ok(1),
           "span conservation (one closed root, no open spans, no nesting "
           "violations)");
-    const auto paths = obs::criticalPaths(tracer.spans());
+    const auto paths = obs::criticalPaths(spans);
     sim::Duration path_sum = 0;
     if (paths.size() == 1)
         for (const sim::Duration ns : paths[0].bucket_ns)

@@ -142,16 +142,35 @@ struct ServingSimulation::Impl
     };
 
     /**
-     * Mutable context of one RPC attempt — the record being filled in
-     * and the attempt's CRN counter stream (see attemptSalt) — pooled and
-     * held by pointer on the attempt's AttemptExec, so every hop's
-     * closure captures a few pointers and fits the engine's inline
-     * event buffer. launchAttempt rebuilds the stream in place, so a
-     * reused context carries nothing over.
+     * Identity and timing of one RPC attempt, filled in as it runs and
+     * read by CPU accounting (chargeRemote) and by its request's
+     * Section IV-B attribution (responseArrive). It lives in the
+     * attempt's pooled context, so nothing of it outlives the attempt.
+     */
+    struct AttemptRecord
+    {
+        std::uint64_t request_id = 0;
+        int shard_id = 0;
+        int net_id = 0;
+        int batch_id = 0;
+        sim::SimTime dispatched = 0;         //!< client issued the attempt
+        sim::Duration remote_queue_ns = 0;   //!< wall: waiting for a core
+        sim::Duration remote_serde_ns = 0;
+        sim::Duration remote_service_ns = 0;
+        sim::Duration remote_net_overhead_ns = 0;
+        sim::Duration remote_sparse_op_ns = 0;
+    };
+
+    /**
+     * Mutable context of one RPC attempt — its record and its CRN
+     * counter stream (see attemptSalt) — pooled and held by pointer on
+     * the attempt's AttemptExec, so every hop's closure captures a few
+     * pointers and fits the engine's inline event buffer. launchAttempt
+     * rebuilds both in place, so a reused context carries nothing over.
      */
     struct AttemptCtx
     {
-        trace::RpcRecord rec;
+        AttemptRecord rec;
         stats::CounterStream stream;
     };
 
@@ -264,8 +283,27 @@ struct ServingSimulation::Impl
         /** Per-group request-level lookups for the current net. */
         std::vector<std::int64_t> group_lookups;
         std::int64_t inline_lookups = 0;
-        /** Bounding (slowest outstanding) RPC of this request. */
-        trace::RpcRecord bounding;
+        /**
+         * Section IV-B split of this request's bounding (slowest
+         * outstanding) RPC; emitStats copies it into RequestStats::emb_*.
+         * Network is measured as the paper does: outstanding time at the
+         * main shard minus the remote E2E, which absorbs clock skew.
+         */
+        struct Bounding
+        {
+            sim::Duration queue = 0;
+            sim::Duration serde = 0;
+            sim::Duration service = 0;
+            sim::Duration net_overhead = 0;
+            sim::Duration sparse_op = 0;
+            sim::Duration network = 0;
+
+            sim::Duration outstanding() const
+            {
+                return queue + serde + service + net_overhead + sparse_op +
+                       network;
+            }
+        } bounding;
         bool has_bounding = false;
         sim::Duration max_inline_sparse = 0;
         std::function<void(const RequestStats &)> on_complete;
@@ -288,9 +326,9 @@ struct ServingSimulation::Impl
     };
 
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
-         const ServingConfig &cfg, trace::TraceCollector &collector)
-        : spec(spec), plan(plan), cfg(cfg), collector(collector),
-          link(cfg.link), rng(cfg.seed), result_cache(cfg.result_cache)
+         const ServingConfig &cfg)
+        : spec(spec), plan(plan), cfg(cfg), link(cfg.link), rng(cfg.seed),
+          result_cache(cfg.result_cache)
     {
         // Cache the tracer pointer once: the hot path pays exactly one
         // null check per emission site when tracing is off.
@@ -340,7 +378,6 @@ struct ServingSimulation::Impl
     const model::ModelSpec &spec;
     const ShardingPlan &plan;
     ServingConfig cfg;
-    trace::TraceCollector &collector;
     /** Cached span tracer; null when tracing is disabled. */
     obs::SpanTracer *tr = nullptr;
 
@@ -670,12 +707,12 @@ struct ServingSimulation::Impl
                                             st.lat_embedded;
             st.lat_dense = std::max<sim::Duration>(0, st.e2e - accounted);
             if (a->has_bounding) {
-                st.emb_sparse_op = a->bounding.remote_sparse_op_ns;
-                st.emb_serde = a->bounding.remote_serde_ns;
-                st.emb_service = a->bounding.remote_service_ns;
-                st.emb_net_overhead = a->bounding.remote_net_overhead_ns;
-                st.emb_network = a->bounding.networkLatency();
-                st.emb_queue = a->bounding.remote_queue_ns;
+                st.emb_sparse_op = a->bounding.sparse_op;
+                st.emb_serde = a->bounding.serde;
+                st.emb_service = a->bounding.service;
+                st.emb_net_overhead = a->bounding.net_overhead;
+                st.emb_network = a->bounding.network;
+                st.emb_queue = a->bounding.queue;
             } else {
                 st.emb_sparse_op = a->max_inline_sparse;
             }
@@ -1265,7 +1302,7 @@ struct ServingSimulation::Impl
      * abort reverses exactly the buckets the execution charged.
      */
     void
-    chargeRemote(const RpcOp *op, const trace::RpcRecord &rec, double w)
+    chargeRemote(const RpcOp *op, const AttemptRecord &rec, double w)
     {
         RequestStats &st = op->bt->req->st;
         const auto sidx = static_cast<std::size_t>(rec.shard_id);
@@ -1475,7 +1512,7 @@ struct ServingSimulation::Impl
             return;
         }
 
-        ctx->rec = trace::RpcRecord{};
+        ctx->rec = AttemptRecord{};
         ctx->rec.request_id = a->st.id;
         ctx->rec.shard_id = g.shard;
         ctx->rec.net_id = op->ni->net_id;
@@ -1551,7 +1588,7 @@ struct ServingSimulation::Impl
     {
         Replica &r = replicas[static_cast<std::size_t>(server)];
         AttemptExec &ex = op->exec[idx];
-        trace::RpcRecord &rec = ex.ctx->rec;
+        AttemptRecord &rec = ex.ctx->rec;
         // Cancelled while queued: the winner returned before this
         // attempt reached a core, so it costs nothing but its slot.
         if (op->decided()) {
@@ -1772,7 +1809,7 @@ struct ServingSimulation::Impl
 
     void
     responseArrive(BatchState *bt, std::int64_t resp_bytes,
-                   trace::RpcRecord rec)
+                   const AttemptRecord &rec)
     {
         Active *a = bt->req;
         if (a->state == RequestState::Shed) {
@@ -1783,11 +1820,13 @@ struct ServingSimulation::Impl
             drainBatch(bt);
             return;
         }
-        rec.completed = engine.now();
-        collector.addRpc(rec);
-        if (!a->has_bounding ||
-            rec.outstanding() > a->bounding.outstanding()) {
-            a->bounding = rec;
+        const sim::Duration outstanding = engine.now() - rec.dispatched;
+        if (!a->has_bounding || outstanding > a->bounding.outstanding()) {
+            a->bounding = {rec.remote_queue_ns, rec.remote_serde_ns,
+                           rec.remote_service_ns, rec.remote_net_overhead_ns,
+                           rec.remote_sparse_op_ns, 0};
+            // Network is what the remote E2E leaves of the outstanding time.
+            a->bounding.network = outstanding - a->bounding.outstanding();
             a->has_bounding = true;
         }
         bt->response_bytes += resp_bytes;
@@ -1901,7 +1940,7 @@ ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
         throw std::invalid_argument("ServingSimulation: sharding plan: " +
                                     error);
     validateConfig(config_);
-    impl_ = std::make_unique<Impl>(spec_, plan_, config_, collector_);
+    impl_ = std::make_unique<Impl>(spec_, plan_, config_);
 }
 
 ServingSimulation::~ServingSimulation() = default;

@@ -240,11 +240,16 @@ DynamicBatcher::onBatchComplete(InFlight &batch,
         stats_.push_back(st);
     }
     // The sim no longer references the merged request once its stats are
-    // delivered; drop the dead payload so long replays hold memory only
+    // delivered, and the merged-level stats it also collected are
+    // superseded by the per-part stats above: drop both, and retire
+    // finished batches from the front, so long replays hold memory only
     // for batches genuinely in flight.
+    sim_.takeResults();
     batch.parts.clear();
     batch.parts.shrink_to_fit();
     batch.merged = workload::Request{};
+    while (!in_flight_.empty() && in_flight_.front().parts.empty())
+        in_flight_.pop_front();
 }
 
 void
@@ -281,6 +286,7 @@ runBatchedOpenLoop(core::ServingSimulation &sim,
         throw std::invalid_argument("runBatchedOpenLoop: qps must be finite "
                                     "and > 0, got " + std::to_string(qps));
     DynamicBatcher batcher(sim, config);
+    batcher.reserveStats(requests.size());
 
     // Chained like ServingSimulation::replayOpenLoop: offer i, when it
     // fires, schedules offer i+1 under its reserved tie-break number, and
@@ -320,7 +326,6 @@ runBatchedOpenLoop(core::ServingSimulation &sim,
     chain.schedule(0);
     engine.run();
     sim.checkDrained();
-    sim.takeResults(); // merged-level stats; superseded by per-part stats
     return batcher.takeStats();
 }
 

@@ -96,6 +96,12 @@ class DynamicBatcher
     void flush();
 
     /**
+     * Make room for the stats of `requests` offered requests, so a
+     * replay of known length never regrows them.
+     */
+    void reserveStats(std::size_t requests) { stats_.reserve(requests); }
+
+    /**
      * Per-original-request stats of batches completed so far. Each entry
      * carries the merged batch's service latencies but its own id, item
      * count, arrival time, E2E (completion - own arrival) and batch_wait.
@@ -138,7 +144,11 @@ class DynamicBatcher
     std::uint64_t epoch_ = 0;
     bool timer_armed_ = false;
 
-    /** Stable storage: sim holds pointers into merged requests. */
+    /**
+     * Stable storage: sim holds pointers into merged requests. Finished
+     * batches leave from the front, so it spans only the oldest batch
+     * still in flight to the newest.
+     */
     std::deque<InFlight> in_flight_;
     std::vector<core::RequestStats> stats_;
     std::size_t batches_injected_ = 0;

