@@ -7,11 +7,14 @@
  * the hold model. The Zipf-draw and cache-replay rows time the two layers
  * of the trace-driven row-cache build, and the ShardCacheBuild rows the
  * whole streamed build at one and four workers; the AttemptStream row
- * times the per-attempt randomness of the serving fan-out.
+ * times the per-attempt randomness of the serving fan-out, and the
+ * HedgeWindow and ResultCacheChurn rows the two per-RPC structures of
+ * the hedged open loop: the hedge deadline and the pooled-result cache.
  */
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <vector>
 
 #include "cache/tiered_sim.h"
 #include "core/serving.h"
@@ -20,6 +23,8 @@
 #include "graph/operators.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
+#include "rpc/hedge.h"
+#include "rpc/result_cache.h"
 #include "sim/engine.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
@@ -272,6 +277,67 @@ BM_AttemptStream(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_AttemptStream);
+
+/**
+ * The hedge deadline's per-response work: one add() to a full
+ * kHedgeWindow-sample window at the 0.95 quantile, then one value(), over
+ * log-normal latencies (median 1 ms, sigma 0.25) with 2% x8 stragglers.
+ * items/s = responses/s.
+ */
+void
+BM_HedgeWindow(benchmark::State &state)
+{
+    std::vector<sim::Duration> samples(4096);
+    stats::Rng rng(29);
+    for (sim::Duration &s : samples) {
+        double ns = 1e6 * std::exp(0.25 * stats::gaussian(rng));
+        if (stats::bernoulli(rng, 0.02))
+            ns *= 8.0;
+        s = static_cast<sim::Duration>(std::llround(ns));
+    }
+    rpc::LatencyTracker tracker(rpc::kHedgeWindow, 0.95);
+    for (const sim::Duration s : samples)
+        tracker.add(s);
+    std::size_t i = 0;
+    for (auto _ : state) {
+        tracker.add(samples[i]);
+        benchmark::DoNotOptimize(tracker.value());
+        i = (i + 1) % samples.size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_HedgeWindow);
+
+/**
+ * The pooled-result cache on the open loop's shape: a 50 ms TTL, ~100 KB
+ * responses (about 640 entries fill the byte budget) and keys that never
+ * repeat, so each RPC is one missed lookup and one insert that evicts
+ * the LRU entry. items/s = RPCs/s.
+ */
+void
+BM_ResultCacheChurn(benchmark::State &state)
+{
+    rpc::ResultCacheConfig cfg;
+    cfg.enabled = true;
+    cfg.ttl_ns = 50'000'000;
+    rpc::ResultCache cache(cfg);
+    stats::Rng rng(31);
+    std::uint64_t signature = 0;
+    sim::SimTime now = 0;
+    for (auto _ : state) {
+        const rpc::ResultCache::Key key{
+            static_cast<int>(signature % 3), static_cast<int>(signature % 8),
+            rpc::resultSignature(64, static_cast<std::int64_t>(signature))};
+        ++signature;
+        now += 10'000;
+        benchmark::DoNotOptimize(cache.lookup(key, now));
+        cache.insert(key, 96'000 + static_cast<std::int64_t>(rng() % 16'000),
+                     now, cache.epoch());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+    state.counters["entries"] = static_cast<double>(cache.entries());
+}
+BENCHMARK(BM_ResultCacheChurn);
 
 /**
  * One fleet epoch's request stream (280 requests, the fleet study's

@@ -67,6 +67,9 @@ validateConfig(const ServingConfig &c)
         fail("faults.straggler_prob must be in [0, 1]");
     if (!(c.hedge.quantile >= 0.0 && c.hedge.quantile <= 1.0))
         fail("hedge.quantile must be in [0, 1]");
+    if (c.hedge.min_samples > rpc::kHedgeWindow)
+        fail("hedge.min_samples must be <= " +
+             std::to_string(rpc::kHedgeWindow) + " (the hedge window)");
     if (!(c.hedge.max_hedge_fraction >= 0.0) ||
         !std::isfinite(c.hedge.max_hedge_fraction))
         fail("hedge.max_hedge_fraction must be finite and >= 0");
@@ -328,6 +331,7 @@ struct ServingSimulation::Impl
     Impl(const model::ModelSpec &spec, const ShardingPlan &plan,
          const ServingConfig &cfg)
         : spec(spec), plan(plan), cfg(cfg), link(cfg.link), rng(cfg.seed),
+          hedge_tracker(rpc::kHedgeWindow, cfg.hedge.quantile),
           result_cache(cfg.result_cache)
     {
         // Cache the tracer pointer once: the hot path pays exactly one
@@ -1434,7 +1438,7 @@ struct ServingSimulation::Impl
             return;
         if (hedge_tracker.count() < std::max<std::size_t>(1, hc.min_samples))
             return;
-        const sim::Duration deadline = hedge_tracker.quantile(hc.quantile);
+        const sim::Duration deadline = hedge_tracker.value();
         ++op->refs; // the timer (held across re-arms)
         engine.schedule(deadline, sim::kEvTimer,
                         [this, op, deadline] { hedgeTimerFired(op, deadline); });

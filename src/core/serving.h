@@ -378,7 +378,8 @@ class ServingSimulation
      * validator's message when spec.validate() or plan.validate(spec)
      * fails, and naming the field when config breaks a rule:
      * faults.straggler_prob or hedge.quantile outside [0, 1] (or NaN);
-     * hedge.max_hedge_fraction negative or non-finite; a negative
+     * hedge.max_hedge_fraction negative or non-finite;
+     * hedge.min_samples above rpc::kHedgeWindow (never met); a negative
      * admission.max_main_queue, admission.deadline_ns,
      * batch_size_override, worker_threads, sparse_worker_threads,
      * sparse_replicas, result_cache.ttl_ns, faults.rpc_timeout_ns or

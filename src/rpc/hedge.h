@@ -51,7 +51,10 @@ struct HedgeConfig
      * latencies (dispatch to response at the client).
      */
     double quantile = 0.95;
-    /** Observed completions required before any hedge may launch. */
+    /**
+     * Observed completions required before any hedge may launch; at most
+     * kHedgeWindow, the most the deadline's window ever holds.
+     */
     std::size_t min_samples = 64;
     /**
      * Hedge budget: backups may be at most this fraction of primary
@@ -98,40 +101,78 @@ struct HedgeStats
 };
 
 /**
- * Sliding-window latency tracker answering quantile queries for the hedge
- * deadline. Keeps the last `window` samples in a ring plus a sorted
- * mirror maintained incrementally on add(), so the per-dispatch quantile
- * query is a single indexed read instead of a scratch-copy-and-select
- * over the window. Values are exact nearest-rank order statistics —
- * identical to what a full sort of the window would return.
+ * Samples in the hedge deadline's sliding window. HedgeConfig::min_samples
+ * above it could never be met (count() saturates here), so the serving
+ * core rejects such a config.
+ */
+inline constexpr std::size_t kHedgeWindow = 512;
+
+/**
+ * Sliding-window tracker of one fixed quantile `q` of recent RPC
+ * latencies: the hedge deadline. value() is the exact nearest-rank order
+ * statistic of the last `window` samples — rank k = ⌊q·(n−1)+0.5⌋ of the
+ * n in the window, identical to a full sort's — but is kept without
+ * sorting the window. The window is split by rank: the low set holds
+ * the k smallest samples unsorted (a removal swaps the last entry into
+ * the hole, found through its ring slot's back-pointer), and the high
+ * set holds the other n−k sorted descending, so value() is the high
+ * set's last entry. At the hedge quantile the high set is the ~5% tail
+ * (27 of 512 samples), so insertions and removals there shift a few
+ * dozen entries at most. The one linear step, a scan for the low set's
+ * maximum, runs only when the low set must give a sample back: an
+ * insertion into it meeting an eviction from the high set. Equal
+ * samples are interchangeable, so ties cannot change the value.
  */
 class LatencyTracker
 {
   public:
-    /** `window`: samples kept; the default sizes the hedge deadline's. */
-    explicit LatencyTracker(std::size_t window = 512);
+    /** `window`: samples kept; `q`: tracked quantile, clamped to [0, 1]. */
+    LatencyTracker(std::size_t window, double q);
 
-    /** Record one observed RPC latency. */
+    /** Record one observed RPC latency, evicting the oldest when full. */
     void add(sim::Duration latency_ns);
 
+    /** The window's q-quantile (nearest rank); 0 while it is empty. */
+    sim::Duration
+    value() const
+    {
+        return high_.empty() ? 0 : high_.back().value;
+    }
+
     /** Samples currently in the window. */
-    std::size_t count() const { return samples_.size(); }
+    std::size_t count() const { return ring_.size(); }
 
     /** Lifetime samples observed (monotone; count() saturates at window). */
     std::uint64_t observed() const { return observed_; }
 
-    /**
-     * Quantile of the windowed samples (nearest-rank); q clamped to
-     * [0, 1]. Returns 0 while the window is empty.
-     */
-    sim::Duration quantile(double q) const;
-
   private:
+    static constexpr std::uint32_t kInHigh = 0xffffffffu;
+
+    /** One window sample in arrival order. */
+    struct Slot
+    {
+        sim::Duration value = 0;
+        std::uint32_t low = kInHigh; //!< index in the low set, or kInHigh
+    };
+
+    /** A high-set sample and the ring slot it came from. */
+    struct High
+    {
+        sim::Duration value = 0;
+        std::uint32_t slot = 0;
+    };
+
+    void pushLow(sim::Duration value, std::uint32_t slot);
+    void removeLow(std::uint32_t at);
+
     std::size_t window_;
+    double q_;
     std::size_t next_ = 0; //!< ring write cursor once the window is full
     std::uint64_t observed_ = 0;
-    std::vector<sim::Duration> samples_; //!< arrival-order ring
-    std::vector<sim::Duration> sorted_;  //!< same multiset, kept sorted
+    std::vector<Slot> ring_;
+    std::vector<sim::Duration> low_values_; //!< the k smallest, unsorted
+    std::vector<std::uint32_t> low_slots_;  //!< ring slot of each
+    std::vector<High> high_;                //!< the rest, descending
 };
 
 } // namespace dri::rpc

@@ -1,10 +1,21 @@
 #include "rpc/result_cache.h"
 
-#include "stats/hash.h"
-
 namespace dri::rpc {
 
-ResultCache::ResultCache(ResultCacheConfig config) : config_(config) {}
+namespace {
+
+/** Index slots allocated when an enabled cache is built. */
+constexpr std::size_t kMinIndexSlots = 16;
+
+} // namespace
+
+ResultCache::ResultCache(ResultCacheConfig config) : config_(config)
+{
+    if (config_.enabled) {
+        index_.resize(kMinIndexSlots);
+        mask_ = kMinIndexSlots - 1;
+    }
+}
 
 bool
 ResultCache::lookup(const Key &key, sim::SimTime now)
@@ -12,17 +23,17 @@ ResultCache::lookup(const Key &key, sim::SimTime now)
     if (!config_.enabled)
         return false;
     ++stats_.lookups;
-    const std::uint32_t *slot = entries_.find(key);
-    if (slot == nullptr) {
+    const std::size_t slot = probe(key, KeyHash{}(key));
+    const std::uint32_t idx = index_[slot].node;
+    if (idx == kNil) {
         ++stats_.misses;
         return false;
     }
-    const std::uint32_t idx = *slot;
     if (config_.ttl_ns > 0 &&
         now - nodes_[idx].inserted > config_.ttl_ns) {
         // Stale: the embedding snapshot it was pooled from has been
         // refreshed since.
-        eraseNode(idx);
+        eraseNode(idx, slot);
         ++stats_.expirations;
         ++stats_.misses;
         return false;
@@ -43,15 +54,21 @@ ResultCache::insert(const Key &key, std::int64_t response_bytes,
         return; // pooled from a snapshot invalidated while on the wire
     if (response_bytes > kResultCacheCapacityBytes)
         return; // larger than the whole budget
-    const std::uint32_t *slot = entries_.find(key);
-    if (slot != nullptr) {
+    const std::uint64_t hash = KeyHash{}(key);
+    std::size_t slot = probe(key, hash);
+    if (index_[slot].node != kNil) {
         // Refresh in place (a concurrent miss raced this insertion).
-        Node &n = nodes_[*slot];
+        const std::uint32_t idx = index_[slot].node;
+        Node &n = nodes_[idx];
         used_bytes_ += response_bytes - n.bytes;
         n.bytes = response_bytes;
         n.inserted = now;
-        touch(*slot);
+        touch(idx);
     } else {
+        if ((entries() + 1) * 8 > index_.size() * 3) {
+            growIndex();
+            slot = probe(key, hash);
+        }
         std::uint32_t idx;
         if (!free_.empty()) {
             idx = free_.back();
@@ -62,15 +79,16 @@ ResultCache::insert(const Key &key, std::int64_t response_bytes,
         }
         Node &n = nodes_[idx];
         n.key = key;
+        n.hash = hash;
         n.bytes = response_bytes;
         n.inserted = now;
         pushFront(idx);
-        entries_.insert(key, idx);
+        index_[slot] = IndexSlot{hash, idx};
         used_bytes_ += response_bytes;
         ++stats_.insertions;
     }
     while (used_bytes_ > kResultCacheCapacityBytes && tail_ != kNil) {
-        eraseNode(tail_);
+        eraseNode(tail_, slotOf(tail_));
         ++stats_.evictions;
     }
 }
@@ -85,8 +103,61 @@ ResultCache::invalidate()
     nodes_.clear();
     free_.clear();
     head_ = tail_ = kNil;
-    entries_.clear();
+    for (IndexSlot &s : index_)
+        s = IndexSlot{};
     used_bytes_ = 0;
+}
+
+std::size_t
+ResultCache::probe(const Key &key, std::uint64_t hash) const
+{
+    for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
+        const IndexSlot &s = index_[i];
+        if (s.node == kNil || (s.hash == hash && nodes_[s.node].key == key))
+            return i;
+    }
+}
+
+std::size_t
+ResultCache::slotOf(std::uint32_t idx) const
+{
+    std::size_t i = nodes_[idx].hash & mask_;
+    while (index_[i].node != idx)
+        i = (i + 1) & mask_;
+    return i;
+}
+
+void
+ResultCache::eraseSlot(std::size_t i)
+{
+    // Pull each follower of the probe chain that may move back into the
+    // hole: one whose home bucket is not cyclically inside (hole, k].
+    std::size_t hole = i;
+    for (std::size_t k = (i + 1) & mask_; index_[k].node != kNil;
+         k = (k + 1) & mask_) {
+        const std::size_t home = index_[k].hash & mask_;
+        if (((k - home) & mask_) >= ((k - hole) & mask_)) {
+            index_[hole] = index_[k];
+            hole = k;
+        }
+    }
+    index_[hole] = IndexSlot{};
+}
+
+void
+ResultCache::growIndex()
+{
+    std::vector<IndexSlot> old(index_.size() * 2);
+    old.swap(index_);
+    mask_ = index_.size() - 1;
+    for (const IndexSlot &s : old) {
+        if (s.node == kNil)
+            continue;
+        std::size_t i = s.hash & mask_;
+        while (index_[i].node != kNil)
+            i = (i + 1) & mask_;
+        index_[i] = s;
+    }
 }
 
 void
@@ -128,10 +199,10 @@ ResultCache::touch(std::uint32_t idx)
 }
 
 void
-ResultCache::eraseNode(std::uint32_t idx)
+ResultCache::eraseNode(std::uint32_t idx, std::size_t slot)
 {
     used_bytes_ -= nodes_[idx].bytes;
-    entries_.erase(nodes_[idx].key);
+    eraseSlot(slot);
     unlink(idx);
     free_.push_back(idx);
 }

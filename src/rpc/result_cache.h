@@ -22,11 +22,11 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sim/time.h"
-#include "stats/flat_hash.h"
 #include "stats/hash.h"
 
 namespace dri::rpc {
@@ -187,7 +187,7 @@ class ResultCache
 
     const ResultCacheStats &stats() const { return stats_; }
     bool enabled() const { return config_.enabled; }
-    std::size_t entries() const { return entries_.size(); }
+    std::size_t entries() const { return nodes_.size() - free_.size(); }
     std::int64_t usedBytes() const { return used_bytes_; }
 
   private:
@@ -203,16 +203,41 @@ class ResultCache
     struct Node
     {
         Key key;
+        std::uint64_t hash = 0; //!< KeyHash of key, computed once
         std::int64_t bytes = 0;
         sim::SimTime inserted = 0;
         std::uint32_t prev = kNil;
         std::uint32_t next = kNil;
     };
 
+    /**
+     * One slot of the open-addressing index over the arena: an entry's
+     * key hash and its arena index (kNil: empty). Linear probing over a
+     * power-of-two table held at load <= 3/8. The stored hash gives a
+     * slot's home bucket without re-hashing its key, which is what the
+     * backward-shift erase reads for every follower it considers, and
+     * filters probes so a key compare (one arena read) happens only on
+     * a full 64-bit hash match.
+     */
+    struct IndexSlot
+    {
+        std::uint64_t hash = 0;
+        std::uint32_t node = kNil;
+    };
+
+    /** Slot holding `key`, or the empty slot that ends its probe. */
+    std::size_t probe(const Key &key, std::uint64_t hash) const;
+    /** Slot holding arena entry `idx` (which must be live). */
+    std::size_t slotOf(std::uint32_t idx) const;
+    /** Empty index slot `i` by backward shift: no tombstones. */
+    void eraseSlot(std::size_t i);
+    void growIndex();
+
     void unlink(std::uint32_t idx);
     void pushFront(std::uint32_t idx);
     void touch(std::uint32_t idx);
-    void eraseNode(std::uint32_t idx);
+    /** Drop live entry `idx`, whose index slot is `slot`. */
+    void eraseNode(std::uint32_t idx, std::size_t slot);
 
     ResultCacheConfig config_;
     ResultCacheStats stats_;
@@ -220,7 +245,8 @@ class ResultCache
     std::vector<std::uint32_t> free_;  //!< indices of vacated arena slots
     std::uint32_t head_ = kNil;        //!< most recently used
     std::uint32_t tail_ = kNil;        //!< least recently used
-    stats::FlatHashMap<Key, std::uint32_t, KeyHash> entries_;
+    std::vector<IndexSlot> index_;     //!< empty while disabled
+    std::size_t mask_ = 0;             //!< index_.size() - 1
     std::int64_t used_bytes_ = 0;
     std::uint64_t epoch_ = 0;
 };

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <random>
 
 #include "core/analysis.h"
 #include "core/serving.h"
@@ -53,23 +55,44 @@ meanUtil(const core::ServingSimulation &sim)
     return util.empty() ? 0.0 : acc / static_cast<double>(util.size());
 }
 
-TEST(LatencyTracker, WindowedQuantiles)
+/**
+ * The rank-split window against a brute-force nearest-rank over a full
+ * sort of the window, after every add (fill phase included), on streams
+ * with heavy ties (values mod 50) and with wide values.
+ */
+TEST(LatencyTracker, MatchesFullSortNearestRank)
 {
-    rpc::LatencyTracker tracker(4);
-    tracker.add(10);
-    tracker.add(20);
-    tracker.add(30);
-    tracker.add(40);
-    EXPECT_EQ(tracker.count(), 4u);
-    EXPECT_EQ(tracker.quantile(0.0), 10);
-    EXPECT_EQ(tracker.quantile(1.0), 40);
-    // Ring overwrite: the oldest samples fall out of the window.
-    tracker.add(50);
-    tracker.add(60);
-    EXPECT_EQ(tracker.count(), 4u);
-    EXPECT_EQ(tracker.observed(), 6u);
-    EXPECT_EQ(tracker.quantile(0.0), 30);
-    EXPECT_EQ(tracker.quantile(1.0), 60);
+    for (const std::size_t window : {1, 2, 4, 7, 64, 512}) {
+        for (const double q : {0.0, 0.01, 0.5, 0.95, 0.99, 1.0}) {
+            for (const sim::Duration modulus : {50, 1000000}) {
+                rpc::LatencyTracker tracker(window, q);
+                EXPECT_EQ(tracker.value(), 0);
+                std::mt19937_64 rng(window * 1000 + modulus);
+                std::deque<sim::Duration> recent;
+                const std::size_t steps = 3 * window + 40;
+                for (std::size_t i = 0; i < steps; ++i) {
+                    const auto v = static_cast<sim::Duration>(
+                        rng() % static_cast<std::uint64_t>(modulus));
+                    tracker.add(v);
+                    recent.push_back(v);
+                    if (recent.size() > window)
+                        recent.pop_front();
+                    std::vector<sim::Duration> sorted(recent.begin(),
+                                                      recent.end());
+                    std::sort(sorted.begin(), sorted.end());
+                    const auto rank = static_cast<std::size_t>(
+                        q * static_cast<double>(sorted.size() - 1) + 0.5);
+                    ASSERT_EQ(tracker.value(), sorted[rank])
+                        << "window " << window << " q " << q << " modulus "
+                        << modulus << " step " << i;
+                    ASSERT_EQ(tracker.count(), sorted.size());
+                }
+                // count() saturates at the window; observed() does not.
+                EXPECT_EQ(tracker.count(), window);
+                EXPECT_EQ(tracker.observed(), steps);
+            }
+        }
+    }
 }
 
 TEST(Hedge, DisabledProducesNoHedgeActivity)

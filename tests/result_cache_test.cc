@@ -8,8 +8,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <list>
+#include <map>
+#include <random>
 #include <set>
+#include <tuple>
 
 #include "core/analysis.h"
 #include "core/serving.h"
@@ -130,6 +135,173 @@ TEST(ResultCache, StaleEpochInsertIsDropped)
     // A post-refresh dispatch inserts normally.
     cache.insert(k, 1000, 7, cache.epoch());
     EXPECT_TRUE(cache.lookup(k, 8));
+}
+
+/** std::list + std::map model of ResultCache's LRU/TTL/epoch semantics. */
+class ReferenceResultCache
+{
+  public:
+    explicit ReferenceResultCache(sim::Duration ttl_ns) : ttl_ns_(ttl_ns) {}
+
+    bool
+    lookup(const rpc::ResultCache::Key &key, sim::SimTime now)
+    {
+        ++stats.lookups;
+        const auto it = map_.find(id(key));
+        if (it == map_.end()) {
+            ++stats.misses;
+            return false;
+        }
+        if (ttl_ns_ > 0 && now - it->second.inserted > ttl_ns_) {
+            erase(it);
+            ++stats.expirations;
+            ++stats.misses;
+            return false;
+        }
+        lru_.splice(lru_.begin(), lru_, it->second.pos);
+        ++stats.hits;
+        stats.bytes_saved += it->second.bytes;
+        return true;
+    }
+
+    void
+    insert(const rpc::ResultCache::Key &key, std::int64_t bytes,
+           sim::SimTime now, std::uint64_t dispatch_epoch)
+    {
+        if (dispatch_epoch != epoch || bytes > rpc::kResultCacheCapacityBytes)
+            return;
+        const auto it = map_.find(id(key));
+        if (it != map_.end()) {
+            used += bytes - it->second.bytes;
+            it->second.bytes = bytes;
+            it->second.inserted = now;
+            lru_.splice(lru_.begin(), lru_, it->second.pos);
+        } else {
+            lru_.push_front(id(key));
+            map_[id(key)] = Entry{bytes, now, lru_.begin()};
+            used += bytes;
+            ++stats.insertions;
+        }
+        while (used > rpc::kResultCacheCapacityBytes && !lru_.empty()) {
+            erase(map_.find(lru_.back()));
+            ++stats.evictions;
+        }
+    }
+
+    void
+    invalidate()
+    {
+        ++stats.invalidations;
+        ++epoch;
+        map_.clear();
+        lru_.clear();
+        used = 0;
+    }
+
+    std::size_t entries() const { return map_.size(); }
+
+    rpc::ResultCacheStats stats;
+    std::int64_t used = 0;
+    std::uint64_t epoch = 0;
+
+  private:
+    using Id = std::tuple<int, int, std::uint64_t>;
+    struct Entry
+    {
+        std::int64_t bytes;
+        sim::SimTime inserted;
+        std::list<Id>::iterator pos;
+    };
+
+    static Id
+    id(const rpc::ResultCache::Key &k)
+    {
+        return {k.net, k.group, k.signature};
+    }
+
+    void
+    erase(std::map<Id, Entry>::iterator it)
+    {
+        used -= it->second.bytes;
+        lru_.erase(it->second.pos);
+        map_.erase(it);
+    }
+
+    sim::Duration ttl_ns_;
+    std::list<Id> lru_; //!< front = most recently used
+    std::map<Id, Entry> map_;
+};
+
+/**
+ * Random lookups, inserts (fresh, refresh-in-place, stale-epoch and
+ * over-budget) and invalidations, with TTL on and off: after every
+ * operation the cache's stats(), entries() and usedBytes() equal the
+ * reference model's.
+ */
+TEST(ResultCache, MatchesListAndMapReferenceModel)
+{
+    for (const sim::Duration ttl_ns : {sim::Duration{0}, sim::Duration{5'000'000}}) {
+        rpc::ResultCacheConfig cfg;
+        cfg.enabled = true;
+        cfg.ttl_ns = ttl_ns;
+        rpc::ResultCache cache(cfg);
+        ReferenceResultCache ref(ttl_ns);
+        std::mt19937_64 rng(ttl_ns + 7);
+        sim::SimTime now = 0;
+        for (int op = 0; op < 40000; ++op) {
+            now += static_cast<sim::Duration>(rng() % 200'000);
+            // 400 keys: with ~140 live entries a third of the inserts
+            // refresh in place and a third of the lookups hit.
+            const auto k = static_cast<std::uint64_t>(rng() % 400);
+            const rpc::ResultCache::Key key{static_cast<int>(k % 3),
+                                            static_cast<int>(k / 3 % 5),
+                                            k};
+            // Log-uniform response sizes, 1 KiB .. 4 MiB.
+            const auto bytes = static_cast<std::int64_t>(
+                std::exp2(10.0 + 12.0 * static_cast<double>(rng() % 4096) /
+                                     4096.0));
+            const std::uint64_t r = rng() % 1000;
+            if (r < 450) {
+                ASSERT_EQ(cache.lookup(key, now), ref.lookup(key, now))
+                    << "op " << op;
+            } else if (r < 920) {
+                cache.insert(key, bytes, now, cache.epoch());
+                ref.insert(key, bytes, now, ref.epoch);
+            } else if (r < 960) {
+                // Dispatched before the last invalidation (or, at epoch
+                // 0, carrying an epoch that never existed).
+                const std::uint64_t stale =
+                    cache.epoch() > 0 ? cache.epoch() - 1 : 1;
+                cache.insert(key, bytes, now, stale);
+                ref.insert(key, bytes, now, stale);
+            } else if (r < 999) {
+                cache.insert(key, rpc::kResultCacheCapacityBytes + 1, now,
+                             cache.epoch());
+                ref.insert(key, rpc::kResultCacheCapacityBytes + 1, now,
+                           ref.epoch);
+            } else {
+                cache.invalidate();
+                ref.invalidate();
+            }
+            const rpc::ResultCacheStats &a = cache.stats();
+            const rpc::ResultCacheStats &b = ref.stats;
+            ASSERT_EQ(a.lookups, b.lookups) << "op " << op;
+            ASSERT_EQ(a.hits, b.hits) << "op " << op;
+            ASSERT_EQ(a.misses, b.misses) << "op " << op;
+            ASSERT_EQ(a.insertions, b.insertions) << "op " << op;
+            ASSERT_EQ(a.expirations, b.expirations) << "op " << op;
+            ASSERT_EQ(a.evictions, b.evictions) << "op " << op;
+            ASSERT_EQ(a.invalidations, b.invalidations) << "op " << op;
+            ASSERT_EQ(a.bytes_saved, b.bytes_saved) << "op " << op;
+            ASSERT_EQ(cache.entries(), ref.entries()) << "op " << op;
+            ASSERT_EQ(cache.usedBytes(), ref.used) << "op " << op;
+            ASSERT_EQ(cache.epoch(), ref.epoch) << "op " << op;
+        }
+        // The run reached eviction, expiry and refresh regimes.
+        EXPECT_GT(cache.stats().evictions, 0u);
+        EXPECT_GT(cache.stats().hits, 0u);
+        EXPECT_EQ(cache.stats().expirations > 0, ttl_ns > 0);
+    }
 }
 
 /**

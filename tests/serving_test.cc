@@ -17,6 +17,7 @@
 #include "core/strategies.h"
 #include "model/generators.h"
 #include "obs/span_tracer.h"
+#include "rpc/hedge.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -431,6 +432,20 @@ TEST(ServingMisuse, HedgeQuantileOutsideUnitIntervalThrows)
          {-0.01, 1.01, 95.0, std::numeric_limits<double>::quiet_NaN()})
         expectConfigRejected("hedge.quantile",
                              [q](auto &c) { c.hedge.quantile = q; });
+}
+
+TEST(ServingMisuse, HedgeMinSamplesAboveWindowThrows)
+{
+    // The window holds at most kHedgeWindow samples, so a larger
+    // min_samples would silently disable hedging.
+    const auto spec = model::makeDrm1();
+    const auto plan = core::makeCapacityBalanced(spec, 2);
+    core::ServingConfig cfg;
+    cfg.hedge.min_samples = rpc::kHedgeWindow;
+    EXPECT_NO_THROW((core::ServingSimulation{spec, plan, cfg}));
+    expectConfigRejected("hedge.min_samples", [](auto &c) {
+        c.hedge.min_samples = rpc::kHedgeWindow + 1;
+    });
 }
 
 TEST(ServingMisuse, HedgeFractionNegativeOrNonFiniteThrows)
