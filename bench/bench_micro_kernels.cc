@@ -1,12 +1,10 @@
 /**
  * @file
- * google-benchmark microbenches for the compute kernels underneath the
- * serving substrate: SLS pooling (fp32 / int8 / int4 backed), dense FC,
- * and index splitting. These back the cost-model constants used by the
- * simulation. The EventHold rows time the DES engine's event set under
- * the hold model. The Zipf-draw and cache-replay rows time the two layers
- * of the trace-driven row-cache build, and the ShardCacheBuild rows the
- * whole streamed build at one and four workers; the AttemptStream row
+ * google-benchmark microbenches for the simulator's layers. The
+ * EventHold rows time the DES engine's event set under the hold model.
+ * The Zipf-draw and cache-replay rows time the two layers of the
+ * trace-driven row-cache build, and the ShardCacheBuild rows the whole
+ * streamed build at one and four workers; the AttemptStream row
  * times the per-attempt randomness of the serving fan-out, and the
  * HedgeWindow and ResultCacheChurn rows the two per-RPC structures of
  * the hedged open loop: the hedge deadline and the pooled-result cache.
@@ -20,7 +18,6 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "core/trace_slicing.h"
-#include "graph/operators.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
 #include "rpc/hedge.h"
@@ -28,8 +25,6 @@
 #include "sim/engine.h"
 #include "stats/distributions.h"
 #include "stats/rng.h"
-#include "tensor/embedding_table.h"
-#include "tensor/kernels.h"
 #include "workload/access_trace.h"
 #include "workload/diurnal.h"
 #include "workload/request_generator.h"
@@ -37,53 +32,6 @@
 namespace {
 
 using namespace dri;
-
-void
-BM_SlsPooling(benchmark::State &state)
-{
-    const auto precision = static_cast<tensor::Precision>(state.range(0));
-    tensor::VirtualEmbeddingTable table(1 << 20, 32, 0xfeed, 4096);
-    table.quantize(precision);
-
-    stats::Rng rng(7);
-    std::vector<std::int64_t> indices;
-    std::vector<std::int32_t> lengths;
-    for (int seg = 0; seg < 64; ++seg) {
-        lengths.push_back(20);
-        for (int k = 0; k < 20; ++k)
-            indices.push_back(rng.uniformInt(0, (1 << 20) - 1));
-    }
-    tensor::Tensor out;
-    for (auto _ : state) {
-        table.sls(indices, lengths, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            static_cast<std::int64_t>(indices.size()));
-}
-BENCHMARK(BM_SlsPooling)
-    ->Arg(static_cast<int>(tensor::Precision::Fp32))
-    ->Arg(static_cast<int>(tensor::Precision::Int8))
-    ->Arg(static_cast<int>(tensor::Precision::Int4));
-
-void
-BM_FullyConnected(benchmark::State &state)
-{
-    const std::int64_t dim = state.range(0);
-    stats::Rng rng(11);
-    tensor::Tensor in(64, dim), w(dim, dim), b(dim), out;
-    for (std::int64_t i = 0; i < in.numel(); ++i)
-        in.at(i) = static_cast<float>(rng.gaussian());
-    for (std::int64_t i = 0; i < w.numel(); ++i)
-        w.at(i) = static_cast<float>(rng.gaussian());
-    for (auto _ : state) {
-        tensor::fullyConnected(in, w, b, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                            2 * 64 * dim * dim);
-}
-BENCHMARK(BM_FullyConnected)->Arg(32)->Arg(128);
 
 /** Hold-model delay shapes (Jones, CACM 1986). */
 enum HoldShape
@@ -159,30 +107,6 @@ BENCHMARK(BM_EventHold)
     ->ArgNames({"depth", "shape"})
     ->ArgsProduct({{16, 64, 4096, 65536},
                    {kHoldExponential, kHoldConstant, kHoldSerial}});
-
-void
-BM_SplitIndices(benchmark::State &state)
-{
-    const int ways = static_cast<int>(state.range(0));
-    graph::Workspace ws;
-    auto &ids = ws.createIndexList("ids");
-    stats::Rng rng(3);
-    for (int seg = 0; seg < 64; ++seg) {
-        ids.lengths.push_back(50);
-        for (int k = 0; k < 50; ++k)
-            ids.indices.push_back(rng.uniformInt(0, 1 << 24));
-    }
-    std::vector<std::string> outs;
-    for (int w = 0; w < ways; ++w)
-        outs.push_back("part" + std::to_string(w));
-    graph::SplitIndicesOp op("ids", outs);
-    graph::ExecContext ctx{ws, nullptr};
-    for (auto _ : state) {
-        op.run(ctx);
-        benchmark::DoNotOptimize(ws.indexListBlob(outs[0]).indices.data());
-    }
-}
-BENCHMARK(BM_SplitIndices)->Arg(2)->Arg(8);
 
 /** One Zipf rank draw at the trace recorder's universe size (4096). */
 void

@@ -3,41 +3,25 @@
  * CLI front-end for the bench-artifact regression gate
  * (src/obs/regression_gate.h): diff a freshly generated JSONL bench
  * artifact against its committed baseline and exit non-zero on any
- * violation — the CI step that keeps perf and determinism ratcheted.
+ * violation — the CI step that keeps the deterministic fleet and chaos
+ * outputs byte-for-byte ratcheted. Host speed is not its job;
+ * bench/e2e_gate.py gates that against the BENCH_*.json trajectory.
  *
  * Usage:
  *   bench_regression_gate --baseline bench/baselines/X.jsonl \
- *                         --current perf/X.jsonl \
- *                         [--skip-machine-dependent] \
- *                         [--throughput-tolerance 0.75] \
- *                         [--value-tolerance 2e-5] \
- *                         [--check-wall-clock] \
- *                         [--explain] [--explain-out <file>]
- *
- * `--explain` runs differential critical-path attribution (obs/diff.h)
- * over every row pair whenever the gate FAILS: if the artifact carries
- * `path_<bucket>_ns` attribution fields, the report says which stage
- * (Queue/Compute/Serde/Network/Wait) moved, by how much per request,
- * and which exemplar request pair to diff — the difference between
- * "e2e_p99 regressed 8%" and "serde is 78% of the shift; compare
- * request 236 against request 118". `--explain-out` additionally
- * writes the report (or a pass note) to a file for CI artifact upload.
+ *                         --current perf/X.jsonl
  *
  * Exit codes: 0 gate passed, 1 violations found, 2 usage/IO error.
  *
  * Refreshing baselines after an intentional change (CI compares the
  * --smoke artifacts, so baselines are generated the same way):
- *   ./build/bench_sim_throughput --smoke    | grep '^{' > bench/baselines/sim_throughput_smoke.jsonl
  *   ./build/bench_fleet_autoscaling --smoke | grep '^{' > bench/baselines/fleet_autoscaling_smoke.jsonl
+ *   ./build/bench_chaos_suite --smoke       | grep '^{' > bench/baselines/chaos_suite_smoke.jsonl
  * then commit the diff alongside the change that caused it.
  */
-#include <cstring>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 
-#include "obs/diff.h"
 #include "obs/regression_gate.h"
 
 namespace {
@@ -45,38 +29,9 @@ namespace {
 int
 usage(const char *argv0)
 {
-    std::cerr
-        << "usage: " << argv0
-        << " --baseline <file.jsonl> --current <file.jsonl>\n"
-        << "          [--skip-machine-dependent] [--check-wall-clock]\n"
-        << "          [--throughput-tolerance <t>] "
-           "[--value-tolerance <t>]\n"
-        << "          [--explain] [--explain-out <file>]\n";
+    std::cerr << "usage: " << argv0
+              << " --baseline <file.jsonl> --current <file.jsonl>\n";
     return 2;
-}
-
-/** Attribution over every row pair; empty string if no row has any. */
-std::string
-explainFailure(const std::vector<dri::obs::ArtifactRow> &baseline,
-               const std::vector<dri::obs::ArtifactRow> &current)
-{
-    std::ostringstream os;
-    bool any = false;
-    const std::size_t rows = std::min(baseline.size(), current.size());
-    for (std::size_t r = 0; r < rows; ++r) {
-        const auto report =
-            dri::obs::explainArtifacts(baseline[r], current[r]);
-        if (!report.has_attribution)
-            continue;
-        any = true;
-        os << "row " << r << " ";
-        dri::obs::writeAttributionReport(os, report);
-    }
-    if (!any)
-        return "attribution: no path_<bucket>_ns fields in the artifact "
-               "(only benches that trace critical paths can explain "
-               "their regressions)\n";
-    return os.str();
 }
 
 } // namespace
@@ -86,47 +41,15 @@ main(int argc, char **argv)
 {
     std::string baseline_path;
     std::string current_path;
-    std::string explain_out;
-    bool explain = false;
-    dri::obs::GateConfig cfg;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        const auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
+        if (i + 1 >= argc)
+            return usage(argv[0]);
         if (arg == "--baseline") {
-            const char *v = next();
-            if (v == nullptr)
-                return usage(argv[0]);
-            baseline_path = v;
+            baseline_path = argv[++i];
         } else if (arg == "--current") {
-            const char *v = next();
-            if (v == nullptr)
-                return usage(argv[0]);
-            current_path = v;
-        } else if (arg == "--skip-machine-dependent") {
-            cfg.skip_machine_dependent = true;
-        } else if (arg == "--check-wall-clock") {
-            cfg.check_wall_clock = true;
-        } else if (arg == "--throughput-tolerance") {
-            const char *v = next();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cfg.throughput_tolerance = std::atof(v);
-        } else if (arg == "--value-tolerance") {
-            const char *v = next();
-            if (v == nullptr)
-                return usage(argv[0]);
-            cfg.value_tolerance = std::atof(v);
-        } else if (arg == "--explain") {
-            explain = true;
-        } else if (arg == "--explain-out") {
-            const char *v = next();
-            if (v == nullptr)
-                return usage(argv[0]);
-            explain_out = v;
-            explain = true;
+            current_path = argv[++i];
         } else {
             std::cerr << "unknown argument: " << arg << "\n";
             return usage(argv[0]);
@@ -140,30 +63,9 @@ main(int argc, char **argv)
             dri::obs::parseArtifactFile(baseline_path);
         const auto current = dri::obs::parseArtifactFile(current_path);
         const dri::obs::GateReport report =
-            dri::obs::compareArtifacts(baseline, current, cfg);
+            dri::obs::compareArtifacts(baseline, current);
         dri::obs::writeReport(std::cout, report, baseline_path,
                               current_path);
-
-        std::string attribution;
-        if (explain && !report.pass()) {
-            attribution = explainFailure(baseline, current);
-            std::cout << attribution;
-        }
-        if (!explain_out.empty()) {
-            std::ofstream out(explain_out);
-            if (!out) {
-                std::cerr << "bench_regression_gate: cannot write "
-                          << explain_out << "\n";
-                return 2;
-            }
-            if (report.pass())
-                out << "gate passed: " << current_path << " vs "
-                    << baseline_path << " ("
-                    << report.metrics_compared
-                    << " metrics compared); no attribution needed\n";
-            else
-                out << attribution;
-        }
         return report.pass() ? 0 : 1;
     } catch (const std::exception &e) {
         std::cerr << "bench_regression_gate: " << e.what() << "\n";

@@ -15,12 +15,6 @@ namespace {
 constexpr double kValueAbsFloor = 1e-9;
 
 bool
-contains(const std::string &haystack, const char *needle)
-{
-    return haystack.find(needle) != std::string::npos;
-}
-
-bool
 parseNumber(const std::string &token, double &out)
 {
     if (token.empty() || token == "true" || token == "false")
@@ -44,15 +38,9 @@ classifyMetric(const std::string &name, bool numeric)
 {
     // Fingerprints outrank the numeric check: a quoted fingerprint is
     // still an exact-equality determinism contract.
-    if (contains(name, "fingerprint"))
+    if (name.find("fingerprint") != std::string::npos)
         return MetricClass::Fingerprint;
-    if (!numeric)
-        return MetricClass::Label;
-    if (contains(name, "wall"))
-        return MetricClass::SkipWallClock;
-    if (contains(name, "per_sec"))
-        return MetricClass::Throughput;
-    return MetricClass::Value;
+    return numeric ? MetricClass::Value : MetricClass::Label;
 }
 
 const std::string *
@@ -153,7 +141,7 @@ namespace {
 
 void
 compareRow(const ArtifactRow &base, const ArtifactRow &cur,
-           std::size_t row_idx, const GateConfig &cfg, GateReport &rep)
+           std::size_t row_idx, GateReport &rep)
 {
     for (const auto &[key, base_raw] : base.fields) {
         const std::string *cur_raw = cur.find(key);
@@ -165,39 +153,7 @@ compareRow(const ArtifactRow &base, const ArtifactRow &cur,
         double base_num = 0.0, cur_num = 0.0;
         const bool base_is_num = parseNumber(base_raw, base_num);
         const bool cur_is_num = parseNumber(*cur_raw, cur_num);
-        MetricClass mc = classifyMetric(key, base_is_num && cur_is_num);
-        if (mc == MetricClass::SkipWallClock && cfg.check_wall_clock)
-            mc = MetricClass::Throughput; // inverted bound below
-        if (cfg.skip_machine_dependent &&
-            (mc == MetricClass::Throughput ||
-             mc == MetricClass::SkipWallClock)) {
-            ++rep.metrics_skipped;
-            continue;
-        }
-
-        switch (mc) {
-        case MetricClass::SkipWallClock:
-            ++rep.metrics_skipped;
-            break;
-        case MetricClass::Throughput: {
-            ++rep.metrics_compared;
-            const bool is_wall = contains(key, "wall");
-            // Throughput must not DROP; wall time must not GROW.
-            const bool ok =
-                is_wall ? cur_num * cfg.throughput_tolerance <= base_num
-                        : cur_num >= cfg.throughput_tolerance * base_num;
-            if (!ok) {
-                std::ostringstream d;
-                d << (is_wall ? "wall time grew past 1/"
-                              : "throughput fell below ")
-                  << cfg.throughput_tolerance << "x baseline";
-                rep.violations.push_back({row_idx, key,
-                                          is_wall ? "wall"
-                                                  : "throughput",
-                                          base_raw, *cur_raw, d.str()});
-            }
-            break;
-        }
+        switch (classifyMetric(key, base_is_num && cur_is_num)) {
         case MetricClass::Fingerprint:
             ++rep.metrics_compared;
             if (base_raw != *cur_raw)
@@ -208,11 +164,11 @@ compareRow(const ArtifactRow &base, const ArtifactRow &cur,
         case MetricClass::Value: {
             ++rep.metrics_compared;
             const double band =
-                cfg.value_tolerance * std::abs(base_num) +
+                kValueTolerance * std::abs(base_num) +
                 kValueAbsFloor;
             if (std::abs(cur_num - base_num) > band) {
                 std::ostringstream d;
-                d << "outside +/-" << cfg.value_tolerance
+                d << "outside +/-" << kValueTolerance
                   << " relative band";
                 rep.violations.push_back({row_idx, key, "value",
                                           base_raw, *cur_raw, d.str()});
@@ -234,8 +190,7 @@ compareRow(const ArtifactRow &base, const ArtifactRow &cur,
 
 GateReport
 compareArtifacts(const std::vector<ArtifactRow> &baseline,
-                 const std::vector<ArtifactRow> &current,
-                 const GateConfig &config)
+                 const std::vector<ArtifactRow> &current)
 {
     GateReport rep;
     if (baseline.size() != current.size()) {
@@ -248,7 +203,7 @@ compareArtifacts(const std::vector<ArtifactRow> &baseline,
         return rep;
     }
     for (std::size_t i = 0; i < baseline.size(); ++i) {
-        compareRow(baseline[i], current[i], i, config, rep);
+        compareRow(baseline[i], current[i], i, rep);
         ++rep.rows_compared;
     }
     return rep;
@@ -262,7 +217,6 @@ writeReport(std::ostream &os, const GateReport &report,
     os << "regression gate: " << current_name << " vs " << baseline_name
        << "\n  rows=" << report.rows_compared
        << " metrics=" << report.metrics_compared
-       << " skipped=" << report.metrics_skipped
        << " violations=" << report.violations.size() << "\n";
     for (const GateViolation &v : report.violations)
         os << "  FAIL row " << v.row << " [" << v.kind << "] "

@@ -1,27 +1,24 @@
 /**
  * @file
  * Bench-artifact regression gate: compare a freshly produced JSONL
- * bench artifact against a committed baseline, with per-metric-class
- * noise-tolerance bands, and fail loudly when the fleet got slower,
- * costlier, or nondeterministic.
+ * bench artifact against a committed baseline and fail loudly when a
+ * deterministic output (machine-hours, sim-time P99s, fingerprints)
+ * moved.
  *
  * The benches already emit one flat JSON object per result row on
  * stdout (grep '^{' in CI). This gate closes the loop: baselines
  * produced on a pinned seed live under bench/baselines/ as JSONL,
- * every CI run regenerates the artifacts and diffs them here. Metrics
- * are classified BY NAME, because their failure semantics differ:
+ * every CI run regenerates the artifacts and diffs them here. Every
+ * gated artifact is a pure function of its seed, so no metric is
+ * machine-dependent; host speed is gated by bench/e2e_gate.py instead.
+ * Metrics are classified BY NAME:
  *
- *  - "*wall*": wall-clock milliseconds — machine-dependent, skipped
- *    (opt in via GateConfig::check_wall_clock).
- *  - "*per_sec*": throughput — machine-dependent but directional; a
- *    LOWER bound with a generous tolerance (faster is never a
- *    regression, CI runners are slower than dev boxes).
  *  - "*fingerprint*": determinism contract — compared as raw token
  *    strings (64-bit fingerprints exceed double precision), must be
  *    EXACTLY equal.
  *  - other numbers: deterministic simulation outputs (sim-time P99s,
- *    machine-hours, hit rates) — tight relative band that absorbs only
- *    the 6-significant-digit printing round-trip.
+ *    machine-hours, hit rates) — a kValueTolerance relative band that
+ *    absorbs only the 6-significant-digit printing round-trip.
  *  - strings/booleans: identity (config labels, policy names).
  *
  * Rows are matched by index: bench output order is deterministic, and
@@ -41,43 +38,23 @@ namespace dri::obs {
 
 /** Failure-semantics class a metric name maps to. */
 enum class MetricClass : int {
-    SkipWallClock, //!< machine-dependent absolute time: not gated
-    Throughput,    //!< lower-bound with generous tolerance
-    Fingerprint,   //!< exact raw-token equality
-    Value,         //!< tight relative band (printing round-trip only)
-    Label          //!< string/boolean identity
+    Fingerprint, //!< exact raw-token equality
+    Value,       //!< kValueTolerance relative band
+    Label        //!< string/boolean identity
 };
 
 /** Classify by name + whether the raw token parses as a number. */
 MetricClass classifyMetric(const std::string &name, bool numeric);
 
-/** Gate tolerances. */
-struct GateConfig
-{
-    /**
-     * Throughput lower bound: current >= tolerance * baseline. The
-     * default absorbs CI-runner jitter; a perf-regression canary test
-     * can tighten it (0.9 catches a 20% drop).
-     */
-    double throughput_tolerance = 0.75;
-    /** Relative band for deterministic numeric metrics. */
-    double value_tolerance = 2e-5;
-    /** Gate "*wall*" metrics too (same bound as throughput, inverted). */
-    bool check_wall_clock = false;
-    /**
-     * Skip throughput (and wall) checks entirely — for sanitizer CI
-     * entries whose builds are legitimately an order of magnitude
-     * slower than any baseline machine.
-     */
-    bool skip_machine_dependent = false;
-};
+/** Relative band for deterministic numeric metrics. */
+constexpr double kValueTolerance = 2e-5;
 
 /** One gate failure. */
 struct GateViolation
 {
     std::size_t row = 0; //!< row index in the baseline artifact
     std::string key;
-    std::string kind; //!< "rows"|"missing"|"throughput"|"value"|...
+    std::string kind; //!< "rows"|"missing"|"fingerprint"|"value"|"label"
     std::string baseline;
     std::string current;
     std::string detail;
@@ -87,7 +64,6 @@ struct GateReport
 {
     std::size_t rows_compared = 0;
     std::size_t metrics_compared = 0;
-    std::size_t metrics_skipped = 0;
     std::vector<GateViolation> violations;
 
     bool pass() const { return violations.empty(); }
@@ -112,10 +88,9 @@ std::vector<ArtifactRow> parseArtifact(std::istream &in);
 /** parseArtifact over a file; throws std::runtime_error if unreadable. */
 std::vector<ArtifactRow> parseArtifactFile(const std::string &path);
 
-/** Diff current against baseline under the config's bands. */
+/** Diff current against baseline, row by row. */
 GateReport compareArtifacts(const std::vector<ArtifactRow> &baseline,
-                            const std::vector<ArtifactRow> &current,
-                            const GateConfig &config = {});
+                            const std::vector<ArtifactRow> &current);
 
 /** Human-readable report (one line per violation + a summary line). */
 void writeReport(std::ostream &os, const GateReport &report,

@@ -40,9 +40,9 @@
  * performance (not the simulated system's): every event carries a subsystem
  * tag, per-tag counters are always maintained (two array increments), and
  * when profiling is explicitly enabled the engine additionally wall-clocks
- * each callback so bench_sim_throughput can attribute host time to
- * subsystems. Tags never affect ordering — the schedule is byte-identical
- * with or without them.
+ * each callback so bench_e2e's profiled rep (`--trace 1`) can attribute
+ * host time to subsystems. Tags never affect ordering — the schedule is
+ * byte-identical with or without them.
  */
 #pragma once
 

@@ -4,11 +4,13 @@
  * engine: span conservation through the full lifecycle (hedging,
  * stragglers, admission cancel, result cache), critical-path totals
  * matching the reported E2E exactly, Chrome trace export of a real
- * run, engine self-profiling counters, and the batcher's coalescing
- * counters.
+ * run, engine self-profiling counters (and the pinned profile of one
+ * hedged, result-cached replay), and the batcher's coalescing counters.
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
 #include <string>
 #include <unordered_map>
 
@@ -17,7 +19,10 @@
 #include "model/generators.h"
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
+#include "obs/histogram.h"
+#include "obs/sampler.h"
 #include "obs/span_tracer.h"
+#include "obs/timeseries.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "workload/request_generator.h"
@@ -189,6 +194,89 @@ TEST(ObsServing, EngineProfileCountsEveryEventExactlyOnce)
     for (std::size_t t = 0; t < sim::kEvTagCount; ++t)
         tag_wall += prof.tag_wall_ns[t];
     EXPECT_EQ(tag_wall, prof.wall_ns);
+}
+
+/**
+ * One canonical replay, pinned: DRM2 capacity-balanced over 4 shards,
+ * hedged with the pooled-result cache, 600 requests of the bench
+ * request stream at 1500 qps. The same schedule runs untraced with
+ * profiling, traced, and traced with the tail sampler and a rolling
+ * latency feed, and every deterministic count each run produces is
+ * pinned: events per tag, the event set's high-water mark, spans,
+ * retained traces and bytes, the per-request critical-path buckets
+ * and the tail exemplar. Any change to the schedule moves one of them.
+ */
+TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
+{
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    workload::GeneratorConfig gc;
+    gc.seed = 0xbeef ^ std::hash<std::string>{}(spec.name);
+    const auto requests =
+        workload::RequestGenerator(spec, gc).generate(600);
+    const auto config = [](obs::SpanTracer *tracer,
+                           obs::RollingHistogram *feed) {
+        auto cfg = sched::hedgeStudyConfig(
+            rpc::LoadBalancePolicy::LeastOutstanding, 3, /*hedged=*/true);
+        cfg.result_cache.enabled = true;
+        cfg.result_cache.ttl_ns = 50 * sim::kMillisecond;
+        cfg.tracer = tracer;
+        cfg.latency_feed = feed;
+        return cfg;
+    };
+
+    core::ServingSimulation untraced(spec, plan, config(nullptr, nullptr));
+    untraced.engine().enableProfiling(true);
+    untraced.replayOpenLoop(requests, 1500.0);
+    const auto &prof = untraced.engine().profile();
+    EXPECT_EQ(prof.executed, 48809u);
+    EXPECT_EQ(prof.scheduled, 48809u);
+    EXPECT_EQ(prof.peak_pending, 466u);
+    const std::array<std::uint64_t, sim::kEvTagCount> tag_events = {
+        0, 5940, 9725, 19607, 9392, 3545, 600};
+    for (std::size_t t = 0; t < sim::kEvTagCount; ++t)
+        EXPECT_EQ(prof.tag_events[t], tag_events[t])
+            << sim::eventTagName(static_cast<sim::EventTag>(t));
+
+    obs::SpanTracer tracer;
+    core::ServingSimulation traced(spec, plan, config(&tracer, nullptr));
+    traced.replayOpenLoop(requests, 1500.0);
+    EXPECT_EQ(tracer.spans().size(), 79094u);
+    EXPECT_EQ(tracer.allocations(), 79094u);
+    const auto profile =
+        obs::profilePaths(obs::criticalPaths(tracer.spans()));
+    EXPECT_EQ(profile.requests, 600u);
+    // Summed over the 600 paths; the per-request means are these / 600.
+    const std::array<sim::Duration, obs::kPathBucketCount> bucket_ns = {
+        2376615983, 7756693579, 134290718, 419645894, 515366137, 0};
+    for (std::size_t b = 0; b < obs::kPathBucketCount; ++b)
+        EXPECT_EQ(profile.bucket_ns[b], bucket_ns[b])
+            << obs::pathBucketName(static_cast<obs::PathBucket>(b));
+
+    obs::SamplerConfig sampler_cfg;
+    sampler_cfg.reservoir_size = 16;
+    sampler_cfg.retained_byte_budget = 512u << 10;
+    obs::TraceSampler sampler(sampler_cfg);
+    obs::SpanTracer sampled_tracer;
+    sampled_tracer.setSampler(&sampler);
+    obs::WindowConfig feed_cfg;
+    feed_cfg.horizon_s = 1e6;
+    obs::RollingHistogram feed(feed_cfg);
+    feed.setExemplarCapacity(2);
+    sampler.setLatencyFeed(&feed);
+    core::ServingSimulation sampled(spec, plan,
+                                    config(&sampled_tracer, &feed));
+    sampled.replayOpenLoop(requests, 1500.0);
+    EXPECT_EQ(sampler.retained().size(), 56u);
+    EXPECT_EQ(sampler.retainedBytes(), 504288u);
+    EXPECT_EQ(sampler.stats().recycled, 463u);
+    EXPECT_EQ(sampler.arenaSlots(), 59u);
+    const obs::Histogram merged = feed.merged(0.0);
+    const obs::Exemplar *tail = merged.tailExemplar();
+    ASSERT_NE(tail, nullptr);
+    EXPECT_EQ(tail->request_id, 236u);
+    EXPECT_EQ(tail->value, 79624258);
+    EXPECT_TRUE(tail->retained);
 }
 
 /**

@@ -1,7 +1,6 @@
 /**
  * @file
- * Tail-based trace sampling, histogram exemplars, and differential
- * attribution tests:
+ * Tail-based trace sampling and histogram exemplar tests:
  *
  *  - TraceSampler keep/recycle semantics driven through a SpanTracer:
  *    flagged and tail keeps, deterministic reservoir across reruns,
@@ -9,10 +8,6 @@
  *  - Histogram exemplar storage: capacity-0 no-op, retained
  *    displacement, tail exemplar selection, merge propagation, and
  *    the RollingHistogram dropped_stale counter.
- *  - Differential attribution: an inflated serde bucket in artifact
- *    rows is blamed on the Serde stage (explainArtifacts over
- *    path_<bucket>_ns rows) — the acceptance path behind
- *    `bench_regression_gate --explain`.
  *  - Perfetto flow events: a hedged replay's chrome trace links each
  *    hedge attempt back to its primary with s/f flow events.
  *  - FleetSim trace sampling: ledger AND telemetry fingerprints are
@@ -36,7 +31,6 @@
 #include "model/generators.h"
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
-#include "obs/diff.h"
 #include "obs/histogram.h"
 #include "obs/sampler.h"
 #include "obs/span_tracer.h"
@@ -447,39 +441,6 @@ TEST(RollingHistogram, CountsDroppedStaleSamples)
     // counted, not silently folded into the live bucket.
     h.observe(100.0 - wc.horizon_s, 2.0, 0, false);
     EXPECT_EQ(h.droppedStale(), 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Differential attribution.
-// ---------------------------------------------------------------------------
-
-TEST(ExplainArtifacts, BlamesTheInflatedBucketFromArtifactRows)
-{
-    obs::ArtifactRow base;
-    base.fields = {{"path_queue_ns", "1000"},
-                   {"path_compute_ns", "5000"},
-                   {"path_serde_ns", "2000"},
-                   {"path_network_ns", "800"},
-                   {"path_wait_ns", "300"},
-                   {"tail_exemplar_request", "17"}};
-    obs::ArtifactRow cur = base;
-    cur.fields[2].second = "3600"; // serde +1600ns/req
-    cur.fields[5].second = "93";
-
-    const auto report = obs::explainArtifacts(base, cur);
-    ASSERT_TRUE(report.has_attribution);
-    EXPECT_EQ(report.blamed, obs::PathBucket::Serde);
-    EXPECT_GT(report.blamed_share, 0.9);
-    EXPECT_EQ(report.base_exemplar_request, 17u);
-    EXPECT_EQ(report.cur_exemplar_request, 93u);
-    ASSERT_FALSE(report.rows.empty());
-    EXPECT_EQ(report.rows[0].bucket, obs::PathBucket::Serde);
-    EXPECT_DOUBLE_EQ(report.rows[0].delta(), 1600.0);
-
-    // No attribution fields -> explicitly no attribution, not garbage.
-    const auto empty = obs::explainArtifacts(obs::ArtifactRow{},
-                                             obs::ArtifactRow{});
-    EXPECT_FALSE(empty.has_attribution);
 }
 
 // ---------------------------------------------------------------------------
