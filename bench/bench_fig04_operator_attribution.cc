@@ -16,7 +16,7 @@ main()
 {
     using namespace dri;
     using stats::TablePrinter;
-    using graph::OpClass;
+    using model::OpClass;
 
     std::cout << stats::banner(
         "Fig. 4: operator compute attribution (normalized)");
@@ -34,7 +34,7 @@ main()
         headers.push_back(spec.name);
     TablePrinter table(headers);
     for (const auto cls : order) {
-        std::vector<std::string> row{graph::opClassName(cls)};
+        std::vector<std::string> row{model::opClassName(cls)};
         for (const auto &spec : specs) {
             const auto it = spec.compute_attribution.find(cls);
             const double f =

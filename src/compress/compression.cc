@@ -27,9 +27,9 @@ compressSpec(model::ModelSpec &spec, const CompressionPolicy &policy)
             t.precision = policy.small_table_precision;
             t.prune_fraction = policy.small_table_prune_fraction;
         }
-        if (t.precision == tensor::Precision::Int4)
+        if (t.precision == model::Precision::Int4)
             ++report.tables_int4;
-        else if (t.precision == tensor::Precision::Int8)
+        else if (t.precision == model::Precision::Int8)
             ++report.tables_int8;
         report.compressed_bytes += t.logicalBytes();
     }

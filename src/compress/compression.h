@@ -20,9 +20,9 @@ namespace dri::compress {
 struct CompressionPolicy
 {
     /** Precision for tables below the large-table threshold. */
-    tensor::Precision small_table_precision = tensor::Precision::Int8;
+    model::Precision small_table_precision = model::Precision::Int8;
     /** Precision for tables at or above the threshold. */
-    tensor::Precision large_table_precision = tensor::Precision::Int4;
+    model::Precision large_table_precision = model::Precision::Int4;
     /** Logical-byte threshold separating small from large tables. */
     std::int64_t large_table_threshold_bytes = 512LL * 1024 * 1024;
     /** Row fraction pruned from large tables. */

@@ -687,8 +687,7 @@ struct ServingSimulation::Impl
         // trigger can keep hedge-win traces. The feed observe comes
         // AFTER the root end (and thus after the sampler's decision), so
         // the rolling tail threshold never includes the request being
-        // judged, and the exemplar can record whether that request's
-        // trace was actually retained.
+        // judged.
         if (tr)
             tr->end(a->sp_root, engine.now(),
                     st.shed()             ? obs::kFlagShed
@@ -697,14 +696,9 @@ struct ServingSimulation::Impl
         st.completion = engine.now();
         st.e2e = st.completion - st.arrival;
         if (!st.shed()) {
-            if (cfg.latency_feed != nullptr) {
-                const bool kept =
-                    tr != nullptr && tr->lastRootDecision() ==
-                                         obs::SpanTracer::RootDecision::Kept;
+            if (cfg.latency_feed != nullptr)
                 cfg.latency_feed->observe(
-                    static_cast<double>(st.completion) * 1e-9, st.e2e,
-                    st.id, kept);
-            }
+                    static_cast<double>(st.completion) * 1e-9, st.e2e);
             const sim::Duration accounted = st.queue_wait + st.lat_serde +
                                             st.lat_service +
                                             st.lat_net_overhead +

@@ -19,8 +19,8 @@
  *                SLS + response serde -> network
  *
  * Timing comes from calibrated cost models; values are not computed (the
- * functional path in core/partitioner + core/local_executor covers
- * numerics). All randomness is seeded.
+ * test-only functional oracle in tests/oracle/ covers numerics). All
+ * randomness is seeded.
  *
  * A request on the main shard is in one of three states:
  *

@@ -146,7 +146,7 @@ class ShardingPlan
 /**
  * Per net of `spec.nets`, the groups of a validated plan in shard order
  * (none if singular); each lists whole tables, then pieces, by table id.
- * Serving and the partitioner both emit their RPCs from it.
+ * Serving and the test oracle's partitioner emit their RPCs from it.
  */
 std::vector<std::vector<FanoutGroup>>
 fanoutGroups(const model::ModelSpec &spec, const ShardingPlan &plan);

@@ -3,19 +3,28 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 namespace dri::core {
 
 namespace {
+
+/** Throws std::invalid_argument, naming @p who, unless num_shards >= 1. */
+void
+requireShards(const char *who, int num_shards)
+{
+    if (num_shards < 1)
+        throw std::invalid_argument(std::string(who) +
+                                    ": num_shards must be >= 1, got " +
+                                    std::to_string(num_shards));
+}
 
 /** LPT greedy: assign items (heaviest first) to the least-loaded shard. */
 ShardingPlan
 greedyBalance(const model::ModelSpec &spec, int num_shards,
               const std::vector<double> &weight, const std::string &name)
 {
-    assert(num_shards > 0);
-    assert(weight.size() == spec.tables.size());
-
     std::vector<std::size_t> order(spec.tables.size());
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
@@ -79,6 +88,7 @@ makeOneShard(const model::ModelSpec &spec)
 ShardingPlan
 makeCapacityBalanced(const model::ModelSpec &spec, int num_shards)
 {
+    requireShards("makeCapacityBalanced", num_shards);
     std::vector<double> bytes;
     bytes.reserve(spec.tables.size());
     for (const auto &t : spec.tables)
@@ -91,6 +101,13 @@ ShardingPlan
 makeLoadBalanced(const model::ModelSpec &spec, int num_shards,
                  const std::vector<double> &pooling_estimates)
 {
+    requireShards("makeLoadBalanced", num_shards);
+    if (pooling_estimates.size() != spec.tables.size())
+        throw std::invalid_argument(
+            "makeLoadBalanced: pooling_estimates has " +
+            std::to_string(pooling_estimates.size()) +
+            " entries, expected one per table (" +
+            std::to_string(spec.tables.size()) + ")");
     return greedyBalance(spec, num_shards, pooling_estimates,
                          strategyName(Strategy::LoadBalanced));
 }
@@ -99,7 +116,7 @@ ShardingPlan
 makeNsbp(const model::ModelSpec &spec, int num_shards,
          std::int64_t huge_table_limit_bytes)
 {
-    assert(num_shards > 0);
+    requireShards("makeNsbp", num_shards);
 
     // A bin holds tables of exactly one net.
     struct Bin
@@ -176,8 +193,10 @@ makeNsbp(const model::ModelSpec &spec, int num_shards,
                     best_sum = sum;
                 }
             }
-        assert(best_i >= 0 &&
-               "cannot reduce NSBP bins to the requested shard count");
+        if (best_i < 0)
+            throw std::invalid_argument(
+                "makeNsbp: num_shards " + std::to_string(num_shards) +
+                " is too few to keep each net's tables apart");
         auto &keep = bins[static_cast<std::size_t>(best_i)];
         auto &drop = bins[static_cast<std::size_t>(best_j)];
         keep.bytes += drop.bytes;
@@ -197,7 +216,10 @@ makeNsbp(const model::ModelSpec &spec, int num_shards,
                 (victim < 0 ||
                  bins[i].bytes > bins[static_cast<std::size_t>(victim)].bytes))
                 victim = static_cast<int>(i);
-        assert(victim >= 0 && "not enough tables to populate every shard");
+        if (victim < 0)
+            throw std::invalid_argument(
+                "makeNsbp: num_shards " + std::to_string(num_shards) +
+                " exceeds the tables available to populate every shard");
         Bin &src = bins[static_cast<std::size_t>(victim)];
         // LPT split of the victim's tables into two halves.
         std::sort(src.tables.begin(), src.tables.end(), [&](int a, int b) {

@@ -31,7 +31,8 @@ ShardingPlan makeOneShard(const model::ModelSpec &spec);
 
 /**
  * Capacity-balanced: sort tables by logical bytes descending and assign
- * each to the currently least-loaded shard (LPT greedy).
+ * each to the currently least-loaded shard (LPT greedy). Throws
+ * std::invalid_argument when num_shards < 1.
  */
 ShardingPlan makeCapacityBalanced(const model::ModelSpec &spec,
                                   int num_shards);
@@ -39,6 +40,8 @@ ShardingPlan makeCapacityBalanced(const model::ModelSpec &spec,
 /**
  * Load-balanced: LPT greedy on estimated per-table pooling factors
  * (indexed by table id, e.g. from RequestGenerator::estimatePoolingFactors).
+ * Throws std::invalid_argument when num_shards < 1 or pooling_estimates
+ * does not hold one entry per table.
  */
 ShardingPlan makeLoadBalanced(const model::ModelSpec &spec, int num_shards,
                               const std::vector<double> &pooling_estimates);
@@ -53,6 +56,10 @@ ShardingPlan makeLoadBalanced(const model::ModelSpec &spec, int num_shards,
  *
  * @param huge_table_limit_bytes tables above this are row-split; pass the
  *        platform's usable model bytes. 0 disables splitting.
+ *
+ * Throws std::invalid_argument when num_shards < 1, when it is too few to
+ * keep the nets' bins apart, or when it exceeds the shards the tables can
+ * populate.
  */
 ShardingPlan makeNsbp(const model::ModelSpec &spec, int num_shards,
                       std::int64_t huge_table_limit_bytes);

@@ -2,8 +2,8 @@
  * @file
  * Per-shard trace slicing: derive each sparse shard's access trace — and
  * from it a measured CachedLookupModel — from the rows the ShardingPlan
- * actually routes to it (ShardingPlan::shardOfRow, which the
- * partitioner's SplitIndicesOp pieces follow), instead of estimating
+ * actually routes to it (ShardingPlan::shardOfRow, which the test
+ * oracle's SplitIndicesOp pieces follow), instead of estimating
  * every shard's locality from one shared whole-model replay.
  *
  * The distinction matters exactly when sharding is skewed: a shard

@@ -8,8 +8,6 @@ namespace dri::model {
 
 namespace {
 
-using graph::OpClass;
-
 double
 ladderTotal(std::size_t n, double largest, double s)
 {

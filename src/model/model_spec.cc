@@ -56,7 +56,7 @@ ModelSpec::expectedPoolingPerRequest(int net_id) const
 double
 ModelSpec::sparseComputeShare() const
 {
-    auto it = compute_attribution.find(graph::OpClass::Sparse);
+    auto it = compute_attribution.find(OpClass::Sparse);
     return it == compute_attribution.end() ? 0.0 : it->second;
 }
 

@@ -13,8 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/operators.h"
-#include "tensor/embedding_table.h"
+#include "model/spec_types.h"
 
 namespace dri::model {
 
@@ -41,7 +40,7 @@ struct TableSpec
     bool pooling_per_request = false;
 
     /** Storage precision; compression passes lower it (Table III). */
-    tensor::Precision precision = tensor::Precision::Fp32;
+    Precision precision = Precision::Fp32;
     /** Fraction of rows removed by magnitude pruning. */
     double prune_fraction = 0.0;
 
@@ -52,13 +51,13 @@ struct TableSpec
             static_cast<double>(rows) * (1.0 - prune_fraction);
         return static_cast<std::int64_t>(
             kept_rows *
-            static_cast<double>(tensor::rowBytes(precision, dim)));
+            static_cast<double>(rowBytes(precision, dim)));
     }
 
     /** Bytes of one stored row at the current precision. */
     std::int64_t storedRowBytes() const
     {
-        return tensor::rowBytes(precision, dim);
+        return rowBytes(precision, dim);
     }
 
     /** Expected lookups for a request with the given item count. */
@@ -108,7 +107,7 @@ struct ModelSpec
      * Operator compute attribution (Fig. 4): fraction of non-distributed
      * operator CPU per op class. Fractions sum to 1.
      */
-    std::map<graph::OpClass, double> compute_attribution;
+    std::map<OpClass, double> compute_attribution;
 
     // -- Derived helpers ---------------------------------------------------
 

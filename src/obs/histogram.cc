@@ -75,93 +75,6 @@ Histogram::observe(std::int64_t value)
     ++count_;
 }
 
-void
-Histogram::setExemplarCapacity(std::size_t k)
-{
-    exemplar_capacity_ = k;
-    if (k == 0) {
-        exemplars_.clear();
-        return;
-    }
-    for (auto &[bucket, list] : exemplars_)
-        if (list.size() > k)
-            list.resize(k);
-}
-
-void
-Histogram::admitExemplar(std::size_t bucket, const Exemplar &ex)
-{
-    std::vector<Exemplar> *list = nullptr;
-    for (auto &[b, l] : exemplars_)
-        if (b == bucket) {
-            list = &l;
-            break;
-        }
-    if (list == nullptr) {
-        exemplars_.emplace_back(bucket, std::vector<Exemplar>{});
-        list = &exemplars_.back().second;
-    }
-    if (list->size() < exemplar_capacity_) {
-        list->push_back(ex);
-        return;
-    }
-    // Full bucket: a retained exemplar may displace the first
-    // non-retained occupant, so tail buckets end up pointing at traces
-    // that actually exist in the sampler's retained set.
-    if (!ex.retained)
-        return;
-    for (Exemplar &slot : *list)
-        if (!slot.retained) {
-            slot = ex;
-            return;
-        }
-}
-
-void
-Histogram::observe(std::int64_t value, std::uint64_t request_id,
-                   bool retained)
-{
-    observe(value);
-    if (exemplar_capacity_ == 0)
-        return;
-    Exemplar ex;
-    ex.value = value < 0 ? 0 : value;
-    ex.request_id = request_id;
-    ex.retained = retained;
-    admitExemplar(bucketIndex(value), ex);
-}
-
-const std::vector<Exemplar> &
-Histogram::exemplarsFor(std::int64_t value) const
-{
-    static const std::vector<Exemplar> kEmpty;
-    const std::size_t bucket = bucketIndex(value);
-    for (const auto &[b, l] : exemplars_)
-        if (b == bucket)
-            return l;
-    return kEmpty;
-}
-
-const Exemplar *
-Histogram::tailExemplar() const
-{
-    const Exemplar *best = nullptr;
-    std::size_t best_bucket = 0;
-    for (const auto &[bucket, list] : exemplars_) {
-        if (list.empty())
-            continue;
-        if (best != nullptr && bucket < best_bucket)
-            continue;
-        const Exemplar *pick = &list.front();
-        for (const Exemplar &ex : list)
-            if (ex.retained && !pick->retained)
-                pick = &ex;
-        best = pick;
-        best_bucket = bucket;
-    }
-    return best;
-}
-
 double
 Histogram::valueAtQuantile(double q) const
 {
@@ -210,10 +123,6 @@ Histogram::merge(const Histogram &other)
     max_ = std::max(max_, other.max_);
     sum_ += other.sum_;
     count_ += other.count_;
-    if (exemplar_capacity_ > 0)
-        for (const auto &[bucket, list] : other.exemplars_)
-            for (const Exemplar &ex : list)
-                admitExemplar(bucket, ex);
 }
 
 } // namespace dri::obs

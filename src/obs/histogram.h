@@ -1,6 +1,6 @@
 /**
  * @file
- * Log-linear histogram with optional per-bucket exemplars.
+ * Log-linear histogram.
  *
  * HDR-style bucketing: values below 2^sub_bucket_bits get exact unit
  * buckets; above that, each power-of-two range is split into
@@ -10,23 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace dri::obs {
-
-/**
- * One exemplar: a concrete observation pinned to the bucket it landed
- * in, linking the histogram back to a request — and, when the trace
- * sampler kept that request, to a retained span tree.
- */
-struct Exemplar
-{
-    std::int64_t value = 0;
-    std::uint64_t request_id = 0;
-    /** True when the request's span tree is retained by the sampler. */
-    bool retained = false;
-};
 
 /** Log-linear histogram over non-negative integer values. */
 class Histogram
@@ -43,34 +29,6 @@ class Histogram
     explicit Histogram(unsigned sub_bucket_bits = 5);
 
     void observe(std::int64_t value);
-
-    /**
-     * Observe with exemplar metadata. When exemplar capacity is 0 (the
-     * default) this is identical to plain observe(); otherwise each
-     * bucket keeps up to K exemplars, preferring retained ones (a
-     * retained exemplar may replace a non-retained occupant so tail
-     * buckets point at traces that actually exist).
-     */
-    void observe(std::int64_t value, std::uint64_t request_id,
-                 bool retained);
-
-    /**
-     * Enable per-bucket exemplars, at most @p k per bucket (0 turns
-     * them off and drops existing ones). Off by default so plain
-     * histogram users pay nothing.
-     */
-    void setExemplarCapacity(std::size_t k);
-    std::size_t exemplarCapacity() const { return exemplar_capacity_; }
-
-    /** Exemplars of the bucket holding @p value (empty when off). */
-    const std::vector<Exemplar> &exemplarsFor(std::int64_t value) const;
-
-    /**
-     * An exemplar from the highest non-empty bucket that has one — the
-     * concrete request behind the histogram's tail. Prefers retained
-     * exemplars within the bucket. Null when exemplars are off/empty.
-     */
-    const Exemplar *tailExemplar() const;
 
     std::uint64_t count() const { return count_; }
     std::int64_t min() const { return count_ > 0 ? min_ : 0; }
@@ -106,15 +64,10 @@ class Histogram
         return idx < buckets_.size() ? buckets_[idx] : 0;
     }
 
-    /**
-     * Merge another histogram (same sub_bucket_bits) into this one.
-     * Exemplars merge too (capacity rules apply on the receiving side).
-     */
+    /** Merge another histogram (same sub_bucket_bits) into this one. */
     void merge(const Histogram &other);
 
   private:
-    void admitExemplar(std::size_t bucket, const Exemplar &ex);
-
     unsigned sub_bucket_bits_;
     std::int64_t sub_;                 //!< 1 << sub_bucket_bits_
     std::vector<std::uint64_t> buckets_;
@@ -122,9 +75,6 @@ class Histogram
     std::int64_t sum_ = 0;
     std::int64_t min_ = 0;
     std::int64_t max_ = 0;
-    std::size_t exemplar_capacity_ = 0;
-    /** bucket index -> up to K exemplars (sparse: only when enabled). */
-    std::vector<std::pair<std::size_t, std::vector<Exemplar>>> exemplars_;
 };
 
 } // namespace dri::obs

@@ -118,12 +118,8 @@ SpanTracer::end(SpanId id, sim::SimTime at, std::uint8_t add_flags)
     rec->flags |= add_flags;
     --tree->open;
     --open_;
-    if (rec->kind == SpanKind::Request && rec->parent == kNoSpan) {
+    if (rec->kind == SpanKind::Request && rec->parent == kNoSpan)
         sampler_->decide(tree, at);
-        last_root_ = tree->keep_class == KeepClass::Recycled
-                         ? RootDecision::Dropped
-                         : RootDecision::Kept;
-    }
     // Seal once decided AND the last span (possibly post-root debris)
     // has closed; until then the tree keeps accepting closes.
     if (tree->decided && tree->open == 0)

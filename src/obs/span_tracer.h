@@ -64,21 +64,6 @@ class SpanTracer
      */
     TraceSampler *sampler() const { return sampler_; }
 
-    /** Root keep/recycle outcome of the most recent root-span close. */
-    enum class RootDecision : std::uint8_t
-    {
-        None,    //!< no root closed yet
-        Dropped, //!< sampler chose recycle
-        Kept,    //!< sampler chose keep
-    };
-
-    /**
-     * Decision for the most recently closed root span; always Kept
-     * without an attached sampler. The serving engine reads this right
-     * after ending a root to stamp exemplar retention.
-     */
-    RootDecision lastRootDecision() const { return last_root_; }
-
     /**
      * Open a span at @p at. Returns kNoSpan when disabled; all other
      * calls accept kNoSpan and become no-ops, so call sites need no
@@ -158,7 +143,6 @@ class SpanTracer
     std::unique_ptr<TraceSampler> keep_all_;
     std::uint64_t open_ = 0;
     std::uint64_t allocations_ = 0;
-    RootDecision last_root_ = RootDecision::None;
 };
 
 } // namespace dri::obs

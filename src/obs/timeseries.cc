@@ -57,7 +57,6 @@ RollingHistogram::slotFor(std::int64_t p)
     Slot &s = slots_[static_cast<std::size_t>(p % cfg_.buckets)];
     if (p > s.period) {
         s.hist = Histogram(sub_bucket_bits_);
-        s.hist.setExemplarCapacity(exemplar_capacity_);
         s.period = p;
     } else if (p < s.period) {
         // Out-of-order sample from more than a full horizon before the
@@ -70,20 +69,11 @@ RollingHistogram::slotFor(std::int64_t p)
 }
 
 void
-RollingHistogram::observe(double t_s, std::int64_t value,
-                          std::uint64_t request_id, bool retained)
+RollingHistogram::observe(double t_s, std::int64_t value)
 {
     Slot *s = slotFor(periodOf(t_s));
     if (s != nullptr)
-        s->hist.observe(value, request_id, retained);
-}
-
-void
-RollingHistogram::setExemplarCapacity(std::size_t k)
-{
-    exemplar_capacity_ = k;
-    for (Slot &s : slots_)
-        s.hist.setExemplarCapacity(k);
+        s->hist.observe(value);
 }
 
 std::uint64_t
@@ -102,7 +92,6 @@ RollingHistogram::merged(double t_s) const
 {
     const std::int64_t now = periodOf(t_s);
     Histogram out(sub_bucket_bits_);
-    out.setExemplarCapacity(exemplar_capacity_);
     for (const Slot &s : slots_)
         if (inWindow(s.period, now, cfg_.buckets))
             out.merge(s.hist);

@@ -55,25 +55,12 @@ class RollingHistogram
     explicit RollingHistogram(WindowConfig config = {},
                               unsigned sub_bucket_bits = 5);
 
-    /**
-     * Observe with exemplar metadata (forwarded to the slot histogram;
-     * a no-op extension unless setExemplarCapacity() enabled them).
-     */
-    void observe(double t_s, std::int64_t value, std::uint64_t request_id,
-                 bool retained);
-
-    /**
-     * Enable per-bucket exemplars on every slot histogram (and future
-     * recycles). 0 (the default) keeps the window exemplar-free.
-     */
-    void setExemplarCapacity(std::size_t k);
+    /** Observe @p value at time @p t_s. */
+    void observe(double t_s, std::int64_t value);
 
     std::uint64_t count(double t_s) const;
 
-    /**
-     * Merged histogram of the live buckets as of t_s. Carries merged
-     * exemplars when exemplar capacity is enabled.
-     */
+    /** Merged histogram of the live buckets as of t_s. */
     Histogram merged(double t_s) const;
 
     /**
@@ -105,7 +92,6 @@ class RollingHistogram
     WindowConfig cfg_;
     double bucket_width_s_;
     unsigned sub_bucket_bits_;
-    std::size_t exemplar_capacity_ = 0;
     std::vector<Slot> slots_;
     std::uint64_t dropped_stale_ = 0;
 };

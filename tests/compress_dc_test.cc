@@ -85,7 +85,7 @@ TEST(Compression, SpecFieldsUpdatedInPlace)
     auto spec = model::makeDrm1();
     compress::compressSpec(spec, compress::CompressionPolicy{});
     for (const auto &t : spec.tables) {
-        EXPECT_NE(t.precision, tensor::Precision::Fp32);
+        EXPECT_NE(t.precision, model::Precision::Fp32);
         EXPECT_GE(t.prune_fraction, 0.0);
     }
     std::string err;
@@ -98,7 +98,7 @@ TEST(Compression, LargeTablesGetInt4)
     compress::CompressionPolicy policy;
     compress::compressSpec(spec, policy);
     // The 178.8 GB dominant table must be int4 + pruned.
-    EXPECT_EQ(spec.tables[0].precision, tensor::Precision::Int4);
+    EXPECT_EQ(spec.tables[0].precision, model::Precision::Int4);
     EXPECT_DOUBLE_EQ(spec.tables[0].prune_fraction,
                      policy.large_table_prune_fraction);
 }

@@ -2,22 +2,25 @@
  * @file
  * Tests for the model module: the DRM1/DRM2/DRM3 generators must reproduce
  * every attribute the paper publishes (Section V-A), the power-law ladder
- * must honor its constraints, and the functional DLRM builder must produce
- * runnable nets.
+ * must honor its constraints, the spec vocabulary (op-class labels, row
+ * bytes per precision) must hold, and the oracle's functional DLRM builder
+ * must produce runnable nets.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
 
-#include "graph/executor.h"
-#include "model/dlrm_builder.h"
 #include "model/generators.h"
 #include "model/model_spec.h"
+#include "model/spec_types.h"
+#include "oracle/dlrm_builder.h"
+#include "oracle/executor.h"
 
 namespace {
 
 using namespace dri::model;
-using dri::graph::OpClass;
 
 TEST(PowerLawLadder, HonorsLargestAndTotal)
 {
@@ -265,11 +268,30 @@ TEST(TableSpec, CompressionChangesLogicalBytes)
     t.rows = 1000;
     t.dim = 32;
     const auto fp32 = t.logicalBytes();
-    t.precision = dri::tensor::Precision::Int8;
+    t.precision = Precision::Int8;
     EXPECT_LT(t.logicalBytes(), fp32 / 2);
     t.prune_fraction = 0.5;
     EXPECT_NEAR(static_cast<double>(t.logicalBytes()),
                 1000 * 0.5 * 40.0, 50.0);
+}
+
+TEST(EmbeddingTable, RowBytesPerPrecision)
+{
+    EXPECT_EQ(rowBytes(Precision::Fp32, 32), 128);
+    EXPECT_EQ(rowBytes(Precision::Int8, 32), 40);
+    EXPECT_EQ(rowBytes(Precision::Int4, 32), 24);
+    EXPECT_EQ(rowBytes(Precision::Int4, 31), 24); // odd dim rounds up
+}
+
+TEST(OpClassNames, AllDistinct)
+{
+    std::set<std::string> names;
+    for (auto c : {OpClass::Dense, OpClass::Sparse, OpClass::Activations,
+                   OpClass::FeatureTransform, OpClass::MemoryTransform,
+                   OpClass::ScaleClip, OpClass::Hash, OpClass::Fill,
+                   OpClass::Rpc})
+        names.insert(opClassName(c));
+    EXPECT_EQ(names.size(), 9u);
 }
 
 } // namespace

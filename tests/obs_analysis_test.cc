@@ -35,9 +35,9 @@ TEST(RollingHistogram, WindowedQuantileTracksTheLiveBuckets)
     obs::RollingHistogram h({10.0, 5}, /*sub_bucket_bits=*/5);
     // 100 old samples at value 1000, then 100 recent at 2000.
     for (int i = 0; i < 100; ++i)
-        h.observe(0.5, 1000, 0, false);
+        h.observe(0.5, 1000);
     for (int i = 0; i < 100; ++i)
-        h.observe(9.5, 2000, 0, false);
+        h.observe(9.5, 2000);
     EXPECT_EQ(h.count(9.5), 200u);
     // Once the old bucket expires only the 2000s remain.
     EXPECT_EQ(h.count(11.5), 100u);
@@ -56,11 +56,11 @@ TEST(RollingHistogram, LongGapEmptiesTheWindowAndTheSlotIsReused)
     obs::RollingHistogram h({/*horizon_s=*/10.0, /*buckets=*/5},
                             /*sub_bucket_bits=*/5);
     for (int i = 0; i < 10; ++i)
-        h.observe(static_cast<double>(i) + 0.25, 1000 + i, 0, false);
+        h.observe(static_cast<double>(i) + 0.25, 1000 + i);
     // At t=15 the live buckets cover [6, 16): samples 6..9 remain.
     EXPECT_EQ(h.count(15.0), 4u);
     EXPECT_EQ(h.count(1000.0), 0u);
-    h.observe(1000.0, 42, 0, false);
+    h.observe(1000.0, 42);
     EXPECT_EQ(h.count(1000.0), 1u);
     EXPECT_EQ(h.droppedStale(), 0u);
     EXPECT_DOUBLE_EQ(h.valueAtQuantile(1000.0, 0.5), 42.0);
@@ -72,7 +72,7 @@ TEST(RollingHistogram, SingleSampleExpiresWithTheHorizon)
 {
     obs::RollingHistogram h({10.0, 5}, /*sub_bucket_bits=*/5);
     EXPECT_DOUBLE_EQ(h.valueAtQuantile(5.0, 0.5, -1.0), -1.0);
-    h.observe(1.0, 7, 0, false);
+    h.observe(1.0, 7);
     EXPECT_DOUBLE_EQ(h.valueAtQuantile(2.0, 0.5, -1.0), 7.0);
     EXPECT_DOUBLE_EQ(h.valueAtQuantile(100.0, 0.5, -1.0), -1.0);
 }
@@ -84,11 +84,11 @@ TEST(RollingHistogram, SingleSampleExpiresWithTheHorizon)
 TEST(RollingHistogram, StaleObservationDoesNotWipeTheLiveBucket)
 {
     obs::RollingHistogram h({10.0, 5}, /*sub_bucket_bits=*/5);
-    h.observe(21.0, 2000, 0, false); // period 10, slot 0
-    h.observe(1.0, 9999, 0, false);  // period 0: same slot, two cycles stale
+    h.observe(21.0, 2000); // period 10, slot 0
+    h.observe(1.0, 9999);  // period 0: same slot, two cycles stale
     EXPECT_EQ(h.count(21.0), 1u);
     EXPECT_EQ(h.droppedStale(), 1u);
-    h.observe(19.0, 3000, 0, false); // period 9: late but live — kept
+    h.observe(19.0, 3000); // period 9: late but live — kept
     EXPECT_EQ(h.count(21.0), 2u);
     EXPECT_EQ(h.droppedStale(), 1u);
 }

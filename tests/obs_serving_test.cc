@@ -203,8 +203,8 @@ TEST(ObsServing, EngineProfileCountsEveryEventExactlyOnce)
  * profiling, traced, and traced with the tail sampler and a rolling
  * latency feed, and every deterministic count each run produces is
  * pinned: events per tag, the event set's high-water mark, spans,
- * retained traces and bytes, the per-request critical-path buckets
- * and the tail exemplar. Any change to the schedule moves one of them.
+ * retained traces and bytes, and the per-request critical-path
+ * buckets. Any change to the schedule moves one of them.
  */
 TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
 {
@@ -262,7 +262,6 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     obs::WindowConfig feed_cfg;
     feed_cfg.horizon_s = 1e6;
     obs::RollingHistogram feed(feed_cfg);
-    feed.setExemplarCapacity(2);
     sampler.setLatencyFeed(&feed);
     core::ServingSimulation sampled(spec, plan,
                                     config(&sampled_tracer, &feed));
@@ -271,12 +270,6 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     EXPECT_EQ(sampler.retainedBytes(), 504288u);
     EXPECT_EQ(sampler.stats().recycled, 463u);
     EXPECT_EQ(sampler.arenaSlots(), 59u);
-    const obs::Histogram merged = feed.merged(0.0);
-    const obs::Exemplar *tail = merged.tailExemplar();
-    ASSERT_NE(tail, nullptr);
-    EXPECT_EQ(tail->request_id, 236u);
-    EXPECT_EQ(tail->value, 79624258);
-    EXPECT_TRUE(tail->retained);
 }
 
 /**

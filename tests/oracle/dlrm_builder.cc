@@ -1,4 +1,4 @@
-#include "model/dlrm_builder.h"
+#include "oracle/dlrm_builder.h"
 
 #include <cassert>
 #include <cmath>

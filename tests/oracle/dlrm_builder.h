@@ -20,9 +20,9 @@
 #include <string>
 #include <vector>
 
-#include "graph/net.h"
-#include "graph/workspace.h"
 #include "model/model_spec.h"
+#include "oracle/net.h"
+#include "oracle/workspace.h"
 
 namespace dri::model {
 

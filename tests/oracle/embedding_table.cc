@@ -1,16 +1,14 @@
-#include "tensor/embedding_table.h"
+#include "oracle/embedding_table.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
-#include <limits>
 
 namespace dri::tensor {
 
 namespace {
 
-/** SplitMix64 hash used for row placement, value synthesis, and pruning. */
+/** SplitMix64 hash used for row placement and value synthesis. */
 std::uint64_t
 mix64(std::uint64_t x)
 {
@@ -35,21 +33,6 @@ syntheticValue(std::uint64_t seed, std::int64_t row, std::int64_t col)
 
 } // namespace
 
-std::int64_t
-rowBytes(Precision precision, std::int64_t dim)
-{
-    switch (precision) {
-      case Precision::Fp32:
-        return dim * 4;
-      case Precision::Int8:
-        // 1 byte/element + fp32 scale and bias per row.
-        return dim + 8;
-      case Precision::Int4:
-        return (dim + 1) / 2 + 8;
-    }
-    return dim * 4;
-}
-
 VirtualEmbeddingTable::VirtualEmbeddingTable(std::int64_t logical_rows,
                                              std::int64_t dim,
                                              std::uint64_t seed,
@@ -66,16 +49,6 @@ VirtualEmbeddingTable::VirtualEmbeddingTable(std::int64_t logical_rows,
 }
 
 std::int64_t
-VirtualEmbeddingTable::logicalBytes() const
-{
-    const double kept = 1.0 - pruned_fraction_;
-    const double rows = static_cast<double>(logical_rows_) * kept;
-    return static_cast<std::int64_t>(rows *
-                                     static_cast<double>(rowBytes(precision_,
-                                                                  dim_)));
-}
-
-std::int64_t
 VirtualEmbeddingTable::physicalIndex(std::int64_t row) const
 {
     return static_cast<std::int64_t>(
@@ -83,26 +56,10 @@ VirtualEmbeddingTable::physicalIndex(std::int64_t row) const
         static_cast<std::uint64_t>(physical_rows_));
 }
 
-bool
-VirtualEmbeddingTable::isPruned(std::int64_t row) const
-{
-    if (pruned_fraction_ <= 0.0)
-        return false;
-    const std::uint64_t h =
-        mix64(seed_ * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(row));
-    const double unit = static_cast<double>(h >> 11) /
-                        static_cast<double>(1ULL << 53);
-    return unit < pruned_fraction_;
-}
-
 void
 VirtualEmbeddingTable::readRow(std::int64_t row, float *dst) const
 {
     assert(row >= 0 && row < logical_rows_);
-    if (isPruned(row)) {
-        std::fill(dst, dst + dim_, 0.0f);
-        return;
-    }
     const float *src =
         backing_.data() + physicalIndex(row) * dim_;
     std::memcpy(dst, src, static_cast<std::size_t>(dim_) * sizeof(float));
@@ -128,40 +85,6 @@ VirtualEmbeddingTable::sls(const std::vector<std::int64_t> &indices,
         }
     }
     assert(cursor == indices.size());
-}
-
-void
-VirtualEmbeddingTable::quantize(Precision precision)
-{
-    if (precision == precision_ || precision == Precision::Fp32) {
-        precision_ = precision;
-        return;
-    }
-    const int levels = precision == Precision::Int8 ? 255 : 15;
-    for (std::int64_t r = 0; r < physical_rows_; ++r) {
-        float *row = backing_.data() + r * dim_;
-        float lo = std::numeric_limits<float>::max();
-        float hi = std::numeric_limits<float>::lowest();
-        for (std::int64_t c = 0; c < dim_; ++c) {
-            lo = std::min(lo, row[c]);
-            hi = std::max(hi, row[c]);
-        }
-        const float scale = (hi - lo) / static_cast<float>(levels);
-        if (scale <= 0.0f)
-            continue;
-        for (std::int64_t c = 0; c < dim_; ++c) {
-            const float q = std::round((row[c] - lo) / scale);
-            row[c] = lo + q * scale;
-        }
-    }
-    precision_ = precision;
-}
-
-void
-VirtualEmbeddingTable::prune(double fraction)
-{
-    assert(fraction >= 0.0 && fraction < 1.0);
-    pruned_fraction_ = fraction;
 }
 
 } // namespace dri::tensor

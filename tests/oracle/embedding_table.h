@@ -14,15 +14,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "tensor/tensor.h"
+#include "oracle/tensor.h"
 
 namespace dri::tensor {
-
-/** Numeric storage precision of an embedding table. */
-enum class Precision { Fp32, Int8, Int4 };
-
-/** Bytes per embedding row for a given precision and dimension. */
-std::int64_t rowBytes(Precision precision, std::int64_t dim);
 
 /**
  * An embedding table with paper-scale logical geometry and a hashed,
@@ -51,24 +45,7 @@ class VirtualEmbeddingTable
     std::int64_t physicalRows() const { return physical_rows_; }
     std::uint64_t seed() const { return seed_; }
 
-    /** Logical capacity in bytes at the current precision. */
-    std::int64_t logicalBytes() const;
-
-    Precision precision() const { return precision_; }
-
-    /**
-     * Fraction of logical rows pruned away (treated as zero vectors and
-     * excluded from the capacity footprint). Set by the compression pass.
-     */
-    double prunedFraction() const { return pruned_fraction_; }
-
-    /** Whether the given logical row is pruned under the current setting. */
-    bool isPruned(std::int64_t row) const;
-
-    /**
-     * Read one logical row into dst[0..dim). Applies pruning (zeros) and
-     * quantization error exactly as the serving path would observe them.
-     */
+    /** Read one logical row into dst[0..dim). */
     void readRow(std::int64_t row, float *dst) const;
 
     /**
@@ -79,28 +56,13 @@ class VirtualEmbeddingTable
     void sls(const std::vector<std::int64_t> &indices,
              const std::vector<std::int32_t> &lengths, Tensor &out) const;
 
-    /**
-     * Apply row-wise linear quantization at the given precision. Values are
-     * re-encoded (so readRow reflects quantization error) and logicalBytes()
-     * shrinks accordingly. Idempotent per precision.
-     */
-    void quantize(Precision precision);
-
-    /**
-     * Prune the given fraction of logical rows (selected by hash, so the
-     * choice is deterministic and uniform).
-     */
-    void prune(double fraction);
-
   private:
     std::int64_t logical_rows_;
     std::int64_t dim_;
     std::int64_t physical_rows_;
     std::uint64_t seed_;
-    Precision precision_ = Precision::Fp32;
-    double pruned_fraction_ = 0.0;
 
-    /** Backing values, always materialized as float for compute. */
+    /** Backing values, one float row per physical row. */
     std::vector<float> backing_;
 
     std::int64_t physicalIndex(std::int64_t row) const;

@@ -1,4 +1,4 @@
-#include "graph/executor.h"
+#include "oracle/executor.h"
 
 namespace dri::graph {
 

@@ -9,7 +9,7 @@
 
 #include <functional>
 
-#include "graph/net.h"
+#include "oracle/net.h"
 
 namespace dri::graph {
 

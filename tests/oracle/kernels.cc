@@ -1,4 +1,4 @@
-#include "tensor/kernels.h"
+#include "oracle/kernels.h"
 
 #include <cassert>
 #include <cmath>

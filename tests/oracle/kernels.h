@@ -9,7 +9,7 @@
 
 #include <vector>
 
-#include "tensor/tensor.h"
+#include "oracle/tensor.h"
 
 namespace dri::tensor {
 

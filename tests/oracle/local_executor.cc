@@ -1,4 +1,4 @@
-#include "core/local_executor.h"
+#include "oracle/local_executor.h"
 
 #include <cassert>
 

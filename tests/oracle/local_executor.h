@@ -11,8 +11,8 @@
 #include <string>
 #include <vector>
 
-#include "core/partitioner.h"
-#include "graph/executor.h"
+#include "oracle/executor.h"
+#include "oracle/partitioner.h"
 
 namespace dri::core {
 

@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "graph/operators.h"
+#include "oracle/operators.h"
 
 namespace dri::graph {
 
@@ -54,10 +54,7 @@ class NetDef
     }
 
     /** Count operators in the given class. */
-    std::size_t countClass(OpClass c) const;
-
-    /** All embedding-table names referenced by SLS ops in this net. */
-    std::vector<std::string> referencedTables() const;
+    std::size_t countClass(model::OpClass c) const;
 
   private:
     std::string name_;

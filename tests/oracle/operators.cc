@@ -1,38 +1,12 @@
-#include "graph/operators.h"
+#include "oracle/operators.h"
 
 #include <cassert>
 #include <stdexcept>
 #include <string>
 
-#include "tensor/kernels.h"
+#include "oracle/kernels.h"
 
 namespace dri::graph {
-
-std::string
-opClassName(OpClass c)
-{
-    switch (c) {
-      case OpClass::Dense:
-        return "Dense";
-      case OpClass::Sparse:
-        return "Sparse";
-      case OpClass::Activations:
-        return "Activations";
-      case OpClass::FeatureTransform:
-        return "Feature Transforms";
-      case OpClass::MemoryTransform:
-        return "Memory Transformations";
-      case OpClass::ScaleClip:
-        return "Scale/Clip";
-      case OpClass::Hash:
-        return "Hash";
-      case OpClass::Fill:
-        return "Fill";
-      case OpClass::Rpc:
-        return "RPC";
-    }
-    return "Unknown";
-}
 
 Operator::Operator(std::string type, std::vector<std::string> inputs,
                    std::vector<std::string> outputs)

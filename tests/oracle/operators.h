@@ -12,28 +12,10 @@
 #include <string>
 #include <vector>
 
-#include "graph/workspace.h"
+#include "model/spec_types.h"
+#include "oracle/workspace.h"
 
 namespace dri::graph {
-
-/**
- * Operator compute group, matching the attribution buckets of Fig. 4.
- * Used by the compute-attribution analysis.
- */
-enum class OpClass {
-    Dense,           //!< FC / GEMM compute
-    Sparse,          //!< embedding lookup + pooling (SLS family)
-    Activations,     //!< ReLU / sigmoid
-    FeatureTransform,//!< feature interaction and friends
-    MemoryTransform, //!< concat / split / reshape
-    ScaleClip,       //!< normalization-style elementwise work
-    Hash,            //!< sparse-id hashing
-    Fill,            //!< constant fills
-    Rpc,             //!< distributed-inference RPC ops
-};
-
-/** Human-readable label for an OpClass (used in reports). */
-std::string opClassName(OpClass c);
 
 class RemoteExecutor;
 
@@ -58,7 +40,7 @@ class Operator
     /** Execute functionally against the context's workspace. */
     virtual void run(ExecContext &ctx) = 0;
 
-    virtual OpClass opClass() const = 0;
+    virtual model::OpClass opClass() const = 0;
 
     /** Deep copy, used by the model partitioner for net surgery. */
     virtual std::unique_ptr<Operator> clone() const = 0;
@@ -80,7 +62,10 @@ class FullyConnectedOp : public Operator
     FullyConnectedOp(const std::string &in, const std::string &weight,
                      const std::string &bias, const std::string &out);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Dense; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Dense;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -90,7 +75,10 @@ class ReluOp : public Operator
   public:
     explicit ReluOp(const std::string &blob);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Activations; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Activations;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -100,7 +88,10 @@ class SigmoidOp : public Operator
   public:
     explicit SigmoidOp(const std::string &blob);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Activations; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Activations;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -110,7 +101,10 @@ class ConcatOp : public Operator
   public:
     ConcatOp(std::vector<std::string> inputs, const std::string &out);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::MemoryTransform; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::MemoryTransform;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -120,7 +114,10 @@ class DotInteractionOp : public Operator
   public:
     DotInteractionOp(std::vector<std::string> blocks, const std::string &out);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::FeatureTransform; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::FeatureTransform;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -134,7 +131,10 @@ class SparseLengthsSumOp : public Operator
     SparseLengthsSumOp(const std::string &table, const std::string &ids,
                        const std::string &out);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Sparse; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Sparse;
+    }
     std::unique_ptr<Operator> clone() const override;
 
     const std::string &tableName() const { return table_; }
@@ -155,7 +155,10 @@ class SplitIndicesOp : public Operator
   public:
     SplitIndicesOp(const std::string &ids, std::vector<std::string> outputs);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Hash; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Hash;
+    }
     std::unique_ptr<Operator> clone() const override;
 
     std::size_t ways() const { return outputs().size(); }
@@ -167,7 +170,10 @@ class SumOp : public Operator
   public:
     SumOp(std::vector<std::string> inputs, const std::string &out);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::ScaleClip; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::ScaleClip;
+    }
     std::unique_ptr<Operator> clone() const override;
 };
 
@@ -189,7 +195,10 @@ class RpcRequestOp : public Operator
                  std::vector<std::string> inputs,
                  std::vector<std::string> outputs);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Rpc; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Rpc;
+    }
     std::unique_ptr<Operator> clone() const override;
 
     int shardId() const { return shard_id_; }
@@ -208,7 +217,10 @@ class RpcWaitOp : public Operator
   public:
     explicit RpcWaitOp(std::vector<std::string> handles);
     void run(ExecContext &ctx) override;
-    OpClass opClass() const override { return OpClass::Rpc; }
+    model::OpClass opClass() const override
+    {
+        return model::OpClass::Rpc;
+    }
     std::unique_ptr<Operator> clone() const override;
 
     const std::vector<std::string> &handles() const { return inputs(); }
@@ -216,8 +228,9 @@ class RpcWaitOp : public Operator
 
 /**
  * Service interface RPC operators dispatch through. The functional
- * implementation (LocalRemoteExecutor in core/serving) executes shard nets
- * synchronously; the DES serving engine models the asynchronous timing.
+ * implementation (LocalRemoteExecutor in oracle/local_executor) executes
+ * shard nets synchronously; the DES serving engine models the asynchronous
+ * timing.
  */
 class RemoteExecutor
 {

@@ -1,4 +1,4 @@
-#include "core/partitioner.h"
+#include "oracle/partitioner.h"
 
 #include <cassert>
 #include <stdexcept>

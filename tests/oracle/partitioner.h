@@ -17,8 +17,8 @@
 #include <vector>
 
 #include "core/sharding_plan.h"
-#include "graph/net.h"
-#include "model/dlrm_builder.h"
+#include "oracle/net.h"
+#include "oracle/dlrm_builder.h"
 
 namespace dri::core {
 

@@ -1,4 +1,4 @@
-#include "tensor/tensor.h"
+#include "oracle/tensor.h"
 
 #include <algorithm>
 #include <cassert>
@@ -88,17 +88,6 @@ Tensor::row(std::int64_t r) const
     assert(rank() == 2);
     assert(r >= 0 && r < shape_[0]);
     return data_.data() + r * shape_[1];
-}
-
-void
-Tensor::reshape(std::vector<std::int64_t> shape)
-{
-    const auto n = std::accumulate(shape.begin(), shape.end(),
-                                   static_cast<std::int64_t>(1),
-                                   std::multiplies<std::int64_t>());
-    assert(n == numel());
-    (void)n;
-    shape_ = std::move(shape);
 }
 
 void

@@ -53,9 +53,6 @@ class Tensor
     float *row(std::int64_t r);
     const float *row(std::int64_t r) const;
 
-    /** Reinterpret the buffer with a new shape of identical numel. */
-    void reshape(std::vector<std::int64_t> shape);
-
     /** Fill with a constant. */
     void fill(float v);
 

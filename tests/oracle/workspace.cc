@@ -1,14 +1,8 @@
-#include "graph/workspace.h"
+#include "oracle/workspace.h"
 
 #include <cassert>
 
 namespace dri::graph {
-
-bool
-Workspace::has(const std::string &name) const
-{
-    return blobs_.count(name) > 0;
-}
 
 tensor::Tensor &
 Workspace::createTensor(const std::string &name)
@@ -59,12 +53,6 @@ Workspace::table(const std::string &name) const
     return *it->second;
 }
 
-bool
-Workspace::hasTable(const std::string &name) const
-{
-    return tables_.count(name) > 0;
-}
-
 const Blob &
 Workspace::blob(const std::string &name) const
 {
@@ -77,12 +65,6 @@ void
 Workspace::setBlob(const std::string &name, Blob value)
 {
     blobs_[name] = std::move(value);
-}
-
-void
-Workspace::remove(const std::string &name)
-{
-    blobs_.erase(name);
 }
 
 } // namespace dri::graph

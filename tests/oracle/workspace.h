@@ -13,8 +13,8 @@
 #include <variant>
 #include <vector>
 
-#include "tensor/embedding_table.h"
-#include "tensor/tensor.h"
+#include "oracle/embedding_table.h"
+#include "oracle/tensor.h"
 
 namespace dri::graph {
 
@@ -51,8 +51,6 @@ class Workspace
   public:
     Workspace() = default;
 
-    bool has(const std::string &name) const;
-
     /** Create-or-replace a dense blob. */
     tensor::Tensor &createTensor(const std::string &name);
     /** Create-or-replace a sparse blob. */
@@ -66,14 +64,12 @@ class Workspace
     void addTable(const std::string &name,
                   std::shared_ptr<tensor::VirtualEmbeddingTable> table);
     const tensor::VirtualEmbeddingTable &table(const std::string &name) const;
-    bool hasTable(const std::string &name) const;
 
     /** Untyped access (blob must exist). */
     const Blob &blob(const std::string &name) const;
     /** Create-or-replace with an existing blob value. */
     void setBlob(const std::string &name, Blob value);
 
-    void remove(const std::string &name);
     std::size_t blobCount() const { return blobs_.size(); }
 
   private:

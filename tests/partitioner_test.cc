@@ -12,15 +12,15 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/local_executor.h"
-#include "core/partitioner.h"
 #include "core/strategies.h"
 #include "dc/platform.h"
-#include "graph/executor.h"
-#include "model/dlrm_builder.h"
 #include "model/generators.h"
+#include "oracle/dlrm_builder.h"
+#include "oracle/executor.h"
+#include "oracle/kernels.h"
+#include "oracle/local_executor.h"
+#include "oracle/partitioner.h"
 #include "stats/rng.h"
-#include "tensor/kernels.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -123,12 +123,12 @@ TEST(Partitioner, MovesAllSlsOpsToShards)
 
     std::size_t main_sls = 0, shard_sls = 0, rpc_ops = 0;
     for (const auto &net : dm.main_nets) {
-        main_sls += net.countClass(graph::OpClass::Sparse);
-        rpc_ops += net.countClass(graph::OpClass::Rpc);
+        main_sls += net.countClass(model::OpClass::Sparse);
+        rpc_ops += net.countClass(model::OpClass::Rpc);
     }
     for (const auto &kv : dm.shard_nets)
         for (const auto &net : kv.second)
-            shard_sls += net.countClass(graph::OpClass::Sparse);
+            shard_sls += net.countClass(model::OpClass::Sparse);
     EXPECT_EQ(main_sls, 0u);
     EXPECT_EQ(shard_sls, spec.tables.size());
     EXPECT_GT(rpc_ops, 0u);

@@ -300,6 +300,67 @@ TEST(ShardingPlan, CapacityConservation)
     }
 }
 
+TEST(StrategyMisuse, ShardCountBelowOneThrowsNamingTheArgument)
+{
+    const auto spec = model::makeDrm1();
+    const auto pooling = poolingFor(spec);
+    const std::int64_t limit = dc::scLarge().usableModelBytes();
+    for (const int n : {0, -3}) {
+        EXPECT_THROW(core::makeCapacityBalanced(spec, n),
+                     std::invalid_argument);
+        EXPECT_THROW(core::makeLoadBalanced(spec, n, pooling),
+                     std::invalid_argument);
+        EXPECT_THROW(core::makeNsbp(spec, n, limit), std::invalid_argument);
+    }
+    try {
+        core::makeNsbp(spec, 0, limit);
+        FAIL() << "makeNsbp accepted num_shards 0";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("num_shards"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(StrategyMisuse, PoolingEstimatesMustCoverEveryTable)
+{
+    const auto spec = model::makeDrm1();
+    auto pooling = poolingFor(spec);
+    pooling.pop_back();
+    try {
+        core::makeLoadBalanced(spec, 4, pooling);
+        FAIL() << "makeLoadBalanced accepted a short estimate vector";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("pooling_estimates"),
+                  std::string::npos)
+            << e.what();
+    }
+    pooling.resize(spec.tables.size() + 5, 1.0);
+    EXPECT_THROW(core::makeLoadBalanced(spec, 4, pooling),
+                 std::invalid_argument);
+}
+
+TEST(StrategyMisuse, NsbpShardCountsItCannotPlaceThrow)
+{
+    // DRM1's two nets never share a bin, so one shard cannot hold them.
+    EXPECT_THROW(core::makeNsbp(model::makeDrm1(), 1, 0),
+                 std::invalid_argument);
+
+    // Ten equal single-net tables fill at most ten shards.
+    model::ModelSpec spec;
+    spec.name = "ten";
+    spec.nets.push_back({0, "net0", 1.0, 0.0});
+    for (int i = 0; i < 10; ++i) {
+        model::TableSpec t;
+        t.id = i;
+        t.name = "t" + std::to_string(i);
+        t.rows = 1000;
+        spec.tables.push_back(t);
+    }
+    EXPECT_EQ(core::makeNsbp(spec, 10, 0).numShards(), 10);
+    EXPECT_THROW(core::makeNsbp(spec, 11, 0), std::invalid_argument);
+}
+
 TEST(StrategyNames, Labels)
 {
     EXPECT_EQ(core::strategyName(core::Strategy::Nsbp), "NSBP");

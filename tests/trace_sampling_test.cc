@@ -1,13 +1,11 @@
 /**
  * @file
- * Tail-based trace sampling and histogram exemplar tests:
+ * Tail-based trace sampling tests:
  *
  *  - TraceSampler keep/recycle semantics driven through a SpanTracer:
  *    flagged and tail keeps, deterministic reservoir across reruns,
  *    budget eviction ordered by keep class, bounded arena recycling.
- *  - Histogram exemplar storage: capacity-0 no-op, retained
- *    displacement, tail exemplar selection, merge propagation, and
- *    the RollingHistogram dropped_stale counter.
+ *  - The RollingHistogram dropped_stale counter.
  *  - Perfetto flow events: a hedged replay's chrome trace links each
  *    hedge attempt back to its primary with s/f flow events.
  *  - FleetSim trace sampling: ledger AND telemetry fingerprints are
@@ -68,7 +66,7 @@ constantFeed(int n, std::int64_t ns)
     wc.horizon_s = 1e6;
     auto feed = std::make_unique<obs::RollingHistogram>(wc);
     for (int i = 0; i < n; ++i)
-        feed->observe(0.0, ns, 0, false);
+        feed->observe(0.0, ns);
     return feed;
 }
 
@@ -101,8 +99,6 @@ TEST(TraceSampler, FlaggedRootsAlwaysKept)
     EXPECT_FALSE(sampler.isRetained(3));
     EXPECT_EQ(sampler.stats().kept_flagged, 2u);
     EXPECT_EQ(sampler.stats().recycled, 1u);
-    EXPECT_EQ(tracer.lastRootDecision(),
-              obs::SpanTracer::RootDecision::Dropped);
     for (const auto &rt : sampler.retained())
         EXPECT_EQ(rt.keep_class, obs::KeepClass::Flagged);
 }
@@ -127,8 +123,6 @@ TEST(TraceSampler, FeedTailThresholdKeepsSlowRoots)
     EXPECT_TRUE(sampler.isRetained(11));
     EXPECT_TRUE(sampler.isRetained(12));
     EXPECT_EQ(sampler.stats().kept_tail, 2u);
-    EXPECT_EQ(tracer.lastRootDecision(),
-              obs::SpanTracer::RootDecision::Kept);
 }
 
 TEST(TraceSampler, RollingQuantileFeedDrivesTheTailThreshold)
@@ -140,7 +134,7 @@ TEST(TraceSampler, RollingQuantileFeedDrivesTheTailThreshold)
     wc.horizon_s = 1e6;
     obs::RollingHistogram feed(wc);
     for (int i = 0; i < 200; ++i)
-        feed.observe(1.0, i < 180 ? 1000.0 : 100000.0, 0, false);
+        feed.observe(1.0, i < 180 ? 1000.0 : 100000.0);
 
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 0;
@@ -364,70 +358,8 @@ TEST(SpanTracer, TreeLocalIndexOverflowThrows)
 }
 
 // ---------------------------------------------------------------------------
-// Histogram exemplars.
+// RollingHistogram.
 // ---------------------------------------------------------------------------
-
-TEST(HistogramExemplars, CapacityZeroStoresNothing)
-{
-    obs::Histogram h;
-    h.observe(1000.0, /*request_id=*/7, /*retained=*/true);
-    EXPECT_EQ(h.exemplarCapacity(), 0u);
-    EXPECT_TRUE(h.exemplarsFor(1000.0).empty());
-    EXPECT_EQ(h.tailExemplar(), nullptr);
-    EXPECT_EQ(h.count(), 1u); // the observation itself still lands
-}
-
-TEST(HistogramExemplars, RetainedDisplacesUnretainedWhenFull)
-{
-    obs::Histogram h;
-    h.setExemplarCapacity(1);
-    h.observe(1000.0, 1, false);
-    ASSERT_EQ(h.exemplarsFor(1000.0).size(), 1u);
-    EXPECT_EQ(h.exemplarsFor(1000.0)[0].request_id, 1u);
-
-    // Unretained does not displace an occupant...
-    h.observe(1000.0, 2, false);
-    EXPECT_EQ(h.exemplarsFor(1000.0)[0].request_id, 1u);
-    // ...but a retained exemplar does.
-    h.observe(1000.0, 3, true);
-    ASSERT_EQ(h.exemplarsFor(1000.0).size(), 1u);
-    EXPECT_EQ(h.exemplarsFor(1000.0)[0].request_id, 3u);
-    EXPECT_TRUE(h.exemplarsFor(1000.0)[0].retained);
-}
-
-TEST(HistogramExemplars, TailExemplarComesFromTheHighestBucket)
-{
-    obs::Histogram h;
-    h.setExemplarCapacity(2);
-    h.observe(10.0, 1, false);
-    h.observe(1e6, 2, false);
-    h.observe(1e6, 3, true);
-    const obs::Exemplar *tail = h.tailExemplar();
-    ASSERT_NE(tail, nullptr);
-    // Highest non-empty bucket, preferring the retained occupant.
-    EXPECT_EQ(tail->request_id, 3u);
-    EXPECT_TRUE(tail->retained);
-    EXPECT_DOUBLE_EQ(tail->value, 1e6);
-}
-
-TEST(HistogramExemplars, MergePropagatesExemplars)
-{
-    obs::Histogram a;
-    a.setExemplarCapacity(2);
-    obs::Histogram b;
-    b.setExemplarCapacity(2);
-    b.observe(5e5, 42, true);
-    a.merge(b);
-    const obs::Exemplar *tail = a.tailExemplar();
-    ASSERT_NE(tail, nullptr);
-    EXPECT_EQ(tail->request_id, 42u);
-
-    // Merging into a capacity-0 receiver stays a pure histogram merge.
-    obs::Histogram c;
-    c.merge(b);
-    EXPECT_EQ(c.tailExemplar(), nullptr);
-    EXPECT_EQ(c.count(), b.count());
-}
 
 TEST(RollingHistogram, CountsDroppedStaleSamples)
 {
@@ -435,11 +367,11 @@ TEST(RollingHistogram, CountsDroppedStaleSamples)
     wc.horizon_s = 10.0;
     wc.buckets = 5;
     obs::RollingHistogram h(wc);
-    h.observe(100.0, 1.0, 0, false);
+    h.observe(100.0, 1.0);
     EXPECT_EQ(h.droppedStale(), 0u);
     // Same ring position, more than a full horizon older: dropped and
     // counted, not silently folded into the live bucket.
-    h.observe(100.0 - wc.horizon_s, 2.0, 0, false);
+    h.observe(100.0 - wc.horizon_s, 2.0);
     EXPECT_EQ(h.droppedStale(), 1u);
 }
 
