@@ -50,15 +50,16 @@ namespace {
 
 using namespace dri;
 
+/** Mean worker-pool utilization over the replica servers. */
 double
-meanOf(const std::vector<double> &v)
+meanServerUtilization(const core::ServingMetrics &m)
 {
-    if (v.empty())
+    if (m.servers.empty())
         return 0.0;
     double acc = 0.0;
-    for (double x : v)
-        acc += x;
-    return acc / static_cast<double>(v.size());
+    for (const core::ServerMetrics &server : m.servers)
+        acc += server.utilization;
+    return acc / static_cast<double>(m.servers.size());
 }
 
 } // namespace
@@ -109,14 +110,15 @@ main(int argc, char **argv)
                     spec, plan, sched::sparseBoundStudyConfig(policy, 3, seed));
                 const auto stats = sim.replayOpenLoop(requests, qps);
                 const auto q = core::latencyQuantiles(stats);
+                const core::ServingMetrics m = sim.metrics();
                 std::size_t max_peak = 0;
-                for (const auto p : sim.serverPeakQueue())
-                    max_peak = std::max(max_peak, p);
+                for (const core::ServerMetrics &server : m.servers)
+                    max_peak = std::max(max_peak, server.peak_queue);
                 p99s.push_back(q.p99_ms);
                 peaks.push_back(max_peak);
                 if (k > 0)
                     continue;
-                const double util = meanOf(sim.serverUtilization());
+                const double util = meanServerUtilization(m);
                 row = {rpc::policyName(policy), TablePrinter::num(q.p50_ms),
                        TablePrinter::num(q.p99_ms),
                        TablePrinter::num(q.p999_ms), std::to_string(max_peak),
@@ -131,7 +133,7 @@ main(int argc, char **argv)
                                  .field("max_peak_queue",
                                         static_cast<std::int64_t>(max_peak))
                                  .field("sparse_util", util)
-                                 .field("main_util", sim.mainUtilization());
+                                 .field("main_util", m.main_utilization);
             }
             std::vector<double> sorted = p99s;
             std::sort(sorted.begin(), sorted.end());
@@ -326,7 +328,8 @@ main(int argc, char **argv)
                         hedged));
                 const auto stats = sim.replayOpenLoop(hedge_requests, qps);
                 const auto q = core::latencyQuantiles(stats);
-                const auto h = sim.hedgeStats();
+                const core::ServingMetrics m = sim.metrics();
+                const rpc::HedgeStats &h = m.hedge;
                 const double cpu = core::meanCpuMs(stats);
                 table.addRow({hedged ? "on" : "off",
                               TablePrinter::num(q.p99_ms),
@@ -348,7 +351,7 @@ main(int argc, char **argv)
                                  .field("hedge_cancelled", h.cancelled)
                                  .field("hedge_suppressed", h.suppressed)
                                  .field("sparse_util",
-                                        meanOf(sim.serverUtilization()))
+                                        meanServerUtilization(m))
                                  .field("cpu_ms", cpu);
                 if (hedged) {
                     on_p99 = q.p99_ms;

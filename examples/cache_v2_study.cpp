@@ -227,7 +227,7 @@ main()
         if (cached) {
             core::ServingSimulation sim(drm, plan, cfg);
             sim.replayOpenLoop(repeats, 300.0);
-            hit_rate_on = sim.resultCacheStats().hitRate();
+            hit_rate_on = sim.metrics().result_cache.hitRate();
         }
     }
     {

@@ -89,6 +89,18 @@ validateConfig(const ServingConfig &c)
             fail(std::string(field) + " must be >= 0");
     if (c.admission.cancel_in_flight && c.admission.deadline_ns <= 0)
         fail("admission.cancel_in_flight requires deadline_ns > 0");
+    const std::pair<const char *, const dc::Platform &> platforms[] = {
+        {"main_platform", c.main_platform},
+        {"sparse_platform", c.sparse_platform},
+    };
+    for (const auto &[field, platform] : platforms) {
+        if (platform.cores < 1)
+            fail(std::string(field) + ".cores must be >= 1");
+        if (!(platform.cpu_time_scale > 0.0) ||
+            !std::isfinite(platform.cpu_time_scale))
+            fail(std::string(field) +
+                 ".cpu_time_scale must be finite and > 0");
+    }
 }
 
 } // namespace
@@ -346,7 +358,7 @@ struct ServingSimulation::Impl
             return static_cast<std::size_t>(t);
         };
         main_cores = std::make_unique<sim::Resource>(
-            engine, pool(cfg.main_platform, cfg.worker_threads), "main");
+            engine, pool(cfg.main_platform, cfg.worker_threads));
         const std::size_t sparse_threads = pool(
             cfg.sparse_platform, cfg.sparse_worker_threads > 0
                                      ? cfg.sparse_worker_threads
@@ -361,10 +373,9 @@ struct ServingSimulation::Impl
             for (int r = 0; r < count; ++r) {
                 directory.registerReplica(s,
                                           static_cast<int>(replicas.size()));
-                auto cores = std::make_unique<sim::Resource>(
-                    engine, sparse_threads,
-                    "sparse" + std::to_string(s) + "." + std::to_string(r));
-                replicas.push_back({std::move(cores), s});
+                replicas.push_back(
+                    {std::make_unique<sim::Resource>(engine, sparse_threads),
+                     s});
             }
         }
         shard_partitioned.assign(n_shards, 0);
@@ -435,7 +446,7 @@ struct ServingSimulation::Impl
 
     rpc::ResultCache result_cache;
 
-    /** Attempts cancelled by mid-flight sheds (shedCancelledRpcs). */
+    /** Attempts cancelled by mid-flight sheds. */
     std::uint64_t shed_cancelled_rpcs = 0;
 
     // -- Hot-path object pools ----------------------------------------------
@@ -2073,102 +2084,48 @@ ServingSimulation::takeResults()
     return out;
 }
 
-std::size_t
-ServingSimulation::serverCount() const
+ServingMetrics
+ServingSimulation::metrics() const
 {
-    return impl_->replicas.size();
-}
-
-std::vector<double>
-ServingSimulation::serverUtilization() const
-{
-    const auto elapsed = static_cast<double>(impl_->engine.now());
-    std::vector<double> out;
-    out.reserve(impl_->replicas.size());
-    for (const auto &r : impl_->replicas)
-        out.push_back(stats::utilizationFraction(
-            r.cores->busyIntegral(), r.cores->capacity(), elapsed));
-    return out;
-}
-
-double
-ServingSimulation::mainUtilization() const
-{
-    return stats::utilizationFraction(
-        impl_->main_cores->busyIntegral(), impl_->main_cores->capacity(),
-        static_cast<double>(impl_->engine.now()));
-}
-
-std::size_t
-ServingSimulation::mainQueueDepth() const
-{
-    return impl_->main_cores->queued();
-}
-
-std::size_t
-ServingSimulation::mainIdleWorkers() const
-{
-    return impl_->main_cores->capacity() - impl_->main_cores->inUse();
-}
-
-std::vector<std::size_t>
-ServingSimulation::serverPeakQueue() const
-{
-    std::vector<std::size_t> out;
-    for (const auto &r : impl_->replicas)
-        out.push_back(r.peak_queue);
-    return out;
-}
-
-std::vector<int>
-ServingSimulation::serverShards() const
-{
-    std::vector<int> out;
-    for (const auto &r : impl_->replicas)
-        out.push_back(r.shard);
-    return out;
-}
-
-std::size_t
-ServingSimulation::sparseWorkerPoolSize() const
-{
-    return impl_->replicas.empty() ? 0
-                                   : impl_->replicas.front().cores->capacity();
-}
-
-std::vector<ShardLoad>
-ServingSimulation::shardLoad() const
-{
-    const auto elapsed = static_cast<double>(impl_->engine.now());
-    std::vector<ShardLoad> out(
-        static_cast<std::size_t>(std::max(impl_->plan.numShards(), 0)));
-    std::vector<int> replicas(out.size(), 0);
-    for (const auto &r : impl_->replicas) {
+    const Impl &m = *impl_;
+    ServingMetrics out;
+    out.at = m.engine.now();
+    const auto elapsed = static_cast<double>(out.at);
+    const auto utilization = [elapsed](const sim::Resource &r, double busy) {
+        return stats::utilizationFraction(busy, r.capacity(), elapsed);
+    };
+    out.main_utilization =
+        utilization(*m.main_cores, m.main_cores->busyIntegral());
+    out.shards.resize(
+        static_cast<std::size_t>(std::max(m.plan.numShards(), 0)));
+    std::vector<int> shard_servers(out.shards.size(), 0);
+    out.hedge = m.hedge_stats;
+    out.servers.reserve(m.replicas.size());
+    for (const auto &r : m.replicas) {
+        const double busy = r.cores->busyIntegral();
+        const ServerMetrics &server = out.servers.emplace_back(
+            ServerMetrics{r.shard, !r.dead, busy, r.cores->capacity(),
+                          utilization(*r.cores, busy), r.peak_queue});
         const auto s = static_cast<std::size_t>(r.shard);
-        out[s].busy_core_ms += r.cores->busyIntegral() / 1.0e6;
-        out[s].utilization += stats::utilizationFraction(
-            r.cores->busyIntegral(), r.cores->capacity(), elapsed);
-        ++replicas[s];
+        out.shards[s].busy_core_ms += busy / 1.0e6;
+        out.shards[s].utilization += server.utilization;
+        ++shard_servers[s];
+        out.hedge.total_busy_ns += busy;
     }
-    for (std::size_t s = 0; s < out.size(); ++s)
-        if (replicas[s] > 0)
-            out[s].utilization /= static_cast<double>(replicas[s]);
+    for (std::size_t s = 0; s < out.shards.size(); ++s)
+        if (shard_servers[s] > 0)
+            out.shards[s].utilization /= static_cast<double>(shard_servers[s]);
+    out.result_cache = m.result_cache.stats();
+    out.faults = m.fault_stats;
+    out.shed_cancelled_rpcs = m.shed_cancelled_rpcs;
     return out;
 }
 
-rpc::HedgeStats
-ServingSimulation::hedgeStats() const
+bool
+ServingSimulation::mainPoolIdle() const
 {
-    rpc::HedgeStats h = impl_->hedge_stats;
-    for (const auto &r : impl_->replicas)
-        h.total_busy_ns += r.cores->busyIntegral();
-    return h;
-}
-
-const rpc::ResultCacheStats &
-ServingSimulation::resultCacheStats() const
-{
-    return impl_->result_cache.stats();
+    const sim::Resource &main = *impl_->main_cores;
+    return main.queued() == 0 && main.inUse() < main.capacity();
 }
 
 void
@@ -2209,32 +2166,6 @@ ServingSimulation::partitionShard(int shard_id, bool partitioned)
                                 std::to_string(shard_id) + " out of range");
     impl_->shard_partitioned[static_cast<std::size_t>(shard_id)] =
         partitioned ? 1 : 0;
-}
-
-bool
-ServingSimulation::replicaAlive(int server_id) const
-{
-    return !impl_->replicaAt(server_id, "replicaAlive").dead;
-}
-
-std::size_t
-ServingSimulation::aliveReplicaCount() const
-{
-    const auto &rs = impl_->replicas;
-    return static_cast<std::size_t>(std::count_if(
-        rs.begin(), rs.end(), [](const auto &r) { return !r.dead; }));
-}
-
-const FaultStats &
-ServingSimulation::faultStats() const
-{
-    return impl_->fault_stats;
-}
-
-std::uint64_t
-ServingSimulation::shedCancelledRpcs() const
-{
-    return impl_->shed_cancelled_rpcs;
 }
 
 } // namespace dri::core

@@ -57,7 +57,7 @@
  *     the rest.
  *   - Aborted by a mid-flight shed: a backup counts cancelled; the
  *     request is refunded the unexecuted rest. The op counts in
- *     shedCancelledRpcs().
+ *     ServingMetrics::shed_cancelled_rpcs.
  *   - Aborted because its replica died mid-service: counts
  *     FaultStats::lost_in_service. On a decided op a backup counts a
  *     loss plus wasted busy time; otherwise it fails like a Pending one.
@@ -248,6 +248,62 @@ struct ShardLoad
     double utilization = 0.0;
 };
 
+/** One replica server's load at snapshot time. */
+struct ServerMetrics
+{
+    int shard = 0;             //!< plan shard the server belongs to
+    bool alive = true;         //!< not killed, or restored since
+    double busy_core_ns = 0.0; //!< busy core-time integral so far
+    /**
+     * Worker cores: the resolved sparse_worker_threads / worker_threads
+     * / platform-cores rule. Provisioning sizes replicas against this
+     * pool, not the whole SKU.
+     */
+    std::size_t pool_size = 0;
+    /** busy_core_ns over pool_size x elapsed simulated time, in [0, 1]. */
+    double utilization = 0.0;
+    /**
+     * Peak (in-flight + queued) depth seen at RPC dispatch, the
+     * load-balancing quality signal: a policy that spreads load keeps
+     * the max across replicas low.
+     */
+    std::size_t peak_queue = 0;
+};
+
+/**
+ * One pull-based snapshot of a deployment's load and outcome counters
+ * (ServingSimulation::metrics): the per-shard busy time, replica
+ * utilization and queue depth the paper's resource-efficiency comparison
+ * reads, plus the hedge, result-cache and fault ledgers.
+ */
+struct ServingMetrics
+{
+    sim::SimTime at = 0;           //!< simulated time of the snapshot
+    double main_utilization = 0.0; //!< main-shard worker pool, in [0, 1]
+    /** One entry per replica server, indexed by server id. */
+    std::vector<ServerMetrics> servers;
+    /**
+     * One entry per plan shard, folded over its servers: the measured
+     * compute demand ProvisionLoop feeds back into dc::provision, and the
+     * load FleetSim bills power on.
+     */
+    std::vector<ShardLoad> shards;
+    /**
+     * Hedging outcome counters (all zero when hedging is off);
+     * total_busy_ns is the sum of servers[].busy_core_ns.
+     */
+    rpc::HedgeStats hedge;
+    /** Pooled-result cache counters (all zero when the cache is off). */
+    rpc::ResultCacheStats result_cache;
+    /** Injected-fault counters (all zero when faults never fired). */
+    FaultStats faults;
+    /**
+     * Sparse RPC attempts cancelled because their request was shed
+     * mid-flight (AdmissionConfig::cancel_in_flight).
+     */
+    std::uint64_t shed_cancelled_rpcs = 0;
+};
+
 /** Deployment + cost-model configuration. */
 struct ServingConfig
 {
@@ -384,7 +440,9 @@ class ServingSimulation
      * batch_size_override, worker_threads, sparse_worker_threads,
      * sparse_replicas, result_cache.ttl_ns, faults.rpc_timeout_ns or
      * faults.discovery_lag_ns; admission.cancel_in_flight without a
-     * deadline (deadline_ns <= 0).
+     * deadline (deadline_ns <= 0); main_platform.cores or
+     * sparse_platform.cores below 1; a main_platform or sparse_platform
+     * cpu_time_scale that is not finite and > 0.
      */
     ServingSimulation(const model::ModelSpec &spec, const ShardingPlan &plan,
                       ServingConfig config);
@@ -409,6 +467,12 @@ class ServingSimulation
      * fires, so the event heap holds only in-flight work, and the
      * dispatch order is the one scheduling every arrival before run()
      * would give.
+     *
+     * The inter-arrival gaps come from a stream forked off the
+     * construction seed alone, so a second replayOpenLoop on the same
+     * simulation repeats the first one's gaps (FleetSim's prewarm and
+     * measured segments do). Giving each call its own stream changes the
+     * fleet fingerprints, so it waits for their next planned re-baseline.
      */
     std::vector<RequestStats>
     replayOpenLoop(const std::vector<workload::Request> &requests,
@@ -452,60 +516,34 @@ class ServingSimulation
      */
     void checkDrained() const;
 
-    // -- Load observability -----------------------------------------------
-
-    /** Replica server worker pools in the deployment (shards x replicas). */
-    std::size_t serverCount() const;
+    // -- Observability ------------------------------------------------------
 
     /**
-     * Worker-pool utilization per replica server in [0, 1]: busy
-     * core-time over capacity x elapsed simulated time.
+     * Every load and outcome counter of the deployment at engine().now(),
+     * in one value. Built only when called: it schedules no event, draws
+     * no random number and changes nothing a replay reads, so a read from
+     * an engine() callback mid-replay leaves every RequestStats
+     * byte-identical (serving_stress_test checks it).
      */
-    std::vector<double> serverUtilization() const;
-
-    /** Main-shard worker-pool utilization in [0, 1]. */
-    double mainUtilization() const;
+    ServingMetrics metrics() const;
 
     /**
-     * Requests currently waiting for a main-shard worker core. A live
-     * congestion signal for queue-aware batching: zero depth with idle
-     * workers means a new injection starts immediately.
+     * True when no request waits for a main-shard worker core and one is
+     * free, i.e. an injection now starts at once. The queue-aware
+     * batcher's live congestion probe; O(1).
      */
-    std::size_t mainQueueDepth() const;
-
-    /** Main-shard worker cores currently idle. */
-    std::size_t mainIdleWorkers() const;
+    bool mainPoolIdle() const;
 
     /**
-     * Peak (in-flight + queued) depth observed at each replica server at
-     * RPC dispatch, the load-balancing quality signal: a policy that
-     * spreads load keeps the max across replicas low.
+     * metrics().hedge and metrics().result_cache under their old names.
+     * They exist only for the fixed bench_e2e harness, which reads them;
+     * every other caller reads metrics().
      */
-    std::vector<std::size_t> serverPeakQueue() const;
-
-    /** Logical shard each replica server belongs to (size serverCount()). */
-    std::vector<int> serverShards() const;
-
-    /**
-     * Per plan shard (size numShards()): the replicas' busy core-time and
-     * mean utilization — the measured compute demand ProvisionLoop feeds
-     * back into dc::provision, and the load FleetSim bills power on.
-     */
-    std::vector<ShardLoad> shardLoad() const;
-
-    /**
-     * Effective worker-pool size of a sparse replica server (the
-     * resolved sparse_worker_threads / worker_threads / platform-cores
-     * rule). Provisioning sizes replicas against this pool, not the
-     * whole SKU. Zero for singular deployments.
-     */
-    std::size_t sparseWorkerPoolSize() const;
-
-    /** Hedging outcome counters (all zero when hedging is disabled). */
-    rpc::HedgeStats hedgeStats() const;
-
-    /** Pooled-result cache counters (all zero when the cache is off). */
-    const rpc::ResultCacheStats &resultCacheStats() const;
+    rpc::HedgeStats hedgeStats() const { return metrics().hedge; }
+    rpc::ResultCacheStats resultCacheStats() const
+    {
+        return metrics().result_cache;
+    }
 
     // -- Runtime control surface --------------------------------------------
     //
@@ -516,8 +554,8 @@ class ServingSimulation
     //  * Callable at any simulated time — before the first replay or
     //    mid-run from an engine() callback; effects are stamped at
     //    engine().now().
-    //  * `server_id` indexes replica servers in serverShards() order
-    //    (0 .. serverCount()-1) and `shard_id` plan shards
+    //  * `server_id` indexes replica servers in metrics().servers order
+    //    (0 .. servers.size()-1) and `shard_id` plan shards
     //    (0 .. numShards()-1); an id outside its range throws
     //    std::out_of_range, and a degradeReplica() multiplier <= 0
     //    throws std::invalid_argument, in every build type.
@@ -528,7 +566,7 @@ class ServingSimulation
     //    charged to the requests that issued it; only hedge-race
     //    pre-charges are reversed when an attempt dies mid-service, so
     //    hedge_wasted_cpu_ns remains a pure hedge-outcome metric. Every
-    //    fault consequence is counted in faultStats(), and requests that
+    //    fault consequence is counted in metrics().faults, and requests that
     //    exhaust their failover retries finish shed with
     //    ShedReason::UpstreamFailure.
     //  * Purity: a deployment whose control surface is never exercised
@@ -577,21 +615,6 @@ class ServingSimulation
      * the route is not.
      */
     void partitionShard(int shard_id, bool partitioned);
-
-    /** Whether a replica server is currently alive (not killed). */
-    bool replicaAlive(int server_id) const;
-
-    /** Replica servers currently alive. */
-    std::size_t aliveReplicaCount() const;
-
-    /** Injected-fault counters (all zero when faults never fired). */
-    const FaultStats &faultStats() const;
-
-    /**
-     * Sparse RPC attempts cancelled because their request was shed
-     * mid-flight (AdmissionConfig::cancel_in_flight).
-     */
-    std::uint64_t shedCancelledRpcs() const;
 
     /**
      * Read-only stand-in for a per-RPC log this class does not keep:

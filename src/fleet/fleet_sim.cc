@@ -438,7 +438,7 @@ FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
     core::ServingSimulation sim(spec_, plan_, cfg);
 
     // Fault targets address the SEGMENT's replica vector (lag segments
-    // still run the OLD vector): flat server id in serverShards() order.
+    // still run the OLD vector): flat server id, metrics().servers order.
     // Replica indexes past the shard's current size clamp to its last
     // replica, so a schedule written against the peak vector stays
     // meaningful after a scale-down.
@@ -464,8 +464,7 @@ FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
         sim.replayOpenLoop(seg.prewarm, epoch.qps); // stats discarded
     if (seg.invalidate)
         sim.invalidateResultCache();
-    const std::uint64_t warm_hits = sim.resultCacheStats().hits;
-    const std::uint64_t warm_lookups = sim.resultCacheStats().lookups;
+    const rpc::ResultCacheStats warm = sim.metrics().result_cache;
 
     const std::vector<workload::Request> slice(
         epoch.requests.begin() + static_cast<std::ptrdiff_t>(seg.lo),
@@ -493,14 +492,14 @@ FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
     if (seg.steady)
         tally.steady_stats.insert(tally.steady_stats.end(), stats.begin(),
                                   stats.end());
-    tally.result_cache_hits += sim.resultCacheStats().hits - warm_hits;
-    tally.result_cache_lookups +=
-        sim.resultCacheStats().lookups - warm_lookups;
-    const rpc::HedgeStats hs = sim.hedgeStats();
-    tally.primary_rpcs += hs.primary_rpcs;
-    tally.hedges += hs.hedges;
-    for (const std::size_t q : sim.serverPeakQueue())
-        tally.peak_replica_queue = std::max(tally.peak_replica_queue, q);
+    const core::ServingMetrics m = sim.metrics();
+    tally.result_cache_hits += m.result_cache.hits - warm.hits;
+    tally.result_cache_lookups += m.result_cache.lookups - warm.lookups;
+    tally.primary_rpcs += m.hedge.primary_rpcs;
+    tally.hedges += m.hedge.hedges;
+    for (const core::ServerMetrics &server : m.servers)
+        tally.peak_replica_queue =
+            std::max(tally.peak_replica_queue, server.peak_queue);
 
     // Energy over the segment's share of the epoch: each sparse replica
     // at its shard's measured utilization, machines still booting at
@@ -508,14 +507,14 @@ FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
     const dc::Platform &sp = base_.sparse_platform;
     tally.shard_utilization.clear();
     double watts = 0.0;
-    for (const core::ShardLoad &load : sim.shardLoad()) {
+    for (const core::ShardLoad &load : m.shards) {
         const std::size_t s = tally.shard_utilization.size();
         tally.shard_utilization.push_back(load.utilization);
         watts += static_cast<double>(replicas[s]) *
                  sp.powerWatts(load.utilization);
     }
     watts += seg.booting * sp.idle_watts;
-    watts += base_.main_platform.powerWatts(sim.mainUtilization());
+    watts += base_.main_platform.powerWatts(m.main_utilization);
     const double frac = static_cast<double>(seg.hi - seg.lo) /
                         static_cast<double>(epoch.requests.size());
     tally.watt_hours += watts * kEpochHours * frac;

@@ -101,7 +101,7 @@ DynamicBatcher::offer(const workload::Request &request)
         // anyway; coalescing during that wait is free (and the bigger
         // batch amortizes per-request overhead), so hold until the size
         // cap fires or the delay bound expires.
-        if (sim_.mainQueueDepth() == 0 && sim_.mainIdleWorkers() > 0) {
+        if (sim_.mainPoolIdle()) {
             flushNow();
         } else if (!timer_armed_) {
             armTimer(deadline);
@@ -135,8 +135,7 @@ DynamicBatcher::armTimer(sim::SimTime deadline)
                 return; // batch already flushed
             if (cfg_.policy == BatchPolicy::QueueAware &&
                 sim_.engine().now() < deadline &&
-                !(sim_.mainQueueDepth() == 0 &&
-                  sim_.mainIdleWorkers() > 0)) {
+                !sim_.mainPoolIdle()) {
                 timer_armed_ = false;
                 armTimer(deadline); // still backlogged: keep holding
                 return;

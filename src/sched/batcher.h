@@ -30,7 +30,7 @@
  *                   backlog exists the riders would be queueing anyway,
  *                   so coalescing is free — hold until the size cap or
  *                   the delay bound. Reads the simulation's live
- *                   mainQueueDepth()/mainIdleWorkers() probe.
+ *                   mainPoolIdle() probe.
  */
 #pragma once
 

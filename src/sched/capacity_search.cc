@@ -90,7 +90,7 @@ CapacitySearch::probe(double qps,
     p.shed_rate = core::shedRate(stats);
     p.feasible = q.p99_ms <= search_.slo.p99_ms &&
                  p.shed_rate <= search_.slo.max_shed_rate;
-    const rpc::HedgeStats h = sim.hedgeStats();
+    const rpc::HedgeStats h = sim.metrics().hedge;
     p.hedge_rate = h.hedgeRate();
     p.hedge_wasted_frac = h.wastedFraction();
     return p;

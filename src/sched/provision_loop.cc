@@ -61,7 +61,8 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     ProvisionIteration it;
     it.replicas = replicas;
     it.p99_ms = core::latencyQuantiles(stats).p99_ms;
-    it.main_utilization = sim.mainUtilization();
+    const core::ServingMetrics m = sim.metrics();
+    it.main_utilization = m.main_utilization;
 
     // Measured demand: each shard's busy core-time across its replicas,
     // amortized over the offered request stream. Queueing delays shift
@@ -69,7 +70,7 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     // nearly invariant to the replica vector it was measured under —
     // which is what makes the fixed-point iteration converge.
     const auto offered = static_cast<double>(requests.size());
-    for (const core::ShardLoad &load : sim.shardLoad()) {
+    for (const core::ShardLoad &load : m.shards) {
         it.shard_cpu_ms_per_request.push_back(load.busy_core_ms / offered);
         it.shard_utilization.push_back(load.utilization);
     }
@@ -79,7 +80,8 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     // uses), not the whole SKU, so provision sees a platform whose core
     // count is the pool the simulation actually ran with.
     dc::Platform pool_platform = cfg.sparse_platform;
-    pool_platform.cores = static_cast<int>(sim.sparseWorkerPoolSize());
+    pool_platform.cores =
+        m.servers.empty() ? 0 : static_cast<int>(m.servers.front().pool_size);
 
     std::vector<dc::ShardDemand> demands;
     demands.reserve(shards);

@@ -1,12 +1,11 @@
 #include "sim/resource.h"
 
 #include <cassert>
-#include <utility>
 
 namespace dri::sim {
 
-Resource::Resource(Engine &engine, std::size_t capacity, std::string name)
-    : engine_(engine), capacity_(capacity), name_(std::move(name))
+Resource::Resource(Engine &engine, std::size_t capacity)
+    : engine_(engine), capacity_(capacity)
 {
     assert(capacity > 0);
 }

@@ -10,7 +10,6 @@
 #include <cassert>
 #include <cstddef>
 #include <deque>
-#include <string>
 #include <utility>
 
 #include "sim/engine.h"
@@ -34,7 +33,7 @@ class Resource
      */
     using Grant = EventFn;
 
-    Resource(Engine &engine, std::size_t capacity, std::string name = "");
+    Resource(Engine &engine, std::size_t capacity);
 
     /** Request a unit; cb runs (now or later) once granted. */
     void
@@ -86,7 +85,6 @@ class Resource
     std::size_t capacity() const { return capacity_; }
     std::size_t inUse() const { return in_use_; }
     std::size_t queued() const { return waiters_.size(); }
-    const std::string &name() const { return name_; }
 
     /**
      * Cumulative busy time integral (unit-nanoseconds) for utilization
@@ -99,7 +97,6 @@ class Resource
     std::size_t capacity_;
     std::size_t in_use_ = 0;
     std::deque<Grant> waiters_;
-    std::string name_;
 
     // Utilization bookkeeping.
     mutable SimTime last_change_ = 0;

@@ -44,6 +44,15 @@ chaosConfig()
     return cfg;
 }
 
+/** Replica servers alive in a metrics snapshot. */
+std::size_t
+aliveServers(const core::ServingMetrics &m)
+{
+    return static_cast<std::size_t>(
+        std::count_if(m.servers.begin(), m.servers.end(),
+                      [](const core::ServerMetrics &s) { return s.alive; }));
+}
+
 double
 meanE2eMs(const std::vector<core::RequestStats> &stats)
 {
@@ -69,16 +78,17 @@ TEST(Chaos, KillReplicaRetriesMaskTheLossAndDiscoveryHealsIt)
     const auto reqs = requestsFor(spec, 40);
 
     core::ServingSimulation sim(spec, plan, chaosConfig());
-    const auto all = sim.serverCount();
+    const auto all = sim.metrics().servers.size();
     sim.killReplica(0);
-    EXPECT_FALSE(sim.replicaAlive(0));
-    EXPECT_EQ(sim.aliveReplicaCount(), all - 1);
+    const core::ServingMetrics killed = sim.metrics();
+    EXPECT_FALSE(killed.servers[0].alive);
+    EXPECT_EQ(aliveServers(killed), all - 1);
 
     const auto stats = sim.replayOpenLoop(reqs, 500.0);
     ASSERT_EQ(stats.size(), reqs.size());
     // Every request still terminates: the dead replica costs timeouts
     // and failover retries, never hung requests.
-    const auto &fs = sim.faultStats();
+    const core::FaultStats fs = sim.metrics().faults;
     EXPECT_EQ(fs.kills, 1u);
     EXPECT_GT(fs.dead_target_attempts, 0u);
     EXPECT_GT(fs.retries, 0u);
@@ -100,14 +110,16 @@ TEST(Chaos, KillAndRestoreAreIdempotentAndSymmetric)
 
     sim.killReplica(3);
     sim.killReplica(3); // redundant: no-op
-    EXPECT_EQ(sim.faultStats().kills, 1u);
-    EXPECT_FALSE(sim.replicaAlive(3));
+    const core::ServingMetrics killed = sim.metrics();
+    EXPECT_EQ(killed.faults.kills, 1u);
+    EXPECT_FALSE(killed.servers[3].alive);
 
     sim.restoreReplica(3);
     sim.restoreReplica(3); // redundant: no-op
-    EXPECT_EQ(sim.faultStats().restores, 1u);
-    EXPECT_TRUE(sim.replicaAlive(3));
-    EXPECT_EQ(sim.aliveReplicaCount(), sim.serverCount());
+    const core::ServingMetrics restored = sim.metrics();
+    EXPECT_EQ(restored.faults.restores, 1u);
+    EXPECT_TRUE(restored.servers[3].alive);
+    EXPECT_EQ(aliveServers(restored), restored.servers.size());
 
     // A restored fleet serves cleanly again.
     const auto stats = sim.replayOpenLoop(requestsFor(spec, 20), 400.0);
@@ -135,7 +147,7 @@ TEST(Chaos, DegradedReplicaInflatesLatencyDeterministically)
     // Persistent slow node: same draws (CRN), slower service on one
     // replica only — latency strictly worse, nothing shed or killed.
     EXPECT_GT(meanE2eMs(degraded), meanE2eMs(fast));
-    EXPECT_EQ(slow.faultStats().kills, 0u);
+    EXPECT_EQ(slow.metrics().faults.kills, 0u);
     for (const auto &s : degraded)
         EXPECT_FALSE(s.shed());
 
@@ -165,7 +177,7 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
     // Every fan-out needs shard 0; the partition drops primary AND
     // retry attempts, so requests fail upstream — gracefully shed with
     // the dedicated reason, never hung.
-    const auto &fs = sim.faultStats();
+    const core::FaultStats fs = sim.metrics().faults;
     EXPECT_GT(fs.partition_drops, 0u);
     EXPECT_GT(fs.upstream_failures, 0u);
     std::size_t upstream_shed = 0;
@@ -179,7 +191,7 @@ TEST(Chaos, PartitionedShardShedsUpstreamAfterRetriesExhaust)
     const auto healed = sim.replayOpenLoop(requestsFor(spec, 10, 9), 300.0);
     for (const auto &s : healed)
         EXPECT_FALSE(s.shed());
-    EXPECT_EQ(sim.faultStats().partition_drops, fs.partition_drops);
+    EXPECT_EQ(sim.metrics().faults.partition_drops, fs.partition_drops);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,7 +205,7 @@ using testutil::Digest;
  * cancellation at overload, the result cache, and mid-run kill /
  * restore / degrade / partition calls that force failover retries,
  * lost-in-service work and upstream failures; then the same deployment
- * with one main worker pushed far past capacity. faultStats() with the
+ * with one main worker pushed far past capacity. The fault counters with the
  * hedge counters and each request's latency and CPU accounting, and
  * every span of both tracers, fold into pinned digests: a refactor of
  * the serving core's attempt lifecycle must leave both unchanged.
@@ -270,7 +282,8 @@ TEST(Chaos, KitchenSinkDigestsArePinned)
     ASSERT_EQ(burst.size(), 300u);
 
     // Together the two runs reach every fault and shed path they pin.
-    const core::FaultStats &fs = sim.faultStats();
+    const core::ServingMetrics m = sim.metrics();
+    const core::FaultStats &fs = m.faults;
     std::size_t queue_shed = 0, deadline_shed = 0, upstream_shed = 0,
                 cache_hits = 0;
     for (const auto *run : {&stats, &burst})
@@ -293,8 +306,8 @@ TEST(Chaos, KitchenSinkDigestsArePinned)
     EXPECT_EQ(upstream_shed, fs.upstream_failures);
     EXPECT_GT(queue_shed, 0u);
     EXPECT_GT(deadline_shed, 0u);
-    EXPECT_GT(sim.shedCancelledRpcs(), 0u);
-    EXPECT_GT(sim.hedgeStats().hedges, 0u);
+    EXPECT_GT(m.shed_cancelled_rpcs, 0u);
+    EXPECT_GT(m.hedge.hedges, 0u);
     EXPECT_GT(cache_hits, 0u);
 
     Digest ledger;
@@ -304,10 +317,11 @@ TEST(Chaos, KitchenSinkDigestsArePinned)
           fs.upstream_failures})
         ledger.mix(v);
     for (const core::ServingSimulation *run : {&sim, &overloaded}) {
-        const rpc::HedgeStats h = run->hedgeStats();
+        const core::ServingMetrics rm = run->metrics();
+        const rpc::HedgeStats &h = rm.hedge;
         for (const std::uint64_t v :
              {h.primary_rpcs, h.hedges, h.wins, h.losses, h.cancelled,
-              h.suppressed, run->shedCancelledRpcs()})
+              h.suppressed, rm.shed_cancelled_rpcs})
             ledger.mix(v);
         ledger.mixDouble(h.wasted_busy_ns);
     }
@@ -345,22 +359,23 @@ class ControlSurfaceMisuse : public ::testing::Test
     const model::ModelSpec spec = model::makeDrm2();
     const core::ShardingPlan plan = core::makeCapacityBalanced(spec, 4);
     core::ServingSimulation sim{spec, plan, chaosConfig()};
-    const int servers = static_cast<int>(sim.serverCount());
+    const int servers = static_cast<int>(sim.metrics().servers.size());
 };
 
 TEST_F(ControlSurfaceMisuse, KillReplicaRejectsOutOfRangeIds)
 {
     EXPECT_THROW(sim.killReplica(servers), std::out_of_range);
     EXPECT_THROW(sim.killReplica(-1), std::out_of_range);
-    EXPECT_EQ(sim.faultStats().kills, 0u);
-    EXPECT_EQ(sim.aliveReplicaCount(), sim.serverCount());
+    const core::ServingMetrics m = sim.metrics();
+    EXPECT_EQ(m.faults.kills, 0u);
+    EXPECT_EQ(aliveServers(m), m.servers.size());
 }
 
 TEST_F(ControlSurfaceMisuse, RestoreReplicaRejectsOutOfRangeIds)
 {
     EXPECT_THROW(sim.restoreReplica(servers), std::out_of_range);
     EXPECT_THROW(sim.restoreReplica(-1), std::out_of_range);
-    EXPECT_EQ(sim.faultStats().restores, 0u);
+    EXPECT_EQ(sim.metrics().faults.restores, 0u);
 }
 
 TEST_F(ControlSurfaceMisuse, DegradeReplicaRejectsOutOfRangeIds)
@@ -382,13 +397,6 @@ TEST_F(ControlSurfaceMisuse, PartitionShardRejectsOutOfRangeIds)
     EXPECT_THROW(sim.partitionShard(plan.numShards(), true),
                  std::out_of_range);
     EXPECT_THROW(sim.partitionShard(-1, true), std::out_of_range);
-}
-
-TEST_F(ControlSurfaceMisuse, ReplicaAliveRejectsOutOfRangeIds)
-{
-    EXPECT_THROW(sim.replicaAlive(servers), std::out_of_range);
-    EXPECT_THROW(sim.replicaAlive(-1), std::out_of_range);
-    EXPECT_TRUE(sim.replicaAlive(servers - 1));
 }
 
 // ---------------------------------------------------------------------------

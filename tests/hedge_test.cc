@@ -49,10 +49,11 @@ double
 meanUtil(const core::ServingSimulation &sim)
 {
     double acc = 0.0;
-    const auto util = sim.serverUtilization();
-    for (double u : util)
-        acc += u;
-    return util.empty() ? 0.0 : acc / static_cast<double>(util.size());
+    const auto servers = sim.metrics().servers;
+    for (const core::ServerMetrics &server : servers)
+        acc += server.utilization;
+    return servers.empty() ? 0.0
+                           : acc / static_cast<double>(servers.size());
 }
 
 /**
@@ -106,7 +107,7 @@ TEST(Hedge, DisabledProducesNoHedgeActivity)
         sched::hedgeStudyConfig(rpc::LoadBalancePolicy::LeastOutstanding,
                                 3, /*hedged=*/false));
     const auto stats = sim.replayOpenLoop(requests, 500.0);
-    const auto h = sim.hedgeStats();
+    const rpc::HedgeStats h = sim.metrics().hedge;
     EXPECT_GT(h.primary_rpcs, 0u);
     EXPECT_EQ(h.hedges, 0u);
     EXPECT_EQ(h.wins, 0u);
@@ -130,7 +131,7 @@ TEST(Hedge, SingleReplicaCannotHedge)
         sched::hedgeStudyConfig(rpc::LoadBalancePolicy::LeastOutstanding,
                                 1, /*hedged=*/true));
     sim.replayOpenLoop(requests, 500.0);
-    EXPECT_EQ(sim.hedgeStats().hedges, 0u);
+    EXPECT_EQ(sim.metrics().hedge.hedges, 0u);
 }
 
 TEST(Hedge, OutcomeCountersAreConserved)
@@ -144,7 +145,7 @@ TEST(Hedge, OutcomeCountersAreConserved)
         sched::hedgeStudyConfig(rpc::LoadBalancePolicy::LeastOutstanding,
                                 3, /*hedged=*/true));
     const auto stats = sim.replayOpenLoop(requests, 1500.0);
-    const auto h = sim.hedgeStats();
+    const rpc::HedgeStats h = sim.metrics().hedge;
     ASSERT_GT(h.hedges, 0u);
     // Every launched backup ends exactly one way.
     EXPECT_EQ(h.wins + h.losses + h.cancelled, h.hedges);
@@ -180,7 +181,7 @@ TEST(Hedge, BatchedRidersNeverWinWithoutAHedge)
     bc.policy = sched::BatchPolicy::QueueAware;
     const auto stats =
         sched::runBatchedOpenLoop(sim, requests, 1500.0, bc);
-    const auto h = sim.hedgeStats();
+    const rpc::HedgeStats h = sim.metrics().hedge;
     ASSERT_GT(h.hedges, 0u);
     std::uint64_t hedges = 0, wins = 0;
     for (const auto &s : stats) {
@@ -291,18 +292,19 @@ TEST(ShedCancel, NoSparseBusyTimeChargedAfterMidFlightShed)
     core::RequestStats shed_stats;
     sim.inject(requests[0], [&](const core::RequestStats &s) {
         shed_stats = s;
-        busy_at_shed = sim.hedgeStats().total_busy_ns;
+        busy_at_shed = sim.metrics().hedge.total_busy_ns;
     });
     sim.engine().run();
 
     EXPECT_EQ(shed_stats.shed_reason, core::ShedReason::DeadlineExceeded);
     EXPECT_GT(shed_stats.rpc_count, 0); // the fan-out really was in flight
-    EXPECT_GT(sim.shedCancelledRpcs(), 0u);
+    const core::ServingMetrics m = sim.metrics();
+    EXPECT_GT(m.shed_cancelled_rpcs, 0u);
     // Shed-cancelled work is not hedge waste: with hedging disabled the
     // hedge counters stay all-zero even through mid-flight aborts — at
     // the simulation level AND in the emitted per-request stats (the
     // attempt pre-charges must be settled before the shed stats go out).
-    EXPECT_EQ(sim.hedgeStats().wasted_busy_ns, 0.0);
+    EXPECT_EQ(m.hedge.wasted_busy_ns, 0.0);
     EXPECT_EQ(shed_stats.hedges, 0);
     EXPECT_NEAR(shed_stats.hedge_wasted_cpu_ns, 0.0, 1.0);
     // The settled cpu_* buckets hold only work actually consumed.
@@ -310,7 +312,7 @@ TEST(ShedCancel, NoSparseBusyTimeChargedAfterMidFlightShed)
     EXPECT_GE(shed_stats.cpu_serde_ns, 0.0);
     EXPECT_GE(shed_stats.cpu_service_ns, 0.0);
     ASSERT_GE(busy_at_shed, 0.0);
-    EXPECT_DOUBLE_EQ(busy_at_shed, sim.hedgeStats().total_busy_ns);
+    EXPECT_DOUBLE_EQ(busy_at_shed, m.hedge.total_busy_ns);
 }
 
 /**
@@ -335,8 +337,9 @@ TEST(ShedCancel, CancellationReclaimsSparseBusyUnderOverload)
         core::ServingSimulation sim(spec, plan, cfg);
         const auto stats = sim.replayOpenLoop(requests, 1800.0);
         ASSERT_EQ(stats.size(), requests.size());
-        busy[cancel ? 1 : 0] = sim.hedgeStats().total_busy_ns;
-        cancelled[cancel ? 1 : 0] = sim.shedCancelledRpcs();
+        const core::ServingMetrics m = sim.metrics();
+        busy[cancel ? 1 : 0] = m.hedge.total_busy_ns;
+        cancelled[cancel ? 1 : 0] = m.shed_cancelled_rpcs;
         if (cancel) {
             for (const auto &s : stats)
                 if (s.shed() && s.rpc_count > 0)
@@ -371,7 +374,7 @@ TEST(HedgeTrace, LoserAndCancelledAttemptsCloseTheirSpans)
     cfg.tracer = &tracer;
     core::ServingSimulation sim(spec, plan, cfg);
     sim.replayOpenLoop(requests, 1500.0);
-    const auto h = sim.hedgeStats();
+    const rpc::HedgeStats h = sim.metrics().hedge;
     ASSERT_GT(h.hedges, 0u);
 
     EXPECT_EQ(tracer.openCount(), 0u);
@@ -422,7 +425,7 @@ TEST(HedgeTrace, MidFlightShedClosesCancelledAttemptSpans)
     cfg.tracer = &tracer;
     core::ServingSimulation sim(spec, plan, cfg);
     const auto stats = sim.replayOpenLoop(requests, 1800.0);
-    ASSERT_GT(sim.shedCancelledRpcs(), 0u);
+    ASSERT_GT(sim.metrics().shed_cancelled_rpcs, 0u);
 
     EXPECT_EQ(tracer.openCount(), 0u);
     const auto rep = obs::checkConservation(tracer.spans());
@@ -462,7 +465,7 @@ TEST(HedgeProperty, WastedWorkBoundedByBudgetAtLowLoad)
             rpc::LoadBalancePolicy::LeastOutstanding, 3, true, seed);
         core::ServingSimulation sim(spec, plan, cfg);
         sim.replayOpenLoop(requests, 300.0);
-        const auto h = sim.hedgeStats();
+        const rpc::HedgeStats h = sim.metrics().hedge;
         ASSERT_GT(h.hedges, 0u) << "seed=" << seed;
         EXPECT_LE(h.wastedFraction(), cfg.hedge.max_hedge_fraction)
             << "seed=" << seed;

@@ -437,7 +437,7 @@ TEST(ResultCacheServing, RepeatedShapesShortCircuitRpcs)
     const ServingFixture fx;
     core::ServingSimulation sim(fx.spec, fx.plan, fx.config(true));
     const auto stats = sim.replayOpenLoop(fx.requests, 300.0);
-    const auto &rcs = sim.resultCacheStats();
+    const rpc::ResultCacheStats rcs = sim.metrics().result_cache;
 
     ASSERT_GT(rcs.hits, 0u);
     EXPECT_GT(rcs.hitRate(), 0.5); // 12 shapes tiled 20x: mostly repeats
@@ -530,7 +530,7 @@ TEST(ResultCacheServing, DisabledLeavesCountersZero)
     const ServingFixture fx;
     core::ServingSimulation sim(fx.spec, fx.plan, fx.config(false));
     const auto stats = sim.replayOpenLoop(fx.requests, 300.0);
-    EXPECT_EQ(sim.resultCacheStats().lookups, 0u);
+    EXPECT_EQ(sim.metrics().result_cache.lookups, 0u);
     for (const auto &s : stats) {
         EXPECT_EQ(s.result_cache_hits, 0);
         EXPECT_EQ(s.result_cache_misses, 0);
@@ -558,18 +558,18 @@ TEST(ResultCacheServing, InvalidateHookEmptiesAndRepopulates)
     const auto r1 = fx.requests[0];
     sim.inject(r1, nullptr);
     sim.engine().run();
-    ASSERT_GT(sim.resultCacheStats().insertions, 0u);
+    ASSERT_GT(sim.metrics().result_cache.insertions, 0u);
 
     sim.invalidateResultCache();
-    EXPECT_EQ(sim.resultCacheStats().invalidations, 1u);
+    EXPECT_EQ(sim.metrics().result_cache.invalidations, 1u);
 
     // The same shape re-fetches (miss) after the refresh boundary.
-    const auto before = sim.resultCacheStats().misses;
+    const auto before = sim.metrics().result_cache.misses;
     auto r2 = r1;
     r2.id = 9999;
     sim.inject(r2, nullptr);
     sim.engine().run();
-    EXPECT_GT(sim.resultCacheStats().misses, before);
+    EXPECT_GT(sim.metrics().result_cache.misses, before);
 }
 
 TEST(ResultCacheServing, TtlBoundsStalenessAcrossReplay)
@@ -579,7 +579,7 @@ TEST(ResultCacheServing, TtlBoundsStalenessAcrossReplay)
     cfg.result_cache.ttl_ns = 5 * sim::kMillisecond;
     core::ServingSimulation sim(fx.spec, fx.plan, cfg);
     sim.replayOpenLoop(fx.requests, 300.0); // ~0.8 s of traffic
-    const auto &rcs = sim.resultCacheStats();
+    const rpc::ResultCacheStats rcs = sim.metrics().result_cache;
     // At a 5 ms TTL and ~3.3 ms mean inter-arrival, entries keep
     // expiring: expirations must be visible and hits still happen
     // between refreshes.

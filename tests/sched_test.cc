@@ -311,8 +311,10 @@ TEST(LoadBalanceProperty, PowerOfTwoNeverExceedsRoundRobinMaxQueue)
         core::ServingSimulation sim(spec, plan,
                                     sparseBoundConfig(3, policy, seed));
         sim.replayOpenLoop(requests, qps);
-        const auto peaks = sim.serverPeakQueue();
-        return *std::max_element(peaks.begin(), peaks.end());
+        std::size_t peak = 0;
+        for (const core::ServerMetrics &server : sim.metrics().servers)
+            peak = std::max(peak, server.peak_queue);
+        return peak;
     };
 
     for (const std::uint64_t seed : {0xd15c0ull, 0x5eedull, 0xfaceull})
@@ -557,11 +559,11 @@ TEST(Serving, HeterogeneousReplicaVectorShapesTheDeployment)
     cfg.sparse_replicas_per_shard = {3, 1, 2, 4};
     core::ServingSimulation sim(spec, plan, cfg);
 
-    EXPECT_EQ(sim.serverCount(), 10u);
-    const auto shards = sim.serverShards();
+    const core::ServingMetrics m = sim.metrics();
+    EXPECT_EQ(m.servers.size(), 10u);
     std::vector<int> per_shard(4, 0);
-    for (int s : shards)
-        ++per_shard[static_cast<std::size_t>(s)];
+    for (const core::ServerMetrics &server : m.servers)
+        ++per_shard[static_cast<std::size_t>(server.shard)];
     EXPECT_EQ(per_shard, (std::vector<int>{3, 1, 2, 4}));
 }
 

@@ -276,19 +276,46 @@ digestRun(const core::ServingSimulation &sim,
         for (const double v : s.shard_net_op_ns)
             d.mixDouble(v);
     }
-    const rpc::HedgeStats h = sim.hedgeStats();
-    const core::FaultStats &f = sim.faultStats();
+    const core::ServingMetrics m = sim.metrics();
+    const rpc::HedgeStats &h = m.hedge;
+    const core::FaultStats &f = m.faults;
     for (const std::uint64_t v :
          {h.primary_rpcs, h.hedges, h.wins, h.losses, h.cancelled,
           h.suppressed, f.kills, f.restores, f.dead_target_attempts,
           f.partition_drops, f.lost_in_service, f.retries,
           f.resolution_failures, f.upstream_failures,
-          sim.shedCancelledRpcs(), sim.resultCacheStats().hits})
+          m.shed_cancelled_rpcs, m.result_cache.hits})
         d.mix(v);
     d.mixDouble(h.wasted_busy_ns);
     d.mixDouble(h.total_busy_ns);
     testutil::mixSpans(d, tracer.spans());
     return d.h;
+}
+
+/**
+ * The snapshot's views agree: per-shard busy time sums to per-server
+ * busy time, which is also the hedge ledger's total; every server sits
+ * on a plan shard; the alive servers are those never killed or since
+ * restored.
+ */
+void
+expectConsistentMetrics(const core::ServingMetrics &m, int shards)
+{
+    ASSERT_EQ(m.shards.size(), static_cast<std::size_t>(shards));
+    double server_busy_ns = 0.0;
+    std::size_t alive = 0;
+    for (const core::ServerMetrics &server : m.servers) {
+        EXPECT_GE(server.shard, 0);
+        EXPECT_LT(server.shard, shards);
+        server_busy_ns += server.busy_core_ns;
+        alive += server.alive ? 1 : 0;
+    }
+    double shard_busy_ms = 0.0;
+    for (const core::ShardLoad &load : m.shards)
+        shard_busy_ms += load.busy_core_ms;
+    EXPECT_NEAR(shard_busy_ms * 1e6, server_busy_ns, 1e-9 * server_busy_ns);
+    EXPECT_EQ(m.hedge.total_busy_ns, server_busy_ns);
+    EXPECT_EQ(alive, m.servers.size() - m.faults.kills + m.faults.restores);
 }
 
 /** Paths a run reached, summed over cases by the coverage test. */
@@ -310,12 +337,13 @@ struct Reached
             counts["cache_hits"] +=
                 static_cast<std::uint64_t>(s.result_cache_hits);
         }
-        const rpc::HedgeStats h = sim.hedgeStats();
-        const core::FaultStats &f = sim.faultStats();
+        const core::ServingMetrics m = sim.metrics();
+        const rpc::HedgeStats &h = m.hedge;
+        const core::FaultStats &f = m.faults;
         counts["hedges"] += h.hedges;
         counts["hedge_wins"] += h.wins;
         counts["hedge_losses"] += h.losses;
-        counts["shed_cancelled"] += sim.shedCancelledRpcs();
+        counts["shed_cancelled"] += m.shed_cancelled_rpcs;
         counts["kills"] += f.kills;
         counts["restores"] += f.restores;
         counts["dead_target"] += f.dead_target_attempts;
@@ -385,6 +413,7 @@ runCase(const Case &c, Reached *reached = nullptr)
     EXPECT_EQ(stats.size(), c.requests.size());
     for (const auto &r : c.requests)
         EXPECT_EQ(seen[r.id], 1) << "request " << r.id;
+    expectConsistentMetrics(sim.metrics(), c.plan.numShards());
     if (reached != nullptr)
         reached->add(sim, stats);
     return digestRun(sim, stats, tracer);

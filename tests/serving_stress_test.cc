@@ -183,8 +183,8 @@ class ServingStressTest : public ::testing::Test
     }
 
     /**
-     * Digests of every RequestStats field of every request plus
-     * hedgeStats(), resultCacheStats() and shedCancelledRpcs() of every
+     * Digests of every RequestStats field of every request plus the
+     * hedge, result-cache and shed-cancel counters of metrics() at every
      * grid point (`stats`), and of every span a tracer records, in the
      * storage-independent order of testutil::mixSpans (`spans`, over
      * `span_count` spans). `tweak` adjusts each point's config before
@@ -211,7 +211,8 @@ class ServingStressTest : public ::testing::Test
             for (const auto &s : replay(sim, p))
                 mixStats(stats, s);
 
-            const rpc::HedgeStats h = sim.hedgeStats();
+            const core::ServingMetrics m = sim.metrics();
+            const rpc::HedgeStats &h = m.hedge;
             stats.mix(h.primary_rpcs);
             stats.mix(h.hedges);
             stats.mix(h.wins);
@@ -220,7 +221,7 @@ class ServingStressTest : public ::testing::Test
             stats.mix(h.suppressed);
             stats.mixDouble(h.wasted_busy_ns);
             stats.mixDouble(h.total_busy_ns);
-            const rpc::ResultCacheStats &rc = sim.resultCacheStats();
+            const rpc::ResultCacheStats &rc = m.result_cache;
             stats.mix(rc.lookups);
             stats.mix(rc.hits);
             stats.mix(rc.misses);
@@ -229,7 +230,7 @@ class ServingStressTest : public ::testing::Test
             stats.mix(rc.evictions);
             stats.mix(rc.invalidations);
             stats.mixInt(rc.bytes_saved);
-            stats.mix(sim.shedCancelledRpcs());
+            stats.mix(m.shed_cancelled_rpcs);
 
             span_count += testutil::mixSpans(spans, tracer.spans());
         }
@@ -262,15 +263,30 @@ class ServingStressTest : public ::testing::Test
         return sched::runBatchedOpenLoop(sim, requests_, 1500.0, bc);
     }
 
+    /**
+     * One replay of `p` on a fresh deployment. With `read_metrics`, an
+     * engine callback takes a metrics() snapshot every 5 ms of simulated
+     * time while the replay runs.
+     */
     std::vector<core::RequestStats>
     run(const GridPoint &p, obs::SpanTracer *tracer = nullptr,
-        obs::RollingHistogram *latency_feed = nullptr) const
+        obs::RollingHistogram *latency_feed = nullptr,
+        bool read_metrics = false) const
     {
         auto cfg = configFor(p);
         cfg.tracer = tracer;
         cfg.latency_feed = latency_feed;
         core::ServingSimulation sim(spec_, plan_, cfg);
-        return replay(sim, p);
+        std::size_t reads = 0;
+        if (read_metrics)
+            for (int i = 1; i <= 20; ++i)
+                sim.engine().scheduleAt(i * 5 * sim::kMillisecond,
+                                        sim::kEvTimer, [&sim, &reads] {
+                                            reads += sim.metrics().at > 0;
+                                        });
+        auto stats = replay(sim, p);
+        EXPECT_EQ(reads, read_metrics ? 20u : 0u) << p.label();
+        return stats;
     }
 
     model::ModelSpec spec_;
@@ -359,8 +375,8 @@ TEST_F(ServingStressTest, EveryConfigConservesRequests)
 /**
  * Lifecycle invariants on every grid point, checked through the public
  * API: each injected id completes exactly once, the main shard ends with
- * an empty queue and every worker idle, and the drained simulation
- * serves a second replay of the same requests in full.
+ * an empty queue and every worker idle (checkDrained), and the drained
+ * simulation serves a second replay of the same requests in full.
  */
 TEST_F(ServingStressTest, ReplaysDrainCompletelyAcrossConfigGrid)
 {
@@ -375,24 +391,22 @@ TEST_F(ServingStressTest, ReplaysDrainCompletelyAcrossConfigGrid)
     for (const GridPoint &p : grid()) {
         const auto cfg = configFor(p);
         core::ServingSimulation sim(spec_, plan_, cfg);
-        const std::size_t workers = sim.mainIdleWorkers();
-        EXPECT_EQ(workers, static_cast<std::size_t>(std::min(
-                               cfg.worker_threads, cfg.main_platform.cores)))
-            << p.label();
+        EXPECT_TRUE(sim.mainPoolIdle()) << p.label();
         for (int pass = 1; pass <= 2; ++pass) {
             const std::string at = p.label() + " pass " + std::to_string(pass);
             EXPECT_EQ(sortedIds(replay(sim, p)), injected) << at;
-            EXPECT_EQ(sim.mainQueueDepth(), 0u) << at;
-            EXPECT_EQ(sim.mainIdleWorkers(), workers) << at;
+            EXPECT_NO_THROW(sim.checkDrained()) << at;
+            EXPECT_TRUE(sim.mainPoolIdle()) << at;
         }
     }
 }
 
 /**
- * The pure-observer contract of the span tracer: attaching it to any
- * grid configuration leaves every field of every RequestStats
- * byte-identical to the untraced run — the tracer never consumes
- * randomness and never schedules events. The traced run additionally
+ * The pure-observer contract of the span tracer and of metrics():
+ * attaching a tracer, or reading metrics() from engine callbacks
+ * mid-replay, leaves every field of every RequestStats byte-identical
+ * to the plain run — neither consumes randomness, and the reads' own
+ * timer events change no simulated state. The traced run additionally
  * has to produce a structurally sound trace: zero open spans, zero
  * nesting violations, and (for unbatched replays) exactly one root
  * span per injected request.
@@ -411,6 +425,12 @@ TEST_F(ServingStressTest, TracingLeavesStatsByteIdentical)
                     for (std::size_t i = 0; i < baseline.size(); ++i)
                         expectIdentical(baseline[i], traced[i],
                                         p.label() + " traced req " +
+                                            std::to_string(i));
+                    const auto read = run(p, nullptr, nullptr, true);
+                    ASSERT_EQ(baseline.size(), read.size()) << p.label();
+                    for (std::size_t i = 0; i < baseline.size(); ++i)
+                        expectIdentical(baseline[i], read[i],
+                                        p.label() + " metrics-read req " +
                                             std::to_string(i));
 
                     const auto rep =

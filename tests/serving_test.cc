@@ -337,7 +337,7 @@ TEST(ServingRequestState, StaleShedTimerSkipsTheRequestThatReusedItsActive)
         EXPECT_EQ(stats[i].e2e, free_run[i].e2e) << i;
         EXPECT_EQ(stats[i].completion, free_run[i].completion) << i;
     }
-    EXPECT_EQ(sim.shedCancelledRpcs(), 0u);
+    EXPECT_EQ(sim.metrics().shed_cancelled_rpcs, 0u);
 }
 
 /**
@@ -509,6 +509,36 @@ TEST(ServingMisuse, NegativeDiscoveryLagThrows)
 {
     expectConfigRejected("faults.discovery_lag_ns",
                          [](auto &c) { c.faults.discovery_lag_ns = -1; });
+}
+
+TEST(ServingMisuse, PlatformWithoutCoresThrows)
+{
+    // -1 cores used to size a pool of ~1.8e19 workers, and 0 cores one
+    // that never grants; both now fail at construction.
+    for (const int cores : {0, -1}) {
+        expectConfigRejected("main_platform.cores", [cores](auto &c) {
+            c.main_platform.cores = cores;
+        });
+        expectConfigRejected("sparse_platform.cores", [cores](auto &c) {
+            c.sparse_platform.cores = cores;
+        });
+    }
+}
+
+TEST(ServingMisuse, PlatformCpuTimeScaleNotPositiveOrNonFiniteThrows)
+{
+    for (const double scale :
+         {0.0, -1.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        expectConfigRejected("main_platform.cpu_time_scale",
+                             [scale](auto &c) {
+                                 c.main_platform.cpu_time_scale = scale;
+                             });
+        expectConfigRejected("sparse_platform.cpu_time_scale",
+                             [scale](auto &c) {
+                                 c.sparse_platform.cpu_time_scale = scale;
+                             });
+    }
 }
 
 /**
