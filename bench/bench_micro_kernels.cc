@@ -8,6 +8,8 @@
  * times the per-attempt randomness of the serving fan-out, and the
  * HedgeWindow and ResultCacheChurn rows the two per-RPC structures of
  * the hedged open loop: the hedge deadline and the pooled-result cache.
+ * The EpochRequests and PlanReplicaVector rows time the fleet's per-epoch
+ * request stream and its capacity planner (fleet.decide's plans).
  */
 #include <benchmark/benchmark.h>
 
@@ -18,6 +20,8 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "core/trace_slicing.h"
+#include "fleet/autoscaler.h"
+#include "fleet/study.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
 #include "rpc/hedge.h"
@@ -282,6 +286,38 @@ BM_EpochRequests(benchmark::State &state)
                             280);
 }
 BENCHMARK(BM_EpochRequests);
+
+/**
+ * fleet.decide's planning step: one cache-miss
+ * CapacityPlanner::replicaVectorFor at the peak forecast, on a fresh
+ * planner over the fleet study hedged as in bench_chaos_suite. The
+ * planner is built outside the timed region. items/s = plans/s.
+ */
+void
+BM_PlanReplicaVector(benchmark::State &state)
+{
+    static const fleet::FleetStudy study = [] {
+        fleet::FleetStudy s = fleet::makeFleetStudy(false);
+        s.serving.hedge.enabled = true;
+        s.serving.hedge.quantile = 0.95;
+        s.serving.hedge.min_samples = 64;
+        s.serving.hedge.max_hedge_fraction = 0.10;
+        return s;
+    }();
+    const workload::DiurnalLoadModel load(study.spec, study.load);
+    const auto planning =
+        load.epochRequests(0, study.planner.planning_requests);
+    for (auto _ : state) {
+        state.PauseTiming();
+        fleet::CapacityPlanner planner(study.spec, study.plan, study.serving,
+                                       study.planner, planning);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(
+            planner.replicaVectorFor(load.peakForecastQps()));
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_PlanReplicaVector)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

@@ -23,11 +23,13 @@ constexpr int kProvisionIterations = 4;
 /** Generator seed of the synthesized planning stream (none passed in). */
 constexpr std::uint64_t kPlanningSeed = 0x91a2;
 /**
- * Each plan is verified with a CapacitySearch probe at the target rate,
- * bumping every shard by one replica (up to max_replicas) until the
- * probe meets the SLO — the "capacity search at the SLO boundary" step
- * that turns utilization-sized vectors into SLO-safe ones. This caps
- * the bumps per plan.
+ * Each plan is verified at the target rate, bumping every shard by one
+ * replica (up to max_replicas) until the vector meets the SLO — the
+ * "capacity search at the SLO boundary" step that turns
+ * utilization-sized vectors into SLO-safe ones. Bump 0 reads the
+ * ProvisionLoop's last iteration when monotone regularization left its
+ * vector unchanged (that iteration is the probe, already run); every
+ * other check is a CapacitySearch probe. This caps the bumps per plan.
  */
 constexpr int kMaxVerifyBumps = 3;
 
@@ -189,7 +191,8 @@ CapacityPlanner::replicaVectorFor(double qps)
     pc.min_replicas = config_.min_replicas;
     pc.max_replicas = config_.max_replicas;
     sched::ProvisionLoop loop(spec_, plan_, serving_, pc);
-    std::vector<int> vec = loop.run(planning_requests_).replicas;
+    const sched::ProvisionLoopResult sized = loop.run(planning_requests_);
+    std::vector<int> vec = sized.replicas;
 
     // Monotone regularization BEFORE verification: capacity is monotone
     // in replicas, so a cheaper-rate plan must never exceed a
@@ -213,14 +216,23 @@ CapacityPlanner::replicaVectorFor(double qps)
     // SLO-boundary verification: utilization-sized vectors can still
     // miss a tail SLO (queueing at the sized utilization, straggler
     // interference). Probe the vector at the target rate and buy
-    // replicas until the probe is feasible.
+    // replicas until the probe is feasible. The loop's last iteration
+    // is the same run as a probe of its vector (kMaxVerifyBumps).
+    const sched::ProvisionIteration &last = sized.trace.back();
     sched::CapacitySearchConfig sc;
     sc.slo = config_.slo;
-    for (int bump = 0; bump <= kMaxVerifyBumps; ++bump) {
+    const auto probeFeasible = [&] {
         core::ServingConfig cfg = serving_;
         cfg.sparse_replicas_per_shard = vec;
         sched::CapacitySearch search(spec_, plan_, cfg, sc);
-        if (search.probe(target, planning_requests_).feasible)
+        return search.probe(target, planning_requests_).feasible;
+    };
+    for (int bump = 0; bump <= kMaxVerifyBumps; ++bump) {
+        const bool feasible =
+            bump == 0 && vec == last.replicas
+                ? config_.slo.met(last.p99_ms, last.shed_rate)
+                : probeFeasible();
+        if (feasible)
             break;
         bool grew = false;
         for (auto &r : vec)

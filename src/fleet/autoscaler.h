@@ -107,7 +107,11 @@ struct PlannerConfig
  * vector the planner believes sustains `qps` under the SLO, caching by
  * quantized rate (autoscaler.cc's kQpsQuantum grid), sizing each plan
  * with at most kProvisionIterations ProvisionLoop rounds and verifying it
- * with at most kMaxVerifyBumps capacity-search probes.
+ * with at most kMaxVerifyBumps replica bumps. Each plan simulates every
+ * vector it checks once: when monotone regularization leaves the loop's
+ * final vector unchanged, the first SLO check reads the loop's last
+ * iteration (the same run a capacity-search probe would make), and every
+ * other check is a fresh probe.
  */
 class CapacityPlanner
 {
@@ -139,7 +143,7 @@ class CapacityPlanner
 
     const PlannerConfig &config() const { return config_; }
 
-    /** Planning simulations executed so far (cache-miss count). */
+    /** Plans computed so far: replicaVectorFor's cache misses. */
     int plansComputed() const { return plans_computed_; }
 
   private:

@@ -726,11 +726,9 @@ FleetSim::run(Autoscaler &policy)
         for (const auto &s : all_stats)
             rec.shed_requests += s.shed() ? 1 : 0;
         const double steady_shed = core::shedRate(tally.steady_stats);
-        rec.slo_violation = rec.p99_ms > cfg_.slo.p99_ms ||
-                            rec.shed_rate > cfg_.slo.max_shed_rate;
+        rec.slo_violation = !cfg_.slo.met(rec.p99_ms, rec.shed_rate);
         rec.steady_slo_violation =
-            rec.steady_p99_ms > cfg_.slo.p99_ms ||
-            steady_shed > cfg_.slo.max_shed_rate;
+            !cfg_.slo.met(rec.steady_p99_ms, steady_shed);
         // Utilization is the last (steady) segment's: one entry per shard.
         const std::vector<double> &util = tally.shard_utilization;
         rec.mean_sparse_utilization = meanOf(util);

@@ -88,8 +88,7 @@ CapacitySearch::probe(double qps,
     p.p99_ms = q.p99_ms;
     p.p999_ms = q.p999_ms;
     p.shed_rate = core::shedRate(stats);
-    p.feasible = q.p99_ms <= search_.slo.p99_ms &&
-                 p.shed_rate <= search_.slo.max_shed_rate;
+    p.feasible = search_.slo.met(p.p99_ms, p.shed_rate);
     const rpc::HedgeStats h = sim.metrics().hedge;
     p.hedge_rate = h.hedgeRate();
     p.hedge_wasted_frac = h.wastedFraction();

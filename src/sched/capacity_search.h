@@ -67,6 +67,15 @@ struct SloSpec
     double p99_ms = 20.0;
     /** Max fraction of requests admission control may shed. */
     double max_shed_rate = 0.01;
+
+    /**
+     * The feasibility rule: true when a run's served-request P99 and
+     * shed rate both stay within the objective.
+     */
+    bool met(double run_p99_ms, double run_shed_rate) const
+    {
+        return run_p99_ms <= p99_ms && run_shed_rate <= max_shed_rate;
+    }
 };
 
 /** Search-space and probe parameters. */

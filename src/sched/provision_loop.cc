@@ -36,6 +36,9 @@ ProvisionLoop::ProvisionLoop(const model::ModelSpec &spec,
     if (!(cfg_.target_utilization > 0.0))
         throw std::invalid_argument(
             "ProvisionLoop: target_utilization must be > 0");
+    if (cfg_.max_iterations < 1)
+        throw std::invalid_argument(
+            "ProvisionLoop: max_iterations must be >= 1");
     if (cfg_.min_replicas < 1)
         throw std::invalid_argument(
             "ProvisionLoop: min_replicas must be >= 1");
@@ -61,6 +64,7 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     ProvisionIteration it;
     it.replicas = replicas;
     it.p99_ms = core::latencyQuantiles(stats).p99_ms;
+    it.shed_rate = core::shedRate(stats);
     const core::ServingMetrics m = sim.metrics();
     it.main_utilization = m.main_utilization;
 

@@ -60,6 +60,8 @@ struct ProvisionIteration
     /** Replica vector dc::provision derives from the measurements. */
     std::vector<int> provisioned;
     double p99_ms = 0.0;
+    /** Fraction of the offered requests admission control shed. */
+    double shed_rate = 0.0;
     double main_utilization = 0.0;
 };
 
@@ -95,8 +97,8 @@ class ProvisionLoop
   public:
     /**
      * Throws std::invalid_argument for a plan with no sparse shards,
-     * qps <= 0, target_utilization <= 0, min_replicas < 1 or
-     * max_replicas < min_replicas.
+     * qps <= 0, target_utilization <= 0, max_iterations < 1,
+     * min_replicas < 1 or max_replicas < min_replicas.
      */
     ProvisionLoop(const model::ModelSpec &spec,
                   const core::ShardingPlan &plan,
@@ -112,7 +114,10 @@ class ProvisionLoop
     evaluate(const std::vector<int> &replicas,
              const std::vector<workload::Request> &requests);
 
-    /** Iterate to the replica-vector fixed point. */
+    /**
+     * Iterate to the replica-vector fixed point. The result's replicas
+     * are always the last trace entry's: the vector it last simulated.
+     */
     ProvisionLoopResult
     run(const std::vector<workload::Request> &requests);
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Fleet control-plane tests: diurnal load model determinism, capacity
- * planner monotonicity, FleetSim ledger determinism (byte-identical
+ * planner monotonicity and agreement with an always-probing reference,
+ * FleetSim ledger determinism (byte-identical
  * fingerprints across reruns at a fixed seed), reactive no-oscillation
  * on a flat trace, cooldown under a burst overlay, and reconfiguration
  * billing semantics.
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -21,6 +23,7 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "sched/capacity_search.h"
+#include "sched/provision_loop.h"
 #include "stats/hash.h"
 #include "stats/rng.h"
 #include "workload/diurnal.h"
@@ -230,6 +233,84 @@ TEST(CapacityPlanner, VectorsMonotoneInRateAndCached)
     planner.replicaVectorFor(450.0);
     planner.replicaVectorFor(448.0); // same grid point after quantization
     EXPECT_EQ(planner.plansComputed(), computed);
+}
+
+/**
+ * CapacityPlanner::replicaVectorFor as it was before its first SLO check
+ * read the provisioning loop's last iteration: every check is a fresh
+ * capacity probe. Same sizing, monotone regularization and bump rule,
+ * with autoscaler.cc's kProvisionIterations (4) and kMaxVerifyBumps (3).
+ * `target` is the quantized rate; `cache` holds the plans made so far.
+ */
+std::vector<int>
+alwaysProbingPlan(const fleet::FleetStudy &study,
+                  const fleet::PlannerConfig &pc,
+                  const std::vector<workload::Request> &requests,
+                  double target, std::map<double, std::vector<int>> &cache)
+{
+    if (const auto it = cache.find(target); it != cache.end())
+        return it->second;
+    sched::ProvisionLoopConfig lc;
+    lc.qps = target;
+    lc.target_utilization = pc.target_utilization;
+    lc.max_iterations = 4;
+    lc.min_replicas = pc.min_replicas;
+    lc.max_replicas = pc.max_replicas;
+    std::vector<int> vec =
+        sched::ProvisionLoop(study.spec, study.plan, study.serving, lc)
+            .run(requests)
+            .replicas;
+    for (const auto &[rate, v] : cache)
+        for (std::size_t s = 0; s < vec.size(); ++s)
+            vec[s] = rate < target ? std::max(vec[s], v[s])
+                                   : std::min(vec[s], v[s]);
+    sched::CapacitySearchConfig sc;
+    sc.slo = pc.slo;
+    for (int bump = 0; bump <= 3; ++bump) {
+        core::ServingConfig cfg = study.serving;
+        cfg.sparse_replicas_per_shard = vec;
+        if (sched::CapacitySearch(study.spec, study.plan, cfg, sc)
+                .probe(target, requests)
+                .feasible)
+            break;
+        bool grew = false;
+        for (int &r : vec)
+            if (r < pc.max_replicas) {
+                ++r;
+                grew = true;
+            }
+        if (!grew)
+            break;
+    }
+    cache.emplace(target, vec);
+    return vec;
+}
+
+TEST(CapacityPlanner, ReadingTheLoopRunPlansLikeAlwaysProbing)
+{
+    const fleet::FleetStudy study = fleet::makeFleetStudy(true);
+    const workload::DiurnalLoadModel load(study.spec, study.load);
+    // A high sizing utilization against a tight P99: at both settings
+    // some day's plan has its loop vector changed by regularization, and
+    // the loop's vector and the regularized one get different SLO
+    // verdicts, so a reuse that ignored regularization changes a plan.
+    for (const double utilization : {0.8, 0.9}) {
+        fleet::PlannerConfig pc = study.planner;
+        pc.target_utilization = utilization;
+        pc.slo.p99_ms = 20.0;
+        const auto requests = load.epochRequests(0, pc.planning_requests);
+        fleet::CapacityPlanner planner(study.spec, study.plan, study.serving,
+                                       pc, requests);
+        std::map<double, std::vector<int>> cache;
+        for (int e = 0; e < study.load.epochs_per_day; ++e) {
+            const double qps = load.forecastQps(e);
+            EXPECT_EQ(planner.replicaVectorFor(qps),
+                      alwaysProbingPlan(study, pc, requests,
+                                        planner.quantize(qps * pc.headroom),
+                                        cache))
+                << "utilization " << utilization << ", epoch " << e;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * Tests for the scheduling subsystem (src/sched): dynamic batching,
  * admission control / load shedding, replica load-balancing properties,
- * and the SLO-driven capacity search.
+ * the SLO-driven capacity search and the provisioning loop.
  */
 #include <gtest/gtest.h>
 
@@ -13,12 +13,14 @@
 #include "core/analysis.h"
 #include "core/serving.h"
 #include "core/strategies.h"
+#include "fleet/study.h"
 #include "model/generators.h"
 #include "obs/span_tracer.h"
 #include "obs/timeseries.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "sched/provision_loop.h"
+#include "workload/diurnal.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -613,6 +615,13 @@ TEST(ProvisionLoopMisuse, RejectsANonPositiveTargetUtilization)
     EXPECT_THROW(makeLoop(pc), std::invalid_argument);
 }
 
+TEST(ProvisionLoopMisuse, RejectsFewerThanOneIteration)
+{
+    sched::ProvisionLoopConfig pc;
+    pc.max_iterations = 0;
+    EXPECT_THROW(makeLoop(pc), std::invalid_argument);
+}
+
 TEST(ProvisionLoopMisuse, RejectsMinReplicasBelowOne)
 {
     sched::ProvisionLoopConfig pc;
@@ -667,6 +676,52 @@ TEST(ProvisionLoop, ConvergesToLoadProportionalFixedPoint)
                                               plan.numShards());
     const auto baseline = loop.evaluate(even, requests);
     EXPECT_LE(result.p99_ms, baseline.p99_ms);
+}
+
+// fleet::CapacityPlanner reads its first SLO check off the loop's last
+// iteration instead of probing the same vector again. That is exact only
+// while the iteration and a capacity probe of its vector measure the same
+// run, on the fleet study's deployment (result cache, row-cache models)
+// with and without hedging.
+TEST(ProvisionLoop, LastIterationMatchesACapacityProbeOfItsVector)
+{
+    const fleet::FleetStudy study = fleet::makeFleetStudy(true);
+    const workload::DiurnalLoadModel load(study.spec, study.load);
+    const auto requests =
+        load.epochRequests(0, study.planner.planning_requests);
+
+    for (const bool hedged : {false, true}) {
+        core::ServingConfig serving = study.serving;
+        serving.hedge.enabled = hedged;
+        for (const double qps : {250.0, 600.0, 1100.0}) {
+            SCOPED_TRACE(testing::Message()
+                         << "hedged " << hedged << ", qps " << qps);
+            sched::ProvisionLoopConfig pc;
+            pc.qps = qps;
+            pc.target_utilization = study.planner.target_utilization;
+            pc.max_iterations = 4;
+            pc.min_replicas = study.planner.min_replicas;
+            pc.max_replicas = study.planner.max_replicas;
+            const auto result =
+                sched::ProvisionLoop(study.spec, study.plan, serving, pc)
+                    .run(requests);
+            ASSERT_FALSE(result.trace.empty());
+            const sched::ProvisionIteration &last = result.trace.back();
+            EXPECT_EQ(result.replicas, last.replicas);
+
+            core::ServingConfig cfg = serving;
+            cfg.sparse_replicas_per_shard = last.replicas;
+            sched::CapacitySearchConfig sc;
+            sc.slo = study.planner.slo;
+            const auto probe =
+                sched::CapacitySearch(study.spec, study.plan, cfg, sc)
+                    .probe(qps, requests);
+            EXPECT_EQ(last.p99_ms, probe.p99_ms);
+            EXPECT_EQ(last.shed_rate, probe.shed_rate);
+            EXPECT_EQ(sc.slo.met(last.p99_ms, last.shed_rate),
+                      probe.feasible);
+        }
+    }
 }
 
 TEST(CapacitySearch, ProbeReportsHedgeColumns)
