@@ -8,10 +8,10 @@
  *
  * The "none" row doubles as the purity pin: its fingerprints are the
  * fault-free fleet's, so any commit that perturbs fault-free behavior
- * through the chaos plumbing trips the regression gate here even
- * before the main fleet bench notices.
+ * through the chaos plumbing fails this bench's golden even before
+ * the main fleet bench notices.
  *
- * `--smoke` runs the one-day reduced study for CI.
+ * `--smoke` runs the one-day reduced study (the golden lane's run).
  */
 #include <cstring>
 #include <iostream>
@@ -147,8 +147,8 @@ main(int argc, char **argv)
     std::cout << table.render() << "\n";
 
     // Purity: a second fault-free run must reproduce both fingerprints
-    // byte-identically (the committed baseline then pins them across
-    // commits via the regression gate).
+    // byte-identically (the committed golden then pins them across
+    // commits).
     {
         fleet::FleetSim sim(study.spec, study.plan, study.serving, load,
                             study.fleet);
@@ -167,7 +167,6 @@ main(int argc, char **argv)
     std::cout << "Every scenario stays within its declared blast radius "
                  "and the fault layer\nis byte-invisible when no "
                  "schedule is armed; JSON rows above pin each\n"
-                 "scenario's scorecard and fingerprints for the "
-                 "regression gate.\n";
+                 "scenario's scorecard and fingerprints.\n";
     return 0;
 }

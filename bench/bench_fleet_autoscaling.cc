@@ -9,7 +9,8 @@
  * Self-checking (exit 1 on violation): predictive spends strictly fewer
  * machine-hours and watt-hours than static-peak without losing SLO
  * attainment (steady violation epochs), and reactive never exceeds
- * static-peak. `--smoke` runs the one-day reduced study for CI.
+ * static-peak. `--smoke` runs the one-day reduced study (the golden
+ * lane's run).
  */
 #include <cstring>
 #include <iostream>

@@ -183,7 +183,7 @@ struct AdmissionConfig
  * control-surface calls, every fault path is inert — no extra RNG
  * draws, no extra events — so replays are byte-identical to a build
  * without the fault layer (enforced by the stress grid and the fleet
- * fingerprint baselines).
+ * fingerprint goldens).
  */
 struct PerturbationConfig
 {

@@ -138,8 +138,8 @@ FaultSchedule::activeAt(int epoch) const
 std::uint64_t
 FaultSchedule::fingerprint() const
 {
-    // Every int mixes as 8 bytes (the committed chaos baselines pin
-    // this width).
+    // Every int mixes as 8 bytes (bench_chaos_suite's golden pins this
+    // width).
     stats::Fnv fnv;
     fnv.add(static_cast<std::int64_t>(events_.size()));
     for (const auto &ev : events_) {

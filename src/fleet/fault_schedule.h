@@ -11,7 +11,7 @@
  * there is no fault randomness of its own — so the same schedule yields
  * byte-identical FleetStats fingerprints across reruns, and an EMPTY
  * schedule leaves the simulation byte-identical to a fault-free build
- * (the purity contract the fleet baselines pin down).
+ * (the purity contract the fleet goldens pin down).
  */
 #pragma once
 

@@ -119,7 +119,7 @@ TelemetryLedger::fingerprint() const
         fnv.add(l);
     // Chaos scorecards fold in ONLY when present, so fault-free runs
     // keep the exact telemetry fingerprints they had before the fault
-    // layer existed (the committed baselines pin these).
+    // layer existed (the committed goldens pin these).
     if (!scenarios.empty()) {
         fnv.add(static_cast<std::int64_t>(scenarios.size()));
         for (const auto &s : scenarios) {

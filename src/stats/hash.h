@@ -43,7 +43,7 @@ struct Mix64Hash
 /**
  * FNV-1a over raw bytes: the fingerprint accumulator. add() mixes a
  * value's own bytes, so an int contributes 4 bytes and an int64_t 8; a
- * fingerprint pinned by a committed baseline fixes each value's width by
+ * fingerprint pinned by a committed golden fixes each value's width by
  * the type it passes.
  */
 struct Fnv

@@ -5,6 +5,8 @@
 # differing lines as a unified diff. The files the binary writes are
 # pinned too: their SHA-256 digests must match <name>.sha256 next to the
 # expected stdout (a binary that writes no files has no digest file).
+# A <name>.args file next to it holds the binary's arguments (e.g.
+# --smoke), split on whitespace; without one the binary runs bare.
 #
 #   check.sh <binary> <expected-stdout-file>
 #
@@ -13,6 +15,7 @@ set -u
 bin=$1
 expected=$2
 digests=${expected%.txt}.sha256
+args=$(cat "${expected%.txt}.args" 2>/dev/null) || args=
 name=$(basename "$bin")
 case $bin in /*) ;; *) bin=$PWD/$bin ;; esac
 
@@ -24,7 +27,8 @@ fi
 dir=$(mktemp -d) || exit 1
 trap 'rm -rf "$dir"' EXIT
 mkdir "$dir/cwd"
-(cd "$dir/cwd" && "$bin") > "$dir/stdout"
+# $args is unquoted on purpose: one word per argument.
+(cd "$dir/cwd" && "$bin" $args) > "$dir/stdout"
 status=$?
 if [ "$status" -ne 0 ]; then
     echo "$name: exited $status"
