@@ -157,36 +157,25 @@ struct ServingSimulation::Impl
     };
 
     /**
-     * Identity and timing of one RPC attempt, filled in as it runs and
-     * read by CPU accounting (chargeRemote) and by its request's
-     * Section IV-B attribution (responseArrive). It lives in the
-     * attempt's pooled context, so nothing of it outlives the attempt.
+     * Timing of one RPC attempt, filled in as it runs: when the client
+     * issued it and the Section IV-B split of its remote time. CPU
+     * accounting (chargeRemote) and its request's attribution
+     * (responseArrive) read it.
      */
     struct AttemptRecord
     {
-        std::uint64_t request_id = 0;
-        int shard_id = 0;
-        int net_id = 0;
-        int batch_id = 0;
-        sim::SimTime dispatched = 0;         //!< client issued the attempt
-        sim::Duration remote_queue_ns = 0;   //!< wall: waiting for a core
-        sim::Duration remote_serde_ns = 0;
-        sim::Duration remote_service_ns = 0;
-        sim::Duration remote_net_overhead_ns = 0;
-        sim::Duration remote_sparse_op_ns = 0;
-    };
+        sim::SimTime dispatched = 0; //!< client issued the attempt
+        sim::Duration queue = 0;     //!< wall: waiting for a core
+        sim::Duration serde = 0;
+        sim::Duration service = 0;
+        sim::Duration net_overhead = 0;
+        sim::Duration sparse_op = 0;
 
-    /**
-     * Mutable context of one RPC attempt — its record and its CRN
-     * counter stream (see attemptSalt) — pooled and held by pointer on
-     * the attempt's AttemptExec, so every hop's closure captures a few
-     * pointers and fits the engine's inline event buffer. launchAttempt
-     * rebuilds both in place, so a reused context carries nothing over.
-     */
-    struct AttemptCtx
-    {
-        AttemptRecord rec;
-        stats::CounterStream stream;
+        sim::Duration
+        remote() const
+        {
+            return queue + serde + service + net_overhead + sparse_op;
+        }
     };
 
     /**
@@ -202,10 +191,12 @@ struct ServingSimulation::Impl
     };
 
     /**
-     * Execution state of one attempt of a (possibly hedged) RPC, kept on
+     * The whole state of one attempt of a (possibly hedged) RPC, kept on
      * the op so the winning attempt can cancel an executing sibling
      * mid-service (tied requests: the servers tell each other when one
      * finishes, so the loser's remaining busy time is reclaimed).
+     * launchAttempt keys its counter stream; a failover relaunch starts
+     * from a fresh slot.
      */
     struct AttemptExec
     {
@@ -224,12 +215,9 @@ struct ServingSimulation::Impl
         std::uint32_t server_gen = 0;
         sim::SimTime exec_start = 0;
         sim::Duration busy = 0;
-        /**
-         * Held from launch until the attempt retires or, as the winner,
-         * hands it to its response; an abort refunds in proportion to
-         * the busy components in its record.
-         */
-        AttemptCtx *ctx = nullptr;
+        /** An abort refunds in proportion to its busy components. */
+        AttemptRecord rec;
+        stats::CounterStream stream{0}; //!< CRN draws (see attemptSalt)
         obs::SpanId sp_attempt = obs::kNoSpan; //!< RpcAttempt span
         obs::SpanId sp_exec = obs::kNoSpan;    //!< RemoteCompute span
     };
@@ -246,16 +234,19 @@ struct ServingSimulation::Impl
      * One logical sparse RPC — a fan-out group of one batch — possibly
      * raced by two attempts (primary + hedge). Reference-counted: each
      * in-flight attempt and the pending hedge timer hold one ref; exactly
-     * one attempt wins (first to finish remote service) and delivers the
-     * response, the rest cancel (before, during, or after execution).
-     * Once decided, an op stays decided: every attempt still in flight
-     * retires without a response.
+     * one attempt wins (first to finish remote service) and holds its ref
+     * until its response lands, the rest cancel (before, during, or after
+     * execution). Once decided, an op stays decided: every attempt still
+     * in flight retires without a response.
      */
     struct RpcOp
     {
+        /** Dangles once the batch drains, which a loser may outlive. */
         BatchState *bt = nullptr;
         const NetInfo *ni = nullptr;
         std::size_t gi = 0;
+        std::uint64_t request_id = 0; //!< span identity, safe for losers
+        int batch_id = 0;
         std::int64_t lookups = 0;
         std::int64_t req_bytes = 0;
         sim::SimTime dispatched = 0; //!< primary dispatch (client clock)
@@ -299,27 +290,14 @@ struct ServingSimulation::Impl
         std::vector<std::int64_t> group_lookups;
         std::int64_t inline_lookups = 0;
         /**
-         * Section IV-B split of this request's bounding (slowest
-         * outstanding) RPC; emitStats copies it into RequestStats::emb_*.
-         * Network is measured as the paper does: outstanding time at the
-         * main shard minus the remote E2E, which absorbs clock skew.
+         * Record of this request's bounding (slowest outstanding) RPC
+         * attempt and its outstanding time at the main shard (-1 = no
+         * response yet); emitStats copies the split into
+         * RequestStats::emb_*. Network is measured as the paper does:
+         * outstanding time minus the remote E2E, which absorbs clock skew.
          */
-        struct Bounding
-        {
-            sim::Duration queue = 0;
-            sim::Duration serde = 0;
-            sim::Duration service = 0;
-            sim::Duration net_overhead = 0;
-            sim::Duration sparse_op = 0;
-            sim::Duration network = 0;
-
-            sim::Duration outstanding() const
-            {
-                return queue + serde + service + net_overhead + sparse_op +
-                       network;
-            }
-        } bounding;
-        bool has_bounding = false;
+        AttemptRecord bounding;
+        sim::Duration bounding_outstanding = -1;
         sim::Duration max_inline_sparse = 0;
         std::function<void(const RequestStats &)> on_complete;
 
@@ -457,10 +435,13 @@ struct ServingSimulation::Impl
     // protocols are the unique release points, so pooling changes only
     // where the memory comes from.
 
-    sim::ObjectPool<Active> active_pool;
+    /**
+     * Not poisoned under ASan: inject's shed timer reads the generation
+     * of an Active that may have been recycled since, by design.
+     */
+    sim::ObjectPool<Active, false> active_pool;
     sim::ObjectPool<BatchState> batch_pool;
     sim::ObjectPool<RpcOp> op_pool;
-    sim::ObjectPool<AttemptCtx> attempt_pool;
 
     /**
      * Recycle an Active: destroy + reconstruct for guaranteed-pristine
@@ -715,13 +696,14 @@ struct ServingSimulation::Impl
                                             st.lat_net_overhead +
                                             st.lat_embedded;
             st.lat_dense = std::max<sim::Duration>(0, st.e2e - accounted);
-            if (a->has_bounding) {
-                st.emb_sparse_op = a->bounding.sparse_op;
-                st.emb_serde = a->bounding.serde;
-                st.emb_service = a->bounding.service;
-                st.emb_net_overhead = a->bounding.net_overhead;
-                st.emb_network = a->bounding.network;
-                st.emb_queue = a->bounding.queue;
+            if (a->bounding_outstanding >= 0) {
+                const AttemptRecord &b = a->bounding;
+                st.emb_sparse_op = b.sparse_op;
+                st.emb_serde = b.serde;
+                st.emb_service = b.service;
+                st.emb_net_overhead = b.net_overhead;
+                st.emb_network = a->bounding_outstanding - b.remote();
+                st.emb_queue = b.queue;
             } else {
                 st.emb_sparse_op = a->max_inline_sparse;
             }
@@ -924,7 +906,6 @@ struct ServingSimulation::Impl
         AttemptExec &ex = op->exec[0];
         if (tr)
             tr->end(ex.sp_attempt, engine.now(), failed);
-        attempt_pool.release(ex.ctx);
         ++op->retries;
         ++fault_stats.retries;
         // Failover re-dispatch: the serialized payload is reused (no
@@ -1314,12 +1295,11 @@ struct ServingSimulation::Impl
     chargeRemote(const RpcOp *op, const AttemptRecord &rec, double w)
     {
         RequestStats &st = op->bt->req->st;
-        const auto sidx = static_cast<std::size_t>(rec.shard_id);
-        const double op_ns = w * static_cast<double>(rec.remote_sparse_op_ns);
-        st.cpu_service_ns += w * static_cast<double>(
-                                     rec.remote_service_ns +
-                                     rec.remote_net_overhead_ns);
-        st.cpu_serde_ns += w * static_cast<double>(rec.remote_serde_ns);
+        const auto sidx = static_cast<std::size_t>(op->group().shard);
+        const double op_ns = w * static_cast<double>(rec.sparse_op);
+        st.cpu_service_ns +=
+            w * static_cast<double>(rec.service + rec.net_overhead);
+        st.cpu_serde_ns += w * static_cast<double>(rec.serde);
         st.cpu_ops_ns += op_ns;
         st.shard_op_ns[sidx] += op_ns;
         st.shard_net_op_ns[sidx * spec.nets.size() + op->bt->net_idx] +=
@@ -1337,7 +1317,7 @@ struct ServingSimulation::Impl
     /**
      * The one exit of an attempt that delivers no response: close its
      * span with `flags`, count `outcome` (the hedge counters count
-     * backups only), release its context and drop its op reference.
+     * backups only) and drop its op reference.
      * Touches no batch or request state: a retiring attempt of a
      * decided op may outlive both.
      */
@@ -1355,8 +1335,6 @@ struct ServingSimulation::Impl
         } else if (outcome == Retire::Cancelled && idx == 1) {
             ++hedge_stats.cancelled;
         }
-        attempt_pool.release(ex.ctx);
-        ex.ctx = nullptr;
         derefOp(op);
     }
 
@@ -1382,7 +1360,7 @@ struct ServingSimulation::Impl
                              ? static_cast<double>(ex.busy - consumed) /
                                    static_cast<double>(ex.busy)
                              : 0.0;
-        chargeRemote(op, ex.ctx->rec, -f);
+        chargeRemote(op, ex.rec, -f);
         replicas[static_cast<std::size_t>(ex.server)].cores->release();
         return consumed;
     }
@@ -1408,6 +1386,8 @@ struct ServingSimulation::Impl
         op->bt = bt;
         op->ni = &ni;
         op->gi = gi;
+        op->request_id = a->st.id;
+        op->batch_id = bt->batch_id;
         op->lookups = lk;
         op->req_bytes = req_bytes;
         op->dispatched = engine.now();
@@ -1489,28 +1469,24 @@ struct ServingSimulation::Impl
     }
 
     /**
-     * Put attempt `idx` (0 = primary, 1 = hedge) on the wire, with a
-     * fresh context whose counter stream is keyed by the attempt's
-     * identity. The attempt holds its context until it retires or hands
-     * its response to the wire.
+     * Put attempt `idx` (0 = primary, 1 = hedge) on the wire from its
+     * pristine slot, keying its counter stream by the attempt's identity.
      */
     void
     launchAttempt(RpcOp *op, int idx)
     {
-        Active *a = op->bt->req;
         const Group &g = op->group();
+        const int net_id = op->ni->net_id;
         AttemptExec &ex = op->exec[idx];
         if (tr) {
             ex.sp_attempt = tr->begin(
-                a->st.id, obs::SpanKind::RpcAttempt, op->sp_op,
-                engine.now(), g.shard, op->ni->net_id, op->bt->batch_id,
+                op->request_id, obs::SpanKind::RpcAttempt, op->sp_op,
+                engine.now(), g.shard, net_id, op->batch_id,
                 idx == 1 ? obs::kFlagHedge : obs::kFlagNone);
         }
-        AttemptCtx *ctx = attempt_pool.acquire();
-        ctx->stream = stats::CounterStream(rng.forkSeed(
-            attemptSalt(a->st.id, op->ni->net_id, op->bt->batch_id, op->gi,
-                        idx == 1, op->retries)));
-        ex.ctx = ctx;
+        ex.stream = stats::CounterStream(
+            rng.forkSeed(attemptSalt(op->request_id, net_id, op->batch_id,
+                                     op->gi, idx == 1, op->retries)));
 
         // Main<->shard partition: the payload never reaches the shard;
         // the client's RPC timeout is the only failure signal.
@@ -1521,19 +1497,13 @@ struct ServingSimulation::Impl
             return;
         }
 
-        ctx->rec = AttemptRecord{};
-        ctx->rec.request_id = a->st.id;
-        ctx->rec.shard_id = g.shard;
-        ctx->rec.net_id = op->ni->net_id;
-        ctx->rec.batch_id = op->bt->batch_id;
-        ctx->rec.dispatched = engine.now();
-
+        ex.rec.dispatched = engine.now();
         const sim::Duration out_delay =
-            link.oneWayDelay(op->req_bytes, ctx->stream);
+            link.oneWayDelay(op->req_bytes, ex.stream);
         if (tr)
-            tr->record(a->st.id, obs::SpanKind::WireOut, ex.sp_attempt,
+            tr->record(op->request_id, obs::SpanKind::WireOut, ex.sp_attempt,
                        engine.now(), engine.now() + out_delay, g.shard,
-                       op->ni->net_id, op->bt->batch_id);
+                       net_id, op->batch_id);
         engine.schedule(out_delay, sim::kEvWire,
                         [this, op, idx] { attemptArrive(op, idx); });
     }
@@ -1597,14 +1567,15 @@ struct ServingSimulation::Impl
     {
         Replica &r = replicas[static_cast<std::size_t>(server)];
         AttemptExec &ex = op->exec[idx];
-        AttemptRecord &rec = ex.ctx->rec;
+        AttemptRecord &rec = ex.rec;
+        const Group &g = op->group();
         // Cancelled while queued: the winner returned before this
         // attempt reached a core, so it costs nothing but its slot.
         if (op->decided()) {
             if (tr)
-                tr->record(rec.request_id, obs::SpanKind::RemoteQueue,
-                           ex.sp_attempt, q0, engine.now(), rec.shard_id,
-                           rec.net_id, rec.batch_id, loseFlags(op));
+                tr->record(op->request_id, obs::SpanKind::RemoteQueue,
+                           ex.sp_attempt, q0, engine.now(), g.shard,
+                           op->ni->net_id, op->batch_id, loseFlags(op));
             r.cores->release();
             retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
             return;
@@ -1619,7 +1590,6 @@ struct ServingSimulation::Impl
             return;
         }
         Active *a = op->bt->req;
-        const Group &g = op->group();
         // Transient interference: this attempt (not the logical RPC)
         // drew a slow event, so a hedged re-roll on another replica
         // escapes it. A persistent degradeReplica() slowdown stacks on
@@ -1627,24 +1597,21 @@ struct ServingSimulation::Impl
         // it.
         const double interference =
             cfg.faults.straggler_prob > 0.0 &&
-                    stats::bernoulli(ex.ctx->stream,
+                    stats::bernoulli(ex.stream,
                                      cfg.faults.straggler_prob)
                 ? kStragglerMultiplier
                 : 1.0;
         const double remote_scale =
             cfg.sparse_platform.cpu_time_scale * interference * r.degrade;
-        rec.remote_queue_ns = engine.now() - q0;
-        rec.remote_service_ns = scaled(rpc::kHandlerFixedNs, remote_scale);
-        rec.remote_serde_ns =
-            scaled(rpc::serdeNs(op->req_bytes), remote_scale);
-        rec.remote_net_overhead_ns =
-            scaled(rpc::netOverheadNs(0), remote_scale);
-        rec.remote_sparse_op_ns = scaled(
+        rec.queue = engine.now() - q0;
+        rec.service = scaled(rpc::kHandlerFixedNs, remote_scale);
+        rec.serde = scaled(rpc::serdeNs(op->req_bytes), remote_scale);
+        rec.net_overhead = scaled(rpc::netOverheadNs(0), remote_scale);
+        rec.sparse_op = scaled(
             static_cast<double>(op->lookups) * g.lookup_ns, remote_scale);
         const std::int64_t resp_bytes = netsim::sparseResponseBytes(
             static_cast<std::int64_t>(g.sum_dims), op->bt->batch_items);
-        rec.remote_serde_ns +=
-            scaled(rpc::serdeNs(resp_bytes), remote_scale);
+        rec.serde += scaled(rpc::serdeNs(resp_bytes), remote_scale);
 
         // CPU accounting on the sparse shard — charged for every
         // executing attempt: duplicate hedge work is real work. A
@@ -1652,8 +1619,7 @@ struct ServingSimulation::Impl
         chargeRemote(op, rec, 1.0);
 
         const sim::Duration busy =
-            rec.remote_service_ns + rec.remote_serde_ns +
-            rec.remote_net_overhead_ns + rec.remote_sparse_op_ns;
+            rec.service + rec.serde + rec.net_overhead + rec.sparse_op;
         // Pre-charge this attempt's busy time as wasted; the winning
         // attempt reverses it in finishExecution. A losing attempt may
         // outlive its request (the winner's response completes it), so
@@ -1743,50 +1709,14 @@ struct ServingSimulation::Impl
             ++op->bt->req->st.hedge_wins;
         }
         cancelSibling(op, idx);
-        // The response path owns the context from here on.
-        AttemptCtx *ctx = self.ctx;
-        self.ctx = nullptr;
-        BatchState *bt = op->bt;
-        const sim::SimTime dispatched = op->dispatched;
-        const rpc::ResultCache::Key ckey = op->cache_key;
-        const std::uint64_t cepoch = op->cache_epoch;
-        // Span ids survive the op (they index the tracer), so the
-        // response path can close the winning attempt and the logical op
-        // at arrival without touching the op.
-        const obs::SpanId sp_attempt = self.sp_attempt;
-        const obs::SpanId sp_op = op->sp_op;
-        derefOp(op); // response path only needs the batch
-        const sim::Duration back =
-            link.oneWayDelay(resp_bytes, ctx->stream);
+        // The winner keeps its op reference until the response lands.
+        const sim::Duration back = link.oneWayDelay(resp_bytes, self.stream);
         if (tr)
-            tr->record(bt->req->st.id, obs::SpanKind::WireBack, sp_attempt,
-                       engine.now(), engine.now() + back, ctx->rec.shard_id,
-                       ctx->rec.net_id, ctx->rec.batch_id);
-        engine.schedule(back, sim::kEvWire,
-                        [this, bt, resp_bytes, ctx, dispatched, ckey,
-                         cepoch, sp_attempt, sp_op] {
-            // The tracker sees the client-observed latency of the
-            // *logical* RPC (primary dispatch to winning response), which
-            // is what the next hedge deadline must be quantile-of. Its
-            // only reader is the hedge timer, so without hedging it is
-            // not fed.
-            if (cfg.hedge.enabled)
-                hedge_tracker.add(engine.now() - dispatched);
-            if (tr) {
-                // A response landing after a mid-flight shed is
-                // discarded: its spans close as cancelled debris.
-                const std::uint8_t fl = bt->req->state == RequestState::Shed
-                                            ? obs::kFlagCancelled
-                                            : obs::kFlagNone;
-                tr->end(sp_attempt, engine.now(), fl);
-                tr->end(sp_op, engine.now(), fl);
-            }
-            // Memoize the pooled response for repeats of this (net,
-            // group, batch shape) — unless the snapshot it was pooled
-            // from was invalidated while on the wire.
-            result_cache.insert(ckey, resp_bytes, engine.now(), cepoch);
-            responseArrive(bt, resp_bytes, ctx->rec);
-            attempt_pool.release(ctx);
+            tr->record(op->request_id, obs::SpanKind::WireBack,
+                       self.sp_attempt, engine.now(), engine.now() + back,
+                       op->group().shard, op->ni->net_id, op->batch_id);
+        engine.schedule(back, sim::kEvWire, [this, op, idx, resp_bytes] {
+            responseArrive(op, idx, resp_bytes);
         });
     }
 
@@ -1816,27 +1746,48 @@ struct ServingSimulation::Impl
             ++hedge_stats.losses; // the backup was the aborted attempt
     }
 
+    /**
+     * The winning attempt's response reached the main shard: it drops
+     * the winner's op reference and, once the batch's last response is
+     * in, merges.
+     */
     void
-    responseArrive(BatchState *bt, std::int64_t resp_bytes,
-                   const AttemptRecord &rec)
+    responseArrive(RpcOp *op, int idx, std::int64_t resp_bytes)
     {
+        BatchState *bt = op->bt;
         Active *a = bt->req;
-        if (a->state == RequestState::Shed) {
+        const bool shed = a->state == RequestState::Shed;
+        // The tracker sees the client-observed latency of the *logical*
+        // RPC (primary dispatch to winning response), which is what the
+        // next hedge deadline must be quantile-of. Its only reader is the
+        // hedge timer, so without hedging it is not fed.
+        if (cfg.hedge.enabled)
+            hedge_tracker.add(engine.now() - op->dispatched);
+        if (tr) {
+            // A response landing after a mid-flight shed is discarded:
+            // its spans close as cancelled debris.
+            const auto fl = shed ? obs::kFlagCancelled : obs::kFlagNone;
+            tr->end(op->exec[idx].sp_attempt, engine.now(), fl);
+            tr->end(op->sp_op, engine.now(), fl);
+        }
+        // Memoize the pooled response for repeats of this (net, group,
+        // batch shape) — unless the snapshot it was pooled from was
+        // invalidated while on the wire.
+        result_cache.insert(op->cache_key, resp_bytes, engine.now(),
+                            op->cache_epoch);
+        const AttemptRecord &rec = op->exec[idx].rec;
+        const sim::Duration outstanding = engine.now() - rec.dispatched;
+        if (!shed && outstanding > a->bounding_outstanding) {
+            a->bounding = rec;
+            a->bounding_outstanding = outstanding;
+        }
+        derefOp(op);
+        if (shed) {
             // The client gave up on this request; the late response is
             // discarded at arrival (no deserde, no top dense).
-            if (--bt->pending > 0)
-                return;
-            drainBatch(bt);
+            if (--bt->pending == 0)
+                drainBatch(bt);
             return;
-        }
-        const sim::Duration outstanding = engine.now() - rec.dispatched;
-        if (!a->has_bounding || outstanding > a->bounding.outstanding()) {
-            a->bounding = {rec.remote_queue_ns, rec.remote_serde_ns,
-                           rec.remote_service_ns, rec.remote_net_overhead_ns,
-                           rec.remote_sparse_op_ns, 0};
-            // Network is what the remote E2E leaves of the outstanding time.
-            a->bounding.network = outstanding - a->bounding.outstanding();
-            a->has_bounding = true;
         }
         bt->response_bytes += resp_bytes;
         bt->last_response = engine.now();
@@ -2060,7 +2011,7 @@ ServingSimulation::checkDrained() const
         throw std::logic_error(std::string("checkDrained: ") + invariant);
     };
     if (m.active_pool.live() != 0 || m.batch_pool.live() != 0 ||
-        m.op_pool.live() != 0 || m.attempt_pool.live() != 0)
+        m.op_pool.live() != 0)
         fail("an object pool is not fully returned");
     const auto idle = [](const sim::Resource &r) {
         return r.inUse() == 0 && r.queued() == 0;

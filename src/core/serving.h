@@ -71,7 +71,7 @@
  * Common random numbers: an attempt's draws (wire jitter out and back,
  * the straggler roll) come from its own stats::CounterStream keyed
  * Rng(seed).forkSeed(attemptSalt(...)), a pure function of the attempt's
- * identity. No draw depends on launch order, context pooling or any
+ * identity. No draw depends on launch order, pool recycling or any
  * other attempt, so paired runs (hedging on vs off, one batching policy
  * vs another) face identical per-attempt randomness and their deltas
  * measure the policy, not reshuffled noise. The other streams (request
@@ -508,7 +508,7 @@ class ServingSimulation
     /**
      * Check that a drained engine left nothing behind; throws
      * std::logic_error naming the first invariant that fails: every
-     * pooled request, batch, op and attempt context is returned; no
+     * pooled request, batch and op (with its attempts) is returned; no
      * core is held or queued on the main shard or any replica; every
      * injected request has emitted its stats; an attached tracer has no
      * open span. replaySerial, replayOpenLoop and

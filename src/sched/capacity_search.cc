@@ -75,12 +75,7 @@ CapacitySearch::probe(double qps,
                       const std::vector<workload::Request> &requests)
 {
     core::ServingSimulation sim(spec_, plan_, serving_);
-    std::vector<core::RequestStats> stats;
-    if (search_.use_batcher)
-        stats = runBatchedOpenLoop(sim, requests, qps, search_.batcher,
-                                   search_.arrival_seed);
-    else
-        stats = sim.replayOpenLoop(requests, qps);
+    const auto stats = sim.replayOpenLoop(requests, qps);
 
     const auto q = core::latencyQuantiles(stats);
     CapacityProbe p;

@@ -31,7 +31,6 @@
 #include "core/serving.h"
 #include "core/sharding_plan.h"
 #include "model/model_spec.h"
-#include "sched/batcher.h"
 #include "workload/request_generator.h"
 
 namespace dri::sched {
@@ -87,14 +86,10 @@ struct CapacitySearchConfig
     double qps_hi = 4000.0;
     /** Geometric grid step; capacity resolution is one step. */
     double grid_step = 1.05;
-    /** Route probes through a DynamicBatcher instead of raw open loop. */
-    bool use_batcher = false;
-    BatcherConfig batcher;
     /**
-     * Arrival-process seed of batched probes (runBatchedOpenLoop) only.
-     * Open-loop probes (use_batcher == false) ignore it: their arrivals
-     * come from ServingSimulation::replayOpenLoop, seeded by
-     * ServingConfig::seed.
+     * Read by no probe: every probe's arrivals come from
+     * ServingSimulation::replayOpenLoop, seeded by ServingConfig::seed.
+     * Kept only because the fixed bench_e2e harness still writes it.
      */
     std::uint64_t arrival_seed = 0xa881;
 };

@@ -16,8 +16,16 @@
  * Objects still live at pool destruction are abandoned with their
  * blocks, matching the drained-engine invariant (a completed run holds
  * none; ServingSimulation::checkDrained checks live() == 0).
+ *
+ * Under AddressSanitizer (-DSANITIZE=ON) a pooled object is poisoned
+ * while it sits on the free list, so a stale pointer that reads a
+ * released object fails loudly instead of seeing a recycled one. A pool
+ * whose owner reads released objects on purpose opts out with
+ * `Poison = false`. Outside ASan the poisoning macros expand to nothing.
  */
 #pragma once
+
+#include <sanitizer/asan_interface.h>
 
 #include <cstddef>
 #include <memory>
@@ -25,7 +33,7 @@
 
 namespace dri::sim {
 
-template <class T, std::size_t BlockSize = 64>
+template <class T, bool Poison = true, std::size_t BlockSize = 64>
 class ObjectPool
 {
   public:
@@ -36,8 +44,10 @@ class ObjectPool
 
     ~ObjectPool()
     {
-        for (T *p : free_)
+        for (T *p : free_) {
+            unpoison(p);
             p->~T();
+        }
         for (T *block : blocks_)
             std::allocator<T>().deallocate(block, BlockSize);
     }
@@ -49,12 +59,14 @@ class ObjectPool
             grow();
         T *p = free_.back();
         free_.pop_back();
+        unpoison(p);
         return p;
     }
 
     void
     release(T *p)
     {
+        poison(p);
         free_.push_back(p);
     }
 
@@ -74,8 +86,23 @@ class ObjectPool
         free_.reserve(free_.size() + BlockSize);
         for (std::size_t i = 0; i < BlockSize; ++i) {
             new (block + i) T();
+            poison(block + i);
             free_.push_back(block + i);
         }
+    }
+
+    static void
+    poison(T *p)
+    {
+        if (Poison)
+            ASAN_POISON_MEMORY_REGION(p, sizeof(T));
+    }
+
+    static void
+    unpoison(T *p)
+    {
+        if (Poison)
+            ASAN_UNPOISON_MEMORY_REGION(p, sizeof(T));
     }
 
     std::vector<T *> free_;

@@ -1,13 +1,16 @@
 #include "sim/resource.h"
 
-#include <cassert>
+#include <stdexcept>
 
 namespace dri::sim {
 
 Resource::Resource(Engine &engine, std::size_t capacity)
     : engine_(engine), capacity_(capacity)
 {
-    assert(capacity > 0);
+    // Checked in every build type: with no units every acquirer queues
+    // forever.
+    if (capacity == 0)
+        throw std::invalid_argument("Resource: capacity must be > 0");
 }
 
 double

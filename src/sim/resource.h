@@ -7,9 +7,9 @@
  */
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <deque>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/engine.h"
@@ -33,6 +33,7 @@ class Resource
      */
     using Grant = EventFn;
 
+    /** Throws std::invalid_argument on a zero capacity. */
     Resource(Engine &engine, std::size_t capacity);
 
     /** Request a unit; cb runs (now or later) once granted. */
@@ -65,11 +66,15 @@ class Resource
         }
     }
 
-    /** Return a unit previously granted. */
+    /**
+     * Return a unit previously granted. Throws std::logic_error when no
+     * unit is in use, in every build type.
+     */
     void
     release()
     {
-        assert(in_use_ > 0);
+        if (in_use_ == 0)
+            throw std::logic_error("Resource: release() with no unit in use");
         accountTo(engine_.now());
         if (waiters_.empty()) {
             --in_use_;

@@ -27,14 +27,11 @@ import unittest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("src", "bench", "examples", "bench_e2e")
 
-SETTABLE_FIELDS = 92
+SETTABLE_FIELDS = 90
 NO_WRITER = [
     # Chaos.KitchenSinkDigestsArePinned depends on both values.
     "PerturbationConfig::rpc_timeout_ns",
     "PerturbationConfig::discovery_lag_ns",
-    # The batched capacity search; sched_test sets them.
-    "CapacitySearchConfig::use_batcher",
-    "CapacitySearchConfig::batcher",
     # access_trace_test shortens the mixed trace.
     "MixedTraceConfig::accesses",
 ]

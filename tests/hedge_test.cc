@@ -20,6 +20,7 @@
 #include "obs/critical_path.h"
 #include "obs/span_tracer.h"
 #include "rpc/hedge.h"
+#include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "workload/request_generator.h"
 

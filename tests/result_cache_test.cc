@@ -20,6 +20,7 @@
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "model/generators.h"
+#include "obs/span_tracer.h"
 #include "rpc/result_cache.h"
 #include "sched/capacity_search.h"
 #include "workload/request_generator.h"
@@ -570,6 +571,83 @@ TEST(ResultCacheServing, InvalidateHookEmptiesAndRepopulates)
     sim.inject(r2, nullptr);
     sim.engine().run();
     EXPECT_GT(sim.metrics().result_cache.misses, before);
+}
+
+// A refresh that lands while a winning response is on the wire: the
+// response was pooled from the old snapshot, so it must not be memoized
+// (the next identical batch misses), while a response dispatched after
+// the refresh is memoized (the next identical batch hits). The epoch the
+// insert checks is the one stored on the RPC at dispatch.
+TEST(ResultCacheServing, RefreshDuringWireBackDropsOnlyStaleResponses)
+{
+    const ServingFixture fx;
+    const auto r1 = fx.requests[0];
+    auto twin = r1;
+    twin.id = 9999;
+
+    // A traced run without the refresh finds a moment t inside a
+    // winning response's wire-back that precedes some later dispatch.
+    obs::SpanTracer tracer;
+    auto traced = fx.config(true);
+    traced.tracer = &tracer;
+    core::ServingSimulation probe(fx.spec, fx.plan, traced);
+    probe.inject(r1, nullptr);
+    probe.engine().run();
+    const auto spans = tracer.spans();
+    std::vector<obs::SpanRecord> ops;
+    for (const auto &sp : spans)
+        if (sp.kind == obs::SpanKind::RpcOp)
+            ops.push_back(sp);
+    sim::SimTime t = -1;
+    for (const auto &wb : spans) {
+        if (wb.kind != obs::SpanKind::WireBack || wb.end - wb.begin < 2)
+            continue;
+        const sim::SimTime mid = wb.begin + (wb.end - wb.begin) / 2;
+        bool later_dispatch = false, tie = false;
+        for (const auto &op : ops) {
+            later_dispatch |= op.begin > mid;
+            tie |= op.begin == mid || op.end == mid;
+        }
+        if (later_dispatch && !tie) {
+            t = mid;
+            break;
+        }
+    }
+    ASSERT_GE(t, 0) << "no wire-back precedes a later dispatch";
+    std::int64_t before = 0, on_wire = 0;
+    for (const auto &op : ops) {
+        before += op.begin < t;
+        on_wire += op.begin < t && op.end > t;
+    }
+    ASSERT_GE(on_wire, 1);
+    const auto dispatched = static_cast<std::int64_t>(ops.size());
+
+    core::ServingSimulation sim(fx.spec, fx.plan, fx.config(true));
+    sim.engine().scheduleAt(t, [&sim] { sim.invalidateResultCache(); });
+    core::RequestStats first, second, third;
+    sim.inject(r1, [&first](const core::RequestStats &s) { first = s; });
+    sim.engine().run();
+    EXPECT_EQ(first.result_cache_misses, dispatched);
+    EXPECT_EQ(sim.metrics().result_cache.invalidations, 1u);
+    // Responses dispatched before t that landed after it are dropped.
+    EXPECT_EQ(sim.metrics().result_cache.insertions,
+              static_cast<std::uint64_t>(dispatched - on_wire));
+
+    // Before t everything was dispatched from the old snapshot: landed
+    // responses were invalidated, in-flight ones never inserted. After t
+    // the fresh responses were memoized.
+    sim.inject(twin, [&second](const core::RequestStats &s) { second = s; });
+    sim.engine().run();
+    EXPECT_EQ(second.result_cache_misses, before);
+    EXPECT_EQ(second.result_cache_hits, dispatched - before);
+
+    // The twin's own re-fetches were dispatched after the refresh.
+    twin.id = 10000;
+    sim.inject(twin, [&third](const core::RequestStats &s) { third = s; });
+    sim.engine().run();
+    EXPECT_EQ(third.result_cache_misses, 0);
+    EXPECT_EQ(third.result_cache_hits, dispatched);
+    sim.checkDrained();
 }
 
 TEST(ResultCacheServing, TtlBoundsStalenessAcrossReplay)

@@ -909,18 +909,6 @@ TEST(CapacitySearch, RunMatchesSequentialOnAOnePointGrid)
     EXPECT_EQ(infeasible.probes.size(), 1u);
 }
 
-TEST(CapacitySearch, RunMatchesSequentialThroughTheBatcher)
-{
-    const auto requests = testRequests(testSpec(), 300);
-    auto sc = boundarySearchConfig();
-    sc.use_batcher = true;
-    const auto got = expectRunMatchesSequential(
-        sparseBoundConfig(2, rpc::LoadBalancePolicy::LeastOutstanding), sc,
-        requests);
-    EXPECT_GT(got.max_qps, 0.0);
-    EXPECT_LT(got.max_qps, 2000.0);
-}
-
 // Probes run concurrently, so run() refuses a shared observer in every
 // build type; probe() still takes one.
 TEST(CapacitySearch, RunRejectsASharedObserver)

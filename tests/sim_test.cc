@@ -464,6 +464,26 @@ TEST(Resource, BusyIntegralAccumulates)
     EXPECT_DOUBLE_EQ(r.busyIntegral(), 100.0);
 }
 
+// Misuse fails loudly in every build type: a zero-capacity pool would
+// queue every acquirer forever, and an unmatched release would underflow
+// the in-use count.
+TEST(ResourceMisuse, ZeroCapacityThrows)
+{
+    Engine e;
+    EXPECT_THROW(Resource(e, 0), std::invalid_argument);
+}
+
+TEST(ResourceMisuse, ReleaseWithNothingInUseThrows)
+{
+    Engine e;
+    Resource r(e, 2);
+    EXPECT_THROW(r.release(), std::logic_error);
+    r.acquire([] {});
+    r.release();
+    EXPECT_THROW(r.release(), std::logic_error);
+    EXPECT_EQ(r.inUse(), 0u);
+}
+
 /** Property: a pipeline of N tasks through capacity C finishes in
  *  ceil(N/C) waves of the task duration. */
 class ResourceWaveTest
