@@ -62,7 +62,10 @@ struct RequestStats
     int hedges = 0;
     /** Backups that answered before their primary (tail saves). */
     int hedge_wins = 0;
-    /** Replica CPU burned by losing attempts (duplicate work). */
+    /**
+     * Busy time a losing attempt consumed before the winner aborted it
+     * (duplicate work), summed over this request's sparse RPCs.
+     */
     double hedge_wasted_cpu_ns = 0.0;
 
     // ---- Pooled-result cache (zero when the result cache is off).

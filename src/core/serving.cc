@@ -415,8 +415,8 @@ struct ServingSimulation::Impl
     rpc::LatencyTracker hedge_tracker;
     /**
      * Hedge outcome counters; wasted_busy_ns is the replica busy time
-     * burned by attempts that lost their race, and total_busy_ns is
-     * filled in on read.
+     * losing attempts consumed before the winner aborted them, and
+     * total_busy_ns is filled in on read.
      */
     rpc::HedgeStats hedge_stats;
 
@@ -762,12 +762,11 @@ struct ServingSimulation::Impl
      * upstream failure (fault layer): cancel every
      * outstanding sparse RPC — queued attempts release their slots at
      * grant, on-wire attempts die on arrival, executing attempts abort
-     * now with their charges settled — THEN emit the shed stats (so they
-     * carry no phantom pre-charges), then retire the fully-cancelled
-     * batches. The remaining main-shard machinery (dense phases already
-     * on cores, queued batch grants) drains through shed guards that
-     * charge no new work; the Active is deleted once its last batch
-     * drains.
+     * now with their unexecuted charges refunded — THEN emit the shed
+     * stats, then retire the fully-cancelled batches. The remaining
+     * main-shard machinery (dense phases already on cores, queued batch
+     * grants) drains through shed guards that charge no new work; the
+     * Active is deleted once its last batch drains.
      */
     void
     shedMidFlight(Active *a, ShedReason reason)
@@ -791,14 +790,9 @@ struct ServingSimulation::Impl
                 for (int i = 0; i < 2; ++i) {
                     if (op->exec[i].state != AttemptState::Executing)
                         continue;
+                    // A shed abort is not a hedge outcome: the backup
+                    // counts cancelled, and nothing counts as wasted.
                     abortExecuting(op, i, obs::kFlagCancelled);
-                    // A shed abort is not a hedge outcome: reverse the
-                    // whole hedge-waste pre-charge, so
-                    // hedge_wasted_cpu_ns stays a pure hedge-race metric
-                    // (all zero when hedging is off), and count the
-                    // backup cancelled for conservation.
-                    a->st.hedge_wasted_cpu_ns -=
-                        static_cast<double>(op->exec[i].busy);
                     if (i == 1)
                         ++hedge_stats.cancelled;
                 }
@@ -882,14 +876,13 @@ struct ServingSimulation::Impl
         if (op->decided()) {
             // Race decided while the timeout ran (sibling answered, or
             // the request was shed): this is just debris to drop.
-            retireAttempt(op, idx, Retire::Cancelled,
-                          loseFlags(op) | obs::kFlagFault);
+            retireAttempt(op, idx, loseFlags(op) | obs::kFlagFault);
             return;
         }
         if (idx == 1) {
             // A failed hedge never escalates: the primary (and its
             // retries) still own the op; the backup just dissolves.
-            retireAttempt(op, idx, Retire::Cancelled, failed);
+            retireAttempt(op, idx, failed);
             return;
         }
         if (op->retries >= kMaxAttemptRetries) {
@@ -898,7 +891,7 @@ struct ServingSimulation::Impl
             // queued grants drain, charges settle). An open op means the
             // request is still Live, which shedMidFlight checks.
             Active *a = op->bt->req;
-            retireAttempt(op, idx, Retire::Cancelled, failed);
+            retireAttempt(op, idx, failed);
             ++fault_stats.upstream_failures;
             shedMidFlight(a, ShedReason::UpstreamFailure);
             return;
@@ -1306,35 +1299,19 @@ struct ServingSimulation::Impl
             op_ns;
     }
 
-    /** How a dead-end attempt counts when it retires. */
-    enum class Retire : std::uint8_t
-    {
-        Cancelled, //!< gave up without executing usefully: backup cancelled
-        Lost,      //!< ran its busy period for nothing: backup lost, wasted
-        Aborted,   //!< stopped mid-service: abortExecuting settled it
-    };
-
     /**
-     * The one exit of an attempt that delivers no response: close its
-     * span with `flags`, count `outcome` (the hedge counters count
-     * backups only) and drop its op reference.
-     * Touches no batch or request state: a retiring attempt of a
-     * decided op may outlive both.
+     * The one exit of an attempt that gives up without executing: close
+     * its span with `flags`, count a backup cancelled and drop its op
+     * reference. Touches no batch or request state: a retiring attempt
+     * of a decided op may outlive both.
      */
     void
-    retireAttempt(RpcOp *op, int idx, Retire outcome,
-                  std::uint8_t flags = obs::kFlagNone)
+    retireAttempt(RpcOp *op, int idx, std::uint8_t flags)
     {
-        AttemptExec &ex = op->exec[idx];
-        if (outcome != Retire::Aborted && tr)
-            tr->end(ex.sp_attempt, engine.now(), flags);
-        if (outcome == Retire::Lost) {
-            hedge_stats.wasted_busy_ns += static_cast<double>(ex.busy);
-            if (idx == 1)
-                ++hedge_stats.losses;
-        } else if (outcome == Retire::Cancelled && idx == 1) {
+        if (tr)
+            tr->end(op->exec[idx].sp_attempt, engine.now(), flags);
+        if (idx == 1)
             ++hedge_stats.cancelled;
-        }
         derefOp(op);
     }
 
@@ -1343,7 +1320,7 @@ struct ServingSimulation::Impl
      * `span_flags`, refund the unexecuted fraction of its charges (only
      * the consumed part was real work), and free its core. The
      * hedge-race cancellation (cancelSibling) and the mid-flight shed
-     * (shedMidFlight) share it; each settles its own hedge accounting.
+     * (shedMidFlight) share it; each counts its own hedge outcome.
      * Returns the busy time consumed before the abort.
      */
     sim::Duration
@@ -1514,7 +1491,7 @@ struct ServingSimulation::Impl
     {
         // Race already decided while this attempt was on the wire.
         if (op->decided()) {
-            retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
+            retireAttempt(op, idx, loseFlags(op));
             return;
         }
         const Group &g = op->group();
@@ -1577,7 +1554,7 @@ struct ServingSimulation::Impl
                            ex.sp_attempt, q0, engine.now(), g.shard,
                            op->ni->net_id, op->batch_id, loseFlags(op));
             r.cores->release();
-            retireAttempt(op, idx, Retire::Cancelled, loseFlags(op));
+            retireAttempt(op, idx, loseFlags(op));
             return;
         }
         // The replica died (or rebooted) while this attempt sat in its
@@ -1620,13 +1597,6 @@ struct ServingSimulation::Impl
 
         const sim::Duration busy =
             rec.service + rec.serde + rec.net_overhead + rec.sparse_op;
-        // Pre-charge this attempt's busy time as wasted; the winning
-        // attempt reverses it in finishExecution. A losing attempt may
-        // outlive its request (the winner's response completes it), so
-        // the loser's completion must not touch request state — only
-        // the pre-charge/reversal protocol keeps per-request wasted-work
-        // accounting memory-safe.
-        a->st.hedge_wasted_cpu_ns += static_cast<double>(busy);
         advance(ex, AttemptState::Executing);
         ex.server = server;
         ex.exec_start = engine.now();
@@ -1650,6 +1620,9 @@ struct ServingSimulation::Impl
      * The attempt's busy period ran out: Executing -> Done, and the
      * first attempt of an open op to get here wins and sends its
      * response. Aborted attempts and replica deaths retire instead.
+     * Deciding an op aborts its executing attempts (cancelSibling,
+     * shedMidFlight), so one that gets here unaborted belongs to an open
+     * op; a decided one throws std::logic_error.
      */
     void
     finishExecution(RpcOp *op, int idx, std::int64_t resp_bytes)
@@ -1659,9 +1632,12 @@ struct ServingSimulation::Impl
             // A winning sibling or a shed aborted this attempt
             // mid-service and already released the core and settled
             // accounting.
-            retireAttempt(op, idx, Retire::Aborted);
+            derefOp(op);
             return;
         }
+        if (op->decided())
+            throw std::logic_error(
+                "serving: attempt executed past its op's decision");
         Replica &r = replicas[static_cast<std::size_t>(self.server)];
         if (r.dead || self.server_gen != r.gen) {
             // The replica died mid-service: the compute was genuinely
@@ -1673,37 +1649,14 @@ struct ServingSimulation::Impl
             if (tr)
                 tr->end(self.sp_exec, engine.now(),
                         obs::kFlagCancelled | obs::kFlagFault);
-            if (op->decided()) {
-                // A sibling already answered; this was duplicate work
-                // and stays accounted as such.
-                retireAttempt(op, idx, Retire::Lost,
-                              loseFlags(op) | obs::kFlagFault);
-                return;
-            }
-            // Reverse the hedge pre-charge: a fault loss is not a hedge
-            // outcome, so hedge_wasted_cpu_ns stays a pure hedge-race
-            // metric.
-            op->bt->req->st.hedge_wasted_cpu_ns -=
-                static_cast<double>(self.busy);
             attemptFailed(op, idx);
             return;
         }
         advance(self, AttemptState::Done);
         r.cores->release();
-        if (op->decided()) {
-            // Lost the race after executing to completion (the winner
-            // finished in the same event round): wasted duplicate work.
-            // The request may already be complete, so only
-            // simulation-level counters are touched here.
-            if (tr)
-                tr->end(self.sp_exec, engine.now(), obs::kFlagLoser);
-            retireAttempt(op, idx, Retire::Lost, obs::kFlagLoser);
-            return;
-        }
         if (tr)
             tr->end(self.sp_exec, engine.now());
         op->state = OpState::Won;
-        op->bt->req->st.hedge_wasted_cpu_ns -= static_cast<double>(self.busy);
         if (idx == 1) {
             ++hedge_stats.wins;
             ++op->bt->req->st.hedge_wins;
@@ -1727,7 +1680,8 @@ struct ServingSimulation::Impl
      * completion). This is what makes hedging capacity-positive under
      * load — aborting a straggling primary after the fast backup answers
      * refunds most of the straggler's inflated service time. Runs on the
-     * winner's completion path, where the request is guaranteed alive.
+     * winner's completion path, where the request is guaranteed alive,
+     * so the busy time the loser consumed is charged to it as wasted.
      */
     void
     cancelSibling(RpcOp *op, int winner_idx)
@@ -1737,10 +1691,7 @@ struct ServingSimulation::Impl
             return;
         const sim::Duration consumed = abortExecuting(
             op, loser, obs::kFlagCancelled | obs::kFlagLoser);
-        // The pre-charge covered the full busy period; only the consumed
-        // part was actually wasted.
-        op->bt->req->st.hedge_wasted_cpu_ns -=
-            static_cast<double>(op->exec[loser].busy - consumed);
+        op->bt->req->st.hedge_wasted_cpu_ns += static_cast<double>(consumed);
         hedge_stats.wasted_busy_ns += static_cast<double>(consumed);
         if (loser == 1)
             ++hedge_stats.losses; // the backup was the aborted attempt

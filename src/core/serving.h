@@ -46,21 +46,23 @@
  *                                           +--aborted or lost---> Aborted
  *
  * Once an op is decided (Won or Shed) it stays decided, and every other
- * attempt retires without a response. What each ending counts — hedge
- * counters count backups only, fault counters count every attempt:
+ * attempt retires without a response. Deciding an op aborts every
+ * attempt still executing on it, so no attempt executes past its op's
+ * decision; one that reaches the end of its busy period on a decided op
+ * throws std::logic_error. What each ending counts — hedge counters
+ * count backups only, fault counters count every attempt:
  *
  *   - Done on an Open op: the winner; a backup counts HedgeStats::wins.
- *   - Done on a decided op: lost the race; a backup counts a loss, and
- *     its whole busy period counts as wasted_busy_ns.
  *   - Aborted by the winning sibling: a backup counts a loss, and the
- *     busy time it consumed counts as wasted; the request is refunded
- *     the rest.
+ *     busy time it consumed counts as wasted, in
+ *     HedgeStats::wasted_busy_ns and in its request's
+ *     RequestStats::hedge_wasted_cpu_ns; the request is refunded the
+ *     rest.
  *   - Aborted by a mid-flight shed: a backup counts cancelled; the
  *     request is refunded the unexecuted rest. The op counts in
  *     ServingMetrics::shed_cancelled_rpcs.
  *   - Aborted because its replica died mid-service: counts
- *     FaultStats::lost_in_service. On a decided op a backup counts a
- *     loss plus wasted busy time; otherwise it fails like a Pending one.
+ *     FaultStats::lost_in_service and fails like a Pending one.
  *   - Pending when its op is decided: a backup counts cancelled.
  *   - Pending when its target proves unreachable (partition, dead or
  *     unresolvable replica, queue lost in a crash; each counted in
@@ -563,9 +565,8 @@ class ServingSimulation
     //    live one, re-applying an identical degradation or partition
     //    state changes nothing and counts nothing.
     //  * Accounting: compute genuinely burned before a fault lands stays
-    //    charged to the requests that issued it; only hedge-race
-    //    pre-charges are reversed when an attempt dies mid-service, so
-    //    hedge_wasted_cpu_ns remains a pure hedge-outcome metric. Every
+    //    charged to the requests that issued it; none of it counts as
+    //    hedge_wasted_cpu_ns, which only a race's winner adds to. Every
     //    fault consequence is counted in metrics().faults, and requests that
     //    exhaust their failover retries finish shed with
     //    ShedReason::UpstreamFailure.

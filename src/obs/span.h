@@ -82,7 +82,7 @@ enum SpanFlags : std::uint8_t
     kFlagNone = 0,
     kFlagHedge = 1,     //!< attempt was a hedge backup
     kFlagCancelled = 2, //!< cancelled before/during execution
-    kFlagLoser = 4,     //!< executed to completion but lost the race
+    kFlagLoser = 4,     //!< its sibling won the race
     kFlagShed = 8,      //!< request was shed (root span)
     kFlagCacheHit = 16, //!< result-cache probe hit
     kFlagFault = 32,    //!< attempt hit a dead/partitioned/unresolvable target

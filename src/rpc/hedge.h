@@ -71,8 +71,10 @@ struct HedgeStats
     std::uint64_t primary_rpcs = 0; //!< primaries dispatched
     std::uint64_t hedges = 0;       //!< backups launched
     std::uint64_t wins = 0;         //!< backup answered first
-    std::uint64_t losses = 0;       //!< backup executed but lost the race
-    std::uint64_t cancelled = 0;    //!< backup cancelled before executing
+    /** Backup aborted mid-service by the winning primary. */
+    std::uint64_t losses = 0;
+    /** Backup cancelled before executing, or aborted by a shed. */
+    std::uint64_t cancelled = 0;
     /**
      * Hedge deadlines that expired but launched no backup (budget
      * exhausted) — makes under-hedging visible instead of silently

@@ -157,7 +157,7 @@ TEST(Hedge, OutcomeCountersAreConserved)
     for (const auto &s : stats) {
         ASSERT_GE(s.hedges, 0);
         ASSERT_GE(s.hedge_wins, 0);
-        EXPECT_GE(s.hedge_wasted_cpu_ns, -1.0); // rounding-safe
+        EXPECT_GE(s.hedge_wasted_cpu_ns, 0.0); // waste is only ever added
         hedges += static_cast<std::uint64_t>(s.hedges);
         wins += static_cast<std::uint64_t>(s.hedge_wins);
     }
@@ -303,11 +303,11 @@ TEST(ShedCancel, NoSparseBusyTimeChargedAfterMidFlightShed)
     EXPECT_GT(m.shed_cancelled_rpcs, 0u);
     // Shed-cancelled work is not hedge waste: with hedging disabled the
     // hedge counters stay all-zero even through mid-flight aborts — at
-    // the simulation level AND in the emitted per-request stats (the
-    // attempt pre-charges must be settled before the shed stats go out).
+    // the simulation level AND in the emitted per-request stats (only a
+    // race's winner charges waste, and a shed abort has no winner).
     EXPECT_EQ(m.hedge.wasted_busy_ns, 0.0);
     EXPECT_EQ(shed_stats.hedges, 0);
-    EXPECT_NEAR(shed_stats.hedge_wasted_cpu_ns, 0.0, 1.0);
+    EXPECT_EQ(shed_stats.hedge_wasted_cpu_ns, 0.0);
     // The settled cpu_* buckets hold only work actually consumed.
     EXPECT_GE(shed_stats.cpu_ops_ns, 0.0);
     EXPECT_GE(shed_stats.cpu_serde_ns, 0.0);

@@ -318,6 +318,25 @@ expectConsistentMetrics(const core::ServingMetrics &m, int shards)
     EXPECT_EQ(alive, m.servers.size() - m.faults.kills + m.faults.restores);
 }
 
+/**
+ * Hedge waste is only ever added, once per aborted loser, to both its
+ * request and the hedge ledger, so the per-request figures are never
+ * negative and sum to the ledger exactly (whole nanoseconds held in
+ * doubles). Not for the batched driver, which scales each rider's share
+ * by its item fraction.
+ */
+void
+expectWasteConserved(const std::vector<core::RequestStats> &stats,
+                     const rpc::HedgeStats &h)
+{
+    double wasted_ns = 0.0;
+    for (const auto &s : stats) {
+        EXPECT_GE(s.hedge_wasted_cpu_ns, 0.0) << "request " << s.id;
+        wasted_ns += s.hedge_wasted_cpu_ns;
+    }
+    EXPECT_EQ(wasted_ns, h.wasted_busy_ns);
+}
+
 /** Paths a run reached, summed over cases by the coverage test. */
 struct Reached
 {
@@ -413,7 +432,10 @@ runCase(const Case &c, Reached *reached = nullptr)
     EXPECT_EQ(stats.size(), c.requests.size());
     for (const auto &r : c.requests)
         EXPECT_EQ(seen[r.id], 1) << "request " << r.id;
-    expectConsistentMetrics(sim.metrics(), c.plan.numShards());
+    const core::ServingMetrics m = sim.metrics();
+    expectConsistentMetrics(m, c.plan.numShards());
+    if (c.driver != Driver::Batched)
+        expectWasteConserved(stats, m.hedge);
     if (reached != nullptr)
         reached->add(sim, stats);
     return digestRun(sim, stats, tracer);
