@@ -187,7 +187,6 @@ main()
     sampler.setLatencyFeed(&feed);
     auto sampled_serving = study.serving;
     sampled_serving.tracer = &sampled_tracer;
-    sampled_serving.latency_feed = &feed;
     core::ServingSimulation sampled_sim(study.spec, study.plan,
                                         sampled_serving);
     const auto sampled_stats = sampled_sim.replayOpenLoop(requests, qps);

@@ -13,7 +13,6 @@
 #include "cache/lookup_model.h"
 #include "netsim/message.h"
 #include "obs/span_tracer.h"
-#include "obs/timeseries.h"
 #include "rpc/discovery.h"
 #include "rpc/service.h"
 #include "sim/pool.h"
@@ -364,12 +363,11 @@ struct ServingSimulation::Impl
             const auto &r = *replicas[static_cast<std::size_t>(server)].cores;
             return r.inUse() + r.queued();
         });
-        results = &collected;
         buildNetInfos();
     }
 
     const model::ModelSpec &spec;
-    const ShardingPlan &plan;
+    const ShardingPlan plan;
     ServingConfig cfg;
     /** Cached span tracer; null when tracing is disabled. */
     obs::SpanTracer *tr = nullptr;
@@ -401,10 +399,6 @@ struct ServingSimulation::Impl
     stats::Rng rng;
 
     std::vector<NetInfo> nets;
-    /** Where finished stats land; defaults to `collected` (driver API). */
-    std::vector<RequestStats> *results = nullptr;
-    /** Results of externally injected requests, drained by takeResults. */
-    std::vector<RequestStats> collected;
     /** Requests injected and stats emitted; equal once the engine drains. */
     std::uint64_t injected = 0;
     std::uint64_t emitted = 0;
@@ -664,10 +658,10 @@ struct ServingSimulation::Impl
 
     /**
      * The one exit of a request's stats, served (`reason` None) or shed:
-     * close the root span, stamp completion and e2e, publish to
-     * `results`, then hand a copy to on_complete. The Active is recycled
-     * first unless it was shed mid-flight: then its batches still drain
-     * and the last one recycles it.
+     * close the root span, stamp completion and e2e, hand the stats to
+     * on_complete by reference, then recycle the Active, unless it was
+     * shed mid-flight: then its batches still drain and the last one
+     * recycles it.
      */
     void
     emitStats(Active *a, ShedReason reason)
@@ -676,10 +670,7 @@ struct ServingSimulation::Impl
         RequestStats &st = a->st;
         st.shed_reason = reason;
         // A served root carries the hedge-win flag so the sampler's flag
-        // trigger can keep hedge-win traces. The feed observe comes
-        // AFTER the root end (and thus after the sampler's decision), so
-        // the rolling tail threshold never includes the request being
-        // judged.
+        // trigger can keep hedge-win traces.
         if (tr)
             tr->end(a->sp_root, engine.now(),
                     st.shed()             ? obs::kFlagShed
@@ -688,9 +679,6 @@ struct ServingSimulation::Impl
         st.completion = engine.now();
         st.e2e = st.completion - st.arrival;
         if (!st.shed()) {
-            if (cfg.latency_feed != nullptr)
-                cfg.latency_feed->observe(
-                    static_cast<double>(st.completion) * 1e-9, st.e2e);
             const sim::Duration accounted = st.queue_wait + st.lat_serde +
                                             st.lat_service +
                                             st.lat_net_overhead +
@@ -708,13 +696,10 @@ struct ServingSimulation::Impl
                 st.emb_sparse_op = a->max_inline_sparse;
             }
         }
-        results->push_back(st);
-        const RequestStats copy = st;
-        auto on_complete = std::move(a->on_complete);
+        if (a->on_complete)
+            a->on_complete(st);
         if (a->state != RequestState::Shed)
             releaseActive(a);
-        if (on_complete)
-            on_complete(copy);
     }
 
     /**
@@ -1842,16 +1827,15 @@ struct ServingSimulation::Impl
 ServingSimulation::ServingSimulation(const model::ModelSpec &spec,
                                      const ShardingPlan &plan,
                                      ServingConfig config)
-    : spec_(spec), plan_(plan), config_(config)
 {
     std::string error;
-    if (!spec_.validate(&error))
+    if (!spec.validate(&error))
         throw std::invalid_argument("ServingSimulation: model spec: " + error);
-    if (!plan_.validate(spec_, &error))
+    if (!plan.validate(spec, &error))
         throw std::invalid_argument("ServingSimulation: sharding plan: " +
                                     error);
-    validateConfig(config_);
-    impl_ = std::make_unique<Impl>(spec_, plan_, config_);
+    validateConfig(config);
+    impl_ = std::make_unique<Impl>(spec, plan, config);
 }
 
 ServingSimulation::~ServingSimulation() = default;
@@ -1861,7 +1845,6 @@ ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
 {
     std::vector<RequestStats> results;
     results.reserve(requests.size());
-    impl_->results = &results;
 
     // Chain injections: each request enters when the previous completes.
     // The completion closure captures two words, which std::function
@@ -1870,22 +1853,23 @@ ServingSimulation::replaySerial(const std::vector<workload::Request> &requests)
     {
         Impl *impl;
         const std::vector<workload::Request> *requests;
+        std::vector<RequestStats> *results;
 
         void
         launch(std::size_t i)
         {
             if (i >= requests->size())
                 return;
-            impl->inject((*requests)[i], [this, i](const RequestStats &) {
+            impl->inject((*requests)[i], [this, i](const RequestStats &st) {
+                results->push_back(st);
                 impl->engine.schedule(0, sim::kEvDriver,
                                       [this, i] { launch(i + 1); });
             });
         }
     };
-    Chain chain{impl_.get(), &requests};
+    Chain chain{impl_.get(), &requests, &results};
     chain.launch(0);
     impl_->engine.run();
-    impl_->results = &impl_->collected;
     checkDrained();
     return results;
 }
@@ -1899,7 +1883,6 @@ ServingSimulation::replayOpenLoop(
                                     "> 0, got " + std::to_string(qps));
     std::vector<RequestStats> results;
     results.reserve(requests.size());
-    impl_->results = &results;
 
     // Chain the arrivals: arrival i, when it fires, draws arrival i+1's
     // gap from the private stream and schedules it under the tie-break
@@ -1910,6 +1893,7 @@ ServingSimulation::replayOpenLoop(
     {
         Impl *impl;
         const std::vector<workload::Request> *requests;
+        std::vector<RequestStats> *results;
         stats::Rng arrivals;
         double qps;
         std::uint64_t first_seq;
@@ -1921,20 +1905,25 @@ ServingSimulation::replayOpenLoop(
             t += static_cast<sim::Duration>(arrivals.exponential(qps) *
                                             static_cast<double>(sim::kSecond));
             impl->engine.scheduleAt(t, sim::kEvDriver, first_seq + i,
-                                    [this, i] {
-                                        if (i + 1 < requests->size())
-                                            schedule(i + 1);
-                                        impl->inject((*requests)[i], nullptr);
-                                    });
+                                    [this, i] { arrive(i); });
+        }
+
+        void
+        arrive(std::size_t i)
+        {
+            if (i + 1 < requests->size())
+                schedule(i + 1);
+            impl->inject((*requests)[i], [this](const RequestStats &st) {
+                results->push_back(st);
+            });
         }
     };
-    Chain chain{impl_.get(), &requests, impl_->rng.fork(0xa881), qps,
-                impl_->engine.reserveSeq(requests.size()),
+    Chain chain{impl_.get(), &requests, &results, impl_->rng.fork(0xa881),
+                qps, impl_->engine.reserveSeq(requests.size()),
                 impl_->engine.now()};
     if (!requests.empty())
         chain.schedule(0);
     impl_->engine.run();
-    impl_->results = &impl_->collected;
     checkDrained();
     return results;
 }
@@ -1976,14 +1965,6 @@ ServingSimulation::checkDrained() const
         fail("injected requests != emitted requests");
     if (m.tr != nullptr && m.tr->openCount() != 0)
         fail("the tracer has open spans");
-}
-
-std::vector<RequestStats>
-ServingSimulation::takeResults()
-{
-    std::vector<RequestStats> out;
-    out.swap(impl_->collected);
-    return out;
 }
 
 ServingMetrics

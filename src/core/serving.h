@@ -111,7 +111,6 @@ class CachedLookupModel;
 
 namespace dri::obs {
 class SpanTracer;
-class RollingHistogram;
 }
 
 namespace dri::core {
@@ -410,21 +409,6 @@ struct ServingConfig
      * the simulation.
      */
     obs::SpanTracer *tracer = nullptr;
-    /**
-     * Optional rolling in-run latency feed (src/obs). When set, every
-     * SERVED request's end-to-end latency (nanoseconds) is pushed into
-     * the window at its completion time, so a monitor can ask for the
-     * rolling P99 while the replay is still in flight instead of
-     * waiting for the final RequestStats ledger. Shed requests are
-     * excluded, matching latencyQuantiles(). Like root spans, the feed
-     * is per simulated request: under sched::runBatchedOpenLoop it sees
-     * one sample per merged batch, timed from the batch's backdated
-     * arrival, not one per rider. Pure observer under the
-     * same contract as `tracer`: attaching it never changes
-     * RequestStats (enforced byte-for-byte by serving_stress_test).
-     * Not owned; must outlive the simulation.
-     */
-    obs::RollingHistogram *latency_feed = nullptr;
 };
 
 /** One deployment of one model under one sharding plan. */
@@ -482,9 +466,9 @@ class ServingSimulation
 
     // -- Low-level driver API (src/sched) ---------------------------------
     //
-    // External schedulers (the dynamic batcher, capacity search) drive the
-    // simulation directly: schedule injections on engine(), call
-    // engine().run(), then collect with takeResults().
+    // An external scheduler (the dynamic batcher) drives the simulation
+    // directly: schedule injections on engine(), call engine().run(), and
+    // collect each request's stats from its completion callback.
 
     /** The discrete-event engine: clock + scheduler. */
     sim::Engine &engine();
@@ -492,8 +476,9 @@ class ServingSimulation
     /**
      * Inject one request at the current simulated time. `on_complete`
      * (may be null) fires with the request's final stats — including shed
-     * requests, whose stats carry the shed reason. The request object
-     * must outlive its completion.
+     * requests, whose stats carry the shed reason. The reference is valid
+     * only for the call; the callback copies what it keeps. The request
+     * object must outlive its completion.
      *
      * `arrival` (>= 0) backdates the request's recorded arrival — the
      * dynamic batcher passes its oldest rider's queue-entry time so that
@@ -503,9 +488,6 @@ class ServingSimulation
     void inject(const workload::Request &request,
                 std::function<void(const RequestStats &)> on_complete,
                 sim::SimTime arrival = -1);
-
-    /** Stats of requests completed via inject() since the last call. */
-    std::vector<RequestStats> takeResults();
 
     /**
      * Check that a drained engine left nothing behind; throws
@@ -628,16 +610,10 @@ class ServingSimulation
         std::array<char, 0> rpcs() const { return {}; }
     };
     RpcLogView collector() const { return {}; }
-    const ShardingPlan &plan() const { return plan_; }
-    const model::ModelSpec &spec() const { return spec_; }
 
   private:
     struct Impl;
     std::unique_ptr<Impl> impl_;
-
-    const model::ModelSpec &spec_;
-    ShardingPlan plan_;
-    ServingConfig config_;
 };
 
 } // namespace dri::core

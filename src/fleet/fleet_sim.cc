@@ -425,15 +425,14 @@ FleetSim::runSegment(const Segment &seg, const EpochPlan &epoch,
                 m = std::make_shared<const cache::CachedLookupModel>(
                     m->scaled(faults.storm_warm_share));
 
-    // Pure observers: the tracer never draws simulation RNG and the
-    // feed only reads completions, so wiring them cannot change stats.
-    // The feed lives as long as the segment (whose sim clock starts at
-    // 0), and the sampler lets go of it before it dies.
+    // Pure observer: the tracer never draws simulation RNG, so wiring
+    // it cannot change stats. Its sampler feeds each served root into
+    // the segment's window, which lives as long as the segment (whose
+    // sim clock starts at 0); the sampler lets go of it before it dies.
     obs::RollingHistogram feed;
     if (epoch.tracer != nullptr) {
         epoch.tracer->sampler()->setLatencyFeed(&feed);
         cfg.tracer = epoch.tracer;
-        cfg.latency_feed = &feed;
     }
     core::ServingSimulation sim(spec_, plan_, cfg);
 

@@ -50,8 +50,6 @@ class Histogram
      */
     double valueAtQuantile(double q) const;
 
-    unsigned subBucketBits() const { return sub_bucket_bits_; }
-
     /** Bucket index a value lands in (exposed for boundary tests). */
     std::size_t bucketIndex(std::int64_t value) const;
 

@@ -50,9 +50,9 @@ TraceSampler::rootFlagged(const Tree &tree) const
 sim::Duration
 TraceSampler::tailThreshold(sim::SimTime now) const
 {
-    if (cfg_.latency_feed == nullptr)
+    if (feed_ == nullptr)
         return 0;
-    const double q = cfg_.latency_feed->valueAtQuantile(
+    const double q = feed_->valueAtQuantile(
         static_cast<double>(now) * 1e-9, kTailQuantile,
         /*empty_value=*/-1.0);
     return q >= 0.0 ? static_cast<sim::Duration>(q) : 0;
@@ -65,17 +65,23 @@ TraceSampler::decide(Tree *tree, sim::SimTime now)
         return;
     tree->decided = true;
     ++stats_.roots_closed;
+    tree->keep_class = classify(*tree, now);
+    // Observe after judging, so the threshold never includes the root
+    // being judged. A shed root's latency is not a served latency.
+    const SpanRecord &root = tree->spans.front();
+    if (feed_ != nullptr && (root.flags & kFlagShed) == 0)
+        feed_->observe(static_cast<double>(now) * 1e-9, root.duration());
+}
 
-    if (rootFlagged(*tree)) {
-        tree->keep_class = KeepClass::Flagged;
-        return;
-    }
-    const sim::Duration e2e = tree->spans.front().duration();
+KeepClass
+TraceSampler::classify(const Tree &tree, sim::SimTime now)
+{
+    if (rootFlagged(tree))
+        return KeepClass::Flagged;
+    const sim::Duration e2e = tree.spans.front().duration();
     const sim::Duration threshold = tailThreshold(now);
-    if (threshold > 0 && e2e >= threshold) {
-        tree->keep_class = KeepClass::Tail;
-        return;
-    }
+    if (threshold > 0 && e2e >= threshold)
+        return KeepClass::Tail;
     // Seeded uniform reservoir (Algorithm R) over root closes. The rng
     // draw happens for every root past the fill — the SAME number of
     // draws regardless of simulation behavior, and from the sampler's
@@ -83,9 +89,8 @@ TraceSampler::decide(Tree *tree, sim::SimTime now)
     if (cfg_.reservoir_size > 0) {
         const std::uint64_t idx = stats_.roots_closed - 1;
         if (reservoir_.size() < cfg_.reservoir_size) {
-            reservoir_.push_back(tree->request_id);
-            tree->keep_class = KeepClass::Reservoir;
-            return;
+            reservoir_.push_back(tree.request_id);
+            return KeepClass::Reservoir;
         }
         const std::uint64_t j = static_cast<std::uint64_t>(
             rng_.uniformInt(0, static_cast<std::int64_t>(idx)));
@@ -100,12 +105,11 @@ TraceSampler::decide(Tree *tree, sim::SimTime now)
                     break;
                 }
             }
-            reservoir_[j] = tree->request_id;
-            tree->keep_class = KeepClass::Reservoir;
-            return;
+            reservoir_[j] = tree.request_id;
+            return KeepClass::Reservoir;
         }
     }
-    tree->keep_class = KeepClass::Recycled;
+    return KeepClass::Recycled;
 }
 
 void

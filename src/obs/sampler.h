@@ -24,12 +24,13 @@
  *     target). Fault debris that closes after the root close is graded
  *     best-effort: flags present at decision time decide.
  *  2. **Tail** — the root's duration meets the rolling
- *     TraceSampler::kTailQuantile threshold read from
- *     SamplerConfig::latency_feed (the same RollingHistogram
- *     ServingConfig::latency_feed fills; the feed observes a request
- *     only after the sampler's decision, so the threshold never
- *     includes the request being judged). With no feed attached, or an
- *     empty window, nothing is a tail keep.
+ *     TraceSampler::kTailQuantile threshold read from the window
+ *     attached with TraceSampler::setLatencyFeed(). After judging a
+ *     root, the sampler observes its duration into that window at the
+ *     root's close unless the root carries kFlagShed, so the window
+ *     holds every served request's end-to-end latency and the
+ *     threshold never includes the request being judged. With no
+ *     window attached, or an empty one, nothing is a tail keep.
  *  3. **Reservoir** — a seeded uniform reservoir (Algorithm R) of
  *     reservoir_size roots over every root close, so healthy traffic
  *     stays represented no matter how long the replay runs. The
@@ -78,12 +79,6 @@ struct SamplerConfig
     std::uint64_t seed = 0x5a3b1ed;
     /** Uniform-reservoir size over root closes (0 disables it). */
     std::size_t reservoir_size = 32;
-    /**
-     * Rolling latency window the tail threshold is read from —
-     * typically the SAME RollingHistogram wired into
-     * ServingConfig::latency_feed. Not owned; null turns tail keeps off.
-     */
-    const RollingHistogram *latency_feed = nullptr;
     /** Hard cap on retained span bytes (sum of span-record storage). */
     std::size_t retained_byte_budget = 4u << 20;
 };
@@ -137,14 +132,12 @@ class TraceSampler
     const SamplerConfig &config() const { return cfg_; }
 
     /**
-     * Point the tail threshold at a (new) rolling feed mid-run — the
-     * fleet driver re-wires this per segment because each segment's
-     * simulation restarts its clock.
+     * Attach the rolling window the tail threshold is read from and
+     * every served root is observed into (null detaches it and turns
+     * tail keeps off). Not owned. The fleet driver re-wires it per
+     * segment because each segment's simulation restarts its clock.
      */
-    void setLatencyFeed(const RollingHistogram *feed)
-    {
-        cfg_.latency_feed = feed;
-    }
+    void setLatencyFeed(RollingHistogram *feed) { feed_ = feed; }
 
     // -- Arena interface (driven by SpanTracer; see obs/span_tracer.h) --
 
@@ -193,7 +186,9 @@ class TraceSampler
 
     /**
      * Classify the tree at root close (root must already carry its end
-     * time). Sets keep_class/decided; retention happens at seal().
+     * time), then observe an unshed root's duration into the attached
+     * window at `now`. Sets keep_class/decided; retention happens at
+     * seal().
      */
     void decide(Tree *tree, sim::SimTime now);
 
@@ -235,6 +230,7 @@ class TraceSampler
 
   private:
     bool rootFlagged(const Tree &tree) const;
+    KeepClass classify(const Tree &tree, sim::SimTime now);
     /** Tail-keep threshold at `now`; 0 (off) without a feed or samples. */
     sim::Duration tailThreshold(sim::SimTime now) const;
     void retain(Tree *tree);
@@ -244,6 +240,7 @@ class TraceSampler
 
     SamplerConfig cfg_;
     stats::Rng rng_;
+    RollingHistogram *feed_ = nullptr;
 
     /** Slot-stable tree storage; free_slots_ recycles indices. */
     std::vector<std::unique_ptr<Tree>> arena_;

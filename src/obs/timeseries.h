@@ -2,8 +2,8 @@
  * @file
  * Rolling time window over a latency stream: the bridge from the
  * collection layer (obs::Histogram, per-request stats) to *online*
- * judgments (the serving-side rolling P99 feed, the trace sampler's
- * tail threshold).
+ * judgments (the trace sampler's rolling tail threshold, which it feeds
+ * from the request roots it judges).
  *
  * The horizon is split into a ring of equal-width time buckets, each
  * holding an HDR-style obs::Histogram. Observations land in the bucket
@@ -15,7 +15,7 @@
  * Windows run on the *simulated* clock and are pure data structures:
  * no RNG, no scheduled events — attaching one to a live simulation can
  * never perturb it (the contract the stress grid enforces for the
- * serving-side rolling-P99 feed).
+ * sampler-fed window).
  */
 #pragma once
 
@@ -40,7 +40,7 @@ struct WindowConfig
  * with HDR-histogram buckets instead of exact samples: O(log range)
  * memory per time bucket no matter the request rate, quantiles within
  * 2^-sub_bucket_bits relative error via Histogram::valueAtQuantile.
- * This is the serving-side rolling in-run P99 feed's representation.
+ * This is the trace sampler's rolling in-run P99 window.
  *
  * Out-of-order timestamps are tolerated: a late sample whose bucket is
  * still live lands in that bucket, and a sample more than a full

@@ -239,11 +239,8 @@ DynamicBatcher::onBatchComplete(InFlight &batch,
         stats_.push_back(st);
     }
     // The sim no longer references the merged request once its stats are
-    // delivered, and the merged-level stats it also collected are
-    // superseded by the per-part stats above: drop both, and retire
-    // finished batches from the front, so long replays hold memory only
-    // for batches genuinely in flight.
-    sim_.takeResults();
+    // delivered: drop it, and retire finished batches from the front, so
+    // long replays hold memory only for batches genuinely in flight.
     batch.parts.clear();
     batch.parts.shrink_to_fit();
     batch.merged = workload::Request{};

@@ -94,10 +94,10 @@ CapacityResult
 CapacitySearch::run(const std::vector<workload::Request> &requests)
 {
     // Probes run concurrently, so they must not share a mutable observer.
-    if (serving_.tracer != nullptr || serving_.latency_feed != nullptr)
+    if (serving_.tracer != nullptr)
         throw std::invalid_argument(
             "CapacitySearch::run: probes run concurrently; detach the "
-            "tracer and latency feed (probe() takes them)");
+            "tracer (probe() takes it)");
 
     // Geometric QPS grid, endpoints included.
     std::vector<double> grid;

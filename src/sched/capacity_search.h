@@ -146,8 +146,8 @@ class CapacitySearch
 
     /**
      * Run the grid search over the given request stream. Throws
-     * std::invalid_argument when the serving config carries a tracer or
-     * a latency feed: concurrent probes would share the observer.
+     * std::invalid_argument when the serving config carries a tracer:
+     * concurrent probes would share the observer.
      */
     CapacityResult run(const std::vector<workload::Request> &requests);
 

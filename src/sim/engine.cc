@@ -129,7 +129,6 @@ Engine::profile() const
     p.executed = executed_;
     p.peak_pending = peak_pending_;
     p.tag_events = tag_events_;
-    p.heap_callbacks = heap_callbacks_;
     p.arena_blocks = arena_blocks_;
     // wall_ns is the sum of the converted per-tag values (not a separately
     // converted total), so the tag breakdown partitions it exactly.

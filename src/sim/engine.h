@@ -23,11 +23,10 @@
  * storage grows only with the arena and steady-state scheduling
  * performs zero heap allocations: pushing an event is a slot pop +
  * in-place callable construction + an O(1) link, and dispatch never
- * moves a callable (slots are invoked in place). Captures larger than
- * the inline buffer fall back to the heap and are counted in
- * EngineProfile::heap_callbacks so the zero-alloc contract stays
- * observable. The (when, seq) order is a strict total order, so the
- * dispatch sequence is independent of the queue's layout.
+ * moves a callable (slots are invoked in place). A capture larger than
+ * the inline buffer does not compile (InlineFn). The (when, seq) order
+ * is a strict total order, so the dispatch sequence is independent of
+ * the queue's layout.
  *
  * Tie-break numbers can be reserved ahead of scheduling (reserveSeq): a
  * driver that chains a stream of future events (open-loop arrivals) takes
@@ -94,7 +93,9 @@ struct EngineProfile
     std::int64_t wall_ns = 0;       //!< host time inside callbacks (profiling on)
     std::array<std::uint64_t, kEvTagCount> tag_events{};
     std::array<std::int64_t, kEvTagCount> tag_wall_ns{};
-    std::uint64_t heap_callbacks = 0; //!< captures too big for the inline buffer
+    /** Always 0: InlineFn rejects oversized captures at compile time.
+     *  Kept because the bench_e2e harness reads it. */
+    std::uint64_t heap_callbacks = 0;
     std::uint64_t arena_blocks = 0;   //!< slot blocks ever allocated
 };
 
@@ -153,8 +154,7 @@ class Engine
     {
         checkWhen(when);
         const std::uint32_t slot = allocSlot();
-        if (!fnAt(slot).emplace(std::forward<F>(fn)))
-            ++heap_callbacks_;
+        fnAt(slot).emplace(std::forward<F>(fn));
         pushEntry(when, tag, slot, next_seq_++);
     }
 
@@ -185,8 +185,7 @@ class Engine
             throwUnreserved(seq);
         checkWhen(when);
         const std::uint32_t slot = allocSlot();
-        if (!fnAt(slot).emplace(std::forward<F>(fn)))
-            ++heap_callbacks_;
+        fnAt(slot).emplace(std::forward<F>(fn));
         pushEntry(when, tag, slot, seq);
     }
 
@@ -234,7 +233,6 @@ class Engine
      * region); elsewhere they fall back to steady_clock.
      */
     void enableProfiling(bool on);
-    bool profilingEnabled() const { return profiling_; }
 
     /**
      * Snapshot of the self-profile. Built on demand: the dispatch loop
@@ -382,7 +380,6 @@ class Engine
     double tick_ns_ = 0.0; //!< profiling tick -> ns rate (0 = uncalibrated)
     std::array<std::uint64_t, kEvTagCount> tag_events_{};
     std::array<std::uint64_t, kEvTagCount> tag_wall_ticks_{};
-    std::uint64_t heap_callbacks_ = 0;
     std::uint64_t arena_blocks_ = 0;
 };
 

@@ -5,10 +5,8 @@
  * std::function heap-allocates any capture list bigger than two words,
  * which on the simulator's hot path means one malloc/free pair per
  * scheduled event and per queued resource grant. InlineFn<Cap> stores
- * the callable inline (up to Cap bytes) and only falls back to the heap
- * for oversized captures — every fallback is counted, so the zero-
- * steady-state-allocation contract in sim_perf_test can assert the cap
- * actually covers the serving engine's closures.
+ * the callable inline, always: a capture bigger than Cap bytes (or
+ * over-aligned) is a compile error, so no closure can take the heap.
  *
  * Move-only, like the closures it carries (pooled pointers, span ids,
  * Rng handles). Invocation is a single indirect call through a static
@@ -17,34 +15,12 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace dri::sim {
-
-namespace detail {
-
-/** Process-wide count of InlineFn heap fallbacks (relaxed; hot paths
- *  never take it — only captures bigger than the inline cap do). */
-inline std::atomic<std::uint64_t> &
-inlineFnHeapAllocs()
-{
-    static std::atomic<std::uint64_t> n{0};
-    return n;
-}
-
-} // namespace detail
-
-/** Total heap-fallback constructions since process start. */
-inline std::uint64_t
-inlineFnHeapAllocations()
-{
-    return detail::inlineFnHeapAllocs().load(std::memory_order_relaxed);
-}
 
 template <std::size_t Cap>
 class InlineFn
@@ -77,28 +53,18 @@ class InlineFn
 
     ~InlineFn() { reset(); }
 
-    /**
-     * Install a callable, destroying any current one. Returns true when
-     * the capture fit the inline buffer (false = counted heap fallback).
-     */
+    /** Install a callable, destroying any current one. */
     template <class F>
-    bool
+    void
     emplace(F &&f)
     {
         using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= Cap &&
+                          alignof(Fn) <= alignof(std::max_align_t),
+                      "InlineFn: capture exceeds the inline buffer");
         reset();
-        if constexpr (sizeof(Fn) <= Cap &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            new (buf_) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>();
-            return true;
-        } else {
-            *reinterpret_cast<Fn **>(buf_) = new Fn(std::forward<F>(f));
-            ops_ = &heapOps<Fn>();
-            detail::inlineFnHeapAllocs().fetch_add(
-                1, std::memory_order_relaxed);
-            return false;
-        }
+        new (buf_) Fn(std::forward<F>(f));
+        ops_ = &inlineOps<Fn>();
     }
 
     void
@@ -158,25 +124,6 @@ class InlineFn
                 Fn *f = static_cast<Fn *>(p);
                 (*f)();
                 f->~Fn();
-            },
-        };
-        return ops;
-    }
-
-    template <class Fn>
-    static const Ops &
-    heapOps()
-    {
-        static const Ops ops = {
-            [](void *p) { (**static_cast<Fn **>(p))(); },
-            [](void *p) { delete *static_cast<Fn **>(p); },
-            [](void *dst, void *src) {
-                *static_cast<Fn **>(dst) = *static_cast<Fn **>(src);
-            },
-            [](void *p) {
-                Fn *f = *static_cast<Fn **>(p);
-                (*f)();
-                delete f;
             },
         };
         return ops;

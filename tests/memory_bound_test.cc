@@ -38,6 +38,7 @@
 #include "model/generators.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
+#include "stats/rng.h"
 #include "workload/diurnal.h"
 #include "workload/request_generator.h"
 
@@ -296,6 +297,56 @@ TEST_F(MemoryBound, OpenLoopReplay)
         // queues at high-water capacity. A per-request store is ~15x.
         EXPECT_LE(n10.net_peak, n.net_peak * 2) << qps << " qps";
     }
+}
+
+/**
+ * An external driver on the low-level API: Poisson arrivals chained on
+ * engine() and injected one by one, each request's stats kept from its
+ * completion callback. The simulation holds nothing per request once
+ * the callback has run, whether or not the driver keeps the stats.
+ */
+TEST_F(MemoryBound, DriverApiOpenLoop)
+{
+    struct Driver
+    {
+        core::ServingSimulation *sim;
+        const std::vector<workload::Request> *reqs;
+        std::vector<core::RequestStats> *kept;
+        stats::Rng gaps;
+
+        void
+        schedule(std::size_t i)
+        {
+            const auto gap = static_cast<sim::Duration>(
+                gaps.exponential(1500.0) * static_cast<double>(sim::kSecond));
+            sim->engine().schedule(gap, sim::kEvDriver,
+                                   [this, i] { arrive(i); });
+        }
+
+        void
+        arrive(std::size_t i)
+        {
+            if (i + 1 < reqs->size())
+                schedule(i + 1);
+            sim->inject((*reqs)[i],
+                        [out = kept](const core::RequestStats &st) {
+                            out->push_back(st);
+                        });
+        }
+    };
+    const auto [n, n10] = atNand10N(
+        [](core::ServingSimulation &sim,
+           const std::vector<workload::Request> &reqs) {
+            std::vector<core::RequestStats> kept;
+            kept.reserve(reqs.size());
+            Driver driver{&sim, &reqs, &kept, stats::Rng(0xa881)};
+            driver.schedule(0);
+            sim.engine().run();
+            sim.checkDrained();
+            return kept;
+        });
+    // The same in-flight residue as replayOpenLoop at this rate.
+    EXPECT_LE(n10.net_peak, n.net_peak * 2);
 }
 
 TEST_F(MemoryBound, BatchedOpenLoop)

@@ -214,18 +214,16 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     gc.seed = 0xbeef ^ std::hash<std::string>{}(spec.name);
     const auto requests =
         workload::RequestGenerator(spec, gc).generate(600);
-    const auto config = [](obs::SpanTracer *tracer,
-                           obs::RollingHistogram *feed) {
+    const auto config = [](obs::SpanTracer *tracer) {
         auto cfg = sched::hedgeStudyConfig(
             rpc::LoadBalancePolicy::LeastOutstanding, 3, /*hedged=*/true);
         cfg.result_cache.enabled = true;
         cfg.result_cache.ttl_ns = 50 * sim::kMillisecond;
         cfg.tracer = tracer;
-        cfg.latency_feed = feed;
         return cfg;
     };
 
-    core::ServingSimulation untraced(spec, plan, config(nullptr, nullptr));
+    core::ServingSimulation untraced(spec, plan, config(nullptr));
     untraced.engine().enableProfiling(true);
     untraced.replayOpenLoop(requests, 1500.0);
     const auto &prof = untraced.engine().profile();
@@ -239,7 +237,7 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
             << sim::eventTagName(static_cast<sim::EventTag>(t));
 
     obs::SpanTracer tracer;
-    core::ServingSimulation traced(spec, plan, config(&tracer, nullptr));
+    core::ServingSimulation traced(spec, plan, config(&tracer));
     traced.replayOpenLoop(requests, 1500.0);
     EXPECT_EQ(tracer.spans().size(), 79094u);
     EXPECT_EQ(tracer.allocations(), 79094u);
@@ -263,8 +261,7 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     feed_cfg.horizon_s = 1e6;
     obs::RollingHistogram feed(feed_cfg);
     sampler.setLatencyFeed(&feed);
-    core::ServingSimulation sampled(spec, plan,
-                                    config(&sampled_tracer, &feed));
+    core::ServingSimulation sampled(spec, plan, config(&sampled_tracer));
     sampled.replayOpenLoop(requests, 1500.0);
     EXPECT_EQ(sampler.retained().size(), 56u);
     EXPECT_EQ(sampler.retainedBytes(), 504288u);
@@ -297,7 +294,6 @@ TEST(ObsServing, BatcherCountersFollowFromRequestStats)
     }
     engine.scheduleAt(t, [&batcher] { batcher.flush(); });
     engine.run();
-    sim.takeResults();
     const auto stats = batcher.takeStats();
     ASSERT_EQ(stats.size(), requests.size());
 

@@ -16,7 +16,6 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "obs/span_tracer.h"
-#include "obs/timeseries.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
 #include "sched/provision_loop.h"
@@ -926,12 +925,6 @@ TEST(CapacitySearch, RunRejectsASharedObserver)
     sched::CapacitySearch with_tracer(spec, plan, traced, sc);
     EXPECT_THROW(with_tracer.run(requests), std::invalid_argument);
     EXPECT_NO_THROW(with_tracer.probe(100.0, requests));
-
-    obs::RollingHistogram feed;
-    auto fed = cfg;
-    fed.latency_feed = &feed;
-    EXPECT_THROW(sched::CapacitySearch(spec, plan, fed, sc).run(requests),
-                 std::invalid_argument);
 }
 
 } // namespace

@@ -270,12 +270,10 @@ class ServingStressTest : public ::testing::Test
      */
     std::vector<core::RequestStats>
     run(const GridPoint &p, obs::SpanTracer *tracer = nullptr,
-        obs::RollingHistogram *latency_feed = nullptr,
         bool read_metrics = false) const
     {
         auto cfg = configFor(p);
         cfg.tracer = tracer;
-        cfg.latency_feed = latency_feed;
         core::ServingSimulation sim(spec_, plan_, cfg);
         std::size_t reads = 0;
         if (read_metrics)
@@ -426,7 +424,7 @@ TEST_F(ServingStressTest, TracingLeavesStatsByteIdentical)
                         expectIdentical(baseline[i], traced[i],
                                         p.label() + " traced req " +
                                             std::to_string(i));
-                    const auto read = run(p, nullptr, nullptr, true);
+                    const auto read = run(p, nullptr, true);
                     ASSERT_EQ(baseline.size(), read.size()) << p.label();
                     for (std::size_t i = 0; i < baseline.size(); ++i)
                         expectIdentical(baseline[i], read[i],
@@ -459,14 +457,16 @@ TEST_F(ServingStressTest, TracingLeavesStatsByteIdentical)
 }
 
 /**
- * The rolling-latency feed shares the tracer's pure-observer contract:
- * attaching a RollingHistogram to any grid configuration leaves every
- * RequestStats byte-identical, while the feed itself sees exactly the
- * served (non-shed) simulated requests and a windowed P99 consistent
- * with them. Under the batcher a simulated request is a merged batch,
- * not a rider: runBatchedOpenLoop expands each batch into its riders,
- * each carrying coalesced = k for a k-rider batch, and the riders of
- * one batch share its completion and shed outcome.
+ * The sampler-fed rolling window shares the tracer's pure-observer
+ * contract: a tracer whose TraceSampler has a RollingHistogram attached
+ * leaves every RequestStats of any grid configuration byte-identical,
+ * while the window itself sees exactly the served (non-shed) simulated
+ * requests and a windowed P99 consistent with them. Without the batcher
+ * it equals a window fed each served request's (completion, e2e) from
+ * the returned stats. Under the batcher a simulated request is a merged
+ * batch, not a rider: runBatchedOpenLoop expands each batch into its
+ * riders, each carrying coalesced = k for a k-rider batch, and the
+ * riders of one batch share its completion and shed outcome.
  */
 TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
 {
@@ -487,7 +487,11 @@ TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
         // Horizon far beyond the replay: every served request stays
         // inside the window for the final cross-check below.
         obs::RollingHistogram feed(obs::WindowConfig{1e6, 8});
-        const auto fed = run(p, nullptr, &feed);
+        obs::TraceSampler sampler;
+        sampler.setLatencyFeed(&feed);
+        obs::SpanTracer tracer;
+        tracer.setSampler(&sampler);
+        const auto fed = run(p, &tracer);
         ASSERT_EQ(baseline.size(), fed.size()) << p.label();
         // Served riders per batch size k; k of them make one served
         // simulated request.
@@ -518,6 +522,17 @@ TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
             EXPECT_GT(p99, 0.0) << p.label();
             EXPECT_LE(p99, static_cast<double>(max_e2e) + 1.0) << p.label();
         }
+        if (p.batched)
+            continue;
+        obs::RollingHistogram from_stats(obs::WindowConfig{1e6, 8});
+        for (const core::RequestStats &st : fed)
+            if (!st.shed())
+                from_stats.observe(static_cast<double>(st.completion) * 1e-9,
+                                   st.e2e);
+        for (const double q : {0.5, 0.9, 0.99, 1.0})
+            EXPECT_EQ(feed.valueAtQuantile(t_s, q),
+                      from_stats.valueAtQuantile(t_s, q))
+                << p.label() << " q=" << q;
     }
     // Requests were merged somewhere, so the per-batch count above is
     // exercised, not vacuous.
@@ -527,7 +542,7 @@ TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
 /**
  * Tail-based trace sampling inherits the pure-observer contract on the
  * full grid: a tracer with an attached TraceSampler (plus the rolling
- * latency feed that drives its tail threshold) leaves every
+ * window it feeds and reads its tail threshold from) leaves every
  * RequestStats byte-identical to the untraced run. The sampler draws
  * only from its private RNG, so the retained set is itself
  * deterministic across reruns, and retained bytes never exceed the
@@ -541,7 +556,9 @@ TEST_F(ServingStressTest, TraceSamplingLeavesStatsByteIdentical)
         tracer.setSampler(&sampler);
         obs::RollingHistogram feed(obs::WindowConfig{1e6, 8});
         sampler.setLatencyFeed(&feed);
-        return run(p, &tracer, &feed);
+        auto stats = run(p, &tracer);
+        sampler.setLatencyFeed(nullptr); // the window dies here
+        return stats;
     };
     for (const bool hedged : {false, true})
         for (const bool batched : {false, true})

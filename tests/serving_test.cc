@@ -371,7 +371,6 @@ TEST(ServingRequestState, UpstreamShedThenDeadlineTimerEmitsOnce)
         sim.engine().run();
         EXPECT_NO_THROW(sim.checkDrained());
         EXPECT_EQ(calls, 1);
-        EXPECT_EQ(sim.takeResults().size(), 1u);
         return out;
     };
 

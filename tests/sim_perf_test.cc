@@ -4,8 +4,7 @@
  * tests the perf-sensitive headers cite:
  *
  *  - steady-state event scheduling performs ZERO heap allocations per
- *    event (global operator-new counting around a warmed engine), and
- *    the serving closures fit InlineFn's inline buffer;
+ *    event (global operator-new counting around a warmed engine);
  *  - stats::Mt64 is output-identical to std::mt19937_64 at every seed
  *    and draw count, including across twist-block boundaries and under
  *    std:: distribution adapters (the contract mt64.h declares);
@@ -154,7 +153,6 @@ TEST(SimPerf, SteadyStateSchedulingAllocatesNothing)
         eng.schedule(c, sim::kEvTimer, Chain{&eng, 50, &sink});
     eng.run();
 
-    const std::uint64_t heap_fallbacks0 = sim::inlineFnHeapAllocations();
     const std::uint64_t news0 = g_news.load(std::memory_order_relaxed);
 
     // Steady state: 64 concurrent chains x 200 steps = 12,864 events
@@ -167,9 +165,6 @@ TEST(SimPerf, SteadyStateSchedulingAllocatesNothing)
     EXPECT_EQ(executed, static_cast<std::size_t>(kChains * 201));
     EXPECT_EQ(news1 - news0, 0u)
         << "steady-state scheduling reached operator new";
-    EXPECT_EQ(sim::inlineFnHeapAllocations() - heap_fallbacks0, 0u)
-        << "a hot-path closure outgrew InlineFn's inline buffer";
-    EXPECT_EQ(eng.profile().heap_callbacks, 0u);
     EXPECT_GT(sink, 0u);
 }
 

@@ -110,8 +110,8 @@ TEST(TraceSampler, FeedTailThresholdKeepsSlowRoots)
     ASSERT_GT(threshold, 1);
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 0;
-    cfg.latency_feed = feed.get();
     obs::TraceSampler sampler(cfg);
+    sampler.setLatencyFeed(feed.get());
     obs::SpanTracer tracer;
     tracer.setSampler(&sampler);
 
@@ -200,10 +200,10 @@ TEST(TraceSampler, BudgetEvictsLowerClassesFirstAndNeverHigher)
     const auto feed = constantFeed(200, 50000); // tail: ~50 us and up
     obs::SamplerConfig cfg;
     cfg.reservoir_size = 64;
-    cfg.latency_feed = feed.get();
     // Room for only a handful of two-span trees.
     cfg.retained_byte_budget = 6 * sizeof(obs::SpanRecord);
     obs::TraceSampler sampler(cfg);
+    sampler.setLatencyFeed(feed.get());
     obs::SpanTracer tracer;
     tracer.setSampler(&sampler);
 
@@ -265,9 +265,9 @@ TEST(TraceSampler, MoreThan65536ConcurrentTreesPassConservation)
     const auto feed = constantFeed(200, 1000);
     obs::SamplerConfig keep_tail;
     keep_tail.reservoir_size = 0;
-    keep_tail.latency_feed = feed.get();
     keep_tail.retained_byte_budget = SIZE_MAX;
     obs::TraceSampler sampler(keep_tail);
+    sampler.setLatencyFeed(feed.get());
     obs::SpanTracer sampled, keep_all;
     sampled.setSampler(&sampler);
 
