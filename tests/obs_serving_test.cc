@@ -235,6 +235,14 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     for (std::size_t t = 0; t < sim::kEvTagCount; ++t)
         EXPECT_EQ(prof.tag_events[t], tag_events[t])
             << sim::eventTagName(static_cast<sim::EventTag>(t));
+    const rpc::HedgeStats hedge = untraced.metrics().hedge;
+    EXPECT_EQ(hedge.primary_rpcs, 9480u);
+    EXPECT_EQ(hedge.hedges, 647u);
+    EXPECT_EQ(hedge.suppressed, 10u);
+    EXPECT_EQ(hedge.wins, 88u);
+    EXPECT_EQ(hedge.losses, 157u);
+    EXPECT_EQ(hedge.cancelled, 402u);
+    EXPECT_EQ(hedge.wasted_busy_ns, 1056946889.0);
 
     obs::SpanTracer tracer;
     core::ServingSimulation traced(spec, plan, config(&tracer));
