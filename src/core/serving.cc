@@ -232,7 +232,8 @@ struct ServingSimulation::Impl
     /**
      * One logical sparse RPC — a fan-out group of one batch — possibly
      * raced by two attempts (primary + hedge). Reference-counted: each
-     * in-flight attempt and the pending hedge timer hold one ref; exactly
+     * in-flight attempt holds one ref, and so does its fan-out's hedge
+     * timer until it has fired (and any re-arm) for this op; exactly
      * one attempt wins (first to finish remote service) and holds its ref
      * until its response lands, the rest cancel (before, during, or after
      * execution). Once decided, an op stays decided: every attempt still
@@ -261,9 +262,20 @@ struct ServingSimulation::Impl
         /** [0] = primary, [1] = hedge. */
         AttemptExec exec[2];
         obs::SpanId sp_op = obs::kNoSpan; //!< RpcOp span
+        /** Next op of the fan-out's hedge timer (HedgeGroup). */
+        RpcOp *hedge_next = nullptr;
 
         bool decided() const { return state != OpState::Open; }
         const Group &group() const { return ni->groups[gi]; }
+    };
+
+    /** One fan-out's hedge timer: the ops that armed it, linked in arm
+     *  order through RpcOp::hedge_next, and the first arm's tie-break. */
+    struct HedgeGroup
+    {
+        RpcOp *head = nullptr, *tail = nullptr;
+        sim::Duration deadline = 0;
+        std::uint64_t seq = 0;
     };
 
     /** A main-shard request's lifecycle (diagram in core/serving.h). */
@@ -1209,8 +1221,18 @@ struct ServingSimulation::Impl
                                      obs::kMainShard, ni.net_id,
                                      bt->batch_id);
         a->live_batches.push_back(bt);
+        HedgeGroup hg;
         for (const std::size_t gi : bt->active)
-            sendRpc(bt, ni, gi);
+            sendRpc(bt, ni, gi, hg);
+        if (hg.head != nullptr)
+            engine.scheduleAt(
+                engine.now() + hg.deadline, sim::kEvTimer, hg.seq,
+                [this, op = hg.head, deadline = hg.deadline]() mutable {
+                    for (RpcOp *next; op != nullptr; op = next) {
+                        next = op->hedge_next; // the call may release op
+                        hedgeTimerFired(op, deadline);
+                    }
+                });
         // The async RPC ops release the worker CORE (other requests may
         // use it) but the batch's net execution blocks on the wait op, so
         // the intra-request slot is held until the batch completes
@@ -1327,9 +1349,9 @@ struct ServingSimulation::Impl
         return consumed;
     }
 
-    /** Send the primary attempt of group `gi`. */
+    /** Send the primary attempt of group `gi`; arm it into `hg`. */
     void
-    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi)
+    sendRpc(BatchState *bt, const NetInfo &ni, std::size_t gi, HedgeGroup &hg)
     {
         Active *a = bt->req;
         const Group &g = ni.groups[gi];
@@ -1365,18 +1387,20 @@ struct ServingSimulation::Impl
                                   ni.net_id, bt->batch_id);
         bt->ops.push_back(op);
         launchAttempt(op, 0);
-        maybeScheduleHedge(op);
+        maybeScheduleHedge(op, hg);
     }
 
     /**
-     * Arm the hedge timer at dispatch: if the primary is still unresolved
-     * when the quantile-tracked deadline passes, race a backup against it
-     * on a different replica. The deadline is frozen at dispatch time (the
-     * tail-at-scale formulation); the budget is rechecked at fire time so
+     * Arm the hedge at dispatch by joining the fan-out's one timer `hg`:
+     * if the primary is still unresolved when the quantile-tracked
+     * deadline passes, race a backup against it on a different replica.
+     * The deadline is frozen at dispatch time (the tail-at-scale
+     * formulation), so a fan-out shares it and its timer fires at the
+     * first arm's tie-break; the budget is rechecked at fire time so
      * bursts cannot overshoot the cap.
      */
     void
-    maybeScheduleHedge(RpcOp *op)
+    maybeScheduleHedge(RpcOp *op, HedgeGroup &hg)
     {
         const rpc::HedgeConfig &hc = cfg.hedge;
         if (!hc.enabled)
@@ -1387,8 +1411,12 @@ struct ServingSimulation::Impl
             return;
         const sim::Duration deadline = hedge_tracker.value();
         ++op->refs; // the timer (held across re-arms)
-        engine.schedule(deadline, sim::kEvTimer,
-                        [this, op, deadline] { hedgeTimerFired(op, deadline); });
+        if (hg.head == nullptr)
+            hg = {op, op, deadline, engine.reserveSeq(1)};
+        else if (deadline != hg.deadline) // hedge_tracker moved mid-loop
+            throw std::logic_error("serving: two deadlines in one fan-out");
+        else
+            hg.tail = hg.tail->hedge_next = op;
     }
 
     void

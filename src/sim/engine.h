@@ -58,11 +58,13 @@
 namespace dri::sim {
 
 /**
- * Callback invoked when an event fires. The inline capacity covers every
- * closure the serving hot path schedules (pooled pointers, ids, a few
- * scalars); anything larger heap-allocates once and is counted.
+ * Callback invoked when an event fires: 64 bytes, a cache line's size,
+ * per arena slot, Resource waiter and slot waiter. A capture over 48
+ * bytes fails to compile; the largest today is 40 bytes (the serving
+ * batch merge's five words).
  */
-using EventFn = InlineFn<120>;
+using EventFn = InlineFn<48>;
+static_assert(sizeof(EventFn) == 64, "EventFn: a 64-byte slot");
 
 /**
  * Subsystem tag attached to every scheduled event, for profiling

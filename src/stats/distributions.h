@@ -64,7 +64,6 @@ class BoundedParetoSampler
 
     double sample(Rng &rng) const;
 
-    double alpha() const { return alpha_; }
     double lo() const { return lo_; }
     double hi() const { return hi_; }
 

@@ -291,7 +291,7 @@ TEST_F(MemoryBound, OpenLoopReplay)
                   const std::vector<workload::Request> &reqs) {
                 return sim.replayOpenLoop(reqs, qps);
             });
-        // Measured 1.52x and 1.55x: the engine arena and object pools
+        // Measured 1.22x and 1.31x: the engine arena and object pools
         // are sized by the peak in-flight depth, which a longer run
         // raises slowly, and recycled requests keep their batch-slot
         // queues at high-water capacity. A per-request store is ~15x.

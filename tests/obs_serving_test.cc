@@ -202,9 +202,10 @@ TEST(ObsServing, EngineProfileCountsEveryEventExactlyOnce)
  * request stream at 1500 qps. The same schedule runs untraced with
  * profiling, traced, and traced with the tail sampler and a rolling
  * latency feed, and every deterministic count each run produces is
- * pinned: events per tag, the event set's high-water mark, spans,
- * retained traces and bytes, and the per-request critical-path
- * buckets. Any change to the schedule moves one of them.
+ * pinned: events per tag, the event set's high-water mark, the hedge
+ * outcome counters, spans, retained traces and bytes, and the
+ * per-request critical-path buckets. Any change to the schedule moves
+ * one of them.
  */
 TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
 {
@@ -227,11 +228,11 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     untraced.engine().enableProfiling(true);
     untraced.replayOpenLoop(requests, 1500.0);
     const auto &prof = untraced.engine().profile();
-    EXPECT_EQ(prof.executed, 48809u);
-    EXPECT_EQ(prof.scheduled, 48809u);
-    EXPECT_EQ(prof.peak_pending, 466u);
+    EXPECT_EQ(prof.executed, 41765u);
+    EXPECT_EQ(prof.scheduled, 41765u);
+    EXPECT_EQ(prof.peak_pending, 208u);
     const std::array<std::uint64_t, sim::kEvTagCount> tag_events = {
-        0, 5940, 9725, 19607, 9392, 3545, 600};
+        0, 5940, 9725, 19607, 2348, 3545, 600};
     for (std::size_t t = 0; t < sim::kEvTagCount; ++t)
         EXPECT_EQ(prof.tag_events[t], tag_events[t])
             << sim::eventTagName(static_cast<sim::EventTag>(t));
