@@ -35,40 +35,9 @@
  * the point of useful shedding, so the deadline timer stands down. Any
  * other transition throws std::logic_error.
  *
- * Each fan-out group of a batch is one logical sparse RPC (an "op") raced
- * by up to two attempts, the primary and an optional hedge backup:
- *
- *   op:       Open --an attempt finishes service first--> Won
- *             Open --its request is shed mid-flight-----> Shed
- *
- *   attempt:  Pending --core granted--> Executing --busy period ends--> Done
- *             (on the wire or queued)       |
- *                                           +--aborted or lost---> Aborted
- *
- * Once an op is decided (Won or Shed) it stays decided, and every other
- * attempt retires without a response. Deciding an op aborts every
- * attempt still executing on it, so no attempt executes past its op's
- * decision; one that reaches the end of its busy period on a decided op
- * throws std::logic_error. What each ending counts — hedge counters
- * count backups only, fault counters count every attempt:
- *
- *   - Done on an Open op: the winner; a backup counts HedgeStats::wins.
- *   - Aborted by the winning sibling: a backup counts a loss, and the
- *     busy time it consumed counts as wasted, in
- *     HedgeStats::wasted_busy_ns and in its request's
- *     RequestStats::hedge_wasted_cpu_ns; the request is refunded the
- *     rest.
- *   - Aborted by a mid-flight shed: a backup counts cancelled; the
- *     request is refunded the unexecuted rest. The op counts in
- *     ServingMetrics::shed_cancelled_rpcs.
- *   - Aborted because its replica died mid-service: counts
- *     FaultStats::lost_in_service and fails like a Pending one.
- *   - Pending when its op is decided: a backup counts cancelled.
- *   - Pending when its target proves unreachable (partition, dead or
- *     unresolvable replica, queue lost in a crash; each counted in
- *     FaultStats): a backup counts cancelled; a primary fails over
- *     (FaultStats::retries) as a fresh Pending attempt, or once retries
- *     run out sheds its request (FaultStats::upstream_failures).
+ * Each fan-out group of a batch is one logical sparse RPC (an "op"),
+ * raced by a primary and an optional hedge attempt; core/rpc_fanout.h
+ * diagrams the op and attempt lifecycles and what each ending counts.
  *
  * Common random numbers: an attempt's draws (wire jitter out and back,
  * the straggler roll) come from its own stats::CounterStream keyed
@@ -191,7 +160,7 @@ struct PerturbationConfig
     /**
      * Transient sparse-server interference: with this probability, an
      * RPC attempt's remote execution runs kStragglerMultiplier
-     * (serving.cc) times slower — the co-located-service/NUMA
+     * (core/rpc_fanout.cc) times slower — the co-located-service/NUMA
      * interference that makes one replica momentarily a straggler while
      * its siblings stay fast. This is the
      * tail phenomenon hedging exists to dodge: a re-rolled backup on
@@ -420,7 +389,8 @@ class ServingSimulation
      * validator's message when spec.validate() or plan.validate(spec)
      * fails, and naming the field when config breaks a rule:
      * faults.straggler_prob or hedge.quantile outside [0, 1] (or NaN);
-     * hedge.max_hedge_fraction negative or non-finite;
+     * hedge.max_hedge_fraction, lookup_base_ns or lookup_ns_per_row_byte
+     * negative or non-finite;
      * hedge.min_samples above rpc::kHedgeWindow (never met); a negative
      * admission.max_main_queue, admission.deadline_ns,
      * batch_size_override, worker_threads, sparse_worker_threads,
@@ -541,8 +511,8 @@ class ServingSimulation
     //  * `server_id` indexes replica servers in metrics().servers order
     //    (0 .. servers.size()-1) and `shard_id` plan shards
     //    (0 .. numShards()-1); an id outside its range throws
-    //    std::out_of_range, and a degradeReplica() multiplier <= 0
-    //    throws std::invalid_argument, in every build type.
+    //    std::out_of_range, and a degradeReplica() multiplier that is not
+    //    finite and > 0 throws std::invalid_argument, in every build type.
     //  * Redundant calls are no-ops: killing a dead replica, restoring a
     //    live one, re-applying an identical degradation or partition
     //    state changes nothing and counts nothing.

@@ -38,7 +38,7 @@ hedgeStudyConfig(rpc::LoadBalancePolicy policy, int sparse_replicas,
     // queue excursions instead, which no backup can outrun).
     cfg.sparse_worker_threads = 6;
     // Transient co-located-service interference: ~2% of RPC attempts run
-    // 8x slower (serving.cc's kStragglerMultiplier). This is the
+    // 8x slower (core/rpc_fanout.cc's kStragglerMultiplier). This is the
     // straggler tail the quantile deadline trips on; a re-rolled backup
     // almost never hits the same event.
     cfg.faults.straggler_prob = 0.02;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "core/serving.h"
@@ -389,6 +390,8 @@ TEST_F(ControlSurfaceMisuse, DegradeReplicaRejectsNonPositiveMultipliers)
     EXPECT_THROW(sim.degradeReplica(0, 0.0), std::invalid_argument);
     EXPECT_THROW(sim.degradeReplica(0, -1.0), std::invalid_argument);
     EXPECT_THROW(sim.degradeReplica(0, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(sim.degradeReplica(0, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
     EXPECT_NO_THROW(sim.degradeReplica(0, 1.0));
 }
 

@@ -456,6 +456,22 @@ TEST(ServingMisuse, HedgeFractionNegativeOrNonFiniteThrows)
         });
 }
 
+TEST(ServingMisuse, LookupCostNegativeOrNonFiniteThrows)
+{
+    // A negative or NaN gather cost would schedule a remote execution
+    // before now, which the engine only reports from inside a replay.
+    for (const double v : {-20.0, -5000.0,
+                           std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+        expectConfigRejected("lookup_base_ns",
+                             [v](auto &c) { c.lookup_base_ns = v; });
+    for (const double v : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()})
+        expectConfigRejected("lookup_ns_per_row_byte", [v](auto &c) {
+            c.lookup_ns_per_row_byte = v;
+        });
+}
+
 TEST(ServingMisuse, NegativeMaxMainQueueThrows)
 {
     expectConfigRejected("admission.max_main_queue",
