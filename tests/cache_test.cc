@@ -13,11 +13,14 @@
 #include <utility>
 #include <vector>
 
+#include "cache/admission.h"
 #include "cache/lookup_model.h"
 #include "cache/tiered_sim.h"
 #include "core/serving.h"
 #include "core/strategies.h"
 #include "dc/paging_traced.h"
+#include "stats/distributions.h"
+#include "stats/hash.h"
 #include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/request_generator.h"
@@ -307,6 +310,95 @@ TEST(EmbeddingCache, LruRejectsKeysOutsidePackedDomain)
     EXPECT_FALSE(cache->access(0, 0, kRow));
     EXPECT_TRUE(cache->contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
     EXPECT_EQ(cache->residentRows(), 2u);
+}
+
+/**
+ * Exact behaviour of every policy, bare and behind each admission filter.
+ * One seeded trace: Zipf-popular rows over three tables of different row
+ * sizes, a 300-row one-touch scan every 1,000 accesses, an oversized
+ * access to a popular row every 97 (a bypass, also for a ghost), and a
+ * lazy budget change every 1,500. The digest hashes each access's hit
+ * bit and every eviction-hook call (table, row, bytes) in order, then
+ * the final ghostBytes(), residentRows(), usedBytes() and eviction
+ * count. The values are pinned from the policies' first implementation;
+ * a change of storage must leave every one of them unchanged.
+ */
+TEST(EmbeddingCache, EvictionDigestsArePinned)
+{
+    struct Access
+    {
+        int table;
+        std::int64_t row;
+        std::int64_t bytes;
+        std::int64_t new_capacity; //!< applied before the access; 0: none
+    };
+    constexpr std::int64_t kCapacities[] = {64 << 10, 40 << 10, 96 << 10};
+    std::vector<Access> trace;
+    {
+        stats::Rng rng(20240611);
+        const stats::ZipfSampler zipf(4096, 0.9);
+        std::int64_t scan_row = 1'000'000;
+        for (int i = 0; i < 30000; ++i) {
+            const std::int64_t cap =
+                i > 0 && i % 1500 == 0 ? kCapacities[(i / 1500) % 3] : 0;
+            if (i % 1000 == 999) {
+                for (int k = 0; k < 300; ++k)
+                    trace.push_back({0, scan_row++, 64, k == 0 ? cap : 0});
+                continue;
+            }
+            const int table = static_cast<int>(rng.uniformInt(0, 2));
+            const auto row =
+                static_cast<std::int64_t>(zipf.sample(rng)) * 3 + table;
+            const std::int64_t bytes =
+                i % 97 == 0 ? 256 << 10 : (table + 1) * 64;
+            trace.push_back({table, row, bytes, cap});
+        }
+    }
+
+    struct Pinned
+    {
+        Policy policy;
+        cache::Admission admission;
+        std::uint64_t digest;
+    };
+    const Pinned pinned[] = {
+        {Policy::Lru, cache::Admission::None, 0x08e674f62f661193},
+        {Policy::Lru, cache::Admission::TinyLfu, 0xf1e67c26daabd0d1},
+        {Policy::Lru, cache::Admission::WTinyLfu, 0xc921d7f70f2d1765},
+        {Policy::Lfu, cache::Admission::None, 0xd728aa004199ef6e},
+        {Policy::Lfu, cache::Admission::TinyLfu, 0x01dfa3015d859dce},
+        {Policy::Lfu, cache::Admission::WTinyLfu, 0xd82314b4229c7998},
+        {Policy::TwoQueue, cache::Admission::None, 0x5e53eee2e1305f82},
+        {Policy::TwoQueue, cache::Admission::TinyLfu, 0xda6c701d4f9b9539},
+        {Policy::TwoQueue, cache::Admission::WTinyLfu, 0x0dda5ca030f5a17d},
+        {Policy::Arc, cache::Admission::None, 0x583a5c6484c3c5e2},
+        {Policy::Arc, cache::Admission::TinyLfu, 0xc307321e3465582c},
+        {Policy::Arc, cache::Admission::WTinyLfu, 0xf40c670342f904d7},
+    };
+    for (const Pinned &p : pinned) {
+        auto cache = cache::makeCacheWithAdmission(p.policy, kCapacities[0],
+                                                   p.admission);
+        stats::Fnv fnv;
+        cache->setEvictionHook(
+            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
+                fnv.add(table);
+                fnv.add(row);
+                fnv.add(bytes);
+            });
+        for (const Access &a : trace) {
+            if (a.new_capacity > 0)
+                cache->setCapacityBytes(a.new_capacity);
+            fnv.add(cache->access(a.table, a.row, a.bytes));
+        }
+        fnv.add(cache->ghostBytes());
+        fnv.add(static_cast<std::int64_t>(cache->residentRows()));
+        fnv.add(cache->usedBytes());
+        fnv.add(cache->stats().evictions);
+        EXPECT_EQ(fnv.h, p.digest)
+            << cache::policyName(p.policy) << " + "
+            << cache::admissionName(p.admission) << ": 0x" << std::hex
+            << fnv.h;
+    }
 }
 
 // ---------------------------------------------------------------------------
