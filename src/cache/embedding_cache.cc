@@ -2,44 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <list>
 #include <map>
-#include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "stats/flat_hash.h"
 #include "stats/hash.h"
+#include "stats/list_arena.h"
 
 namespace dri::cache {
 
 namespace {
 
-/** Cache key: one row of one table. */
-struct Key
-{
-    int table = 0;
-    std::int64_t row = 0;
-
-    bool
-    operator==(const Key &other) const
-    {
-        return table == other.table && row == other.row;
-    }
-};
-
-struct KeyHash
-{
-    std::size_t
-    operator()(const Key &k) const
-    {
-        // splitmix64 finalizer over the packed (table, row) pair.
-        return static_cast<std::size_t>(stats::mix64(
-            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(k.table))
-             << 48) ^
-            static_cast<std::uint64_t>(k.row)));
-    }
-};
+using RowIndex =
+    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>;
 
 /** Shared budget/stats plumbing. */
 class CacheBase : public EmbeddingCache
@@ -72,13 +47,16 @@ class CacheBase : public EmbeddingCache
     }
 
   protected:
+    /** Account the eviction of the row packed as `key`. */
     void
-    evicted(const Key &key, std::int64_t bytes)
+    evicted(std::uint64_t key, std::int64_t bytes)
     {
+        constexpr std::uint64_t kRowMask = (std::uint64_t{1} << 48) - 1;
         used_ -= bytes;
         ++stats_.evictions;
         if (eviction_hook_)
-            eviction_hook_(key.table, key.row, bytes);
+            eviction_hook_(static_cast<int>(key >> 48),
+                           static_cast<std::int64_t>(key & kRowMask), bytes);
     }
 
     Policy policy_;
@@ -89,9 +67,7 @@ class CacheBase : public EmbeddingCache
 };
 
 // ---------------------------------------------------------------------------
-// LRU: one recency list, evict the tail. The list is doubly linked by
-// arena index (the rpc::ResultCache idiom): indices survive arena growth,
-// and evicted slots are recycled, so steady-state churn allocates nothing.
+// LRU: one recency list over a stats::ListArena, evict the back.
 // ---------------------------------------------------------------------------
 class LruCache : public CacheBase
 {
@@ -101,30 +77,26 @@ class LruCache : public CacheBase
     bool
     access(int table, std::int64_t row, std::int64_t row_bytes) override
     {
-        ++stats_.accesses;
         const std::uint64_t key = packRowKey(table, row);
-        if (const std::uint32_t *slot = index_.find(key)) {
+        ++stats_.accesses;
+        if (const std::uint32_t *idx = index_.find(key)) {
             ++stats_.hits;
-            touch(*slot);
+            rows_.touch(lru_, *idx);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false; // unadmittable: larger than the whole budget
-        while (used_ + row_bytes > capacity_ && tail_ != kNil)
-            evictTail();
-
-        std::uint32_t idx;
-        if (!free_.empty()) {
-            idx = free_.back();
-            free_.pop_back();
-        } else {
-            idx = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.emplace_back();
+        while (used_ + row_bytes > capacity_ && !lru_.empty()) {
+            const std::uint32_t idx = lru_.back;
+            const Row victim = rows_[idx];
+            rows_.unlink(lru_, idx);
+            index_.erase(victim.key);
+            rows_.release(idx);
+            evicted(victim.key, victim.bytes);
         }
-        nodes_[idx].key = key;
-        nodes_[idx].bytes = row_bytes;
-        pushFront(idx);
+        const std::uint32_t idx = rows_.alloc(Row{key, row_bytes});
+        rows_.pushFront(lru_, idx);
         index_.insert(key, idx);
         used_ += row_bytes;
         return false;
@@ -136,75 +108,18 @@ class LruCache : public CacheBase
         return index_.find(packRowKey(table, row)) != nullptr;
     }
 
-    std::size_t residentRows() const override { return index_.size(); }
+    std::size_t residentRows() const override { return lru_.size; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-    static constexpr std::uint64_t kRowMask = (std::uint64_t{1} << 48) - 1;
-
-    struct Node
+    struct Row
     {
-        std::uint64_t key = 0; //!< packRowKey(table, row)
-        std::int64_t bytes = 0;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
+        std::uint64_t key; //!< packRowKey(table, row)
+        std::int64_t bytes;
     };
 
-    void
-    unlink(std::uint32_t idx)
-    {
-        Node &n = nodes_[idx];
-        if (n.prev != kNil)
-            nodes_[n.prev].next = n.next;
-        else
-            head_ = n.next;
-        if (n.next != kNil)
-            nodes_[n.next].prev = n.prev;
-        else
-            tail_ = n.prev;
-    }
-
-    void
-    pushFront(std::uint32_t idx)
-    {
-        Node &n = nodes_[idx];
-        n.prev = kNil;
-        n.next = head_;
-        if (head_ != kNil)
-            nodes_[head_].prev = idx;
-        head_ = idx;
-        if (tail_ == kNil)
-            tail_ = idx;
-    }
-
-    void
-    touch(std::uint32_t idx)
-    {
-        if (head_ == idx)
-            return;
-        unlink(idx);
-        pushFront(idx);
-    }
-
-    void
-    evictTail()
-    {
-        const std::uint32_t idx = tail_;
-        const Node victim = nodes_[idx];
-        unlink(idx);
-        index_.erase(victim.key);
-        free_.push_back(idx);
-        evicted(Key{static_cast<int>(victim.key >> 48),
-                    static_cast<std::int64_t>(victim.key & kRowMask)},
-                victim.bytes);
-    }
-
-    std::vector<Node> nodes_;         //!< node arena, recycled via free_
-    std::vector<std::uint32_t> free_; //!< indices of vacated arena slots
-    std::uint32_t head_ = kNil;       //!< most recently used
-    std::uint32_t tail_ = kNil;       //!< least recently used
-    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>
-        index_;
+    stats::ListArena<Row> rows_;
+    stats::ListArena<Row>::List lru_; //!< front = most recently used
+    RowIndex index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -219,12 +134,11 @@ class LfuCache : public CacheBase
     bool
     access(int table, std::int64_t row, std::int64_t row_bytes) override
     {
+        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        const Key key{table, row};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        if (const std::uint32_t *idx = index_.find(key)) {
             ++stats_.hits;
-            bump(it->second, key);
+            bump(*idx);
             return true;
         }
         ++stats_.misses;
@@ -232,13 +146,9 @@ class LfuCache : public CacheBase
             return false;
         while (used_ + row_bytes > capacity_)
             evictColdest();
-        Info info;
-        info.bytes = row_bytes;
-        info.freq = 1;
-        auto &bucket = buckets_[1];
-        bucket.push_back(key);
-        info.pos = std::prev(bucket.end());
-        index_[key] = info;
+        const std::uint32_t idx = rows_.alloc(Row{key, row_bytes, 1});
+        rows_.pushFront(buckets_[1], idx);
+        index_.insert(key, idx);
         used_ += row_bytes;
         return false;
     }
@@ -246,50 +156,198 @@ class LfuCache : public CacheBase
     bool
     contains(int table, std::int64_t row) const override
     {
-        return index_.count(Key{table, row}) > 0;
+        return index_.find(packRowKey(table, row)) != nullptr;
     }
 
     std::size_t residentRows() const override { return index_.size(); }
 
   private:
-    struct Info
+    struct Row
     {
-        std::int64_t bytes = 0;
-        std::int64_t freq = 0;
-        std::list<Key>::iterator pos;
+        std::uint64_t key;
+        std::int64_t bytes;
+        std::int64_t freq;
     };
+    using List = stats::ListArena<Row>::List;
 
     void
-    bump(Info &info, const Key &key)
+    bump(std::uint32_t idx)
     {
-        auto bucket_it = buckets_.find(info.freq);
-        bucket_it->second.erase(info.pos);
-        if (bucket_it->second.empty())
-            buckets_.erase(bucket_it);
-        ++info.freq;
-        auto &next = buckets_[info.freq];
-        next.push_back(key);
-        info.pos = std::prev(next.end());
+        Row &r = rows_[idx];
+        auto bucket = buckets_.find(r.freq);
+        rows_.unlink(bucket->second, idx);
+        if (bucket->second.empty())
+            buckets_.erase(bucket);
+        ++r.freq;
+        rows_.pushFront(buckets_[r.freq], idx);
     }
 
     void
     evictColdest()
     {
         assert(!buckets_.empty());
-        auto bucket_it = buckets_.begin(); // least-frequent bucket
-        const Key victim = bucket_it->second.front();
-        bucket_it->second.pop_front(); // oldest within the bucket
-        if (bucket_it->second.empty())
-            buckets_.erase(bucket_it);
-        auto idx = index_.find(victim);
-        const std::int64_t bytes = idx->second.bytes;
-        index_.erase(idx);
-        evicted(victim, bytes);
+        auto bucket = buckets_.begin(); // least-frequent bucket
+        const std::uint32_t idx = bucket->second.back; // oldest in it
+        rows_.unlink(bucket->second, idx);
+        if (bucket->second.empty())
+            buckets_.erase(bucket);
+        const Row victim = rows_[idx];
+        index_.erase(victim.key);
+        rows_.release(idx);
+        evicted(victim.key, victim.bytes);
     }
 
-    /** freq -> keys at that freq, oldest first. */
-    std::map<std::int64_t, std::list<Key>> buckets_;
-    std::unordered_map<Key, Info, KeyHash> index_;
+    stats::ListArena<Row> rows_;
+    /** freq -> rows at that freq, front = most recently bumped. */
+    std::map<std::int64_t, List> buckets_;
+    RowIndex index_;
+};
+
+// ---------------------------------------------------------------------------
+// ListedCache: the storage 2Q and ARC share. Every row the policy knows,
+// resident or ghost, is one arena node on exactly one of kLists lists,
+// all with front = most recent, found by packRowKey() through one index.
+// Lists 0 and 1 hold resident rows; the rest hold ghosts, the identities
+// of evicted rows (their bytes are the rows' stored sizes, no payload).
+// ---------------------------------------------------------------------------
+template <int kLists>
+class ListedCache : public CacheBase
+{
+  public:
+    using CacheBase::CacheBase;
+
+    bool
+    contains(int table, std::int64_t row) const override
+    {
+        const std::uint32_t idx = find(packRowKey(table, row));
+        return idx != kNil && resident(idx);
+    }
+
+    std::size_t
+    residentRows() const override
+    {
+        return lists_[0].size + lists_[1].size;
+    }
+
+    std::int64_t
+    ghostBytes() const override
+    {
+        std::int64_t bytes = 0;
+        for (int list = kResidentLists; list < kLists; ++list)
+            bytes += bytes_[list];
+        return bytes;
+    }
+
+  protected:
+    struct Row
+    {
+        std::uint64_t key;
+        std::int64_t bytes;
+        int list; //!< the list the row is on
+    };
+    using Rows = stats::ListArena<Row>;
+
+    static constexpr int kResidentLists = 2;
+    static constexpr int kForget = -1;
+    static constexpr std::uint32_t kNil = Rows::kNil;
+
+    /** Arena index of the row keyed `key`, resident or ghost; else kNil. */
+    std::uint32_t
+    find(std::uint64_t key) const
+    {
+        const std::uint32_t *idx = index_.find(key);
+        return idx != nullptr ? *idx : kNil;
+    }
+
+    int listOf(std::uint32_t idx) const { return rows_[idx].list; }
+    bool resident(std::uint32_t idx) const
+    {
+        return listOf(idx) < kResidentLists;
+    }
+
+    /** Admit a new row at the front of resident list `list`. */
+    void
+    insert(std::uint64_t key, std::int64_t bytes, int list)
+    {
+        const std::uint32_t idx = rows_.alloc(Row{key, bytes, list});
+        index_.insert(key, idx);
+        attach(idx, list);
+        used_ += bytes;
+    }
+
+    /** Readmit detached ghost `idx`, now `bytes` large, at `list`'s front. */
+    void
+    readmit(std::uint32_t idx, std::int64_t bytes, int list)
+    {
+        rows_[idx].bytes = bytes;
+        attach(idx, list);
+        used_ += bytes;
+    }
+
+    /** Move `idx` to the front of `list`, from whichever list it is on. */
+    void
+    promote(std::uint32_t idx, int list)
+    {
+        if (rows_[idx].list == list) {
+            rows_.touch(lists_[list], idx);
+            return;
+        }
+        detach(idx);
+        attach(idx, list);
+    }
+
+    /** Take `idx` off its list (its `list` field keeps the old value). */
+    void
+    detach(std::uint32_t idx)
+    {
+        const Row &r = rows_[idx];
+        rows_.unlink(lists_[r.list], idx);
+        bytes_[r.list] -= r.bytes;
+    }
+
+    /**
+     * Evict the back row of resident list `from` and remember it at the
+     * front of ghost list `ghost`, or forget it when `ghost` is kForget.
+     */
+    void
+    evictBack(int from, int ghost)
+    {
+        const std::uint32_t idx = lists_[from].back;
+        const Row victim = rows_[idx];
+        detach(idx);
+        if (ghost == kForget) {
+            index_.erase(victim.key);
+            rows_.release(idx);
+        } else {
+            attach(idx, ghost);
+        }
+        evicted(victim.key, victim.bytes);
+    }
+
+    /** Forget the back (oldest) ghost of ghost list `list`. */
+    void
+    dropBack(int list)
+    {
+        const std::uint32_t idx = lists_[list].back;
+        detach(idx);
+        index_.erase(rows_[idx].key);
+        rows_.release(idx);
+    }
+
+    typename Rows::List lists_[kLists];
+    std::int64_t bytes_[kLists] = {}; //!< stored bytes per list
+
+  private:
+    void
+    attach(std::uint32_t idx, int list)
+    {
+        rows_[idx].list = list;
+        rows_.pushFront(lists_[list], idx);
+        bytes_[list] += rows_[idx].bytes;
+    }
+
+    Rows rows_;
+    RowIndex index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -299,140 +357,61 @@ class LfuCache : public CacheBase
 // scan rows flow through A1in and the ghost list without ever displacing
 // the Am hot set.
 // ---------------------------------------------------------------------------
-class TwoQueueCache : public CacheBase
+class TwoQueueCache : public ListedCache<3>
 {
   public:
-    using CacheBase::CacheBase;
+    using ListedCache::ListedCache;
 
     bool
     access(int table, std::int64_t row, std::int64_t row_bytes) override
     {
+        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        const Key key{table, row};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        const std::uint32_t idx = find(key);
+        if (idx != kNil && resident(idx)) {
+            // A hit on probation promotes to Am; one in Am bumps it.
             ++stats_.hits;
-            if (it->second.where == Where::In) {
-                // Re-referenced while on probation: promote to Am.
-                Entry entry = *it->second.pos;
-                in_bytes_ -= entry.bytes;
-                a1in_.erase(it->second.pos);
-                am_.push_front(entry);
-                it->second.where = Where::Main;
-                it->second.pos = am_.begin();
-            } else {
-                am_.splice(am_.begin(), am_, it->second.pos);
-            }
+            promote(idx, kAm);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false;
-        const bool remembered = eraseGhost(key);
-        if (remembered) {
-            am_.push_front(Entry{key, row_bytes});
-            index_[key] = Info{Where::Main, am_.begin()};
+        if (idx != kNil) {
+            // Remembered in A1out: readmit straight to Am.
+            detach(idx);
+            readmit(idx, row_bytes, kAm);
         } else {
-            a1in_.push_back(Entry{key, row_bytes});
-            index_[key] = Info{Where::In, std::prev(a1in_.end())};
-            in_bytes_ += row_bytes;
+            insert(key, row_bytes, kA1in);
         }
-        used_ += row_bytes;
         while (used_ > capacity_)
             evictOne();
         return false;
     }
 
-    bool
-    contains(int table, std::int64_t row) const override
-    {
-        return index_.count(Key{table, row}) > 0;
-    }
-
-    std::size_t residentRows() const override { return index_.size(); }
-
   private:
-    enum class Where
+    enum : int
     {
-        In,
-        Main,
+        kA1in, //!< probation FIFO, back = oldest
+        kAm,   //!< protected LRU
+        kA1out //!< ghosts of recent probation victims
     };
-
-    struct Entry
-    {
-        Key key;
-        std::int64_t bytes;
-    };
-
-    struct Info
-    {
-        Where where;
-        std::list<Entry>::iterator pos;
-    };
-
-    std::int64_t inTargetBytes() const { return capacity_ / 4; }
-    std::int64_t ghostBudgetBytes() const { return capacity_ / 2; }
 
     void
     evictOne()
     {
-        if (!a1in_.empty() && (in_bytes_ > inTargetBytes() || am_.empty())) {
-            // Probation victim: drop the payload, remember the identity.
-            const Entry victim = a1in_.front();
-            a1in_.pop_front();
-            in_bytes_ -= victim.bytes;
-            index_.erase(victim.key);
-            evicted(victim.key, victim.bytes);
-            rememberGhost(victim);
+        if (!lists_[kA1in].empty() &&
+            (bytes_[kA1in] > capacity_ / 4 || lists_[kAm].empty())) {
+            // Probation victim: drop the payload, remember the identity
+            // within a ghost budget of half the capacity.
+            evictBack(kA1in, kA1out);
+            while (bytes_[kA1out] > capacity_ / 2 && !lists_[kA1out].empty())
+                dropBack(kA1out);
         } else {
-            assert(!am_.empty());
-            const Entry victim = am_.back();
-            am_.pop_back();
-            index_.erase(victim.key);
-            evicted(victim.key, victim.bytes);
+            assert(!lists_[kAm].empty());
+            evictBack(kAm, kForget);
         }
     }
-
-    void
-    rememberGhost(const Entry &entry)
-    {
-        ghost_.push_back(entry);
-        ghost_index_[entry.key] = std::prev(ghost_.end());
-        ghost_bytes_ += entry.bytes;
-        while (ghost_bytes_ > ghostBudgetBytes() && !ghost_.empty()) {
-            const Entry &old = ghost_.front();
-            ghost_bytes_ -= old.bytes;
-            ghost_index_.erase(old.key);
-            ghost_.pop_front();
-        }
-    }
-
-    bool
-    eraseGhost(const Key &key)
-    {
-        auto it = ghost_index_.find(key);
-        if (it == ghost_index_.end())
-            return false;
-        ghost_bytes_ -= it->second->bytes;
-        ghost_.erase(it->second);
-        ghost_index_.erase(it);
-        return true;
-    }
-
-    std::list<Entry> a1in_; //!< probation FIFO, front = oldest
-    std::list<Entry> am_;   //!< protected LRU, front = most recent
-    std::int64_t in_bytes_ = 0;
-
-    /** A1out: identities of recent probation victims (no payload bytes). */
-    std::list<Entry> ghost_;
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash>
-        ghost_index_;
-    std::int64_t ghost_bytes_ = 0;
-
-    std::unordered_map<Key, Info, KeyHash> index_;
-
-  public:
-    std::int64_t ghostBytes() const override { return ghost_bytes_; }
 };
 
 // ---------------------------------------------------------------------------
@@ -448,215 +427,95 @@ class TwoQueueCache : public CacheBase
 // t1 + b1 <= capacity (+ one row transiently), total history
 // t1 + t2 + b1 + b2 <= 2x capacity, 0 <= p <= capacity.
 // ---------------------------------------------------------------------------
-class ArcCache : public CacheBase
+class ArcCache : public ListedCache<4>
 {
   public:
-    using CacheBase::CacheBase;
+    using ListedCache::ListedCache;
 
     bool
     access(int table, std::int64_t row, std::int64_t row_bytes) override
     {
+        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        const Key key{table, row};
-        auto it = index_.find(key);
-        if (it != index_.end()) {
+        const std::uint32_t idx = find(key);
+        if (idx != kNil && resident(idx)) {
             // Resident hit: any re-reference promotes to T2's MRU end.
             ++stats_.hits;
-            Entry entry = *it->second.pos;
-            if (it->second.where == Where::T1) {
-                t1_.erase(it->second.pos);
-                t1_bytes_ -= entry.bytes;
-                t2_.push_front(entry);
-                t2_bytes_ += entry.bytes;
-                it->second.where = Where::T2;
-                it->second.pos = t2_.begin();
-            } else {
-                t2_.splice(t2_.begin(), t2_, it->second.pos);
-            }
+            promote(idx, kT2);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false;
 
-        auto ghost = ghost_index_.find(key);
-        if (ghost != ghost_index_.end() &&
-            ghost->second.where == Where::B1) {
-            // B1 hit: recency was right about this row — grow T1's target
-            // share, proportionally harder when B1 is the smaller list.
+        if (idx != kNil) {
+            // B1 hit: recency was right about this row — grow T1's
+            // target share, proportionally harder when B1 is the smaller
+            // list. B2 hit: frequency was right — shrink it.
+            const bool from_b2 = listOf(idx) == kB2;
+            const std::int64_t hit = bytes_[from_b2 ? kB2 : kB1];
+            const std::int64_t other = bytes_[from_b2 ? kB1 : kB2];
             const double ratio =
-                b1_bytes_ > 0 ? std::max(1.0, static_cast<double>(b2_bytes_) /
-                                                  static_cast<double>(b1_bytes_))
-                              : 1.0;
-            p_ = std::min<std::int64_t>(
-                capacity_,
-                p_ + static_cast<std::int64_t>(
-                         ratio * static_cast<double>(row_bytes)));
-            eraseGhost(ghost);
-            makeRoom(row_bytes, /*from_b2=*/false);
-            insertResident(key, row_bytes, Where::T2);
-            return false;
-        }
-        if (ghost != ghost_index_.end()) {
-            // B2 hit: frequency was right — shrink T1's target share.
-            const double ratio =
-                b2_bytes_ > 0 ? std::max(1.0, static_cast<double>(b1_bytes_) /
-                                                  static_cast<double>(b2_bytes_))
-                              : 1.0;
-            p_ = std::max<std::int64_t>(
-                0, p_ - static_cast<std::int64_t>(
-                            ratio * static_cast<double>(row_bytes)));
-            eraseGhost(ghost);
-            makeRoom(row_bytes, /*from_b2=*/true);
-            insertResident(key, row_bytes, Where::T2);
+                hit > 0 ? std::max(1.0, static_cast<double>(other) /
+                                            static_cast<double>(hit))
+                        : 1.0;
+            const auto step = static_cast<std::int64_t>(
+                ratio * static_cast<double>(row_bytes));
+            p_ = from_b2 ? std::max<std::int64_t>(0, p_ - step)
+                         : std::min<std::int64_t>(capacity_, p_ + step);
+            detach(idx);
+            makeRoom(row_bytes, from_b2);
+            readmit(idx, row_bytes, kT2);
             return false;
         }
 
         // Cold miss: bound the L1 = T1 + B1 history at one capacity and
         // the total history at two capacities before admitting to T1.
-        while (t1_bytes_ + b1_bytes_ + row_bytes > capacity_ && !b1_.empty())
-            dropGhostLru(Where::B1);
-        while (t1_bytes_ + t2_bytes_ + b1_bytes_ + b2_bytes_ + row_bytes >
+        while (bytes_[kT1] + bytes_[kB1] + row_bytes > capacity_ &&
+               !lists_[kB1].empty())
+            dropBack(kB1);
+        while (bytes_[kT1] + bytes_[kT2] + bytes_[kB1] + bytes_[kB2] +
+                       row_bytes >
                    2 * capacity_ &&
-               !b2_.empty())
-            dropGhostLru(Where::B2);
+               !lists_[kB2].empty())
+            dropBack(kB2);
         makeRoom(row_bytes, /*from_b2=*/false);
-        insertResident(key, row_bytes, Where::T1);
+        insert(key, row_bytes, kT1);
         return false;
     }
 
-    bool
-    contains(int table, std::int64_t row) const override
-    {
-        return index_.count(Key{table, row}) > 0;
-    }
-
-    std::size_t residentRows() const override { return index_.size(); }
-
-    std::int64_t ghostBytes() const override
-    {
-        return b1_bytes_ + b2_bytes_;
-    }
-
   private:
-    enum class Where
+    enum : int
     {
-        T1,
-        T2,
-        B1,
-        B2,
+        kT1, //!< once-referenced residents
+        kT2, //!< re-referenced residents
+        kB1, //!< ghosts of T1 evictions
+        kB2  //!< ghosts of T2 evictions
     };
-
-    struct Entry
-    {
-        Key key;
-        std::int64_t bytes;
-    };
-
-    struct Info
-    {
-        Where where;
-        std::list<Entry>::iterator pos;
-    };
-
-    struct GhostInfo
-    {
-        Where where;
-        std::list<Entry>::iterator pos;
-    };
-
-    void
-    insertResident(const Key &key, std::int64_t bytes, Where where)
-    {
-        if (where == Where::T1) {
-            t1_.push_front(Entry{key, bytes});
-            t1_bytes_ += bytes;
-            index_[key] = Info{Where::T1, t1_.begin()};
-        } else {
-            t2_.push_front(Entry{key, bytes});
-            t2_bytes_ += bytes;
-            index_[key] = Info{Where::T2, t2_.begin()};
-        }
-        used_ += bytes;
-    }
 
     /** Evict until the new row fits; ARC's REPLACE rule picks the list. */
     void
     makeRoom(std::int64_t row_bytes, bool from_b2)
     {
-        while (t1_bytes_ + t2_bytes_ + row_bytes > capacity_) {
+        while (bytes_[kT1] + bytes_[kT2] + row_bytes > capacity_) {
             const bool prefer_t1 =
-                !t1_.empty() &&
-                (t1_bytes_ > p_ || (from_b2 && t1_bytes_ >= p_) ||
-                 t2_.empty());
-            evictResidentLru(prefer_t1 ? Where::T1 : Where::T2);
+                !lists_[kT1].empty() &&
+                (bytes_[kT1] > p_ || (from_b2 && bytes_[kT1] >= p_) ||
+                 lists_[kT2].empty());
+            if (prefer_t1)
+                evictBack(kT1, kB1);
+            else
+                evictBack(kT2, kB2);
+            // Keep each ghost list within one capacity of identity bytes.
+            while (bytes_[kB1] > capacity_ && !lists_[kB1].empty())
+                dropBack(kB1);
+            while (bytes_[kB2] > capacity_ && !lists_[kB2].empty())
+                dropBack(kB2);
         }
     }
 
-    void
-    evictResidentLru(Where where)
-    {
-        auto &list = where == Where::T1 ? t1_ : t2_;
-        auto &bytes = where == Where::T1 ? t1_bytes_ : t2_bytes_;
-        assert(!list.empty());
-        const Entry victim = list.back();
-        list.pop_back();
-        bytes -= victim.bytes;
-        index_.erase(victim.key);
-        evicted(victim.key, victim.bytes);
-        rememberGhost(victim, where == Where::T1 ? Where::B1 : Where::B2);
-    }
-
-    void
-    rememberGhost(const Entry &entry, Where where)
-    {
-        auto &list = where == Where::B1 ? b1_ : b2_;
-        auto &bytes = where == Where::B1 ? b1_bytes_ : b2_bytes_;
-        list.push_front(entry);
-        bytes += entry.bytes;
-        ghost_index_[entry.key] = GhostInfo{where, list.begin()};
-        // Keep each ghost list within one capacity of identity bytes.
-        while (b1_bytes_ > capacity_ && !b1_.empty())
-            dropGhostLru(Where::B1);
-        while (b2_bytes_ > capacity_ && !b2_.empty())
-            dropGhostLru(Where::B2);
-    }
-
-    void
-    dropGhostLru(Where where)
-    {
-        auto &list = where == Where::B1 ? b1_ : b2_;
-        auto &bytes = where == Where::B1 ? b1_bytes_ : b2_bytes_;
-        assert(!list.empty());
-        const Entry &old = list.back();
-        bytes -= old.bytes;
-        ghost_index_.erase(old.key);
-        list.pop_back();
-    }
-
-    void
-    eraseGhost(
-        std::unordered_map<Key, GhostInfo, KeyHash>::iterator ghost)
-    {
-        auto &list = ghost->second.where == Where::B1 ? b1_ : b2_;
-        auto &bytes =
-            ghost->second.where == Where::B1 ? b1_bytes_ : b2_bytes_;
-        bytes -= ghost->second.pos->bytes;
-        list.erase(ghost->second.pos);
-        ghost_index_.erase(ghost);
-    }
-
-    std::list<Entry> t1_; //!< once-referenced residents, front = MRU
-    std::list<Entry> t2_; //!< re-referenced residents, front = MRU
-    std::list<Entry> b1_; //!< ghosts of T1 evictions, front = MRU
-    std::list<Entry> b2_; //!< ghosts of T2 evictions, front = MRU
-    std::int64_t t1_bytes_ = 0, t2_bytes_ = 0;
-    std::int64_t b1_bytes_ = 0, b2_bytes_ = 0;
     /** Adaptive target for T1's byte share of the budget. */
     std::int64_t p_ = 0;
-
-    std::unordered_map<Key, Info, KeyHash> index_;
-    std::unordered_map<Key, GhostInfo, KeyHash> ghost_index_;
 };
 
 } // namespace

@@ -10,10 +10,7 @@
  * the configured policy. Three policies cover the design space the
  * literature argues over for embedding traffic:
  *
- *  - LRU: recency only; the classic baseline, vulnerable to scans. Its
- *    recency list is index-linked over a recycled node arena and indexed
- *    by a flat map on packRowKey(), so a (table, row) outside that key's
- *    domain throws std::out_of_range.
+ *  - LRU: recency only; the classic baseline, vulnerable to scans.
  *  - LFU: frequency only; near-optimal for static Zipf popularity but slow
  *    to adapt when the hot set drifts.
  *  - TwoQueue: scan-resistant 2Q — new rows enter a small FIFO probation
@@ -32,6 +29,8 @@
  *
  * Caches are purely functional simulators: they track row *identities* and
  * byte sizes, never payloads, so replaying billion-access traces is cheap.
+ * Every policy keeps its lists on one stats::ListArena and finds a row,
+ * resident or ghost, through one flat map on packRowKey().
  */
 #pragma once
 
@@ -90,7 +89,9 @@ struct CacheStats
 /**
  * Interface of a byte-budgeted (table, row) cache. Implementations are
  * obtained from makeCache(); all enforce usedBytes() <= capacityBytes()
- * after every access.
+ * after every access. Every policy keys rows by packRowKey(), so access()
+ * and contains() throw std::out_of_range for a (table, row) outside that
+ * key's domain.
  */
 class EmbeddingCache
 {

@@ -30,17 +30,17 @@ ResultCache::lookup(const Key &key, sim::SimTime now)
         return false;
     }
     if (config_.ttl_ns > 0 &&
-        now - nodes_[idx].inserted > config_.ttl_ns) {
+        now - entries_[idx].inserted > config_.ttl_ns) {
         // Stale: the embedding snapshot it was pooled from has been
         // refreshed since.
-        eraseNode(idx, slot);
+        eraseEntry(idx, slot);
         ++stats_.expirations;
         ++stats_.misses;
         return false;
     }
-    touch(idx);
+    entries_.touch(lru_, idx);
     ++stats_.hits;
-    stats_.bytes_saved += nodes_[idx].bytes;
+    stats_.bytes_saved += entries_[idx].bytes;
     return true;
 }
 
@@ -59,36 +59,25 @@ ResultCache::insert(const Key &key, std::int64_t response_bytes,
     if (index_[slot].node != kNil) {
         // Refresh in place (a concurrent miss raced this insertion).
         const std::uint32_t idx = index_[slot].node;
-        Node &n = nodes_[idx];
-        used_bytes_ += response_bytes - n.bytes;
-        n.bytes = response_bytes;
-        n.inserted = now;
-        touch(idx);
+        Entry &e = entries_[idx];
+        used_bytes_ += response_bytes - e.bytes;
+        e.bytes = response_bytes;
+        e.inserted = now;
+        entries_.touch(lru_, idx);
     } else {
         if ((entries() + 1) * 8 > index_.size() * 3) {
             growIndex();
             slot = probe(key, hash);
         }
-        std::uint32_t idx;
-        if (!free_.empty()) {
-            idx = free_.back();
-            free_.pop_back();
-        } else {
-            idx = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.emplace_back();
-        }
-        Node &n = nodes_[idx];
-        n.key = key;
-        n.hash = hash;
-        n.bytes = response_bytes;
-        n.inserted = now;
-        pushFront(idx);
+        const std::uint32_t idx =
+            entries_.alloc(Entry{key, hash, response_bytes, now});
+        entries_.pushFront(lru_, idx);
         index_[slot] = IndexSlot{hash, idx};
         used_bytes_ += response_bytes;
         ++stats_.insertions;
     }
-    while (used_bytes_ > kResultCacheCapacityBytes && tail_ != kNil) {
-        eraseNode(tail_, slotOf(tail_));
+    while (used_bytes_ > kResultCacheCapacityBytes && !lru_.empty()) {
+        eraseEntry(lru_.back, slotOf(lru_.back));
         ++stats_.evictions;
     }
 }
@@ -100,9 +89,8 @@ ResultCache::invalidate()
         return;
     ++stats_.invalidations;
     ++epoch_;
-    nodes_.clear();
-    free_.clear();
-    head_ = tail_ = kNil;
+    entries_.clear();
+    lru_ = Entries::List{};
     for (IndexSlot &s : index_)
         s = IndexSlot{};
     used_bytes_ = 0;
@@ -113,7 +101,7 @@ ResultCache::probe(const Key &key, std::uint64_t hash) const
 {
     for (std::size_t i = hash & mask_;; i = (i + 1) & mask_) {
         const IndexSlot &s = index_[i];
-        if (s.node == kNil || (s.hash == hash && nodes_[s.node].key == key))
+        if (s.node == kNil || (s.hash == hash && entries_[s.node].key == key))
             return i;
     }
 }
@@ -121,7 +109,7 @@ ResultCache::probe(const Key &key, std::uint64_t hash) const
 std::size_t
 ResultCache::slotOf(std::uint32_t idx) const
 {
-    std::size_t i = nodes_[idx].hash & mask_;
+    std::size_t i = entries_[idx].hash & mask_;
     while (index_[i].node != idx)
         i = (i + 1) & mask_;
     return i;
@@ -161,50 +149,12 @@ ResultCache::growIndex()
 }
 
 void
-ResultCache::unlink(std::uint32_t idx)
+ResultCache::eraseEntry(std::uint32_t idx, std::size_t slot)
 {
-    Node &n = nodes_[idx];
-    if (n.prev != kNil)
-        nodes_[n.prev].next = n.next;
-    else
-        head_ = n.next;
-    if (n.next != kNil)
-        nodes_[n.next].prev = n.prev;
-    else
-        tail_ = n.prev;
-    n.prev = kNil;
-    n.next = kNil;
-}
-
-void
-ResultCache::pushFront(std::uint32_t idx)
-{
-    Node &n = nodes_[idx];
-    n.prev = kNil;
-    n.next = head_;
-    if (head_ != kNil)
-        nodes_[head_].prev = idx;
-    head_ = idx;
-    if (tail_ == kNil)
-        tail_ = idx;
-}
-
-void
-ResultCache::touch(std::uint32_t idx)
-{
-    if (head_ == idx)
-        return;
-    unlink(idx);
-    pushFront(idx);
-}
-
-void
-ResultCache::eraseNode(std::uint32_t idx, std::size_t slot)
-{
-    used_bytes_ -= nodes_[idx].bytes;
+    used_bytes_ -= entries_[idx].bytes;
     eraseSlot(slot);
-    unlink(idx);
-    free_.push_back(idx);
+    entries_.unlink(lru_, idx);
+    entries_.release(idx);
 }
 
 } // namespace dri::rpc

@@ -28,6 +28,7 @@
 
 #include "sim/time.h"
 #include "stats/hash.h"
+#include "stats/list_arena.h"
 
 namespace dri::rpc {
 
@@ -187,28 +188,20 @@ class ResultCache
 
     const ResultCacheStats &stats() const { return stats_; }
     bool enabled() const { return config_.enabled; }
-    std::size_t entries() const { return nodes_.size() - free_.size(); }
+    std::size_t entries() const { return lru_.size; }
     std::int64_t usedBytes() const { return used_bytes_; }
 
   private:
-    static constexpr std::uint32_t kNil = 0xffffffffu;
-
-    /**
-     * One cached entry, doubly linked into the recency list by arena
-     * index. Indices stay valid across arena growth (unlike pointers or
-     * std::list iterators would across a vector reallocation), and
-     * recycling through free_ means steady-state insert/evict churn
-     * allocates nothing.
-     */
-    struct Node
+    /** One cached entry: a node of the recency list over entries_. */
+    struct Entry
     {
         Key key;
         std::uint64_t hash = 0; //!< KeyHash of key, computed once
         std::int64_t bytes = 0;
         sim::SimTime inserted = 0;
-        std::uint32_t prev = kNil;
-        std::uint32_t next = kNil;
     };
+    using Entries = stats::ListArena<Entry>;
+    static constexpr std::uint32_t kNil = Entries::kNil;
 
     /**
      * One slot of the open-addressing index over the arena: an entry's
@@ -233,20 +226,15 @@ class ResultCache
     void eraseSlot(std::size_t i);
     void growIndex();
 
-    void unlink(std::uint32_t idx);
-    void pushFront(std::uint32_t idx);
-    void touch(std::uint32_t idx);
     /** Drop live entry `idx`, whose index slot is `slot`. */
-    void eraseNode(std::uint32_t idx, std::size_t slot);
+    void eraseEntry(std::uint32_t idx, std::size_t slot);
 
     ResultCacheConfig config_;
     ResultCacheStats stats_;
-    std::vector<Node> nodes_;          //!< entry arena, recycled via free_
-    std::vector<std::uint32_t> free_;  //!< indices of vacated arena slots
-    std::uint32_t head_ = kNil;        //!< most recently used
-    std::uint32_t tail_ = kNil;        //!< least recently used
-    std::vector<IndexSlot> index_;     //!< empty while disabled
-    std::size_t mask_ = 0;             //!< index_.size() - 1
+    Entries entries_;
+    Entries::List lru_;            //!< front = most recently used
+    std::vector<IndexSlot> index_; //!< empty while disabled
+    std::size_t mask_ = 0;         //!< index_.size() - 1
     std::int64_t used_bytes_ = 0;
     std::uint64_t epoch_ = 0;
 };

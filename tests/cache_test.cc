@@ -295,21 +295,28 @@ TEST(EmbeddingCache, LruMatchesListOracle)
     }
 }
 
-TEST(EmbeddingCache, LruRejectsKeysOutsidePackedDomain)
+TEST(EmbeddingCache, EveryPolicyRejectsKeysOutsidePackedDomain)
 {
-    auto cache = cache::makeCache(Policy::Lru, 4 * kRow);
-    EXPECT_THROW(cache->access(-1, 0, kRow), std::out_of_range);
-    EXPECT_THROW(cache->access(1 << 16, 0, kRow), std::out_of_range);
-    EXPECT_THROW(cache->access(0, -1, kRow), std::out_of_range);
-    EXPECT_THROW(cache->access(0, std::int64_t{1} << 48, kRow),
-                 std::out_of_range);
-    EXPECT_THROW(cache->contains(0, -1), std::out_of_range);
-    // The domain's edges are distinct keys.
-    EXPECT_FALSE(cache->access((1 << 16) - 1, (std::int64_t{1} << 48) - 1,
-                               kRow));
-    EXPECT_FALSE(cache->access(0, 0, kRow));
-    EXPECT_TRUE(cache->contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
-    EXPECT_EQ(cache->residentRows(), 2u);
+    for (const auto policy :
+         {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc}) {
+        SCOPED_TRACE(cache::policyName(policy));
+        auto cache = cache::makeCache(policy, 4 * kRow);
+        EXPECT_THROW(cache->access(-1, 0, kRow), std::out_of_range);
+        EXPECT_THROW(cache->access(1 << 16, 0, kRow), std::out_of_range);
+        EXPECT_THROW(cache->access(0, -1, kRow), std::out_of_range);
+        EXPECT_THROW(cache->access(0, std::int64_t{1} << 48, kRow),
+                     std::out_of_range);
+        EXPECT_THROW(cache->contains(0, -1), std::out_of_range);
+        // A rejected key is not counted as an access.
+        EXPECT_EQ(cache->stats().accesses, 0);
+        // The domain's edges are distinct keys.
+        EXPECT_FALSE(cache->access((1 << 16) - 1,
+                                   (std::int64_t{1} << 48) - 1, kRow));
+        EXPECT_FALSE(cache->access(0, 0, kRow));
+        EXPECT_TRUE(
+            cache->contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
+        EXPECT_EQ(cache->residentRows(), 2u);
+    }
 }
 
 /**
