@@ -3,8 +3,9 @@
  * google-benchmark microbenches for the simulator's layers. The
  * EventHold rows time the DES engine's event set under the hold model.
  * The Zipf-draw and cache-replay rows time the two layers of the
- * trace-driven row-cache build, and the ShardCacheBuild rows the whole
- * streamed build at one and four workers; the AttemptStream row
+ * trace-driven row-cache build, the AccessStream row one worker's
+ * table-filtered walk of the access stream, and the ShardCacheBuild rows
+ * the whole streamed build at one and four workers; the AttemptStream row
  * times the per-attempt randomness of the serving fan-out, and the
  * HedgeWindow and ResultCacheChurn rows the two per-RPC structures of
  * the hedged open loop: the hedge deadline and the pooled-result cache.
@@ -152,6 +153,35 @@ BENCHMARK_CAPTURE(BM_CacheReplay, lru, cache::Policy::Lru);
 BENCHMARK_CAPTURE(BM_CacheReplay, lfu, cache::Policy::Lfu);
 BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
+
+/**
+ * One shard-group worker's walk of the access stream: forEachAccess over
+ * the 600-request stream of the sharded-cache study spec, keeping a
+ * quarter of its tables (t % 4 == 0) and skipping the rest's draws.
+ * items/s = stream draws/s, kept or skipped.
+ */
+void
+BM_AccessStream(benchmark::State &state)
+{
+    static const auto spec = model::makeShardedCacheStudySpec();
+    static const auto requests =
+        workload::RequestGenerator(spec, workload::GeneratorConfig{17})
+            .generate(600);
+    std::int64_t draws = 0;
+    for (const auto &r : requests)
+        draws += r.totalLookups();
+    for (auto _ : state) {
+        std::int64_t rows = 0;
+        workload::forEachAccess(
+            spec, requests, 0.8, 17,
+            [&rows](const workload::AccessRecord &rec) { rows += rec.row; },
+            [](std::size_t t) { return t % 4 == 0; });
+        benchmark::DoNotOptimize(rows);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            draws);
+}
+BENCHMARK(BM_AccessStream);
 
 /**
  * The streamed per-shard row-cache build (core::buildShardCacheModels's

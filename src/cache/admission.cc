@@ -90,6 +90,7 @@ class AdmittingCache : public EmbeddingCache
     {
         inner_->setCapacityBytes(capacity_bytes);
     }
+    void reserve(std::size_t rows) override { inner_->reserve(rows); }
     std::int64_t usedBytes() const override { return inner_->usedBytes(); }
     std::size_t residentRows() const override
     {
@@ -205,6 +206,16 @@ class WindowedAdmittingCache : public EmbeddingCache
     std::int64_t ghostBytes() const override
     {
         return main_->ghostBytes() + window_->ghostBytes();
+    }
+
+    /** Split the hint as the budget is split now. */
+    void
+    reserve(std::size_t rows) override
+    {
+        const auto window = static_cast<std::size_t>(
+            fraction_ * static_cast<double>(rows));
+        window_->reserve(window);
+        main_->reserve(rows - window);
     }
 
     const CacheStats &

@@ -110,6 +110,13 @@ class LruCache : public CacheBase
 
     std::size_t residentRows() const override { return lru_.size; }
 
+    void
+    reserve(std::size_t rows) override
+    {
+        rows_.reserve(rows);
+        index_.reserve(rows);
+    }
+
   private:
     struct Row
     {
@@ -160,6 +167,13 @@ class LfuCache : public CacheBase
     }
 
     std::size_t residentRows() const override { return index_.size(); }
+
+    void
+    reserve(std::size_t rows) override
+    {
+        rows_.reserve(rows);
+        index_.reserve(rows);
+    }
 
   private:
     struct Row
@@ -227,6 +241,18 @@ class ListedCache : public CacheBase
     residentRows() const override
     {
         return lists_[0].size + lists_[1].size;
+    }
+
+    /**
+     * Ghosts share the arena and index: 2Q remembers up to half a budget
+     * of them, ARC up to one, so room for rows * kLists / 2 entries
+     * covers both at a full budget.
+     */
+    void
+    reserve(std::size_t rows) override
+    {
+        rows_.reserve(rows * kLists / kResidentLists);
+        index_.reserve(rows * kLists / kResidentLists);
     }
 
     std::int64_t

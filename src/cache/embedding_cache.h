@@ -123,6 +123,14 @@ class EmbeddingCache
      */
     virtual void setCapacityBytes(std::int64_t capacity_bytes) = 0;
 
+    /**
+     * Sizing hint: allocate the policy's row storage (index and list
+     * nodes, ghosts included) once for about `rows` resident rows,
+     * instead of growing it by doubling as rows arrive. Changes no hit,
+     * miss or eviction; a cache that outgrows the hint grows as before.
+     */
+    virtual void reserve(std::size_t rows) = 0;
+
     virtual const CacheStats &stats() const = 0;
     /** Zero the counters; resident rows are untouched (warmup support). */
     virtual void resetStats() = 0;

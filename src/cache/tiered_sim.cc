@@ -12,6 +12,8 @@ TieredCacheSim::TieredCacheSim(const model::ModelSpec &spec,
                                TieredCacheConfig config)
     : config_(config)
 {
+    if (std::isnan(config_.warmup_fraction))
+        throw std::invalid_argument("TieredCacheSim: warmup_fraction is NaN");
     row_bytes_.reserve(spec.tables.size());
     for (const auto &t : spec.tables)
         row_bytes_.push_back(t.storedRowBytes());

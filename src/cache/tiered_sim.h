@@ -32,6 +32,9 @@ struct TieredCacheConfig
      * Leading fraction of the trace replayed to warm the cache before
      * counters engage, removing compulsory-miss bias from the reported
      * rates (0 = cold start; 0.5 is typical for stationarity studies).
+     * Finite values outside [0, 1] clamp to it; NaN is rejected by
+     * TieredCacheSim's constructor (std::invalid_argument), since it
+     * would otherwise count no access at all.
      */
     double warmup_fraction = 0.0;
     /** Admission filter wrapped around the eviction policy. */
@@ -72,12 +75,19 @@ struct CacheSimResult
 class TieredCacheSim
 {
   public:
+    /** Throws std::invalid_argument for a NaN config.warmup_fraction. */
     TieredCacheSim(const model::ModelSpec &spec, TieredCacheConfig config);
     TieredCacheSim(const TieredCacheSim &) = delete;
     TieredCacheSim &operator=(const TieredCacheSim &) = delete;
 
     /** Replay the trace; returns post-warmup per-table statistics. */
     CacheSimResult replay(const workload::AccessTrace &trace);
+
+    /**
+     * Size the cache once for about `rows` resident rows
+     * (EmbeddingCache::reserve): a hint that changes no result.
+     */
+    void reserve(std::size_t rows) { cache_->reserve(rows); }
 
     /** Start a replay of `total_accesses` accesses: counters reset. */
     void begin(std::size_t total_accesses);

@@ -16,18 +16,25 @@
  * Which overload: when the caller holds requests and only needs the
  * models, use the streamed buildShardCacheModels(spec, plan, requests,
  * skew, seed, options). It regenerates the access stream instead of
- * storing it, so its memory is the distinct-row sets plus the caches,
+ * storing it, so its memory is a rank histogram plus the caches,
  * whatever the access count. The trace overload is for a trace that
- * already exists (read from a file, synthesized, or needed elsewhere);
- * both run the same two-pass build and give identical results.
+ * already exists (read from a file, synthesized, or needed elsewhere).
+ * Both run a counting pass and then a replay pass, and give identical
+ * results.
  *
  * Both build on W = min(shards, workers) workers, `workers` = 0 meaning
  * the CPUs this process may run on (core::usableCpus()). Worker w owns
  * the shards s with s % W == w and runs the two passes over the source
- * for them alone. The streamed overload's workers each still draw every
- * random word of the stream, but sample rows only for the tables with a
- * piece on their own shards (workload::forEachAccess's table filter), so
- * the generation CPU per worker shrinks with its share of the lookups.
+ * for them alone. The streamed overload's workers draw only the lookups
+ * of the tables with a piece on their own shards (workload::forEachRank's
+ * table filter); every other lookup's engine word is skipped by
+ * stats::Rng::discard, one generator block per twist, so the generation
+ * CPU per worker shrinks with its share of the lookups. Its first pass
+ * counts ranks, not rows: a uint32_t counter per (wanted table, Zipf
+ * rank), folded afterwards into each shard's access count, distinct-row
+ * bytes and distinct-row count. Each shard's cache is then sized once,
+ * for distinct rows x budget / universe bytes resident rows
+ * (cache::EmbeddingCache::reserve), before the second pass replays.
  * Every shard's cache sees the same accesses in the same order whatever
  * W is, so the result is field-for-field identical at every worker
  * count, and W = 1 runs on the calling thread without starting one.
@@ -54,15 +61,20 @@ struct ShardCacheOptions
     /**
      * Per-shard DRAM budget as a fraction of that shard's own slice
      * universe (proportional sizing: total budget tracks total traffic).
+     * Must be finite and >= 0.
      */
     double capacity_fraction = 0.2;
     /**
      * Fixed byte budget per shard; overrides capacity_fraction when > 0.
      * This is machine-shaped sizing — every shard host has the same DRAM
      * regardless of the traffic routed at it — and is what makes skewed
-     * plans visibly diverge.
+     * plans visibly diverge. Must be >= 0.
      */
     std::int64_t capacity_bytes_per_shard = 0;
+    /**
+     * TieredCacheConfig::warmup_fraction of every shard's replay: finite
+     * values outside [0, 1] clamp to it; must not be NaN.
+     */
     double warmup_fraction = 0.5;
     cache::TierCosts costs;
 };
@@ -92,8 +104,11 @@ struct ShardCacheModels
  * comment), each reading the whole trace twice. For a singular plan the
  * single "shard" is the main shard's inline SLS tier. An in-model
  * (table, row) outside cache::packRowKey's domain throws
- * std::out_of_range, whichever worker meets it; negative `workers` or
- * a plan that fails validate(spec) throws std::invalid_argument.
+ * std::out_of_range, whichever worker meets it. Negative `workers`, a
+ * plan that fails validate(spec), or options breaking ShardCacheOptions'
+ * rules (a non-finite or negative capacity_fraction, a negative
+ * capacity_bytes_per_shard, a NaN warmup_fraction) throw
+ * std::invalid_argument on the calling thread, before any worker starts.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
@@ -104,10 +119,12 @@ buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,
  * Streamed equivalent of buildShardCacheModels(spec, plan,
  * workload::recordTrace(spec, requests, popularity_skew, seed), options,
  * workers): field-for-field identical, but every worker's passes
- * regenerate the accesses with workload::forEachAccess, filtered to the
+ * regenerate the draws with workload::forEachRank, filtered to the
  * tables its shards hold, so no trace or slice is ever stored. Throws
- * what forEachAccess throws; requests or a skew it rejects throw
- * std::invalid_argument before any worker starts.
+ * what the trace overload and forEachRank throw; requests or a skew
+ * forEachRank rejects throw std::invalid_argument before any worker
+ * starts, and a table with 2^32 or more lookups across `requests` (past
+ * a rank counter) throws std::length_error there too.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,

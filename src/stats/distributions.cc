@@ -1,6 +1,7 @@
 #include "stats/distributions.h"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 namespace dri::stats {
@@ -35,10 +36,13 @@ BoundedParetoSampler::sample(Rng &rng) const
     return x;
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
+ZipfSampler::ZipfSampler(std::size_t n, double s)
+    : scale_(4.0 * static_cast<double>(n)), s_(s)
 {
     if (n == 0)
         throw std::invalid_argument("ZipfSampler: requires n > 0");
+    if (n - 1 > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument("ZipfSampler: requires n <= 2^32");
     if (std::isnan(s))
         throw std::invalid_argument("ZipfSampler: exponent s is NaN");
     cdf_.resize(n);
@@ -50,15 +54,16 @@ ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s)
     for (auto &v : cdf_)
         v /= acc;
 
-    // floor(cdf[k] * n) is non-decreasing in k, so one forward walk finds
-    // each bucket's first rank; buckets past every entry clamp to n - 1.
-    const double scale = static_cast<double>(n);
-    guide_.resize(n + 1);
+    // floor(cdf[k] * 4n) is non-decreasing in k, so one forward walk
+    // finds each bucket's first rank; buckets past every entry clamp to
+    // n - 1.
+    const std::size_t buckets = 4 * n;
+    guide_.resize(buckets + 1);
     std::size_t k = 0;
-    for (std::size_t j = 0; j <= n; ++j) {
-        while (k + 1 < n && static_cast<std::size_t>(cdf_[k] * scale) < j)
+    for (std::size_t j = 0; j <= buckets; ++j) {
+        while (k + 1 < n && static_cast<std::size_t>(cdf_[k] * scale_) < j)
             ++k;
-        guide_[j] = k;
+        guide_[j] = static_cast<std::uint32_t>(k);
     }
 }
 

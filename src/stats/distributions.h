@@ -78,29 +78,35 @@ class BoundedParetoSampler
  * precomputed normalization. Used for skewed embedding-row popularity.
  *
  * A draw returns the first rank whose CDF entry is >= u, found through a
- * guide table: guide_[j] is the first rank k with floor(cdf[k] * n) >= j,
- * computed with the same floating-point product the query forms from u.
- * Multiplication by n is monotone, so every rank below guide_[floor(u*n)]
- * has cdf < u, and a short linear scan from there lands on exactly the
- * rank a binary search over the CDF would return (O(1) expected).
+ * guide table of B = 4n buckets: guide_[j] is the first rank k with
+ * floor(cdf[k] * B) >= j, computed with the same floating-point product
+ * the query forms from u. Multiplication by B is monotone, so every rank
+ * below guide_[floor(u*B)] has cdf < u, and a short linear scan from
+ * there lands on exactly the rank a binary search over the CDF would
+ * return (O(1) expected). Four buckets per rank keep that scan to about
+ * one step where the CDF is steep (the head ranks a Zipf draw mostly
+ * returns), so its exit branch predicts well; the guide is 16n bytes of
+ * uint32_t, 64 KiB at the trace recorder's n = 4,096.
  */
 class ZipfSampler
 {
   public:
-    /** Throws std::invalid_argument when n is 0 or s is NaN. */
+    /**
+     * Throws std::invalid_argument when n is 0, n exceeds 2^32 (a rank
+     * must fit the guide's uint32_t) or s is NaN.
+     */
     ZipfSampler(std::size_t n, double s);
 
     /** Returns a rank in [0, n). Rank 0 is the most popular. Inline: the
      *  trace recorder draws one per embedding access. Takes exactly one
-     *  engine word, which workload::forEachAccess's table filter relies
+     *  engine word, which workload::forEachRank's table filter relies
      *  on. */
     std::size_t
     sample(Rng &rng) const
     {
         const double u = rng.uniform();
         const std::size_t last = cdf_.size() - 1;
-        std::size_t k =
-            guide_[static_cast<std::size_t>(u * static_cast<double>(n()))];
+        std::size_t k = guide_[static_cast<std::size_t>(u * scale_)];
         while (k < last && cdf_[k] < u)
             ++k;
         return k;
@@ -111,8 +117,11 @@ class ZipfSampler
 
   private:
     std::vector<double> cdf_;
-    /** n + 1 entries: u * n can round up to n when u is just below 1. */
-    std::vector<std::size_t> guide_;
+    /**
+     * 4n + 1 entries: u * 4n can round up to 4n when u is just below 1.
+     */
+    std::vector<std::uint32_t> guide_;
+    double scale_; //!< the bucket count 4n, as the query multiplies by it
     double s_;
 };
 

@@ -92,6 +92,21 @@ class FlatHashMap
     std::size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
+    /**
+     * Grow the table, once, to hold `entries` entries without another
+     * rehash. Lookups, inserts and erases behave the same either way.
+     */
+    void
+    reserve(std::size_t entries)
+    {
+        if (entries * 10 <= slots_.size() * 7)
+            return; // room already
+        std::size_t capacity = kMinCapacity;
+        while (entries * 10 > capacity * 7)
+            capacity *= 2;
+        rehash(capacity);
+    }
+
     /** Drop every entry, keeping the table's capacity. */
     void
     clear()

@@ -102,6 +102,9 @@ class ListArena
         pushFront(list, idx);
     }
 
+    /** Make room for `nodes` nodes in all without reallocating. */
+    void reserve(std::size_t nodes) { nodes_.reserve(nodes); }
+
     /**
      * Drop every node, keeping the vector's capacity. Lists over the
      * arena are their owners' to reset.

@@ -64,6 +64,41 @@ class Mt64
         return y;
     }
 
+    /**
+     * Advance the stream by n outputs, as n calls would, and equal to
+     * std::mt19937_64::discard(n). Whole blocks are twisted without
+     * tempering any word, so a long skip costs one twist per 312 words
+     * and a skip inside the current block costs nothing until the next
+     * draw (the lazy first block catches up there).
+     */
+    void
+    discard(std::uint64_t n)
+    {
+        if (lazy_) {
+            const auto left = static_cast<std::uint64_t>(kN - next_);
+            if (n < left) {
+                next_ += static_cast<int>(n);
+                return;
+            }
+            twistTo(kN);
+            lazy_ = false;
+            n -= left;
+            next_ = kN;
+        }
+        const auto left = static_cast<std::uint64_t>(kN - next_);
+        if (n <= left) {
+            next_ += static_cast<int>(n);
+            return;
+        }
+        // Words past the current block: whole blocks, then a partial
+        // one whose first n % kN words are taken as read.
+        n -= left;
+        for (; n > static_cast<std::uint64_t>(kN); n -= kN)
+            twistAll();
+        twistAll();
+        next_ = static_cast<int>(n);
+    }
+
   private:
     static constexpr int kN = 312;
     static constexpr int kM = 156;

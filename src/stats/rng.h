@@ -102,6 +102,9 @@ class Rng
     /** The next raw engine word. */
     result_type operator()() { return engine_(); }
 
+    /** Skip the next n engine words (Mt64::discard). */
+    void discard(std::uint64_t n) { engine_.discard(n); }
+
     /** Uniform double in [0, 1). */
     double uniform() { return canonical(engine_); }
 

@@ -11,14 +11,19 @@
  * for the eviction-policy studies, and measures a trace's distinct-row
  * footprint, the universe cache capacities are sized against.
  *
- * Streaming contract: forEachAccess is the one generator of
- * request-driven accesses. It stores nothing, and rerunning it with the
- * same arguments replays the identical stream, so a consumer that keeps
- * only aggregates (per-shard cache models) can read it in two passes
- * and hold memory bounded by those aggregates; its table filter lets a
- * consumer of some tables skip sampling the rest without changing any
- * record it keeps. recordTrace collects the same stream for callers that
- * need the records themselves, at 24 B per access.
+ * Streaming contract: forEachRank is the one generator of request-driven
+ * accesses, as (request, table, Zipf rank) draws; forEachAccess views
+ * the same stream as rows through rowOfRank. It stores nothing, and
+ * rerunning it with the same arguments replays the identical stream, so
+ * a consumer that keeps only aggregates (per-shard cache models) can
+ * read it in two passes and hold memory bounded by those aggregates. A
+ * consumer that only counts can count ranks: a table's whole key space
+ * is kPopularityRanks ranks, whatever its row count. The table filter
+ * lets a consumer of some tables skip the rest without changing any draw
+ * it keeps: unwanted tables' engine words are advanced by
+ * stats::Rng::discard, which twists whole generator blocks without
+ * tempering or sampling them. recordTrace collects the row stream for
+ * callers that need the records themselves, at 24 B per access.
  */
 #pragma once
 
@@ -83,27 +88,86 @@ void checkAccessSource(const model::ModelSpec &spec,
                        double popularity_skew);
 } // namespace detail
 
-/** forEachAccess's default table predicate: every table is wanted. */
+/** forEachRank's default table predicate: every table is wanted. */
 struct AllTables
 {
     constexpr bool operator()(std::size_t) const { return true; }
 };
 
 /**
- * Expand requests into row accesses and hand each to `fn` as a
- * `const AccessRecord &`, in request order, then table order, storing
- * none of them. Row ids within each table follow a Zipf(popularity_skew)
- * distribution over the table's logical rows: embedding traffic is
+ * The popularity universe of request-driven accesses: every table's
+ * lookups draw a Zipf rank in [0, kPopularityRanks), and rowOfRank maps
+ * it onto one of the table's rows.
+ */
+inline constexpr std::size_t kPopularityRanks = 4096;
+
+/**
+ * The row of a `rows`-row table that popularity rank `rank` lands on: a
+ * fixed multiplicative hash, so the same rank always names the same row
+ * and popular rows are stable across requests. Several ranks can land on
+ * one row (always when rows < kPopularityRanks).
+ */
+inline std::int64_t
+rowOfRank(std::size_t rank, std::int64_t rows)
+{
+    return static_cast<std::int64_t>(
+        (static_cast<std::uint64_t>(rank + 1) * 0x9e3779b97f4a7c15ULL) %
+        static_cast<std::uint64_t>(rows));
+}
+
+/**
+ * Expand requests into Zipf(popularity_skew) rank draws and hand each to
+ * `fn(const Request &, std::size_t table, std::size_t rank)`, in request
+ * order, then table order, storing none of them. One Zipf sampler over
+ * kPopularityRanks ranks is shared by every table: embedding traffic is
  * popularity-skewed but heavy-tailed. Throws std::invalid_argument,
- * before emitting anything, when a request's table_lookups does not match
+ * before calling fn, when a request's table_lookups does not match
  * spec.tables, a table has rows <= 0 or popularity_skew is NaN.
  *
- * `want(t)` selects the tables whose accesses are emitted (default:
- * every table). Each lookup of an unwanted table still advances the
- * generator by exactly the one engine word its Zipf draw would take, and
- * emits nothing, so every emitted record is identical to its
- * counterpart in the unfiltered stream: the filtered stream is the
- * unfiltered one restricted to the wanted tables.
+ * `want(t)` selects the tables whose draws reach fn (default: every
+ * table). Each lookup of an unwanted table still advances the generator
+ * by exactly the one engine word its draw would take: the words of a run
+ * of unwanted lookups are skipped in one stats::Rng::discard call just
+ * before the next wanted draw, without being tempered or sampled. So
+ * every draw fn sees is identical to its counterpart in the unfiltered
+ * stream: the filtered stream is the unfiltered one restricted to the
+ * wanted tables.
+ */
+template <class Fn, class Want = AllTables>
+void
+forEachRank(const model::ModelSpec &spec,
+            const std::vector<Request> &requests, double popularity_skew,
+            std::uint64_t seed, Fn &&fn, Want &&want = Want{})
+{
+    detail::checkAccessSource(spec, requests, popularity_skew);
+    stats::Rng rng(seed);
+    const stats::ZipfSampler zipf(kPopularityRanks, popularity_skew);
+
+    std::uint64_t skipped = 0; // unwanted lookups not yet discarded
+    for (const auto &req : requests) {
+        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
+            const std::int32_t lookups = req.table_lookups[t];
+            if (lookups <= 0)
+                continue;
+            if (!want(t)) {
+                // ZipfSampler::sample takes one engine word per draw.
+                skipped += static_cast<std::uint64_t>(lookups);
+                continue;
+            }
+            if (skipped > 0) {
+                rng.discard(skipped);
+                skipped = 0;
+            }
+            for (std::int32_t k = 0; k < lookups; ++k)
+                fn(req, t, zipf.sample(rng));
+        }
+    }
+}
+
+/**
+ * forEachRank's stream as row accesses: each draw reaches `fn` as a
+ * `const AccessRecord &` naming rowOfRank(rank, table rows). Same order,
+ * errors and table filter as forEachRank.
  */
 template <class Fn, class Want = AllTables>
 void
@@ -111,37 +175,13 @@ forEachAccess(const model::ModelSpec &spec,
               const std::vector<Request> &requests, double popularity_skew,
               std::uint64_t seed, Fn &&fn, Want &&want = Want{})
 {
-    detail::checkAccessSource(spec, requests, popularity_skew);
-    stats::Rng rng(seed);
-
-    // One Zipf sampler over a bounded popularity universe, shared by every
-    // table: rank r maps to a deterministic pseudo-random row of the
-    // table, so popular rows are stable across requests.
-    constexpr std::size_t kRanks = 4096;
-    const stats::ZipfSampler zipf(kRanks, popularity_skew);
-
-    for (const auto &req : requests) {
-        for (std::size_t t = 0; t < spec.tables.size(); ++t) {
-            const std::int32_t lookups = req.table_lookups[t];
-            if (!want(t)) {
-                // ZipfSampler::sample takes one engine word per draw.
-                for (std::int32_t k = 0; k < lookups; ++k)
-                    rng();
-                continue;
-            }
-            const auto rows = static_cast<std::uint64_t>(spec.tables[t].rows);
-            for (std::int32_t k = 0; k < lookups; ++k) {
-                const std::size_t rank = zipf.sample(rng);
-                // Spread ranks over the table's logical rows via a fixed
-                // multiplicative hash (same rank -> same row).
-                const auto row = static_cast<std::int64_t>(
-                    (static_cast<std::uint64_t>(rank + 1) *
-                     0x9e3779b97f4a7c15ULL) %
-                    rows);
-                fn(AccessRecord{req.id, static_cast<int>(t), row});
-            }
-        }
-    }
+    forEachRank(
+        spec, requests, popularity_skew, seed,
+        [&](const Request &req, std::size_t t, std::size_t rank) {
+            fn(AccessRecord{req.id, static_cast<int>(t),
+                            rowOfRank(rank, spec.tables[t].rows)});
+        },
+        want);
 }
 
 /**

@@ -7,6 +7,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <list>
 #include <memory>
 #include <stdexcept>
@@ -408,6 +410,62 @@ TEST(EmbeddingCache, EvictionDigestsArePinned)
     }
 }
 
+/**
+ * The sizing hint changes nothing a cache reports: every policy, bare
+ * and behind each admission filter, gives the same hit bits, eviction
+ * hook calls and final state whether it was reserved for no rows, for
+ * fewer rows than it comes to hold, or for many more.
+ */
+TEST(EmbeddingCache, ReserveChangesNoEviction)
+{
+    std::vector<std::pair<int, std::int64_t>> trace;
+    {
+        stats::Rng rng(4242);
+        const stats::ZipfSampler zipf(4096, 0.9);
+        for (int i = 0; i < 20000; ++i) {
+            const int table = static_cast<int>(rng.uniformInt(0, 2));
+            trace.emplace_back(table,
+                               i % 500 < 50
+                                   ? 1'000'000 + i // one-touch scan rows
+                                   : static_cast<std::int64_t>(
+                                         zipf.sample(rng)));
+        }
+    }
+    const auto digest = [&](Policy policy, cache::Admission admission,
+                            std::size_t hint) {
+        auto cache =
+            cache::makeCacheWithAdmission(policy, 48 << 10, admission);
+        if (hint > 0)
+            cache->reserve(hint);
+        stats::Fnv fnv;
+        cache->setEvictionHook(
+            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
+                fnv.add(table);
+                fnv.add(row);
+                fnv.add(bytes);
+            });
+        for (const auto &[table, row] : trace)
+            fnv.add(cache->access(table, row, (table + 1) * 64));
+        fnv.add(cache->ghostBytes());
+        fnv.add(static_cast<std::int64_t>(cache->residentRows()));
+        fnv.add(cache->usedBytes());
+        fnv.add(cache->stats().evictions);
+        return fnv.h;
+    };
+    for (const Policy policy :
+         {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc})
+        for (const cache::Admission admission :
+             {cache::Admission::None, cache::Admission::TinyLfu,
+              cache::Admission::WTinyLfu}) {
+            const std::uint64_t bare = digest(policy, admission, 0);
+            for (const std::size_t hint : {1u, 40u, 100000u})
+                EXPECT_EQ(digest(policy, admission, hint), bare)
+                    << cache::policyName(policy) << " + "
+                    << cache::admissionName(admission) << " hint "
+                    << hint;
+        }
+}
+
 // ---------------------------------------------------------------------------
 // Trace replay
 // ---------------------------------------------------------------------------
@@ -475,6 +533,32 @@ TEST(TieredCacheSim, SkipsRecordsOutsideModel)
     cache::TieredCacheSim sim(spec, config);
     const auto result = sim.replay(trace);
     EXPECT_EQ(result.total.accesses, 1);
+}
+
+/**
+ * A NaN warmup_fraction is rejected at construction (it would count no
+ * access); finite values outside [0, 1] keep their clamp.
+ */
+TEST(TieredCacheSim, NaNWarmupThrowsAndFiniteOutOfRangeClamps)
+{
+    const auto spec = smallSpec(1);
+    cache::TieredCacheConfig config;
+    config.capacity_bytes = 16 * kRow;
+    config.warmup_fraction = std::nan("");
+    EXPECT_THROW(cache::TieredCacheSim(spec, config), std::invalid_argument);
+
+    workload::AccessTrace trace;
+    for (std::int64_t row = 0; row < 10; ++row)
+        trace.add(workload::AccessRecord{0, 0, row});
+    const auto counted = [&](double warmup) {
+        config.warmup_fraction = warmup;
+        cache::TieredCacheSim sim(spec, config);
+        return sim.replay(trace).total.accesses;
+    };
+    EXPECT_EQ(counted(-0.5), 10);
+    EXPECT_EQ(counted(-std::numeric_limits<double>::infinity()), 10);
+    EXPECT_EQ(counted(1.5), 0);
+    EXPECT_EQ(counted(std::numeric_limits<double>::infinity()), 0);
 }
 
 TEST(TieredCacheSim, StreamedReplayMustDeliverAnnouncedCount)

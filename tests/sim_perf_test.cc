@@ -7,7 +7,8 @@
  *    event (global operator-new counting around a warmed engine);
  *  - stats::Mt64 is output-identical to std::mt19937_64 at every seed
  *    and draw count, including across twist-block boundaries and under
- *    std:: distribution adapters (the contract mt64.h declares);
+ *    std:: distribution adapters (the contract mt64.h declares), and
+ *    its discard(n) equals std::mt19937_64::discard(n);
  *  - the per-attempt stats::CounterStream: draw i is a pure function of
  *    (key, i) under interleaving and pooled reuse, its canonical,
  *    gaussian and wire-jitter draws match the Mt64 helpers' in moments
@@ -25,7 +26,8 @@
  *  - fleet::ParallelSweep produces byte-identical ledgers (simulation
  *    AND telemetry fingerprints) at thread counts {1, 2, 8};
  *  - the streamed core::buildShardCacheModels allocates in proportion to
- *    distinct rows, not accesses (global operator-new byte counting).
+ *    its tables' rank counters and resident rows, not accesses (global
+ *    operator-new byte counting).
  */
 #include <gtest/gtest.h>
 
@@ -206,6 +208,33 @@ TEST(SimPerf, Mt64MatchesStdMt19937_64)
                 << i;
         }
     }
+}
+
+/**
+ * Mt64::discard(n) then 1,000 draws equals std::mt19937_64::discard(n)
+ * then the same draws: from a fresh engine (inside the lazily seeded
+ * first block) and after 3 and 400 draws, for skips that end inside,
+ * at and past block boundaries (156, 312 and 624 are half, one and two
+ * 312-word blocks).
+ */
+TEST(SimPerf, Mt64DiscardMatchesStdDiscard)
+{
+    const std::uint64_t skips[] = {0, 1, 155, 156, 311, 312, 313, 624,
+                                   1000000};
+    for (const std::uint64_t seed : {1ull, 0x9e3779b97f4a7c15ull})
+        for (const int before : {0, 3, 400})
+            for (const std::uint64_t n : skips) {
+                std::mt19937_64 ref(seed);
+                stats::Mt64 mine(seed);
+                for (int i = 0; i < before; ++i)
+                    ASSERT_EQ(ref(), mine());
+                ref.discard(n);
+                mine.discard(n);
+                for (int i = 0; i < 1000; ++i)
+                    ASSERT_EQ(ref(), mine())
+                        << "seed=" << seed << " before=" << before
+                        << " n=" << n << " i=" << i;
+            }
 }
 
 // ---------------------------------------------------------------------------

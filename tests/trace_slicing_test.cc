@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -247,6 +248,72 @@ TEST(TraceSlicing, StreamedBuildEqualsTraceOverloadAndPerSliceReference)
 }
 
 /**
+ * A spec whose tables have the given row counts (fp32, dim 32: 128 B
+ * rows), two lookups per item each.
+ */
+model::ModelSpec
+specWithRows(const std::vector<std::int64_t> &rows)
+{
+    auto spec = model::makeShardedCacheStudySpec();
+    spec.tables.resize(rows.size(), spec.tables[0]);
+    for (std::size_t t = 0; t < rows.size(); ++t) {
+        spec.tables[t].id = static_cast<int>(t);
+        spec.tables[t].name = "emb" + std::to_string(t);
+        spec.tables[t].rows = rows[t];
+    }
+    return spec;
+}
+
+/**
+ * The streamed build's rank-histogram fold at its edges: tables of 1, 7,
+ * 4,095 and 4,097 rows, where many of the 4,096 popularity ranks land on
+ * one row, and tables split 3 ways, whose ranks fold onto rows routed to
+ * three shards (a 7-row one as well). It equals the trace overload and
+ * the per-slice reference, universes included, at 1, 2, 3 and 8
+ * workers.
+ */
+TEST(TraceSlicing, RankFoldEqualsTraceOverloadOnSmallAndSplitTables)
+{
+    const auto spec = specWithRows({1, 7, 4095, 4097, 50000, 7});
+    std::vector<core::TableAssignment> asg;
+    for (int t = 0; t < 6; ++t) {
+        core::TableAssignment a;
+        a.table_id = t;
+        a.shards = t == 4   ? std::vector<int>{0, 1, 2}
+                   : t == 5 ? std::vector<int>{2, 0, 1}
+                            : std::vector<int>{t % 3};
+        asg.push_back(a);
+    }
+    const core::ShardingPlan plan("manual-fold", 3, asg);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{29});
+    const auto requests = gen.generate(150);
+    const auto trace = workload::recordTrace(spec, requests, 0.9, 29);
+
+    core::ShardCacheOptions by_fraction;
+    by_fraction.capacity_fraction = 0.3;
+    core::ShardCacheOptions by_bytes;
+    by_bytes.capacity_bytes_per_shard = 64 * 128;
+    core::ShardCacheOptions arc_tinylfu = by_fraction;
+    arc_tinylfu.policy = cache::Policy::Arc;
+    arc_tinylfu.admission = cache::Admission::TinyLfu;
+    for (const auto &opt : {by_fraction, by_bytes, arc_tinylfu}) {
+        const auto reference = perSliceReference(spec, plan, trace, opt);
+        for (const int workers : {1, 2, 3, 8}) {
+            const std::string where =
+                cache::policyName(opt.policy) + "/workers=" +
+                std::to_string(workers);
+            const auto streamed = core::buildShardCacheModels(
+                spec, plan, requests, 0.9, 29, opt, workers);
+            expectSameResults(streamed,
+                              core::buildShardCacheModels(spec, plan, trace,
+                                                          opt, workers),
+                              where);
+            expectSameResults(streamed, reference, where + " vs reference");
+        }
+    }
+}
+
+/**
  * The fleet study's own build (DRM2, capacity-balanced over 4 shards,
  * skew 0.8, seed 0x7ace): the streamed build, whose workers generate
  * only their own shards' tables, equals the trace overload at 1 and 4
@@ -370,6 +437,118 @@ TEST(TraceSlicing, OutOfDomainRowOnAHelperWorkerReachesTheCaller)
                                                  workers),
                      std::out_of_range)
             << "workers=" << workers;
+}
+
+/**
+ * The streamed twin: a table of 2^50 rows, on shard 3, draws rows past
+ * packRowKey's 2^48, and the rank fold's std::out_of_range reaches the
+ * caller from whichever worker owns the table.
+ */
+TEST(TraceSlicing, StreamedOutOfDomainRowOnAHelperWorkerReachesTheCaller)
+{
+    const auto spec = specWithRows(
+        {50000, 50000, 50000, std::int64_t{1} << 50, 50000, 50000});
+    std::vector<core::TableAssignment> asg;
+    for (int t = 0; t < 6; ++t)
+        asg.push_back(core::TableAssignment{t, {t % 4}});
+    const core::ShardingPlan plan("manual-huge", 4, asg);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(20);
+    const core::ShardCacheOptions opt;
+    for (const int workers : {1, 2, 4})
+        EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests, 0.7,
+                                                 17, opt, workers),
+                     std::out_of_range)
+            << "workers=" << workers;
+}
+
+/**
+ * The rank counters are 32 bits: a table with 2^32 or more lookups
+ * across the requests throws std::length_error before any draw.
+ */
+TEST(TraceSlicing, StreamedBuildRejectsTablesPastARankCounter)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    std::vector<workload::Request> requests(3);
+    for (auto &req : requests)
+        req.table_lookups.assign(spec.tables.size(), 0);
+    for (auto &req : requests)
+        req.table_lookups[5] = std::numeric_limits<std::int32_t>::max();
+    const core::ShardCacheOptions opt;
+    EXPECT_THROW(
+        core::buildShardCacheModels(spec, plan, requests, 0.7, 17, opt, 4),
+        std::length_error);
+}
+
+/** Both overloads, at one worker and at four. */
+template <class Options>
+void
+expectOptionsRejected(const Options &opt, const std::string &what)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(20);
+    const auto trace = workload::recordTrace(spec, requests, 0.7, 17);
+    for (const int workers : {1, 4}) {
+        EXPECT_THROW(core::buildShardCacheModels(spec, plan, requests, 0.7,
+                                                 17, opt, workers),
+                     std::invalid_argument)
+            << what << " streamed workers=" << workers;
+        EXPECT_THROW(
+            core::buildShardCacheModels(spec, plan, trace, opt, workers),
+            std::invalid_argument)
+            << what << " trace workers=" << workers;
+    }
+}
+
+/**
+ * A capacity_fraction that is NaN, negative or infinite would size every
+ * cache to nothing (a 0.0 hit rate, no error): it throws
+ * std::invalid_argument instead. So does one under a fixed byte budget,
+ * which overrides it.
+ */
+TEST(TraceSlicing, NonFiniteOrNegativeCapacityFractionThrows)
+{
+    for (const double f :
+         {std::nan(""), -0.5, std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity()}) {
+        core::ShardCacheOptions opt;
+        opt.capacity_fraction = f;
+        expectOptionsRejected(opt, "capacity_fraction=" + std::to_string(f));
+        opt.capacity_bytes_per_shard = 1 << 20;
+        expectOptionsRejected(opt, "fixed bytes, capacity_fraction=" +
+                                       std::to_string(f));
+    }
+}
+
+TEST(TraceSlicing, NegativeCapacityBytesPerShardThrows)
+{
+    core::ShardCacheOptions opt;
+    opt.capacity_bytes_per_shard = -1;
+    expectOptionsRejected(opt, "capacity_bytes_per_shard=-1");
+}
+
+/**
+ * A NaN warmup_fraction would count no access at all; it throws, while
+ * finite values outside [0, 1] keep TieredCacheConfig's clamp.
+ */
+TEST(TraceSlicing, NaNWarmupFractionThrows)
+{
+    core::ShardCacheOptions opt;
+    opt.warmup_fraction = std::nan("");
+    expectOptionsRejected(opt, "warmup_fraction=NaN");
+
+    const auto spec = model::makeShardedCacheStudySpec();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const auto trace = studyTrace(spec);
+    opt.warmup_fraction = -1.0; // clamps to 0: every access is counted
+    std::int64_t counted = 0;
+    for (const auto &r :
+         core::buildShardCacheModels(spec, plan, trace, opt, 1).results)
+        counted += r.total.accesses;
+    EXPECT_EQ(counted, static_cast<std::int64_t>(trace.size()));
 }
 
 /**
