@@ -3,12 +3,14 @@
  * google-benchmark microbenches for the simulator's layers. The
  * EventHold rows time the DES engine's event set under the hold model.
  * The Zipf-draw and cache-replay rows time the two layers of the
- * trace-driven row-cache build, the AccessStream row one worker's
- * table-filtered walk of the access stream, and the ShardCacheBuild rows
- * the whole streamed build at one and four workers; the AttemptStream row
- * times the per-attempt randomness of the serving fan-out, and the
- * HedgeWindow and ResultCacheChurn rows the two per-RPC structures of
- * the hedged open loop: the hedge deadline and the pooled-result cache.
+ * trace-driven row-cache build (CacheReplayNumbered replays rows numbered
+ * up front, as the build feeds its caches), the AccessStream row one
+ * worker's table-filtered walk of the access stream, and the
+ * ShardCacheBuild rows the whole streamed build at one and four workers;
+ * the AttemptStream row times the per-attempt randomness of the serving
+ * fan-out, and the HedgeWindow and ResultCacheChurn rows the two per-RPC
+ * structures of the hedged open loop: the hedge deadline and the
+ * pooled-result cache.
  * The EpochRequests and PlanReplicaVector rows time the fleet's per-epoch
  * request stream and its capacity planner (fleet.decide's plans).
  */
@@ -29,6 +31,7 @@
 #include "rpc/result_cache.h"
 #include "sim/engine.h"
 #include "stats/distributions.h"
+#include "stats/flat_hash.h"
 #include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/diurnal.h"
@@ -153,6 +156,54 @@ BENCHMARK_CAPTURE(BM_CacheReplay, lru, cache::Policy::Lru);
 BENCHMARK_CAPTURE(BM_CacheReplay, lfu, cache::Policy::Lfu);
 BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
+
+/**
+ * BM_CacheReplay's trace numbered once, in first-seen order, and fed as
+ * cache::RowRefs (TieredCacheSim::access(RowRef)): the replay without
+ * the cache's own numbering probe; items/s = accesses/s.
+ */
+void
+BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy)
+{
+    static const auto spec = model::makeShardedCacheStudySpec();
+    static const auto trace = workload::recordTrace(
+        spec,
+        workload::RequestGenerator(spec, workload::GeneratorConfig{17})
+            .generate(600),
+        0.8, 17);
+    static const auto rows = [] {
+        std::vector<cache::RowRef> out;
+        stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>
+            ids;
+        for (const auto &rec : trace.records()) {
+            const std::uint64_t key = cache::packRowKey(rec.table_id, rec.row);
+            const auto fresh = static_cast<std::uint32_t>(ids.size());
+            const std::uint32_t *id = ids.find(key);
+            if (id == nullptr)
+                ids.insert(key, fresh);
+            out.push_back(cache::RowRef{id != nullptr ? *id : fresh, key});
+        }
+        return out;
+    }();
+    cache::TieredCacheConfig config;
+    config.policy = policy;
+    config.capacity_bytes =
+        workload::traceFootprint(spec, trace).universe_bytes / 5;
+    config.warmup_fraction = 0.5;
+    for (auto _ : state) {
+        cache::TieredCacheSim sim(spec, config);
+        sim.begin(rows.size());
+        for (const cache::RowRef &row : rows)
+            sim.access(row);
+        benchmark::DoNotOptimize(sim.result().total.hits);
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(rows.size()));
+}
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lru, cache::Policy::Lru);
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lfu, cache::Policy::Lfu);
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, 2q, cache::Policy::TwoQueue);
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, arc, cache::Policy::Arc);
 
 /**
  * One shard-group worker's walk of the access stream: forEachAccess over

@@ -45,6 +45,7 @@ static_assert(kMinWindowFraction < kMaxWindowFraction);
  * Admission decorator: owns the inner cache and a filter, keeps its own
  * hit/miss/reject counters (the inner cache's counters only see the
  * accesses that were allowed through, so the wrapper's are authoritative).
+ * The inner cache sees the wrapper's row numbers.
  */
 class AdmittingCache : public EmbeddingCache
 {
@@ -53,33 +54,8 @@ class AdmittingCache : public EmbeddingCache
                    std::shared_ptr<AdmissionFilter> filter)
         : inner_(std::move(inner)), filter_(std::move(filter))
     {
-    }
-
-    bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
-    {
-        ++stats_.accesses;
-        filter_->onAccess(table, row);
-        if (inner_->contains(table, row)) {
-            ++stats_.hits;
-            inner_->access(table, row, row_bytes); // recency/freq bump
-            return true;
-        }
-        ++stats_.misses;
-        const bool pressure =
-            inner_->usedBytes() + row_bytes > inner_->capacityBytes();
-        if (pressure && !filter_->admit(table, row, row_bytes)) {
-            ++stats_.admission_rejects;
-            return false; // bypass: the row is not worth an eviction
-        }
-        inner_->access(table, row, row_bytes);
-        return false;
-    }
-
-    bool
-    contains(int table, std::int64_t row) const override
-    {
-        return inner_->contains(table, row);
+        inner_->setEvictionHook(
+            [this](RowRef row, std::int64_t bytes) { evicted(row, bytes); });
     }
 
     std::int64_t capacityBytes() const override
@@ -117,14 +93,35 @@ class AdmittingCache : public EmbeddingCache
         inner_->resetStats();
     }
 
-    void
-    setEvictionHook(std::function<void(int, std::int64_t, std::int64_t)>
-                        hook) override
+    Policy policy() const override { return inner_->policy(); }
+
+  protected:
+    bool
+    accessRow(RowRef row, std::int64_t row_bytes) override
     {
-        inner_->setEvictionHook(std::move(hook));
+        ++stats_.accesses;
+        filter_->onAccess(row.table(), row.row());
+        if (inner_->contains(row)) {
+            ++stats_.hits;
+            inner_->access(row, row_bytes); // recency/freq bump
+            return true;
+        }
+        ++stats_.misses;
+        const bool pressure =
+            inner_->usedBytes() + row_bytes > inner_->capacityBytes();
+        if (pressure && !filter_->admit(row.table(), row.row(), row_bytes)) {
+            ++stats_.admission_rejects;
+            return false; // bypass: the row is not worth an eviction
+        }
+        inner_->access(row, row_bytes);
+        return false;
     }
 
-    Policy policy() const override { return inner_->policy(); }
+    bool
+    containsRow(RowRef row) const override
+    {
+        return inner_->contains(row);
+    }
 
   private:
     std::unique_ptr<EmbeddingCache> inner_;
@@ -141,7 +138,8 @@ class AdmittingCache : public EmbeddingCache
  * total budget between window and main every kClimbPeriod accesses,
  * following the hit-rate gradient: recency-dominated traffic grows the
  * window toward LRU behaviour, frequency-dominated traffic shrinks it
- * toward the pure doorkeeper.
+ * toward the pure doorkeeper. Window and main see the composite's row
+ * numbers: one id space.
  */
 class WindowedAdmittingCache : public EmbeddingCache
 {
@@ -160,35 +158,11 @@ class WindowedAdmittingCache : public EmbeddingCache
                         : 0.0;
         // Window evictions are promotion candidates, not cache exits —
         // unless the doorkeeper vetoes them under main-cache pressure.
-        window_->setEvictionHook(
-            [this](int table, std::int64_t row, std::int64_t row_bytes) {
-                promote(table, row, row_bytes);
-            });
+        window_->setEvictionHook([this](RowRef row, std::int64_t bytes) {
+            promote(row, bytes);
+        });
         main_->setEvictionHook(
-            [this](int table, std::int64_t row, std::int64_t row_bytes) {
-                if (hook_)
-                    hook_(table, row, row_bytes);
-            });
-    }
-
-    bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
-    {
-        ++stats_.accesses;
-        filter_->onAccess(table, row);
-        const bool hit = serve(table, row, row_bytes);
-        if (hit)
-            ++stats_.hits;
-        else
-            ++stats_.misses;
-        climb(hit);
-        return hit;
-    }
-
-    bool
-    contains(int table, std::int64_t row) const override
-    {
-        return main_->contains(table, row) || window_->contains(table, row);
+            [this](RowRef row, std::int64_t bytes) { evicted(row, bytes); });
     }
 
     std::int64_t capacityBytes() const override
@@ -208,14 +182,12 @@ class WindowedAdmittingCache : public EmbeddingCache
         return main_->ghostBytes() + window_->ghostBytes();
     }
 
-    /** Split the hint as the budget is split now. */
+    /** Window and main share the id space: each gets the whole hint. */
     void
     reserve(std::size_t rows) override
     {
-        const auto window = static_cast<std::size_t>(
-            fraction_ * static_cast<double>(rows));
-        window_->reserve(window);
-        main_->reserve(rows - window);
+        window_->reserve(rows);
+        main_->reserve(rows);
     }
 
     const CacheStats &
@@ -236,13 +208,6 @@ class WindowedAdmittingCache : public EmbeddingCache
         window_->resetStats();
     }
 
-    void
-    setEvictionHook(std::function<void(int, std::int64_t, std::int64_t)>
-                        hook) override
-    {
-        hook_ = std::move(hook);
-    }
-
     Policy policy() const override { return main_->policy(); }
 
     void
@@ -255,41 +220,61 @@ class WindowedAdmittingCache : public EmbeddingCache
     /** Current window share of the total budget (the climber's state). */
     double windowFraction() const { return fraction_; }
 
+  protected:
+    bool
+    accessRow(RowRef row, std::int64_t row_bytes) override
+    {
+        ++stats_.accesses;
+        filter_->onAccess(row.table(), row.row());
+        const bool hit = serve(row, row_bytes);
+        if (hit)
+            ++stats_.hits;
+        else
+            ++stats_.misses;
+        climb(hit);
+        return hit;
+    }
+
+    bool
+    containsRow(RowRef row) const override
+    {
+        return main_->contains(row) || window_->contains(row);
+    }
+
   private:
     bool
-    serve(int table, std::int64_t row, std::int64_t row_bytes)
+    serve(RowRef row, std::int64_t row_bytes)
     {
-        if (main_->contains(table, row)) {
-            main_->access(table, row, row_bytes); // recency/freq bump
+        if (main_->contains(row)) {
+            main_->access(row, row_bytes); // recency/freq bump
             return true;
         }
-        if (window_->contains(table, row)) {
-            window_->access(table, row, row_bytes); // LRU bump
+        if (window_->contains(row)) {
+            window_->access(row, row_bytes); // LRU bump
             return true;
         }
         if (row_bytes > window_->capacityBytes()) {
             // A row the window cannot hold at all skips straight to the
             // main-cache admission test instead of silently bypassing.
-            promote(table, row, row_bytes);
+            promote(row, row_bytes);
             return false;
         }
-        window_->access(table, row, row_bytes);
+        window_->access(row, row_bytes);
         return false;
     }
 
     void
-    promote(int table, std::int64_t row, std::int64_t row_bytes)
+    promote(RowRef row, std::int64_t row_bytes)
     {
         const bool pressure =
             main_->usedBytes() + row_bytes > main_->capacityBytes();
-        if (pressure && !filter_->admit(table, row, row_bytes)) {
+        if (pressure && !filter_->admit(row.table(), row.row(), row_bytes)) {
             ++stats_.admission_rejects;
             ++dropped_;
-            if (hook_)
-                hook_(table, row, row_bytes); // the row leaves the cache
+            evicted(row, row_bytes); // the row leaves the cache
             return;
         }
-        main_->access(table, row, row_bytes);
+        main_->access(row, row_bytes);
     }
 
     /**
@@ -329,7 +314,6 @@ class WindowedAdmittingCache : public EmbeddingCache
     std::unique_ptr<EmbeddingCache> main_;
     std::unique_ptr<EmbeddingCache> window_;
     std::shared_ptr<AdmissionFilter> filter_;
-    std::function<void(int, std::int64_t, std::int64_t)> hook_;
     mutable CacheStats stats_;
     std::int64_t dropped_ = 0; //!< window evictions vetoed by the filter
 

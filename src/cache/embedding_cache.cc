@@ -5,16 +5,102 @@
 #include <map>
 #include <utility>
 
-#include "stats/flat_hash.h"
-#include "stats/hash.h"
 #include "stats/list_arena.h"
 
 namespace dri::cache {
 
+bool
+EmbeddingCache::access(int table, std::int64_t row, std::int64_t row_bytes)
+{
+    const std::uint64_t key = packRowKey(table, row);
+    checkRowBytes(row_bytes);
+    if (numbering_ != Numbering::Own)
+        claim(Numbering::Own);
+    if (const std::uint32_t *id = ids_.find(key))
+        return accessRow(RowRef{*id, key}, row_bytes);
+    const auto id = static_cast<std::uint32_t>(ids_.size());
+    ids_.insert(key, id);
+    return accessRow(RowRef{id, key}, row_bytes);
+}
+
+bool
+EmbeddingCache::contains(int table, std::int64_t row) const
+{
+    const std::uint64_t key = packRowKey(table, row);
+    check(Numbering::Own);
+    const std::uint32_t *id = ids_.find(key);
+    return id != nullptr && containsRow(RowRef{*id, key});
+}
+
+void
+EmbeddingCache::setEvictionHook(
+    std::function<void(int, std::int64_t, std::int64_t)> hook)
+{
+    if (!hook) {
+        hook_ = nullptr;
+        return;
+    }
+    hook_ = [hook = std::move(hook)](RowRef row, std::int64_t bytes) {
+        hook(row.table(), row.row(), bytes);
+    };
+}
+
+void
+EmbeddingCache::rowBytesOutOfRange(std::int64_t row_bytes)
+{
+    throw std::out_of_range("embedding cache row_bytes " +
+                            std::to_string(row_bytes) +
+                            " outside [0, 2^32)");
+}
+
+void
+EmbeddingCache::check(Numbering by) const
+{
+    if (numbering_ != by && numbering_ != Numbering::Unset)
+        throw std::logic_error(
+            by == Numbering::Own
+                ? "EmbeddingCache: (table, row) entry point on a cache "
+                  "whose caller numbers its rows"
+                : "EmbeddingCache: RowRef entry point on a cache that "
+                  "numbers its own rows");
+}
+
+void
+EmbeddingCache::claim(Numbering by)
+{
+    check(by);
+    numbering_ = by;
+}
+
 namespace {
 
-using RowIndex =
-    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>;
+/**
+ * What a policy keeps of a row: its key and stored size, in 12 bytes.
+ * Every numbered row has a node, resident or not, so the record packs
+ * the key as two 32-bit halves (no padding to 8-byte alignment) and the
+ * size in 32 bits (the entry points reject larger rows).
+ */
+struct RowRecord
+{
+    std::uint32_t key_lo = 0;
+    std::uint32_t key_hi = 0;
+    std::uint32_t bytes = 0;
+
+    RowRecord() = default;
+    RowRecord(std::uint64_t key, std::int64_t row_bytes)
+        : key_lo(static_cast<std::uint32_t>(key)),
+          key_hi(static_cast<std::uint32_t>(key >> 32)),
+          bytes(static_cast<std::uint32_t>(row_bytes))
+    {
+    }
+
+    /** The row as numbered `id`. */
+    RowRef
+    ref(std::uint32_t id) const
+    {
+        return RowRef{id, (std::uint64_t{key_hi} << 32) | key_lo};
+    }
+};
 
 /** Shared budget/stats plumbing. */
 class CacheBase : public EmbeddingCache
@@ -39,113 +125,99 @@ class CacheBase : public EmbeddingCache
         capacity_ = capacity_bytes > 0 ? capacity_bytes : 0;
     }
 
-    void
-    setEvictionHook(
-        std::function<void(int, std::int64_t, std::int64_t)> hook) override
-    {
-        eviction_hook_ = std::move(hook);
-    }
-
   protected:
-    /** Account the eviction of the row packed as `key`. */
+    /** Account the eviction of row `id`, recorded as `rec`. */
     void
-    evicted(std::uint64_t key, std::int64_t bytes)
+    evict(std::uint32_t id, const RowRecord &rec)
     {
-        constexpr std::uint64_t kRowMask = (std::uint64_t{1} << 48) - 1;
-        used_ -= bytes;
+        used_ -= rec.bytes;
         ++stats_.evictions;
-        if (eviction_hook_)
-            eviction_hook_(static_cast<int>(key >> 48),
-                           static_cast<std::int64_t>(key & kRowMask), bytes);
+        evicted(rec.ref(id), rec.bytes);
     }
 
     Policy policy_;
     std::int64_t capacity_ = 0;
     std::int64_t used_ = 0;
     CacheStats stats_;
-    std::function<void(int, std::int64_t, std::int64_t)> eviction_hook_;
 };
 
 // ---------------------------------------------------------------------------
-// LRU: one recency list over a stats::ListArena, evict the back.
+// LRU: one recency list over a stats::ListArena, evict the back. Node
+// i is row i; a row is resident while its node is on the list.
 // ---------------------------------------------------------------------------
 class LruCache : public CacheBase
 {
   public:
     using CacheBase::CacheBase;
 
+    std::size_t residentRows() const override { return lru_.size; }
+    void reserve(std::size_t rows) override { rows_.reserve(rows); }
+
+  protected:
     bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
+    accessRow(RowRef row, std::int64_t row_bytes) override
     {
-        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        if (const std::uint32_t *idx = index_.find(key)) {
+        if (rows_.linked(row.id)) {
             ++stats_.hits;
-            rows_.touch(lru_, *idx);
+            rows_.touch(lru_, row.id);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false; // unadmittable: larger than the whole budget
         while (used_ + row_bytes > capacity_ && !lru_.empty()) {
-            const std::uint32_t idx = lru_.back;
-            const Row victim = rows_[idx];
-            rows_.unlink(lru_, idx);
-            index_.erase(victim.key);
-            rows_.release(idx);
-            evicted(victim.key, victim.bytes);
+            const std::uint32_t id = lru_.back;
+            rows_.unlink(lru_, id);
+            evict(id, rows_[id]);
         }
-        const std::uint32_t idx = rows_.alloc(Row{key, row_bytes});
-        rows_.pushFront(lru_, idx);
-        index_.insert(key, idx);
+        rows_.growTo(std::size_t{row.id} + 1);
+        rows_[row.id] = RowRecord(row.key, row_bytes);
+        rows_.pushFront(lru_, row.id);
         used_ += row_bytes;
         return false;
     }
 
     bool
-    contains(int table, std::int64_t row) const override
+    containsRow(RowRef row) const override
     {
-        return index_.find(packRowKey(table, row)) != nullptr;
-    }
-
-    std::size_t residentRows() const override { return lru_.size; }
-
-    void
-    reserve(std::size_t rows) override
-    {
-        rows_.reserve(rows);
-        index_.reserve(rows);
+        return rows_.linked(row.id);
     }
 
   private:
-    struct Row
-    {
-        std::uint64_t key; //!< packRowKey(table, row)
-        std::int64_t bytes;
-    };
-
-    stats::ListArena<Row> rows_;
-    stats::ListArena<Row>::List lru_; //!< front = most recently used
-    RowIndex index_;
+    stats::ListArena<RowRecord> rows_;
+    stats::ListArena<RowRecord>::List lru_; //!< front = most recently used
 };
 
 // ---------------------------------------------------------------------------
 // LFU: frequency buckets; evict the least-recently-used entry of the
 // least-frequent bucket (classic O(1) LFU with an ordered bucket map).
+// Node i is row i; a row is resident while its node is on a bucket.
 // ---------------------------------------------------------------------------
 class LfuCache : public CacheBase
 {
   public:
     using CacheBase::CacheBase;
 
-    bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
+    std::size_t
+    residentRows() const override
     {
-        const std::uint64_t key = packRowKey(table, row);
+        std::size_t rows = 0;
+        for (const auto &bucket : buckets_)
+            rows += bucket.second.size;
+        return rows;
+    }
+
+    void reserve(std::size_t rows) override { rows_.reserve(rows); }
+
+  protected:
+    bool
+    accessRow(RowRef row, std::int64_t row_bytes) override
+    {
         ++stats_.accesses;
-        if (const std::uint32_t *idx = index_.find(key)) {
+        if (rows_.linked(row.id)) {
             ++stats_.hits;
-            bump(*idx);
+            bump(row.id);
             return true;
         }
         ++stats_.misses;
@@ -153,33 +225,23 @@ class LfuCache : public CacheBase
             return false;
         while (used_ + row_bytes > capacity_)
             evictColdest();
-        const std::uint32_t idx = rows_.alloc(Row{key, row_bytes, 1});
-        rows_.pushFront(buckets_[1], idx);
-        index_.insert(key, idx);
+        rows_.growTo(std::size_t{row.id} + 1);
+        rows_[row.id] = Row{RowRecord(row.key, row_bytes), 1};
+        rows_.pushFront(buckets_[1], row.id);
         used_ += row_bytes;
         return false;
     }
 
     bool
-    contains(int table, std::int64_t row) const override
+    containsRow(RowRef row) const override
     {
-        return index_.find(packRowKey(table, row)) != nullptr;
-    }
-
-    std::size_t residentRows() const override { return index_.size(); }
-
-    void
-    reserve(std::size_t rows) override
-    {
-        rows_.reserve(rows);
-        index_.reserve(rows);
+        return rows_.linked(row.id);
     }
 
   private:
     struct Row
     {
-        std::uint64_t key;
-        std::int64_t bytes;
+        RowRecord rec;
         std::int64_t freq;
     };
     using List = stats::ListArena<Row>::List;
@@ -201,28 +263,24 @@ class LfuCache : public CacheBase
     {
         assert(!buckets_.empty());
         auto bucket = buckets_.begin(); // least-frequent bucket
-        const std::uint32_t idx = bucket->second.back; // oldest in it
-        rows_.unlink(bucket->second, idx);
+        const std::uint32_t id = bucket->second.back; // oldest in it
+        rows_.unlink(bucket->second, id);
         if (bucket->second.empty())
             buckets_.erase(bucket);
-        const Row victim = rows_[idx];
-        index_.erase(victim.key);
-        rows_.release(idx);
-        evicted(victim.key, victim.bytes);
+        evict(id, rows_[id].rec);
     }
 
     stats::ListArena<Row> rows_;
     /** freq -> rows at that freq, front = most recently bumped. */
     std::map<std::int64_t, List> buckets_;
-    RowIndex index_;
 };
 
 // ---------------------------------------------------------------------------
-// ListedCache: the storage 2Q and ARC share. Every row the policy knows,
-// resident or ghost, is one arena node on exactly one of kLists lists,
-// all with front = most recent, found by packRowKey() through one index.
-// Lists 0 and 1 hold resident rows; the rest hold ghosts, the identities
-// of evicted rows (their bytes are the rows' stored sizes, no payload).
+// ListedCache: the storage 2Q and ARC share. Node i is row i. Every row
+// the policy knows, resident or ghost, is on exactly one of kLists lists,
+// all with front = most recent; a row on none is unknown. Lists 0 and 1
+// hold resident rows; the rest hold ghosts, the identities of evicted
+// rows (their bytes are the rows' stored sizes, no payload).
 // ---------------------------------------------------------------------------
 template <int kLists>
 class ListedCache : public CacheBase
@@ -230,30 +288,14 @@ class ListedCache : public CacheBase
   public:
     using CacheBase::CacheBase;
 
-    bool
-    contains(int table, std::int64_t row) const override
-    {
-        const std::uint32_t idx = find(packRowKey(table, row));
-        return idx != kNil && resident(idx);
-    }
-
     std::size_t
     residentRows() const override
     {
         return lists_[0].size + lists_[1].size;
     }
 
-    /**
-     * Ghosts share the arena and index: 2Q remembers up to half a budget
-     * of them, ARC up to one, so room for rows * kLists / 2 entries
-     * covers both at a full budget.
-     */
-    void
-    reserve(std::size_t rows) override
-    {
-        rows_.reserve(rows * kLists / kResidentLists);
-        index_.reserve(rows * kLists / kResidentLists);
-    }
+    /** A ghost is the node of its row, so ghosts need no extra room. */
+    void reserve(std::size_t rows) override { rows_.reserve(rows); }
 
     std::int64_t
     ghostBytes() const override
@@ -267,23 +309,22 @@ class ListedCache : public CacheBase
   protected:
     struct Row
     {
-        std::uint64_t key;
-        std::int64_t bytes;
+        RowRecord rec;
         int list; //!< the list the row is on
     };
     using Rows = stats::ListArena<Row>;
 
     static constexpr int kResidentLists = 2;
     static constexpr int kForget = -1;
-    static constexpr std::uint32_t kNil = Rows::kNil;
 
-    /** Arena index of the row keyed `key`, resident or ghost; else kNil. */
-    std::uint32_t
-    find(std::uint64_t key) const
+    bool
+    containsRow(RowRef row) const override
     {
-        const std::uint32_t *idx = index_.find(key);
-        return idx != nullptr ? *idx : kNil;
+        return known(row.id) && resident(row.id);
     }
+
+    /** Whether row `id` is on a list, resident or ghost. */
+    bool known(std::uint32_t id) const { return rows_.linked(id); }
 
     int listOf(std::uint32_t idx) const { return rows_[idx].list; }
     bool resident(std::uint32_t idx) const
@@ -291,13 +332,13 @@ class ListedCache : public CacheBase
         return listOf(idx) < kResidentLists;
     }
 
-    /** Admit a new row at the front of resident list `list`. */
+    /** Admit unknown `row` at the front of resident list `list`. */
     void
-    insert(std::uint64_t key, std::int64_t bytes, int list)
+    insert(RowRef row, std::int64_t bytes, int list)
     {
-        const std::uint32_t idx = rows_.alloc(Row{key, bytes, list});
-        index_.insert(key, idx);
-        attach(idx, list);
+        rows_.growTo(std::size_t{row.id} + 1);
+        rows_[row.id] = Row{RowRecord(row.key, bytes), list};
+        attach(row.id, list);
         used_ += bytes;
     }
 
@@ -305,7 +346,7 @@ class ListedCache : public CacheBase
     void
     readmit(std::uint32_t idx, std::int64_t bytes, int list)
     {
-        rows_[idx].bytes = bytes;
+        rows_[idx].rec.bytes = static_cast<std::uint32_t>(bytes);
         attach(idx, list);
         used_ += bytes;
     }
@@ -328,7 +369,7 @@ class ListedCache : public CacheBase
     {
         const Row &r = rows_[idx];
         rows_.unlink(lists_[r.list], idx);
-        bytes_[r.list] -= r.bytes;
+        bytes_[r.list] -= r.rec.bytes;
     }
 
     /**
@@ -339,26 +380,14 @@ class ListedCache : public CacheBase
     evictBack(int from, int ghost)
     {
         const std::uint32_t idx = lists_[from].back;
-        const Row victim = rows_[idx];
         detach(idx);
-        if (ghost == kForget) {
-            index_.erase(victim.key);
-            rows_.release(idx);
-        } else {
+        if (ghost != kForget)
             attach(idx, ghost);
-        }
-        evicted(victim.key, victim.bytes);
+        evict(idx, rows_[idx].rec);
     }
 
     /** Forget the back (oldest) ghost of ghost list `list`. */
-    void
-    dropBack(int list)
-    {
-        const std::uint32_t idx = lists_[list].back;
-        detach(idx);
-        index_.erase(rows_[idx].key);
-        rows_.release(idx);
-    }
+    void dropBack(int list) { detach(lists_[list].back); }
 
     typename Rows::List lists_[kLists];
     std::int64_t bytes_[kLists] = {}; //!< stored bytes per list
@@ -369,11 +398,10 @@ class ListedCache : public CacheBase
     {
         rows_[idx].list = list;
         rows_.pushFront(lists_[list], idx);
-        bytes_[list] += rows_[idx].bytes;
+        bytes_[list] += rows_[idx].rec.bytes;
     }
 
     Rows rows_;
-    RowIndex index_;
 };
 
 // ---------------------------------------------------------------------------
@@ -388,27 +416,27 @@ class TwoQueueCache : public ListedCache<3>
   public:
     using ListedCache::ListedCache;
 
+  protected:
     bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
+    accessRow(RowRef row, std::int64_t row_bytes) override
     {
-        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        const std::uint32_t idx = find(key);
-        if (idx != kNil && resident(idx)) {
+        const bool known_row = known(row.id);
+        if (known_row && resident(row.id)) {
             // A hit on probation promotes to Am; one in Am bumps it.
             ++stats_.hits;
-            promote(idx, kAm);
+            promote(row.id, kAm);
             return true;
         }
         ++stats_.misses;
         if (row_bytes > capacity_)
             return false;
-        if (idx != kNil) {
+        if (known_row) {
             // Remembered in A1out: readmit straight to Am.
-            detach(idx);
-            readmit(idx, row_bytes, kAm);
+            detach(row.id);
+            readmit(row.id, row_bytes, kAm);
         } else {
-            insert(key, row_bytes, kA1in);
+            insert(row, row_bytes, kA1in);
         }
         while (used_ > capacity_)
             evictOne();
@@ -458,13 +486,14 @@ class ArcCache : public ListedCache<4>
   public:
     using ListedCache::ListedCache;
 
+  protected:
     bool
-    access(int table, std::int64_t row, std::int64_t row_bytes) override
+    accessRow(RowRef row, std::int64_t row_bytes) override
     {
-        const std::uint64_t key = packRowKey(table, row);
         ++stats_.accesses;
-        const std::uint32_t idx = find(key);
-        if (idx != kNil && resident(idx)) {
+        const std::uint32_t idx = row.id;
+        const bool known_row = known(idx);
+        if (known_row && resident(idx)) {
             // Resident hit: any re-reference promotes to T2's MRU end.
             ++stats_.hits;
             promote(idx, kT2);
@@ -474,7 +503,7 @@ class ArcCache : public ListedCache<4>
         if (row_bytes > capacity_)
             return false;
 
-        if (idx != kNil) {
+        if (known_row) {
             // B1 hit: recency was right about this row — grow T1's
             // target share, proportionally harder when B1 is the smaller
             // list. B2 hit: frequency was right — shrink it.
@@ -506,7 +535,7 @@ class ArcCache : public ListedCache<4>
                !lists_[kB2].empty())
             dropBack(kB2);
         makeRoom(row_bytes, /*from_b2=*/false);
-        insert(key, row_bytes, kT1);
+        insert(row, row_bytes, kT1);
         return false;
     }
 

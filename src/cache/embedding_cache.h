@@ -29,8 +29,27 @@
  *
  * Caches are purely functional simulators: they track row *identities* and
  * byte sizes, never payloads, so replaying billion-access traces is cheap.
- * Every policy keeps its lists on one stats::ListArena and finds a row,
- * resident or ghost, through one flat map on packRowKey().
+ *
+ * Rows are numbered. A RowRef is a row's dense id in the cache's row
+ * space plus its packRowKey(), and every policy keeps its lists on one
+ * stats::ListArena whose node i is row i, resident or ghost: finding a
+ * row is an array index, not a hash probe. A cache has exactly one
+ * numbering. Either it numbers rows itself, through one insert-only flat
+ * map on packRowKey() behind access(table, row, bytes) and
+ * contains(table, row), or its caller numbers them and passes RowRefs
+ * (access(RowRef, bytes), contains(RowRef)); using the other kind of
+ * entry point on it throws std::logic_error. The admission wrappers
+ * (cache/admission.h) number once and pass RowRefs to their inner caches,
+ * so a W-TinyLFU window and main cache share one id space.
+ *
+ * Memory: a cache keeps one node per id up to the largest it has seen
+ * (8 bytes of list links plus 12 of key and stored size; LFU adds its
+ * count), so its node store is sized by the distinct rows numbered, not
+ * by the rows resident. Every caller bounds that: a trace replay by the
+ * trace's row footprint, the streamed per-shard build
+ * (core/trace_slicing.h) by tables x workload::kPopularityRanks ranks.
+ * A node holds a row's stored size in 32 bits, so both access entry
+ * points throw std::out_of_range for row_bytes outside [0, 2^32).
  */
 #pragma once
 
@@ -39,6 +58,10 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+
+#include "stats/flat_hash.h"
+#include "stats/hash.h"
 
 namespace dri::cache {
 
@@ -87,75 +110,6 @@ struct CacheStats
 };
 
 /**
- * Interface of a byte-budgeted (table, row) cache. Implementations are
- * obtained from makeCache(); all enforce usedBytes() <= capacityBytes()
- * after every access. Every policy keys rows by packRowKey(), so access()
- * and contains() throw std::out_of_range for a (table, row) outside that
- * key's domain.
- */
-class EmbeddingCache
-{
-  public:
-    virtual ~EmbeddingCache() = default;
-
-    /**
-     * Record one access to `row` of `table`, whose stored size is
-     * `row_bytes`. Returns true on hit. On miss the row is admitted (and
-     * colder rows evicted until the budget holds) unless it alone exceeds
-     * the whole budget, in which case it bypasses the cache.
-     */
-    virtual bool access(int table, std::int64_t row,
-                        std::int64_t row_bytes) = 0;
-
-    /** Whether (table, row) is currently resident. */
-    virtual bool contains(int table, std::int64_t row) const = 0;
-
-    virtual std::int64_t capacityBytes() const = 0;
-    virtual std::int64_t usedBytes() const = 0;
-    virtual std::size_t residentRows() const = 0;
-
-    /**
-     * Adjust the byte budget in place. Shrinking is lazy: the resident
-     * set is trimmed by the next access's eviction loop (which reads the
-     * budget live), not eagerly — usedBytes() may exceed the new budget
-     * until then. The W-TinyLFU adaptive window uses this to shift bytes
-     * between its window and main caches without flushing either.
-     */
-    virtual void setCapacityBytes(std::int64_t capacity_bytes) = 0;
-
-    /**
-     * Sizing hint: allocate the policy's row storage (index and list
-     * nodes, ghosts included) once for about `rows` resident rows,
-     * instead of growing it by doubling as rows arrive. Changes no hit,
-     * miss or eviction; a cache that outgrows the hint grows as before.
-     */
-    virtual void reserve(std::size_t rows) = 0;
-
-    virtual const CacheStats &stats() const = 0;
-    /** Zero the counters; resident rows are untouched (warmup support). */
-    virtual void resetStats() = 0;
-
-    /**
-     * Install a callback invoked on every eviction with (table, row,
-     * row_bytes) — how TieredCacheSim attributes evictions per table.
-     */
-    virtual void
-    setEvictionHook(std::function<void(int, std::int64_t, std::int64_t)>
-                        hook) = 0;
-
-    virtual Policy policy() const = 0;
-
-    /**
-     * Bytes of evicted-row *identities* remembered by the policy's ghost
-     * list(s) — 2Q's A1out, ARC's B1 + B2. Zero for policies without
-     * history. Ghost entries store no payload; the byte figure is the
-     * stored size of the remembered rows, the unit the ghost budgets are
-     * expressed in (2Q: <= capacity/2; ARC: <= 2x capacity).
-     */
-    virtual std::int64_t ghostBytes() const { return 0; }
-};
-
-/**
  * Pack a (table, row) identity into one 64-bit key: table in the top 16
  * bits, row in the low 48. Throws std::out_of_range for a table outside
  * [0, 2^16) or a row outside [0, 2^48), the domain where packing is
@@ -173,6 +127,164 @@ packRowKey(int table, std::int64_t row)
     return (static_cast<std::uint64_t>(table) << 48) |
            static_cast<std::uint64_t>(row);
 }
+
+/**
+ * A numbered row: `id` is dense in the cache's row space (node `id` of
+ * the policy's arena holds it), `key` is packRowKey(table, row). One
+ * cache must always see the same key under the same id.
+ */
+struct RowRef
+{
+    std::uint32_t id;
+    std::uint64_t key;
+
+    int table() const { return static_cast<int>(key >> 48); }
+    std::int64_t
+    row() const
+    {
+        return static_cast<std::int64_t>(key & ((std::uint64_t{1} << 48) - 1));
+    }
+};
+
+/**
+ * Interface of a byte-budgeted (table, row) cache. Implementations are
+ * obtained from makeCache(); all enforce usedBytes() <= capacityBytes()
+ * after every access. Rows reach a cache through one of two numberings
+ * (see the file comment); the (table, row) entry points throw
+ * std::out_of_range for a (table, row) outside packRowKey()'s domain,
+ * and both access entry points for row_bytes outside [0, 2^32).
+ */
+class EmbeddingCache
+{
+  public:
+    /** Called on every eviction with the victim and its stored bytes. */
+    using EvictionHook = std::function<void(RowRef, std::int64_t)>;
+
+    virtual ~EmbeddingCache() = default;
+
+    /**
+     * Record one access to `row` of `table`, whose stored size is
+     * `row_bytes`. Returns true on hit. On miss the row is admitted (and
+     * colder rows evicted until the budget holds) unless it alone exceeds
+     * the whole budget, in which case it bypasses the cache. Numbers a
+     * row it has not seen with the next free id; throws std::logic_error
+     * on a caller-numbered cache.
+     */
+    bool access(int table, std::int64_t row, std::int64_t row_bytes);
+
+    /**
+     * Whether (table, row) is currently resident. Numbers nothing;
+     * throws std::logic_error on a caller-numbered cache.
+     */
+    bool contains(int table, std::int64_t row) const;
+
+    /**
+     * access(table, row, row_bytes) for a row the caller numbered.
+     * Throws std::logic_error on a cache that numbers its own rows.
+     */
+    bool
+    access(RowRef row, std::int64_t row_bytes)
+    {
+        checkRowBytes(row_bytes);
+        if (numbering_ != Numbering::Caller)
+            claim(Numbering::Caller);
+        return accessRow(row, row_bytes);
+    }
+
+    /** Whether caller-numbered `row` is resident; throws like access. */
+    bool
+    contains(RowRef row) const
+    {
+        check(Numbering::Caller);
+        return containsRow(row);
+    }
+
+    virtual std::int64_t capacityBytes() const = 0;
+    virtual std::int64_t usedBytes() const = 0;
+    virtual std::size_t residentRows() const = 0;
+
+    /**
+     * Adjust the byte budget in place. Shrinking is lazy: the resident
+     * set is trimmed by the next access's eviction loop (which reads the
+     * budget live), not eagerly — usedBytes() may exceed the new budget
+     * until then. The W-TinyLFU adaptive window uses this to shift bytes
+     * between its window and main caches without flushing either.
+     */
+    virtual void setCapacityBytes(std::int64_t capacity_bytes) = 0;
+
+    /**
+     * Sizing hint: allocate the policy's node store once for `rows`
+     * distinct numbered rows (ids 0..rows-1), instead of growing it by
+     * doubling as ids arrive. Changes no hit, miss or eviction; a cache
+     * that numbers more rows grows as before.
+     */
+    virtual void reserve(std::size_t rows) = 0;
+
+    virtual const CacheStats &stats() const = 0;
+    /** Zero the counters; resident rows are untouched (warmup support). */
+    virtual void resetStats() = 0;
+
+    /**
+     * Install a callback invoked on every eviction with (table, row,
+     * row_bytes) — how callers attribute evictions per table.
+     */
+    void setEvictionHook(
+        std::function<void(int, std::int64_t, std::int64_t)> hook);
+
+    /** The same with the victim's RowRef, id included. */
+    void setEvictionHook(EvictionHook hook) { hook_ = std::move(hook); }
+
+    virtual Policy policy() const = 0;
+
+    /**
+     * Bytes of evicted-row *identities* remembered by the policy's ghost
+     * list(s) — 2Q's A1out, ARC's B1 + B2. Zero for policies without
+     * history. Ghost entries store no payload; the byte figure is the
+     * stored size of the remembered rows, the unit the ghost budgets are
+     * expressed in (2Q: <= capacity/2; ARC: <= 2x capacity).
+     */
+    virtual std::int64_t ghostBytes() const { return 0; }
+
+  protected:
+    /** The policy's access and residency test for a numbered row. */
+    virtual bool accessRow(RowRef row, std::int64_t row_bytes) = 0;
+    virtual bool containsRow(RowRef row) const = 0;
+
+    /** Report the eviction of `row`, `bytes` large, to the hook. */
+    void
+    evicted(RowRef row, std::int64_t bytes) const
+    {
+        if (hook_)
+            hook_(row, bytes);
+    }
+
+  private:
+    /** Who numbers this cache's rows; fixed by the first access. */
+    enum class Numbering : std::uint8_t
+    {
+        Unset,
+        Own,    //!< the cache, through ids_
+        Caller, //!< the caller, through RowRefs
+    };
+
+    /** Throws std::logic_error if the cache is numbered the other way. */
+    void check(Numbering by) const;
+    void claim(Numbering by);
+
+    /** Throws std::out_of_range for row_bytes outside [0, 2^32). */
+    static void
+    checkRowBytes(std::int64_t row_bytes)
+    {
+        if (row_bytes < 0 || row_bytes > 0xffffffffLL)
+            rowBytesOutOfRange(row_bytes);
+    }
+    [[noreturn]] static void rowBytesOutOfRange(std::int64_t row_bytes);
+
+    Numbering numbering_ = Numbering::Unset;
+    /** packRowKey() -> id, for a cache that numbers its own rows. */
+    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash> ids_;
+    EvictionHook hook_;
+};
 
 /** Construct a cache with the given policy and byte budget. */
 std::unique_ptr<EmbeddingCache> makeCache(Policy policy,

@@ -19,10 +19,10 @@ TieredCacheSim::TieredCacheSim(const model::ModelSpec &spec,
         row_bytes_.push_back(t.storedRowBytes());
     cache_ = makeCacheWithAdmission(config_.policy, config_.capacity_bytes,
                                     config_.admission);
-    // Attribute evictions to the table losing the row.
-    cache_->setEvictionHook([this](int table, std::int64_t, std::int64_t) {
-        if (table >= 0 && static_cast<std::size_t>(table) < evictions_.size())
-            ++evictions_[static_cast<std::size_t>(table)];
+    // Attribute evictions to the table losing the row (only tables the
+    // model defines are ever admitted).
+    cache_->setEvictionHook([this](RowRef row, std::int64_t) {
+        ++evictions_[static_cast<std::size_t>(row.table())];
     });
 }
 
@@ -51,27 +51,31 @@ TieredCacheSim::begin(std::size_t total_accesses)
 }
 
 void
+TieredCacheSim::outsideReplay() const
+{
+    throw std::logic_error(
+        "TieredCacheSim: access() outside a replay (begin() announced " +
+        std::to_string(total_) + " accesses, " + std::to_string(seen_) +
+        " ran)");
+}
+
+void
+TieredCacheSim::endWarmup()
+{
+    cache_->resetStats();
+    std::fill(evictions_.begin(), evictions_.end(), 0);
+}
+
+void
 TieredCacheSim::access(int table, std::int64_t row)
 {
-    const std::size_t i = seen_++;
-    if (i == warm_ && i > 0) {
-        // Warmup boundary: discard counters, keep the resident set.
-        cache_->resetStats();
-        std::fill(evictions_.begin(), evictions_.end(), 0);
-    }
+    const std::size_t i = step();
     if (table < 0 || static_cast<std::size_t>(table) >= row_bytes_.size())
         return; // accesses to tables this model does not define
     const auto t = static_cast<std::size_t>(table);
-    const bool hit = cache_->access(table, row, row_bytes_[t]);
-    if (i < warm_)
-        return; // warm the resident set without counting
-    auto &ts = result_.per_table[t];
-    ++ts.accesses;
-    if (hit)
-        ++ts.hits;
-    else
-        ++ts.misses;
+    count(i, t, cache_->access(table, row, row_bytes_[t]));
 }
+
 
 CacheSimResult
 TieredCacheSim::result()

@@ -69,6 +69,13 @@ struct CacheSimResult
  * stored (core::buildShardCacheModels's request overload) counts its
  * accesses in a first pass and replays them in a second. replay(trace)
  * is that sequence over a stored trace; prefer it when one exists.
+ *
+ * access(table, row) lets the cache number rows itself (one hash probe
+ * per access); access(RowRef) takes rows the caller numbered, densely,
+ * as core::buildShardCacheModels does from its counting pass, and does
+ * no hash work at all. One replay sim takes one kind (the cache's
+ * numbering rule, embedding_cache.h), except that accesses to tables
+ * the model does not define never reach the cache.
  * Non-copyable and non-movable: the cache's eviction hook points back
  * into this object.
  */
@@ -84,7 +91,7 @@ class TieredCacheSim
     CacheSimResult replay(const workload::AccessTrace &trace);
 
     /**
-     * Size the cache once for about `rows` resident rows
+     * Size the cache once for `rows` distinct numbered rows
      * (EmbeddingCache::reserve): a hint that changes no result.
      */
     void reserve(std::size_t rows) { cache_->reserve(rows); }
@@ -95,8 +102,21 @@ class TieredCacheSim
     /**
      * Feed the next access. Accesses to tables the model does not define
      * still advance the warmup position but are otherwise skipped.
+     * Throws std::logic_error when no replay is open: before the first
+     * begin(), or past the accesses begin() announced.
      */
     void access(int table, std::int64_t row);
+
+    /** access(table, row) for a row the caller numbered. */
+    void
+    access(RowRef row)
+    {
+        const std::size_t i = step();
+        const auto t = static_cast<std::size_t>(row.table());
+        if (t >= row_bytes_.size())
+            return; // accesses to tables this model does not define
+        count(i, t, cache_->access(row, row_bytes_[t]));
+    }
 
     /**
      * Finish the replay; returns post-warmup per-table statistics.
@@ -108,6 +128,36 @@ class TieredCacheSim
     const EmbeddingCache &cache() const { return *cache_; }
 
   private:
+    /** Advance the replay position; returns the access's index. */
+    std::size_t
+    step()
+    {
+        if (seen_ >= total_)
+            outsideReplay();
+        const std::size_t i = seen_++;
+        if (i == warm_ && i > 0)
+            endWarmup();
+        return i;
+    }
+
+    /** Count access `i` to table `t` (post-warmup only). */
+    void
+    count(std::size_t i, std::size_t t, bool hit)
+    {
+        if (i < warm_)
+            return; // warm the resident set without counting
+        auto &ts = result_.per_table[t];
+        ++ts.accesses;
+        if (hit)
+            ++ts.hits;
+        else
+            ++ts.misses;
+    }
+
+    [[noreturn]] void outsideReplay() const;
+    /** Warmup boundary: discard counters, keep the resident set. */
+    void endWarmup();
+
     TieredCacheConfig config_;
     /** Stored row bytes per table id, copied from the spec. */
     std::vector<std::int64_t> row_bytes_;

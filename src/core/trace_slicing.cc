@@ -75,15 +75,57 @@ class ShardGroup
 /**
  * Pass-1 figures of one owned shard's slice: its size in accesses (the
  * replay's warmup boundary), its distinct-row bytes (the budget under
- * capacity_fraction) and its distinct-row count (the cache's sizing
- * hint).
+ * capacity_fraction) and its distinct-row count, which is also the next
+ * free row number of the slice's cache.
  */
 struct SliceCounts
 {
     std::size_t size = 0;
     std::int64_t bytes = 0;
     std::size_t rows = 0;
+
+    /** Number one more distinct row of `row_bytes` bytes. */
+    std::uint32_t
+    number(std::int64_t row_bytes)
+    {
+        bytes += row_bytes;
+        return static_cast<std::uint32_t>(rows++);
+    }
 };
+
+/**
+ * A row's owned slot and its number in that slot's cache, in 12 bytes
+ * (the streamed pass 2 holds one per (wanted table, rank)): the row's
+ * 48 bits, its table being the caller's, and a 16-bit slot.
+ */
+struct Numbered
+{
+    static constexpr std::uint16_t kNone = 0xffff; //!< on no owned shard
+
+    std::uint32_t id = 0;
+    std::uint32_t row_lo = 0;
+    std::uint16_t row_hi = 0;
+    std::uint16_t slot = kNone;
+
+    Numbered() = default;
+    Numbered(std::uint32_t id_, int slot_, std::uint64_t key)
+        : id(id_), row_lo(static_cast<std::uint32_t>(key)),
+          row_hi(static_cast<std::uint16_t>(key >> 32)),
+          slot(static_cast<std::uint16_t>(slot_))
+    {
+    }
+
+    /** The RowRef of this row of `table`. */
+    cache::RowRef
+    ref(std::size_t table) const
+    {
+        return cache::RowRef{id, (std::uint64_t{table} << 48) |
+                                     (std::uint64_t{row_hi} << 32) | row_lo};
+    }
+};
+
+/** The owned shards' replay sims, in slot order. */
+using Sims = std::vector<std::unique_ptr<cache::TieredCacheSim>>;
 
 /** Throws std::invalid_argument for options that would silently zero a
  *  model; see ShardCacheOptions. */
@@ -105,18 +147,18 @@ checkOptions(const ShardCacheOptions &options)
 
 /**
  * The model build behind both overloads. Each worker calls
- * `count(group)` for its shards' pass-1 figures, then replays through
- * `source(group, fn)`, which must call fn(int table, std::int64_t row)
- * once per access in stream order, the same sequence whenever it is
- * called, from any thread. The source may skip the accesses of tables
- * the group does not want, none of which routes to its shards, or pass
- * them anyway.
+ * `number(group, counts)`, pass 1, which fills each owned shard's
+ * SliceCounts, numbering its distinct rows 0..rows-1, and returns pass
+ * 2: a callable taking the owned shards' Sims that feeds each one its
+ * shard's accesses in stream order, as the RowRefs pass 1 numbered. It
+ * runs on the worker's thread, and must give the same results whenever
+ * it is called, from any thread.
  */
-template <class Count, class Source>
+template <class Number>
 ShardCacheModels
 buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
-            const Count &count, const Source &source,
-            const ShardCacheOptions &options, int workers)
+            const Number &number, const ShardCacheOptions &options,
+            int workers)
 {
     if (workers < 0)
         throw std::invalid_argument(
@@ -128,6 +170,9 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
             "buildShardCacheModels: sharding plan: " + error);
     const std::size_t n_shards =
         plan.isSingular() ? 1 : static_cast<std::size_t>(plan.numShards());
+    if (n_shards >= Numbered::kNone)
+        throw std::invalid_argument(
+            "buildShardCacheModels: 65535 or more shards");
     const std::size_t n_workers = std::min(
         n_shards,
         static_cast<std::size_t>(workers > 0 ? workers : usableCpus()));
@@ -137,11 +182,12 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
     std::vector<std::int64_t> universe(n_shards, 0);
     runConcurrently(n_workers, [&](std::size_t w) {
         const ShardGroup group(spec, plan, n_shards, w, n_workers);
-        const std::vector<SliceCounts> counts = count(group);
+        std::vector<SliceCounts> counts(group.own().size());
+        const auto replay = number(group, counts);
 
         // Pass 2: replay straight into the owned shards' caches, each
-        // sized once for the rows its budget is expected to hold.
-        std::vector<std::unique_ptr<cache::TieredCacheSim>> sims;
+        // sized once for the rows pass 1 numbered.
+        Sims sims;
         sims.reserve(counts.size());
         for (const SliceCounts &c : counts) {
             cache::TieredCacheConfig cfg;
@@ -155,18 +201,10 @@ buildModels(const model::ModelSpec &spec, const ShardingPlan &plan,
             cfg.admission = options.admission;
             sims.push_back(
                 std::make_unique<cache::TieredCacheSim>(spec, cfg));
-            if (c.bytes > 0)
-                sims.back()->reserve(static_cast<std::size_t>(
-                    static_cast<double>(c.rows) *
-                    std::min(1.0, static_cast<double>(cfg.capacity_bytes) /
-                                      static_cast<double>(c.bytes))));
+            sims.back()->reserve(c.rows);
             sims.back()->begin(c.size);
         }
-        source(group, [&](int table, std::int64_t row) {
-            const int k = group.slotOf(table, row);
-            if (k >= 0)
-                sims[static_cast<std::size_t>(k)]->access(table, row);
-        });
+        replay(sims);
 
         for (std::size_t k = 0; k < counts.size(); ++k) {
             results[group.own()[k]] = sims[k]->result();
@@ -192,35 +230,54 @@ buildShardCacheModels(const model::ModelSpec &spec,
                       const workload::AccessTrace &trace,
                       const ShardCacheOptions &options, int workers)
 {
-    // A (table, row) routes to exactly one shard, so one set over the
-    // owned shards finds each one's distinct rows. Records naming tables
-    // the model does not define count towards the warmup position but
-    // not the universe, as TieredCacheSim::access treats them.
-    const auto count = [&](const ShardGroup &group) {
-        std::vector<SliceCounts> counts(group.own().size());
-        stats::FlatHashSet64 seen;
+    // A (table, row) routes to exactly one shard, so one map over the
+    // owned shards numbers each one's distinct rows, and pass 2 finds
+    // each record's slot and number with one probe. Records naming
+    // tables the model does not define count towards the warmup
+    // position but not the universe, as TieredCacheSim::access treats
+    // them.
+    const auto inModel = [&spec](int table) {
+        return table >= 0 &&
+               static_cast<std::size_t>(table) < spec.tables.size();
+    };
+    const auto number = [&](const ShardGroup &group,
+                            std::vector<SliceCounts> &counts) {
+        stats::FlatHashMap<std::uint64_t, Numbered, stats::Mix64Hash> ids;
         for (const auto &rec : trace.records()) {
             const int k = group.slotOf(rec.table_id, rec.row);
             if (k < 0)
                 continue;
             SliceCounts &c = counts[static_cast<std::size_t>(k)];
             ++c.size;
-            const auto t = static_cast<std::size_t>(rec.table_id);
-            if (rec.table_id < 0 || t >= spec.tables.size())
+            if (!inModel(rec.table_id))
                 continue;
-            if (seen.insert(cache::packRowKey(rec.table_id, rec.row))) {
-                c.bytes += spec.tables[t].storedRowBytes();
-                ++c.rows;
+            const std::uint64_t key =
+                cache::packRowKey(rec.table_id, rec.row);
+            if (ids.find(key) == nullptr) {
+                const auto t = static_cast<std::size_t>(rec.table_id);
+                ids.insert(key, Numbered(c.number(spec.tables[t]
+                                                      .storedRowBytes()),
+                                         k, key));
             }
         }
-        return counts;
+        return [&, ids = std::move(ids)](Sims &sims) {
+            for (const auto &rec : trace.records()) {
+                if (!inModel(rec.table_id)) {
+                    const int k = group.slotOf(rec.table_id, rec.row);
+                    if (k >= 0)
+                        sims[static_cast<std::size_t>(k)]->access(
+                            rec.table_id, rec.row);
+                    continue;
+                }
+                const Numbered *n =
+                    ids.find(cache::packRowKey(rec.table_id, rec.row));
+                if (n != nullptr)
+                    sims[n->slot]->access(n->ref(
+                        static_cast<std::size_t>(rec.table_id)));
+            }
+        };
     };
-    // The records are stored already; slotOf filters them.
-    const auto source = [&trace](const ShardGroup &, auto &&fn) {
-        for (const auto &rec : trace.records())
-            fn(rec.table_id, rec.row);
-    };
-    return buildModels(spec, plan, count, source, options, workers);
+    return buildModels(spec, plan, number, options, workers);
 }
 
 ShardCacheModels
@@ -246,10 +303,13 @@ buildShardCacheModels(const model::ModelSpec &spec,
                 "' has 2^32 or more lookups, past a rank counter");
 
     // Pass 1 counts draws per (wanted table, rank), then folds each
-    // table's drawn ranks into the rows and shards they land on. Several
-    // ranks can land on one row, so a table's rows are deduplicated
-    // before they count towards a shard's universe.
-    const auto count = [&](const ShardGroup &group) {
+    // table's drawn ranks into the rows and shards they land on and
+    // numbers each owned shard's distinct rows. Several ranks can land on
+    // one row, so a table's drawn ranks are sorted by row and each row is
+    // numbered once. Pass 2 replays every drawn rank as the RowRef the
+    // fold gave it: one table lookup per access.
+    const auto number = [&](const ShardGroup &group,
+                            std::vector<SliceCounts> &counts) {
         std::vector<std::size_t> base(spec.tables.size(), 0);
         std::vector<std::size_t> wanted;
         for (std::size_t t = 0; t < spec.tables.size(); ++t)
@@ -257,52 +317,61 @@ buildShardCacheModels(const model::ModelSpec &spec,
                 base[t] = wanted.size() * kRanks;
                 wanted.push_back(t);
             }
+        const auto want = [&group](std::size_t t) { return group.wants(t); };
         std::vector<std::uint32_t> hist(wanted.size() * kRanks, 0);
         workload::forEachRank(
             spec, requests, popularity_skew, seed,
             [&](const workload::Request &, std::size_t t, std::size_t rank) {
                 ++hist[base[t] + rank];
             },
-            [&group](std::size_t t) { return group.wants(t); });
+            want);
 
-        std::vector<SliceCounts> counts(group.own().size());
-        std::vector<std::int64_t> rows;
+        std::vector<Numbered> routed(hist.size());
+        std::vector<std::pair<std::int64_t, std::size_t>> drawn; // row, rank
         for (const std::size_t t : wanted) {
             const auto table = static_cast<int>(t);
-            rows.clear();
-            for (std::size_t rank = 0; rank < kRanks; ++rank) {
-                const std::uint32_t n = hist[base[t] + rank];
-                if (n == 0)
+            drawn.clear();
+            for (std::size_t rank = 0; rank < kRanks; ++rank)
+                if (hist[base[t] + rank] > 0)
+                    drawn.emplace_back(
+                        workload::rowOfRank(rank, spec.tables[t].rows), rank);
+            std::sort(drawn.begin(), drawn.end());
+            Numbered row;
+            for (std::size_t i = 0; i < drawn.size(); ++i) {
+                const std::int64_t r = drawn[i].first;
+                if (i == 0 || r != drawn[i - 1].first) {
+                    const int k = group.slotOf(table, r);
+                    row = Numbered();
+                    if (k >= 0) {
+                        // packRowKey throws outside its domain.
+                        const std::uint64_t key = cache::packRowKey(table, r);
+                        row = Numbered(
+                            counts[static_cast<std::size_t>(k)].number(
+                                spec.tables[t].storedRowBytes()),
+                            k, key);
+                    }
+                }
+                if (row.slot == Numbered::kNone)
                     continue;
-                const std::int64_t row =
-                    workload::rowOfRank(rank, spec.tables[t].rows);
-                const int k = group.slotOf(table, row);
-                if (k < 0)
-                    continue;
-                counts[static_cast<std::size_t>(k)].size += n;
-                rows.push_back(row);
-            }
-            std::sort(rows.begin(), rows.end());
-            rows.erase(std::unique(rows.begin(), rows.end()), rows.end());
-            for (const std::int64_t row : rows) {
-                cache::packRowKey(table, row); // throws outside its domain
-                SliceCounts &c =
-                    counts[static_cast<std::size_t>(group.slotOf(table, row))];
-                c.bytes += spec.tables[t].storedRowBytes();
-                ++c.rows;
+                const std::size_t at = base[t] + drawn[i].second;
+                counts[row.slot].size += hist[at];
+                routed[at] = row;
             }
         }
-        return counts;
+        return [&, want, base = std::move(base),
+                routed = std::move(routed)](Sims &sims) {
+            workload::forEachRank(
+                spec, requests, popularity_skew, seed,
+                [&](const workload::Request &, std::size_t t,
+                    std::size_t rank) {
+                    const Numbered &n = routed[base[t] + rank];
+                    if (n.slot != Numbered::kNone)
+                        sims[n.slot]->access(n.ref(t));
+                },
+                want);
+        };
     };
-    const auto source = [&](const ShardGroup &group, auto &&fn) {
-        workload::forEachAccess(
-            spec, requests, popularity_skew, seed,
-            [&fn](const workload::AccessRecord &rec) {
-                fn(rec.table_id, rec.row);
-            },
-            [&group](std::size_t t) { return group.wants(t); });
-    };
-    return buildModels(spec, plan, count, source, options, workers);
+    return buildModels(spec, plan, number, options, workers);
 }
 
 } // namespace dri::core

@@ -32,12 +32,17 @@
  * CPU per worker shrinks with its share of the lookups. Its first pass
  * counts ranks, not rows: a uint32_t counter per (wanted table, Zipf
  * rank), folded afterwards into each shard's access count, distinct-row
- * bytes and distinct-row count. Each shard's cache is then sized once,
- * for distinct rows x budget / universe bytes resident rows
- * (cache::EmbeddingCache::reserve), before the second pass replays.
- * Every shard's cache sees the same accesses in the same order whatever
- * W is, so the result is field-for-field identical at every worker
- * count, and W = 1 runs on the calling thread without starting one.
+ * bytes and distinct rows. The fold numbers each shard's distinct rows
+ * 0..R-1 and keeps each (wanted table, rank)'s owning shard and
+ * cache::RowRef in 12 bytes. Each shard's cache is then sized once, for
+ * exactly its R numbered rows (cache::EmbeddingCache::reserve), and the
+ * second pass replays every draw as the RowRef the fold gave it: one
+ * table lookup per access, with no row mapping, routing or hashing. The
+ * trace overload numbers rows in one flat map from packed key to owned
+ * shard and number, and its second pass probes that map. Every shard's
+ * cache sees the same accesses in the same order whatever W is, so the
+ * result is field-for-field identical at every worker count, and W = 1
+ * runs on the calling thread without starting one.
  */
 #pragma once
 
@@ -99,16 +104,17 @@ struct ShardCacheModels
 /**
  * Route the trace by shard and replay each shard's accesses through its
  * own byte-budgeted cache, without copying any slice: one pass counts
- * each shard's accesses and distinct-row universe, a second replays.
+ * each shard's accesses and numbers its distinct rows, a second replays.
  * Runs on `workers` shard-group workers (0: usable CPUs; see the file
  * comment), each reading the whole trace twice. For a singular plan the
  * single "shard" is the main shard's inline SLS tier. An in-model
  * (table, row) outside cache::packRowKey's domain throws
  * std::out_of_range, whichever worker meets it. Negative `workers`, a
- * plan that fails validate(spec), or options breaking ShardCacheOptions'
- * rules (a non-finite or negative capacity_fraction, a negative
- * capacity_bytes_per_shard, a NaN warmup_fraction) throw
- * std::invalid_argument on the calling thread, before any worker starts.
+ * plan that fails validate(spec) or has 65,535 or more shards, or
+ * options breaking ShardCacheOptions' rules (a non-finite or negative
+ * capacity_fraction, a negative capacity_bytes_per_shard, a NaN
+ * warmup_fraction) throw std::invalid_argument on the calling thread,
+ * before any worker starts.
  */
 ShardCacheModels
 buildShardCacheModels(const model::ModelSpec &spec, const ShardingPlan &plan,

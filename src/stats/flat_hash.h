@@ -11,8 +11,7 @@
  *
  * Requirements: K and V cheaply copyable (the intended use is integer
  * keys mapping to pointers). Not a drop-in std::unordered_map — the API
- * is the minimal find/insert/erase the hot paths need. FlatHashSet64 is
- * the same table reduced to an insert-only set of 64-bit keys.
+ * is the minimal find/insert/erase the hot paths need.
  */
 #pragma once
 
@@ -167,62 +166,6 @@ class FlatHashMap
     std::vector<Slot> slots_;
     std::size_t mask_ = 0;
     std::size_t size_ = 0;
-};
-
-/**
- * Insert-only open-addressing set of 64-bit keys for counting distinct
- * keys over streams too long to store. Slots are the bare 8-byte keys —
- * half a FlatHashMap<std::uint64_t, bool> slot — with all-ones marking
- * an empty slot; the all-ones key itself is tracked by a flag. Same
- * probing and growth as FlatHashMap.
- */
-class FlatHashSet64
-{
-  public:
-    /** Returns true when the key was not yet present. */
-    bool
-    insert(std::uint64_t key)
-    {
-        if (key == kEmpty) {
-            const bool fresh = !has_empty_key_;
-            has_empty_key_ = true;
-            return fresh;
-        }
-        if (slots_.empty() || (size_ + 1) * 10 > slots_.size() * 7)
-            rehash(slots_.empty() ? kMinCapacity : slots_.size() * 2);
-        for (std::size_t i = mix64(key) & mask_;; i = (i + 1) & mask_) {
-            if (slots_[i] == kEmpty) {
-                slots_[i] = key;
-                ++size_;
-                return true;
-            }
-            if (slots_[i] == key)
-                return false;
-        }
-    }
-
-    std::size_t size() const { return size_ + (has_empty_key_ ? 1 : 0); }
-
-  private:
-    static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
-    static constexpr std::size_t kMinCapacity = 16;
-
-    void
-    rehash(std::size_t capacity)
-    {
-        std::vector<std::uint64_t> old = std::move(slots_);
-        slots_.assign(capacity, kEmpty);
-        mask_ = capacity - 1;
-        size_ = 0;
-        for (const std::uint64_t key : old)
-            if (key != kEmpty)
-                insert(key);
-    }
-
-    std::vector<std::uint64_t> slots_;
-    std::size_t mask_ = 0;
-    std::size_t size_ = 0;
-    bool has_empty_key_ = false;
 };
 
 } // namespace dri::stats

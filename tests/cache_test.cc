@@ -12,6 +12,7 @@
 #include <list>
 #include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -466,6 +467,153 @@ TEST(EmbeddingCache, ReserveChangesNoEviction)
         }
 }
 
+/**
+ * A cache its caller numbers behaves exactly as one that numbers its own
+ * rows, whatever the numbering: EvictionDigestsArePinned's trace, fed as
+ * RowRefs numbered in reverse first-seen order and with gaps between the
+ * ids, gives every policy x admission digest the (table, row) entry
+ * points give. A cache takes one numbering: the other kind of entry
+ * point throws std::logic_error on it.
+ */
+TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
+{
+    struct Access
+    {
+        cache::RowRef row; //!< id assigned below
+        std::int64_t bytes;
+        std::int64_t new_capacity;
+    };
+    constexpr std::int64_t kCapacities[] = {64 << 10, 40 << 10, 96 << 10};
+    std::vector<Access> trace;
+    std::unordered_map<std::uint64_t, std::uint32_t> first_seen;
+    {
+        stats::Rng rng(20240611);
+        const stats::ZipfSampler zipf(4096, 0.9);
+        std::int64_t scan_row = 1'000'000;
+        const auto add = [&](int table, std::int64_t row, std::int64_t bytes,
+                             std::int64_t cap) {
+            const std::uint64_t key = cache::packRowKey(table, row);
+            const auto id = first_seen
+                                .emplace(key, static_cast<std::uint32_t>(
+                                                  first_seen.size()))
+                                .first->second;
+            trace.push_back({{id, key}, bytes, cap});
+        };
+        for (int i = 0; i < 30000; ++i) {
+            const std::int64_t cap =
+                i > 0 && i % 1500 == 0 ? kCapacities[(i / 1500) % 3] : 0;
+            if (i % 1000 == 999) {
+                for (int k = 0; k < 300; ++k)
+                    add(0, scan_row++, 64, k == 0 ? cap : 0);
+                continue;
+            }
+            const int table = static_cast<int>(rng.uniformInt(0, 2));
+            const auto row =
+                static_cast<std::int64_t>(zipf.sample(rng)) * 3 + table;
+            add(table, row, i % 97 == 0 ? 256 << 10 : (table + 1) * 64, cap);
+        }
+    }
+    const auto rows = static_cast<std::uint32_t>(first_seen.size());
+
+    struct Run
+    {
+        std::uint64_t digest;
+        std::size_t resident;
+        std::int64_t ghost;
+    };
+    // renumber == nullptr: the cache numbers the rows itself.
+    const auto run = [&](Policy policy, cache::Admission admission,
+                         std::uint32_t (*renumber)(std::uint32_t,
+                                                   std::uint32_t)) {
+        auto cache = cache::makeCacheWithAdmission(policy, kCapacities[0],
+                                                   admission);
+        stats::Fnv fnv;
+        cache->setEvictionHook(
+            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
+                fnv.add(table);
+                fnv.add(row);
+                fnv.add(bytes);
+            });
+        for (const Access &a : trace) {
+            if (a.new_capacity > 0)
+                cache->setCapacityBytes(a.new_capacity);
+            fnv.add(renumber == nullptr
+                        ? cache->access(a.row.table(), a.row.row(), a.bytes)
+                        : cache->access(
+                              cache::RowRef{renumber(a.row.id, rows),
+                                            a.row.key},
+                              a.bytes));
+        }
+        fnv.add(cache->ghostBytes());
+        fnv.add(static_cast<std::int64_t>(cache->residentRows()));
+        fnv.add(cache->usedBytes());
+        fnv.add(cache->stats().evictions);
+        return Run{fnv.h, cache->residentRows(), cache->ghostBytes()};
+    };
+    const auto reversed = [](std::uint32_t id, std::uint32_t n) {
+        return n - 1 - id;
+    };
+    const auto gapped = [](std::uint32_t id, std::uint32_t) {
+        return 3 * id + 2;
+    };
+    for (const Policy policy :
+         {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc})
+        for (const cache::Admission admission :
+             {cache::Admission::None, cache::Admission::TinyLfu,
+              cache::Admission::WTinyLfu}) {
+            SCOPED_TRACE(cache::policyName(policy) + " + " +
+                         cache::admissionName(admission));
+            const Run own = run(policy, admission, nullptr);
+            for (const auto renumber : {+reversed, +gapped}) {
+                const Run caller = run(policy, admission, renumber);
+                EXPECT_EQ(caller.digest, own.digest);
+                EXPECT_EQ(caller.resident, own.resident);
+                EXPECT_EQ(caller.ghost, own.ghost);
+            }
+        }
+
+    for (const cache::Admission admission :
+         {cache::Admission::None, cache::Admission::TinyLfu,
+          cache::Admission::WTinyLfu}) {
+        auto own = cache::makeCacheWithAdmission(Policy::Lru, 4 * kRow,
+                                                 admission);
+        own->access(0, 1, kRow);
+        EXPECT_THROW(own->access(trace[0].row, kRow), std::logic_error);
+        EXPECT_THROW(own->contains(trace[0].row), std::logic_error);
+        auto caller = cache::makeCacheWithAdmission(Policy::Lru, 4 * kRow,
+                                                    admission);
+        caller->access(trace[0].row, kRow);
+        EXPECT_THROW(caller->access(0, 1, kRow), std::logic_error);
+        EXPECT_THROW(caller->contains(0, 1), std::logic_error);
+        EXPECT_TRUE(caller->contains(trace[0].row));
+    }
+}
+
+/**
+ * A node keeps a row's stored size in 32 bits: every policy rejects a
+ * size outside [0, 2^32) with std::out_of_range, on either entry point,
+ * without counting the access.
+ */
+TEST(EmbeddingCache, RowBytesOutside32BitsThrow)
+{
+    constexpr std::int64_t kLimit = std::int64_t{1} << 32;
+    for (const auto policy :
+         {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc}) {
+        SCOPED_TRACE(cache::policyName(policy));
+        auto own = cache::makeCache(policy, 2 * kLimit);
+        EXPECT_THROW(own->access(0, 1, -1), std::out_of_range);
+        EXPECT_THROW(own->access(0, 1, kLimit), std::out_of_range);
+        EXPECT_FALSE(own->access(0, 1, kLimit - 1));
+        EXPECT_TRUE(own->contains(0, 1));
+        EXPECT_EQ(own->usedBytes(), kLimit - 1);
+        auto caller = cache::makeCache(policy, 2 * kLimit);
+        const cache::RowRef row{0, cache::packRowKey(0, 1)};
+        EXPECT_THROW(caller->access(row, kLimit), std::out_of_range);
+        EXPECT_EQ(own->stats().accesses, 1);
+        EXPECT_EQ(caller->stats().accesses, 0);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Trace replay
 // ---------------------------------------------------------------------------
@@ -579,6 +727,36 @@ TEST(TieredCacheSim, StreamedReplayMustDeliverAnnouncedCount)
     const auto result = sim.result();
     EXPECT_EQ(result.total.accesses, 2);
     EXPECT_EQ(result.total.hits, 2);
+}
+
+/**
+ * Both access entry points throw std::logic_error at the call itself
+ * when no replay is open: before the first begin(), and past the
+ * accesses begin(n) announced.
+ */
+TEST(TieredCacheSim, AccessOutsideAReplayThrows)
+{
+    const auto spec = smallSpec(1);
+    cache::TieredCacheConfig config;
+    config.capacity_bytes = 16 * kRow;
+    const cache::RowRef row{0, cache::packRowKey(0, 1)};
+
+    cache::TieredCacheSim own(spec, config);
+    EXPECT_THROW(own.access(0, 1), std::logic_error);
+    own.begin(1);
+    own.access(0, 1);
+    EXPECT_THROW(own.access(0, 1), std::logic_error);
+    EXPECT_EQ(own.result().total.accesses, 1);
+
+    cache::TieredCacheSim caller(spec, config);
+    EXPECT_THROW(caller.access(row), std::logic_error);
+    caller.begin(2);
+    caller.access(row);
+    caller.access(row);
+    EXPECT_THROW(caller.access(row), std::logic_error);
+    const auto result = caller.result();
+    EXPECT_EQ(result.total.accesses, 2);
+    EXPECT_EQ(result.total.hits, 1);
 }
 
 // ---------------------------------------------------------------------------

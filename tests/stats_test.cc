@@ -7,13 +7,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "stats/distributions.h"
-#include "stats/flat_hash.h"
 #include "stats/quantile.h"
 #include "stats/rng.h"
 #include "stats/summary.h"
@@ -190,23 +188,6 @@ TEST(Zipf, GuideTableMatchesBinarySearchExactly)
                 ASSERT_EQ(fast.sample(a), ref.sample(b))
                     << "n=" << n << " s=" << s << " draw=" << i;
         }
-}
-
-TEST(FlatHashSet64, CountsDistinctKeysIncludingSentinel)
-{
-    FlatHashSet64 set;
-    std::set<std::uint64_t> ref;
-    Rng rng(37);
-    const std::uint64_t edges[] = {0u, 1u, ~std::uint64_t{0},
-                                   ~std::uint64_t{0} - 1};
-    for (int i = 0; i < 20000; ++i) {
-        const std::uint64_t key =
-            i % 50 == 0 ? edges[(i / 50) % 4]
-                        : static_cast<std::uint64_t>(rng.uniformInt(0, 5000))
-                              << 40;
-        ASSERT_EQ(set.insert(key), ref.insert(key).second) << i;
-        ASSERT_EQ(set.size(), ref.size()) << i;
-    }
 }
 
 TEST(Quantile, ExactAgainstSortedSamples)

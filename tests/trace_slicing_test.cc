@@ -414,6 +414,30 @@ TEST(TraceSlicing, InvalidPlanThrowsInvalidArgument)
 }
 
 /**
+ * A worker numbers its shards in 16 bits, so both overloads reject a
+ * plan of 65,535 or more shards with std::invalid_argument before any
+ * worker starts.
+ */
+TEST(TraceSlicing, PlansOf65535ShardsThrowInvalidArgument)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    std::vector<core::TableAssignment> asg;
+    for (int t = 0; t < static_cast<int>(spec.tables.size()); ++t)
+        asg.push_back(core::TableAssignment{t, {t}});
+    const core::ShardingPlan wide("manual-wide", 65535, asg);
+    ASSERT_TRUE(wide.validate(spec));
+    workload::RequestGenerator gen(spec, workload::GeneratorConfig{17});
+    const auto requests = gen.generate(20);
+    const core::ShardCacheOptions opt;
+    EXPECT_THROW(core::buildShardCacheModels(spec, wide, studyTrace(spec),
+                                             opt, 1),
+                 std::invalid_argument);
+    EXPECT_THROW(core::buildShardCacheModels(spec, wide, requests, 0.7, 17,
+                                             opt, 1),
+                 std::invalid_argument);
+}
+
+/**
  * A row outside cache::packRowKey's domain, in a table the model
  * defines, throws std::out_of_range at the caller, also when the worker
  * that meets it is not the calling thread.
