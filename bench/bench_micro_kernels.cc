@@ -5,8 +5,9 @@
  * The Zipf-draw and cache-replay rows time the two layers of the
  * trace-driven row-cache build (CacheReplayNumbered replays rows numbered
  * up front, as the build feeds its caches), the AccessStream row one
- * worker's table-filtered walk of the access stream, and the
- * ShardCacheBuild rows the whole streamed build at one and four workers;
+ * worker's table-filtered walk of the access stream, the
+ * ShardCacheBuild rows the whole streamed build at one and four workers
+ * and the ShardCacheBuildTrace rows the trace overload at the same;
  * the AttemptStream row times the per-attempt randomness of the serving
  * fan-out, and the HedgeWindow and ResultCacheChurn rows the two per-RPC
  * structures of the hedged open loop: the hedge deadline and the
@@ -31,7 +32,6 @@
 #include "rpc/result_cache.h"
 #include "sim/engine.h"
 #include "stats/distributions.h"
-#include "stats/flat_hash.h"
 #include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/diurnal.h"
@@ -158,9 +158,9 @@ BENCHMARK_CAPTURE(BM_CacheReplay, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
 
 /**
- * BM_CacheReplay's trace numbered once, in first-seen order, and fed as
- * cache::RowRefs (TieredCacheSim::access(RowRef)): the replay without
- * the cache's own numbering probe; items/s = accesses/s.
+ * BM_CacheReplay's trace numbered once up front by a cache::RowNumbering
+ * and fed as RowRefs (TieredCacheSim::access(RowRef)): the replay
+ * without the sim's per-access numbering probe; items/s = accesses/s.
  */
 void
 BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy)
@@ -173,16 +173,9 @@ BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy)
         0.8, 17);
     static const auto rows = [] {
         std::vector<cache::RowRef> out;
-        stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash>
-            ids;
-        for (const auto &rec : trace.records()) {
-            const std::uint64_t key = cache::packRowKey(rec.table_id, rec.row);
-            const auto fresh = static_cast<std::uint32_t>(ids.size());
-            const std::uint32_t *id = ids.find(key);
-            if (id == nullptr)
-                ids.insert(key, fresh);
-            out.push_back(cache::RowRef{id != nullptr ? *id : fresh, key});
-        }
+        cache::RowNumbering ids;
+        for (const auto &rec : trace.records())
+            out.push_back(ids.number(rec.table_id, rec.row));
         return out;
     }();
     cache::TieredCacheConfig config;
@@ -261,6 +254,37 @@ BM_ShardCacheBuild(benchmark::State &state)
                             accesses);
 }
 BENCHMARK(BM_ShardCacheBuild)->Arg(1)->Arg(4)->UseRealTime();
+
+/**
+ * The trace overload of the per-shard row-cache build over a recorded
+ * trace of the fleet study's shape (DRM2, capacity-balanced over 4
+ * shards, skew 0.8, seed 0x7ace, 40% budgets), on Arg(0) shard-group
+ * workers; items/s = trace records/s. The study streams 400 requests;
+ * 20 keep the stored trace near 1.1M records (27 MB).
+ */
+void
+BM_ShardCacheBuildTrace(benchmark::State &state)
+{
+    static const auto spec = model::makeDrm2();
+    static const auto plan = core::makeCapacityBalanced(spec, 4);
+    static const auto trace = workload::recordTrace(
+        spec,
+        workload::RequestGenerator(spec, workload::GeneratorConfig{0x7ace})
+            .generate(20),
+        0.8, 0x7ace);
+    core::ShardCacheOptions options;
+    options.capacity_fraction = 0.4;
+    options.costs.miss_ns = 300.0;
+    const auto workers = static_cast<int>(state.range(0));
+    for (auto _ : state) {
+        const auto models =
+            core::buildShardCacheModels(spec, plan, trace, options, workers);
+        benchmark::DoNotOptimize(models.results.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(trace.size()));
+}
+BENCHMARK(BM_ShardCacheBuildTrace)->Arg(1)->Arg(4)->UseRealTime();
 
 /**
  * The per-attempt randomness of a sparse-RPC fan-out: derive the

@@ -95,6 +95,12 @@ class AdmittingCache : public EmbeddingCache
 
     Policy policy() const override { return inner_->policy(); }
 
+    bool
+    contains(RowRef row) const override
+    {
+        return inner_->contains(row);
+    }
+
   protected:
     bool
     accessRow(RowRef row, std::int64_t row_bytes) override
@@ -115,12 +121,6 @@ class AdmittingCache : public EmbeddingCache
         }
         inner_->access(row, row_bytes);
         return false;
-    }
-
-    bool
-    containsRow(RowRef row) const override
-    {
-        return inner_->contains(row);
     }
 
   private:
@@ -220,6 +220,12 @@ class WindowedAdmittingCache : public EmbeddingCache
     /** Current window share of the total budget (the climber's state). */
     double windowFraction() const { return fraction_; }
 
+    bool
+    contains(RowRef row) const override
+    {
+        return main_->contains(row) || window_->contains(row);
+    }
+
   protected:
     bool
     accessRow(RowRef row, std::int64_t row_bytes) override
@@ -233,12 +239,6 @@ class WindowedAdmittingCache : public EmbeddingCache
             ++stats_.misses;
         climb(hit);
         return hit;
-    }
-
-    bool
-    containsRow(RowRef row) const override
-    {
-        return main_->contains(row) || window_->contains(row);
     }
 
   private:

@@ -9,42 +9,6 @@
 
 namespace dri::cache {
 
-bool
-EmbeddingCache::access(int table, std::int64_t row, std::int64_t row_bytes)
-{
-    const std::uint64_t key = packRowKey(table, row);
-    checkRowBytes(row_bytes);
-    if (numbering_ != Numbering::Own)
-        claim(Numbering::Own);
-    if (const std::uint32_t *id = ids_.find(key))
-        return accessRow(RowRef{*id, key}, row_bytes);
-    const auto id = static_cast<std::uint32_t>(ids_.size());
-    ids_.insert(key, id);
-    return accessRow(RowRef{id, key}, row_bytes);
-}
-
-bool
-EmbeddingCache::contains(int table, std::int64_t row) const
-{
-    const std::uint64_t key = packRowKey(table, row);
-    check(Numbering::Own);
-    const std::uint32_t *id = ids_.find(key);
-    return id != nullptr && containsRow(RowRef{*id, key});
-}
-
-void
-EmbeddingCache::setEvictionHook(
-    std::function<void(int, std::int64_t, std::int64_t)> hook)
-{
-    if (!hook) {
-        hook_ = nullptr;
-        return;
-    }
-    hook_ = [hook = std::move(hook)](RowRef row, std::int64_t bytes) {
-        hook(row.table(), row.row(), bytes);
-    };
-}
-
 void
 EmbeddingCache::rowBytesOutOfRange(std::int64_t row_bytes)
 {
@@ -53,32 +17,13 @@ EmbeddingCache::rowBytesOutOfRange(std::int64_t row_bytes)
                             " outside [0, 2^32)");
 }
 
-void
-EmbeddingCache::check(Numbering by) const
-{
-    if (numbering_ != by && numbering_ != Numbering::Unset)
-        throw std::logic_error(
-            by == Numbering::Own
-                ? "EmbeddingCache: (table, row) entry point on a cache "
-                  "whose caller numbers its rows"
-                : "EmbeddingCache: RowRef entry point on a cache that "
-                  "numbers its own rows");
-}
-
-void
-EmbeddingCache::claim(Numbering by)
-{
-    check(by);
-    numbering_ = by;
-}
-
 namespace {
 
 /**
  * What a policy keeps of a row: its key and stored size, in 12 bytes.
  * Every numbered row has a node, resident or not, so the record packs
  * the key as two 32-bit halves (no padding to 8-byte alignment) and the
- * size in 32 bits (the entry points reject larger rows).
+ * size in 32 bits (access() rejects larger rows).
  */
 struct RowRecord
 {
@@ -153,6 +98,12 @@ class LruCache : public CacheBase
     std::size_t residentRows() const override { return lru_.size; }
     void reserve(std::size_t rows) override { rows_.reserve(rows); }
 
+    bool
+    contains(RowRef row) const override
+    {
+        return rows_.linked(row.id);
+    }
+
   protected:
     bool
     accessRow(RowRef row, std::int64_t row_bytes) override
@@ -176,12 +127,6 @@ class LruCache : public CacheBase
         rows_.pushFront(lru_, row.id);
         used_ += row_bytes;
         return false;
-    }
-
-    bool
-    containsRow(RowRef row) const override
-    {
-        return rows_.linked(row.id);
     }
 
   private:
@@ -210,6 +155,12 @@ class LfuCache : public CacheBase
 
     void reserve(std::size_t rows) override { rows_.reserve(rows); }
 
+    bool
+    contains(RowRef row) const override
+    {
+        return rows_.linked(row.id);
+    }
+
   protected:
     bool
     accessRow(RowRef row, std::int64_t row_bytes) override
@@ -230,12 +181,6 @@ class LfuCache : public CacheBase
         rows_.pushFront(buckets_[1], row.id);
         used_ += row_bytes;
         return false;
-    }
-
-    bool
-    containsRow(RowRef row) const override
-    {
-        return rows_.linked(row.id);
     }
 
   private:
@@ -297,6 +242,12 @@ class ListedCache : public CacheBase
     /** A ghost is the node of its row, so ghosts need no extra room. */
     void reserve(std::size_t rows) override { rows_.reserve(rows); }
 
+    bool
+    contains(RowRef row) const override
+    {
+        return known(row.id) && resident(row.id);
+    }
+
     std::int64_t
     ghostBytes() const override
     {
@@ -316,12 +267,6 @@ class ListedCache : public CacheBase
 
     static constexpr int kResidentLists = 2;
     static constexpr int kForget = -1;
-
-    bool
-    containsRow(RowRef row) const override
-    {
-        return known(row.id) && resident(row.id);
-    }
 
     /** Whether row `id` is on a list, resident or ghost. */
     bool known(std::uint32_t id) const { return rows_.linked(id); }

@@ -30,17 +30,16 @@
  * Caches are purely functional simulators: they track row *identities* and
  * byte sizes, never payloads, so replaying billion-access traces is cheap.
  *
- * Rows are numbered. A RowRef is a row's dense id in the cache's row
- * space plus its packRowKey(), and every policy keeps its lists on one
- * stats::ListArena whose node i is row i, resident or ghost: finding a
- * row is an array index, not a hash probe. A cache has exactly one
- * numbering. Either it numbers rows itself, through one insert-only flat
- * map on packRowKey() behind access(table, row, bytes) and
- * contains(table, row), or its caller numbers them and passes RowRefs
- * (access(RowRef, bytes), contains(RowRef)); using the other kind of
- * entry point on it throws std::logic_error. The admission wrappers
- * (cache/admission.h) number once and pass RowRefs to their inner caches,
- * so a W-TinyLFU window and main cache share one id space.
+ * Rows are numbered. A cache takes a row only as a RowRef: its dense id
+ * in the cache's row space plus its packRowKey(). Every policy keeps its
+ * lists on one stats::ListArena whose node i is row i, resident or
+ * ghost, so finding a row is an array index, not a hash probe. The
+ * cache never numbers a row itself: whoever owns the row identities
+ * numbers them, with one RowNumbering (or, for the streamed per-shard
+ * build, by sorting a rank histogram; core/trace_slicing.h), and must
+ * keep one key under one id. The admission wrappers (cache/admission.h)
+ * pass their RowRefs on unchanged, so a W-TinyLFU window and main cache
+ * share one id space.
  *
  * Memory: a cache keeps one node per id up to the largest it has seen
  * (8 bytes of list links plus 12 of key and stored size; LFU adds its
@@ -48,14 +47,15 @@
  * by the rows resident. Every caller bounds that: a trace replay by the
  * trace's row footprint, the streamed per-shard build
  * (core/trace_slicing.h) by tables x workload::kPopularityRanks ranks.
- * A node holds a row's stored size in 32 bits, so both access entry
- * points throw std::out_of_range for row_bytes outside [0, 2^32).
+ * A node holds a row's stored size in 32 bits, so access() throws
+ * std::out_of_range for row_bytes outside [0, 2^32).
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -147,12 +147,48 @@ struct RowRef
 };
 
 /**
- * Interface of a byte-budgeted (table, row) cache. Implementations are
- * obtained from makeCache(); all enforce usedBytes() <= capacityBytes()
- * after every access. Rows reach a cache through one of two numberings
- * (see the file comment); the (table, row) entry points throw
- * std::out_of_range for a (table, row) outside packRowKey()'s domain,
- * and both access entry points for row_bytes outside [0, 2^32).
+ * Dense row numbers for one row space: the first row number() sees is
+ * id 0, the next new one id 1, and a row keeps its id. One insert-only
+ * flat map on packRowKey() holds them.
+ */
+class RowNumbering
+{
+  public:
+    /**
+     * The RowRef of (table, row), numbering it with the next free id if
+     * it is new. Throws std::out_of_range outside packRowKey()'s domain,
+     * numbering nothing.
+     */
+    RowRef
+    number(int table, std::int64_t row)
+    {
+        const std::uint64_t key = packRowKey(table, row);
+        return RowRef{
+            ids_.tryEmplace(key, static_cast<std::uint32_t>(ids_.size())),
+            key};
+    }
+
+    /**
+     * The RowRef of (table, row) if it is numbered; numbers nothing.
+     * Throws std::out_of_range like number().
+     */
+    std::optional<RowRef>
+    find(int table, std::int64_t row) const
+    {
+        const std::uint64_t key = packRowKey(table, row);
+        if (const std::uint32_t *id = ids_.find(key))
+            return RowRef{*id, key};
+        return std::nullopt;
+    }
+
+  private:
+    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash> ids_;
+};
+
+/**
+ * Interface of a byte-budgeted cache of numbered rows. Implementations
+ * are obtained from makeCache(); all enforce usedBytes() <=
+ * capacityBytes() after every access.
  */
 class EmbeddingCache
 {
@@ -163,41 +199,22 @@ class EmbeddingCache
     virtual ~EmbeddingCache() = default;
 
     /**
-     * Record one access to `row` of `table`, whose stored size is
-     * `row_bytes`. Returns true on hit. On miss the row is admitted (and
-     * colder rows evicted until the budget holds) unless it alone exceeds
-     * the whole budget, in which case it bypasses the cache. Numbers a
-     * row it has not seen with the next free id; throws std::logic_error
-     * on a caller-numbered cache.
-     */
-    bool access(int table, std::int64_t row, std::int64_t row_bytes);
-
-    /**
-     * Whether (table, row) is currently resident. Numbers nothing;
-     * throws std::logic_error on a caller-numbered cache.
-     */
-    bool contains(int table, std::int64_t row) const;
-
-    /**
-     * access(table, row, row_bytes) for a row the caller numbered.
-     * Throws std::logic_error on a cache that numbers its own rows.
+     * Record one access to `row`, whose stored size is `row_bytes`.
+     * Returns true on hit. On miss the row is admitted (and colder rows
+     * evicted until the budget holds) unless it alone exceeds the whole
+     * budget, in which case it bypasses the cache. Throws
+     * std::out_of_range for row_bytes outside [0, 2^32), counting
+     * nothing.
      */
     bool
     access(RowRef row, std::int64_t row_bytes)
     {
         checkRowBytes(row_bytes);
-        if (numbering_ != Numbering::Caller)
-            claim(Numbering::Caller);
         return accessRow(row, row_bytes);
     }
 
-    /** Whether caller-numbered `row` is resident; throws like access. */
-    bool
-    contains(RowRef row) const
-    {
-        check(Numbering::Caller);
-        return containsRow(row);
-    }
+    /** Whether `row` is currently resident. */
+    virtual bool contains(RowRef row) const = 0;
 
     virtual std::int64_t capacityBytes() const = 0;
     virtual std::int64_t usedBytes() const = 0;
@@ -216,7 +233,7 @@ class EmbeddingCache
      * Sizing hint: allocate the policy's node store once for `rows`
      * distinct numbered rows (ids 0..rows-1), instead of growing it by
      * doubling as ids arrive. Changes no hit, miss or eviction; a cache
-     * that numbers more rows grows as before.
+     * that sees more rows grows as before.
      */
     virtual void reserve(std::size_t rows) = 0;
 
@@ -225,13 +242,9 @@ class EmbeddingCache
     virtual void resetStats() = 0;
 
     /**
-     * Install a callback invoked on every eviction with (table, row,
-     * row_bytes) — how callers attribute evictions per table.
+     * Install a callback invoked on every eviction with the victim and
+     * its stored bytes — how callers attribute evictions per table.
      */
-    void setEvictionHook(
-        std::function<void(int, std::int64_t, std::int64_t)> hook);
-
-    /** The same with the victim's RowRef, id included. */
     void setEvictionHook(EvictionHook hook) { hook_ = std::move(hook); }
 
     virtual Policy policy() const = 0;
@@ -246,9 +259,8 @@ class EmbeddingCache
     virtual std::int64_t ghostBytes() const { return 0; }
 
   protected:
-    /** The policy's access and residency test for a numbered row. */
+    /** The policy's access, after access() checked row_bytes. */
     virtual bool accessRow(RowRef row, std::int64_t row_bytes) = 0;
-    virtual bool containsRow(RowRef row) const = 0;
 
     /** Report the eviction of `row`, `bytes` large, to the hook. */
     void
@@ -259,18 +271,6 @@ class EmbeddingCache
     }
 
   private:
-    /** Who numbers this cache's rows; fixed by the first access. */
-    enum class Numbering : std::uint8_t
-    {
-        Unset,
-        Own,    //!< the cache, through ids_
-        Caller, //!< the caller, through RowRefs
-    };
-
-    /** Throws std::logic_error if the cache is numbered the other way. */
-    void check(Numbering by) const;
-    void claim(Numbering by);
-
     /** Throws std::out_of_range for row_bytes outside [0, 2^32). */
     static void
     checkRowBytes(std::int64_t row_bytes)
@@ -280,9 +280,6 @@ class EmbeddingCache
     }
     [[noreturn]] static void rowBytesOutOfRange(std::int64_t row_bytes);
 
-    Numbering numbering_ = Numbering::Unset;
-    /** packRowKey() -> id, for a cache that numbers its own rows. */
-    stats::FlatHashMap<std::uint64_t, std::uint32_t, stats::Mix64Hash> ids_;
     EvictionHook hook_;
 };
 

@@ -73,9 +73,8 @@ TieredCacheSim::access(int table, std::int64_t row)
     if (table < 0 || static_cast<std::size_t>(table) >= row_bytes_.size())
         return; // accesses to tables this model does not define
     const auto t = static_cast<std::size_t>(table);
-    count(i, t, cache_->access(table, row, row_bytes_[t]));
+    count(i, t, cache_->access(rows_.number(table, row), row_bytes_[t]));
 }
-
 
 CacheSimResult
 TieredCacheSim::result()

@@ -70,12 +70,15 @@ struct CacheSimResult
  * accesses in a first pass and replays them in a second. replay(trace)
  * is that sequence over a stored trace; prefer it when one exists.
  *
- * access(table, row) lets the cache number rows itself (one hash probe
- * per access); access(RowRef) takes rows the caller numbered, densely,
- * as core::buildShardCacheModels does from its counting pass, and does
- * no hash work at all. One replay sim takes one kind (the cache's
- * numbering rule, embedding_cache.h), except that accesses to tables
- * the model does not define never reach the cache.
+ * Rows reach the cache numbered (embedding_cache.h). access(table, row)
+ * numbers them through the sim's own RowNumbering, one hash probe per
+ * access, and the numbering persists across replays like the resident
+ * set; replay(trace) uses it. access(RowRef) takes rows the caller
+ * numbered densely, as core::buildShardCacheModels does in its counting
+ * pass, and does no hash work at all. Feed one sim's cache one
+ * numbering: the two id spaces are not told apart. Accesses to tables
+ * the model does not define only advance the warmup position, through
+ * either entry point, so they never reach the numbering or the cache.
  * Non-copyable and non-movable: the cache's eviction hook points back
  * into this object.
  */
@@ -103,11 +106,13 @@ class TieredCacheSim
      * Feed the next access. Accesses to tables the model does not define
      * still advance the warmup position but are otherwise skipped.
      * Throws std::logic_error when no replay is open: before the first
-     * begin(), or past the accesses begin() announced.
+     * begin(), or past the accesses begin() announced; and
+     * std::out_of_range for a row of a defined table outside
+     * packRowKey()'s domain.
      */
     void access(int table, std::int64_t row);
 
-    /** access(table, row) for a row the caller numbered. */
+    /** access(table, row) for a row the caller numbered; throws likewise. */
     void
     access(RowRef row)
     {
@@ -162,6 +167,8 @@ class TieredCacheSim
     /** Stored row bytes per table id, copied from the spec. */
     std::vector<std::int64_t> row_bytes_;
     std::unique_ptr<EmbeddingCache> cache_;
+    /** Numbers the rows access(table, row) feeds the cache. */
+    RowNumbering rows_;
 
     // State of the replay in progress.
     std::size_t total_ = 0;

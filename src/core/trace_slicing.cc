@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "core/concurrency.h"
-#include "stats/flat_hash.h"
 
 namespace dri::core {
 
@@ -230,50 +229,49 @@ buildShardCacheModels(const model::ModelSpec &spec,
                       const workload::AccessTrace &trace,
                       const ShardCacheOptions &options, int workers)
 {
-    // A (table, row) routes to exactly one shard, so one map over the
-    // owned shards numbers each one's distinct rows, and pass 2 finds
-    // each record's slot and number with one probe. Records naming
-    // tables the model does not define count towards the warmup
-    // position but not the universe, as TieredCacheSim::access treats
-    // them.
+    // Each owned shard numbers its own distinct rows. Pass 1 keeps the
+    // number of every record an owned shard serves, 4 bytes each in
+    // stream order, so pass 2 replays numbers without a hash probe.
+    // Both passes route a record first: one no owned shard serves costs
+    // one slotOf. Records naming tables the model does not define count
+    // towards the warmup position but not the universe, as
+    // TieredCacheSim::access treats them.
     const auto inModel = [&spec](int table) {
         return table >= 0 &&
                static_cast<std::size_t>(table) < spec.tables.size();
     };
     const auto number = [&](const ShardGroup &group,
                             std::vector<SliceCounts> &counts) {
-        stats::FlatHashMap<std::uint64_t, Numbered, stats::Mix64Hash> ids;
+        std::vector<cache::RowNumbering> numbering(counts.size());
+        std::vector<std::uint32_t> ids; // per owned in-model record
         for (const auto &rec : trace.records()) {
             const int k = group.slotOf(rec.table_id, rec.row);
             if (k < 0)
                 continue;
-            SliceCounts &c = counts[static_cast<std::size_t>(k)];
+            const auto slot = static_cast<std::size_t>(k);
+            SliceCounts &c = counts[slot];
             ++c.size;
             if (!inModel(rec.table_id))
                 continue;
-            const std::uint64_t key =
-                cache::packRowKey(rec.table_id, rec.row);
-            if (ids.find(key) == nullptr) {
-                const auto t = static_cast<std::size_t>(rec.table_id);
-                ids.insert(key, Numbered(c.number(spec.tables[t]
-                                                      .storedRowBytes()),
-                                         k, key));
-            }
+            const auto t = static_cast<std::size_t>(rec.table_id);
+            const std::uint32_t id =
+                numbering[slot].number(rec.table_id, rec.row).id;
+            if (id == c.rows) // a row new to the slot
+                c.number(spec.tables[t].storedRowBytes());
+            ids.push_back(id);
         }
         return [&, ids = std::move(ids)](Sims &sims) {
+            const std::uint32_t *id = ids.data();
             for (const auto &rec : trace.records()) {
-                if (!inModel(rec.table_id)) {
-                    const int k = group.slotOf(rec.table_id, rec.row);
-                    if (k >= 0)
-                        sims[static_cast<std::size_t>(k)]->access(
-                            rec.table_id, rec.row);
+                const int k = group.slotOf(rec.table_id, rec.row);
+                if (k < 0)
                     continue;
-                }
-                const Numbered *n =
-                    ids.find(cache::packRowKey(rec.table_id, rec.row));
-                if (n != nullptr)
-                    sims[n->slot]->access(n->ref(
-                        static_cast<std::size_t>(rec.table_id)));
+                auto &sim = *sims[static_cast<std::size_t>(k)];
+                if (inModel(rec.table_id))
+                    sim.access(cache::RowRef{
+                        *id++, cache::packRowKey(rec.table_id, rec.row)});
+                else
+                    sim.access(rec.table_id, rec.row); // steps only
             }
         };
     };

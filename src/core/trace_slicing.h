@@ -38,8 +38,11 @@
  * exactly its R numbered rows (cache::EmbeddingCache::reserve), and the
  * second pass replays every draw as the RowRef the fold gave it: one
  * table lookup per access, with no row mapping, routing or hashing. The
- * trace overload numbers rows in one flat map from packed key to owned
- * shard and number, and its second pass probes that map. Every shard's
+ * trace overload gives each owned shard one cache::RowNumbering. Its
+ * pass 1 routes each record to its shard first, so a worker hashes only
+ * the records its own shards serve, numbers them, and keeps each one's
+ * number, 4 bytes per record in stream order (the trace itself holds
+ * 24). Pass 2 replays those numbers with no hash probe. Every shard's
  * cache sees the same accesses in the same order whatever W is, so the
  * result is field-for-field identical at every worker count, and W = 1
  * runs on the calling thread without starting one.

@@ -7,12 +7,13 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
 #include <list>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -27,6 +28,8 @@
 #include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/request_generator.h"
+
+#include "numbered_cache.h"
 
 namespace {
 
@@ -65,9 +68,9 @@ TEST(EmbeddingCache, CapacityNeverExceeded)
 {
     for (const auto policy :
          {Policy::Lru, Policy::Lfu, Policy::TwoQueue}) {
-        auto cache = cache::makeCache(policy, 4 * kRow);
+        testutil::NumberedCache cache(cache::makeCache(policy, 4 * kRow));
         for (std::int64_t row = 0; row < 100; ++row) {
-            cache->access(0, row % 13, kRow);
+            cache.access(0, row % 13, kRow);
             ASSERT_LE(cache->usedBytes(), cache->capacityBytes())
                 << cache::policyName(policy);
         }
@@ -81,95 +84,97 @@ TEST(EmbeddingCache, CapacityNeverExceeded)
 
 TEST(EmbeddingCache, LruEvictsLeastRecentlyUsed)
 {
-    auto cache = cache::makeCache(Policy::Lru, 3 * kRow);
-    cache->access(0, 1, kRow);
-    cache->access(0, 2, kRow);
-    cache->access(0, 3, kRow);
-    cache->access(0, 1, kRow); // 2 is now the coldest
-    cache->access(0, 4, kRow); // evicts 2
-    EXPECT_TRUE(cache->contains(0, 1));
-    EXPECT_FALSE(cache->contains(0, 2));
-    EXPECT_TRUE(cache->contains(0, 3));
-    EXPECT_TRUE(cache->contains(0, 4));
+    testutil::NumberedCache cache(cache::makeCache(Policy::Lru, 3 * kRow));
+    cache.access(0, 1, kRow);
+    cache.access(0, 2, kRow);
+    cache.access(0, 3, kRow);
+    cache.access(0, 1, kRow); // 2 is now the coldest
+    cache.access(0, 4, kRow); // evicts 2
+    EXPECT_TRUE(cache.contains(0, 1));
+    EXPECT_FALSE(cache.contains(0, 2));
+    EXPECT_TRUE(cache.contains(0, 3));
+    EXPECT_TRUE(cache.contains(0, 4));
     EXPECT_EQ(cache->stats().evictions, 1);
 }
 
 TEST(EmbeddingCache, LfuKeepsFrequentRows)
 {
-    auto cache = cache::makeCache(Policy::Lfu, 3 * kRow);
+    testutil::NumberedCache cache(cache::makeCache(Policy::Lfu, 3 * kRow));
     for (int i = 0; i < 5; ++i) {
-        cache->access(0, 100, kRow);
-        cache->access(0, 200, kRow);
+        cache.access(0, 100, kRow);
+        cache.access(0, 200, kRow);
     }
     // A stream of one-touch rows churns through the third slot but can
     // never displace the two frequent rows.
     for (std::int64_t row = 0; row < 50; ++row)
-        cache->access(0, row, kRow);
-    EXPECT_TRUE(cache->contains(0, 100));
-    EXPECT_TRUE(cache->contains(0, 200));
+        cache.access(0, row, kRow);
+    EXPECT_TRUE(cache.contains(0, 100));
+    EXPECT_TRUE(cache.contains(0, 200));
 }
 
 TEST(EmbeddingCache, LfuEvictionOrderBreaksTiesByAge)
 {
-    auto cache = cache::makeCache(Policy::Lfu, 2 * kRow);
-    cache->access(0, 1, kRow); // freq 1, older
-    cache->access(0, 2, kRow); // freq 1, newer
-    cache->access(0, 3, kRow); // evicts 1 (oldest of the freq-1 bucket)
-    EXPECT_FALSE(cache->contains(0, 1));
-    EXPECT_TRUE(cache->contains(0, 2));
-    EXPECT_TRUE(cache->contains(0, 3));
+    testutil::NumberedCache cache(cache::makeCache(Policy::Lfu, 2 * kRow));
+    cache.access(0, 1, kRow); // freq 1, older
+    cache.access(0, 2, kRow); // freq 1, newer
+    cache.access(0, 3, kRow); // evicts 1 (oldest of the freq-1 bucket)
+    EXPECT_FALSE(cache.contains(0, 1));
+    EXPECT_TRUE(cache.contains(0, 2));
+    EXPECT_TRUE(cache.contains(0, 3));
 }
 
 TEST(EmbeddingCache, TwoQueueResistsScans)
 {
     const std::int64_t capacity = 8 * kRow;
-    auto two_q = cache::makeCache(Policy::TwoQueue, capacity);
-    auto lru = cache::makeCache(Policy::Lru, capacity);
+    testutil::NumberedCache two_q(
+        cache::makeCache(Policy::TwoQueue, capacity));
+    testutil::NumberedCache lru(cache::makeCache(Policy::Lru, capacity));
 
     // Establish a re-referenced hot set (promoted to Am under 2Q).
     for (int pass = 0; pass < 3; ++pass)
         for (std::int64_t row = 0; row < 4; ++row) {
-            two_q->access(0, row, kRow);
-            lru->access(0, row, kRow);
+            two_q.access(0, row, kRow);
+            lru.access(0, row, kRow);
         }
     // One-touch scan over many cold rows.
     for (std::int64_t row = 1000; row < 1100; ++row) {
-        two_q->access(0, row, kRow);
-        lru->access(0, row, kRow);
+        two_q.access(0, row, kRow);
+        lru.access(0, row, kRow);
     }
     // 2Q: the scan flowed through the probation FIFO; the hot set
     // survives. LRU: the scan flushed everything.
     for (std::int64_t row = 0; row < 4; ++row) {
-        EXPECT_TRUE(two_q->contains(0, row)) << "2q lost hot row " << row;
-        EXPECT_FALSE(lru->contains(0, row)) << "lru kept hot row " << row;
+        EXPECT_TRUE(two_q.contains(0, row)) << "2q lost hot row " << row;
+        EXPECT_FALSE(lru.contains(0, row)) << "lru kept hot row " << row;
     }
 }
 
 TEST(EmbeddingCache, TwoQueueGhostPromotesOnReadmission)
 {
-    auto cache = cache::makeCache(Policy::TwoQueue, 4 * kRow);
-    cache->access(0, 7, kRow); // probation
+    testutil::NumberedCache cache(
+        cache::makeCache(Policy::TwoQueue, 4 * kRow));
+    cache.access(0, 7, kRow); // probation
     // Push 7 out of probation into the ghost list. The ghost remembers
     // half a capacity's worth of identities, so stay within that window.
     for (std::int64_t row = 100; row < 105; ++row)
-        cache->access(0, row, kRow);
-    EXPECT_FALSE(cache->contains(0, 7));
+        cache.access(0, row, kRow);
+    EXPECT_FALSE(cache.contains(0, 7));
     // Re-reference within ghost memory: readmitted straight to Am...
-    cache->access(0, 7, kRow);
-    EXPECT_TRUE(cache->contains(0, 7));
+    cache.access(0, 7, kRow);
+    EXPECT_TRUE(cache.contains(0, 7));
     // ...where a subsequent one-touch scan cannot displace it.
     for (std::int64_t row = 200; row < 260; ++row)
-        cache->access(0, row, kRow);
-    EXPECT_TRUE(cache->contains(0, 7));
+        cache.access(0, row, kRow);
+    EXPECT_TRUE(cache.contains(0, 7));
 }
 
 TEST(EmbeddingCache, OversizedRowBypassesCache)
 {
     for (const auto policy :
          {Policy::Lru, Policy::Lfu, Policy::TwoQueue}) {
-        auto cache = cache::makeCache(policy, kRow);
-        EXPECT_FALSE(cache->access(0, 1, 2 * kRow));
-        EXPECT_FALSE(cache->contains(0, 1));
+        testutil::NumberedCache cache(cache::makeCache(policy, kRow));
+        EXPECT_FALSE(cache.access(0, 1, 2 * kRow));
+        EXPECT_FALSE(cache.contains(0, 1));
         EXPECT_EQ(cache->usedBytes(), 0);
         EXPECT_EQ(cache->stats().evictions, 0);
     }
@@ -177,11 +182,11 @@ TEST(EmbeddingCache, OversizedRowBypassesCache)
 
 TEST(EmbeddingCache, KeysAreScopedPerTable)
 {
-    auto cache = cache::makeCache(Policy::Lru, 4 * kRow);
-    cache->access(0, 42, kRow);
-    EXPECT_FALSE(cache->access(1, 42, kRow)); // same row, other table
-    EXPECT_TRUE(cache->contains(0, 42));
-    EXPECT_TRUE(cache->contains(1, 42));
+    testutil::NumberedCache cache(cache::makeCache(Policy::Lru, 4 * kRow));
+    cache.access(0, 42, kRow);
+    EXPECT_FALSE(cache.access(1, 42, kRow)); // same row, other table
+    EXPECT_TRUE(cache.contains(0, 42));
+    EXPECT_TRUE(cache.contains(1, 42));
     EXPECT_EQ(cache->residentRows(), 2u);
 }
 
@@ -251,12 +256,12 @@ TEST(EmbeddingCache, LruMatchesListOracle)
     for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
         stats::Rng rng(seed);
         std::int64_t capacity = 8 * kRow;
-        auto cache = cache::makeCache(Policy::Lru, capacity);
+        testutil::NumberedCache cache(cache::makeCache(Policy::Lru, capacity));
         OracleLru oracle(capacity);
         std::vector<OracleLru::Row> hooked;
         cache->setEvictionHook(
-            [&hooked](int table, std::int64_t row, std::int64_t bytes) {
-                hooked.push_back({table, row, bytes});
+            [&hooked](cache::RowRef row, std::int64_t bytes) {
+                hooked.push_back({row.table(), row.row(), bytes});
             });
 
         for (int i = 0; i < 4000; ++i) {
@@ -273,14 +278,14 @@ TEST(EmbeddingCache, LruMatchesListOracle)
                 rng.uniformInt(0, 3) == 0 ? rng.uniformInt(0, kRows - 1)
                                           : rng.uniformInt(0, 3);
             const std::int64_t bytes = (table + 1) * kRow;
-            ASSERT_EQ(cache->access(table, row, bytes),
+            ASSERT_EQ(cache.access(table, row, bytes),
                       oracle.access(table, row, bytes))
                 << "seed=" << seed << " i=" << i;
             ASSERT_EQ(cache->usedBytes(), oracle.used()) << i;
             ASSERT_EQ(cache->residentRows(), oracle.rows()) << i;
             for (int t = 0; t < kTables; ++t)
                 for (std::int64_t r = 0; r < kRows; ++r)
-                    ASSERT_EQ(cache->contains(t, r), oracle.contains(t, r))
+                    ASSERT_EQ(cache.contains(t, r), oracle.contains(t, r))
                         << "seed=" << seed << " i=" << i << " (" << t
                         << ", " << r << ")";
         }
@@ -303,21 +308,21 @@ TEST(EmbeddingCache, EveryPolicyRejectsKeysOutsidePackedDomain)
     for (const auto policy :
          {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc}) {
         SCOPED_TRACE(cache::policyName(policy));
-        auto cache = cache::makeCache(policy, 4 * kRow);
-        EXPECT_THROW(cache->access(-1, 0, kRow), std::out_of_range);
-        EXPECT_THROW(cache->access(1 << 16, 0, kRow), std::out_of_range);
-        EXPECT_THROW(cache->access(0, -1, kRow), std::out_of_range);
-        EXPECT_THROW(cache->access(0, std::int64_t{1} << 48, kRow),
+        testutil::NumberedCache cache(cache::makeCache(policy, 4 * kRow));
+        EXPECT_THROW(cache.access(-1, 0, kRow), std::out_of_range);
+        EXPECT_THROW(cache.access(1 << 16, 0, kRow), std::out_of_range);
+        EXPECT_THROW(cache.access(0, -1, kRow), std::out_of_range);
+        EXPECT_THROW(cache.access(0, std::int64_t{1} << 48, kRow),
                      std::out_of_range);
-        EXPECT_THROW(cache->contains(0, -1), std::out_of_range);
+        EXPECT_THROW(cache.contains(0, -1), std::out_of_range);
         // A rejected key is not counted as an access.
         EXPECT_EQ(cache->stats().accesses, 0);
         // The domain's edges are distinct keys.
-        EXPECT_FALSE(cache->access((1 << 16) - 1,
+        EXPECT_FALSE(cache.access((1 << 16) - 1,
                                    (std::int64_t{1} << 48) - 1, kRow));
-        EXPECT_FALSE(cache->access(0, 0, kRow));
+        EXPECT_FALSE(cache.access(0, 0, kRow));
         EXPECT_TRUE(
-            cache->contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
+            cache.contains((1 << 16) - 1, (std::int64_t{1} << 48) - 1));
         EXPECT_EQ(cache->residentRows(), 2u);
     }
 }
@@ -386,19 +391,18 @@ TEST(EmbeddingCache, EvictionDigestsArePinned)
         {Policy::Arc, cache::Admission::WTinyLfu, 0xf40c670342f904d7},
     };
     for (const Pinned &p : pinned) {
-        auto cache = cache::makeCacheWithAdmission(p.policy, kCapacities[0],
-                                                   p.admission);
+        testutil::NumberedCache cache(cache::makeCacheWithAdmission(
+            p.policy, kCapacities[0], p.admission));
         stats::Fnv fnv;
-        cache->setEvictionHook(
-            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
-                fnv.add(table);
-                fnv.add(row);
-                fnv.add(bytes);
-            });
+        cache->setEvictionHook([&fnv](cache::RowRef row, std::int64_t bytes) {
+            fnv.add(row.table());
+            fnv.add(row.row());
+            fnv.add(bytes);
+        });
         for (const Access &a : trace) {
             if (a.new_capacity > 0)
                 cache->setCapacityBytes(a.new_capacity);
-            fnv.add(cache->access(a.table, a.row, a.bytes));
+            fnv.add(cache.access(a.table, a.row, a.bytes));
         }
         fnv.add(cache->ghostBytes());
         fnv.add(static_cast<std::int64_t>(cache->residentRows()));
@@ -434,19 +438,18 @@ TEST(EmbeddingCache, ReserveChangesNoEviction)
     }
     const auto digest = [&](Policy policy, cache::Admission admission,
                             std::size_t hint) {
-        auto cache =
-            cache::makeCacheWithAdmission(policy, 48 << 10, admission);
+        testutil::NumberedCache cache(
+            cache::makeCacheWithAdmission(policy, 48 << 10, admission));
         if (hint > 0)
             cache->reserve(hint);
         stats::Fnv fnv;
-        cache->setEvictionHook(
-            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
-                fnv.add(table);
-                fnv.add(row);
-                fnv.add(bytes);
-            });
+        cache->setEvictionHook([&fnv](cache::RowRef row, std::int64_t bytes) {
+            fnv.add(row.table());
+            fnv.add(row.row());
+            fnv.add(bytes);
+        });
         for (const auto &[table, row] : trace)
-            fnv.add(cache->access(table, row, (table + 1) * 64));
+            fnv.add(cache.access(table, row, (table + 1) * 64));
         fnv.add(cache->ghostBytes());
         fnv.add(static_cast<std::int64_t>(cache->residentRows()));
         fnv.add(cache->usedBytes());
@@ -468,12 +471,11 @@ TEST(EmbeddingCache, ReserveChangesNoEviction)
 }
 
 /**
- * A cache its caller numbers behaves exactly as one that numbers its own
- * rows, whatever the numbering: EvictionDigestsArePinned's trace, fed as
- * RowRefs numbered in reverse first-seen order and with gaps between the
- * ids, gives every policy x admission digest the (table, row) entry
- * points give. A cache takes one numbering: the other kind of entry
- * point throws std::logic_error on it.
+ * A cache behaves the same whatever its rows' numbering:
+ * EvictionDigestsArePinned's trace, fed as RowRefs numbered in reverse
+ * first-seen order and with gaps between the ids, gives every policy x
+ * admission digest the first-seen numbering of testutil::NumberedCache
+ * gives.
  */
 TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
 {
@@ -485,19 +487,14 @@ TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
     };
     constexpr std::int64_t kCapacities[] = {64 << 10, 40 << 10, 96 << 10};
     std::vector<Access> trace;
-    std::unordered_map<std::uint64_t, std::uint32_t> first_seen;
+    cache::RowNumbering first_seen;
     {
         stats::Rng rng(20240611);
         const stats::ZipfSampler zipf(4096, 0.9);
         std::int64_t scan_row = 1'000'000;
         const auto add = [&](int table, std::int64_t row, std::int64_t bytes,
                              std::int64_t cap) {
-            const std::uint64_t key = cache::packRowKey(table, row);
-            const auto id = first_seen
-                                .emplace(key, static_cast<std::uint32_t>(
-                                                  first_seen.size()))
-                                .first->second;
-            trace.push_back({{id, key}, bytes, cap});
+            trace.push_back({first_seen.number(table, row), bytes, cap});
         };
         for (int i = 0; i < 30000; ++i) {
             const std::int64_t cap =
@@ -513,7 +510,9 @@ TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
             add(table, row, i % 97 == 0 ? 256 << 10 : (table + 1) * 64, cap);
         }
     }
-    const auto rows = static_cast<std::uint32_t>(first_seen.size());
+    std::uint32_t rows = 0; // distinct rows: ids are dense
+    for (const Access &a : trace)
+        rows = std::max(rows, a.row.id + 1);
 
     struct Run
     {
@@ -521,24 +520,23 @@ TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
         std::size_t resident;
         std::int64_t ghost;
     };
-    // renumber == nullptr: the cache numbers the rows itself.
+    // renumber == nullptr: the helper numbers the rows.
     const auto run = [&](Policy policy, cache::Admission admission,
                          std::uint32_t (*renumber)(std::uint32_t,
                                                    std::uint32_t)) {
-        auto cache = cache::makeCacheWithAdmission(policy, kCapacities[0],
-                                                   admission);
+        testutil::NumberedCache cache(cache::makeCacheWithAdmission(
+            policy, kCapacities[0], admission));
         stats::Fnv fnv;
-        cache->setEvictionHook(
-            [&fnv](int table, std::int64_t row, std::int64_t bytes) {
-                fnv.add(table);
-                fnv.add(row);
-                fnv.add(bytes);
-            });
+        cache->setEvictionHook([&fnv](cache::RowRef row, std::int64_t bytes) {
+            fnv.add(row.table());
+            fnv.add(row.row());
+            fnv.add(bytes);
+        });
         for (const Access &a : trace) {
             if (a.new_capacity > 0)
                 cache->setCapacityBytes(a.new_capacity);
             fnv.add(renumber == nullptr
-                        ? cache->access(a.row.table(), a.row.row(), a.bytes)
+                        ? cache.access(a.row.table(), a.row.row(), a.bytes)
                         : cache->access(
                               cache::RowRef{renumber(a.row.id, rows),
                                             a.row.key},
@@ -571,28 +569,13 @@ TEST(EmbeddingCache, CallerNumberedRowsKeepPinnedDigests)
                 EXPECT_EQ(caller.ghost, own.ghost);
             }
         }
-
-    for (const cache::Admission admission :
-         {cache::Admission::None, cache::Admission::TinyLfu,
-          cache::Admission::WTinyLfu}) {
-        auto own = cache::makeCacheWithAdmission(Policy::Lru, 4 * kRow,
-                                                 admission);
-        own->access(0, 1, kRow);
-        EXPECT_THROW(own->access(trace[0].row, kRow), std::logic_error);
-        EXPECT_THROW(own->contains(trace[0].row), std::logic_error);
-        auto caller = cache::makeCacheWithAdmission(Policy::Lru, 4 * kRow,
-                                                    admission);
-        caller->access(trace[0].row, kRow);
-        EXPECT_THROW(caller->access(0, 1, kRow), std::logic_error);
-        EXPECT_THROW(caller->contains(0, 1), std::logic_error);
-        EXPECT_TRUE(caller->contains(trace[0].row));
-    }
 }
 
 /**
  * A node keeps a row's stored size in 32 bits: every policy rejects a
- * size outside [0, 2^32) with std::out_of_range, on either entry point,
- * without counting the access.
+ * size outside [0, 2^32) with std::out_of_range, without counting the
+ * access, whether the row came through testutil::NumberedCache or as a
+ * RowRef.
  */
 TEST(EmbeddingCache, RowBytesOutside32BitsThrow)
 {
@@ -600,11 +583,11 @@ TEST(EmbeddingCache, RowBytesOutside32BitsThrow)
     for (const auto policy :
          {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc}) {
         SCOPED_TRACE(cache::policyName(policy));
-        auto own = cache::makeCache(policy, 2 * kLimit);
-        EXPECT_THROW(own->access(0, 1, -1), std::out_of_range);
-        EXPECT_THROW(own->access(0, 1, kLimit), std::out_of_range);
-        EXPECT_FALSE(own->access(0, 1, kLimit - 1));
-        EXPECT_TRUE(own->contains(0, 1));
+        testutil::NumberedCache own(cache::makeCache(policy, 2 * kLimit));
+        EXPECT_THROW(own.access(0, 1, -1), std::out_of_range);
+        EXPECT_THROW(own.access(0, 1, kLimit), std::out_of_range);
+        EXPECT_FALSE(own.access(0, 1, kLimit - 1));
+        EXPECT_TRUE(own.contains(0, 1));
         EXPECT_EQ(own->usedBytes(), kLimit - 1);
         auto caller = cache::makeCache(policy, 2 * kLimit);
         const cache::RowRef row{0, cache::packRowKey(0, 1)};
@@ -612,6 +595,50 @@ TEST(EmbeddingCache, RowBytesOutside32BitsThrow)
         EXPECT_EQ(own->stats().accesses, 1);
         EXPECT_EQ(caller->stats().accesses, 0);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Row numbering
+// ---------------------------------------------------------------------------
+
+TEST(RowNumbering, IdsAreDenseInFirstSeenOrderAndStable)
+{
+    cache::RowNumbering ids;
+    const std::pair<int, std::int64_t> rows[] = {
+        {3, 70}, {0, 0}, {3, 70}, {1, 70}, {0, 0}, {65535, 1}, {1, 70}};
+    const std::uint32_t expected[] = {0, 1, 0, 2, 1, 3, 2};
+    for (std::size_t i = 0; i < std::size(rows); ++i) {
+        const cache::RowRef ref = ids.number(rows[i].first, rows[i].second);
+        EXPECT_EQ(ref.id, expected[i]) << i;
+        EXPECT_EQ(ref.key, cache::packRowKey(rows[i].first, rows[i].second));
+    }
+    EXPECT_EQ(ids.number(7, 7).id, 4u); // the next new row
+}
+
+TEST(RowNumbering, FindNeverInserts)
+{
+    cache::RowNumbering ids;
+    EXPECT_FALSE(ids.find(0, 5).has_value());
+    ids.number(2, 9);
+    EXPECT_FALSE(ids.find(0, 5).has_value());
+    const auto found = ids.find(2, 9);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->id, 0u);
+    EXPECT_EQ(found->key, cache::packRowKey(2, 9));
+    // The row find missed twice takes the next id, as if never asked.
+    EXPECT_EQ(ids.number(0, 5).id, 1u);
+}
+
+TEST(RowNumbering, OutsideThePackedDomainThrowsWithoutNumbering)
+{
+    cache::RowNumbering ids;
+    ids.number(0, 1);
+    EXPECT_THROW(ids.number(-1, 0), std::out_of_range);
+    EXPECT_THROW(ids.number(1 << 16, 0), std::out_of_range);
+    EXPECT_THROW(ids.number(0, -1), std::out_of_range);
+    EXPECT_THROW(ids.number(0, std::int64_t{1} << 48), std::out_of_range);
+    EXPECT_THROW(ids.find(0, -1), std::out_of_range);
+    EXPECT_EQ(ids.number(0, 2).id, 1u);
 }
 
 // ---------------------------------------------------------------------------

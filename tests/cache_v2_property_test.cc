@@ -21,6 +21,8 @@
 #include "workload/access_trace.h"
 #include "workload/request_generator.h"
 
+#include "numbered_cache.h"
+
 namespace {
 
 using namespace dri;
@@ -250,10 +252,10 @@ TEST(CacheInvariants, BudgetAndGhostBoundsHoldThroughout)
 
     for (const auto policy :
          {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc}) {
-        auto c = cache::makeCache(policy, cap);
+        testutil::NumberedCache c(cache::makeCache(policy, cap));
         std::int64_t max_used = 0, max_ghost = 0;
         for (const auto &r : trace.records()) {
-            c->access(r.table_id, r.row, row_bytes);
+            c.access(r.table_id, r.row, row_bytes);
             max_used = std::max(max_used, c->usedBytes());
             max_ghost = std::max(max_ghost, c->ghostBytes());
         }
@@ -306,14 +308,14 @@ TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
 
 TEST(AdmissionWrapper, DelegatesResidencyAndPolicy)
 {
-    auto cache = cache::makeCacheWithAdmission(Policy::TwoQueue, 4096,
-                                               Admission::TinyLfu);
+    testutil::NumberedCache cache(cache::makeCacheWithAdmission(
+        Policy::TwoQueue, 4096, Admission::TinyLfu));
     EXPECT_EQ(cache->policy(), Policy::TwoQueue);
     EXPECT_EQ(cache->capacityBytes(), 4096);
     // Free space: even a first-touch row is admitted (no pressure).
-    EXPECT_FALSE(cache->access(0, 1, 128));
-    EXPECT_TRUE(cache->contains(0, 1));
-    EXPECT_TRUE(cache->access(0, 1, 128));
+    EXPECT_FALSE(cache.access(0, 1, 128));
+    EXPECT_TRUE(cache.contains(0, 1));
+    EXPECT_TRUE(cache.access(0, 1, 128));
     EXPECT_EQ(cache->stats().hits, 1);
     EXPECT_EQ(cache->stats().accesses, 2);
 }

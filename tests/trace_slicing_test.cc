@@ -341,6 +341,44 @@ TEST(TraceSlicing, FleetStudyStreamedBuildEqualsTraceOverload)
 }
 
 /**
+ * Records naming tables the model does not define (table 9, table -1,
+ * and table 8 with a row past packRowKey's 2^48) never reach a cache or
+ * a numbering. 300 of them, all in the warmup window, precede the study
+ * trace's first 300 records. Under a singular plan they route to the one
+ * shard and only step its warmup position, which moves the boundary by
+ * about 150 records; under a multi-shard plan no shard serves them.
+ * Either way the trace overload equals the per-slice reference, at 1
+ * and 4 workers.
+ */
+TEST(TraceSlicing, RecordsOfUndefinedTablesOnlyStepTheWarmup)
+{
+    const auto spec = model::makeShardedCacheStudySpec();
+    ASSERT_EQ(spec.tables.size(), 8u);
+    const workload::AccessRecord strays[] = {
+        {0, 9, 5}, {0, -1, 7}, {0, 8, std::int64_t{1} << 49}};
+    const auto study = studyTrace(spec);
+    workload::AccessTrace trace;
+    std::size_t i = 0;
+    for (const auto &rec : study.records()) {
+        if (i < 300) // in the warmup only, so they move its boundary
+            trace.add(strays[i % 3]);
+        trace.add(rec);
+        ++i;
+    }
+    core::ShardCacheOptions opt;
+    opt.capacity_fraction = 0.3;
+    for (const auto &plan :
+         {core::makeSingular(spec), core::makeCapacityBalanced(spec, 4)}) {
+        const auto reference = perSliceReference(spec, plan, trace, opt);
+        for (const int workers : {1, 4})
+            expectSameResults(
+                core::buildShardCacheModels(spec, plan, trace, opt, workers),
+                reference,
+                plan.strategy() + "/workers=" + std::to_string(workers));
+    }
+}
+
+/**
  * Requests the access generator rejects fail on the calling thread, as
  * std::invalid_argument, at any worker count; so does a negative one.
  */
