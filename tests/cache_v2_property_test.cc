@@ -14,10 +14,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "cache/admission.h"
 #include "cache/tiered_sim.h"
 #include "model/generators.h"
+#include "stats/distributions.h"
+#include "stats/hash.h"
+#include "stats/rng.h"
 #include "workload/access_trace.h"
 #include "workload/request_generator.h"
 
@@ -304,6 +309,35 @@ TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
     // still estimates zero.
     EXPECT_EQ(sketch.estimate(1, 7), 15);
     EXPECT_EQ(sketch.estimate(7, 777), 0);
+}
+
+/** The sketch's layout, pinned: a seeded Zipf stream over a key grid
+ *  that reaches both ends of packRowKey()'s domain, then an FNV digest
+ *  of every grid key's estimate and the halving count. The slot hash,
+ *  the nibble packing, the conservative increment and the aging all
+ *  feed it. */
+TEST(TinyLfuSketch, LayoutDigestIsPinned)
+{
+    constexpr std::int64_t kRowLimit = std::int64_t{1} << 48;
+    std::vector<std::pair<int, std::int64_t>> grid;
+    for (const int table : {0, 1, 2, 3, 65535})
+        for (std::int64_t r = 0; r < 1024; ++r) {
+            grid.emplace_back(table, r);
+            grid.emplace_back(table, kRowLimit - 1 - r);
+        }
+    cache::TinyLfuFilter sketch;
+    const stats::ZipfSampler zipf(grid.size(), 1.1);
+    stats::Rng rng(47);
+    for (std::uint64_t i = 0;
+         i < 3 * cache::TinyLfuFilter::kSamplePeriod + 20011; ++i) {
+        const auto &[table, row] = grid[zipf.sample(rng)];
+        sketch.onAccess(table, row);
+    }
+    stats::Fnv fnv;
+    for (const auto &[table, row] : grid)
+        fnv.add(sketch.estimate(table, row));
+    fnv.add(static_cast<std::int64_t>(sketch.agings()));
+    EXPECT_EQ(fnv.h, 0xf2cffb5f13c771a2ULL);
 }
 
 TEST(AdmissionWrapper, DelegatesResidencyAndPolicy)
