@@ -160,10 +160,12 @@ BENCHMARK_CAPTURE(BM_CacheReplay, arc, cache::Policy::Arc);
 /**
  * BM_CacheReplay's trace numbered once up front by a cache::RowNumbering
  * and fed as RowRefs (TieredCacheSim::access(RowRef)): the replay
- * without the sim's per-access numbering probe; items/s = accesses/s.
+ * without the sim's per-access numbering probe, bare or behind an
+ * admission doorkeeper; items/s = accesses/s.
  */
 void
-BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy)
+BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy,
+                       cache::Admission admission = cache::Admission::None)
 {
     static const auto spec = model::makeShardedCacheStudySpec();
     static const auto trace = workload::recordTrace(
@@ -180,6 +182,7 @@ BM_CacheReplayNumbered(benchmark::State &state, cache::Policy policy)
     }();
     cache::TieredCacheConfig config;
     config.policy = policy;
+    config.admission = admission;
     config.capacity_bytes =
         workload::traceFootprint(spec, trace).universe_bytes / 5;
     config.warmup_fraction = 0.5;
@@ -197,6 +200,10 @@ BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lru, cache::Policy::Lru);
 BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lfu, cache::Policy::Lfu);
 BENCHMARK_CAPTURE(BM_CacheReplayNumbered, 2q, cache::Policy::TwoQueue);
 BENCHMARK_CAPTURE(BM_CacheReplayNumbered, arc, cache::Policy::Arc);
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lru_tinylfu, cache::Policy::Lru,
+                  cache::Admission::TinyLfu);
+BENCHMARK_CAPTURE(BM_CacheReplayNumbered, lru_wtinylfu, cache::Policy::Lru,
+                  cache::Admission::WTinyLfu);
 
 /**
  * One shard-group worker's walk of the access stream: forEachAccess over

@@ -42,17 +42,46 @@ static_assert(kClimbPeriod > 0);
 static_assert(kMinWindowFraction < kMaxWindowFraction);
 
 /**
- * Admission decorator: owns the inner cache and a filter, keeps its own
- * hit/miss/reject counters (the inner cache's counters only see the
+ * The doorkeeper test both wrappers share: may a missed row enter
+ * `target`? Always when it fits without an eviction; under byte
+ * pressure only when `filter` admits it, and a veto counts one
+ * admission reject in `stats`.
+ */
+bool
+passesDoorkeeper(const TinyLfuFilter &filter, const EmbeddingCache &target,
+                 RowRef row, std::int64_t row_bytes, CacheStats &stats)
+{
+    if (target.usedBytes() + row_bytes <= target.capacityBytes() ||
+        filter.admit(row.key))
+        return true;
+    ++stats.admission_rejects;
+    return false;
+}
+
+/**
+ * The window's share `fraction` of a `total`-byte budget (total >= 0):
+ * at least one byte, so a row can wait there for its second access, but
+ * never more than the total.
+ */
+std::int64_t
+windowBytes(double fraction, std::int64_t total)
+{
+    return std::min(total, std::max<std::int64_t>(
+                               1, static_cast<std::int64_t>(
+                                      fraction * static_cast<double>(total))));
+}
+
+/**
+ * TinyLFU admission: owns the inner cache and the doorkeeper, keeps its
+ * own hit/miss/reject counters (the inner cache's counters only see the
  * accesses that were allowed through, so the wrapper's are authoritative).
  * The inner cache sees the wrapper's row numbers.
  */
 class AdmittingCache : public EmbeddingCache
 {
   public:
-    AdmittingCache(std::unique_ptr<EmbeddingCache> inner,
-                   std::shared_ptr<AdmissionFilter> filter)
-        : inner_(std::move(inner)), filter_(std::move(filter))
+    explicit AdmittingCache(std::unique_ptr<EmbeddingCache> inner)
+        : inner_(std::move(inner))
     {
         inner_->setEvictionHook(
             [this](RowRef row, std::int64_t bytes) { evicted(row, bytes); });
@@ -93,8 +122,6 @@ class AdmittingCache : public EmbeddingCache
         inner_->resetStats();
     }
 
-    Policy policy() const override { return inner_->policy(); }
-
     bool
     contains(RowRef row) const override
     {
@@ -106,26 +133,22 @@ class AdmittingCache : public EmbeddingCache
     accessRow(RowRef row, std::int64_t row_bytes) override
     {
         ++stats_.accesses;
-        filter_->onAccess(row.table(), row.row());
+        filter_.onAccess(row.key);
         if (inner_->contains(row)) {
             ++stats_.hits;
             inner_->access(row, row_bytes); // recency/freq bump
             return true;
         }
         ++stats_.misses;
-        const bool pressure =
-            inner_->usedBytes() + row_bytes > inner_->capacityBytes();
-        if (pressure && !filter_->admit(row.table(), row.row(), row_bytes)) {
-            ++stats_.admission_rejects;
-            return false; // bypass: the row is not worth an eviction
-        }
-        inner_->access(row, row_bytes);
+        // A vetoed row bypasses: it is not worth an eviction.
+        if (passesDoorkeeper(filter_, *inner_, row, row_bytes, stats_))
+            inner_->access(row, row_bytes);
         return false;
     }
 
   private:
     std::unique_ptr<EmbeddingCache> inner_;
-    std::shared_ptr<AdmissionFilter> filter_;
+    TinyLfuFilter filter_;
     mutable CacheStats stats_;
 };
 
@@ -144,12 +167,11 @@ class AdmittingCache : public EmbeddingCache
 class WindowedAdmittingCache : public EmbeddingCache
 {
   public:
+    /** `main` is already sized to the main share of the budget. */
     WindowedAdmittingCache(std::unique_ptr<EmbeddingCache> main,
-                           std::int64_t window_bytes,
-                           std::shared_ptr<AdmissionFilter> filter)
+                           std::int64_t window_bytes)
         : main_(std::move(main)),
           window_(makeCache(Policy::Lru, window_bytes)),
-          filter_(std::move(filter)),
           total_bytes_(main_->capacityBytes() + window_bytes)
     {
         fraction_ = total_bytes_ > 0
@@ -208,17 +230,12 @@ class WindowedAdmittingCache : public EmbeddingCache
         window_->resetStats();
     }
 
-    Policy policy() const override { return main_->policy(); }
-
     void
     setCapacityBytes(std::int64_t capacity_bytes) override
     {
         total_bytes_ = capacity_bytes > 0 ? capacity_bytes : 0;
         applySplit();
     }
-
-    /** Current window share of the total budget (the climber's state). */
-    double windowFraction() const { return fraction_; }
 
     bool
     contains(RowRef row) const override
@@ -231,7 +248,7 @@ class WindowedAdmittingCache : public EmbeddingCache
     accessRow(RowRef row, std::int64_t row_bytes) override
     {
         ++stats_.accesses;
-        filter_->onAccess(row.table(), row.row());
+        filter_.onAccess(row.key);
         const bool hit = serve(row, row_bytes);
         if (hit)
             ++stats_.hits;
@@ -266,15 +283,12 @@ class WindowedAdmittingCache : public EmbeddingCache
     void
     promote(RowRef row, std::int64_t row_bytes)
     {
-        const bool pressure =
-            main_->usedBytes() + row_bytes > main_->capacityBytes();
-        if (pressure && !filter_->admit(row.table(), row.row(), row_bytes)) {
-            ++stats_.admission_rejects;
-            ++dropped_;
-            evicted(row, row_bytes); // the row leaves the cache
+        if (passesDoorkeeper(filter_, *main_, row, row_bytes, stats_)) {
+            main_->access(row, row_bytes);
             return;
         }
-        main_->access(row, row_bytes);
+        ++dropped_;
+        evicted(row, row_bytes); // the row leaves the cache
     }
 
     /**
@@ -304,16 +318,14 @@ class WindowedAdmittingCache : public EmbeddingCache
     void
     applySplit()
     {
-        const auto window_bytes = std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(
-                   fraction_ * static_cast<double>(total_bytes_)));
+        const std::int64_t window_bytes = windowBytes(fraction_, total_bytes_);
         window_->setCapacityBytes(window_bytes);
         main_->setCapacityBytes(total_bytes_ - window_bytes);
     }
 
     std::unique_ptr<EmbeddingCache> main_;
     std::unique_ptr<EmbeddingCache> window_;
-    std::shared_ptr<AdmissionFilter> filter_;
+    TinyLfuFilter filter_;
     mutable CacheStats stats_;
     std::int64_t dropped_ = 0; //!< window evictions vetoed by the filter
 
@@ -346,12 +358,8 @@ admissionName(Admission admission)
 TinyLfuFilter::TinyLfuFilter() : sketch_(kDepth * kCounters / 2, 0) {}
 
 std::size_t
-TinyLfuFilter::slotFor(int table, std::int64_t row, int i)
+TinyLfuFilter::slotFor(std::uint64_t key, int i)
 {
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(table))
-         << 48) ^
-        static_cast<std::uint64_t>(row);
     // Independent rows via a per-row odd multiplier over the mixed key.
     const std::uint64_t h =
         mix64(key + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(i + 1));
@@ -366,14 +374,14 @@ TinyLfuFilter::counterAt(std::size_t slot) const
 }
 
 void
-TinyLfuFilter::onAccess(int table, std::int64_t row)
+TinyLfuFilter::onAccess(std::uint64_t key)
 {
     // Conservative increment: only the minimal counters grow, which keeps
     // the count-min over-estimate as tight as 4 bits allow.
-    const int min_est = estimate(table, row);
+    const int min_est = estimate(key);
     if (min_est < 15) {
         for (int i = 0; i < kDepth; ++i) {
-            const std::size_t slot = slotFor(table, row, i);
+            const std::size_t slot = slotFor(key, i);
             if (counterAt(slot) == min_est) {
                 std::uint8_t &byte = sketch_[slot / 2];
                 if (slot & 1)
@@ -398,45 +406,18 @@ TinyLfuFilter::onAccess(int table, std::int64_t row)
 }
 
 int
-TinyLfuFilter::estimate(int table, std::int64_t row) const
+TinyLfuFilter::estimate(std::uint64_t key) const
 {
     int min_est = 15;
     for (int i = 0; i < kDepth; ++i)
-        min_est = std::min(min_est, counterAt(slotFor(table, row, i)));
+        min_est = std::min(min_est, counterAt(slotFor(key, i)));
     return min_est;
 }
 
 bool
-TinyLfuFilter::admit(int table, std::int64_t row, std::int64_t)
+TinyLfuFilter::admit(std::uint64_t key) const
 {
-    return estimate(table, row) >= kAdmitThreshold;
-}
-
-std::unique_ptr<TinyLfuFilter>
-makeTinyLfu()
-{
-    return std::make_unique<TinyLfuFilter>();
-}
-
-std::unique_ptr<EmbeddingCache>
-withAdmission(std::unique_ptr<EmbeddingCache> inner,
-              std::shared_ptr<AdmissionFilter> filter)
-{
-    if (!filter)
-        return inner;
-    return std::make_unique<AdmittingCache>(std::move(inner),
-                                            std::move(filter));
-}
-
-std::unique_ptr<EmbeddingCache>
-withWindowedAdmission(std::unique_ptr<EmbeddingCache> inner,
-                      std::int64_t window_bytes,
-                      std::shared_ptr<AdmissionFilter> filter)
-{
-    if (!filter)
-        return inner;
-    return std::make_unique<WindowedAdmittingCache>(
-        std::move(inner), window_bytes, std::move(filter));
+    return estimate(key) >= kAdmitThreshold;
 }
 
 std::unique_ptr<EmbeddingCache>
@@ -446,16 +427,14 @@ makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,
     if (admission == Admission::WTinyLfu) {
         // Split the budget so every admission variant competes at the
         // identical total byte budget.
-        const auto window_bytes = std::max<std::int64_t>(
-            1, static_cast<std::int64_t>(
-                   kWindowFraction * static_cast<double>(capacity_bytes)));
-        auto main = makeCache(policy, capacity_bytes - window_bytes);
-        return withWindowedAdmission(std::move(main), window_bytes,
-                                     makeTinyLfu());
+        const std::int64_t total = std::max<std::int64_t>(0, capacity_bytes);
+        const std::int64_t window = windowBytes(kWindowFraction, total);
+        return std::make_unique<WindowedAdmittingCache>(
+            makeCache(policy, total - window), window);
     }
     auto cache = makeCache(policy, capacity_bytes);
     if (admission == Admission::TinyLfu)
-        return withAdmission(std::move(cache), makeTinyLfu());
+        return std::make_unique<AdmittingCache>(std::move(cache));
     return cache;
 }
 

@@ -1,8 +1,9 @@
 /**
  * @file
- * Composable cache-admission control (the TinyLFU direction): an
- * AdmissionFilter decides whether a missed row is worth caching at all,
- * independently of which eviction policy manages the resident set.
+ * Cache admission, the TinyLFU direction (Einziger et al., "TinyLFU: A
+ * Highly Efficient Cache Admission Policy", ACM ToS 2017): a doorkeeper
+ * decides whether a missed row is worth caching at all, independently
+ * of which eviction policy manages the resident set.
  *
  * Embedding traffic is heavy-tailed: a large fraction of rows are touched
  * once and never again, and admitting them evicts rows that will be
@@ -13,11 +14,14 @@
  * estimate tracks the recent window rather than all of history, and the
  * 4-bit width keeps estimates bounded regardless of trace length.
  *
- * withAdmission() wraps ANY EmbeddingCache in a filter, so the policy x
- * admission design space is a full grid (the TieredCacheSim sweep).
+ * makeCacheWithAdmission() puts the doorkeeper in front of ANY eviction
+ * policy, alone (TinyLfu) or behind an LRU admission window (WTinyLfu),
+ * so the policy x admission design space is a full grid (the
+ * TieredCacheSim sweep).
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,36 +44,16 @@ enum class Admission
 std::string admissionName(Admission admission);
 
 /**
- * Interface of an admission policy. Implementations observe every access
- * (hits included — frequency must count them) and veto the admission of
- * cold rows when caching them would force evictions.
+ * The TinyLFU doorkeeper: a 4-bit count-min sketch over packRowKey()
+ * keys. Counters saturate at 15; every kSamplePeriod recorded accesses
+ * all counters halve, so estimates decay toward the recent window (and
+ * are bounded by construction). A cache behind it records every access,
+ * hits included (frequency must count them), and asks admit() only
+ * under byte pressure: while free space remains admission is
+ * unconditional, so the doorkeeper can protect the resident set but
+ * never starve an empty cache.
  */
-class AdmissionFilter
-{
-  public:
-    virtual ~AdmissionFilter() = default;
-
-    /** Record one access to (table, row); called for hits and misses. */
-    virtual void onAccess(int table, std::int64_t row) = 0;
-
-    /**
-     * Should a missed row be admitted? Consulted only when the cache is
-     * under byte pressure (admitting would evict); when free space
-     * remains, admission is unconditional — a filter can only ever
-     * protect the resident set, not starve an empty cache.
-     */
-    virtual bool admit(int table, std::int64_t row,
-                       std::int64_t row_bytes) = 0;
-
-    virtual std::string name() const = 0;
-};
-
-/**
- * 4-bit count-min sketch doorkeeper. Counters saturate at 15; every
- * kSamplePeriod recorded accesses all counters halve, so estimates decay
- * toward the recent window (and are bounded by construction).
- */
-class TinyLfuFilter : public AdmissionFilter
+class TinyLfuFilter
 {
   public:
     /**
@@ -91,20 +75,21 @@ class TinyLfuFilter : public AdmissionFilter
 
     TinyLfuFilter();
 
-    void onAccess(int table, std::int64_t row) override;
-    bool admit(int table, std::int64_t row,
-               std::int64_t row_bytes) override;
-    std::string name() const override { return "tinylfu"; }
+    /** Record one access to the row packed as `key`. */
+    void onAccess(std::uint64_t key);
 
-    /** Current sketch estimate for (table, row); <= 15 by construction. */
-    int estimate(int table, std::int64_t row) const;
+    /** Current sketch estimate for `key`; <= 15 by construction. */
+    int estimate(std::uint64_t key) const;
+
+    /** Is a missed row worth an eviction: seen twice in the window? */
+    bool admit(std::uint64_t key) const;
 
     /** Halvings performed so far (one per elapsed sample period). */
     std::uint64_t agings() const { return agings_; }
 
   private:
-    /** Counter index of (table, row) in hash row i (row-major). */
-    static std::size_t slotFor(int table, std::int64_t row, int i);
+    /** Counter index of `key` in hash row i (row-major). */
+    static std::size_t slotFor(std::uint64_t key, int i);
     int counterAt(std::size_t slot) const;
 
     std::uint64_t accesses_ = 0; //!< since the last halving
@@ -113,36 +98,12 @@ class TinyLfuFilter : public AdmissionFilter
     std::vector<std::uint8_t> sketch_;
 };
 
-/** Construct a TinyLFU doorkeeper. */
-std::unique_ptr<TinyLfuFilter> makeTinyLfu();
-
 /**
- * Wrap a cache in a W-TinyLFU admission window: `inner` (already sized to
- * the *main* budget) receives only rows evicted from the window that pass
- * the doorkeeper; an LRU window of total_bytes - inner capacity absorbs
- * first-touch rows. The composite holds its *total* byte budget constant
- * while the adaptive climber shifts bytes between window and main.
- */
-std::unique_ptr<EmbeddingCache>
-withWindowedAdmission(std::unique_ptr<EmbeddingCache> inner,
-                      std::int64_t window_bytes,
-                      std::shared_ptr<AdmissionFilter> filter);
-
-/**
- * Wrap a cache in an admission filter. The wrapper delegates residency
- * and budget bookkeeping to the inner cache and keeps its own counters:
- * a vetoed miss counts as a miss (and an admission_reject) but inserts
- * nothing. Passing a null filter returns the inner cache unchanged.
- */
-std::unique_ptr<EmbeddingCache>
-withAdmission(std::unique_ptr<EmbeddingCache> inner,
-              std::shared_ptr<AdmissionFilter> filter);
-
-/**
- * makeCache + optional admission wrap in one step (grid sweeps). For
+ * A cache of `policy` behind `admission` (grid sweeps). For
  * Admission::WTinyLfu the byte budget is split between the window and the
  * main cache per admission.cc's kWindowFraction, so every admission
- * variant competes at the identical total budget.
+ * variant competes at the identical total budget; a budget of zero or
+ * below gives an empty window, as it gives every variant no room.
  */
 std::unique_ptr<EmbeddingCache>
 makeCacheWithAdmission(Policy policy, std::int64_t capacity_bytes,

@@ -51,8 +51,8 @@ struct RowRecord
 class CacheBase : public EmbeddingCache
 {
   public:
-    CacheBase(Policy policy, std::int64_t capacity_bytes)
-        : policy_(policy), capacity_(capacity_bytes > 0 ? capacity_bytes : 0)
+    explicit CacheBase(std::int64_t capacity_bytes)
+        : capacity_(capacity_bytes > 0 ? capacity_bytes : 0)
     {
     }
 
@@ -60,7 +60,6 @@ class CacheBase : public EmbeddingCache
     std::int64_t usedBytes() const override { return used_; }
     const CacheStats &stats() const override { return stats_; }
     void resetStats() override { stats_ = CacheStats{}; }
-    Policy policy() const override { return policy_; }
 
     void
     setCapacityBytes(std::int64_t capacity_bytes) override
@@ -80,7 +79,6 @@ class CacheBase : public EmbeddingCache
         evicted(rec.ref(id), rec.bytes);
     }
 
-    Policy policy_;
     std::int64_t capacity_ = 0;
     std::int64_t used_ = 0;
     CacheStats stats_;
@@ -541,13 +539,13 @@ makeCache(Policy policy, std::int64_t capacity_bytes)
 {
     switch (policy) {
     case Policy::Lru:
-        return std::make_unique<LruCache>(policy, capacity_bytes);
+        return std::make_unique<LruCache>(capacity_bytes);
     case Policy::Lfu:
-        return std::make_unique<LfuCache>(policy, capacity_bytes);
+        return std::make_unique<LfuCache>(capacity_bytes);
     case Policy::TwoQueue:
-        return std::make_unique<TwoQueueCache>(policy, capacity_bytes);
+        return std::make_unique<TwoQueueCache>(capacity_bytes);
     case Policy::Arc:
-        return std::make_unique<ArcCache>(policy, capacity_bytes);
+        return std::make_unique<ArcCache>(capacity_bytes);
     }
     return nullptr;
 }

@@ -22,10 +22,10 @@
  *    recency and frequency, so ARC tracks whichever of LRU/LFU the live
  *    workload currently rewards without a tuning knob.
  *
- * Eviction can be composed with an AdmissionFilter (cache/admission.h):
- * the filter vetoes the admission of cold rows when the cache is under
- * byte pressure, protecting any policy's resident set from one-hit
- * wonders (the TinyLFU doorkeeper).
+ * Any policy can sit behind the TinyLFU doorkeeper (cache/admission.h,
+ * makeCacheWithAdmission): it vetoes the admission of cold rows when the
+ * cache is under byte pressure, protecting the resident set from
+ * one-hit wonders.
  *
  * Caches are purely functional simulators: they track row *identities* and
  * byte sizes, never payloads, so replaying billion-access traces is cheap.
@@ -85,8 +85,8 @@ struct CacheStats
     std::int64_t misses = 0;
     std::int64_t evictions = 0;
     /**
-     * Misses whose admission an AdmissionFilter vetoed (the row was not
-     * cached). Zero for unwrapped caches.
+     * Misses whose admission the TinyLFU doorkeeper vetoed (the row was
+     * not cached; cache/admission.h). Zero without admission.
      */
     std::int64_t admission_rejects = 0;
 
@@ -246,8 +246,6 @@ class EmbeddingCache
      * its stored bytes — how callers attribute evictions per table.
      */
     void setEvictionHook(EvictionHook hook) { hook_ = std::move(hook); }
-
-    virtual Policy policy() const = 0;
 
     /**
      * Bytes of evicted-row *identities* remembered by the policy's ghost

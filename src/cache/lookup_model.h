@@ -62,8 +62,6 @@ class CachedLookupModel
     /** Access-weighted overall hit rate. */
     double overallHitRate() const { return overall_; }
 
-    const TierCosts &costs() const { return costs_; }
-
     /**
      * Blended per-lookup cost using the model's own hit cost. A table the
      * model has no data for (hasTable(table) == false) is priced

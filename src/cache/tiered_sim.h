@@ -130,8 +130,6 @@ class TieredCacheSim
      */
     CacheSimResult result();
 
-    const EmbeddingCache &cache() const { return *cache_; }
-
   private:
     /** Advance the replay position; returns the access's index. */
     std::size_t

@@ -72,16 +72,14 @@ class ParallelSweep
 
     /**
      * Run every cell and return results in grid order. The calling
-     * thread and up to threads() - 1 others (core::runConcurrently) claim
-     * cells from a shared atomic cursor (so a slow cell never
-     * serializes the pool) and write results by cell index. The first
-     * exception any cell throws is rethrown here after all threads
-     * join.
+     * thread and up to the constructor's `threads` - 1 others
+     * (core::runConcurrently) claim cells from a shared atomic cursor
+     * (so a slow cell never serializes the pool) and write results by
+     * cell index. The first exception any cell throws is rethrown here
+     * after all threads join.
      */
     std::vector<SweepResult> run(const std::vector<SweepCell> &cells,
                                  const CellRunner &runner) const;
-
-    int threads() const { return threads_; }
 
   private:
     int threads_;

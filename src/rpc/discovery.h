@@ -90,8 +90,6 @@ class ServiceDirectory
     /** Select the replica-choice policy (round-robin by default). */
     void setPolicy(LoadBalancePolicy policy, std::uint64_t seed = 0x10ad);
 
-    LoadBalancePolicy policy() const { return policy_; }
-
     /** Install (or clear, with nullptr) the live-load probe. */
     void setLoadProbe(LoadProbe probe);
 

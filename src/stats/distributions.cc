@@ -37,7 +37,7 @@ BoundedParetoSampler::sample(Rng &rng) const
 }
 
 ZipfSampler::ZipfSampler(std::size_t n, double s)
-    : scale_(4.0 * static_cast<double>(n)), s_(s)
+    : scale_(4.0 * static_cast<double>(n))
 {
     if (n == 0)
         throw std::invalid_argument("ZipfSampler: requires n > 0");

@@ -43,9 +43,6 @@ class LognormalSampler
         return std::exp(mu_ + sigma_ * gaussian(engine));
     }
 
-    double median() const { return median_; }
-    double sigma() const { return sigma_; }
-
   private:
     double median_;
     double sigma_;
@@ -63,9 +60,6 @@ class BoundedParetoSampler
     BoundedParetoSampler(double alpha, double lo, double hi);
 
     double sample(Rng &rng) const;
-
-    double lo() const { return lo_; }
-    double hi() const { return hi_; }
 
   private:
     double alpha_;
@@ -112,9 +106,6 @@ class ZipfSampler
         return k;
     }
 
-    std::size_t n() const { return cdf_.size(); }
-    double s() const { return s_; }
-
   private:
     std::vector<double> cdf_;
     /**
@@ -122,7 +113,6 @@ class ZipfSampler
      */
     std::vector<std::uint32_t> guide_;
     double scale_; //!< the bucket count 4n, as the query multiplies by it
-    double s_;
 };
 
 /**

@@ -91,11 +91,7 @@ synthesizeMixedTrace(const model::ModelSpec &spec,
                 0, static_cast<std::int64_t>(kWindowRows) - 1);
             row = (base + offset) % half;
         } else {
-            const std::size_t rank = zipf.sample(rng);
-            row = half + static_cast<std::int64_t>(
-                             (static_cast<std::uint64_t>(rank + 1) *
-                              0x9e3779b97f4a7c15ULL) %
-                             static_cast<std::uint64_t>(upper));
+            row = half + rowOfRank(zipf.sample(rng), upper);
         }
         trace.add(AccessRecord{static_cast<std::uint64_t>(i),
                                config.table_id, row});

@@ -102,7 +102,6 @@ class DiurnalLoadModel
     std::vector<Request> epochRequests(int epoch, std::size_t n) const;
 
     const DiurnalLoadConfig &config() const { return config_; }
-    const model::ModelSpec &spec() const { return spec_; }
 
   private:
     /** Copied, like CapacityPlanner and FleetSim: a model constructed

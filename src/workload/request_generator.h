@@ -86,8 +86,6 @@ class RequestGenerator
      */
     std::vector<double> estimatePoolingFactors(std::size_t n = 1000) const;
 
-    const model::ModelSpec &spec() const { return spec_; }
-
   private:
     const model::ModelSpec &spec_;
     GeneratorConfig config_;

@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "cache/admission.h"
@@ -280,19 +280,22 @@ TEST(CacheInvariants, BudgetAndGhostBoundsHoldThroughout)
 TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
 {
     cache::TinyLfuFilter sketch;
+    const std::uint64_t cold = cache::packRowKey(7, 777);
+    const std::uint64_t hot = cache::packRowKey(0, 42);
+    const std::uint64_t filler = cache::packRowKey(1, 7);
 
     // A never-seen key estimates 0 and is refused admission.
-    EXPECT_EQ(sketch.estimate(7, 777), 0);
-    EXPECT_FALSE(sketch.admit(7, 777, 128));
+    EXPECT_EQ(sketch.estimate(cold), 0);
+    EXPECT_FALSE(sketch.admit(cold));
 
     // A hot key hammered far past the 4-bit range never estimates
     // above 15 (saturation), no matter the access count.
     for (int i = 0; i < 900; ++i) {
-        sketch.onAccess(0, 42);
-        ASSERT_LE(sketch.estimate(0, 42), 15);
+        sketch.onAccess(hot);
+        ASSERT_LE(sketch.estimate(hot), 15);
     }
-    EXPECT_EQ(sketch.estimate(0, 42), 15);
-    EXPECT_TRUE(sketch.admit(0, 42, 128));
+    EXPECT_EQ(sketch.estimate(hot), 15);
+    EXPECT_TRUE(sketch.admit(hot));
 
     // Stop touching the hot key; after two aging periods its estimate
     // has halved twice (15 -> 7 -> 3): the sketch tracks the recent
@@ -301,14 +304,14 @@ TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
     const std::uint64_t agings_before = sketch.agings();
     for (std::uint64_t i = 0; i < 2 * cache::TinyLfuFilter::kSamplePeriod;
          ++i)
-        sketch.onAccess(1, 7);
+        sketch.onAccess(filler);
     EXPECT_EQ(sketch.agings(), agings_before + 2);
-    EXPECT_EQ(sketch.estimate(0, 42), 3);
+    EXPECT_EQ(sketch.estimate(hot), 3);
     // Halving keeps each 4-bit counter inside its own nibble: the filler
     // saturated again after its last halving, and a key never touched
     // still estimates zero.
-    EXPECT_EQ(sketch.estimate(1, 7), 15);
-    EXPECT_EQ(sketch.estimate(7, 777), 0);
+    EXPECT_EQ(sketch.estimate(filler), 15);
+    EXPECT_EQ(sketch.estimate(cold), 0);
 }
 
 /** The sketch's layout, pinned: a seeded Zipf stream over a key grid
@@ -319,32 +322,29 @@ TEST(TinyLfuSketch, CountsSaturateAndHalvingDecaysThem)
 TEST(TinyLfuSketch, LayoutDigestIsPinned)
 {
     constexpr std::int64_t kRowLimit = std::int64_t{1} << 48;
-    std::vector<std::pair<int, std::int64_t>> grid;
+    std::vector<std::uint64_t> grid;
     for (const int table : {0, 1, 2, 3, 65535})
         for (std::int64_t r = 0; r < 1024; ++r) {
-            grid.emplace_back(table, r);
-            grid.emplace_back(table, kRowLimit - 1 - r);
+            grid.push_back(cache::packRowKey(table, r));
+            grid.push_back(cache::packRowKey(table, kRowLimit - 1 - r));
         }
     cache::TinyLfuFilter sketch;
     const stats::ZipfSampler zipf(grid.size(), 1.1);
     stats::Rng rng(47);
     for (std::uint64_t i = 0;
-         i < 3 * cache::TinyLfuFilter::kSamplePeriod + 20011; ++i) {
-        const auto &[table, row] = grid[zipf.sample(rng)];
-        sketch.onAccess(table, row);
-    }
+         i < 3 * cache::TinyLfuFilter::kSamplePeriod + 20011; ++i)
+        sketch.onAccess(grid[zipf.sample(rng)]);
     stats::Fnv fnv;
-    for (const auto &[table, row] : grid)
-        fnv.add(sketch.estimate(table, row));
+    for (const std::uint64_t key : grid)
+        fnv.add(sketch.estimate(key));
     fnv.add(static_cast<std::int64_t>(sketch.agings()));
     EXPECT_EQ(fnv.h, 0xf2cffb5f13c771a2ULL);
 }
 
-TEST(AdmissionWrapper, DelegatesResidencyAndPolicy)
+TEST(AdmissionWrapper, DelegatesResidency)
 {
     testutil::NumberedCache cache(cache::makeCacheWithAdmission(
         Policy::TwoQueue, 4096, Admission::TinyLfu));
-    EXPECT_EQ(cache->policy(), Policy::TwoQueue);
     EXPECT_EQ(cache->capacityBytes(), 4096);
     // Free space: even a first-touch row is admitted (no pressure).
     EXPECT_FALSE(cache.access(0, 1, 128));
@@ -352,6 +352,39 @@ TEST(AdmissionWrapper, DelegatesResidencyAndPolicy)
     EXPECT_TRUE(cache.access(0, 1, 128));
     EXPECT_EQ(cache->stats().hits, 1);
     EXPECT_EQ(cache->stats().accesses, 2);
+}
+
+/** A budget of zero or below holds nothing under every admission: the
+ *  W-TinyLFU window never takes more bytes than the total, at
+ *  construction or when setCapacityBytes() re-splits the budget. */
+TEST(AdmissionWrapper, NoBudgetHoldsNothing)
+{
+    // Three accesses: the doorkeeper has seen the row enough to admit it.
+    const auto holdsNothing = [](testutil::NumberedCache &cache) {
+        for (int i = 0; i < 3; ++i)
+            EXPECT_FALSE(cache.access(0, 1, 1));
+        EXPECT_FALSE(cache.contains(0, 1));
+        EXPECT_EQ(cache->residentRows(), 0u);
+        EXPECT_EQ(cache->usedBytes(), 0);
+    };
+    for (const auto policy :
+         {Policy::Lru, Policy::Lfu, Policy::TwoQueue, Policy::Arc})
+        for (const auto admission :
+             {Admission::None, Admission::TinyLfu, Admission::WTinyLfu})
+            for (const std::int64_t budget : {0, -64}) {
+                SCOPED_TRACE(cache::policyName(policy) + "/" +
+                             cache::admissionName(admission) + " budget " +
+                             std::to_string(budget));
+                testutil::NumberedCache cache(
+                    cache::makeCacheWithAdmission(policy, budget, admission));
+                EXPECT_EQ(cache->capacityBytes(), 0);
+                holdsNothing(cache);
+            }
+    testutil::NumberedCache cache(
+        cache::makeCacheWithAdmission(Policy::Lru, 4096, Admission::WTinyLfu));
+    cache->setCapacityBytes(0);
+    EXPECT_EQ(cache->capacityBytes(), 0);
+    holdsNothing(cache);
 }
 
 } // namespace
