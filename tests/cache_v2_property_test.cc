@@ -9,7 +9,9 @@
  *    equal byte budget (up to a one-access admission lag), for every
  *    eviction policy it wraps.
  *  - Structural invariants: byte budgets and ghost-list bounds hold at
- *    every access; the 4-bit sketch stays bounded and actually ages.
+ *    every access, and a budget of zero holds nothing under any
+ *    admission; the 4-bit sketch stays bounded, actually ages and
+ *    keeps its pinned layout.
  */
 #include <gtest/gtest.h>
 
