@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the online-analysis half of the observability layer:
- * the rolling histogram window (windowed quantiles via bucket merge,
- * O(1) slot-reuse eviction, stale-sample drops), the SLO burn-rate
+ * the rolling histogram window (windowed quantiles equal to those of
+ * the merged live buckets, O(1) slot-reuse eviction, stale-sample
+ * drops), the SLO burn-rate
  * monitor's alert lifecycle (pending/firing/cancelled/resolved,
  * multi-window gating, hysteresis, budget accounting), and the
  * EWMA+MAD robust z-score detector with its ground-truth scoring
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -91,6 +93,49 @@ TEST(RollingHistogram, StaleObservationDoesNotWipeTheLiveBucket)
     h.observe(19.0, 3000); // period 9: late but live — kept
     EXPECT_EQ(h.count(21.0), 2u);
     EXPECT_EQ(h.droppedStale(), 1u);
+}
+
+// The windowed quantile equals the quantile of the merged live buckets
+// bit for bit, over seeded out-of-order streams that cross many slots
+// and wrap the ring several times, read at each sample's own (possibly
+// late) time so every subset of live slots comes up, and past the last
+// sample as the window drains.
+TEST(RollingHistogram, WindowedQuantileEqualsTheMergedHistogram)
+{
+    std::mt19937_64 rng(0x7a11);
+    for (const unsigned bits : {0u, 5u, 16u}) {
+        obs::RollingHistogram h({/*horizon_s=*/1.0, /*buckets=*/8}, bits);
+        double clock = 0.0;
+        std::size_t reads = 0;
+        const auto check = [&](double t) {
+            const obs::Histogram merged = h.merged(t);
+            for (const double q : {0.0, 1e-9, 0.5, 0.99, 1.0}) {
+                const double want =
+                    merged.count() > 0 ? merged.valueAtQuantile(q) : -1.0;
+                EXPECT_EQ(h.valueAtQuantile(t, q, -1.0), want)
+                    << "bits " << bits << " t " << t << " q " << q;
+            }
+            ++reads;
+        };
+        for (int i = 0; i < 2000; ++i) {
+            clock += static_cast<double>(rng() % 1000) * 2e-6; // ~1 ms
+            // A quarter of the samples land late, some by more than a
+            // horizon (dropped as stale).
+            const double late =
+                rng() % 4 == 0 ? static_cast<double>(rng() % 1200) * 1e-3
+                               : 0.0;
+            const double t = std::max(0.0, clock - late);
+            // Up to 2^18: two octaves past the finest geometry's 2^16
+            // unit buckets.
+            h.observe(t, static_cast<std::int64_t>(rng() >> (46 + rng() % 18)));
+            if (i % (bits == 16 ? 31 : 5) == 0) // 16 bits: MiB-sized merges
+                check(t);
+        }
+        for (double t = clock; t < clock + 1.2; t += 0.05)
+            check(t);
+        EXPECT_GT(h.droppedStale(), 0u);
+        EXPECT_GT(reads, 80u);
+    }
 }
 
 // ---------------------------------------------------------------------------

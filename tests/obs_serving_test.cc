@@ -25,6 +25,7 @@
 #include "obs/timeseries.h"
 #include "sched/batcher.h"
 #include "sched/capacity_search.h"
+#include "span_digest.h"
 #include "workload/request_generator.h"
 
 namespace {
@@ -38,6 +39,42 @@ testRequests(const model::ModelSpec &spec, std::size_t n)
     gc.seed = 0xbeef;
     workload::RequestGenerator gen(spec, gc);
     return gen.generate(n);
+}
+
+/**
+ * FNV digest of everything a sampler retained: each trace's request id,
+ * keep class and e2e, every field of its spans, then every SamplerStats
+ * counter.
+ */
+std::uint64_t
+retainedDigest(const obs::TraceSampler &sampler)
+{
+    testutil::Digest d;
+    for (const obs::RetainedTrace &t : sampler.retained()) {
+        d.mix(t.request_id);
+        d.mix(static_cast<std::uint64_t>(t.keep_class));
+        d.mixInt(t.e2e);
+        d.mix(t.spans.size());
+        for (const obs::SpanRecord &sp : t.spans) {
+            d.mix(sp.request_id);
+            d.mix(sp.id);
+            d.mix(sp.parent);
+            d.mix(static_cast<std::uint64_t>(sp.kind));
+            d.mix(sp.flags);
+            d.mixInt(sp.shard);
+            d.mixInt(sp.net);
+            d.mixInt(sp.batch);
+            d.mixInt(sp.begin);
+            d.mixInt(sp.end);
+        }
+    }
+    const obs::SamplerStats &st = sampler.stats();
+    for (const std::uint64_t c :
+         {st.roots_closed, st.kept_flagged, st.kept_tail, st.kept_reservoir,
+          st.recycled, st.budget_evictions, st.budget_rejected,
+          st.stale_span_drops})
+        d.mix(c);
+    return d.h;
 }
 
 /**
@@ -201,11 +238,13 @@ TEST(ObsServing, EngineProfileCountsEveryEventExactlyOnce)
  * hedged with the pooled-result cache, 600 requests of the bench
  * request stream at 1500 qps. The same schedule runs untraced with
  * profiling, traced, and traced with the tail sampler and a rolling
- * latency feed, and every deterministic count each run produces is
- * pinned: events per tag, the event set's high-water mark, the hedge
- * outcome counters, spans, retained traces and bytes, and the
- * per-request critical-path buckets. Any change to the schedule moves
- * one of them.
+ * latency feed (once with a window longer than the run, once with a
+ * short ring of live slots), and every deterministic count each run
+ * produces is pinned: events per tag, the event set's high-water mark,
+ * the hedge outcome counters, spans, retained traces and bytes, a
+ * digest of every retained trace and sampler counter, the ring
+ * window's quantile reads, and the per-request critical-path buckets.
+ * Any change to the schedule moves one of them.
  */
 TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
 {
@@ -276,6 +315,36 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     EXPECT_EQ(sampler.retainedBytes(), 504288u);
     EXPECT_EQ(sampler.stats().recycled, 463u);
     EXPECT_EQ(sampler.arenaSlots(), 59u);
+    EXPECT_EQ(retainedDigest(sampler), 0x7c17693f3478cf36ull);
+
+    // The same replay against a short window: 8 slots of 25 ms over a
+    // ~0.4 s run, so most tail thresholds are read across several live
+    // slots, and slots expire and are reused while the run goes on. Its
+    // thresholds make the same keep decisions as the long window's, so
+    // the retained digest is the same; the window reads pin the walk.
+    obs::TraceSampler ring_sampler(sampler_cfg);
+    obs::SpanTracer ring_tracer;
+    ring_tracer.setSampler(&ring_sampler);
+    obs::WindowConfig ring_cfg;
+    ring_cfg.horizon_s = 0.2;
+    ring_cfg.buckets = 8;
+    obs::RollingHistogram ring_feed(ring_cfg);
+    ring_sampler.setLatencyFeed(&ring_feed);
+    core::ServingSimulation ring(spec, plan, config(&ring_tracer));
+    ring.replayOpenLoop(requests, 1500.0);
+    EXPECT_EQ(ring_feed.droppedStale(), 0u);
+    EXPECT_EQ(retainedDigest(ring_sampler), 0x7c17693f3478cf36ull);
+    // The window as left behind, read every 2.5 ms from 0 to 0.2 s past
+    // the last decision: each read sums a different set of live slots.
+    testutil::Digest reads;
+    const double end_s = static_cast<double>(ring.engine().now()) * 1e-9;
+    for (int i = 0; i * 0.0025 <= end_s + 0.2; ++i) {
+        const double t = i * 0.0025;
+        reads.mix(ring_feed.count(t));
+        for (const double q : {0.5, obs::TraceSampler::kTailQuantile, 1.0})
+            reads.mixDouble(ring_feed.valueAtQuantile(t, q, -1.0));
+    }
+    EXPECT_EQ(reads.h, 0x9c970a764e6175a0ull);
 }
 
 /**

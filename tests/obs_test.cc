@@ -5,11 +5,15 @@
  * critical-path extraction on a hand-built span tree, conservation
  * checking, Chrome trace export sanity, the Fig. 3 ASCII timeline, and
  * the histogram's edge cases (bucket boundaries, quantiles, merging,
- * the sub_bucket_bits bound).
+ * the sub_bucket_bits bound) and its quantile walk against a reference
+ * bottom-up walk over seeded random histograms.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -518,6 +522,67 @@ TEST(Histogram, BucketCountsSumToTheObservationCount)
     EXPECT_EQ(sum, h.count());
     EXPECT_EQ(h.bucketCount(h.bucketIndex(h.max()) + 1), 0u);
     EXPECT_EQ(obs::Histogram{}.bucketCount(0), 0u);
+}
+
+/**
+ * Reference quantile: walk the buckets bottom-up to the one holding the
+ * rank, then interpolate by the rank's position inside it, clamped to
+ * [min, max].
+ */
+double
+bottomUpQuantile(const obs::Histogram &h, double q)
+{
+    if (h.count() == 0)
+        return 0.0;
+    q = std::min(1.0, std::max(0.0, q));
+    const double target = q * static_cast<double>(h.count());
+    const auto rank =
+        static_cast<std::uint64_t>(std::max(1.0, std::ceil(target)));
+    std::uint64_t seen = 0;
+    for (std::size_t i = 0; i <= h.bucketIndex(h.max()); ++i) {
+        const std::uint64_t n = h.bucketCount(i);
+        if (n == 0)
+            continue;
+        if (seen + n < rank) {
+            seen += n;
+            continue;
+        }
+        const auto lo = static_cast<double>(h.bucketLowerBound(i));
+        const auto hi = static_cast<double>(h.bucketLowerBound(i + 1));
+        const double into =
+            (target - static_cast<double>(seen)) / static_cast<double>(n);
+        const double v = lo + (hi - lo) * std::min(1.0, std::max(0.0, into));
+        return std::min(static_cast<double>(h.max()),
+                        std::max(static_cast<double>(h.min()), v));
+    }
+    return static_cast<double>(h.max());
+}
+
+// valueAtQuantile returns the reference walk's double bit for bit, over
+// seeded histograms of every size from one sample up, values spread
+// across many octaves (zeros and repeats included), and each geometry
+// from octave buckets to the finest.
+TEST(Histogram, ValueAtQuantileEqualsTheBottomUpWalk)
+{
+    std::mt19937_64 rng(0x9157);
+    for (const unsigned bits : {0u, 5u, 16u}) {
+        for (const std::size_t n : {1u, 2u, 3u, 17u, 100u, 999u, 5000u}) {
+            obs::Histogram h(bits);
+            for (std::size_t i = 0; i < n; ++i) {
+                // Up to 2^28: every octave from 0 to 28 is reachable.
+                const std::int64_t v =
+                    rng() % 8 == 0
+                        ? 0
+                        : static_cast<std::int64_t>(rng() >> (36 + rng() % 28));
+                h.observe(v);
+                if (rng() % 4 == 0)
+                    h.observe(v);
+            }
+            for (const double q : {0.0, 1e-9, 0.5, 0.99, 1.0})
+                EXPECT_EQ(h.valueAtQuantile(q), bottomUpQuantile(h, q))
+                    << "bits " << bits << " n " << n << " q " << q;
+        }
+    }
 }
 
 } // namespace

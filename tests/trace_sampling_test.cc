@@ -5,6 +5,8 @@
  *  - TraceSampler keep/recycle semantics driven through a SpanTracer:
  *    flagged and tail keeps, deterministic reservoir across reruns,
  *    budget eviction ordered by keep class, bounded arena recycling.
+ *  - SpanTracer edge cases: debris recorded into a sealed tree, an
+ *    out-of-range coordinate, and when a fault flag counts.
  *  - The RollingHistogram dropped_stale counter.
  *  - Perfetto flow events: a hedged replay's chrome trace links each
  *    hedge attempt back to its primary with s/f flow events.
@@ -355,6 +357,134 @@ TEST(SpanTracer, TreeLocalIndexOverflowThrows)
     EXPECT_THROW(tracer.begin(7, obs::SpanKind::QueueWait, root, 0),
                  std::length_error);
     EXPECT_EQ(tracer.openCount(), kLocalMax);
+}
+
+// A record() under a sealed tree is late debris, like a begin(): it is
+// dropped, counted, and appends nothing.
+TEST(SpanTracer, RecordIntoASealedTreeIsDroppedAndCounted)
+{
+    obs::SamplerConfig cfg;
+    cfg.reservoir_size = 0;
+    obs::TraceSampler sampler(cfg);
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+    const auto root = tracer.begin(5, obs::SpanKind::Request, obs::kNoSpan, 0);
+    const auto child = tracer.begin(5, obs::SpanKind::RpcOp, root, 10);
+    tracer.end(root, 100); // decided; the open child keeps it unsealed
+    EXPECT_NE(tracer.record(5, obs::SpanKind::WireOut, child, 20, 30),
+              obs::kNoSpan);
+    tracer.end(child, 120); // last span closed: sealed and recycled
+    EXPECT_EQ(sampler.stats().recycled, 1u);
+    const auto allocations = tracer.allocations();
+
+    EXPECT_EQ(tracer.record(5, obs::SpanKind::WireBack, child, 130, 140),
+              obs::kNoSpan);
+    EXPECT_EQ(tracer.record(5, obs::SpanKind::QueueWait, root, 130, 140),
+              obs::kNoSpan);
+    EXPECT_EQ(sampler.stats().stale_span_drops, 2u);
+    EXPECT_EQ(tracer.allocations(), allocations);
+    EXPECT_EQ(tracer.openCount(), 0u);
+    EXPECT_TRUE(sampler.retained().empty());
+}
+
+// A coordinate that does not fit a span's int16 field throws before
+// anything is appended: the tree and the append count stay as they were,
+// through begin() and record() alike.
+TEST(SpanTracer, OutOfRangeCoordinateLeavesTheTreeUnchanged)
+{
+    obs::SamplerConfig cfg;
+    cfg.reservoir_size = 0;
+    obs::TraceSampler sampler(cfg);
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+    const auto root = tracer.begin(9, obs::SpanKind::Request, obs::kNoSpan, 0);
+    const obs::TraceSampler::Tree *tree = sampler.treeAt(0);
+    ASSERT_NE(tree, nullptr);
+    ASSERT_EQ(tree->spans.size(), 1u);
+
+    EXPECT_THROW(tracer.begin(9, obs::SpanKind::RpcOp, root, 5,
+                              /*shard=*/40000, -1, -1, obs::kFlagFault),
+                 std::out_of_range);
+    EXPECT_THROW(tracer.record(9, obs::SpanKind::WireOut, root, 5, 6, 0,
+                               /*net=*/-40000, -1, obs::kFlagFault),
+                 std::out_of_range);
+    EXPECT_THROW(tracer.record(9, obs::SpanKind::WireOut, root, 5, 6, 0, 0,
+                               /*batch=*/1 << 16, obs::kFlagFault),
+                 std::out_of_range);
+    EXPECT_EQ(tracer.allocations(), 1u);
+    EXPECT_EQ(tracer.openCount(), 1u);
+    EXPECT_EQ(tree->spans.size(), 1u);
+    EXPECT_EQ(tree->open, 1u);
+
+    // The rejected spans' fault flags never reached the tree.
+    tracer.end(root, 50);
+    EXPECT_EQ(sampler.stats().recycled, 1u);
+    EXPECT_EQ(sampler.stats().kept_flagged, 0u);
+}
+
+// kFlagFault flags the root when it is on the tree by the time the root
+// closes, however it got there: end()'s add_flags on a child, a closed
+// record(), or a begin(). One that arrives after the decision, or on a
+// span that already closed, does not change the class.
+TEST(TraceSampler, FaultFlagsPresentAtTheDecisionDecide)
+{
+    obs::SamplerConfig cfg;
+    cfg.reservoir_size = 0;
+    obs::TraceSampler sampler(cfg);
+    obs::SpanTracer tracer;
+    tracer.setSampler(&sampler);
+    const auto keptAs = [&sampler](std::uint64_t request_id) {
+        for (const auto &rt : sampler.retained())
+            if (rt.request_id == request_id)
+                return rt.keep_class;
+        return obs::KeepClass::Recycled;
+    };
+
+    // Through end()'s add_flags, two levels below the root.
+    auto root = tracer.begin(1, obs::SpanKind::Request, obs::kNoSpan, 0);
+    auto op = tracer.begin(1, obs::SpanKind::RpcOp, root, 1);
+    auto attempt = tracer.begin(1, obs::SpanKind::RpcAttempt, op, 2);
+    tracer.end(attempt, 3, obs::kFlagFault);
+    tracer.end(op, 4);
+    tracer.end(root, 5);
+    EXPECT_EQ(keptAs(1), obs::KeepClass::Flagged);
+
+    // Through a closed record().
+    root = tracer.begin(2, obs::SpanKind::Request, obs::kNoSpan, 0);
+    tracer.record(2, obs::SpanKind::RpcAttempt, root, 1, 2, 0, 0, -1,
+                  obs::kFlagFault);
+    tracer.end(root, 5);
+    EXPECT_EQ(keptAs(2), obs::KeepClass::Flagged);
+
+    // Through begin(), on a child still open when the root closes.
+    root = tracer.begin(3, obs::SpanKind::Request, obs::kNoSpan, 0);
+    attempt = tracer.begin(3, obs::SpanKind::RpcAttempt, root, 1, 0, 0, -1,
+                           obs::kFlagFault);
+    tracer.end(root, 5);
+    tracer.end(attempt, 6);
+    EXPECT_EQ(keptAs(3), obs::KeepClass::Flagged);
+
+    // After the decision: debris that closes (or is recorded) with
+    // kFlagFault once the root has closed leaves the class as decided.
+    root = tracer.begin(4, obs::SpanKind::Request, obs::kNoSpan, 0);
+    attempt = tracer.begin(4, obs::SpanKind::RpcAttempt, root, 1);
+    tracer.end(root, 5);
+    tracer.record(4, obs::SpanKind::WireBack, attempt, 5, 6, 0, 0, -1,
+                  obs::kFlagFault);
+    tracer.end(attempt, 7, obs::kFlagFault);
+    EXPECT_EQ(keptAs(4), obs::KeepClass::Recycled);
+
+    // A second end() on a closed span is ignored, flags included.
+    root = tracer.begin(5, obs::SpanKind::Request, obs::kNoSpan, 0);
+    op = tracer.begin(5, obs::SpanKind::RpcOp, root, 1);
+    tracer.end(op, 2);
+    tracer.end(op, 3, obs::kFlagFault);
+    tracer.end(root, 5);
+    EXPECT_EQ(keptAs(5), obs::KeepClass::Recycled);
+
+    EXPECT_EQ(sampler.stats().kept_flagged, 3u);
+    EXPECT_EQ(sampler.stats().recycled, 2u);
+    EXPECT_EQ(tracer.openCount(), 0u);
 }
 
 // ---------------------------------------------------------------------------
