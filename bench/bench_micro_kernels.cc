@@ -13,7 +13,9 @@
  * structures of the hedged open loop: the hedge deadline and the
  * pooled-result cache.
  * The EpochRequests and PlanReplicaVector rows time the fleet's per-epoch
- * request stream and its capacity planner (fleet.decide's plans).
+ * request stream and its capacity planner (fleet.decide's plans), and
+ * the SampledSegment rows one fleet segment's replay untraced and under
+ * the fleet's production trace sampling.
  */
 #include <benchmark/benchmark.h>
 
@@ -28,6 +30,9 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
+#include "obs/sampler.h"
+#include "obs/span_tracer.h"
+#include "obs/timeseries.h"
 #include "rpc/hedge.h"
 #include "rpc/result_cache.h"
 #include "sim/engine.h"
@@ -405,8 +410,9 @@ BENCHMARK(BM_EpochRequests);
  * planner over the fleet study hedged as in bench_chaos_suite. The
  * planner is built outside the timed region. items/s = plans/s.
  */
-void
-BM_PlanReplicaVector(benchmark::State &state)
+/** The fleet study hedged as in bench_chaos_suite, built once. */
+const fleet::FleetStudy &
+hedgedFleetStudy()
 {
     static const fleet::FleetStudy study = [] {
         fleet::FleetStudy s = fleet::makeFleetStudy(false);
@@ -416,6 +422,13 @@ BM_PlanReplicaVector(benchmark::State &state)
         s.serving.hedge.max_hedge_fraction = 0.10;
         return s;
     }();
+    return study;
+}
+
+void
+BM_PlanReplicaVector(benchmark::State &state)
+{
+    const fleet::FleetStudy &study = hedgedFleetStudy();
     const workload::DiurnalLoadModel load(study.spec, study.load);
     const auto planning =
         load.epochRequests(0, study.planner.planning_requests);
@@ -430,6 +443,52 @@ BM_PlanReplicaVector(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PlanReplicaVector)->Unit(benchmark::kMillisecond);
+
+/**
+ * One fleet segment: the hedged fleet study (DRM2 capacity-balanced over
+ * 4 shards) replays one epoch's 280 requests at 450 qps on the replica
+ * vector its planner picks for that rate. Arg 0 runs untraced; arg 1
+ * samples traces as FleetSim::runSegment does, with a per-epoch
+ * kTracePerEpochByteBudget sampler and a default rolling window as its
+ * latency feed. The simulation, tracer and sampler are built in the
+ * timed region, as each segment builds them. items/s = requests/s.
+ */
+void
+BM_SampledSegment(benchmark::State &state)
+{
+    const fleet::FleetStudy &study = hedgedFleetStudy();
+    const workload::DiurnalLoadModel load(study.spec, study.load);
+    const auto requests = load.epochRequests(0, 280);
+    core::ServingConfig cfg = study.serving;
+    cfg.sparse_replicas_per_shard =
+        fleet::CapacityPlanner(
+            study.spec, study.plan, study.serving, study.planner,
+            load.epochRequests(0, study.planner.planning_requests))
+            .replicaVectorFor(450.0);
+    const bool sampled = state.range(0) != 0;
+    std::size_t retained = 0;
+    for (auto _ : state) {
+        obs::SamplerConfig sc;
+        sc.reservoir_size = 8; // FleetSim's per-epoch reservoir
+        sc.retained_byte_budget = fleet::kTracePerEpochByteBudget;
+        obs::TraceSampler sampler(sc);
+        obs::SpanTracer tracer;
+        tracer.setSampler(&sampler);
+        obs::RollingHistogram feed;
+        core::ServingConfig run = cfg;
+        if (sampled) {
+            sampler.setLatencyFeed(&feed);
+            run.tracer = &tracer;
+        }
+        core::ServingSimulation sim(study.spec, study.plan, run);
+        benchmark::DoNotOptimize(sim.replayOpenLoop(requests, 450.0));
+        retained = sampler.retained().size();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(requests.size()));
+    state.counters["retained"] = static_cast<double>(retained);
+}
+BENCHMARK(BM_SampledSegment)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
