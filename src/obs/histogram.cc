@@ -1,7 +1,6 @@
 #include "obs/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -18,22 +17,6 @@ Histogram::Histogram(unsigned sub_bucket_bits)
     sub_ = std::int64_t{1} << sub_bucket_bits;
 }
 
-namespace {
-
-/** Position of the most significant set bit (value must be > 0). */
-unsigned
-msb(std::int64_t value)
-{
-    unsigned pos = 0;
-    while (value > 1) {
-        value >>= 1;
-        ++pos;
-    }
-    return pos;
-}
-
-} // namespace
-
 std::size_t
 Histogram::bucketIndex(std::int64_t value) const
 {
@@ -41,7 +24,11 @@ Histogram::bucketIndex(std::int64_t value) const
         value = 0;
     if (value < sub_)
         return static_cast<std::size_t>(value);
-    const unsigned top = msb(value) - sub_bucket_bits_;
+    // value >= sub_ >= 1 here, so it has a most significant set bit.
+    const unsigned msb =
+        63u - static_cast<unsigned>(
+                  __builtin_clzll(static_cast<std::uint64_t>(value)));
+    const unsigned top = msb - sub_bucket_bits_;
     return static_cast<std::size_t>(
         (static_cast<std::int64_t>(top) << sub_bucket_bits_) +
         ((value >> top) - sub_) + sub_);
@@ -73,37 +60,6 @@ Histogram::observe(std::int64_t value)
         max_ = value;
     sum_ += value;
     ++count_;
-}
-
-double
-Histogram::valueAtQuantile(double q) const
-{
-    if (count_ == 0)
-        return 0.0;
-    q = std::min(1.0, std::max(0.0, q));
-    const double target = q * static_cast<double>(count_);
-    const auto rank = static_cast<std::uint64_t>(
-        std::max(1.0, std::ceil(target)));
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        if (buckets_[i] == 0)
-            continue;
-        if (seen + buckets_[i] < rank) {
-            seen += buckets_[i];
-            continue;
-        }
-        // Rank lands in bucket i: interpolate by fractional rank
-        // position across the bucket's value range [lo, hi).
-        const auto lo = static_cast<double>(bucketLowerBound(i));
-        const auto hi = static_cast<double>(bucketLowerBound(i + 1));
-        const double into =
-            (target - static_cast<double>(seen)) /
-            static_cast<double>(buckets_[i]);
-        const double v = lo + (hi - lo) * std::min(1.0, std::max(0.0, into));
-        return std::min(static_cast<double>(max_),
-                        std::max(static_cast<double>(min_), v));
-    }
-    return static_cast<double>(max_);
 }
 
 void

@@ -9,6 +9,8 @@
  */
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -47,8 +49,27 @@ class Histogram
      * log-linear bucket widths are bounded by 2^-sub_bucket_bits of
      * their lower bound, the result is within that relative error of
      * the exact order statistic; clamped to the observed [min, max].
+     * The holding bucket is found walking down from the highest one,
+     * so a tail quantile reads only the buckets above it; the bucket
+     * and the count below it, hence the result, are those of a walk up
+     * from bucket 0.
      */
-    double valueAtQuantile(double q) const;
+    double valueAtQuantile(double q) const
+    {
+        return quantileOfSum([this](auto &&visit) { visit(*this); }, q,
+                             0.0);
+    }
+
+    /**
+     * valueAtQuantile() of the sum of several histograms of one
+     * sub_bucket_bits, read without building that sum: the same double
+     * their merge() would answer. `parts(visit)` must call
+     * visit(const Histogram &) once per part. An empty sum reads
+     * @p empty_value.
+     */
+    template <class Parts>
+    static double quantileOfSum(const Parts &parts, double q,
+                                double empty_value);
 
     /** Bucket index a value lands in (exposed for boundary tests). */
     std::size_t bucketIndex(std::int64_t value) const;
@@ -74,5 +95,57 @@ class Histogram
     std::int64_t min_ = 0;
     std::int64_t max_ = 0;
 };
+
+template <class Parts>
+double
+Histogram::quantileOfSum(const Parts &parts, double q, double empty_value)
+{
+    const Histogram *geometry = nullptr;
+    std::uint64_t count = 0;
+    std::int64_t min = 0;
+    std::int64_t max = 0;
+    std::size_t end = 0;
+    parts([&](const Histogram &h) {
+        if (h.count_ == 0)
+            return;
+        if (count == 0 || h.min_ < min)
+            min = h.min_;
+        max = std::max(max, h.max_);
+        count += h.count_;
+        end = std::max(end, h.buckets_.size());
+        geometry = &h;
+    });
+    if (count == 0)
+        return empty_value;
+    q = std::min(1.0, std::max(0.0, q));
+    const double target = q * static_cast<double>(count);
+    const auto rank = static_cast<std::uint64_t>(
+        std::max(1.0, std::ceil(target)));
+    // Walk down: the holding bucket is the highest non-empty one with
+    // fewer than `rank` observations below it.
+    std::uint64_t above = 0;
+    for (std::size_t i = end; i-- > 0;) {
+        std::uint64_t n = 0;
+        parts([&](const Histogram &h) { n += h.bucketCount(i); });
+        if (n == 0)
+            continue;
+        const std::uint64_t seen = count - above - n;
+        if (seen >= rank) {
+            above += n;
+            continue;
+        }
+        // Interpolate by fractional rank position across the bucket's
+        // value range [lo, hi).
+        const auto lo = static_cast<double>(geometry->bucketLowerBound(i));
+        const auto hi =
+            static_cast<double>(geometry->bucketLowerBound(i + 1));
+        const double into = (target - static_cast<double>(seen)) /
+                            static_cast<double>(n);
+        const double v = lo + (hi - lo) * std::min(1.0, std::max(0.0, into));
+        return std::min(static_cast<double>(max),
+                        std::max(static_cast<double>(min), v));
+    }
+    return static_cast<double>(max);
+}
 
 } // namespace dri::obs

@@ -31,6 +31,7 @@ TraceSampler::acquireTree(std::uint64_t request_id)
     t->open = 0;
     t->decided = false;
     t->keep_class = KeepClass::Recycled;
+    t->span_flags = kFlagNone;
     t->spans.clear(); // capacity retained: the pool recycle protocol
     return t;
 }
@@ -38,13 +39,8 @@ TraceSampler::acquireTree(std::uint64_t request_id)
 bool
 TraceSampler::rootFlagged(const Tree &tree) const
 {
-    const SpanRecord &root = tree.spans.front();
-    if ((root.flags & (kFlagShed | kFlagHedge)) != 0)
-        return true;
-    for (const SpanRecord &s : tree.spans)
-        if ((s.flags & kFlagFault) != 0)
-            return true;
-    return false;
+    return (tree.spans.front().flags & (kFlagShed | kFlagHedge)) != 0 ||
+           (tree.span_flags & kFlagFault) != 0;
 }
 
 sim::Duration

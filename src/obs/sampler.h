@@ -19,10 +19,13 @@
  *
  *  1. **Flagged** — the closed root carries kFlagShed (the request was
  *     shed) or kFlagHedge (a hedge backup won at least one of its
- *     races), or any span recorded so far in the tree carries
- *     kFlagFault (an attempt hit a dead/partitioned/unresolvable
- *     target). Fault debris that closes after the root close is graded
- *     best-effort: flags present at decision time decide.
+ *     races), or any span of the tree carries kFlagFault (an attempt
+ *     hit a dead/partitioned/unresolvable target) when the root
+ *     closes, whether the flag came with the span's begin(), its
+ *     record() or its end(). The tree keeps the OR of its spans' flags,
+ *     so the check is O(1). Flags present at decision time decide: a
+ *     fault on debris that closes after the root does not change the
+ *     class.
  *  2. **Tail** — the root's duration meets the rolling
  *     TraceSampler::kTailQuantile threshold read from the window
  *     attached with TraceSampler::setLatencyFeed(). After judging a
@@ -154,6 +157,12 @@ class TraceSampler
         std::uint32_t open = 0;
         bool decided = false;
         KeepClass keep_class = KeepClass::Recycled;
+        /**
+         * OR of the flags of every span in the tree so far, kept by the
+         * tracer as spans are appended and closed: the fault check at
+         * decision time reads it instead of scanning the spans.
+         */
+        std::uint8_t span_flags = kFlagNone;
         std::vector<SpanRecord> spans; //!< tree-local ids (index + 1)
     };
 

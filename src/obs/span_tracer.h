@@ -82,7 +82,11 @@ class SpanTracer
     /** Close an open span at @p at, OR-ing @p add_flags in. */
     void end(SpanId id, sim::SimTime at, std::uint8_t add_flags = kFlagNone);
 
-    /** Record a span whose begin and end are both already known. */
+    /**
+     * Record a span whose begin and end are both already known: one
+     * append of a closed span, with begin()'s ids, throws and stale-
+     * parent drop. A closed root is decided (and sealed) at once.
+     */
     SpanId record(std::uint64_t request_id, SpanKind kind, SpanId parent,
                   sim::SimTime begin, sim::SimTime end,
                   int shard = kMainShard, int net = -1, int batch = -1,
@@ -136,6 +140,19 @@ class SpanTracer
 
     /** Resolve a handle to its live tree + record (nullptr if stale). */
     SpanRecord *resolve(SpanId id, TraceSampler::Tree **tree_out);
+
+    /**
+     * File @p rec under @p parent (a new tree when kNoSpan) and return
+     * its handle and tree; kNoSpan if the parent's tree was sealed.
+     */
+    SpanId append(SpanRecord rec, SpanId parent,
+                  TraceSampler::Tree **tree_out);
+
+    /** Open a root span's tree (and the keep-all store, if none yet). */
+    TraceSampler::Tree *openTree(std::uint64_t request_id);
+
+    /** After @p closed closes: decide a root, seal a finished tree. */
+    void settle(TraceSampler::Tree *tree, const SpanRecord &closed);
 
     bool enabled_;
     TraceSampler *sampler_ = nullptr;

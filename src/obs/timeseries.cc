@@ -76,25 +76,29 @@ RollingHistogram::observe(double t_s, std::int64_t value)
         s->hist.observe(value);
 }
 
+template <class Visit>
+void
+RollingHistogram::forEachLive(double t_s, Visit &&visit) const
+{
+    const std::int64_t now = periodOf(t_s);
+    for (const Slot &s : slots_)
+        if (inWindow(s.period, now, cfg_.buckets))
+            visit(s.hist);
+}
+
 std::uint64_t
 RollingHistogram::count(double t_s) const
 {
-    const std::int64_t now = periodOf(t_s);
     std::uint64_t n = 0;
-    for (const Slot &s : slots_)
-        if (inWindow(s.period, now, cfg_.buckets))
-            n += s.hist.count();
+    forEachLive(t_s, [&n](const Histogram &h) { n += h.count(); });
     return n;
 }
 
 Histogram
 RollingHistogram::merged(double t_s) const
 {
-    const std::int64_t now = periodOf(t_s);
     Histogram out(sub_bucket_bits_);
-    for (const Slot &s : slots_)
-        if (inWindow(s.period, now, cfg_.buckets))
-            out.merge(s.hist);
+    forEachLive(t_s, [&out](const Histogram &h) { out.merge(h); });
     return out;
 }
 
@@ -102,8 +106,9 @@ double
 RollingHistogram::valueAtQuantile(double t_s, double q,
                                   double empty_value) const
 {
-    const Histogram h = merged(t_s);
-    return h.count() > 0 ? h.valueAtQuantile(q) : empty_value;
+    return Histogram::quantileOfSum(
+        [this, t_s](auto &&visit) { forEachLive(t_s, visit); }, q,
+        empty_value);
 }
 
 } // namespace dri::obs

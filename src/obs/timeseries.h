@@ -9,8 +9,9 @@
  * holding an HDR-style obs::Histogram. Observations land in the bucket
  * their timestamp selects; advancing time reuses expired slots in
  * place, so eviction is O(1) per bucket regardless of how many samples
- * fall out. Queries merge the live buckets with Histogram::merge, which
- * answers the same quantiles as one histogram fed the whole window.
+ * fall out. Quantile queries walk the live buckets' counts together
+ * (Histogram::quantileOfSum) without building their merge, and answer
+ * the same doubles as one histogram fed the whole window.
  *
  * Windows run on the *simulated* clock and are pure data structures:
  * no RNG, no scheduled events — attaching one to a live simulation can
@@ -65,7 +66,8 @@ class RollingHistogram
 
     /**
      * Windowed quantile (bucket-interpolated); `empty_value` when the
-     * window holds no sample.
+     * window holds no sample. Equal to merged(t_s).valueAtQuantile(q),
+     * but reads the live buckets in place: no copy, no allocation.
      */
     double valueAtQuantile(double t_s, double q,
                            double empty_value = 0.0) const;
@@ -85,6 +87,10 @@ class RollingHistogram
     };
 
     std::int64_t periodOf(double t_s) const;
+
+    /** Call @p visit with the histogram of each bucket live at t_s. */
+    template <class Visit>
+    void forEachLive(double t_s, Visit &&visit) const;
 
     /** Slot for an observe at period @p p, or nullptr (stale sample). */
     Slot *slotFor(std::int64_t p);

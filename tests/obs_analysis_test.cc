@@ -128,13 +128,13 @@ TEST(RollingHistogram, WindowedQuantileEqualsTheMergedHistogram)
             // Up to 2^18: two octaves past the finest geometry's 2^16
             // unit buckets.
             h.observe(t, static_cast<std::int64_t>(rng() >> (46 + rng() % 18)));
-            if (i % (bits == 16 ? 31 : 5) == 0) // 16 bits: MiB-sized merges
+            if (i % (bits == 16 ? 61 : 5) == 0) // 16 bits: MiB-sized merges
                 check(t);
         }
-        for (double t = clock; t < clock + 1.2; t += 0.05)
+        for (double t = clock; t < clock + 1.2; t += 0.1)
             check(t);
         EXPECT_GT(h.droppedStale(), 0u);
-        EXPECT_GT(reads, 80u);
+        EXPECT_GT(reads, 40u);
     }
 }
 
