@@ -404,12 +404,6 @@ BM_EpochRequests(benchmark::State &state)
 }
 BENCHMARK(BM_EpochRequests);
 
-/**
- * fleet.decide's planning step: one cache-miss
- * CapacityPlanner::replicaVectorFor at the peak forecast, on a fresh
- * planner over the fleet study hedged as in bench_chaos_suite. The
- * planner is built outside the timed region. items/s = plans/s.
- */
 /** The fleet study hedged as in bench_chaos_suite, built once. */
 const fleet::FleetStudy &
 hedgedFleetStudy()
@@ -425,6 +419,12 @@ hedgedFleetStudy()
     return study;
 }
 
+/**
+ * fleet.decide's planning step: one cache-miss
+ * CapacityPlanner::replicaVectorFor at the peak forecast, on a fresh
+ * planner over the fleet study hedged as in bench_chaos_suite. The
+ * planner is built outside the timed region. items/s = plans/s.
+ */
 void
 BM_PlanReplicaVector(benchmark::State &state)
 {
