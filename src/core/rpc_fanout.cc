@@ -31,6 +31,22 @@ constexpr int kMaxAttemptRetries = 2;
 constexpr double kStragglerMultiplier = 8.0;
 
 /**
+ * Replicas of each shard: sparse_replicas_per_shard[s] where that is
+ * positive, else sparse_replicas (the directory raises it to at least 1).
+ */
+std::vector<int>
+replicaCounts(const ServingConfig &cfg, int num_shards)
+{
+    std::vector<int> counts(static_cast<std::size_t>(std::max(num_shards, 0)),
+                            cfg.sparse_replicas);
+    const auto &per_shard = cfg.sparse_replicas_per_shard;
+    for (std::size_t s = 0; s < counts.size() && s < per_shard.size(); ++s)
+        if (per_shard[s] > 0)
+            counts[s] = per_shard[s];
+    return counts;
+}
+
+/**
  * Where one attempt is in its lifecycle; the file comment of
  * core/rpc_fanout.h diagrams the transitions. Pending covers the wire
  * and the replica's queue.
@@ -191,6 +207,8 @@ RpcFanout::RpcFanout(sim::Engine &engine, obs::SpanTracer *tr,
     : engine(engine), tr(tr), cfg(cfg), rng(rng), owner(owner),
       client_dispatch(
           scaled(rpc::kClientDispatchNs, cfg.main_platform.cpu_time_scale)),
+      directory(replicaCounts(cfg, num_shards), cfg.lb_policy,
+                cfg.seed ^ 0x10adbau),
       link(cfg.link), hedge_tracker(rpc::kHedgeWindow, cfg.hedge.quantile),
       result_cache(cfg.result_cache)
 {
@@ -200,28 +218,14 @@ RpcFanout::RpcFanout(sim::Engine &engine, obs::SpanTracer *tr,
                             : cfg.worker_threads;
     const auto sparse_threads = static_cast<std::size_t>(
         threads > 0 ? std::min(threads, platform.cores) : platform.cores);
-    const int default_replicas = std::max(1, cfg.sparse_replicas);
-    for (int s = 0; s < num_shards; ++s) {
-        int count = default_replicas;
-        const auto si = static_cast<std::size_t>(s);
-        if (si < cfg.sparse_replicas_per_shard.size() &&
-            cfg.sparse_replicas_per_shard[si] > 0)
-            count = cfg.sparse_replicas_per_shard[si];
-        for (int r = 0; r < count; ++r) {
-            directory.registerReplica(s, static_cast<int>(replicas.size()));
+    // Replica i is the directory's server i: shard-major, one run per
+    // shard.
+    for (int s = 0; s < num_shards; ++s)
+        for (int r = 0; r < directory.replicaCount(s); ++r)
             replicas.push_back(
                 {std::make_unique<sim::Resource>(engine, sparse_threads), s});
-        }
-    }
     shard_partitioned.assign(static_cast<std::size_t>(std::max(num_shards, 0)),
                              0);
-    directory.setPolicy(cfg.lb_policy, cfg.seed ^ 0x10adbau);
-    // Load-aware replica selection reads live queue depth from the
-    // worker pools (in-flight + queued), i.e. "outstanding requests".
-    directory.setLoadProbe([this](int server) {
-        const auto &r = *replicas[static_cast<std::size_t>(server)].cores;
-        return r.inUse() + r.queued();
-    });
 }
 
 RpcFanout::~RpcFanout() = default;
@@ -660,11 +664,18 @@ RpcFanout::attemptArrive(RpcOp *op, int idx)
     const int exclude = ex.exclude >= 0
                             ? ex.exclude
                             : (is_hedge ? op->primary_server : -1);
+    // Load-aware replica selection reads live queue depth from the
+    // worker pools (in-flight + queued), i.e. "outstanding requests".
+    const auto load = [this](int server) {
+        const sim::Resource &cores =
+            *replicas[static_cast<std::size_t>(server)].cores;
+        return cores.inUse() + cores.queued();
+    };
     const std::optional<int> resolved =
-        is_hedge ? directory.resolveBackup(g.shard, exclude)
-                 : directory.resolve(g.shard, exclude);
-    // Every plan shard registers replicas at construction, so with a
-    // healthy fleet resolution cannot fail. With injected faults it
+        is_hedge ? directory.resolveBackup(g.shard, exclude, load)
+                 : directory.resolve(g.shard, exclude, load);
+    // Every plan shard has at least one server, so with a healthy
+    // fleet resolution cannot fail. With injected faults it
     // legitimately can (every live candidate excluded or dead):
     // surface a fast client-side resolution error instead of
     // dropping the RPC (which would silently hang the request).
@@ -688,8 +699,7 @@ RpcFanout::attemptArrive(RpcOp *op, int idx)
         return;
     }
     ex.server_gen = r.gen;
-    r.peak_queue =
-        std::max(r.peak_queue, r.cores->inUse() + r.cores->queued() + 1);
+    r.peak_queue = std::max(r.peak_queue, load(server) + 1);
     const sim::SimTime q0 = engine.now();
     r.cores->acquire([this, op, idx, q0, server] {
         startExecution(op, idx, q0, server);

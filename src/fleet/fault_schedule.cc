@@ -38,6 +38,11 @@ FaultSchedule::add(FaultEvent ev)
     if (ev.end_epoch <= ev.start_epoch)
         throw std::invalid_argument(
             "FaultSchedule: end_epoch must follow start_epoch");
+    if ((ev.kind == FaultKind::ReplicaCrash ||
+         ev.kind == FaultKind::SlowReplica) &&
+        ev.replica < 0)
+        throw std::invalid_argument(
+            "FaultSchedule: replica index must be >= 0");
     events_.push_back(std::move(ev));
     return *this;
 }

@@ -136,7 +136,8 @@ class FaultSchedule
   public:
     /**
      * Append an event. Throws std::invalid_argument when start_epoch is
-     * negative or end_epoch does not follow it.
+     * negative, end_epoch does not follow it, or a crash or slow-replica
+     * event names a negative replica index.
      */
     FaultSchedule &add(FaultEvent ev);
 

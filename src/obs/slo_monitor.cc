@@ -59,13 +59,20 @@ periodAt(double t_s, double width_s)
 
 } // namespace
 
+bool
+SloMonitor::RatioWindow::late(double t_s) const
+{
+    const std::int64_t p = periodAt(t_s, bucket_width_s);
+    return p < slots[static_cast<std::size_t>(p % buckets)].period;
+}
+
 void
 SloMonitor::RatioWindow::record(double t_s, std::uint64_t good,
                                 std::uint64_t bad)
 {
     const std::int64_t p = periodAt(t_s, bucket_width_s);
     Slot &s = slots[static_cast<std::size_t>(p % buckets)];
-    if (s.period != p) {
+    if (p > s.period) {
         s.good = 0;
         s.bad = 0;
         s.period = p;
@@ -127,6 +134,12 @@ SloMonitor::record(int id, double t_s, std::uint64_t good,
                    std::uint64_t bad)
 {
     Tracked &t = objectives_.at(static_cast<std::size_t>(id));
+    // Both windows are checked before either changes, so a rejected
+    // record leaves the objective as it was.
+    if (t.fast.late(t_s) || t.slow.late(t_s))
+        throw std::invalid_argument(
+            "SloMonitor::record: t_s lies more than a window horizon "
+            "before a record already taken");
     t.fast.record(t_s, good, bad);
     t.slow.record(t_s, good, bad);
     t.status.good_total += good;

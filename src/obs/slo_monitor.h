@@ -119,7 +119,12 @@ class SloMonitor
     /** Register an objective; returns its id for record()/status(). */
     int addObjective(const SloObjective &objective);
 
-    /** Report one tick's event counts for an objective at sim time. */
+    /**
+     * Report one tick's event counts for an objective at sim time.
+     * Throws std::invalid_argument when t_s lies so far before an
+     * earlier record that its window bucket already holds a newer
+     * period (a horizon or more late).
+     */
     void record(int id, double t_s, std::uint64_t good, std::uint64_t bad);
 
     /**
@@ -157,6 +162,12 @@ class SloMonitor
         std::vector<Slot> slots;
 
         void init(double horizon_s, int bucket_count);
+        /**
+         * Whether t_s's period is older than the one its slot holds: a
+         * record at t_s would wipe a bucket newer than itself.
+         */
+        bool late(double t_s) const;
+        /** Add counts at t_s (not late()). */
         void record(double t_s, std::uint64_t good, std::uint64_t bad);
         /** Bad fraction over the window (0 when empty). */
         double badFraction(double t_s) const;

@@ -1,7 +1,5 @@
 #include "rpc/discovery.h"
 
-#include <algorithm>
-
 namespace dri::rpc {
 
 const char *
@@ -18,178 +16,39 @@ policyName(LoadBalancePolicy policy)
     return "unknown";
 }
 
-void
-ServiceDirectory::registerReplica(int shard_id, int server_id)
+ServiceDirectory::ServiceDirectory(const std::vector<int> &replica_counts,
+                                   LoadBalancePolicy policy,
+                                   std::uint64_t seed)
+    : policy_(policy), first_{0}, cursor_(replica_counts.size(), 0),
+      rng_(seed)
 {
-    replicas_[shard_id].push_back(server_id);
-}
-
-std::size_t
-ServiceDirectory::replicaCount(int shard_id) const
-{
-    auto it = replicas_.find(shard_id);
-    return it == replicas_.end() ? 0 : it->second.size();
-}
-
-void
-ServiceDirectory::setPolicy(LoadBalancePolicy policy, std::uint64_t seed)
-{
-    policy_ = policy;
-    rng_ = stats::Rng(seed);
-}
-
-void
-ServiceDirectory::setLoadProbe(LoadProbe probe)
-{
-    probe_ = std::move(probe);
+    for (const int count : replica_counts)
+        first_.push_back(first_.back() + std::max(1, count));
+    in_rotation_.assign(static_cast<std::size_t>(first_.back()), 1);
 }
 
 int
-ServiceDirectory::pickRoundRobin(int shard_id, const std::vector<int> &servers)
+ServiceDirectory::candidateCount(int shard, int exclude) const
 {
-    const std::size_t idx = next_[shard_id] % servers.size();
-    next_[shard_id] = idx + 1;
-    return servers[idx];
-}
-
-int
-ServiceDirectory::pickLeastOutstanding(const std::vector<int> &servers) const
-{
-    // Ties break toward the lowest replica index: the strict `<` keeps the
-    // earliest-registered server, so equal loads resolve identically on
-    // every platform (hedging depends on a reproducible second choice).
-    int best = servers.front();
-    std::size_t best_load = probe_(best);
-    for (std::size_t i = 1; i < servers.size(); ++i) {
-        const std::size_t load = probe_(servers[i]);
-        if (load < best_load) {
-            best = servers[i];
-            best_load = load;
-        }
-    }
-    return best;
-}
-
-int
-ServiceDirectory::pickPowerOfTwo(const std::vector<int> &servers)
-{
-    const auto n = static_cast<std::int64_t>(servers.size());
-    const auto a = static_cast<std::size_t>(rng_.uniformInt(0, n - 1));
-    // Second choice drawn from the remaining n-1, so a != b always.
-    auto b = static_cast<std::size_t>(rng_.uniformInt(0, n - 2));
-    if (b >= a)
-        ++b;
-    const std::size_t load_a = probe_(servers[a]);
-    const std::size_t load_b = probe_(servers[b]);
-    if (load_a != load_b)
-        return load_b < load_a ? servers[b] : servers[a];
-    // Equal loads: take the lower replica index, not the first sample, so
-    // the outcome depends only on *which* pair was drawn.
-    return servers[std::min(a, b)];
-}
-
-/**
- * The shard's replicas minus an optionally excluded server and any
- * unhealthy servers, in registration order (which the tie-breaks depend
- * on). The common no-exclusion all-healthy path returns the stored
- * vector directly; only exclusion (the hedge/failover paths) or an
- * unhealthy server somewhere in the fleet materializes a filtered copy
- * into `scratch`. Null when the shard is unknown or filtering removes
- * every candidate.
- */
-const std::vector<int> *
-ServiceDirectory::candidates(int shard_id, int exclude_server,
-                             std::vector<int> &scratch) const
-{
-    auto it = replicas_.find(shard_id);
-    if (it == replicas_.end() || it->second.empty())
-        return nullptr;
-    if (exclude_server < 0 && unhealthy_.empty())
-        return &it->second;
-    scratch.clear();
-    scratch.reserve(it->second.size());
-    for (int s : it->second)
-        if (s != exclude_server && unhealthy_.count(s) == 0)
-            scratch.push_back(s);
-    return scratch.empty() ? nullptr : &scratch;
-}
-
-void
-ServiceDirectory::setServerHealth(int server_id, bool healthy)
-{
-    if (healthy)
-        unhealthy_.erase(server_id);
-    else
-        unhealthy_.insert(server_id);
-}
-
-bool
-ServiceDirectory::serverHealthy(int server_id) const
-{
-    return unhealthy_.count(server_id) == 0;
-}
-
-std::size_t
-ServiceDirectory::healthyReplicaCount(int shard_id) const
-{
-    auto it = replicas_.find(shard_id);
-    if (it == replicas_.end())
-        return 0;
-    if (unhealthy_.empty())
-        return it->second.size();
-    std::size_t n = 0;
-    for (int s : it->second)
-        n += unhealthy_.count(s) == 0 ? 1 : 0;
+    int n = 0;
+    for (int s = first(shard); s < first(shard + 1); ++s)
+        n += isCandidate(s, exclude) ? 1 : 0;
     return n;
 }
 
-std::optional<int>
-ServiceDirectory::resolve(int shard_id, int exclude_server)
+int
+ServiceDirectory::candidateAt(int shard, int exclude, int k) const
 {
-    std::vector<int> scratch;
-    const std::vector<int> *servers =
-        candidates(shard_id, exclude_server, scratch);
-    if (!servers)
-        return std::nullopt;
-    if (servers->size() == 1)
-        return servers->front();
-
-    switch (policy_) {
-    case LoadBalancePolicy::LeastOutstanding:
-        if (probe_)
-            return pickLeastOutstanding(*servers);
-        break;
-    case LoadBalancePolicy::PowerOfTwoChoices:
-        if (probe_)
-            return pickPowerOfTwo(*servers);
-        break;
-    case LoadBalancePolicy::RoundRobin:
-        break;
-    }
-    return pickRoundRobin(shard_id, *servers);
+    int s = first(shard);
+    while (!isCandidate(s, exclude) || k-- > 0)
+        ++s;
+    return s;
 }
 
-std::optional<int>
-ServiceDirectory::resolveBackup(int shard_id, int exclude_server)
+void
+ServiceDirectory::setServerHealth(int server, bool healthy)
 {
-    std::vector<int> scratch;
-    const std::vector<int> *servers =
-        candidates(shard_id, exclude_server, scratch);
-    if (!servers)
-        return std::nullopt;
-    if (servers->size() == 1)
-        return servers->front();
-    if (!probe_)
-        return resolve(shard_id, exclude_server);
-    return pickLeastOutstanding(*servers);
-}
-
-const std::vector<int> &
-ServiceDirectory::replicas(int shard_id) const
-{
-    static const std::vector<int> kEmpty;
-    auto it = replicas_.find(shard_id);
-    return it == replicas_.end() ? kEmpty : it->second;
+    in_rotation_.at(static_cast<std::size_t>(server)) = healthy ? 1 : 0;
 }
 
 } // namespace dri::rpc

@@ -863,6 +863,20 @@ TEST(FleetMisuse, FaultScheduleRejectsAnEmptyWindow)
     EXPECT_TRUE(f.empty());
 }
 
+TEST(FleetMisuse, FaultScheduleRejectsANegativeReplica)
+{
+    // Regression: replica -1 of shard 1 resolved to shard 0's last
+    // server, and on shard 0 it threw std::out_of_range mid-run.
+    fleet::FaultSchedule f;
+    EXPECT_THROW(f.crashReplica(1, -1, 0, 1), std::invalid_argument);
+    EXPECT_THROW(f.slowReplica(0, -1, 2.0, 0, 1), std::invalid_argument);
+    fleet::FaultEvent ev;
+    ev.kind = fleet::FaultKind::SlowReplica;
+    ev.replica = -1;
+    EXPECT_THROW(f.add(ev), std::invalid_argument);
+    EXPECT_TRUE(f.empty());
+}
+
 TEST(FleetMisuse, FaultScheduleRejectsANonPositiveSlowMultiplier)
 {
     fleet::FaultSchedule f;

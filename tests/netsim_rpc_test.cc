@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <map>
 #include <stdexcept>
+#include <vector>
 
 #include "netsim/link_model.h"
 #include "netsim/message.h"
@@ -105,228 +105,228 @@ TEST(Service, NetOverheadGrowsWithAsyncOps)
               8 * rpc::kAsyncOpOverheadNs);
 }
 
+/** A load read for the blind policies, which never call it. */
+std::size_t
+idle(int)
+{
+    return 0;
+}
+
+/** A load read over a per-server table. */
+auto
+loadOf(const std::vector<std::size_t> &load)
+{
+    return [&load](int server) {
+        return load.at(static_cast<std::size_t>(server));
+    };
+}
+
+constexpr rpc::LoadBalancePolicy kPolicies[] = {
+    rpc::LoadBalancePolicy::RoundRobin,
+    rpc::LoadBalancePolicy::LeastOutstanding,
+    rpc::LoadBalancePolicy::PowerOfTwoChoices,
+};
+
 TEST(Discovery, RoundRobinAcrossReplicas)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 100);
-    dir.registerReplica(0, 101);
-    dir.registerReplica(0, 102);
-    EXPECT_EQ(dir.replicaCount(0), 3u);
-    EXPECT_EQ(dir.resolve(0), 100);
-    EXPECT_EQ(dir.resolve(0), 101);
-    EXPECT_EQ(dir.resolve(0), 102);
-    EXPECT_EQ(dir.resolve(0), 100); // wraps
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::RoundRobin, 1);
+    EXPECT_EQ(dir.replicaCount(0), 3);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 0);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 1);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 2);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 0); // wraps
+}
+
+TEST(Discovery, ServersAreNumberedShardMajor)
+{
+    // A shard with no replicas still gets one server.
+    rpc::ServiceDirectory dir({2, 0, 3}, rpc::LoadBalancePolicy::RoundRobin,
+                              1);
+    EXPECT_EQ(dir.replicaCount(0), 2);
+    EXPECT_EQ(dir.replicaCount(1), 1);
+    EXPECT_EQ(dir.replicaCount(2), 3);
+    const std::vector<std::vector<int>> ids = {{0, 1}, {2}, {3, 4, 5}};
+    for (int shard = 0; shard < 3; ++shard) {
+        std::vector<int> seen;
+        for (std::size_t i = 0; i < ids[shard].size(); ++i)
+            seen.push_back(*dir.resolve(shard, -1, idle));
+        EXPECT_EQ(seen, ids[shard]) << "shard " << shard;
+    }
+    EXPECT_THROW(dir.setServerHealth(6, false), std::out_of_range);
 }
 
 TEST(Discovery, IndependentShards)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 1);
-    dir.registerReplica(5, 2);
-    EXPECT_EQ(dir.replicaCount(3), 0u);
-    EXPECT_EQ(dir.resolve(0), 1);
-    EXPECT_EQ(dir.resolve(5), 2);
-    EXPECT_EQ(dir.replicas(5).size(), 1u);
+    // Each shard keeps its own round-robin cursor.
+    rpc::ServiceDirectory dir({2, 2}, rpc::LoadBalancePolicy::RoundRobin, 1);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 0);
+    EXPECT_EQ(dir.resolve(1, -1, idle), 2);
+    EXPECT_EQ(dir.resolve(1, -1, idle), 3);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 1);
 }
 
-TEST(Discovery, UnknownShardIsAnErrorNotACrash)
+TEST(Discovery, RoundRobinCursorIndexesTheFilteredCandidates)
 {
-    // Regression: resolve() used to assert on unknown shards.
-    rpc::ServiceDirectory dir;
-    EXPECT_EQ(dir.resolve(7), std::nullopt);
-    EXPECT_TRUE(dir.replicas(7).empty());
-    dir.registerReplica(7, 42);
-    EXPECT_EQ(dir.resolve(7), 42);
+    // The cursor indexes the candidates left after exclusion and health
+    // filtering, and advances only when at least two remain.
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::RoundRobin, 1);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 0); // cursor 0 of {0,1,2}
+    EXPECT_EQ(dir.resolve(0, 0, idle), 2);  // cursor 1 of {1,2}
+    dir.setServerHealth(2, false);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 0); // cursor 2 of {0,1} wraps
+    EXPECT_EQ(dir.resolve(0, 0, idle), 1);  // lone candidate: no advance
+    EXPECT_EQ(dir.resolve(0, -1, idle), 1); // cursor 1 of {0,1}
+    dir.setServerHealth(2, true);
+    EXPECT_EQ(dir.resolve(0, -1, idle), 2); // cursor 2 of {0,1,2}
 }
 
 TEST(Discovery, LeastOutstandingPicksIdlestReplica)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 10);
-    dir.registerReplica(0, 11);
-    dir.registerReplica(0, 12);
-    dir.setPolicy(rpc::LoadBalancePolicy::LeastOutstanding);
-    std::map<int, std::size_t> load{{10, 4}, {11, 1}, {12, 9}};
-    dir.setLoadProbe([&](int server) { return load[server]; });
-    EXPECT_EQ(dir.resolve(0), 11);
-    load[11] = 6;
-    EXPECT_EQ(dir.resolve(0), 10);
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::LeastOutstanding,
+                              1);
+    std::vector<std::size_t> load{4, 1, 9};
+    EXPECT_EQ(dir.resolve(0, -1, loadOf(load)), 1);
+    load[1] = 6;
+    EXPECT_EQ(dir.resolve(0, -1, loadOf(load)), 0);
 }
 
 TEST(Discovery, PowerOfTwoPicksLessLoadedOfPair)
 {
     // With exactly two replicas the sampled pair is always {both}, so the
-    // choice is fully determined by the probe.
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 20);
-    dir.registerReplica(0, 21);
-    dir.setPolicy(rpc::LoadBalancePolicy::PowerOfTwoChoices, 99);
-    std::map<int, std::size_t> load{{20, 5}, {21, 0}};
-    dir.setLoadProbe([&](int server) { return load[server]; });
+    // choice is fully determined by the load.
+    rpc::ServiceDirectory dir({2}, rpc::LoadBalancePolicy::PowerOfTwoChoices,
+                              99);
+    const std::vector<std::size_t> load{5, 0};
     for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(dir.resolve(0), 21);
-}
-
-TEST(Discovery, LoadAwarePoliciesFallBackWithoutProbe)
-{
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 1);
-    dir.registerReplica(0, 2);
-    dir.setPolicy(rpc::LoadBalancePolicy::LeastOutstanding);
-    EXPECT_EQ(dir.resolve(0), 1); // round-robin fallback
-    EXPECT_EQ(dir.resolve(0), 2);
+        EXPECT_EQ(dir.resolve(0, -1, loadOf(load)), 1);
 }
 
 TEST(Discovery, LeastOutstandingTiesBreakToLowestReplicaIndex)
 {
     // Regression: hedging's second-choice replica must be reproducible
-    // across platforms, so equal loads always resolve to the earliest-
-    // registered (lowest-index) replica — never an iteration-order or
-    // rng-dependent pick.
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 30);
-    dir.registerReplica(0, 31);
-    dir.registerReplica(0, 32);
-    dir.setPolicy(rpc::LoadBalancePolicy::LeastOutstanding);
-    dir.setLoadProbe([](int) { return std::size_t{3}; });
+    // across platforms, so equal loads always resolve to the lowest
+    // server id — never an iteration-order or rng-dependent pick.
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::LeastOutstanding,
+                              1);
+    const std::vector<std::size_t> flat{3, 3, 3};
     for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(dir.resolve(0), 30);
+        EXPECT_EQ(dir.resolve(0, -1, loadOf(flat)), 0);
     // A partial tie below the current best also resolves to the earlier
     // of the tied replicas.
-    std::map<int, std::size_t> load{{30, 9}, {31, 2}, {32, 2}};
-    dir.setLoadProbe([&](int server) { return load[server]; });
+    const std::vector<std::size_t> load{9, 2, 2};
     for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(dir.resolve(0), 31);
+        EXPECT_EQ(dir.resolve(0, -1, loadOf(load)), 1);
 }
 
 TEST(Discovery, PowerOfTwoTiesBreakToLowestSampledIndex)
 {
     // With equal loads everywhere, the pick is min(sampled pair) — so the
-    // last-registered replica can only ever be chosen... never: every
-    // pair containing it also contains a lower index. Regression for the
-    // old behaviour of returning whichever sample was drawn first.
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 40);
-    dir.registerReplica(0, 41);
-    dir.registerReplica(0, 42);
-    dir.setPolicy(rpc::LoadBalancePolicy::PowerOfTwoChoices, 0x5eed);
-    dir.setLoadProbe([](int) { return std::size_t{2}; });
-    bool saw40 = false, saw41 = false;
+    // highest-numbered replica is never chosen: every pair containing it
+    // also contains a lower id. Regression for the old behaviour of
+    // returning whichever sample was drawn first.
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::PowerOfTwoChoices,
+                              0x5eed);
+    const std::vector<std::size_t> flat{2, 2, 2};
+    bool saw0 = false, saw1 = false;
     for (int i = 0; i < 300; ++i) {
-        const auto r = dir.resolve(0);
+        const auto r = dir.resolve(0, -1, loadOf(flat));
         ASSERT_TRUE(r.has_value());
-        EXPECT_NE(*r, 42);
-        saw40 = saw40 || *r == 40;
-        saw41 = saw41 || *r == 41;
+        EXPECT_NE(*r, 2);
+        saw0 = saw0 || *r == 0;
+        saw1 = saw1 || *r == 1;
     }
-    EXPECT_TRUE(saw40);
-    EXPECT_TRUE(saw41);
+    EXPECT_TRUE(saw0);
+    EXPECT_TRUE(saw1);
 }
 
 TEST(Discovery, ResolveCanExcludeTheHedgePrimary)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 50);
-    dir.registerReplica(0, 51);
-    dir.registerReplica(0, 52);
-    dir.setPolicy(rpc::LoadBalancePolicy::LeastOutstanding);
-    std::map<int, std::size_t> load{{50, 0}, {51, 3}, {52, 5}};
-    dir.setLoadProbe([&](int server) { return load[server]; });
+    rpc::ServiceDirectory dir({3}, rpc::LoadBalancePolicy::LeastOutstanding,
+                              1);
+    const std::vector<std::size_t> load{0, 3, 5};
     // The idlest replica is excluded (it is the hedge's primary): the
     // next-least-loaded candidate wins.
-    EXPECT_EQ(dir.resolve(0, 50), 51);
+    EXPECT_EQ(dir.resolve(0, 0, loadOf(load)), 1);
     // Excluding the only replica of a shard yields no candidate.
-    rpc::ServiceDirectory solo;
-    solo.registerReplica(1, 9);
-    EXPECT_EQ(solo.resolve(1, 9), std::nullopt);
+    rpc::ServiceDirectory solo({1}, rpc::LoadBalancePolicy::RoundRobin, 1);
+    EXPECT_EQ(solo.resolve(0, 0, idle), std::nullopt);
 }
 
 TEST(Discovery, ResolveBackupIsLoadAwareUnderAnyPolicy)
 {
-    // The backup choice uses the probe even when the primary policy is
+    // The backup choice reads the load even when the primary policy is
     // blind round-robin: a backup that lands on another deep queue
     // cannot outrun the primary.
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 60);
-    dir.registerReplica(0, 61);
-    dir.registerReplica(0, 62);
-    dir.setPolicy(rpc::LoadBalancePolicy::RoundRobin);
-    std::map<int, std::size_t> load{{60, 0}, {61, 7}, {62, 2}};
-    dir.setLoadProbe([&](int server) { return load[server]; });
-    for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(dir.resolveBackup(0, 60), 62);
-    EXPECT_EQ(dir.resolveBackup(0, 62), 60);
-    // Ties among the candidates break to the lowest replica index.
-    load = {{60, 4}, {61, 1}, {62, 1}};
-    EXPECT_EQ(dir.resolveBackup(0, 60), 61);
+    for (const auto policy : kPolicies) {
+        rpc::ServiceDirectory dir({3}, policy, 1);
+        std::vector<std::size_t> load{0, 7, 2};
+        for (int i = 0; i < 8; ++i)
+            EXPECT_EQ(dir.resolveBackup(0, 0, loadOf(load)), 2)
+                << rpc::policyName(policy);
+        EXPECT_EQ(dir.resolveBackup(0, 2, loadOf(load)), 0);
+        // Ties among the candidates break to the lowest server id.
+        load = {4, 1, 1};
+        EXPECT_EQ(dir.resolveBackup(0, 0, loadOf(load)), 1);
+    }
 }
 
 TEST(Discovery, UnhealthyReplicasAreExcludedUnderEveryPolicy)
 {
     // Health-aware resolution: a replica marked dead must never be
     // handed out, under any balancing policy.
-    const std::map<int, std::size_t> load{{70, 0}, {71, 3}, {72, 5}};
-    for (const auto policy : {rpc::LoadBalancePolicy::RoundRobin,
-                              rpc::LoadBalancePolicy::LeastOutstanding,
-                              rpc::LoadBalancePolicy::PowerOfTwoChoices}) {
-        rpc::ServiceDirectory dir;
-        dir.registerReplica(0, 70);
-        dir.registerReplica(0, 71);
-        dir.registerReplica(0, 72);
-        dir.setPolicy(policy, 0x5eed);
-        dir.setLoadProbe([&](int server) { return load.at(server); });
-        // 70 is the idlest AND first in round-robin order: excluding it
+    const std::vector<std::size_t> load{0, 3, 5};
+    for (const auto policy : kPolicies) {
+        rpc::ServiceDirectory dir({3}, policy, 0x5eed);
+        // 0 is the idlest AND first in round-robin order: excluding it
         // exercises the filter, not just an unlucky draw.
-        dir.setServerHealth(70, false);
-        EXPECT_FALSE(dir.serverHealthy(70));
-        EXPECT_EQ(dir.healthyReplicaCount(0), 2u);
+        dir.setServerHealth(0, false);
         for (int i = 0; i < 32; ++i) {
-            const auto r = dir.resolve(0);
+            const auto r = dir.resolve(0, -1, loadOf(load));
             ASSERT_TRUE(r.has_value())
                 << rpc::policyName(policy) << " returned no candidate";
-            EXPECT_NE(*r, 70) << rpc::policyName(policy)
-                              << " resolved a dead replica";
+            EXPECT_NE(*r, 0) << rpc::policyName(policy)
+                             << " resolved a dead replica";
         }
-        // The hedge-backup path filters too.
+        // The hedge-backup path filters too: with 1 excluded, the one
+        // healthy candidate left is 2.
         for (int i = 0; i < 8; ++i)
-            EXPECT_NE(dir.resolveBackup(0, 71), 70);
+            EXPECT_EQ(dir.resolveBackup(0, 1, loadOf(load)), 2);
     }
 }
 
 TEST(Discovery, AllReplicasDeadResolvesToNothing)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 80);
-    dir.registerReplica(0, 81);
-    dir.setServerHealth(80, false);
-    dir.setServerHealth(81, false);
-    EXPECT_EQ(dir.healthyReplicaCount(0), 0u);
-    // Graceful error, not a crash: the caller owns the failure path.
-    EXPECT_EQ(dir.resolve(0), std::nullopt);
-    EXPECT_EQ(dir.resolveBackup(0, 80), std::nullopt);
-    // Registered replicas are still listed (health != membership).
-    EXPECT_EQ(dir.replicaCount(0), 2u);
+    for (const auto policy : kPolicies) {
+        rpc::ServiceDirectory dir({2}, policy, 1);
+        dir.setServerHealth(0, false);
+        dir.setServerHealth(1, false);
+        // Graceful error, not a crash: the caller owns the failure path.
+        EXPECT_EQ(dir.resolve(0, -1, idle), std::nullopt);
+        EXPECT_EQ(dir.resolveBackup(0, 0, idle), std::nullopt);
+        // The servers still belong to the shard (health != membership).
+        EXPECT_EQ(dir.replicaCount(0), 2);
+    }
 }
 
 TEST(Discovery, RestoredReplicaRejoinsRotation)
 {
-    rpc::ServiceDirectory dir;
-    dir.registerReplica(0, 90);
-    dir.registerReplica(0, 91);
-    dir.setServerHealth(90, false);
+    rpc::ServiceDirectory dir({2}, rpc::LoadBalancePolicy::RoundRobin, 1);
+    dir.setServerHealth(0, false);
     for (int i = 0; i < 4; ++i)
-        EXPECT_EQ(dir.resolve(0), 91);
-    dir.setServerHealth(90, true);
-    EXPECT_TRUE(dir.serverHealthy(90));
-    EXPECT_EQ(dir.healthyReplicaCount(0), 2u);
-    bool saw90 = false;
+        EXPECT_EQ(dir.resolve(0, -1, idle), 1);
+    dir.setServerHealth(0, true);
+    bool saw0 = false;
     for (int i = 0; i < 4; ++i)
-        saw90 = saw90 || dir.resolve(0) == 90;
-    EXPECT_TRUE(saw90) << "restored replica never re-entered rotation";
-    // Redundant health updates are no-ops, not state corruption.
-    dir.setServerHealth(90, true);
-    dir.setServerHealth(90, true);
-    EXPECT_EQ(dir.healthyReplicaCount(0), 2u);
+        saw0 = saw0 || dir.resolve(0, -1, idle) == 0;
+    EXPECT_TRUE(saw0) << "restored replica never re-entered rotation";
+    // Redundant health updates are no-ops, not state corruption: both
+    // servers keep alternating.
+    dir.setServerHealth(0, true);
+    dir.setServerHealth(0, true);
+    const auto first = dir.resolve(0, -1, idle);
+    const auto second = dir.resolve(0, -1, idle);
+    ASSERT_TRUE(first && second);
+    EXPECT_NE(*first, *second);
 }
 
 TEST(Discovery, PolicyNames)

@@ -316,6 +316,34 @@ TEST(SloMonitor, BudgetConsumedCountsCumulativeBadEvents)
     EXPECT_EQ(m.status(id).bad_total, 20u);
 }
 
+TEST(SloMonitor, LateRecordThrowsAndKeepsTheLiveBucket)
+{
+    // Regression: a record one horizon late shares its ring slot with
+    // the newest bucket and used to wipe it (fast_burn fell 10 -> 0).
+    obs::SloObjective o = tinyObjective();
+    o.fast_horizon_s = 6.0;
+    o.slow_horizon_s = 60.0;
+    o.buckets = 6;
+    obs::SloMonitor m;
+    const int id = m.addObjective(o);
+    m.record(id, 10.5, 90, 10);
+    m.evaluate(10.5);
+    EXPECT_DOUBLE_EQ(m.status(id).fast_burn, 10.0);
+    EXPECT_THROW(m.record(id, 4.5, 100, 0), std::invalid_argument);
+    m.evaluate(10.5);
+    EXPECT_DOUBLE_EQ(m.status(id).fast_burn, 10.0);
+    EXPECT_EQ(m.status(id).good_total, 90u);
+    // Late for the slow window only: the fast window is left untouched
+    // too (4.5 s shares slow slot 0 with 65 s, not a fast slot).
+    m.record(id, 65.5, 100, 0);
+    m.evaluate(65.5);
+    const double fast = m.status(id).fast_burn;
+    EXPECT_THROW(m.record(id, 4.5, 0, 100), std::invalid_argument);
+    m.evaluate(65.5);
+    EXPECT_DOUBLE_EQ(m.status(id).fast_burn, fast);
+    EXPECT_EQ(m.status(id).bad_total, 10u);
+}
+
 TEST(SloMonitor, IdenticalStreamsProduceIdenticalEventLogs)
 {
     const auto feed = [](obs::SloMonitor &m, int id) {

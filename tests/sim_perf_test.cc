@@ -5,6 +5,8 @@
  *
  *  - steady-state event scheduling performs ZERO heap allocations per
  *    event (global operator-new counting around a warmed engine);
+ *  - rpc::ServiceDirectory resolves without allocating, under every
+ *    policy, with exclusion and out-of-rotation servers;
  *  - stats::Mt64 is output-identical to std::mt19937_64 at every seed
  *    and draw count, including across twist-block boundaries and under
  *    std:: distribution adapters (the contract mt64.h declares), and
@@ -49,6 +51,7 @@
 #include "fleet/study.h"
 #include "model/generators.h"
 #include "netsim/link_model.h"
+#include "rpc/discovery.h"
 #include "sched/batcher.h"
 #include "sim/engine.h"
 #include "stats/distributions.h"
@@ -168,6 +171,33 @@ TEST(SimPerf, SteadyStateSchedulingAllocatesNothing)
     EXPECT_EQ(news1 - news0, 0u)
         << "steady-state scheduling reached operator new";
     EXPECT_GT(sink, 0u);
+}
+
+TEST(SimPerf, DirectoryResolutionAllocatesNothing)
+{
+    const std::vector<std::size_t> load{3, 1, 4, 1, 5, 9, 2, 6};
+    const auto read = [&load](int server) {
+        return load[static_cast<std::size_t>(server)];
+    };
+    for (const auto policy : {rpc::LoadBalancePolicy::RoundRobin,
+                              rpc::LoadBalancePolicy::LeastOutstanding,
+                              rpc::LoadBalancePolicy::PowerOfTwoChoices}) {
+        rpc::ServiceDirectory dir({3, 5}, policy, 7);
+        dir.setServerHealth(4, false);
+        std::uint64_t sink = 0;
+        const std::uint64_t news0 = g_news.load(std::memory_order_relaxed);
+        for (int i = 0; i < 1000; ++i) {
+            const int shard = i % 2;
+            const int exclude = i % 3 == 0 ? -1 : 3 + i % 5;
+            sink += static_cast<std::uint64_t>(
+                dir.resolve(shard, exclude, read).value_or(0));
+            sink += static_cast<std::uint64_t>(
+                dir.resolveBackup(shard, exclude, read).value_or(0));
+        }
+        EXPECT_EQ(g_news.load(std::memory_order_relaxed) - news0, 0u)
+            << rpc::policyName(policy) << " resolution reached operator new";
+        EXPECT_GT(sink, 0u);
+    }
 }
 
 // ---------------------------------------------------------------------------
