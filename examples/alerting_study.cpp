@@ -97,7 +97,7 @@ main()
         TablePrinter at({"t(h)", "objective", "transition", "fast burn",
                          "slow burn"});
         for (const auto &a : tele.alerts)
-            at.addRow({TablePrinter::num(a.t_s / 3600.0, 1), a.objective,
+            at.addRow({TablePrinter::num(a.epoch + 0.5, 1), a.objective,
                        obs::toString(a.transition),
                        TablePrinter::num(a.fast_burn, 2),
                        TablePrinter::num(a.slow_burn, 2)});

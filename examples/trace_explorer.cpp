@@ -181,9 +181,7 @@ main()
     sampler_cfg.reservoir_size = 12;
     obs::TraceSampler sampler(sampler_cfg);
     sampled_tracer.setSampler(&sampler);
-    obs::WindowConfig feed_cfg;
-    feed_cfg.horizon_s = 1e6; // whole replay in one rolling window
-    obs::RollingHistogram feed(feed_cfg);
+    obs::RollingHistogram feed(1e6); // whole replay in one rolling window
     sampler.setLatencyFeed(&feed);
     auto sampled_serving = study.serving;
     sampled_serving.tracer = &sampled_tracer;

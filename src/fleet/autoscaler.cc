@@ -1,7 +1,6 @@
 #include "fleet/autoscaler.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -74,7 +73,6 @@ constexpr int kBurnSlowWindowEpochs = 4;
  */
 constexpr double kBurnFastBurnThreshold = 2.0;
 constexpr double kBurnSlowBurnThreshold = 1.0;
-constexpr int kBurnPendingTicks = 1;
 constexpr int kBurnResolveTicks = 1;
 /**
  * Budget health required before a scale-down: no alert firing and both
@@ -127,6 +125,28 @@ scaleDown(std::vector<int> &vec, const EpochObservation &last,
     return changed;
 }
 
+/**
+ * A feedback policy's epoch-0 vector: `initial` clamped into the
+ * config's replica band. Throws std::invalid_argument for an empty
+ * vector, min_replicas < 1 or max_replicas < min_replicas.
+ */
+std::vector<int>
+seedVector(std::vector<int> initial, const ReactiveConfig &cfg)
+{
+    if (cfg.min_replicas < 1)
+        throw std::invalid_argument(
+            "ReactiveConfig: min_replicas must be >= 1");
+    if (cfg.max_replicas < cfg.min_replicas)
+        throw std::invalid_argument(
+            "ReactiveConfig: max_replicas must be >= min_replicas");
+    if (initial.empty())
+        throw std::invalid_argument(
+            "feedback autoscaler: the initial replica vector is empty");
+    for (auto &r : initial)
+        r = std::clamp(r, cfg.min_replicas, cfg.max_replicas);
+    return initial;
+}
+
 } // namespace
 
 // ---------------------------------------------------------------------------
@@ -148,6 +168,9 @@ CapacityPlanner::CapacityPlanner(const model::ModelSpec &spec,
             "CapacityPlanner: the plan has no sparse shards");
     if (!(config_.headroom >= 1.0))
         throw std::invalid_argument("CapacityPlanner: headroom must be >= 1");
+    if (config_.planning_requests == 0)
+        throw std::invalid_argument(
+            "CapacityPlanner: planning_requests must be > 0");
     // One deterministic planning stream shared by every plan: paired
     // probes across rates, and across policies holding the same planner.
     if (planning_requests_.empty()) {
@@ -273,11 +296,8 @@ StaticPeakAutoscaler::decide(int, const workload::DiurnalLoadModel &load,
 
 ReactiveAutoscaler::ReactiveAutoscaler(std::vector<int> initial,
                                        ReactiveConfig config)
-    : vector_(std::move(initial)), config_(config)
+    : vector_(seedVector(std::move(initial), config)), config_(config)
 {
-    assert(!vector_.empty());
-    for (auto &r : vector_)
-        r = std::clamp(r, config_.min_replicas, config_.max_replicas);
 }
 
 std::vector<int>
@@ -321,26 +341,13 @@ ReactiveAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
 
 BurnRateAutoscaler::BurnRateAutoscaler(std::vector<int> initial,
                                        ReactiveConfig config)
-    : vector_(std::move(initial)), config_(config)
+    : vector_(seedVector(std::move(initial), config)), config_(config)
 {
-    assert(!vector_.empty());
-    for (auto &r : vector_)
-        r = std::clamp(r, config_.min_replicas, config_.max_replicas);
-
-    // Objectives run on the epoch index as their clock: horizon N
-    // "seconds" with N buckets is one bucket per epoch.
     const auto objective = [&](const char *name, double budget) {
-        obs::SloObjective o;
-        o.name = name;
-        o.budget_fraction = budget;
-        o.fast_horizon_s = kBurnFastWindowEpochs;
-        o.slow_horizon_s = kBurnSlowWindowEpochs;
-        o.buckets = kBurnSlowWindowEpochs;
-        o.fast_burn_threshold = kBurnFastBurnThreshold;
-        o.slow_burn_threshold = kBurnSlowBurnThreshold;
-        o.pending_ticks = kBurnPendingTicks;
-        o.resolve_ticks = kBurnResolveTicks;
-        return monitor_.addObjective(o);
+        return monitor_.addObjective(
+            {name, budget, kBurnFastWindowEpochs, kBurnSlowWindowEpochs,
+             kBurnFastBurnThreshold, kBurnSlowBurnThreshold,
+             kBurnResolveTicks});
     };
     latency_objective_ = objective("latency", kBurnLatencyBudgetFraction);
     shed_objective_ = objective("shed", config_.slo.max_shed_rate);
@@ -353,20 +360,18 @@ BurnRateAutoscaler::decide(int epoch, const workload::DiurnalLoadModel &,
     if (last == nullptr)
         return vector_; // nothing measured yet: serve the seed vector
 
-    // Fold the finished epoch into the error budgets. Mid-epoch stamp:
-    // bucket boundaries sit at integers, so epoch e is period e.
-    const double t = static_cast<double>(last->epoch) + 0.5;
+    // Fold the finished epoch into the error budgets.
     const std::int64_t served =
         std::max<std::int64_t>(0, last->requests - last->shed_requests);
     const std::int64_t over = std::clamp<std::int64_t>(
         last->over_latency_target, 0, served);
-    monitor_.record(latency_objective_, t,
+    monitor_.record(latency_objective_, last->epoch,
                     static_cast<std::uint64_t>(served - over),
                     static_cast<std::uint64_t>(over));
-    monitor_.record(shed_objective_, t,
+    monitor_.record(shed_objective_, last->epoch,
                     static_cast<std::uint64_t>(served),
                     static_cast<std::uint64_t>(last->shed_requests));
-    monitor_.evaluate(t);
+    monitor_.evaluate(last->epoch);
 
     const bool alert_firing = monitor_.anyFiring();
     const bool util_pressure =

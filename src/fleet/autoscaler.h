@@ -117,8 +117,8 @@ class CapacityPlanner
 {
   public:
     /**
-     * Throws std::invalid_argument for a plan with no sparse shards or
-     * headroom < 1.
+     * Throws std::invalid_argument for a plan with no sparse shards,
+     * headroom < 1 or planning_requests == 0.
      *
      * `planning_stream` is the request sample every plan simulates; an
      * empty stream synthesizes an all-distinct one from autoscaler.cc's
@@ -195,7 +195,11 @@ struct ReactiveConfig
 class ReactiveAutoscaler : public Autoscaler
 {
   public:
-    /** `initial` seeds epoch 0 (typically the StaticPeak vector). */
+    /**
+     * `initial` seeds epoch 0 (typically the StaticPeak vector). Throws
+     * std::invalid_argument for an empty `initial`, min_replicas < 1 or
+     * max_replicas < min_replicas.
+     */
     ReactiveAutoscaler(std::vector<int> initial, ReactiveConfig config);
 
     std::string name() const override { return "reactive"; }
@@ -226,7 +230,11 @@ class ReactiveAutoscaler : public Autoscaler
 class BurnRateAutoscaler : public Autoscaler
 {
   public:
-    /** `initial` seeds epoch 0 (typically the StaticPeak vector). */
+    /**
+     * `initial` seeds epoch 0 (typically the StaticPeak vector). Throws
+     * std::invalid_argument for an empty `initial`, min_replicas < 1 or
+     * max_replicas < min_replicas.
+     */
     BurnRateAutoscaler(std::vector<int> initial, ReactiveConfig config);
 
     std::string name() const override { return "burn-rate"; }

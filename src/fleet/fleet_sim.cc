@@ -47,12 +47,11 @@ constexpr double kCrashAtFraction = 0.25;
 static_assert(kCrashAtFraction >= 0.0 && kCrashAtFraction < 1.0);
 
 // Telemetry analysis.
-/** Burn windows in epochs (scaled by kEpochDurationS). */
+/** Burn windows in epochs. */
 constexpr int kFastWindowEpochs = 2;
 constexpr int kSlowWindowEpochs = 6;
 constexpr double kFastBurnThreshold = 4.0;
 constexpr double kSlowBurnThreshold = 2.0;
-constexpr int kPendingTicks = 1;
 constexpr int kResolveTicks = 2;
 /** Allowed fraction of served requests over the SLO P99 target. */
 constexpr double kLatencyBudgetFraction = 0.01;
@@ -104,7 +103,9 @@ TelemetryLedger::fingerprint() const
     }
     fnv.add(static_cast<std::int64_t>(alerts.size()));
     for (const auto &a : alerts) {
-        fnv.add(a.t_s);
+        // Its epoch's midpoint in sim seconds: the pinned telemetry
+        // fingerprints hash this double.
+        fnv.add((static_cast<double>(a.epoch) + 0.5) * kEpochDurationS);
         fnv.bytes(a.objective.data(), a.objective.size());
         fnv.add(static_cast<int>(a.transition));
         fnv.add(a.fast_burn);
@@ -373,6 +374,10 @@ FleetSim::FleetSim(const model::ModelSpec &spec,
     if (cfg_.requests_per_epoch == 0)
         throw std::invalid_argument(
             "FleetSim: requests_per_epoch must be > 0");
+    // The shed objective's error budget: checked here, not at run().
+    if (!(cfg_.slo.max_shed_rate > 0.0 && cfg_.slo.max_shed_rate < 1.0))
+        throw std::invalid_argument(
+            "FleetSim: slo.max_shed_rate must be in (0, 1)");
     for (const auto &ev : cfg_.faults.events()) {
         const bool targets_shard = ev.kind == FaultKind::ReplicaCrash ||
                                    ev.kind == FaultKind::SlowReplica ||
@@ -538,21 +543,12 @@ FleetSim::run(Autoscaler &policy)
     std::vector<workload::Request> prev_tail;
 
     // Telemetry analysis (pure observer: consumes only measured ledger
-    // values, after the epoch's simulations finished). One bucket per
-    // epoch in each burn window.
+    // values, after the epoch's simulations finished).
     obs::SloMonitor monitor;
     const auto objective = [&](const char *name, double budget) {
-        obs::SloObjective o;
-        o.name = name;
-        o.budget_fraction = budget;
-        o.fast_horizon_s = kFastWindowEpochs * kEpochDurationS;
-        o.slow_horizon_s = kSlowWindowEpochs * kEpochDurationS;
-        o.buckets = kSlowWindowEpochs;
-        o.fast_burn_threshold = kFastBurnThreshold;
-        o.slow_burn_threshold = kSlowBurnThreshold;
-        o.pending_ticks = kPendingTicks;
-        o.resolve_ticks = kResolveTicks;
-        return monitor.addObjective(o);
+        return monitor.addObjective({name, budget, kFastWindowEpochs,
+                                     kSlowWindowEpochs, kFastBurnThreshold,
+                                     kSlowBurnThreshold, kResolveTicks});
     };
     const int lat_obj = objective("latency", kLatencyBudgetFraction);
     const int shed_obj = objective("shed", cfg_.slo.max_shed_rate);
@@ -800,18 +796,16 @@ FleetSim::run(Autoscaler &policy)
 
         // Telemetry analysis over the finished epoch: burn the error
         // budgets, evaluate the alert rules, step the burst detector.
-        // Mid-epoch timestamps keep records off bucket boundaries.
         EpochTelemetry trow;
-        const double t_mid = (static_cast<double>(e) + 0.5) * kEpochDurationS;
         const auto served = static_cast<std::uint64_t>(
             static_cast<std::int64_t>(all_stats.size()) - rec.shed_requests);
         const auto over = static_cast<std::uint64_t>(over_latency);
-        monitor.record(lat_obj, t_mid, served - over, over);
-        monitor.record(shed_obj, t_mid, served,
+        monitor.record(lat_obj, e, served - over, over);
+        monitor.record(shed_obj, e, served,
                        static_cast<std::uint64_t>(rec.shed_requests));
-        monitor.record(avail_obj, t_mid, rec.slo_violation ? 0 : 1,
+        monitor.record(avail_obj, e, rec.slo_violation ? 0 : 1,
                        rec.slo_violation ? 1 : 0);
-        const auto emitted = monitor.evaluate(t_mid);
+        const auto emitted = monitor.evaluate(e);
         ledger.telemetry.alerts.insert(ledger.telemetry.alerts.end(),
                                        emitted.begin(), emitted.end());
 

@@ -266,8 +266,9 @@ class FleetSim
   public:
     /**
      * Throws std::invalid_argument for a plan with no sparse shards,
-     * epochs <= 0, requests_per_epoch == 0, or a crash, slow-replica or
-     * partition event whose shard lies outside the plan.
+     * epochs <= 0, requests_per_epoch == 0, slo.max_shed_rate outside
+     * (0, 1), or a crash, slow-replica or partition event whose shard
+     * lies outside the plan.
      */
     FleetSim(const model::ModelSpec &spec, const core::ShardingPlan &plan,
              core::ServingConfig base_serving,

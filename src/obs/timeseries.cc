@@ -5,58 +5,28 @@
 
 namespace dri::obs {
 
-namespace {
-
-void
-validate(const WindowConfig &cfg)
+RollingHistogram::RollingHistogram(double horizon_s)
+    : bucket_width_s_(horizon_s / kBuckets), slots_(kBuckets)
 {
-    if (cfg.horizon_s <= 0.0)
-        throw std::invalid_argument("WindowConfig: horizon_s must be > 0");
-    if (cfg.buckets <= 0)
-        throw std::invalid_argument("WindowConfig: buckets must be > 0");
-}
-
-std::int64_t
-periodAt(double t_s, double bucket_width_s)
-{
-    if (t_s < 0.0)
-        t_s = 0.0;
-    return static_cast<std::int64_t>(std::floor(t_s / bucket_width_s));
-}
-
-/** Bucket is part of the window ending at now_period (inclusive). */
-bool
-inWindow(std::int64_t period, std::int64_t now_period, int buckets)
-{
-    return period >= 0 && period <= now_period &&
-           period > now_period - buckets;
-}
-
-} // namespace
-
-RollingHistogram::RollingHistogram(WindowConfig config,
-                                   unsigned sub_bucket_bits)
-    : cfg_(config), sub_bucket_bits_(sub_bucket_bits)
-{
-    validate(cfg_);
-    bucket_width_s_ = cfg_.horizon_s / cfg_.buckets;
-    slots_.reserve(static_cast<std::size_t>(cfg_.buckets));
-    for (int i = 0; i < cfg_.buckets; ++i)
-        slots_.emplace_back(sub_bucket_bits_);
+    if (!(horizon_s > 0.0))
+        throw std::invalid_argument(
+            "RollingHistogram: horizon_s must be > 0");
 }
 
 std::int64_t
 RollingHistogram::periodOf(double t_s) const
 {
-    return periodAt(t_s, bucket_width_s_);
+    if (t_s < 0.0)
+        t_s = 0.0;
+    return static_cast<std::int64_t>(std::floor(t_s / bucket_width_s_));
 }
 
 RollingHistogram::Slot *
 RollingHistogram::slotFor(std::int64_t p)
 {
-    Slot &s = slots_[static_cast<std::size_t>(p % cfg_.buckets)];
+    Slot &s = slots_[static_cast<std::size_t>(p % kBuckets)];
     if (p > s.period) {
-        s.hist = Histogram(sub_bucket_bits_);
+        s.hist = Histogram(kSubBucketBits);
         s.period = p;
     } else if (p < s.period) {
         // Out-of-order sample from more than a full horizon before the
@@ -80,9 +50,10 @@ template <class Visit>
 void
 RollingHistogram::forEachLive(double t_s, Visit &&visit) const
 {
+    // Live: the kBuckets periods ending at t_s's, inclusive.
     const std::int64_t now = periodOf(t_s);
     for (const Slot &s : slots_)
-        if (inWindow(s.period, now, cfg_.buckets))
+        if (s.period >= 0 && s.period <= now && s.period > now - kBuckets)
             visit(s.hist);
 }
 
@@ -97,7 +68,7 @@ RollingHistogram::count(double t_s) const
 Histogram
 RollingHistogram::merged(double t_s) const
 {
-    Histogram out(sub_bucket_bits_);
+    Histogram out(kSubBucketBits);
     forEachLive(t_s, [&out](const Histogram &h) { out.merge(h); });
     return out;
 }

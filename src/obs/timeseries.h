@@ -27,21 +27,13 @@
 
 namespace dri::obs {
 
-/** Ring geometry: horizon_s split into `buckets` slots. */
-struct WindowConfig
-{
-    /** Window length in (simulated) seconds. */
-    double horizon_s = 60.0;
-    /** Time buckets the horizon is split into (eviction granularity). */
-    int buckets = 8;
-};
-
 /**
  * Rolling window over an integer-valued stream (latency nanoseconds)
  * with HDR-histogram buckets instead of exact samples: O(log range)
  * memory per time bucket no matter the request rate, quantiles within
- * 2^-sub_bucket_bits relative error via Histogram::valueAtQuantile.
- * This is the trace sampler's rolling in-run P99 window.
+ * 2^-kSubBucketBits relative error via Histogram::valueAtQuantile.
+ * The horizon is split into kBuckets time buckets (the eviction
+ * granularity). This is the trace sampler's rolling in-run P99 window.
  *
  * Out-of-order timestamps are tolerated: a late sample whose bucket is
  * still live lands in that bucket, and a sample more than a full
@@ -53,8 +45,11 @@ struct WindowConfig
 class RollingHistogram
 {
   public:
-    explicit RollingHistogram(WindowConfig config = {},
-                              unsigned sub_bucket_bits = 5);
+    static constexpr int kBuckets = 8;
+    static constexpr unsigned kSubBucketBits = 5;
+
+    /** Window of @p horizon_s (simulated) seconds; throws unless > 0. */
+    explicit RollingHistogram(double horizon_s = 60.0);
 
     /** Observe @p value at time @p t_s. */
     void observe(double t_s, std::int64_t value);
@@ -75,15 +70,11 @@ class RollingHistogram
     /** Samples dropped because they arrived over a horizon late. */
     std::uint64_t droppedStale() const { return dropped_stale_; }
 
-    const WindowConfig &config() const { return cfg_; }
-
   private:
     struct Slot
     {
         std::int64_t period = -1;
-        Histogram hist;
-
-        explicit Slot(unsigned bits) : hist(bits) {}
+        Histogram hist{kSubBucketBits};
     };
 
     std::int64_t periodOf(double t_s) const;
@@ -95,9 +86,7 @@ class RollingHistogram
     /** Slot for an observe at period @p p, or nullptr (stale sample). */
     Slot *slotFor(std::int64_t p);
 
-    WindowConfig cfg_;
     double bucket_width_s_;
-    unsigned sub_bucket_bits_;
     std::vector<Slot> slots_;
     std::uint64_t dropped_stale_ = 0;
 };

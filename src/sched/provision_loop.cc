@@ -55,6 +55,10 @@ ProvisionLoop::evaluate(const std::vector<int> &replicas,
     if (replicas.size() != shards)
         throw std::invalid_argument(
             "ProvisionLoop: the replica vector needs one entry per shard");
+    // Demand is busy time per offered request: none offered, none known.
+    if (requests.empty())
+        throw std::invalid_argument(
+            "ProvisionLoop: the request stream is empty");
 
     core::ServingConfig cfg = serving_;
     cfg.sparse_replicas_per_shard = replicas;

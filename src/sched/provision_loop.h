@@ -108,7 +108,8 @@ class ProvisionLoop
      * Simulate one replica vector at the target rate and measure what
      * dc::provision would derive from it. Pure (fresh simulation, no loop
      * state); run() composes it. Throws std::invalid_argument unless
-     * `replicas` has one entry per plan shard.
+     * `replicas` has one entry per plan shard and `requests` is
+     * non-empty.
      */
     ProvisionIteration
     evaluate(const std::vector<int> &replicas,
@@ -117,6 +118,7 @@ class ProvisionLoop
     /**
      * Iterate to the replica-vector fixed point. The result's replicas
      * are always the last trace entry's: the vector it last simulated.
+     * Throws std::invalid_argument for an empty request stream.
      */
     ProvisionLoopResult
     run(const std::vector<workload::Request> &requests);

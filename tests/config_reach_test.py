@@ -27,7 +27,7 @@ import unittest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHIPPED = ("src", "bench", "examples", "bench_e2e")
 
-SETTABLE_FIELDS = 88
+SETTABLE_FIELDS = 86
 NO_WRITER = [
     # Chaos.KitchenSinkDigestsArePinned depends on both values.
     "PerturbationConfig::rpc_timeout_ns",

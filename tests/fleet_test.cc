@@ -510,8 +510,12 @@ TEST(FleetSim, BurnRateHoldsSteadyOnFlatTrace)
     for (std::size_t e = s.epochs.size() / 2; e < s.epochs.size(); ++e)
         EXPECT_EQ(s.epochs[e].replicas, settled) << "epoch " << e;
     // With the SLO comfortably met the internal monitor never fired.
-    EXPECT_EQ(burn.monitor().transitionCount(
-                  obs::AlertTransition::Firing),
+    const auto &alerts = burn.monitor().events();
+    EXPECT_EQ(std::count_if(alerts.begin(), alerts.end(),
+                            [](const obs::AlertEvent &a) {
+                                return a.transition ==
+                                       obs::AlertTransition::Firing;
+                            }),
               0);
 }
 
@@ -540,8 +544,8 @@ TEST(FleetSim, BurnRateReplaysByteIdentically)
     EXPECT_EQ(s1.fingerprint(), s2.fingerprint());
     ASSERT_EQ(p.monitor().events().size(), q.monitor().events().size());
     for (std::size_t i = 0; i < p.monitor().events().size(); ++i) {
-        EXPECT_EQ(p.monitor().events()[i].t_s,
-                  q.monitor().events()[i].t_s);
+        EXPECT_EQ(p.monitor().events()[i].epoch,
+                  q.monitor().events()[i].epoch);
         EXPECT_EQ(p.monitor().events()[i].transition,
                   q.monitor().events()[i].transition);
     }
@@ -849,6 +853,54 @@ TEST(FleetMisuse, FleetSimRejectsAFaultOutsideThePlan)
                  std::invalid_argument);
 }
 
+TEST(FleetMisuse, FleetSimRejectsAShedBudgetOutsideTheUnitInterval)
+{
+    // Regression: the bad budget used to pass the constructor and throw
+    // from run(), when telemetry registered the shed objective.
+    const auto spec = model::makeDrm2();
+    const auto plan = core::makeCapacityBalanced(spec, 4);
+    const workload::DiurnalLoadModel load(spec, flatLoad(300.0));
+    for (const double rate : {0.0, 1.0, 1.5}) {
+        auto fc = smallFleet(2);
+        fc.slo.max_shed_rate = rate;
+        EXPECT_THROW(
+            fleet::FleetSim(spec, plan, fleetTestServing(), load, fc),
+            std::invalid_argument)
+            << rate;
+    }
+}
+
+TEST(FleetMisuse, FeedbackAutoscalersRejectAnInvertedReplicaBand)
+{
+    // Regression: std::clamp with min 5 > max 3 seeded {3, 3}, below the
+    // floor.
+    fleet::ReactiveConfig rc;
+    rc.min_replicas = 5;
+    rc.max_replicas = 3;
+    EXPECT_THROW(fleet::ReactiveAutoscaler({4, 4}, rc),
+                 std::invalid_argument);
+    EXPECT_THROW(fleet::BurnRateAutoscaler({4, 4}, rc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FeedbackAutoscalersRejectMinReplicasBelowOne)
+{
+    fleet::ReactiveConfig rc;
+    rc.min_replicas = 0;
+    EXPECT_THROW(fleet::ReactiveAutoscaler({4, 4}, rc),
+                 std::invalid_argument);
+    EXPECT_THROW(fleet::BurnRateAutoscaler({4, 4}, rc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, FeedbackAutoscalersRejectAnEmptyInitialVector)
+{
+    // Regression: only a debug assert caught it; release builds decided
+    // {} every epoch.
+    EXPECT_THROW(fleet::ReactiveAutoscaler({}, {}), std::invalid_argument);
+    EXPECT_THROW(fleet::BurnRateAutoscaler({}, {}), std::invalid_argument);
+}
+
 TEST(FleetMisuse, FaultScheduleRejectsANegativeStartEpoch)
 {
     fleet::FaultSchedule f;
@@ -945,6 +997,19 @@ TEST(FleetMisuse, CapacityPlannerRejectsHeadroomBelowOne)
     const auto spec = model::makeDrm2();
     fleet::PlannerConfig pc;
     pc.headroom = 0.9;
+    EXPECT_THROW(fleet::CapacityPlanner(spec,
+                                        core::makeCapacityBalanced(spec, 4),
+                                        fleetTestServing(), pc),
+                 std::invalid_argument);
+}
+
+TEST(FleetMisuse, CapacityPlannerRejectsZeroPlanningRequests)
+{
+    // Regression: an empty planning stream priced demand as 0/0 and
+    // provisioned from NaN.
+    const auto spec = model::makeDrm2();
+    fleet::PlannerConfig pc;
+    pc.planning_requests = 0;
     EXPECT_THROW(fleet::CapacityPlanner(spec,
                                         core::makeCapacityBalanced(spec, 4),
                                         fleetTestServing(), pc),

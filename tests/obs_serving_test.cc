@@ -305,9 +305,7 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     obs::TraceSampler sampler(sampler_cfg);
     obs::SpanTracer sampled_tracer;
     sampled_tracer.setSampler(&sampler);
-    obs::WindowConfig feed_cfg;
-    feed_cfg.horizon_s = 1e6;
-    obs::RollingHistogram feed(feed_cfg);
+    obs::RollingHistogram feed(1e6);
     sampler.setLatencyFeed(&feed);
     core::ServingSimulation sampled(spec, plan, config(&sampled_tracer));
     sampled.replayOpenLoop(requests, 1500.0);
@@ -325,10 +323,7 @@ TEST(ObsServing, HedgedCachedReplayProfileIsPinned)
     obs::TraceSampler ring_sampler(sampler_cfg);
     obs::SpanTracer ring_tracer;
     ring_tracer.setSampler(&ring_sampler);
-    obs::WindowConfig ring_cfg;
-    ring_cfg.horizon_s = 0.2;
-    ring_cfg.buckets = 8;
-    obs::RollingHistogram ring_feed(ring_cfg);
+    obs::RollingHistogram ring_feed(0.2);
     ring_sampler.setLatencyFeed(&ring_feed);
     core::ServingSimulation ring(spec, plan, config(&ring_tracer));
     ring.replayOpenLoop(requests, 1500.0);

@@ -23,7 +23,6 @@
 #include "obs/histogram.h"
 #include "obs/render.h"
 #include "obs/span_tracer.h"
-#include "obs/timeseries.h"
 
 namespace {
 
@@ -501,8 +500,6 @@ TEST(Histogram, RejectsSubBucketBitsAboveTheBound)
     EXPECT_EQ(widest.count(), 1u);
     for (const unsigned bits : {max_bits + 1, 63u, 64u, 1000u})
         EXPECT_THROW(obs::Histogram{bits}, std::invalid_argument) << bits;
-
-    EXPECT_THROW(obs::RollingHistogram({10.0, 5}, 63), std::invalid_argument);
 }
 
 // bucketCount reads one bucket; the counts over the used range add up

@@ -643,6 +643,15 @@ TEST(ProvisionLoopMisuse, EvaluateRejectsAVectorOfTheWrongSize)
     EXPECT_THROW(loop.evaluate({2, 2}, requests), std::invalid_argument);
 }
 
+TEST(ProvisionLoopMisuse, RejectsAnEmptyRequestStream)
+{
+    // Regression: busy time over zero requests gave NaN demand, which
+    // dc::provision cast to int.
+    auto loop = makeLoop({});
+    EXPECT_THROW(loop.evaluate({2, 2, 2, 2}, {}), std::invalid_argument);
+    EXPECT_THROW(loop.run({}), std::invalid_argument);
+}
+
 TEST(ProvisionLoop, ConvergesToLoadProportionalFixedPoint)
 {
     const auto spec = testSpec();

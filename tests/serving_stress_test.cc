@@ -486,7 +486,7 @@ TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
         const auto baseline = run(p);
         // Horizon far beyond the replay: every served request stays
         // inside the window for the final cross-check below.
-        obs::RollingHistogram feed(obs::WindowConfig{1e6, 8});
+        obs::RollingHistogram feed(1e6);
         obs::TraceSampler sampler;
         sampler.setLatencyFeed(&feed);
         obs::SpanTracer tracer;
@@ -524,7 +524,7 @@ TEST_F(ServingStressTest, LatencyFeedLeavesStatsByteIdentical)
         }
         if (p.batched)
             continue;
-        obs::RollingHistogram from_stats(obs::WindowConfig{1e6, 8});
+        obs::RollingHistogram from_stats(1e6);
         for (const core::RequestStats &st : fed)
             if (!st.shed())
                 from_stats.observe(static_cast<double>(st.completion) * 1e-9,
@@ -554,7 +554,7 @@ TEST_F(ServingStressTest, TraceSamplingLeavesStatsByteIdentical)
                                    obs::TraceSampler &sampler) {
         obs::SpanTracer tracer;
         tracer.setSampler(&sampler);
-        obs::RollingHistogram feed(obs::WindowConfig{1e6, 8});
+        obs::RollingHistogram feed(1e6);
         sampler.setLatencyFeed(&feed);
         auto stats = run(p, &tracer);
         sampler.setLatencyFeed(nullptr); // the window dies here

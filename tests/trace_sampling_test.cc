@@ -64,9 +64,7 @@ closeRoot(obs::SpanTracer &tracer, std::uint64_t request_id,
 std::unique_ptr<obs::RollingHistogram>
 constantFeed(int n, std::int64_t ns)
 {
-    obs::WindowConfig wc;
-    wc.horizon_s = 1e6;
-    auto feed = std::make_unique<obs::RollingHistogram>(wc);
+    auto feed = std::make_unique<obs::RollingHistogram>(1e6);
     for (int i = 0; i < n; ++i)
         feed->observe(0.0, ns);
     return feed;
@@ -132,9 +130,7 @@ TEST(TraceSampler, RollingQuantileFeedDrivesTheTailThreshold)
     // A latency feed whose slowest 10% sit at 100 us puts the
     // kTailQuantile threshold inside that population: a root 50x the
     // bulk is still not a tail keep, one past the slow population is.
-    obs::WindowConfig wc;
-    wc.horizon_s = 1e6;
-    obs::RollingHistogram feed(wc);
+    obs::RollingHistogram feed(1e6);
     for (int i = 0; i < 200; ++i)
         feed.observe(1.0, i < 180 ? 1000.0 : 100000.0);
 
@@ -493,15 +489,13 @@ TEST(TraceSampler, FaultFlagsPresentAtTheDecisionDecide)
 
 TEST(RollingHistogram, CountsDroppedStaleSamples)
 {
-    obs::WindowConfig wc;
-    wc.horizon_s = 10.0;
-    wc.buckets = 5;
-    obs::RollingHistogram h(wc);
+    const double horizon_s = 10.0;
+    obs::RollingHistogram h(horizon_s);
     h.observe(100.0, 1.0);
     EXPECT_EQ(h.droppedStale(), 0u);
     // Same ring position, more than a full horizon older: dropped and
     // counted, not silently folded into the live bucket.
-    h.observe(100.0 - wc.horizon_s, 2.0);
+    h.observe(100.0 - horizon_s, 2.0);
     EXPECT_EQ(h.droppedStale(), 1u);
 }
 
